@@ -209,8 +209,7 @@ def cmd_spmd(args) -> int:
               f"epsilon {stats.epsilon}), {stats.phases} epsilon-phase(s), "
               f"{stats.auction_rounds} auction round(s)")
         print(f"auction    : {stats.bids_placed:,} bids, "
-              f"{stats.price_updates:,} price updates "
-              f"({stats.price_words:,} replication words), words "
+              f"{stats.price_updates:,} price updates, words "
               f"expand/fold/total = {stats.expand_words:,}/{stats.fold_words:,}/"
               f"{stats.total_words:,}")
     else:

@@ -116,13 +116,11 @@ class DistStats:
     verify_summary: "dict[str, int] | None" = None
     #: weighted-auction counters (``run_mwm_dist``; zero for cardinality
     #: jobs): synchronized bidding rounds across all ε-phases, bids placed
-    #: (one per active bidder per round, globally summed), item price
-    #: increases accepted, and 8-byte words spent replicating accepted
-    #: prices along the grid rows
+    #: (one per active bidder per round) and item price increases accepted
+    #: (counted once per item, not once per replica)
     auction_rounds: int = 0
     bids_placed: int = 0
     price_updates: int = 0
-    price_words: int = 0
     #: weighted objective of the reported matching (original weights), its
     #: weight scale (max edge weight) and the ε the schedule was built for
     matching_weight: float = 0.0

@@ -1,30 +1,40 @@
 """MWM-DIST: distributed maximum WEIGHT matching via ε-scaled auctions.
 
 The weighted sibling of :mod:`repro.matching.mcm_dist` — same SPMD
-discipline (rank-local blocks and vector slices, all coordination through
-collectives), but the phase engine is a synchronized Bertsekas auction on
-the DOUBLED perfect-assignment graph (see :mod:`repro.matching.auction`
-for why the doubling is what makes ε-scaling sound).
+discipline (rank-local blocks, all coordination through collectives), but
+the phase engine is a synchronized Bertsekas auction on the DOUBLED
+perfect-assignment graph (see :mod:`repro.matching.auction` for why the
+doubling is what makes ε-scaling sound).
 
-One bidding round, as it appears on the wire:
+Auction state is REPLICATED along the grid so that a round never leaves
+the √p-rank row and column communicators (the paper's §IV lesson): rank
+(i, j) keeps the prices and the item→bidder map of row block i —
+identical on the pc ranks of grid row i — and the free-bidder bitmap of
+column block j — identical on the pr ranks of grid column j.  That is
+O(N/pr + N/pc) words per rank on top of the matrix block.  One bidding
+round is then three packed allgathers and nothing else:
 
-1. **bid** — every rank lists its unmatched bidder columns, expands them
-   along the grid COLUMN (one allgatherv: each rank of the column needs
-   the full bidder set to scan its block), and runs the
-   (select, +)-semiring block kernel :func:`~repro.matching.auction.top2_cols`
-   against the block-replicated item prices.  Per-block (best, second)
-   partials are routed along the grid column to each bidder's owner rank
-   and merged (:func:`~repro.matching.auction.combine_partials`); the
-   Bertsekas bid is computed from the combined top-2.
-2. **resolve** — bids travel one grid-wide all-to-all to the item owners;
-   each item keeps its highest bid (ties to the smallest bidder — the
+1. **bid** (grid column) — every rank runs the (select, +)-semiring block
+   kernel :func:`~repro.matching.auction.top2_cols` on the free bidders
+   of its column block and allgathers the per-block (best, second)
+   partials; every rank of the column merges them
+   (:func:`~repro.matching.auction.combine_partials`) into the same
+   Bertsekas bids.
+2. **resolve** (grid row) — the rank whose row block holds a bid's best
+   item contributes it to the row's allgather; every rank of the row
+   keeps each item's highest bid (ties to the smallest bidder — the
    float-keyed :func:`~repro.sparse.semiring.reduce_candidates`), evicts
-   its previous mate, and raises its price to the winning bid.  Mate
-   updates fan out to the bidder owners (winners and evictees are
-   disjoint sets, so one routed message serves both), and accepted prices
-   replicate along the grid ROW into every block copy.
-3. **quiescence** — one 2-word allreduce carries (active bidders,
-   accepted bids); the phase ends when no bidder was active.
+   the previous mate and raises the price, in its own replica.
+3. **notify** (grid column) — winners and evictees of the rank's column
+   block go down the column to flip the free bitmap, together with the
+   row block's count of accepts onto previously unowned items; summed
+   over the column that count is the exact global drop in active bidders,
+   so every rank knows when the phase is over without a reduction.
+
+Bids now reach the pc-1 row peers instead of one owner — a few percent
+more words bought 2·⌈log₂ pr⌉ + ⌈log₂ pc⌉ latency steps per round instead
+of two grid-wide all-to-alls, three sub-communicator exchanges and an
+allreduce (DESIGN §16 has the measured counts).
 
 All bids of a round are computed against the same round-start prices
 (Jacobi), and every tie-break is by smallest id, so the mate vectors are
@@ -42,9 +52,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..distmat.distvec import DistDenseVec
 from ..distmat.grid import ProcGrid
-from ..distmat.ops import allgather_arrays, route
+from ..distmat.ops import allgather_arrays
 from ..distmat.wspmat import DistWeightedMatrix
 from ..runtime import spmd
 from ..runtime.checkpoint import Checkpoint, CheckpointStore
@@ -70,26 +79,18 @@ from .mcm_dist import (
 )
 
 
-def _gather_prices(grid: ProcGrid, mate_item: DistDenseVec, price_own: np.ndarray) -> np.ndarray:
-    """Assemble the global item-price vector (collective).
-
-    ``price_own`` is this rank's row-vector sub-chunk, aligned with
-    ``mate_item.local``; the float analogue of ``DistDenseVec.to_global``.
-    """
-    pieces = grid.comm.allgather((mate_item.lo, price_own))
-    out = np.zeros(mate_item.n)
-    for lo, arr in pieces:
-        out[lo:lo + arr.size] = arr
-    return out
+def _columns(pieces: "list[tuple[np.ndarray, ...]]") -> tuple[np.ndarray, ...]:
+    """Concatenate an :func:`allgather_arrays` result array by array, in
+    source-rank order."""
+    return tuple(np.concatenate(col) for col in zip(*pieces))
 
 
 def _save_auction_checkpoint(
     grid: ProcGrid,
     store: CheckpointStore,
     phase: int,
-    mate_item: DistDenseVec,
-    mate_bidder: DistDenseVec,
-    price_own: np.ndarray,
+    owner_blk: np.ndarray,
+    price_blk: np.ndarray,
     stats: DistStats,
 ) -> None:
     """Snapshot (doubled mates, item prices) after a completed ε-phase.
@@ -100,16 +101,21 @@ def _save_auction_checkpoint(
     the snapshot is durable.
     """
     with tspan(grid.comm, "checkpoint", cat="phase", phase=phase):
-        g_item = mate_item.to_global()
-        g_bidder = mate_bidder.to_global()
-        prices = _gather_prices(grid, mate_item, price_own)
+        # every rank holds its whole row block, and the pr ranks of a grid
+        # column hold row blocks 0..pr-1 in rank order
+        g_item, prices = _columns(allgather_arrays(grid.colcomm, owner_blk, price_blk))
         if grid.comm.rank == 0:
+            # a phase ends on a perfect assignment (phase 0: nothing owned),
+            # so the bidder side is the inverse of the item side
+            owned = np.flatnonzero(g_item != NULL)
+            g_bidder = np.full(g_item.size, NULL, dtype=np.int64)
+            g_bidder[g_item[owned]] = owned
             store.save(Checkpoint(
                 phase=phase, mate_row=g_item, mate_col=g_bidder,
                 rng_state=None, aux={"prices": prices},
             ))
         grid.comm.barrier()
-        stats.checkpoint_words += g_item.size + g_bidder.size + prices.size + 2
+        stats.checkpoint_words += 2 * g_item.size + prices.size + 2
 
 
 def mwm_dist_spmd(
@@ -174,27 +180,24 @@ def mwm_dist_spmd(
     A = DistWeightedMatrix.scatter_from_root(grid, doubled, dweff, weights2=dworig)
     N = A.nrows
 
-    mate_item = DistDenseVec(grid, N, "row")     # item -> bidder
-    mate_bidder = DistDenseVec(grid, N, "col")   # bidder -> item
-    # item prices: this rank's row-vector sub-chunk + its row-block replica
-    price_own = np.zeros(mate_item.hi - mate_item.lo)
+    # the replicas: row block i's item -> bidder map and prices (identical
+    # along grid row i), column block j's free-bidder bitmap (identical down
+    # grid column j)
+    owner_blk = np.full(A.row_hi - A.row_lo, NULL, dtype=np.int64)
     price_blk = np.zeros(A.row_hi - A.row_lo)
+    free_blk = np.ones(A.col_hi - A.col_lo, dtype=bool)
 
     start_phase = 0
     if resume is not None:
-        mate_item.local[:] = resume.mate_row[mate_item.lo:mate_item.hi]
-        mate_bidder.local[:] = resume.mate_col[mate_bidder.lo:mate_bidder.hi]
-        prices_g = resume.aux["prices"] if resume.aux else np.zeros(N)
-        price_own[:] = prices_g[mate_item.lo:mate_item.hi]
-        price_blk[:] = prices_g[A.row_lo:A.row_hi]
+        owner_blk[:] = resume.mate_row[A.row_lo:A.row_hi]
+        if resume.aux:
+            price_blk[:] = resume.aux["prices"][A.row_lo:A.row_hi]
         start_phase = resume.phase
     elif checkpoint_store is not None:
         # phase-0 snapshot: uniform restart bookkeeping with the MCM engine
-        _save_auction_checkpoint(
-            grid, checkpoint_store, 0, mate_item, mate_bidder, price_own, stats
-        )
+        _save_auction_checkpoint(grid, checkpoint_store, 0, owner_blk, price_blk, stats)
 
-    rounds = bids_local = updates_local = price_words_local = 0
+    rounds = bids = updates_row = 0
     for phase_no in range(start_phase + 1, len(schedule) + 1):
         delta = schedule[phase_no - 1]
         stats.phases = phase_no
@@ -202,77 +205,61 @@ def mwm_dist_spmd(
         with tspan(grid.comm, "phase", cat="phase", phase=phase_no):
             # each ε-phase restarts the assignment; prices persist (sound
             # for PERFECT assignment — the price sums cancel in the bound)
-            mate_item.local.fill(NULL)
-            mate_bidder.local.fill(NULL)
-            while True:
+            owner_blk.fill(NULL)
+            free_blk.fill(True)
+            active = N  # free bidders grid-wide; every rank tracks it exactly
+            while active:
                 if rounds >= max_rounds:
                     raise RuntimeError(f"auction exceeded {max_rounds} rounds")
-                with tspan(grid.comm, "auction_round", cat="phase", round=rounds + 1):
-                    with tspan(grid.comm, "bid"):
-                        # expand: every rank of the grid column needs the
-                        # column's full unmatched-bidder set for its block
-                        lbidders = np.flatnonzero(mate_bidder.local == NULL) + mate_bidder.lo
-                        pieces = grid.colcomm.allgatherv((lbidders,))
-                        gcols = np.concatenate([p[0] for p in pieces])
-                        kcols, best, brow, bw, second = A.top2(gcols, price_blk)
-                        # fold the per-block partials at each bidder's owner
-                        sub, _blk = A.col_vecmap.owner(kcols)
-                        cc, cb, cr, cw, cs = route(
-                            grid.colcomm, sub, kcols, best, brow, bw, second
-                        )
-                        cc, cb, cr, cw, cs = combine_partials(cc, cb, cr, cw, cs)
-                        bids = compute_bids(cb, cw, cs, delta, sec_floor)
-                    with tspan(grid.comm, "resolve"):
-                        # per-item max-bid resolution at the item owners
-                        rrow, rbid, rbidder = route(
-                            grid.comm, mate_item.owner_of(cr), cr, bids, cc
-                        )
-                        ridx, wbid, winner = resolve_bids(rrow, rbid, rbidder)
-                        prev = mate_item.get_local(ridx)
-                        mate_item.set_local(ridx, winner)
-                        price_own[ridx - mate_item.lo] = wbid
-                        # winners were unmatched at round start and evictees
-                        # matched, so the sets are disjoint: one routed
-                        # message updates both at the bidder owners
-                        ev = prev[prev != NULL]
-                        nb = np.concatenate([winner, ev])
-                        nv = np.concatenate([ridx, np.full(ev.size, NULL, np.int64)])
-                        bb, bv = route(grid.comm, mate_bidder.owner_of(nb), nb, nv)
-                        mate_bidder.set_local(bb, bv)
-                        # replicate accepted prices along the grid row into
-                        # every block copy of this row block
-                        for gi, gp in allgather_arrays(grid.rowcomm, ridx, wbid):
-                            price_blk[gi - A.row_lo] = gp
-                        price_words_local += 2 * int(ridx.size) * (grid.pc - 1)
-                        updates_local += int(ridx.size)
-                    # quiescence: 2 words carry (active bidders, accepts)
-                    counts = grid.comm.allreduce(
-                        np.array([lbidders.size, ridx.size], np.int64), op=SUM
-                    )
-                if counts[0] == 0:
-                    break  # the round was a no-op: perfect assignment stands
                 rounds += 1
-                bids_local += int(lbidders.size)
+                bids += active
+                with tspan(grid.comm, "auction_round", cat="phase", round=rounds):
+                    with tspan(grid.comm, "bid"):
+                        gcols = np.flatnonzero(free_blk) + A.col_lo
+                        pieces = allgather_arrays(grid.colcomm, *A.top2(gcols, price_blk))
+                        cc, cb, cr, cw, cs = combine_partials(*_columns(pieces))
+                        cbid = compute_bids(cb, cw, cs, delta, sec_floor)
+                    with tspan(grid.comm, "resolve"):
+                        # each bid enters the row exchange once: at the rank
+                        # of this column whose row block holds its best item
+                        mine = (cr >= A.row_lo) & (cr < A.row_hi)
+                        pieces = allgather_arrays(grid.rowcomm, cr[mine], cbid[mine], cc[mine])
+                        ridx, wbid, winner = resolve_bids(*_columns(pieces))
+                        prev = owner_blk[ridx - A.row_lo]
+                        owner_blk[ridx - A.row_lo] = winner
+                        price_blk[ridx - A.row_lo] = wbid
+                        updates_row += int(ridx.size)
+                    with tspan(grid.comm, "notify"):
+                        # winners were free at round start and evictees
+                        # matched, so the two sets are disjoint
+                        ev = prev[prev != NULL]
+                        won = winner[(winner >= A.col_lo) & (winner < A.col_hi)]
+                        lost = ev[(ev >= A.col_lo) & (ev < A.col_hi)]
+                        fresh = np.array([ridx.size - ev.size], np.int64)
+                        for won_k, lost_k, fresh_k in allgather_arrays(
+                            grid.colcomm, won, lost, fresh
+                        ):
+                            free_blk[won_k - A.col_lo] = False
+                            free_blk[lost_k - A.col_lo] = True
+                            active -= int(fresh_k[0])
             if (
                 checkpoint_store is not None
                 and checkpoint_every > 0
                 and phase_no % checkpoint_every == 0
             ):
                 _save_auction_checkpoint(
-                    grid, checkpoint_store, phase_no,
-                    mate_item, mate_bidder, price_own, stats,
+                    grid, checkpoint_store, phase_no, owner_blk, price_blk, stats
                 )
 
     # -- extraction: the better of the two G-matchings the assignment picked.
     # Pairs are assembled in the canonical item-index order on EVERY rank, so
     # the float weight sums (and hence the M1-vs-M2 choice) are grid-invariant
     # and bit-identical to the serial twin's.
-    mate_item_g = mate_item.to_global()
     w_orig = A.w2 if A.w2 is not None else np.zeros(0)
     cols_e = np.repeat(np.arange(A.cp.size - 1, dtype=np.int64), np.diff(A.cp))
     grows = A.ir + A.row_lo
     gcols = cols_e + A.col_lo
-    matched = mate_item_g[grows] == gcols if grows.size else np.zeros(0, bool)
+    matched = owner_blk[A.ir] == gcols
     m1 = matched & (grows < n1) & (gcols < n2)
     m2 = matched & (grows >= n1) & (gcols >= n2)
     p1 = allgather_arrays(grid.comm, grows[m1], gcols[m1], w_orig[m1])
@@ -280,9 +267,7 @@ def mwm_dist_spmd(
                           w_orig[m2])
     cand = []
     for pieces, sort_key in ((p1, 0), (p2, 1)):
-        ii = np.concatenate([p[0] for p in pieces])
-        jj = np.concatenate([p[1] for p in pieces])
-        ww = np.concatenate([p[2] for p in pieces])
+        ii, jj, ww = _columns(pieces)
         # the twin enumerates M1 by item (row) index and M2 by column index
         order = np.argsort(ii if sort_key == 0 else jj)
         ii, jj, ww = ii[order], jj[order], ww[order]
@@ -297,26 +282,27 @@ def mwm_dist_spmd(
     stats.matching_weight = weight
     stats.final_cardinality = int(pos.sum())
     stats.auction_rounds = rounds
+    stats.bids_placed = bids
+    (stats.auction_prices,) = _columns(allgather_arrays(grid.colcomm, price_blk))
+    # snapshot BEFORE the summing collective so it doesn't count itself;
+    # resolve is replicated along each grid row, so one rank per row reports
+    # its accepts
     totals = grid.comm.allreduce(
-        np.array([bids_local, updates_local, price_words_local], np.int64), op=SUM
+        np.array(
+            [
+                grid.colcomm.stats.words_sent,
+                grid.rowcomm.stats.words_sent,
+                grid.comm.stats.words_sent,
+                updates_row if grid.j == 0 else 0,
+            ],
+            dtype=np.int64,
+        ),
+        op=SUM,
     )
-    stats.bids_placed = int(totals[0])
-    stats.price_updates = int(totals[1])
-    stats.price_words = int(totals[2])
-    stats.auction_prices = _gather_prices(grid, mate_item, price_own)
-    # snapshot BEFORE the summing collectives so they don't count themselves
-    words = np.array(
-        [
-            grid.colcomm.stats.words_sent,
-            grid.rowcomm.stats.words_sent,
-            grid.comm.stats.words_sent,
-        ],
-        dtype=np.int64,
-    )
-    words = grid.comm.allreduce(words, op=SUM)
-    stats.expand_words = int(words[0])
-    stats.fold_words = int(words[1])
-    stats.total_words = int(words[0] + words[1] + words[2])
+    stats.expand_words = int(totals[0])
+    stats.fold_words = int(totals[1])
+    stats.total_words = int(totals[0] + totals[1] + totals[2])
+    stats.price_updates = int(totals[3])
     stats.comm_by_alg = _local_by_alg(grid)
     stats.comm_messages, stats.frames, stats.frame_words = _local_physical(grid)
     return g_mate_r, g_mate_c, stats

@@ -266,41 +266,28 @@ def auction_round(
     pc: int,
     alpha: float,
     beta: float,
-    bidder_words: float,
     partial_words: float,
     bid_words: float,
-    price_words: float,
-    *,
-    links=None,
-    aggregate: bool = False,
+    notify_words: float,
 ) -> float:
     """One synchronized bidding round of MWM-DIST on a pr × pc grid.
 
-    The round's wire shape (see :mod:`repro.matching.mwm_dist`):
+    The round's wire shape (see :mod:`repro.matching.mwm_dist`) is three
+    allgathers on the schedule the runtime selects (dissemination — the
+    ⌈log₂p⌉-step :func:`allgather_recursive_doubling` cost):
 
-    1. bidder expand — allgather of the unmatched-bidder slices along a
-       grid COLUMN (``pr`` participants, ``bidder_words`` total);
-    2. partial fold — personalized all-to-all of per-block (best, second)
-       partials along the column (``partial_words`` max per-rank send);
-    3. bid resolution — grid-wide all-to-all delivering bids to the item
-       owners (``pr*pc`` participants, ``bid_words`` max send; the mate
-       notifications ride the same shape and are folded into it);
-    4. price replication — allgather of accepted (item, price) pairs along
-       a grid ROW (``pc`` participants, ``price_words`` total);
-    5. quiescence — one 2-word allreduce over the whole grid.
+    1. bid — per-block (best, second) partials down a grid COLUMN (``pr``
+       participants, ``partial_words`` total);
+    2. resolve — bids along a grid ROW (``pc`` participants, ``bid_words``
+       total);
+    3. notify — winners, evictees and the fresh-accept count down the
+       column again (``notify_words`` total).
 
-    ``aggregate`` prices the hub-star coalesced variants, matching the
-    runtime's superstep aggregation engine.
+    The latency term, ``alpha * (2·⌈log₂ pr⌉ + ⌈log₂ pc⌉)``, is pinned
+    against a real run's ledger in ``tests/matching/test_mwm_round_shape.py``.
     """
-    p = pr * pc
     return (
-        allgather(pr, alpha, beta, bidder_words, algorithm="ring",
-                  links=links, aggregate=aggregate)
-        + alltoallv(p=pr, alpha=alpha, beta=beta, max_send_words=partial_words,
-                    algorithm="pairwise", links=links, aggregate=aggregate)
-        + alltoallv(p=p, alpha=alpha, beta=beta, max_send_words=bid_words,
-                    algorithm="pairwise", links=links, aggregate=aggregate)
-        + allgather(pc, alpha, beta, price_words, algorithm="ring",
-                    links=links, aggregate=aggregate)
-        + allreduce(p, alpha, beta, 2.0, links=links, aggregate=aggregate)
+        allgather_recursive_doubling(pr, alpha, beta, partial_words)
+        + allgather_recursive_doubling(pc, alpha, beta, bid_words)
+        + allgather_recursive_doubling(pr, alpha, beta, notify_words)
     )

@@ -102,8 +102,20 @@ def _critical_chain(node: _Node) -> list[str]:
     return chain
 
 
+#: trace clock -> (unit every duration of the report is in, span-time scale):
+#: a wall trace holds seconds, which the report's one-decimal columns would
+#: round to nothing, so it speaks microseconds like the Chrome file does
+_REPORT_UNITS = {"wall": ("µs", 1e6), "ticks": ("ticks", 1.0)}
+
+
 def analyze(trace: DistTrace, top: int = 5) -> dict:
-    """Replay ``trace`` into a JSON-ready report dict (see module doc)."""
+    """Replay ``trace`` into a JSON-ready report dict (see module doc).
+
+    Every duration and timestamp is in ``report["unit"]`` (the adversity
+    rollup's ``seconds`` excepted — injected sleeps are named in seconds).
+    """
+    clock = trace.meta.get("clock", "?")
+    unit, k = _REPORT_UNITS.get(clock, ("", 1.0))
     forests = [_build_forest(trace.spans[r]) for r in range(trace.nranks)]
     idle = trace.meta.get("idle_wait", [0.0] * trace.nranks)
 
@@ -119,8 +131,8 @@ def analyze(trace: DistTrace, top: int = 5) -> dict:
         )
         ranks.append({
             "rank": r,
-            "makespan": makespan,
-            "wait": wait,
+            "makespan": makespan * k,
+            "wait": wait * k,
             "wait_fraction": (wait / makespan) if makespan > 0 else 0.0,
         })
 
@@ -145,17 +157,17 @@ def analyze(trace: DistTrace, top: int = 5) -> dict:
             acc = by_name.setdefault(
                 node.span.name, {"self": 0.0, "count": 0, "wait": 0.0}
             )
-            acc["self"] += node.self_time
+            acc["self"] += node.self_time * k
             acc["count"] += 1
-            acc["wait"] += node.span.wait
+            acc["wait"] += node.span.wait * k
         ranked = sorted(
             ({"name": name, **acc} for name, acc in by_name.items()),
             key=lambda d: -d["self"],
         )
         phases.append({
             "label": label,
-            "dur_max": dmax,
-            "dur_min": dmin,
+            "dur_max": dmax * k,
+            "dur_min": dmin * k,
             "critical_rank": crit_rank,
             "ranks_present": len(by_rank),
             "skew": ((dmax - dmin) / dmax) if dmax > 0 else 0.0,
@@ -171,9 +183,9 @@ def analyze(trace: DistTrace, top: int = 5) -> dict:
             acc = totals.setdefault(
                 node.span.name, {"self": 0.0, "count": 0, "wait": 0.0}
             )
-            acc["self"] += node.self_time
+            acc["self"] += node.self_time * k
             acc["count"] += 1
-            acc["wait"] += node.span.wait
+            acc["wait"] += node.span.wait * k
     top_spans = sorted(
         ({"name": name, **acc} for name, acc in totals.items()),
         key=lambda d: -d["self"],
@@ -183,7 +195,7 @@ def analyze(trace: DistTrace, top: int = 5) -> dict:
     # stalls) — there can be thousands, so they aggregate into an adversity
     # rollup instead of flooding the per-event fault listing
     faults = sorted(
-        ({"name": sp.name, "rank": sp.rank, "ts": sp.ts, "args": dict(sp.args)}
+        ({"name": sp.name, "rank": sp.rank, "ts": sp.ts * k, "args": dict(sp.args)}
          for sp in trace.all_spans()
          if sp.cat == "fault" and sp.name != "fault:delay"),
         key=lambda d: (d["ts"], d["rank"]),
@@ -204,9 +216,10 @@ def analyze(trace: DistTrace, top: int = 5) -> dict:
 
     return {
         "nranks": trace.nranks,
-        "clock": trace.meta.get("clock", "?"),
+        "clock": clock,
+        "unit": unit,
         "nspans": trace.nspans,
-        "makespan": trace.max_ts() - trace.min_ts(),
+        "makespan": (trace.max_ts() - trace.min_ts()) * k,
         "restarts": len(trace.meta.get("attempts", [])),
         "ranks": ranks,
         "phases": phases,
@@ -217,12 +230,13 @@ def analyze(trace: DistTrace, top: int = 5) -> dict:
     }
 
 
-def _fmt_t(v: float) -> str:
-    return f"{v:,.1f}"
-
-
 def format_report(rep: dict) -> str:
     """Render an :func:`analyze` dict as the ``repro trace-report`` text."""
+    unit = rep.get("unit", "")
+
+    def _fmt_t(v: float) -> str:
+        return f"{v:,.1f} {unit}".rstrip()
+
     out = [
         f"trace: {rep['nranks']} rank(s), {rep['nspans']:,} spans, "
         f"clock={rep['clock']}, makespan={_fmt_t(rep['makespan'])}"
@@ -230,22 +244,22 @@ def format_report(rep: dict) -> str:
     ]
 
     out.append("")
-    out.append(f"{'rank':>4} {'makespan':>12} {'wait':>12} {'wait%':>6}")
+    out.append(f"{'rank':>4} {'makespan':>18} {'wait':>18} {'wait%':>6}")
     for r in rep["ranks"]:
         out.append(
-            f"{r['rank']:>4} {_fmt_t(r['makespan']):>12} "
-            f"{_fmt_t(r['wait']):>12} {r['wait_fraction'] * 100:>5.1f}%"
+            f"{r['rank']:>4} {_fmt_t(r['makespan']):>18} "
+            f"{_fmt_t(r['wait']):>18} {r['wait_fraction'] * 100:>5.1f}%"
         )
 
     out.append("")
-    out.append(f"{'phase':<14} {'dur(max)':>10} {'rank':>4} {'skew':>6}  "
+    out.append(f"{'phase':<14} {'dur(max)':>18} {'rank':>4} {'skew':>6}  "
                f"critical path (dominant self time)")
     for ph in rep["phases"]:
         dom = ph["dominant"]
         dom_txt = (f"{dom['name']} self={_fmt_t(dom['self'])}"
                    if dom else "-")
         out.append(
-            f"{ph['label']:<14} {_fmt_t(ph['dur_max']):>10} "
+            f"{ph['label']:<14} {_fmt_t(ph['dur_max']):>18} "
             f"{ph['critical_rank']:>4} {ph['skew'] * 100:>5.1f}%  "
             f"{' > '.join(ph['critical_path'])}  [{dom_txt}]"
         )
@@ -254,7 +268,7 @@ def format_report(rep: dict) -> str:
     out.append("top spans by self time:")
     for t in rep["top_spans"]:
         out.append(
-            f"  {t['name']:<18} self={_fmt_t(t['self']):>12} "
+            f"  {t['name']:<18} self={_fmt_t(t['self']):>18} "
             f"calls={t['count']:>6} wait={_fmt_t(t['wait'])}"
         )
 

@@ -1,0 +1,145 @@
+"""Wire shape of the MWM-DIST auction round, and the grids where replicas
+could go wrong.
+
+The round is three allgathers on the row/column sub-communicators and
+nothing else, so its cost is countable: the ledger tests pin the step count
+per round (and the ``perfmodel`` formula that prices it) against a real
+run.  The replicated state is keyed by row block along grid rows and by
+column block down grid columns, so the bit-equality matrix here adds the
+shapes the square-grid suites never reach — ``rowcomm`` and ``colcomm`` of
+different sizes, degenerate 1-wide grids, and inputs with empty blocks.
+"""
+
+import numpy as np
+import pytest
+
+from repro.graphs.generators import edge_weights
+from repro.graphs.rmat import er
+from repro.matching import auction_mwm_serial, run_mwm_dist
+from repro.perfmodel.collectives import auction_round
+from repro.runtime.comm import CollectiveConfig
+from repro.sparse import COO
+
+EPS = 0.05
+
+
+def _er(scale, seed=1):
+    coo = er(scale, seed=seed, edgefactor=4)
+    return coo, edge_weights(coo, dist="skewed", seed=3)
+
+
+def _total(stats, field, op=""):
+    return sum(d[field] for k, d in stats.comm_by_alg.items() if k.startswith(op))
+
+
+# -- (a) ledger shape ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("pr,pc", [(1, 1), (2, 2), (2, 3), (3, 3)])
+def test_round_is_three_row_column_allgathers(pr, pc):
+    coo, weights = _er(5)
+    _, _, stats = run_mwm_dist(coo, weights, pr, pc, epsilon=EPS, timeout=120)
+    # zero weights -> empty ε-schedule: set-up and extraction, no round
+    _, _, idle = run_mwm_dist(coo, np.zeros(coo.nnz), pr, pc, epsilon=EPS, timeout=120)
+    assert stats.auction_rounds > 20 and idle.auction_rounds == 0
+
+    assert not [k for k in stats.comm_by_alg if k.startswith("alltoall")]
+    assert _total(stats, "calls", "allreduce") == _total(idle, "calls", "allreduce")
+    # the α-β formula at (α, β) = (1, 0) is the round's latency steps
+    per_round = auction_round(pr, pc, 1.0, 0.0, 0.0, 0.0, 0.0)
+    assert per_round == 2 * (pr - 1).bit_length() + (pc - 1).bit_length()  # ⌈log₂⌉
+    p = pr * pc
+    assert _total(stats, "steps") == p * stats.auction_rounds * per_round + _total(idle, "steps")
+    assert _total(stats, "calls") == 3 * p * stats.auction_rounds + _total(idle, "calls")
+
+
+def test_logical_ledger_ignores_aggregation():
+    coo, weights = _er(5)
+    on = run_mwm_dist(coo, weights, 2, 3, epsilon=EPS, timeout=120)[2]
+    off = run_mwm_dist(
+        coo, weights, 2, 3, epsilon=EPS, timeout=120,
+        comm_config=CollectiveConfig(aggregate=False),
+    )[2]
+    assert on.comm_by_alg == off.comm_by_alg
+    assert on.comm_messages == off.comm_messages == off.frames
+    assert on.frames < off.frames
+
+
+# -- (b) twin bit-equality off the square grids --------------------------------
+
+
+def _rect():
+    rng = np.random.default_rng(11)
+    rows, cols = rng.integers(0, 3, 15), rng.integers(0, 7, 15)
+    return COO(3, 7, rows, cols, dedup=False), rng.integers(1, 5, 15).astype(np.float64)
+
+
+INPUTS = {
+    "er5": lambda: _er(5),
+    "rect3x7": _rect,
+    "empty": lambda: (COO(4, 5, np.zeros(0, np.int64), np.zeros(0, np.int64)), np.zeros(0)),
+    "single": lambda: (COO(5, 2, np.array([3]), np.array([1])), np.array([2.5])),
+}
+ODD_GRIDS = [(2, 3), (3, 2), (1, 4), (4, 1)]
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("pr,pc", ODD_GRIDS)
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_twin_bit_equality_on_odd_grids(name, pr, pc, backend):
+    coo, weights = INPUTS[name]()
+    mr_s, mc_s, info = auction_mwm_serial(
+        coo.nrows, coo.ncols, coo.rows, coo.cols, weights, epsilon=EPS
+    )
+    mr_d, mc_d, stats = run_mwm_dist(
+        coo, weights, pr, pc, epsilon=EPS, backend=backend, timeout=120
+    )
+    np.testing.assert_array_equal(mr_s, mr_d)
+    np.testing.assert_array_equal(mc_s, mc_d)
+    assert stats.matching_weight == info["weight"]  # same float, not approx
+    assert stats.auction_rounds == info["rounds"]
+    assert stats.bids_placed == info["bids"]
+    if "prices" in info:
+        np.testing.assert_array_equal(stats.auction_prices, info["prices"])
+
+
+def test_counters_count_items_not_replicas():
+    """Resolve runs on every rank of a grid row; an accepted bid is still one
+    price update.  1x1 has no replicas, so it is the reference, and the er:7
+    value is the one the five-step round recorded in BENCH_mwm.json."""
+    coo, weights = _er(5)
+    ref = run_mwm_dist(coo, weights, 1, 1, epsilon=EPS, timeout=120)[2]
+    assert 0 < ref.price_updates <= ref.bids_placed
+    for pr, pc in [(2, 2), (2, 3), (4, 1), (1, 4)]:
+        stats = run_mwm_dist(coo, weights, pr, pc, epsilon=EPS, timeout=120)[2]
+        assert stats.price_updates == ref.price_updates
+        assert stats.bids_placed == ref.bids_placed
+
+    coo = er(7, seed=1)
+    weights = edge_weights(coo, dist="skewed", seed=7)
+    stats = run_mwm_dist(coo, weights, 2, 2, epsilon=EPS, timeout=120)[2]
+    assert (stats.auction_rounds, stats.bids_placed, stats.price_updates) == (356, 2946, 2466)
+
+
+# -- (c) resume rebuilds the replicas ------------------------------------------
+
+
+def test_crash_every_phase_on_2x3_recovers_mates_and_prices(tmp_path):
+    from repro.runtime.checkpoint import FileCheckpointStore
+    from repro.runtime.executor import run_mwm_dist_resilient
+    from repro.runtime.faults import FaultPlan
+
+    coo, weights = _er(5)
+    mr_ok, mc_ok, st_ok = run_mwm_dist(coo, weights, 2, 3, epsilon=EPS, timeout=120)
+    mr, mc, st = run_mwm_dist_resilient(
+        coo, weights, 2, 3, epsilon=EPS,
+        faults=FaultPlan.parse("crash:rank=any,at=phase:every", seed=5),
+        checkpoint_store=FileCheckpointStore(tmp_path / "ckpt"),
+        max_restarts=30,
+        timeout=120,
+    )
+    assert st.restarts >= st_ok.phases - 1
+    np.testing.assert_array_equal(mr_ok, mr)
+    np.testing.assert_array_equal(mc_ok, mc)
+    assert st.matching_weight == st_ok.matching_weight
+    np.testing.assert_array_equal(st.auction_prices, st_ok.auction_prices)

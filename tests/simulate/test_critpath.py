@@ -47,6 +47,7 @@ def _fixture() -> DistTrace:
 def test_analyze_reports_hand_computed_numbers():
     rep = analyze(_fixture(), top=3)
     assert rep["nranks"] == 2
+    assert rep["unit"] == "ticks"
     assert rep["nspans"] == 7
     assert rep["restarts"] == 1
 
@@ -86,7 +87,10 @@ def test_format_report_renders_every_section():
     assert "1 restart(s)" in text
     assert "phase 1" in text
     assert "phase > spmv > allgather" in text
-    assert "allgather self=5.0" in text
+    assert "makespan=11.0 ticks" in text
+    assert "allgather self=5.0 ticks" in text
+    assert "wait=3.0 ticks" in text
+    assert "t=11.0 ticks rank 1: restart" in text
     assert "faults / restarts:" in text
     assert "allgather=7" in text
 
@@ -98,3 +102,21 @@ def test_round_trip_through_chrome_preserves_the_report():
     assert a["phases"] == b["phases"]
     assert a["top_spans"] == b["top_spans"]
     assert a["comm_words_by_op"] == b["comm_words_by_op"]
+
+
+def test_wall_clock_reports_microseconds():
+    """The same fixture read as a wall trace (span times in seconds): every
+    duration of the report scales to µs and says so; ratios do not move."""
+    trace = _fixture()
+    trace.meta["clock"] = "wall"
+    ticks, wall = analyze(_fixture(), top=3), analyze(trace, top=3)
+    assert wall["unit"] == "µs"
+    assert wall["makespan"] == 11.0e6
+    assert wall["ranks"][1]["wait"] == 2.5e6
+    assert wall["phases"][0]["dur_max"] == 10.0e6
+    assert wall["phases"][0]["dominant"]["self"] == 5.0e6
+    assert wall["top_spans"][0]["wait"] == 3.0e6
+    assert wall["faults"][0]["ts"] == 11.0e6
+    assert wall["phases"][0]["skew"] == ticks["phases"][0]["skew"]
+    assert wall["ranks"][0]["wait_fraction"] == ticks["ranks"][0]["wait_fraction"]
+    assert "allgather self=5,000,000.0 µs" in format_report(wall)
