@@ -23,6 +23,12 @@ Usage::
         # compare against the committed JSON; exit 1 on any >10%
         # regression (higher latency/recovery/restarts/words than committed)
 
+The file's top-level ``before`` block is not produced here: it holds the
+scenarios' SLO rows measured at the last commit whose BFS iteration was the
+paper's schedule (keyed ``<block>/<scenario>``), and is carried over on
+every rewrite; a run whose cardinality differs from it, or whose logical
+message total exceeds it, is refused.
+
 ``--quick --check`` re-measures the scenarios with 3-request streams and
 compares them against the committed quick block, so the CI smoke is both
 fast and exact (model time does not get noisier when the stream shrinks —
@@ -38,7 +44,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from bench_collectives import TOLERANCE, check_against_committed  # noqa: E402
+from bench_collectives import (  # noqa: E402
+    TOLERANCE, check_against_before, check_against_committed,
+)
 
 from repro.runtime.scenarios import SCENARIOS, run_scenario  # noqa: E402
 
@@ -112,6 +120,17 @@ def main(argv=None) -> int:
         },
         block: suite,
     }
+
+    before_problems = check_against_before(
+        SCENARIOS_JSON,
+        {f"{block}/{name}": rep for name, rep in suite.items()},
+        root,
+    )
+    if before_problems:
+        print("\nthe run contradicts the committed ``before`` block:")
+        for p in before_problems:
+            print(f"  {p}")
+        return 1
 
     if args.check:
         committed_path = root / SCENARIOS_JSON

@@ -143,7 +143,6 @@ def cmd_spmd(args) -> int:
         return 0
 
     coo = _load_input(args)
-    init = args.init if args.init in ("greedy", "mindegree") else "none"
     trace = args.trace_clock if args.trace else False
     weighted = args.objective == "weight"
     comm_config = None
@@ -190,13 +189,13 @@ def cmd_spmd(args) -> int:
 
         mate_r, mate_c, stats = run_mcm_dist_resilient(
             coo, args.pr, args.pc,
-            init=init, direction=args.direction,
+            init=args.init, direction=args.direction,
             **recovery_kwargs, **run_kwargs,
         )
     else:
         mate_r, mate_c, stats = run_mcm_dist(
             coo, args.pr, args.pc,
-            init=init, direction=args.direction, **run_kwargs,
+            init=args.init, direction=args.direction, **run_kwargs,
         )
     if plan is not None:
         print(f"chaos seed {args.chaos}, plan [{plan.describe()}]: "
@@ -322,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_args(p)
     p.add_argument("--pr", type=int, default=2)
     p.add_argument("--pc", type=int, default=2)
-    p.add_argument("--init", default="greedy", choices=["greedy", "mindegree", "none"])
+    p.add_argument("--init", default="greedy",
+                   choices=["greedy", "karp-sipser", "mindegree", "none"])
     p.add_argument("--direction", default="topdown", choices=["topdown", "bottomup", "auto"])
     p.add_argument("--objective", default="cardinality",
                    choices=["cardinality", "weight"],

@@ -126,12 +126,6 @@ class DistVertexFrontier:
     def local_nnz(self) -> int:
         return int(self.idx.size)
 
-    def global_nnz(self) -> int:
-        """Collective: total entries across ranks."""
-        from ..runtime.comm import SUM
-
-        return int(self.grid.comm.allreduce(self.local_nnz, op=SUM))
-
     def keep(self, mask: np.ndarray) -> "DistVertexFrontier":
         return DistVertexFrontier(
             self.grid, self.n, self.orient,

@@ -12,13 +12,13 @@ class ProcGrid:
     carries two sub-communicators created with ``comm.split``:
 
     * ``rowcomm`` — the pc ranks sharing grid row i (the SpMV *fold*
-      all-to-all runs here);
+      all-to-all and the next-frontier row hop run here);
     * ``colcomm`` — the pr ranks sharing grid column j (the SpMV *expand*
-      allgather runs here).
+      allgather and the next-frontier column hop run here).
 
     The full communicator remains available as ``comm`` for the
-    grid-global collectives (INVERT's all-to-all, PRUNE's allgather,
-    termination allreduces).
+    grid-global collectives (the path-end allgather, INVERT's all-to-all
+    in the initializers and the level augment, per-phase allreduces).
     """
 
     def __init__(self, comm: Communicator, pr: int, pc: int) -> None:

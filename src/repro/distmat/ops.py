@@ -1,42 +1,60 @@
-"""Distributed primitives: routing, 2D SpMV, INVERT, PRUNE.
+"""Distributed primitives: routing, 2D SpMV, the MS-BFS iteration's exchanges.
 
 These are the communication kernels of Section IV-B, written against the
 rank-local objects of this package:
 
 * :func:`route` — the personalized all-to-all workhorse: deliver parallel
   arrays to explicit destination ranks (one ``alltoallv``);
-* :func:`spmv` — the 2D semiring SpMV: *expand* (allgather of the frontier
-  slice along the grid column) → local DCSC explode + pre-reduction →
-  *fold* (all-to-all of partial winners along the grid row) → destination
-  reduction;
-* :func:`spmv_bottomup` — the direction-optimized (pull) SpMV of the
-  paper's stated future work: the frontier's (idx, root) pairs are
-  allgathered along the grid column and packed into a dense per-block
-  ``root_of`` array, the unvisited row ids are allgathered along the grid
-  row, and each block scans its unvisited rows' adjacency through the
+* :func:`expand` — assemble a column block's frontier from its sub-chunk
+  owners (allgather down the grid column);
+* :func:`spmv_expanded` — the 2D semiring SpMV on an already expanded
+  block frontier: local DCSC explode + pre-reduction → *fold* (all-to-all
+  of partial winners along the grid row) → destination reduction;
+  :func:`spmv` is :func:`expand` followed by it;
+* :func:`spmv_bottomup_expanded` — the direction-optimized (pull) SpMV of
+  the paper's stated future work: the block frontier is packed into a
+  dense ``root_of`` array, the unvisited row ids are allgathered along the
+  grid row, and each block scans its unvisited rows' adjacency through the
   cached DCSC row-major mirror; fold and destination reduction are shared
-  with :func:`spmv`, so deterministic semirings produce bit-identical
+  with the top-down form, so deterministic semirings produce bit-identical
   frontiers;
-* :func:`direction_edge_counts` — the per-iteration switch rule's global
-  (top-down, bottom-up) edge counts, one 2-word allreduce;
-* :func:`invert_route` — INVERT's data movement: entries travel to the
-  owner of their *value* interpreted as an index on the other side — an
-  all-to-all over ALL p ranks, the paper's scaling bottleneck;
-* :func:`allgather_values` — PRUNE's root gather (ring allgather of a small
-  value set, replicated on every rank).
+* :func:`local_edge_counts` — this rank's share of the per-iteration
+  switch rule's (top-down, bottom-up) edge counts;
+* :func:`gather_path_ends` — Steps 5+6 of MCM-DIST in one grid allgather:
+  every rank's (root, row) path ends, replicated everywhere;
+* :func:`hop_along_row` / :func:`hop_down_column` — Step 7 without a
+  grid-wide exchange: next-frontier pairs travel along the grid row to the
+  mate's column block, then down the grid column, which also rebuilds the
+  expanded block frontier and the global frontier size;
+* :func:`invert_route` — INVERT's data movement as the paper prices it:
+  entries travel to the owner of their *value* interpreted as an index on
+  the other side — an all-to-all over ALL p ranks, the paper's scaling
+  bottleneck (the initializers and the level augment still use it).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..runtime.comm import SUM, Communicator
+from ..runtime.comm import Communicator
 from ..runtime.pack import pack_arrays, pack_indices, unpack_arrays, unpack_indices
 from ..runtime.trace import tspan
 from ..sparse.semiring import SR_MIN_PARENT, Semiring, reduce_candidates
 from ..sparse.spvec import NULL
 from .distvec import DistDenseVec, DistVertexFrontier
 from .spmat import DistSparseMatrix
+
+
+def _buckets(
+    size: int, dest: np.ndarray, arrays: "tuple[np.ndarray, ...]"
+) -> "list[tuple[np.ndarray, ...]]":
+    """Split parallel ``arrays`` by destination rank: entry ``r`` holds the
+    slices bound for rank ``r``, in input order."""
+    dest = np.asarray(dest, dtype=np.int64)
+    order = np.argsort(dest, kind="stable")
+    cuts = np.searchsorted(dest[order], np.arange(size + 1))
+    sorted_arrays = [a[order] for a in arrays]
+    return [tuple(sa[cuts[r]:cuts[r + 1]] for sa in sorted_arrays) for r in range(size)]
 
 
 def route(comm: Communicator, dest: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -49,22 +67,13 @@ def route(comm: Communicator, dest: np.ndarray, *arrays: np.ndarray) -> tuple[np
     struct-of-arrays buffer (:mod:`repro.runtime.pack`).
     """
     arrays = tuple(np.asarray(a) for a in arrays)
-    dest = np.asarray(dest, dtype=np.int64)
-    order = np.argsort(dest, kind="stable")
-    sorted_dest = dest[order]
-    cuts = np.searchsorted(sorted_dest, np.arange(comm.size + 1))
-    sorted_arrays = [a[order] for a in arrays]
+    payloads = _buckets(comm.size, dest, arrays)
     if comm.config.pack:
-        payloads = [
-            pack_arrays(*(sa[cuts[r]:cuts[r + 1]] for sa in sorted_arrays))
-            for r in range(comm.size)
+        parts = [
+            unpack_arrays(buf)
+            for buf in comm.alltoallv([pack_arrays(*b) for b in payloads])
         ]
-        parts = [unpack_arrays(buf) for buf in comm.alltoallv(payloads)]
     else:
-        payloads = [
-            tuple(sa[cuts[r]:cuts[r + 1]] for sa in sorted_arrays)
-            for r in range(comm.size)
-        ]
         parts = comm.alltoallv(payloads)
     return tuple(
         np.concatenate([p[k] for p in parts]) if parts else np.empty(0, arrays[k].dtype)
@@ -83,6 +92,25 @@ def allgather_arrays(comm: Communicator, *arrays: np.ndarray) -> "list[tuple[np.
         pieces = comm.allgatherv(pack_arrays(*arrays))
         return [unpack_arrays(buf) for buf in pieces]
     return comm.allgatherv(tuple(arrays))
+
+
+def concat_pieces(pieces: "list[tuple[np.ndarray, ...]]") -> tuple[np.ndarray, ...]:
+    """Concatenate an :func:`allgather_arrays` result array by array, in
+    source-rank order."""
+    return tuple(np.concatenate(col) for col in zip(*pieces))
+
+
+def expand(
+    A: DistSparseMatrix, idx: np.ndarray, roots: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Assemble column block j's frontier from its sub-chunk owners: one
+    allgather of the (idx, root) pairs down the grid column.  colcomm ranks
+    own consecutive sub-ranges of block j, so rank-ordered concatenation of
+    sorted sub-chunks is already sorted by global column id.  The result is
+    identical on the pr ranks of the grid column."""
+    grid = A.grid
+    with tspan(grid.comm, "expand"):
+        return concat_pieces(allgather_arrays(grid.colcomm, idx, roots))
 
 
 def _fold_and_reduce(
@@ -113,38 +141,44 @@ def _fold_and_reduce(
     return DistVertexFrontier(grid, A.nrows, "row", ridx, rpar, rroot)
 
 
+def spmv_expanded(
+    A: DistSparseMatrix,
+    gcols: np.ndarray,
+    groots: np.ndarray,
+    semiring: Semiring = SR_MIN_PARENT,
+    rng: np.random.Generator | None = None,
+) -> DistVertexFrontier:
+    """``f_r = A · f_c`` for an already expanded frontier: ``gcols``/``groots``
+    are the (column, root) pairs of this rank's whole column block (what
+    :func:`expand` returns).  Local DCSC explode (select2nd: parent = column
+    id), then fold and destination reduction along the grid row — the one
+    exchange of the call."""
+    with tspan(A.grid.comm, "spmv"):
+        lrows, parents, roots = A.block.explode_cols(gcols - A.col_lo, gcols, groots)
+        return _fold_and_reduce(A, lrows + A.row_lo, parents, roots, semiring, rng)
+
+
 def spmv(
     A: DistSparseMatrix,
     fc: DistVertexFrontier,
     semiring: Semiring = SR_MIN_PARENT,
     rng: np.random.Generator | None = None,
 ) -> DistVertexFrontier:
-    """One step of distributed alternating BFS: ``f_r = A · f_c``.
+    """One step of distributed alternating BFS from a column frontier held
+    by its vector owners: :func:`expand`, then :func:`spmv_expanded`.
 
     Matches :meth:`repro.sparse.csc.CSC.spmv_frontier` exactly for
     deterministic semirings (the integration tests assert this).
     """
-    grid = A.grid
     if fc.orient != "col":
         raise ValueError("spmv expects a column frontier")
-
-    with tspan(grid.comm, "spmv"):
-        # -- expand: assemble the frontier entries of my column block.
-        # colcomm ranks own consecutive sub-ranges of block j, so rank-ordered
-        # concatenation is already sorted by global column id.
-        with tspan(grid.comm, "expand"):
-            pieces = allgather_arrays(grid.colcomm, fc.idx, fc.root)
-            gcols = np.concatenate([p[0] for p in pieces])
-            groots = np.concatenate([p[1] for p in pieces])
-
-        # -- local explode on the DCSC block (select2nd: parent = column id)
-        lrows, parents, roots = A.block.explode_cols(gcols - A.col_lo, gcols, groots)
-        return _fold_and_reduce(A, lrows + A.row_lo, parents, roots, semiring, rng)
+    return spmv_expanded(A, *expand(A, fc.idx, fc.root), semiring, rng)
 
 
-def spmv_bottomup(
+def spmv_bottomup_expanded(
     A: DistSparseMatrix,
-    fc: DistVertexFrontier,
+    gcols: np.ndarray,
+    groots: np.ndarray,
     pi_r: DistDenseVec,
     semiring: Semiring = SR_MIN_PARENT,
     rng: np.random.Generator | None = None,
@@ -152,38 +186,30 @@ def spmv_bottomup(
     """Direction-optimized Step 1: unvisited rows PULL from the frontier.
 
     The paper's stated future work ("the bottom-up BFS in distributed
-    memory"), as a drop-in replacement for :func:`spmv` when the frontier is
-    wide:
+    memory"), as a drop-in replacement for :func:`spmv_expanded` when the
+    frontier is wide:
 
-    1. *expand*: allgather the frontier's (idx, root) pairs along the grid
-       column — the same collective as the top-down expand — and pack them
-       into a dense ``root_of`` array covering this rank's column block (the
-       replicated frontier bitmap of the serial ``_bottom_up_step``);
+    1. pack the expanded (column, root) pairs into a dense ``root_of`` array
+       covering this rank's column block (the replicated frontier bitmap of
+       the serial ``_bottom_up_step``);
     2. *unvisited exchange*: allgather the unvisited row ids (``π_r`` still
        NULL) along the grid row, assembling row block i's unvisited set from
        the pc sub-chunk owners;
     3. *pull*: every block scans its unvisited rows' adjacency through the
        cached DCSC row-major mirror and keeps edges whose column is on the
        frontier;
-    4. fold + destination reduction, shared with :func:`spmv`.
+    4. fold + destination reduction, shared with :func:`spmv_expanded`.
 
     For a row left unvisited, the candidate set {(r, c) : c ∈ f_c} is
     identical in both directions, so deterministic semirings yield the SAME
-    winners as :func:`spmv` followed by the Step 2 unvisited filter — the
-    integration tests assert bit-identical mate vectors.
+    winners as the top-down form followed by the Step 2 unvisited filter —
+    the integration tests assert bit-identical mate vectors.
     """
     grid = A.grid
-    if fc.orient != "col":
-        raise ValueError("spmv_bottomup expects a column frontier")
     if pi_r.orient != "row":
-        raise ValueError("spmv_bottomup expects a row-oriented visited vector")
+        raise ValueError("spmv_bottomup_expanded expects a row-oriented visited vector")
 
     with tspan(grid.comm, "spmv_bottomup"):
-        # -- expand: dense per-block frontier lookup (column block j)
-        with tspan(grid.comm, "expand"):
-            pieces = allgather_arrays(grid.colcomm, fc.idx, fc.root)
-            gcols = np.concatenate([p[0] for p in pieces])
-            groots = np.concatenate([p[1] for p in pieces])
         root_of = np.full(A.block.ncols, NULL, dtype=np.int64)
         root_of[gcols - A.col_lo] = groots
 
@@ -211,65 +237,81 @@ def spmv_bottomup(
         return _fold_and_reduce(A, grows, parents, croots, semiring, rng)
 
 
-def direction_edge_counts(
-    A: DistSparseMatrix,
-    fc: DistVertexFrontier,
-    pi_r: DistDenseVec,
-) -> tuple[int, int]:
-    """Collective: the switch rule's global (top-down, bottom-up) edge counts.
+def local_edge_counts(A: DistSparseMatrix, cols: np.ndarray, pi_r: DistDenseVec) -> np.ndarray:
+    """This rank's share of the switch rule's (top-down, bottom-up) edge
+    counts, as the 2-word array the grid SUM-reduces.
 
     Top-down would examine every edge of the frontier's columns; bottom-up
-    every edge of the still-unvisited rows.  Each rank sums full-matrix
-    degrees over its own vector sub-chunk using the cached
-    :meth:`DistSparseMatrix.degree_slices`, then ONE 2-word allreduce makes
-    the counts (and therefore the direction decision) globally uniform —
-    the classic direction-optimization rule, distributed.
+    every edge of the still-unvisited rows.  ``cols`` are frontier columns
+    of this rank's column block; the grid-wide sums are the global counts
+    provided every frontier column is passed by exactly one rank (its vector
+    owner, or whichever rank of the grid column received it on the row hop).
+    Degrees come from the cached :meth:`DistSparseMatrix.degree_blocks`.
     """
-    degr_sub, degc_sub = A.degree_slices()
-    td = int(degc_sub[fc.idx - fc.lo].sum())
-    bu = int(degr_sub[pi_r.local == NULL].sum())
-    both = A.grid.comm.allreduce(np.array([td, bu], dtype=np.int64), op=SUM)
-    return int(both[0]), int(both[1])
+    degr_blk, degc_blk = A.degree_blocks()
+    td = degc_blk[cols - A.col_lo].sum()
+    bu = degr_blk[pi_r.lo - A.row_lo:pi_r.hi - A.row_lo][pi_r.local == NULL].sum()
+    return np.array([td, bu], dtype=np.int64)
 
 
-def direction_edge_counts_begin(
-    A: DistSparseMatrix,
-    fc: DistVertexFrontier,
-    pi_r: DistDenseVec,
-):
-    """Nonblocking half of :func:`direction_edge_counts`: post the 2-word
-    edge-count ``iallreduce`` and return its request.
+def gather_path_ends(
+    grid, roots: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Steps 5+6 of MCM-DIST in one exchange: replicate the (root, row)
+    path ends every rank just reached on every rank.
 
-    The BFS loop posts this at the tail of one superstep — the moment the
-    next frontier and the final ``π_r`` exist, so the counts are exactly
-    the ones the blocking call would compute at the next head — and waits
-    it with :func:`direction_edge_counts_finish` after the next superstep's
-    expand is underway.  That window is the fold/expand overlap the
-    nonblocking engine exists for."""
-    degr_sub, degc_sub = A.degree_slices()
-    td = int(degc_sub[fc.idx - fc.lo].sum())
-    bu = int(degr_sub[pi_r.local == NULL].sum())
-    return A.grid.comm.iallreduce(np.array([td, bu], dtype=np.int64), op=SUM)
+    Each rank contributes one pair per root — its minimum row — so the
+    grid allgather carries two words per tree and sender.  The column-vector
+    owner of a root reads the pairs in its range (Step 5's INVERT into
+    ``path_c``), and every rank reads the roots (Step 6's PRUNE set); a root
+    reached from several ranks appears once per rank.
+    """
+    with tspan(grid.comm, "path_ends"):
+        roots, rows, _ = reduce_candidates(roots, rows, rows)
+        return concat_pieces(allgather_arrays(grid.comm, roots, rows))
 
 
-def direction_edge_counts_finish(req) -> tuple[int, int]:
-    """Wait the request from :func:`direction_edge_counts_begin`; returns
-    the global (top-down, bottom-up) edge counts."""
-    both = req.wait()
-    return int(both[0]), int(both[1])
+def _frame(count: int, cols: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """One int64 buffer ``[count | cols | roots]`` — the hop payload: a
+    frontier-size count riding in front of the (column, root) pairs costs
+    one word, not a second collective."""
+    return np.concatenate((np.array([count], dtype=np.int64), cols, roots))
 
 
-def spmv_local_work(A: DistSparseMatrix, fc: DistVertexFrontier) -> int:
-    """Edge operations this rank's block performs for the given frontier
-    (after expand) — the measured F term of the cost model."""
+def _unframe(bufs: "list[np.ndarray]") -> tuple[int, np.ndarray, np.ndarray]:
+    """Inverse of :func:`_frame` over one buffer per source rank: the summed
+    counts and the concatenated pairs."""
+    ns = [(b.size - 1) // 2 for b in bufs]
+    cols = np.concatenate([b[1:1 + n] for b, n in zip(bufs, ns)])
+    roots = np.concatenate([b[1 + n:] for b, n in zip(bufs, ns)])
+    return sum(int(b[0]) for b in bufs), cols, roots
+
+
+def hop_along_row(
+    A: DistSparseMatrix, cols: np.ndarray, roots: np.ndarray
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """Step 7, first hop: send each next-frontier (column, root) pair along
+    the grid row to the rank sitting in the column's block (one ``rowcomm``
+    all-to-all).  Every sender adds its local entry count, so the returned
+    triple is (entries leaving this whole grid row, received columns,
+    received roots) — the received columns all lie in this rank's column
+    block."""
     grid = A.grid
-    pieces = grid.colcomm.allgatherv((fc.idx,))
-    gcols = np.concatenate([p[0] for p in pieces])
-    if gcols.size == 0 or A.block.nzc == 0:
-        return 0
-    loc = A.block._locate(gcols - A.col_lo)
-    loc = loc[loc >= 0]
-    return int((A.block.cp[loc + 1] - A.block.cp[loc]).sum())
+    buckets = _buckets(grid.pc, A.colmap.owner(cols), (cols, roots))
+    return _unframe(grid.rowcomm.alltoallv([_frame(cols.size, *b) for b in buckets]))
+
+
+def hop_down_column(
+    A: DistSparseMatrix, row_total: int, cols: np.ndarray, roots: np.ndarray
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """Step 7, second hop: allgather what :func:`hop_along_row` delivered
+    down the grid column.  Returns (global frontier size, block columns
+    sorted ascending, their roots): the next *expanded* block frontier,
+    identical on the pr ranks of the grid column — the grid rows' totals sum
+    to the global size, so no rank needs a reduction to test termination."""
+    total, cols, roots = _unframe(A.grid.colcomm.allgatherv(_frame(row_total, cols, roots)))
+    order = np.argsort(cols)  # frontier columns are distinct (mates of distinct rows)
+    return total, cols[order], roots[order]
 
 
 def invert_route(
@@ -287,16 +329,3 @@ def invert_route(
     """
     dest = target_vec.owner_of(np.asarray(targets, np.int64))
     return route(grid.comm, dest, np.asarray(targets, np.int64), np.asarray(values, np.int64))
-
-
-def allgather_values(comm: Communicator, values: np.ndarray) -> np.ndarray:
-    """PRUNE's gather: replicate a (small) value set on every rank.
-
-    The result keeps ``values``' dtype, including when every rank
-    contributes an empty array.
-    """
-    values = np.asarray(values)
-    pieces = comm.allgatherv(values)
-    if not pieces:
-        return np.empty(0, values.dtype)
-    return np.concatenate(pieces)

@@ -35,7 +35,7 @@ class DistSparseMatrix:
         self.col_lo, self.col_hi = self.colmap.range(grid.j)
         self.row_vecmap = make_vecmap(grid, nrows, "row")
         self.col_vecmap = make_vecmap(grid, ncols, "col")
-        self._degree_slices: "tuple[np.ndarray, np.ndarray] | None" = None
+        self._degree_blocks: "tuple[np.ndarray, np.ndarray] | None" = None
 
     # -- construction ------------------------------------------------------------
 
@@ -90,10 +90,10 @@ class DistSparseMatrix:
 
         return int(self.grid.comm.allreduce(self.local_nnz, op=SUM))
 
-    def degree_slices(self) -> tuple[np.ndarray, np.ndarray]:
-        """Full-matrix (row, column) degrees restricted to this rank's
-        row-/column-vector sub-chunks — the O(1)-lookup inputs of the
-        direction-optimization switch rule.
+    def degree_blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Full-matrix (row, column) degrees of this rank's row block and
+        column block — the O(1)-lookup inputs of the direction-optimization
+        switch rule, replicated along the grid row / down the grid column.
 
         COLLECTIVE on first call (one allreduce along each of rowcomm and
         colcomm, summing the per-block degree contributions), then cached.
@@ -101,24 +101,18 @@ class DistSparseMatrix:
         :func:`repro.matching.mcm_dist.mcm_dist_spmd` does so before its
         phase loop.  Treat the returned arrays as read-only.
         """
-        if self._degree_slices is None:
+        if self._degree_blocks is None:
             from ..runtime.comm import SUM
 
             grid, blk = self.grid, self.block
-            degr_blk = grid.rowcomm.allreduce(blk.row_degrees(), op=SUM)
             degc_loc = np.zeros(blk.ncols, dtype=np.int64)
             if blk.nzc:
                 degc_loc[blk.jc] = np.diff(blk.cp)
-            degc_blk = grid.colcomm.allreduce(degc_loc, op=SUM)
-            # slice the block-replicated vectors down to this rank's own
-            # vector sub-chunk (row vectors: sub = grid.j; col: sub = grid.i)
-            rlo, rhi = self.row_vecmap.local_range(grid.j, grid.i)
-            clo, chi = self.col_vecmap.local_range(grid.i, grid.j)
-            self._degree_slices = (
-                degr_blk[rlo - self.row_lo:rhi - self.row_lo],
-                degc_blk[clo - self.col_lo:chi - self.col_lo],
+            self._degree_blocks = (
+                grid.rowcomm.allreduce(blk.row_degrees(), op=SUM),
+                grid.colcomm.allreduce(degc_loc, op=SUM),
             )
-        return self._degree_slices
+        return self._degree_blocks
 
     def gather_to_root(self, root: int = 0) -> "COO | None":
         """Collective: reassemble the global COO at ``root`` (the expensive

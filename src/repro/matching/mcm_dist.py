@@ -11,19 +11,46 @@ Correspondence to the paper:
 paper                                  here
 ====================================  =========================================
 Algorithm 2 (MCM-DIST)                 :func:`mcm_dist_spmd`
-Step 1 SpMV (expand/fold)              :func:`repro.distmat.ops.spmv`
-Step 1, direction-optimized            :func:`repro.distmat.ops.spmv_bottomup`
-                                       (+ ``direction="auto"`` switch via
-                                       :func:`repro.distmat.ops.direction_edge_counts`)
+Step 1 SpMV, expand                    none inside the loop: the frontier of
+                                       column block j stays *expanded* — sorted
+                                       (column, root) arrays, identical down
+                                       grid column j (one
+                                       :func:`~repro.distmat.ops.expand` per
+                                       phase seeds it)
+Step 1 SpMV, local + fold              :func:`repro.distmat.ops.spmv_expanded`
+                                       — exchange 1, ``rowcomm`` all-to-all
+Step 1, direction-optimized            :func:`repro.distmat.ops.spmv_bottomup_expanded`
+                                       (+ ``direction="auto"``: one overlapped
+                                       2-word ``iallreduce`` of
+                                       :func:`~repro.distmat.ops.local_edge_counts`)
 Steps 2–4 SELECT/SET                   local NumPy on aligned slices
-Step 5 INVERT to ``path_c``            :func:`repro.distmat.ops.invert_route`
-Step 6 PRUNE (allgather of roots)      :func:`repro.distmat.ops.allgather_values`
-Step 7 INVERT to next frontier         :func:`repro.distmat.ops.invert_route`
+Step 5 INVERT to ``path_c`` and        :func:`repro.distmat.ops.gather_path_ends`
+Step 6 PRUNE (allgather of roots)      — exchange 2, ONE grid allgather of each
+                                       rank's (root, min row) pairs: the root's
+                                       owner writes ``path_c``, every rank prunes
+Step 7 INVERT to next frontier         :func:`repro.distmat.ops.hop_along_row`
+                                       — exchange 3, ``rowcomm`` all-to-all to
+                                       the mate's column block — then
+                                       :func:`repro.distmat.ops.hop_down_column`
+                                       — exchange 4, ``colcomm`` allgather that
+                                       rebuilds the expanded frontier and, from
+                                       the counts riding along, its global size
+loop test (frontier non-empty)         no collective: the size from exchange 4
 Algorithm 3 (level-parallel augment)   :func:`augment_level_spmd`
 Algorithm 4 (path-parallel RMA)        :func:`augment_path_spmd_rma`
 k < 2p² switch                          :func:`mcm_dist_spmd` per phase
 distributed greedy init [21]           :func:`greedy_init_spmd`
 ====================================  =========================================
+
+One BFS iteration is therefore four exchanges and 2(pc−1) + ⌈log₂ p⌉ +
+⌈log₂ pr⌉ latency steps, none of them a grid-wide all-to-all or an
+allreduce — where the paper's schedule (§IV-B: two INVERTs over all p
+ranks, a grid-wide PRUNE allgather) pays ≈ 2p.  Mates, phases, iterations
+and edges examined are those of the paper's schedule, bit for bit;
+:func:`repro.perfmodel.collectives.msbfs_iteration` prices the engine's
+iteration, :mod:`repro.simulate.costsim` keeps pricing the paper's (DESIGN
+"MCM-DIST iteration anatomy").  The initializers and the level augment
+still use the grid-wide :func:`~repro.distmat.ops.invert_route`.
 
 The driver :func:`run_mcm_dist` launches the whole job on a pr×pc grid of
 simulated ranks and returns globally assembled mate vectors.
@@ -38,14 +65,16 @@ import numpy as np
 from ..distmat.distvec import DistDenseVec, DistVertexFrontier
 from ..distmat.grid import ProcGrid
 from ..distmat.ops import (
-    allgather_values,
-    direction_edge_counts,
-    direction_edge_counts_begin,
-    direction_edge_counts_finish,
+    expand,
+    gather_path_ends,
+    hop_along_row,
+    hop_down_column,
     invert_route,
+    local_edge_counts,
     route,
     spmv,
-    spmv_bottomup,
+    spmv_bottomup_expanded,
+    spmv_expanded,
 )
 from ..distmat.spmat import DistSparseMatrix
 from ..runtime import Window, spmd
@@ -54,7 +83,7 @@ from ..runtime.rma import fence_all, free_all
 from ..runtime.comm import SUM, Communicator
 from ..runtime.trace import tspan
 from ..sparse.coo import COO
-from ..sparse.semiring import SR_MIN_PARENT, Semiring
+from ..sparse.semiring import SR_MIN_PARENT, Semiring, reduce_candidates
 from ..sparse.spvec import NULL
 from .augment import choose_augment_mode
 
@@ -74,8 +103,8 @@ class DistStats:
     bottomup_steps: int = 0
     #: global edges the chosen directions examined across all Step-1 SpMVs
     edges_examined: int = 0
-    #: grid-wide words sent on the column/row subcommunicators (expand/fold)
-    #: and on every communicator combined, over the whole job
+    #: grid-wide words on the column / row communicators, and on every
+    #: communicator combined, over the whole job
     expand_words: int = 0
     fold_words: int = 0
     total_words: int = 0
@@ -515,12 +544,11 @@ def mcm_dist_spmd(
     pi_r = DistDenseVec(grid, A.nrows, "row")
     path_c = DistDenseVec(grid, A.ncols, "col")
 
-    # direction-switch inputs: cached degree sub-slices (collective on the
-    # first call, so EVERY mode primes them at the same program point) —
-    # also used for the edges-examined accounting below.
-    degr_sub, degc_sub = A.degree_slices()
     edges_local = 0
     phase_no = resume.phase if resume is not None else 0
+    # unmatched columns grid-wide = the size of every phase's first frontier;
+    # exact without communication: each augmenting path matches one more
+    free_cols = A.ncols - stats.initial_cardinality
 
     while True:
         phase_no += 1
@@ -532,40 +560,44 @@ def mcm_dist_spmd(
             pi_r.local.fill(NULL)
             path_c.local.fill(NULL)
 
-            # initial column frontier: unmatched columns, parent = root = self
+            # initial column frontier: unmatched columns, parent = root = self.
+            # The loop keeps the frontier EXPANDED: (bcols, broots) are the
+            # sorted (column, root) pairs of this rank's whole column block,
+            # identical down the grid column; nfront is the global entry count.
             lcols = np.flatnonzero(mate_c.local == NULL) + mate_c.lo
-            fc = DistVertexFrontier(grid, A.ncols, "col", lcols, lcols, lcols)
+            # this rank's share of the (top-down, bottom-up) edge counts of
+            # the coming superstep, read for the edges-examined accounting in
+            # every mode (so the cached block degrees behind it are primed —
+            # a collective — at the same program point in every mode).
+            # direction="auto" sums them grid-wide with an iallreduce posted
+            # as soon as they exist and waited at the superstep's head, so it
+            # overlaps the exchange in between.
+            counts = local_edge_counts(A, lcols, pi_r)
+            dir_req = grid.comm.iallreduce(counts, op=SUM) if direction == "auto" else None
+            bcols, broots = expand(A, lcols, lcols)
+            nfront = free_cols
 
-            # in-flight edge-count iallreduce (direction="auto"): posted at
-            # each superstep's tail, waited at the next head, so its hub
-            # fold/down-leg overlaps the frontier-count exchange between them
-            dir_req = None
-            while fc.global_nnz() > 0:
+            while nfront > 0:
                 stats.iterations += 1
                 with tspan(grid.comm, "bfs_iter", cat="phase", iter=stats.iterations):
-                    # Step 1: SpMV (expand + fold), direction-optimized.  The
-                    # decision must be globally uniform: "auto" allreduces the
-                    # two edge counts; fixed modes are trivially uniform.
-                    td_local = int(degc_sub[fc.idx - fc.lo].sum())
-                    bu_local = int(degr_sub[pi_r.local == NULL].sum())
-                    if direction == "auto":
-                        if dir_req is None:  # first superstep of the phase
-                            td_g, bu_g = direction_edge_counts(A, fc, pi_r)
-                        else:
-                            td_g, bu_g = direction_edge_counts_finish(dir_req)
-                            dir_req = None
-                        use_bu = bu_g < td_g
+                    # Step 1: SpMV, direction-optimized.  The decision must be
+                    # globally uniform: "auto" compares the allreduced edge
+                    # counts; fixed modes are trivially uniform.
+                    if dir_req is not None:
+                        td_g, bu_g = dir_req.wait()
+                        use_bu = bool(bu_g < td_g)
                     else:
                         use_bu = direction == "bottomup"
-                    edges_local += bu_local if use_bu else td_local
-                    # the chosen direction appears in the trace as the kernel
-                    # span's name: spmv (top-down) vs spmv_bottomup (pull)
+                    edges_local += int(counts[1] if use_bu else counts[0])
+                    # exchange 1 — fold (grid row).  The chosen direction shows
+                    # in the trace as the kernel span's name: spmv (top-down)
+                    # vs spmv_bottomup (pull, plus its unvisited-row allgather)
                     if use_bu:
                         stats.bottomup_steps += 1
-                        fr = spmv_bottomup(A, fc, pi_r, semiring)
+                        fr = spmv_bottomup_expanded(A, bcols, broots, pi_r, semiring)
                     else:
                         stats.topdown_steps += 1
-                        fr = spmv(A, fc, semiring)
+                        fr = spmv_expanded(A, bcols, broots, semiring)
                     # Step 2: SELECT unvisited rows (a no-op after a bottom-up
                     # step, which only ever proposes unvisited rows — kept
                     # unconditionally so both directions share one code path)
@@ -577,49 +609,47 @@ def mcm_dist_spmd(
                     ufr = fr.keep(unmatched)
                     fr = fr.keep(~unmatched)
 
-                    # Step 5: INVERT roots of unmatched rows into path_c
-                    t_roots, t_rows = invert_route(grid, ufr.root, ufr.idx, path_c)
-                    if t_roots.size:
-                        order = np.lexsort((t_rows, t_roots))
-                        tr_s, tv_s = t_roots[order], t_rows[order]
-                        first = np.empty(tr_s.size, dtype=bool)
-                        first[0] = True
-                        np.not_equal(tr_s[1:], tr_s[:-1], out=first[1:])
-                        tr_s, tv_s = tr_s[first], tv_s[first]
-                        fresh = path_c.get_local(tr_s) == NULL
-                        path_c.set_local(tr_s[fresh], tv_s[fresh])
-
+                    # exchange 2 — path ends (whole grid): Steps 5 and 6 read
+                    # the same replicated (root, row) pairs
+                    end_roots, end_rows = gather_path_ends(grid, ufr.root, ufr.idx)
+                    # Step 5: INVERT into path_c — the root's owner keeps its
+                    # minimum row, first iteration wins
+                    mine = (end_roots >= path_c.lo) & (end_roots < path_c.hi)
+                    roots, rows, _ = reduce_candidates(
+                        end_roots[mine], end_rows[mine], end_rows[mine]
+                    )
+                    fresh = path_c.get_local(roots) == NULL
+                    path_c.set_local(roots[fresh], rows[fresh])
                     # Step 6: PRUNE trees that found augmenting paths this
                     # iteration
-                    if prune:
-                        new_roots = allgather_values(grid.comm, np.unique(ufr.root))
-                        if new_roots.size and fr.local_nnz:
-                            fr = fr.keep(~np.isin(fr.root, new_roots))
+                    if prune and end_roots.size and fr.local_nnz:
+                        fr = fr.keep(~np.isin(fr.root, end_roots))
 
-                    # Step 7: INVERT through mates -> next column frontier
-                    mates = mate_r.get_local(fr.idx)
-                    nc, nroot = invert_route(grid, mates, fr.root, mate_c)
-                    order = np.argsort(nc)
-                    fc = DistVertexFrontier(
-                        grid, A.ncols, "col", nc[order], nc[order], nroot[order]
-                    )
-                    # superstep tail: the next frontier and the final π_r of
-                    # this iteration exist, so the next head's direction
-                    # counts can already be in flight (overlap window spans
-                    # the global_nnz exchange of the loop condition)
-                    if direction == "auto":
-                        dir_req = direction_edge_counts_begin(A, fc, pi_r)
+                    # Step 7: INVERT through mates -> next column frontier.
+                    # exchange 3 — row hop to the mate's column block;
+                    # exchange 4 — column hop, which leaves the next frontier
+                    # expanded and its global size known on every rank
+                    with tspan(grid.comm, "next_frontier"):
+                        row_total, rcols, rroots = hop_along_row(
+                            A, mate_r.get_local(fr.idx), fr.root
+                        )
+                        # the next frontier is now spread over the grid once
+                        # and this iteration's π_r is final
+                        counts = local_edge_counts(A, rcols, pi_r)
+                        if direction == "auto":
+                            dir_req = grid.comm.iallreduce(counts, op=SUM)
+                        nfront, bcols, broots = hop_down_column(A, row_total, rcols, rroots)
             if dir_req is not None:
-                # the tail post of the last superstep: a collective every
+                # posted for a superstep that never ran: a collective every
                 # rank entered, so every rank must complete it
-                direction_edge_counts_finish(dir_req)
-                dir_req = None
+                dir_req.wait()
 
             # phase end: augment by all discovered paths (my local path ends)
             local_rows = path_c.local[path_c.local != NULL]
             k = int(grid.comm.allreduce(local_rows.size, op=SUM))
             if k == 0:
                 break
+            free_cols -= k
             mode = augment if augment != "auto" else choose_augment_mode(k, grid.nprocs)
             if mode == "level":
                 stats.augment_level_calls += 1

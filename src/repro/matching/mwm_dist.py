@@ -53,7 +53,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..distmat.grid import ProcGrid
-from ..distmat.ops import allgather_arrays
+from ..distmat.ops import allgather_arrays, concat_pieces
 from ..distmat.wspmat import DistWeightedMatrix
 from ..runtime import spmd
 from ..runtime.checkpoint import Checkpoint, CheckpointStore
@@ -79,12 +79,6 @@ from .mcm_dist import (
 )
 
 
-def _columns(pieces: "list[tuple[np.ndarray, ...]]") -> tuple[np.ndarray, ...]:
-    """Concatenate an :func:`allgather_arrays` result array by array, in
-    source-rank order."""
-    return tuple(np.concatenate(col) for col in zip(*pieces))
-
-
 def _save_auction_checkpoint(
     grid: ProcGrid,
     store: CheckpointStore,
@@ -103,7 +97,7 @@ def _save_auction_checkpoint(
     with tspan(grid.comm, "checkpoint", cat="phase", phase=phase):
         # every rank holds its whole row block, and the pr ranks of a grid
         # column hold row blocks 0..pr-1 in rank order
-        g_item, prices = _columns(allgather_arrays(grid.colcomm, owner_blk, price_blk))
+        g_item, prices = concat_pieces(allgather_arrays(grid.colcomm, owner_blk, price_blk))
         if grid.comm.rank == 0:
             # a phase ends on a perfect assignment (phase 0: nothing owned),
             # so the bidder side is the inverse of the item side
@@ -217,14 +211,14 @@ def mwm_dist_spmd(
                     with tspan(grid.comm, "bid"):
                         gcols = np.flatnonzero(free_blk) + A.col_lo
                         pieces = allgather_arrays(grid.colcomm, *A.top2(gcols, price_blk))
-                        cc, cb, cr, cw, cs = combine_partials(*_columns(pieces))
+                        cc, cb, cr, cw, cs = combine_partials(*concat_pieces(pieces))
                         cbid = compute_bids(cb, cw, cs, delta, sec_floor)
                     with tspan(grid.comm, "resolve"):
                         # each bid enters the row exchange once: at the rank
                         # of this column whose row block holds its best item
                         mine = (cr >= A.row_lo) & (cr < A.row_hi)
                         pieces = allgather_arrays(grid.rowcomm, cr[mine], cbid[mine], cc[mine])
-                        ridx, wbid, winner = resolve_bids(*_columns(pieces))
+                        ridx, wbid, winner = resolve_bids(*concat_pieces(pieces))
                         prev = owner_blk[ridx - A.row_lo]
                         owner_blk[ridx - A.row_lo] = winner
                         price_blk[ridx - A.row_lo] = wbid
@@ -267,7 +261,7 @@ def mwm_dist_spmd(
                           w_orig[m2])
     cand = []
     for pieces, sort_key in ((p1, 0), (p2, 1)):
-        ii, jj, ww = _columns(pieces)
+        ii, jj, ww = concat_pieces(pieces)
         # the twin enumerates M1 by item (row) index and M2 by column index
         order = np.argsort(ii if sort_key == 0 else jj)
         ii, jj, ww = ii[order], jj[order], ww[order]
@@ -283,7 +277,7 @@ def mwm_dist_spmd(
     stats.final_cardinality = int(pos.sum())
     stats.auction_rounds = rounds
     stats.bids_placed = bids
-    (stats.auction_prices,) = _columns(allgather_arrays(grid.colcomm, price_blk))
+    (stats.auction_prices,) = concat_pieces(allgather_arrays(grid.colcomm, price_blk))
     # snapshot BEFORE the summing collective so it doesn't count itself;
     # resolve is replicated along each grid row, so one rank per row reports
     # its accepts

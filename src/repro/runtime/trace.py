@@ -5,7 +5,7 @@ much* was communicated; they cannot say *when* a rank waited, which
 collective sat on the critical path, or why a chaos restart cost what it
 did.  This module is the structured instrument behind the paper's per-phase
 breakdowns (Figs. 4–9): every rank records a stack of nestable spans —
-``phase > bfs_iter > spmv > expand/fold``, one span per collective with
+``phase > bfs_iter > spmv > fold``, one span per collective with
 ``{op, alg, words, peers}`` arguments, RMA epochs on their own lanes — and
 the executor merges the rank-local buffers into one :class:`DistTrace`.
 

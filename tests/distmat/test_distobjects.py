@@ -5,7 +5,7 @@ import pytest
 
 from repro.distmat.distvec import DistDenseVec, DistVertexFrontier
 from repro.distmat.grid import ProcGrid
-from repro.distmat.ops import allgather_values, invert_route, route, spmv
+from repro.distmat.ops import invert_route, route, spmv
 from repro.distmat.spmat import DistSparseMatrix
 from repro.runtime import spmd
 from repro.sparse import COO, CSC, SR_MIN_PARENT, SR_MAX_PARENT, VertexFrontier
@@ -92,13 +92,12 @@ def test_frontier_rejects_out_of_range_entries():
     spmd(2, main)
 
 
-def test_frontier_global_nnz_and_gather():
+def test_frontier_gather():
     def main(comm):
         grid = ProcGrid(comm, 1, 2)
         v = DistDenseVec(grid, 10, "col")
-        idx = np.arange(v.lo, v.hi, 2)
+        idx = np.arange(v.lo, v.hi, 2)  # ranks own [0,5) and [5,10): 0,2,4 + 5,7,9
         f = DistVertexFrontier(grid, 10, "col", idx, idx, idx)
-        assert f.global_nnz() == 6  # ranks own [0,5) and [5,10): 0,2,4 + 5,7,9
         gi, gp, gr = f.to_global_arrays()
         return gi.tolist()
 
@@ -106,7 +105,7 @@ def test_frontier_global_nnz_and_gather():
     assert res[0] == [0, 2, 4, 5, 7, 9]
 
 
-# -- route / invert_route / allgather_values --------------------------------------------
+# -- route / invert_route --------------------------------------------
 
 def test_route_delivers_by_destination():
     def main(comm):
@@ -135,16 +134,6 @@ def test_invert_route_targets_value_owner():
 
     res = spmd(4, main)
     assert sum(res.values) == 8
-
-
-def test_allgather_values():
-    def main(comm):
-        vals = np.array([comm.rank, comm.rank + 100], dtype=np.int64)
-        got = allgather_values(comm, vals)
-        return sorted(got.tolist())
-
-    res = spmd(3, main)
-    assert res[0] == [0, 1, 2, 100, 101, 102]
 
 
 # -- DistSparseMatrix --------------------------------------------------------------

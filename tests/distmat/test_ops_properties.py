@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.distmat.distvec import DistDenseVec, DistVertexFrontier
 from repro.distmat.grid import ProcGrid
-from repro.distmat.ops import direction_edge_counts, route, spmv, spmv_bottomup
+from repro.distmat.ops import (
+    expand, local_edge_counts, route, spmv, spmv_bottomup_expanded,
+)
 from repro.distmat.spmat import DistSparseMatrix
-from repro.runtime import spmd
+from repro.runtime import SUM, spmd
 from repro.sparse import COO, CSC, SR_MIN_PARENT, VertexFrontier
 from repro.sparse.spvec import NULL
 
@@ -109,7 +111,7 @@ def coo_grid_and_state(draw):
 @settings(max_examples=15, deadline=None)
 @given(coo_grid_and_state())
 def test_distributed_bottomup_equals_filtered_topdown(args):
-    """spmv_bottomup == serial SpMV restricted to unvisited rows, for any
+    """spmv_bottomup_expanded == serial SpMV restricted to unvisited rows, for any
     visited state — the invariant behind the direction switch."""
     coo, pr, pc, fidx, pi = args
     serial = CSC.from_coo(coo).spmv_frontier(
@@ -124,8 +126,7 @@ def test_distributed_bottomup_equals_filtered_topdown(args):
         pi_r = DistDenseVec.from_global(grid, pi, "row")
         probe = DistDenseVec(grid, coo.ncols, "col")
         mine = fidx[(fidx >= probe.lo) & (fidx < probe.hi)]
-        fc = DistVertexFrontier(grid, coo.ncols, "col", mine, mine, mine)
-        fr = spmv_bottomup(A, fc, pi_r, SR_MIN_PARENT)
+        fr = spmv_bottomup_expanded(A, *expand(A, mine, mine), pi_r, SR_MIN_PARENT)
         return fr.to_global_arrays()
 
     gi, gp, gr = spmd(pr * pc, main)[0]
@@ -150,11 +151,10 @@ def test_direction_edge_counts_match_serial(args):
         pi_r = DistDenseVec.from_global(grid, pi, "row")
         probe = DistDenseVec(grid, coo.ncols, "col")
         mine = fidx[(fidx >= probe.lo) & (fidx < probe.hi)]
-        fc = DistVertexFrontier(grid, coo.ncols, "col", mine, mine, mine)
-        counts = direction_edge_counts(A, fc, pi_r)
+        td, bu = comm.allreduce(local_edge_counts(A, mine, pi_r), op=SUM)
         # the cache is collective-on-first-call: a second read is local
-        assert A.degree_slices() is A.degree_slices()
-        return counts
+        assert A.degree_blocks() is A.degree_blocks()
+        return int(td), int(bu)
 
     res = spmd(pr * pc, main)
     assert all(r == (want_td, want_bu) for r in res.values)

@@ -1,0 +1,204 @@
+"""Wire shape of the MCM-DIST BFS iteration, and the grids where the
+replicated block frontier could go wrong.
+
+One iteration is four exchanges — fold along the grid row, one grid
+allgather of the path ends, a row hop and a column hop to the next
+frontier — so its cost is countable: the span tests pin, on six grid
+shapes, which collectives an iteration holds and on which communicator,
+and the ledger tests pin the step counts that follow.  The frontier is kept
+expanded (identical down each grid column), so the bit-equality matrix
+covers ``rowcomm`` and ``colcomm`` of different sizes, degenerate 1-wide
+grids, empty blocks, every Step-1 direction, both backends and PRUNE on and
+off.  The three fingerprints at the bottom are the parent schedule's
+results on the end-to-end benchmark's inputs.
+"""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.graphs import suite
+from repro.graphs.rmat import er
+from repro.matching.mcm_dist import run_mcm_dist
+from repro.perfmodel.collectives import msbfs_iteration
+from repro.runtime.comm import CollectiveConfig
+from repro.sparse import COO
+
+GRIDS = [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (1, 4)]
+
+
+def _log2ceil(p):
+    return (p - 1).bit_length()
+
+
+def _total(stats, field, op=""):
+    return sum(d[field] for k, d in stats.comm_by_alg.items() if k.startswith(op))
+
+
+def _iteration_comms(trace):
+    """Every ``bfs_iter`` span of every rank as the list of ``cat="comm"``
+    spans it encloses, in program order."""
+    out = []
+    for spans in trace.spans:
+        comms = sorted((sp for sp in spans if sp.cat == "comm"), key=lambda sp: sp.bseq)
+        for it in (sp for sp in spans if sp.name == "bfs_iter"):
+            out.append([c for c in comms if it.bseq < c.bseq < it.eseq])
+    return out
+
+
+# -- (a) span and ledger shape ---------------------------------------------------
+
+
+@pytest.mark.parametrize("pr,pc", GRIDS)
+def test_iteration_is_four_exchanges(pr, pc):
+    p = pr * pc
+    coo = er(6, seed=1)
+    # init="none" + augment="path": every all-to-all of the job is a BFS one
+    _, _, stats = run_mcm_dist(
+        coo, pr, pc, init="none", augment="path", direction="topdown",
+        trace="ticks", timeout=60,
+    )
+    assert stats.iterations > 5 and stats.augment_level_calls == 0
+
+    # the α-β formula at (α, β) = (1, 0) is the iteration's latency steps
+    per_iter = msbfs_iteration(pr, pc, 1.0, 0.0, 0.0, 0.0, 0.0)
+    assert per_iter == 2 * (pc - 1) + _log2ceil(p) + _log2ceil(pr)
+    iters = _iteration_comms(stats.trace)
+    assert len(iters) == p * stats.iterations
+    for comms in iters:
+        # the only grid-communicator call of the loop is the path-end allgather
+        assert [(c.name, c.args["peers"]) for c in comms] == [
+            ("alltoall", pc), ("allgather", p), ("alltoall", pc), ("allgather", pr),
+        ]
+        assert sum(c.args["steps"] for c in comms) == per_iter
+
+    assert _total(stats, "steps", "alltoall") == p * stats.iterations * 2 * (pc - 1)
+
+
+def _setup_allreduce_calls(coo, pr, pc):
+    _, _, stats = run_mcm_dist(
+        coo, pr, pc, init="none", augment="path", direction="topdown", timeout=60
+    )
+    # one allreduce per phase counts the paths found; the rest is set-up
+    return _total(stats, "calls", "allreduce") // (pr * pc) - stats.phases, stats.iterations
+
+
+def test_allreduce_calls_do_not_grow_with_iterations():
+    single = COO(5, 2, np.array([3]), np.array([1]))
+    few, it_few = _setup_allreduce_calls(single, 2, 3)
+    many, it_many = _setup_allreduce_calls(er(6, seed=1), 2, 3)
+    assert it_many > 3 * it_few
+    assert many == few
+
+
+def test_logical_ledger_ignores_aggregation():
+    coo = er(6, seed=1)
+    on = run_mcm_dist(coo, 2, 3, timeout=60)[2]
+    off = run_mcm_dist(
+        coo, 2, 3, timeout=60, comm_config=CollectiveConfig(aggregate=False)
+    )[2]
+    assert on.comm_by_alg == off.comm_by_alg
+    assert on.comm_messages == off.comm_messages == off.frames
+    assert on.frames < off.frames
+
+
+# -- (b) bit-equality across grids, directions, backends, PRUNE ---------------
+
+
+def _rect():
+    rng = np.random.default_rng(11)
+    return COO(3, 7, rng.integers(0, 3, 15), rng.integers(0, 7, 15), dedup=False)
+
+
+INPUTS = {
+    "er7": lambda: er(7, seed=1),
+    "rect3x7": _rect,
+    "empty": lambda: COO(4, 5, np.zeros(0, np.int64), np.zeros(0, np.int64)),
+    "single": lambda: COO(5, 2, np.array([3]), np.array([1])),
+    "road": lambda: suite.load_scaled("road_usa", target_nnz=2000, seed=1)[0],
+}
+VARIANTS = [(d, prune) for d in ("topdown", "bottomup", "auto") for prune in (True, False)]
+_reference = {}
+
+
+def _solve(name, pr, pc, backend, direction, prune):
+    mate_r, mate_c, stats = run_mcm_dist(
+        INPUTS[name](), pr, pc, direction=direction, prune=prune,
+        backend=backend, timeout=60,
+    )
+    return mate_r, mate_c, (stats.phases, stats.iterations, stats.edges_examined)
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("pr,pc", GRIDS[1:])
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_results_equal_across_grids(name, pr, pc, backend):
+    for direction, prune in VARIANTS:
+        key = (name, direction, prune)
+        if key not in _reference:
+            _reference[key] = _solve(name, 1, 1, "thread", direction, prune)
+        ref_r, ref_c, ref_counts = _reference[key]
+        mate_r, mate_c, counts = _solve(name, pr, pc, backend, direction, prune)
+        np.testing.assert_array_equal(mate_r, ref_r, err_msg=f"{direction} prune={prune}")
+        np.testing.assert_array_equal(mate_c, ref_c, err_msg=f"{direction} prune={prune}")
+        assert counts == ref_counts, f"{direction} prune={prune}"
+
+
+def test_crash_every_phase_on_2x3_recovers_the_mates(tmp_path):
+    from repro.runtime.checkpoint import FileCheckpointStore
+    from repro.runtime.executor import run_mcm_dist_resilient
+    from repro.runtime.faults import FaultPlan
+
+    coo = er(6, seed=1)
+    mr_ok, mc_ok, st_ok = run_mcm_dist(coo, 2, 3, timeout=60)
+    mr, mc, st = run_mcm_dist_resilient(
+        coo, 2, 3,
+        faults=FaultPlan.parse("crash:rank=any,at=phase:every", seed=5),
+        checkpoint_store=FileCheckpointStore(tmp_path / "ckpt"),
+        max_restarts=30,
+        timeout=60,
+    )
+    assert st.restarts >= st_ok.phases - 1
+    np.testing.assert_array_equal(mr_ok, mr)
+    np.testing.assert_array_equal(mc_ok, mc)
+    assert st.final_cardinality == st_ok.final_cardinality
+
+
+# -- (c) the parent schedule's results on the end-to-end benchmark's inputs ----
+
+E2E = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e"
+ROAD = ("4ea672d81d8b29f511b3dad5c89354d05a304109ddfad2792cbef9e6cf336d48",
+        (9, 408, 141_177, 5_840))
+PARENT_FINGERPRINTS = [
+    pytest.param("mcm_deep_t4", 2, 2, *ROAD, id="road-2x2"),
+    pytest.param("mcm_deep_t4", 1, 2, *ROAD, id="road-1x2"),
+    pytest.param(
+        "mcm_bulk_t4", 2, 2,
+        "c3161e8eb5b7fe7382b39361063e94a6baf6bec9e3e93832d8aaea452bf32c7d",
+        (9, 35, 4_520_751, 32_832), id="er15-2x2",
+    ),
+]
+
+
+@pytest.fixture(scope="module")
+def e2e_workloads():
+    """``benchmarks/e2e/workloads.py`` — the seeded inputs and the digest."""
+    sys.path.insert(0, str(E2E))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(E2E))
+    yield workloads
+    sys.modules.pop("workloads", None)
+
+
+@pytest.mark.parametrize("workload,pr,pc,sha,counts", PARENT_FINGERPRINTS)
+def test_parent_fingerprints(e2e_workloads, workload, pr, pc, sha, counts):
+    inst = e2e_workloads.build(workload, seed=1)
+    mate_r, mate_c, stats = inst.solve(pr, pc, backend="thread")
+    assert e2e_workloads.digest(mate_r, mate_c) == sha
+    assert (
+        stats.phases, stats.iterations, stats.edges_examined, stats.final_cardinality
+    ) == counts

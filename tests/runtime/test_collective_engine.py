@@ -9,7 +9,7 @@ to the algorithm that actually ran, with the modeled step counts.
 import numpy as np
 import pytest
 
-from repro.distmat.ops import allgather_values, route
+from repro.distmat.ops import route
 from repro.graphs.rmat import er
 from repro.matching.mcm_dist import run_mcm_dist
 from repro.runtime import (
@@ -259,7 +259,7 @@ def test_split_inherits_config():
     assert all(res)
 
 
-# -- dtype preservation (route / allgather_values) ---------------------------
+# -- dtype preservation (route) ---------------------------
 
 
 @pytest.mark.parametrize("pack", [True, False])
@@ -297,16 +297,6 @@ def test_route_delivers_parallel_arrays_in_source_order(pack):
     for r, (rv, rt) in enumerate(res):
         assert rv == [s * 10 for s in range(4)]
         assert rt == [r + s * 100 for s in range(4)]
-
-
-def test_allgather_values_preserves_dtype_when_all_empty():
-    def main(comm):
-        out = allgather_values(comm, np.empty(0, dtype=np.float32))
-        return out.dtype, out.size
-
-    for dt, n in spmd(3, main):
-        assert dt == np.dtype(np.float32)
-        assert n == 0
 
 
 # -- end-to-end bit-identity -------------------------------------------------

@@ -99,6 +99,21 @@ def test_spmd_stats_json_dump(tmp_path, capsys):
         assert counters["calls"] >= 1
 
 
+@pytest.mark.parametrize("init", ["greedy", "karp-sipser", "mindegree", "none"])
+def test_spmd_init_reaches_the_engine_unchanged(init, tmp_path, capsys):
+    """Every distributed initializer is selectable, and the one named is the
+    one that runs (its span is in the trace; ``none`` runs no initializer)."""
+    from repro.runtime.trace import DistTrace
+
+    trace_path = tmp_path / "out.json"
+    assert main(["spmd", "--rmat", "er:6", "--pr", "2", "--pc", "2", "--init", init,
+                 "--trace", str(trace_path), "--trace-clock", "ticks"]) == 0
+    assert "matched" in capsys.readouterr().out
+    inits = {sp.name for sp in DistTrace.load(str(trace_path)).all_spans()
+             if sp.name.startswith("init:")}
+    assert inits == (set() if init == "none" else {f"init:{init}"})
+
+
 def test_spmd_trace_and_trace_report(tmp_path, capsys):
     import json
 
