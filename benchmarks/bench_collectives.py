@@ -3,11 +3,11 @@
 Two artifacts, committed at the repo root so CI can diff against them:
 
 * ``BENCH_collectives.json`` — micro benchmarks: per-collective merged
-  message/word/step counters for the engine algorithms vs the naive
-  baselines at p=4 and p=9 (the 2×2 and 3×3 grid communicator sizes);
+  message/word/step counters of the engine algorithms at p=4 and p=9 (the
+  2×2 and 3×3 grid communicator sizes);
 * ``BENCH_spmd.json`` — end-to-end MCM-DIST runs (er:7 on 2×2, er:9 on
-  3×3, direction=auto) under the engine and naive configs: phases, words
-  (expand/fold/total), wall-clock phase times, the per-algorithm
+  3×3, direction=auto): phases, words (expand/fold/total), wall-clock
+  phase times, the per-algorithm
   collective breakdown and its summed latency ``steps``, the physical
   frame ledger of the superstep coalescer (``comm_messages``/``frames``/
   ``frame_words`` — gated by the same >10% rule as every other counter),
@@ -15,6 +15,15 @@ Two artifacts, committed at the repo root so CI can diff against them:
   (median-of-5 wall clock with the min..max spread recorded, plus the
   ``cpu_count`` this process may run on; with more than one the process
   backend must beat the thread backend).
+
+Both files carry a top-level ``naive_reference`` block that is not
+produced here: the counters of the textbook baselines (linear bcast/reduce,
+linear reduce+bcast allreduce, ring allgather, no payload packing) the
+runtime could still run at the named commit.  They are deterministic
+counts, frozen when those forks were deleted and carried over on every
+rewrite; ``--check`` and the acceptance step compare today's engine rows
+against them (≥2× fewer steps at p=9 for allgather / allreduce / bcast;
+er:9 fold words no larger).
 
 ``BENCH_spmd.json``'s top-level ``before`` block is not produced here: it
 holds the engine leg of the same runs measured at the last commit whose BFS
@@ -55,7 +64,7 @@ import numpy as np
 
 from repro.graphs.rmat import er
 from repro.matching.mcm_dist import run_mcm_dist
-from repro.runtime import DEFAULT_CONFIG, NAIVE_CONFIG, SUM
+from repro.runtime import SUM
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 COLLECTIVES_JSON = "BENCH_collectives.json"
@@ -105,20 +114,18 @@ def run_micro() -> dict:
     micro: dict = {}
     for p in MICRO_SIZES:
         per_op: dict = {}
-        for label, cfg in (("engine", DEFAULT_CONFIG), ("naive", NAIVE_CONFIG)):
-            by_alg = _merged_by_alg(spmd(p, _micro_prog, comm_config=cfg))
-            for key, d in by_alg.items():
-                op, _, alg = key.partition(":")
-                per_op.setdefault(op, {})[label] = {
-                    "alg": alg,
-                    "calls": d["calls"],
-                    "messages": d["messages"],
-                    "words": d["words"],
-                    "steps": d["steps"],
-                    # steps are identical on every rank; per-call = the
-                    # latency term the α-β model charges one instance
-                    "steps_per_call": d["steps"] // max(1, d["calls"]),
-                }
+        for key, d in _merged_by_alg(spmd(p, _micro_prog)).items():
+            op, _, alg = key.partition(":")
+            per_op[op] = {"engine": {
+                "alg": alg,
+                "calls": d["calls"],
+                "messages": d["messages"],
+                "words": d["words"],
+                "steps": d["steps"],
+                # steps are identical on every rank; per-call = the
+                # latency term the α-β model charges one instance
+                "steps_per_call": d["steps"] // max(1, d["calls"]),
+            }}
         micro[f"p={p}"] = per_op
     return micro
 
@@ -142,16 +149,13 @@ BACKEND_REPS = 5
 
 def run_spmd_case(scale: int, pr: int, pc: int) -> dict:
     coo = er(scale=scale, seed=1)
-    out: dict = {"graph": f"er:{scale}", "grid": f"{pr}x{pc}"}
-    mates = {}
-    for label, cfg in (("engine", DEFAULT_CONFIG), ("naive", NAIVE_CONFIG)):
-        t0 = time.perf_counter()
-        mate_r, mate_c, stats = run_mcm_dist(
-            coo, pr, pc, direction="auto", comm_config=cfg
-        )
-        dt = time.perf_counter() - t0
-        mates[label] = (mate_r, mate_c)
-        out[label] = {
+    t0 = time.perf_counter()
+    mate_r, mate_c, stats = run_mcm_dist(coo, pr, pc, direction="auto")
+    dt = time.perf_counter() - t0
+    return {
+        "graph": f"er:{scale}",
+        "grid": f"{pr}x{pc}",
+        "engine": {
             "cardinality": int((mate_r != -1).sum()),
             "phases": stats.phases,
             "iterations": stats.iterations,
@@ -167,27 +171,23 @@ def run_spmd_case(scale: int, pr: int, pc: int) -> dict:
             "seconds_total": round(dt, 4),
             "seconds_per_phase": round(dt / max(1, stats.phases), 4),
             "comm_by_alg": stats.comm_by_alg,
-        }
-    # the engine is an optimization, not a semantic change
-    assert np.array_equal(mates["engine"][0], mates["naive"][0]), "mate_r diverged"
-    assert np.array_equal(mates["engine"][1], mates["naive"][1]), "mate_c diverged"
-    out["backends"] = time_backends(coo, pr, pc, mates["engine"])
-    return out
+        },
+        "backends": time_backends(coo, pr, pc, (mate_r, mate_c)),
+    }
 
 
 def time_backends(coo, pr: int, pc: int, expected_mates) -> dict:
-    """Median-of-N wall clock for the thread vs process transports on the
-    engine config, with a parity assertion on every run.  The min..max
-    spread is recorded alongside so a noisy host is visible in the
-    artifact instead of silently polluting the gated median."""
+    """Median-of-N wall clock for the thread vs process transports, with
+    a parity assertion on every run.  The min..max spread is recorded
+    alongside so a noisy host is visible in the artifact instead of
+    silently polluting the gated median."""
     block: dict = {"cpu_count": len(os.sched_getaffinity(0)), "reps": BACKEND_REPS}
     for backend in ("thread", "process"):
         samples = []
         for _ in range(BACKEND_REPS):
             t0 = time.perf_counter()
             mate_r, mate_c, _ = run_mcm_dist(
-                coo, pr, pc, direction="auto", comm_config=DEFAULT_CONFIG,
-                backend=backend,
+                coo, pr, pc, direction="auto", backend=backend,
             )
             samples.append(time.perf_counter() - t0)
             assert np.array_equal(mate_r, expected_mates[0]), \
@@ -234,18 +234,25 @@ def run_traced_check() -> None:
 # ---------------------------------------------------------------------------
 
 
-def assert_acceptance(micro: dict, spmd_runs: dict) -> None:
-    """The PR's perf criteria, asserted on freshly measured numbers."""
+def naive_reference(name: str, root: Path) -> dict:
+    """The frozen ``naive_reference`` block of committed file ``name``."""
+    return json.loads((root / name).read_text())["naive_reference"]
+
+
+def assert_acceptance(micro: dict, spmd_runs: dict, root: Path) -> None:
+    """The engine's perf criteria, asserted on freshly measured numbers
+    against the frozen naive counters."""
     p9 = micro["p=9"]
+    naive_p9 = naive_reference(COLLECTIVES_JSON, root)["micro"]["p=9"]
     for op in ("allgather", "allreduce", "bcast"):
         eng = p9[op]["engine"]["steps"]
-        nai = p9[op]["naive"]["steps"]
+        nai = naive_p9[op]["steps"]
         assert 2 * eng <= nai, f"{op} steps at p=9: engine {eng} vs naive {nai}"
         print(f"  p=9 {op:<10} steps: engine {eng:>4} vs naive {nai:>4} "
               f"({nai / eng:.1f}x fewer)")
     if "er9" in spmd_runs:
         eng = spmd_runs["er9"]["engine"]["fold_words"]
-        nai = spmd_runs["er9"]["naive"]["fold_words"]
+        nai = naive_reference(SPMD_JSON, root)["runs"]["er9"]["fold_words"]
         assert eng <= nai, f"er9 fold words regressed: engine {eng} vs naive {nai}"
         print(f"  er9 fold words: engine {eng:,} vs naive {nai:,}")
         run = spmd_runs["er9"]["engine"]
@@ -392,7 +399,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     root = Path(args.out_dir)
 
-    print("micro benchmarks (engine vs naive counters)...")
+    print("micro benchmarks (engine counters)...")
     micro = run_micro()
     collectives = {
         "meta": {
@@ -414,7 +421,7 @@ def main(argv=None) -> int:
     spmd_doc = {"direction": "auto", "runs": spmd_runs}
 
     print("acceptance criteria:")
-    assert_acceptance(micro, spmd_runs)
+    assert_acceptance(micro, spmd_runs, root)
 
     if args.traced:
         print("traced cross-check (span word counts vs CommStats.by_alg)...")
@@ -444,11 +451,13 @@ def main(argv=None) -> int:
 
     for name, doc in ((COLLECTIVES_JSON, collectives), (SPMD_JSON, spmd_doc)):
         path = root / name
-        if name == SPMD_JSON and path.exists():
-            # keep what this run did not produce: the ``before`` block always,
-            # and in quick mode the er:9 run of the committed full baseline
-            old = json.loads(path.read_text())
-            doc = {**old, **doc, "runs": {**old["runs"], **doc["runs"]}}
+        # keep what this run did not produce: the ``naive_reference`` and
+        # ``before`` blocks always, and in quick mode the er:9 run of the
+        # committed full baseline
+        old = json.loads(path.read_text())
+        doc = {**old, **doc}
+        if name == SPMD_JSON:
+            doc["runs"] = {**old["runs"], **spmd_runs}
         path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         print(f"wrote {path}")
     return 0

@@ -7,9 +7,10 @@ all-to-alls, and — for path-parallel augmentation — one-sided RMA windows.
 This is the same code path a production mpi4py deployment would execute.
 
 The example launches the job on a 3x3 process grid, verifies the
-distributed result against the serial engine, compares the latency-aware
-collective engine against the naive baselines (``comm_config``), and
-records a per-rank span trace whose critical-path breakdown is printed at
+distributed result against the serial engine, compares superstep
+aggregation on vs off (``comm_config`` — same logical ledger, far fewer
+physical frames), and records a per-rank span trace whose critical-path
+breakdown is printed at
 the end (``trace-report`` over the same data lives in the CLI).
 
 Run:  python examples/distributed_spmd.py
@@ -19,7 +20,7 @@ import repro
 from repro.graphs import rmat
 from repro.matching import ms_bfs_mcm
 from repro.matching.mcm_dist import mcm_dist_spmd, merge_by_alg
-from repro.runtime import NAIVE_CONFIG, spmd
+from repro.runtime import CollectiveConfig, spmd
 from repro.simulate.critpath import report_trace
 
 
@@ -55,13 +56,17 @@ def main() -> None:
               f"{s.words_sent:>10,} words")
     print(f"  total: {result.total_messages:,} messages, {result.total_words:,} words")
 
-    # -- collective engine vs naive baselines (comm_config) ------------------
-    naive = spmd(pr * pc, rank_main, coo, pr, pc,
-                 timeout=300.0, comm_config=NAIVE_CONFIG)
-    eng_steps = sum(d["steps"] for d in merge_by_alg(result.values).values())
-    nai_steps = sum(d["steps"] for d in merge_by_alg(naive.values).values())
-    print(f"\ncollective engine    : {eng_steps:,} modeled latency steps "
-          f"vs {nai_steps:,} naive ({nai_steps / max(eng_steps, 1):.1f}x)")
+    # -- superstep aggregation on (default) vs off (comm_config) -------------
+    plain = spmd(pr * pc, rank_main, coo, pr, pc,
+                 timeout=300.0, comm_config=CollectiveConfig(aggregate=False))
+    assert merge_by_alg(plain.values) == merge_by_alg(result.values), \
+        "aggregation must not move the logical ledger"
+    frames = sum(st.frames for _, _, st in result.values)
+    plain_frames = sum(st.frames for _, _, st in plain.values)
+    steps = sum(d["steps"] for d in merge_by_alg(result.values).values())
+    print(f"\ncollective engine    : {steps:,} modeled latency steps; "
+          f"{frames:,} physical frames aggregated vs {plain_frames:,} "
+          f"message-per-frame ({plain_frames / max(frames, 1):.1f}x)")
 
     # -- span trace: who bounded each phase? ---------------------------------
     print("\ncritical-path breakdown of the traced run:")

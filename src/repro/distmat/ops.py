@@ -62,19 +62,16 @@ def route(comm: Communicator, dest: np.ndarray, *arrays: np.ndarray) -> tuple[np
 
     All arrays must be parallel (equal length).  Returns the received
     arrays — dtypes preserved, empty results included — concatenated in
-    source-rank order.  One personalized all-to-all; with
-    ``comm.config.pack`` each destination's arrays travel as ONE packed
-    struct-of-arrays buffer (:mod:`repro.runtime.pack`).
+    source-rank order.  One personalized all-to-all; each destination's
+    arrays travel as ONE packed struct-of-arrays buffer
+    (:mod:`repro.runtime.pack`).
     """
     arrays = tuple(np.asarray(a) for a in arrays)
     payloads = _buckets(comm.size, dest, arrays)
-    if comm.config.pack:
-        parts = [
-            unpack_arrays(buf)
-            for buf in comm.alltoallv([pack_arrays(*b) for b in payloads])
-        ]
-    else:
-        parts = comm.alltoallv(payloads)
+    parts = [
+        unpack_arrays(buf)
+        for buf in comm.alltoallv([pack_arrays(*b) for b in payloads])
+    ]
     return tuple(
         np.concatenate([p[k] for p in parts]) if parts else np.empty(0, arrays[k].dtype)
         for k in range(len(arrays))
@@ -82,16 +79,14 @@ def route(comm: Communicator, dest: np.ndarray, *arrays: np.ndarray) -> tuple[np
 
 
 def allgather_arrays(comm: Communicator, *arrays: np.ndarray) -> "list[tuple[np.ndarray, ...]]":
-    """Allgather parallel arrays, one packed buffer per rank when enabled.
+    """Allgather parallel arrays, one packed buffer per rank.
 
     Returns one tuple of arrays per source rank, in rank order — the
     multi-array analogue of ``comm.allgatherv((a, b))``, used by the expand
     phases for their (idx, root) pairs.
     """
-    if comm.config.pack:
-        pieces = comm.allgatherv(pack_arrays(*arrays))
-        return [unpack_arrays(buf) for buf in pieces]
-    return comm.allgatherv(tuple(arrays))
+    pieces = comm.allgatherv(pack_arrays(*arrays))
+    return [unpack_arrays(buf) for buf in pieces]
 
 
 def concat_pieces(pieces: "list[tuple[np.ndarray, ...]]") -> tuple[np.ndarray, ...]:
@@ -221,12 +216,8 @@ def spmv_bottomup_expanded(
         # usually wins — pack_indices picks per sender by density.
         with tspan(grid.comm, "unvisited_exchange"):
             mine = np.flatnonzero(pi_r.local == NULL) + pi_r.lo
-            if grid.rowcomm.config.bitmap_frontiers:
-                upieces = grid.rowcomm.allgatherv(pack_indices(mine, pi_r.lo, pi_r.hi))
-                unvisited = np.concatenate([unpack_indices(b) for b in upieces]) - A.row_lo
-            else:
-                upieces = grid.rowcomm.allgatherv(mine)
-                unvisited = np.concatenate(upieces) - A.row_lo
+            upieces = grid.rowcomm.allgatherv(pack_indices(mine, pi_r.lo, pi_r.hi))
+            unvisited = np.concatenate([unpack_indices(b) for b in upieces]) - A.row_lo
 
         # -- pull through the cached CSR mirror, filter by frontier membership
         # (one fused kernel — repro.kernels compiles it when numba is there)

@@ -68,6 +68,10 @@ class DistSparseMatrix:
         else:
             payloads = None
         my_rows, my_cols = comm.scatter(payloads, root=root)
+        if comm.rank == root:
+            # seven dead nnz-sized arrays: drop them before the root builds
+            # its own block on top of them (the job's peak-memory moment)
+            del bi, bj, dest, order, rows_s, cols_s, dest_s, payloads
 
         # localize indices and build the DCSC block
         rlo, rhi = rowmap.range(grid.i)

@@ -791,10 +791,10 @@ def run_mcm_dist(
     a seeded :class:`~repro.runtime.faults.FaultPlan`/``FaultInjector`` —
     this entry point has no recovery, use
     :func:`~repro.runtime.executor.run_mcm_dist_resilient` to survive the
-    injected crashes.  ``comm_config`` optionally pins the collective
-    algorithms and payload packing
+    injected crashes.  ``comm_config`` optionally turns superstep
+    aggregation off
     (:class:`~repro.runtime.comm.CollectiveConfig`); deterministic semirings
-    yield bit-identical mate vectors under every choice.  ``trace`` turns on
+    yield bit-identical mate vectors either way.  ``trace`` turns on
     per-rank span tracing (``True``/``"wall"`` for wall-clock timestamps,
     ``"ticks"`` for the deterministic clock); the merged
     :class:`~repro.runtime.trace.DistTrace` lands on ``stats.trace`` —

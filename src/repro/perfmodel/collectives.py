@@ -6,9 +6,11 @@ given the number of processes ``p``, the relevant word counts, and the
 (α, β) pair the caller obtained from
 :meth:`repro.perfmodel.machine.MachineSpec.comm_params`.
 
-The formulas correspond 1:1 to the algorithms implemented by
-:class:`repro.runtime.comm.Communicator` and to the costs assumed in
-Section IV-B of the paper:
+The formulas of the algorithms :class:`repro.runtime.comm.Communicator`
+runs are checked round for round against the schedules it walks
+(:mod:`repro.runtime.schedules`, ``tests/runtime/test_schedules.py``); the
+rest (ring, Bruck, reduce+bcast) price the MPI the paper ran on.  The
+costs assumed in Section IV-B of the paper:
 
 * SpMV "expand" = :func:`allgather_ring` over a grid column (√P processes);
 * SpMV "fold" = :func:`alltoallv_pairwise` over a grid row (√P processes);
@@ -22,11 +24,10 @@ Section IV-B of the paper:
 
 from __future__ import annotations
 
-import math
-
 
 def _log2ceil(p: int) -> int:
-    return max(1, math.ceil(math.log2(max(2, p)))) if p > 1 else 0
+    """⌈log₂p⌉ rounds of a doubling schedule (0 for a singleton)."""
+    return (p - 1).bit_length() if p > 1 else 0
 
 
 def degraded_params(
@@ -49,16 +50,6 @@ def degraded_params(
 def p2p(alpha: float, beta: float, words: float) -> float:
     """One point-to-point message of ``words`` 8-byte words."""
     return alpha + beta * words
-
-
-def frame_flush(alpha: float, beta: float, frames: float, words: float) -> float:
-    """One coalescer flush: ``frames`` framed buffers injected back to back.
-
-    The aggregation engine charges α once per *frame* (the whole point of
-    coalescing) and β per payload word — the per-message α of the batched
-    logical messages is what the frame saves.
-    """
-    return alpha * frames + beta * words
 
 
 def hub_star(p: int, alpha: float, beta: float, up_words: float, down_words: float) -> float:
@@ -103,20 +94,6 @@ def reduce_binomial(p: int, alpha: float, beta: float, words: float) -> float:
     return _log2ceil(p) * (alpha + beta * words)
 
 
-def bcast_linear(p: int, alpha: float, beta: float, words: float) -> float:
-    """Naive root-sends-to-all broadcast: p-1 sequential sends at the root."""
-    if p <= 1:
-        return 0.0
-    return (p - 1) * (alpha + beta * words)
-
-
-def reduce_linear(p: int, alpha: float, beta: float, words: float) -> float:
-    """Naive everyone-sends-to-root reduction: p-1 receives at the root."""
-    if p <= 1:
-        return 0.0
-    return (p - 1) * (alpha + beta * words)
-
-
 def allreduce_recursive_doubling(p: int, alpha: float, beta: float, words: float) -> float:
     """Recursive-doubling allreduce: log₂⌊p⌋ exchange rounds, plus one
     fold-in/fold-out round pair when p is not a power of two."""
@@ -144,20 +121,11 @@ def allreduce(p: int, alpha: float, beta: float, words: float, algorithm: str = 
         return allreduce_recursive_doubling(p, alpha, beta, words)
     if algorithm == "reduce_bcast":
         return allreduce_reduce_bcast(p, alpha, beta, words)
-    if algorithm == "linear":
-        return reduce_linear(p, alpha, beta, words) + bcast_linear(p, alpha, beta, words)
     raise ValueError(f"unknown allreduce algorithm {algorithm!r}")
 
 
 def gather_direct(p: int, alpha: float, beta: float, total_words: float) -> float:
     """Direct gather at the root: p-1 receives, ``total_words`` words in."""
-    if p <= 1:
-        return 0.0
-    return alpha * (p - 1) + beta * total_words
-
-
-def scatter_direct(p: int, alpha: float, beta: float, total_words: float) -> float:
-    """Direct scatter from the root: p-1 sends, ``total_words`` words out."""
     if p <= 1:
         return 0.0
     return alpha * (p - 1) + beta * total_words

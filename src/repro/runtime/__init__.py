@@ -46,7 +46,6 @@ from .comm import (
     LOR,
     MAX,
     MIN,
-    NAIVE_CONFIG,
     PROD,
     SUM,
     CollectiveConfig,
@@ -100,7 +99,6 @@ __all__ = [
     "LOR",
     "MAX",
     "MIN",
-    "NAIVE_CONFIG",
     "PROD",
     "RECOVERABLE_ERRORS",
     "RankKilledError",

@@ -1,40 +1,43 @@
 """MPI-like communicators over the simulated fabric.
 
 Every collective below is implemented on top of the two-sided ``send`` /
-``recv`` primitives.  Following the collective-selection playbook of
-production MPIs (Thakur et al.'s MPICH optimization work, which the paper
-credits — via CombBLAS — for the 2D SpMV's scalability), each collective
-has a latency-aware algorithm and a naive textbook baseline, selected per
-communicator by a :class:`CollectiveConfig`:
+``recv`` primitives, with the latency-aware algorithm production MPIs pick
+for small payloads (Thakur et al.'s MPICH optimization work, which the
+paper credits — via CombBLAS — for the 2D SpMV's scalability):
 
-============  =======================  ==================  ==================
-collective    engine algorithm         α-β cost            naive baseline
-============  =======================  ==================  ==================
-barrier       dissemination            α·⌈log₂p⌉           (same)
-bcast         binomial tree            (α + βW)·⌈log₂p⌉    linear: (α+βW)(p-1)
-reduce        binomial tree            (α + βW)·⌈log₂p⌉    linear: (α+βW)(p-1)
-allreduce     recursive doubling       (α + βW)·~⌈log₂p⌉   reduce+bcast, linear
-allgather(v)  dissemination (Bruck)    α⌈log₂p⌉ + βW(p-1)/p   ring: α(p-1)+βW(p-1)/p
-alltoall(v)   Bruck (small payloads)   α⌈log₂p⌉ + βW⌈log₂p⌉/2   pairwise: α(p-1)+βW
-gather(v)     direct to root           α(p-1) + βW at root  (same)
-scatter(v)    direct from root         α(p-1) + βW at root  (same)
-exscan/scan   linear chain             α(p-1)              (same)
-============  =======================  ==================  ==================
+============  =====================  =======================
+collective    algorithm              α-β cost
+============  =====================  =======================
+barrier       dissemination          α·⌈log₂p⌉
+bcast         binomial tree          (α + βW)·⌈log₂p⌉
+reduce        binomial tree          (α + βW)·⌈log₂p⌉
+allreduce     recursive doubling     (α + βW)·~⌈log₂p⌉
+allgather(v)  dissemination (Bruck)  α⌈log₂p⌉ + βW(p-1)/p
+alltoall(v)   pairwise exchange      α(p-1) + βW
+gather(v)     direct to root         α(p-1) + βW at root
+scatter(v)    direct from root       α(p-1) + βW at root
+exscan/scan   linear chain           α(p-1)
+============  =====================  =======================
 
-``alltoall``'s "auto" mode picks Bruck vs pairwise per call with an α-β
-heuristic on the *global* maximum send volume (a ⌈log₂p⌉-step one-word
-dissemination max makes the decision rank-uniform); every other "auto"
-resolves by ``p`` alone, so all selections are deadlock-free by
-construction.  The matching cost *formulas* live in
-:mod:`repro.perfmodel.collectives`; this module moves real data with the
-same communication patterns, so integration tests can check that measured
+The six round-based algorithms keep no peer arithmetic here: *who talks
+to whom in which round* is data, one pure function per algorithm in
+:mod:`repro.runtime.schedules`, and :meth:`Communicator._walk` is the one
+place a schedule meets the fabric.  A collective supplies only what it
+sends in a round and what it does with what it receives; its ``steps``
+(the latency term) is the length of the schedule.  The matching cost
+*formulas* live in :mod:`repro.perfmodel.collectives` and are tested
+against the schedules; this module moves real data with the same
+communication patterns, so integration tests can check that measured
 message counts equal the model's predictions.  :attr:`CommStats.by_alg`
-counts calls/messages/words/steps per (collective, algorithm) pair.
+counts calls/messages/words/steps per (collective, algorithm) pair, and
+every collective runs inside one frame (:meth:`Communicator._collective`)
+that owns its sequence number, trace span, divergence check, fault entry
+point and ``by_alg`` attribution.
 
 Superstep aggregation (``CollectiveConfig.aggregate``, default on) splits
 the ledger in two.  The **logical** ledger above is invariant: counters,
 ``by_alg``, trace spans and every fault-injection hook fire per logical
-message of the selected algorithm, whether or not that message travels
+message of the schedule, whether or not that message travels
 individually.  The **physical** ledger (:attr:`CommStats.frames` /
 ``frame_words``) counts what actually hits the fabric: a per-destination
 coalescer batches every payload a rank emits toward a peer between two
@@ -43,12 +46,14 @@ thread fabric, a single ring write (one codec pass) on the process
 backend.  The four rootless round-based collectives (barrier, doubling
 allreduce, dissemination allgather, pairwise alltoall) additionally swap
 their physical schedule for a hub star wave through comm rank 0 — 2(p-1)
-frames per call instead of ~p·⌈log₂p⌉ messages — while replaying the
-round-based schedule's exact per-message ledger analytically.  Flush
-points are deterministic (entry to any blocking receive, every collective
-boundary, :meth:`Communicator.flush_sends`), so frame counts are
-reproducible and benchmarkable.  ``aggregate=False`` restores
-message-per-deliver transport; results are bit-identical either way.
+frames per call instead of ~p·⌈log₂p⌉ messages — while the walker
+*replays* the round-based schedule, charging its exact per-message ledger
+without moving data.  Flush points are deterministic (entry to any
+blocking receive, every collective boundary,
+:meth:`Communicator.flush_sends`), so frame counts are reproducible and
+benchmarkable.  ``aggregate=False`` walks the schedules for real,
+message-per-deliver — it *is* the definition of the logical ledger the
+replay must reproduce; results are bit-identical either way.
 """
 
 from __future__ import annotations
@@ -62,6 +67,7 @@ import numpy as np
 
 from .errors import CollectiveMismatchError, CommError, TransientCommError
 from .fabric import ANY_SOURCE, ANY_TAG, Fabric, _RESERVED_TAG_BASE
+from .schedules import LEFT, REPLACE, binomial, dissemination, doubling, pairwise, swap
 
 
 class ReduceOp:
@@ -93,86 +99,24 @@ BAND = ReduceOp("band", lambda a, b: a & b)
 BOR = ReduceOp("bor", lambda a, b: a | b)
 
 
-_CONFIG_CHOICES = {
-    "bcast": ("auto", "binomial", "linear"),
-    "reduce": ("auto", "binomial", "linear"),
-    "allreduce": ("auto", "doubling", "reduce_bcast", "linear"),
-    "allgather": ("auto", "dissemination", "ring"),
-    "alltoall": ("auto", "bruck", "pairwise"),
-}
-
-
 @dataclass(frozen=True)
 class CollectiveConfig:
-    """Per-communicator collective-algorithm selection.
-
-    Every field's ``"auto"`` resolves to the latency-aware engine algorithm
-    (``alltoall`` additionally weighs payload size against ``alpha_words``
-    per call); pinning a specific name forces it, which is how tests
-    cross-check the engine against the naive baselines and how benchmarks
-    measure both.  The selection must be identical on every rank of a
-    communicator — configs are plumbed through ``spmd(comm_config=...)``
-    and inherited by :meth:`Communicator.split`, so this holds by
-    construction.
-
-    ``alpha_words`` is the modeled α/β ratio expressed in 8-byte words: the
-    payload size below which one extra message costs more than the extra
-    volume.  ``pack``/``bitmap_frontiers`` gate the zero-copy payload
-    packing and bitmap frontier encodings in :mod:`repro.distmat.ops`.
+    """Per-communicator runtime configuration.
 
     ``aggregate`` turns on the superstep coalescer and the hub physical
     plans (see the module docstring): logical ledgers, results and fault
     replay are bit-identical either way, only the physical frame schedule
-    changes.  ``alltoall`` defaults to ``"pairwise"`` rather than
-    ``"auto"``: Bruck's store-and-forward rounds make every rank's logical
-    word count depend on payload sizes it only learns by moving the data
-    exactly as Bruck does, so the aggregated planner cannot replay its
-    ledger analytically — and pairwise is what the hub plan collapses to
-    2(p-1) frames anyway.  Pin ``"auto"`` or ``"bruck"`` to get the old
-    selector (those calls then run physical = logical).
+    changes.  The setting must be identical on every rank of a
+    communicator — configs are plumbed through ``spmd(comm_config=...)``
+    and inherited by :meth:`Communicator.split`, so this holds by
+    construction.
     """
 
-    bcast: str = "auto"
-    reduce: str = "auto"
-    allreduce: str = "auto"
-    allgather: str = "auto"
-    alltoall: str = "pairwise"
-    alpha_words: float = 48.0
-    pack: bool = True
-    bitmap_frontiers: bool = True
     aggregate: bool = True
 
-    def __post_init__(self) -> None:
-        for op, choices in _CONFIG_CHOICES.items():
-            val = getattr(self, op)
-            if val not in choices:
-                raise ValueError(
-                    f"unknown {op} algorithm {val!r}; choose from {choices}"
-                )
-        if self.alpha_words < 0:
-            raise ValueError(f"alpha_words must be >= 0, got {self.alpha_words}")
 
-
-#: The latency-aware engine defaults.
+#: Aggregation on — what every engine runs unless told otherwise.
 DEFAULT_CONFIG = CollectiveConfig()
-
-#: The naive textbook baselines (and no payload packing) — what the runtime
-#: shipped before the collective engine; benchmarks measure against this.
-NAIVE_CONFIG = CollectiveConfig(
-    bcast="linear",
-    reduce="linear",
-    allreduce="linear",
-    allgather="ring",
-    alltoall="pairwise",
-    pack=False,
-    bitmap_frontiers=False,
-    aggregate=False,
-)
-
-
-def _log2ceil(p: int) -> int:
-    """⌈log₂p⌉ rounds of a doubling schedule (0 for a singleton)."""
-    return (p - 1).bit_length() if p > 1 else 0
 
 
 @dataclass
@@ -181,13 +125,13 @@ class CommStats:
 
     ``words`` counts 8-byte words for NumPy payloads (the unit the paper's β
     is expressed in); non-array payloads count as one word per Python object.
-    ``by_alg`` breaks the engine collectives down per chosen algorithm:
+    ``by_alg`` breaks the collectives down per algorithm:
     ``{"op:alg": {"calls", "messages", "words", "steps"}}`` where ``steps``
     is the algorithm's sequential round count (the latency term the α-β
     model charges), identical on every rank.
 
     ``messages_sent``/``words_sent``/``by_op``/``by_alg`` are the
-    **logical** ledger: they count the selected algorithm's schedule and
+    **logical** ledger: they count the algorithm's schedule and
     are invariant under aggregation.  ``frames``/``frame_words`` are the
     **physical** ledger: actual fabric deposits/ring writes.  With
     aggregation off every message is its own frame (``frames ==
@@ -339,8 +283,8 @@ class _DoneRequest(Request):
 
 class _DeferredRequest(Request):
     """Runs the full blocking operation at ``wait()`` — the unaggregated
-    (or pinned-algorithm) fallback, so ledgers total identically to the
-    blocking call they defer."""
+    fallback, so ledgers total identically to the blocking call they
+    defer."""
 
     __slots__ = ("_run", "_done", "_value")
 
@@ -410,31 +354,46 @@ class _AllreduceRequest(Request):
         return self._done
 
     def wait(self) -> Any:
-        if self._done:
-            return self._value
-        comm = self._comm
-        p, r = comm.size, comm.rank
-        if r == 0:
-            vals: list[Any] = [None] * p
-            vals[0] = self._own
-            for _ in range(p - 1):
-                src, item = comm._coll_recv_any("allreduce", self._seq)
-                vals[src] = item
-            acc = _doubling_fold(vals, self._op)
-            for dst in range(1, p):
-                comm._phys_send(dst, acc, "allreduce", self._seq)
-            comm._flush_frames()
-            self._value = acc
-        else:
-            self._value = comm._coll_recv(0, "allreduce", self._seq)
-        self._own = None
-        self._done = True
+        if not self._done:
+            self._value = self._comm._allreduce_down(self._seq, self._own, self._op)
+            self._own = None
+            self._done = True
         return self._value
 
 
 def wait_all(requests: "Sequence[Request]") -> list[Any]:
     """Wait every request, returning their values in order."""
     return [req.wait() for req in requests]
+
+
+class _Frame:
+    """The open frame of one collective — what ``with
+    comm._collective(...) as seq`` holds.  A plain class rather than
+    ``@contextmanager``: a frame opens thousands of times per solve, and
+    the generator machinery tripled its cost (it showed in the null-
+    collective floors)."""
+
+    __slots__ = ("_comm", "_opname", "_alg", "_steps", "_seq", "_tok", "_before")
+
+    def __init__(self, comm, opname, alg, steps, seq, tok, before) -> None:
+        self._comm = comm
+        self._opname = opname
+        self._alg = alg
+        self._steps = steps
+        self._seq = seq
+        self._tok = tok
+        self._before = before
+
+    def __enter__(self) -> int:
+        return self._seq
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        # An exception skips the epilogue: the tracer closes a dead rank's
+        # open spans as truncated, and nothing is attributed.
+        if exc_type is None:
+            self._comm._end_alg(self._opname, self._alg, self._before, self._steps)
+            self._comm._trace_end(self._tok, self._alg, self._steps)
+        return False
 
 
 class Communicator:
@@ -479,6 +438,13 @@ class Communicator:
         self._outbox: dict[int, list] = (
             {} if boxes is None else boxes[self.group[rank]]
         )
+        # This rank's round schedules depend only on (size, rank[, root]):
+        # built once here, not per call.
+        self._barrier_rounds = dissemination(self.size, rank)
+        self._allgather_rounds = swap(self._barrier_rounds)
+        self._allreduce_rounds = doubling(self.size, rank)
+        self._alltoall_rounds = pairwise(self.size, rank)
+        self._bcast_rounds: dict[int, list[tuple]] = {}  # by root, on first use
 
     # -- point to point -----------------------------------------------------
 
@@ -783,54 +749,88 @@ class Communicator:
         )
 
     def _coll_recv(self, source: int, opname: str, seq: int) -> Any:
-        src_global = self.group[source]
+        """Receive one message of this collective instance from ``source``
+        — or, with ``ANY_SOURCE``, from whichever rank delivers next
+        (gather's root, the star wave's hub: senders then label their
+        payload with their rank)."""
+        src_global = ANY_SOURCE if source == ANY_SOURCE else self.group[source]
         env = self._collect(src_global, self._coll_tag(seq))
         got_op, got_comm, got_seq, payload = env.payload
         if got_op != opname or got_comm != self.comm_id or got_seq != seq:
+            sender = "a peer" if source == ANY_SOURCE else f"rank {source}"
             raise CollectiveMismatchError(
                 f"rank {self.rank} (comm {self.comm_id}) in {opname}#{seq} "
-                f"received {got_op}#{got_seq} from rank {source} "
+                f"received {got_op}#{got_seq} from {sender} "
                 f"(comm {got_comm}): ranks entered different collectives"
             )
         return payload
 
-    def _coll_recv_any(self, opname: str, seq: int) -> Any:
-        """Hub-side receive of one star-wave up message (any source)."""
-        env = self._collect(ANY_SOURCE, self._coll_tag(seq))
-        got_op, got_comm, got_seq, body = env.payload
-        if got_op != opname or got_comm != self.comm_id or got_seq != seq:
-            raise CollectiveMismatchError(
-                f"hub of {opname}#{seq} (comm {self.comm_id}) received "
-                f"{got_op}#{got_seq} (comm {got_comm}): ranks entered "
-                "different collectives"
-            )
-        return body
+    def _walk(
+        self, opname: str, seq: int, rounds: "list[tuple]",
+        send: "Callable[[int], Any] | None" = None,
+        recv: "Callable[[int, Any], None] | None" = None,
+        words: "Callable[[int], int] | None" = None,
+    ) -> None:
+        """Walk this rank's ``rounds`` of a :mod:`.schedules` schedule —
+        the one place a round-based schedule meets the fabric.
+
+        *Execute* (``send``/``recv``): in round ``t`` send ``send(t)`` to
+        the round's send peer, then hand what the receive peer sent to
+        ``recv(t, payload)``.  *Replay* (``words``): a hub wave moves the
+        data, so each send round only charges the logical ledger (and runs
+        the fault protocol) for the ``words(t)``-word message it *would*
+        have sent — same destination, same words, same per-rank order,
+        which is what keeps ``by_alg`` and fault streams
+        aggregation-invariant.
+        """
+        if words is not None:
+            for t, rnd in enumerate(rounds):
+                if rnd[0] is not None:
+                    self._logical_send(opname, rnd[0], words(t))
+            return
+        for t, rnd in enumerate(rounds):
+            if rnd[0] is not None:
+                self._coll_send(rnd[0], send(t), opname, seq)
+            if rnd[1] is not None:
+                recv(t, self._coll_recv(rnd[1], opname, seq))
+
+    def _hub_up(self, opname: str, seq: int, item: Any) -> None:
+        """Up half of the aggregated star wave: every non-hub rank puts one
+        ``(rank, item)`` frame toward comm rank 0."""
+        if self.rank != 0:
+            self._phys_send(0, (self.rank, item), opname, seq)
+
+    def _hub_down(
+        self, opname: str, seq: int, own: Any,
+        down_items: "Callable[[list[Any]], list[Any]]",
+    ) -> Any:
+        """Down half: the hub collects the p-1 ups (its ``own`` item fills
+        slot 0), computes the per-destination results with
+        ``down_items(ups)`` and sends one frame back to each rank.  Returns
+        this rank's down payload (the hub: ``down_items(ups)[0]``)."""
+        p = self.size
+        if self.rank != 0:
+            return self._coll_recv(0, opname, seq)
+        ups: list[Any] = [None] * p
+        ups[0] = own
+        for _ in range(p - 1):
+            src, item = self._coll_recv(ANY_SOURCE, opname, seq)
+            ups[src] = item
+        downs = down_items(ups)
+        for dst in range(1, p):
+            self._phys_send(dst, downs[dst], opname, seq)
+        self._flush_frames()  # the hub's down-leg must not linger
+        return downs[0]
 
     def _hub_exchange(
-        self, opname: str, seq: int, up_item: Any,
+        self, opname: str, seq: int, item: Any,
         down_items: "Callable[[list[Any]], list[Any]]",
     ) -> Any:
         """The aggregated physical schedule shared by the planned rootless
-        collectives: every non-hub rank sends one ``(rank, item)`` frame up
-        to comm rank 0; the hub computes the per-destination results with
-        ``down_items(ups)`` and sends one frame back down to each rank —
-        2(p-1) frames per wave, independent of the logical round count.
-        Returns this rank's down payload (the hub: ``down_items(ups)[0]``).
-        """
-        p, r = self.size, self.rank
-        if r == 0:
-            ups: list[Any] = [None] * p
-            ups[0] = up_item
-            for _ in range(p - 1):
-                src, item = self._coll_recv_any(opname, seq)
-                ups[src] = item
-            downs = down_items(ups)
-            for dst in range(1, p):
-                self._phys_send(dst, downs[dst], opname, seq)
-            self._flush_frames()  # the hub's down-leg must not linger
-            return downs[0]
-        self._phys_send(0, (r, up_item), opname, seq)
-        return self._coll_recv(0, opname, seq)
+        collectives: 2(p-1) frames per wave, independent of the logical
+        round count."""
+        self._hub_up(opname, seq, item)
+        return self._hub_down(opname, seq, item, down_items)
 
     def _next_seq(self) -> int:
         self._coll_seq += 1
@@ -899,6 +899,24 @@ class Communicator:
             words=self.stats.words_sent - tok[1],
         )
 
+    def _collective(
+        self, opname: str, alg: str, steps: int,
+        root: "int | None" = None, extra: "tuple | None" = None, **span: Any,
+    ) -> _Frame:
+        """The frame every collective runs inside: ``with
+        self._collective(...) as seq``.  Entry takes the next slot of the
+        per-rank collective sequence, opens the trace span, checks in with
+        the divergence verifier (also the collective-entry fault point) and
+        snapshots the ledger; a normal exit attributes the traffic in
+        between to ``opname:alg`` with ``steps`` latency steps, flushes the
+        coalescer and closes the span."""
+        seq = self._next_seq()
+        if root is not None:
+            span = {"root": root, **span}
+        tok = self._trace_begin(opname, **span)
+        self._verify(opname, seq, root=root, extra=extra)
+        return _Frame(self, opname, alg, steps, seq, tok, self._begin_alg())
+
     # -- collectives ----------------------------------------------------------
 
     def barrier(self) -> None:
@@ -915,111 +933,61 @@ class Communicator:
         whole batch (2(p-1) frames total), which is what lets the RMA
         layer's ``fence_all``/``free_all`` fuse their epoch barriers.
         """
-        if count <= 0:
-            return
-        p, r = self.size, self.rank
+        p = self.size
+        rounds = self._barrier_rounds
         aggregated = self.config.aggregate and p > 1
         first_seq = 0
-        for i in range(count):
-            seq = self._next_seq()
-            if i == 0:
-                first_seq = seq
-            tok = self._trace_begin("barrier")
-            self._verify("barrier", seq)
-            before = self._begin_alg()
-            k = 1
-            while k < p:
+        for _ in range(count):
+            with self._collective("barrier", "dissemination", len(rounds)) as seq:
+                first_seq = first_seq or seq
                 if aggregated:
-                    self._logical_send("barrier", (r + k) % p, 1)
+                    self._walk("barrier", seq, rounds, words=lambda t: 1)
                 else:
-                    self._coll_send((r + k) % p, None, "barrier", seq)
-                    self._coll_recv((r - k) % p, "barrier", seq)
-                k *= 2
-            self._end_alg("barrier", "dissemination", before, _log2ceil(p))
-            self._trace_end(tok, "dissemination", _log2ceil(p))
-        if aggregated:
+                    self._walk(
+                        "barrier", seq, rounds, lambda t: None, lambda t, got: None
+                    )
+        if aggregated and first_seq:
             self._hub_exchange("barrier", first_seq, None, lambda ups: [None] * p)
 
     # -- bcast ---------------------------------------------------------------
 
+    def _tree_rounds(self, root: int) -> "list[tuple]":
+        """This rank's binomial broadcast rounds for ``root``."""
+        rounds = self._bcast_rounds.get(root)
+        if rounds is None:
+            rounds = self._bcast_rounds[root] = binomial(self.size, self.rank, root)
+        return rounds
+
     def bcast(self, payload: Any, root: int = 0) -> Any:
-        """Broadcast from ``root``; returns the payload on all ranks (a
-        private copy on each non-root rank).  Binomial tree by default;
-        ``config.bcast = "linear"`` pins the naive root-sends-to-all
-        baseline."""
-        seq = self._next_seq()
-        tok = self._trace_begin("bcast", root=root)
-        self._verify("bcast", seq, root=root)
-        alg = "binomial" if self.config.bcast == "auto" else self.config.bcast
-        before = self._begin_alg()
-        if alg == "linear":
-            out = self._bcast_linear(payload, root, seq)
-            steps = max(0, self.size - 1)
-        else:
-            out = self._bcast_binomial(payload, root, seq)
-            steps = _log2ceil(self.size)
-        self._end_alg("bcast", alg, before, steps)
-        self._trace_end(tok, alg, steps)
-        return out
+        """Binomial-tree broadcast from ``root``; returns the payload on
+        all ranks (a private copy on each non-root rank)."""
+        rounds = self._tree_rounds(root)
+        with self._collective("bcast", "binomial", len(rounds), root=root) as seq:
+            # root: keep a private copy
+            held = _freeze(payload) if self.rank == root else None
 
-    def _bcast_binomial(self, payload: Any, root: int, seq: int) -> Any:
-        p = self.size
-        # Rotate so the root is virtual rank 0 (MPICH binomial algorithm).
-        vr = (self.rank - root) % p
-        mask = 1
-        while mask < p:
-            if vr & mask:
-                src = ((vr - mask) + root) % p
-                payload = self._coll_recv(src, "bcast", seq)
-                break
-            mask <<= 1
-        else:
-            payload = _freeze(payload)  # root: keep a private copy
-        # ``mask`` is now the lowest set bit of vr (or >= p at the root);
-        # forward to children at descending offsets below it.
-        mask >>= 1
-        while mask > 0:
-            if vr + mask < p:
-                dst = ((vr + mask) + root) % p
-                self._coll_send(dst, payload, "bcast", seq)
-            mask >>= 1
-        return payload
+            def take(t: int, got: Any) -> None:
+                nonlocal held
+                held = got
 
-    def _bcast_linear(self, payload: Any, root: int, seq: int) -> Any:
-        if self.rank == root:
-            payload = _freeze(payload)
-            for dst in range(self.size):
-                if dst != root:
-                    self._coll_send(dst, payload, "bcast", seq)
-            return payload
-        return self._coll_recv(root, "bcast", seq)
+            self._walk("bcast", seq, rounds, lambda t: held, take)
+        return held
 
     # -- gather / scatter ------------------------------------------------------
 
     def gather(self, payload: Any, root: int = 0) -> list[Any] | None:
         """Direct gather: every rank sends its payload to ``root``; root
         returns the list ordered by rank, others return ``None``."""
-        seq = self._next_seq()
-        tok = self._trace_begin("gather", root=root)
-        self._verify("gather", seq, root=root)
-        before = self._begin_alg()
-        if self.rank == root:
-            out: "list[Any] | None" = [None] * self.size
-            out[root] = _freeze(payload)
-            for _ in range(self.size - 1):
-                env = self._collect(ANY_SOURCE, self._coll_tag(seq))
-                got_op, got_comm, got_seq, body = env.payload
-                if got_op != "gather" or got_seq != seq or got_comm != self.comm_id:
-                    raise CollectiveMismatchError(
-                        f"root of gather#{seq} received {got_op}#{got_seq}"
-                    )
-                src_local, item = body
-                out[src_local] = item
-        else:
-            self._coll_send(root, (self.rank, payload), "gather", seq)
-            out = None
-        self._end_alg("gather", "direct", before, max(0, self.size - 1))
-        self._trace_end(tok, "direct", max(0, self.size - 1))
+        out: "list[Any] | None" = None
+        with self._collective("gather", "direct", self.size - 1, root=root) as seq:
+            if self.rank == root:
+                out = [None] * self.size
+                out[root] = _freeze(payload)
+                for _ in range(self.size - 1):
+                    src, item = self._coll_recv(ANY_SOURCE, "gather", seq)
+                    out[src] = item
+            else:
+                self._coll_send(root, (self.rank, payload), "gather", seq)
         return out
 
     def gatherv(self, payload: Any, root: int = 0) -> list[Any] | None:
@@ -1028,104 +996,62 @@ class Communicator:
 
     def scatter(self, payloads: Sequence[Any] | None, root: int = 0) -> Any:
         """Root distributes ``payloads[i]`` to rank ``i``; returns own piece."""
-        seq = self._next_seq()
-        tok = self._trace_begin("scatter", root=root)
-        self._verify("scatter", seq, root=root)
-        before = self._begin_alg()
-        if self.rank == root:
-            if payloads is None or len(payloads) != self.size:
-                raise ValueError("scatter root must supply one payload per rank")
-            for dst in range(self.size):
-                if dst != root:
-                    self._coll_send(dst, payloads[dst], "scatter", seq)
-            out = _freeze(payloads[root])
-        else:
-            out = self._coll_recv(root, "scatter", seq)
-        self._end_alg("scatter", "direct", before, max(0, self.size - 1))
-        self._trace_end(tok, "direct", max(0, self.size - 1))
+        with self._collective("scatter", "direct", self.size - 1, root=root) as seq:
+            if self.rank == root:
+                if payloads is None or len(payloads) != self.size:
+                    raise ValueError("scatter root must supply one payload per rank")
+                for dst in range(self.size):
+                    if dst != root:
+                        self._coll_send(dst, payloads[dst], "scatter", seq)
+                out = _freeze(payloads[root])
+            else:
+                out = self._coll_recv(root, "scatter", seq)
         return out
 
     # -- allgather -------------------------------------------------------------
 
     def allgather(self, payload: Any) -> list[Any]:
-        """Allgather; returns the list of payloads ordered by rank.
+        """Dissemination (Bruck) allgather; returns the list of payloads
+        ordered by rank.
 
-        Dissemination (Bruck) by default — ⌈log₂p⌉ rounds moving the same
-        p-1 blocks per rank the ring moves in p-1 rounds;
-        ``config.allgather = "ring"`` pins the naive ring baseline."""
-        seq = self._next_seq()
-        tok = self._trace_begin("allgather")
-        self._verify("allgather", seq)
-        alg = "dissemination" if self.config.allgather == "auto" else self.config.allgather
-        before = self._begin_alg()
-        if alg == "ring":
-            out = self._allgather_ring(payload, seq)
-            steps = max(0, self.size - 1)
-        elif self.config.aggregate and self.size > 1:
-            out = self._allgather_hub(payload, seq)
-            steps = _log2ceil(self.size)
-        else:
-            out = self._allgather_dissemination(payload, seq)
-            steps = _log2ceil(self.size)
-        self._end_alg("allgather", alg, before, steps)
-        self._trace_end(tok, alg, steps)
-        return out
+        After the round at distance k, rank r holds blocks r .. r+2k-1
+        (mod p) in acquisition order and forwards the first min(k, p-k) of
+        them next, so the last round may carry only a partial batch
+        (non-power-of-two p): p-1 blocks per rank in ⌈log₂p⌉ rounds.
 
-    def _allgather_hub(self, payload: Any, seq: int) -> list[Any]:
-        """Aggregated dissemination allgather: one star wave carries every
-        block (2(p-1) frames), while the ledger replays the dissemination
-        rounds' exact per-message word counts — computable here because
-        after the wave every rank holds all block sizes."""
+        Under aggregation one star wave carries every block (2(p-1)
+        frames) and the rounds are replayed afterwards — their exact
+        per-message word counts are computable then, because every rank
+        holds all block sizes.
+        """
         p, r = self.size, self.rank
-        out = list(self._hub_exchange(
-            "allgather", seq, _freeze(payload), lambda ups: [ups] * p
-        ))
-        bw = [_payload_words(out[i]) for i in range(p)]
-        k = 1
-        while k < p:
-            # dissemination round k sends held[:nsend] = (src, block) pairs
-            # for blocks r..r+nsend-1: one word per src int plus the block
-            nsend = min(k, p - k)
-            words = nsend + sum(bw[(r + i) % p] for i in range(nsend))
-            self._logical_send("allgather", (r - k) % p, words)
-            k *= 2
-        return out
+        rounds = self._allgather_rounds
 
-    def _allgather_ring(self, payload: Any, seq: int) -> list[Any]:
-        p, r = self.size, self.rank
-        out: list[Any] = [None] * p
-        out[r] = _freeze(payload)
-        if p == 1:
-            return out
-        right = (r + 1) % p
-        left = (r - 1) % p
-        carried = (r, out[r])
-        for _ in range(p - 1):
-            self._coll_send(right, carried, "allgather", seq)
-            carried = self._coll_recv(left, "allgather", seq)
-            src, item = carried
-            out[src] = item
-        return out
+        def batch(t: int) -> int:
+            return min(1 << t, p - (1 << t))  # round t has distance k = 2^t
 
-    def _allgather_dissemination(self, payload: Any, seq: int) -> list[Any]:
-        # Bruck/dissemination allgather: after the round with distance k,
-        # rank r holds blocks r .. r+2k-1 (mod p) in acquisition order, so
-        # the last round may forward only a partial batch (non-power-of-two
-        # p); total traffic is the ring's p-1 blocks in ⌈log₂p⌉ rounds.
-        p, r = self.size, self.rank
-        out: list[Any] = [None] * p
-        out[r] = _freeze(payload)
-        if p == 1:
-            return out
-        held: list[tuple[int, Any]] = [(r, out[r])]
-        k = 1
-        while k < p:
-            nsend = min(k, p - k)
-            self._coll_send((r - k) % p, held[:nsend], "allgather", seq)
-            held.extend(self._coll_recv((r + k) % p, "allgather", seq))
-            k *= 2
-        for src, item in held:
-            out[src] = item
+        with self._collective("allgather", "dissemination", len(rounds)) as seq:
+            # blocks travel as (source rank, block) pairs — receivers need
+            # no arithmetic to place them — so each costs its words plus one
+            if self.config.aggregate and p > 1:
+                out = list(self._hub_exchange(
+                    "allgather", seq, _freeze(payload), lambda ups: [ups] * p
+                ))
+                bw = [1 + _payload_words(block) for block in out]
+                self._walk(
+                    "allgather", seq, rounds,
+                    words=lambda t: sum(bw[(r + i) % p] for i in range(batch(t))),
+                )
+            else:
+                held = [(r, _freeze(payload))]
+                self._walk(
+                    "allgather", seq, rounds,
+                    lambda t: held[:batch(t)],
+                    lambda t, got: held.extend(got),
+                )
+                out = [None] * p
+                for src, item in held:
+                    out[src] = item
         return out
 
     def allgatherv(self, payload: Any) -> list[Any]:
@@ -1135,129 +1061,49 @@ class Communicator:
     # -- alltoall ---------------------------------------------------------------
 
     def alltoall(self, payloads: Sequence[Any]) -> list[Any]:
-        """Personalized all-to-all: ``payloads[i]`` is destined for rank
-        ``i``; returns the list of payloads received, indexed by source rank.
+        """Personalized all-to-all by pairwise exchange (p-1 sendrecv
+        rounds, minimum volume): ``payloads[i]`` is destined for rank
+        ``i``; returns the list of payloads received, indexed by source
+        rank.
 
-        ``config.alltoall`` picks the schedule: "pairwise" (p-1 sendrecv
-        steps, minimum volume), "bruck" (⌈log₂p⌉ store-and-forward rounds,
-        each block travelling once per set bit of its rank distance), or
-        "auto" — an α-β comparison on the global maximum send volume, made
-        rank-uniform by a ⌈log₂p⌉-step one-word dissemination max so every
-        rank runs the same schedule.
+        Under aggregation each rank ships its whole payload row up in one
+        frame, the hub repacks per destination and ships one frame back
+        down.  Word volume roughly doubles physically (rows travel up and
+        repacked columns travel down) but frames drop from p(p-1) to
+        2(p-1) per call — the α-dominated regime this engine targets —
+        while the ledger replays pairwise's p-1 per-destination sends.
         """
         if len(payloads) != self.size:
             raise ValueError(
                 f"alltoall needs exactly {self.size} payloads, got {len(payloads)}"
             )
-        seq = self._next_seq()
-        tok = self._trace_begin("alltoall")
-        self._verify("alltoall", seq)
         p, r = self.size, self.rank
-        rounds = _log2ceil(p)
-        extra_steps = 0
-        # snapshot before the auto sizing exchange so its messages/words are
-        # attributed to the chosen algorithm (as its steps already are)
-        before = self._begin_alg()
-        alg = self.config.alltoall
-        if alg == "auto":
-            if p <= 3:
-                # Bruck's ⌈log₂p⌉ rounds equal p-1 here: no latency win, and
-                # forwarding would only add volume — pairwise outright.
-                alg = "pairwise"
-            else:
-                my_words = sum(
-                    _payload_words(payloads[d]) for d in range(p) if d != r
+        rounds = self._alltoall_rounds
+
+        def block(t: int) -> Any:
+            return payloads[rounds[t][0]]
+
+        with self._collective("alltoall", "pairwise", len(rounds)) as seq:
+            if self.config.aggregate and p > 1:
+                self._walk(
+                    "alltoall", seq, rounds, words=lambda t: _payload_words(block(t))
                 )
-                W = self._dissemination_max(my_words, seq)
-                extra_steps = rounds
-                aw = self.config.alpha_words
-                bruck_cost = aw * rounds + W * rounds / 2.0
-                pairwise_cost = aw * (p - 1) + W
-                alg = "bruck" if bruck_cost < pairwise_cost else "pairwise"
-        if alg == "bruck":
-            # Bruck's forwarded blocks give each rank logical word counts
-            # that depend on payloads it never sees until it moves them, so
-            # there is no analytic ledger: physical = logical.
-            out = self._alltoall_bruck(payloads, seq)
-            steps = extra_steps + rounds
-        elif self.config.aggregate and p > 1:
-            out = self._alltoall_hub(payloads, seq)
-            steps = extra_steps + max(0, p - 1)
-        else:
-            out = self._alltoall_pairwise(payloads, seq)
-            steps = extra_steps + max(0, p - 1)
-        self._end_alg("alltoall", alg, before, steps)
-        self._trace_end(tok, alg, steps)
+                row = list(payloads)
+                if r == 0:
+                    row[0] = _freeze(row[0])  # the hub's own block skips the wire
+                out = list(self._hub_exchange(
+                    "alltoall", seq, row,
+                    lambda rows: [[rows[s][d] for s in range(p)] for d in range(p)],
+                ))
+            else:
+                out = [None] * p
+                out[r] = _freeze(payloads[r])
+
+                def store(t: int, got: Any) -> None:
+                    out[rounds[t][1]] = got
+
+                self._walk("alltoall", seq, rounds, block, store)
         return out
-
-    def _alltoall_hub(self, payloads: Sequence[Any], seq: int) -> list[Any]:
-        """Aggregated pairwise alltoall: each rank ships its whole payload
-        row up in one frame, the hub repacks per destination and ships one
-        frame back down.  Word volume roughly doubles physically (rows
-        travel up and repacked columns travel down) but frames drop from
-        p(p-1) to 2(p-1) per call — the α-dominated regime this engine
-        targets.  The ledger replays pairwise's p-1 per-destination sends."""
-        p, r = self.size, self.rank
-        for step in range(1, p):
-            dst = (r + step) % p
-            self._logical_send("alltoall", dst, _payload_words(payloads[dst]))
-        row = list(payloads)
-        if r == 0:
-            row[0] = _freeze(row[0])  # the hub's own block skips the wire
-        out = self._hub_exchange(
-            "alltoall", seq, row,
-            lambda rows: [[rows[s][d] for s in range(p)] for d in range(p)],
-        )
-        return list(out)
-
-    def _dissemination_max(self, value: int, seq: int) -> int:
-        """Global max of a per-rank scalar in ⌈log₂p⌉ one-word rounds.
-
-        Plain dissemination is only a correct allreduce for *idempotent*
-        operators (a contribution may be folded in twice past the wrap-
-        around) — max is.  Shares the collective's (tag, seq) stream: every
-        rank finishes these rounds before its first data round, so per-
-        stream FIFO keeps the one-word counts ahead of the data blocks.
-        """
-        p, r = self.size, self.rank
-        k = 1
-        while k < p:
-            self._coll_send((r + k) % p, value, "alltoall", seq)
-            value = max(value, self._coll_recv((r - k) % p, "alltoall", seq))
-            k *= 2
-        return value
-
-    def _alltoall_pairwise(self, payloads: Sequence[Any], seq: int) -> list[Any]:
-        p, r = self.size, self.rank
-        out: list[Any] = [None] * p
-        out[r] = _freeze(payloads[r])
-        for step in range(1, p):
-            dst = (r + step) % p
-            src = (r - step) % p
-            self._coll_send(dst, payloads[dst], "alltoall", seq)
-            out[src] = self._coll_recv(src, "alltoall", seq)
-        return out
-
-    def _alltoall_bruck(self, payloads: Sequence[Any], seq: int) -> list[Any]:
-        # Store-and-forward alltoall: label each block by its rank distance
-        # i = (dest - source) mod p.  In the round with distance 2^k, every
-        # rank forwards its blocks whose label has bit k set to rank r+2^k
-        # and receives the same labels from r-2^k; a block's total travel is
-        # the sum of its label's bits = its distance, so it lands exactly at
-        # its destination.  Same-labeled blocks move in lockstep, so one
-        # slot per label suffices.
-        p, r = self.size, self.rank
-        buf: list[Any] = [payloads[(r + i) % p] for i in range(p)]
-        buf[0] = _freeze(buf[0])  # own block never travels
-        step = 1
-        while step < p:
-            moving = [(i, buf[i]) for i in range(1, p) if i & step]
-            self._coll_send((r + step) % p, moving, "alltoall", seq)
-            for i, item in self._coll_recv((r - step) % p, "alltoall", seq):
-                buf[i] = item
-            step <<= 1
-        # block with label i now held here came from source (r - i) mod p
-        return [buf[(r - s) % p] for s in range(p)]
 
     def alltoallv(self, payloads: Sequence[Any]) -> list[Any]:
         """Alias of :meth:`alltoall` (variable-size payloads)."""
@@ -1266,180 +1112,71 @@ class Communicator:
     # -- reductions ---------------------------------------------------------------
 
     def reduce(self, payload: Any, op: ReduceOp = SUM, root: int = 0) -> Any:
-        """Reduction to ``root``; returns the reduced value at root and
-        ``None`` elsewhere.  Binomial tree by default; ``config.reduce =
-        "linear"`` pins the naive everyone-sends-to-root baseline."""
-        seq = self._next_seq()
-        tok = self._trace_begin("reduce", root=root, op=op.name)
-        self._verify("reduce", seq, root=root, extra=(op.name,) + _payload_sig(payload))
-        alg = "binomial" if self.config.reduce == "auto" else self.config.reduce
-        before = self._begin_alg()
-        if alg == "linear":
-            out = self._reduce_linear(payload, op, root, seq)
-            steps = max(0, self.size - 1)
-        else:
-            out = self._reduce_binomial(payload, op, root, seq)
-            steps = _log2ceil(self.size)
-        self._end_alg("reduce", alg, before, steps)
-        self._trace_end(tok, alg, steps)
-        return out
+        """Binomial-tree reduction to ``root`` (the broadcast tree walked
+        leaves first); returns the reduced value at root and ``None``
+        elsewhere."""
+        rounds = swap(self._tree_rounds(root))[::-1]
+        with self._collective(
+            "reduce", "binomial", len(rounds), root=root,
+            extra=(op.name,) + _payload_sig(payload), op=op.name,
+        ) as seq:
+            acc = _freeze(payload)
 
-    def _reduce_binomial(self, payload: Any, op: ReduceOp, root: int, seq: int) -> Any:
-        p = self.size
-        vr = (self.rank - root) % p
-        acc = _freeze(payload)
-        mask = 1
-        while mask < p:
-            if vr & mask:
-                dst = ((vr & ~mask) + root) % p
-                self._coll_send(dst, acc, "reduce", seq)
-                return None
-            if vr | mask < p:
-                other = self._coll_recv(((vr | mask) + root) % p, "reduce", seq)
+            def fold(t: int, other: Any) -> None:
+                nonlocal acc
                 acc = op(acc, other)
-            mask <<= 1
+
+            self._walk("reduce", seq, rounds, lambda t: acc, fold)
         return acc if self.rank == root else None
 
-    def _reduce_linear(self, payload: Any, op: ReduceOp, root: int, seq: int) -> Any:
-        if self.rank != root:
-            self._coll_send(root, payload, "reduce", seq)
-            return None
-        acc = _freeze(payload)
-        for src in range(self.size):
-            if src != root:
-                acc = op(acc, self._coll_recv(src, "reduce", seq))
+    def allreduce(self, payload: Any, op: ReduceOp = SUM) -> Any:
+        """Recursive-doubling reduction returning the result on every rank
+        (MPICH's algorithm, with the fold-in/fold-out rounds for
+        non-power-of-two p).
+
+        Under aggregation: one up-frame per rank to the hub, which
+        evaluates the same reduction tree (:func:`_doubling_fold`, so
+        order-sensitive operators agree bitwise) and ships one result frame
+        back down — 2(p-1) physical frames instead of ~p·log p messages.
+        """
+        rounds = self._allreduce_rounds
+        with self._collective(
+            "allreduce", "doubling", len(rounds),
+            extra=(op.name,) + _payload_sig(payload), op=op.name,
+        ) as seq:
+            if self.config.aggregate and self.size > 1:
+                own = self._allreduce_up(seq, rounds, payload)
+                acc = self._allreduce_down(seq, own, op)
+            else:
+                acc = _freeze(payload)
+
+                def combine(t: int, other: Any) -> None:
+                    nonlocal acc
+                    side = rounds[t][2]
+                    if side == REPLACE:
+                        acc = other
+                    else:
+                        acc = op(other, acc) if side == LEFT else op(acc, other)
+
+                self._walk("allreduce", seq, rounds, lambda t: acc, combine)
         return acc
 
-    def allreduce(self, payload: Any, op: ReduceOp = SUM) -> Any:
-        """Reduction returning the result on every rank.
-
-        Recursive doubling by default (MPICH's algorithm, with the
-        fold-in/fold-out rounds for non-power-of-two p); ``config.allreduce``
-        pins "reduce_bcast" (binomial reduce to 0 + binomial bcast — the
-        runtime's previous composition, traced as those two collectives) or
-        "linear" (naive linear reduce + linear bcast).
-        """
-        alg = "doubling" if self.config.allreduce == "auto" else self.config.allreduce
-        tok = self._trace_begin("allreduce", op=op.name)
-        before = self._begin_alg()
-        if alg == "doubling":
-            seq = self._next_seq()
-            self._verify(
-                "allreduce", seq, extra=(op.name,) + _payload_sig(payload)
-            )
-            if self.config.aggregate and self.size > 1:
-                out, steps = self._allreduce_hub(payload, op, seq)
-            else:
-                out, steps = self._allreduce_doubling(payload, op, seq)
-        else:
-            # composed variants: traced exactly like the explicit
-            # reduce-then-bcast call sequence they are
-            seq = self._next_seq()
-            self._verify("reduce", seq, root=0, extra=(op.name,) + _payload_sig(payload))
-            if alg == "linear":
-                acc = self._reduce_linear(payload, op, 0, seq)
-            else:
-                acc = self._reduce_binomial(payload, op, 0, seq)
-            seq2 = self._next_seq()
-            self._verify("bcast", seq2, root=0)
-            if alg == "linear":
-                out = self._bcast_linear(acc, 0, seq2)
-                steps = 2 * max(0, self.size - 1)
-            else:
-                out = self._bcast_binomial(acc, 0, seq2)
-                steps = 2 * _log2ceil(self.size)
-        self._end_alg("allreduce", alg, before, steps)
-        self._trace_end(tok, alg, steps)
-        return out
-
-    def _allreduce_doubling(self, payload: Any, op: ReduceOp, seq: int) -> tuple[Any, int]:
-        # MPICH recursive doubling: fold the rem = p - 2^⌊log₂p⌋ surplus
-        # ranks into their neighbours, run log₂ rounds of pairwise exchange
-        # on the power-of-two core, then fold the result back out.
-        p, r = self.size, self.rank
-        acc = _freeze(payload)
-        if p == 1:
-            return acc, 0
-        pof2 = 1 << (p.bit_length() - 1)
-        if pof2 > p:  # pragma: no cover - bit_length guarantees pof2 <= p
-            pof2 >>= 1
-        rem = p - pof2
-        if r < 2 * rem:
-            if r % 2 == 0:
-                self._coll_send(r + 1, acc, "allreduce", seq)
-                newr = -1  # folded in; waits for fold-out
-            else:
-                acc = op(self._coll_recv(r - 1, "allreduce", seq), acc)
-                newr = r // 2
-        else:
-            newr = r - rem
-        if newr >= 0:
-            mask = 1
-            while mask < pof2:
-                partner_new = newr ^ mask
-                partner = (
-                    partner_new * 2 + 1 if partner_new < rem else partner_new + rem
-                )
-                self._coll_send(partner, acc, "allreduce", seq)
-                other = self._coll_recv(partner, "allreduce", seq)
-                # combine lower-rank contribution on the left: every rank
-                # evaluates the same reduction tree, so even order-sensitive
-                # operators stay rank-consistent
-                acc = op(other, acc) if partner < r else op(acc, other)
-                mask <<= 1
-        if r < 2 * rem:
-            if r % 2 == 1:
-                self._coll_send(r - 1, acc, "allreduce", seq)
-            else:
-                acc = self._coll_recv(r + 1, "allreduce", seq)
-        steps = (pof2.bit_length() - 1) + (2 if rem else 0)
-        return acc, steps
-
-    def _allreduce_ledger(self, words: int) -> int:
-        """Charge the logical ledger with recursive doubling's exact send
-        schedule (destinations and program order included, so fault-injector
-        decision streams match the unaggregated run) without moving data.
-        Returns the step count."""
-        p, r = self.size, self.rank
-        pof2 = 1 << (p.bit_length() - 1)
-        if pof2 > p:  # pragma: no cover - bit_length guarantees pof2 <= p
-            pof2 >>= 1
-        rem = p - pof2
-        if r < 2 * rem:
-            if r % 2 == 0:
-                self._logical_send("allreduce", r + 1, words)
-                newr = -1
-            else:
-                newr = r // 2
-        else:
-            newr = r - rem
-        if newr >= 0:
-            mask = 1
-            while mask < pof2:
-                partner_new = newr ^ mask
-                partner = (
-                    partner_new * 2 + 1 if partner_new < rem else partner_new + rem
-                )
-                self._logical_send("allreduce", partner, words)
-                mask <<= 1
-        if r < 2 * rem and r % 2 == 1:
-            self._logical_send("allreduce", r - 1, words)
-        return (pof2.bit_length() - 1) + (2 if rem else 0)
-
-    def _allreduce_hub(self, payload: Any, op: ReduceOp, seq: int) -> tuple[Any, int]:
-        """Aggregated allreduce: one up-frame per rank to the hub, which
-        evaluates the same balanced reduction tree recursive doubling would
-        (:func:`_doubling_fold`, so order-sensitive operators agree bitwise)
-        and ships one result frame back down.  2(p-1) physical frames
-        instead of ~p·log p messages; the logical ledger replays doubling's
-        schedule via :meth:`_allreduce_ledger`."""
-        steps = self._allreduce_ledger(_payload_words(payload))
+    def _allreduce_up(self, seq: int, rounds: "list[tuple]", payload: Any) -> Any:
+        """First half of the aggregated allreduce: replay doubling's ledger
+        (every round sends a value shaped like ``payload``) and post this
+        rank's frozen contribution toward the hub.  Returns that copy."""
+        nwords = _payload_words(payload)
+        self._walk("allreduce", seq, rounds, words=lambda t: nwords)
         own = _freeze(payload)
-        out = self._hub_exchange(
+        self._hub_up("allreduce", seq, own)
+        return own
+
+    def _allreduce_down(self, seq: int, own: Any, op: ReduceOp) -> Any:
+        """Second half: the hub folds and releases; everyone gets the result."""
+        return self._hub_down(
             "allreduce", seq, own,
             lambda ups: [_doubling_fold(ups, op)] * self.size,
         )
-        return out, steps
 
     def iallreduce(self, payload: Any, op: ReduceOp = SUM) -> Request:
         """Nonblocking allreduce: returns a :class:`Request` whose ``wait``
@@ -1448,26 +1185,21 @@ class Communicator:
         Ledger, divergence check, and trace span are identical to the
         blocking :meth:`allreduce` (the span is named "allreduce" so the
         trace/ledger cross-check keys line up); only completion is
-        deferred.  On the aggregated doubling path non-hub ranks post their
-        up-frame immediately and the hub's fold + down wave runs inside
-        ``wait`` — the window between post and wait is compute the caller
-        overlaps with communication.  Pinned compositions fall back to a
-        deferred blocking call (payload frozen at post time).
+        deferred.  Under aggregation non-hub ranks post their up-frame
+        immediately and the hub's fold + down wave runs inside ``wait`` —
+        the window between post and wait is compute the caller overlaps
+        with communication.  Unaggregated, it falls back to a deferred
+        blocking call (payload frozen at post time).
         """
-        alg = "doubling" if self.config.allreduce == "auto" else self.config.allreduce
-        if not (self.config.aggregate and self.size > 1 and alg == "doubling"):
+        if not (self.config.aggregate and self.size > 1):
             frozen = _freeze(payload)
             return _DeferredRequest(lambda: self.allreduce(frozen, op))
-        tok = self._trace_begin("allreduce", op=op.name)
-        before = self._begin_alg()
-        seq = self._next_seq()
-        self._verify("allreduce", seq, extra=(op.name,) + _payload_sig(payload))
-        steps = self._allreduce_ledger(_payload_words(payload))
-        own = _freeze(payload)
-        if self.rank != 0:
-            self._phys_send(0, (self.rank, own), "allreduce", seq)
-        self._end_alg("allreduce", alg, before, steps)
-        self._trace_end(tok, alg, steps)
+        rounds = self._allreduce_rounds
+        with self._collective(
+            "allreduce", "doubling", len(rounds),
+            extra=(op.name,) + _payload_sig(payload), op=op.name,
+        ) as seq:
+            own = self._allreduce_up(seq, rounds, payload)
         return _AllreduceRequest(self, seq, op, own)
 
     def exscan(self, payload: Any, op: ReduceOp = SUM) -> Any:
@@ -1476,18 +1208,16 @@ class Communicator:
         Rank 0 receives ``None`` (no predecessor contribution); rank i
         receives op-fold of payloads from ranks 0..i-1.
         """
-        seq = self._next_seq()
-        tok = self._trace_begin("exscan", op=op.name)
-        self._verify("exscan", seq, extra=(op.name,) + _payload_sig(payload))
-        before = self._begin_alg()
-        prefix = None
-        if self.rank > 0:
-            prefix = self._coll_recv(self.rank - 1, "exscan", seq)
-        if self.rank + 1 < self.size:
-            mine = _freeze(payload) if prefix is None else op(prefix, payload)
-            self._coll_send(self.rank + 1, mine, "exscan", seq)
-        self._end_alg("exscan", "chain", before, max(0, self.size - 1))
-        self._trace_end(tok, "chain", max(0, self.size - 1))
+        with self._collective(
+            "exscan", "chain", self.size - 1,
+            extra=(op.name,) + _payload_sig(payload), op=op.name,
+        ) as seq:
+            prefix = None
+            if self.rank > 0:
+                prefix = self._coll_recv(self.rank - 1, "exscan", seq)
+            if self.rank + 1 < self.size:
+                mine = _freeze(payload) if prefix is None else op(prefix, payload)
+                self._coll_send(self.rank + 1, mine, "exscan", seq)
         return prefix
 
     def scan(self, payload: Any, op: ReduceOp = SUM) -> Any:
@@ -1512,29 +1242,24 @@ class Communicator:
         ``split`` while its peers are in ``bcast``.  The child inherits
         ``config``.
         """
-        seq = self._next_seq()
-        tok = self._trace_begin("split", color=color)
-        self._verify("split", seq)
-        before = self._begin_alg()
-        key = self.rank if key is None else key
-        if self._outbox:
-            self._flush_frames()  # rendezvous blocks without a mailbox wait
-        self.fabric.last_blocked[self.global_rank] = ("split", self.comm_id, seq)
-        tr = self.tracer
-        t0 = tr.now() if tr is not None else 0.0
-        new_id, members_parent_ranks = self.fabric.split_rendezvous(
-            self.comm_id, seq, self.size, self.rank, color, key,
-            group=self.group,
-        )
-        if tr is not None:
-            # the rendezvous is split's blocking point (last rank computes)
-            tr.add_wait(tr.now() - t0)
-        group = [self.group[r] for r in members_parent_ranks]
-        my_pos = members_parent_ranks.index(self.rank)
-        child = Communicator(self.fabric, new_id, group, my_pos, config=self.config)
-        child.tracer = self.tracer
-        self._end_alg("split", "rendezvous", before, 1)
-        self._trace_end(tok, "rendezvous", 1)
+        with self._collective("split", "rendezvous", 1, color=color) as seq:
+            key = self.rank if key is None else key
+            if self._outbox:
+                self._flush_frames()  # rendezvous blocks without a mailbox wait
+            self.fabric.last_blocked[self.global_rank] = ("split", self.comm_id, seq)
+            tr = self.tracer
+            t0 = tr.now() if tr is not None else 0.0
+            new_id, members_parent_ranks = self.fabric.split_rendezvous(
+                self.comm_id, seq, self.size, self.rank, color, key,
+                group=self.group,
+            )
+            if tr is not None:
+                # the rendezvous is split's blocking point (last rank computes)
+                tr.add_wait(tr.now() - t0)
+            group = [self.group[r] for r in members_parent_ranks]
+            my_pos = members_parent_ranks.index(self.rank)
+            child = Communicator(self.fabric, new_id, group, my_pos, config=self.config)
+            child.tracer = self.tracer
         return child
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

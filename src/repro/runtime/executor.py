@@ -120,10 +120,10 @@ def spmd(
         legal message reorderings.  ``None`` keeps every hook a single
         attribute check.
     comm_config:
-        Optional :class:`~repro.runtime.comm.CollectiveConfig` pinning the
-        collective algorithms (and payload packing) for the base
-        communicator and everything :meth:`Communicator.split` derives from
-        it.  ``None`` uses the latency-aware engine defaults.
+        Optional :class:`~repro.runtime.comm.CollectiveConfig` (superstep
+        aggregation on/off) for the base communicator and everything
+        :meth:`Communicator.split` derives from it.  ``None`` is the
+        default: aggregation on.
     trace:
         Span tracing.  ``False`` (the default) keeps every hook a single
         attribute check and adds nothing to the result; ``True`` or

@@ -14,7 +14,7 @@ from repro.graphs.generators import edge_weights
 from repro.graphs.rmat import er, g500
 from repro.matching.mcm_dist import run_mcm_dist
 from repro.matching.mwm_dist import run_mwm_dist
-from repro.runtime.comm import NAIVE_CONFIG, CollectiveConfig
+from repro.runtime.comm import CollectiveConfig
 
 GRIDS = [(1, 1), (2, 2), (3, 3)]
 INPUTS = {
@@ -23,9 +23,7 @@ INPUTS = {
 }
 CONFIGS = {
     "engine": CollectiveConfig(),
-    "naive": NAIVE_CONFIG,
-    "nopack": CollectiveConfig(pack=False),
-    "nobitmap": CollectiveConfig(bitmap_frontiers=False),
+    "unaggregated": CollectiveConfig(aggregate=False),
 }
 
 

@@ -150,11 +150,15 @@ def test_chaos_trace_merges_attempts_with_explicit_restart_spans(graph, baseline
 # strand peers when a rank dies between rounds -------------------------------
 
 
-def test_crash_mid_bruck_alltoallv_aborts_all_ranks_promptly():
-    """Rank 2's 2nd send is its 2nd Bruck round (p=4: rounds at distance 1,
-    then 2) — it dies holding other ranks' forwarded blocks.  Peers blocked
-    in the remaining rounds must unwind via abort propagation, well inside
-    the deadlock window, and the victim's error must surface."""
+def test_crash_mid_pairwise_alltoallv_aborts_all_ranks_promptly():
+    """Rank 2's 2nd send is round 1 of the p=4 pairwise schedule (rounds at
+    distance 1, 2, 3): ``at=send:2`` kills it between two rounds — it has
+    exchanged with its distance-1 neighbours and dies owing rank 0 its
+    block.  Unaggregated that is literally mid-walk; aggregated the same
+    logical send fires during the ledger replay, before the victim's
+    up-frame, so the hub waits on a rank that never reports.  Either way
+    peers must unwind via abort propagation, well inside the deadlock
+    window, and the victim's error must surface."""
 
     def main(comm):
         payloads = [np.arange(3, dtype=np.int64) + comm.rank for _ in range(comm.size)]
@@ -162,12 +166,13 @@ def test_crash_mid_bruck_alltoallv_aborts_all_ranks_promptly():
         comm.barrier()
         return comm.rank
 
-    plan = FaultPlan.parse("crash:rank=2,at=send:2", seed=0)
-    t0 = time.monotonic()
-    with pytest.raises(RankKilledError, match=r"\[spmd rank 2\]"):
-        spmd(4, main, faults=plan, timeout=20,
-             comm_config=CollectiveConfig(alltoall="bruck"))
-    assert time.monotonic() - t0 < 10  # abort propagation, not a timeout
+    for aggregate in (True, False):
+        plan = FaultPlan.parse("crash:rank=2,at=send:2", seed=0)
+        t0 = time.monotonic()
+        with pytest.raises(RankKilledError, match=r"\[spmd rank 2\]"):
+            spmd(4, main, faults=plan, timeout=20,
+                 comm_config=CollectiveConfig(aggregate=aggregate))
+        assert time.monotonic() - t0 < 10  # abort propagation, not a timeout
 
 
 def test_crash_mid_tree_reduce_aborts_all_ranks_promptly():
@@ -184,6 +189,5 @@ def test_crash_mid_tree_reduce_aborts_all_ranks_promptly():
     plan = FaultPlan.parse("crash:rank=6,at=send:1", seed=0)
     t0 = time.monotonic()
     with pytest.raises(RankKilledError, match=r"\[spmd rank 6\]"):
-        spmd(8, main, faults=plan, timeout=20,
-             comm_config=CollectiveConfig(reduce="binomial"))
+        spmd(8, main, faults=plan, timeout=20)
     assert time.monotonic() - t0 < 10
