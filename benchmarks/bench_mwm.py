@@ -1,9 +1,8 @@
 """Machine-readable perf baseline for MWM-DIST, the auction engine.
 
 Writes ``BENCH_mwm.json`` at the repo root: end-to-end weighted runs
-(er:7 on 2×2, er:9 on 3×3) across the three weight distributions, each
-under the default engine config (superstep coalescer on) and with
-``aggregate=False`` (one frame per logical message).  Recorded per cell:
+(er:7 on 2×2, er:9 on 3×3) across the three weight distributions.
+Recorded per cell (the ``engine`` leg):
 
 * the objective — ``weight`` and ``cardinality`` are gated for EXACT
   equality against the committed baseline (the engine is deterministic:
@@ -21,7 +20,11 @@ same cells measured at the last commit whose round was five steps (two
 grid-wide all-to-alls and an allreduce per round), and is carried over on
 every rewrite.  ``--check`` requires today's objective and auction
 counters to equal it exactly — the round diet changed the wire shape,
-not the algorithm.
+not the algorithm.  Likewise carried over, never produced:
+``unaggregated_reference`` — the ``unaggregated`` leg (every schedule
+walked, one frame per logical message) of the same cells, frozen at the
+last commit that could still run it as an option; the physical plan now
+follows communicator size (:mod:`repro.runtime.comm`).
 
 Every run is cross-checked in-process before being written: the
 distributed mates must be bit-identical to the serial auction twin, and
@@ -51,7 +54,6 @@ from repro.graphs.generators import WEIGHT_DISTS, edge_weights
 from repro.graphs.rmat import er
 from repro.matching.mwm_dist import run_mwm_dist
 from repro.matching.reference import auction_mwm_serial, hungarian_mwm
-from repro.runtime import DEFAULT_CONFIG, CollectiveConfig
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 MWM_JSON = "BENCH_mwm.json"
@@ -78,42 +80,34 @@ def run_case(scale: int, pr: int, pc: int, hungarian: bool) -> dict:
         mr_s, mc_s, info = auction_mwm_serial(
             coo.nrows, coo.ncols, coo.rows, coo.cols, weights, epsilon=EPSILON
         )
-        cell: dict = {}
-        for label, cfg in (
-            ("engine", DEFAULT_CONFIG),
-            ("unaggregated", CollectiveConfig(aggregate=False)),
-        ):
-            t0 = time.perf_counter()
-            mate_r, mate_c, stats = run_mwm_dist(
-                coo, weights, pr, pc, epsilon=EPSILON, comm_config=cfg
-            )
-            dt = time.perf_counter() - t0
-            # the serial twin is the oracle: bit-identical or bust
-            assert np.array_equal(mate_r, mr_s), f"{dist}/{label}: mate_r diverged"
-            assert np.array_equal(mate_c, mc_s), f"{dist}/{label}: mate_c diverged"
-            assert stats.matching_weight == info["weight"], \
-                f"{dist}/{label}: weight diverged"
-            cell[label] = {
-                "weight": stats.matching_weight,
-                "cardinality": stats.final_cardinality,
-                "phases": stats.phases,
-                "rounds": stats.auction_rounds,
-                "bids": stats.bids_placed,
-                "price_updates": stats.price_updates,
-                "steps": sum(d["steps"] for d in stats.comm_by_alg.values()),
-                "expand_words": stats.expand_words,
-                "fold_words": stats.fold_words,
-                "total_words": stats.total_words,
-                "comm_messages": stats.comm_messages,
-                "frames": stats.frames,
-                "frame_words": stats.frame_words,
-                "seconds_total": round(dt, 4),
-            }
-            print(f"  {out['graph']} {dist:<10} {label:<10} "
-                  f"weight {stats.matching_weight:>10.4f}  "
-                  f"rounds {stats.auction_rounds:>4}  "
-                  f"steps {cell[label]['steps']:>7,}  "
-                  f"words {stats.total_words:>9,}  ({dt:.2f}s)")
+        t0 = time.perf_counter()
+        mate_r, mate_c, stats = run_mwm_dist(coo, weights, pr, pc, epsilon=EPSILON)
+        dt = time.perf_counter() - t0
+        # the serial twin is the oracle: bit-identical or bust
+        assert np.array_equal(mate_r, mr_s), f"{dist}: mate_r diverged"
+        assert np.array_equal(mate_c, mc_s), f"{dist}: mate_c diverged"
+        assert stats.matching_weight == info["weight"], f"{dist}: weight diverged"
+        cell: dict = {"engine": {
+            "weight": stats.matching_weight,
+            "cardinality": stats.final_cardinality,
+            "phases": stats.phases,
+            "rounds": stats.auction_rounds,
+            "bids": stats.bids_placed,
+            "price_updates": stats.price_updates,
+            "steps": sum(d["steps"] for d in stats.comm_by_alg.values()),
+            "expand_words": stats.expand_words,
+            "fold_words": stats.fold_words,
+            "total_words": stats.total_words,
+            "comm_messages": stats.comm_messages,
+            "frames": stats.frames,
+            "frame_words": stats.frame_words,
+            "seconds_total": round(dt, 4),
+        }}
+        print(f"  {out['graph']} {dist:<10} "
+              f"weight {stats.matching_weight:>10.4f}  "
+              f"rounds {stats.auction_rounds:>4}  "
+              f"steps {cell['engine']['steps']:>7,}  "
+              f"words {stats.total_words:>9,}  ({dt:.2f}s)")
         if hungarian:
             _, _, opt = hungarian_mwm(
                 coo.nrows, coo.ncols, coo.rows, coo.cols, weights
@@ -216,8 +210,9 @@ def main(argv=None) -> int:
 
     path = root / MWM_JSON
     if path.exists():
-        # keep what this run did not produce: the ``before`` block always,
-        # and in quick mode the er:9 cells of the committed full baseline
+        # keep what this run did not produce: the ``before`` and
+        # ``unaggregated_reference`` blocks always, and in quick mode the
+        # er:9 cells of the committed full baseline
         old = json.loads(path.read_text())
         doc = {**old, **doc, "runs": {**old["runs"], **runs}}
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")

@@ -145,11 +145,6 @@ def cmd_spmd(args) -> int:
     coo = _load_input(args)
     trace = args.trace_clock if args.trace else False
     weighted = args.objective == "weight"
-    comm_config = None
-    if args.aggregate == "off":
-        from .runtime.comm import CollectiveConfig
-
-        comm_config = CollectiveConfig(aggregate=False)
     recovery_kwargs = {}
     plan = None
     if args.chaos is not None:
@@ -162,8 +157,8 @@ def cmd_spmd(args) -> int:
             checkpoint_store=store, max_restarts=args.max_restarts,
         )
     run_kwargs = dict(
-        timeout=args.timeout, verify=args.verify, comm_config=comm_config,
-        trace=trace, backend=args.backend,
+        timeout=args.timeout, verify=args.verify, trace=trace,
+        backend=args.backend,
     )
     if weighted:
         from .graphs.generators import edge_weights
@@ -346,12 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "one interpreter (default), 'process' forks one OS "
                         "process per rank with shared-memory rings "
                         "(default: $REPRO_SPMD_BACKEND or thread)")
-    p.add_argument("--aggregate", default="on", choices=["on", "off"],
-                   help="superstep message coalescing: 'on' (default) batches "
-                        "every payload toward a peer into one framed buffer "
-                        "per flush point, 'off' ships each logical message "
-                        "individually (mate vectors and the logical ledger "
-                        "are bit-identical either way)")
     p.add_argument("--verify", action="store_true",
                    help="arm the dynamic verifiers: cross-check every collective "
                         "entry across ranks and race-check every RMA access")

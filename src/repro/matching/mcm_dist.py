@@ -117,7 +117,7 @@ class DistStats:
     #: message of the logical (round-based) schedule — the number BENCH
     #: gates and the trace cross-check price — while ``frames`` counts the
     #: coalesced deposits/ring writes that actually crossed the fabric
-    #: (``frames == comm_messages`` with ``aggregate=False``)
+    #: (``frames == comm_messages`` when no communicator has ≥ 3 ranks)
     comm_messages: int = 0
     frames: int = 0
     frame_words: int = 0
@@ -416,7 +416,7 @@ def augment_path_spmd_rma(
     win_mc = Window(grid.comm, mate_c.local)
     windows = [win_pi, win_mr, win_mc]
     # fused epoch management: logically three fences / three frees, but the
-    # epoch barriers ride one physical star wave each under aggregation
+    # epoch barriers ride one physical star wave each (grid of >= 3 ranks)
     fence_all(windows)
     for r0 in np.asarray(start_rows, np.int64).tolist():
         r = int(r0)
@@ -775,7 +775,6 @@ def run_mcm_dist(
     timeout: "float | None" = None,
     verify: bool = False,
     faults=None,
-    comm_config=None,
     trace: "bool | str" = False,
     backend: "str | None" = None,
 ) -> tuple[np.ndarray, np.ndarray, DistStats]:
@@ -791,10 +790,10 @@ def run_mcm_dist(
     a seeded :class:`~repro.runtime.faults.FaultPlan`/``FaultInjector`` —
     this entry point has no recovery, use
     :func:`~repro.runtime.executor.run_mcm_dist_resilient` to survive the
-    injected crashes.  ``comm_config`` optionally turns superstep
-    aggregation off
-    (:class:`~repro.runtime.comm.CollectiveConfig`); deterministic semirings
-    yield bit-identical mate vectors either way.  ``trace`` turns on
+    injected crashes.  Which physical collective plan runs is chosen per
+    communicator from its size (hub/star waves from three ranks up, see
+    :mod:`repro.runtime.comm`); deterministic semirings yield bit-identical
+    mate vectors on every grid shape.  ``trace`` turns on
     per-rank span tracing (``True``/``"wall"`` for wall-clock timestamps,
     ``"ticks"`` for the deterministic clock); the merged
     :class:`~repro.runtime.trace.DistTrace` lands on ``stats.trace`` —
@@ -808,8 +807,7 @@ def run_mcm_dist(
     result = spmd(
         pr * pc, _mcm_rank_main, coo, pr, pc,
         timeout=resolve_timeout(timeout, default=120.0),
-        verify=verify, faults=faults, comm_config=comm_config, trace=trace,
-        backend=backend,
+        verify=verify, faults=faults, trace=trace, backend=backend,
         init=init, semiring=semiring, prune=prune, augment=augment,
         direction=direction,
     )

@@ -39,7 +39,7 @@ allreduce (DESIGN §16 has the measured counts).
 All bids of a round are computed against the same round-start prices
 (Jacobi), and every tie-break is by smallest id, so the mate vectors are
 bit-identical to :func:`repro.matching.reference.auction_twin.auction_mwm_serial`
-on every grid shape, backend, and aggregation setting.
+on every grid shape and backend, under either physical collective plan.
 
 Checkpointing rides the phase-boundary protocol of the cardinality
 engine, but snapshots the item PRICES alongside the doubled mate vectors
@@ -323,7 +323,6 @@ def run_mwm_dist(
     timeout: "float | None" = None,
     verify: bool = False,
     faults=None,
-    comm_config=None,
     trace: "bool | str" = False,
     backend: "str | None" = None,
 ) -> tuple[np.ndarray, np.ndarray, DistStats]:
@@ -333,8 +332,8 @@ def run_mwm_dist(
     the perfect-assignment form first); the returned mate vectors describe
     a matching of the ORIGINAL graph with
     ``weight >= (1 - epsilon) * OPT`` (positive weights).  All the
-    runtime knobs (``verify``, ``faults``, ``comm_config``, ``trace``,
-    ``backend``, ``timeout``) behave exactly as in
+    runtime knobs (``verify``, ``faults``, ``trace``, ``backend``,
+    ``timeout``) behave exactly as in
     :func:`~repro.matching.mcm_dist.run_mcm_dist`; this entry point has
     no recovery — use
     :func:`~repro.runtime.executor.run_mwm_dist_resilient` to survive
@@ -345,8 +344,7 @@ def run_mwm_dist(
     result = spmd(
         pr * pc, _mwm_rank_main, coo, weights, pr, pc,
         timeout=resolve_timeout(timeout, default=120.0),
-        verify=verify, faults=faults, comm_config=comm_config, trace=trace,
-        backend=backend,
+        verify=verify, faults=faults, trace=trace, backend=backend,
         epsilon=epsilon, cardinality_bias=cardinality_bias, max_rounds=max_rounds,
     )
     mate_r, mate_c, stats = result[0]

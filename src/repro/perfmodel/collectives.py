@@ -52,24 +52,6 @@ def p2p(alpha: float, beta: float, words: float) -> float:
     return alpha + beta * words
 
 
-def hub_star(p: int, alpha: float, beta: float, up_words: float, down_words: float) -> float:
-    """Aggregated hub/star collective plan (``CollectiveConfig.aggregate``).
-
-    Every non-hub rank sends ONE coalesced frame to the hub and receives
-    ONE frame back; the bulk-synchronous step time is the hub's, which
-    serializes 2(p-1) frames.  ``up_words``/``down_words`` are the total
-    payload volumes through the hub in each direction.
-    """
-    if p <= 1:
-        return 0.0
-    return 2 * (p - 1) * alpha + beta * (up_words + down_words)
-
-
-def barrier_star(p: int, alpha: float) -> float:
-    """Aggregated barrier: one empty star wave, 2(p-1) frames at the hub."""
-    return hub_star(p, alpha, 0.0, 0.0, 0.0)
-
-
 def rma_op(alpha: float, beta: float, words: float = 1.0) -> float:
     """One one-sided Get/Put/Accumulate/Fetch-and-op of ``words`` words.
 
@@ -111,12 +93,9 @@ def allreduce_reduce_bcast(p: int, alpha: float, beta: float, words: float) -> f
     return reduce_binomial(p, alpha, beta, words) + bcast_binomial(p, alpha, beta, words)
 
 
-def allreduce(p: int, alpha: float, beta: float, words: float, algorithm: str = "reduce_bcast", links=None, group=None, aggregate: bool = False) -> float:
+def allreduce(p: int, alpha: float, beta: float, words: float, algorithm: str = "reduce_bcast", links=None, group=None) -> float:
     """Dispatch on the modeled allreduce implementation."""
     alpha, beta = degraded_params(alpha, beta, links, group)
-    if aggregate:
-        # hub plan: p-1 one-frame ups of ``words`` each, p-1 result frames down
-        return hub_star(p, alpha, beta, (p - 1) * words, (p - 1) * words)
     if algorithm == "doubling":
         return allreduce_recursive_doubling(p, alpha, beta, words)
     if algorithm == "reduce_bcast":
@@ -180,20 +159,9 @@ def allgather_recursive_doubling(p: int, alpha: float, beta: float, total_words:
     return alpha * _log2ceil(p) + beta * total_words * (p - 1) / p
 
 
-def alltoallv(p: int, alpha: float, beta: float, max_send_words: float, algorithm: str = "bruck", links=None, group=None, aggregate: bool = False) -> float:
-    """Dispatch on the modeled all-to-all implementation.
-
-    ``aggregate`` prices the hub/star plan the runtime uses under
-    ``CollectiveConfig.aggregate`` for the pairwise schedule; the Bruck
-    schedule forwards foreign payloads and stays physically unaggregated,
-    so the hub price only applies to ``algorithm="pairwise"``.
-    """
+def alltoallv(p: int, alpha: float, beta: float, max_send_words: float, algorithm: str = "bruck", links=None, group=None) -> float:
+    """Dispatch on the modeled all-to-all implementation."""
     alpha, beta = degraded_params(alpha, beta, links, group)
-    if aggregate and algorithm == "pairwise":
-        # each rank ships its whole send row up in one frame; the hub
-        # redistributes one personalized frame per rank
-        vol = (p - 1) * max_send_words
-        return hub_star(p, alpha, beta, vol, vol)
     if algorithm == "bruck":
         return alltoallv_bruck(p, alpha, beta, max_send_words)
     if algorithm == "pairwise":
@@ -201,15 +169,9 @@ def alltoallv(p: int, alpha: float, beta: float, max_send_words: float, algorith
     raise ValueError(f"unknown alltoall algorithm {algorithm!r}")
 
 
-def allgather(p: int, alpha: float, beta: float, total_words: float, algorithm: str = "doubling", links=None, group=None, aggregate: bool = False) -> float:
+def allgather(p: int, alpha: float, beta: float, total_words: float, algorithm: str = "doubling", links=None, group=None) -> float:
     """Dispatch on the modeled allgather implementation."""
     alpha, beta = degraded_params(alpha, beta, links, group)
-    if aggregate:
-        # ups carry each rank's slice (total/p each), downs the full vector
-        return hub_star(
-            p, alpha, beta,
-            total_words * (p - 1) / p, (p - 1) * total_words,
-        )
     if algorithm == "doubling":
         return allgather_recursive_doubling(p, alpha, beta, total_words)
     if algorithm == "ring":

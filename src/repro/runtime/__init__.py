@@ -41,14 +41,12 @@ from .fabric import CollectiveTrace, Fabric, ANY_SOURCE, ANY_TAG
 from .comm import (
     BAND,
     BOR,
-    DEFAULT_CONFIG,
     LAND,
     LOR,
     MAX,
     MIN,
     PROD,
     SUM,
-    CollectiveConfig,
     Communicator,
     CommStats,
     ReduceOp,
@@ -79,7 +77,6 @@ __all__ = [
     "CRASH_GROUPS",
     "Checkpoint",
     "CheckpointStore",
-    "CollectiveConfig",
     "CollectiveMismatchError",
     "CollectiveTrace",
     "CommAbort",
@@ -87,7 +84,6 @@ __all__ = [
     "CommStats",
     "Communicator",
     "CrashSpec",
-    "DEFAULT_CONFIG",
     "DeadlockError",
     "DistTrace",
     "Fabric",

@@ -34,26 +34,29 @@ every collective runs inside one frame (:meth:`Communicator._collective`)
 that owns its sequence number, trace span, divergence check, fault entry
 point and ``by_alg`` attribution.
 
-Superstep aggregation (``CollectiveConfig.aggregate``, default on) splits
-the ledger in two.  The **logical** ledger above is invariant: counters,
-``by_alg``, trace spans and every fault-injection hook fire per logical
-message of the schedule, whether or not that message travels
-individually.  The **physical** ledger (:attr:`CommStats.frames` /
-``frame_words``) counts what actually hits the fabric: a per-destination
-coalescer batches every payload a rank emits toward a peer between two
-blocking points into one framed buffer — a single mailbox deposit on the
-thread fabric, a single ring write (one codec pass) on the process
-backend.  The four rootless round-based collectives (barrier, doubling
-allreduce, dissemination allgather, pairwise alltoall) additionally swap
-their physical schedule for a hub star wave through comm rank 0 — 2(p-1)
-frames per call instead of ~p·⌈log₂p⌉ messages — while the walker
-*replays* the round-based schedule, charging its exact per-message ledger
-without moving data.  Flush points are deterministic (entry to any
-blocking receive, every collective boundary,
-:meth:`Communicator.flush_sends`), so frame counts are reproducible and
-benchmarkable.  ``aggregate=False`` walks the schedules for real,
-message-per-deliver — it *is* the definition of the logical ledger the
-replay must reproduce; results are bit-identical either way.
+Superstep aggregation splits the ledger in two.  The **logical** ledger
+above is invariant: counters, ``by_alg``, trace spans and every
+fault-injection hook fire per logical message of the schedule, whether or
+not that message travels individually.  The **physical** ledger
+(:attr:`CommStats.frames` / ``frame_words``) counts what actually hits the
+fabric.  Which physical plan a communicator runs is read off its size, not
+set by anyone (:data:`_HUB_MIN_RANKS`): with **p ≥ 3** ranks the four
+rootless round-based collectives (barrier, doubling allreduce,
+dissemination allgather, pairwise alltoall) swap their physical schedule
+for a hub star wave through comm rank 0 — 2(p-1) frames per call, which
+undercuts the schedules' p·⌈log₂p⌉ or p(p-1) messages exactly from p = 3 —
+while the walker *replays* the round-based schedule, charging its exact
+per-message ledger without moving data; and a per-destination coalescer
+batches every payload the rank emits toward a peer between two blocking
+points into one framed buffer (a single mailbox deposit on the thread
+fabric, a single ring write — one codec pass — on the process backend).
+Flush points are deterministic (entry to any blocking receive, every
+collective boundary, :meth:`Communicator.flush_sends`), so frame counts
+are reproducible and benchmarkable.  With **p ≤ 2** the star cannot save a
+frame (2(p-1) *is* the schedule's message count), so the communicator walks
+its schedules for real and sends eagerly, message-per-deliver — which *is*
+the definition of the logical ledger the replay must reproduce; results are
+bit-identical either way.
 """
 
 from __future__ import annotations
@@ -99,24 +102,18 @@ BAND = ReduceOp("band", lambda a, b: a & b)
 BOR = ReduceOp("bor", lambda a, b: a | b)
 
 
-@dataclass(frozen=True)
-class CollectiveConfig:
-    """Per-communicator runtime configuration.
-
-    ``aggregate`` turns on the superstep coalescer and the hub physical
-    plans (see the module docstring): logical ledgers, results and fault
-    replay are bit-identical either way, only the physical frame schedule
-    changes.  The setting must be identical on every rank of a
-    communicator — configs are plumbed through ``spmd(comm_config=...)``
-    and inherited by :meth:`Communicator.split`, so this holds by
-    construction.
-    """
-
-    aggregate: bool = True
-
-
-#: Aggregation on — what every engine runs unless told otherwise.
-DEFAULT_CONFIG = CollectiveConfig()
+#: Smallest communicator that runs the hub/star physical plan (and defers
+#: into the coalescer).  A star wave is 2(p-1) frames; the schedules it
+#: replaces put p·⌈log₂p⌉ (barrier, allgather), p(p-1) (alltoall) or
+#: p'·log₂p' + 2(p-p') (doubling allreduce, p' the power of two below p)
+#: messages on the fabric.  At p = 2 all of them are 2, so the star saves
+#: nothing and only adds a ``(rank, item)`` wrapper, an any-source receive
+#: and a second hop for each rank's own all-to-all block; from p = 3 the
+#: star is strictly fewer frames for barrier, allgather and alltoall and
+#: never more for allreduce (a 4 = 4 tie at p = 3, fewer from p = 4).
+#: DESIGN §15 has the wall-clock measurements.  Derived, not tunable: read
+#: once, in ``Communicator.__init__``.
+_HUB_MIN_RANKS = 3
 
 
 @dataclass
@@ -133,10 +130,11 @@ class CommStats:
     ``messages_sent``/``words_sent``/``by_op``/``by_alg`` are the
     **logical** ledger: they count the algorithm's schedule and
     are invariant under aggregation.  ``frames``/``frame_words`` are the
-    **physical** ledger: actual fabric deposits/ring writes.  With
-    aggregation off every message is its own frame (``frames ==
-    messages_sent``); with it on, coalescing and the hub plans drive
-    ``frames`` well below ``messages_sent`` — the quantity BENCH gates on.
+    **physical** ledger: actual fabric deposits/ring writes.  On a
+    communicator of at most two ranks every message is its own frame
+    (``frames == messages_sent``); from three ranks up, coalescing and the
+    hub plans drive ``frames`` well below ``messages_sent`` — the quantity
+    BENCH gates on.
     """
 
     messages_sent: int = 0
@@ -282,9 +280,10 @@ class _DoneRequest(Request):
 
 
 class _DeferredRequest(Request):
-    """Runs the full blocking operation at ``wait()`` — the unaggregated
-    fallback, so ledgers total identically to the blocking call they
-    defer."""
+    """Runs the full blocking operation at ``wait()`` — or at the first
+    ``test()``: every peer is polling or waiting, which is all MPI promises
+    a collective request — so ledgers total identically to the blocking
+    call they defer.  What a walking (≤ 2-rank) communicator returns."""
 
     __slots__ = ("_run", "_done", "_value")
 
@@ -294,7 +293,8 @@ class _DeferredRequest(Request):
         self._value = None
 
     def test(self) -> bool:
-        return self._done
+        self.wait()
+        return True
 
     def wait(self) -> Any:
         if not self._done:
@@ -347,9 +347,14 @@ class _AllreduceRequest(Request):
 
     def test(self) -> bool:
         comm = self._comm
-        if not self._done and comm.rank != 0:
+        if not self._done:
+            if comm._outbox:
+                comm._flush_frames()  # liveness: a poll loop must not hold traffic
+            # Complete only once wait() cannot block: the hub needs all p-1
+            # up-frames, everyone else the hub's down-frame.
             tag = comm._coll_tag(self._seq)
-            if comm.fabric.probe(comm.global_rank, comm.group[0], tag):
+            sources = comm.group[1:] if comm.rank == 0 else comm.group[:1]
+            if all(comm.fabric.probe(comm.global_rank, src, tag) for src in sources):
                 self.wait()
         return self._done
 
@@ -403,8 +408,7 @@ class Communicator:
     ordered by communicator rank; ``self.rank`` is this rank's position in
     that list.  The base communicator created by the executor covers all
     fabric ranks; sub-communicators (e.g. the process-grid row and column
-    communicators used by the 2D SpMV) are created with :meth:`split` and
-    inherit ``config``.
+    communicators used by the 2D SpMV) are created with :meth:`split`.
     """
 
     def __init__(
@@ -413,14 +417,15 @@ class Communicator:
         comm_id: int,
         group: Sequence[int],
         rank: int,
-        config: "CollectiveConfig | None" = None,
     ) -> None:
         self.fabric = fabric
         self.comm_id = comm_id
         self.group = list(group)
         self.rank = rank
         self.size = len(self.group)
-        self.config = DEFAULT_CONFIG if config is None else config
+        #: Hub/star physical plan + deferred sends, or walk the schedules
+        #: eagerly — chosen from the size alone (see ``_HUB_MIN_RANKS``).
+        self._hub = self.size >= _HUB_MIN_RANKS
         self.stats = CommStats()
         #: Optional per-rank span tracer (:class:`repro.runtime.trace.Tracer`),
         #: attached by the executor under ``spmd(..., trace=...)`` and
@@ -508,7 +513,7 @@ class Communicator:
         dispatch — the zero-cost-when-disabled path.  Under injection the
         full per-message fault protocol (:meth:`_fault_effects`) runs
         first.  ``defer=True`` routes the envelope through the coalescer
-        outbox when aggregation is on (collective and isend traffic);
+        outbox on a hub-plan communicator (collective and isend traffic);
         ``defer=False`` keeps eager per-message delivery (blocking p2p
         ``send``, whose latency contract peers may rely on).
         """
@@ -564,7 +569,7 @@ class Communicator:
     ) -> None:
         """Physical send: enqueue into the coalescer (deferred, aggregated)
         or deliver immediately as a single-message frame."""
-        if defer and self.config.aggregate:
+        if defer and self._hub:
             self._outbox.setdefault(dest_global, []).append(
                 (tag, payload, reorder_u, words)
             )
@@ -674,10 +679,10 @@ class Communicator:
     def isend(self, dest: int, payload: Any, tag: int = 0) -> "Request":
         """Nonblocking buffered send: the payload is captured (copied)
         immediately, so the returned request is already complete and the
-        buffer is reusable — MPI buffered-mode semantics.  Under
-        aggregation the message rides in this rank's next coalesced frame
-        to ``dest``, leaving at the next blocking call, collective
-        boundary, or :meth:`flush_sends`."""
+        buffer is reusable — MPI buffered-mode semantics.  On a
+        hub-plan communicator (≥ 3 ranks) the message rides in this rank's
+        next coalesced frame to ``dest``, leaving at the next blocking
+        call, collective boundary, or :meth:`flush_sends`."""
         _check_user_tag(tag, wildcard_ok=False)
         tok = self._trace_begin("isend", dest=dest, tag=tag)
         before = self._begin_alg()
@@ -920,33 +925,32 @@ class Communicator:
     # -- collectives ----------------------------------------------------------
 
     def barrier(self) -> None:
-        """Dissemination barrier: ⌈log₂p⌉ rounds (one aggregated star wave
-        under ``config.aggregate``)."""
+        """Dissemination barrier: ⌈log₂p⌉ rounds (one star wave on a
+        hub-plan communicator)."""
         self.barrier_n(1)
 
     def barrier_n(self, count: int) -> None:
         """``count`` consecutive barriers in one physical wave.
 
         Logically — ledger, verify signatures, fault points, trace spans —
-        identical to calling :meth:`barrier` ``count`` times.  Under
-        aggregation the physical release is a single star wave for the
+        identical to calling :meth:`barrier` ``count`` times.  Under the
+        hub plan the physical release is a single star wave for the
         whole batch (2(p-1) frames total), which is what lets the RMA
         layer's ``fence_all``/``free_all`` fuse their epoch barriers.
         """
         p = self.size
         rounds = self._barrier_rounds
-        aggregated = self.config.aggregate and p > 1
         first_seq = 0
         for _ in range(count):
             with self._collective("barrier", "dissemination", len(rounds)) as seq:
                 first_seq = first_seq or seq
-                if aggregated:
+                if self._hub:
                     self._walk("barrier", seq, rounds, words=lambda t: 1)
                 else:
                     self._walk(
                         "barrier", seq, rounds, lambda t: None, lambda t, got: None
                     )
-        if aggregated and first_seq:
+        if self._hub and first_seq:
             self._hub_exchange("barrier", first_seq, None, lambda ups: [None] * p)
 
     # -- bcast ---------------------------------------------------------------
@@ -1019,7 +1023,7 @@ class Communicator:
         them next, so the last round may carry only a partial batch
         (non-power-of-two p): p-1 blocks per rank in ⌈log₂p⌉ rounds.
 
-        Under aggregation one star wave carries every block (2(p-1)
+        Under the hub plan one star wave carries every block (2(p-1)
         frames) and the rounds are replayed afterwards — their exact
         per-message word counts are computable then, because every rank
         holds all block sizes.
@@ -1033,7 +1037,7 @@ class Communicator:
         with self._collective("allgather", "dissemination", len(rounds)) as seq:
             # blocks travel as (source rank, block) pairs — receivers need
             # no arithmetic to place them — so each costs its words plus one
-            if self.config.aggregate and p > 1:
+            if self._hub:
                 out = list(self._hub_exchange(
                     "allgather", seq, _freeze(payload), lambda ups: [ups] * p
                 ))
@@ -1066,7 +1070,7 @@ class Communicator:
         ``i``; returns the list of payloads received, indexed by source
         rank.
 
-        Under aggregation each rank ships its whole payload row up in one
+        Under the hub plan each rank ships its whole payload row up in one
         frame, the hub repacks per destination and ships one frame back
         down.  Word volume roughly doubles physically (rows travel up and
         repacked columns travel down) but frames drop from p(p-1) to
@@ -1084,7 +1088,7 @@ class Communicator:
             return payloads[rounds[t][0]]
 
         with self._collective("alltoall", "pairwise", len(rounds)) as seq:
-            if self.config.aggregate and p > 1:
+            if self._hub:
                 self._walk(
                     "alltoall", seq, rounds, words=lambda t: _payload_words(block(t))
                 )
@@ -1134,7 +1138,7 @@ class Communicator:
         (MPICH's algorithm, with the fold-in/fold-out rounds for
         non-power-of-two p).
 
-        Under aggregation: one up-frame per rank to the hub, which
+        Under the hub plan: one up-frame per rank to the hub, which
         evaluates the same reduction tree (:func:`_doubling_fold`, so
         order-sensitive operators agree bitwise) and ships one result frame
         back down — 2(p-1) physical frames instead of ~p·log p messages.
@@ -1144,7 +1148,7 @@ class Communicator:
             "allreduce", "doubling", len(rounds),
             extra=(op.name,) + _payload_sig(payload), op=op.name,
         ) as seq:
-            if self.config.aggregate and self.size > 1:
+            if self._hub:
                 own = self._allreduce_up(seq, rounds, payload)
                 acc = self._allreduce_down(seq, own, op)
             else:
@@ -1185,13 +1189,13 @@ class Communicator:
         Ledger, divergence check, and trace span are identical to the
         blocking :meth:`allreduce` (the span is named "allreduce" so the
         trace/ledger cross-check keys line up); only completion is
-        deferred.  Under aggregation non-hub ranks post their up-frame
+        deferred.  Under the hub plan non-hub ranks post their up-frame
         immediately and the hub's fold + down wave runs inside ``wait`` —
         the window between post and wait is compute the caller overlaps
-        with communication.  Unaggregated, it falls back to a deferred
-        blocking call (payload frozen at post time).
+        with communication.  A walking communicator falls back to a
+        deferred blocking call (payload frozen at post time).
         """
-        if not (self.config.aggregate and self.size > 1):
+        if not self._hub:
             frozen = _freeze(payload)
             return _DeferredRequest(lambda: self.allreduce(frozen, op))
         rounds = self._allreduce_rounds
@@ -1239,8 +1243,7 @@ class Communicator:
         collective over the parent communicator, so it consumes a slot of
         the same per-rank collective sequence the tagged collectives use —
         which is what lets the divergence checker catch a rank calling
-        ``split`` while its peers are in ``bcast``.  The child inherits
-        ``config``.
+        ``split`` while its peers are in ``bcast``.
         """
         with self._collective("split", "rendezvous", 1, color=color) as seq:
             key = self.rank if key is None else key
@@ -1258,7 +1261,7 @@ class Communicator:
                 tr.add_wait(tr.now() - t0)
             group = [self.group[r] for r in members_parent_ranks]
             my_pos = members_parent_ranks.index(self.rank)
-            child = Communicator(self.fabric, new_id, group, my_pos, config=self.config)
+            child = Communicator(self.fabric, new_id, group, my_pos)
             child.tracer = self.tracer
         return child
 

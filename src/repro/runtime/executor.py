@@ -23,7 +23,6 @@ import os
 from typing import Any, Callable
 
 from .checkpoint import Checkpoint, CheckpointStore  # noqa: F401  (re-export)
-from .comm import CollectiveConfig
 from .errors import (
     CommAbort,
     DeadlockError,
@@ -95,7 +94,6 @@ def spmd(
     verify: bool = False,
     faults: "FaultInjector | FaultPlan | str | None" = None,
     join_grace: float = 5.0,
-    comm_config: "CollectiveConfig | None" = None,
     trace: "bool | str" = False,
     backend: "str | None" = None,
     **kwargs: Any,
@@ -119,11 +117,6 @@ def spmd(
         injecting seeded rank crashes, transient send/RMA failures and
         legal message reorderings.  ``None`` keeps every hook a single
         attribute check.
-    comm_config:
-        Optional :class:`~repro.runtime.comm.CollectiveConfig` (superstep
-        aggregation on/off) for the base communicator and everything
-        :meth:`Communicator.split` derives from it.  ``None`` is the
-        default: aggregation on.
     trace:
         Span tracing.  ``False`` (the default) keeps every hook a single
         attribute check and adds nothing to the result; ``True`` or
@@ -187,7 +180,6 @@ def spmd(
         verify=verify,
         faults=faults,
         join_grace=join_grace,
-        comm_config=comm_config,
         clock_kind=clock_kind,
     )
     return transport.run(job)
@@ -239,7 +231,6 @@ def _run_resilient(
     max_restarts: int = 3,
     timeout: "float | None" = None,
     verify: bool = False,
-    comm_config: "CollectiveConfig | None" = None,
     trace: "bool | str" = False,
     backend: "str | None" = None,
     restart_on: tuple = RECOVERABLE_ERRORS,
@@ -307,7 +298,7 @@ def _run_resilient(
             result = spmd(
                 pr * pc, rank_main, *job_args, pr, pc,
                 timeout=timeout, verify=verify, faults=injector,
-                comm_config=comm_config, trace=trace, backend=resolved_backend,
+                trace=trace, backend=resolved_backend,
                 checkpoint_every=checkpoint_every,
                 checkpoint_store=store,
                 resume=resume,

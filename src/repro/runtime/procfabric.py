@@ -607,10 +607,7 @@ def _rank_child(fabric: ProcessFabric, rank: int, job: SpmdJob, conn) -> None:
     """Module-level so any start method can resolve it; under fork the
     fabric (rings, control segment, locks) arrives by inheritance."""
     fabric.attach(rank)
-    comm = Communicator(
-        fabric, comm_id=0, group=range(fabric.nranks), rank=rank,
-        config=job.comm_config,
-    )
+    comm = Communicator(fabric, comm_id=0, group=range(fabric.nranks), rank=rank)
     tracer = None
     if job.clock_kind:
         tracer = Tracer(rank, make_trace_clock(job.clock_kind))

@@ -385,9 +385,9 @@ def fence_all(windows: list[Window]) -> None:
 
     Logically identical to ``for w in windows: w.fence()`` — same barrier
     count, ledger, verify signatures and trace spans — but the epoch
-    barriers are issued through :meth:`Communicator.barrier_n`, so under
-    message aggregation the whole batch releases in a single physical star
-    wave (2(p-1) frames) instead of one wave per window.
+    barriers are issued through :meth:`Communicator.barrier_n`, so on a
+    hub-plan communicator (three or more ranks) the whole batch releases in
+    a single physical star wave (2(p-1) frames) instead of one per window.
     """
     if not windows:
         return

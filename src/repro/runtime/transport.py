@@ -43,7 +43,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from .comm import CollectiveConfig, Communicator, CommStats
+from .comm import Communicator, CommStats
 from .errors import CollectiveMismatchError, CommAbort
 from .fabric import Fabric
 from .trace import DistTrace, Tracer, make_trace_clock, merge_tracers
@@ -92,7 +92,7 @@ class RankOutcome:
 
 @dataclass
 class SpmdJob:
-    """One launch request, fully resolved (timeouts, injectors, config)."""
+    """One launch request, fully resolved (timeouts, injectors)."""
 
     nranks: int
     fn: Callable[..., Any]
@@ -102,7 +102,6 @@ class SpmdJob:
     verify: bool = False
     faults: Any = None
     join_grace: float = 5.0
-    comm_config: "CollectiveConfig | None" = None
     #: Trace clock kind (``"wall"`` / ``"ticks"``); empty string = off.
     clock_kind: str = ""
 
@@ -211,10 +210,7 @@ class ThreadTransport(Transport):
             nranks, timeout=job.timeout, verify=job.verify, faults=job.faults
         )
         comms = [
-            Communicator(
-                fabric, comm_id=0, group=range(nranks), rank=r,
-                config=job.comm_config,
-            )
+            Communicator(fabric, comm_id=0, group=range(nranks), rank=r)
             for r in range(nranks)
         ]
         tracers = None

@@ -232,7 +232,6 @@ class _Pricer:
         allgather: str = "doubling",
         allreduce: str = "doubling",
         links: "LinkModel | None" = None,
-        aggregate: bool = False,
     ) -> None:
         self.t = trace
         self.m = machine
@@ -240,9 +239,6 @@ class _Pricer:
         self.alg_a2a = alltoall
         self.alg_ag = allgather
         self.alg_ar = allreduce
-        # price the runtime's hub/star frame plans (α per frame, β per
-        # word) instead of the round-based schedules
-        self.aggregate = aggregate
         self.clock = BspClock(machine, grid)
         pr, pc = grid.pr, grid.pc
         self.P = pr * pc
@@ -306,7 +302,7 @@ class _Pricer:
     def spmv_like(self, category: Category, fc_idx, cand_rows, cand_cols) -> None:
         # expand: busiest grid column's frontier slice, allgathered over pr ranks
         vol_expand = 2 * self._busiest(self.col_block(fc_idx), self.g.pc)
-        comm = C.allgather(self.g.pr, *self.ab_pr, vol_expand, self.alg_ag, aggregate=self.aggregate)
+        comm = C.allgather(self.g.pr, *self.ab_pr, vol_expand, self.alg_ag)
         # local compute: busiest block's touched edges (+ its reduction)
         ops = self._busiest(self.edge_rank(cand_rows, cand_cols), self.P)
         # fold: distinct (block, row) partial winners per block, all-to-all
@@ -318,7 +314,7 @@ class _Pricer:
             ops += self._busiest(self.row_vec_rank(u % np.int64(self.t.n1 + 1)), self.P)
         else:
             vol_fold = 0
-        comm += C.alltoallv(self.g.pc, *self.ab_pc, vol_fold, self.alg_a2a, aggregate=self.aggregate)
+        comm += C.alltoallv(self.g.pc, *self.ab_pc, vol_fold, self.alg_a2a)
         self.clock.step(category, ops, comm)
 
     def price(self) -> BspClock:
@@ -337,7 +333,7 @@ class _Pricer:
                 vol_unv = self._busiest(self.row_block(ev["unvisited"]), self.g.pr)
                 self.clock.charge_comm(
                     Category.SPMV,
-                    C.allgather(self.g.pc, a_pc, b_pc, vol_unv, self.alg_ag, aggregate=self.aggregate),
+                    C.allgather(self.g.pc, a_pc, b_pc, vol_unv, self.alg_ag),
                 )
                 self.spmv_like(
                     Category.SPMV, ev["fc_idx"], ev["cand_rows"], ev["cand_cols"]
@@ -347,27 +343,27 @@ class _Pricer:
                 self.clock.step(Category.SELECT_SET, ops, 0.0)
             elif kind == "invert_paths":
                 vol = 2 * self._busiest(self.row_vec_rank(ev["rows"]), self.P)
-                comm = C.alltoallv(self.P, a_P, b_P, vol, self.alg_a2a, aggregate=self.aggregate)
+                comm = C.alltoallv(self.P, a_P, b_P, vol, self.alg_a2a)
                 ops = self._busiest(self.col_vec_rank(ev["roots"]), self.P)
                 self.clock.step(Category.INVERT, ops, comm)
             elif kind == "prune":
                 mu = ev["mu"]
-                comm = C.allgather(self.P, a_P, b_P, mu, self.alg_ag, aggregate=self.aggregate)
+                comm = C.allgather(self.P, a_P, b_P, mu, self.alg_ag)
                 psi = self._busiest(self.row_vec_rank(ev["fr_rows"]), self.P)
                 ops = psi * max(1.0, math.log2(mu + 2))
                 self.clock.step(Category.PRUNE, ops, comm)
             elif kind == "next_frontier":
                 vol = 2 * self._busiest(self.row_vec_rank(ev["fr_rows"]), self.P)
-                comm = C.alltoallv(self.P, a_P, b_P, vol, self.alg_a2a, aggregate=self.aggregate)
+                comm = C.alltoallv(self.P, a_P, b_P, vol, self.alg_a2a)
                 ops = self._busiest(self.col_vec_rank(ev["cols"]), self.P)
                 self.clock.step(Category.INVERT, ops, comm)
             elif kind == "iteration_end":
                 self.clock.charge_comm(
-                    Category.OTHER, C.allreduce(self.P, a_P, b_P, 1, self.alg_ar, aggregate=self.aggregate)
+                    Category.OTHER, C.allreduce(self.P, a_P, b_P, 1, self.alg_ar)
                 )
             elif kind == "phase_end":
                 self.clock.charge_comm(
-                    Category.OTHER, C.allreduce(self.P, a_P, b_P, 1, self.alg_ar, aggregate=self.aggregate)
+                    Category.OTHER, C.allreduce(self.P, a_P, b_P, 1, self.alg_ar)
                 )
             elif kind == "init_explore":
                 cols = ev["cand_cols"]
@@ -375,19 +371,19 @@ class _Pricer:
                 self.spmv_like(Category.INIT, u_cols, ev["cand_rows"], cols)
             elif kind == "init_resolve":
                 vol = 2 * (-(-ev["proposals"] // self.P))
-                comm = C.alltoallv(self.P, a_P, b_P, vol, self.alg_a2a, aggregate=self.aggregate)
+                comm = C.alltoallv(self.P, a_P, b_P, vol, self.alg_a2a)
                 self.clock.step(Category.INIT, vol, comm)
             elif kind == "init_update":
                 ops = self._busiest(self.row_vec_rank(ev["rows"]), self.P)
                 ops += self._busiest(self.col_vec_rank(ev["cols"]), self.P)
                 vol = 2 * (-(-(ev["rows"].size + ev["cols"].size) // self.P))
-                comm = C.alltoallv(self.P, a_P, b_P, vol, self.alg_a2a, aggregate=self.aggregate)
+                comm = C.alltoallv(self.P, a_P, b_P, vol, self.alg_a2a)
                 self.clock.step(Category.INIT, ops, comm)
             elif kind == "init_round_end":
                 factor = 2 if ev.get("algo") == "mindegree" else 1
                 self.clock.charge_comm(
                     Category.INIT,
-                    factor * C.allreduce(self.P, a_P, b_P, 1, self.alg_ar, aggregate=self.aggregate),
+                    factor * C.allreduce(self.P, a_P, b_P, 1, self.alg_ar),
                 )
             else:  # pragma: no cover - trace corruption guard
                 raise ValueError(f"unknown trace event {kind!r}")
@@ -403,8 +399,7 @@ class _Pricer:
                         np.arange(k) % self.P, weights=steps, minlength=self.P
                     ).max()
                     comm = 3 * per_rank * C.rma_op(a_P, b_P, 1.0)
-                    comm += (C.barrier_star(self.P, a_P) if self.aggregate
-                         else C.barrier_dissemination(self.P, a_P))  # closing fence
+                    comm += C.barrier_dissemination(self.P, a_P)  # closing fence
                     ops = per_rank
                 else:  # level-parallel lockstep
                     h = int(steps.max())
@@ -412,7 +407,7 @@ class _Pricer:
                     ops = 0.0
                     for level in range(h):
                         active = int((steps > level).sum())
-                        comm += 6 * C.alltoallv(self.P, a_P, b_P, 0.0, self.alg_a2a, aggregate=self.aggregate)
+                        comm += 6 * C.alltoallv(self.P, a_P, b_P, 0.0, self.alg_a2a)
                         comm += b_P * 4 * (-(-active // self.P))
                         ops += -(-active // self.P)
                 self.clock.step(Category.AUGMENT, ops, comm)
@@ -451,26 +446,21 @@ def price(
     allgather: str = "doubling",
     allreduce: str = "doubling",
     links: "LinkModel | None" = None,
-    aggregate: bool = False,
 ) -> SimResult:
     """Price a recorded trace at one (cores, threads) configuration.
 
     ``alltoall``/``allgather``/``allreduce`` select the modeled collective
     algorithms: the defaults ("bruck"/"doubling"/"doubling") model the
-    latency-aware engine of :mod:`repro.runtime.comm`;
+    small-message regime of production MPI (what the paper's measured runs
+    rode; :mod:`repro.runtime.comm`'s own all-to-all is pairwise);
     "pairwise"/"ring"/"reduce_bcast" reproduce the paper's worst-case
     Section IV-B bounds.  ``links`` (a
     :class:`~repro.perfmodel.links.LinkModel`) prices the run on a damaged
     fabric: each communicator's (α, β) inflates by its worst degraded
-    member edge.  ``aggregate=True`` prices the superstep coalescer's
-    hub/star frame plans (α per frame, β per word) instead of the
-    round-based schedules — the model counterpart of
-    ``CollectiveConfig.aggregate``.
+    member edge.
     """
     grid = machine.square_grid(cores, threads)
-    clock = _Pricer(
-        trace, machine, grid, alltoall, allgather, allreduce, links, aggregate
-    ).price()
+    clock = _Pricer(trace, machine, grid, alltoall, allgather, allreduce, links).price()
     return SimResult(
         cores=cores,
         threads=threads,

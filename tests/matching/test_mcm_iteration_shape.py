@@ -23,8 +23,9 @@ from repro.graphs import suite
 from repro.graphs.rmat import er
 from repro.matching.mcm_dist import run_mcm_dist
 from repro.perfmodel.collectives import msbfs_iteration
-from repro.runtime.comm import CollectiveConfig
 from repro.sparse import COO
+
+from ..conftest import walk_everywhere
 
 GRIDS = [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (1, 4)]
 
@@ -96,9 +97,8 @@ def test_allreduce_calls_do_not_grow_with_iterations():
 def test_logical_ledger_ignores_aggregation():
     coo = er(6, seed=1)
     on = run_mcm_dist(coo, 2, 3, timeout=60)[2]
-    off = run_mcm_dist(
-        coo, 2, 3, timeout=60, comm_config=CollectiveConfig(aggregate=False)
-    )[2]
+    with walk_everywhere():
+        off = run_mcm_dist(coo, 2, 3, timeout=60)[2]
     assert on.comm_by_alg == off.comm_by_alg
     assert on.comm_messages == off.comm_messages == off.frames
     assert on.frames < off.frames

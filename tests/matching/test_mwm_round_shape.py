@@ -17,8 +17,9 @@ from repro.graphs.generators import edge_weights
 from repro.graphs.rmat import er
 from repro.matching import auction_mwm_serial, run_mwm_dist
 from repro.perfmodel.collectives import auction_round
-from repro.runtime.comm import CollectiveConfig
 from repro.sparse import COO
+
+from ..conftest import walk_everywhere
 
 EPS = 0.05
 
@@ -56,10 +57,8 @@ def test_round_is_three_row_column_allgathers(pr, pc):
 def test_logical_ledger_ignores_aggregation():
     coo, weights = _er(5)
     on = run_mwm_dist(coo, weights, 2, 3, epsilon=EPS, timeout=120)[2]
-    off = run_mwm_dist(
-        coo, weights, 2, 3, epsilon=EPS, timeout=120,
-        comm_config=CollectiveConfig(aggregate=False),
-    )[2]
+    with walk_everywhere():
+        off = run_mwm_dist(coo, weights, 2, 3, epsilon=EPS, timeout=120)[2]
     assert on.comm_by_alg == off.comm_by_alg
     assert on.comm_messages == off.comm_messages == off.frames
     assert on.frames < off.frames

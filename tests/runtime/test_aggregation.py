@@ -1,14 +1,17 @@
-"""Parity of the superstep message coalescer: aggregate=on vs off.
+"""The physical plan follows communicator size; nothing logical moves.
 
-Aggregation is a *physical* optimization: with ``CollectiveConfig
-.aggregate`` on, every payload a rank emits toward one peer within a
-superstep travels as one framed buffer, and hub/star plans replace the
-round-based collective schedules on the wire.  Nothing logical may move:
-mate vectors must stay bit-identical, the logical ``by_alg`` ledger (the
-quantity BENCH gates and the trace cross-check consume) must match entry
-for entry, and the only visible difference is the physical frame ledger
-— strictly fewer frames than logical messages once the grid is big
-enough for the hub plans to engage (p ≥ 4).
+Superstep aggregation is a *physical* optimization, and which plan runs
+is read off ``Communicator.size`` (``comm._HUB_MIN_RANKS``): from three
+ranks up every payload a rank emits toward one peer within a superstep
+travels as one framed buffer and hub/star waves replace the round-based
+collective schedules on the wire; a communicator of at most two ranks
+walks its schedules and sends eagerly, so nothing crosses the fabric
+twice.  Nothing logical may move either way: mate vectors stay
+bit-identical, the logical ``by_alg`` ledger (the quantity BENCH gates and
+the trace cross-check consume) matches entry for entry, and the only
+visible difference is the physical frame ledger.  "off" below is the
+:func:`~tests.conftest.walk_everywhere` seam — every schedule walked for
+real, the definition the hub replay must reproduce.
 """
 
 import numpy as np
@@ -18,10 +21,8 @@ from hypothesis import given, settings, strategies as st
 from repro.graphs.rmat import er, g500
 from repro.matching.mcm_dist import run_mcm_dist
 from repro.runtime import SUM, FaultInjector, FaultPlan, spmd
-from repro.runtime.comm import CollectiveConfig
 
-AGG_ON = CollectiveConfig(aggregate=True)
-AGG_OFF = CollectiveConfig(aggregate=False)
+from ..conftest import walk_everywhere
 
 GRIDS = [(1, 1), (2, 2), (3, 3)]
 INPUTS = {
@@ -30,32 +31,49 @@ INPUTS = {
 }
 
 
-def _run(coo, pr, pc, backend, config, **kw):
-    return run_mcm_dist(
-        coo, pr, pc, backend=backend, comm_config=config, timeout=60, **kw
-    )
+def _run(coo, pr, pc, backend, **kw):
+    return run_mcm_dist(coo, pr, pc, backend=backend, timeout=60, **kw)
 
 
-def _assert_on_off_parity(coo, pr, pc, backend):
-    mr_on, mc_on, st_on = _run(coo, pr, pc, backend, AGG_ON)
-    mr_off, mc_off, st_off = _run(coo, pr, pc, backend, AGG_OFF)
+def _logical_words(stats):
+    return sum(d["words"] for d in stats.comm_by_alg.values())
+
+
+# -- the chooser: what the size rule puts on the fabric ----------------------
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("pr,pc", [(1, 2), (2, 1)])
+def test_two_rank_communicators_ship_nothing_twice(pr, pc, backend):
+    """No communicator of a 1x2 / 2x1 grid has a third rank, so the star
+    cannot save a frame: every logical message is exactly one frame and no
+    payload word travels hub-and-back."""
+    _, _, stats = _run(er(6, seed=1), pr, pc, backend)
+    assert stats.comm_messages > 0
+    assert stats.frames == stats.comm_messages
+    assert stats.frame_words == _logical_words(stats)
+
+
+def _assert_on_off_parity(coo, pr, pc, backend, **kw):
+    mr_on, mc_on, st_on = _run(coo, pr, pc, backend, **kw)
+    with walk_everywhere():
+        mr_off, mc_off, st_off = _run(coo, pr, pc, backend, **kw)
     np.testing.assert_array_equal(mr_on, mr_off)
     np.testing.assert_array_equal(mc_on, mc_off)
-    # the logical ledger is aggregation-invariant, entry for entry
+    # the logical ledger is plan-invariant, entry for entry
     assert st_on.comm_by_alg == st_off.comm_by_alg
     assert st_on.comm_messages == st_off.comm_messages
-    # off = one frame per message, by definition of the physical ledger
+    # walked = one frame per message, by definition of the physical ledger
     assert st_off.frames == st_off.comm_messages
-    p = pr * pc
-    if p >= 4:
-        # hub/star plans engaged: strictly fewer physical frames
+    assert st_off.frame_words == _logical_words(st_off)
+    if pr * pc >= 3:
+        # the grid's own communicator has >= 3 ranks: hub plans engaged,
+        # strictly fewer physical frames
         assert st_on.frames < st_on.comm_messages, (
             f"{pr}x{pc} {backend}: {st_on.frames} frames vs "
             f"{st_on.comm_messages} messages — coalescer never engaged"
         )
     else:
-        assert st_on.frames <= st_on.comm_messages
-    return st_on
+        assert st_on.frames == st_on.comm_messages
 
 
 # -- the full deterministic grid: grids x inputs x backends -----------------
@@ -72,7 +90,7 @@ def test_on_off_parity(graph, pr, pc, backend):
 @settings(max_examples=10, deadline=None)
 @given(
     graph=st.sampled_from(sorted(INPUTS)),
-    grid=st.sampled_from(GRIDS),
+    grid=st.sampled_from(GRIDS + [(1, 2), (2, 3)]),
     seed=st.integers(0, 7),
 )
 def test_on_off_parity_randomized(graph, grid, seed):
@@ -82,11 +100,12 @@ def test_on_off_parity_randomized(graph, grid, seed):
 # -- frame-ledger observability ---------------------------------------------
 
 def test_flush_spans_reconcile_with_frame_ledger():
-    """Every coalesced frame is traced: the ``comm:flush`` spans' frame and
-    word totals must equal the physical CommStats ledger exactly, while the
-    logical span cross-check (``comm_words_by_key``) stays untouched."""
+    """Every coalesced frame is traced: where every communicator runs the
+    hub plan (3x3) the ``comm:flush`` spans' frame and word totals must
+    equal the physical CommStats ledger exactly, while the logical span
+    cross-check (``comm_words_by_key``) stays untouched."""
     coo = er(6, seed=1)
-    _, _, stats = _run(coo, 2, 2, "thread", AGG_ON, trace="ticks")
+    _, _, stats = _run(coo, 3, 3, "thread", trace="ticks")
     totals = stats.trace.flush_totals()
     assert totals["frames"] == stats.frames
     assert totals["words"] == stats.frame_words
@@ -102,13 +121,7 @@ def test_flush_spans_reconcile_with_frame_ledger():
 def test_direction_auto_overlap_parity():
     """The nonblocking direction-count overlap (iallreduce posted at the
     superstep tail) must preserve on/off parity under direction=auto."""
-    coo = er(7, seed=1)
-    mr_on, mc_on, st_on = _run(coo, 3, 3, "thread", AGG_ON, direction="auto")
-    mr_off, mc_off, st_off = _run(coo, 3, 3, "thread", AGG_OFF, direction="auto")
-    np.testing.assert_array_equal(mr_on, mr_off)
-    np.testing.assert_array_equal(mc_on, mc_off)
-    assert st_on.comm_by_alg == st_off.comm_by_alg
-    assert st_on.frames < st_on.comm_messages
+    _assert_on_off_parity(er(7, seed=1), 3, 3, "thread", direction="auto")
 
 
 # -- fault streams: the injector sees the logical schedule either way --------
@@ -129,23 +142,25 @@ def _every_collective_thrice(comm):
         comm.reduce(np.arange(3, dtype=np.int64) * r, op=SUM, root=2)
 
 
+def _fault_run(p):
+    inj = FaultInjector(FaultPlan.parse(FAULT_PLAN, seed=7), p)
+    res = spmd(p, _every_collective_thrice, faults=inj, timeout=60)
+    return (
+        inj.events,
+        inj.model_seconds,
+        [s.retries for s in res.stats],
+        [s.by_alg for s in res.stats],
+    )
+
+
 @pytest.mark.parametrize("p", [4, 5, 9])
 def test_fault_streams_are_aggregation_invariant(p):
     """The hub plans replay the round-based schedules message for message
     (same destinations, words and per-rank order), so the injector's
     decisions, retries and model time cannot tell whether a message
     travelled individually — the promise ``comm.py``'s docstring makes."""
-    runs = []
-    for cfg in (AGG_ON, AGG_OFF):
-        inj = FaultInjector(FaultPlan.parse(FAULT_PLAN, seed=7), p)
-        res = spmd(p, _every_collective_thrice, faults=inj, comm_config=cfg,
-                   timeout=60)
-        runs.append((
-            inj.events,
-            inj.model_seconds,
-            [s.retries for s in res.stats],
-            [s.by_alg for s in res.stats],
-        ))
-    on, off = runs
-    assert on == off
-    assert sum(on[2]) > 0, "plan injected no retry: the gate would be vacuous"
+    hub = _fault_run(p)
+    with walk_everywhere():
+        walk = _fault_run(p)
+    assert hub == walk
+    assert sum(hub[2]) > 0, "plan injected no retry: the gate would be vacuous"

@@ -8,6 +8,7 @@ least one restart.
 
 import json
 import time
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -16,13 +17,14 @@ from repro.graphs.rmat import er
 from repro.matching.mcm_dist import run_mcm_dist
 from repro.matching.validate import cardinality, is_valid_matching, verify_maximum
 from repro.runtime import (
-    CollectiveConfig,
     FaultPlan,
     RankKilledError,
     run_mcm_dist_resilient,
     spmd,
 )
 from repro.sparse import CSC
+
+from ..conftest import walk_everywhere
 
 GRIDS = [(1, 1), (2, 2), (3, 3)]
 SEEDS = [0, 1, 2]
@@ -154,9 +156,10 @@ def test_crash_mid_pairwise_alltoallv_aborts_all_ranks_promptly():
     """Rank 2's 2nd send is round 1 of the p=4 pairwise schedule (rounds at
     distance 1, 2, 3): ``at=send:2`` kills it between two rounds — it has
     exchanged with its distance-1 neighbours and dies owing rank 0 its
-    block.  Unaggregated that is literally mid-walk; aggregated the same
-    logical send fires during the ledger replay, before the victim's
-    up-frame, so the hub waits on a rank that never reports.  Either way
+    block.  Walked that is literally mid-walk; under the hub plan (what a
+    4-rank communicator runs) the same logical send fires during the ledger
+    replay, before the victim's up-frame, so the hub waits on a rank that
+    never reports.  Either way
     peers must unwind via abort propagation, well inside the deadlock
     window, and the victim's error must surface."""
 
@@ -166,12 +169,11 @@ def test_crash_mid_pairwise_alltoallv_aborts_all_ranks_promptly():
         comm.barrier()
         return comm.rank
 
-    for aggregate in (True, False):
+    for physical_plan in (nullcontext, walk_everywhere):
         plan = FaultPlan.parse("crash:rank=2,at=send:2", seed=0)
         t0 = time.monotonic()
-        with pytest.raises(RankKilledError, match=r"\[spmd rank 2\]"):
-            spmd(4, main, faults=plan, timeout=20,
-                 comm_config=CollectiveConfig(aggregate=aggregate))
+        with physical_plan(), pytest.raises(RankKilledError, match=r"\[spmd rank 2\]"):
+            spmd(4, main, faults=plan, timeout=20)
         assert time.monotonic() - t0 < 10  # abort propagation, not a timeout
 
 

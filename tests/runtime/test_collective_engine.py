@@ -4,10 +4,11 @@ Every collective must match a NumPy-computed oracle on ragged payloads
 across rank counts, including non-powers of two; ``CommStats.by_alg`` must
 attribute each call to the algorithm that ran, with the modeled step
 counts.  (The schedules themselves are tested as pure data in
-``test_schedules.py``; on/off aggregation parity in ``test_aggregation.py``.)
+``test_schedules.py``; hub-vs-walk parity in ``test_aggregation.py``.)
 """
 
-import dataclasses
+import time
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ import pytest
 from repro.distmat.ops import route
 from repro.graphs.rmat import er
 from repro.matching.mcm_dist import run_mcm_dist
-from repro.runtime import MAX, SUM, CollectiveConfig, spmd
+from repro.runtime import MAX, SUM, spmd
+
+from ..conftest import walk_everywhere
 
 SIZES = [1, 2, 3, 4, 5, 7, 8, 9]
 
@@ -93,12 +96,9 @@ def test_allreduce_algorithms_match_oracle(p, alg, op, np_op):
 
 
 def test_allreduce_algorithms_agree_on_scalars():
-    for aggregate in (True, False):
-        res = spmd(
-            5,
-            lambda comm: comm.allreduce(comm.rank + 1, op=SUM),
-            comm_config=CollectiveConfig(aggregate=aggregate),
-        )
+    for physical_plan in (nullcontext, walk_everywhere):
+        with physical_plan():
+            res = spmd(5, lambda comm: comm.allreduce(comm.rank + 1, op=SUM))
         assert list(res) == [15] * 5
 
 
@@ -183,24 +183,51 @@ def test_by_alg_words_account_for_all_collective_traffic():
     assert total_by_alg == res.total_words
 
 
-# -- config plumbing ---------------------------------------------------------
+# -- nonblocking allreduce ---------------------------------------------------
 
 
-def test_config_has_exactly_one_field():
-    assert [f.name for f in dataclasses.fields(CollectiveConfig)] == ["aggregate"]
-    with pytest.raises(TypeError):
-        CollectiveConfig(alltoall="pairwise")
+@pytest.mark.parametrize(
+    "backend,p", [("thread", p) for p in (1, 2, 3, 4, 5)] + [("process", 2), ("process", 4)]
+)
+def test_iallreduce_test_polling_terminates(backend, p):
+    """``while not req.test()`` is a legal way to complete a request: the
+    hub must not wait for someone to call ``wait()``, and a walking
+    (2-rank) communicator must run its deferred call from ``test()``."""
+
+    def main(comm):
+        req = comm.iallreduce(np.arange(3) + comm.rank, op=SUM)
+        deadline = time.monotonic() + 3
+        while not req.test():
+            if time.monotonic() > deadline:
+                return None
+            time.sleep(0.001)
+        return req.wait()
+
+    res = spmd(p, main, backend=backend, timeout=20)
+    want = np.arange(3) * p + p * (p - 1) // 2
+    for got in res:
+        assert got is not None, "polling never completed the request"
+        assert np.array_equal(got, want)
 
 
-def test_split_inherits_config():
-    cfg = CollectiveConfig(aggregate=False)
+# -- the plan is per communicator --------------------------------------------
+
+
+def test_split_child_picks_its_plan_from_its_own_size():
+    """A 4-rank parent runs the star (6 frames for doubling's 8 messages);
+    its 2-rank children walk: one frame per message, nothing shipped
+    twice."""
 
     def main(comm):
         child = comm.split(color=comm.rank % 2)
-        return child.config is comm.config
+        comm.allreduce(comm.rank, op=SUM)
+        child.allreduce(comm.rank, op=SUM)
+        return (comm.stats.frames, comm.stats.messages_sent,
+                child.stats.frames, child.stats.messages_sent)
 
-    res = spmd(4, main, comm_config=cfg)
-    assert all(res)
+    parent_frames, parent_msgs, child_frames, child_msgs = map(sum, zip(*spmd(4, main)))
+    assert (parent_frames, parent_msgs) == (6, 8)
+    assert child_frames == child_msgs == 4
 
 
 # -- dtype preservation (route) ---------------------------
@@ -239,23 +266,15 @@ def test_route_delivers_parallel_arrays_in_source_order():
 
 # -- end-to-end bit-identity -------------------------------------------------
 
-CONFIG_VARIANTS = {
-    "engine": None,
-    "unaggregated": CollectiveConfig(aggregate=False),
-}
-
-
 @pytest.mark.parametrize("grid", [(1, 1), (2, 2), (3, 3), (2, 3)],
                          ids=lambda g: f"{g[0]}x{g[1]}")
 def test_mate_vectors_bit_identical_across_collective_configs(grid):
+    """One engine, two physical plans: what the size rule picks on this
+    grid against every schedule walked for real (``direction="auto"``, so
+    the nonblocking allreduce rides along on every grid shape)."""
     coo = er(scale=6, seed=3)
-    ref = None
-    for name, cfg in CONFIG_VARIANTS.items():
-        mate_r, mate_c, _ = run_mcm_dist(
-            coo, *grid, direction="auto", comm_config=cfg
-        )
-        if ref is None:
-            ref = (mate_r, mate_c)
-        else:
-            assert np.array_equal(mate_r, ref[0]), name
-            assert np.array_equal(mate_c, ref[1]), name
+    mate_r, mate_c, _ = run_mcm_dist(coo, *grid, direction="auto")
+    with walk_everywhere():
+        walked_r, walked_c, _ = run_mcm_dist(coo, *grid, direction="auto")
+    assert np.array_equal(mate_r, walked_r)
+    assert np.array_equal(mate_c, walked_c)
