@@ -6,6 +6,14 @@ h(6αp + 4βk/p) while Algorithm 4 costs (k/p)·3h(α+β); comparing latency
 terms, path-parallel wins exactly when k < 2p².  This bench prices both
 variants over a (k, p) sweep from synthetic path sets and verifies the
 automatic switch picks the cheaper variant in (nearly) every cell.
+
+Report only: the ENGINE's level step is no longer the paper's — two
+two-hop legs on the √p-rank row/column communicators, 2(pr−1) + 2(pc−1)
+latency steps (DESIGN "Phase anatomy") — so the ``engine level`` columns
+price that step and show where the crossover *would* sit, k ≈ 4p(√p−1)/3.
+The engine keeps switching at k < 2p²: the one-sided walks of Algorithm 4
+are counted (``DistStats.rma_ops``) but not priced into its model clock,
+and a rule is not re-tuned against a cost the clock does not see.
 """
 
 import numpy as np
@@ -19,13 +27,25 @@ from .common import emit
 H = 8  # pair-steps per path (path length ~ 2H+1)
 
 
-def level_cost(k: int, P: int, alpha: float, beta: float) -> float:
+def _over_levels(k: int, per_level) -> float:
+    """Sum ``per_level(live paths)`` over the H lockstep levels of k paths."""
     steps = np.full(k, H)
-    comm = 0.0
-    for level in range(H):
-        active = int((steps > level).sum())
-        comm += 6 * C.alltoallv(P, alpha, beta, 0.0, "bruck") + beta * 4 * (-(-active // P))
-    return comm
+    return sum(per_level(int((steps > level).sum())) for level in range(H))
+
+
+def level_cost(k: int, P: int, alpha: float, beta: float) -> float:
+    return _over_levels(k, lambda active: (
+        6 * C.alltoallv(P, alpha, beta, 0.0, "bruck") + beta * 4 * (-(-active // P))
+    ))
+
+
+def engine_level_cost(k: int, P: int, alpha: float, beta: float) -> float:
+    """The engine's level step on a √P × √P grid: four pairwise all-to-alls
+    on √P-rank communicators, (row, column) pairs plus a count word."""
+    q = int(round(P ** 0.5))
+    return _over_levels(k, lambda active: (
+        4 * C.alltoallv(q, alpha, beta, 1 + 2 * (-(-active // P)), "pairwise")
+    ))
 
 
 def path_cost(k: int, P: int, alpha: float, beta: float) -> float:
@@ -40,22 +60,37 @@ def run_sweep():
         for k in (1, 8, 2 * P * P // 4, 2 * P * P, 8 * P * P, 64 * P * P):
             lv = level_cost(k, P, alpha, beta)
             pp = path_cost(k, P, alpha, beta)
+            ev = engine_level_cost(k, P, alpha, beta)
             rows.append({
                 "P": P, "k": k,
                 "level_s": lv, "path_s": pp,
                 "cheaper": "path" if pp < lv else "level",
                 "chosen": choose_augment_mode(k, P),
+                "engine_level_s": ev,
+                "engine_cheaper": "path" if pp < ev else "level",
             })
     return rows
 
 
 def test_augment_switch_ablation(benchmark):
     rows = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
-    lines = [f"{'P':>5} {'k':>9} {'level (s)':>11} {'path (s)':>11} {'cheaper':>8} {'chosen':>7}"]
+    lines = [
+        f"{'P':>5} {'k':>9} {'level (s)':>11} {'path (s)':>11} {'cheaper':>8} {'chosen':>7}"
+        f" {'engine level (s)':>17} {'cheaper':>8}"
+    ]
     for r in rows:
         lines.append(
             f"{r['P']:>5} {r['k']:>9} {r['level_s']:>11.3e} {r['path_s']:>11.3e} "
-            f"{r['cheaper']:>8} {r['chosen']:>7}"
+            f"{r['cheaper']:>8} {r['chosen']:>7} {r['engine_level_s']:>17.3e} "
+            f"{r['engine_cheaper']:>8}"
+        )
+    lines.append("")
+    lines.append("crossover k* (path-parallel cheaper below it), report only:")
+    for P in sorted({r["P"] for r in rows}):
+        q = int(round(P ** 0.5))
+        lines.append(
+            f"  P={P:>4}: paper rule 2p^2 = {2 * P * P:>7}   "
+            f"engine level step 4p(sqrt(p)-1)/3 = {4 * P * (q - 1) // 3:>6}"
         )
     emit("augment_switch", "\n".join(lines))
 

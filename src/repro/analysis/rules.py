@@ -260,44 +260,12 @@ def rule_rma_epoch(model: ModuleModel) -> list[Finding]:
             if isinstance(n, ast.Call) and call_method_name(n) == "fence"
             and receiver_name(n) is not None
         }
-        # fence_all([w, ...]) / free_all(ws) are the batched epoch calls
-        # (rma.fence_all): resolve their window list — a literal, or a name
-        # assigned a literal list of names — so they participate in the
-        # epoch dataflow exactly like per-window fence/free
-        list_aliases: dict = {}
-        for node in own_nodes(fn):
-            if isinstance(node, ast.Assign) \
-                    and isinstance(node.value, (ast.List, ast.Tuple)):
-                elts = [e.id for e in node.value.elts if isinstance(e, ast.Name)]
-                for tgt in node.targets:
-                    if isinstance(tgt, ast.Name):
-                        list_aliases[tgt.id] = elts
-
-        def batch_epoch_windows(call: ast.Call) -> list:
-            if call_plain_name(call) not in ("fence_all", "free_all") \
-                    or not call.args:
-                return []
-            arg = call.args[0]
-            if isinstance(arg, (ast.List, ast.Tuple)):
-                return [e.id for e in arg.elts if isinstance(e, ast.Name)]
-            if isinstance(arg, ast.Name):
-                return list_aliases.get(arg.id, [])
-            return []
-
-        windows |= {
-            w
-            for n in own_nodes(fn) if isinstance(n, ast.Call)
-            for w in batch_epoch_windows(n)
-        }
         if not windows:
             continue
         has_fence = {
             name: any(
-                isinstance(n, ast.Call) and (
-                    (receiver_name(n) == name and call_method_name(n) == "fence")
-                    or (call_plain_name(n) == "fence_all"
-                        and name in batch_epoch_windows(n))
-                )
+                isinstance(n, ast.Call)
+                and receiver_name(n) == name and call_method_name(n) == "fence"
                 for n in own_nodes(fn)
             )
             for name in windows
@@ -306,20 +274,6 @@ def rule_rma_epoch(model: ModuleModel) -> list[Finding]:
 
         def transfer_stmt(stmt: ast.stmt, state: dict, emit=None) -> dict:
             for call in _rma_calls_in_stmt(stmt):
-                batch = batch_epoch_windows(call)
-                if batch:
-                    freeing = call_plain_name(call) == "free_all"
-                    for w in batch:
-                        if w not in windows:
-                            continue
-                        cur = state.get(w, frozenset({_PRE}))
-                        if freeing:
-                            state = {**state, w: frozenset({_FREED})}
-                        else:
-                            state = {**state, w: frozenset(
-                                {_OPEN} | ({_FREED} if _FREED in cur else set())
-                            )}
-                    continue
                 recv, meth = receiver_name(call), call_method_name(call)
                 if recv not in windows:
                     if isinstance(stmt, ast.Assign) and call is stmt.value \

@@ -371,8 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="persist checkpoints as .npz files (default: in-memory)")
     p.add_argument("--stats-json", default=None, metavar="PATH",
                    help="dump the run's DistStats (phases, word counters, "
-                        "per-algorithm collective counters, recovery counters) "
-                        "as JSON")
+                        "per-algorithm collective counters, one-sided RMA "
+                        "counters, recovery counters) as JSON")
     p.add_argument("--trace", default=None, metavar="PATH",
                    help="record per-rank spans and write a Chrome trace-event "
                         "JSON (open in Perfetto, or feed to 'repro trace-report')")

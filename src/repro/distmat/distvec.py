@@ -49,6 +49,9 @@ class DistDenseVec:
         sub, block = my_subblock(grid, orient)
         self.lo, self.hi = self.vmap.local_range(sub, block)
         self.local = np.full(self.hi - self.lo, fill, dtype=np.int64)
+        #: per rank, where this vector's slice starts in the rank's exposed
+        #: memory (all zero until :func:`share_buffer` packs it)
+        self._section = [0] * grid.nprocs
 
     @property
     def n(self) -> int:
@@ -66,8 +69,10 @@ class DistDenseVec:
         self.local[np.asarray(g, np.int64) - self.lo] = values
 
     def remote_location(self, g: int) -> tuple[int, int]:
-        """(owner rank, local offset) of one global index — the addressing
-        step of every one-sided RMA access in path-parallel augmentation."""
+        """(owner rank, offset in the owner's exposed memory) of one global
+        index — the addressing step of every one-sided RMA access in
+        path-parallel augmentation.  The offset is local to the owner's
+        slice unless :func:`share_buffer` laid this vector behind others."""
         sub, block = self.vmap.owner(np.int64(g))
         rank = (
             int(sub) * self.grid.pc + int(block)
@@ -75,7 +80,7 @@ class DistDenseVec:
             else int(block) * self.grid.pc + int(sub)
         )
         lo, _hi = self.vmap.local_range(int(sub), int(block))
-        return rank, int(g) - lo
+        return rank, self._section[rank] + int(g) - lo
 
     def to_global(self) -> np.ndarray:
         """Gather the full vector on every rank (collective; test helper)."""
@@ -92,6 +97,27 @@ class DistDenseVec:
         v = cls(grid, arr.size, orient)
         v.local[:] = arr[v.lo:v.hi]
         return v
+
+
+def share_buffer(*vecs: DistDenseVec) -> np.ndarray:
+    """Re-home the local slices of ``vecs`` end to end in ONE int64 buffer
+    per rank and return it — the memory a single RMA window exposes.  Each
+    ``vec.local`` becomes a view of its section (contents kept, every
+    in-place store lands in the buffer) and ``remote_location`` adds the
+    section's offset on the owner rank, which every rank can compute: a
+    section starts where the owner's slices of the vectors before it end."""
+    grid = vecs[0].grid
+    buf = np.concatenate([v.local for v in vecs])
+    starts = [0] * grid.nprocs
+    at = 0
+    for v in vecs:
+        v.local = buf[at:at + v.local.size]
+        at += v.local.size
+        v._section = list(starts)
+        for rank in range(grid.nprocs):
+            i, j = divmod(rank, grid.pc)
+            starts[rank] += v.vmap.local_size(*((i, j) if v.orient == "col" else (j, i)))
+    return buf
 
 
 class DistVertexFrontier:

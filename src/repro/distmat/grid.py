@@ -17,8 +17,8 @@ class ProcGrid:
       allgather and the next-frontier column hop run here).
 
     The full communicator remains available as ``comm`` for the
-    grid-global collectives (the path-end allgather, INVERT's all-to-all
-    in the initializers and the level augment, per-phase allreduces).
+    grid-global collectives (the path-end allgather, the RMA window's
+    fences, job set-up and tear-down).
     """
 
     def __init__(self, comm: Communicator, pr: int, pc: int) -> None:

@@ -26,10 +26,14 @@ rank-local objects of this package:
   grid-wide exchange: next-frontier pairs travel along the grid row to the
   mate's column block, then down the grid column, which also rebuilds the
   expanded block frontier and the global frontier size;
+* :func:`hop_to_owner` — INVERT as the engine runs it: entries reach the
+  vector owner of their index in two hops, one per grid dimension, and a
+  count riding the frames comes back summed over the grid (Algorithm 3's
+  level step);
 * :func:`invert_route` — INVERT's data movement as the paper prices it:
   entries travel to the owner of their *value* interpreted as an index on
   the other side — an all-to-all over ALL p ranks, the paper's scaling
-  bottleneck (the initializers and the level augment still use it).
+  bottleneck (no engine calls it any more; the layer benchmark does).
 """
 
 from __future__ import annotations
@@ -262,20 +266,29 @@ def gather_path_ends(
         return concat_pieces(allgather_arrays(grid.comm, roots, rows))
 
 
-def _frame(count: int, cols: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """One int64 buffer ``[count | cols | roots]`` — the hop payload: a
-    frontier-size count riding in front of the (column, root) pairs costs
-    one word, not a second collective."""
-    return np.concatenate((np.array([count], dtype=np.int64), cols, roots))
+def _frame(count: int, *arrays: np.ndarray) -> np.ndarray:
+    """One int64 buffer ``[count | arrays...]`` — the hop payload: a count
+    riding in front of the parallel (equal-length) arrays costs one word,
+    not a second collective."""
+    return np.concatenate((np.array([count], dtype=np.int64), *arrays))
 
 
-def _unframe(bufs: "list[np.ndarray]") -> tuple[int, np.ndarray, np.ndarray]:
-    """Inverse of :func:`_frame` over one buffer per source rank: the summed
-    counts and the concatenated pairs."""
-    ns = [(b.size - 1) // 2 for b in bufs]
-    cols = np.concatenate([b[1:1 + n] for b, n in zip(bufs, ns)])
-    roots = np.concatenate([b[1 + n:] for b, n in zip(bufs, ns)])
-    return sum(int(b[0]) for b in bufs), cols, roots
+def _unframe(bufs: "list[np.ndarray]", k: int = 2) -> tuple:
+    """Inverse of :func:`_frame` over one buffer of ``k`` arrays per source
+    rank: the summed counts, then each array concatenated in rank order."""
+    ns = [(b.size - 1) // k for b in bufs]
+    return (sum(int(b[0]) for b in bufs),) + tuple(
+        np.concatenate([b[1 + a * n:1 + (a + 1) * n] for b, n in zip(bufs, ns)])
+        for a in range(k)
+    )
+
+
+def _hop(comm: Communicator, dest: np.ndarray, count: int, *arrays: np.ndarray) -> tuple:
+    """One personalized all-to-all on a row or column communicator: deliver
+    the parallel ``arrays`` to ranks ``dest``, every frame carrying
+    ``count``.  Returns (the senders' counts summed, *received arrays)."""
+    buckets = _buckets(comm.size, dest, arrays)
+    return _unframe(comm.alltoallv([_frame(count, *b) for b in buckets]), len(arrays))
 
 
 def hop_along_row(
@@ -287,9 +300,7 @@ def hop_along_row(
     triple is (entries leaving this whole grid row, received columns,
     received roots) — the received columns all lie in this rank's column
     block."""
-    grid = A.grid
-    buckets = _buckets(grid.pc, A.colmap.owner(cols), (cols, roots))
-    return _unframe(grid.rowcomm.alltoallv([_frame(cols.size, *b) for b in buckets]))
+    return _hop(A.grid.rowcomm, A.colmap.owner(cols), cols.size, cols, roots)
 
 
 def hop_down_column(
@@ -303,6 +314,28 @@ def hop_down_column(
     total, cols, roots = _unframe(A.grid.colcomm.allgatherv(_frame(row_total, cols, roots)))
     order = np.argsort(cols)  # frontier columns are distinct (mates of distinct rows)
     return total, cols[order], roots[order]
+
+
+def hop_to_owner(
+    vec: DistDenseVec, count: int, idx: np.ndarray, *values: np.ndarray
+) -> tuple:
+    """Deliver ``(idx, *values)`` entries to the rank owning ``idx`` in
+    ``vec``'s distribution in two hops and no grid-wide exchange: first
+    along the grid dimension that reaches the owner's *block* (a column hop
+    for a row vector, a row hop for a column vector), then along the other
+    to its *sub-chunk*.  ``count`` rides every frame: the first hop sums it
+    over one communicator, the second sums those sums over the other, so the
+    returned tuple is (Σ ``count`` over the whole grid, received idx,
+    *received values) — every rank learns the total without a reduction.
+    (pr−1) + (pc−1) latency steps."""
+    grid = vec.grid
+    to_block, to_sub = (
+        (grid.rowcomm, grid.colcomm) if vec.orient == "col" else (grid.colcomm, grid.rowcomm)
+    )
+    _sub, block = vec.vmap.owner(idx)
+    count, idx, *values = _hop(to_block, block, count, idx, *values)
+    sub, _block = vec.vmap.owner(idx)
+    return _hop(to_sub, sub, count, idx, *values)
 
 
 def invert_route(

@@ -20,8 +20,8 @@ when **k < 2p²**, which :func:`choose_augment_mode` implements and the
 matching driver applies per phase.
 
 The functions below operate on global dense vectors (the single-process and
-simulator engines); the true one-sided SPMD version lives in
-``mcm_dist.augment_spmd_rma``.
+simulator engines); the true SPMD versions live in
+``mcm_dist.augment_level_spmd`` and ``mcm_dist.augment_path_spmd_rma``.
 """
 
 from __future__ import annotations

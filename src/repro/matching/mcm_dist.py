@@ -2,8 +2,10 @@
 
 Every function here runs *per rank* under the simulated MPI runtime: state
 is rank-local (DCSC block, vector slices), all coordination goes through
-collectives, routed all-to-alls and — for path-parallel augmentation —
-one-sided RMA windows.  The code would run unchanged over mpi4py.
+collectives on the row and column communicators (the grid communicator
+carries the path-end allgather and the job's set-up and tear-down) and —
+for path-parallel augmentation — one one-sided RMA window.  The code would
+run unchanged over mpi4py.
 
 Correspondence to the paper:
 
@@ -28,6 +30,7 @@ Step 5 INVERT to ``path_c`` and        :func:`repro.distmat.ops.gather_path_ends
 Step 6 PRUNE (allgather of roots)      — exchange 2, ONE grid allgather of each
                                        rank's (root, min row) pairs: the root's
                                        owner writes ``path_c``, every rank prunes
+                                       and counts the phase's paths
 Step 7 INVERT to next frontier         :func:`repro.distmat.ops.hop_along_row`
                                        — exchange 3, ``rowcomm`` all-to-all to
                                        the mate's column block — then
@@ -36,10 +39,23 @@ Step 7 INVERT to next frontier         :func:`repro.distmat.ops.hop_along_row`
                                        rebuilds the expanded frontier and, from
                                        the counts riding along, its global size
 loop test (frontier non-empty)         no collective: the size from exchange 4
-Algorithm 3 (level-parallel augment)   :func:`augment_level_spmd`
-Algorithm 4 (path-parallel RMA)        :func:`augment_path_spmd_rma`
+path count k (an allreduce)            no collective: the distinct roots
+                                       exchange 2 replicated
+Algorithm 3 (level-parallel augment)   :func:`augment_level_spmd` — a level is
+                                       two :func:`~repro.distmat.ops.hop_to_owner`
+                                       legs, 2(pr−1) + 2(pc−1) steps where the
+                                       paper's two INVERTs pay 2(p−1) + a
+                                       reduction
+Algorithm 4 (path-parallel RMA)        :func:`augment_path_spmd_rma` — one window
+                                       per run, two fences per phase
 k < 2p² switch                          :func:`mcm_dist_spmd` per phase
-distributed greedy init [21]           :func:`greedy_init_spmd`
+                                       (:func:`~repro.matching.augment.choose_augment_mode`,
+                                       the paper's rule as derived for its own
+                                       6αp level step)
+distributed maximal matching [21]      :func:`proposal_rounds_spmd` — greedy,
+                                       Karp-Sipser and dynamic mindegree are
+                                       three policies over one round of three
+                                       row/column allgathers
 ====================================  =========================================
 
 One BFS iteration is therefore four exchanges and 2(pc−1) + ⌈log₂ p⌉ +
@@ -49,8 +65,11 @@ ranks, a grid-wide PRUNE allgather) pays ≈ 2p.  Mates, phases, iterations
 and edges examined are those of the paper's schedule, bit for bit;
 :func:`repro.perfmodel.collectives.msbfs_iteration` prices the engine's
 iteration, :mod:`repro.simulate.costsim` keeps pricing the paper's (DESIGN
-"MCM-DIST iteration anatomy").  The initializers and the level augment
-still use the grid-wide :func:`~repro.distmat.ops.invert_route`.
+"MCM-DIST iteration anatomy").  The phase boundary follows the same rule —
+a grid-wide exchange becomes a row exchange plus a column exchange, and
+what every rank must know rides an exchange that happens anyway: outside
+the BFS loop no personalized all-to-all and no per-phase, per-level or
+per-round reduction runs on the grid communicator (DESIGN "Phase anatomy").
 
 The driver :func:`run_mcm_dist` launches the whole job on a pr×pc grid of
 simulated ranks and returns globally assembled mate vectors.
@@ -62,24 +81,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..distmat.distvec import DistDenseVec, DistVertexFrontier
+from ..distmat.distvec import DistDenseVec, share_buffer
 from ..distmat.grid import ProcGrid
 from ..distmat.ops import (
+    allgather_arrays,
+    concat_pieces,
     expand,
     gather_path_ends,
     hop_along_row,
     hop_down_column,
-    invert_route,
+    hop_to_owner,
     local_edge_counts,
-    route,
-    spmv,
     spmv_bottomup_expanded,
     spmv_expanded,
 )
 from ..distmat.spmat import DistSparseMatrix
 from ..runtime import Window, spmd
 from ..runtime.checkpoint import Checkpoint, CheckpointStore
-from ..runtime.rma import fence_all, free_all
 from ..runtime.comm import SUM, Communicator
 from ..runtime.trace import tspan
 from ..sparse.coo import COO
@@ -121,6 +139,12 @@ class DistStats:
     comm_messages: int = 0
     frames: int = 0
     frame_words: int = 0
+    #: one-sided Get/Put/Fetch-and-op calls of path-parallel augmentation and
+    #: the words they moved, summed over all ranks (3 calls per pair-step of
+    #: an augmenting path).  Reported, not priced: they are NOT in
+    #: ``comm_by_alg``
+    rma_ops: int = 0
+    rma_words: int = 0
     #: recovery counters, filled by ``run_mcm_dist_resilient``: fabric
     #: rebuilds after failures, completed phases re-executed because they
     #: post-dated the restart checkpoint, and 8-byte words written to the
@@ -169,207 +193,147 @@ class DistStats:
 
 
 # ---------------------------------------------------------------------------
-# distributed greedy initialization (the matrix-algebraic greedy of [21])
+# distributed maximal-matching initializers (the matrix-algebraic rounds of [21])
 # ---------------------------------------------------------------------------
 
-def greedy_init_spmd(
+#: ``init`` name -> the proposer/key policy it is over
+#: :func:`proposal_rounds_spmd`.  Greedy: every free column proposes, ids
+#: break ties (rows pick under the caller's semiring).  Dynamic mindegree —
+#: the paper's default: the same rounds keyed by residual degree.
+#: Karp-Sipser: degree-1 columns, whose match is always safe, go first; their
+#: cascades serialize into many rounds — what makes distributed Karp-Sipser
+#: slow in the paper's Fig. 3.
+_INIT_POLICIES = {
+    "greedy": {},
+    "mindegree": {"degree_keys": True},
+    "karp-sipser": {"degree_one_first": True},
+}
+
+
+def _best(
+    idx: np.ndarray, key: np.ndarray, semiring: Semiring = SR_MIN_PARENT
+) -> tuple[np.ndarray, np.ndarray]:
+    """One (vertex, key) candidate per distinct vertex — the semiring's pick
+    among the vertex's keys; vertices ascending."""
+    idx, key, _ = reduce_candidates(idx, key, key, semiring)
+    return idx, key
+
+
+def proposal_rounds_spmd(
     A: DistSparseMatrix,
     mate_r: DistDenseVec,
     mate_c: DistDenseVec,
     semiring: Semiring = SR_MIN_PARENT,
-) -> None:
-    """Round-synchronous greedy maximal matching, SPMD.
-
-    Each round: all unmatched columns flood their adjacency (one SpMV);
-    every unmatched row keeps the semiring-winning column; an INVERT to the
-    column side resolves multi-row winners (min row); both sides' mates are
-    set.  Terminates when a round matches nothing, which is exactly
-    maximality.
-    """
-    grid = A.grid
-    while True:
-        lcols = np.flatnonzero(mate_c.local == NULL) + mate_c.lo
-        fc = DistVertexFrontier(grid, A.ncols, "col", lcols, lcols, lcols)
-        fr = spmv(A, fc, semiring)
-        fr = fr.keep(mate_r.get_local(fr.idx) == NULL)
-        # resolve: columns keep their minimum proposing row
-        c_arr, r_arr = invert_route(grid, fr.parent, fr.idx, mate_c)
-        if c_arr.size:
-            order = np.lexsort((r_arr, c_arr))
-            c_s, r_s = c_arr[order], r_arr[order]
-            first = np.empty(c_s.size, dtype=bool)
-            first[0] = True
-            np.not_equal(c_s[1:], c_s[:-1], out=first[1:])
-            wc, wr = c_s[first], r_s[first]
-        else:
-            wc = wr = np.empty(0, np.int64)
-        mate_c.set_local(wc, wr)
-        # notify row owners of the accepted pairs
-        rr, rc = route(grid.comm, mate_r.owner_of(wr), wr, wc)
-        mate_r.set_local(rr, rc)
-        matched = int(grid.comm.allreduce(wr.size, op=SUM))
-        if matched == 0:
-            return
-
-
-def _init_block_degrees(A: DistSparseMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Block-replicated residual degrees: every rank of grid row i holds the
-    row degrees of row block i (rowcomm allreduce); every rank of grid
-    column j the column degrees of column block j (colcomm allreduce)."""
-    grid, blk = A.grid, A.block
-    local_degr = np.bincount(blk.ir, minlength=blk.nrows).astype(np.int64)
-    degr_blk = grid.rowcomm.allreduce(local_degr, op=SUM)
-    local_degc = np.zeros(blk.ncols, dtype=np.int64)
-    if blk.nzc:
-        local_degc[blk.jc] = np.diff(blk.cp)
-    degc_blk = grid.colcomm.allreduce(local_degc, op=SUM)
-    return degr_blk, degc_blk
-
-
-def _spmd_proposal_round(
-    A: DistSparseMatrix,
-    mate_r: DistDenseVec,
-    mate_c: DistDenseVec,
-    proposer_cols_local: np.ndarray,
-    degr_blk: np.ndarray,
-    degc_blk: np.ndarray,
     *,
-    degree_keys: bool,
+    degree_keys: bool = False,
+    degree_one_first: bool = False,
 ) -> int:
-    """One bulk-synchronous proposal round shared by the SPMD initializers.
+    """Round-synchronous maximal matching from the EMPTY matching, SPMD —
+    the one round driver behind all three initializers.  Returns the global
+    number of pairs matched.
 
-    ``proposer_cols_local`` are this rank's proposing columns (global ids).
-    Steps: explode proposals at the block owners → fold to row owners →
-    free rows accept (min degree if ``degree_keys``, else min index) →
-    column owners resolve (same keying) → mates set on both sides →
-    block-replicated residual degrees decremented.  Returns the GLOBAL
-    number of pairs matched this round.
+    Rank (i, j) replicates the free-row bitmap of row block i (identical
+    along grid row i) and the free-column bitmap of column block j
+    (identical down grid column j).  One round is three packed allgathers,
+    none of them on the grid communicator:
+
+    1. **propose** (grid row) — every block reduces its edges between
+       proposing columns and free rows to one candidate per free row;
+       allgathered along the row, every rank reduces them to the row's
+       proposal (``semiring`` picks among a row's columns).
+    2. **resolve** (grid column) — the rank sitting in the proposed column's
+       block contributes the proposal; every rank of the column keeps each
+       column's minimum row.
+    3. **accept** (grid row) — the accepted pairs of this row block, and the
+       column block's accept count, go along the row: bitmaps and the vector
+       owners' ``mate_r``/``mate_c`` are updated, and the counts sum to the
+       round's global match count on every rank.
+
+    A candidate travels as (vertex, key) with the proposed partner in
+    ``key mod n``: ``degree_keys`` puts the partner's residual degree above
+    it, which makes both reductions prefer the minimum-degree partner (ties
+    to the smaller id, like the serial ``mindegree_rounds``).
+    ``degree_one_first`` restricts a round's proposers to the residual
+    degree-1 columns while any exists anywhere (Karp-Sipser).  Either one
+    maintains block-replicated residual degrees with one ``colcomm`` and one
+    ``rowcomm`` allreduce per matching round; the latter's last word carries
+    the column block's degree-1 count, so no rank needs a grid reduction to
+    know whether one exists.  The loop ends when a round matches nothing,
+    which is exactly maximality.
     """
     grid, blk = A.grid, A.block
-    # 1. proposals: proposing columns explode their adjacency
-    pieces = grid.colcomm.allgatherv((proposer_cols_local,))
-    gcols = np.concatenate([p[0] for p in pieces])
-    rows_l, parents, _roots = A.block.explode_cols(gcols - A.col_lo, gcols, gcols)
-    grows = rows_l + A.row_lo
-    degc_of = degc_blk[parents - A.col_lo]
-    sub, _b = mate_r.vmap.owner(grows)
-    rrows, rcols, rdegc = route(grid.rowcomm, sub, grows, parents, degc_of)
-
-    # 2a. free rows accept one proposer
-    free = mate_r.get_local(rrows) == NULL
-    rrows, rcols, rdegc = rrows[free], rcols[free], rdegc[free]
-    if rrows.size:
-        key = rdegc if degree_keys else rcols
-        order = np.lexsort((rcols, key, rrows))
-        rr, rc = rrows[order], rcols[order]
-        first = np.empty(rr.size, dtype=bool)
-        first[0] = True
-        np.not_equal(rr[1:], rr[:-1], out=first[1:])
-        rr, rc = rr[first], rc[first]
-    else:
-        rr = rc = np.empty(0, np.int64)
-    degr_of = degr_blk[rr - A.row_lo] if rr.size else rr
-
-    # 2b. columns keep one row
-    dest = mate_c.owner_of(rc)
-    c_arr, r_arr, rdeg_arr = route(grid.comm, dest, rc, rr, degr_of)
-    if c_arr.size:
-        key = rdeg_arr if degree_keys else r_arr
-        order = np.lexsort((r_arr, key, c_arr))
-        c_s, r_s = c_arr[order], r_arr[order]
-        first = np.empty(c_s.size, dtype=bool)
-        first[0] = True
-        np.not_equal(c_s[1:], c_s[:-1], out=first[1:])
-        wc, wr = c_s[first], r_s[first]
-    else:
-        wc = wr = np.empty(0, np.int64)
-    mate_c.set_local(wc, wr)
-    back_r, back_c = route(grid.comm, mate_r.owner_of(wr), wr, wc)
-    mate_r.set_local(back_r, back_c)
-
-    # 3. residual degree maintenance from the globally matched sets
-    wr_all = np.concatenate(grid.comm.allgatherv(wr))
-    wc_all = np.concatenate(grid.comm.allgatherv(wc))
-    matched = int(wr_all.size)
-    if matched == 0:
-        return 0
-    # rows adjacent to newly matched columns lose a degree
-    lc = wc_all[(wc_all >= A.col_lo) & (wc_all < A.col_hi)] - A.col_lo
-    rows_touched, _, _ = A.block.explode_cols(lc, lc, lc)
-    dec_r = np.bincount(rows_touched, minlength=blk.nrows).astype(np.int64)
-    degr_blk -= grid.rowcomm.allreduce(dec_r, op=SUM)
-    # columns adjacent to newly matched rows lose a degree (row scan of the
-    # column-major DCSC block)
-    lr = wr_all[(wr_all >= A.row_lo) & (wr_all < A.row_hi)] - A.row_lo
-    if blk.nnz and lr.size:
-        hit = np.isin(blk.ir, lr)
-        cols_rep = np.repeat(blk.jc, np.diff(blk.cp))
-        dec_c = np.bincount(cols_rep[hit], minlength=blk.ncols).astype(np.int64)
-    else:
-        dec_c = np.zeros(blk.ncols, dtype=np.int64)
-    degc_blk -= grid.colcomm.allreduce(dec_c, op=SUM)
-    return matched
-
-
-def mindegree_init_spmd(
-    A: DistSparseMatrix,
-    mate_r: DistDenseVec,
-    mate_c: DistDenseVec,
-) -> None:
-    """Round-synchronous dynamic-mindegree maximal matching, SPMD.
-
-    The paper's default initializer in true distributed form: every round
-    all unmatched columns propose, proposals are keyed by block-replicated
-    residual degrees on both sides (matching the serial
-    ``mindegree_rounds`` tie-breaking), and degrees are maintained with
-    row/column-communicator allreduces.  Terminates when a round matches
-    nothing (maximality).
-    """
-    degr_blk, degc_blk = _init_block_degrees(A)
+    nrows, ncols = max(1, A.nrows), max(1, A.ncols)
+    free_r = np.ones(blk.nrows, dtype=bool)
+    free_c = np.ones(blk.ncols, dtype=bool)
+    degrees = degree_keys or degree_one_first
+    ones_left = 0  # free residual degree-1 columns, grid-wide
+    if degrees:
+        degr, degc = (d.copy() for d in A.degree_blocks())
+    if degree_one_first:
+        ones_left = int(grid.rowcomm.allreduce(int((degc == 1).sum()), op=SUM))
+    total = 0
     while True:
-        lcols = np.flatnonzero(mate_c.local == NULL) + mate_c.lo
-        matched = _spmd_proposal_round(
-            A, mate_r, mate_c, lcols, degr_blk, degc_blk, degree_keys=True
+        cols = np.flatnonzero(free_c)
+        if degree_one_first:
+            # zero-degree columns can never match; leaving them out keeps the
+            # plain rounds to the columns Karp-Sipser still has to place
+            cols = cols[degc[cols] == 1] if ones_left else cols[degc[cols] > 0]
+
+        # 1. propose
+        gcols = cols + A.col_lo
+        lrows, key, _ = blk.explode_cols(cols, gcols, gcols)
+        open_row = free_r[lrows]
+        lrows, key = lrows[open_row], key[open_row]
+        if degree_keys:
+            key = key + degc[key - A.col_lo] * ncols
+        pieces = allgather_arrays(grid.rowcomm, *_best(lrows + A.row_lo, key, semiring))
+        rows, key = _best(*concat_pieces(pieces), semiring)
+        pcols = key % ncols
+
+        # 2. resolve
+        mine = (pcols >= A.col_lo) & (pcols < A.col_hi)
+        pcols, key = pcols[mine], rows[mine]
+        if degree_keys:
+            key = key + degr[key - A.row_lo] * nrows
+        pieces = allgather_arrays(grid.colcomm, pcols, key)
+        wcols, key = _best(*concat_pieces(pieces))
+        wrows = key % nrows
+        free_c[wcols - A.col_lo] = False
+        own = (wcols >= mate_c.lo) & (wcols < mate_c.hi)
+        mate_c.set_local(wcols[own], wrows[own])
+
+        # 3. accept
+        here = (wrows >= A.row_lo) & (wrows < A.row_hi)
+        pieces = allgather_arrays(
+            grid.rowcomm, wrows[here], wcols[here], np.array([wcols.size], np.int64)
         )
+        arows, acols, accepts = concat_pieces(pieces)
+        free_r[arows - A.row_lo] = False
+        own = (arows >= mate_r.lo) & (arows < mate_r.hi)
+        mate_r.set_local(arows[own], acols[own])
+
+        matched = int(accepts.sum())
+        total += matched
         if matched == 0:
-            return
-
-
-def karp_sipser_init_spmd(
-    A: DistSparseMatrix,
-    mate_r: DistDenseVec,
-    mate_c: DistDenseVec,
-) -> None:
-    """Round-synchronous Karp-Sipser (column-oriented), SPMD.
-
-    Rounds where any residual degree-1 column exists process ONLY those
-    columns (their match is always safe); otherwise a greedy round runs.
-    The degree-1 cascades serialize into many bulk-synchronous rounds —
-    exactly the behaviour that makes distributed Karp-Sipser slow in the
-    paper's Fig. 3.
-    """
-    grid = A.grid
-    degr_blk, degc_blk = _init_block_degrees(A)
-    while True:
-        free_local = np.flatnonzero(mate_c.local == NULL) + mate_c.lo
-        my_deg = degc_blk[free_local - A.col_lo]
-        deg1 = free_local[my_deg == 1]
-        any_deg1 = int(grid.comm.allreduce(int(deg1.size), op=SUM)) > 0
-        proposers = deg1 if any_deg1 else free_local[my_deg > 0]
-        matched = _spmd_proposal_round(
-            A, mate_r, mate_c, proposers, degr_blk, degc_blk, degree_keys=False
-        )
-        if matched == 0 and not any_deg1:
-            return
-        if matched == 0 and any_deg1:
-            # stale degree-1 entries can occur transiently after ties; a
-            # greedy sweep makes progress or proves maximality
-            matched = _spmd_proposal_round(
-                A, mate_r, mate_c, free_local[my_deg > 0], degr_blk, degc_blk,
-                degree_keys=False,
+            if not ones_left:
+                return total
+            # stale degree-1 entries can occur transiently after ties; one
+            # plain round makes progress or proves maximality
+            ones_left = 0
+            continue
+        if degrees:
+            # columns adjacent to newly matched rows lose a degree, rows
+            # adjacent to newly matched columns likewise
+            _, touched = blk.explode_rows(arows - A.row_lo)
+            degc -= grid.colcomm.allreduce(
+                np.bincount(touched, minlength=blk.ncols).astype(np.int64), op=SUM
             )
-            if matched == 0:
-                return
+            touched, _, _ = blk.explode_cols(wcols - A.col_lo, wcols, wcols)
+            dec_r = np.bincount(touched, minlength=blk.nrows + 1).astype(np.int64)
+            dec_r[-1] = (free_c & (degc == 1)).sum()
+            dec_r = grid.rowcomm.allreduce(dec_r, op=SUM)
+            degr -= dec_r[:-1]
+            ones_left = int(dec_r[-1]) if degree_one_first else 0
 
 
 # ---------------------------------------------------------------------------
@@ -377,31 +341,34 @@ def karp_sipser_init_spmd(
 # ---------------------------------------------------------------------------
 
 def augment_level_spmd(
-    grid: ProcGrid,
     start_rows: np.ndarray,
     pi_r: DistDenseVec,
     mate_r: DistDenseVec,
     mate_c: DistDenseVec,
 ) -> None:
     """Algorithm 3, SPMD: all paths advance one (row, column) pair per
-    lockstep iteration; two routed all-to-alls + one allreduce each."""
+    lockstep level.  A level is two legs of two hops each
+    (:func:`~repro.distmat.ops.hop_to_owner`): the row tips travel to their
+    ``mate_r`` owners, which read ``π_r`` and flip the row's mate; the
+    (column, row) pairs travel on to the ``mate_c`` owners, which read the
+    old mate — the next level's tip — and flip the column's.  The number of
+    live paths rides the first leg's frames, so the loop test needs no
+    reduction: the call ends on the leg that finds it zero."""
     rows = np.asarray(start_rows, np.int64)
     while True:
-        if int(grid.comm.allreduce(rows.size, op=SUM)) == 0:
+        live, rows = hop_to_owner(mate_r, rows.size, rows)
+        if live == 0:
             return
-        # deliver each active row to its owner; read parent, flip row's mate
-        (rows_o,) = route(grid.comm, mate_r.owner_of(rows), rows)
-        cols = pi_r.get_local(rows_o)
-        mate_r.set_local(rows_o, cols)
-        # deliver (col, row) to the column owner; read previous mate, flip
-        c_arr, r_arr = route(grid.comm, mate_c.owner_of(cols), cols, rows_o)
-        prev = mate_c.get_local(c_arr)
-        mate_c.set_local(c_arr, r_arr)
+        cols = pi_r.get_local(rows)
+        mate_r.set_local(rows, cols)
+        _, cols, rows = hop_to_owner(mate_c, 0, cols, rows)
+        prev = mate_c.get_local(cols)
+        mate_c.set_local(cols, rows)
         rows = prev[prev != NULL]
 
 
 def augment_path_spmd_rma(
-    grid: ProcGrid,
+    win: Window,
     start_rows: np.ndarray,
     pi_r: DistDenseVec,
     mate_r: DistDenseVec,
@@ -410,24 +377,22 @@ def augment_path_spmd_rma(
     """Algorithm 4, SPMD: each rank walks its own paths asynchronously with
     one-sided Get/Put/Fetch-and-op — 3 RMA calls per pair-step, exactly the
     paper's accounting.  Vertex-disjointness of the paths makes the
-    unordered remote updates safe."""
-    win_pi = Window(grid.comm, pi_r.local)
-    win_mr = Window(grid.comm, mate_r.local)
-    win_mc = Window(grid.comm, mate_c.local)
-    windows = [win_pi, win_mr, win_mc]
-    # fused epoch management: logically three fences / three frees, but the
-    # epoch barriers ride one physical star wave each (grid of >= 3 ranks)
-    fence_all(windows)
+    unordered remote updates safe.
+
+    ``win`` is the job's one window over the shared buffer of the three
+    vectors (:func:`~repro.distmat.distvec.share_buffer`); the phase is one
+    access epoch — a fence in, which publishes what the owners stored since
+    the last one, and a fence out, after which they store directly again."""
+    win.fence()
     for r0 in np.asarray(start_rows, np.int64).tolist():
         r = int(r0)
         while r != NULL:
             rank, off = pi_r.remote_location(r)
-            c = int(win_pi.get(rank, off))           # MPI_Get(π_r[r])
-            win_mr.put(rank, off, c)                 # MPI_Put(mate_r[r] = c)
+            c = int(win.get(rank, off))                  # MPI_Get(π_r[r])
+            win.put(*mate_r.remote_location(r), c)       # MPI_Put(mate_r[r] = c)
             crank, coff = mate_c.remote_location(c)
-            r = int(win_mc.fetch_and_op(crank, coff, r))  # fused read-old/put-new
-    fence_all(windows)
-    free_all(windows)
+            r = int(win.fetch_and_op(crank, coff, r))    # fused read-old/put-new
+    win.fence(nosucceed=True)
 
 
 # ---------------------------------------------------------------------------
@@ -513,36 +478,35 @@ def mcm_dist_spmd(
         )
     grid = ProcGrid(comm, pr, pc)
     A = DistSparseMatrix.scatter_from_root(grid, coo_on_root)
+    pi_r = DistDenseVec(grid, A.nrows, "row")
     mate_r = DistDenseVec(grid, A.nrows, "row")
     mate_c = DistDenseVec(grid, A.ncols, "col")
+    # the three vectors path-parallel augmentation reaches one-sidedly live
+    # in one buffer, so ONE window exposes them for the whole run
+    shared = share_buffer(pi_r, mate_r, mate_c)
+    win: "Window | None" = None
+    path_c = DistDenseVec(grid, A.ncols, "col")
     stats = DistStats()
 
     if resume is not None:
         # restart path: the checkpointed matching replaces the initializer
         mate_r.local[:] = resume.mate_row[mate_r.lo:mate_r.hi]
         mate_c.local[:] = resume.mate_col[mate_c.lo:mate_c.hi]
-    elif init == "greedy":
-        with tspan(grid.comm, "init:greedy", cat="phase"):
-            greedy_init_spmd(A, mate_r, mate_c, semiring)
-    elif init == "mindegree":
-        with tspan(grid.comm, "init:mindegree", cat="phase"):
-            mindegree_init_spmd(A, mate_r, mate_c)
-    elif init == "karp-sipser":
-        with tspan(grid.comm, "init:karp-sipser", cat="phase"):
-            karp_sipser_init_spmd(A, mate_r, mate_c)
+        stats.initial_cardinality = int(np.count_nonzero(resume.mate_row != NULL))
+    elif init in _INIT_POLICIES:
+        with tspan(grid.comm, f"init:{init}", cat="phase"):
+            stats.initial_cardinality = proposal_rounds_spmd(
+                A, mate_r, mate_c,
+                semiring if init == "greedy" else SR_MIN_PARENT,
+                **_INIT_POLICIES[init],
+            )
     elif init not in (None, "none"):
         raise ValueError(
             f"unknown distributed init {init!r} (greedy/mindegree/karp-sipser/none)"
         )
-    stats.initial_cardinality = int(
-        grid.comm.allreduce(int((mate_r.local != NULL).sum()), op=SUM)
-    )
     if checkpoint_store is not None and resume is None:
         # phase-0 snapshot: initializer work survives a crash in phase 1
         _save_checkpoint(grid, checkpoint_store, 0, mate_r, mate_c, stats)
-
-    pi_r = DistDenseVec(grid, A.nrows, "row")
-    path_c = DistDenseVec(grid, A.ncols, "col")
 
     edges_local = 0
     phase_no = resume.phase if resume is not None else 0
@@ -559,6 +523,7 @@ def mcm_dist_spmd(
         with tspan(grid.comm, "phase", cat="phase", phase=phase_no):
             pi_r.local.fill(NULL)
             path_c.local.fill(NULL)
+            found: list[np.ndarray] = []  # roots of the paths found, per iteration
 
             # initial column frontier: unmatched columns, parent = root = self.
             # The loop keeps the frontier EXPANDED: (bcols, broots) are the
@@ -612,6 +577,8 @@ def mcm_dist_spmd(
                     # exchange 2 — path ends (whole grid): Steps 5 and 6 read
                     # the same replicated (root, row) pairs
                     end_roots, end_rows = gather_path_ends(grid, ufr.root, ufr.idx)
+                    if end_roots.size:
+                        found.append(end_roots)
                     # Step 5: INVERT into path_c — the root's owner keeps its
                     # minimum row, first iteration wins
                     mine = (end_roots >= path_c.lo) & (end_roots < path_c.hi)
@@ -644,9 +611,12 @@ def mcm_dist_spmd(
                 # rank entered, so every rank must complete it
                 dir_req.wait()
 
-            # phase end: augment by all discovered paths (my local path ends)
+            # phase end: augment by all discovered paths (my local path ends).
+            # Exchange 2 showed every rank every (root, row) found, so the
+            # path count — one per root, first iteration wins — needs no
+            # reduction
             local_rows = path_c.local[path_c.local != NULL]
-            k = int(grid.comm.allreduce(local_rows.size, op=SUM))
+            k = np.unique(np.concatenate(found)).size if found else 0
             if k == 0:
                 break
             free_cols -= k
@@ -654,11 +624,15 @@ def mcm_dist_spmd(
             if mode == "level":
                 stats.augment_level_calls += 1
                 with tspan(grid.comm, "augment:level", cat="phase", k=k):
-                    augment_level_spmd(grid, local_rows, pi_r, mate_r, mate_c)
+                    augment_level_spmd(local_rows, pi_r, mate_r, mate_c)
             elif mode == "path":
                 stats.augment_path_calls += 1
+                if win is None:
+                    # collective, and every rank takes it in the same phase:
+                    # the mode is a function of the replicated k
+                    win = Window(grid.comm, shared)
                 with tspan(grid.comm, "augment:path", cat="phase", k=k):
-                    augment_path_spmd_rma(grid, local_rows, pi_r, mate_r, mate_c)
+                    augment_path_spmd_rma(win, local_rows, pi_r, mate_r, mate_c)
             else:
                 raise ValueError(f"unknown augment mode {mode!r}")
 
@@ -671,23 +645,29 @@ def mcm_dist_spmd(
             ):
                 _save_checkpoint(grid, checkpoint_store, phase_no, mate_r, mate_c, stats)
 
-    stats.final_cardinality = int(
-        grid.comm.allreduce(int((mate_r.local != NULL).sum()), op=SUM)
+    if win is not None:
+        stats.rma_ops, stats.rma_words = win.rma_ops, win.rma_words
+        win.free()
+    # ONE closing reduction; the word counters are snapshotted BEFORE it so
+    # it does not count itself
+    totals = grid.comm.allreduce(
+        np.array(
+            [
+                np.count_nonzero(mate_r.local != NULL),
+                edges_local,
+                grid.colcomm.stats.words_sent,
+                grid.rowcomm.stats.words_sent,
+                grid.comm.stats.words_sent,
+            ],
+            dtype=np.int64,
+        ),
+        op=SUM,
     )
-    stats.edges_examined = int(grid.comm.allreduce(edges_local, op=SUM))
-    # snapshot BEFORE the summing collectives so they don't count themselves
-    words = np.array(
-        [
-            grid.colcomm.stats.words_sent,
-            grid.rowcomm.stats.words_sent,
-            grid.comm.stats.words_sent,
-        ],
-        dtype=np.int64,
-    )
-    words = grid.comm.allreduce(words, op=SUM)
-    stats.expand_words = int(words[0])
-    stats.fold_words = int(words[1])
-    stats.total_words = int(words[0] + words[1] + words[2])
+    stats.final_cardinality = int(totals[0])
+    stats.edges_examined = int(totals[1])
+    stats.expand_words = int(totals[2])
+    stats.fold_words = int(totals[3])
+    stats.total_words = int(totals[2] + totals[3] + totals[4])
     g_r = mate_r.to_global()
     g_c = mate_c.to_global()
     # per-algorithm counters, aggregated over this rank's grid/row/column
@@ -745,11 +725,14 @@ def merge_by_alg(rank_values) -> dict[str, dict[str, int]]:
 
 
 def merge_physical(stats: DistStats, rank_values) -> None:
-    """Driver-side fold of the per-rank logical/physical ledgers onto the
-    reported ``stats`` (companion of :func:`merge_by_alg`)."""
+    """Driver-side fold of the per-rank logical/physical ledgers and
+    one-sided counters onto the reported ``stats`` (companion of
+    :func:`merge_by_alg`)."""
     stats.comm_messages = sum(st.comm_messages for _, _, st in rank_values)
     stats.frames = sum(st.frames for _, _, st in rank_values)
     stats.frame_words = sum(st.frame_words for _, _, st in rank_values)
+    stats.rma_ops = sum(st.rma_ops for _, _, st in rank_values)
+    stats.rma_words = sum(st.rma_words for _, _, st in rank_values)
 
 
 def _mcm_rank_main(comm: Communicator, coo: COO, pr: int, pc: int, **mcm_kwargs):

@@ -927,31 +927,16 @@ class Communicator:
     def barrier(self) -> None:
         """Dissemination barrier: ⌈log₂p⌉ rounds (one star wave on a
         hub-plan communicator)."""
-        self.barrier_n(1)
-
-    def barrier_n(self, count: int) -> None:
-        """``count`` consecutive barriers in one physical wave.
-
-        Logically — ledger, verify signatures, fault points, trace spans —
-        identical to calling :meth:`barrier` ``count`` times.  Under the
-        hub plan the physical release is a single star wave for the
-        whole batch (2(p-1) frames total), which is what lets the RMA
-        layer's ``fence_all``/``free_all`` fuse their epoch barriers.
-        """
-        p = self.size
         rounds = self._barrier_rounds
-        first_seq = 0
-        for _ in range(count):
-            with self._collective("barrier", "dissemination", len(rounds)) as seq:
-                first_seq = first_seq or seq
-                if self._hub:
-                    self._walk("barrier", seq, rounds, words=lambda t: 1)
-                else:
-                    self._walk(
-                        "barrier", seq, rounds, lambda t: None, lambda t, got: None
-                    )
-        if self._hub and first_seq:
-            self._hub_exchange("barrier", first_seq, None, lambda ups: [None] * p)
+        with self._collective("barrier", "dissemination", len(rounds)) as seq:
+            if self._hub:
+                self._walk("barrier", seq, rounds, words=lambda t: 1)
+            else:
+                self._walk(
+                    "barrier", seq, rounds, lambda t: None, lambda t, got: None
+                )
+        if self._hub:
+            self._hub_exchange("barrier", seq, None, lambda ups: [None] * self.size)
 
     # -- bcast ---------------------------------------------------------------
 

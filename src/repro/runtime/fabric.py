@@ -453,7 +453,7 @@ class Fabric:
     # -- window registry -----------------------------------------------------
     #
     # The one-sided layer (``repro.runtime.rma``) talks to window memory only
-    # through this five-call fabric API, so the same :class:`Window` class
+    # through this small fabric API, so the same :class:`Window` class
     # runs over thread-shared arrays here and over per-rank shared-memory
     # segments in the process fabric:
     #
@@ -463,6 +463,9 @@ class Fabric:
     # * ``win_locks``   — per-target lock table giving element-wise atomicity;
     # * ``win_sync``    — fence hook: make remote writes visible in the
     #   owner's ``local`` array (no-op here: slots ARE the local arrays);
+    # * ``win_publish`` — its mirror for the fence after a ``nosucceed``
+    #   one: make the owner's direct stores into ``local`` remotely visible
+    #   (no-op here for the same reason);
     # * ``win_detach`` / ``win_destroy`` — the two halves of ``free``
     #   (all ranks stop accessing, then backing storage is released).
 
@@ -489,6 +492,9 @@ class Fabric:
 
     def win_sync(self, win_id: int, rank: int) -> None:
         pass  # threads share the arrays: always consistent
+
+    def win_publish(self, win_id: int, rank: int) -> None:
+        pass
 
     def win_detach(self, win_id: int, rank: int) -> None:
         pass

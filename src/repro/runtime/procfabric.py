@@ -24,9 +24,10 @@ a real OS process:
 * **RMA windows** are per-owner shared-memory segments (created at
   ``win_create``, lazily attached by peers after the creation barrier) with
   element atomicity from a pre-forked striped lock pool.  The owner's
-  ``local`` array is copied in at creation, refreshed from the segment at
-  each fence (``win_sync``), and copied back at free — the contract that
-  owner writes between create and free go through window ops.
+  ``local`` array is copied in at creation and refreshed from the segment
+  at each fence and at free (``win_sync``); after a ``nosucceed`` fence the
+  owner may store into it directly, and the next fence copies the other way
+  (``win_publish``).
 
 The parent process never joins the data plane: it forks the children,
 collects their results over pipes, reaps every child (no orphans, even
@@ -523,8 +524,12 @@ class ProcessFabric:
         if own is not None:
             own.local[:] = own.arr  # surface remote puts in the owner's array
 
+    def win_publish(self, win_id: int, rank: int) -> None:
+        own = self._win_own.get(win_id)
+        if own is not None:
+            own.arr[:] = own.local  # surface the owner's stores in the segment
+
     def win_detach(self, win_id: int, rank: int) -> None:
-        self.win_sync(win_id, rank)  # final copy-back before teardown
         for key in [k for k in self._win_attached if k[0] == win_id]:
             seg, arr = self._win_attached.pop(key)
             del arr  # the view must die before the segment can unmap

@@ -159,10 +159,12 @@ class Window:
         self.rma_words = 0
         self.rma_retries = 0
         self._epoch_open = True  # passive-target: always accessible
-        # span tracing: epochs of different windows interleave (the path
-        # augmentation fences three windows back to back), so epoch spans
-        # cannot live on the tracer's nesting main stack — each window gets
-        # its own ``rma:w<id>`` lane of complete spans, one per epoch,
+        #: between a ``fence(nosucceed=True)`` and the next fence the owner's
+        #: ``local`` array, not the fabric's copy, holds the window contents
+        self._owner_truth = False
+        # span tracing: epochs of different windows may interleave, so epoch
+        # spans cannot live on the tracer's nesting main stack — each window
+        # gets its own ``rma:w<id>`` lane of complete spans, one per epoch,
         # carrying the op/word deltas accumulated since the previous fence.
         self._tracer = comm.tracer
         self._epoch_no = 0
@@ -200,14 +202,21 @@ class Window:
 
     # -- access epoch management ---------------------------------------------
 
-    def fence(self) -> None:
+    def fence(self, *, nosucceed: bool = False) -> None:
         """Collective synchronization separating access epochs
         (``MPI_Win_fence``).  The barrier orders all pre-fence accesses
         before all post-fence ones; ``win_sync`` then refreshes the owner's
         ``local`` array (a no-op on the thread fabric where the window
         aliases it, a shared-memory copy-back on the process fabric).  After
-        a fence the owner may read ``self.local``; owner *writes* between
-        create and free must go through window operations.
+        a fence the owner may read ``self.local``.
+
+        ``nosucceed=True`` (``MPI_MODE_NOSUCCEED``) promises that no rank
+        issues a one-sided call until the next fence.  Outside an access
+        epoch the owner may *store* into ``self.local`` directly: its memory
+        is the truth, so the next fence publishes it to the fabric *before*
+        its barrier instead of copying back after it (``win_publish``, again
+        a no-op when the window aliases ``local``), and a ``free`` skips the
+        copy-back.
         """
         if not self._epoch_open:
             raise WindowError(
@@ -218,17 +227,22 @@ class Window:
         if self._tracker is not None:
             self._tracker.advance(self.comm.rank)
         self._trace_epoch("fence")
+        fabric, rank = self.comm.fabric, self.comm.rank
+        if self._owner_truth:
+            fabric.win_publish(self.win_id, rank)
         self.comm.barrier()
-        self.comm.fabric.win_sync(self.win_id, self.comm.rank)
+        if not self._owner_truth:
+            fabric.win_sync(self.win_id, rank)
+        self._owner_truth = nosucceed
 
     def free(self) -> None:
         """Collectively release the window (``MPI_Win_free``).
 
         Two-barrier sequence: after the first barrier no rank issues new
         accesses, so every rank detaches (the process fabric copies the
-        final window contents back into the owner's ``local`` here); after
-        the second barrier no rank holds an attachment, so the backing
-        storage is destroyed.
+        final window contents back into the owner's ``local`` here, unless
+        the last fence was ``nosucceed``); after the second barrier no rank
+        holds an attachment, so the backing storage is destroyed.
         """
         if not self._epoch_open:
             raise WindowError(
@@ -238,6 +252,8 @@ class Window:
         self._trace_epoch("free")
         self.comm.barrier()
         self._epoch_open = False
+        if not self._owner_truth:
+            self.comm.fabric.win_sync(self.win_id, self.comm.rank)
         self.comm.fabric.win_detach(self.win_id, self.comm.rank)
         self.comm.barrier()
         self.comm.fabric.win_destroy(self.win_id, self.comm.rank)
@@ -378,67 +394,3 @@ class Window:
             if old == expected:
                 arr[index] = desired
         return old
-
-
-def fence_all(windows: list[Window]) -> None:
-    """Fence several windows of the same communicator in one call.
-
-    Logically identical to ``for w in windows: w.fence()`` — same barrier
-    count, ledger, verify signatures and trace spans — but the epoch
-    barriers are issued through :meth:`Communicator.barrier_n`, so on a
-    hub-plan communicator (three or more ranks) the whole batch releases in
-    a single physical star wave (2(p-1) frames) instead of one per window.
-    """
-    if not windows:
-        return
-    comm = windows[0].comm
-    for w in windows:
-        if w.comm is not comm:
-            raise WindowError(
-                "fence_all requires all windows on the same communicator"
-            )
-        if not w._epoch_open:
-            raise WindowError(
-                f"fence on window {w.win_id} after Window.free(): epoch "
-                "operations on a freed window are erroneous (MPI_Win_fence "
-                "on a freed window)"
-            )
-        if w._tracker is not None:
-            w._tracker.advance(comm.rank)
-        w._trace_epoch("fence")
-    comm.barrier_n(len(windows))
-    for w in windows:
-        comm.fabric.win_sync(w.win_id, comm.rank)
-
-
-def free_all(windows: list[Window]) -> None:
-    """Free several windows of the same communicator in one call.
-
-    Same two-barrier protocol as :meth:`Window.free`, batched: one fused
-    wave of pre-detach barriers, then every detach, then one fused wave of
-    pre-destroy barriers, then every destroy.  The two waves must stay
-    separate — detach has to complete everywhere before any backing
-    storage is destroyed — so this is ``barrier_n(n); detach×n;
-    barrier_n(n); destroy×n``, never a single ``barrier_n(2n)``.
-    """
-    if not windows:
-        return
-    comm = windows[0].comm
-    for w in windows:
-        if w.comm is not comm:
-            raise WindowError(
-                "free_all requires all windows on the same communicator"
-            )
-        if not w._epoch_open:
-            raise WindowError(
-                f"double free of window {w.win_id}: Window.free() was "
-                "already called"
-            )
-        w._trace_epoch("free")
-    comm.barrier_n(len(windows))
-    for w in windows:
-        w._epoch_open = False
-        comm.fabric.win_detach(w.win_id, comm.rank)
-    comm.barrier_n(len(windows))
-    for w in windows:
-        comm.fabric.win_destroy(w.win_id, comm.rank)

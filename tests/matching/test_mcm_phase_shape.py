@@ -1,0 +1,241 @@
+"""Wire shape of everything MCM-DIST does *outside* the BFS iteration, and
+the bit-equality of the results that shape must not touch.
+
+Sibling of ``test_mcm_iteration_shape.py``: a path-parallel phase is two
+barriers on one window that lives for the whole run, a level of the
+level-parallel augment is four row/column all-to-alls, an initializer round
+is three row/column allgathers, and the path count needs no reduction — so
+the span tests pin, on six grid shapes, which collectives each of those
+spans holds and on which communicator, with the step counts that follow
+written as ⌈log₂ q⌉ / (q − 1) arithmetic.  The parity matrix holds mates
+and counters to a 1x1 run for every initializer × augment mode.
+"""
+
+import os
+
+import numpy as np
+import pytest
+
+from repro.graphs.rmat import er
+from repro.matching import ms_bfs_mcm
+from repro.matching.augment import choose_augment_mode
+from repro.matching.mcm_dist import run_mcm_dist
+from repro.runtime import CrashSpec, FaultPlan, RankKilledError
+from repro.sparse import CSC
+from repro.sparse.semiring import SR_MAX_PARENT, SR_MIN_PARENT
+
+GRIDS = [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (1, 4)]
+
+
+def _log2ceil(q):
+    return (q - 1).bit_length()
+
+
+def _traced(pr, pc, **kwargs):
+    return run_mcm_dist(er(6, seed=1), pr, pc, trace="ticks", timeout=60, **kwargs)[2]
+
+
+def _per_rank(trace):
+    """Per rank: (all its spans, its ``cat="comm"`` spans in program order,
+    the id of the grid communicator — the one the set-up broadcast ran on,
+    whatever the sizes of the row and column communicators)."""
+    for spans in trace.spans:
+        comms = sorted((sp for sp in spans if sp.cat == "comm"), key=lambda sp: sp.bseq)
+        grid_id = next(c.args["comm"] for c in comms if c.name == "bcast")
+        yield spans, comms, grid_id
+
+
+def _inside(span, comms):
+    return [c for c in comms if span.bseq < c.bseq < span.eseq]
+
+
+def _shape(comms):
+    return [(c.name, c.args["peers"]) for c in comms]
+
+
+def _steps(comms):
+    return sum(c.args["steps"] for c in comms)
+
+
+# -- (a) span shape ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("pr,pc", GRIDS)
+def test_path_phase_is_two_barriers_on_one_window(pr, pc):
+    p = pr * pc
+    stats = _traced(pr, pc, init="none", augment="path")
+    assert stats.augment_path_calls >= 2
+    for spans, comms, grid_id in _per_rank(stats.trace):
+        phases = [sp for sp in spans if sp.name == "augment:path"]
+        assert len(phases) == stats.augment_path_calls
+        for ph in phases:
+            inside = _inside(ph, comms)
+            assert _shape(inside) == [("barrier", p), ("barrier", p)]
+            assert {c.args["comm"] for c in inside} == {grid_id}
+            assert _steps(inside) == 2 * _log2ceil(p)
+        # one window: the matrix-shape broadcast of set-up plus its id; its
+        # creation barrier and the two of free() are all that lie outside
+        assert sum(c.name == "bcast" for c in comms) == 2
+        assert sum(c.name == "barrier" for c in comms) - 2 * len(phases) <= 3
+        # every epoch of the run sits on the same window lane
+        assert len({sp.args["win"] for sp in spans if sp.name == "rma_epoch"}) == 1
+
+
+@pytest.mark.parametrize("pr,pc", GRIDS)
+def test_level_is_four_row_column_hops(pr, pc):
+    p = pr * pc
+    stats = _traced(pr, pc, init="none", augment="level")
+    assert stats.augment_level_calls >= 2 and stats.augment_path_calls == 0
+    # to the mate_r owner (column hop, row hop), to the mate_c owner (row
+    # hop, column hop); the call ends on the first leg that finds no path live
+    level = [("alltoall", pr), ("alltoall", pc), ("alltoall", pc), ("alltoall", pr)]
+    per_level = 2 * (pr - 1) + 2 * (pc - 1)
+    for spans, comms, grid_id in _per_rank(stats.trace):
+        calls = [sp for sp in spans if sp.name == "augment:level"]
+        assert len(calls) == stats.augment_level_calls
+        for call in calls:
+            inside = _inside(call, comms)
+            levels, closing = divmod(len(inside), 4)
+            assert levels >= 1 and closing == 2
+            assert _shape(inside) == level * levels + level[:2]
+            assert grid_id not in {c.args["comm"] for c in inside}
+            assert _steps(inside) == levels * per_level + (pr - 1) + (pc - 1)
+
+
+@pytest.mark.parametrize("init", ["greedy", "mindegree", "karp-sipser"])
+@pytest.mark.parametrize("pr,pc", GRIDS)
+def test_initializer_round_is_three_row_column_allgathers(pr, pc, init):
+    stats = _traced(pr, pc, init=init)
+    assert stats.initial_cardinality > 0
+    rnd = [("allgather", pc), ("allgather", pr), ("allgather", pc)]
+    for spans, comms, grid_id in _per_rank(stats.trace):
+        (span,) = [sp for sp in spans if sp.name == f"init:{init}"]
+        inside = _inside(span, comms)
+        assert grid_id not in {c.args["comm"] for c in inside}
+        gathers = [c for c in inside if c.name == "allgather"]
+        rounds = len(gathers) // 3
+        assert rounds >= 2 and _shape(gathers) == rnd * rounds
+        assert _steps(gathers) == rounds * (2 * _log2ceil(pc) + _log2ceil(pr))
+        if init == "greedy":
+            assert inside == gathers
+        else:
+            # residual degrees: one colcomm and one rowcomm allreduce per
+            # round that matched, the block degrees (and Karp-Sipser's first
+            # degree-1 count) once
+            rest = [c for c in inside if c.name != "allgather"]
+            assert {c.name for c in rest} == {"allreduce"}
+            assert len(rest) == 2 * (rounds - 1) + 2 + (init == "karp-sipser")
+
+
+@pytest.mark.parametrize("direction", ["topdown", "auto"])
+@pytest.mark.parametrize("pr,pc", GRIDS)
+def test_no_grid_reduction_per_phase_level_or_round(pr, pc, direction):
+    stats = _traced(pr, pc, direction=direction)
+    assert stats.augment_level_calls + stats.augment_path_calls == stats.phases - 1
+    for spans, comms, grid_id in _per_rank(stats.trace):
+        on_grid = [c for c in comms if c.args["comm"] == grid_id]
+        assert not [c for c in on_grid if c.name == "alltoall"]
+        in_phases = [
+            c for sp in spans if sp.name == "phase"
+            for c in _inside(sp, on_grid) if c.name == "allreduce"
+        ]
+        # "auto" posts one overlapped edge-count reduction per superstep (one
+        # at every phase head, one per iteration); top-down posts none
+        assert len(in_phases) == (
+            stats.phases + stats.iterations if direction == "auto" else 0
+        )
+        # the job's one other grid reduction is the closing 5-word sum
+        assert sum(c.name == "allreduce" for c in on_grid) == len(in_phases) + 1
+
+
+# -- (b) results equal a 1x1 run ----------------------------------------------------
+
+VARIANTS = (
+    [(init, augment, True, SR_MIN_PARENT)
+     for init in ("greedy", "mindegree", "karp-sipser", "none")
+     for augment in ("auto", "level", "path")]
+    # PRUNE off: trees keep growing after their first path, so the same root
+    # is found again in later iterations and must be counted once
+    + [(init, augment, False, SR_MIN_PARENT)
+       for init in ("greedy", "none") for augment in ("auto", "level", "path")]
+    + [("greedy", "auto", True, SR_MAX_PARENT)]
+)
+#: no initializer, so a dozen phases; every one of them path-parallel
+NONE_PATH = ("none", "path", True, SR_MIN_PARENT)
+_reference = {}
+
+
+def _solve(variant, pr, pc, backend, **kwargs):
+    init, augment, prune, semiring = variant
+    return run_mcm_dist(
+        er(6, seed=1), pr, pc, init=init, augment=augment, prune=prune,
+        semiring=semiring, backend=backend, timeout=60, **kwargs,
+    )
+
+
+def _counts(stats):
+    return (stats.phases, stats.iterations, stats.edges_examined,
+            stats.initial_cardinality, stats.final_cardinality)
+
+
+def _reference_run(variant):
+    """The 1x1 result of a variant, and the path count k of each of its
+    augmenting phases (the ``k`` argument of its augment spans)."""
+    if variant not in _reference:
+        mate_r, mate_c, stats = _solve(variant, 1, 1, "thread", trace="ticks")
+        ks = [sp.args["k"] for sp in stats.trace.spans[0] if sp.name.startswith("augment:")]
+        _reference[variant] = (mate_r, mate_c, stats, ks)
+    return _reference[variant]
+
+
+@pytest.mark.parametrize(
+    "pr,pc,backend",
+    [(pr, pc, "thread") for pr, pc in GRIDS[1:]]
+    + [(pr, pc, "process") for pr, pc in GRIDS[1:4]],
+)
+def test_results_equal_a_1x1_run(pr, pc, backend):
+    for variant in VARIANTS:
+        ref_r, ref_c, ref, ks = _reference_run(variant)
+        mate_r, mate_c, stats = _solve(variant, pr, pc, backend)
+        np.testing.assert_array_equal(mate_r, ref_r, err_msg=str(variant))
+        np.testing.assert_array_equal(mate_c, ref_c, err_msg=str(variant))
+        assert _counts(stats) == _counts(ref), variant
+        # the replicated path count drives the k < 2p² switch: every phase
+        # takes the mode the paper's rule gives it on this grid
+        augment = variant[1]
+        modes = [
+            augment if augment != "auto" else choose_augment_mode(k, pr * pc) for k in ks
+        ]
+        assert stats.augment_level_calls == modes.count("level"), variant
+        assert stats.augment_path_calls == modes.count("path"), variant
+        if augment == "path":
+            assert (stats.rma_ops, stats.rma_words) == (ref.rma_ops, ref.rma_words)
+        assert "rma" not in "".join(stats.comm_by_alg)
+
+
+def test_rma_ops_are_three_per_pair_step():
+    coo = er(6, seed=1)
+    # the serial engine walks the same paths and records each one's length
+    _, _, serial = ms_bfs_mcm(CSC.from_coo(coo), augment_mode="path")
+    pair_steps = sum(int(steps.sum()) for steps in serial.augment.path_steps)
+    _, _, stats = run_mcm_dist(coo, 2, 3, init="none", augment="path", timeout=60)
+    assert stats.rma_ops == stats.rma_words == 3 * pair_steps > 0
+
+
+def test_window_reused_across_phases_passes_the_race_verifier():
+    mate_r, mate_c, stats = _solve(NONE_PATH, 2, 2, "thread", verify=True)
+    assert stats.augment_path_calls >= 2
+    np.testing.assert_array_equal(mate_r, _reference_run(NONE_PATH)[0])
+    assert stats.verify_summary["rma_ops_checked"] == stats.rma_ops > 0
+
+
+def test_process_backend_leaves_no_shared_memory_behind():
+    before = set(os.listdir("/dev/shm"))
+    _, _, stats = _solve(NONE_PATH, 2, 2, "process")
+    assert stats.augment_path_calls >= 2
+    assert set(os.listdir("/dev/shm")) == before
+    # a rank killed inside the RMA walk never frees the window it holds open
+    plan = FaultPlan(seed=0, crashes=(CrashSpec(rank=2, at="rma", n=2),))
+    with pytest.raises(RankKilledError, match=r"\[spmd rank 2\]"):
+        _solve(NONE_PATH, 2, 2, "process", faults=plan)
+    assert set(os.listdir("/dev/shm")) == before

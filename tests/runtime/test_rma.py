@@ -210,3 +210,28 @@ def test_double_free_raises():
 
     with pytest.raises(WindowError, match="double free"):
         spmd(2, main, timeout=5.0)
+
+
+def _owner_stores_between_epochs(comm):
+    peer = (comm.rank + 1) % comm.size
+    local = np.zeros(4, dtype=np.int64)
+    win = Window(comm, local)
+    seen = []
+    for epoch in range(3):
+        win.fence()  # opens the access epoch; publishes the owner's stores
+        seen.append(int(win.get(peer, 0)))
+        win.put(peer, 1, 100 * epoch + comm.rank)
+        win.fence(nosucceed=True)  # closes it: no one-sided call until the next fence
+        seen.append(int(local[1]))
+        local[0] = 10 * epoch + comm.rank + 1  # a direct store, outside any access epoch
+    win.free()  # must not bring the stale fabric copy of local[0] back
+    return seen, local.tolist()
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_owner_stores_directly_outside_access_epochs(backend):
+    res = spmd(2, _owner_stores_between_epochs, backend=backend, timeout=30.0)
+    for rank, (seen, local) in enumerate(res.values):
+        peer = 1 - rank
+        assert seen == [0, peer, 1 + peer, 100 + peer, 11 + peer, 200 + peer]
+        assert local == [21 + rank, 200 + peer, 0, 0]
