@@ -9,7 +9,7 @@ Two artifacts, committed at the repo root so CI can diff against them:
   3×3, direction=auto): phases, words (expand/fold/total), wall-clock
   phase times, the per-algorithm
   collective breakdown and its summed latency ``steps``, the physical
-  frame ledger of the superstep coalescer (``comm_messages``/``frames``/
+  frame ledger of the hub/star plans (``comm_messages``/``frames``/
   ``frame_words`` — gated by the same >10% rule as every other counter),
   and a ``backends`` block timing the thread vs process transports
   (median-of-5 wall clock with the min..max spread recorded, plus the
@@ -163,8 +163,8 @@ def run_spmd_case(scale: int, pr: int, pc: int) -> dict:
             "fold_words": stats.fold_words,
             "total_words": stats.total_words,
             "steps": sum(d["steps"] for d in stats.comm_by_alg.values()),
-            # physical ledger of the superstep coalescer: logical messages
-            # vs coalesced frames actually deposited/ring-written
+            # logical messages of the round-based schedules vs the
+            # physical frames actually deposited/ring-written
             "comm_messages": stats.comm_messages,
             "frames": stats.frames,
             "frame_words": stats.frame_words,
@@ -263,7 +263,7 @@ def assert_acceptance(micro: dict, spmd_runs: dict, root: Path) -> None:
               f"{nai['total_words']:,}")
         msgs, frames = run["comm_messages"], run["frames"]
         print(f"  er9 frames: {frames:,} physical vs {msgs:,} logical "
-              f"messages ({msgs / frames:.2f}x coalesced)")
+              f"messages ({msgs / frames:.2f} logical messages per frame)")
     for name, run in spmd_runs.items():
         be = run.get("backends")
         if not be:

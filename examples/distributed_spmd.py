@@ -64,7 +64,7 @@ def main() -> None:
     assert frames < messages, "3-rank communicators must run the hub plans"
     print(f"\ncollective engine    : {steps:,} modeled latency steps; "
           f"{messages:,} logical messages in {frames:,} physical frames "
-          f"({messages / max(frames, 1):.1f}x coalesced)")
+          f"({messages / max(frames, 1):.1f} logical messages per frame)")
 
     # -- span trace: who bounded each phase? ---------------------------------
     print("\ncritical-path breakdown of the traced run:")

@@ -65,13 +65,17 @@ class DistSparseMatrix:
                 (rows_s[cuts[r]:cuts[r + 1]], cols_s[cuts[r]:cuts[r + 1]])
                 for r in range(comm.size)
             ]
+            # five dead nnz-sized arrays: drop them before the scatter — a
+            # piece is on the fabric when its send returns, so peers build
+            # their blocks while the root still copies the later pieces
+            del bi, bj, dest, order, dest_s
         else:
             payloads = None
         my_rows, my_cols = comm.scatter(payloads, root=root)
         if comm.rank == root:
-            # seven dead nnz-sized arrays: drop them before the root builds
-            # its own block on top of them (the job's peak-memory moment)
-            del bi, bj, dest, order, rows_s, cols_s, dest_s, payloads
+            # two more: drop them before the root builds its own block on
+            # top of them (the job's peak-memory moment)
+            del rows_s, cols_s, payloads
 
         # localize indices and build the DCSC block
         rlo, rhi = rowmap.range(grid.i)

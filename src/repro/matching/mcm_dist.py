@@ -134,7 +134,7 @@ class DistStats:
     #: over all ranks and communicators: ``comm_messages`` counts every
     #: message of the logical (round-based) schedule — the number BENCH
     #: gates and the trace cross-check price — while ``frames`` counts the
-    #: coalesced deposits/ring writes that actually crossed the fabric
+    #: mailbox deposits/ring writes that actually crossed the fabric
     #: (``frames == comm_messages`` when no communicator has ≥ 3 ranks)
     comm_messages: int = 0
     frames: int = 0
@@ -686,7 +686,7 @@ def _local_physical(grid: ProcGrid) -> tuple[int, int, int]:
     """This rank's (logical messages, physical frames, frame words) summed
     over the job's three communicators — snapshotted at the same no-more-
     traffic point as :func:`_local_by_alg`, so frames account for every
-    flush of the job."""
+    send of the job."""
     msgs = frames = fwords = 0
     for c in (grid.colcomm, grid.rowcomm, grid.comm):
         msgs += c.stats.messages_sent

@@ -46,17 +46,13 @@ dissemination allgather, pairwise alltoall) swap their physical schedule
 for a hub star wave through comm rank 0 — 2(p-1) frames per call, which
 undercuts the schedules' p·⌈log₂p⌉ or p(p-1) messages exactly from p = 3 —
 while the walker *replays* the round-based schedule, charging its exact
-per-message ledger without moving data; and a per-destination coalescer
-batches every payload the rank emits toward a peer between two blocking
-points into one framed buffer (a single mailbox deposit on the thread
-fabric, a single ring write — one codec pass — on the process backend).
-Flush points are deterministic (entry to any blocking receive, every
-collective boundary, :meth:`Communicator.flush_sends`), so frame counts
-are reproducible and benchmarkable.  With **p ≤ 2** the star cannot save a
-frame (2(p-1) *is* the schedule's message count), so the communicator walks
-its schedules for real and sends eagerly, message-per-deliver — which *is*
-the definition of the logical ledger the replay must reproduce; results are
-bit-identical either way.
+per-message ledger without moving data.  With **p ≤ 2** the star cannot
+save a frame (2(p-1) *is* the schedule's message count), so the
+communicator walks its schedules for real — which *is* the definition of
+the logical ledger the replay must reproduce; results are bit-identical
+either way.  There is one send path under both plans: a message is on the
+fabric when its send returns (:meth:`Communicator._dispatch`, the one place
+a frame is counted), so frame counts are a property of the plan alone.
 """
 
 from __future__ import annotations
@@ -102,17 +98,17 @@ BAND = ReduceOp("band", lambda a, b: a & b)
 BOR = ReduceOp("bor", lambda a, b: a | b)
 
 
-#: Smallest communicator that runs the hub/star physical plan (and defers
-#: into the coalescer).  A star wave is 2(p-1) frames; the schedules it
-#: replaces put p·⌈log₂p⌉ (barrier, allgather), p(p-1) (alltoall) or
-#: p'·log₂p' + 2(p-p') (doubling allreduce, p' the power of two below p)
-#: messages on the fabric.  At p = 2 all of them are 2, so the star saves
-#: nothing and only adds a ``(rank, item)`` wrapper, an any-source receive
-#: and a second hop for each rank's own all-to-all block; from p = 3 the
-#: star is strictly fewer frames for barrier, allgather and alltoall and
-#: never more for allreduce (a 4 = 4 tie at p = 3, fewer from p = 4).
-#: DESIGN §15 has the wall-clock measurements.  Derived, not tunable: read
-#: once, in ``Communicator.__init__``.
+#: Smallest communicator that runs the hub/star physical plan.  A star
+#: wave is 2(p-1) frames; the schedules it replaces put p·⌈log₂p⌉
+#: (barrier, allgather), p(p-1) (alltoall) or p'·log₂p' + 2(p-p')
+#: (doubling allreduce, p' the power of two below p) messages on the
+#: fabric.  At p = 2 all of them are 2, so the star saves nothing and only
+#: adds a ``(rank, item)`` wrapper, an any-source receive and a second hop
+#: for each rank's own all-to-all block; from p = 3 the star is strictly
+#: fewer frames for barrier, allgather and alltoall and never more for
+#: allreduce (a 4 = 4 tie at p = 3, fewer from p = 4).  DESIGN §15 has the
+#: wall-clock measurements.  Derived, not tunable: read once, in
+#: ``Communicator.__init__``.
 _HUB_MIN_RANKS = 3
 
 
@@ -132,9 +128,8 @@ class CommStats:
     are invariant under aggregation.  ``frames``/``frame_words`` are the
     **physical** ledger: actual fabric deposits/ring writes.  On a
     communicator of at most two ranks every message is its own frame
-    (``frames == messages_sent``); from three ranks up, coalescing and the
-    hub plans drive ``frames`` well below ``messages_sent`` — the quantity
-    BENCH gates on.
+    (``frames == messages_sent``); from three ranks up the hub plans drive
+    ``frames`` well below ``messages_sent`` — the quantity BENCH gates on.
     """
 
     messages_sent: int = 0
@@ -348,8 +343,6 @@ class _AllreduceRequest(Request):
     def test(self) -> bool:
         comm = self._comm
         if not self._done:
-            if comm._outbox:
-                comm._flush_frames()  # liveness: a poll loop must not hold traffic
             # Complete only once wait() cannot block: the hub needs all p-1
             # up-frames, everyone else the hub's down-frame.
             tag = comm._coll_tag(self._seq)
@@ -423,8 +416,8 @@ class Communicator:
         self.group = list(group)
         self.rank = rank
         self.size = len(self.group)
-        #: Hub/star physical plan + deferred sends, or walk the schedules
-        #: eagerly — chosen from the size alone (see ``_HUB_MIN_RANKS``).
+        #: Hub/star physical plan, or walk the schedules — chosen from the
+        #: size alone (see ``_HUB_MIN_RANKS``).
         self._hub = self.size >= _HUB_MIN_RANKS
         self.stats = CommStats()
         #: Optional per-rank span tracer (:class:`repro.runtime.trace.Tracer`),
@@ -435,14 +428,6 @@ class Communicator:
         self._coll_seq = 0
         if self.group[rank] < 0 or self.group[rank] >= fabric.nranks:
             raise ValueError("communicator group contains out-of-range fabric rank")
-        # Per-rank coalescer outbox: dest global rank -> list of pending
-        # (tag, payload, reorder_u, words).  Shared with every communicator
-        # of this rank via the fabric (split children flush the same box),
-        # with a private fallback for duck-typed fabrics in unit tests.
-        boxes = getattr(fabric, "_outboxes", None)
-        self._outbox: dict[int, list] = (
-            {} if boxes is None else boxes[self.group[rank]]
-        )
         # This rank's round schedules depend only on (size, rank[, root]):
         # built once here, not per call.
         self._barrier_rounds = dissemination(self.size, rank)
@@ -463,21 +448,23 @@ class Communicator:
         Buffered semantics: the call returns once the (copied) payload is in
         flight, it never blocks on the receiver.
         """
+        self._p2p_send("send", dest, payload, tag)
+
+    def _p2p_send(self, opname: str, dest: int, payload: Any, tag: int) -> None:
+        """The body ``send`` and ``isend`` share; they differ only in the
+        name their span and ``by_alg`` row carry."""
         _check_user_tag(tag, wildcard_ok=False)
-        tok = self._trace_begin("send", dest=dest, tag=tag)
+        tok = self._trace_begin(opname, dest=dest, tag=tag)
         before = self._begin_alg()
         # A serializing fabric (process backend) encodes the payload onto a
         # real wire inside ``deliver`` — that encoding IS the copy, so the
         # defensive freeze would be a second, redundant one.
         if not self.fabric.serializes:
             payload = _freeze(payload)
-        self._send_raw(dest, payload, tag, "p2p")
-        self._end_alg("send", "p2p", before, 1)
+        words = self.stats.record("p2p", payload)
+        self._deliver_with_faults(self.group[dest], tag, payload, "p2p", words)
+        self._end_alg(opname, "p2p", before, 1)
         self._trace_end(tok, "p2p", 1)
-
-    def _send_raw(self, dest: int, payload: Any, tag: int, op: str) -> None:
-        words = self.stats.record(op, payload)
-        self._deliver_with_faults(self.group[dest], tag, payload, op, words)
 
     def _fault_sleep(self, seconds: float, category: str) -> None:
         """Sleep injected adversity time, visible in traces.
@@ -504,25 +491,19 @@ class Communicator:
         )
 
     def _deliver_with_faults(
-        self, dest_global: int, tag: int, payload: Any, op: str,
-        words: int = 0, defer: bool = False,
+        self, dest_global: int, tag: int, payload: Any, op: str, words: int,
     ) -> None:
         """Deliver one envelope, absorbing injected transient failures.
 
         With no injector armed this is a single attribute check plus the
         dispatch — the zero-cost-when-disabled path.  Under injection the
         full per-message fault protocol (:meth:`_fault_effects`) runs
-        first.  ``defer=True`` routes the envelope through the coalescer
-        outbox on a hub-plan communicator (collective and isend traffic);
-        ``defer=False`` keeps eager per-message delivery (blocking p2p
-        ``send``, whose latency contract peers may rely on).
+        first.
         """
-        faults = self.fabric.faults
-        if faults is None:
-            self._dispatch(dest_global, tag, payload, None, words, defer)
-            return
-        reorder_u = self._fault_effects(op, dest_global, words)
-        self._dispatch(dest_global, tag, payload, reorder_u, words, defer)
+        reorder_u = None
+        if self.fabric.faults is not None:
+            reorder_u = self._fault_effects(op, dest_global, words)
+        self._dispatch(dest_global, tag, payload, reorder_u, words)
 
     def _fault_effects(self, op: str, dest_global: int, words: int) -> "float | None":
         """Run the injector's per-message protocol for one *logical*
@@ -565,76 +546,12 @@ class Communicator:
 
     def _dispatch(
         self, dest_global: int, tag: int, payload: Any,
-        reorder_u: "float | None", words: int, defer: bool,
+        reorder_u: "float | None", words: int,
     ) -> None:
-        """Physical send: enqueue into the coalescer (deferred, aggregated)
-        or deliver immediately as a single-message frame."""
-        if defer and self._hub:
-            self._outbox.setdefault(dest_global, []).append(
-                (tag, payload, reorder_u, words)
-            )
-            return
+        """Physical send — the one place a message meets the fabric, so the
+        one place a frame is counted."""
         self.stats.record_frame(words)
         self.fabric.deliver(self.global_rank, dest_global, tag, payload, reorder_u)
-
-    def _flush_frames(self) -> None:
-        """Flush the coalescer: one frame per pending destination.
-
-        Deterministic call sites only — entry to any blocking receive,
-        every collective boundary (:meth:`_end_alg`), the hub side of a
-        star wave, and :meth:`flush_sends` — so physical frame counts are
-        reproducible run to run.  Emits one ``comm:flush`` span
-        (``cat="flush"``) whose words equal the frame-ledger delta.
-        """
-        box = self._outbox
-        if not box:
-            return
-        items = list(box.items())
-        box.clear()
-        tr = self.tracer
-        t0 = tr.now() if tr is not None else 0.0
-        fabric = self.fabric
-        deliver_frame = getattr(fabric, "deliver_frame", None)
-        stats = self.stats
-        nmsgs = 0
-        nwords = 0
-        for dest, entries in items:
-            words = 0
-            for entry in entries:
-                words += entry[3]
-            if deliver_frame is not None:
-                deliver_frame(
-                    self.global_rank, dest,
-                    [(tag, payload, u) for (tag, payload, u, _) in entries],
-                )
-            else:  # duck-typed fabric without frame transport
-                for tag, payload, u, _ in entries:
-                    fabric.deliver(self.global_rank, dest, tag, payload, u)
-            stats.record_frame(words)
-            nmsgs += len(entries)
-            nwords += words
-        if tr is not None:
-            tr.add_complete(
-                "comm:flush", ts=t0, dur=tr.now() - t0, cat="flush",
-                frames=len(items), messages=nmsgs, words=nwords,
-            )
-
-    def flush_sends(self) -> None:
-        """Flush any coalesced frames still pending toward peers.
-
-        The transports call this when a rank's SPMD function returns (the
-        end-of-program safety point); user code only needs it to push out
-        ``isend`` tails before a long non-communicating stretch.
-        """
-        self._flush_frames()
-
-    def _collect(self, src_global: int, tag: int) -> Any:
-        """Blocking receive entry: pending coalesced frames are flushed
-        first — a blocked rank must never sit on traffic its peers need
-        in order to make progress."""
-        if self._outbox:
-            self._flush_frames()
-        return self.fabric.collect(self.global_rank, src_global, tag)
 
     def _logical_send(self, op: str, dest: int, words: int) -> None:
         """Ledger one message of an unaggregated schedule the physical
@@ -655,14 +572,13 @@ class Communicator:
         payload.  ``source`` is a communicator rank or ``ANY_SOURCE``."""
         _check_user_tag(tag, wildcard_ok=True)
         src_global = ANY_SOURCE if source == ANY_SOURCE else self.group[source]
-        env = self._collect(src_global, tag)
-        return env.payload
+        return self.fabric.collect(self.global_rank, src_global, tag).payload
 
     def recv_with_status(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> tuple[Any, int, int]:
         """Like :meth:`recv` but also return ``(payload, source_rank, tag)``."""
         _check_user_tag(tag, wildcard_ok=True)
         src_global = ANY_SOURCE if source == ANY_SOURCE else self.group[source]
-        env = self._collect(src_global, tag)
+        env = self.fabric.collect(self.global_rank, src_global, tag)
         try:
             src_local = self.group.index(env.source)
         except ValueError:  # message from outside the group (shouldn't happen)
@@ -671,30 +587,14 @@ class Communicator:
 
     def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
         _check_user_tag(tag, wildcard_ok=True)
-        if self._outbox:
-            self._flush_frames()  # liveness: a probe loop must not hold traffic
         src_global = ANY_SOURCE if source == ANY_SOURCE else self.group[source]
         return self.fabric.probe(self.global_rank, src_global, tag)
 
     def isend(self, dest: int, payload: Any, tag: int = 0) -> "Request":
-        """Nonblocking buffered send: the payload is captured (copied)
-        immediately, so the returned request is already complete and the
-        buffer is reusable — MPI buffered-mode semantics.  On a
-        hub-plan communicator (≥ 3 ranks) the message rides in this rank's
-        next coalesced frame to ``dest``, leaving at the next blocking
-        call, collective boundary, or :meth:`flush_sends`."""
-        _check_user_tag(tag, wildcard_ok=False)
-        tok = self._trace_begin("isend", dest=dest, tag=tag)
-        before = self._begin_alg()
-        # Always freeze: with a deferred (coalesced) encode, even the
-        # serializing fabric's wire copy happens after this call returns.
-        payload = _freeze(payload)
-        words = self.stats.record("p2p", payload)
-        self._deliver_with_faults(
-            self.group[dest], tag, payload, "p2p", words, defer=True
-        )
-        self._end_alg("isend", "p2p", before, 1, flush=False)
-        self._trace_end(tok, "p2p", 1)
+        """Nonblocking buffered send: the payload is captured (copied) and
+        on the fabric when this returns, so the returned request is already
+        complete and the buffer is reusable — MPI buffered-mode semantics."""
+        self._p2p_send("isend", dest, payload, tag)
         return _DoneRequest()
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> "Request":
@@ -722,10 +622,6 @@ class Communicator:
         return _RESERVED_TAG_BASE + (self.comm_id << 32) + seq
 
     def _coll_send(self, dest: int, payload: Any, opname: str, seq: int) -> None:
-        # Deferred dispatch is safe without an extra freeze on serializing
-        # fabrics: collective traffic is always flushed before the call
-        # returns (its own receives, or the _end_alg boundary), so no user
-        # code can mutate the payload between enqueue and wire encode.
         words = self.stats.record(opname, payload)
         self._deliver_with_faults(
             self.group[dest],
@@ -736,13 +632,12 @@ class Communicator:
              payload if self.fabric.serializes else _freeze(payload)),
             opname,
             words,
-            defer=True,
         )
 
     def _phys_send(self, dest: int, body: Any, opname: str, seq: int) -> None:
-        """One physical-plan message: enqueued into the coalescer with the
-        collective's tag/wrapper but NO logical-ledger or fault effects —
-        those replay separately via :meth:`_logical_send`."""
+        """One physical-plan message: sent with the collective's
+        tag/wrapper but NO logical-ledger or fault effects — those replay
+        separately via :meth:`_logical_send`."""
         self._dispatch(
             self.group[dest],
             self._coll_tag(seq),
@@ -750,7 +645,6 @@ class Communicator:
              body if self.fabric.serializes else _freeze(body)),
             None,
             _payload_words(body),
-            defer=True,
         )
 
     def _coll_recv(self, source: int, opname: str, seq: int) -> Any:
@@ -759,7 +653,7 @@ class Communicator:
         (gather's root, the star wave's hub: senders then label their
         payload with their rank)."""
         src_global = ANY_SOURCE if source == ANY_SOURCE else self.group[source]
-        env = self._collect(src_global, self._coll_tag(seq))
+        env = self.fabric.collect(self.global_rank, src_global, self._coll_tag(seq))
         got_op, got_comm, got_seq, payload = env.payload
         if got_op != opname or got_comm != self.comm_id or got_seq != seq:
             sender = "a peer" if source == ANY_SOURCE else f"rank {source}"
@@ -824,7 +718,6 @@ class Communicator:
         downs = down_items(ups)
         for dst in range(1, p):
             self._phys_send(dst, downs[dst], opname, seq)
-        self._flush_frames()  # the hub's down-leg must not linger
         return downs[0]
 
     def _hub_exchange(
@@ -865,22 +758,13 @@ class Communicator:
         attributed after the collective's traffic completes."""
         return self.stats.messages_sent, self.stats.words_sent
 
-    def _end_alg(
-        self, op: str, alg: str, before: tuple[int, int], steps: int,
-        flush: bool = True,
-    ) -> None:
+    def _end_alg(self, op: str, alg: str, before: tuple[int, int], steps: int) -> None:
         self.stats.record_alg(
             op, alg,
             self.stats.messages_sent - before[0],
             self.stats.words_sent - before[1],
             steps,
         )
-        # Every collective boundary is a deterministic flush point, so
-        # trailing sends (a bcast leaf, an exscan link, scattered pieces)
-        # are on the wire before user code regains control.  isend opts
-        # out — deferring its frame IS the point.
-        if flush and self._outbox:
-            self._flush_frames()
 
     def _trace_begin(self, opname: str, **args: Any) -> "tuple[int, int] | None":
         """Open one comm span and snapshot (messages, words) — the same
@@ -913,8 +797,8 @@ class Communicator:
         per-rank collective sequence, opens the trace span, checks in with
         the divergence verifier (also the collective-entry fault point) and
         snapshots the ledger; a normal exit attributes the traffic in
-        between to ``opname:alg`` with ``steps`` latency steps, flushes the
-        coalescer and closes the span."""
+        between to ``opname:alg`` with ``steps`` latency steps and closes
+        the span."""
         seq = self._next_seq()
         if root is not None:
             span = {"root": root, **span}
@@ -1232,8 +1116,6 @@ class Communicator:
         """
         with self._collective("split", "rendezvous", 1, color=color) as seq:
             key = self.rank if key is None else key
-            if self._outbox:
-                self._flush_frames()  # rendezvous blocks without a mailbox wait
             self.fabric.last_blocked[self.global_rank] = ("split", self.comm_id, seq)
             tr = self.tracer
             t0 = tr.now() if tr is not None else 0.0

@@ -198,27 +198,6 @@ RECOVERABLE_ERRORS = (
 )
 
 
-def _resilient_rank_main(comm, coo, pr: int, pc: int, **mcm_kwargs):
-    """Per-rank entry point of :func:`run_mcm_dist_resilient`.
-
-    Module-level (not a closure over the restart loop) so a process backend
-    can pickle it; the checkpoint store and resume point arrive as kwargs.
-    """
-    from ..matching.mcm_dist import mcm_dist_spmd  # local: avoid import cycle
-
-    data = coo if comm.rank == 0 else None
-    return mcm_dist_spmd(comm, data, pr, pc, **mcm_kwargs)
-
-
-def _mwm_resilient_rank_main(comm, coo, weights, pr: int, pc: int, **mwm_kwargs):
-    """Per-rank entry point of :func:`run_mwm_dist_resilient` (module-level
-    for the same picklability reason as :func:`_resilient_rank_main`)."""
-    from ..matching.mwm_dist import mwm_dist_spmd  # local: avoid import cycle
-
-    data = (coo, weights) if comm.rank == 0 else (None, None)
-    return mwm_dist_spmd(comm, data[0], data[1], pr, pc, **mwm_kwargs)
-
-
 def _run_resilient(
     rank_main: Callable[..., Any],
     job_args: tuple,
@@ -386,7 +365,9 @@ def run_mcm_dist_resilient(coo, pr: int, pc: int, **kwargs: Any):
     is concatenated into one :class:`~repro.runtime.trace.DistTrace` with
     an explicit ``restart`` span at each seam, attached as ``stats.trace``.
     """
-    return _run_resilient(_resilient_rank_main, (coo,), pr, pc, **kwargs)
+    from ..matching.mcm_dist import _mcm_rank_main  # local: avoid import cycle
+
+    return _run_resilient(_mcm_rank_main, (coo,), pr, pc, **kwargs)
 
 
 def run_mwm_dist_resilient(coo, weights, pr: int, pc: int, **kwargs: Any):
@@ -402,4 +383,6 @@ def run_mwm_dist_resilient(coo, weights, pr: int, pc: int, **kwargs: Any):
     kwargs (``epsilon``, ``cardinality_bias``, ``max_rounds``) on top of
     the recovery kwargs.
     """
-    return _run_resilient(_mwm_resilient_rank_main, (coo, weights), pr, pc, **kwargs)
+    from ..matching.mwm_dist import _mwm_rank_main  # local: avoid import cycle
+
+    return _run_resilient(_mwm_rank_main, (coo, weights), pr, pc, **kwargs)

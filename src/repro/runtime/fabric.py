@@ -81,26 +81,6 @@ class Mailbox:
                 self._queue.insert(pos, env)
             self._cond.notify_all()
 
-    def deposit_many(
-        self, envs: "list[Envelope]", reorder_us: "list[float | None]"
-    ) -> None:
-        """Queue a coalesced frame's envelopes under one lock acquisition
-        with one wakeup — the thread fabric's analogue of a single ring
-        write.  Per-envelope reorder draws still place each message
-        individually so injected reordering is preserved inside a frame."""
-        with self._cond:
-            for env, reorder_u in zip(envs, reorder_us):
-                if reorder_u is None or not self._queue:
-                    self._queue.append(env)
-                else:
-                    floor = 0
-                    for i, queued in enumerate(self._queue):
-                        if queued.source == env.source and queued.tag == env.tag:
-                            floor = i + 1
-                    pos = floor + int(reorder_u * (len(self._queue) + 1 - floor))
-                    self._queue.insert(pos, env)
-            self._cond.notify_all()
-
     def _match_index(self, source: int, tag: int) -> int | None:
         for i, env in enumerate(self._queue):
             if source not in (ANY_SOURCE, env.source):
@@ -308,10 +288,6 @@ class Fabric:
         self.tracers: "list[Any] | None" = None
         self._rma_logs: dict[int, Any] = {}
         self.mailboxes = [Mailbox(self, r) for r in range(nranks)]
-        #: Per-rank coalescer buffers (dest -> pending entries), owned by
-        #: the sending rank's communicators.  Created here, not lazily, so
-        #: communicators on different threads never race a first access.
-        self._outboxes: list[dict[int, list]] = [dict() for _ in range(nranks)]
         self._abort = threading.Event()
         self._serial = itertools.count()
         self._serial_lock = threading.Lock()
@@ -350,24 +326,6 @@ class Fabric:
         with self._serial_lock:
             serial = next(self._serial)
         self.mailboxes[dest].deposit(Envelope(source, dest, tag, payload, serial), reorder_u)
-
-    def deliver_frame(
-        self, source: int, dest: int, entries: "list[tuple[int, Any, float | None]]"
-    ) -> None:
-        """Deliver one coalesced frame: all of ``source``'s pending traffic
-        toward ``dest``, as ``(tag, payload, reorder_u)`` entries in send
-        order.  One serial block, one mailbox transaction."""
-        if self.aborted:
-            raise CommAbort(f"rank {source}: job aborted while sending to {dest}")
-        if not 0 <= dest < self.nranks:
-            raise ValueError(f"destination rank {dest} out of range [0, {self.nranks})")
-        with self._serial_lock:
-            serials = [next(self._serial) for _ in entries]
-        envs = [
-            Envelope(source, dest, tag, payload, serial)
-            for (tag, payload, _), serial in zip(entries, serials)
-        ]
-        self.mailboxes[dest].deposit_many(envs, [u for (_, _, u) in entries])
 
     def note_progress(self, key: str, value: int) -> None:
         """Publish a monotone job-progress marker (see ``progress``)."""

@@ -60,12 +60,9 @@ from .fabric import (
 )
 from .shm import (
     DEFAULT_RING_BYTES,
-    _BATCH_TAG,
     carve_rings,
-    decode_frame,
     decode_header,
     decode_message,
-    encode_frame,
     encode_message,
     ring_segment_size,
 )
@@ -207,9 +204,6 @@ class ProcessFabric:
             self._ctl[_CTL_RANK_BASE + _CTL_RANK_STRIDE * r + 3] = -1  # phase
         self._ctl_lock = self.ctx.Lock()
         self._win_lock_pool = [self.ctx.Lock() for _ in range(_WIN_LOCK_POOL)]
-        # per-rank coalescer buffers (dest -> pending entries); plain dicts
-        # forked with the fabric — each child only ever touches its own
-        self._outboxes: list[dict[int, list]] = [dict() for _ in range(nranks)]
         # per-process state (meaningful after attach())
         self.rank: "int | None" = None
         self._pending: list[Envelope] = []
@@ -301,33 +295,6 @@ class ProcessFabric:
             describe=f"rank {source}: send to rank {dest} (tag {tag})",
         )
 
-    def deliver_frame(
-        self, source: int, dest: int, entries: "list[tuple[int, Any, float | None]]"
-    ) -> None:
-        """Deliver one coalesced frame: ``source``'s pending traffic toward
-        ``dest`` as ``(tag, payload, reorder_u)`` entries in send order —
-        ONE codec pass and ONE ring write for the whole batch, the physical
-        win this backend's aggregation exists for."""
-        if self.aborted:
-            raise CommAbort(f"rank {source}: job aborted while sending to {dest}")
-        if not 0 <= dest < self.nranks:
-            raise ValueError(f"destination rank {dest} out of range [0, {self.nranks})")
-        wire = []
-        for tag, payload, reorder_u in entries:
-            self._sent += 1
-            serial = (source << 32) | (self._sent & 0xFFFFFFFF)
-            wire.append((tag, serial, reorder_u, payload))
-        self.rings[dest].write(
-            source,
-            encode_frame(wire),
-            stall=self._stall,
-            timeout=self.timeout,
-            describe=(
-                f"rank {source}: frame to rank {dest} "
-                f"({len(entries)} coalesced messages)"
-            ),
-        )
-
     def _deposit(self, env: Envelope, reorder_u: "float | None") -> None:
         # same legal-reordering insertion as Mailbox.deposit: an injected
         # delay may jump the queue but never overtakes within (source, tag)
@@ -346,16 +313,6 @@ class ProcessFabric:
         """Move every message queued in our ring into the pending list."""
         msgs = self.rings[self.rank].drain()
         for src, data in msgs:
-            tag, _ = decode_header(data)
-            if tag == _BATCH_TAG:
-                # expand the frame back into per-message envelopes; each
-                # keeps its own reorder draw, so injected reordering of
-                # unplanned traffic still physically manifests
-                for mtag, payload, serial, reorder_u in decode_frame(data):
-                    self._deposit(
-                        Envelope(src, self.rank, mtag, payload, serial), reorder_u
-                    )
-                continue
             tag, payload, serial, reorder_u = decode_message(data)
             self._deposit(Envelope(src, self.rank, tag, payload, serial), reorder_u)
         return len(msgs)
@@ -621,9 +578,6 @@ def _rank_child(fabric: ProcessFabric, rank: int, job: SpmdJob, conn) -> None:
     out: dict[str, Any] = {"ok": True, "value": None, "error": None}
     try:
         out["value"] = job.fn(comm, *job.args, **job.kwargs)
-        # push out any coalesced tail (e.g. isends the program never
-        # followed with a blocking call) before peers wait on it
-        comm.flush_sends()
     except BaseException as exc:  # noqa: BLE001 - shipped to the parent
         out["ok"] = False
         out["error"] = exc
@@ -798,11 +752,7 @@ class ProcessTransport(Transport):
             for r in range(nranks):
                 for src, data in fabric.rings[r].drain():
                     tag, _ = decode_header(data)
-                    if tag == _BATCH_TAG:
-                        for mtag, _p, _s, _u in decode_frame(data):
-                            if mtag >= _RESERVED_TAG_BASE:
-                                stray[r].append((src, mtag))
-                    elif tag >= _RESERVED_TAG_BASE:
+                    if tag >= _RESERVED_TAG_BASE:
                         stray[r].append((src, tag))
             check_stray_collectives(stray)
 

@@ -57,7 +57,9 @@ _MSG_HDR = struct.Struct("<qdqqqq")
 _KIND_PICKLE = 0
 _KIND_ARRAYS = 1
 #: 2 = a coalesced frame carrying several logical messages in one codec
-#: pass / one ring write (see :func:`encode_frame`)
+#: pass / one ring write (see :func:`encode_frame`).  No fabric writes this
+#: kind: the batch codec is kept only because ``benchmarks/e2e/layers.py``
+#: measures ``runtime.codec_*`` through it.
 _KIND_BATCH = 2
 
 #: header tag of a batch frame.  Distinct from ``ANY_TAG`` (-1) and outside
@@ -75,8 +77,7 @@ _STALL_WAIT = 0.001
 #: consumer fast path: yield-spin this many times before a semaphore sleep.
 #: On few-core hosts ``sched_yield`` hands the CPU straight to the producer
 #: and the reply is usually waiting when we run again — no futex round trip.
-#: Overridable for experiments via $REPRO_SHM_SPINS.
-_SPIN_YIELDS = int(__import__("os").environ.get("REPRO_SHM_SPINS", "32"))
+_SPIN_YIELDS = 32
 
 
 def _strip_arrays(payload: Any, arrays: list, paths: list) -> Any:
@@ -224,9 +225,7 @@ def decode_message(data: "bytearray | bytes") -> tuple[int, Any, int, "float | N
 
 def decode_header(data: "bytearray | bytes") -> tuple[int, int]:
     """Cheap peek at ``(tag, serial)`` without unpickling the payload —
-    the parent's post-job stray-collective sweep needs only the tag.
-    A coalesced frame answers ``(_BATCH_TAG, first inner serial)``; use
-    :func:`decode_frame` to see the messages inside it."""
+    the parent's post-job stray-collective sweep needs only the tag."""
     tag, _, serial, _, _, _ = _MSG_HDR.unpack_from(memoryview(data), 0)
     return tag, serial
 

@@ -285,22 +285,6 @@ class DistTrace:
             for sp in self.spans[rank] if sp.cat == "comm"
         )
 
-    def flush_totals(self) -> dict[str, int]:
-        """Physical-frame totals from the ``comm:flush`` spans
-        (``cat="flush"``): ``{"frames", "messages", "words"}`` summed over
-        all ranks.  These are the *physical* counters of the aggregation
-        engine and must reconcile with :attr:`CommStats.frames` /
-        ``frame_words`` — the flush spans are deliberately excluded from
-        :meth:`comm_words_by_key`, which cross-checks the *logical* ledger.
-        """
-        out = {"frames": 0, "messages": 0, "words": 0}
-        for sp in self.all_spans():
-            if sp.cat != "flush":
-                continue
-            for k in out:
-                out[k] += int(sp.args.get(k, 0))
-        return out
-
     # -- restart merging ------------------------------------------------------
 
     def concat(

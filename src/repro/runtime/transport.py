@@ -225,9 +225,6 @@ class ThreadTransport(Transport):
         def runner(rank: int) -> None:
             try:
                 outcomes[rank].value = fn(comms[rank], *args, **kwargs)
-                # push out any coalesced tail (e.g. isends the program never
-                # followed with a blocking call) before peers wait on it
-                comms[rank].flush_sends()
             except BaseException as exc:  # noqa: BLE001 - must capture to re-raise in caller
                 outcomes[rank].error = exc
                 fabric.abort()

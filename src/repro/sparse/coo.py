@@ -35,6 +35,9 @@ class COO:
             # Sort by (col, row) and drop duplicate edges.
             order = np.lexsort((rows, cols))
             rows, cols = rows[order], cols[order]
+            # dead from here: free it before the compress below allocates
+            # two more nnz-sized arrays (one of them then reuses its slot)
+            del order
             keep = np.empty(rows.size, dtype=bool)
             keep[0] = True
             np.not_equal(rows[1:], rows[:-1], out=keep[1:])

@@ -13,8 +13,10 @@ import pytest
 from repro.runtime.shm import (
     Ring,
     carve_rings,
+    decode_frame,
     decode_header,
     decode_message,
+    encode_frame,
     encode_message,
     ring_segment_size,
 )
@@ -60,6 +62,43 @@ def test_codec_round_trip(payload):
     assert (tag, serial, reorder) == (17, 99, 0.25)
     assert _eq(payload, out)
     assert decode_header(enc) == (17, 99)
+
+
+@pytest.mark.parametrize("payload", PAYLOADS, ids=range(len(PAYLOADS)))
+def test_frame_codec_round_trip(payload):
+    """The batch codec has no ``src/`` caller left (the e2e benchmark's
+    ``runtime.codec_*`` metrics are its only user), so the message codec's
+    payloads go through it here too: a one-entry frame, and a three-entry
+    frame whose neighbours carry their own arrays and both reorder forms
+    (``None`` and a float)."""
+    [(tag, out, serial, reorder)] = decode_frame(
+        bytearray(encode_frame([(17, 99, 0.25, payload)]))
+    )
+    assert (tag, serial, reorder) == (17, 99, 0.25)
+    assert _eq(payload, out)
+
+    entries = [
+        (3, 7, None, np.arange(5, dtype=np.int32)),
+        (17, 8, 0.5, payload),
+        (1 << 31, 9, None, ("tail", np.ones(2))),
+    ]
+    got = decode_frame(bytearray(encode_frame(entries)))
+    assert [(t, s, u) for t, _, s, u in got] == [(t, s, u) for t, s, u, _ in entries]
+    for (_, _, _, sent), (_, recvd, _, _) in zip(entries, got):
+        assert _eq(sent, recvd)
+
+
+def test_frame_decoded_arrays_alias_the_buffer():
+    """Like ``decode_message``: arrays come back as writable views over the
+    receiver-owned buffer — no second copy, and isolated from the sender."""
+    src = np.arange(8, dtype=np.int64)
+    buf = bytearray(encode_frame([(1, 0, None, src), (2, 1, None, (src, "x"))]))
+    (_, first, _, _), (_, (second, _), _, _) = decode_frame(buf)
+    src[1] = 444                    # sender-side mutation after the encode
+    assert first[1] == 1 and second[1] == 1
+    first[0] = 555                  # the receiver's write lands in ITS buffer
+    assert np.shares_memory(first, np.frombuffer(buf, dtype=np.uint8))
+    assert second[0] == 0           # entries do not alias each other
 
 
 def test_codec_none_reorder():
