@@ -20,7 +20,8 @@ Run:  python examples/distributed_spmd.py
 import repro
 from repro.graphs import rmat
 from repro.matching import ms_bfs_mcm
-from repro.matching.mcm_dist import mcm_dist_spmd, merge_by_alg
+from repro.matching.job import merge_by_alg
+from repro.matching.mcm_dist import mcm_dist_spmd
 from repro.runtime import spmd
 from repro.simulate.critpath import report_trace
 

@@ -145,47 +145,30 @@ def cmd_spmd(args) -> int:
     coo = _load_input(args)
     trace = args.trace_clock if args.trace else False
     weighted = args.objective == "weight"
-    recovery_kwargs = {}
+    run_kwargs = dict(
+        timeout=args.timeout, verify=args.verify, trace=trace,
+        backend=args.backend,
+    )
     plan = None
     if args.chaos is not None:
         from .runtime import FaultPlan, FileCheckpointStore
 
         plan = FaultPlan.parse(args.chaos_plan, seed=args.chaos)
         store = FileCheckpointStore(args.checkpoint_dir) if args.checkpoint_dir else None
-        recovery_kwargs = dict(
+        run_kwargs.update(
             faults=plan, checkpoint_every=args.checkpoint_every,
             checkpoint_store=store, max_restarts=args.max_restarts,
         )
-    run_kwargs = dict(
-        timeout=args.timeout, verify=args.verify, trace=trace,
-        backend=args.backend,
-    )
     if weighted:
         from .graphs.generators import edge_weights
+        from .matching.mwm_dist import run_mwm_dist
 
         weights = edge_weights(coo, dist=args.weights, seed=args.seed,
                                bound=args.weight_bound)
-        alg_kwargs = dict(epsilon=args.epsilon, cardinality_bias=args.cardinality_bias)
-        if plan is not None:
-            from .runtime.executor import run_mwm_dist_resilient
-
-            mate_r, mate_c, stats = run_mwm_dist_resilient(
-                coo, weights, args.pr, args.pc,
-                **alg_kwargs, **recovery_kwargs, **run_kwargs,
-            )
-        else:
-            from .matching.mwm_dist import run_mwm_dist
-
-            mate_r, mate_c, stats = run_mwm_dist(
-                coo, weights, args.pr, args.pc, **alg_kwargs, **run_kwargs,
-            )
-    elif plan is not None:
-        from .runtime import run_mcm_dist_resilient
-
-        mate_r, mate_c, stats = run_mcm_dist_resilient(
-            coo, args.pr, args.pc,
-            init=args.init, direction=args.direction,
-            **recovery_kwargs, **run_kwargs,
+        mate_r, mate_c, stats = run_mwm_dist(
+            coo, weights, args.pr, args.pc,
+            epsilon=args.epsilon, cardinality_bias=args.cardinality_bias,
+            **run_kwargs,
         )
     else:
         mate_r, mate_c, stats = run_mcm_dist(

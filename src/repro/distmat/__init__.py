@@ -21,25 +21,25 @@ Data layout (exactly the paper's):
 Modules: :mod:`~repro.distmat.grid` (process grid + sub-communicators),
 :mod:`~repro.distmat.vecmap` (vector distribution maps),
 :mod:`~repro.distmat.distvec` (dense/sparse distributed vectors),
-:mod:`~repro.distmat.spmat` (the distributed matrix),
+:mod:`~repro.distmat.spmat` (block geometry, the root scatter, the
+distributed pattern matrix),
 :mod:`~repro.distmat.ops` (SpMV, INVERT, PRUNE and friends).
 """
 
 from .grid import ProcGrid
 from .vecmap import BlockMap, VecMap
 from .distvec import DistDenseVec, DistVertexFrontier
-from .spmat import DistSparseMatrix
+from .spmat import DistBlockMatrix, DistSparseMatrix, scatter_edges
 from . import ops
-# imported last: wspmat's methods reach back into repro.matching.auction
-from .wspmat import DistWeightedMatrix
 
 __all__ = [
     "BlockMap",
+    "DistBlockMatrix",
     "DistDenseVec",
     "DistSparseMatrix",
     "DistVertexFrontier",
-    "DistWeightedMatrix",
     "ProcGrid",
     "VecMap",
     "ops",
+    "scatter_edges",
 ]

@@ -1,4 +1,5 @@
-"""The 2D-distributed sparse matrix: one DCSC block per rank."""
+"""The 2D-distributed sparse matrix: block geometry, the root scatter, and
+the pattern matrix with one DCSC block per rank."""
 
 from __future__ import annotations
 
@@ -11,30 +12,96 @@ from .grid import ProcGrid
 from .vecmap import BlockMap
 
 
-class DistSparseMatrix:
-    """Rank-local view of an n₁ × n₂ matrix on a pr × pc grid.
+class DistBlockMatrix:
+    """The block geometry of an n₁ × n₂ matrix on a pr × pc grid — what
+    every engine's matrix shares, whatever it stores in its block.
 
-    Rank (i, j) stores block ``A_ij`` (rows ``rowmap.range(i)``, columns
-    ``colmap.range(j)``) as a DCSC with *local* indices.  Construction is a
-    root scatter: rank 0 holds the COO, partitions it by owner block and
-    scatters; every other rank contributes ``None``.
-
-    The row- and column-vector distribution maps are built once here and
-    cached (``row_vecmap``/``col_vecmap``) — every SpMV fold and INVERT
-    reuses them instead of rebuilding per call.
+    Rank (i, j) owns rows ``rowmap.range(i)`` = ``[row_lo, row_hi)`` and
+    columns ``colmap.range(j)`` = ``[col_lo, col_hi)``.  The row- and
+    column-vector distribution maps are built once here and cached
+    (``row_vecmap``/``col_vecmap``) — every SpMV fold and INVERT reuses
+    them instead of rebuilding per call.
     """
 
-    def __init__(self, grid: ProcGrid, nrows: int, ncols: int, block: DCSC) -> None:
+    def __init__(self, grid: ProcGrid, nrows: int, ncols: int) -> None:
         self.grid = grid
         self.nrows = int(nrows)
         self.ncols = int(ncols)
         self.rowmap = BlockMap(nrows, grid.pr)
         self.colmap = BlockMap(ncols, grid.pc)
-        self.block = block
         self.row_lo, self.row_hi = self.rowmap.range(grid.i)
         self.col_lo, self.col_hi = self.colmap.range(grid.j)
         self.row_vecmap = make_vecmap(grid, nrows, "row")
         self.col_vecmap = make_vecmap(grid, ncols, "col")
+
+    @property
+    def block_shape(self) -> tuple[int, int]:
+        """(rows, columns) of this rank's block."""
+        return self.row_hi - self.row_lo, self.col_hi - self.col_lo
+
+
+def scatter_edges(
+    grid: ProcGrid, coo: "COO | None", *values: np.ndarray, root: int = 0
+) -> tuple:
+    """Collective: partition the edges ``root`` holds by owner block and
+    scatter them, together with any per-edge ``values`` arrays (``root``
+    supplies ``coo`` and ``values``; every other rank passes ``None`` and
+    nothing).  Returns ``(geometry, rows, cols, *values)``: the
+    :class:`DistBlockMatrix` of the broadcast shape and this rank's edges
+    with BLOCK-LOCAL indices, each value array aligned with its edges.
+
+    The header broadcast is two words for a pattern matrix; the number of
+    value arrays rides as a third when there are any.
+    """
+    comm = grid.comm
+    if comm.rank == root:
+        if coo is None:
+            raise ValueError("root must supply the matrix")
+        if any(v.size != coo.rows.size for v in values):
+            raise ValueError("value arrays need one entry per edge")
+        header = (coo.nrows, coo.ncols, len(values)) if values else (coo.nrows, coo.ncols)
+    else:
+        header = None
+    nrows, ncols, *_ = comm.bcast(header, root=root)
+    geom = DistBlockMatrix(grid, nrows, ncols)
+
+    if comm.rank == root:
+        bi = np.minimum(coo.rows // geom.rowmap.bs, grid.pr - 1)
+        bj = np.minimum(coo.cols // geom.colmap.bs, grid.pc - 1)
+        dest = bi * grid.pc + bj
+        order = np.argsort(dest, kind="stable")
+        sorted_ = [a[order] for a in (coo.rows, coo.cols, *values)]
+        dest_s = dest[order]
+        cuts = np.searchsorted(dest_s, np.arange(comm.size + 1))
+        payloads = [
+            tuple(a[cuts[r]:cuts[r + 1]] for a in sorted_) for r in range(comm.size)
+        ]
+        # five dead nnz-sized arrays: drop them before the scatter — a
+        # piece is on the fabric when its send returns, so peers build
+        # their blocks while the root still copies the later pieces
+        del bi, bj, dest, order, dest_s
+    else:
+        payloads = None
+    rows, cols, *mine = comm.scatter(payloads, root=root)
+    if comm.rank == root:
+        # the sorted copies: drop them before the root builds its own block
+        # on top of them (the job's peak-memory moment)
+        del sorted_, payloads
+    return (geom, rows - geom.row_lo, cols - geom.col_lo, *mine)
+
+
+class DistSparseMatrix(DistBlockMatrix):
+    """Rank-local view of an n₁ × n₂ pattern matrix on a pr × pc grid.
+
+    Rank (i, j) stores block ``A_ij`` (rows ``rowmap.range(i)``, columns
+    ``colmap.range(j)``) as a DCSC with *local* indices.  Construction is a
+    root scatter (:func:`scatter_edges`): rank 0 holds the COO, every other
+    rank contributes ``None``.
+    """
+
+    def __init__(self, grid: ProcGrid, nrows: int, ncols: int, block: DCSC) -> None:
+        super().__init__(grid, nrows, ncols)
+        self.block = block
         self._degree_blocks: "tuple[np.ndarray, np.ndarray] | None" = None
 
     # -- construction ------------------------------------------------------------
@@ -44,47 +111,9 @@ class DistSparseMatrix:
         cls, grid: ProcGrid, coo: "COO | None", root: int = 0
     ) -> "DistSparseMatrix":
         """Collective: distribute a COO held by ``root`` over the grid."""
-        comm = grid.comm
-        if comm.rank == root:
-            assert coo is not None, "root must supply the matrix"
-            shape = (coo.nrows, coo.ncols)
-        else:
-            shape = None
-        nrows, ncols = comm.bcast(shape, root=root)
-        rowmap = BlockMap(nrows, grid.pr)
-        colmap = BlockMap(ncols, grid.pc)
-
-        if comm.rank == root:
-            bi = np.minimum(coo.rows // rowmap.bs, grid.pr - 1)
-            bj = np.minimum(coo.cols // colmap.bs, grid.pc - 1)
-            dest = bi * grid.pc + bj
-            order = np.argsort(dest, kind="stable")
-            rows_s, cols_s, dest_s = coo.rows[order], coo.cols[order], dest[order]
-            cuts = np.searchsorted(dest_s, np.arange(comm.size + 1))
-            payloads = [
-                (rows_s[cuts[r]:cuts[r + 1]], cols_s[cuts[r]:cuts[r + 1]])
-                for r in range(comm.size)
-            ]
-            # five dead nnz-sized arrays: drop them before the scatter — a
-            # piece is on the fabric when its send returns, so peers build
-            # their blocks while the root still copies the later pieces
-            del bi, bj, dest, order, dest_s
-        else:
-            payloads = None
-        my_rows, my_cols = comm.scatter(payloads, root=root)
-        if comm.rank == root:
-            # two more: drop them before the root builds its own block on
-            # top of them (the job's peak-memory moment)
-            del rows_s, cols_s, payloads
-
-        # localize indices and build the DCSC block
-        rlo, rhi = rowmap.range(grid.i)
-        clo, chi = colmap.range(grid.j)
-        local = COO(
-            max(0, rhi - rlo), max(0, chi - clo),
-            my_rows - rlo, my_cols - clo, dedup=False,
-        )
-        return cls(grid, nrows, ncols, DCSC.from_coo(local))
+        geom, rows, cols = scatter_edges(grid, coo, root=root)
+        local = COO(*geom.block_shape, rows, cols, dedup=False)
+        return cls(grid, geom.nrows, geom.ncols, DCSC.from_coo(local))
 
     # -- properties ---------------------------------------------------------------
 

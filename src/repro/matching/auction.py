@@ -164,19 +164,16 @@ def top2_cols(
     w: np.ndarray,
     cols: np.ndarray,
     price: np.ndarray,
-    bias: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Best and second-best profits per bidding column over one CSC block.
 
     ``cp`` is a dense column-pointer array (length ncols+1), ``ir``/``w``
     the row ids and weights; ``cols`` the bidding columns (local ids, any
-    subset); ``price`` the per-row prices the profits are computed against;
-    ``bias`` a uniform weight shift (the cardinality/weight trade-off knob —
-    every edge gains ``bias``, making longer matchings dominate).
+    subset); ``price`` the per-row prices the profits are computed against.
 
     Returns ``(cols, best, best_row, best_w, second)`` restricted to the
     columns with at least one edge in the block: the winning profit, its
-    row and *shifted* weight, and the profit of the best OTHER edge
+    row and weight, and the profit of the best OTHER edge
     (``-inf`` for single-edge columns).  Ties on profit break to the
     smallest row id, which is what makes distributed pre-reduction +
     :func:`combine_partials` reproduce this function applied globally.
@@ -193,7 +190,7 @@ def top2_cols(
     starts_of = np.concatenate(([0], np.cumsum(kcnt)))[:-1]
     flat = np.arange(tot, dtype=np.int64) + np.repeat(cp[kcols] - starts_of, kcnt)
     rows_e = ir[flat]
-    w_e = w[flat] + bias
+    w_e = w[flat]
     profit = w_e - price[rows_e]
     order = np.lexsort((rows_e, -profit, group))
     g_s, r_s, p_s, w_s = group[order], rows_e[order], profit[order], w_e[order]
@@ -358,20 +355,3 @@ def extract_matchings(
     m2 = np.flatnonzero(tr >= n2)
     pairs2 = (tr[m2] - np.int64(n2), m2)
     return pairs1, pairs2
-
-
-def matched_weight(
-    cp: np.ndarray, ir: np.ndarray, w: np.ndarray, mate_of_row: np.ndarray,
-    col_offset: int = 0,
-) -> float:
-    """Sum of ORIGINAL edge weights selected by a row-mate vector over one
-    CSC block.  ``mate_of_row[r]`` is the global mate column of local row r
-    (NULL if unmatched); block columns map to global ids via
-    ``col_offset``.  Each edge lives in exactly one block, so summing the
-    per-block results gives the global matching weight.
-    """
-    if w.size == 0:
-        return 0.0
-    cols_e = np.repeat(np.arange(cp.size - 1, dtype=np.int64), np.diff(cp))
-    hit = mate_of_row[ir] == cols_e + col_offset
-    return float(w[hit].sum())

@@ -34,7 +34,7 @@ from ..sparse.csc import CSC, ragged_gather
 from ..sparse.semiring import SR_MIN_PARENT, Semiring, reduce_candidates
 from ..sparse.spvec import NULL, VertexFrontier
 from .augment import augment_auto
-from .msbfs import MatchingStats
+from .msbfs import MatchingStats, MsBfsHooks, advance_frontier
 
 
 def _graft_candidates(
@@ -86,7 +86,7 @@ def ms_bfs_graft(
     root_c = np.full(n2, NULL, dtype=np.int64)
 
     fresh = True          # first phase (and confirmation phases) start clean
-    confirmed_empty = False
+    hooks = MsBfsHooks()  # the shared steps report to hooks; graft has none
 
     while True:
         stats.phases += 1
@@ -127,31 +127,11 @@ def ms_bfs_graft(
             else:
                 break
 
-            # Step 2-3: unvisited rows join the forest
-            fr = fr.keep(pi_r[fr.idx] == NULL)
-            pi_r[fr.idx] = fr.parent
-            root_r[fr.idx] = fr.root
-            # Step 4: split
-            unmatched = mate_r[fr.idx] == NULL
-            ufr = fr.keep(unmatched)
-            fr = fr.keep(~unmatched)
-
-            if ufr.nnz:
-                # Step 5: record augmenting path endpoints (first per root)
-                troots, first = np.unique(ufr.root, return_index=True)
-                fresh_mask = path_c[troots] == NULL
-                path_c[troots[fresh_mask]] = ufr.idx[first[fresh_mask]]
-                # Step 6: prune
-                if prune and fr.nnz:
-                    fr = fr.keep(~np.isin(fr.root, troots))
-
-            # Step 7: next column frontier through mates
-            mates = mate_r[fr.idx]
-            order = np.argsort(mates)
-            new_cols = mates[order]
-            new_roots = fr.root[order]
-            root_c[new_cols] = new_roots
-            fc = VertexFrontier(n2, new_cols, new_cols, new_roots)
+            # Steps 2-7 (shared with plain MS-BFS); the forest additionally
+            # remembers the root of every row and column that joined
+            joined, fc = advance_frontier(fr, mate_r, pi_r, path_c, prune, hooks)
+            root_r[joined.idx] = joined.root
+            root_c[fc.idx] = fc.root
 
         # ---- phase end -----------------------------------------------------
         k = int((path_c != NULL).sum())

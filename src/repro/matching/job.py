@@ -1,0 +1,363 @@
+"""The job shell both SPMD engines enter and leave through.
+
+MCM-DIST (:mod:`~repro.matching.mcm_dist`) and MWM-DIST
+(:mod:`~repro.matching.mwm_dist`) are each a phase loop plus an extraction;
+everything around the loop is the same job on the same substrate and lives
+here once:
+
+* :class:`DistStats` — the counters a job reports;
+* :func:`phase_boundary` — progress marker and phase-boundary crash point;
+* :func:`save_checkpoint` — the single-writer, barrier-closed snapshot write;
+* :func:`reduce_totals` — the job's ONE closing allreduce;
+* :func:`snapshot_ledger` / :func:`merge_by_alg` — the per-rank ledger
+  snapshot and its communication-free driver-side fold;
+* :func:`launch` — the only driver: launch on a pr × pc grid, and, when the
+  caller allows restarts, shrink-and-restart recovery from checkpoints.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Any, Callable
+
+import numpy as np
+
+from ..distmat.grid import ProcGrid
+from ..runtime import (
+    RECOVERABLE_ERRORS,
+    SUM,
+    Checkpoint,
+    CheckpointStore,
+    DistTrace,
+    FaultInjector,
+    FaultPlan,
+    resolve_backend,
+    resolve_timeout,
+    spmd,
+)
+
+
+@dataclass
+class DistStats:
+    """Per-run counters reported by rank 0."""
+
+    phases: int = 0
+    iterations: int = 0
+    augment_level_calls: int = 0
+    augment_path_calls: int = 0
+    initial_cardinality: int = 0
+    final_cardinality: int = 0
+    #: Step-1 direction tally (``topdown_steps + bottomup_steps == iterations``)
+    topdown_steps: int = 0
+    bottomup_steps: int = 0
+    #: global edges the chosen directions examined across all Step-1 SpMVs
+    edges_examined: int = 0
+    #: grid-wide words on the column / row communicators, and on every
+    #: communicator combined, over the whole job
+    expand_words: int = 0
+    fold_words: int = 0
+    total_words: int = 0
+    #: grid-wide per-algorithm collective counters, summed over all ranks and
+    #: the grid/row/column communicators: ``{"op:alg": {"calls", "messages",
+    #: "words", "steps"}}`` (see :attr:`repro.runtime.comm.CommStats.by_alg`)
+    comm_by_alg: "dict[str, dict[str, int]] | None" = None
+    #: the logical/physical ledger split of the aggregation engine, summed
+    #: over all ranks and communicators: ``comm_messages`` counts every
+    #: message of the logical (round-based) schedule — the number BENCH
+    #: gates and the trace cross-check price — while ``frames`` counts the
+    #: mailbox deposits/ring writes that actually crossed the fabric
+    #: (``frames == comm_messages`` when no communicator has ≥ 3 ranks)
+    comm_messages: int = 0
+    frames: int = 0
+    frame_words: int = 0
+    #: one-sided Get/Put/Fetch-and-op calls of path-parallel augmentation and
+    #: the words they moved, summed over all ranks (3 calls per pair-step of
+    #: an augmenting path).  Reported, not priced: they are NOT in
+    #: ``comm_by_alg``
+    rma_ops: int = 0
+    rma_words: int = 0
+    #: recovery counters, filled by :func:`launch`: fabric rebuilds after
+    #: failures, completed phases re-executed because they post-dated the
+    #: restart checkpoint, and 8-byte words written to the checkpoint store
+    #: across all incarnations of the job (all zero for a run that was
+    #: given no store and no restarts — it writes no checkpoint)
+    restarts: int = 0
+    phases_replayed: int = 0
+    checkpoint_words: int = 0
+    #: deterministic model-time service of the successful attempt under a
+    #: fault injector: the slowest rank's priced-message ledger (through
+    #: straggler/disruption factors and the degraded-link α-β model).
+    #: Failed attempts are excluded — the scenario driver reconstructs
+    #: their lost work from ``restart_spans`` x a crash-free twin's
+    #: ``model_phase_ledger``, because a crashed attempt's own counters
+    #: depend on which victims the abort unwinds first
+    model_seconds: float = 0.0
+    #: phase boundary -> max per-rank model-second ledger entering it
+    #: (successful attempt; None without a fault injector)
+    model_phase_ledger: "dict[int, float] | None" = None
+    #: (resume_phase, death_phase) per failed attempt that was restarted
+    restart_spans: "tuple[tuple[int, int], ...]" = ()
+    #: filled by :func:`launch` when the job ran with ``verify=True``
+    verify_summary: "dict[str, int] | None" = None
+    #: weighted-auction counters (``run_mwm_dist``; zero for cardinality
+    #: jobs): synchronized bidding rounds across all ε-phases, bids placed
+    #: (one per active bidder per round) and item price increases accepted
+    #: (counted once per item, not once per replica)
+    auction_rounds: int = 0
+    bids_placed: int = 0
+    price_updates: int = 0
+    #: weighted objective of the reported matching (original weights), its
+    #: weight scale (max edge weight) and the ε the schedule was built for
+    matching_weight: float = 0.0
+    weight_scale: float = 0.0
+    epsilon: float = 0.0
+
+    # The merged span timeline (:class:`repro.runtime.trace.DistTrace`) when
+    # the job ran with ``trace=...``.  Deliberately a plain class attribute,
+    # NOT a dataclass field: ``dataclasses.asdict(stats)`` (the CLI's
+    # ``--stats-json``) must not serialize it, and a disabled tracer must add
+    # zero entries to DistStats.
+    trace = None
+    # Final doubled-graph item prices of a weighted auction job — a class
+    # attribute for the same asdict/JSON reason as ``trace``; tests read it
+    # to assert ε-complementary slackness.
+    auction_prices = None
+
+
+# ---------------------------------------------------------------------------
+# per-rank pieces (called from inside the SPMD program)
+# ---------------------------------------------------------------------------
+
+def phase_boundary(grid: ProcGrid, phase_no: int) -> None:
+    """Publish phase progress and give the fault plan its phase-boundary
+    crash point (a no-op without an armed injector)."""
+    fabric = grid.comm.fabric
+    fabric.note_progress("phase", phase_no)
+    if fabric.faults is not None:
+        fabric.faults.on_phase(grid.comm.global_rank, phase_no)
+
+
+def save_checkpoint(
+    grid: ProcGrid, store: CheckpointStore, ck: Checkpoint, stats: DistStats
+) -> None:
+    """Write one snapshot every rank has assembled (collectively, inside the
+    engine's ``checkpoint`` span).
+
+    Only rank 0 writes to the store, so file-backed stores see one writer.
+    The closing barrier orders the write against every peer's progress: no
+    rank can pass this checkpoint (and reach the next crashable phase
+    boundary) until rank 0 has durably saved it, which is what makes the
+    restart trajectory of a seeded fault plan deterministic rather than
+    dependent on how far ahead the assembly let individual ranks run.
+    """
+    if grid.comm.rank == 0:
+        store.save(ck)
+    grid.comm.barrier()
+    stats.checkpoint_words += ck.words
+
+
+def reduce_totals(grid: ProcGrid, stats: DistStats, *extras: int) -> "list[int]":
+    """The job's ONE closing allreduce: the engine's own rank-local
+    ``extras`` first, then the column / row / grid ``words_sent`` —
+    snapshotted BEFORE the reduction, so it does not count itself.  Fills
+    the three word totals of ``stats`` and returns the summed extras."""
+    words = [c.stats.words_sent for c in (grid.colcomm, grid.rowcomm, grid.comm)]
+    totals = grid.comm.allreduce(np.array([*extras, *words], dtype=np.int64), op=SUM)
+    *reduced, col, row, whole = (int(t) for t in totals)
+    stats.expand_words, stats.fold_words = col, row
+    stats.total_words = col + row + whole
+    return reduced
+
+
+def _add_by_alg(into: dict, table: "dict | None") -> None:
+    """``into[key][field] += table[key][field]`` — the one per-algorithm
+    adder behind the rank-side snapshot and the driver-side merge."""
+    for key, counters in (table or {}).items():
+        agg = into.setdefault(key, {"calls": 0, "messages": 0, "words": 0, "steps": 0})
+        for name, v in counters.items():
+            agg[name] += v
+
+
+def snapshot_ledger(grid: ProcGrid, stats: DistStats) -> None:
+    """This rank's ledgers summed over the job's three communicators
+    (grid, row, column): the per-algorithm table, the logical message count
+    and the physical frames.  The job's LAST act — no message leaves the
+    rank after this snapshot, so the per-rank tables account for every word
+    of the whole job (which is what lets the span tracer cross-check them
+    exactly).  :func:`launch` sums the rank-local tables with ZERO extra
+    communication: the executor already returns every rank's values."""
+    ledgers = [c.stats for c in (grid.colcomm, grid.rowcomm, grid.comm)]
+    stats.comm_by_alg = {}
+    for ledger in ledgers:
+        _add_by_alg(stats.comm_by_alg, ledger.by_alg)
+    stats.comm_messages = sum(ledger.messages_sent for ledger in ledgers)
+    stats.frames = sum(ledger.frames for ledger in ledgers)
+    stats.frame_words = sum(ledger.frame_words for ledger in ledgers)
+
+
+# ---------------------------------------------------------------------------
+# the driver
+# ---------------------------------------------------------------------------
+
+def merge_by_alg(rank_values) -> dict[str, dict[str, int]]:
+    """Driver-side fold of per-rank ``(mate_r, mate_c, stats)`` tuples'
+    local ``comm_by_alg`` tables into the grid-wide table (pure local
+    computation on the already-gathered SPMD return values)."""
+    merged: dict[str, dict[str, int]] = {}
+    for _, _, st in rank_values:
+        _add_by_alg(merged, st.comm_by_alg)
+    return merged
+
+
+def launch(
+    rank_main: Callable[..., Any],
+    job_args: tuple,
+    pr: int,
+    pc: int,
+    *,
+    faults: "FaultPlan | FaultInjector | str | None" = None,
+    checkpoint_every: int = 1,
+    checkpoint_store: "CheckpointStore | None" = None,
+    max_restarts: int = 0,
+    timeout: "float | None" = None,
+    verify: bool = False,
+    trace: "bool | str" = False,
+    backend: "str | None" = None,
+    **alg_kwargs: Any,
+):
+    """Run ``rank_main(comm, *job_args, pr, pc, **alg_kwargs)`` on a pr × pc
+    grid and return rank 0's ``(mate_r, mate_c, stats)`` with the grid-wide
+    ledgers merged in — the one launch-and-merge body under
+    :func:`~repro.matching.mcm_dist.run_mcm_dist` and
+    :func:`~repro.matching.mwm_dist.run_mwm_dist`.
+
+    ``rank_main`` must accept ``checkpoint_every`` / ``checkpoint_store`` /
+    ``resume`` and snapshot at phase boundaries when given a store.  A
+    store exists iff the caller passes one or allows restarts
+    (``max_restarts > 0``, which creates an in-memory one); without a store
+    the rank mains receive ``checkpoint_every=0, checkpoint_store=None,
+    resume=None`` and the run carries no checkpoint traffic at all.
+
+    When an attempt fails with one of
+    :data:`~repro.runtime.executor.RECOVERABLE_ERRORS` and restarts remain,
+    the fabric is rebuilt from scratch — ULFM-style shrink-and-restart with
+    a fresh set of simulated processes — and the job resumes from the
+    store's latest checkpoint.  A ``FaultPlan`` (or its string form)
+    becomes one injector per attempt, built with the grid shape; crash
+    events that already fired are disarmed on restart (a process only dies
+    once), transient/delay faults re-arm.  A ready-made ``FaultInjector``
+    carries one attempt's counters, so it is accepted for a single attempt
+    only.  Everything else — resume-point lookup, restart-span and replay
+    accounting, trace concatenation (one ``restart`` span per seam), model
+    time of the surviving attempt — is algorithm-agnostic and lives here.
+    """
+    if isinstance(faults, str):
+        faults = FaultPlan.parse(faults)
+    if isinstance(faults, FaultInjector) and max_restarts > 0:
+        raise ValueError(
+            "a FaultInjector carries one attempt's counters: pass the "
+            "FaultPlan to run with max_restarts > 0"
+        )
+    timeout = resolve_timeout(timeout, default=120.0)
+    resolved_backend = resolve_backend(backend, verify=verify)
+    store = checkpoint_store
+    if store is None and max_restarts > 0:
+        store = CheckpointStore()
+    if (
+        store is not None
+        and resolved_backend == "process"
+        and not hasattr(store, "refresh_counters")
+    ):
+        if backend is not None:
+            raise ValueError(
+                "backend='process' requires a FileCheckpointStore: forked "
+                "ranks cannot write checkpoints into the parent's "
+                "in-memory store"
+            )
+        # backend came from $REPRO_SPMD_BACKEND, not the caller: fall back
+        # to thread (mirrors the verify fallback) rather than fail a job
+        # that never asked for processes
+        resolved_backend = "thread"
+    # multi-process writers bump a file store's shared sidecar, not this object
+    refresh = getattr(store, "refresh_counters", lambda: None)
+
+    disarmed: set = set()
+    restarts = 0
+    phases_replayed = 0
+    #: (resume_phase, death_phase) per failed attempt.  Both are
+    #: deterministic — the checkpoint write is collective and completes
+    #: before the next boundary's crash point, and the first victim notes
+    #: its boundary before dying — so the scenario driver can price the
+    #: failed attempt's lost work from a crash-free run's phase ledger
+    #: without touching the crashed attempt's scheduler-racy counters.
+    restart_spans: list = []
+    job_trace: "DistTrace | None" = None
+
+    def merge_attempt(attempt_trace: "DistTrace | None") -> None:
+        nonlocal job_trace
+        if attempt_trace is None:
+            return
+        if job_trace is None:
+            job_trace = attempt_trace
+        else:
+            job_trace = job_trace.concat(attempt_trace, "restart", attempt=restarts)
+
+    while True:
+        injector = faults
+        if isinstance(faults, FaultPlan):
+            injector = FaultInjector(faults, pr * pc, disarmed=disarmed, grid=(pr, pc))
+        refresh()
+        resume = store.latest() if store is not None else None
+        resume_phase = resume.phase if resume is not None else 0
+        try:
+            result = spmd(
+                pr * pc, rank_main, *job_args, pr, pc,
+                timeout=timeout, verify=verify, faults=injector,
+                trace=trace, backend=resolved_backend,
+                checkpoint_every=checkpoint_every if store is not None else 0,
+                checkpoint_store=store,
+                resume=resume,
+                **alg_kwargs,
+            )
+            merge_attempt(result.trace)
+            break
+        except RECOVERABLE_ERRORS as exc:
+            merge_attempt(getattr(exc, "spmd_trace", None))
+            restarts += 1
+            if restarts > max_restarts:
+                raise
+            if injector is not None:
+                disarmed |= injector.fired_tokens()
+            reached = getattr(exc, "spmd_progress", {}).get("phase", 0)
+            restart_spans.append((resume_phase, reached))
+            refresh()
+            latest = store.latest()
+            restart_from = latest.phase if latest is not None else 0
+            # phases the failed attempt had completed (it entered phase
+            # ``reached`` but died inside it) past the checkpoint the next
+            # attempt resumes from must run again
+            phases_replayed += max(0, reached - 1 - restart_from)
+
+    mate_r, mate_c, stats = result[0]
+    stats.comm_by_alg = merge_by_alg(result.values)
+    for name in ("comm_messages", "frames", "frame_words", "rma_ops", "rma_words"):
+        setattr(stats, name, sum(getattr(st, name) for _, _, st in result.values))
+    stats.verify_summary = result.verify_summary
+    stats.restarts = restarts
+    stats.phases_replayed = phases_replayed
+    stats.restart_spans = tuple(restart_spans)
+    if store is not None:
+        refresh()
+        stats.checkpoint_words = store.words_written
+    if injector is not None:
+        # model-time service of the SUCCESSFUL attempt only: slowest rank's
+        # ledger (bulk-synchronous completion rule).  Failed attempts' lost
+        # work is NOT folded in here — their counters are scheduler-racy —
+        # it is reconstructed by the scenario driver from ``restart_spans``
+        # against a crash-free twin's ``model_phase_ledger``.
+        stats.model_seconds = max(injector.model_seconds)
+        stats.model_phase_ledger = {
+            p: injector.phase_ledger[p] for p in sorted(injector.phase_ledger)
+        }
+    stats.trace = job_trace
+    return mate_r, mate_c, stats

@@ -72,12 +72,13 @@ the BFS loop no personalized all-to-all and no per-phase, per-level or
 per-round reduction runs on the grid communicator (DESIGN "Phase anatomy").
 
 The driver :func:`run_mcm_dist` launches the whole job on a pr×pc grid of
-simulated ranks and returns globally assembled mate vectors.
+simulated ranks and returns globally assembled mate vectors.  What the
+engine does around its phase loop — launch and recovery, the checkpoint
+write, the closing reduction and ledger — is the job shell it shares with
+MWM-DIST (:mod:`repro.matching.job`).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,7 +97,7 @@ from ..distmat.ops import (
     spmv_expanded,
 )
 from ..distmat.spmat import DistSparseMatrix
-from ..runtime import Window, spmd
+from ..runtime import Window
 from ..runtime.checkpoint import Checkpoint, CheckpointStore
 from ..runtime.comm import SUM, Communicator
 from ..runtime.trace import tspan
@@ -104,92 +105,14 @@ from ..sparse.coo import COO
 from ..sparse.semiring import SR_MIN_PARENT, Semiring, reduce_candidates
 from ..sparse.spvec import NULL
 from .augment import choose_augment_mode
-
-
-@dataclass
-class DistStats:
-    """Per-run counters reported by rank 0."""
-
-    phases: int = 0
-    iterations: int = 0
-    augment_level_calls: int = 0
-    augment_path_calls: int = 0
-    initial_cardinality: int = 0
-    final_cardinality: int = 0
-    #: Step-1 direction tally (``topdown_steps + bottomup_steps == iterations``)
-    topdown_steps: int = 0
-    bottomup_steps: int = 0
-    #: global edges the chosen directions examined across all Step-1 SpMVs
-    edges_examined: int = 0
-    #: grid-wide words on the column / row communicators, and on every
-    #: communicator combined, over the whole job
-    expand_words: int = 0
-    fold_words: int = 0
-    total_words: int = 0
-    #: grid-wide per-algorithm collective counters, summed over all ranks and
-    #: the grid/row/column communicators: ``{"op:alg": {"calls", "messages",
-    #: "words", "steps"}}`` (see :attr:`repro.runtime.comm.CommStats.by_alg`)
-    comm_by_alg: "dict[str, dict[str, int]] | None" = None
-    #: the logical/physical ledger split of the aggregation engine, summed
-    #: over all ranks and communicators: ``comm_messages`` counts every
-    #: message of the logical (round-based) schedule — the number BENCH
-    #: gates and the trace cross-check price — while ``frames`` counts the
-    #: mailbox deposits/ring writes that actually crossed the fabric
-    #: (``frames == comm_messages`` when no communicator has ≥ 3 ranks)
-    comm_messages: int = 0
-    frames: int = 0
-    frame_words: int = 0
-    #: one-sided Get/Put/Fetch-and-op calls of path-parallel augmentation and
-    #: the words they moved, summed over all ranks (3 calls per pair-step of
-    #: an augmenting path).  Reported, not priced: they are NOT in
-    #: ``comm_by_alg``
-    rma_ops: int = 0
-    rma_words: int = 0
-    #: recovery counters, filled by ``run_mcm_dist_resilient``: fabric
-    #: rebuilds after failures, completed phases re-executed because they
-    #: post-dated the restart checkpoint, and 8-byte words written to the
-    #: checkpoint store across all incarnations of the job
-    restarts: int = 0
-    phases_replayed: int = 0
-    checkpoint_words: int = 0
-    #: deterministic model-time service of the successful attempt under a
-    #: fault injector: the slowest rank's priced-message ledger (through
-    #: straggler/disruption factors and the degraded-link α-β model).
-    #: Failed attempts are excluded — the scenario driver reconstructs
-    #: their lost work from ``restart_spans`` x a crash-free twin's
-    #: ``model_phase_ledger``, because a crashed attempt's own counters
-    #: depend on which victims the abort unwinds first
-    model_seconds: float = 0.0
-    #: phase boundary -> max per-rank model-second ledger entering it
-    #: (successful attempt; None without a fault injector)
-    model_phase_ledger: "dict[int, float] | None" = None
-    #: (resume_phase, death_phase) per failed attempt of a resilient run
-    restart_spans: "tuple[tuple[int, int], ...]" = ()
-    #: filled by :func:`run_mcm_dist` when the job ran with ``verify=True``
-    verify_summary: "dict[str, int] | None" = None
-    #: weighted-auction counters (``run_mwm_dist``; zero for cardinality
-    #: jobs): synchronized bidding rounds across all ε-phases, bids placed
-    #: (one per active bidder per round) and item price increases accepted
-    #: (counted once per item, not once per replica)
-    auction_rounds: int = 0
-    bids_placed: int = 0
-    price_updates: int = 0
-    #: weighted objective of the reported matching (original weights), its
-    #: weight scale (max edge weight) and the ε the schedule was built for
-    matching_weight: float = 0.0
-    weight_scale: float = 0.0
-    epsilon: float = 0.0
-
-    # The merged span timeline (:class:`repro.runtime.trace.DistTrace`) when
-    # the job ran with ``trace=...``.  Deliberately a plain class attribute,
-    # NOT a dataclass field: ``dataclasses.asdict(stats)`` (the CLI's
-    # ``--stats-json``) must not serialize it, and a disabled tracer must add
-    # zero entries to DistStats.
-    trace = None
-    # Final doubled-graph item prices of a weighted auction job — a class
-    # attribute for the same asdict/JSON reason as ``trace``; tests read it
-    # to assert ε-complementary slackness.
-    auction_prices = None
+from .job import (
+    DistStats,
+    launch,
+    phase_boundary,
+    reduce_totals,
+    save_checkpoint,
+    snapshot_ledger,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +322,7 @@ def augment_path_spmd_rma(
 # phase-granular checkpointing
 # ---------------------------------------------------------------------------
 
-def _save_checkpoint(
+def _checkpoint(
     grid: ProcGrid,
     store: CheckpointStore,
     phase: int,
@@ -407,32 +330,14 @@ def _save_checkpoint(
     mate_c: DistDenseVec,
     stats: DistStats,
 ) -> None:
-    """Snapshot the globally assembled matching after a completed phase.
-
-    The assembly is collective (allgather on the grid communicator); only
-    rank 0 writes to the store, so file-backed stores see one writer.  The
-    closing barrier orders the write against every peer's progress: no rank
-    can pass this checkpoint (and reach the next crashable phase boundary)
-    until rank 0 has durably saved it, which is what makes the restart
-    trajectory of a seeded fault plan deterministic rather than dependent
-    on how far ahead the allgather let individual ranks run.
-    """
+    """Snapshot the globally assembled matching after a completed phase
+    (the assembly is two allgathers on the grid communicator; the write
+    protocol is :func:`~repro.matching.job.save_checkpoint`)."""
     with tspan(grid.comm, "checkpoint", cat="phase", phase=phase):
-        g_r = mate_r.to_global()
-        g_c = mate_c.to_global()
-        if grid.comm.rank == 0:
-            store.save(Checkpoint(phase=phase, mate_row=g_r, mate_col=g_c, rng_state=None))
-        grid.comm.barrier()
-        stats.checkpoint_words += g_r.size + g_c.size + 2
-
-
-def _phase_boundary(grid: ProcGrid, phase_no: int) -> None:
-    """Publish phase progress and give the fault plan its phase-boundary
-    crash point (a no-op without an armed injector)."""
-    fabric = grid.comm.fabric
-    fabric.note_progress("phase", phase_no)
-    if fabric.faults is not None:
-        fabric.faults.on_phase(grid.comm.global_rank, phase_no)
+        ck = Checkpoint(
+            phase=phase, mate_row=mate_r.to_global(), mate_col=mate_c.to_global()
+        )
+        save_checkpoint(grid, store, ck, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -464,13 +369,15 @@ def mcm_dist_spmd(
     three modes.  Returns (globally gathered mate_r, mate_c, stats) on
     every rank.
 
-    Checkpoint/restart (driven by ``run_mcm_dist_resilient``): with
+    Checkpoint/restart (driven by :func:`~repro.matching.job.launch`, which
+    passes a store only when the caller gave one or allowed restarts): with
     ``checkpoint_store`` set, the job snapshots the globally assembled
     mate vectors after the initializer and after every
     ``checkpoint_every``-th completed phase — each completed phase is a
-    valid matching, so any snapshot is a correct restart point.  With
-    ``resume`` set, the initializer is skipped and the phase loop continues
-    from the checkpointed matching.
+    valid matching, so any snapshot is a correct restart point.  Without a
+    store no checkpoint collective runs at all.  With ``resume`` set, the
+    initializer is skipped and the phase loop continues from the
+    checkpointed matching.
     """
     if direction not in ("topdown", "bottomup", "auto"):
         raise ValueError(
@@ -506,7 +413,7 @@ def mcm_dist_spmd(
         )
     if checkpoint_store is not None and resume is None:
         # phase-0 snapshot: initializer work survives a crash in phase 1
-        _save_checkpoint(grid, checkpoint_store, 0, mate_r, mate_c, stats)
+        _checkpoint(grid, checkpoint_store, 0, mate_r, mate_c, stats)
 
     edges_local = 0
     phase_no = resume.phase if resume is not None else 0
@@ -517,7 +424,7 @@ def mcm_dist_spmd(
     while True:
         phase_no += 1
         stats.phases = phase_no
-        _phase_boundary(grid, phase_no)
+        phase_boundary(grid, phase_no)
         # leaving the ``with`` via the k == 0 break below still closes the
         # span, so even the final (no-path) phase is timed
         with tspan(grid.comm, "phase", cat="phase", phase=phase_no):
@@ -643,96 +550,21 @@ def mcm_dist_spmd(
                 and checkpoint_every > 0
                 and phase_no % checkpoint_every == 0
             ):
-                _save_checkpoint(grid, checkpoint_store, phase_no, mate_r, mate_c, stats)
+                _checkpoint(grid, checkpoint_store, phase_no, mate_r, mate_c, stats)
 
     if win is not None:
         stats.rma_ops, stats.rma_words = win.rma_ops, win.rma_words
         win.free()
-    # ONE closing reduction; the word counters are snapshotted BEFORE it so
-    # it does not count itself
-    totals = grid.comm.allreduce(
-        np.array(
-            [
-                np.count_nonzero(mate_r.local != NULL),
-                edges_local,
-                grid.colcomm.stats.words_sent,
-                grid.rowcomm.stats.words_sent,
-                grid.comm.stats.words_sent,
-            ],
-            dtype=np.int64,
-        ),
-        op=SUM,
+    stats.final_cardinality, stats.edges_examined = reduce_totals(
+        grid, stats, np.count_nonzero(mate_r.local != NULL), edges_local
     )
-    stats.final_cardinality = int(totals[0])
-    stats.edges_examined = int(totals[1])
-    stats.expand_words = int(totals[2])
-    stats.fold_words = int(totals[3])
-    stats.total_words = int(totals[2] + totals[3] + totals[4])
+    # the order is part of the ledger: the word totals are reduced BEFORE
+    # the final gather (``total_words`` excludes it), the per-rank snapshot
+    # is taken AFTER it, as the job's last act
     g_r = mate_r.to_global()
     g_c = mate_c.to_global()
-    # per-algorithm counters, aggregated over this rank's grid/row/column
-    # communicators as the LAST act of the job — no message leaves any rank
-    # after this snapshot, so the per-rank tables account for every word of
-    # the whole job (which is what lets the span tracer cross-check them
-    # exactly).  The drivers sum the rank-local tables into the grid-wide
-    # ``comm_by_alg`` with ZERO extra communication: the executor already
-    # returns every rank's values.
-    stats.comm_by_alg = _local_by_alg(grid)
-    stats.comm_messages, stats.frames, stats.frame_words = _local_physical(grid)
+    snapshot_ledger(grid, stats)
     return g_r, g_c, stats
-
-
-def _local_physical(grid: ProcGrid) -> tuple[int, int, int]:
-    """This rank's (logical messages, physical frames, frame words) summed
-    over the job's three communicators — snapshotted at the same no-more-
-    traffic point as :func:`_local_by_alg`, so frames account for every
-    send of the job."""
-    msgs = frames = fwords = 0
-    for c in (grid.colcomm, grid.rowcomm, grid.comm):
-        msgs += c.stats.messages_sent
-        frames += c.stats.frames
-        fwords += c.stats.frame_words
-    return msgs, frames, fwords
-
-
-def _local_by_alg(grid: ProcGrid) -> dict[str, dict[str, int]]:
-    """This rank's ``{"op:alg": counters}`` summed over the job's three
-    communicators (grid, row, column)."""
-    mine: dict[str, dict[str, int]] = {}
-    for c in (grid.colcomm, grid.rowcomm, grid.comm):
-        for key, d in c.stats.by_alg.items():
-            agg = mine.setdefault(
-                key, {"calls": 0, "messages": 0, "words": 0, "steps": 0}
-            )
-            for field_name, v in d.items():
-                agg[field_name] += v
-    return mine
-
-
-def merge_by_alg(rank_values) -> dict[str, dict[str, int]]:
-    """Driver-side fold of per-rank ``(mate_r, mate_c, stats)`` tuples'
-    local ``comm_by_alg`` tables into the grid-wide table (pure local
-    computation on the already-gathered SPMD return values)."""
-    merged: dict[str, dict[str, int]] = {}
-    for _, _, st in rank_values:
-        for key, d in (st.comm_by_alg or {}).items():
-            agg = merged.setdefault(
-                key, {"calls": 0, "messages": 0, "words": 0, "steps": 0}
-            )
-            for field_name, v in d.items():
-                agg[field_name] += v
-    return merged
-
-
-def merge_physical(stats: DistStats, rank_values) -> None:
-    """Driver-side fold of the per-rank logical/physical ledgers and
-    one-sided counters onto the reported ``stats`` (companion of
-    :func:`merge_by_alg`)."""
-    stats.comm_messages = sum(st.comm_messages for _, _, st in rank_values)
-    stats.frames = sum(st.frames for _, _, st in rank_values)
-    stats.frame_words = sum(st.frame_words for _, _, st in rank_values)
-    stats.rma_ops = sum(st.rma_ops for _, _, st in rank_values)
-    stats.rma_words = sum(st.rma_words for _, _, st in rank_values)
 
 
 def _mcm_rank_main(comm: Communicator, coo: COO, pr: int, pc: int, **mcm_kwargs):
@@ -760,6 +592,9 @@ def run_mcm_dist(
     faults=None,
     trace: "bool | str" = False,
     backend: "str | None" = None,
+    checkpoint_every: int = 1,
+    checkpoint_store: "CheckpointStore | None" = None,
+    max_restarts: int = 0,
 ) -> tuple[np.ndarray, np.ndarray, DistStats]:
     """Launch MCM-DIST on a simulated pr × pc process grid.
 
@@ -769,14 +604,10 @@ def run_mcm_dist(
     ``verify=True`` arms the runtime's collective-divergence and RMA-race
     verifiers for the whole job (``repro spmd --verify``).
     ``timeout`` is the deadlock window for every blocking runtime call
-    (``None`` → ``$REPRO_SPMD_TIMEOUT`` → 120 s); ``faults`` optionally arms
-    a seeded :class:`~repro.runtime.faults.FaultPlan`/``FaultInjector`` —
-    this entry point has no recovery, use
-    :func:`~repro.runtime.executor.run_mcm_dist_resilient` to survive the
-    injected crashes.  Which physical collective plan runs is chosen per
-    communicator from its size (hub/star waves from three ranks up, see
-    :mod:`repro.runtime.comm`); deterministic semirings yield bit-identical
-    mate vectors on every grid shape.  ``trace`` turns on
+    (``None`` → ``$REPRO_SPMD_TIMEOUT`` → 120 s).  Which physical collective
+    plan runs is chosen per communicator from its size (hub/star waves from
+    three ranks up, see :mod:`repro.runtime.comm`); deterministic semirings
+    yield bit-identical mate vectors on every grid shape.  ``trace`` turns on
     per-rank span tracing (``True``/``"wall"`` for wall-clock timestamps,
     ``"ticks"`` for the deterministic clock); the merged
     :class:`~repro.runtime.trace.DistTrace` lands on ``stats.trace`` —
@@ -784,20 +615,33 @@ def run_mcm_dist(
     ``backend`` selects the transport ("thread"/"process" — forked OS
     processes over shared-memory rings; bit-identical mates either way);
     ``None`` resolves through ``$REPRO_SPMD_BACKEND``.
-    """
-    from ..runtime.executor import resolve_timeout
 
-    result = spmd(
-        pr * pc, _mcm_rank_main, coo, pr, pc,
-        timeout=resolve_timeout(timeout, default=120.0),
-        verify=verify, faults=faults, trace=trace, backend=backend,
+    Faults and recovery (:func:`~repro.matching.job.launch` is the driver):
+    ``faults`` arms a seeded :class:`~repro.runtime.faults.FaultPlan` (or its
+    string form; a ready-made ``FaultInjector`` for a single attempt).  With
+    ``max_restarts > 0`` the job survives rank deaths, injected or
+    otherwise: every ``checkpoint_every``-th phase boundary snapshots
+    ``(mate_row, mate_col, phase)`` into ``checkpoint_store`` (in-memory by
+    default; a :class:`~repro.runtime.checkpoint.FileCheckpointStore`
+    survives the process and is required under ``backend="process"`` —
+    forked ranks cannot write into the parent's memory), a failed attempt
+    is restarted on a fresh fabric from the latest snapshot, up to
+    ``max_restarts`` times, and because each completed phase leaves a valid
+    matching the restarted run converges to the same maximum cardinality.
+    ``stats.restarts`` / ``phases_replayed`` / ``restart_spans`` /
+    ``checkpoint_words`` record it; with ``trace`` set, every attempt's
+    timeline — failed ones included, fault and truncated spans intact — is
+    concatenated with a ``restart`` span at each seam.  A store exists iff
+    one is passed or ``max_restarts > 0``: the default run writes no
+    checkpoint and pays no checkpoint collective; passing a store alone
+    (``max_restarts=0``) snapshots, and resumes from what the store already
+    holds, without restarting.
+    """
+    return launch(
+        _mcm_rank_main, (coo,), pr, pc,
+        faults=faults, checkpoint_every=checkpoint_every,
+        checkpoint_store=checkpoint_store, max_restarts=max_restarts,
+        timeout=timeout, verify=verify, trace=trace, backend=backend,
         init=init, semiring=semiring, prune=prune, augment=augment,
         direction=direction,
     )
-    mate_r, mate_c, stats = result[0]
-    stats.comm_by_alg = merge_by_alg(result.values)
-    merge_physical(stats, result.values)
-    stats.verify_summary = result.verify_summary
-    if result.trace is not None:
-        stats.trace = result.trace
-    return mate_r, mate_c, stats

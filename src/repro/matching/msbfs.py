@@ -127,6 +127,57 @@ def _bottom_up_step(
     return cand_rows[hit], cand_cols[hit], root_of
 
 
+def advance_frontier(
+    fr: VertexFrontier,
+    mate_r: np.ndarray,
+    pi_r: np.ndarray,
+    path_c: np.ndarray,
+    prune: bool,
+    hooks: MsBfsHooks,
+) -> tuple[VertexFrontier, VertexFrontier]:
+    """Steps 2–7 of Algorithm 2: from Step 1's reduced row frontier ``fr``
+    to the next column frontier.  Mutates ``pi_r`` (parents of the rows
+    that join) and ``path_c`` (new augmenting-path ends).  Returns
+    ``(joined, fc)``: the rows that joined the forest this level — after
+    Step 2's filter, before Step 4's split — and the next column frontier.
+    """
+    # -- Step 2: keep unvisited rows (SELECT on π_r = -1)
+    joined = fr.keep(pi_r[fr.idx] == NULL)
+    # -- Step 3: record their parents (SET)
+    pi_r[joined.idx] = joined.parent
+    # -- Step 4: split into unmatched and matched rows (two SELECTs)
+    unmatched = mate_r[joined.idx] == NULL
+    ufr = joined.keep(unmatched)
+    fr = joined.keep(~unmatched)
+    hooks.on_select_set(fr, ufr)
+
+    if ufr.nnz:
+        # -- Step 5: store endpoints of new augmenting paths
+        # INVERT(ROOT(uf_r)): roots become indices, rows become values;
+        # first occurrence wins, and roots that found a path in an
+        # earlier iteration (possible only with pruning off) keep the
+        # earlier, shorter path.
+        hooks.on_invert_paths(ufr)
+        troots, first = np.unique(ufr.root, return_index=True)
+        fresh = path_c[troots] == NULL
+        path_c[troots[fresh]] = ufr.idx[first[fresh]]
+
+        # -- Step 6: prune trees that discovered augmenting paths
+        if prune and fr.nnz:
+            keep = ~np.isin(fr.root, troots)
+            hooks.on_prune(fr, troots, int(keep.sum()))
+            fr = fr.keep(keep)
+
+    # -- Step 7: next column frontier = mates of the matched rows, with
+    # parents set to the mates themselves and roots carried over
+    # (SET + INVERT in the paper's formulation).
+    mates = mate_r[fr.idx]
+    order = np.argsort(mates)
+    fc = VertexFrontier(path_c.size, mates[order], mates[order], fr.root[order])
+    hooks.on_next_frontier(fr, mates)
+    return joined, fc
+
+
 def run_phase(
     a: CSC,
     mate_r: np.ndarray,
@@ -191,40 +242,8 @@ def run_phase(
         if stats is not None:
             stats.edges_traversed += cand_rows.size
 
-        # -- Step 2: keep unvisited rows (SELECT on π_r = -1)
-        fr = fr.keep(pi_r[fr.idx] == NULL)
-        # -- Step 3: record their parents (SET)
-        pi_r[fr.idx] = fr.parent
-        # -- Step 4: split into unmatched and matched rows (two SELECTs)
-        unmatched = mate_r[fr.idx] == NULL
-        ufr = fr.keep(unmatched)
-        fr = fr.keep(~unmatched)
-        hooks.on_select_set(fr, ufr)
-
-        if ufr.nnz:
-            # -- Step 5: store endpoints of new augmenting paths
-            # INVERT(ROOT(uf_r)): roots become indices, rows become values;
-            # first occurrence wins, and roots that found a path in an
-            # earlier iteration (possible only with pruning off) keep the
-            # earlier, shorter path.
-            hooks.on_invert_paths(ufr)
-            troots, first = np.unique(ufr.root, return_index=True)
-            fresh = path_c[troots] == NULL
-            path_c[troots[fresh]] = ufr.idx[first[fresh]]
-
-            # -- Step 6: prune trees that discovered augmenting paths
-            if prune and fr.nnz:
-                keep = ~np.isin(fr.root, troots)
-                hooks.on_prune(fr, troots, int(keep.sum()))
-                fr = fr.keep(keep)
-
-        # -- Step 7: next column frontier = mates of the matched rows, with
-        # parents set to the mates themselves and roots carried over
-        # (SET + INVERT in the paper's formulation).
-        mates = mate_r[fr.idx]
-        order = np.argsort(mates)
-        fc = VertexFrontier(n2, mates[order], mates[order], fr.root[order])
-        hooks.on_next_frontier(fr, mates)
+        # -- Steps 2–7
+        _, fc = advance_frontier(fr, mate_r, pi_r, path_c, prune, hooks)
         hooks.on_iteration_end(iteration)
         if stats is not None:
             stats.iterations += 1

@@ -41,11 +41,13 @@ All bids of a round are computed against the same round-start prices
 bit-identical to :func:`repro.matching.reference.auction_twin.auction_mwm_serial`
 on every grid shape and backend, under either physical collective plan.
 
-Checkpointing rides the phase-boundary protocol of the cardinality
-engine, but snapshots the item PRICES alongside the doubled mate vectors
-(the :class:`~repro.runtime.checkpoint.Checkpoint` ``aux`` slot): mates
-alone are not a valid auction restart point — a phase resumed with zeroed
-prices would forfeit the warm start the earlier ε-phases paid for.
+Launch, recovery, the checkpoint write and the closing ledger are the job
+shell the cardinality engine uses too (:mod:`repro.matching.job`); the
+snapshot is this engine's own: it carries the item PRICES alongside the
+doubled mate vectors (the :class:`~repro.runtime.checkpoint.Checkpoint`
+``aux`` slot): mates alone are not a valid auction restart point — a phase
+resumed with zeroed prices would forfeit the warm start the earlier
+ε-phases paid for.
 """
 
 from __future__ import annotations
@@ -54,32 +56,33 @@ import numpy as np
 
 from ..distmat.grid import ProcGrid
 from ..distmat.ops import allgather_arrays, concat_pieces
-from ..distmat.wspmat import DistWeightedMatrix
-from ..runtime import spmd
+from ..distmat.spmat import scatter_edges
 from ..runtime.checkpoint import Checkpoint, CheckpointStore
-from ..runtime.comm import SUM, Communicator
+from ..runtime.comm import Communicator
 from ..runtime.trace import tspan
 from ..sparse.coo import COO
 from ..sparse.spvec import NULL
 from .auction import (
+    build_csc,
     combine_partials,
     compute_bids,
     dedup_edges,
     delta_schedule,
     double_for_assignment,
     resolve_bids,
+    top2_cols,
 )
-from .mcm_dist import (
+from .job import (
     DistStats,
-    _local_by_alg,
-    _local_physical,
-    _phase_boundary,
-    merge_by_alg,
-    merge_physical,
+    launch,
+    phase_boundary,
+    reduce_totals,
+    save_checkpoint,
+    snapshot_ledger,
 )
 
 
-def _save_auction_checkpoint(
+def _checkpoint(
     grid: ProcGrid,
     store: CheckpointStore,
     phase: int,
@@ -87,29 +90,22 @@ def _save_auction_checkpoint(
     price_blk: np.ndarray,
     stats: DistStats,
 ) -> None:
-    """Snapshot (doubled mates, item prices) after a completed ε-phase.
-
-    Same write/barrier discipline as the cardinality engine's
-    ``_save_checkpoint`` — rank 0 is the single writer, and no rank passes
-    the closing barrier (toward the next crashable phase boundary) before
-    the snapshot is durable.
-    """
+    """Snapshot (doubled mates, item prices) after a completed ε-phase (the
+    assembly is one column allgather; the write protocol is
+    :func:`~repro.matching.job.save_checkpoint`)."""
     with tspan(grid.comm, "checkpoint", cat="phase", phase=phase):
         # every rank holds its whole row block, and the pr ranks of a grid
         # column hold row blocks 0..pr-1 in rank order
         g_item, prices = concat_pieces(allgather_arrays(grid.colcomm, owner_blk, price_blk))
-        if grid.comm.rank == 0:
-            # a phase ends on a perfect assignment (phase 0: nothing owned),
-            # so the bidder side is the inverse of the item side
-            owned = np.flatnonzero(g_item != NULL)
-            g_bidder = np.full(g_item.size, NULL, dtype=np.int64)
-            g_bidder[g_item[owned]] = owned
-            store.save(Checkpoint(
-                phase=phase, mate_row=g_item, mate_col=g_bidder,
-                rng_state=None, aux={"prices": prices},
-            ))
-        grid.comm.barrier()
-        stats.checkpoint_words += 2 * g_item.size + prices.size + 2
+        # a phase ends on a perfect assignment (phase 0: nothing owned),
+        # so the bidder side is the inverse of the item side
+        owned = np.flatnonzero(g_item != NULL)
+        g_bidder = np.full(g_item.size, NULL, dtype=np.int64)
+        g_bidder[g_item[owned]] = owned
+        ck = Checkpoint(
+            phase=phase, mate_row=g_item, mate_col=g_bidder, aux={"prices": prices}
+        )
+        save_checkpoint(grid, store, ck, stats)
 
 
 def mwm_dist_spmd(
@@ -168,10 +164,14 @@ def mwm_dist_spmd(
         N, dr, dc, dweff, dworig = double_for_assignment(
             n1, n2, e_rows, e_cols, w_in, bias_add
         )
-        doubled = COO(N, N, dr, dc, dedup=False)  # groups are disjoint by construction
+        # groups are disjoint by construction
+        edges = (COO(N, N, dr, dc, dedup=False), dweff, dworig)
     else:
-        doubled, dweff, dworig = None, None, None
-    A = DistWeightedMatrix.scatter_from_root(grid, doubled, dweff, weights2=dworig)
+        edges = (None,)
+    # A is the block geometry; the block itself is four local CSC arrays:
+    # bids go by the effective weights, matchings are scored by the original
+    A, rows, cols, w_eff, w_orig = scatter_edges(grid, *edges)
+    cp, ir, w_eff, w_orig = build_csc(*A.block_shape, rows, cols, w_eff, w_orig)
     N = A.nrows
 
     # the replicas: row block i's item -> bidder map and prices (identical
@@ -189,13 +189,13 @@ def mwm_dist_spmd(
         start_phase = resume.phase
     elif checkpoint_store is not None:
         # phase-0 snapshot: uniform restart bookkeeping with the MCM engine
-        _save_auction_checkpoint(grid, checkpoint_store, 0, owner_blk, price_blk, stats)
+        _checkpoint(grid, checkpoint_store, 0, owner_blk, price_blk, stats)
 
     rounds = bids = updates_row = 0
     for phase_no in range(start_phase + 1, len(schedule) + 1):
         delta = schedule[phase_no - 1]
         stats.phases = phase_no
-        _phase_boundary(grid, phase_no)
+        phase_boundary(grid, phase_no)
         with tspan(grid.comm, "phase", cat="phase", phase=phase_no):
             # each ε-phase restarts the assignment; prices persist (sound
             # for PERFECT assignment — the price sums cancel in the bound)
@@ -209,8 +209,14 @@ def mwm_dist_spmd(
                 bids += active
                 with tspan(grid.comm, "auction_round", cat="phase", round=rounds):
                     with tspan(grid.comm, "bid"):
-                        gcols = np.flatnonzero(free_blk) + A.col_lo
-                        pieces = allgather_arrays(grid.colcomm, *A.top2(gcols, price_blk))
+                        # per-bidder (best, second) profits over THIS block,
+                        # shipped under global ids
+                        bc, best, brow, bw, second = top2_cols(
+                            cp, ir, w_eff, np.flatnonzero(free_blk), price_blk
+                        )
+                        pieces = allgather_arrays(
+                            grid.colcomm, bc + A.col_lo, best, brow + A.row_lo, bw, second
+                        )
                         cc, cb, cr, cw, cs = combine_partials(*concat_pieces(pieces))
                         cbid = compute_bids(cb, cw, cs, delta, sec_floor)
                     with tspan(grid.comm, "resolve"):
@@ -241,19 +247,16 @@ def mwm_dist_spmd(
                 and checkpoint_every > 0
                 and phase_no % checkpoint_every == 0
             ):
-                _save_auction_checkpoint(
-                    grid, checkpoint_store, phase_no, owner_blk, price_blk, stats
-                )
+                _checkpoint(grid, checkpoint_store, phase_no, owner_blk, price_blk, stats)
 
     # -- extraction: the better of the two G-matchings the assignment picked.
     # Pairs are assembled in the canonical item-index order on EVERY rank, so
     # the float weight sums (and hence the M1-vs-M2 choice) are grid-invariant
     # and bit-identical to the serial twin's.
-    w_orig = A.w2 if A.w2 is not None else np.zeros(0)
-    cols_e = np.repeat(np.arange(A.cp.size - 1, dtype=np.int64), np.diff(A.cp))
-    grows = A.ir + A.row_lo
+    cols_e = np.repeat(np.arange(cp.size - 1, dtype=np.int64), np.diff(cp))
+    grows = ir + A.row_lo
     gcols = cols_e + A.col_lo
-    matched = owner_blk[A.ir] == gcols
+    matched = owner_blk[ir] == gcols
     m1 = matched & (grows < n1) & (gcols < n2)
     m2 = matched & (grows >= n1) & (gcols >= n2)
     p1 = allgather_arrays(grid.comm, grows[m1], gcols[m1], w_orig[m1])
@@ -278,27 +281,12 @@ def mwm_dist_spmd(
     stats.auction_rounds = rounds
     stats.bids_placed = bids
     (stats.auction_prices,) = concat_pieces(allgather_arrays(grid.colcomm, price_blk))
-    # snapshot BEFORE the summing collective so it doesn't count itself;
     # resolve is replicated along each grid row, so one rank per row reports
     # its accepts
-    totals = grid.comm.allreduce(
-        np.array(
-            [
-                grid.colcomm.stats.words_sent,
-                grid.rowcomm.stats.words_sent,
-                grid.comm.stats.words_sent,
-                updates_row if grid.j == 0 else 0,
-            ],
-            dtype=np.int64,
-        ),
-        op=SUM,
+    (stats.price_updates,) = reduce_totals(
+        grid, stats, updates_row if grid.j == 0 else 0
     )
-    stats.expand_words = int(totals[0])
-    stats.fold_words = int(totals[1])
-    stats.total_words = int(totals[0] + totals[1] + totals[2])
-    stats.price_updates = int(totals[3])
-    stats.comm_by_alg = _local_by_alg(grid)
-    stats.comm_messages, stats.frames, stats.frame_words = _local_physical(grid)
+    snapshot_ledger(grid, stats)
     return g_mate_r, g_mate_c, stats
 
 
@@ -325,32 +313,32 @@ def run_mwm_dist(
     faults=None,
     trace: "bool | str" = False,
     backend: "str | None" = None,
+    checkpoint_every: int = 1,
+    checkpoint_store: "CheckpointStore | None" = None,
+    max_restarts: int = 0,
 ) -> tuple[np.ndarray, np.ndarray, DistStats]:
     """Launch MWM-DIST on a simulated pr × pc process grid.
 
     The weighted matrix starts on rank 0 and is scattered (doubled into
     the perfect-assignment form first); the returned mate vectors describe
     a matching of the ORIGINAL graph with
-    ``weight >= (1 - epsilon) * OPT`` (positive weights).  All the
-    runtime knobs (``verify``, ``faults``, ``trace``, ``backend``,
-    ``timeout``) behave exactly as in
-    :func:`~repro.matching.mcm_dist.run_mcm_dist`; this entry point has
-    no recovery — use
-    :func:`~repro.runtime.executor.run_mwm_dist_resilient` to survive
-    injected crashes.
+    ``weight >= (1 - epsilon) * OPT`` (positive weights).  The runtime
+    keywords (``verify``, ``faults``, ``trace``, ``backend``, ``timeout``)
+    and the recovery keywords (``checkpoint_every``, ``checkpoint_store``,
+    ``max_restarts``) behave exactly as in
+    :func:`~repro.matching.mcm_dist.run_mcm_dist` — one driver,
+    :func:`~repro.matching.job.launch`, runs both engines, and a run given
+    no store and no restarts writes no checkpoint.  What differs is the
+    snapshot: it carries the doubled-graph mate vectors AND the item prices
+    (the checkpoint ``aux`` slot).  A resumed ε-phase re-fights its own
+    bidding wars from scratch but inherits the prices the completed phases
+    established, so a recovered run lands on the same matching (bit-identical
+    mates) as a fault-free one.
     """
-    from ..runtime.executor import resolve_timeout
-
-    result = spmd(
-        pr * pc, _mwm_rank_main, coo, weights, pr, pc,
-        timeout=resolve_timeout(timeout, default=120.0),
-        verify=verify, faults=faults, trace=trace, backend=backend,
+    return launch(
+        _mwm_rank_main, (coo, weights), pr, pc,
+        faults=faults, checkpoint_every=checkpoint_every,
+        checkpoint_store=checkpoint_store, max_restarts=max_restarts,
+        timeout=timeout, verify=verify, trace=trace, backend=backend,
         epsilon=epsilon, cardinality_bias=cardinality_bias, max_rounds=max_rounds,
     )
-    mate_r, mate_c, stats = result[0]
-    stats.comm_by_alg = merge_by_alg(result.values)
-    merge_physical(stats, result.values)
-    stats.verify_summary = result.verify_summary
-    if result.trace is not None:
-        stats.trace = result.trace
-    return mate_r, mate_c, stats

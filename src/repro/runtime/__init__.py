@@ -62,8 +62,6 @@ from .executor import (
     SpmdResult,
     resolve_backend,
     resolve_timeout,
-    run_mcm_dist_resilient,
-    run_mwm_dist_resilient,
     spmd,
 )
 from .transport import BACKENDS, SpmdJob, Transport, get_transport
@@ -120,8 +118,6 @@ __all__ = [
     "pack_indices",
     "resolve_backend",
     "resolve_timeout",
-    "run_mcm_dist_resilient",
-    "run_mwm_dist_resilient",
     "run_scenario",
     "spmd",
     "tspan",

@@ -7,9 +7,11 @@ cardinality from that state.  That makes phase-boundary checkpointing
 algorithmically free — the only cost is shipping the two mate vectors.
 
 A :class:`CheckpointStore` outlives the SPMD job that writes to it: the
-recovery driver (``run_mcm_dist_resilient``) creates one, every incarnation
-of the job saves into it at phase boundaries, and after a failure the next
-incarnation resumes from :meth:`latest`.  Two variants are provided:
+driver (``repro.matching.job.launch``) is handed one — or creates one when
+it is allowed restarts; a run with neither has no store and writes no
+checkpoint — every incarnation of the job saves into it at phase
+boundaries, and after a failure the next incarnation resumes from
+:meth:`latest`.  Two variants are provided:
 in-memory (the default — survives fabric rebuilds within one driver call)
 and on-disk ``.npz`` files (survives the whole process, one file per
 phase, crash-safe via write-to-temp-then-rename).
@@ -89,7 +91,7 @@ class FileCheckpointStore(CheckpointStore):
     """On-disk variant: one ``ck_phase{N}.npz`` per checkpointed phase.
 
     Safe under *concurrent multi-process writers* — the process backend
-    forks one writer per rank, and a resilient driver may overlap a
+    forks one writer per rank, and a restarting driver may overlap a
     restarted incarnation with a dying one:
 
     * every critical section holds an ``fcntl`` flock on ``ck.lock``

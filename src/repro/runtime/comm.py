@@ -1110,25 +1110,48 @@ class Communicator:
         All ranks with equal ``color`` land in the same new communicator,
         ordered by ``(key, old rank)``.  Like ``MPI_Comm_split``, this is a
         collective over the parent communicator, so it consumes a slot of
-        the same per-rank collective sequence the tagged collectives use —
-        which is what lets the divergence checker catch a rank calling
-        ``split`` while its peers are in ``bcast``.
+        the same per-rank collective sequence the tagged collectives use.
+
+        The rendezvous is a message exchange: members report ``(rank,
+        color, key)`` to comm rank 0, which sorts each colour, draws the
+        new communicator ids in ascending-colour order — so the assignment
+        is a function of the arguments, not of arrival order or backend —
+        and replies.  The messages carry the collective's tag and wrapper,
+        so a peer sitting in a different collective raises
+        :class:`CollectiveMismatchError` at once; they are bookkeeping, not
+        traffic of the program: outside both ledgers, the frame count and
+        the fault plan.
         """
         with self._collective("split", "rendezvous", 1, color=color) as seq:
             key = self.rank if key is None else key
-            self.fabric.last_blocked[self.global_rank] = ("split", self.comm_id, seq)
-            tr = self.tracer
-            t0 = tr.now() if tr is not None else 0.0
-            new_id, members_parent_ranks = self.fabric.split_rendezvous(
-                self.comm_id, seq, self.size, self.rank, color, key,
-                group=self.group,
+            tag = self._coll_tag(seq)
+
+            def post(dest: int, body: tuple) -> None:
+                self.fabric.deliver(
+                    self.global_rank, self.group[dest], tag,
+                    ("split", self.comm_id, seq, body),
+                )
+
+            if self.rank != 0:
+                post(0, (self.rank, color, key))
+                new_id, members = self._coll_recv(0, "split", seq)
+            else:
+                colors: dict[int, list[tuple[int, int]]] = {color: [(key, 0)]}
+                for _ in range(self.size - 1):
+                    member, c, k = self._coll_recv(ANY_SOURCE, "split", seq)
+                    colors.setdefault(c, []).append((k, member))
+                for c in sorted(colors):
+                    ranks = tuple(member for _, member in sorted(colors[c]))
+                    reply = (self.fabric.new_comm_id(), ranks)
+                    for member in ranks:
+                        if member != 0:
+                            post(member, reply)
+                    if c == color:
+                        new_id, members = reply
+            child = Communicator(
+                self.fabric, new_id, [self.group[r] for r in members],
+                members.index(self.rank),
             )
-            if tr is not None:
-                # the rendezvous is split's blocking point (last rank computes)
-                tr.add_wait(tr.now() - t0)
-            group = [self.group[r] for r in members_parent_ranks]
-            my_pos = members_parent_ranks.index(self.rank)
-            child = Communicator(self.fabric, new_id, group, my_pos)
             child.tracer = self.tracer
         return child
 

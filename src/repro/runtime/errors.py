@@ -71,8 +71,10 @@ class RankKilledError(CommError):
 
     Unlike :class:`TransientCommError` this is never retried: the rank's
     SPMD function unwinds, the executor aborts the fabric, and survivors
-    exit with :class:`CommAbort`.  Recovery, if any, happens one level up
-    in ``run_mcm_dist_resilient`` via checkpoint restart.
+    exit with :class:`CommAbort`.  Recovery, if any, happens above the
+    runtime: a driver that was allowed restarts relaunches the job from its
+    latest checkpoint (``repro.matching.job.launch``, reached through
+    ``run_mcm_dist(..., max_restarts=N)`` / ``run_mwm_dist``).
     """
 
 

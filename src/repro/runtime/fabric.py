@@ -14,14 +14,13 @@ communicators:
 * an *abort flag* — set when any rank dies, observed by every blocked call;
 * a *timeout* — blocking calls that see no progress for this many seconds
   raise :class:`~repro.runtime.errors.DeadlockError`;
-* a registry of *sub-communicator* colors created by ``Communicator.split``.
+* the *communicator id* counter ``Communicator.split`` draws from.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass, field
 from typing import Any, NamedTuple, Sequence
 
 from .errors import CollectiveMismatchError, CommAbort, DeadlockError
@@ -149,10 +148,6 @@ def describe_blocked_entry(entry: "tuple | None") -> str:
     """
     if entry is None:
         return "never blocked in the runtime (busy or stuck outside it)"
-    kind = entry[0]
-    if kind == "split":
-        _, comm_id, seq = entry
-        return f"split rendezvous on comm {comm_id} (collective seq {seq})"
     _, source, tag = entry
     peer = "ANY_SOURCE" if source == ANY_SOURCE else f"rank {source}"
     if tag >= _RESERVED_TAG_BASE:
@@ -231,16 +226,6 @@ class CollectiveTrace:
             ]
 
 
-@dataclass
-class _SplitTable:
-    """Rendezvous state for one ``Communicator.split`` call."""
-
-    entries: dict[int, tuple[int, int]] = field(default_factory=dict)  # rank -> (color, key)
-    arrived: int = 0
-    done: bool = False
-    result: dict[int, tuple[int, list[int]]] = field(default_factory=dict)
-
-
 class Fabric:
     """Shared interconnect for one SPMD job of ``nranks`` simulated ranks."""
 
@@ -268,9 +253,9 @@ class Fabric:
         #: guards on this attribute with a single ``is None`` check.
         self.faults = faults
         #: Per-rank record of the last blocking operation each rank entered
-        #: (``("recv", source, tag)`` or ``("split", comm_id, seq)``), kept
-        #: after the call returns so hung-rank diagnostics can name what a
-        #: stuck rank was last waiting on.
+        #: (``("recv", source, tag)``), kept after the call returns so
+        #: hung-rank diagnostics can name what a stuck rank was last
+        #: waiting on.
         self.last_blocked: list[tuple | None] = [None] * nranks
         #: Job-progress markers (e.g. ``{"phase": 3}``) published by
         #: long-running SPMD programs; the executor copies them onto the
@@ -291,9 +276,6 @@ class Fabric:
         self._abort = threading.Event()
         self._serial = itertools.count()
         self._serial_lock = threading.Lock()
-        # split() rendezvous, keyed by (communicator id, split sequence number)
-        self._splits: dict[tuple[int, int], _SplitTable] = {}
-        self._split_lock = threading.Condition()
         # window registry: window id -> list of per-rank backing arrays
         self._windows: dict[int, list[Any]] = {}
         self._win_locks: dict[int, list[threading.Lock]] = {}
@@ -312,8 +294,6 @@ class Fabric:
         self._abort.set()
         for mb in self.mailboxes:
             mb.wake_all()
-        with self._split_lock:
-            self._split_lock.notify_all()
 
     def deliver(
         self, source: int, dest: int, tag: int, payload: Any,
@@ -356,57 +336,6 @@ class Fabric:
 
     def new_comm_id(self) -> int:
         return next(self._next_comm_id)
-
-    # -- split rendezvous ----------------------------------------------------
-
-    def split_rendezvous(
-        self,
-        comm_id: int,
-        seq: int,
-        nmembers: int,
-        rank: int,
-        color: int,
-        key: int,
-        group: "Sequence[int] | None" = None,
-    ) -> tuple[int, list[int]]:
-        """All ranks of a communicator meet here to compute split groups.
-
-        Returns ``(new_comm_id_for_color, member ranks)`` where members are
-        *parent-communicator-local* ranks ordered by ``(key, rank)``.  The
-        computation is done once by the last rank to arrive; everyone else
-        blocks on the condition variable.  ``group`` (the parent
-        communicator's global ranks) is unused here — the shared table needs
-        no routing — but a message-based fabric routes its rendezvous
-        through the group's first rank.
-        """
-        slot = (comm_id, seq)
-        with self._split_lock:
-            table = self._splits.setdefault(slot, _SplitTable())
-            table.entries[rank] = (color, key)
-            table.arrived += 1
-            if table.arrived == nmembers:
-                colors: dict[int, list[tuple[int, int, int]]] = {}
-                for r, (c, k) in table.entries.items():
-                    colors.setdefault(c, []).append((k, r, r))
-                for c, members in colors.items():
-                    members.sort()
-                    ranks = [r for (_, _, r) in members]
-                    table.result[c] = (self.new_comm_id(), ranks)
-                table.done = True
-                self._split_lock.notify_all()
-            else:
-                while not table.done:
-                    if self.aborted:
-                        raise CommAbort(f"rank {rank}: abort during split")
-                    if not self._split_lock.wait(timeout=self.timeout):
-                        if table.done:
-                            break
-                        raise DeadlockError(
-                            f"rank {rank}: split on comm {comm_id} seq {seq} "
-                            f"stalled with {table.arrived}/{nmembers} ranks"
-                        )
-            new_id, ranks = table.result[color]
-            return new_id, list(ranks)
 
     # -- window registry -----------------------------------------------------
     #

@@ -2,7 +2,7 @@
 
 :class:`ProcessFabric` duck-types the thread :class:`~repro.runtime.fabric.Fabric`
 surface the communicators and windows use — ``deliver``/``collect``/``probe``,
-split rendezvous, abort, progress markers, window storage — but every rank is
+id allocation, abort, progress markers, window storage — but every rank is
 a real OS process:
 
 * **Point-to-point and collectives** move through per-destination shared
@@ -16,11 +16,6 @@ a real OS process:
   and per-rank ``(blocked-kind, a, b, phase)`` records the parent decodes
   with :func:`~repro.runtime.fabric.describe_blocked_entry` when naming a
   stuck child.
-* **Split rendezvous** is message-based: members send ``(rank, color,
-  key)`` to the parent communicator's first rank on the split's collective
-  tag; it computes the same ``(key, rank)``-ordered groups the thread
-  fabric's shared table produces and replies with each member's new
-  communicator.
 * **RMA windows** are per-owner shared-memory segments (created at
   ``win_create``, lazily attached by peers after the creation barrier) with
   element atomicity from a pre-forked striped lock pool.  The owner's
@@ -91,7 +86,7 @@ _CTL_RANK_BASE = 4
 _CTL_RANK_STRIDE = 4  # kind, a, b, phase
 
 # blocked-kind codes mirrored into the control segment
-_BLK_NONE, _BLK_RECV, _BLK_SPLIT = 0, 1, 2
+_BLK_NONE, _BLK_RECV = 0, 1
 
 
 def _ring_bytes() -> int:
@@ -250,8 +245,6 @@ class ProcessFabric:
         kind, a, b = self._ctl[base], self._ctl[base + 1], self._ctl[base + 2]
         if kind == _BLK_RECV:
             return ("recv", a, b)
-        if kind == _BLK_SPLIT:
-            return ("split", a, b)
         return None
 
     def describe_blocked(self, rank: int) -> str:
@@ -387,52 +380,6 @@ class ProcessFabric:
 
     def new_win_id(self) -> int:
         return self._bump(_CTL_NEXT_WIN)
-
-    # -- split rendezvous ----------------------------------------------------
-
-    def split_rendezvous(
-        self,
-        comm_id: int,
-        seq: int,
-        nmembers: int,
-        rank: int,
-        color: int,
-        key: int,
-        group: "Sequence[int] | None" = None,
-    ) -> tuple[int, list[int]]:
-        """Message-based split: members report to the parent communicator's
-        first rank, which computes the same ``(key, rank)``-ordered groups
-        the thread fabric's shared table does and replies.  New comm ids
-        are allocated in ascending-color order from the shared counter."""
-        if group is None:
-            raise CommError("process fabric split requires the parent group")
-        self.last_blocked[self.rank] = ("split", comm_id, seq)
-        self._set_blocked(_BLK_SPLIT, comm_id, seq)
-        tag = _RESERVED_TAG_BASE + (comm_id << 32) + seq
-        if rank != 0:
-            self.deliver(self.rank, group[0], tag, ("split?", rank, color, key))
-            env = self._collect(group[0], tag)
-            _, new_id, ranks = env.payload
-            return new_id, list(ranks)
-        entries: dict[int, tuple[int, int]] = {0: (color, key)}
-        for _ in range(nmembers - 1):
-            env = self._collect(ANY_SOURCE, tag)
-            _, member, c, k = env.payload
-            entries[member] = (c, k)
-        colors: dict[int, list[tuple[int, int]]] = {}
-        for member, (c, k) in entries.items():
-            colors.setdefault(c, []).append((k, member))
-        result: dict[int, tuple[int, list[int]]] = {}
-        for c in sorted(colors):
-            members = [m for (_, m) in sorted(colors[c])]
-            result[c] = (self.new_comm_id(), members)
-        for member, (c, _) in entries.items():
-            if member != 0:
-                self.deliver(
-                    self.rank, group[member], tag, ("split=",) + result[c]
-                )
-        new_id, ranks = result[color]
-        return new_id, list(ranks)
 
     # -- RMA windows ---------------------------------------------------------
 

@@ -5,9 +5,9 @@ asks "what do stragglers, degraded links and correlated failures do to my
 latency tail".  This module closes that loop: a :class:`Scenario` bundles a
 fault plan with a workload shape (grid, graph scale, request count,
 arrival load), and :func:`run_scenario` replays a seeded request stream
-through :func:`~repro.runtime.executor.run_mcm_dist_resilient`, queues the
-requests through a single-server FIFO in *model time*, and emits a
-machine-readable SLO report — p50/p99 model-time latency, recovery time
+through :func:`~repro.matching.mcm_dist.run_mcm_dist` with restarts
+allowed, queues the requests through a single-server FIFO in *model time*,
+and emits a machine-readable SLO report — p50/p99 model-time latency, recovery time
 after kills, checkpoint overhead, restart counts.
 
 Determinism
@@ -48,7 +48,6 @@ import time
 from dataclasses import dataclass
 
 from .checkpoint import FileCheckpointStore
-from .executor import run_mcm_dist_resilient
 from .faults import FaultPlan, _mix, _unit
 
 #: splitmix64 salts for scenario-level draws (disjoint from the injector's
@@ -136,9 +135,13 @@ def _ledger_at(ledger: "dict[int, float] | None", phase: int) -> float:
 
 
 def _run_once(coo, scenario: Scenario, plan: FaultPlan, backend: "str | None"):
-    """One resilient MCM-DIST run in a throwaway checkpoint directory."""
+    """One restartable MCM-DIST run in a throwaway checkpoint directory."""
+    # a workload driver: the one module of ``runtime`` that reaches up into
+    # the layers it drives, lazily (``matching`` imports ``runtime``)
+    from ..matching.mcm_dist import run_mcm_dist
+
     with tempfile.TemporaryDirectory(prefix="repro-scenario-") as ckdir:
-        return run_mcm_dist_resilient(
+        return run_mcm_dist(
             coo,
             scenario.pr,
             scenario.pc,

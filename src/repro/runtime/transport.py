@@ -2,10 +2,14 @@
 
 A *transport* owns the mechanics the executor used to hard-code: spawning
 one execution context per rank, wiring each to a fabric that implements
-point-to-point delivery, split rendezvous and abort propagation, joining
+point-to-point delivery, id allocation and abort propagation, joining
 the ranks (with the hung-rank backstop), and assembling the
-:class:`SpmdResult`.  The algorithm layers above — communicators,
-collectives, windows, MCM itself — never see which transport they run on.
+:class:`SpmdResult`.  The layers above — communicators, collectives
+(``split`` included: it is a message exchange written once in
+:mod:`~repro.runtime.comm`), windows, the matching engines — never see
+which transport they run on, and a transport never sees what runs on it:
+restarting a failed job is the caller's business
+(``repro.matching.job.launch``).
 
 Two implementations ship:
 
@@ -28,7 +32,8 @@ asserts the observable parts):
    :class:`~repro.runtime.errors.CommAbort`, then re-raise the primary
    error wrapped as ``type(err)(f"[spmd rank {r}] ...")`` with
    ``spmd_rank`` / ``spmd_progress`` / ``spmd_trace`` attached
-   (:func:`raise_primary`);
+   (:func:`raise_primary`) — what a recovery driver reads to decide
+   whether, and from which phase, to relaunch;
 3. name a rank that never terminates via :class:`TimeoutError` carrying
    the rank's last blocked operation, and leave no execution contexts
    behind — threads are daemonic, processes are reaped;

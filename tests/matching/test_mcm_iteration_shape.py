@@ -148,12 +148,11 @@ def test_results_equal_across_grids(name, pr, pc, backend):
 
 def test_crash_every_phase_on_2x3_recovers_the_mates(tmp_path):
     from repro.runtime.checkpoint import FileCheckpointStore
-    from repro.runtime.executor import run_mcm_dist_resilient
     from repro.runtime.faults import FaultPlan
 
     coo = er(6, seed=1)
     mr_ok, mc_ok, st_ok = run_mcm_dist(coo, 2, 3, timeout=60)
-    mr, mc, st = run_mcm_dist_resilient(
+    mr, mc, st = run_mcm_dist(
         coo, 2, 3,
         faults=FaultPlan.parse("crash:rank=any,at=phase:every", seed=5),
         checkpoint_store=FileCheckpointStore(tmp_path / "ckpt"),

@@ -125,12 +125,11 @@ def test_counters_count_items_not_replicas():
 
 def test_crash_every_phase_on_2x3_recovers_mates_and_prices(tmp_path):
     from repro.runtime.checkpoint import FileCheckpointStore
-    from repro.runtime.executor import run_mwm_dist_resilient
     from repro.runtime.faults import FaultPlan
 
     coo, weights = _er(5)
     mr_ok, mc_ok, st_ok = run_mwm_dist(coo, weights, 2, 3, epsilon=EPS, timeout=120)
-    mr, mc, st = run_mwm_dist_resilient(
+    mr, mc, st = run_mwm_dist(
         coo, weights, 2, 3, epsilon=EPS,
         faults=FaultPlan.parse("crash:rank=any,at=phase:every", seed=5),
         checkpoint_store=FileCheckpointStore(tmp_path / "ckpt"),

@@ -117,12 +117,11 @@ def test_mwm_chaos_recovery_matches_fault_free(tmp_path):
     the exact fault-free mates and weight (prices ride the checkpoint's aux
     slot, so replayed phases restart from the durable duals)."""
     from repro.runtime.checkpoint import FileCheckpointStore
-    from repro.runtime.executor import run_mwm_dist_resilient
     from repro.runtime.faults import FaultPlan
 
     coo, weights = _mwm_input("er6")
     mr_ok, mc_ok, st_ok = run_mwm_dist(coo, weights, 2, 2, timeout=120)
-    mr, mc, st = run_mwm_dist_resilient(
+    mr, mc, st = run_mwm_dist(
         coo, weights, 2, 2,
         faults=FaultPlan.parse("crash:rank=any,at=phase:every", seed=5),
         checkpoint_store=FileCheckpointStore(tmp_path / "ckpt"),

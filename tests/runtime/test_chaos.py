@@ -19,7 +19,6 @@ from repro.matching.validate import cardinality, is_valid_matching, verify_maxim
 from repro.runtime import (
     FaultPlan,
     RankKilledError,
-    run_mcm_dist_resilient,
     spmd,
 )
 from repro.sparse import CSC
@@ -47,7 +46,7 @@ def baseline(graph):
 def test_crash_at_every_phase_boundary_recovers(graph, baseline, grid, seed):
     coo, a = graph
     plan = FaultPlan.parse("crash:rank=any,at=phase:every", seed=seed)
-    mate_r, mate_c, stats = run_mcm_dist_resilient(
+    mate_r, mate_c, stats = run_mcm_dist(
         coo, *grid, faults=plan, max_restarts=30
     )
     assert stats.restarts >= 1
@@ -62,7 +61,7 @@ def test_transient_plan_is_transparent(graph, baseline, seed):
     coo, _ = graph
     plain = run_mcm_dist(coo, 2, 2)
     plan = FaultPlan.parse("transient:p=0.05", seed=seed)
-    mate_r, mate_c, stats = run_mcm_dist_resilient(coo, 2, 2, faults=plan)
+    mate_r, mate_c, stats = run_mcm_dist(coo, 2, 2, faults=plan, max_restarts=3)
     assert np.array_equal(mate_r, plain[0])
     assert np.array_equal(mate_c, plain[1])
     assert stats.restarts == 0
@@ -75,7 +74,7 @@ def test_delay_plan_is_transparent(graph, baseline, seed):
     coo, _ = graph
     plain = run_mcm_dist(coo, 2, 2)
     plan = FaultPlan.parse("delay:p=0.3", seed=seed)
-    mate_r, mate_c, stats = run_mcm_dist_resilient(coo, 2, 2, faults=plan)
+    mate_r, mate_c, stats = run_mcm_dist(coo, 2, 2, faults=plan, max_restarts=3)
     assert np.array_equal(mate_r, plain[0])
     assert np.array_equal(mate_c, plain[1])
     assert stats.restarts == 0
@@ -86,7 +85,7 @@ def test_mixed_plan_recovers(graph, baseline):
     plan = FaultPlan.parse(
         "crash:rank=any,at=phase:every;transient:p=0.02;delay:p=0.2", seed=7
     )
-    mate_r, mate_c, stats = run_mcm_dist_resilient(
+    mate_r, mate_c, stats = run_mcm_dist(
         coo, 2, 2, faults=plan, max_restarts=30
     )
     assert stats.restarts >= 1
@@ -105,7 +104,7 @@ def test_same_seed_and_plan_reproduce_the_same_restart_trajectory(graph):
         plan = FaultPlan.parse(
             "crash:rank=any,at=phase:every;transient:p=0.03", seed=seed
         )
-        mate_r, _, stats = run_mcm_dist_resilient(
+        mate_r, _, stats = run_mcm_dist(
             coo, 2, 2, faults=plan, max_restarts=30
         )
         return mate_r, stats.restarts, stats.phases_replayed
@@ -126,7 +125,7 @@ def test_chaos_trace_merges_attempts_with_explicit_restart_spans(graph, baseline
 
     coo, _ = graph
     plan = FaultPlan.parse("crash:rank=any,at=phase:every", seed=1)
-    mate_r, _, stats = run_mcm_dist_resilient(
+    mate_r, _, stats = run_mcm_dist(
         coo, 2, 2, faults=plan, max_restarts=30, trace="ticks"
     )
     assert stats.restarts >= 1

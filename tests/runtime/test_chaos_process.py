@@ -17,7 +17,7 @@ import pytest
 from repro.graphs.rmat import er
 from repro.matching.mcm_dist import run_mcm_dist
 from repro.matching.validate import cardinality, is_valid_matching
-from repro.runtime import FaultPlan, FileCheckpointStore, run_mcm_dist_resilient
+from repro.runtime import FaultPlan, FileCheckpointStore
 
 SEEDS = [0, 1]
 PLANS = {
@@ -53,7 +53,7 @@ def test_process_backend_chaos_recovers_without_leaks(
     before_children = {p.pid for p in multiprocessing.active_children()}
     before_shm = _shm_segments()
     plan = FaultPlan.parse(PLANS[kind], seed=seed)
-    mate_r, mate_c, stats = run_mcm_dist_resilient(
+    mate_r, mate_c, stats = run_mcm_dist(
         graph, 2, 2,
         faults=plan,
         checkpoint_store=FileCheckpointStore(str(tmp_path)),
@@ -85,7 +85,7 @@ def test_process_backend_correlated_crash_matches_thread_backend(graph, tmp_path
     results = {}
     for backend in ("thread", "process"):
         plan = FaultPlan.parse("crash:group=row,at=phase:2", seed=3)
-        mate_r, _, stats = run_mcm_dist_resilient(
+        mate_r, _, stats = run_mcm_dist(
             graph, 2, 2,
             faults=plan,
             checkpoint_store=FileCheckpointStore(str(tmp_path / backend)),

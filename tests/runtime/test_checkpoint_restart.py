@@ -11,7 +11,6 @@ from repro.runtime import (
     FaultPlan,
     FileCheckpointStore,
     RankKilledError,
-    run_mcm_dist_resilient,
 )
 from repro.sparse import COO, CSC
 
@@ -78,7 +77,7 @@ def test_checkpoint_words_property():
 def test_resilient_without_faults_matches_plain_run():
     coo = random_coo(40, 45, 260, 7)
     plain = run_mcm_dist(coo, 2, 2)
-    mate_r, mate_c, stats = run_mcm_dist_resilient(coo, 2, 2)
+    mate_r, mate_c, stats = run_mcm_dist(coo, 2, 2, max_restarts=3)
     assert np.array_equal(mate_r, plain[0])
     assert np.array_equal(mate_c, plain[1])
     assert stats.restarts == 0
@@ -91,7 +90,7 @@ def test_resilient_recovers_from_send_crash():
     a = CSC.from_coo(coo)
     plain_card = cardinality(run_mcm_dist(coo, 2, 2)[0])
     plan = FaultPlan.parse("crash:rank=1,at=send:40", seed=0)
-    mate_r, mate_c, stats = run_mcm_dist_resilient(coo, 2, 2, faults=plan)
+    mate_r, mate_c, stats = run_mcm_dist(coo, 2, 2, faults=plan, max_restarts=3)
     assert stats.restarts == 1
     assert cardinality(mate_r) == plain_card
     assert is_valid_matching(a, mate_r, mate_c)
@@ -101,7 +100,7 @@ def test_resilient_recovers_from_collective_crash():
     coo = random_coo(35, 35, 200, 3)
     plain_card = cardinality(run_mcm_dist(coo, 2, 2)[0])
     plan = FaultPlan.parse("crash:rank=2,at=collective:25", seed=0)
-    mate_r, _, stats = run_mcm_dist_resilient(coo, 2, 2, faults=plan)
+    mate_r, _, stats = run_mcm_dist(coo, 2, 2, faults=plan, max_restarts=3)
     assert stats.restarts == 1
     assert cardinality(mate_r) == plain_card
 
@@ -112,7 +111,7 @@ def test_resilient_gives_up_after_max_restarts():
     # restarts the first death is fatal
     plan = FaultPlan.parse("crash:rank=0,at=collective:5", seed=0)
     with pytest.raises(RankKilledError):
-        run_mcm_dist_resilient(coo, 2, 2, faults=plan, max_restarts=0)
+        run_mcm_dist(coo, 2, 2, faults=plan, max_restarts=0)
 
 
 def test_resilient_with_file_store(tmp_path):
@@ -120,7 +119,7 @@ def test_resilient_with_file_store(tmp_path):
     plain_card = cardinality(run_mcm_dist(coo, 2, 2)[0])
     store = FileCheckpointStore(str(tmp_path / "cks"))
     plan = FaultPlan.parse("crash:rank=any,at=phase:every", seed=1)
-    mate_r, _, stats = run_mcm_dist_resilient(
+    mate_r, _, stats = run_mcm_dist(
         coo, 2, 2, faults=plan, checkpoint_store=store, max_restarts=20
     )
     assert cardinality(mate_r) == plain_card
@@ -137,7 +136,7 @@ def test_resilient_sparse_checkpoint_cadence_replays_phases():
     plain_card = cardinality(plain[0])
     assert plain[2].phases >= 3
     plan = FaultPlan.parse(f"crash:rank=any,at=phase:{plain[2].phases - 1}", seed=2)
-    mate_r, _, stats = run_mcm_dist_resilient(
+    mate_r, _, stats = run_mcm_dist(
         coo, 2, 2, init="none", faults=plan, checkpoint_every=3, max_restarts=5
     )
     assert cardinality(mate_r) == plain_card
@@ -151,7 +150,7 @@ def test_resilient_result_is_still_maximum():
     plan = FaultPlan.parse(
         "crash:rank=any,at=phase:every;transient:p=0.02;delay:p=0.1", seed=4
     )
-    mate_r, mate_c, stats = run_mcm_dist_resilient(
+    mate_r, mate_c, stats = run_mcm_dist(
         coo, 2, 2, faults=plan, max_restarts=20
     )
     assert is_valid_matching(a, mate_r, mate_c)

@@ -231,6 +231,37 @@ def test_split_key_reorders_ranks():
     assert res.values == [3, 2, 1, 0]
 
 
+def _grid_comm_ids(comm):
+    i, j = divmod(comm.rank, 3)
+    return comm.split(color=i).comm_id, comm.split(color=j).comm_id
+
+
+def test_split_ids_are_a_function_of_the_arguments():
+    """Comm rank 0 draws the child ids in ascending-colour order, so a 3x3
+    grid's (row, column) ids are the same in every run and on both
+    backends — not whatever order the ranks happened to arrive in."""
+    expected = [(1 + i, 4 + j) for i in range(3) for j in range(3)]
+    assert spmd(9, _grid_comm_ids, backend="process").values == expected
+    for _ in range(50):
+        assert spmd(9, _grid_comm_ids, backend="thread").values == expected
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_split_against_another_collective_is_a_mismatch(backend):
+    """split's rendezvous rides the collective tag and wrapper, so a peer
+    sitting in another collective names it at once — no ``verify=True``,
+    no waiting out the deadlock window."""
+
+    def main(comm):
+        if comm.rank == 1:
+            comm.split(color=0)
+        else:
+            comm.bcast(None, root=1)
+
+    with pytest.raises(CollectiveMismatchError, match=r"received split#1 from rank 1"):
+        spmd(2, main, timeout=5.0, backend=backend)
+
+
 def test_nested_split_grid_rows_and_cols():
     """Simulate the 2D grid decomposition used by distmat: a 3x3 grid where
     each rank joins both a row and a column communicator, and a sum over the

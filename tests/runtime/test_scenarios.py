@@ -24,7 +24,6 @@ from repro.runtime import (
     FaultInjector,
     FaultPlan,
     FaultPlanError,
-    run_mcm_dist_resilient,
 )
 from repro.runtime.scenarios import _ledger_at, run_scenario
 
@@ -191,7 +190,7 @@ def test_straggler_sleeps_are_traced_and_attributed():
 
     coo = er(scale=5, seed=9, edgefactor=8)
     plan = FaultPlan.parse("straggler:factor=2,rank=1,sleep=0.002", seed=3)
-    _, _, stats = run_mcm_dist_resilient(coo, 2, 2, faults=plan, trace="ticks")
+    _, _, stats = run_mcm_dist(coo, 2, 2, faults=plan, trace="ticks", max_restarts=3)
     spans = [
         sp for sp in stats.trace.all_spans()
         if sp.cat == "fault" and sp.name == "fault:delay"
@@ -261,7 +260,7 @@ _BASELINES: dict = {}
 
 
 def _logical_fingerprint(coo, pr, pc, plan=None):
-    mate_r, mate_c, stats = run_mcm_dist_resilient(coo, pr, pc, faults=plan)
+    mate_r, mate_c, stats = run_mcm_dist(coo, pr, pc, faults=plan, max_restarts=3)
     comm = {
         key: {f: d[f] for f in ("calls", "messages", "words")}
         for key, d in (stats.comm_by_alg or {}).items()
@@ -300,11 +299,11 @@ def test_adversity_prices_time_but_matches_the_fault_free_mates():
     coo = er(scale=5, seed=23, edgefactor=8)
     plain_r, plain_c, _ = run_mcm_dist(coo, 2, 2, init="none")
     plan = FaultPlan.parse("straggler:factor=8,rank=any", seed=2)
-    mate_r, mate_c, stats = run_mcm_dist_resilient(
-        coo, 2, 2, faults=plan, init="none"
+    mate_r, mate_c, stats = run_mcm_dist(
+        coo, 2, 2, faults=plan, init="none", max_restarts=3
     )
-    ref_r, ref_c, ref_stats = run_mcm_dist_resilient(
-        coo, 2, 2, faults=FaultPlan.parse("", seed=2), init="none"
+    ref_r, ref_c, ref_stats = run_mcm_dist(
+        coo, 2, 2, faults=FaultPlan.parse("", seed=2), init="none", max_restarts=3
     )
     assert np.array_equal(mate_r, plain_r) and np.array_equal(mate_c, plain_c)
     assert np.array_equal(ref_r, plain_r) and np.array_equal(ref_c, plain_c)
