@@ -4,9 +4,9 @@
 Each function below contains exactly one classic SPMD mistake, and every
 rule in the catalogue has at least one fixture here.  The linter must
 report them all with file:line, and each bug also *reproduces at runtime*
-(deadlock under the fabric's timeout backstop, ``CommError``, divergent
-mates under ``--verify``, pickle failures) — the point of the linter is to
-catch them before the run:
+(deadlock under the fabric's timeout backstop, divergent mates under
+``--verify``, pickle failures) — the point of the linter is to catch them
+before the run:
 
     python -m repro lint examples/buggy_spmd.py
 
@@ -18,11 +18,8 @@ rule       fixture                                runtime symptom
 SPMD101    ``divergent_reduction``                rank 0 deadlocks in allreduce
 SPMD101    ``divergent_via_helper``               same, reached through a helper
 SPMD102    ``rank_bounded_barriers``              barrier-count mismatch hangs
-SPMD201    ``reserved_tag_exchange``              CommError at send
 SPMD301    ``fenceless_put``                      RMA verifier flags the access
 SPMD401    ``unseeded_shuffle``                   ranks disagree silently
-SPMD501    ``lonely_recv``                        DeadlockError names rank 1
-SPMD502    ``ring_recv_before_send``              DeadlockError: cyclic wait
 SPMD601    ``set_ordered_mates``                  mate vector depends on set order
 SPMD602    ``clock_seeded_mates``                 divergent mates under --verify
 SPMD603    ``set_ordered_sum``                    sums differ across ranks
@@ -49,13 +46,6 @@ def divergent_reduction(comm):
     else:
         total = None
     return total
-
-
-def reserved_tag_exchange(comm):
-    """BUG: tag 2**30 collides with the runtime's collective tag space."""
-    right = (comm.rank + 1) % comm.size
-    comm.send(right, b"payload", tag=1 << 30)
-    return comm.recv()
 
 
 def unseeded_shuffle(comm, items):
@@ -102,32 +92,6 @@ def fenceless_put(comm, win):
     win.put(0, np.zeros(4))
     win.fence()
     return win.get(0)
-
-
-# --------------------------------------------------------------------------
-# point-to-point deadlocks (SPMD5xx) — these actually hang the fabric
-
-
-def lonely_recv(comm):
-    """BUG (SPMD501): rank 1 waits for a message on tag 9 that no rank ever
-    sends (rank 0 sends tag 8).  Under the runtime the job dies with
-    DeadlockError naming rank 1's recv."""
-    if comm.rank == 0:
-        comm.send(1, b"ping", tag=8)
-    elif comm.rank == 1:
-        return comm.recv(0, tag=9)
-    return None
-
-
-def ring_recv_before_send(comm):
-    """BUG (SPMD502): every rank receives from its left neighbour *before*
-    sending to its right — a cyclic wait with no message in flight.  The
-    classic fix is to order by parity (even ranks send first)."""
-    left = (comm.rank - 1) % comm.size
-    right = (comm.rank + 1) % comm.size
-    got = comm.recv(left, tag=7)
-    comm.send(right, comm.rank, tag=7)
-    return got
 
 
 # --------------------------------------------------------------------------

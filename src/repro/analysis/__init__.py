@@ -6,8 +6,6 @@ the runtime's docstrings warn about:
 * **collective divergence** — ranks of one communicator entering different
   collectives (deadlock, or silent garbage exchange), typically caused by
   collectives under rank-dependent control flow;
-* **point-to-point deadlock** — send/recv (peer, tag) pairs that can never
-  match, or cyclic blocking chains (everyone receives before sending);
 * **nondeterminism** — unordered iteration, wall clocks, or order-sensitive
   float folds leaking into replicated algorithm state;
 * **backend portability** — thread-backend conveniences (shared globals,
@@ -20,9 +18,9 @@ The *static* half lives here: a CFG + rank-taint dataflow engine
 (:mod:`repro.analysis.engine`) with per-function collective-effect
 summaries propagated over the module call graph, queried by the rule
 catalogue in :mod:`repro.analysis.rules` and its satellite rule modules
-(:mod:`.deadlock`, :mod:`.determinism`, :mod:`.portability`).  Entry
-points: :func:`lint_paths` / ``repro lint`` with text, JSON, or SARIF
-output, inline ``# repro: noqa[...]`` suppression and baseline files
+(:mod:`.determinism`, :mod:`.portability`).  Entry points:
+:func:`lint_paths` / ``repro lint`` with text or JSON output, inline
+``# repro: noqa[...]`` suppression and baseline files
 (:mod:`repro.analysis.suppress`).
 
 The *dynamic* half is wired into the runtime and enabled per job with
@@ -34,7 +32,6 @@ detector in :class:`repro.runtime.rma.RmaAccessLog`.
 from .lint import lint_file, lint_paths, lint_source
 from .report import RULES, Finding, format_json, format_text, sort_findings
 from .rules import all_rules
-from .sarif import format_sarif, sarif_log
 from .suppress import Baseline, load_baseline, write_baseline
 from .cli import run_lint
 
@@ -44,14 +41,12 @@ __all__ = [
     "RULES",
     "all_rules",
     "format_json",
-    "format_sarif",
     "format_text",
     "lint_file",
     "lint_paths",
     "lint_source",
     "load_baseline",
     "run_lint",
-    "sarif_log",
     "sort_findings",
     "write_baseline",
 ]

@@ -25,15 +25,10 @@ COLLECTIVE_METHODS = frozenset({
 #: Constructors that are collective calls (``Window(comm, ...)``).
 COLLECTIVE_CONSTRUCTORS = frozenset({"Window"})
 
-#: Point-to-point methods that accept a user ``tag`` and the positional
-#: index of that tag (0-based, excluding ``self``).
-TAGGED_METHODS: dict[str, int] = {
-    "send": 2,
-    "recv": 1,
-    "recv_with_status": 1,
-    "probe": 1,
-    "sendrecv": 3,
-}
+#: Point-to-point methods (they accept a user ``tag``).
+TAGGED_METHODS = frozenset({
+    "send", "recv", "recv_with_status", "probe", "sendrecv",
+})
 
 #: One-sided accesses on a :class:`repro.runtime.rma.Window`.
 RMA_ACCESS_METHODS = frozenset({
@@ -49,12 +44,6 @@ _NP_RANDOM_SAFE = frozenset({
     "seed", "default_rng", "RandomState", "Generator", "SeedSequence",
     "get_state", "set_state", "BitGenerator", "PCG64", "Philox",
 })
-
-#: Tags at or above this collide with the runtime's collective tag space.
-#: Mirrors ``repro.runtime.fabric._RESERVED_TAG_BASE`` without importing the
-#: runtime (the linter must work on any source tree).
-RESERVED_TAG_BASE = 1 << 30
-
 
 def call_method_name(node: ast.Call) -> str | None:
     """``obj.meth(...)`` -> ``"meth"``; plain-name calls return None."""
@@ -98,44 +87,21 @@ def is_collective_call(node: ast.Call) -> str | None:
     return None
 
 
-def const_int(node: ast.expr) -> int | None:
-    """Fold an integer constant expression (literals, +,-,*,<<,|)."""
-    if isinstance(node, ast.Constant) and isinstance(node.value, int) \
-            and not isinstance(node.value, bool):
-        return node.value
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        v = const_int(node.operand)
-        return None if v is None else -v
-    if isinstance(node, ast.BinOp):
-        lhs, rhs = const_int(node.left), const_int(node.right)
-        if lhs is None or rhs is None:
-            return None
-        op = node.op
-        if isinstance(op, ast.Add):
-            return lhs + rhs
-        if isinstance(op, ast.Sub):
-            return lhs - rhs
-        if isinstance(op, ast.Mult):
-            return lhs * rhs
-        if isinstance(op, ast.LShift):
-            return lhs << rhs
-        if isinstance(op, ast.BitOr):
-            return lhs | rhs
-        if isinstance(op, ast.Pow) and 0 <= rhs < 64:
-            return lhs ** rhs
-    return None
-
-
 def expr_references_rank(node: ast.expr, tainted: set[str]) -> bool:
     """Is the expression's value potentially rank-dependent?
 
     True when it mentions a ``.rank`` attribute (``comm.rank``,
-    ``self.rank``, ``grid.comm.rank``) or any name in ``tainted`` — the set
-    of local variables assigned from rank-dependent expressions.
+    ``self.rank``, ``grid.comm.rank``), a grid coordinate (``grid.i`` /
+    ``A.grid.j`` — the engines' own rank idiom) or any name in ``tainted``
+    — the set of local variables assigned from rank-dependent expressions.
     """
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Attribute) and sub.attr == "rank":
-            return True
+        if isinstance(sub, ast.Attribute):
+            if sub.attr == "rank":
+                return True
+            owner = dotted_name(sub.value) or ""
+            if sub.attr in ("i", "j") and owner.rsplit(".", 1)[-1] == "grid":
+                return True
         if isinstance(sub, ast.Name) and sub.id in tainted:
             return True
     return False
@@ -180,27 +146,6 @@ def is_spmd_function(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
         if isinstance(node, ast.Call) and is_collective_call(node):
             return True
     return False
-
-
-def collectives_in(nodes: list[ast.stmt]) -> list[tuple[str, ast.Call]]:
-    """All collective calls in a statement list, in source order, skipping
-    nested function/class definitions (their bodies run in their own SPMD
-    context, if any)."""
-    out: list[tuple[str, ast.Call]] = []
-
-    def visit(node: ast.AST) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
-            return
-        if isinstance(node, ast.Call):
-            op = is_collective_call(node)
-            if op is not None:
-                out.append((op, node))
-        for child in ast.iter_child_nodes(node):
-            visit(child)
-
-    for stmt in nodes:
-        visit(stmt)
-    return sorted(out, key=lambda item: (item[1].lineno, item[1].col_offset))
 
 
 def walk_functions(tree: ast.AST) -> Iterator[ast.FunctionDef | ast.AsyncFunctionDef]:

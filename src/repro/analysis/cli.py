@@ -12,10 +12,9 @@ from typing import Sequence
 
 from .lint import lint_paths
 from .report import format_json, format_text
-from .sarif import format_sarif
 from .suppress import load_baseline, write_baseline
 
-FORMATS = ("text", "json", "sarif")
+FORMATS = ("text", "json")
 
 
 def run_lint(
@@ -30,8 +29,7 @@ def run_lint(
 
     ``baseline`` filters out tolerated findings before reporting;
     ``write_baseline_to`` instead records the current findings as the new
-    baseline (and exits 0).  ``output`` redirects the report to a file —
-    useful for ``--format sarif`` artifacts in CI.
+    baseline (and exits 0).  ``output`` redirects the report to a file.
     """
     if fmt not in FORMATS:
         print(f"repro lint: unknown format {fmt!r} (choose from {', '.join(FORMATS)})")
@@ -55,12 +53,7 @@ def run_lint(
             print(f"repro lint: bad baseline {baseline}: {exc}")
             return 2
 
-    if fmt == "json":
-        report = format_json(findings)
-    elif fmt == "sarif":
-        report = format_sarif(findings)
-    else:
-        report = format_text(findings)
+    report = format_json(findings) if fmt == "json" else format_text(findings)
 
     if output is not None:
         Path(output).write_text(report + "\n", encoding="utf-8")

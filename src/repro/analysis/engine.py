@@ -32,7 +32,6 @@ from .astutil import (
     expr_references_rank,
     is_collective_call,
     is_spmd_function,
-    own_statements,
     call_plain_name,
     rank_tainted_names,
     walk_functions,
@@ -141,10 +140,6 @@ class FunctionInfo:
     @cached_property
     def comm_names(self) -> set:
         return comm_param_names(self.node)
-
-    @cached_property
-    def statements(self) -> list[ast.stmt]:
-        return own_statements(self.node)
 
 
 class ModuleModel:

@@ -19,11 +19,11 @@ SPMD702
     or the communicator itself.  Threads pass these by reference; a
     process backend must pickle them and dies at the first boundary.
 SPMD703
-    Closures handed to the ``spmd(...)`` launcher: a nested function (or
-    lambda) capturing enclosing locals cannot be pickled, so the job
-    cannot even start under a process backend.  Entry points must be
-    module-level functions taking their data through ``spmd``'s
-    ``*args``/``**kwargs``.
+    Closures handed to the ``spmd(...)`` / ``launch(...)`` launcher: a
+    nested function (or lambda) capturing enclosing locals cannot be
+    pickled, so the job cannot even start under a process backend.  Entry
+    points must be module-level functions taking their data through the
+    launcher's arguments.
 """
 
 from __future__ import annotations
@@ -149,12 +149,12 @@ def rule_portability(model: ModuleModel) -> list[Finding]:
         handles = _open_handle_names(fn)
         local = assigned_names(fn)
 
-        # ---- SPMD703: closures handed to the spmd() launcher -------------
+        # ---- SPMD703: closures handed to the spmd() / launch() launcher ---
         for node in own_nodes(fn):
             if not isinstance(node, ast.Call):
                 continue
             callee = call_plain_name(node) or call_method_name(node)
-            if callee != "spmd":
+            if callee not in ("spmd", "launch"):  # job.launch starts every engine
                 continue
             for arg in list(node.args) + [kw.value for kw in node.keywords]:
                 what = None

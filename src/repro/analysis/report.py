@@ -19,11 +19,8 @@ RULES: dict[str, tuple[str, str]] = {
     "SPMD000": ("file could not be parsed", "error"),
     "SPMD101": ("collective sequence diverges across rank-dependent branches", "error"),
     "SPMD102": ("collective inside rank-dependent loop", "error"),
-    "SPMD201": ("user tag collides with the reserved collective tag space", "error"),
     "SPMD301": ("one-sided access outside the fence epoch of its window", "warning"),
     "SPMD401": ("unseeded random source in an SPMD function", "warning"),
-    "SPMD501": ("recv blocks forever: no rank ever sends a matching message", "error"),
-    "SPMD502": ("cyclic send/recv dependency deadlocks the job", "error"),
     "SPMD601": ("unordered set iteration order escapes into comm or keyed stores", "warning"),
     "SPMD602": ("wall-clock read feeds SPMD algorithm state", "warning"),
     "SPMD603": ("order-sensitive float accumulation over an unordered collection", "warning"),

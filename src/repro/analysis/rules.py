@@ -1,4 +1,4 @@
-"""The first four SPMD rule families, rebuilt on the dataflow engine.
+"""The first three SPMD rule families, rebuilt on the dataflow engine.
 
 Every rule is a function ``rule(model) -> list[Finding]`` over a
 :class:`~repro.analysis.engine.ModuleModel`.  The catalogue mirrors the
@@ -15,9 +15,6 @@ SPMD101
 SPMD102
     A collective (possibly inside a helper) in a loop whose trip count is
     rank-dependent: ranks run different numbers of collective rounds.
-SPMD201
-    A constant user tag at or above the reserved collective tag base
-    (1 << 30): the message would masquerade as collective traffic.
 SPMD301
     A one-sided window access on a CFG path where the fence epoch may not
     be open (before the first ``fence``, after ``free`` — including via
@@ -29,8 +26,8 @@ SPMD401
     and seeding one source never excuses the other (the first-generation
     linter suppressed the whole module on *any* ``.seed()`` call).
 
-The SPMD5xx/6xx/7xx families live in :mod:`.deadlock`,
-:mod:`.determinism` and :mod:`.portability`.
+The SPMD6xx/7xx families live in :mod:`.determinism` and
+:mod:`.portability`.
 """
 
 from __future__ import annotations
@@ -38,15 +35,12 @@ from __future__ import annotations
 import ast
 
 from .astutil import (
-    RESERVED_TAG_BASE,
     RMA_ACCESS_METHODS,
-    TAGGED_METHODS,
     _NP_RANDOM_SAFE,
     _RANDOM_SAFE,
     always_terminates,
     call_method_name,
     call_plain_name,
-    const_int,
     dotted_name,
     expr_references_rank,
     own_nodes,
@@ -173,46 +167,6 @@ def rule_collective_divergence(model: ModuleModel) -> list[Finding]:
                 ))
 
         scan(info.node.body, lambda: ())
-    return findings
-
-
-# ------------------------------------------------------------------- SPMD201
-
-
-def _tag_expr(call: ast.Call, meth: str) -> ast.expr | None:
-    for kw in call.keywords:
-        if kw.arg == "tag":
-            return kw.value
-    pos = TAGGED_METHODS[meth]
-    if len(call.args) > pos:
-        return call.args[pos]
-    return None
-
-
-def rule_reserved_tag(model: ModuleModel) -> list[Finding]:
-    """SPMD201: constant user tags in the reserved collective tag space."""
-    findings: list[Finding] = []
-
-    def visit(node: ast.AST, function: str) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            function = node.name
-        if isinstance(node, ast.Call):
-            meth = call_method_name(node)
-            if meth in TAGGED_METHODS:
-                tag_node = _tag_expr(node, meth)
-                value = const_int(tag_node) if tag_node is not None else None
-                if value is not None and value >= RESERVED_TAG_BASE:
-                    findings.append(Finding(
-                        model.path, tag_node.lineno, tag_node.col_offset, "SPMD201",
-                        f"user tag {value} in '{meth}' is >= the reserved collective "
-                        f"tag base ({RESERVED_TAG_BASE}): the runtime reserves that "
-                        "space for collective traffic and rejects it with CommError",
-                        function=function,
-                    ))
-        for child in ast.iter_child_nodes(node):
-            visit(child, function)
-
-    visit(model.tree, "")
     return findings
 
 
@@ -436,16 +390,13 @@ def rule_unseeded_random(model: ModuleModel) -> list[Finding]:
 
 
 def _registry():
-    from .deadlock import rule_deadlock
     from .determinism import rule_determinism
     from .portability import rule_portability
 
     return (
         rule_collective_divergence,
-        rule_reserved_tag,
         rule_rma_epoch,
         rule_unseeded_random,
-        rule_deadlock,
         rule_determinism,
         rule_portability,
     )

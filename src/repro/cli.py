@@ -376,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("paths", nargs="+", help=".py files or directory trees")
     p.add_argument("--exclude", action="append", default=[], metavar="PATH",
                    help="file or directory to skip (repeatable)")
-    p.add_argument("--format", default="text", choices=["text", "json", "sarif"])
+    p.add_argument("--format", default="text", choices=["text", "json"])
     p.add_argument("--baseline", metavar="FILE",
                    help="JSON baseline of tolerated findings "
                         "(matched by path/code/function, not line)")

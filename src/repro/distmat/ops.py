@@ -224,7 +224,7 @@ def spmv_bottomup_expanded(
             unvisited = np.concatenate([unpack_indices(b) for b in upieces]) - A.row_lo
 
         # -- pull through the cached CSR mirror, filter by frontier membership
-        # (one fused kernel — repro.kernels compiles it when numba is there)
+        # (one fused kernel, repro.kernels.pull_candidates)
         with tspan(grid.comm, "pull"):
             lrows, lcols, croots = A.block.pull_rows(unvisited, root_of, NULL)
             grows = lrows + A.row_lo

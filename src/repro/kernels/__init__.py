@@ -1,51 +1,26 @@
-"""Compiled hot kernels with pure-NumPy fallbacks.
+"""The three hot local kernels, as vectorized NumPy.
 
 The PR-5 trace critical-path reports put three spans at the top of every
 rank's self-time: the ragged gather behind each SpMV explode, the fused
 bottom-up pull-and-filter over the DCSC row-major mirror, and the keyed
-min-scatter inside ``reduce_candidates``.  This package compiles those
-three loops with numba when it is importable and falls back to the
-vectorized NumPy implementations otherwise — **bit-identical either way**
-(the parity tests assert it), so the fallback is a correctness reference,
-not a degraded mode.
-
-Policy:
-
-* numba is an *optional accelerator*, never a dependency.  Importing this
-  package on a machine without numba must cost one failed import, once.
-* ``REPRO_JIT=0`` disables compilation even when numba is present
-  (debugging, coverage runs, bisecting a suspected codegen issue).
-* Compiled and fallback kernels share one signature and one docstring;
-  call sites never branch on :data:`HAVE_NUMBA` themselves.
+min-scatter inside ``reduce_candidates``.  They live here, one
+implementation each, so every engine and the e2e layer benchmark time the
+same code.
 """
 
 from __future__ import annotations
 
-import os
+from .hot import keyed_min_scatter, pull_candidates, ragged_gather_flat
 
-#: True when numba imported successfully and ``REPRO_JIT`` does not disable
-#: it; the kernels in :mod:`repro.kernels.hot` are then the compiled ones.
+#: Constant; benchmarks/e2e/layers.py reads it (``kernels.is_numba``).
 HAVE_NUMBA = False
-
-if os.environ.get("REPRO_JIT", "1").lower() not in ("0", "false", "no"):
-    try:  # pragma: no cover - exercised only where numba is installed
-        import numba  # noqa: F401
-
-        HAVE_NUMBA = True
-    except Exception:
-        HAVE_NUMBA = False
 
 
 def kernel_backend() -> str:
-    """Which implementation the hot kernels run: ``"numba"`` or ``"numpy"``."""
-    return "numba" if HAVE_NUMBA else "numpy"
+    """Which implementation the hot kernels run (``benchmarks/e2e/run.py``
+    records it): always ``"numpy"``."""
+    return "numpy"
 
-
-from .hot import (  # noqa: E402  (gate above must run first)
-    keyed_min_scatter,
-    pull_candidates,
-    ragged_gather_flat,
-)
 
 __all__ = [
     "HAVE_NUMBA",

@@ -1,34 +1,28 @@
-"""The three dominant self-time loops, compiled when numba is available.
+"""The three dominant self-time loops as vectorized NumPy.
 
-Each kernel has two implementations with one contract:
-
-* ``_*_np`` — the vectorized NumPy reference (always defined, always the
-  one used when numba is absent or ``REPRO_JIT=0``);
-* a ``@njit`` twin compiled lazily on first call when numba is present.
-
-The public names (:func:`keyed_min_scatter`, :func:`ragged_gather_flat`,
-:func:`pull_candidates`) are bound to one or the other at import time.
-Results are bit-identical across implementations — the compiled loops
-evaluate the same arithmetic in the same order the NumPy expressions do —
-which is what lets the cross-backend parity suite run against either.
+Each function is checked against a plain-Python loop oracle in
+``tests/kernels/test_hot_parity.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import HAVE_NUMBA
-
 _I64_MAX = np.iinfo(np.int64).max
 
 
-# ---------------------------------------------------------------------------
-# keyed min-scatter (reduce_candidates fast path)
-# ---------------------------------------------------------------------------
-
-def _keyed_min_scatter_np(
+def keyed_min_scatter(
     rows: np.ndarray, k: np.ndarray, lo: int, width: int
 ) -> np.ndarray:
+    """Per-row minimum of packed (key, position) codes.
+
+    ``rows`` (int64) are candidate row ids in ``[lo, lo + width)``; ``k``
+    (int64) the comparison keys.  Returns ``best`` of length ``width`` where
+    ``best[j]`` is the minimum of ``k[i] * len(rows) + i`` over candidates
+    with ``rows[i] - lo == j`` (``INT64_MAX`` where no candidate landed) —
+    the first-arrival tie-breaking encode of
+    :func:`repro.sparse.semiring.reduce_candidates`'s scatter fast path.
+    The caller guarantees the packed code cannot overflow."""
     c = rows.size
     enc = k * np.int64(c) + np.arange(c, dtype=np.int64)
     best = np.full(width, _I64_MAX, dtype=np.int64)
@@ -36,13 +30,13 @@ def _keyed_min_scatter_np(
     return best
 
 
-# ---------------------------------------------------------------------------
-# ragged gather (every SpMV explode, every degree filter)
-# ---------------------------------------------------------------------------
-
-def _ragged_gather_np(
+def ragged_gather_flat(
     indptr: np.ndarray, indices: np.ndarray, cols: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenate ``indices[indptr[c]:indptr[c+1]]`` for each ``c`` in ``cols``.
+
+    Returns ``(gathered, counts)``; ``counts[k]`` is the length contributed
+    by ``cols[k]`` (the cumsum/repeat/arange trick, no Python loop)."""
     starts = indptr[cols]
     counts = indptr[cols + 1] - starts
     total = int(counts.sum())
@@ -55,120 +49,22 @@ def _ragged_gather_np(
     return indices[positions], counts
 
 
-# ---------------------------------------------------------------------------
-# fused bottom-up pull-and-filter (DCSC CSR-mirror walk)
-# ---------------------------------------------------------------------------
-
-def _pull_candidates_np(
+def pull_candidates(
     row_ptr: np.ndarray,
     col_idx: np.ndarray,
     rows: np.ndarray,
     root_of: np.ndarray,
     null: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    cols, counts = _ragged_gather_np(row_ptr, col_idx, rows)
+    """Fused bottom-up pull: walk ``rows`` through a CSR mirror, keep frontier hits.
+
+    For each local row in ``rows``, scan its adjacency ``col_idx[row_ptr[r]:
+    row_ptr[r+1]]`` and keep the (row, col, root_of[col]) triples whose
+    column has ``root_of[col] != null``.  Returns the three filtered arrays
+    with rows in input order and columns ascending within each row — the
+    order the downstream stable reduction relies on."""
+    cols, counts = ragged_gather_flat(row_ptr, col_idx, rows)
     cand_rows = np.repeat(rows, counts)
     croots = root_of[cols]
     hit = croots != null
     return cand_rows[hit], cols[hit], croots[hit]
-
-
-if HAVE_NUMBA:  # pragma: no cover - exercised only where numba is installed
-    from numba import njit
-
-    @njit(cache=True)
-    def _keyed_min_scatter_nb(rows, k, lo, width):
-        c = rows.size
-        best = np.full(width, _I64_MAX, dtype=np.int64)
-        for i in range(c):
-            e = k[i] * c + i
-            j = rows[i] - lo
-            if e < best[j]:
-                best[j] = e
-        return best
-
-    @njit(cache=True)
-    def _ragged_gather_nb(indptr, indices, cols):
-        n = cols.size
-        counts = np.empty(n, dtype=np.int64)
-        total = 0
-        for i in range(n):
-            cnt = indptr[cols[i] + 1] - indptr[cols[i]]
-            counts[i] = cnt
-            total += cnt
-        out = np.empty(total, dtype=np.int64)
-        pos = 0
-        for i in range(n):
-            s = indptr[cols[i]]
-            e = s + counts[i]
-            for t in range(s, e):
-                out[pos] = indices[t]
-                pos += 1
-        return out, counts
-
-    @njit(cache=True)
-    def _pull_candidates_nb(row_ptr, col_idx, rows, root_of, null):
-        # one counting pass, one fill pass: no intermediate candidate arrays
-        n = rows.size
-        nhit = 0
-        for i in range(n):
-            r = rows[i]
-            for t in range(row_ptr[r], row_ptr[r + 1]):
-                if root_of[col_idx[t]] != null:
-                    nhit += 1
-        out_rows = np.empty(nhit, dtype=np.int64)
-        out_cols = np.empty(nhit, dtype=np.int64)
-        out_roots = np.empty(nhit, dtype=np.int64)
-        pos = 0
-        for i in range(n):
-            r = rows[i]
-            for t in range(row_ptr[r], row_ptr[r + 1]):
-                c = col_idx[t]
-                g = root_of[c]
-                if g != null:
-                    out_rows[pos] = r
-                    out_cols[pos] = c
-                    out_roots[pos] = g
-                    pos += 1
-        return out_rows, out_cols, out_roots
-
-    def keyed_min_scatter(rows, k, lo, width):
-        return _keyed_min_scatter_nb(rows, k, int(lo), int(width))
-
-    def ragged_gather_flat(indptr, indices, cols):
-        if indices.dtype != np.int64:  # compiled loop is int64-only
-            return _ragged_gather_np(indptr, indices, cols)
-        return _ragged_gather_nb(indptr, indices, cols)
-
-    def pull_candidates(row_ptr, col_idx, rows, root_of, null):
-        return _pull_candidates_nb(row_ptr, col_idx, rows, root_of, null)
-
-else:
-    keyed_min_scatter = _keyed_min_scatter_np
-    ragged_gather_flat = _ragged_gather_np
-    pull_candidates = _pull_candidates_np
-
-
-keyed_min_scatter.__doc__ = """Per-row minimum of packed (key, position) codes.
-
-``rows`` (int64) are candidate row ids in ``[lo, lo + width)``; ``k``
-(int64) the comparison keys.  Returns ``best`` of length ``width`` where
-``best[j]`` is the minimum of ``k[i] * len(rows) + i`` over candidates
-with ``rows[i] - lo == j`` (``INT64_MAX`` where no candidate landed) —
-the first-arrival tie-breaking encode of
-:func:`repro.sparse.semiring.reduce_candidates`'s scatter fast path.
-The caller guarantees the packed code cannot overflow."""
-
-ragged_gather_flat.__doc__ = """Concatenate ``indices[indptr[c]:indptr[c+1]]`` for each ``c`` in ``cols``.
-
-Returns ``(gathered, counts)``; ``counts[k]`` is the length contributed
-by ``cols[k]``.  The compiled twin runs the direct two-pass fill; the
-NumPy fallback is the cumsum/repeat/arange trick."""
-
-pull_candidates.__doc__ = """Fused bottom-up pull: walk ``rows`` through a CSR mirror, keep frontier hits.
-
-For each local row in ``rows``, scan its adjacency ``col_idx[row_ptr[r]:
-row_ptr[r+1]]`` and keep the (row, col, root_of[col]) triples whose
-column has ``root_of[col] != null``.  Returns the three filtered arrays
-with rows in input order and columns ascending within each row — the
-order the downstream stable reduction relies on."""

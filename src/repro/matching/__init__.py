@@ -58,7 +58,6 @@ from .msbfs import MsBfsHooks, MatchingStats, ms_bfs_mcm, run_phase
 from .augment import augment_level_parallel, augment_path_parallel, choose_augment_mode
 from .maximal_rounds import greedy_rounds, karp_sipser_rounds, mindegree_rounds, MaximalHooks
 from .graft import ms_bfs_graft
-from .push_relabel import push_relabel_mcm
 from .reference import auction_mwm_serial, hungarian_mwm
 from .mwm_dist import run_mwm_dist
 from .api import maximum_matching, maximal_matching, maximum_weight_matching
@@ -90,7 +89,6 @@ __all__ = [
     "ms_bfs_graft",
     "ms_bfs_mcm",
     "pothen_fan",
-    "push_relabel_mcm",
     "run_phase",
     "single_source_mcm",
     "verify_maximum",

@@ -50,11 +50,6 @@ class BspClock:
     time: float = 0.0
     breakdown: Breakdown = field(default_factory=Breakdown)
 
-    @property
-    def alpha_beta(self) -> tuple[float, float]:
-        """(α, β) for collectives spanning the whole grid."""
-        return self.machine.comm_params(self.grid.nprocs, self.grid.threads)
-
     def alpha_beta_for(self, nprocs: int) -> tuple[float, float]:
         """(α, β) for a sub-communicator of ``nprocs`` processes (e.g. one
         grid row of √P processes)."""

@@ -359,11 +359,6 @@ class _AllreduceRequest(Request):
         return self._value
 
 
-def wait_all(requests: "Sequence[Request]") -> list[Any]:
-    """Wait every request, returning their values in order."""
-    return [req.wait() for req in requests]
-
-
 class _Frame:
     """The open frame of one collective — what ``with
     comm._collective(...) as seq`` holds.  A plain class rather than

@@ -216,9 +216,6 @@ class SimResult:
     def nprocs(self) -> int:
         return self.grid.nprocs
 
-    def seconds_of(self, category: Category) -> float:
-        return self.breakdown.seconds(category)
-
 
 class _Pricer:
     """Prices one trace on one grid configuration."""
@@ -230,7 +227,6 @@ class _Pricer:
         grid: GridShape,
         alltoall: str = "bruck",
         allgather: str = "doubling",
-        allreduce: str = "doubling",
         links: "LinkModel | None" = None,
     ) -> None:
         self.t = trace
@@ -238,7 +234,6 @@ class _Pricer:
         self.g = grid
         self.alg_a2a = alltoall
         self.alg_ag = allgather
-        self.alg_ar = allreduce
         self.clock = BspClock(machine, grid)
         pr, pc = grid.pr, grid.pc
         self.P = pr * pc
@@ -359,11 +354,11 @@ class _Pricer:
                 self.clock.step(Category.INVERT, ops, comm)
             elif kind == "iteration_end":
                 self.clock.charge_comm(
-                    Category.OTHER, C.allreduce(self.P, a_P, b_P, 1, self.alg_ar)
+                    Category.OTHER, C.allreduce(self.P, a_P, b_P, 1, "doubling")
                 )
             elif kind == "phase_end":
                 self.clock.charge_comm(
-                    Category.OTHER, C.allreduce(self.P, a_P, b_P, 1, self.alg_ar)
+                    Category.OTHER, C.allreduce(self.P, a_P, b_P, 1, "doubling")
                 )
             elif kind == "init_explore":
                 cols = ev["cand_cols"]
@@ -383,7 +378,7 @@ class _Pricer:
                 factor = 2 if ev.get("algo") == "mindegree" else 1
                 self.clock.charge_comm(
                     Category.INIT,
-                    factor * C.allreduce(self.P, a_P, b_P, 1, self.alg_ar),
+                    factor * C.allreduce(self.P, a_P, b_P, 1, "doubling"),
                 )
             else:  # pragma: no cover - trace corruption guard
                 raise ValueError(f"unknown trace event {kind!r}")
@@ -444,23 +439,22 @@ def price(
     *,
     alltoall: str = "bruck",
     allgather: str = "doubling",
-    allreduce: str = "doubling",
     links: "LinkModel | None" = None,
 ) -> SimResult:
     """Price a recorded trace at one (cores, threads) configuration.
 
-    ``alltoall``/``allgather``/``allreduce`` select the modeled collective
-    algorithms: the defaults ("bruck"/"doubling"/"doubling") model the
-    small-message regime of production MPI (what the paper's measured runs
-    rode; :mod:`repro.runtime.comm`'s own all-to-all is pairwise);
-    "pairwise"/"ring"/"reduce_bcast" reproduce the paper's worst-case
-    Section IV-B bounds.  ``links`` (a
+    ``alltoall``/``allgather`` select the modeled collective algorithms:
+    the defaults ("bruck"/"doubling") model the small-message regime of
+    production MPI (what the paper's measured runs rode;
+    :mod:`repro.runtime.comm`'s own all-to-all is pairwise);
+    "pairwise"/"ring" reproduce the paper's worst-case Section IV-B
+    bounds; allreduce is always priced as recursive doubling.  ``links`` (a
     :class:`~repro.perfmodel.links.LinkModel`) prices the run on a damaged
     fabric: each communicator's (α, β) inflates by its worst degraded
     member edge.
     """
     grid = machine.square_grid(cores, threads)
-    clock = _Pricer(trace, machine, grid, alltoall, allgather, allreduce, links).price()
+    clock = _Pricer(trace, machine, grid, alltoall, allgather, links).price()
     return SimResult(
         cores=cores,
         threads=threads,

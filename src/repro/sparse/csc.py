@@ -33,7 +33,7 @@ def ragged_gather(indptr: np.ndarray, indices: np.ndarray, cols: np.ndarray) -> 
     contributed by ``cols[k]``.  This is the vectorized replacement for the
     per-column Python loop — the single most important optimization in the
     library (every SpMV, every degree filter goes through it), and one of
-    the three loops :mod:`repro.kernels` compiles when numba is available.
+    the three hot kernels of :mod:`repro.kernels`.
     """
     return ragged_gather_flat(indptr, indices, np.asarray(cols, dtype=np.int64))
 

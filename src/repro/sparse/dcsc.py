@@ -146,9 +146,8 @@ class DCSC:
         null``).  Returns ``(rows, cols, roots)`` filtered, rows in input
         order and columns ascending within each row — same order the
         two-step explode-then-mask produces, so downstream stable
-        reductions are bit-identical.  One of the three compiled loops of
-        :mod:`repro.kernels`: the fused form never materializes the
-        unfiltered candidate arrays."""
+        reductions are bit-identical.  One of the three hot kernels of
+        :mod:`repro.kernels`."""
         rows = np.asarray(rows, dtype=np.int64)
         row_ptr, col_idx = self.csr_mirror()
         return pull_candidates(row_ptr, col_idx, rows, root_of, null)

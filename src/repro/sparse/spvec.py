@@ -140,14 +140,6 @@ class VertexFrontier:
         """Subset by boolean mask over stored entries (order preserved)."""
         return VertexFrontier(self.n, self.idx[mask], self.parent[mask], self.root[mask])
 
-    def parents_vec(self) -> SparseVec:
-        """PARENT(x) as a sparse vector over the same indices."""
-        return SparseVec(self.n, self.idx, self.parent)
-
-    def roots_vec(self) -> SparseVec:
-        """ROOT(x) as a sparse vector over the same indices."""
-        return SparseVec(self.n, self.idx, self.root)
-
     def copy(self) -> "VertexFrontier":
         return VertexFrontier(self.n, self.idx.copy(), self.parent.copy(), self.root.copy())
 

@@ -1,12 +1,11 @@
 """Differential tests: every seeded lint fixture's bug is real.
 
 The acceptance bar for the analyzer is that its findings are not
-hypothetical: the SPMD5xx fixtures genuinely hang the simulated fabric
-(caught by the timeout backstop, which names the blocked rank the linter
-predicted), the SPMD6xx fixtures genuinely produce divergent values
-across ranks, and the SPMD7xx fixtures genuinely fail to pickle.  Each
-test pairs the runtime reproduction with the static finding at the same
-source location.
+hypothetical: the divergent-collective fixture genuinely hangs the
+simulated fabric (caught by the timeout backstop), the SPMD6xx fixtures
+genuinely produce divergent values across ranks, and the SPMD7xx fixtures
+genuinely fail to pickle.  Each test pairs the runtime reproduction with
+the static finding at the same source location.
 """
 
 import pickle
@@ -16,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import lint_file
-from repro.runtime import DeadlockError, spmd
+from repro.runtime import spmd
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 FIXTURE = REPO_ROOT / "examples" / "buggy_spmd.py"
@@ -40,40 +39,10 @@ def fixture_line(substring):
     raise AssertionError(f"{substring!r} not in fixture")
 
 
-# ------------------------------------------------------------ SPMD501/502
-
-
-def test_lonely_recv_deadlocks_and_is_flagged_at_the_recv():
-    """SPMD501: the fixture hangs the fabric; the timeout backstop names
-    rank 1 (the blocked receiver) and the static finding sits on the exact
-    recv call."""
-    with pytest.raises(DeadlockError) as exc:
-        spmd(2, buggy_spmd.lonely_recv, timeout=0.4, join_grace=2.0)
-    msg = str(exc.value)
-    assert "rank 1" in msg, "backstop must name the blocked rank"
-    assert "recv(source=0, tag=9)" in msg
-
-    f = finding("SPMD501", "lonely_recv")
-    assert f.line == fixture_line("comm.recv(0, tag=9)")
-    assert "rank 1" in f.message and "tag=9" in f.message
-
-
-def test_ring_recv_before_send_deadlocks_and_is_flagged_at_the_recv():
-    """SPMD502: all ranks block in recv with every matching send stuck
-    behind another blocked recv — the linter reports the cycle at the same
-    recv the fabric times out in."""
-    with pytest.raises(DeadlockError) as exc:
-        spmd(2, buggy_spmd.ring_recv_before_send, timeout=0.4, join_grace=2.0)
-    assert "recv" in str(exc.value)
-
-    f = finding("SPMD502", "ring_recv_before_send")
-    assert f.line == fixture_line("comm.recv(left, tag=7)")
-    assert "cyclic" in f.message
-
-
 def test_fixed_ring_runs_clean():
-    """The canonical fix (parity-ordered sends) both lints clean and runs:
-    the same communication pattern, minus the bug."""
+    """The canonical fix (parity-ordered sends) of the recv-before-send
+    ring in ``tests/runtime/test_p2p.py`` runs: the same communication
+    pattern, minus the bug."""
 
     def fixed_ring(comm):
         left = (comm.rank - 1) % comm.size

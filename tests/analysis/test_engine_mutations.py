@@ -1,0 +1,114 @@
+"""Seeded mutations of the real engine sources: why each lint family stays.
+
+Each row rewrites one anchor in an engine source file *textually* and lints
+the result with :func:`lint_source` — the mutated code is never executed.
+A rule family earns its place in ``repro/analysis`` by flagging at least
+one row here (ROADMAP item 8's decision rule), so the evidence follows the
+engines instead of living only in ``examples/buggy_spmd.py``.  An anchor
+that no longer occurs exactly once fails its row by name: re-seed the
+mutation against the new engine text rather than deleting the row.
+
+Known limits (mutations the linter still misses) are listed in DESIGN §12.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from repro.analysis import lint_source
+
+SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+
+SAVE_CHECKPOINT = """\
+    if grid.comm.rank == 0:
+        store.save(ck)
+    grid.comm.barrier()
+"""
+
+ALG4_OPENING = "    win.fence()\n    for r0 in"
+
+#: (row id, source file, anchor text, replacement, codes the lint must report)
+MUTATIONS = [
+    ("alg4-opening-fence-dropped", "matching/mcm_dist.py",
+     ALG4_OPENING,
+     "    for r0 in",
+     {"SPMD301"}),
+    ("get-after-free", "matching/mcm_dist.py",
+     "        win.free()\n",
+     "        win.free()\n        tail = win.get(0, 0)\n",
+     {"SPMD301"}),
+    ("checkpoint-barrier-under-rank-test", "matching/job.py",
+     SAVE_CHECKPOINT,
+     "    if grid.comm.rank == 0:\n        store.save(ck)\n        grid.comm.barrier()\n",
+     {"SPMD101"}),
+    ("scatter-and-barrier-swapped-on-root", "distmat/spmat.py",
+     "    rows, cols, *mine = comm.scatter(payloads, root=root)\n",
+     "    if comm.rank == root:\n"
+     "        rows, cols, *mine = comm.scatter(payloads, root=root)\n"
+     "        comm.barrier()\n"
+     "    else:\n"
+     "        comm.barrier()\n"
+     "        rows, cols, *mine = comm.scatter(payloads, root=root)\n",
+     {"SPMD101"}),
+    ("eps-phase-loop-over-a-set", "matching/mwm_dist.py",
+     "    for phase_no in range(start_phase + 1, len(schedule) + 1):\n",
+     "    for phase_no in set(range(start_phase + 1, len(schedule) + 1)):\n",
+     {"SPMD601", "SPMD603"}),
+    ("hop-as-sends-over-a-set", "distmat/ops.py",
+     "    return _unframe(comm.alltoallv([_frame(count, *b) for b in buckets]), len(arrays))\n",
+     "    for r in set(dest.tolist()):\n"
+     "        comm.send(r, _frame(count, *buckets[r]))\n",
+     {"SPMD601"}),
+    ("unseeded-shuffle-of-start-rows", "matching/mcm_dist.py",
+     ALG4_OPENING,
+     "    win.fence()\n    np.random.shuffle(start_rows)\n    for r0 in",
+     {"SPMD401"}),
+    ("clock-in-proposal-tie-break", "matching/mcm_dist.py",
+     "            key = key + degc[key - A.col_lo] * ncols\n",
+     "            key = key + degc[key - A.col_lo] * ncols + time.time_ns() % 2\n",
+     {"SPMD602"}),
+    ("module-cache-written-by-rank-code", "matching/mcm_dist.py",
+     "    stats = DistStats()\n",
+     "    stats = DistStats()\n    _INIT_POLICIES[\"last\"] = stats\n",
+     {"SPMD701"}),
+    ("lambda-bcast-payload", "matching/mwm_dist.py",
+     "comm.bcast(header, root=0)",
+     "comm.bcast(lambda: header, root=0)()",
+     {"SPMD702"}),
+    # the two blind spots: the engines' own rank idiom is ``grid.i`` /
+    # ``grid.j``, and every engine starts through ``job.launch``
+    ("checkpoint-barrier-under-grid-coordinate", "matching/job.py",
+     SAVE_CHECKPOINT,
+     "    if grid.i == 0:\n        store.save(ck)\n        grid.comm.barrier()\n",
+     {"SPMD101"}),
+    ("closure-handed-to-launch", "matching/mcm_dist.py",
+     "    return launch(\n        _mcm_rank_main, (coo,), pr, pc,\n",
+     "    def main(comm, *args, **kwargs):\n"
+     "        return mcm_dist_spmd(comm, coo if comm.rank == 0 else None, *args, **kwargs)\n"
+     "\n"
+     "    return launch(\n        main, (), pr, pc,\n",
+     {"SPMD703"}),
+]
+
+
+@pytest.mark.parametrize("rel", sorted({m[1] for m in MUTATIONS}))
+def test_unmutated_engine_source_is_clean(rel):
+    assert lint_source((SRC / rel).read_text(), rel) == []
+
+
+@pytest.mark.parametrize(
+    "rel, anchor, replacement, expected",
+    [m[1:] for m in MUTATIONS], ids=[m[0] for m in MUTATIONS],
+)
+def test_mutation_is_flagged(rel, anchor, replacement, expected):
+    source = (SRC / rel).read_text()
+    assert source.count(anchor) == 1, f"anchor occurs {source.count(anchor)}x in {rel}"
+    got = {f.code for f in lint_source(source.replace(anchor, replacement), rel)}
+    assert got == expected
+
+
+def test_every_rule_family_has_a_row():
+    from repro.analysis import RULES
+
+    families = {code[:5] for code in RULES} - {"SPMD0"}
+    assert families == {code[:5] for m in MUTATIONS for code in m[4]}

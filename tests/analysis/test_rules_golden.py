@@ -164,22 +164,6 @@ def test_102_clean_uniform_loop_via_helper():
     assert run(src) == []
 
 
-# ------------------------------------------------------------------- SPMD201
-
-
-def test_201_flagged_and_clean_pair():
-    flagged = """
-    def main(comm):
-        comm.send(1, data, tag=(1 << 30) + 3)
-    """
-    clean = """
-    def main(comm):
-        comm.send(1, data, tag=(1 << 29))
-    """
-    assert codes(flagged) == ["SPMD201"]
-    assert run(clean) == []
-
-
 # ------------------------------------------------------------------- SPMD301
 
 
@@ -293,86 +277,6 @@ def test_401_seed_must_precede_the_draw():
         np.random.seed(0)
     """
     assert codes(src) == ["SPMD401"]
-
-
-# --------------------------------------------------------------- SPMD501/502
-
-
-def test_501_flagged_recv_without_matching_send():
-    src = """
-    def main(comm):
-        if comm.rank == 0:
-            comm.send(1, b"x", tag=3)
-        elif comm.rank == 1:
-            return comm.recv(0, tag=4)
-    """
-    fs = run(src)
-    assert "SPMD501" in [f.code for f in fs]
-    f = next(f for f in fs if f.code == "SPMD501")
-    assert "rank 1" in f.message and "tag=4" in f.message
-
-
-def test_501_clean_matching_tags():
-    src = """
-    def main(comm):
-        if comm.rank == 0:
-            comm.send(1, b"x", tag=3)
-        elif comm.rank == 1:
-            return comm.recv(0, tag=3)
-    """
-    assert run(src) == []
-
-
-def test_502_flagged_recv_before_send_ring():
-    src = """
-    def main(comm):
-        left = (comm.rank - 1) % comm.size
-        right = (comm.rank + 1) % comm.size
-        got = comm.recv(left, tag=5)
-        comm.send(right, comm.rank, tag=5)
-        return got
-    """
-    fs = run(src)
-    assert [f.code for f in fs] == ["SPMD502"]
-    assert "cyclic" in fs[0].message
-
-
-def test_502_clean_parity_ordered_ring():
-    src = """
-    def main(comm):
-        left = (comm.rank - 1) % comm.size
-        right = (comm.rank + 1) % comm.size
-        if comm.rank % 2 == 0:
-            comm.send(right, comm.rank, tag=5)
-            got = comm.recv(left, tag=5)
-        else:
-            got = comm.recv(left, tag=5)
-            comm.send(right, comm.rank, tag=5)
-        return got
-    """
-    assert run(src) == []
-
-
-def test_502_clean_sendrecv_ring():
-    src = """
-    def main(comm):
-        left = (comm.rank - 1) % comm.size
-        right = (comm.rank + 1) % comm.size
-        return comm.sendrecv(right, comm.rank, left, tag=5)
-    """
-    assert run(src) == []
-
-
-def test_5xx_bails_on_data_dependent_peers():
-    # peers from runtime data -> the interpreter cannot enumerate the
-    # execution, so it must stay silent (soundness stance)
-    src = """
-    def main(comm, peers):
-        for p in peers:
-            comm.send(p, b"x", tag=1)
-        return comm.recv(tag=1)
-    """
-    assert run(src) == []
 
 
 # --------------------------------------------------------------- SPMD601-603
@@ -535,6 +439,9 @@ def test_703_flagged_and_clean_pair():
     """
     assert codes(flagged) == ["SPMD703"]
     assert run(clean) == []
+    # every engine starts through matching/job.py::launch
+    assert codes(flagged.replace("spmd(4, rank_main)", "launch(rank_main, (data,), 2, 2)")
+                 ) == ["SPMD703"]
 
 
 # ----------------------------------------------------------- SPMD301 epochs

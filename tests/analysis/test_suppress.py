@@ -46,8 +46,8 @@ def test_noqa_inside_a_string_literal_is_inert():
 
 
 def test_noqa_map_parses_codes_case_insensitively():
-    m = noqa_map("x = 1  # repro: NOQA[spmd101, SPMD201]\n")
-    assert m == {1: frozenset({"SPMD101", "SPMD201"})}
+    m = noqa_map("x = 1  # repro: NOQA[spmd101, SPMD301]\n")
+    assert m == {1: frozenset({"SPMD101", "SPMD301"})}
 
 
 # ------------------------------------------------------------------ baseline
@@ -119,6 +119,7 @@ def test_committed_baseline_has_no_stale_entries():
                for e in baseline.entries
                for f in findings if baseline.matches(f)
                if f.code == e["code"] and f.function == e.get("function", "")}
+    assert len(baseline.entries) == 11
     for e in baseline.entries:
         key = (e["path"], e["code"], e["function"])
         assert key in matched, f"stale baseline entry: {e}"

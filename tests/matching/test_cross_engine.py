@@ -12,7 +12,6 @@ from repro.matching import (
     ms_bfs_graft,
     ms_bfs_mcm,
     pothen_fan,
-    push_relabel_mcm,
     single_source_mcm,
 )
 from repro.matching.validate import cardinality, verify_maximum
@@ -23,7 +22,6 @@ ENGINES = {
     "hopcroft-karp": lambda a: hopcroft_karp(a)[0],
     "pothen-fan": lambda a: pothen_fan(a)[0],
     "single-source": lambda a: single_source_mcm(a)[0],
-    "push-relabel": lambda a: push_relabel_mcm(a)[0],
     "ms-bfs": lambda a: ms_bfs_mcm(a)[0],
     "ms-bfs-bottomup": lambda a: ms_bfs_mcm(a, direction="auto")[0],
     "ms-bfs-graft": lambda a: ms_bfs_graft(a)[0],
@@ -71,6 +69,5 @@ def test_every_engine_certified_by_koenig():
             "hopcroft-karp": hopcroft_karp,
             "pothen-fan": pothen_fan,
             "single-source": single_source_mcm,
-            "push-relabel": push_relabel_mcm,
         }[name](a)
         assert verify_maximum(a, mr, mc), name

@@ -1,13 +1,10 @@
-"""Extension features: direction-optimized BFS (the paper's future work)
-and the push-relabel baseline family."""
+"""Extension features: direction-optimized BFS (the paper's future work)."""
 
 import numpy as np
 import pytest
 
-from repro.sparse import COO, CSC
 from repro.matching import maximum_matching, ms_bfs_mcm
 from repro.matching.msbfs import MsBfsHooks
-from repro.matching.push_relabel import push_relabel_mcm
 from repro.matching.validate import cardinality, is_valid_matching, verify_maximum
 
 from .conftest import random_bipartite, scipy_optimum
@@ -77,45 +74,3 @@ def test_api_exposes_direction():
     a = random_bipartite(30, 30, 120, 1)
     mr, mc, _ = maximum_matching(a, direction="auto")
     assert cardinality(mr) == scipy_optimum(a)
-
-
-# -- push-relabel ------------------------------------------------------------------
-
-@pytest.mark.parametrize("fifo", [True, False])
-@pytest.mark.parametrize("seed", range(6))
-def test_push_relabel_matches_oracle(fifo, seed):
-    rng = np.random.default_rng(seed)
-    n1, n2 = int(rng.integers(1, 60)), int(rng.integers(1, 60))
-    a = random_bipartite(n1, n2, int(rng.integers(0, 4 * max(n1, n2))), seed + 800)
-    mr, mc = push_relabel_mcm(a, fifo=fifo)
-    assert is_valid_matching(a, mr, mc)
-    assert cardinality(mr) == scipy_optimum(a)
-    assert verify_maximum(a, mr, mc)
-
-
-def test_push_relabel_with_initial_matching():
-    a = random_bipartite(40, 40, 200, 9)
-    from repro.matching import greedy_maximal
-
-    ir, ic = greedy_maximal(a)
-    mr, mc = push_relabel_mcm(a, ir, ic)
-    assert cardinality(mr) == scipy_optimum(a)
-
-
-def test_push_relabel_empty_and_star():
-    a = CSC.from_coo(COO.empty(3, 3))
-    mr, mc = push_relabel_mcm(a)
-    assert cardinality(mr) == 0
-    star = CSC.from_coo(COO.from_edges(1, 4, [(0, j) for j in range(4)]))
-    mr, mc = push_relabel_mcm(star)
-    assert cardinality(mr) == 1
-
-
-def test_push_relabel_does_not_mutate_inputs():
-    a = random_bipartite(20, 20, 80, 4)
-    from repro.matching import greedy_maximal
-
-    ir, ic = greedy_maximal(a)
-    snap = ir.copy()
-    push_relabel_mcm(a, ir, ic)
-    assert np.array_equal(ir, snap)

@@ -122,6 +122,40 @@ def test_recv_without_send_raises_deadlock_error():
         spmd(2, main, timeout=0.3)
 
 
+def lonely_recv(comm):
+    """Rank 1 waits on tag 9; rank 0 only ever sends tag 8."""
+    if comm.rank == 0:
+        comm.send(1, b"ping", tag=8)
+    elif comm.rank == 1:
+        return comm.recv(0, tag=9)
+    return None
+
+
+def ring_recv_before_send(comm):
+    """Every rank receives from its left neighbour *before* sending to its
+    right — a cyclic wait with no message in flight."""
+    left = (comm.rank - 1) % comm.size
+    right = (comm.rank + 1) % comm.size
+    got = comm.recv(left, tag=7)
+    comm.send(right, comm.rank, tag=7)
+    return got
+
+
+def test_lonely_recv_deadlock_names_rank_and_op():
+    """The timeout backstop names the blocked rank and the blocked op."""
+    with pytest.raises(DeadlockError) as exc:
+        spmd(2, lonely_recv, timeout=0.4, join_grace=2.0)
+    msg = str(exc.value)
+    assert "rank 1" in msg, "backstop must name the blocked rank"
+    assert "recv(source=0, tag=9)" in msg
+
+
+def test_ring_recv_before_send_deadlocks_in_recv():
+    with pytest.raises(DeadlockError) as exc:
+        spmd(2, ring_recv_before_send, timeout=0.4, join_grace=2.0)
+    assert "recv" in str(exc.value)
+
+
 class Boom(RuntimeError):
     """Module-level so the process backend can pickle it over the result
     pipe — function-local exception types degrade to CommError there."""
