@@ -3,7 +3,7 @@
 One artifact, committed at the repo root so CI can diff against it:
 
 * ``BENCH_scenarios.json`` — one SLO block per named scenario in
-  :data:`repro.runtime.scenarios.SCENARIOS` (baseline, straggler,
+  :data:`repro.matching.scenarios.SCENARIOS` (baseline, straggler,
   degraded-links, correlated-crash, disrupted): p50/p99 model-time
   latency of the seeded request stream, recovery time after correlated
   kills, checkpoint overhead, restart counts, and the logical
@@ -48,7 +48,7 @@ from bench_collectives import (  # noqa: E402
     TOLERANCE, check_against_before, check_against_committed,
 )
 
-from repro.runtime.scenarios import SCENARIOS, run_scenario  # noqa: E402
+from repro.matching.scenarios import SCENARIOS, run_scenario  # noqa: E402
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS_JSON = "BENCH_scenarios.json"

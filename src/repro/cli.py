@@ -121,7 +121,7 @@ def cmd_spmd(args) -> int:
     from .matching.mcm_dist import run_mcm_dist
 
     if args.scenario is not None:
-        from .runtime.scenarios import SCENARIOS, run_scenario
+        from .matching.scenarios import SCENARIOS, run_scenario
 
         if args.scenario not in SCENARIOS:
             print(f"unknown scenario {args.scenario!r}; choose from "
@@ -351,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-restarts", type=int, default=8, metavar="M",
                    help="give up after M fabric rebuilds")
     p.add_argument("--checkpoint-dir", default=None, metavar="DIR",
-                   help="persist checkpoints as .npz files (default: in-memory)")
+                   help="persist checkpoints as .npz files here (default: a store "
+                        "that lasts as long as the job)")
     p.add_argument("--stats-json", default=None, metavar="PATH",
                    help="dump the run's DistStats (phases, word counters, "
                         "per-algorithm collective counters, one-sided RMA "

@@ -31,7 +31,10 @@ The true distributed implementations:
   sharing the pure-NumPy round kernels of :mod:`~repro.matching.auction`
   with the serial oracle twin
   (:mod:`~repro.matching.reference.auction_twin`); the exact O(n³)
-  Hungarian reference lives in :mod:`~repro.matching.reference.hungarian`.
+  Hungarian reference lives in :mod:`~repro.matching.reference.hungarian`;
+* :mod:`~repro.matching.scenarios` — the adversity scenario suite: seeded
+  request streams through ``run_mcm_dist`` under named fault plans, queued
+  in model time into an SLO report.
 
 Validation:
 

@@ -62,7 +62,6 @@ def ms_bfs_graft(
     rng: np.random.Generator | None = None,
     prune: bool = True,
     augment_mode: str = "auto",
-    nprocs_for_switch: int = 1,
     rebuild_threshold: float = 0.5,
 ) -> tuple[np.ndarray, np.ndarray, MatchingStats]:
     """Maximum cardinality matching with tree grafting.
@@ -145,7 +144,7 @@ def ms_bfs_graft(
 
         augment_auto(
             path_c, pi_r, mate_r, mate_c,
-            mode=augment_mode, nprocs=nprocs_for_switch, stats=stats.augment,
+            mode=augment_mode, nprocs=1, stats=stats.augment,
         )
         # invalidate the augmented trees: their members become renewable
         aug_roots = np.flatnonzero(path_c != NULL)

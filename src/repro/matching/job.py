@@ -17,6 +17,8 @@ here once:
 
 from __future__ import annotations
 
+import contextlib
+import tempfile
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -31,6 +33,7 @@ from ..runtime import (
     DistTrace,
     FaultInjector,
     FaultPlan,
+    FileCheckpointStore,
     resolve_backend,
     resolve_timeout,
     spmd,
@@ -234,7 +237,9 @@ def launch(
     ``rank_main`` must accept ``checkpoint_every`` / ``checkpoint_store`` /
     ``resume`` and snapshot at phase boundaries when given a store.  A
     store exists iff the caller passes one or allows restarts
-    (``max_restarts > 0``, which creates an in-memory one); without a store
+    (``max_restarts > 0``, which creates one the ranks of the resolved
+    backend can reach: in memory for threads, a ``FileCheckpointStore`` in a
+    temporary directory removed on exit for processes); without a store
     the rank mains receive ``checkpoint_every=0, checkpoint_store=None,
     resume=None`` and the run carries no checkpoint traffic at all.
 
@@ -261,103 +266,103 @@ def launch(
     timeout = resolve_timeout(timeout, default=120.0)
     resolved_backend = resolve_backend(backend, verify=verify)
     store = checkpoint_store
-    if store is None and max_restarts > 0:
-        store = CheckpointStore()
-    if (
-        store is not None
-        and resolved_backend == "process"
-        and not hasattr(store, "refresh_counters")
+    if store is not None and resolved_backend == "process" and not hasattr(
+        store, "refresh_counters"
     ):
-        if backend is not None:
-            raise ValueError(
-                "backend='process' requires a FileCheckpointStore: forked "
-                "ranks cannot write checkpoints into the parent's "
-                "in-memory store"
-            )
-        # backend came from $REPRO_SPMD_BACKEND, not the caller: fall back
-        # to thread (mirrors the verify fallback) rather than fail a job
-        # that never asked for processes
-        resolved_backend = "thread"
-    # multi-process writers bump a file store's shared sidecar, not this object
-    refresh = getattr(store, "refresh_counters", lambda: None)
+        raise ValueError(
+            f"backend='process' cannot checkpoint into {store!r}: forked ranks "
+            "cannot write into the parent's in-memory store; pass a "
+            "FileCheckpointStore"
+        )
+    with contextlib.ExitStack() as scratch:
+        if store is None and max_restarts > 0:
+            if resolved_backend == "process":
+                # forked ranks need a store they can reach: a throwaway
+                # directory that lives exactly as long as this job
+                store = FileCheckpointStore(scratch.enter_context(
+                    tempfile.TemporaryDirectory(prefix="repro-ckpt-")))
+            else:
+                store = CheckpointStore()
+        # multi-process writers bump a file store's shared sidecar, not this object
+        refresh = getattr(store, "refresh_counters", lambda: None)
 
-    disarmed: set = set()
-    restarts = 0
-    phases_replayed = 0
-    #: (resume_phase, death_phase) per failed attempt.  Both are
-    #: deterministic — the checkpoint write is collective and completes
-    #: before the next boundary's crash point, and the first victim notes
-    #: its boundary before dying — so the scenario driver can price the
-    #: failed attempt's lost work from a crash-free run's phase ledger
-    #: without touching the crashed attempt's scheduler-racy counters.
-    restart_spans: list = []
-    job_trace: "DistTrace | None" = None
+        disarmed: set = set()
+        restarts = 0
+        phases_replayed = 0
+        #: (resume_phase, death_phase) per failed attempt.  Both are
+        #: deterministic — the checkpoint write is collective and completes
+        #: before the next boundary's crash point, and the first victim notes
+        #: its boundary before dying — so the scenario driver can price the
+        #: failed attempt's lost work from a crash-free run's phase ledger
+        #: without touching the crashed attempt's scheduler-racy counters.
+        restart_spans: list = []
+        job_trace: "DistTrace | None" = None
 
-    def merge_attempt(attempt_trace: "DistTrace | None") -> None:
-        nonlocal job_trace
-        if attempt_trace is None:
-            return
-        if job_trace is None:
-            job_trace = attempt_trace
-        else:
-            job_trace = job_trace.concat(attempt_trace, "restart", attempt=restarts)
+        def merge_attempt(attempt_trace: "DistTrace | None") -> None:
+            nonlocal job_trace
+            if attempt_trace is None:
+                return
+            if job_trace is None:
+                job_trace = attempt_trace
+            else:
+                job_trace = job_trace.concat(attempt_trace, "restart", attempt=restarts)
 
-    while True:
-        injector = faults
-        if isinstance(faults, FaultPlan):
-            injector = FaultInjector(faults, pr * pc, disarmed=disarmed, grid=(pr, pc))
-        refresh()
-        resume = store.latest() if store is not None else None
-        resume_phase = resume.phase if resume is not None else 0
-        try:
-            result = spmd(
-                pr * pc, rank_main, *job_args, pr, pc,
-                timeout=timeout, verify=verify, faults=injector,
-                trace=trace, backend=resolved_backend,
-                checkpoint_every=checkpoint_every if store is not None else 0,
-                checkpoint_store=store,
-                resume=resume,
-                **alg_kwargs,
-            )
-            merge_attempt(result.trace)
-            break
-        except RECOVERABLE_ERRORS as exc:
-            merge_attempt(getattr(exc, "spmd_trace", None))
-            restarts += 1
-            if restarts > max_restarts:
-                raise
-            if injector is not None:
-                disarmed |= injector.fired_tokens()
-            reached = getattr(exc, "spmd_progress", {}).get("phase", 0)
-            restart_spans.append((resume_phase, reached))
+        while True:
+            injector = faults
+            if isinstance(faults, FaultPlan):
+                injector = FaultInjector(faults, pr * pc, disarmed=disarmed, grid=(pr, pc))
             refresh()
-            latest = store.latest()
-            restart_from = latest.phase if latest is not None else 0
-            # phases the failed attempt had completed (it entered phase
-            # ``reached`` but died inside it) past the checkpoint the next
-            # attempt resumes from must run again
-            phases_replayed += max(0, reached - 1 - restart_from)
+            resume = store.latest() if store is not None else None
+            resume_phase = resume.phase if resume is not None else 0
+            try:
+                result = spmd(
+                    pr * pc, rank_main, *job_args, pr, pc,
+                    timeout=timeout, verify=verify, faults=injector,
+                    trace=trace, backend=resolved_backend,
+                    checkpoint_every=checkpoint_every if store is not None else 0,
+                    checkpoint_store=store,
+                    resume=resume,
+                    **alg_kwargs,
+                )
+                merge_attempt(result.trace)
+                break
+            except RECOVERABLE_ERRORS as exc:
+                merge_attempt(getattr(exc, "spmd_trace", None))
+                restarts += 1
+                if restarts > max_restarts:
+                    raise
+                if injector is not None:
+                    disarmed |= injector.fired_tokens()
+                reached = getattr(exc, "spmd_progress", {}).get("phase", 0)
+                restart_spans.append((resume_phase, reached))
+                refresh()
+                latest = store.latest()
+                restart_from = latest.phase if latest is not None else 0
+                # phases the failed attempt had completed (it entered phase
+                # ``reached`` but died inside it) past the checkpoint the next
+                # attempt resumes from must run again
+                phases_replayed += max(0, reached - 1 - restart_from)
 
-    mate_r, mate_c, stats = result[0]
-    stats.comm_by_alg = merge_by_alg(result.values)
-    for name in ("comm_messages", "frames", "frame_words", "rma_ops", "rma_words"):
-        setattr(stats, name, sum(getattr(st, name) for _, _, st in result.values))
-    stats.verify_summary = result.verify_summary
-    stats.restarts = restarts
-    stats.phases_replayed = phases_replayed
-    stats.restart_spans = tuple(restart_spans)
-    if store is not None:
-        refresh()
-        stats.checkpoint_words = store.words_written
-    if injector is not None:
-        # model-time service of the SUCCESSFUL attempt only: slowest rank's
-        # ledger (bulk-synchronous completion rule).  Failed attempts' lost
-        # work is NOT folded in here — their counters are scheduler-racy —
-        # it is reconstructed by the scenario driver from ``restart_spans``
-        # against a crash-free twin's ``model_phase_ledger``.
-        stats.model_seconds = max(injector.model_seconds)
-        stats.model_phase_ledger = {
-            p: injector.phase_ledger[p] for p in sorted(injector.phase_ledger)
-        }
-    stats.trace = job_trace
-    return mate_r, mate_c, stats
+        mate_r, mate_c, stats = result[0]
+        stats.comm_by_alg = merge_by_alg(result.values)
+        for name in ("comm_messages", "frames", "frame_words", "rma_ops", "rma_words"):
+            setattr(stats, name, sum(getattr(st, name) for _, _, st in result.values))
+        stats.verify_summary = result.verify_summary
+        stats.restarts = restarts
+        stats.phases_replayed = phases_replayed
+        stats.restart_spans = tuple(restart_spans)
+        if store is not None:
+            refresh()
+            stats.checkpoint_words = store.words_written
+        if injector is not None:
+            # model-time service of the SUCCESSFUL attempt only: slowest rank's
+            # ledger (bulk-synchronous completion rule).  Failed attempts' lost
+            # work is NOT folded in here — their counters are scheduler-racy —
+            # it is reconstructed by the scenario driver from ``restart_spans``
+            # against a crash-free twin's ``model_phase_ledger``.
+            stats.model_seconds = max(injector.model_seconds)
+            stats.model_phase_ledger = {
+                p: injector.phase_ledger[p] for p in sorted(injector.phase_ledger)
+            }
+        stats.trace = job_trace
+        return mate_r, mate_c, stats

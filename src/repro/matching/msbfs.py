@@ -262,7 +262,6 @@ def ms_bfs_mcm(
     prune: bool = True,
     hooks: MsBfsHooks | None = None,
     augment_mode: str = "auto",
-    nprocs_for_switch: int = 1,
     direction: str = "topdown",
 ) -> tuple[np.ndarray, np.ndarray, MatchingStats]:
     """MCM-DIST's algorithm (Algorithm 2) on global arrays.
@@ -281,7 +280,7 @@ def ms_bfs_mcm(
         Step 6 on/off — the knob of the paper's Fig. 8 study.
     augment_mode:
         "level" (Algorithm 3), "path" (Algorithm 4) or "auto" (the paper's
-        k < 2p² switch, using ``nprocs_for_switch`` processes).
+        k < 2p² switch at p = 1: this engine is one process).
 
     Returns ``(mate_r, mate_c, stats)``.
     """
@@ -304,7 +303,7 @@ def ms_bfs_mcm(
             break
         augment_auto(
             path_c, pi_r, mate_r, mate_c,
-            mode=augment_mode, nprocs=nprocs_for_switch, stats=stats.augment,
+            mode=augment_mode, nprocs=1, stats=stats.augment,
         )
 
     stats.final_cardinality = int((mate_r != NULL).sum())

@@ -43,12 +43,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import tempfile
 import time
 from dataclasses import dataclass
 
-from .checkpoint import FileCheckpointStore
-from .faults import FaultPlan, _mix, _unit
+from ..graphs.rmat import er
+from ..runtime.faults import FaultPlan, _mix, _unit
+from .mcm_dist import run_mcm_dist
 
 #: splitmix64 salts for scenario-level draws (disjoint from the injector's
 #: 0x51-0x59 range)
@@ -135,23 +135,17 @@ def _ledger_at(ledger: "dict[int, float] | None", phase: int) -> float:
 
 
 def _run_once(coo, scenario: Scenario, plan: FaultPlan, backend: "str | None"):
-    """One restartable MCM-DIST run in a throwaway checkpoint directory."""
-    # a workload driver: the one module of ``runtime`` that reaches up into
-    # the layers it drives, lazily (``matching`` imports ``runtime``)
-    from ..matching.mcm_dist import run_mcm_dist
-
-    with tempfile.TemporaryDirectory(prefix="repro-scenario-") as ckdir:
-        return run_mcm_dist(
-            coo,
-            scenario.pr,
-            scenario.pc,
-            faults=plan,
-            checkpoint_every=scenario.checkpoint_every,
-            checkpoint_store=FileCheckpointStore(ckdir),
-            max_restarts=scenario.max_restarts,
-            backend=backend,
-            init="none",
-        )
+    """One restartable MCM-DIST run (``launch`` owns the checkpoint store)."""
+    return run_mcm_dist(
+        coo,
+        scenario.pr,
+        scenario.pc,
+        faults=plan,
+        checkpoint_every=scenario.checkpoint_every,
+        max_restarts=scenario.max_restarts,
+        backend=backend,
+        init="none",
+    )
 
 
 def run_scenario(
@@ -167,8 +161,6 @@ def run_scenario(
     All report fields except ``seconds_wall`` are deterministic in the
     scenario seed and identical across backends.
     """
-    from ..graphs.rmat import er
-
     if isinstance(scenario, str):
         try:
             scenario = SCENARIOS[scenario]

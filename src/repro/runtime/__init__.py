@@ -56,7 +56,6 @@ from .rma import RmaAccessLog, Window
 from .trace import DistTrace, Span, TraceError, Tracer, make_trace_clock, tspan
 from .faults import CRASH_GROUPS, CrashSpec, FaultInjector, FaultPlan, RetryPolicy
 from .checkpoint import Checkpoint, CheckpointStore, FileCheckpointStore
-from .scenarios import SCENARIOS, Scenario, run_scenario
 from .executor import (
     RECOVERABLE_ERRORS,
     SpmdResult,
@@ -100,9 +99,7 @@ __all__ = [
     "RetryPolicy",
     "RmaAccessLog",
     "RmaRaceError",
-    "SCENARIOS",
     "SUM",
-    "Scenario",
     "Span",
     "SpmdJob",
     "SpmdResult",
@@ -118,7 +115,6 @@ __all__ = [
     "pack_indices",
     "resolve_backend",
     "resolve_timeout",
-    "run_scenario",
     "spmd",
     "tspan",
     "unpack_arrays",

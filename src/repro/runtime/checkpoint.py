@@ -12,9 +12,10 @@ it is allowed restarts; a run with neither has no store and writes no
 checkpoint — every incarnation of the job saves into it at phase
 boundaries, and after a failure the next incarnation resumes from
 :meth:`latest`.  Two variants are provided:
-in-memory (the default — survives fabric rebuilds within one driver call)
-and on-disk ``.npz`` files (survives the whole process, one file per
-phase, crash-safe via write-to-temp-then-rename).
+in-memory (reachable by thread ranks only — survives fabric rebuilds
+within one driver call) and on-disk ``.npz`` files (reachable by forked
+ranks too, survives the whole process, one file per phase, crash-safe via
+write-to-temp-then-rename).
 """
 
 from __future__ import annotations
@@ -90,9 +91,11 @@ class CheckpointStore:
 class FileCheckpointStore(CheckpointStore):
     """On-disk variant: one ``ck_phase{N}.npz`` per checkpointed phase.
 
-    Safe under *concurrent multi-process writers* — the process backend
-    forks one writer per rank, and a restarting driver may overlap a
-    restarted incarnation with a dying one:
+    One incarnation of a job has one writer (``save_checkpoint`` writes
+    from rank 0 only), but on the process backend that writer is a forked
+    child, and a restarting driver may overlap a restarted incarnation with
+    a dying one — so the store is safe under *concurrent multi-process
+    writers*:
 
     * every critical section holds an ``fcntl`` flock on ``ck.lock``
       (processes) nested inside the usual thread lock (threads);
@@ -147,7 +150,7 @@ class FileCheckpointStore(CheckpointStore):
 
     def refresh_counters(self) -> None:
         """Fold the shared sidecar back into this instance's counters —
-        forked rank processes bump the sidecar, not this object."""
+        a forked rank 0 bumps the sidecar, not this object."""
         with self._flock():
             counters = self._read_counters()
             self.saves = int(counters["saves"])

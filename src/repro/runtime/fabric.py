@@ -1,20 +1,25 @@
-"""The interconnect fabric: per-rank mailboxes with (source, tag) matching.
+"""The interconnect fabric: per-rank inboxes with (source, tag) matching.
 
-A :class:`Fabric` is the shared state connecting the simulated ranks of one
-SPMD job.  Each rank owns a mailbox; a ``send`` deposits an immutable message
-envelope into the destination's mailbox and a ``recv`` blocks until an
+A fabric is the shared state connecting the ranks of one SPMD job.  Each
+rank owns an :class:`Inbox`; a ``send`` puts an immutable message envelope
+on the wire to the destination's inbox and a ``recv`` blocks until an
 envelope matching its ``(source, tag)`` selector is present.  Matching
 follows MPI ordering semantics: messages from the same (source, tag) pair are
 non-overtaking (delivered in send order), while messages from different
 sources may interleave arbitrarily.
 
-The fabric also carries job-global services used by the executor and the
-communicators:
+:class:`BaseFabric` holds what is true of every wire — the inbox contract,
+the receive-side blocked record and wait accounting, the error texts — and
+the job-global services used by the transports and the communicators:
 
 * an *abort flag* — set when any rank dies, observed by every blocked call;
 * a *timeout* — blocking calls that see no progress for this many seconds
   raise :class:`~repro.runtime.errors.DeadlockError`;
 * the *communicator id* counter ``Communicator.split`` draws from.
+
+:class:`Fabric` is the thread wire (mailbox deposit, condition-variable
+wait, arrays shared in one address space); the process wire is
+:class:`repro.runtime.procfabric.ProcessFabric`.
 """
 
 from __future__ import annotations
@@ -54,89 +59,71 @@ class Envelope(NamedTuple):
     serial: int  # fabric-global send order, for deterministic debugging
 
 
-class Mailbox:
-    """One rank's receive queue with condition-variable blocking."""
+class Inbox:
+    """One rank's receive queue: arrival-ordered envelopes with MPI matching.
 
-    def __init__(self, fabric: "Fabric", owner: int) -> None:
-        self._fabric = fabric
-        self._owner = owner
-        self._queue: list[Envelope] = []
-        self._cond = threading.Condition()
+    The one matching queue under both transports — lock-free by itself; what
+    guards and feeds it is the wire's business (:class:`Mailbox` puts it
+    behind a condition variable, the process fabric drains its ring into
+    it from the owning process only).
+    """
+
+    __slots__ = ("queue",)
+
+    def __init__(self) -> None:
+        self.queue: list[Envelope] = []
 
     def deposit(self, env: Envelope, reorder_u: "float | None" = None) -> None:
         """Queue an envelope; ``reorder_u`` (injected delay) selects a seeded
         insertion slot ahead of queued traffic, but never ahead of an
         envelope from the same ``(source, tag)`` stream — the reordering a
         real adaptively-routed interconnect may legally perform."""
-        with self._cond:
-            if reorder_u is None or not self._queue:
-                self._queue.append(env)
-            else:
-                floor = 0
-                for i, queued in enumerate(self._queue):
-                    if queued.source == env.source and queued.tag == env.tag:
-                        floor = i + 1  # non-overtaking within the stream
-                pos = floor + int(reorder_u * (len(self._queue) + 1 - floor))
-                self._queue.insert(pos, env)
-            self._cond.notify_all()
+        queue = self.queue
+        if reorder_u is None or not queue:
+            queue.append(env)
+            return
+        floor = 0
+        for i, queued in enumerate(queue):
+            if queued.source == env.source and queued.tag == env.tag:
+                floor = i + 1  # non-overtaking within the stream
+        queue.insert(floor + int(reorder_u * (len(queue) + 1 - floor)), env)
 
-    def _match_index(self, source: int, tag: int) -> int | None:
-        for i, env in enumerate(self._queue):
+    def find(self, source: int, tag: int) -> int:
+        """Index of the first queued envelope matching the (wildcardable)
+        ``(source, tag)`` selector, or -1."""
+        for i, env in enumerate(self.queue):
             if source not in (ANY_SOURCE, env.source):
                 continue
             if tag not in (ANY_TAG, env.tag):
                 continue
             return i
-        return None
+        return -1
 
-    def collect(self, source: int, tag: int) -> Envelope:
-        """Block until an envelope matching (source, tag) arrives; remove and
-        return it."""
-        deadline_step = self._fabric.timeout
-        self._fabric.last_blocked[self._owner] = ("recv", source, tag)
-        with self._cond:
-            while True:
-                if self._fabric.aborted:
-                    raise CommAbort(
-                        f"rank {self._owner}: job aborted while receiving "
-                        f"(source={source}, tag={tag})"
-                    )
-                idx = self._match_index(source, tag)
-                if idx is not None:
-                    return self._queue.pop(idx)
-                made_progress = self._cond.wait(timeout=deadline_step)
-                if not made_progress and self._match_index(source, tag) is None:
-                    if self._fabric.aborted:
-                        continue  # loop once more to raise CommAbort
-                    raise DeadlockError(
-                        f"rank {self._owner}: recv(source={source}, tag={tag}) "
-                        f"made no progress for {self._fabric.timeout:.1f}s; "
-                        f"pending queue: "
-                        f"{[(e.source, e.tag) for e in self._queue[:8]]}"
-                    )
+    def take(self, source: int, tag: int) -> "Envelope | None":
+        """Match-and-pop: the first matching envelope, or None."""
+        i = self.find(source, tag)
+        return self.queue.pop(i) if i >= 0 else None
 
-    def probe(self, source: int, tag: int) -> bool:
-        """Non-blocking: is a matching envelope already queued?"""
-        with self._cond:
-            return self._match_index(source, tag) is not None
+    def take_strays(self) -> list[tuple[int, int]]:
+        """Remove the queued envelopes in the reserved collective tag space
+        and return their (source, tag) — nonempty after job end means ranks
+        entered mismatched collectives that happened to complete without
+        blocking."""
+        strays = [(e.source, e.tag) for e in self.queue if e.tag >= _RESERVED_TAG_BASE]
+        if strays:
+            self.queue = [e for e in self.queue if e.tag < _RESERVED_TAG_BASE]
+        return strays
 
-    def pending(self) -> int:
-        with self._cond:
-            return len(self._queue)
 
-    def pending_collective(self) -> list[tuple[int, int]]:
-        """(source, tag) of queued envelopes in the reserved collective tag
-        space — nonempty after job end means ranks entered mismatched
-        collectives that happened to complete without blocking."""
-        with self._cond:
-            return [
-                (e.source, e.tag) for e in self._queue if e.tag >= _RESERVED_TAG_BASE
-            ]
+class Mailbox:
+    """The thread wire's receive end: an :class:`Inbox` behind the condition
+    variable its blocked receiver sleeps on and its senders notify."""
 
-    def wake_all(self) -> None:
-        """Wake blocked receivers (used when the abort flag flips)."""
-        with self._cond:
-            self._cond.notify_all()
+    __slots__ = ("inbox", "cond")
+
+    def __init__(self) -> None:
+        self.inbox = Inbox()
+        self.cond = threading.Condition()
 
 
 def describe_blocked_entry(entry: "tuple | None") -> str:
@@ -226,24 +213,29 @@ class CollectiveTrace:
             ]
 
 
-class Fabric:
-    """Shared interconnect for one SPMD job of ``nranks`` simulated ranks."""
+class BaseFabric:
+    """What a fabric is whatever its wire: the job-global services and the
+    receive-side bookkeeping every transport shares.
 
-    #: Whether this fabric's transport serializes payloads onto a real wire.
-    #: ``False`` here: envelopes carry live object references between
+    A backend supplies three things — ``_transmit`` (how an envelope reaches
+    its destination's :class:`Inbox`), ``_await`` (how a blocked receiver
+    waits for a match) and the window memory behind the ``win_*`` calls —
+    plus ``abort`` / ``aborted`` over whatever its ranks can all see.
+    """
+
+    #: Whether this fabric's wire serializes payloads.  ``False`` for the
+    #: thread fabric: envelopes carry live object references between
     #: threads, so the communicator must copy (``_freeze``) at send time to
     #: get wire semantics.  A serializing fabric (the process backend) makes
     #: that copy redundant — encoding into the ring IS the wire copy — and
     #: the communicator skips it.
     serializes = False
+    #: The dynamic verifiers (``spmd(..., verify=True)``) need one trace
+    #: shared by all ranks, which only the thread fabric can arm.
+    verify = False
+    collective_trace: "CollectiveTrace | None" = None
 
-    def __init__(
-        self,
-        nranks: int,
-        timeout: float = 60.0,
-        verify: bool = False,
-        faults: "Any | None" = None,
-    ) -> None:
+    def __init__(self, nranks: int, timeout: float, faults: "Any | None") -> None:
         if nranks < 1:
             raise ValueError(f"nranks must be >= 1, got {nranks}")
         self.nranks = nranks
@@ -256,56 +248,15 @@ class Fabric:
         #: (``("recv", source, tag)``), kept after the call returns so
         #: hung-rank diagnostics can name what a stuck rank was last
         #: waiting on.
-        self.last_blocked: list[tuple | None] = [None] * nranks
+        self.last_blocked: "Any" = [None] * nranks
         #: Job-progress markers (e.g. ``{"phase": 3}``) published by
-        #: long-running SPMD programs; the executor copies them onto the
+        #: long-running SPMD programs; the transport copies them onto the
         #: primary exception so recovery drivers can compute replay spans.
         self.progress: dict[str, int] = {}
-        #: When True the dynamic verifiers are armed: every collective call
-        #: is checked against its peers' signatures and every one-sided
-        #: window access is race-checked (see ``spmd(..., verify=True)``).
-        self.verify = verify
-        self.collective_trace = CollectiveTrace() if verify else None
-        #: Per-rank span tracers (:class:`repro.runtime.trace.Tracer`),
-        #: attached by the executor under ``spmd(..., trace=...)``.  ``None``
-        #: (the default) keeps tracing zero-cost: every hook site guards on
-        #: this attribute with a single ``is None`` check.
-        self.tracers: "list[Any] | None" = None
-        self._rma_logs: dict[int, Any] = {}
-        self.mailboxes = [Mailbox(self, r) for r in range(nranks)]
-        self._abort = threading.Event()
-        self._serial = itertools.count()
-        self._serial_lock = threading.Lock()
-        # window registry: window id -> list of per-rank backing arrays
-        self._windows: dict[int, list[Any]] = {}
-        self._win_locks: dict[int, list[threading.Lock]] = {}
-        self._window_lock = threading.Lock()
-        self._next_comm_id = itertools.count(1)
-        self._next_win_id = itertools.count(1)
-
-    # -- message transport -------------------------------------------------
-
-    @property
-    def aborted(self) -> bool:
-        return self._abort.is_set()
-
-    def abort(self) -> None:
-        """Flip the abort flag and wake every blocked receiver."""
-        self._abort.set()
-        for mb in self.mailboxes:
-            mb.wake_all()
-
-    def deliver(
-        self, source: int, dest: int, tag: int, payload: Any,
-        reorder_u: "float | None" = None,
-    ) -> None:
-        if self.aborted:
-            raise CommAbort(f"rank {source}: job aborted while sending to {dest}")
-        if not 0 <= dest < self.nranks:
-            raise ValueError(f"destination rank {dest} out of range [0, {self.nranks})")
-        with self._serial_lock:
-            serial = next(self._serial)
-        self.mailboxes[dest].deposit(Envelope(source, dest, tag, payload, serial), reorder_u)
+        #: Per-rank span tracers (:class:`repro.runtime.trace.Tracer`), each
+        #: slot filled by its rank under ``spmd(..., trace=...)``.  ``None``
+        #: (the default) keeps tracing zero-cost: one ``is None`` check.
+        self.tracers: "list[Any]" = [None] * nranks
 
     def note_progress(self, key: str, value: int) -> None:
         """Publish a monotone job-progress marker (see ``progress``)."""
@@ -316,21 +267,126 @@ class Fabric:
         """Human description of ``rank``'s last blocking operation."""
         return describe_blocked_entry(self.last_blocked[rank])
 
+    # -- message transport -------------------------------------------------
+
+    def deliver(
+        self, source: int, dest: int, tag: int, payload: Any,
+        reorder_u: "float | None" = None,
+    ) -> None:
+        if self.aborted:
+            raise CommAbort(f"rank {source}: job aborted while sending to {dest}")
+        if not 0 <= dest < self.nranks:
+            raise ValueError(f"destination rank {dest} out of range [0, {self.nranks})")
+        self._transmit(source, dest, tag, payload, reorder_u)
+
     def collect(self, rank: int, source: int, tag: int) -> Envelope:
-        tracers = self.tracers
-        if tracers is None:
-            return self.mailboxes[rank].collect(source, tag)
-        # wait-vs-work split: the mailbox match is the runtime's blocking
+        """Block until an envelope matching (source, tag) arrives; remove and
+        return it."""
+        self.last_blocked[rank] = ("recv", source, tag)
+        tr = self.tracers[rank]
+        if tr is None:
+            return self._await(rank, source, tag)
+        # wait-vs-work split: the inbox match is the runtime's blocking
         # point, so the time spent inside it is this rank's wait, charged
         # to the innermost open span (usually the enclosing collective)
-        tr = tracers[rank]
         t0 = tr.now()
-        env = self.mailboxes[rank].collect(source, tag)
+        env = self._await(rank, source, tag)
         tr.add_wait(tr.now() - t0)
         return env
 
+    def _aborted_receiving(self, rank: int, source: int, tag: int) -> CommAbort:
+        return CommAbort(
+            f"rank {rank}: job aborted while receiving (source={source}, tag={tag})"
+        )
+
+    def _deadlocked(self, rank: int, source: int, tag: int, inbox: Inbox) -> DeadlockError:
+        return DeadlockError(
+            f"rank {rank}: recv(source={source}, tag={tag}) "
+            f"made no progress for {self.timeout:.1f}s; pending queue: "
+            f"{[(e.source, e.tag) for e in inbox.queue[:8]]}"
+        )
+
+
+class Fabric(BaseFabric):
+    """The thread wire: ``nranks`` mailboxes in one address space."""
+
+    def __init__(
+        self,
+        nranks: int,
+        timeout: float = 60.0,
+        verify: bool = False,
+        faults: "Any | None" = None,
+    ) -> None:
+        super().__init__(nranks, timeout, faults)
+        #: When True the dynamic verifiers are armed: every collective call
+        #: is checked against its peers' signatures and every one-sided
+        #: window access is race-checked (see ``spmd(..., verify=True)``).
+        self.verify = verify
+        self.collective_trace = CollectiveTrace() if verify else None
+        self._rma_logs: dict[int, Any] = {}
+        self.mailboxes = [Mailbox() for _ in range(nranks)]
+        self._abort = threading.Event()
+        self._serial = itertools.count()
+        self._serial_lock = threading.Lock()
+        # window registry: window id -> list of per-rank backing arrays
+        self._windows: dict[int, list[Any]] = {}
+        self._win_locks: dict[int, list[threading.Lock]] = {}
+        self._window_lock = threading.Lock()
+        self._next_comm_id = itertools.count(1)
+        self._next_win_id = itertools.count(1)
+
+    # -- the wire: mailbox deposit, condition-variable wait -------------------
+
+    @property
+    def aborted(self) -> bool:
+        return self._abort.is_set()
+
+    def abort(self) -> None:
+        """Flip the abort flag and wake every blocked receiver."""
+        self._abort.set()
+        for mb in self.mailboxes:
+            with mb.cond:
+                mb.cond.notify_all()
+
+    def _transmit(
+        self, source: int, dest: int, tag: int, payload: Any,
+        reorder_u: "float | None",
+    ) -> None:
+        with self._serial_lock:
+            serial = next(self._serial)
+        mb = self.mailboxes[dest]
+        with mb.cond:
+            mb.inbox.deposit(Envelope(source, dest, tag, payload, serial), reorder_u)
+            mb.cond.notify_all()
+
+    def _await(self, rank: int, source: int, tag: int) -> Envelope:
+        mb = self.mailboxes[rank]
+        inbox = mb.inbox
+        with mb.cond:
+            while True:
+                if self.aborted:
+                    raise self._aborted_receiving(rank, source, tag)
+                env = inbox.take(source, tag)
+                if env is not None:
+                    return env
+                if (
+                    not mb.cond.wait(timeout=self.timeout)
+                    and inbox.find(source, tag) < 0
+                    and not self.aborted  # else loop once more: CommAbort
+                ):
+                    raise self._deadlocked(rank, source, tag, inbox)
+
     def probe(self, rank: int, source: int, tag: int) -> bool:
-        return self.mailboxes[rank].probe(source, tag)
+        """Non-blocking: is a matching envelope already queued?"""
+        mb = self.mailboxes[rank]
+        with mb.cond:
+            return mb.inbox.find(source, tag) >= 0
+
+    def take_strays(self, rank: int) -> list[tuple[int, int]]:
+        """Reserved-tag leftovers queued at ``rank`` (see :class:`Inbox`)."""
+        mb = self.mailboxes[rank]
+        with mb.cond:
+            return mb.inbox.take_strays()
 
     # -- communicator id allocation ----------------------------------------
 

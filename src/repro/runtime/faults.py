@@ -525,38 +525,36 @@ class FaultInjector:
         with self._lock:
             return set(self.fired)
 
-    def absorb_fired(self, tokens) -> None:
-        """Merge crash tokens fired by a forked copy of this injector.
+    def report(self, rank: int) -> tuple:
+        """What rank ``rank`` hands back at exit: fired crash tokens, its
+        injected-fault log, its model-time ledger and the phase-boundary
+        snapshots this injector saw."""
+        return (
+            sorted(self.fired_tokens()), list(self.events[rank]),
+            self.model_seconds[rank], dict(self.phase_ledger),
+        )
 
-        The process transport forks one injector copy per rank; crashes fire
-        in the children, so the parent's ``fired`` list — the one the
-        resilient driver disarms from — must absorb the tokens the children
-        report back."""
+    def absorb(self, rank: int, report: tuple) -> None:
+        """Merge a rank's :meth:`report` into this injector.
+
+        The process transport forks one injector copy per rank, so crashes
+        fire, events log and messages are priced in the children; the
+        parent's copy — the one the recovery driver disarms from and reads
+        model time off — adopts what each child reports.  A forked copy
+        prices exactly one rank, so its ledger holds that rank's boundary
+        snapshots, which max-merge into the cross-rank profile.  On the
+        thread transport the ranks share this very object and every step is
+        a no-op."""
+        fired, events, seconds, marks = report
         with self._lock:
-            known = set(self.fired)
-            for tok in tokens:
-                tok = tuple(tok)
-                if tok not in known:
-                    known.add(tok)
+            for tok in fired:
+                if tok not in self.fired:
                     self.fired.append(tok)
-
-    def absorb_events(self, rank: int, events) -> None:
-        """Adopt rank ``rank``'s injected-fault log from its forked copy,
-        so the parent's :attr:`events` reads the same on both backends."""
-        self.events[rank] = [tuple(e) for e in events]
-
-    def absorb_model(self, rank: int, seconds: float, marks) -> None:
-        """Adopt rank ``rank``'s model-time ledger from its forked copy.
-
-        ``marks`` is the child's :attr:`phase_ledger` — since a forked
-        injector prices exactly one rank, it holds that rank's boundary
-        snapshots, which max-merge into the parent's cross-rank profile."""
-        with self._lock:
+            self.events[rank] = events
             self.model_seconds[rank] = seconds
-            for phase, led in dict(marks).items():
-                phase = int(phase)
+            for phase, led in marks.items():
                 if led > self.phase_ledger.get(phase, 0.0):
-                    self.phase_ledger[phase] = float(led)
+                    self.phase_ledger[phase] = led
 
     # -- scenario adversity (stragglers, disruption, link pricing) ------------
 

@@ -1,22 +1,23 @@
 """True-parallel SPMD backend: ranks as forked processes over shm rings.
 
-:class:`ProcessFabric` duck-types the thread :class:`~repro.runtime.fabric.Fabric`
-surface the communicators and windows use — ``deliver``/``collect``/``probe``,
-id allocation, abort, progress markers, window storage — but every rank is
-a real OS process:
+:class:`ProcessFabric` is a :class:`~repro.runtime.fabric.BaseFabric` whose
+wire is real: every rank is an OS process, and only what a wire is differs
+from the thread :class:`~repro.runtime.fabric.Fabric` — matching, wait
+accounting, the rank shell and the job tail are the shared ones.
 
-* **Point-to-point and collectives** move through per-destination shared
-  memory ring buffers (:mod:`repro.runtime.shm`).  Payloads are encoded with
-  pickle protocol 5 + out-of-band buffers, so packed int32/bitmap collective
+* **The wire** — messages move through per-destination shared memory ring
+  buffers (:mod:`repro.runtime.shm`).  Payloads are encoded with pickle
+  protocol 5 + out-of-band buffers, so packed int32/bitmap collective
   payloads cross as raw bytes with one copy in (the wire copy — the
-  communicator's ``_freeze`` is skipped, see ``Fabric.serializes``) and zero
-  copies out (receiver arrays are views over the drained bytes).
+  communicator's ``_freeze`` is skipped, see ``BaseFabric.serializes``) and
+  zero copies out (receiver arrays are views over the drained bytes).
+* **The wait primitive** — a blocked receiver drains its own ring into its
+  :class:`~repro.runtime.fabric.Inbox` and sleeps on the ring's doorbell.
 * **Abort, progress and hung-rank diagnostics** live in a small control
   segment of int64 slots: the abort flag, shared comm/window id counters,
-  and per-rank ``(blocked-kind, a, b, phase)`` records the parent decodes
-  with :func:`~repro.runtime.fabric.describe_blocked_entry` when naming a
-  stuck child.
-* **RMA windows** are per-owner shared-memory segments (created at
+  and per-rank ``(blocked-kind, a, b, phase)`` records (``last_blocked``
+  is a view over them) the parent reads when naming a stuck child.
+* **Window memory** — per-owner shared-memory segments (created at
   ``win_create``, lazily attached by peers after the creation barrier) with
   element atomicity from a pre-forked striped lock pool.  The owner's
   ``local`` array is copied in at creation and refreshed from the segment
@@ -25,10 +26,10 @@ a real OS process:
   (``win_publish``).
 
 The parent process never joins the data plane: it forks the children,
-collects their results over pipes, reaps every child (no orphans, even
-after ``RankKilledError`` or a hang), merges fired fault tokens back into
-its injector, sweeps the rings for stray collective traffic, and raises the
-primary error with the same wrapping the thread transport uses.
+collects each one's pickled :class:`~repro.runtime.transport.RankOutcome`
+over a pipe, reaps every child (no orphans, even after ``RankKilledError``
+or a hang) and hands the outcomes to the shared
+:func:`~repro.runtime.transport.finish`.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import contextlib
 import multiprocessing
 import multiprocessing.connection as mp_connection
 import os
+import pickle
 import time
 from dataclasses import dataclass
 from typing import Any, Sequence
@@ -44,36 +46,23 @@ from typing import Any, Sequence
 import numpy as np
 from multiprocessing import shared_memory
 
-from .comm import CommStats, Communicator
-from .errors import CommAbort, CommError, DeadlockError, WindowError
-from .fabric import (
-    ANY_SOURCE,
-    ANY_TAG,
-    Envelope,
-    _RESERVED_TAG_BASE,
-    describe_blocked_entry,
-)
+from .errors import CommAbort, CommError, WindowError
+from .fabric import BaseFabric, Envelope, Inbox
 from .shm import (
-    DEFAULT_RING_BYTES,
+    RING_BYTES,
     carve_rings,
-    decode_header,
     decode_message,
     encode_message,
     ring_segment_size,
 )
-from .trace import DistTrace, Tracer, make_trace_clock
 from .transport import (
     RankOutcome,
     SpmdJob,
     SpmdResult,
     Transport,
-    add_fault_span,
-    check_stray_collectives,
-    raise_primary,
+    finish,
+    run_rank,
 )
-
-#: $REPRO_SHM_RING_BYTES overrides the per-destination ring capacity.
-RING_BYTES_ENV = "REPRO_SHM_RING_BYTES"
 
 #: pre-forked striped lock pool size for window element atomicity
 _WIN_LOCK_POOL = 32
@@ -87,11 +76,6 @@ _CTL_RANK_STRIDE = 4  # kind, a, b, phase
 
 # blocked-kind codes mirrored into the control segment
 _BLK_NONE, _BLK_RECV = 0, 1
-
-
-def _ring_bytes() -> int:
-    env = os.environ.get(RING_BYTES_ENV)
-    return int(env) if env else DEFAULT_RING_BYTES
 
 
 def _attach(name: str) -> shared_memory.SharedMemory:
@@ -145,13 +129,33 @@ class _ProcSlots:
         return self._fabric.attach_window_slot(self._win_id, target)
 
 
-class ProcessFabric:
-    """Interconnect state shared (via fork) by the rank processes.
+class _CtlBlocked:
+    """``fabric.last_blocked`` over the control segment: a rank's store
+    lands where the parent can read it while the child is stuck."""
+
+    def __init__(self, ctl) -> None:
+        self._ctl = ctl
+
+    def __setitem__(self, rank: int, entry: tuple) -> None:
+        ctl = self._ctl
+        base = _CTL_RANK_BASE + _CTL_RANK_STRIDE * rank
+        ctl[base] = _BLK_RECV
+        ctl[base + 1] = entry[1]
+        ctl[base + 2] = entry[2]
+
+    def __getitem__(self, rank: int) -> "tuple | None":
+        base = _CTL_RANK_BASE + _CTL_RANK_STRIDE * rank
+        kind, a, b = self._ctl[base:base + 3]
+        return ("recv", a, b) if kind == _BLK_RECV else None
+
+
+class ProcessFabric(BaseFabric):
+    """The process wire: state shared (via fork) by the rank processes.
 
     Constructed in the parent *before* forking so the shared segments,
     conditions and locks are inherited by every child.  After fork each
     child calls :meth:`attach` with its rank; per-process receive state
-    (the pending list, reassembly buffers) is private to that process.
+    (the inbox, reassembly buffers) is private to that process.
     """
 
     serializes = True  # ring encoding is the wire copy; _freeze is skipped
@@ -163,26 +167,16 @@ class ProcessFabric:
         faults: "Any | None" = None,
         ctx: "multiprocessing.context.BaseContext | None" = None,
     ) -> None:
-        if nranks < 1:
-            raise ValueError(f"nranks must be >= 1, got {nranks}")
-        self.nranks = nranks
-        self.timeout = timeout
-        self.faults = faults
-        self.verify = False
-        self.collective_trace = None
-        self.tracers = None  # per-process tracer lives on self._tracer
-        self.last_blocked: list[tuple | None] = [None] * nranks
-        self.progress: dict[str, int] = {}
+        super().__init__(nranks, timeout, faults)
         self.ctx = ctx if ctx is not None else multiprocessing.get_context("fork")
         self.uid = f"rx{os.getpid() % 0xFFFFF:05x}{os.urandom(2).hex()}"
-        cap = _ring_bytes()
         self._ring_shm = shared_memory.SharedMemory(
             name=f"{self.uid}r", create=True,
-            size=ring_segment_size(nranks, cap),
+            size=ring_segment_size(nranks, RING_BYTES),
         )
         locks = [self.ctx.Lock() for _ in range(nranks)]
         bells = [self.ctx.Semaphore(0) for _ in range(nranks)]
-        self.rings = carve_rings(self._ring_shm.buf, nranks, cap, locks, bells)
+        self.rings = carve_rings(self._ring_shm.buf, nranks, RING_BYTES, locks, bells)
         self._ctl_shm = shared_memory.SharedMemory(
             name=f"{self.uid}c", create=True,
             size=8 * (_CTL_RANK_BASE + _CTL_RANK_STRIDE * nranks),
@@ -197,13 +191,13 @@ class ProcessFabric:
         self._ctl[_CTL_NEXT_WIN] = 1
         for r in range(nranks):
             self._ctl[_CTL_RANK_BASE + _CTL_RANK_STRIDE * r + 3] = -1  # phase
+        self.last_blocked = _CtlBlocked(self._ctl)
         self._ctl_lock = self.ctx.Lock()
         self._win_lock_pool = [self.ctx.Lock() for _ in range(_WIN_LOCK_POOL)]
         # per-process state (meaningful after attach())
         self.rank: "int | None" = None
-        self._pending: list[Envelope] = []
+        self.inbox = Inbox()
         self._sent = 0
-        self._tracer: "Tracer | None" = None
         self._win_own: dict[int, _OwnWindow] = {}
         self._win_attached: dict[tuple[int, int], tuple] = {}
 
@@ -223,41 +217,20 @@ class ProcessFabric:
             ring.notify()  # wake peers blocked on full/empty rings
 
     def note_progress(self, key: str, value: int) -> None:
-        if value > self.progress.get(key, -1):
-            self.progress[key] = value
+        super().note_progress(key, value)
         if key == "phase" and self.rank is not None:
             slot = _CTL_RANK_BASE + _CTL_RANK_STRIDE * self.rank + 3
             if value > self._ctl[slot]:
                 self._ctl[slot] = value
 
-    def _set_blocked(self, kind: int, a: int, b: int) -> None:
-        if self.rank is None:
-            return
-        ctl = self._ctl
-        base = _CTL_RANK_BASE + _CTL_RANK_STRIDE * self.rank
-        ctl[base] = kind
-        ctl[base + 1] = a
-        ctl[base + 2] = b
-
-    def blocked_entry(self, rank: int) -> "tuple | None":
-        """Decode rank's control-segment blocked record (parent side)."""
-        base = _CTL_RANK_BASE + _CTL_RANK_STRIDE * rank
-        kind, a, b = self._ctl[base], self._ctl[base + 1], self._ctl[base + 2]
-        if kind == _BLK_RECV:
-            return ("recv", a, b)
-        return None
-
-    def describe_blocked(self, rank: int) -> str:
-        return describe_blocked_entry(self.blocked_entry(rank))
-
     def ctl_phase_max(self) -> int:
-        """Highest phase marker any rank published (parent side)."""
+        """Highest phase marker any rank published (parent side; -1 = none)."""
         return max(
             self._ctl[_CTL_RANK_BASE + _CTL_RANK_STRIDE * r + 3]
             for r in range(self.nranks)
         )
 
-    # -- message transport ---------------------------------------------------
+    # -- the wire: codec + ring write, doorbell + drain wait -----------------
 
     def _stall(self) -> None:
         """Full-destination-ring hook: keep the buffered-send contract by
@@ -266,16 +239,12 @@ class ProcessFabric:
         if self.aborted:
             raise CommAbort(f"rank {self.rank}: job aborted while sending")
         if self.rank is not None:
-            self._drain_own()
+            self._drain(self.rank)
 
-    def deliver(
+    def _transmit(
         self, source: int, dest: int, tag: int, payload: Any,
-        reorder_u: "float | None" = None,
+        reorder_u: "float | None",
     ) -> None:
-        if self.aborted:
-            raise CommAbort(f"rank {source}: job aborted while sending to {dest}")
-        if not 0 <= dest < self.nranks:
-            raise ValueError(f"destination rank {dest} out of range [0, {self.nranks})")
         self._sent += 1
         # sender-scoped serial (debugging only; arrival order is what
         # matching uses) — a fabric-global counter would need a lock per send
@@ -288,84 +257,42 @@ class ProcessFabric:
             describe=f"rank {source}: send to rank {dest} (tag {tag})",
         )
 
-    def _deposit(self, env: Envelope, reorder_u: "float | None") -> None:
-        # same legal-reordering insertion as Mailbox.deposit: an injected
-        # delay may jump the queue but never overtakes within (source, tag)
-        q = self._pending
-        if reorder_u is None or not q:
-            q.append(env)
-            return
-        floor = 0
-        for i, queued in enumerate(q):
-            if queued.source == env.source and queued.tag == env.tag:
-                floor = i + 1
-        pos = floor + int(reorder_u * (len(q) + 1 - floor))
-        q.insert(pos, env)
-
-    def _drain_own(self) -> int:
-        """Move every message queued in our ring into the pending list."""
-        msgs = self.rings[self.rank].drain()
+    def _drain(self, rank: int) -> int:
+        """Move every message queued in ``rank``'s ring into the inbox (the
+        owning child drains its own; the parent sweeps after the join)."""
+        msgs = self.rings[rank].drain()
         for src, data in msgs:
             tag, payload, serial, reorder_u = decode_message(data)
-            self._deposit(Envelope(src, self.rank, tag, payload, serial), reorder_u)
+            self.inbox.deposit(Envelope(src, rank, tag, payload, serial), reorder_u)
         return len(msgs)
 
-    def _match(self, source: int, tag: int) -> "int | None":
-        for i, env in enumerate(self._pending):
-            if source not in (ANY_SOURCE, env.source):
-                continue
-            if tag not in (ANY_TAG, env.tag):
-                continue
-            return i
-        return None
-
-    def collect(self, rank: int, source: int, tag: int) -> Envelope:
-        self.last_blocked[rank] = ("recv", source, tag)
-        self._set_blocked(_BLK_RECV, source, tag)
-        tr = self._tracer
-        t0 = tr.now() if tr is not None else 0.0
-        try:
-            return self._collect(source, tag)
-        finally:
-            if tr is not None:
-                tr.add_wait(tr.now() - t0)
-
-    def _collect(self, source: int, tag: int) -> Envelope:
+    def _await(self, rank: int, source: int, tag: int) -> Envelope:
         # clock reads here are deadlock *observation* (the same role the
-        # thread mailbox's condition timeout plays), never algorithm state
+        # thread wire's condition timeout plays), never algorithm state
         last_progress = time.monotonic()  # repro: noqa[SPMD602]
+        inbox, ring = self.inbox, self.rings[rank]
         while True:
             if self.aborted:
-                raise CommAbort(
-                    f"rank {self.rank}: job aborted while receiving "
-                    f"(source={source}, tag={tag})"
-                )
-            if self._drain_own():
+                raise self._aborted_receiving(rank, source, tag)
+            if self._drain(rank):
                 last_progress = time.monotonic()  # repro: noqa[SPMD602]
-            idx = self._match(source, tag)
-            if idx is not None:
-                return self._pending.pop(idx)
-            if self.rings[self.rank].wait_data(timeout=0.05):
+            env = inbox.take(source, tag)
+            if env is not None:
+                return env
+            if ring.wait_data(timeout=0.05):
                 continue
             if time.monotonic() - last_progress > self.timeout:  # repro: noqa[SPMD602]
-                raise DeadlockError(
-                    f"rank {self.rank}: recv(source={source}, tag={tag}) "
-                    f"made no progress for {self.timeout:.1f}s; "
-                    f"pending queue: "
-                    f"{[(e.source, e.tag) for e in self._pending[:8]]}"
-                )
+                raise self._deadlocked(rank, source, tag, inbox)
 
     def probe(self, rank: int, source: int, tag: int) -> bool:
-        self._drain_own()
-        return self._match(source, tag) is not None
+        self._drain(rank)
+        return self.inbox.find(source, tag) >= 0
 
-    def pending_collective(self) -> list[tuple[int, int]]:
-        """Reserved-tag leftovers still queued at this rank (rank side)."""
-        self._drain_own()
-        return [
-            (e.source, e.tag) for e in self._pending
-            if e.tag >= _RESERVED_TAG_BASE
-        ]
+    def take_strays(self, rank: int) -> list[tuple[int, int]]:
+        """Reserved-tag leftovers of ``rank``: what its ring and the inbox
+        hold (see :class:`~repro.runtime.fabric.Inbox`)."""
+        self._drain(rank)
+        return self.inbox.take_strays()
 
     # -- id allocation -------------------------------------------------------
 
@@ -454,14 +381,6 @@ class ProcessFabric:
         except FileNotFoundError:
             pass
 
-    # -- verify-surface stubs (process backend never arms the verifiers) -----
-
-    def rma_log_for(self, win_id: int, factory) -> Any:  # pragma: no cover
-        raise CommError("verify mode is thread-backend only")
-
-    def rma_ops_checked(self) -> int:
-        return 0
-
     # -- teardown ------------------------------------------------------------
 
     def close_child(self) -> None:
@@ -516,77 +435,13 @@ def _rank_child(fabric: ProcessFabric, rank: int, job: SpmdJob, conn) -> None:
     """Module-level so any start method can resolve it; under fork the
     fabric (rings, control segment, locks) arrives by inheritance."""
     fabric.attach(rank)
-    comm = Communicator(fabric, comm_id=0, group=range(fabric.nranks), rank=rank)
-    tracer = None
-    if job.clock_kind:
-        tracer = Tracer(rank, make_trace_clock(job.clock_kind))
-        fabric._tracer = tracer  # noqa: SLF001 - wait accounting in collect
-        comm.tracer = tracer
-    out: dict[str, Any] = {"ok": True, "value": None, "error": None}
-    try:
-        out["value"] = job.fn(comm, *job.args, **job.kwargs)
-    except BaseException as exc:  # noqa: BLE001 - shipped to the parent
-        out["ok"] = False
-        out["error"] = exc
-        fabric.abort()
-        if tracer is not None:
-            add_fault_span(tracer, exc)
-    finally:
-        if tracer is not None:
-            tracer.flush()
-        out["stats"] = comm.stats
-        out["progress"] = dict(fabric.progress)
-        out["fired"] = (
-            sorted(fabric.faults.fired_tokens()) if fabric.faults is not None else []
-        )
-        out["fault_events"] = (
-            list(fabric.faults.events[rank]) if fabric.faults is not None else []
-        )
-        out["fault_model"] = (
-            (fabric.faults.model_seconds[rank], dict(fabric.faults.phase_ledger))
-            if fabric.faults is not None
-            else (0.0, {})
-        )
-        try:
-            out["pending_coll"] = fabric.pending_collective()
-        except Exception:
-            out["pending_coll"] = []
-        out["spans"] = list(tracer.spans) if tracer is not None else None
-        out["idle"] = tracer.idle_wait if tracer is not None else 0.0
-        _ship(conn, out, rank)
-        # the shipped error's traceback pins frames whose locals hold numpy
-        # views over window segments; drop it so close_child can unmap them
-        out["error"] = None
-        out["value"] = None
-        fabric.close_child()
-        conn.close()
-
-
-def _ship(conn, out: dict, rank: int) -> None:
-    """Send the result dict; degrade to a stringified error rather than die
-    silently when a value or exception object refuses to pickle."""
-    try:
-        conn.send(out)
-        return
-    except Exception:
-        pass
-    reason = (
-        f"{type(out['error']).__name__}: {out['error']}"
-        if out.get("error") is not None
-        else "return value is not picklable (the process backend ships "
-        "results over a pipe)"
-    )
-    fallback = dict(
-        out,
-        value=None,
-        error=CommError(f"rank {rank}: {reason}"),
-        ok=False,
-        spans=None,
-    )
-    try:
-        conn.send(fallback)
-    except Exception:
-        pass
+    out = run_rank(fabric, rank, job)
+    conn.send_bytes(out.wire_bytes(rank))
+    # the shipped error's traceback pins frames whose locals hold numpy
+    # views over window segments; drop it so close_child can unmap them
+    out.error = out.value = None
+    fabric.close_child()
+    conn.close()
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +467,7 @@ class ProcessTransport(Transport):
         )
         procs: list = []
         conns: list = []
-        results: list[dict | None] = [None] * nranks
+        outcomes: "list[RankOutcome | None]" = [None] * nranks
         try:
             for r in range(nranks):
                 parent_end, child_end = fabric.ctx.Pipe(duplex=False)
@@ -625,91 +480,34 @@ class ProcessTransport(Transport):
                 procs.append(proc)
                 conns.append(parent_end)
 
-            self._gather(job, fabric, conns, results)
-            hung = [r for r in range(nranks) if results[r] is None and procs[r].is_alive()]
+            self._gather(job, fabric, conns, outcomes)
+            hung = [r for r in range(nranks) if outcomes[r] is None and procs[r].is_alive()]
             if hung:
                 fabric.abort()
             for proc in procs:
                 proc.join(timeout=job.join_grace)
             # late results from ranks the abort unblocked
             for r in range(nranks):
-                if results[r] is None and conns[r].poll():
-                    results[r] = self._recv(conns[r], r)
+                if outcomes[r] is None and conns[r].poll():
+                    outcomes[r] = self._recv(conns[r], r)
             self._reap(procs)
 
-            outcomes = [RankOutcome() for _ in range(nranks)]
-            progress: dict[str, int] = {}
-            for r, res in enumerate(results):
-                if res is None:
-                    if r not in hung:
-                        # died without reporting (hard kill, fatal signal)
-                        outcomes[r].error = CommError(
+            for r in range(nranks):
+                if outcomes[r] is None:
+                    # hung: finished stays False -> TimeoutError; otherwise
+                    # it died without reporting (hard kill, fatal signal)
+                    outcomes[r] = RankOutcome() if r in hung else RankOutcome(
+                        error=CommError(
                             f"rank {r} process exited without reporting "
                             f"(exit code {procs[r].exitcode})"
-                        )
-                        outcomes[r].finished = True
-                    continue  # hung: finished stays False -> TimeoutError
-                outcomes[r].finished = True
-                if res["ok"]:
-                    outcomes[r].value = res["value"]
-                else:
-                    outcomes[r].error = res["error"]
-                for key, value in res.get("progress", {}).items():
-                    progress[key] = max(progress.get(key, value), value)
-                if job.faults is not None:
-                    job.faults.absorb_fired(res.get("fired", ()))
-                    job.faults.absorb_events(r, res.get("fault_events", ()))
-                    seconds, marks = res.get("fault_model", (0.0, {}))
-                    job.faults.absorb_model(r, seconds, marks)
-            phase = fabric.ctl_phase_max()
-            if phase >= 0:
-                progress["phase"] = max(progress.get("phase", phase), phase)
-
-            dist_trace = None
-            if job.clock_kind:
-                dist_trace = DistTrace(
-                    nranks,
-                    spans=[
-                        list((res or {}).get("spans") or []) for res in results
-                    ],
-                    meta={
-                        "clock": job.clock_kind,
-                        "idle_wait": [
-                            float((res or {}).get("idle", 0.0)) for res in results
-                        ],
-                    },
-                )
-
-            pids = [proc.pid for proc in procs]
-            raise_primary(
-                outcomes, progress, dist_trace,
-                lambda r: (
-                    f"spmd rank {r} (pid {pids[r]}) failed to terminate; "
-                    f"last blocked operation: {fabric.describe_blocked(r)}"
-                ),
-            )
-
-            # stray collective sweep: leftovers each rank reported from its
-            # pending list, plus whatever still sits undrained in the rings
-            # (children are joined; the parent is the only reader now)
-            stray: list[list[tuple[int, int]]] = [[] for _ in range(nranks)]
-            for r, res in enumerate(results):
-                for src, tag in (res or {}).get("pending_coll", ()):
-                    stray[r].append((src, tag))
-            for r in range(nranks):
-                for src, data in fabric.rings[r].drain():
-                    tag, _ = decode_header(data)
-                    if tag >= _RESERVED_TAG_BASE:
-                        stray[r].append((src, tag))
-            check_stray_collectives(stray)
-
-            return SpmdResult(
-                values=[oc.value for oc in outcomes],
-                stats=[
-                    (res or {}).get("stats") or CommStats() for res in results
-                ],
-                verify_summary=None,
-                trace=dist_trace,
+                        ),
+                        finished=True,
+                    )
+            # the control segment also counts ranks that never reported
+            fabric.note_progress("phase", fabric.ctl_phase_max())
+            return finish(
+                job, fabric, outcomes,
+                lambda r: f"spmd rank {r} (pid {procs[r].pid})",
             )
         finally:
             self._reap(procs)
@@ -718,7 +516,7 @@ class ProcessTransport(Transport):
     def _gather(
         self, job: SpmdJob, fabric: ProcessFabric, conns: list, results: list
     ) -> None:
-        """Collect result dicts until all arrive or the join backstop (the
+        """Collect rank outcomes until all arrive or the join backstop (the
         same ``timeout * 4`` the thread transport uses) expires.
 
         A child that dies without reporting (hard kill, fatal signal) shows
@@ -740,18 +538,16 @@ class ProcessTransport(Transport):
                     fabric.abort()
 
     @staticmethod
-    def _recv(conn, rank: int) -> "dict | None":
+    def _recv(conn, rank: int) -> "RankOutcome | None":
         try:
-            return conn.recv()
+            return pickle.loads(conn.recv_bytes())
         except EOFError:
             return None  # died without reporting (hard kill)
-        except Exception:
-            return {
-                "ok": False,
-                "error": CommError(f"rank {rank}: result could not be decoded"),
-                "value": None, "stats": CommStats(), "progress": {},
-                "fired": [], "pending_coll": [], "spans": None, "idle": 0.0,
-            }
+        except Exception:  # noqa: BLE001 - whatever the user's __reduce__ raises
+            return RankOutcome(
+                error=CommError(f"rank {rank}: result could not be decoded"),
+                finished=True,
+            )
 
     @staticmethod
     def _reap(procs: list) -> None:

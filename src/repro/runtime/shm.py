@@ -67,9 +67,8 @@ _KIND_BATCH = 2
 #: :func:`decode_header` peeks stay unambiguous.
 _BATCH_TAG = -2
 
-#: default ring capacity per destination rank (bytes); override with
-#: $REPRO_SHM_RING_BYTES
-DEFAULT_RING_BYTES = 4 << 20
+#: ring capacity per destination rank (bytes)
+RING_BYTES = 4 << 20
 
 #: how long a producer sleeps on a full ring before re-running its stall hook
 _STALL_WAIT = 0.001

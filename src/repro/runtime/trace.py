@@ -444,7 +444,8 @@ class DistTrace:
 
 
 def merge_tracers(tracers: list[Tracer], clock: str) -> DistTrace:
-    """Executor hook: flush every rank's tracer and assemble the job trace."""
+    """Flush stand-alone tracers and assemble a trace from them (a job's own
+    trace is built from its ranks' outcomes by ``transport.finish``)."""
     for tr in tracers:
         tr.flush()
     return DistTrace(

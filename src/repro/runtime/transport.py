@@ -1,11 +1,11 @@
 """The transport interface: how one SPMD job's ranks run.
 
-A *transport* owns the mechanics the executor used to hard-code: spawning
-one execution context per rank, wiring each to a fabric that implements
-point-to-point delivery, id allocation and abort propagation, joining
-the ranks (with the hung-rank backstop), and assembling the
-:class:`SpmdResult`.  The layers above — communicators, collectives
-(``split`` included: it is a message exchange written once in
+A *transport* is spawn / join / reap: it builds its fabric (the wire), gives
+each rank an execution context running the one rank shell
+(:func:`run_rank`), waits for the :class:`RankOutcome` each produces (with
+the hung-rank backstop), and hands them to the one job tail
+(:func:`finish`).  The layers above — communicators, collectives (``split``
+included: it is a message exchange written once in
 :mod:`~repro.runtime.comm`), windows, the matching engines — never see
 which transport they run on, and a transport never sees what runs on it:
 restarting a failed job is the caller's business
@@ -15,43 +15,43 @@ Two implementations ship:
 
 * :class:`ThreadTransport` (``backend="thread"``, the default) — ranks are
   daemon threads over the in-process :class:`~repro.runtime.fabric.Fabric`
-  mailboxes.  This is bit-compatible with the pre-transport executor: same
-  fabric, same error wrapping, same verify/trace plumbing.
+  mailboxes; the shell fills its outcome in place.
 * ``ProcessTransport`` (``backend="process"``, in
   :mod:`repro.runtime.procfabric`) — ranks are forked OS processes
   exchanging messages through ``multiprocessing.shared_memory`` ring
   buffers, so rank parallelism is real and engine wins show up in
-  wall-clock, not just counters.
+  wall-clock, not just counters; the shell's outcome crosses a pipe pickled.
 
-The contract every transport must honor (the cross-backend parity suite
-asserts the observable parts):
+What the shell and the tail guarantee on both (the cross-backend parity
+suite asserts the observable parts):
 
-1. run ``fn(comm, *args, **kwargs)`` once per rank with a base
+1. ``fn(comm, *args, **kwargs)`` runs once per rank with a base
    communicator of ``comm_id=0`` covering ranks ``0..nranks-1``;
-2. on any rank's failure, propagate abort so peers unwind with
-   :class:`~repro.runtime.errors.CommAbort`, then re-raise the primary
-   error wrapped as ``type(err)(f"[spmd rank {r}] ...")`` with
+2. on any rank's failure, abort propagates so peers unwind with
+   :class:`~repro.runtime.errors.CommAbort`, then the primary error is
+   re-raised wrapped as ``type(err)(f"[spmd rank {r}] ...")`` with
    ``spmd_rank`` / ``spmd_progress`` / ``spmd_trace`` attached
    (:func:`raise_primary`) — what a recovery driver reads to decide
    whether, and from which phase, to relaunch;
-3. name a rank that never terminates via :class:`TimeoutError` carrying
-   the rank's last blocked operation, and leave no execution contexts
-   behind — threads are daemonic, processes are reaped;
-4. after a clean job, fail loudly on undrained collective traffic
+3. a rank that never terminates is named via :class:`TimeoutError` carrying
+   its last blocked operation, and no execution contexts are left behind —
+   threads are daemonic, processes are reaped;
+4. a clean job fails loudly on undrained collective traffic
    (:func:`check_stray_collectives`).
 """
 
 from __future__ import annotations
 
 import abc
+import pickle
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
 from .comm import Communicator, CommStats
-from .errors import CollectiveMismatchError, CommAbort
-from .fabric import Fabric
-from .trace import DistTrace, Tracer, make_trace_clock, merge_tracers
+from .errors import CollectiveMismatchError, CommAbort, CommError
+from .fabric import BaseFabric, Fabric
+from .trace import DistTrace, Tracer, make_trace_clock
 
 
 @dataclass
@@ -88,11 +88,39 @@ class SpmdResult:
 
 @dataclass
 class RankOutcome:
-    """What one rank's execution context reported back."""
+    """Everything one rank reports back: filled by :func:`run_rank` on the
+    rank's own thread, or in its forked child and pickled over the pipe.
+    The default instance is a rank that never reported."""
 
     value: Any = None
     error: BaseException | None = None
     finished: bool = False
+    stats: CommStats = field(default_factory=CommStats)
+    #: reserved-tag (source, tag) leftovers in the rank's inbox at exit
+    strays: list = field(default_factory=list)
+    #: the rank's flushed span timeline and unattributed blocking time
+    spans: list = field(default_factory=list)
+    idle_wait: float = 0.0
+    progress: dict = field(default_factory=dict)
+    #: :meth:`FaultInjector.report` of the rank's injector, if one was armed
+    fault_report: "tuple | None" = None
+
+    def wire_bytes(self, rank: int) -> bytes:
+        """Pickled for the result pipe; degrades to a stringified error
+        rather than dying silently when the value or exception object
+        refuses to pickle."""
+        try:
+            return pickle.dumps(self)
+        except Exception:  # noqa: BLE001 - whatever the user object raises
+            reason = (
+                f"{type(self.error).__name__}: {self.error}"
+                if self.error is not None
+                else "return value is not picklable (the process backend ships "
+                "results over a pipe)"
+            )
+            return pickle.dumps(replace(
+                self, value=None, error=CommError(f"rank {rank}: {reason}"), spans=[],
+            ))
 
 
 @dataclass
@@ -124,8 +152,102 @@ class Transport(abc.ABC):
 
 
 # ---------------------------------------------------------------------------
-# shared post-processing (identical across backends by construction)
+# the rank shell and the job tail (once, under every backend)
 # ---------------------------------------------------------------------------
+
+def run_rank(fabric: BaseFabric, rank: int, job: SpmdJob) -> RankOutcome:
+    """One rank's whole life on whatever execution context the transport
+    gave it: build the world communicator, attach the tracer, run ``fn``;
+    on error record it, abort the fabric and mark the timeline; report."""
+    comm = Communicator(fabric, comm_id=0, group=range(fabric.nranks), rank=rank)
+    tracer = None
+    if job.clock_kind:
+        tracer = Tracer(rank, make_trace_clock(job.clock_kind))
+        fabric.tracers[rank] = comm.tracer = tracer
+    out = RankOutcome(stats=comm.stats)
+    try:
+        out.value = job.fn(comm, *job.args, **job.kwargs)
+    except BaseException as exc:  # noqa: BLE001 - re-raised in the caller
+        out.error = exc
+        fabric.abort()
+        if tracer is not None:
+            add_fault_span(tracer, exc)
+    if tracer is not None:
+        tracer.flush()
+        out.spans, out.idle_wait = tracer.spans, tracer.idle_wait
+    out.progress = dict(fabric.progress)
+    if fabric.faults is not None:
+        out.fault_report = fabric.faults.report(rank)
+    out.strays = fabric.take_strays(rank)
+    out.finished = True
+    return out
+
+
+def finish(
+    job: SpmdJob,
+    fabric: BaseFabric,
+    outcomes: "list[RankOutcome]",
+    who: Callable[[int], str],
+) -> SpmdResult:
+    """Turn the joined ranks' outcomes into the job's result or its primary
+    error.  ``who(r)`` names rank r's execution context in the hung-rank
+    message (the process transport adds the pid)."""
+    progress = dict(fabric.progress)
+    for r, oc in enumerate(outcomes):
+        for key, value in oc.progress.items():
+            progress[key] = max(progress.get(key, value), value)
+        if oc.fault_report is not None:
+            job.faults.absorb(r, oc.fault_report)
+        tracer = fabric.tracers[r]
+        if not oc.finished and tracer is not None:
+            # a hung thread rank: close its timeline from here
+            tracer.flush()
+            oc.spans, oc.idle_wait = tracer.spans, tracer.idle_wait
+    dist_trace = None
+    if job.clock_kind:
+        dist_trace = DistTrace(
+            job.nranks,
+            spans=[list(oc.spans) for oc in outcomes],
+            meta={
+                "clock": job.clock_kind,
+                "idle_wait": [float(oc.idle_wait) for oc in outcomes],
+            },
+        )
+    raise_primary(
+        outcomes, progress, dist_trace,
+        lambda r: (
+            f"{who(r)} failed to terminate; "
+            f"last blocked operation: {fabric.describe_blocked(r)}"
+        ),
+    )
+    # leftovers each rank found in its inbox at exit, plus whatever reached
+    # its wire afterwards (every rank is joined; nothing else reads it now)
+    check_stray_collectives(
+        [oc.strays + fabric.take_strays(r) for r, oc in enumerate(outcomes)]
+    )
+    verify_summary = None
+    if fabric.collective_trace is not None:
+        # Same-signature collectives that only a strict subset of ranks
+        # entered would have deadlocked or left stray messages above, but a
+        # root-completes-first pattern can slip through both; the trace
+        # holds the authoritative per-rank entry counts.
+        unfinished = fabric.collective_trace.incomplete()
+        if unfinished:
+            raise CollectiveMismatchError(
+                "job finished with collectives not entered by every rank: "
+                + "; ".join(unfinished[:4])
+            )
+        verify_summary = {
+            "collectives_checked": fabric.collective_trace.checked,
+            "rma_ops_checked": fabric.rma_ops_checked(),
+        }
+    return SpmdResult(
+        values=[oc.value for oc in outcomes],
+        stats=[oc.stats for oc in outcomes],
+        verify_summary=verify_summary,
+        trace=dist_trace,
+    )
+
 
 def add_fault_span(tracer: Tracer, error: BaseException) -> None:
     """One explicit zero-length ``fault:<Error>`` span on an errored rank's
@@ -194,7 +316,7 @@ def check_stray_collectives(stray_by_rank: "list[list[tuple[int, int]]]") -> Non
 
 
 # ---------------------------------------------------------------------------
-# thread transport (the default; bit-compatible with the original executor)
+# thread transport (the default)
 # ---------------------------------------------------------------------------
 
 class ThreadTransport(Transport):
@@ -214,27 +336,10 @@ class ThreadTransport(Transport):
         fabric = Fabric(
             nranks, timeout=job.timeout, verify=job.verify, faults=job.faults
         )
-        comms = [
-            Communicator(fabric, comm_id=0, group=range(nranks), rank=r)
-            for r in range(nranks)
-        ]
-        tracers = None
-        if job.clock_kind:
-            tracers = [Tracer(r, make_trace_clock(job.clock_kind)) for r in range(nranks)]
-            fabric.tracers = tracers
-            for r in range(nranks):
-                comms[r].tracer = tracers[r]
         outcomes = [RankOutcome() for _ in range(nranks)]
-        fn, args, kwargs = job.fn, job.args, job.kwargs
 
         def runner(rank: int) -> None:
-            try:
-                outcomes[rank].value = fn(comms[rank], *args, **kwargs)
-            except BaseException as exc:  # noqa: BLE001 - must capture to re-raise in caller
-                outcomes[rank].error = exc
-                fabric.abort()
-            finally:
-                outcomes[rank].finished = True
+            outcomes[rank] = run_rank(fabric, rank, job)
 
         threads = [
             threading.Thread(target=runner, args=(r,), name=f"spmd-rank-{r}", daemon=True)
@@ -250,48 +355,7 @@ class ThreadTransport(Transport):
                 fabric.abort()
         for t in threads:
             t.join(timeout=job.join_grace)
-
-        dist_trace = None
-        if tracers is not None:
-            for r, oc in enumerate(outcomes):
-                if oc.error is not None:
-                    add_fault_span(tracers[r], oc.error)
-            dist_trace = merge_tracers(tracers, job.clock_kind)
-
-        raise_primary(
-            outcomes, fabric.progress, dist_trace,
-            lambda r: (
-                f"spmd rank {r} failed to terminate; "
-                f"last blocked operation: {fabric.describe_blocked(r)}"
-            ),
-        )
-        check_stray_collectives(
-            [mb.pending_collective() for mb in fabric.mailboxes]
-        )
-
-        verify_summary = None
-        if fabric.collective_trace is not None:
-            # Same-signature collectives that only a strict subset of ranks
-            # entered would have deadlocked or left stray messages above, but a
-            # root-completes-first pattern can slip through both; the trace
-            # holds the authoritative per-rank entry counts.
-            unfinished = fabric.collective_trace.incomplete()
-            if unfinished:
-                raise CollectiveMismatchError(
-                    "job finished with collectives not entered by every rank: "
-                    + "; ".join(unfinished[:4])
-                )
-            verify_summary = {
-                "collectives_checked": fabric.collective_trace.checked,
-                "rma_ops_checked": fabric.rma_ops_checked(),
-            }
-
-        return SpmdResult(
-            values=[oc.value for oc in outcomes],
-            stats=[c.stats for c in comms],
-            verify_summary=verify_summary,
-            trace=dist_trace,
-        )
+        return finish(job, fabric, outcomes, lambda r: f"spmd rank {r}")
 
 
 # ---------------------------------------------------------------------------

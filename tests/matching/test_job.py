@@ -7,6 +7,7 @@ faults costs exactly the snapshots.  The ledgers below were recorded from
 two were folded together (PR 20).
 """
 
+import numpy as np
 import pytest
 
 from repro.graphs.rmat import er
@@ -36,12 +37,42 @@ def test_allowing_restarts_costs_exactly_the_snapshots():
 
 
 def test_a_store_alone_snapshots_without_restarting():
+    # an in-memory store is one the thread backend's ranks can reach
     coo, store = er(8, seed=3), CheckpointStore()
-    stats = run_mcm_dist(coo, 2, 2, init="greedy", checkpoint_store=store)[2]
+    stats = run_mcm_dist(coo, 2, 2, init="greedy", checkpoint_store=store,
+                         backend="thread")[2]
     assert stats.checkpoint_words == store.words_written == 2_056
     with pytest.raises(RankKilledError):
         run_mcm_dist(coo, 2, 2, checkpoint_store=CheckpointStore(),
-                     faults="crash:rank=1,at=phase:1")
+                     faults="crash:rank=1,at=phase:1", backend="thread")
+
+
+def test_default_store_recovers_on_both_backends(monkeypatch, tmp_path):
+    """``launch`` creates a store the resolved backend's ranks can reach —
+    for processes a file store in a temporary directory it removes — so the
+    default chaos run lands on the same mates and restart trajectory."""
+    monkeypatch.setattr("tempfile.tempdir", str(tmp_path))
+    coo = er(7, seed=1)
+    runs = {
+        backend: run_mcm_dist(
+            coo, 2, 2, max_restarts=30, backend=backend,
+            faults=FaultPlan.parse("crash:rank=any,at=phase:every", seed=1),
+        )
+        for backend in ("thread", "process")
+    }
+    (mr_t, mc_t, st_t), (mr_p, mc_p, st_p) = runs["thread"], runs["process"]
+    np.testing.assert_array_equal(mr_t, mr_p)
+    np.testing.assert_array_equal(mc_t, mc_p)
+    assert st_t.restarts == st_p.restarts >= 1
+    assert st_t.restart_spans == st_p.restart_spans
+    assert st_t.checkpoint_words == st_p.checkpoint_words > 0
+    assert not list(tmp_path.iterdir())  # the throwaway directory is gone
+
+
+def test_in_memory_store_on_processes_is_refused_by_name():
+    with pytest.raises(ValueError, match=r"process.*CheckpointStore\("):
+        run_mcm_dist(er(6, seed=2), 2, 2, checkpoint_store=CheckpointStore(),
+                     backend="process")
 
 
 def test_model_time_is_reported_whenever_an_injector_ran():

@@ -19,13 +19,12 @@ from repro.graphs.rmat import er
 from repro.matching.mcm_dist import run_mcm_dist
 from repro.perfmodel import EDISON, LinkModel
 from repro.perfmodel.collectives import degraded_params
+from repro.matching.scenarios import SCENARIOS, _ledger_at, run_scenario
 from repro.runtime import (
-    SCENARIOS,
     FaultInjector,
     FaultPlan,
     FaultPlanError,
 )
-from repro.runtime.scenarios import _ledger_at, run_scenario
 
 # ---------------------------------------------------------------------------
 # plan grammar: parse, describe, and FaultPlanError diagnostics

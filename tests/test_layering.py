@@ -1,14 +1,12 @@
 """Layering: ``runtime`` and ``distmat`` do not know which algorithm runs
 on them — no import of ``repro.matching`` / ``repro.graphs`` at any depth
-(module level or inside a function), except in the scenario suite, which
-is a workload driver."""
+(module level or inside a function), no exceptions."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 UPWARD = ("repro.matching", "repro.graphs")
-ALLOWED = {SRC / "runtime" / "scenarios.py"}
 
 
 def _imported_modules(path: Path):
@@ -29,7 +27,6 @@ def test_runtime_and_distmat_import_nothing_above_them():
         f"{path.relative_to(SRC)}: {mod}"
         for layer in ("runtime", "distmat")
         for path in sorted((SRC / layer).glob("*.py"))
-        if path not in ALLOWED
         for mod in _imported_modules(path)
         if mod.startswith(UPWARD)
     ]
