@@ -20,13 +20,17 @@ original weight block, its transpose, and zero-weight dummy diagonal
 edges that make a perfect matching always exist.  The two weight blocks
 yield two candidate matchings of G; the better one satisfies
 ``weight >= (1 - epsilon) * OPT`` (see the module tests for the proof
-obligations asserted as ε-complementary slackness).
+obligations asserted as ε-complementary slackness, and
+``tests/matching/test_auction_ladder.py`` for the ladder's floor).
 
 This module holds the *pure-NumPy round kernels* shared verbatim by the
 serial reference engine (:mod:`repro.matching.reference.auction_twin`) and
 the distributed engine (:mod:`repro.matching.mwm_dist`):
 
-* :func:`delta_schedule` — the ε-scaling ladder of bid increments;
+* :func:`next_delta` — the ε-scaling ladder of bid increments, ending at
+  a floor set by the best matching the run holds;
+* :func:`better_matching` — the extraction's choice between the two
+  G-matchings, and the lower bound L it feeds the ladder;
 * :func:`top2_cols` — per-bidder (best, second-best) profits over a CSC
   block — the (select, +)-semiring SpMV of one bidding round;
 * :func:`combine_partials` — the associative merge of per-block partial
@@ -54,28 +58,53 @@ from ..sparse.spvec import NULL
 _NEG_INF = -np.inf
 
 
-def delta_schedule(scale: float, n: int, epsilon: float) -> "list[float]":
-    """ε-scaling bid increments, largest first.
+def next_delta(
+    d: "float | None", scale: float, lower: float, n: int, epsilon: float
+) -> "float | None":
+    """The ε-scaling ladder, one rung at a time: the bid increment of the
+    next phase, or None when the run is done.
 
-    Starts at ``scale / 8`` and divides by 8 until reaching the final
-    increment ``epsilon * scale / n`` — the only one that matters for
-    the (1-ε) bound; the earlier coarse phases exist to keep the number of
-    bidding rounds polylogarithmic in 1/ε.  ``scale`` is the (bias-shifted)
-    maximum edge weight and ``n`` the assignment size (``n1 + n2`` after
-    the doubling); an empty/zero-weight problem yields ``[]``.
+    ``d`` is the increment the last phase ran at (None before the first),
+    ``scale`` the (bias-shifted) maximum edge weight, ``lower`` — L — the
+    effective weight of the best matching the run has extracted so far,
+    and ``n`` the assignment size (``n1 + n2`` after the doubling).  The
+    first rung is ``scale / 8``; each later one divides by 8 (exact in
+    binary floating point: an exponent shift), clamped below at the floor
+    ``epsilon * max(scale, lower) / n``, and the ladder ends once a phase
+    has run at or below the floor.  Only that last phase carries the
+    bound: its assignment is within ``n * d <= ε·max(scale, L)`` of the
+    doubled optimum, and scale (one edge) and L (a matching the run holds)
+    are both weights of real matchings, so both are ≤ OPT.  The coarse
+    rungs keep the round count polylogarithmic in 1/ε.  A problem with no
+    positive scale has no rung at all.
     """
     if epsilon <= 0.0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
     if scale <= 0.0:
-        return []
-    d_final = epsilon * scale / max(1, int(n))
-    schedule: list[float] = []
-    d = scale / 8.0
-    while d > d_final:
-        schedule.append(d)
-        d /= 8.0  # exact in binary floating point: exponent shift only
-    schedule.append(d_final)
-    return schedule
+        return None
+    floor = epsilon * max(scale, lower) / max(1, int(n))
+    if d is None:
+        return max(scale / 8.0, floor)
+    return None if d <= floor else max(d / 8.0, floor)
+
+
+def better_matching(m1: tuple, m2: tuple, bias_add: float) -> tuple:
+    """The better of the two G-matchings an assignment picked.
+
+    Each candidate is ``(rows, cols, weights)`` in its canonical order —
+    M1 by row, M2 by column, on every rank and in the serial twin — so the
+    float sums, and hence the choice, are bit-identical everywhere.  Pairs
+    of non-positive weight (dummy-backed included) are dropped.  Returns
+    ``(rows, cols, weight, lower)``: the heavier matching by original
+    weight, and L, the larger EFFECTIVE weight ``w(M) + bias_add·|M|`` of
+    the two — a real matching's, so never above OPT.
+    """
+    kept = []
+    for rows, cols, w in (m1, m2):
+        pos = w > 0.0
+        kept.append((rows[pos], cols[pos], float(w[pos].sum())))
+    rows, cols, weight = kept[1] if kept[1][2] > kept[0][2] else kept[0]
+    return rows, cols, weight, max(wt + bias_add * r.size for r, _, wt in kept)
 
 
 def dedup_edges(
@@ -128,7 +157,8 @@ def double_for_assignment(
     A perfect matching of G' selects two (independent) matchings of G —
     one per weight block — whose effective weights sum to its total, so
     the better of the two is at least half… and with the auction's
-    ``N·delta = ε·scale`` slack, at least ``(1-ε)·OPT``.
+    ``N·delta <= ε·OPT`` slack (:func:`next_delta`), at least
+    ``(1-ε/2)·OPT``.
 
     ``bias_add`` is the cardinality/weight knob: real edges are shifted by
     it while dummies stay at 0, so at ``bias_add >= scale`` any real edge

@@ -43,11 +43,12 @@ on every grid shape and backend, under either physical collective plan.
 
 Launch, recovery, the checkpoint write and the closing ledger are the job
 shell the cardinality engine uses too (:mod:`repro.matching.job`); the
-snapshot is this engine's own: it carries the item PRICES alongside the
-doubled mate vectors (the :class:`~repro.runtime.checkpoint.Checkpoint`
-``aux`` slot): mates alone are not a valid auction restart point — a phase
-resumed with zeroed prices would forfeit the warm start the earlier
-ε-phases paid for.
+snapshot is this engine's own: it carries the item PRICES and the ε-ladder's
+state (next increment, L) alongside the doubled mate vectors (the
+:class:`~repro.runtime.checkpoint.Checkpoint` ``aux`` slot): mates alone
+are not a valid auction restart point — a phase resumed with zeroed prices
+would forfeit the warm start the earlier ε-phases paid for, and one resumed
+without L would climb a different ladder.
 """
 
 from __future__ import annotations
@@ -56,19 +57,20 @@ import numpy as np
 
 from ..distmat.grid import ProcGrid
 from ..distmat.ops import allgather_arrays, concat_pieces
-from ..distmat.spmat import scatter_edges
+from ..distmat.spmat import DistBlockMatrix, scatter_edges
 from ..runtime.checkpoint import Checkpoint, CheckpointStore
 from ..runtime.comm import Communicator
 from ..runtime.trace import tspan
 from ..sparse.coo import COO
 from ..sparse.spvec import NULL
 from .auction import (
+    better_matching,
     build_csc,
     combine_partials,
     compute_bids,
     dedup_edges,
-    delta_schedule,
     double_for_assignment,
+    next_delta,
     resolve_bids,
     top2_cols,
 )
@@ -83,16 +85,14 @@ from .job import (
 
 
 def _checkpoint(
-    grid: ProcGrid,
-    store: CheckpointStore,
-    phase: int,
-    owner_blk: np.ndarray,
-    price_blk: np.ndarray,
-    stats: DistStats,
+    grid: ProcGrid, store: CheckpointStore, phase: int, owner_blk: np.ndarray,
+    price_blk: np.ndarray, delta: "float | None", lower: float, stats: DistStats,
 ) -> None:
-    """Snapshot (doubled mates, item prices) after a completed ε-phase (the
-    assembly is one column allgather; the write protocol is
-    :func:`~repro.matching.job.save_checkpoint`)."""
+    """Snapshot (doubled mates, item prices, ladder state) after a completed
+    ε-phase (the assembly is one column allgather; the write protocol is
+    :func:`~repro.matching.job.save_checkpoint`).  The ladder is the next
+    increment (0 once the ladder is done) and L, so a resumed run climbs
+    down the same rungs."""
     with tspan(grid.comm, "checkpoint", cat="phase", phase=phase):
         # every rank holds its whole row block, and the pr ranks of a grid
         # column hold row blocks 0..pr-1 in rank order
@@ -102,10 +102,38 @@ def _checkpoint(
         owned = np.flatnonzero(g_item != NULL)
         g_bidder = np.full(g_item.size, NULL, dtype=np.int64)
         g_bidder[g_item[owned]] = owned
-        ck = Checkpoint(
-            phase=phase, mate_row=g_item, mate_col=g_bidder, aux={"prices": prices}
-        )
+        ladder = np.array([delta or 0.0, lower])
+        ck = Checkpoint(phase=phase, mate_row=g_item, mate_col=g_bidder,
+                        aux={"prices": prices, "ladder": ladder})
         save_checkpoint(grid, store, ck, stats)
+
+
+def _extract(
+    grid: ProcGrid, A: DistBlockMatrix, ir: np.ndarray, gcols: np.ndarray,
+    w_orig: np.ndarray, owner_blk: np.ndarray, n1: int, n2: int, bias_add: float,
+) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """The better of the two G-matchings the phase's assignment picked, and
+    L (:func:`~repro.matching.auction.better_matching`), on every rank.
+
+    Two grid allgathers bring every matched pair of each weight block to
+    every rank; pairs are then sorted into the canonical item-index order
+    the twin enumerates (M1 by row, M2 by column), so the float weight sums
+    — and hence the choice and L — are grid-invariant and bit-identical to
+    the serial twin's.
+    """
+    grows = ir + A.row_lo
+    matched = owner_blk[ir] == gcols
+    m1 = matched & (grows < n1) & (gcols < n2)
+    m2 = matched & (grows >= n1) & (gcols >= n2)
+    p1 = allgather_arrays(grid.comm, grows[m1], gcols[m1], w_orig[m1])
+    p2 = allgather_arrays(grid.comm, gcols[m2] - np.int64(n2), grows[m2] - np.int64(n1),
+                          w_orig[m2])
+    cand = []
+    for pieces, key in ((p1, 0), (p2, 1)):
+        pair = concat_pieces(pieces)
+        order = np.argsort(pair[key])
+        cand.append(tuple(a[order] for a in pair))
+    return better_matching(*cand, bias_add)
 
 
 def mwm_dist_spmd(
@@ -139,7 +167,7 @@ def mwm_dist_spmd(
     stats.epsilon = float(epsilon)
 
     # -- problem setup: root doubles the graph, every rank derives the
-    # identical schedule from the broadcast header -------------------------------
+    # identical ladder from the broadcast header ---------------------------------
     if comm.rank == 0:
         assert coo_on_root is not None and weights_on_root is not None
         n1, n2 = coo_on_root.nrows, coo_on_root.ncols
@@ -157,7 +185,6 @@ def mwm_dist_spmd(
     stats.weight_scale = scale
     bias_add = cardinality_bias * scale
     scale_eff = scale + bias_add
-    schedule = delta_schedule(scale_eff, n1 + n2, epsilon) if scale > 0.0 else []
     sec_floor = -(scale_eff + 1.0)
 
     if comm.rank == 0:
@@ -172,6 +199,7 @@ def mwm_dist_spmd(
     # bids go by the effective weights, matchings are scored by the original
     A, rows, cols, w_eff, w_orig = scatter_edges(grid, *edges)
     cp, ir, w_eff, w_orig = build_csc(*A.block_shape, rows, cols, w_eff, w_orig)
+    gcols = np.repeat(np.arange(A.col_lo, A.col_hi, dtype=np.int64), np.diff(cp))
     N = A.nrows
 
     # the replicas: row block i's item -> bidder map and prices (identical
@@ -181,20 +209,23 @@ def mwm_dist_spmd(
     price_blk = np.zeros(A.row_hi - A.row_lo)
     free_blk = np.ones(A.col_hi - A.col_lo, dtype=bool)
 
-    start_phase = 0
+    # the ε-ladder's state: the increment of the next phase (None: done)
+    # and L, the effective weight of the best matching extracted so far
+    lower, phase_no = 0.0, 0
+    delta = next_delta(None, scale_eff, lower, N, epsilon)
     if resume is not None:
         owner_blk[:] = resume.mate_row[A.row_lo:A.row_hi]
-        if resume.aux:
-            price_blk[:] = resume.aux["prices"][A.row_lo:A.row_hi]
-        start_phase = resume.phase
+        price_blk[:] = resume.aux["prices"][A.row_lo:A.row_hi]
+        delta, lower = float(resume.aux["ladder"][0]) or None, float(resume.aux["ladder"][1])
+        phase_no = resume.phase
     elif checkpoint_store is not None:
         # phase-0 snapshot: uniform restart bookkeeping with the MCM engine
-        _checkpoint(grid, checkpoint_store, 0, owner_blk, price_blk, stats)
+        _checkpoint(grid, checkpoint_store, 0, owner_blk, price_blk, delta, lower, stats)
 
     rounds = bids = updates_row = 0
-    for phase_no in range(start_phase + 1, len(schedule) + 1):
-        delta = schedule[phase_no - 1]
-        stats.phases = phase_no
+    pick = None
+    while delta is not None:
+        phase_no += 1
         phase_boundary(grid, phase_no)
         with tspan(grid.comm, "phase", cat="phase", phase=phase_no):
             # each ε-phase restarts the assignment; prices persist (sound
@@ -242,42 +273,30 @@ def mwm_dist_spmd(
                             free_blk[won_k - A.col_lo] = False
                             free_blk[lost_k - A.col_lo] = True
                             active -= int(fresh_k[0])
+            # every phase's assignment is extracted: the better G-matching
+            # is the result if this phase was the last, and it may raise L
+            pick = _extract(grid, A, ir, gcols, w_orig, owner_blk, n1, n2, bias_add)
+            lower = max(lower, pick[3])
+            delta = next_delta(delta, scale_eff, lower, N, epsilon)
             if (
                 checkpoint_store is not None
                 and checkpoint_every > 0
                 and phase_no % checkpoint_every == 0
             ):
-                _checkpoint(grid, checkpoint_store, phase_no, owner_blk, price_blk, stats)
+                _checkpoint(grid, checkpoint_store, phase_no, owner_blk, price_blk,
+                            delta, lower, stats)
+    if pick is None:  # no phase ran: no positive weight, or resumed past the last
+        pick = _extract(grid, A, ir, gcols, w_orig, owner_blk, n1, n2, bias_add)
 
-    # -- extraction: the better of the two G-matchings the assignment picked.
-    # Pairs are assembled in the canonical item-index order on EVERY rank, so
-    # the float weight sums (and hence the M1-vs-M2 choice) are grid-invariant
-    # and bit-identical to the serial twin's.
-    cols_e = np.repeat(np.arange(cp.size - 1, dtype=np.int64), np.diff(cp))
-    grows = ir + A.row_lo
-    gcols = cols_e + A.col_lo
-    matched = owner_blk[ir] == gcols
-    m1 = matched & (grows < n1) & (gcols < n2)
-    m2 = matched & (grows >= n1) & (gcols >= n2)
-    p1 = allgather_arrays(grid.comm, grows[m1], gcols[m1], w_orig[m1])
-    p2 = allgather_arrays(grid.comm, gcols[m2] - np.int64(n2), grows[m2] - np.int64(n1),
-                          w_orig[m2])
-    cand = []
-    for pieces, sort_key in ((p1, 0), (p2, 1)):
-        ii, jj, ww = concat_pieces(pieces)
-        # the twin enumerates M1 by item (row) index and M2 by column index
-        order = np.argsort(ii if sort_key == 0 else jj)
-        ii, jj, ww = ii[order], jj[order], ww[order]
-        cand.append((ii, jj, ww, float(ww[ww > 0].sum())))
-    ii, jj, ww, weight = cand[1] if cand[1][3] > cand[0][3] else cand[0]
-    pos = ww > 0.0  # never keep a zero/negative-weight or dummy-backed pair
+    ii, jj, weight, _ = pick
     g_mate_r = np.full(n1, NULL, dtype=np.int64)
     g_mate_c = np.full(n2, NULL, dtype=np.int64)
-    g_mate_r[ii[pos]] = jj[pos]
-    g_mate_c[jj[pos]] = ii[pos]
+    g_mate_r[ii] = jj
+    g_mate_c[jj] = ii
 
+    stats.phases = phase_no
     stats.matching_weight = weight
-    stats.final_cardinality = int(pos.sum())
+    stats.final_cardinality = int(ii.size)
     stats.auction_rounds = rounds
     stats.bids_placed = bids
     (stats.auction_prices,) = concat_pieces(allgather_arrays(grid.colcomm, price_blk))
@@ -330,7 +349,7 @@ def run_mwm_dist(
     :func:`~repro.matching.job.launch`, runs both engines, and a run given
     no store and no restarts writes no checkpoint.  What differs is the
     snapshot: it carries the doubled-graph mate vectors AND the item prices
-    (the checkpoint ``aux`` slot).  A resumed ε-phase re-fights its own
+    and ladder state (the checkpoint ``aux`` slot).  A resumed ε-phase re-fights its own
     bidding wars from scratch but inherits the prices the completed phases
     established, so a recovered run lands on the same matching (bit-identical
     mates) as a fault-free one.

@@ -17,13 +17,14 @@ import numpy as np
 
 from ...sparse.spvec import NULL
 from ..auction import (
+    better_matching,
     build_csc,
     compute_bids,
     dedup_edges,
-    delta_schedule,
     double_for_assignment,
     extract_matchings,
     lookup_pair_weights,
+    next_delta,
     resolve_bids,
     top2_cols,
 )
@@ -44,14 +45,16 @@ def auction_mwm_serial(
 
     ``mate_r``/``mate_c`` describe a matching of the ORIGINAL graph with
     ``weight >= (1 - epsilon) * OPT`` for positive weights (exact bound:
-    the perfect assignment on the doubled graph is within ``ε·scale_eff``
-    of its optimum, and the better of its two extracted matchings
-    inherits it).  ``info`` carries ``weight`` (original, unbiased),
-    ``rounds``, ``phases``, ``bids``, the final doubled ``prices``, the
-    ``schedule`` of increments, and the doubled ``mate_item`` vector
-    (for ε-CS assertions).  ``cardinality_bias`` shifts real edges by
-    ``bias * scale`` against the zero-weight dummies, trading weight for
-    cardinality (at bias >= 1 any real edge beats going unmatched).
+    the last phase's perfect assignment on the doubled graph is within
+    ``ε·max(scale_eff, L) <= ε·OPT_eff`` of its optimum, and the better of
+    its two extracted matchings inherits half of it).  ``info`` carries
+    ``weight`` (original, unbiased), ``rounds``, ``phases``, ``bids``, the
+    final doubled ``prices``, the ``schedule`` of increments, the
+    ``lower_bounds`` L the ladder was fed after each phase, and the doubled
+    ``mate_item`` vector (for ε-CS assertions).  ``cardinality_bias``
+    shifts real edges by ``bias * scale`` against the zero-weight dummies,
+    trading weight for cardinality (at bias >= 1 any real edge beats going
+    unmatched).
     """
     rows, cols, weights = dedup_edges(rows, cols, weights)
     mate_r = np.full(n1, NULL, dtype=np.int64)
@@ -68,14 +71,20 @@ def auction_mwm_serial(
     scale_eff = scale + bias_add
     N, dr, dc, dweff, dworig = double_for_assignment(n1, n2, rows, cols, weights, bias_add)
     cp, ir, weff, _worig = build_csc(N, N, dr, dc, dweff, dworig)
-    schedule = delta_schedule(scale_eff, N, epsilon)
+    cp0, ir0, w0 = build_csc(n1, n2, rows, cols, weights)
     sec_floor = -(scale_eff + 1.0)
 
     price = np.zeros(N)
     mate_item = np.full(N, NULL, dtype=np.int64)
     mate_bidder = np.full(N, NULL, dtype=np.int64)
     rounds = bids_placed = 0
-    for delta in schedule:
+    schedule: list[float] = []
+    lower_bounds: list[float] = []
+    rr = cc = np.empty(0, np.int64)
+    weight = lower = 0.0
+    delta = next_delta(None, scale_eff, lower, N, epsilon)
+    while delta is not None:
+        schedule.append(delta)
         # each ε-phase restarts the assignment; prices persist (sound for
         # perfect assignment: both sides' price sums cancel in the bound)
         mate_item.fill(NULL)
@@ -96,25 +105,24 @@ def auction_mwm_serial(
             price[ridx] = wbid
             rounds += 1
             bids_placed += int(bidders.size)
+        # every phase's assignment is extracted: the better G-matching is
+        # the result if this phase was the last, and its weight may raise L
+        (r1, c1), (r2, c2) = extract_matchings(n1, n2, mate_item)
+        rr, cc, weight, phase_lower = better_matching(
+            (r1, c1, lookup_pair_weights(n1, cp0, ir0, w0, r1, c1)),
+            (r2, c2, lookup_pair_weights(n1, cp0, ir0, w0, r2, c2)),
+            bias_add,
+        )
+        lower = max(lower, phase_lower)
+        lower_bounds.append(lower)
+        delta = next_delta(delta, scale_eff, lower, N, epsilon)
 
-    # extract the better of the two G-matchings selected by the assignment
-    cp0, ir0, w0 = build_csc(n1, n2, rows, cols, weights)
-    (r1, c1), (r2, c2) = extract_matchings(n1, n2, mate_item)
-    w1 = lookup_pair_weights(n1, cp0, ir0, w0, r1, c1)
-    w2 = lookup_pair_weights(n1, cp0, ir0, w0, r2, c2)
-    weight1, weight2 = float(w1[w1 > 0].sum()), float(w2[w2 > 0].sum())
-    if weight2 > weight1:
-        rr, cc, ww, weight = r2, c2, w2, weight2
-    else:
-        rr, cc, ww, weight = r1, c1, w1, weight1
-    pos = ww > 0.0  # never keep a zero/negative-weight or dummy-backed pair
-    mate_r[rr[pos]] = cc[pos]
-    mate_c[cc[pos]] = rr[pos]
-
+    mate_r[rr] = cc
+    mate_c[cc] = rr
     info.update(
-        weight=weight, cardinality=int(pos.sum()), rounds=rounds,
+        weight=weight, cardinality=int(rr.size), rounds=rounds,
         phases=len(schedule), bids=bids_placed, prices=price,
-        schedule=schedule, mate_item=mate_item, scale_eff=scale_eff,
-        sec_floor=sec_floor,
+        schedule=schedule, lower_bounds=lower_bounds, mate_item=mate_item,
+        scale_eff=scale_eff, sec_floor=sec_floor,
     )
     return mate_r, mate_c, info

@@ -51,8 +51,8 @@ MUTATIONS = [
      "        rows, cols, *mine = comm.scatter(payloads, root=root)\n",
      {"SPMD101"}),
     ("eps-phase-loop-over-a-set", "matching/mwm_dist.py",
-     "    for phase_no in range(start_phase + 1, len(schedule) + 1):\n",
-     "    for phase_no in set(range(start_phase + 1, len(schedule) + 1)):\n",
+     "    while delta is not None:\n",
+     "    for delta in set(ladder):\n",
      {"SPMD601", "SPMD603"}),
     ("hop-as-sends-over-a-set", "distmat/ops.py",
      "    return _unframe(comm.alltoallv([_frame(count, *b) for b in buckets]), len(arrays))\n",
