@@ -121,17 +121,14 @@ def cmd_spmd(args) -> int:
     from .matching.mcm_dist import run_mcm_dist
 
     if args.scenario is not None:
-        from .matching.scenarios import SCENARIOS, run_scenario
+        from .matching.scenarios import resolve_scenario, run_scenario
 
-        if args.scenario not in SCENARIOS:
-            print(f"unknown scenario {args.scenario!r}; choose from "
-                  f"{', '.join(sorted(SCENARIOS))}")
+        try:
+            scenario = resolve_scenario(args.scenario, args.scenario_requests)
+        except ValueError as exc:
+            print(exc)
             return 2
-        report = run_scenario(
-            args.scenario,
-            backend=args.backend,
-            requests=args.scenario_requests,
-        )
+        report = run_scenario(scenario, backend=args.backend)
         import json
 
         if args.stats_json:
@@ -336,9 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chaos-plan", default="crash:rank=any,at=phase:every",
                    metavar="PLAN",
                    help="fault plan: ';'-separated crash:rank=R|group=G,"
-                        "at=KIND:N / transient:p=P / delay:p=P / "
-                        "straggler:factor=F / link:src=A,dst=B,alpha=F / "
-                        "disrupt:p=P clauses (see DESIGN.md)")
+                        "at=KIND:N / transient:p=P / delay:p=P clauses "
+                        "(see DESIGN.md §9); stragglers and degraded links "
+                        "are priced by --scenario, not injected")
     p.add_argument("--scenario", default=None, metavar="NAME",
                    help="replay a named adversity scenario (baseline, "
                         "straggler, degraded-links, correlated-crash, "

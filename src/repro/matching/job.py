@@ -6,7 +6,8 @@ everything around the loop is the same job on the same substrate and lives
 here once:
 
 * :class:`DistStats` — the counters a job reports;
-* :func:`phase_boundary` — progress marker and phase-boundary crash point;
+* :func:`phase_boundary` — progress marker, per-phase ledger and
+  phase-boundary crash point;
 * :func:`save_checkpoint` — the single-writer, barrier-closed snapshot write;
 * :func:`reduce_totals` — the job's ONE closing allreduce;
 * :func:`snapshot_ledger` / :func:`merge_by_alg` — the per-rank ledger
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
@@ -87,17 +88,11 @@ class DistStats:
     restarts: int = 0
     phases_replayed: int = 0
     checkpoint_words: int = 0
-    #: deterministic model-time service of the successful attempt under a
-    #: fault injector: the slowest rank's priced-message ledger (through
-    #: straggler/disruption factors and the degraded-link α-β model).
-    #: Failed attempts are excluded — the scenario driver reconstructs
-    #: their lost work from ``restart_spans`` x a crash-free twin's
-    #: ``model_phase_ledger``, because a crashed attempt's own counters
-    #: depend on which victims the abort unwinds first
-    model_seconds: float = 0.0
-    #: phase boundary -> max per-rank model-second ledger entering it
-    #: (successful attempt; None without a fault injector)
-    model_phase_ledger: "dict[int, float] | None" = None
+    #: phase -> grid-wide cumulative ``(steps, words)`` of ``comm_by_alg``
+    #: as the successful attempt entered that phase's boundary — the
+    #: per-phase ledger the scenario suite prices.  Failed attempts are not
+    #: in it: their counters depend on which victims the abort unwinds first
+    phase_ledger: "dict[int, tuple[int, int]]" = field(default_factory=dict)
     #: (resume_phase, death_phase) per failed attempt that was restarted
     restart_spans: "tuple[tuple[int, int], ...]" = ()
     #: filled by :func:`launch` when the job ran with ``verify=True``
@@ -131,11 +126,17 @@ class DistStats:
 # per-rank pieces (called from inside the SPMD program)
 # ---------------------------------------------------------------------------
 
-def phase_boundary(grid: ProcGrid, phase_no: int) -> None:
-    """Publish phase progress and give the fault plan its phase-boundary
-    crash point (a no-op without an armed injector)."""
+def phase_boundary(grid: ProcGrid, stats: DistStats, phase_no: int) -> None:
+    """Publish phase progress, record this rank's cumulative ``(steps,
+    words)`` over its three communicators into ``stats.phase_ledger``, and
+    give the fault plan its phase-boundary crash point (a no-op without an
+    armed injector)."""
     fabric = grid.comm.fabric
     fabric.note_progress("phase", phase_no)
+    tables = [c.stats.by_alg for c in (grid.colcomm, grid.rowcomm, grid.comm)]
+    stats.phase_ledger[phase_no] = tuple(
+        sum(d[k] for t in tables for d in t.values()) for k in ("steps", "words")
+    )
     if fabric.faults is not None:
         fabric.faults.on_phase(grid.comm.global_rank, phase_no)
 
@@ -253,8 +254,8 @@ def launch(
     once), transient/delay faults re-arm.  A ready-made ``FaultInjector``
     carries one attempt's counters, so it is accepted for a single attempt
     only.  Everything else — resume-point lookup, restart-span and replay
-    accounting, trace concatenation (one ``restart`` span per seam), model
-    time of the surviving attempt — is algorithm-agnostic and lives here.
+    accounting, trace concatenation (one ``restart`` span per seam), the
+    surviving attempt's phase ledger — is algorithm-agnostic and lives here.
     """
     if isinstance(faults, str):
         faults = FaultPlan.parse(faults)
@@ -347,6 +348,12 @@ def launch(
         stats.comm_by_alg = merge_by_alg(result.values)
         for name in ("comm_messages", "frames", "frame_words", "rma_ops", "rma_words"):
             setattr(stats, name, sum(getattr(st, name) for _, _, st in result.values))
+        ledger: dict = {}
+        for _, _, st in result.values:
+            for phase, (steps, words) in st.phase_ledger.items():
+                s0, w0 = ledger.get(phase, (0, 0))
+                ledger[phase] = (s0 + steps, w0 + words)
+        stats.phase_ledger = dict(sorted(ledger.items()))
         stats.verify_summary = result.verify_summary
         stats.restarts = restarts
         stats.phases_replayed = phases_replayed
@@ -354,15 +361,5 @@ def launch(
         if store is not None:
             refresh()
             stats.checkpoint_words = store.words_written
-        if injector is not None:
-            # model-time service of the SUCCESSFUL attempt only: slowest rank's
-            # ledger (bulk-synchronous completion rule).  Failed attempts' lost
-            # work is NOT folded in here — their counters are scheduler-racy —
-            # it is reconstructed by the scenario driver from ``restart_spans``
-            # against a crash-free twin's ``model_phase_ledger``.
-            stats.model_seconds = max(injector.model_seconds)
-            stats.model_phase_ledger = {
-                p: injector.phase_ledger[p] for p in sorted(injector.phase_ledger)
-            }
         stats.trace = job_trace
         return mate_r, mate_c, stats

@@ -424,7 +424,7 @@ def mcm_dist_spmd(
     while True:
         phase_no += 1
         stats.phases = phase_no
-        phase_boundary(grid, phase_no)
+        phase_boundary(grid, stats, phase_no)
         # leaving the ``with`` via the k == 0 break below still closes the
         # span, so even the final (no-path) phase is timed
         with tspan(grid.comm, "phase", cat="phase", phase=phase_no):

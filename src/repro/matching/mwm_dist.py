@@ -226,7 +226,7 @@ def mwm_dist_spmd(
     pick = None
     while delta is not None:
         phase_no += 1
-        phase_boundary(grid, phase_no)
+        phase_boundary(grid, stats, phase_no)
         with tspan(grid.comm, "phase", cat="phase", phase=phase_no):
             # each ε-phase restarts the assignment; prices persist (sound
             # for PERFECT assignment — the price sums cancel in the bound)

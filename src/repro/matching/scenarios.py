@@ -3,12 +3,32 @@
 A single chaos run answers "does recovery work"; a production deployment
 asks "what do stragglers, degraded links and correlated failures do to my
 latency tail".  This module closes that loop: a :class:`Scenario` bundles a
-fault plan with a workload shape (grid, graph scale, request count,
-arrival load), and :func:`run_scenario` replays a seeded request stream
+fault plan and the adversity the model prices with a workload shape (grid,
+graph scale, request count, arrival load), and :func:`run_scenario` replays a seeded request stream
 through :func:`~repro.matching.mcm_dist.run_mcm_dist` with restarts
 allowed, queues the requests through a single-server FIFO in *model time*,
 and emits a machine-readable SLO report — p50/p99 model-time latency, recovery time
 after kills, checkpoint overhead, restart counts.
+
+Pricing
+-------
+
+A request's *service time* is model time on the paper's one α-β clock
+(Section IV-B; the ``model.alpha_s + model.beta_s`` terms of the e2e
+``model_s``), read off the engine's own per-phase ledger
+(``DistStats.phase_ledger``) by :func:`_model_clock`.  Each phase segment
+costs ``f_k · (a·α·Δsteps + b·β·Δwords) / p``:
+
+* ``(a, b)`` is the worst degraded edge of the scenario's ``links`` over
+  the whole grid — the bulk-synchronous slowest-participant rule
+  :func:`~repro.simulate.costsim.price` applies with ``links=``;
+* ``f_k`` is the ``slowdown`` factor when a seeded Bernoulli draw for
+  phase ``k`` falls below its probability, else 1 — a straggler (every
+  superstep waits for it) or a disrupted superstep.
+
+The runtime executes only the faults that change what a run *does*
+(``crash:``, ``transient:``, ``delay:`` — the scenario's ``plan``); the
+adversity that only changes how long it takes lives here, in the model.
 
 Determinism
 -----------
@@ -18,15 +38,13 @@ Every number in the report except ``seconds_wall`` is a pure function of
 
 * request fault seeds and arrival draws come from the same splitmix64
   keying the injector uses (salts 0xA1 / 0xA2 on the scenario seed);
-* request *service time* is model time, not wall clock: the successful
-  attempt's ``DistStats.model_seconds`` (the injector's per-rank
-  message-pricing ledger) plus, for each failed attempt, the work it did
-  before dying priced from the crash-free twin's *phase ledger* — the
-  boundary-by-boundary ledger profile of a run that completes.  A crashed
-  attempt's own counters are scheduler-racy (whether a second victim in a
-  correlated group reaches its death point before the abort unwinds it
-  depends on thread timing), but its ``(resume_phase, death_phase)`` span
-  is deterministic, and the twin prices that span reproducibly;
+* the ledger counts the logical schedule, which neither the backend, the
+  physical plan, nor a transient or delay fault changes.  The successful attempt is priced from its own
+  ledger; each failed attempt's lost work is priced from the crash-free
+  twin's ledger over the attempt's ``(resume_phase, death_phase)`` span.
+  A crashed attempt's own counters are scheduler-racy (whether a second
+  victim in a correlated group reaches its death point before the abort
+  unwinds it depends on thread timing), but its span is deterministic;
 * arrivals are exponential inter-arrival times derived from the seeded
   uniform draws, scaled so the offered load is ``arrival_load`` of the
   fault-free service rate.
@@ -34,9 +52,9 @@ Every number in the report except ``seconds_wall`` is a pure function of
 The same scenario therefore reproduces bit-for-bit across runs AND across
 the thread/process backends (the parity test holds both to one report).
 
-Each request also runs a crash-free *reference* twin (same plan minus
-``crash:`` clauses) whose final cardinality must match — adversity may
-slow the matching down but never change it.
+Each request with crashes also runs a crash-free *reference* twin (same
+plan minus ``crash:`` clauses) whose final cardinality must match —
+adversity may slow the matching down but never change it.
 """
 
 from __future__ import annotations
@@ -47,11 +65,14 @@ import time
 from dataclasses import dataclass
 
 from ..graphs.rmat import er
+from ..perfmodel import EDISON, LinkModel
+from ..perfmodel.collectives import degraded_params
 from ..runtime.faults import FaultPlan, _mix, _unit
 from .mcm_dist import run_mcm_dist
 
-#: splitmix64 salts for scenario-level draws (disjoint from the injector's
-#: 0x51-0x59 range)
+#: splitmix64 salts for scenario-level draws (0x57 is the per-phase
+#: slowdown draw; the rest are disjoint from the injector's 0x51-0x59 range)
+_CAT_SLOWDOWN = 0x57
 _CAT_REQUEST = 0xA1
 _CAT_ARRIVAL = 0xA2
 _CAT_GRAPH = 0xA3
@@ -59,13 +80,21 @@ _CAT_GRAPH = 0xA3
 
 @dataclass(frozen=True)
 class Scenario:
-    """One named adversity scenario: a fault plan plus a workload shape."""
+    """One named adversity scenario: a fault plan, the adversity the model
+    prices, and a workload shape."""
 
     name: str
     description: str
-    #: fault-plan grammar string (see :mod:`repro.runtime.faults`)
+    #: fault-plan grammar string the runtime executes (crash / transient /
+    #: delay; see :mod:`repro.runtime.faults`)
     plan: str
     seed: int = 0
+    #: (prob, factor): each phase runs ``factor``x slower with probability
+    #: ``prob`` (a seeded draw per phase)
+    slowdown: tuple[float, float] = (0.0, 1.0)
+    #: degraded directed edges ``(src, dst, alpha_factor, beta_factor)``
+    #: (see :class:`~repro.perfmodel.links.LinkModel`)
+    links: tuple[tuple[int, int, float, float], ...] = ()
     #: ER RMAT graph scale (2^scale rows/cols per request)
     graph_scale: int = 6
     pr: int = 2
@@ -85,21 +114,23 @@ SCENARIOS: dict[str, Scenario] = {
     for s in (
         Scenario(
             name="baseline",
-            description="healthy fabric: no faults, pure α-β message pricing",
+            description="healthy fabric: no faults, the plain α-β clock",
             plan="",
             seed=1,
         ),
         Scenario(
             name="straggler",
-            description="one seeded rank per phase runs its comm 8x slower",
-            plan="straggler:factor=8,rank=any",
+            description="a persistent straggler: every superstep waits 8x",
+            plan="",
             seed=2,
+            slowdown=(1.0, 8.0),
         ),
         Scenario(
             name="degraded-links",
             description="rank 0's uplink 6x/3x worse, everything into rank 3 2x",
-            plan="link:src=0,dst=*,alpha=6,beta=3;link:src=*,dst=3,alpha=2",
+            plan="",
             seed=3,
+            links=((0, -1, 6.0, 3.0), (-1, 3, 2.0, 2.0)),
         ),
         Scenario(
             name="correlated-crash",
@@ -110,8 +141,9 @@ SCENARIOS: dict[str, Scenario] = {
         Scenario(
             name="disrupted",
             description="40% of supersteps 6x-disrupted, 20% delivery reorder",
-            plan="disrupt:p=0.4,factor=6;delay:p=0.2",
+            plan="delay:p=0.2",
             seed=5,
+            slowdown=(0.4, 6.0),
         ),
     )
 }
@@ -134,6 +166,40 @@ def _ledger_at(ledger: "dict[int, float] | None", phase: int) -> float:
     return max((v for p, v in ledger.items() if p <= phase), default=0.0)
 
 
+def _model_clock(scenario: Scenario, seed: int, stats) -> "tuple[dict[int, float], float]":
+    """Price one attempt's communication ledger on the scenario's α-β clock.
+
+    Returns the model seconds the attempt had spent entering each phase
+    boundary of ``stats.phase_ledger``, and its total at the end of the
+    job (over ``stats.comm_by_alg``).  The segment from one boundary to
+    the next — keyed by the phase it opens, the segment before the first
+    boundary by the phase before it — costs ``f_k · (a·α·Δsteps +
+    b·β·Δwords) / p``, summed as ``(a·α·Σ f_k·Δsteps + b·β·Σ f_k·Δwords) /
+    p``: with no slowdown and no damaged link that is the e2e model clock
+    ``(α·steps + β·words) / p`` exactly.
+    """
+    p = scenario.pr * scenario.pc
+    alpha, beta = degraded_params(
+        EDISON.alpha, EDISON.beta, LinkModel(degraded=scenario.links), range(p)
+    )
+    prob, factor = scenario.slowdown
+    by_alg = (stats.comm_by_alg or {}).values()
+    end = (sum(d["steps"] for d in by_alg), sum(d["words"] for d in by_alg))
+    marks = list(stats.phase_ledger.items())
+    k = marks[0][0] - 1 if marks else 0
+    steps = words = 0.0
+    last = (0, 0)
+    entering: dict[int, float] = {}
+    for phase, point in [*marks, (None, end)]:
+        f = factor if _unit(seed, _CAT_SLOWDOWN, k) < prob else 1.0
+        steps += f * (point[0] - last[0])
+        words += f * (point[1] - last[1])
+        entering[phase] = (alpha * steps + beta * words) / p
+        last, k = point, phase
+    total = entering.pop(None)
+    return entering, total
+
+
 def _run_once(coo, scenario: Scenario, plan: FaultPlan, backend: "str | None"):
     """One restartable MCM-DIST run (``launch`` owns the checkpoint store)."""
     return run_mcm_dist(
@@ -148,19 +214,12 @@ def _run_once(coo, scenario: Scenario, plan: FaultPlan, backend: "str | None"):
     )
 
 
-def run_scenario(
-    scenario: "Scenario | str",
-    *,
-    backend: "str | None" = None,
-    requests: "int | None" = None,
-) -> dict:
-    """Replay ``scenario``'s request stream; return its SLO report dict.
-
-    ``backend`` selects the transport for every run (``None`` resolves via
-    ``$REPRO_SPMD_BACKEND``); ``requests`` overrides the stream length.
-    All report fields except ``seconds_wall`` are deterministic in the
-    scenario seed and identical across backends.
-    """
+def resolve_scenario(
+    scenario: "Scenario | str", requests: "int | None" = None
+) -> Scenario:
+    """``scenario`` (or the registered one of that name) with its stream
+    length overridden by ``requests``; raises ``ValueError`` for an
+    unknown name or a stream of fewer than one request."""
     if isinstance(scenario, str):
         try:
             scenario = SCENARIOS[scenario]
@@ -171,6 +230,28 @@ def run_scenario(
             ) from None
     if requests is not None:
         scenario = dataclasses.replace(scenario, requests=requests)
+    if scenario.requests < 1:
+        raise ValueError(
+            f"a scenario needs at least one request, got requests={scenario.requests}"
+        )
+    return scenario
+
+
+def run_scenario(
+    scenario: "Scenario | str",
+    *,
+    backend: "str | None" = None,
+    requests: "int | None" = None,
+) -> dict:
+    """Replay ``scenario``'s request stream; return its SLO report dict.
+
+    ``backend`` selects the transport for every run (``None`` resolves via
+    ``$REPRO_SPMD_BACKEND``); ``requests`` overrides the stream length
+    (see :func:`resolve_scenario`).  All report fields except
+    ``seconds_wall`` are deterministic in the scenario seed and identical
+    across backends.
+    """
+    scenario = resolve_scenario(scenario, requests)
 
     wall0 = time.perf_counter()
     services: list[float] = []
@@ -200,15 +281,15 @@ def run_scenario(
                 )
         else:
             ref_stats = stats
-        profile = ref_stats.model_phase_ledger
-        service = stats.model_seconds + sum(
+        profile, ref_service = _model_clock(scenario, req_seed, ref_stats)
+        service = _model_clock(scenario, req_seed, stats)[1] + sum(
             _ledger_at(profile, death) - _ledger_at(profile, resumed)
             for resumed, death in stats.restart_spans
         )
         if plan.crashes:
-            recovery.append(max(0.0, service - ref_stats.model_seconds))
+            recovery.append(max(0.0, service - ref_service))
         services.append(service)
-        ref_services.append(ref_stats.model_seconds)
+        ref_services.append(ref_service)
         restarts += stats.restarts
         phases_replayed += stats.phases_replayed
         checkpoint_words += stats.checkpoint_words
@@ -236,6 +317,8 @@ def run_scenario(
     return {
         "scenario": scenario.name,
         "plan": scenario.plan,
+        "slowdown": list(scenario.slowdown),
+        "links": [list(edge) for edge in scenario.links],
         "seed": scenario.seed,
         "backend_independent": True,
         "requests": scenario.requests,
@@ -259,4 +342,4 @@ def run_scenario(
     }
 
 
-__all__ = ["SCENARIOS", "Scenario", "run_scenario"]
+__all__ = ["SCENARIOS", "Scenario", "resolve_scenario", "run_scenario"]

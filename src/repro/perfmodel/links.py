@@ -4,27 +4,22 @@ The base model charges every message the same (α, β) regardless of which
 pair of ranks exchanges it.  Real interconnects degrade *asymmetrically*: a
 flaky cable or a congested switch port inflates latency and bandwidth on
 specific (source, destination) edges while the rest of the fabric is
-healthy.  :class:`LinkModel` captures that: a base (α, β) pair plus a set
-of degraded directed edges, each with its own latency/bandwidth inflation
-factors.  ``-1`` in an edge endpoint is a wildcard ("any rank"), so one
-entry can damage a whole rank's uplink (``src=2, dst=*``).
+healthy.  :class:`LinkModel` captures that: a set of degraded directed
+edges, each with its own latency/bandwidth inflation factors.  ``-1`` in an
+edge endpoint is a wildcard ("any rank"), so one entry can damage a whole
+rank's uplink (``src=2, dst=*``).
 
-Two consumers share it:
-
-* the runtime fault injector prices every *actually sent* message at
-  ``factor·(aF·α + bF·β·words)`` into a deterministic per-rank model-time
-  counter (the SLO latency numbers of the scenario suite);
-* the execution-driven cost simulator inflates the (α, β) pair of each
-  collective by the worst degraded edge among the participating ranks —
-  the bulk-synchronous "slowest participant" rule the paper's Section IV-B
-  model assumes.
+It has one reading, :meth:`LinkModel.worst_factors`: a bulk-synchronous
+collective runs at the pace of its slowest participant, so it sees the
+worst degraded edge among its ranks — the rule the paper's Section IV-B
+model assumes.  The execution-driven cost simulator applies it per
+collective and the scenario suite once per run
+(:func:`~repro.perfmodel.collectives.degraded_params`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from .machine import EDISON
 
 #: Edge endpoint wildcard: matches any rank.
 ANY_RANK = -1
@@ -32,16 +27,13 @@ ANY_RANK = -1
 
 @dataclass(frozen=True)
 class LinkModel:
-    """Base (α, β) plus per-(src, dst)-edge inflation factors.
+    """Per-(src, dst)-edge inflation factors of the α-β model.
 
     ``degraded`` is a tuple of ``(src, dst, alpha_factor, beta_factor)``
     entries; endpoints may be :data:`ANY_RANK`.  Factors must be >= 1 —
-    this models damage, not improvement.  Frozen and built from plain ints
-    and floats so it pickles cheaply into forked process-backend ranks.
+    this models damage, not improvement.
     """
 
-    alpha: float = EDISON.alpha
-    beta: float = EDISON.beta
     degraded: tuple[tuple[int, int, float, float], ...] = ()
 
     def __post_init__(self) -> None:
@@ -51,24 +43,6 @@ class LinkModel:
                     f"link ({src},{dst}) inflation factors must be >= 1, "
                     f"got alpha={fa}, beta={fb}"
                 )
-
-    def factors(self, src: int, dst: int) -> tuple[float, float]:
-        """(α-factor, β-factor) for one directed message src → dst.
-
-        When several degraded entries match, the worst factor of each kind
-        applies (overlapping damage does not cancel).
-        """
-        fa = fb = 1.0
-        for s, d, ea, eb in self.degraded:
-            if s in (ANY_RANK, src) and d in (ANY_RANK, dst):
-                fa = max(fa, ea)
-                fb = max(fb, eb)
-        return fa, fb
-
-    def message_seconds(self, src: int, dst: int, words: float) -> float:
-        """Model seconds for one src → dst message of ``words`` words."""
-        fa, fb = self.factors(src, dst)
-        return fa * self.alpha + fb * self.beta * words
 
     def worst_factors(self, group=None) -> tuple[float, float]:
         """Worst (α-factor, β-factor) over edges inside ``group``.

@@ -464,7 +464,7 @@ class Communicator:
     def _fault_sleep(self, seconds: float, category: str) -> None:
         """Sleep injected adversity time, visible in traces.
 
-        Every injected sleep (retry backoff, straggler stall) emits a
+        Every injected sleep (retry backoff) emits a
         ``cat="fault"`` span carrying ``{category, rank, seconds}`` so
         ``repro trace-report`` can attribute adversity time instead of it
         vanishing into apparent compute time.
@@ -497,24 +497,20 @@ class Communicator:
         """
         reorder_u = None
         if self.fabric.faults is not None:
-            reorder_u = self._fault_effects(op, dest_global, words)
+            reorder_u = self._fault_effects(op, dest_global)
         self._dispatch(dest_global, tag, payload, reorder_u, words)
 
-    def _fault_effects(self, op: str, dest_global: int, words: int) -> "float | None":
+    def _fault_effects(self, op: str, dest_global: int) -> "float | None":
         """Run the injector's per-message protocol for one *logical*
         message and return its reorder draw.
 
         Transient send failures are retried with capped exponential
         backoff and counted on :class:`CommStats`; a send still failing
         after the retry budget re-raises :class:`TransientCommError` as a
-        permanent failure.  Each message that survives is priced into the
-        injector's deterministic model-time ledger (straggler/disruption
-        factors x degraded-link α-β), and a straggling rank additionally
-        serves its wall-clock stall here.  The aggregated physical plans
-        call this once per message of the *logical* schedule (via
-        :meth:`_logical_send`), so fault decision streams, retries and
-        model time replay bit-for-bit whether or not the message travels
-        individually.
+        permanent failure.  The aggregated physical plans call this once
+        per message of the *logical* schedule (via :meth:`_logical_send`),
+        so fault decision streams and retries replay bit-for-bit whether or
+        not the message travels individually.
         """
         faults = self.fabric.faults
         policy = faults.retry
@@ -533,10 +529,6 @@ class Communicator:
                     ) from None
                 self._fault_sleep(policy.delay(attempt), "retry-backoff")
                 continue
-            stall = faults.wall_delay(self.global_rank)
-            if stall > 0.0:
-                self._fault_sleep(stall, "straggler")
-            faults.price_message(self.global_rank, dest_global, words)
             return reorder_u
 
     def _dispatch(
@@ -552,15 +544,13 @@ class Communicator:
         """Ledger one message of an unaggregated schedule the physical
         plan replaces: logical counters and the full per-message fault
         protocol fire exactly as the round-based send would; only the
-        physical delivery is elided.  ``dest`` is a communicator rank (the
-        injector prices per link, so destinations must match the logical
-        schedule's)."""
+        physical delivery is elided.  ``dest`` is a communicator rank."""
         stats = self.stats
         stats.messages_sent += 1
         stats.words_sent += words
         stats.by_op[op] = stats.by_op.get(op, 0) + 1
         if self.fabric.faults is not None:
-            self._fault_effects(op, self.group[dest], words)
+            self._fault_effects(op, self.group[dest])
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any:
         """Block until a message matching (source, tag) arrives; return its

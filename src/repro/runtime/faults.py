@@ -28,20 +28,11 @@ Fault categories
   never past an envelope of its own ``(source, tag)`` stream, preserving
   MPI's non-overtaking guarantee.  Only wildcard-receive observation order
   can change — a legal interconnect reordering.
-* **persistent stragglers** — one seeded rank per MCM phase has every comm
-  op model-time-inflated by a configurable factor (and optionally a real
-  wall-clock sleep), the "slowest participant dominates" adversity of
-  parallel matching.
-* **degraded links** — per-(src, dst)-edge α/β inflation
-  (:class:`~repro.perfmodel.links.LinkModel`) priced into each message's
-  model time; asymmetric topology damage rather than uniform slowdown.
-* **round disruption** — a Bernoulli draw per MCM phase marks the whole
-  superstep disrupted, inflating every rank's model time for that phase
-  (transient fabric-wide congestion).
 
-Faults change *when* things happen, never *what* is computed: logical comm
-counters and the final matching are identical with and without straggler /
-link / disrupt clauses (a property test enforces this).
+The injector only executes faults; it prices nothing.  Adversity that
+changes *how long* a run takes but not what it does — stragglers, degraded
+links, disrupted supersteps — is a term of the α-β model, applied by
+:mod:`repro.matching.scenarios` to the engine's own per-phase ledger.
 
 Plan grammar (``repro spmd --chaos SEED --chaos-plan PLAN``)
 ------------------------------------------------------------
@@ -58,18 +49,8 @@ Semicolon-separated clauses::
     transient:p=P            send AND rma ops fail with probability P
     transient:send=P,rma=Q   per-category probabilities
     delay:p=P                deliveries are reordered with probability P
-    straggler:factor=F       seeded per-phase slow rank; its comm ops cost
-                             F x model time.  Optional rank=R|any (default
-                             any = re-drawn per phase), sleep=S (wall-clock
-                             seconds added per op, traced as fault spans)
-    link:src=A,dst=B,alpha=F degraded directed edge A -> B ('*' = any rank);
-                             alpha (and optional beta=G, default = F)
-                             inflation factors, must be >= 1; repeatable
-    disrupt:p=P              each phase is disrupted with probability P;
-                             optional factor=F (default 4) inflates every
-                             rank's model time during a disrupted phase
 
-Example: ``crash:group=row,at=phase:2;straggler:factor=8;link:src=0,dst=*,alpha=4``.
+Example: ``crash:group=row,at=phase:2;transient:p=0.01;delay:p=0.2``.
 
 Malformed plans raise :class:`~repro.runtime.errors.FaultPlanError` naming
 the offending clause or token.
@@ -80,7 +61,6 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from ..perfmodel.links import ANY_RANK, LinkModel
 from .errors import FaultPlanError, RankKilledError, TransientCommError
 
 _MASK = (1 << 64) - 1
@@ -91,8 +71,6 @@ _CAT_RMA_FAIL = 0x52
 _CAT_DELAY = 0x53
 _CAT_DELAY_SLOT = 0x54
 _CAT_VICTIM = 0x55
-_CAT_STRAGGLER = 0x56
-_CAT_DISRUPT = 0x57
 _CAT_GROUP = 0x58
 _CAT_CLIQUE = 0x59
 
@@ -221,17 +199,6 @@ def _plan_kv(clause: str, body: str, allowed: tuple[str, ...]) -> dict[str, str]
     return kv
 
 
-def _plan_endpoint(clause: str, key: str, raw: str) -> int:
-    if raw in ("*", "any"):
-        return ANY_RANK
-    rank = _plan_int(clause, key, raw)
-    if rank < 0:
-        raise FaultPlanError(
-            f"fault clause {clause!r}: {key}={raw!r} must be a rank index or '*'"
-        )
-    return rank
-
-
 @dataclass(frozen=True)
 class FaultPlan:
     """A pure, seeded description of the faults to inject into one job."""
@@ -241,21 +208,6 @@ class FaultPlan:
     transient_send_p: float = 0.0
     transient_rma_p: float = 0.0
     delay_p: float = 0.0
-    #: model-time inflation factor of the per-phase straggler (1 = none)
-    straggler_factor: float = 1.0
-    #: fixed straggler rank, or None = seeded choice per phase
-    straggler_rank: int | None = None
-    #: wall-clock seconds the straggler sleeps per comm op (traced)
-    straggler_sleep: float = 0.0
-    #: degraded directed edges: (src, dst, alpha_factor, beta_factor)
-    links: tuple[tuple[int, int, float, float], ...] = ()
-    #: per-phase Bernoulli disruption probability and its model-time factor
-    disrupt_p: float = 0.0
-    disrupt_factor: float = 4.0
-
-    @property
-    def straggling(self) -> bool:
-        return self.straggler_factor > 1.0 or self.straggler_sleep > 0.0
 
     @classmethod
     def parse(cls, text: str, seed: int = 0) -> "FaultPlan":
@@ -266,9 +218,6 @@ class FaultPlan:
         """
         crashes: list[CrashSpec] = []
         send_p = rma_p = delay_p = 0.0
-        strag_f, strag_rank, strag_sleep = 1.0, None, 0.0
-        links: list[tuple[int, int, float, float]] = []
-        disrupt_p, disrupt_f = 0.0, 4.0
         if text.strip() == "(no faults)":
             text = ""  # the empty plan's describe() sentinel round-trips
         for clause in filter(None, (c.strip() for c in text.split(";"))):
@@ -308,51 +257,10 @@ class FaultPlan:
             elif head == "delay":
                 kv = _plan_kv(clause, body, ("p",))
                 delay_p = _plan_float(clause, "p", kv.get("p", "0"))
-            elif head == "straggler":
-                kv = _plan_kv(clause, body, ("factor", "rank", "sleep"))
-                if "factor" not in kv:
-                    raise FaultPlanError(
-                        f"fault clause {clause!r}: straggler needs factor=F"
-                    )
-                strag_f = _plan_float(clause, "factor", kv["factor"])
-                if strag_f < 1.0:
-                    raise FaultPlanError(
-                        f"fault clause {clause!r}: straggler factor must be >= 1"
-                    )
-                rank_s = kv.get("rank", "any")
-                strag_rank = (
-                    None if rank_s == "any" else _plan_int(clause, "rank", rank_s)
-                )
-                strag_sleep = _plan_float(clause, "sleep", kv.get("sleep", "0"))
-            elif head == "link":
-                kv = _plan_kv(clause, body, ("src", "dst", "alpha", "beta"))
-                if "src" not in kv or "dst" not in kv or "alpha" not in kv:
-                    raise FaultPlanError(
-                        f"fault clause {clause!r}: link needs src=, dst= and alpha="
-                    )
-                src = _plan_endpoint(clause, "src", kv["src"])
-                dst = _plan_endpoint(clause, "dst", kv["dst"])
-                fa = _plan_float(clause, "alpha", kv["alpha"])
-                fb = _plan_float(clause, "beta", kv.get("beta", kv["alpha"]))
-                if fa < 1.0 or fb < 1.0:
-                    raise FaultPlanError(
-                        f"fault clause {clause!r}: link inflation factors must be >= 1"
-                    )
-                links.append((src, dst, fa, fb))
-            elif head == "disrupt":
-                kv = _plan_kv(clause, body, ("p", "factor"))
-                if "p" not in kv:
-                    raise FaultPlanError(f"fault clause {clause!r}: disrupt needs p=P")
-                disrupt_p = _plan_float(clause, "p", kv["p"])
-                disrupt_f = _plan_float(clause, "factor", kv.get("factor", "4"))
-                if disrupt_f < 1.0:
-                    raise FaultPlanError(
-                        f"fault clause {clause!r}: disrupt factor must be >= 1"
-                    )
             else:
                 raise FaultPlanError(
-                    f"unknown fault clause {head!r} in {text!r} (known: crash, "
-                    f"transient, delay, straggler, link, disrupt)"
+                    f"unknown fault clause {head!r} in {text!r} "
+                    f"(known: crash, transient, delay)"
                 )
         return cls(
             seed=seed,
@@ -360,12 +268,6 @@ class FaultPlan:
             transient_send_p=send_p,
             transient_rma_p=rma_p,
             delay_p=delay_p,
-            straggler_factor=strag_f,
-            straggler_rank=strag_rank,
-            straggler_sleep=strag_sleep,
-            links=tuple(links),
-            disrupt_p=disrupt_p,
-            disrupt_factor=disrupt_f,
         )
 
     def describe(self) -> str:
@@ -383,18 +285,6 @@ class FaultPlan:
             )
         if self.delay_p:
             parts.append(f"delay:p={self.delay_p}")
-        if self.straggling:
-            rank = "any" if self.straggler_rank is None else self.straggler_rank
-            part = f"straggler:factor={self.straggler_factor},rank={rank}"
-            if self.straggler_sleep:
-                part += f",sleep={self.straggler_sleep}"
-            parts.append(part)
-        for src, dst, fa, fb in self.links:
-            s = "*" if src == ANY_RANK else src
-            d = "*" if dst == ANY_RANK else dst
-            parts.append(f"link:src={s},dst={d},alpha={fa},beta={fb}")
-        if self.disrupt_p:
-            parts.append(f"disrupt:p={self.disrupt_p},factor={self.disrupt_factor}")
         return "; ".join(parts) or "(no faults)"
 
 
@@ -414,16 +304,6 @@ class FaultInjector:
 
     ``grid`` is the (pr, pc) process-grid shape, required to resolve
     correlated ``group=row`` / ``group=col`` crash specs.
-
-    Besides the fault decisions the injector keeps the scenario suite's
-    deterministic **model-time ledger**: every priced message adds
-    ``model_factor(src) x LinkModel.message_seconds(src, dst, words)`` to
-    the sender's :attr:`model_seconds` slot.  The counters live here rather
-    than on ``CommStats`` because a crashed attempt's ranks make
-    scheduler-dependent progress before they observe the abort; the only
-    reproducible ledger values are the per-phase-boundary snapshots of a
-    run that *completes* (:attr:`phase_ledger`), which is what the scenario
-    driver prices failed attempts from (via the crash-free twin).
     """
 
     def __init__(
@@ -448,7 +328,6 @@ class FaultInjector:
                 "plan uses crash:group=row/col but the injector was built "
                 "without a (pr, pc) grid shape"
             )
-        self.link_model = LinkModel(degraded=plan.links)
         self._lock = threading.Lock()
         #: crash tokens fired during this job ((spec index, occurrence))
         self.fired: list[tuple[int, int]] = []
@@ -456,19 +335,8 @@ class FaultInjector:
         #: thread — the determinism test compares these across runs
         self.events: list[list[tuple]] = [[] for _ in range(nranks)]
         self._counts: list[dict[str, int]] = [
-            {"send": 0, "collective": 0, "rma": 0, "phase": 0}
-            for _ in range(nranks)
+            {"send": 0, "collective": 0, "rma": 0} for _ in range(nranks)
         ]
-        #: per-rank accumulated model seconds of priced messages
-        self.model_seconds: list[float] = [0.0] * nranks
-        #: phase boundary -> max rank ledger observed entering it.  In a run
-        #: that completes, every rank reaches every boundary, so each value
-        #: is a deterministic max over all ranks — the profile the scenario
-        #: driver uses to price the work a *failed* attempt did before dying
-        #: (the failed attempt's own ledgers are scheduler-racy: whether a
-        #: second victim reaches its death point before the abort unwinds it
-        #: depends on thread timing).
-        self.phase_ledger: dict[int, float] = {}
 
     # -- crash scheduling ----------------------------------------------------
 
@@ -526,75 +394,24 @@ class FaultInjector:
             return set(self.fired)
 
     def report(self, rank: int) -> tuple:
-        """What rank ``rank`` hands back at exit: fired crash tokens, its
-        injected-fault log, its model-time ledger and the phase-boundary
-        snapshots this injector saw."""
-        return (
-            sorted(self.fired_tokens()), list(self.events[rank]),
-            self.model_seconds[rank], dict(self.phase_ledger),
-        )
+        """What rank ``rank`` hands back at exit: fired crash tokens and its
+        injected-fault log."""
+        return sorted(self.fired_tokens()), list(self.events[rank])
 
     def absorb(self, rank: int, report: tuple) -> None:
         """Merge a rank's :meth:`report` into this injector.
 
         The process transport forks one injector copy per rank, so crashes
-        fire, events log and messages are priced in the children; the
-        parent's copy — the one the recovery driver disarms from and reads
-        model time off — adopts what each child reports.  A forked copy
-        prices exactly one rank, so its ledger holds that rank's boundary
-        snapshots, which max-merge into the cross-rank profile.  On the
-        thread transport the ranks share this very object and every step is
-        a no-op."""
-        fired, events, seconds, marks = report
+        fire and events log in the children; the parent's copy — the one
+        the recovery driver disarms from — adopts what each child reports.
+        On the thread transport the ranks share this very object and every
+        step is a no-op."""
+        fired, events = report
         with self._lock:
             for tok in fired:
                 if tok not in self.fired:
                     self.fired.append(tok)
             self.events[rank] = events
-            self.model_seconds[rank] = seconds
-            for phase, led in marks.items():
-                if led > self.phase_ledger.get(phase, 0.0):
-                    self.phase_ledger[phase] = led
-
-    # -- scenario adversity (stragglers, disruption, link pricing) ------------
-
-    def straggler_of(self, phase: int) -> int | None:
-        """The straggling rank during MCM phase ``phase`` (None = nobody)."""
-        if not self.plan.straggling:
-            return None
-        if self.plan.straggler_rank is not None:
-            return self.plan.straggler_rank % self.nranks
-        return _mix(self.plan.seed, _CAT_STRAGGLER, phase) % self.nranks
-
-    def phase_disrupted(self, phase: int) -> bool:
-        """Bernoulli draw: is MCM phase ``phase`` a disrupted superstep?"""
-        p = self.plan.disrupt_p
-        return p > 0.0 and _unit(self.plan.seed, _CAT_DISRUPT, phase) < p
-
-    def model_factor(self, rank: int) -> float:
-        """Model-time inflation of ``rank``'s comm ops in its current phase."""
-        phase = self._counts[rank]["phase"]
-        factor = 1.0
-        if self.straggler_of(phase) == rank:
-            factor *= self.plan.straggler_factor
-        if self.phase_disrupted(phase):
-            factor *= self.plan.disrupt_factor
-        return factor
-
-    def wall_delay(self, rank: int) -> float:
-        """Real seconds ``rank`` must sleep before its next comm op."""
-        if self.plan.straggler_sleep <= 0.0:
-            return 0.0
-        phase = self._counts[rank]["phase"]
-        return self.plan.straggler_sleep if self.straggler_of(phase) == rank else 0.0
-
-    def price_message(self, src: int, dst: int, words: int) -> float:
-        """Charge one src → dst message to the sender's model-time ledger."""
-        seconds = self.model_factor(src) * self.link_model.message_seconds(
-            src, dst, words
-        )
-        self.model_seconds[src] += seconds
-        return seconds
 
     # -- per-operation hooks (called from the rank's own thread) --------------
 
@@ -647,21 +464,8 @@ class FaultInjector:
         ``phase`` is the 1-based global phase number about to start, which
         doubles as the occurrence index so ``at=phase:every`` kills one
         seeded rank per boundary, each boundary at most once across
-        restarts.  Also advances the rank's phase counter for straggler /
-        disruption resolution and logs those adversities into the event
-        stream (determinism witnesses).
+        restarts.
         """
-        self._counts[rank]["phase"] = phase
-        with self._lock:
-            # boundary snapshot BEFORE the crash point: even a rank about to
-            # die records the ledger it arrived with
-            led = self.model_seconds[rank]
-            if led > self.phase_ledger.get(phase, 0.0):
-                self.phase_ledger[phase] = led
-        if self.straggler_of(phase) == rank:
-            self.events[rank].append(("straggler", phase))
-        if self.phase_disrupted(phase):
-            self.events[rank].append(("disrupt", phase))
         self._check_crash(rank, "phase", phase)
 
 

@@ -278,11 +278,9 @@ class Window:
                 f" with span {span}, window size {arr.size}"
             )
 
-    def _charge(self, index: Any) -> int:
-        words = int(np.asarray(index).size)
+    def _charge(self, index: Any) -> None:
         self.rma_ops += 1
-        self.rma_words += words
-        return words
+        self.rma_words += int(np.asarray(index).size)
 
     def _track(self, op: str, target: int, index: Any, *, write: bool, atomic: bool) -> None:
         if self._tracker is not None:
@@ -290,13 +288,11 @@ class Window:
                 self.comm.rank, op, target, index, write=write, atomic=atomic
             )
 
-    def _fault_point(self, op: str, target: int, words: int) -> None:
+    def _fault_point(self, op: str) -> None:
         """Injected-fault site for one one-sided op: scheduled crashes
         propagate, transient failures are retried with capped backoff
-        (retries land on ``rma_retries`` and ``comm.stats``).  A surviving
-        op is priced into the injector's model-time ledger like a p2p
-        message, and a straggling origin serves its wall-clock stall
-        (both traced through :meth:`Communicator._fault_sleep`)."""
+        (retries land on ``rma_retries`` and ``comm.stats``, the backoff is
+        traced through :meth:`Communicator._fault_sleep`)."""
         faults = self.comm.fabric.faults
         if faults is None:
             return
@@ -317,12 +313,6 @@ class Window:
                         f"{policy.max_retries} retries"
                     ) from None
                 self.comm._fault_sleep(policy.delay(attempt), "retry-backoff")
-        stall = faults.wall_delay(self.comm.global_rank)
-        if stall > 0.0:
-            self.comm._fault_sleep(stall, "straggler")
-        faults.price_message(
-            self.comm.global_rank, self.comm.group[target], words
-        )
 
     def get(self, target: int, index: Any) -> Any:
         """Read element(s) at ``index`` from ``target``'s window memory.
@@ -332,8 +322,8 @@ class Window:
         """
         arr = self._target_array(target)
         self._check_index(arr, index)
-        words = self._charge(index)
-        self._fault_point("get", target, words)
+        self._charge(index)
+        self._fault_point("get")
         self._track("get", target, index, write=False, atomic=False)
         with self._locks[target]:
             out = arr[index]
@@ -343,8 +333,8 @@ class Window:
         """Write ``value`` at ``index`` into ``target``'s window memory."""
         arr = self._target_array(target)
         self._check_index(arr, index)
-        words = self._charge(index)
-        self._fault_point("put", target, words)
+        self._charge(index)
+        self._fault_point("put")
         self._track("put", target, index, write=True, atomic=False)
         with self._locks[target]:
             arr[index] = value
@@ -355,8 +345,8 @@ class Window:
         ``.at`` unbuffered variant (``np.add``, ``np.minimum``, ...)."""
         arr = self._target_array(target)
         self._check_index(arr, index)
-        words = self._charge(index)
-        self._fault_point("accumulate", target, words)
+        self._charge(index)
+        self._fault_point("accumulate")
         self._track("accumulate", target, index, write=True, atomic=True)
         with self._locks[target]:
             op.at(arr, index, value)
@@ -371,8 +361,8 @@ class Window:
         """
         arr = self._target_array(target)
         self._check_index(arr, int(index))
-        words = self._charge(index)
-        self._fault_point("fetch_and_op", target, words)
+        self._charge(index)
+        self._fault_point("fetch_and_op")
         self._track("fetch_and_op", target, index, write=True, atomic=True)
         with self._locks[target]:
             old = arr[index]
@@ -386,8 +376,8 @@ class Window:
         value observed before the operation."""
         arr = self._target_array(target)
         self._check_index(arr, int(index))
-        words = self._charge(index)
-        self._fault_point("compare_and_swap", target, words)
+        self._charge(index)
+        self._fault_point("compare_and_swap")
         self._track("compare_and_swap", target, index, write=True, atomic=True)
         with self._locks[target]:
             old = arr[index]

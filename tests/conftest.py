@@ -1,10 +1,27 @@
 """Test seams shared across the suite."""
 
+import glob
+import multiprocessing
+import os
 from contextlib import contextmanager
 
 import pytest
 
 import repro.runtime.comm as _comm
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_ranks_or_segments():
+    """After every test: no live process-backend rank and no shared-memory
+    segment left behind by this process.  Segment names carry the creating
+    pid (``procfabric.ProcessFabric.uid``), so other processes on the host
+    cannot trip the check."""
+    yield
+    ranks = [p.name for p in multiprocessing.active_children()
+             if p.name.startswith("spmd-rank-")]
+    assert not ranks, f"orphan rank processes: {ranks}"
+    segments = glob.glob(f"/dev/shm/rx{os.getpid() % 0xFFFFF:05x}*")
+    assert not segments, f"leaked /dev/shm segments: {segments}"
 
 
 @contextmanager

@@ -2,14 +2,12 @@
 
 The thread-backend chaos matrix (test_chaos.py) proves the recovery
 *logic*; this suite proves the same plans hold when ranks are real OS
-processes talking over shared-memory rings — and that every kill/restart
-cycle cleans up after itself: no orphan child processes, no leaked
-``/dev/shm`` segments, and checkpoints flowing through the file store the
-forked ranks share with the parent.
+processes talking over shared-memory rings, with checkpoints flowing
+through the file store the forked ranks share with the parent.  That every
+kill/restart cycle cleans up after itself — no orphan rank processes, no
+leaked ``/dev/shm`` segments — is asserted after every test by
+``conftest.py``'s leak fixture.
 """
-
-import glob
-import multiprocessing
 
 import numpy as np
 import pytest
@@ -24,14 +22,9 @@ PLANS = {
     "crash": "crash:rank=any,at=phase:every",
     "transient": "transient:p=0.03",
     "delay": "delay:p=0.2",
-    "straggler": "straggler:factor=4,rank=any",
     "correlated": "crash:group=row,at=phase:2",
+    "correlated-col": "crash:group=col,at=phase:1",
 }
-
-
-def _shm_segments() -> set:
-    """Names of this host's live shared-memory ring/window segments."""
-    return set(glob.glob("/dev/shm/rx*"))
 
 
 @pytest.fixture(scope="module")
@@ -50,8 +43,6 @@ def baseline(graph):
 def test_process_backend_chaos_recovers_without_leaks(
     graph, baseline, tmp_path, kind, seed
 ):
-    before_children = {p.pid for p in multiprocessing.active_children()}
-    before_shm = _shm_segments()
     plan = FaultPlan.parse(PLANS[kind], seed=seed)
     mate_r, mate_c, stats = run_mcm_dist(
         graph, 2, 2,
@@ -71,17 +62,11 @@ def test_process_backend_chaos_recovers_without_leaks(
         # non-crash adversity never perturbs the matching itself
         assert np.array_equal(mate_r, baseline[0])
         assert np.array_equal(mate_c, baseline[1])
-    # no orphan rank processes, no leaked shared-memory segments
-    leaked = {p.pid for p in multiprocessing.active_children()} - before_children
-    assert not leaked, f"orphan child processes: {leaked}"
-    assert _shm_segments() <= before_shm, (
-        f"leaked /dev/shm segments: {_shm_segments() - before_shm}"
-    )
 
 
 def test_process_backend_correlated_crash_matches_thread_backend(graph, tmp_path):
     """One correlated-crash run, both transports: identical recovery
-    trajectory, mates, and deterministic model-time ledger."""
+    trajectory, mates, and per-phase ledger of the surviving attempt."""
     results = {}
     for backend in ("thread", "process"):
         plan = FaultPlan.parse("crash:group=row,at=phase:2", seed=3)
@@ -94,9 +79,12 @@ def test_process_backend_correlated_crash_matches_thread_backend(graph, tmp_path
             init="none",
         )
         results[backend] = (
-            mate_r, stats.restarts, stats.restart_spans,
-            round(stats.model_seconds, 12), stats.model_phase_ledger,
+            mate_r, stats.restarts, stats.restart_spans, stats.phase_ledger,
         )
+        by_alg = stats.comm_by_alg.values()
+        totals = tuple(sum(d[k] for d in by_alg) for k in ("steps", "words"))
+        last = stats.phase_ledger[max(stats.phase_ledger)]
+        assert last[0] <= totals[0] and last[1] <= totals[1]
     t, p = results["thread"], results["process"]
     assert np.array_equal(t[0], p[0])
     assert t[1:] == p[1:]

@@ -1,10 +1,10 @@
 """Adversity scenario suite: plans, pricing, SLO reports, determinism.
 
-Covers the scenario-engine layers end to end: the extended fault-plan
-grammar (stragglers, degraded links, correlated crash groups, superstep
-disruption) with :class:`FaultPlanError` diagnostics, the per-edge α-β
-link model and its collectives/costsim plumbing, the injector's
-deterministic model-time ledger, the ``fault:delay`` trace spans, and the
+Covers the scenario-engine layers end to end: the runtime's fault-plan
+grammar (crash, correlated crash groups, transient, delay) with
+:class:`FaultPlanError` diagnostics, the per-edge link model and its
+collectives/costsim plumbing, the one model clock the scenarios price the
+engine's per-phase ledger on, the ``fault:delay`` trace spans, and the
 closed-loop :func:`run_scenario` driver whose SLO reports must reproduce
 bit-for-bit across runs and across the thread/process backends.
 """
@@ -13,13 +13,14 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.graphs.rmat import er
 from repro.matching.mcm_dist import run_mcm_dist
 from repro.perfmodel import EDISON, LinkModel
 from repro.perfmodel.collectives import degraded_params
-from repro.matching.scenarios import SCENARIOS, _ledger_at, run_scenario
+from repro.matching.scenarios import (
+    SCENARIOS, _ledger_at, _model_clock, run_scenario,
+)
 from repro.runtime import (
     FaultInjector,
     FaultPlan,
@@ -31,9 +32,8 @@ from repro.runtime import (
 # ---------------------------------------------------------------------------
 
 FULL_PLAN = (
-    "crash:group=row,at=phase:2;transient:p=0.02,rma=0.01;delay:p=0.1;"
-    "straggler:factor=8,rank=any,sleep=0.001;"
-    "link:src=0,dst=*,alpha=6,beta=3;disrupt:p=0.4,factor=6"
+    "crash:group=row,at=phase:2;crash:rank=any,at=send:3;"
+    "transient:p=0.02,rma=0.01;delay:p=0.1"
 )
 
 
@@ -41,19 +41,18 @@ def test_full_grammar_describe_round_trips():
     plan = FaultPlan.parse(FULL_PLAN, seed=11)
     again = FaultPlan.parse(plan.describe(), seed=11)
     assert again == plan
-    assert plan.straggling
-    assert plan.links and plan.disrupt_p == 0.4
+    assert len(plan.crashes) == 2 and plan.delay_p == 0.1
 
 
 @pytest.mark.parametrize("bad, token", [
     ("crash:rank=two,at=phase:1", "two"),
     ("crash:group=diagonal,at=phase:1", "diagonal"),
     ("crash:rank=1,group=row,at=phase:1", "group"),
-    ("straggler:rank=3", "factor"),
-    ("straggler:factor=0.5", "0.5"),
-    ("link:src=0,alpha=2", "dst"),
-    ("link:src=0,dst=1,alpha=0.9", "0.9"),
-    ("disrupt:p=0.5,factor=0.2", "0.2"),
+    # pricing-only adversity is a scenario field, not a runtime clause
+    ("straggler:rank=3", "straggler"),
+    ("straggler:factor=2", "straggler"),
+    ("link:src=0,dst=1,alpha=2", "link"),
+    ("disrupt:p=0.5", "disrupt"),
     ("transient:q=0.5", "q"),
     ("bogus:p=1", "bogus"),
 ])
@@ -83,18 +82,17 @@ def test_group_plan_requires_a_grid_shape():
 # ---------------------------------------------------------------------------
 
 
-def test_link_model_factors_and_wildcards():
+def test_link_worst_factors_and_wildcards():
     lm = LinkModel(degraded=((0, -1, 6.0, 3.0), (-1, 3, 2.0, 2.0)))
     assert lm.damaged
-    assert lm.factors(0, 1) == (6.0, 3.0)
-    # rank 0 -> rank 3 matches both entries: worst factor per term wins
-    assert lm.factors(0, 3) == (6.0, 3.0)
-    assert lm.factors(1, 2) == (1.0, 1.0)
-    healthy = lm.message_seconds(1, 2, 10)
-    assert healthy == pytest.approx(EDISON.alpha + EDISON.beta * 10)
-    assert lm.message_seconds(0, 1, 10) == pytest.approx(
-        6.0 * EDISON.alpha + 3.0 * EDISON.beta * 10
-    )
+    # rank 0's uplink reaches any peer: every group holding rank 0 pays it
+    assert lm.worst_factors(group=(0, 1)) == (6.0, 3.0)
+    # a group holding both 0 and 3 matches both entries: worst per term wins
+    assert lm.worst_factors(group=(0, 3)) == (6.0, 3.0)
+    assert lm.worst_factors(group=(1, 3)) == (2.0, 2.0)
+    assert lm.worst_factors(group=(1, 2)) == (1.0, 1.0)
+    with pytest.raises(ValueError, match="must be >= 1"):
+        LinkModel(degraded=((0, 1, 0.9, 1.0),))
 
 
 def test_worst_factors_respects_the_group():
@@ -119,7 +117,7 @@ def test_degraded_links_inflate_costsim_estimates():
 
 
 # ---------------------------------------------------------------------------
-# injector: correlated groups, stragglers, disruption, pricing
+# injector: correlated groups; the model clock over the phase ledger
 # ---------------------------------------------------------------------------
 
 
@@ -148,29 +146,6 @@ def test_group_members_row_col_clique_are_seeded_and_deterministic():
     assert len(clq) == 3 and len(set(clq)) == 3
 
 
-def test_straggler_and_disruption_inflate_the_model_factor():
-    plan = FaultPlan.parse("straggler:factor=8,rank=1;disrupt:p=1,factor=4", seed=0)
-    inj = FaultInjector(plan, 4)
-    inj._counts[1]["phase"] = 3
-    inj._counts[0]["phase"] = 3
-    # every phase is disrupted (p=1); rank 1 additionally straggles
-    assert inj.model_factor(1) == pytest.approx(32.0)
-    assert inj.model_factor(0) == pytest.approx(4.0)
-    assert inj.straggler_of(3) == 1
-    assert inj.phase_disrupted(3)
-
-
-def test_price_message_accumulates_the_link_inflated_ledger():
-    plan = FaultPlan.parse("link:src=0,dst=1,alpha=2,beta=2", seed=0)
-    inj = FaultInjector(plan, 2)
-    healthy = EDISON.alpha + EDISON.beta * 10
-    assert inj.price_message(1, 0, 10) == pytest.approx(healthy)
-    assert inj.price_message(0, 1, 10) == pytest.approx(2 * healthy)
-    assert inj.model_seconds == [
-        pytest.approx(2 * healthy), pytest.approx(healthy)
-    ]
-
-
 def test_ledger_at_interpolates_the_phase_profile():
     profile = {1: 0.0, 2: 5.0, 3: 9.0}
     assert _ledger_at(profile, 0) == 0.0
@@ -184,25 +159,26 @@ def test_ledger_at_interpolates_the_phase_profile():
 # ---------------------------------------------------------------------------
 
 
-def test_straggler_sleeps_are_traced_and_attributed():
+def test_retry_backoff_sleeps_are_traced_and_attributed():
     from repro.simulate.critpath import analyze, format_report
 
     coo = er(scale=5, seed=9, edgefactor=8)
-    plan = FaultPlan.parse("straggler:factor=2,rank=1,sleep=0.002", seed=3)
+    plan = FaultPlan.parse("transient:p=0.05", seed=3)
     _, _, stats = run_mcm_dist(coo, 2, 2, faults=plan, trace="ticks", max_restarts=3)
     spans = [
         sp for sp in stats.trace.all_spans()
         if sp.cat == "fault" and sp.name == "fault:delay"
     ]
-    assert spans, "no fault:delay spans traced for a sleeping straggler"
-    assert {sp.args["category"] for sp in spans} == {"straggler"}
-    assert all(sp.args["rank"] == 1 and sp.args["seconds"] == 0.002
-               for sp in spans)
+    assert spans, "no fault:delay spans traced for a lossy fabric"
+    assert {sp.args["category"] for sp in spans} == {"retry-backoff"}
+    by_rank: dict = {}
+    for sp in spans:
+        by_rank[sp.args["rank"]] = by_rank.get(sp.args["rank"], 0.0) + sp.args["seconds"]
     rep = analyze(stats.trace)
-    roll = rep["adversity"]["straggler"]
+    roll = rep["adversity"]["retry-backoff"]
     assert roll["count"] == len(spans)
-    assert roll["seconds"] == pytest.approx(0.002 * len(spans))
-    assert roll["by_rank"] == {1: pytest.approx(0.002 * len(spans))}
+    assert roll["seconds"] == pytest.approx(sum(by_rank.values()))
+    assert roll["by_rank"] == pytest.approx(by_rank)
     # the per-event fault listing must not be flooded by delay markers
     assert not any(f["name"] == "fault:delay" for f in rep["faults"])
     assert "injected adversity time:" in format_report(rep)
@@ -220,11 +196,17 @@ def test_registry_holds_the_required_scenarios_with_parsable_plans():
     for sc in SCENARIOS.values():
         plan = FaultPlan.parse(sc.plan, seed=sc.seed)
         assert FaultPlan.parse(plan.describe(), seed=sc.seed) == plan
+        LinkModel(degraded=sc.links)  # factors >= 1
 
 
 def test_unknown_scenario_is_rejected_by_name():
     with pytest.raises(ValueError, match="unknown scenario"):
         run_scenario("no-such-scenario")
+
+
+def test_an_empty_request_stream_is_rejected_by_value():
+    with pytest.raises(ValueError, match="requests=0"):
+        run_scenario("baseline", requests=0)
 
 
 def _strip_wall(report: dict) -> dict:
@@ -252,58 +234,52 @@ def test_scenario_reports_match_across_backends():
 
 
 # ---------------------------------------------------------------------------
-# property: adversity pricing never perturbs the algorithm
+# one clock: the priced service is the e2e model clock over the ledger
 # ---------------------------------------------------------------------------
 
-_BASELINES: dict = {}
+
+def test_fault_free_service_is_the_e2e_model_clock_exactly():
+    """No slowdown, no damaged link: the priced service of a request is
+    ``(α·Σsteps + β·Σwords) / p`` over its ``comm_by_alg`` — the α and β
+    terms of the e2e ``model_s`` — to the last bit."""
+    sc = SCENARIOS["baseline"]
+    _, _, stats = run_mcm_dist(er(scale=6, seed=5, edgefactor=8), sc.pr, sc.pc)
+    by_alg = stats.comm_by_alg.values()
+    steps = sum(d["steps"] for d in by_alg)
+    words = sum(d["words"] for d in by_alg)
+    entering, total = _model_clock(sc, 1, stats)
+    assert total == (EDISON.alpha * steps + EDISON.beta * words) / (sc.pr * sc.pc)
+    assert list(entering) == list(range(1, stats.phases + 1))
+    assert list(entering.values()) == sorted(entering.values())
+    assert entering[stats.phases] <= total
 
 
-def _logical_fingerprint(coo, pr, pc, plan=None):
-    mate_r, mate_c, stats = run_mcm_dist(coo, pr, pc, faults=plan, max_restarts=3)
-    comm = {
-        key: {f: d[f] for f in ("calls", "messages", "words")}
-        for key, d in (stats.comm_by_alg or {}).items()
-    }
-    return mate_r, mate_c, stats.total_words, comm
-
-
-@settings(max_examples=6, deadline=None)
-@given(
-    seed=st.integers(0, 2**31 - 1),
-    grid=st.sampled_from([(1, 2), (2, 2)]),
-    factor=st.floats(1.0, 64.0, allow_nan=False),
-)
-def test_stragglers_and_links_never_change_logical_behavior(seed, grid, factor):
-    """Stragglers and degraded links reprice time; they must never change
-    the message pattern or the matching itself."""
-    coo = _BASELINES.setdefault("coo", er(scale=5, seed=17, edgefactor=8))
-    base = _BASELINES.get(grid)
-    if base is None:
-        base = _BASELINES[grid] = _logical_fingerprint(coo, *grid)
-    plan = FaultPlan.parse(
-        f"straggler:factor={factor},rank=any;"
-        f"link:src=0,dst=*,alpha={factor};disrupt:p=0.5,factor={factor}",
-        seed=seed,
-    )
-    mate_r, mate_c, words, comm = _logical_fingerprint(coo, *grid, plan=plan)
-    assert np.array_equal(mate_r, base[0])
-    assert np.array_equal(mate_c, base[1])
-    assert words == base[2]
-    assert comm == base[3]
+def test_slowdown_and_links_scale_the_clock_by_their_factors():
+    sc = SCENARIOS["baseline"]
+    _, _, stats = run_mcm_dist(er(scale=6, seed=5, edgefactor=8), sc.pr, sc.pc)
+    base = _model_clock(sc, 1, stats)[1]
+    always = dataclasses.replace(sc, slowdown=(1.0, 8.0))
+    assert _model_clock(always, 1, stats)[1] == pytest.approx(8 * base)
+    never = dataclasses.replace(sc, slowdown=(0.0, 8.0))
+    assert _model_clock(never, 1, stats)[1] == base
+    # a uniform link damage is the slowest-participant (a, b) of the grid
+    damaged = dataclasses.replace(sc, links=((-1, -1, 3.0, 3.0),))
+    assert _model_clock(damaged, 1, stats)[1] == pytest.approx(3 * base)
 
 
 def test_adversity_prices_time_but_matches_the_fault_free_mates():
-    """End-to-end: the straggler scenario's graphs matched under adversity
-    equal the plain run's matching, while model time is inflated."""
+    """End-to-end: the disrupted scenario's runtime faults (delivery
+    reordering) leave the plain run's matching and ledger untouched, while
+    its slowdown inflates the priced service."""
     coo = er(scale=5, seed=23, edgefactor=8)
-    plain_r, plain_c, _ = run_mcm_dist(coo, 2, 2, init="none")
-    plan = FaultPlan.parse("straggler:factor=8,rank=any", seed=2)
+    plain_r, plain_c, plain = run_mcm_dist(coo, 2, 2, init="none", max_restarts=3)
+    sc = SCENARIOS["disrupted"]
+    plan = FaultPlan.parse(sc.plan, seed=2)
     mate_r, mate_c, stats = run_mcm_dist(
         coo, 2, 2, faults=plan, init="none", max_restarts=3
     )
-    ref_r, ref_c, ref_stats = run_mcm_dist(
-        coo, 2, 2, faults=FaultPlan.parse("", seed=2), init="none", max_restarts=3
-    )
     assert np.array_equal(mate_r, plain_r) and np.array_equal(mate_c, plain_c)
-    assert np.array_equal(ref_r, plain_r) and np.array_equal(ref_c, plain_c)
-    assert stats.model_seconds > ref_stats.model_seconds > 0.0
+    assert stats.phase_ledger == plain.phase_ledger
+    assert stats.comm_by_alg == plain.comm_by_alg
+    healthy = dataclasses.replace(sc, slowdown=(0.0, 1.0))
+    assert _model_clock(sc, 0, stats)[1] > _model_clock(healthy, 0, stats)[1] > 0.0

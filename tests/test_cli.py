@@ -201,3 +201,8 @@ def test_spmd_chaos_rejects_bad_plan():
     with pytest.raises(ValueError):
         main(["spmd", "--rmat", "er:6", "--chaos", "0",
               "--chaos-plan", "explode:p=1"])
+
+
+def test_spmd_scenario_rejects_an_empty_request_stream(capsys):
+    assert main(["spmd", "--scenario", "baseline", "--scenario-requests", "0"]) == 2
+    assert "requests=0" in capsys.readouterr().out
