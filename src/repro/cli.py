@@ -186,6 +186,8 @@ def cmd_spmd(args) -> int:
               f"{stats.price_updates:,} price updates, words "
               f"expand/fold/total = {stats.expand_words:,}/{stats.fold_words:,}/"
               f"{stats.total_words:,}")
+        print(f"certified W/(D/2) = {stats.certified_ratio:.6f} ≥ 1−ε = "
+              f"{1.0 - stats.epsilon:.6g} (dual bound D = {stats.dual_bound:.6g})")
     else:
         print(f"grid {args.pr}x{args.pc}: matched {card:,} "
               f"(init {stats.initial_cardinality:,}), {stats.phases} phases, "

@@ -19,18 +19,22 @@ So the engines solve MWM(G) via the standard doubling
 original weight block, its transpose, and zero-weight dummy diagonal
 edges that make a perfect matching always exist.  The two weight blocks
 yield two candidate matchings of G; the better one satisfies
-``weight >= (1 - epsilon) * OPT`` (see the module tests for the proof
-obligations asserted as ε-complementary slackness, and
-``tests/matching/test_auction_ladder.py`` for the ladder's floor).
+``weight >= (1 - epsilon) * OPT``, proved a posteriori by the phase's own
+dual certificate (see the module tests for the proof obligations asserted
+as ε-complementary slackness, and ``tests/matching/test_auction_ladder.py``
+for the certified ladder and its floor).
 
 This module holds the *pure-NumPy round kernels* shared verbatim by the
 serial reference engine (:mod:`repro.matching.reference.auction_twin`) and
 the distributed engine (:mod:`repro.matching.mwm_dist`):
 
-* :func:`next_delta` — the ε-scaling ladder of bid increments, ending at
-  a floor set by the best matching the run holds;
+* :func:`next_delta` — the certified ε-scaling ladder of bid increments:
+  a certified phase ends it, and a floor set by the best matching the run
+  holds backstops it;
 * :func:`better_matching` — the extraction's choice between the two
   G-matchings, and the lower bound L it feeds the ladder;
+* :func:`certify` — the phase's dual bound D and its verdict
+  ``L >= (1 - ε)·D/2``;
 * :func:`top2_cols` — per-bidder (best, second-best) profits over a CSC
   block — the (select, +)-semiring SpMV of one bidding round;
 * :func:`combine_partials` — the associative merge of per-block partial
@@ -50,6 +54,8 @@ aggregation setting.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..sparse.semiring import SR_MAX_PARENT, reduce_candidates
@@ -59,33 +65,55 @@ _NEG_INF = -np.inf
 
 
 def next_delta(
-    d: "float | None", scale: float, lower: float, n: int, epsilon: float
+    d: "float | None", scale: float, lower: float, n: int, epsilon: float,
+    certified: bool = False,
 ) -> "float | None":
-    """The ε-scaling ladder, one rung at a time: the bid increment of the
-    next phase, or None when the run is done.
+    """The certified ε-scaling ladder, one rung at a time: the bid
+    increment of the next phase, or None when the run is done.
 
     ``d`` is the increment the last phase ran at (None before the first),
     ``scale`` the (bias-shifted) maximum edge weight, ``lower`` — L — the
     effective weight of the best matching the run has extracted so far,
-    and ``n`` the assignment size (``n1 + n2`` after the doubling).  The
-    first rung is ``scale / 8``; each later one divides by 8 (exact in
-    binary floating point: an exponent shift), clamped below at the floor
-    ``epsilon * max(scale, lower) / n``, and the ladder ends once a phase
-    has run at or below the floor.  Only that last phase carries the
-    bound: its assignment is within ``n * d <= ε·max(scale, L)`` of the
-    doubled optimum, and scale (one edge) and L (a matching the run holds)
-    are both weights of real matchings, so both are ≤ OPT.  The coarse
-    rungs keep the round count polylogarithmic in 1/ε.  A problem with no
-    positive scale has no rung at all.
+    ``n`` the assignment size (``n1 + n2`` after the doubling), and
+    ``certified`` the last phase's :func:`certify` verdict: a certified
+    phase ends the run.  The first rung is ``min(ε, 1/8)·scale``; an
+    uncertified phase is followed by one 8 times finer (exact in binary
+    floating point: an exponent shift), clamped below at the floor
+    ``ε·max(scale, L)/n``, and the ladder also ends once a phase has run at
+    or below the floor.  That backstop always certifies: scale (one edge)
+    and L (a matching the run holds) are weights of real matchings, so
+    ``n·d <= ε·OPT_eff <= ε·D/2`` and the phase's assignment, within
+    ``n·d`` of D, has a half of weight ``>= (1 - ε/2)·D/2``.  A problem with
+    no positive scale has no rung at all.
     """
     if epsilon <= 0.0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    if scale <= 0.0:
+    if scale <= 0.0 or certified:
         return None
     floor = epsilon * max(scale, lower) / max(1, int(n))
     if d is None:
-        return max(scale / 8.0, floor)
+        return max(min(epsilon, 0.125) * scale, floor)
     return None if d <= floor else max(d / 8.0, floor)
+
+
+def certify(
+    prices: np.ndarray, profits: np.ndarray, lower: float, epsilon: float
+) -> tuple[float, float, bool]:
+    """The dual certificate of one ε-phase: ``(D, ratio, certified)``.
+
+    ``prices`` are all N item prices and ``profits`` every bidder's best
+    profit ``π_j = max_i(w_eff - p_i)`` at those prices, so (p, π) is
+    feasible for the assignment dual and ``D = Σp + Σπ >= 2·OPT_eff`` by
+    weak duality (the doubled optimum is two copies of OPT_eff).  ``lower``
+    is the effective weight L of the matching the phase extracted; the
+    phase is certified when ``ratio = L / (D/2) >= 1 - ε``, which proves
+    ``L >= (1 - ε)·OPT_eff``.  ``math.fsum`` is exactly rounded, hence
+    order-free, so D and the verdict are bit-identical however the vectors
+    were gathered.  ``D <= 0`` leaves only the empty optimum: ratio 1.
+    """
+    dual = math.fsum(np.concatenate((prices, profits)).tolist())
+    ratio = 2.0 * lower / dual if dual > 0.0 else 1.0
+    return dual, ratio, ratio >= 1.0 - epsilon
 
 
 def better_matching(m1: tuple, m2: tuple, bias_add: float) -> tuple:
@@ -96,15 +124,20 @@ def better_matching(m1: tuple, m2: tuple, bias_add: float) -> tuple:
     float sums, and hence the choice, are bit-identical everywhere.  Pairs
     of non-positive weight (dummy-backed included) are dropped.  Returns
     ``(rows, cols, weight, lower)``: the heavier matching by original
-    weight, and L, the larger EFFECTIVE weight ``w(M) + bias_add·|M|`` of
-    the two — a real matching's, so never above OPT.
+    weight, and L, the larger EFFECTIVE weight ``Σ(w + bias_add)`` of the
+    two over their pairs of positive effective weight — a real matching's,
+    so never above OPT_eff, and at least half the assignment's effective
+    weight, which is what lets the floor phase certify (a pair with
+    ``w <= 0 < w + bias_add`` is dropped from the result but counts in L).
     """
-    kept = []
+    kept, lower = [], 0.0
     for rows, cols, w in (m1, m2):
         pos = w > 0.0
         kept.append((rows[pos], cols[pos], float(w[pos].sum())))
+        eff = w + bias_add
+        lower = max(lower, float(eff[eff > 0.0].sum()))
     rows, cols, weight = kept[1] if kept[1][2] > kept[0][2] else kept[0]
-    return rows, cols, weight, max(wt + bias_add * r.size for r, _, wt in kept)
+    return rows, cols, weight, lower
 
 
 def dedup_edges(
@@ -156,9 +189,9 @@ def double_for_assignment(
 
     A perfect matching of G' selects two (independent) matchings of G —
     one per weight block — whose effective weights sum to its total, so
-    the better of the two is at least half… and with the auction's
-    ``N·delta <= ε·OPT`` slack (:func:`next_delta`), at least
-    ``(1-ε/2)·OPT``.
+    the better of the two is at least half, and the run ends on the first
+    phase whose dual certificate (:func:`certify`) proves that half
+    ``>= (1-ε)·OPT_eff``.
 
     ``bias_add`` is the cardinality/weight knob: real edges are shifted by
     it while dummies stay at 0, so at ``bias_add >= scale`` any real edge

@@ -109,6 +109,11 @@ class DistStats:
     matching_weight: float = 0.0
     weight_scale: float = 0.0
     epsilon: float = 0.0
+    #: the last ε-phase's dual certificate (:func:`repro.matching.auction.
+    #: certify`): D = Σ prices + Σ bidder profits >= 2·OPT_eff, and
+    #: L / (D/2) for the extracted matching's effective weight L (>= 1 - ε)
+    dual_bound: float = 0.0
+    certified_ratio: float = 0.0
 
     # The merged span timeline (:class:`repro.runtime.trace.DistTrace`) when
     # the job ran with ``trace=...``.  Deliberately a plain class attribute,

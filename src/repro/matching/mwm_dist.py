@@ -36,6 +36,13 @@ more words bought 2·⌈log₂ pr⌉ + ⌈log₂ pc⌉ latency steps per round i
 of two grid-wide all-to-alls, three sub-communicator exchanges and an
 allreduce (DESIGN §16 has the measured counts).
 
+Every ε-phase ends in a certified extraction: the better G-matching, L and
+the dual bound D (one more column allgather, :func:`_extract`), and the
+run stops at the first phase whose certificate proves ``L >= (1-ε)·D/2``
+(:func:`~repro.matching.auction.next_delta`).  A phase at the ladder's
+floor that does not certify is an engine bug and raises
+:class:`CertificateError`.
+
 All bids of a round are computed against the same round-start prices
 (Jacobi), and every tie-break is by smallest id, so the mate vectors are
 bit-identical to :func:`repro.matching.reference.auction_twin.auction_mwm_serial`
@@ -60,12 +67,14 @@ from ..distmat.ops import allgather_arrays, concat_pieces
 from ..distmat.spmat import DistBlockMatrix, scatter_edges
 from ..runtime.checkpoint import Checkpoint, CheckpointStore
 from ..runtime.comm import Communicator
+from ..runtime.errors import CommError
 from ..runtime.trace import tspan
 from ..sparse.coo import COO
 from ..sparse.spvec import NULL
 from .auction import (
     better_matching,
     build_csc,
+    certify,
     combine_partials,
     compute_bids,
     dedup_edges,
@@ -108,32 +117,60 @@ def _checkpoint(
         save_checkpoint(grid, store, ck, stats)
 
 
-def _extract(
-    grid: ProcGrid, A: DistBlockMatrix, ir: np.ndarray, gcols: np.ndarray,
-    w_orig: np.ndarray, owner_blk: np.ndarray, n1: int, n2: int, bias_add: float,
-) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """The better of the two G-matchings the phase's assignment picked, and
-    L (:func:`~repro.matching.auction.better_matching`), on every rank.
+class CertificateError(CommError):
+    """A phase at the ε-ladder's floor failed its dual certificate.
 
-    Two grid allgathers bring every matched pair of each weight block to
-    every rank; pairs are then sorted into the canonical item-index order
-    the twin enumerates (M1 by row, M2 by column), so the float weight sums
-    — and hence the choice and L — are grid-invariant and bit-identical to
-    the serial twin's.
+    The floor's proof (:func:`~repro.matching.auction.next_delta`) rules
+    that out for a consistent auction state, so this is an engine bug, not
+    an input the caller can fix; it is deliberately not recoverable.  The
+    message names the ratio, the bidder of largest ε-CS slack
+    ``π_j - (w - p)`` and the rank holding its assignment pair.
     """
+
+
+def _extract(
+    grid: ProcGrid, A: DistBlockMatrix, cp: np.ndarray, ir: np.ndarray,
+    gcols: np.ndarray, w_eff: np.ndarray, w_orig: np.ndarray, owner_blk: np.ndarray,
+    price_blk: np.ndarray, n1: int, n2: int, bias_add: float, epsilon: float,
+) -> tuple:
+    """The better of the two G-matchings the phase's assignment picked, L
+    (:func:`~repro.matching.auction.better_matching`) and the phase's dual
+    certificate (:func:`~repro.matching.auction.certify`), on every rank:
+    ``(rows, cols, weight, L, D, ratio, certified, worst)``.
+
+    The certificate's own leg is one bid over ALL bidders at the final
+    prices, down the grid column: every rank learns π of its column block.
+    Two grid allgathers then bring every matched pair of each weight block
+    to every rank; pairs are sorted into the canonical item-index order the
+    twin enumerates (M1 by row, M2 by column), so the float weight sums —
+    hence the choice and L — are grid-invariant and bit-identical to the
+    serial twin's.  The first also carries the price and profit shares (row
+    block i from grid column 0, column block j from grid row 0: each once;
+    ``fsum`` makes D order-free) and each rank's ``worst`` triple (slack,
+    bidder, rank) of its assignment pairs, for a certificate that fails.
+    """
+    bc, best, brow, bw, second = top2_cols(cp, ir, w_eff, np.arange(cp.size - 1), price_blk)
+    _, profit_blk, *_ = combine_partials(*concat_pieces(allgather_arrays(
+        grid.colcomm, bc + A.col_lo, best, brow + A.row_lo, bw, second)))
     grows = ir + A.row_lo
     matched = owner_blk[ir] == gcols
+    slack = (profit_blk[gcols - A.col_lo] - w_eff + price_blk[ir])[matched]
+    worst = np.array([slack.max(), gcols[matched][slack.argmax()], grid.comm.rank]
+                     if slack.size else [])
     m1 = matched & (grows < n1) & (gcols < n2)
     m2 = matched & (grows >= n1) & (gcols >= n2)
-    p1 = allgather_arrays(grid.comm, grows[m1], gcols[m1], w_orig[m1])
-    p2 = allgather_arrays(grid.comm, gcols[m2] - np.int64(n2), grows[m2] - np.int64(n1),
-                          w_orig[m2])
+    *p1, prices, profits, worst = concat_pieces(allgather_arrays(
+        grid.comm, grows[m1], gcols[m1], w_orig[m1],
+        price_blk if grid.j == 0 else price_blk[:0],
+        profit_blk if grid.i == 0 else profit_blk[:0], worst))
+    p2 = concat_pieces(allgather_arrays(
+        grid.comm, gcols[m2] - np.int64(n2), grows[m2] - np.int64(n1), w_orig[m2]))
     cand = []
-    for pieces, key in ((p1, 0), (p2, 1)):
-        pair = concat_pieces(pieces)
+    for pair, key in ((p1, 0), (p2, 1)):
         order = np.argsort(pair[key])
         cand.append(tuple(a[order] for a in pair))
-    return better_matching(*cand, bias_add)
+    rows, cols, weight, lower = better_matching(*cand, bias_add)
+    return rows, cols, weight, lower, *certify(prices, profits, lower, epsilon), worst
 
 
 def mwm_dist_spmd(
@@ -273,11 +310,20 @@ def mwm_dist_spmd(
                             free_blk[won_k - A.col_lo] = False
                             free_blk[lost_k - A.col_lo] = True
                             active -= int(fresh_k[0])
-            # every phase's assignment is extracted: the better G-matching
-            # is the result if this phase was the last, and it may raise L
-            pick = _extract(grid, A, ir, gcols, w_orig, owner_blk, n1, n2, bias_add)
+            # every phase's assignment is extracted and certified: a
+            # certified phase is the last, and an uncertified one may raise L
+            pick = _extract(grid, A, cp, ir, gcols, w_eff, w_orig, owner_blk, price_blk,
+                            n1, n2, bias_add, epsilon)
             lower = max(lower, pick[3])
-            delta = next_delta(delta, scale_eff, lower, N, epsilon)
+            delta = next_delta(delta, scale_eff, lower, N, epsilon, pick[6])
+            if delta is None and not pick[6]:
+                slack, bidder, rank = max(pick[7].reshape(-1, 3).tolist())
+                raise CertificateError(
+                    f"epsilon-phase {phase_no} ran at the ladder's floor yet certifies "
+                    f"only W/(D/2) = {pick[5]:.6g} < 1-eps = {1.0 - epsilon:.6g}: "
+                    f"bidder {int(bidder)} (held on rank {int(rank)}) has the largest "
+                    f"eps-CS slack pi - (w - p) = {slack:.6g}"
+                )
             if (
                 checkpoint_store is not None
                 and checkpoint_every > 0
@@ -286,9 +332,10 @@ def mwm_dist_spmd(
                 _checkpoint(grid, checkpoint_store, phase_no, owner_blk, price_blk,
                             delta, lower, stats)
     if pick is None:  # no phase ran: no positive weight, or resumed past the last
-        pick = _extract(grid, A, ir, gcols, w_orig, owner_blk, n1, n2, bias_add)
+        pick = _extract(grid, A, cp, ir, gcols, w_eff, w_orig, owner_blk, price_blk,
+                        n1, n2, bias_add, epsilon)
 
-    ii, jj, weight, _ = pick
+    ii, jj, weight, _, stats.dual_bound, stats.certified_ratio = pick[:6]
     g_mate_r = np.full(n1, NULL, dtype=np.int64)
     g_mate_c = np.full(n2, NULL, dtype=np.int64)
     g_mate_r[ii] = jj

@@ -223,6 +223,29 @@ def auction_round(
     )
 
 
+def auction_certificate(
+    pr: int,
+    pc: int,
+    alpha: float,
+    beta: float,
+    partial_words: float,
+    share_words: float,
+) -> float:
+    """The dual certificate MWM-DIST takes at the end of every ε-phase.
+
+    Its own leg is one bid over ALL bidders at the final prices: per-block
+    (best, second) partials down a grid COLUMN (``pr`` participants,
+    ``partial_words`` total).  The price and profit shares that D sums
+    (``share_words`` total) ride the extraction's grid allgather, so they
+    add bandwidth and no latency step: ``⌈log₂ pr⌉`` steps per phase,
+    pinned against a real run's ledger in
+    ``tests/matching/test_mwm_round_shape.py``.
+    """
+    p = pr * pc
+    shares = beta * share_words * (p - 1) / p if p > 1 else 0.0
+    return allgather_recursive_doubling(pr, alpha, beta, partial_words) + shares
+
+
 def msbfs_iteration(
     pr: int,
     pc: int,

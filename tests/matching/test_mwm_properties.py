@@ -146,6 +146,7 @@ def test_dist_bit_identical_to_twin_small(g, grid):
     assert stats.matching_weight == info["weight"]  # same float, not approx
     assert stats.auction_rounds == info["rounds"]
     assert stats.bids_placed == info["bids"]
+    assert stats.certified_ratio == info["certified_ratio"]
 
 
 def _parity_graph(name):
@@ -182,6 +183,7 @@ def test_parity_matrix(name, dist, pr, pc):
     assert stats.matching_weight == info["weight"]
     assert stats.auction_rounds == info["rounds"]
     assert stats.bids_placed == info["bids"]
+    assert stats.certified_ratio == info["certified_ratio"] >= 1.0 - EPS
     np.testing.assert_array_equal(stats.auction_prices, info["prices"])
     assert stats.matching_weight >= (1.0 - EPS) * _hungarian_opt(name, dist) - 1e-9
     assert_valid(

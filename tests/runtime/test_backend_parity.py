@@ -79,6 +79,7 @@ def _assert_mwm_parity(coo, weights, pr, pc):
     np.testing.assert_array_equal(mc_t, mc_p)
     assert st_t.matching_weight == st_p.matching_weight
     assert st_t.auction_rounds == st_p.auction_rounds
+    assert (st_t.certified_ratio, st_t.dual_bound) == (st_p.certified_ratio, st_p.dual_bound)
     assert st_t.comm_by_alg == st_p.comm_by_alg
 
 
@@ -107,6 +108,7 @@ def test_mwm_aggregation_bit_equal():
     np.testing.assert_array_equal(hub[1], walk[1])
     assert hub[2].matching_weight == walk[2].matching_weight
     assert hub[2].auction_rounds == walk[2].auction_rounds
+    assert hub[2].certified_ratio == walk[2].certified_ratio
     assert hub[2].comm_by_alg == walk[2].comm_by_alg
     assert hub[2].comm_messages == walk[2].comm_messages == walk[2].frames
     assert hub[2].frames < walk[2].frames
@@ -132,3 +134,4 @@ def test_mwm_chaos_recovery_matches_fault_free(tmp_path):
     np.testing.assert_array_equal(mr_ok, mr)
     np.testing.assert_array_equal(mc_ok, mc)
     assert st.matching_weight == st_ok.matching_weight
+    assert st.certified_ratio == st_ok.certified_ratio

@@ -78,6 +78,18 @@ def test_spmd_timeout_flag(capsys):
     assert "matched" in capsys.readouterr().out
 
 
+def test_spmd_weighted_run_reports_its_certificate(tmp_path, capsys):
+    import json
+
+    path = tmp_path / "stats.json"
+    assert main(["spmd", "--rmat", "er:6", "--pr", "2", "--pc", "2", "--objective",
+                 "weight", "--epsilon", "0.05", "--stats-json", str(path)]) == 0
+    assert "certified W/(D/2) = " in capsys.readouterr().out
+    stats = json.loads(path.read_text())
+    assert stats["certified_ratio"] >= 1 - 0.05
+    assert stats["dual_bound"] >= 2 * stats["matching_weight"] > 0
+
+
 def test_spmd_stats_json_dump(tmp_path, capsys):
     import json
 
