@@ -31,8 +31,10 @@ schedule change (named in the block, with what that schedule still paid),
 and is carried over on every rewrite — one block, rolled forward; older ones
 live in git history.  ``--check`` requires today's cardinality, phases and
 iterations to equal it exactly — a diet changes the wire shape, not the
-algorithm — and today's logical messages, physical frames and total words
-not to exceed it.
+algorithm — and today's logical messages, physical frames and priced
+ledger (``comm_model_s``: the per-rank EDISON α·steps + β·words, the
+communication terms of the e2e ``model_s``) not to exceed it.  Raw words
+may rise: trading words for latency steps is what the α-β model arbitrates.
 
 All counters are deterministic (the simulated fabric counts logical
 messages, not bytes on a wire); the ``seconds_*`` fields vary run to run
@@ -64,6 +66,7 @@ import numpy as np
 
 from repro.graphs.rmat import er
 from repro.matching.mcm_dist import run_mcm_dist
+from repro.perfmodel import EDISON
 from repro.runtime import SUM
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -147,11 +150,19 @@ SPMD_CASES = {
 BACKEND_REPS = 5
 
 
+def comm_model_s(steps: int, comm_by_alg: dict, p: int) -> float:
+    """Per-rank EDISON price of a run's ledger, α·steps + β·words over p
+    ranks — the communication terms of the e2e ``model_s``."""
+    words = sum(d["words"] for d in comm_by_alg.values())
+    return round((EDISON.alpha * steps + EDISON.beta * words) / p, 9)
+
+
 def run_spmd_case(scale: int, pr: int, pc: int) -> dict:
     coo = er(scale=scale, seed=1)
     t0 = time.perf_counter()
     mate_r, mate_c, stats = run_mcm_dist(coo, pr, pc, direction="auto")
     dt = time.perf_counter() - t0
+    steps = sum(d["steps"] for d in stats.comm_by_alg.values())
     return {
         "graph": f"er:{scale}",
         "grid": f"{pr}x{pc}",
@@ -162,7 +173,8 @@ def run_spmd_case(scale: int, pr: int, pc: int) -> dict:
             "expand_words": stats.expand_words,
             "fold_words": stats.fold_words,
             "total_words": stats.total_words,
-            "steps": sum(d["steps"] for d in stats.comm_by_alg.values()),
+            "steps": steps,
+            "comm_model_s": comm_model_s(steps, stats.comm_by_alg, pr * pc),
             # logical messages of the round-based schedules vs the
             # physical frames actually deposited/ring-written
             "comm_messages": stats.comm_messages,
@@ -256,8 +268,8 @@ def assert_acceptance(micro: dict, spmd_runs: dict, root: Path) -> None:
         # reported, not asserted: ``fold_words`` is everything on the row
         # communicators, which since the phase-boundary diet also carry the
         # initializer's propose and accept allgathers (the naive schedule
-        # sent those down the columns and over the grid).  The job's total
-        # is gated against the ``before`` block (``NO_WORSE_KEYS``)
+        # sent those down the columns and over the grid).  The job's priced
+        # ledger is gated against the ``before`` block (``NO_WORSE_KEYS``)
         print(f"  er9 row-communicator words: engine {run['fold_words']:,} vs "
               f"naive {nai['fold_words']:,}; total {run['total_words']:,} vs "
               f"{nai['total_words']:,}")
@@ -319,15 +331,17 @@ def check_against_committed(name: str, current: dict, root: Path) -> list:
 
 #: keys of a ``before`` row that today's engine leg must reproduce exactly
 SAME_ALGORITHM_KEYS = ("cardinality", "phases", "iterations")
-#: keys of a ``before`` row that today's engine leg must not exceed
-NO_WORSE_KEYS = ("comm_messages", "frames", "total_messages", "total_words")
+#: keys of a ``before`` row that today's engine leg must not exceed: words
+#: are not among them, the price of words and steps together is
+NO_WORSE_KEYS = ("comm_messages", "frames", "total_messages", "comm_model_s")
 
 
 def check_against_before(name: str, rows: dict, root: Path) -> list:
     """Compare today's ``rows`` (run name -> counters) with the committed
     file's ``before`` block: the algorithm's own counts must be equal, the
-    logical-message, physical-frame and word ledgers no larger.  A key the row
-    does not carry is not compared (scenario rows have no phase count)."""
+    logical-message and physical-frame ledgers and the priced ledger no
+    larger.  A key the row does not carry is not compared (scenario rows
+    have no phase count and no priced ledger)."""
     path = root / name
     if not path.exists():
         return []

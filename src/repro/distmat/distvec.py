@@ -148,10 +148,6 @@ class DistVertexFrontier:
     def n(self) -> int:
         return self.vmap.n
 
-    @property
-    def local_nnz(self) -> int:
-        return int(self.idx.size)
-
     def keep(self, mask: np.ndarray) -> "DistVertexFrontier":
         return DistVertexFrontier(
             self.grid, self.n, self.orient,

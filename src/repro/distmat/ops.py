@@ -3,14 +3,17 @@
 These are the communication kernels of Section IV-B, written against the
 rank-local objects of this package:
 
-* :func:`route` — the personalized all-to-all workhorse: deliver parallel
-  arrays to explicit destination ranks (one ``alltoallv``);
+* :func:`route` — deliver parallel arrays to explicit destination ranks
+  (one ``alltoallv`` of packed buffers); the engine's own exchanges send
+  ``(count, *arrays)`` frames instead (``_hop``), a count riding in the
+  word a packed buffer's header takes;
 * :func:`expand` — assemble a column block's frontier from its sub-chunk
   owners (allgather down the grid column);
 * :func:`spmv_expanded` — the 2D semiring SpMV on an already expanded
   block frontier: local DCSC explode + pre-reduction → *fold* (all-to-all
-  of partial winners along the grid row) → destination reduction;
-  :func:`spmv` is :func:`expand` followed by it;
+  of partial winners along the grid row, each frame carrying the sender's
+  block-frontier size, so the call also returns the global frontier size)
+  → destination reduction; :func:`spmv` is :func:`expand` followed by it;
 * :func:`spmv_bottomup_expanded` — the direction-optimized (pull) SpMV of
   the paper's stated future work: the block frontier is packed into a
   dense ``root_of`` array, the unvisited row ids are allgathered along the
@@ -20,12 +23,13 @@ rank-local objects of this package:
   frontiers;
 * :func:`local_edge_counts` — this rank's share of the per-iteration
   switch rule's (top-down, bottom-up) edge counts;
-* :func:`gather_path_ends` — Steps 5+6 of MCM-DIST in one grid allgather:
-  every rank's (root, row) path ends, replicated everywhere;
+* :func:`path_ends` — the (root, min row) pair per tree that Steps 5 and 6
+  of MCM-DIST read;
 * :func:`hop_along_row` / :func:`hop_down_column` — Step 7 without a
   grid-wide exchange: next-frontier pairs travel along the grid row to the
   mate's column block, then down the grid column, which also rebuilds the
-  expanded block frontier and the global frontier size;
+  expanded block frontier; the (root, row) path ends of Steps 5 and 6 ride
+  both hops, so after the second every rank holds the whole grid's;
 * :func:`hop_to_owner` — INVERT as the engine runs it: entries reach the
   vector owner of their index in two hops, one per grid dimension, and a
   count riding the frames comes back summed over the grid (Algorithm 3's
@@ -82,6 +86,32 @@ def route(comm: Communicator, dest: np.ndarray, *arrays: np.ndarray) -> tuple[np
     )
 
 
+def _gathered(frames: "list[tuple]") -> tuple:
+    """Fold the ``(count, *arrays)`` frames received from every source rank:
+    the counts summed, then each array concatenated in rank order."""
+    counts, *arrays = zip(*frames)
+    return (sum(counts), *(np.concatenate(a) for a in arrays))
+
+
+def _hop(
+    comm: Communicator, dest: np.ndarray, count: int, *arrays: np.ndarray, ends: tuple = ()
+) -> tuple:
+    """One personalized all-to-all on a row or column communicator: deliver
+    the parallel ``arrays`` to ranks ``dest`` in ``(count, *ends, *arrays)``
+    frames — a count and (root, row) path ``ends`` riding along cost a word
+    each, not another collective.  Returns (the senders' counts summed,
+    *received ends, *received arrays)."""
+    buckets = _buckets(comm.size, dest, arrays)
+    return _gathered(comm.alltoallv([(count, *ends, *b) for b in buckets]))
+
+
+def path_ends(roots: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Steps 5 + 6 of MCM-DIST reduce the unmatched rows a BFS iteration
+    reached to its path ends: one (root, minimum row) pair per tree, roots
+    ascending."""
+    return reduce_candidates(roots, rows, rows)[:2]
+
+
 def allgather_arrays(comm: Communicator, *arrays: np.ndarray) -> "list[tuple[np.ndarray, ...]]":
     """Allgather parallel arrays, one packed buffer per rank.
 
@@ -114,16 +144,19 @@ def expand(
 
 def _fold_and_reduce(
     A: DistSparseMatrix,
+    count: int,
     grows: np.ndarray,
     parents: np.ndarray,
     roots: np.ndarray,
     semiring: Semiring,
     rng: np.random.Generator | None,
-) -> DistVertexFrontier:
+) -> tuple[int, DistVertexFrontier]:
     """Shared SpMV tail: local pre-reduction of the candidate triples, fold
     (route each partial winner to its row-vector owner along the grid row),
     destination reduction.  Both traversal directions funnel through here,
-    which is what makes them bit-identical under deterministic semirings."""
+    which is what makes them bit-identical under deterministic semirings.
+    ``count`` rides every fold frame in the word a packed buffer's header
+    would take; returns (Σ ``count`` over the grid row, the row frontier)."""
     grid = A.grid
     with tspan(grid.comm, "fold"):
         # local pre-reduction shrinks the fold volume (CombBLAS does the same)
@@ -133,11 +166,11 @@ def _fold_and_reduce(
         # All my rows live in row block i, whose sub-chunks are owned by the pc
         # ranks of my grid row; the sub index IS the rowcomm rank.
         sub, _block = A.row_vecmap.owner(grows)
-        rrows, rparents, rroots = route(grid.rowcomm, sub, grows, parents, roots)
+        total, rrows, rparents, rroots = _hop(grid.rowcomm, sub, count, grows, parents, roots)
 
         # -- destination reduction: one winner per row across all blocks
         ridx, rpar, rroot = reduce_candidates(rrows, rparents, rroots, semiring, rng)
-    return DistVertexFrontier(grid, A.nrows, "row", ridx, rpar, rroot)
+    return total, DistVertexFrontier(grid, A.nrows, "row", ridx, rpar, rroot)
 
 
 def spmv_expanded(
@@ -146,15 +179,17 @@ def spmv_expanded(
     groots: np.ndarray,
     semiring: Semiring = SR_MIN_PARENT,
     rng: np.random.Generator | None = None,
-) -> DistVertexFrontier:
+) -> tuple[int, DistVertexFrontier]:
     """``f_r = A · f_c`` for an already expanded frontier: ``gcols``/``groots``
     are the (column, root) pairs of this rank's whole column block (what
     :func:`expand` returns).  Local DCSC explode (select2nd: parent = column
     id), then fold and destination reduction along the grid row — the one
-    exchange of the call."""
+    exchange of the call.  Every fold frame carries ``gcols.size``; the pc
+    column blocks of a grid row cover the frontier once, so the call
+    returns (the global frontier size, ``f_r``)."""
     with tspan(A.grid.comm, "spmv"):
         lrows, parents, roots = A.block.explode_cols(gcols - A.col_lo, gcols, groots)
-        return _fold_and_reduce(A, lrows + A.row_lo, parents, roots, semiring, rng)
+        return _fold_and_reduce(A, gcols.size, lrows + A.row_lo, parents, roots, semiring, rng)
 
 
 def spmv(
@@ -171,7 +206,7 @@ def spmv(
     """
     if fc.orient != "col":
         raise ValueError("spmv expects a column frontier")
-    return spmv_expanded(A, *expand(A, fc.idx, fc.root), semiring, rng)
+    return spmv_expanded(A, *expand(A, fc.idx, fc.root), semiring, rng)[1]
 
 
 def spmv_bottomup_expanded(
@@ -181,7 +216,7 @@ def spmv_bottomup_expanded(
     pi_r: DistDenseVec,
     semiring: Semiring = SR_MIN_PARENT,
     rng: np.random.Generator | None = None,
-) -> DistVertexFrontier:
+) -> tuple[int, DistVertexFrontier]:
     """Direction-optimized Step 1: unvisited rows PULL from the frontier.
 
     The paper's stated future work ("the bottom-up BFS in distributed
@@ -197,7 +232,8 @@ def spmv_bottomup_expanded(
     3. *pull*: every block scans its unvisited rows' adjacency through the
        cached DCSC row-major mirror and keeps edges whose column is on the
        frontier;
-    4. fold + destination reduction, shared with :func:`spmv_expanded`.
+    4. fold + destination reduction, shared with :func:`spmv_expanded` —
+       so it returns (the global frontier size, ``f_r``) too.
 
     For a row left unvisited, the candidate set {(r, c) : c ∈ f_c} is
     identical in both directions, so deterministic semirings yield the SAME
@@ -229,7 +265,7 @@ def spmv_bottomup_expanded(
             lrows, lcols, croots = A.block.pull_rows(unvisited, root_of, NULL)
             grows = lrows + A.row_lo
             parents = lcols + A.col_lo
-        return _fold_and_reduce(A, grows, parents, croots, semiring, rng)
+        return _fold_and_reduce(A, gcols.size, grows, parents, croots, semiring, rng)
 
 
 def local_edge_counts(A: DistSparseMatrix, cols: np.ndarray, pi_r: DistDenseVec) -> np.ndarray:
@@ -249,71 +285,39 @@ def local_edge_counts(A: DistSparseMatrix, cols: np.ndarray, pi_r: DistDenseVec)
     return np.array([td, bu], dtype=np.int64)
 
 
-def gather_path_ends(
-    grid, roots: np.ndarray, rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Steps 5+6 of MCM-DIST in one exchange: replicate the (root, row)
-    path ends every rank just reached on every rank.
-
-    Each rank contributes one pair per root — its minimum row — so the
-    grid allgather carries two words per tree and sender.  The column-vector
-    owner of a root reads the pairs in its range (Step 5's INVERT into
-    ``path_c``), and every rank reads the roots (Step 6's PRUNE set); a root
-    reached from several ranks appears once per rank.
-    """
-    with tspan(grid.comm, "path_ends"):
-        roots, rows, _ = reduce_candidates(roots, rows, rows)
-        return concat_pieces(allgather_arrays(grid.comm, roots, rows))
-
-
-def _frame(count: int, *arrays: np.ndarray) -> np.ndarray:
-    """One int64 buffer ``[count | arrays...]`` — the hop payload: a count
-    riding in front of the parallel (equal-length) arrays costs one word,
-    not a second collective."""
-    return np.concatenate((np.array([count], dtype=np.int64), *arrays))
-
-
-def _unframe(bufs: "list[np.ndarray]", k: int = 2) -> tuple:
-    """Inverse of :func:`_frame` over one buffer of ``k`` arrays per source
-    rank: the summed counts, then each array concatenated in rank order."""
-    ns = [(b.size - 1) // k for b in bufs]
-    return (sum(int(b[0]) for b in bufs),) + tuple(
-        np.concatenate([b[1 + a * n:1 + (a + 1) * n] for b, n in zip(bufs, ns)])
-        for a in range(k)
-    )
-
-
-def _hop(comm: Communicator, dest: np.ndarray, count: int, *arrays: np.ndarray) -> tuple:
-    """One personalized all-to-all on a row or column communicator: deliver
-    the parallel ``arrays`` to ranks ``dest``, every frame carrying
-    ``count``.  Returns (the senders' counts summed, *received arrays)."""
-    buckets = _buckets(comm.size, dest, arrays)
-    return _unframe(comm.alltoallv([_frame(count, *b) for b in buckets]), len(arrays))
-
-
 def hop_along_row(
-    A: DistSparseMatrix, cols: np.ndarray, roots: np.ndarray
-) -> tuple[int, np.ndarray, np.ndarray]:
+    A: DistSparseMatrix, cols: np.ndarray, roots: np.ndarray, ends: tuple
+) -> tuple:
     """Step 7, first hop: send each next-frontier (column, root) pair along
     the grid row to the rank sitting in the column's block (one ``rowcomm``
-    all-to-all).  Every sender adds its local entry count, so the returned
-    triple is (entries leaving this whole grid row, received columns,
-    received roots) — the received columns all lie in this rank's column
-    block."""
-    return _hop(A.grid.rowcomm, A.colmap.owner(cols), cols.size, cols, roots)
+    all-to-all).  Every frame also carries the sender's local entry count
+    and its own path ``ends`` (:func:`path_ends`), so the returned tuple is
+    (entries leaving this whole grid row, received columns, received roots,
+    the grid row's path ends) — the received columns all lie in this rank's
+    column block."""
+    total, end_roots, end_rows, cols, roots = _hop(
+        A.grid.rowcomm, A.colmap.owner(cols), cols.size, cols, roots, ends=ends
+    )
+    return total, cols, roots, path_ends(end_roots, end_rows)
 
 
 def hop_down_column(
-    A: DistSparseMatrix, row_total: int, cols: np.ndarray, roots: np.ndarray
-) -> tuple[int, np.ndarray, np.ndarray]:
+    A: DistSparseMatrix, row_total: int, cols: np.ndarray, roots: np.ndarray, ends: tuple
+) -> tuple:
     """Step 7, second hop: allgather what :func:`hop_along_row` delivered
-    down the grid column.  Returns (global frontier size, block columns
-    sorted ascending, their roots): the next *expanded* block frontier,
-    identical on the pr ranks of the grid column — the grid rows' totals sum
-    to the global size, so no rank needs a reduction to test termination."""
-    total, cols, roots = _unframe(A.grid.colcomm.allgatherv(_frame(row_total, cols, roots)))
+    down the grid column, the grid row's entry count and path ``ends``
+    riding along.  Returns (entries that left any rank on the row hop,
+    block columns sorted ascending, their roots, the whole grid's path
+    ends): the next *expanded* block frontier, identical on the pr ranks of
+    the grid column.  A row gather then a column gather reaches every rank,
+    so the path ends are the grid's; the grid rows' totals sum to the
+    entries that travelled, which is zero only if the next frontier is
+    empty — no rank needs a reduction to test termination."""
+    total, end_roots, end_rows, cols, roots = _gathered(
+        A.grid.colcomm.allgatherv((row_total, *ends, cols, roots))
+    )
     order = np.argsort(cols)  # frontier columns are distinct (mates of distinct rows)
-    return total, cols[order], roots[order]
+    return total, cols[order], roots[order], path_ends(end_roots, end_rows)
 
 
 def hop_to_owner(

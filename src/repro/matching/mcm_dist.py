@@ -3,7 +3,7 @@
 Every function here runs *per rank* under the simulated MPI runtime: state
 is rank-local (DCSC block, vector slices), all coordination goes through
 collectives on the row and column communicators (the grid communicator
-carries the path-end allgather and the job's set-up and tear-down) and —
+carries only the job's set-up and tear-down and the window's fences) and —
 for path-parallel augmentation — one one-sided RMA window.  The code would
 run unchanged over mpi4py.
 
@@ -20,27 +20,33 @@ Step 1 SpMV, expand                    none inside the loop: the frontier of
                                        :func:`~repro.distmat.ops.expand` per
                                        phase seeds it)
 Step 1 SpMV, local + fold              :func:`repro.distmat.ops.spmv_expanded`
-                                       — exchange 1, ``rowcomm`` all-to-all
+                                       — exchange 1, ``rowcomm`` all-to-all;
+                                       its frames carry the block-frontier
+                                       sizes, summed the global frontier size
 Step 1, direction-optimized            :func:`repro.distmat.ops.spmv_bottomup_expanded`
                                        (+ ``direction="auto"``: one overlapped
                                        2-word ``iallreduce`` of
                                        :func:`~repro.distmat.ops.local_edge_counts`)
 Steps 2–4 SELECT/SET                   local NumPy on aligned slices
-Step 5 INVERT to ``path_c`` and        :func:`repro.distmat.ops.gather_path_ends`
-Step 6 PRUNE (allgather of roots)      — exchange 2, ONE grid allgather of each
-                                       rank's (root, min row) pairs: the root's
-                                       owner writes ``path_c``, every rank prunes
-                                       and counts the phase's paths
 Step 7 INVERT to next frontier         :func:`repro.distmat.ops.hop_along_row`
-                                       — exchange 3, ``rowcomm`` all-to-all to
+                                       — exchange 2, ``rowcomm`` all-to-all to
                                        the mate's column block — then
                                        :func:`repro.distmat.ops.hop_down_column`
-                                       — exchange 4, ``colcomm`` allgather that
-                                       rebuilds the expanded frontier and, from
-                                       the counts riding along, its global size
-loop test (frontier non-empty)         no collective: the size from exchange 4
+                                       — exchange 3, ``colcomm`` allgather that
+                                       rebuilds the expanded frontier
+Step 5 INVERT to ``path_c``            no collective of its own: each rank's
+                                       (root, min row) pairs
+                                       (:func:`~repro.distmat.ops.path_ends`)
+                                       ride exchanges 2 and 3, which reach every
+                                       rank; the root's owner writes ``path_c``
+Step 6 PRUNE (allgather of roots)      a filter on root after each hop: the
+                                       rank's own trees, the grid row's, the
+                                       grid's — exact, a hop keeps the root
+loop test (frontier non-empty)         no collective: the counts riding
+                                       exchange 3, and after a pruning
+                                       iteration the next fold's
 path count k (an allreduce)            no collective: the distinct roots
-                                       exchange 2 replicated
+                                       exchange 3 replicated
 Algorithm 3 (level-parallel augment)   :func:`augment_level_spmd` — a level is
                                        two :func:`~repro.distmat.ops.hop_to_owner`
                                        legs, 2(pr−1) + 2(pc−1) steps where the
@@ -58,11 +64,13 @@ distributed maximal matching [21]      :func:`proposal_rounds_spmd` — greedy,
                                        row/column allgathers
 ====================================  =========================================
 
-One BFS iteration is therefore four exchanges and 2(pc−1) + ⌈log₂ p⌉ +
-⌈log₂ pr⌉ latency steps, none of them a grid-wide all-to-all or an
-allreduce — where the paper's schedule (§IV-B: two INVERTs over all p
-ranks, a grid-wide PRUNE allgather) pays ≈ 2p.  Mates, phases, iterations
-and edges examined are those of the paper's schedule, bit for bit;
+One BFS iteration is therefore three exchanges and 2(pc−1) + ⌈log₂ pr⌉
+latency steps, none of them on the grid communicator — where the paper's
+schedule (§IV-B: two INVERTs over all p ranks, a grid-wide PRUNE
+allgather) pays ≈ 2p.  A phase whose last column hop carried only pruned
+trees pays one more fold, which is the loop test, not an iteration.
+Mates, phases, iterations and edges examined are those of the paper's
+schedule, bit for bit;
 :func:`repro.perfmodel.collectives.msbfs_iteration` prices the engine's
 iteration, :mod:`repro.simulate.costsim` keeps pricing the paper's (DESIGN
 "MCM-DIST iteration anatomy").  The phase boundary follows the same rule —
@@ -88,11 +96,11 @@ from ..distmat.ops import (
     allgather_arrays,
     concat_pieces,
     expand,
-    gather_path_ends,
     hop_along_row,
     hop_down_column,
     hop_to_owner,
     local_edge_counts,
+    path_ends,
     spmv_bottomup_expanded,
     spmv_expanded,
 )
@@ -344,6 +352,13 @@ def _checkpoint(
 # the SPMD algorithm
 # ---------------------------------------------------------------------------
 
+def _prune(prune: bool, ends: tuple, cols: np.ndarray, roots: np.ndarray) -> tuple:
+    """Step 6 PRUNE as a filter: the (column, root) entries whose tree has
+    none of the (root, row) path ``ends`` — all of them without ``prune``."""
+    keep = ~np.isin(roots, ends[0]) if prune and ends[0].size else slice(None)
+    return cols[keep], roots[keep]
+
+
 def mcm_dist_spmd(
     comm: Communicator,
     coo_on_root: "COO | None",
@@ -435,7 +450,9 @@ def mcm_dist_spmd(
             # initial column frontier: unmatched columns, parent = root = self.
             # The loop keeps the frontier EXPANDED: (bcols, broots) are the
             # sorted (column, root) pairs of this rank's whole column block,
-            # identical down the grid column; nfront is the global entry count.
+            # identical down the grid column.  nfront is the global entry
+            # count, or after a pruning iteration a bound on it that is zero
+            # only for an empty frontier — the next fold's counts then say.
             lcols = np.flatnonzero(mate_c.local == NULL) + mate_c.lo
             # this rank's share of the (top-down, bottom-up) edge counts of
             # the coming superstep, read for the edges-examined accounting in
@@ -450,8 +467,7 @@ def mcm_dist_spmd(
             nfront = free_cols
 
             while nfront > 0:
-                stats.iterations += 1
-                with tspan(grid.comm, "bfs_iter", cat="phase", iter=stats.iterations):
+                with tspan(grid.comm, "bfs_iter", cat="phase", iter=stats.iterations + 1) as sp:
                     # Step 1: SpMV, direction-optimized.  The decision must be
                     # globally uniform: "auto" compares the allreduced edge
                     # counts; fixed modes are trivially uniform.
@@ -460,16 +476,23 @@ def mcm_dist_spmd(
                         use_bu = bool(bu_g < td_g)
                     else:
                         use_bu = direction == "bottomup"
-                    edges_local += int(counts[1] if use_bu else counts[0])
-                    # exchange 1 — fold (grid row).  The chosen direction shows
+                    # exchange 1 — fold (grid row), every frame carrying the
+                    # sender's block-frontier size.  The chosen direction shows
                     # in the trace as the kernel span's name: spmv (top-down)
                     # vs spmv_bottomup (pull, plus its unvisited-row allgather)
                     if use_bu:
-                        stats.bottomup_steps += 1
-                        fr = spmv_bottomup_expanded(A, bcols, broots, pi_r, semiring)
+                        live, fr = spmv_bottomup_expanded(A, bcols, broots, pi_r, semiring)
                     else:
-                        stats.topdown_steps += 1
-                        fr = spmv_expanded(A, bcols, broots, semiring)
+                        live, fr = spmv_expanded(A, bcols, broots, semiring)
+                    if live == 0:
+                        # the last column hop carried only pruned trees: this
+                        # fold was the loop test, not an iteration
+                        if sp is not None:
+                            sp.name = "loop_test"
+                        break
+                    stats.iterations += 1
+                    stats.bottomup_steps += int(use_bu)
+                    edges_local += int(counts[1] if use_bu else counts[0])
                     # Step 2: SELECT unvisited rows (a no-op after a bottom-up
                     # step, which only ever proposes unvisited rows — kept
                     # unconditionally so both directions share one code path)
@@ -477,50 +500,48 @@ def mcm_dist_spmd(
                     # Step 3: SET parents
                     pi_r.set_local(fr.idx, fr.parent)
                     # Step 4: split matched/unmatched
-                    unmatched = mate_r.get_local(fr.idx) == NULL
-                    ufr = fr.keep(unmatched)
-                    fr = fr.keep(~unmatched)
-
-                    # exchange 2 — path ends (whole grid): Steps 5 and 6 read
-                    # the same replicated (root, row) pairs
-                    end_roots, end_rows = gather_path_ends(grid, ufr.root, ufr.idx)
-                    if end_roots.size:
-                        found.append(end_roots)
-                    # Step 5: INVERT into path_c — the root's owner keeps its
-                    # minimum row, first iteration wins
-                    mine = (end_roots >= path_c.lo) & (end_roots < path_c.hi)
-                    roots, rows, _ = reduce_candidates(
-                        end_roots[mine], end_rows[mine], end_rows[mine]
-                    )
-                    fresh = path_c.get_local(roots) == NULL
-                    path_c.set_local(roots[fresh], rows[fresh])
-                    # Step 6: PRUNE trees that found augmenting paths this
-                    # iteration
-                    if prune and end_roots.size and fr.local_nnz:
-                        fr = fr.keep(~np.isin(fr.root, end_roots))
+                    mates = mate_r.get_local(fr.idx)
+                    free = mates == NULL
+                    ends = path_ends(fr.root[free], fr.idx[free])
+                    cols, roots = mates[~free], fr.root[~free]
 
                     # Step 7: INVERT through mates -> next column frontier.
-                    # exchange 3 — row hop to the mate's column block;
-                    # exchange 4 — column hop, which leaves the next frontier
-                    # expanded and its global size known on every rank
+                    # The path ends ride both hops, and Step 6 PRUNE is a
+                    # filter after each: a hop keeps an entry's root, so
+                    # dropping found trees commutes with it
                     with tspan(grid.comm, "next_frontier"):
-                        row_total, rcols, rroots = hop_along_row(
-                            A, mate_r.get_local(fr.idx), fr.root
-                        )
-                        # the next frontier is now spread over the grid once
-                        # and this iteration's π_r is final
+                        cols, roots = _prune(prune, ends, cols, roots)
+                        # exchange 2 — row hop to the mate's column block, with
+                        # this rank's path ends: the grid row's come back
+                        sent, rcols, rroots, ends = hop_along_row(A, cols, roots, ends)
+                        rcols, rroots = _prune(prune, ends, rcols, rroots)
+                        # exchange 3 — column hop: the next frontier expanded,
+                        # and every path end of the grid on every rank
+                        nfront, bcols, broots, ends = hop_down_column(A, sent, rcols, rroots, ends)
+                        rcols, rroots = _prune(prune, ends, rcols, rroots)
+                        bcols, broots = _prune(prune, ends, bcols, broots)
+                        # the next frontier is spread over the grid once and
+                        # this iteration's π_r is final
                         counts = local_edge_counts(A, rcols, pi_r)
                         if direction == "auto":
                             dir_req = grid.comm.iallreduce(counts, op=SUM)
-                        nfront, bcols, broots = hop_down_column(A, row_total, rcols, rroots)
+
+                    # Step 5: INVERT into path_c — the root's owner keeps its
+                    # minimum row, first iteration wins
+                    found.append(ends[0])
+                    mine = (ends[0] >= path_c.lo) & (ends[0] < path_c.hi)
+                    roots, rows = ends[0][mine], ends[1][mine]
+                    fresh = path_c.get_local(roots) == NULL
+                    path_c.set_local(roots[fresh], rows[fresh])
             if dir_req is not None:
                 # posted for a superstep that never ran: a collective every
-                # rank entered, so every rank must complete it
+                # rank entered, so every rank must complete it (a no-op when
+                # the loop test already waited it)
                 dir_req.wait()
 
             # phase end: augment by all discovered paths (my local path ends).
-            # Exchange 2 showed every rank every (root, row) found, so the
-            # path count — one per root, first iteration wins — needs no
+            # The column hops showed every rank every (root, row) found, so
+            # the path count — one per root, first iteration wins — needs no
             # reduction
             local_rows = path_c.local[path_c.local != NULL]
             k = np.unique(np.concatenate(found)).size if found else 0
@@ -552,6 +573,7 @@ def mcm_dist_spmd(
             ):
                 _checkpoint(grid, checkpoint_store, phase_no, mate_r, mate_c, stats)
 
+    stats.topdown_steps = stats.iterations - stats.bottomup_steps
     if win is not None:
         stats.rma_ops, stats.rma_words = win.rma_ops, win.rma_words
         win.free()

@@ -252,34 +252,32 @@ def msbfs_iteration(
     alpha: float,
     beta: float,
     fold_words: float,
-    path_words: float,
     hop_words: float,
 ) -> float:
     """One BFS iteration of MCM-DIST on a pr × pc grid, as the ENGINE runs it.
 
-    The iteration's wire shape (see :mod:`repro.matching.mcm_dist`) is four
+    The iteration's wire shape (see :mod:`repro.matching.mcm_dist`) is three
     exchanges on the schedules the runtime selects (pairwise all-to-all,
-    dissemination allgather):
+    dissemination allgather), none of them over the whole grid:
 
     1. fold — partial SpMV winners along a grid ROW (``pc`` participants;
        ``fold_words`` is the busiest rank's send volume);
-    2. path ends — every rank's (root, row) pairs over the WHOLE grid
-       (``pr·pc`` participants, ``path_words`` total);
-    3. row hop — next-frontier (column, root) pairs along the grid ROW
-       (``hop_words`` is the busiest rank's send volume);
-    4. column hop — the delivered pairs down a grid COLUMN (``pr``
-       participants; a balanced column block holds ``pr · hop_words``).
+    2. row hop — next-frontier (column, root) pairs along the grid ROW, each
+       frame carrying the sender's (root, row) path ends (``hop_words`` is
+       the busiest rank's send volume, path ends included);
+    3. column hop — the delivered pairs and the grid row's path ends down a
+       grid COLUMN (``pr`` participants; a balanced column block holds
+       ``pr · hop_words``).
 
-    The latency term, ``alpha * (2(pc-1) + ⌈log₂ pr·pc⌉ + ⌈log₂ pr⌉)``, is
-    pinned against a real run's ledger in
-    ``tests/perfmodel/test_machine_and_costs.py``.  The PAPER's schedule
-    for the same iteration (two grid-wide INVERT all-to-alls, a grid-wide
-    PRUNE allgather) is what :mod:`repro.simulate.costsim` keeps pricing for
-    the Fig. 4–9 reproductions.
+    The latency term, ``alpha * (2(pc-1) + ⌈log₂ pr⌉)``, is pinned against
+    a real run's ledger in ``tests/perfmodel/test_machine_and_costs.py``.
+    The PAPER's schedule for the same iteration (two grid-wide INVERT
+    all-to-alls, a grid-wide PRUNE allgather) is what
+    :mod:`repro.simulate.costsim` keeps pricing for the Fig. 4–9
+    reproductions.
     """
     return (
         alltoallv_pairwise(pc, alpha, beta, fold_words)
-        + allgather_recursive_doubling(pr * pc, alpha, beta, path_words)
         + alltoallv_pairwise(pc, alpha, beta, hop_words)
         + allgather_recursive_doubling(pr, alpha, beta, pr * hop_words)
     )

@@ -337,6 +337,10 @@ class ProcessFabric(BaseFabric):
         try:
             seg = _attach(self._seg_name(win_id, target))
         except FileNotFoundError:
+            # a failing rank aborts the job before it unlinks its segments,
+            # so a segment gone during an abort is the dead target's
+            if self.aborted:
+                raise CommAbort(f"rank {self.rank}: rank {target} died with its window") from None
             raise WindowError(
                 f"target rank {target} never attached its memory"
             ) from None

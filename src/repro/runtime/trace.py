@@ -160,9 +160,12 @@ class Tracer:
 
     @contextmanager
     def span(self, name: str, cat: str = "span", **args: Any):
-        self.begin(name, cat, **args)
+        """Context-manager form of ``begin``/``end``; yields the open
+        :class:`Span`, so a body that only learns what it was on the way
+        out can rename it."""
+        sp = self.begin(name, cat, **args)
         try:
-            yield
+            yield sp
         finally:
             self.end()
 
@@ -215,7 +218,8 @@ def tspan(comm: Any, name: str, cat: str = "kernel", **args: Any):
 
     The kernel/algorithm layers (``distmat.ops``, ``matching.mcm_dist``)
     use this so their hot paths stay a single attribute check per span
-    site when tracing is disabled.
+    site when tracing is disabled.  ``as`` binds the open :class:`Span`,
+    or ``None`` when tracing is off.
     """
     tr = comm.tracer
     return _NULL_SPAN if tr is None else tr.span(name, cat, **args)

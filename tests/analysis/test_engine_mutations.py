@@ -11,11 +11,13 @@ mutation against the new engine text rather than deleting the row.
 Known limits (mutations the linter still misses) are listed in DESIGN §12.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
 from repro.analysis import lint_source
+from repro.analysis.suppress import noqa_map
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
@@ -55,9 +57,9 @@ MUTATIONS = [
      "    for delta in set(ladder):\n",
      {"SPMD601", "SPMD603"}),
     ("hop-as-sends-over-a-set", "distmat/ops.py",
-     "    return _unframe(comm.alltoallv([_frame(count, *b) for b in buckets]), len(arrays))\n",
+     "    return _gathered(comm.alltoallv([(count, *ends, *b) for b in buckets]))\n",
      "    for r in set(dest.tolist()):\n"
-     "        comm.send(r, _frame(count, *buckets[r]))\n",
+     "        comm.send(r, (count, *ends, *buckets[r]))\n",
      {"SPMD601"}),
     ("unseeded-shuffle-of-start-rows", "matching/mcm_dist.py",
      ALG4_OPENING,
@@ -94,6 +96,15 @@ MUTATIONS = [
 @pytest.mark.parametrize("rel", sorted({m[1] for m in MUTATIONS}))
 def test_unmutated_engine_source_is_clean(rel):
     assert lint_source((SRC / rel).read_text(), rel) == []
+
+
+def test_engine_sources_are_clean_without_suppressions():
+    """Clean on their own merit: no ``repro: noqa`` comment in an engine
+    source and no baseline entry anywhere under ``src/``."""
+    baseline = json.loads((SRC.parents[1] / ".repro-lint-baseline.json").read_text())
+    assert not [f for f in baseline["findings"] if f["path"].startswith("src/")]
+    for rel in sorted({m[1] for m in MUTATIONS}):
+        assert noqa_map((SRC / rel).read_text()) == {}, rel
 
 
 @pytest.mark.parametrize(

@@ -126,10 +126,13 @@ def test_distributed_bottomup_equals_filtered_topdown(args):
         pi_r = DistDenseVec.from_global(grid, pi, "row")
         probe = DistDenseVec(grid, coo.ncols, "col")
         mine = fidx[(fidx >= probe.lo) & (fidx < probe.hi)]
-        fr = spmv_bottomup_expanded(A, *expand(A, mine, mine), pi_r, SR_MIN_PARENT)
-        return fr.to_global_arrays()
+        nfront, fr = spmv_bottomup_expanded(A, *expand(A, mine, mine), pi_r, SR_MIN_PARENT)
+        return nfront, fr.to_global_arrays()
 
-    gi, gp, gr = spmd(pr * pc, main)[0]
+    res = spmd(pr * pc, main)
+    # the counts riding the fold add up to the global frontier on every rank
+    assert {nfront for nfront, _ in res} == {fidx.size}
+    gi, gp, gr = res[0][1]
     assert np.array_equal(gi, want[0])
     assert np.array_equal(gp, want[1])
     assert np.array_equal(gr, want[2])

@@ -1,16 +1,19 @@
 """Wire shape of the MCM-DIST BFS iteration, and the grids where the
 replicated block frontier could go wrong.
 
-One iteration is four exchanges — fold along the grid row, one grid
-allgather of the path ends, a row hop and a column hop to the next
-frontier — so its cost is countable: the span tests pin, on six grid
-shapes, which collectives an iteration holds and on which communicator,
-and the ledger tests pin the step counts that follow.  The frontier is kept
-expanded (identical down each grid column), so the bit-equality matrix
+One iteration is three exchanges — fold along the grid row, a row hop and
+a column hop to the next frontier, the path ends riding both hops — so its
+cost is countable: the span tests pin, on six grid shapes, which
+collectives an iteration holds and on which communicator, and the ledger
+tests pin the step counts that follow.  PRUNE filters after each hop, so a
+last column hop may carry only pruned trees; the next fold's counts then
+end the phase, and the corner tests pin that loop test.  The frontier is
+kept expanded (identical down each grid column), so the bit-equality matrix
 covers ``rowcomm`` and ``colcomm`` of different sizes, degenerate 1-wide
 grids, empty blocks, every Step-1 direction, both backends and PRUNE on and
 off.  The three fingerprints at the bottom are the parent schedule's
-results on the end-to-end benchmark's inputs.
+results on the end-to-end benchmark's inputs, next to this schedule's
+latency steps per rank.
 """
 
 import sys
@@ -38,22 +41,26 @@ def _total(stats, field, op=""):
     return sum(d[field] for k, d in stats.comm_by_alg.items() if k.startswith(op))
 
 
-def _iteration_comms(trace):
-    """Every ``bfs_iter`` span of every rank as the list of ``cat="comm"``
+def _span_comms(trace, name):
+    """Every ``name`` span of every rank as the list of ``cat="comm"``
     spans it encloses, in program order."""
     out = []
     for spans in trace.spans:
         comms = sorted((sp for sp in spans if sp.cat == "comm"), key=lambda sp: sp.bseq)
-        for it in (sp for sp in spans if sp.name == "bfs_iter"):
+        for it in (sp for sp in spans if sp.name == name):
             out.append([c for c in comms if it.bseq < c.bseq < it.eseq])
     return out
+
+
+def _shape(comms):
+    return [(c.name, c.args["peers"]) for c in comms]
 
 
 # -- (a) span and ledger shape ---------------------------------------------------
 
 
 @pytest.mark.parametrize("pr,pc", GRIDS)
-def test_iteration_is_four_exchanges(pr, pc):
+def test_iteration_is_three_exchanges(pr, pc):
     p = pr * pc
     coo = er(6, seed=1)
     # init="none" + augment="path": every all-to-all of the job is a BFS one
@@ -64,18 +71,62 @@ def test_iteration_is_four_exchanges(pr, pc):
     assert stats.iterations > 5 and stats.augment_level_calls == 0
 
     # the α-β formula at (α, β) = (1, 0) is the iteration's latency steps
-    per_iter = msbfs_iteration(pr, pc, 1.0, 0.0, 0.0, 0.0, 0.0)
-    assert per_iter == 2 * (pc - 1) + _log2ceil(p) + _log2ceil(pr)
-    iters = _iteration_comms(stats.trace)
+    per_iter = msbfs_iteration(pr, pc, 1.0, 0.0, 0.0, 0.0)
+    assert per_iter == 2 * (pc - 1) + _log2ceil(pr)
+    iters = _span_comms(stats.trace, "bfs_iter")
     assert len(iters) == p * stats.iterations
     for comms in iters:
-        # the only grid-communicator call of the loop is the path-end allgather
-        assert [(c.name, c.args["peers"]) for c in comms] == [
-            ("alltoall", pc), ("allgather", p), ("alltoall", pc), ("allgather", pr),
-        ]
+        # no grid-communicator call is left in the loop
+        assert _shape(comms) == [("alltoall", pc), ("alltoall", pc), ("allgather", pr)]
         assert sum(c.args["steps"] for c in comms) == per_iter
 
-    assert _total(stats, "steps", "alltoall") == p * stats.iterations * 2 * (pc - 1)
+    # the only all-to-alls outside an iteration are the loop tests' folds
+    tests = _span_comms(stats.trace, "loop_test")
+    assert all(_shape(comms) == [("alltoall", pc)] for comms in tests)
+    assert _total(stats, "steps", "alltoall") == (
+        (p * stats.iterations * 2 + len(tests)) * (pc - 1)
+    )
+
+
+#: K(2,2) from the empty matching.  Phase 1: both rows pick column 0 (the
+#: minimum parent), so it augments (row 0, column 0).  Phase 2 is one tree,
+#: rooted at column 1: it reaches free row 1 — its path end — and matched
+#: row 0, whose mate, column 0, is its only next-frontier entry.  On any grid
+#: that puts rows 0 and 1 on different ranks that entry leaves its rank
+#: before the path end is known there, and is pruned only after a hop.
+K22 = COO(2, 2, np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]))
+
+
+def _loop_tests(pr, pc, prune, coo=K22):
+    _, _, stats = run_mcm_dist(
+        coo, pr, pc, init="none", prune=prune, direction="topdown",
+        trace="ticks", timeout=60,
+    )
+    return stats, _span_comms(stats.trace, "loop_test")
+
+
+@pytest.mark.parametrize("pr,pc", [(1, 2), (2, 1), (2, 2)])
+def test_a_last_hop_of_pruned_trees_costs_one_fold(pr, pc):
+    ref_r, ref_c, ref = run_mcm_dist(K22, 1, 1, init="none", timeout=60)
+    mate_r, mate_c, _ = run_mcm_dist(K22, pr, pc, init="none", timeout=60)
+    np.testing.assert_array_equal(mate_r, ref_r)
+    np.testing.assert_array_equal(mate_c, ref_c)
+
+    stats, tests = _loop_tests(pr, pc, prune=True)
+    assert (stats.phases, stats.iterations) == (ref.phases, ref.iterations) == (3, 2)
+    # one empty fold per rank, in its own span, outside every iteration
+    assert [_shape(comms) for comms in tests] == [[("alltoall", pc)]] * (pr * pc)
+    assert all(c.args["words"] == pc - 1 for comms in tests for c in comms)
+    # on one rank the entry never leaves: the rank's own path end prunes it
+    assert not _loop_tests(1, 1, prune=True)[1]
+
+
+@pytest.mark.parametrize("pr,pc", [(1, 1), (1, 2), (2, 2), (2, 3)])
+@pytest.mark.parametrize("name", ["K22", "er6"])
+def test_unpruned_runs_never_pay_the_loop_test(name, pr, pc):
+    coo = K22 if name == "K22" else er(6, seed=1)
+    stats, tests = _loop_tests(pr, pc, prune=False, coo=coo)
+    assert stats.iterations > 0 and not tests
 
 
 def _setup_allreduce_calls(coo, pr, pc):
@@ -170,13 +221,15 @@ def test_crash_every_phase_on_2x3_recovers_the_mates(tmp_path):
 E2E = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e"
 ROAD = ("4ea672d81d8b29f511b3dad5c89354d05a304109ddfad2792cbef9e6cf336d48",
         (9, 408, 141_177, 5_840))
+#: the results, then this schedule's latency steps per rank (the parent's:
+#: 2,268 / 1,625 / 310 — each iteration paid a grid allgather of path ends)
 PARENT_FINGERPRINTS = [
-    pytest.param("mcm_deep_t4", 2, 2, *ROAD, id="road-2x2"),
-    pytest.param("mcm_deep_t4", 1, 2, *ROAD, id="road-1x2"),
+    pytest.param("mcm_deep_t4", 2, 2, *ROAD, 1_453, id="road-2x2"),
+    pytest.param("mcm_deep_t4", 1, 2, *ROAD, 1_218, id="road-1x2"),
     pytest.param(
         "mcm_bulk_t4", 2, 2,
         "c3161e8eb5b7fe7382b39361063e94a6baf6bec9e3e93832d8aaea452bf32c7d",
-        (9, 35, 4_520_751, 32_832), id="er15-2x2",
+        (9, 35, 4_520_751, 32_832), 241, id="er15-2x2",
     ),
 ]
 
@@ -193,11 +246,12 @@ def e2e_workloads():
     sys.modules.pop("workloads", None)
 
 
-@pytest.mark.parametrize("workload,pr,pc,sha,counts", PARENT_FINGERPRINTS)
-def test_parent_fingerprints(e2e_workloads, workload, pr, pc, sha, counts):
+@pytest.mark.parametrize("workload,pr,pc,sha,counts,steps", PARENT_FINGERPRINTS)
+def test_parent_fingerprints(e2e_workloads, workload, pr, pc, sha, counts, steps):
     inst = e2e_workloads.build(workload, seed=1)
     mate_r, mate_c, stats = inst.solve(pr, pc, backend="thread")
     assert e2e_workloads.digest(mate_r, mate_c) == sha
     assert (
         stats.phases, stats.iterations, stats.edges_examined, stats.final_cardinality
     ) == counts
+    assert _total(stats, "steps") == pr * pc * steps

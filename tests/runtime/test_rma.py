@@ -235,3 +235,23 @@ def test_owner_stores_directly_outside_access_epochs(backend):
         peer = 1 - rank
         assert seen == [0, peer, 1 + peer, 100 + peer, 11 + peer, 200 + peer]
         assert local == [21 + rank, 200 + peer, 0, 0]
+
+
+def test_missing_target_window_during_an_abort_is_the_abort():
+    """A rank killed inside an RMA walk aborts the job, then unlinks its
+    window segment; a peer's first attach to it must report the abort (so
+    the dead rank's error stays the job's primary one), not an illegal
+    access — which is what the same miss means while the job is healthy."""
+    from repro.runtime import CommAbort
+    from repro.runtime.procfabric import ProcessFabric
+
+    fabric = ProcessFabric(2)
+    try:
+        fabric.attach(0)
+        with pytest.raises(WindowError, match="never attached"):
+            fabric.attach_window_slot(99, 1)
+        fabric.abort()
+        with pytest.raises(CommAbort, match="rank 1 died with its window"):
+            fabric.attach_window_slot(99, 1)
+    finally:
+        fabric.close_parent()
