@@ -3,8 +3,9 @@
 Every object stores only this rank's contiguous global range
 ``[lo, hi)`` of the vector.  Dense vectors hold a NumPy slice; sparse
 VERTEX frontiers hold (global idx, parent, root) arrays confined to the
-range.  Conversions to/from global arrays exist for tests and for the
-root-side scatter/gather at job boundaries.
+range; a :class:`RowBlockVec`'s range is a whole row block, replicated
+along its grid row.  Conversions to/from global arrays exist for tests
+and for the root-side scatter/gather at job boundaries.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 
 from ..sparse.spvec import NULL
 from .grid import ProcGrid
-from .vecmap import VecMap
+from .vecmap import BlockMap, VecMap
 
 
 def make_vecmap(grid: ProcGrid, n: int, orient: str) -> VecMap:
@@ -82,6 +83,11 @@ class DistDenseVec:
         lo, _hi = self.vmap.local_range(int(sub), int(block))
         return rank, self._section[rank] + int(g) - lo
 
+    def size_on(self, rank: int) -> int:
+        """Length of ``rank``'s slice (what :func:`share_buffer` lays out)."""
+        i, j = divmod(rank, self.grid.pc)
+        return self.vmap.local_size(*((i, j) if self.orient == "col" else (j, i)))
+
     def to_global(self) -> np.ndarray:
         """Gather the full vector on every rank (collective; test helper)."""
         pieces = self.grid.comm.allgather((self.lo, self.local))
@@ -99,7 +105,35 @@ class DistDenseVec:
         return v
 
 
-def share_buffer(*vecs: DistDenseVec) -> np.ndarray:
+class RowBlockVec:
+    """Row block i of a row vector, held whole by each of the pc ranks of
+    grid row i — O(N/pr) words per rank.  Which copy of an entry is current
+    is the caller's rule (MCM-DIST: a matched row's π at its *home*, the
+    rank of grid row i sitting in its mate's column block; a free row's on
+    every rank of the grid row)."""
+
+    def __init__(self, grid: ProcGrid, n: int, fill: int = NULL) -> None:
+        self.grid = grid
+        self.bmap = BlockMap(n, grid.pr)
+        self.lo, self.hi = self.bmap.range(grid.i)
+        self.local = np.full(self.hi - self.lo, fill, dtype=np.int64)
+        self._section = [0] * grid.nprocs
+
+    get_local = DistDenseVec.get_local
+    set_local = DistDenseVec.set_local
+
+    def size_on(self, rank: int) -> int:
+        return self.bmap.size(rank // self.grid.pc)
+
+    def remote_location(self, g: int, j: int) -> tuple[int, int]:
+        """(rank, offset in its exposed memory) of index ``g``'s copy in grid
+        column ``j``."""
+        i = self.bmap.owner(int(g))
+        rank = i * self.grid.pc + j
+        return rank, self._section[rank] + int(g) - self.bmap.range(i)[0]
+
+
+def share_buffer(*vecs: "DistDenseVec | RowBlockVec") -> np.ndarray:
     """Re-home the local slices of ``vecs`` end to end in ONE int64 buffer
     per rank and return it — the memory a single RMA window exposes.  Each
     ``vec.local`` becomes a view of its section (contents kept, every
@@ -115,8 +149,7 @@ def share_buffer(*vecs: DistDenseVec) -> np.ndarray:
         at += v.local.size
         v._section = list(starts)
         for rank in range(grid.nprocs):
-            i, j = divmod(rank, grid.pc)
-            starts[rank] += v.vmap.local_size(*((i, j) if v.orient == "col" else (j, i)))
+            starts[rank] += v.size_on(rank)
     return buf
 
 

@@ -12,13 +12,13 @@ class ProcGrid:
     carries two sub-communicators created with ``comm.split``:
 
     * ``rowcomm`` — the pc ranks sharing grid row i (the SpMV *fold*
-      all-to-all and the next-frontier row hop run here);
+      all-to-all runs here);
     * ``colcomm`` — the pr ranks sharing grid column j (the SpMV *expand*
       allgather and the next-frontier column hop run here).
 
     The full communicator remains available as ``comm`` for the
-    grid-global collectives (the path-end allgather, the RMA window's
-    fences, job set-up and tear-down).
+    grid-global collectives (the RMA window's fences, job set-up and
+    tear-down).
     """
 
     def __init__(self, comm: Communicator, pr: int, pc: int) -> None:

@@ -5,7 +5,7 @@ rank-local objects of this package:
 
 * :func:`route` — deliver parallel arrays to explicit destination ranks
   (one ``alltoallv`` of packed buffers); the engine's own exchanges send
-  ``(count, *arrays)`` frames instead (``_hop``), a count riding in the
+  ``(count, *arrays)`` frames instead (:func:`hop`), a count riding in the
   word a packed buffer's header takes;
 * :func:`expand` — assemble a column block's frontier from its sub-chunk
   owners (allgather down the grid column);
@@ -13,7 +13,10 @@ rank-local objects of this package:
   block frontier: local DCSC explode + pre-reduction → *fold* (all-to-all
   of partial winners along the grid row, each frame carrying the sender's
   block-frontier size, so the call also returns the global frontier size)
-  → destination reduction; :func:`spmv` is :func:`expand` followed by it;
+  → destination reduction.  The fold delivers a row to its vector owner,
+  or — given the row block's mates — to its *home*, the rank of the grid
+  row sitting in its mate's column block (a free row to every rank of the
+  grid row); :func:`spmv` is :func:`expand` followed by the owner fold;
 * :func:`spmv_bottomup_expanded` — the direction-optimized (pull) SpMV of
   the paper's stated future work: the block frontier is packed into a
   dense ``root_of`` array, the unvisited row ids are allgathered along the
@@ -25,15 +28,11 @@ rank-local objects of this package:
   switch rule's (top-down, bottom-up) edge counts;
 * :func:`path_ends` — the (root, min row) pair per tree that Steps 5 and 6
   of MCM-DIST read;
-* :func:`hop_along_row` / :func:`hop_down_column` — Step 7 without a
-  grid-wide exchange: next-frontier pairs travel along the grid row to the
-  mate's column block, then down the grid column, which also rebuilds the
-  expanded block frontier; the (root, row) path ends of Steps 5 and 6 ride
-  both hops, so after the second every rank holds the whole grid's;
-* :func:`hop_to_owner` — INVERT as the engine runs it: entries reach the
-  vector owner of their index in two hops, one per grid dimension, and a
-  count riding the frames comes back summed over the grid (Algorithm 3's
-  level step);
+* :func:`hop_down_column` — Step 7 without a grid-wide exchange: the
+  next-frontier pairs a home fold produced inside this rank's column block
+  go down the grid column, which rebuilds the expanded block frontier; the
+  grid row's (root, row) path ends of Steps 5 and 6 ride along, so after
+  it every rank holds the whole grid's;
 * :func:`invert_route` — INVERT's data movement as the paper prices it:
   entries travel to the owner of their *value* interpreted as an index on
   the other side — an all-to-all over ALL p ranks, the paper's scaling
@@ -93,16 +92,17 @@ def _gathered(frames: "list[tuple]") -> tuple:
     return (sum(counts), *(np.concatenate(a) for a in arrays))
 
 
-def _hop(
-    comm: Communicator, dest: np.ndarray, count: int, *arrays: np.ndarray, ends: tuple = ()
-) -> tuple:
-    """One personalized all-to-all on a row or column communicator: deliver
-    the parallel ``arrays`` to ranks ``dest`` in ``(count, *ends, *arrays)``
-    frames — a count and (root, row) path ``ends`` riding along cost a word
-    each, not another collective.  Returns (the senders' counts summed,
-    *received ends, *received arrays)."""
-    buckets = _buckets(comm.size, dest, arrays)
-    return _gathered(comm.alltoallv([(count, *ends, *b) for b in buckets]))
+def hop(comm: Communicator, count: int, *legs: tuple, shared: tuple = ()) -> tuple:
+    """One personalized all-to-all on a row or column communicator.  Each
+    leg is ``(dest, *arrays)``: its parallel arrays go to ranks ``dest``;
+    the ``shared`` arrays go whole to every rank.  A frame is ``(count,
+    *shared, *leg arrays)`` — a count riding along costs a word, not
+    another collective.  Returns (the senders' counts summed, *received
+    shared arrays, *received leg arrays), each concatenated in source-rank
+    order."""
+    per_leg = [_buckets(comm.size, dest, arrays) for dest, *arrays in legs]
+    frames = [(count, *shared, *(a for b in bs for a in b)) for bs in zip(*per_leg)]
+    return _gathered(comm.alltoallv(frames))
 
 
 def path_ends(roots: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -150,27 +150,44 @@ def _fold_and_reduce(
     roots: np.ndarray,
     semiring: Semiring,
     rng: np.random.Generator | None,
-) -> tuple[int, DistVertexFrontier]:
+    home: "np.ndarray | None",
+) -> tuple:
     """Shared SpMV tail: local pre-reduction of the candidate triples, fold
-    (route each partial winner to its row-vector owner along the grid row),
-    destination reduction.  Both traversal directions funnel through here,
-    which is what makes them bit-identical under deterministic semirings.
+    along the grid row, destination reduction.  Both traversal directions
+    funnel through here, which is what makes them bit-identical under
+    deterministic semirings.  Without ``home`` a partial winner goes to its
+    row's vector owner; with it — row block i's mates, replicated along the
+    grid row — a matched row's goes to its home, the rank sitting in its
+    mate's column block, and a free row's to every rank of the grid row, so
+    every rank reduces a free row's full candidate set identically.
     ``count`` rides every fold frame in the word a packed buffer's header
-    would take; returns (Σ ``count`` over the grid row, the row frontier)."""
+    would take; returns (Σ ``count`` over the grid row, rows ascending,
+    their parents, their roots)."""
     grid = A.grid
     with tspan(grid.comm, "fold"):
         # local pre-reduction shrinks the fold volume (CombBLAS does the same)
         grows, parents, roots = reduce_candidates(grows, parents, roots, semiring, rng)
 
-        # -- fold: send each partial winner to the row-vector owner of its row.
-        # All my rows live in row block i, whose sub-chunks are owned by the pc
-        # ranks of my grid row; the sub index IS the rowcomm rank.
-        sub, _block = A.row_vecmap.owner(grows)
-        total, rrows, rparents, rroots = _hop(grid.rowcomm, sub, count, grows, parents, roots)
+        # -- fold.  All my rows live in row block i, whose sub-chunks are owned
+        # by the pc ranks of my grid row (the sub index IS the rowcomm rank),
+        # as are its column blocks (the column block IS the rowcomm rank).
+        if home is None:
+            sub, _block = A.row_vecmap.owner(grows)
+            total, *got = hop(grid.rowcomm, count, (sub, grows, parents, roots))
+        else:
+            mates = home[grows - A.row_lo]
+            free, m = mates == NULL, mates != NULL
+            total, *got = hop(
+                grid.rowcomm, count,
+                (A.colmap.owner(mates[m]), grows[m], parents[m], roots[m]),
+                shared=(grows[free], parents[free], roots[free]),
+            )
+            # a row is free on every sender or on none, so each row's
+            # candidates still arrive in source-rank order
+            got = [np.concatenate(pair) for pair in zip(got[:3], got[3:])]
 
         # -- destination reduction: one winner per row across all blocks
-        ridx, rpar, rroot = reduce_candidates(rrows, rparents, rroots, semiring, rng)
-    return total, DistVertexFrontier(grid, A.nrows, "row", ridx, rpar, rroot)
+        return (total, *reduce_candidates(*got, semiring, rng))
 
 
 def spmv_expanded(
@@ -179,17 +196,21 @@ def spmv_expanded(
     groots: np.ndarray,
     semiring: Semiring = SR_MIN_PARENT,
     rng: np.random.Generator | None = None,
-) -> tuple[int, DistVertexFrontier]:
+    home: "np.ndarray | None" = None,
+) -> tuple:
     """``f_r = A · f_c`` for an already expanded frontier: ``gcols``/``groots``
     are the (column, root) pairs of this rank's whole column block (what
     :func:`expand` returns).  Local DCSC explode (select2nd: parent = column
     id), then fold and destination reduction along the grid row — the one
-    exchange of the call.  Every fold frame carries ``gcols.size``; the pc
-    column blocks of a grid row cover the frontier once, so the call
-    returns (the global frontier size, ``f_r``)."""
+    exchange of the call, to the vector owners or, given the row block's
+    mates, to the rows' homes.  Every fold frame carries ``gcols.size``;
+    the pc column blocks of a grid row cover the frontier once, so the call
+    returns (the global frontier size, ``f_r``'s rows, parents, roots)."""
     with tspan(A.grid.comm, "spmv"):
         lrows, parents, roots = A.block.explode_cols(gcols - A.col_lo, gcols, groots)
-        return _fold_and_reduce(A, gcols.size, lrows + A.row_lo, parents, roots, semiring, rng)
+        return _fold_and_reduce(
+            A, gcols.size, lrows + A.row_lo, parents, roots, semiring, rng, home
+        )
 
 
 def spmv(
@@ -206,17 +227,19 @@ def spmv(
     """
     if fc.orient != "col":
         raise ValueError("spmv expects a column frontier")
-    return spmv_expanded(A, *expand(A, fc.idx, fc.root), semiring, rng)[1]
+    _, *fr = spmv_expanded(A, *expand(A, fc.idx, fc.root), semiring, rng)
+    return DistVertexFrontier(A.grid, A.nrows, "row", *fr)
 
 
 def spmv_bottomup_expanded(
     A: DistSparseMatrix,
     gcols: np.ndarray,
     groots: np.ndarray,
-    pi_r: DistDenseVec,
+    unvisited: np.ndarray,
     semiring: Semiring = SR_MIN_PARENT,
     rng: np.random.Generator | None = None,
-) -> tuple[int, DistVertexFrontier]:
+    home: "np.ndarray | None" = None,
+) -> tuple:
     """Direction-optimized Step 1: unvisited rows PULL from the frontier.
 
     The paper's stated future work ("the bottom-up BFS in distributed
@@ -226,9 +249,10 @@ def spmv_bottomup_expanded(
     1. pack the expanded (column, root) pairs into a dense ``root_of`` array
        covering this rank's column block (the replicated frontier bitmap of
        the serial ``_bottom_up_step``);
-    2. *unvisited exchange*: allgather the unvisited row ids (``π_r`` still
-       NULL) along the grid row, assembling row block i's unvisited set from
-       the pc sub-chunk owners;
+    2. *unvisited exchange*: allgather along the grid row the ``unvisited``
+       row ids each rank answers for (sorted, inside row block i — every
+       unvisited row of the block on exactly one rank of the row),
+       assembling row block i's unvisited set;
     3. *pull*: every block scans its unvisited rows' adjacency through the
        cached DCSC row-major mirror and keeps edges whose column is on the
        frontier;
@@ -241,22 +265,18 @@ def spmv_bottomup_expanded(
     the integration tests assert bit-identical mate vectors.
     """
     grid = A.grid
-    if pi_r.orient != "row":
-        raise ValueError("spmv_bottomup_expanded expects a row-oriented visited vector")
-
     with tspan(grid.comm, "spmv_bottomup"):
         root_of = np.full(A.block.ncols, NULL, dtype=np.int64)
         root_of[gcols - A.col_lo] = groots
 
-        # -- unvisited exchange: assemble row block i's unvisited rows.  rowcomm
-        # ranks own consecutive sub-chunks of block i, so rank-ordered
-        # concatenation is already sorted by global row id.  Bottom-up steps run
-        # exactly when the unvisited set is wide, so the bitmap encoding (one
-        # bit per row of the sub-chunk instead of one word per unvisited row)
-        # usually wins — pack_indices picks per sender by density.
+        # -- unvisited exchange: assemble row block i's unvisited rows.
+        # Bottom-up steps run exactly when the unvisited set is wide, so the
+        # bitmap encoding (one bit per row of the sender's span instead of one
+        # word per unvisited row) usually wins — pack_indices picks per sender
+        # by density.  A row's candidates do not depend on the order of rows.
         with tspan(grid.comm, "unvisited_exchange"):
-            mine = np.flatnonzero(pi_r.local == NULL) + pi_r.lo
-            upieces = grid.rowcomm.allgatherv(pack_indices(mine, pi_r.lo, pi_r.hi))
+            span = (unvisited[0], unvisited[-1] + 1) if unvisited.size else (0, 0)
+            upieces = grid.rowcomm.allgatherv(pack_indices(unvisited, *span))
             unvisited = np.concatenate([unpack_indices(b) for b in upieces]) - A.row_lo
 
         # -- pull through the cached CSR mirror, filter by frontier membership
@@ -265,81 +285,41 @@ def spmv_bottomup_expanded(
             lrows, lcols, croots = A.block.pull_rows(unvisited, root_of, NULL)
             grows = lrows + A.row_lo
             parents = lcols + A.col_lo
-        return _fold_and_reduce(A, gcols.size, grows, parents, croots, semiring, rng)
+        return _fold_and_reduce(A, gcols.size, grows, parents, croots, semiring, rng, home)
 
 
-def local_edge_counts(A: DistSparseMatrix, cols: np.ndarray, pi_r: DistDenseVec) -> np.ndarray:
+def local_edge_counts(A: DistSparseMatrix, cols: np.ndarray, unvisited: np.ndarray) -> np.ndarray:
     """This rank's share of the switch rule's (top-down, bottom-up) edge
     counts, as the 2-word array the grid SUM-reduces.
 
     Top-down would examine every edge of the frontier's columns; bottom-up
     every edge of the still-unvisited rows.  ``cols`` are frontier columns
-    of this rank's column block; the grid-wide sums are the global counts
-    provided every frontier column is passed by exactly one rank (its vector
-    owner, or whichever rank of the grid column received it on the row hop).
-    Degrees come from the cached :meth:`DistSparseMatrix.degree_blocks`.
+    of this rank's column block, ``unvisited`` unvisited rows of its row
+    block; the grid-wide sums are the global counts provided every frontier
+    column and every unvisited row is passed by exactly one rank.  Degrees
+    come from the cached :meth:`DistSparseMatrix.degree_blocks`.
     """
     degr_blk, degc_blk = A.degree_blocks()
     td = degc_blk[cols - A.col_lo].sum()
-    bu = degr_blk[pi_r.lo - A.row_lo:pi_r.hi - A.row_lo][pi_r.local == NULL].sum()
+    bu = degr_blk[unvisited - A.row_lo].sum()
     return np.array([td, bu], dtype=np.int64)
 
 
-def hop_along_row(
+def hop_down_column(
     A: DistSparseMatrix, cols: np.ndarray, roots: np.ndarray, ends: tuple
 ) -> tuple:
-    """Step 7, first hop: send each next-frontier (column, root) pair along
-    the grid row to the rank sitting in the column's block (one ``rowcomm``
-    all-to-all).  Every frame also carries the sender's local entry count
-    and its own path ``ends`` (:func:`path_ends`), so the returned tuple is
-    (entries leaving this whole grid row, received columns, received roots,
-    the grid row's path ends) — the received columns all lie in this rank's
-    column block."""
-    total, end_roots, end_rows, cols, roots = _hop(
-        A.grid.rowcomm, A.colmap.owner(cols), cols.size, cols, roots, ends=ends
-    )
-    return total, cols, roots, path_ends(end_roots, end_rows)
-
-
-def hop_down_column(
-    A: DistSparseMatrix, row_total: int, cols: np.ndarray, roots: np.ndarray, ends: tuple
-) -> tuple:
-    """Step 7, second hop: allgather what :func:`hop_along_row` delivered
-    down the grid column, the grid row's entry count and path ``ends``
-    riding along.  Returns (entries that left any rank on the row hop,
-    block columns sorted ascending, their roots, the whole grid's path
-    ends): the next *expanded* block frontier, identical on the pr ranks of
-    the grid column.  A row gather then a column gather reaches every rank,
-    so the path ends are the grid's; the grid rows' totals sum to the
-    entries that travelled, which is zero only if the next frontier is
-    empty — no rank needs a reduction to test termination."""
-    total, end_roots, end_rows, cols, roots = _gathered(
-        A.grid.colcomm.allgatherv((row_total, *ends, cols, roots))
+    """Step 7: allgather the next-frontier (column, root) pairs a home fold
+    produced — all inside this rank's column block — down the grid column,
+    the grid row's path ``ends`` (:func:`path_ends`, identical along the
+    grid row) riding along.  Returns (block columns sorted ascending, their
+    roots, the whole grid's path ends): the next *expanded* block frontier,
+    identical on the pr ranks of the grid column, and — the pr grid rows'
+    ends together — every path end of the grid."""
+    end_roots, end_rows, cols, roots = concat_pieces(
+        A.grid.colcomm.allgatherv((*ends, cols, roots))
     )
     order = np.argsort(cols)  # frontier columns are distinct (mates of distinct rows)
-    return total, cols[order], roots[order], path_ends(end_roots, end_rows)
-
-
-def hop_to_owner(
-    vec: DistDenseVec, count: int, idx: np.ndarray, *values: np.ndarray
-) -> tuple:
-    """Deliver ``(idx, *values)`` entries to the rank owning ``idx`` in
-    ``vec``'s distribution in two hops and no grid-wide exchange: first
-    along the grid dimension that reaches the owner's *block* (a column hop
-    for a row vector, a row hop for a column vector), then along the other
-    to its *sub-chunk*.  ``count`` rides every frame: the first hop sums it
-    over one communicator, the second sums those sums over the other, so the
-    returned tuple is (Σ ``count`` over the whole grid, received idx,
-    *received values) — every rank learns the total without a reduction.
-    (pr−1) + (pc−1) latency steps."""
-    grid = vec.grid
-    to_block, to_sub = (
-        (grid.rowcomm, grid.colcomm) if vec.orient == "col" else (grid.colcomm, grid.rowcomm)
-    )
-    _sub, block = vec.vmap.owner(idx)
-    count, idx, *values = _hop(to_block, block, count, idx, *values)
-    sub, _block = vec.vmap.owner(idx)
-    return _hop(to_sub, sub, count, idx, *values)
+    return cols[order], roots[order], path_ends(end_roots, end_rows)
 
 
 def invert_route(

@@ -20,40 +20,51 @@ Step 1 SpMV, expand                    none inside the loop: the frontier of
                                        :func:`~repro.distmat.ops.expand` per
                                        phase seeds it)
 Step 1 SpMV, local + fold              :func:`repro.distmat.ops.spmv_expanded`
-                                       — exchange 1, ``rowcomm`` all-to-all;
-                                       its frames carry the block-frontier
-                                       sizes, summed the global frontier size
+                                       — exchange 1, ``rowcomm`` all-to-all to
+                                       each row's *home*, the rank of its grid
+                                       row sitting in its mate's column block
+                                       (a free row to every rank of the grid
+                                       row), read off ``mate_blk``, row block
+                                       i's ``mate_r`` replicated along grid
+                                       row i and refreshed by one ``rowcomm``
+                                       allgather per phase; its frames carry
+                                       the block-frontier sizes, summed the
+                                       global frontier size
 Step 1, direction-optimized            :func:`repro.distmat.ops.spmv_bottomup_expanded`
                                        (+ ``direction="auto"``: one overlapped
                                        2-word ``iallreduce`` of
                                        :func:`~repro.distmat.ops.local_edge_counts`)
-Steps 2–4 SELECT/SET                   local NumPy on aligned slices
-Step 7 INVERT to next frontier         :func:`repro.distmat.ops.hop_along_row`
-                                       — exchange 2, ``rowcomm`` all-to-all to
-                                       the mate's column block — then
+Steps 2–4 SELECT/SET                   local NumPy at home: π is a row-block
+                                       array, a matched row's entry current at
+                                       its home, a free row's on every rank of
+                                       the grid row
+Step 7 INVERT to next frontier         none for the mate hop: a matched row's
+                                       (mate, root) pair is made at home, in
+                                       its column block — then
                                        :func:`repro.distmat.ops.hop_down_column`
-                                       — exchange 3, ``colcomm`` allgather that
+                                       — exchange 2, ``colcomm`` allgather that
                                        rebuilds the expanded frontier
-Step 5 INVERT to ``path_c``            no collective of its own: each rank's
-                                       (root, min row) pairs
+Step 5 INVERT to ``path_c``            no collective of its own: the (root, min
+                                       row) pairs of the free rows
                                        (:func:`~repro.distmat.ops.path_ends`)
-                                       ride exchanges 2 and 3, which reach every
-                                       rank; the root's owner writes ``path_c``
-Step 6 PRUNE (allgather of roots)      a filter on root after each hop: the
-                                       rank's own trees, the grid row's, the
-                                       grid's — exact, a hop keeps the root
-loop test (frontier non-empty)         no collective: the counts riding
-                                       exchange 3, and after a pruning
-                                       iteration the next fold's
+                                       are the grid row's on each of its ranks
+                                       and ride exchange 2 to every rank; a
+                                       root's first iteration wins
+Step 6 PRUNE (allgather of roots)      a filter on root before the column hop
+                                       (the grid row's trees) and after it (the
+                                       grid's) — exact, a hop keeps the root
+loop test (frontier non-empty)         no collective: the counts riding the
+                                       fold — so every phase ends on one empty
+                                       fold
 path count k (an allreduce)            no collective: the distinct roots
-                                       exchange 3 replicated
+                                       exchange 2 replicated
 Algorithm 3 (level-parallel augment)   :func:`augment_level_spmd` — a level is
-                                       two :func:`~repro.distmat.ops.hop_to_owner`
-                                       legs, 2(pr−1) + 2(pc−1) steps where the
-                                       paper's two INVERTs pay 2(p−1) + a
-                                       reduction
+                                       a row hop and two column hops,
+                                       (pc−1) + 2(pr−1) steps where the paper's
+                                       two INVERTs pay 2(p−1) + a reduction
 Algorithm 4 (path-parallel RMA)        :func:`augment_path_spmd_rma` — one window
-                                       per run, two fences per phase
+                                       per run, two fences per phase; π read
+                                       at each row's home
 k < 2p² switch                          :func:`mcm_dist_spmd` per phase
                                        (:func:`~repro.matching.augment.choose_augment_mode`,
                                        the paper's rule as derived for its own
@@ -64,11 +75,11 @@ distributed maximal matching [21]      :func:`proposal_rounds_spmd` — greedy,
                                        row/column allgathers
 ====================================  =========================================
 
-One BFS iteration is therefore three exchanges and 2(pc−1) + ⌈log₂ pr⌉
+One BFS iteration is therefore two exchanges and (pc−1) + ⌈log₂ pr⌉
 latency steps, none of them on the grid communicator — where the paper's
 schedule (§IV-B: two INVERTs over all p ranks, a grid-wide PRUNE
-allgather) pays ≈ 2p.  A phase whose last column hop carried only pruned
-trees pays one more fold, which is the loop test, not an iteration.
+allgather) pays ≈ 2p.  Every phase pays one more fold, which is the loop
+test, not an iteration, and one replica refresh.
 Mates, phases, iterations and edges examined are those of the paper's
 schedule, bit for bit;
 :func:`repro.perfmodel.collectives.msbfs_iteration` prices the engine's
@@ -90,15 +101,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..distmat.distvec import DistDenseVec, share_buffer
+from ..distmat.distvec import DistDenseVec, RowBlockVec, share_buffer
 from ..distmat.grid import ProcGrid
 from ..distmat.ops import (
     allgather_arrays,
     concat_pieces,
     expand,
-    hop_along_row,
+    hop,
     hop_down_column,
-    hop_to_owner,
     local_edge_counts,
     path_ends,
     spmv_bottomup_expanded,
@@ -272,43 +282,62 @@ def proposal_rounds_spmd(
 # ---------------------------------------------------------------------------
 
 def augment_level_spmd(
+    A: DistSparseMatrix,
     start_rows: np.ndarray,
-    pi_r: DistDenseVec,
+    pi: RowBlockVec,
     mate_r: DistDenseVec,
     mate_c: DistDenseVec,
 ) -> None:
     """Algorithm 3, SPMD: all paths advance one (row, column) pair per
-    lockstep level.  A level is two legs of two hops each
-    (:func:`~repro.distmat.ops.hop_to_owner`): the row tips travel to their
-    ``mate_r`` owners, which read ``π_r`` and flip the row's mate; the
-    (column, row) pairs travel on to the ``mate_c`` owners, which read the
-    old mate — the next level's tip — and flip the column's.  The number of
-    live paths rides the first leg's frames, so the loop test needs no
-    reduction: the call ends on the leg that finds it zero."""
+    lockstep level.  A level's tips are rows r held where π[r] is current:
+    the first level's — the path ends, free rows — at their ``mate_r``
+    owners, later ones at their homes.  A level is three exchanges
+    (:func:`~repro.distmat.ops.hop`):
+
+    1. a row hop carrying the write ``mate_r[r] = π[r]`` to r's owner and
+       (c = π[r], r) to the rank sitting in c's column block;
+    2. a column hop of (c, r) to c's ``mate_c`` owner, which reads the old
+       mate r′ — the next level's tip — and flips the column's mate;
+    3. a column hop taking r′ to its home (rowblock(r′), colblock(c)),
+       where π[r′] is current: c was r′'s mate all phase.
+
+    The live count rides the frames: hop 3 sums the next tips over the grid
+    column, the next row hop sums those sums over the grid row — the whole
+    grid — so the call ends on the one row hop that finds it zero."""
+    grid = A.grid
     rows = np.asarray(start_rows, np.int64)
+    live = 1  # the first level has tips on some rank: the phase found paths
     while True:
-        live, rows = hop_to_owner(mate_r, rows.size, rows)
+        cols = pi.get_local(rows)
+        live, wrows, wcols, cols, rows = hop(
+            grid.rowcomm, live,
+            (mate_r.vmap.owner(rows)[0], rows, cols),
+            (A.colmap.owner(cols), cols, rows),
+        )
         if live == 0:
             return
-        cols = pi_r.get_local(rows)
-        mate_r.set_local(rows, cols)
-        _, cols, rows = hop_to_owner(mate_c, 0, cols, rows)
+        mate_r.set_local(wrows, wcols)
+        _, cols, rows = hop(grid.colcomm, 0, (mate_c.vmap.owner(cols)[0], cols, rows))
         prev = mate_c.get_local(cols)
         mate_c.set_local(cols, rows)
-        rows = prev[prev != NULL]
+        prev = prev[prev != NULL]
+        live, rows = hop(grid.colcomm, prev.size, (A.rowmap.owner(prev), prev))
 
 
 def augment_path_spmd_rma(
     win: Window,
     start_rows: np.ndarray,
-    pi_r: DistDenseVec,
+    pi: RowBlockVec,
     mate_r: DistDenseVec,
     mate_c: DistDenseVec,
 ) -> None:
     """Algorithm 4, SPMD: each rank walks its own paths asynchronously with
     one-sided Get/Put/Fetch-and-op — 3 RMA calls per pair-step, exactly the
     paper's accounting.  Vertex-disjointness of the paths makes the
-    unordered remote updates safe.
+    unordered remote updates safe.  A start row — a path end, free — is
+    this rank's in ``mate_r`` and its π is read here; every later row r is
+    the old mate a fetch-and-op on column c returned, and its π is read at
+    its home, the rank of its grid row sitting in c's column block.
 
     ``win`` is the job's one window over the shared buffer of the three
     vectors (:func:`~repro.distmat.distvec.share_buffer`); the phase is one
@@ -316,13 +345,13 @@ def augment_path_spmd_rma(
     the last one, and a fence out, after which they store directly again."""
     win.fence()
     for r0 in np.asarray(start_rows, np.int64).tolist():
-        r = int(r0)
+        r, j = int(r0), pi.grid.j
         while r != NULL:
-            rank, off = pi_r.remote_location(r)
-            c = int(win.get(rank, off))                  # MPI_Get(π_r[r])
+            c = int(win.get(*pi.remote_location(r, j)))  # MPI_Get(π[r])
             win.put(*mate_r.remote_location(r), c)       # MPI_Put(mate_r[r] = c)
             crank, coff = mate_c.remote_location(c)
             r = int(win.fetch_and_op(crank, coff, r))    # fused read-old/put-new
+            j = crank % pi.grid.pc                       # c's column block
     win.fence(nosucceed=True)
 
 
@@ -351,6 +380,29 @@ def _checkpoint(
 # ---------------------------------------------------------------------------
 # the SPMD algorithm
 # ---------------------------------------------------------------------------
+
+def _refresh_replica(
+    grid: ProcGrid, phase: int, mate_r: DistDenseVec, mate_blk: RowBlockVec
+) -> None:
+    """Bring ``mate_blk`` — row block i's ``mate_r``, replicated along grid
+    row i — up to date with one ``rowcomm`` allgather of the (row, mate)
+    pairs where an owner's slice differs from it: the initializer's or the
+    checkpoint's matches at the first phase, the last phase's augmentations
+    at every later one.  ``verify=True`` adds a free self-check: a rank's
+    ``mate_r`` slice lies inside its row block, so it compares the two
+    without communication and names the first row that differs."""
+    own = mate_blk.local[mate_r.lo - mate_blk.lo:mate_r.hi - mate_blk.lo]
+    diff = np.flatnonzero(own != mate_r.local)
+    pieces = allgather_arrays(grid.rowcomm, diff + mate_r.lo, mate_r.local[diff])
+    mate_blk.set_local(*concat_pieces(pieces))
+    bad = np.flatnonzero(own != mate_r.local) if grid.comm.fabric.verify else []
+    if len(bad):
+        r = mate_r.lo + int(bad[0])
+        raise RuntimeError(
+            f"rank {grid.rank}, phase {phase}: the row-block mate replica holds "
+            f"{own[bad[0]]} for row {r}, its owner's mate_r {mate_r.get_local(r)}"
+        )
+
 
 def _prune(prune: bool, ends: tuple, cols: np.ndarray, roots: np.ndarray) -> tuple:
     """Step 6 PRUNE as a filter: the (column, root) entries whose tree has
@@ -400,14 +452,19 @@ def mcm_dist_spmd(
         )
     grid = ProcGrid(comm, pr, pc)
     A = DistSparseMatrix.scatter_from_root(grid, coo_on_root)
-    pi_r = DistDenseVec(grid, A.nrows, "row")
+    # π lives at home: a matched row's entry is current on the rank of its
+    # grid row sitting in its mate's column block, a free row's on every
+    # rank of the grid row
+    pi = RowBlockVec(grid, A.nrows)
     mate_r = DistDenseVec(grid, A.nrows, "row")
     mate_c = DistDenseVec(grid, A.ncols, "col")
+    # row block i's mate_r, identical along grid row i (refreshed per phase):
+    # where the fold sends each row.  mate_r stays the authority
+    mate_blk = RowBlockVec(grid, A.nrows)
     # the three vectors path-parallel augmentation reaches one-sidedly live
     # in one buffer, so ONE window exposes them for the whole run
-    shared = share_buffer(pi_r, mate_r, mate_c)
+    shared = share_buffer(pi, mate_r, mate_c)
     win: "Window | None" = None
-    path_c = DistDenseVec(grid, A.ncols, "col")
     stats = DistStats()
 
     if resume is not None:
@@ -435,6 +492,8 @@ def mcm_dist_spmd(
     # unmatched columns grid-wide = the size of every phase's first frontier;
     # exact without communication: each augmenting path matches one more
     free_cols = A.ncols - stats.initial_cardinality
+    blk_rows = np.arange(mate_blk.lo, mate_blk.hi)
+    row_subs = mate_r.vmap.owner(blk_rows)[0]  # the vector owner's rowcomm rank
 
     while True:
         phase_no += 1
@@ -443,16 +502,21 @@ def mcm_dist_spmd(
         # leaving the ``with`` via the k == 0 break below still closes the
         # span, so even the final (no-path) phase is timed
         with tspan(grid.comm, "phase", cat="phase", phase=phase_no):
-            pi_r.local.fill(NULL)
-            path_c.local.fill(NULL)
-            found: list[np.ndarray] = []  # roots of the paths found, per iteration
+            _refresh_replica(grid, phase_no, mate_r, mate_blk)
+            pi.local.fill(NULL)
+            # the rows whose visited state this rank answers for in the edge
+            # counts and the bottom-up exchange — every row on exactly one
+            # rank: a matched row at its home, a free row at its vector owner;
+            # all unvisited until the first SET
+            mine = unvisited = blk_rows[np.where(
+                mate_blk.local == NULL, row_subs, A.colmap.owner(mate_blk.local)
+            ) == grid.j]
+            found: list[tuple] = []  # the grid's (root, row) path ends, per iteration
 
             # initial column frontier: unmatched columns, parent = root = self.
             # The loop keeps the frontier EXPANDED: (bcols, broots) are the
             # sorted (column, root) pairs of this rank's whole column block,
-            # identical down the grid column.  nfront is the global entry
-            # count, or after a pruning iteration a bound on it that is zero
-            # only for an empty frontier — the next fold's counts then say.
+            # identical down the grid column.
             lcols = np.flatnonzero(mate_c.local == NULL) + mate_c.lo
             # this rank's share of the (top-down, bottom-up) edge counts of
             # the coming superstep, read for the edges-examined accounting in
@@ -461,12 +525,14 @@ def mcm_dist_spmd(
             # direction="auto" sums them grid-wide with an iallreduce posted
             # as soon as they exist and waited at the superstep's head, so it
             # overlaps the exchange in between.
-            counts = local_edge_counts(A, lcols, pi_r)
+            counts = local_edge_counts(A, lcols, unvisited)
             dir_req = grid.comm.iallreduce(counts, op=SUM) if direction == "auto" else None
             bcols, broots = expand(A, lcols, lcols)
-            nfront = free_cols
+            # the global frontier size: the first is the free columns, every
+            # later one the sum of the counts riding the fold
+            live = free_cols
 
-            while nfront > 0:
+            while live > 0:
                 with tspan(grid.comm, "bfs_iter", cat="phase", iter=stats.iterations + 1) as sp:
                     # Step 1: SpMV, direction-optimized.  The decision must be
                     # globally uniform: "auto" compares the allreduced edge
@@ -476,16 +542,21 @@ def mcm_dist_spmd(
                         use_bu = bool(bu_g < td_g)
                     else:
                         use_bu = direction == "bottomup"
-                    # exchange 1 — fold (grid row), every frame carrying the
-                    # sender's block-frontier size.  The chosen direction shows
-                    # in the trace as the kernel span's name: spmv (top-down)
-                    # vs spmv_bottomup (pull, plus its unvisited-row allgather)
+                    # exchange 1 — fold (grid row) to each row's home, every
+                    # frame carrying the sender's block-frontier size.  The
+                    # chosen direction shows in the trace as the kernel span's
+                    # name: spmv (top-down) vs spmv_bottomup (pull, plus its
+                    # unvisited-row allgather)
                     if use_bu:
-                        live, fr = spmv_bottomup_expanded(A, bcols, broots, pi_r, semiring)
+                        live, rows, parents, roots = spmv_bottomup_expanded(
+                            A, bcols, broots, unvisited, semiring, home=mate_blk.local
+                        )
                     else:
-                        live, fr = spmv_expanded(A, bcols, broots, semiring)
+                        live, rows, parents, roots = spmv_expanded(
+                            A, bcols, broots, semiring, home=mate_blk.local
+                        )
                     if live == 0:
-                        # the last column hop carried only pruned trees: this
+                        # the last column hop left the frontier empty: this
                         # fold was the loop test, not an iteration
                         if sp is not None:
                             sp.name = "loop_test"
@@ -496,63 +567,59 @@ def mcm_dist_spmd(
                     # Step 2: SELECT unvisited rows (a no-op after a bottom-up
                     # step, which only ever proposes unvisited rows — kept
                     # unconditionally so both directions share one code path)
-                    fr = fr.keep(pi_r.get_local(fr.idx) == NULL)
+                    fresh = pi.get_local(rows) == NULL
+                    rows, parents, roots = rows[fresh], parents[fresh], roots[fresh]
                     # Step 3: SET parents
-                    pi_r.set_local(fr.idx, fr.parent)
-                    # Step 4: split matched/unmatched
-                    mates = mate_r.get_local(fr.idx)
+                    pi.set_local(rows, parents)
+                    # Step 4: split matched/unmatched.  A matched row is at
+                    # home, so its mate lies in this rank's column block; the
+                    # free rows — and so the path ends — are the grid row's,
+                    # identical on each of its ranks
+                    mates = mate_blk.get_local(rows)
                     free = mates == NULL
-                    ends = path_ends(fr.root[free], fr.idx[free])
-                    cols, roots = mates[~free], fr.root[~free]
+                    ends = path_ends(roots[free], rows[free])
+                    cols, roots = mates[~free], roots[~free]
 
                     # Step 7: INVERT through mates -> next column frontier.
-                    # The path ends ride both hops, and Step 6 PRUNE is a
-                    # filter after each: a hop keeps an entry's root, so
-                    # dropping found trees commutes with it
+                    # Step 6 PRUNE is a filter before and after the hop: a
+                    # hop keeps an entry's root, so dropping found trees
+                    # commutes with it
                     with tspan(grid.comm, "next_frontier"):
                         cols, roots = _prune(prune, ends, cols, roots)
-                        # exchange 2 — row hop to the mate's column block, with
-                        # this rank's path ends: the grid row's come back
-                        sent, rcols, rroots, ends = hop_along_row(A, cols, roots, ends)
-                        rcols, rroots = _prune(prune, ends, rcols, rroots)
-                        # exchange 3 — column hop: the next frontier expanded,
+                        # exchange 2 — column hop: the next frontier expanded,
                         # and every path end of the grid on every rank
-                        nfront, bcols, broots, ends = hop_down_column(A, sent, rcols, rroots, ends)
-                        rcols, rroots = _prune(prune, ends, rcols, rroots)
+                        bcols, broots, ends = hop_down_column(A, cols, roots, ends)
+                        cols, roots = _prune(prune, ends, cols, roots)
                         bcols, broots = _prune(prune, ends, bcols, broots)
-                        # the next frontier is spread over the grid once and
-                        # this iteration's π_r is final
-                        counts = local_edge_counts(A, rcols, pi_r)
+                        # this iteration's π is final
+                        unvisited = mine[pi.get_local(mine) == NULL]
+                        counts = local_edge_counts(A, cols, unvisited)
                         if direction == "auto":
                             dir_req = grid.comm.iallreduce(counts, op=SUM)
-
-                    # Step 5: INVERT into path_c — the root's owner keeps its
-                    # minimum row, first iteration wins
-                    found.append(ends[0])
-                    mine = (ends[0] >= path_c.lo) & (ends[0] < path_c.hi)
-                    roots, rows = ends[0][mine], ends[1][mine]
-                    fresh = path_c.get_local(roots) == NULL
-                    path_c.set_local(roots[fresh], rows[fresh])
+                    found.append(ends)
             if dir_req is not None:
                 # posted for a superstep that never ran: a collective every
                 # rank entered, so every rank must complete it (a no-op when
                 # the loop test already waited it)
                 dir_req.wait()
 
-            # phase end: augment by all discovered paths (my local path ends).
-            # The column hops showed every rank every (root, row) found, so
-            # the path count — one per root, first iteration wins — needs no
-            # reduction
-            local_rows = path_c.local[path_c.local != NULL]
-            k = np.unique(np.concatenate(found)).size if found else 0
+            # phase end: Step 5 without a collective — every rank holds every
+            # (root, row) path end the phase found; a root's first iteration
+            # wins, so the path count k needs no reduction, and each path
+            # starts at its end row's mate_r owner
+            roots, rows = concat_pieces([(np.empty(0, np.int64),) * 2, *found])
+            roots, first = np.unique(roots, return_index=True)
+            k = roots.size
             if k == 0:
                 break
             free_cols -= k
+            rows = rows[first]
+            start = rows[(rows >= mate_r.lo) & (rows < mate_r.hi)]
             mode = augment if augment != "auto" else choose_augment_mode(k, grid.nprocs)
             if mode == "level":
                 stats.augment_level_calls += 1
                 with tspan(grid.comm, "augment:level", cat="phase", k=k):
-                    augment_level_spmd(local_rows, pi_r, mate_r, mate_c)
+                    augment_level_spmd(A, start, pi, mate_r, mate_c)
             elif mode == "path":
                 stats.augment_path_calls += 1
                 if win is None:
@@ -560,7 +627,7 @@ def mcm_dist_spmd(
                     # the mode is a function of the replicated k
                     win = Window(grid.comm, shared)
                 with tspan(grid.comm, "augment:path", cat="phase", k=k):
-                    augment_path_spmd_rma(win, local_rows, pi_r, mate_r, mate_c)
+                    augment_path_spmd_rma(win, start, pi, mate_r, mate_c)
             else:
                 raise ValueError(f"unknown augment mode {mode!r}")
 

@@ -256,20 +256,20 @@ def msbfs_iteration(
 ) -> float:
     """One BFS iteration of MCM-DIST on a pr × pc grid, as the ENGINE runs it.
 
-    The iteration's wire shape (see :mod:`repro.matching.mcm_dist`) is three
+    The iteration's wire shape (see :mod:`repro.matching.mcm_dist`) is two
     exchanges on the schedules the runtime selects (pairwise all-to-all,
     dissemination allgather), none of them over the whole grid:
 
-    1. fold — partial SpMV winners along a grid ROW (``pc`` participants;
-       ``fold_words`` is the busiest rank's send volume);
-    2. row hop — next-frontier (column, root) pairs along the grid ROW, each
-       frame carrying the sender's (root, row) path ends (``hop_words`` is
-       the busiest rank's send volume, path ends included);
-    3. column hop — the delivered pairs and the grid row's path ends down a
-       grid COLUMN (``pr`` participants; a balanced column block holds
-       ``pr · hop_words``).
+    1. fold — partial SpMV winners along a grid ROW to each row's home, the
+       rank sitting in its mate's column block (``pc`` participants;
+       ``fold_words`` is the busiest rank's send volume, free rows' copies
+       to every peer included);
+    2. column hop — the next-frontier (column, root) pairs the homes
+       produced and the grid row's (root, row) path ends down a grid COLUMN
+       (``pr`` participants; ``hop_words`` is one rank's share, so a
+       balanced column block holds ``pr · hop_words``).
 
-    The latency term, ``alpha * (2(pc-1) + ⌈log₂ pr⌉)``, is pinned against
+    The latency term, ``alpha * ((pc-1) + ⌈log₂ pr⌉)``, is pinned against
     a real run's ledger in ``tests/perfmodel/test_machine_and_costs.py``.
     The PAPER's schedule for the same iteration (two grid-wide INVERT
     all-to-alls, a grid-wide PRUNE allgather) is what
@@ -278,6 +278,5 @@ def msbfs_iteration(
     """
     return (
         alltoallv_pairwise(pc, alpha, beta, fold_words)
-        + alltoallv_pairwise(pc, alpha, beta, hop_words)
         + allgather_recursive_doubling(pr, alpha, beta, pr * hop_words)
     )

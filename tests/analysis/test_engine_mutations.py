@@ -57,9 +57,9 @@ MUTATIONS = [
      "    for delta in set(ladder):\n",
      {"SPMD601", "SPMD603"}),
     ("hop-as-sends-over-a-set", "distmat/ops.py",
-     "    return _gathered(comm.alltoallv([(count, *ends, *b) for b in buckets]))\n",
-     "    for r in set(dest.tolist()):\n"
-     "        comm.send(r, (count, *ends, *buckets[r]))\n",
+     "    return _gathered(comm.alltoallv(frames))\n",
+     "    for r in set(legs[0][0].tolist()):\n"
+     "        comm.send(r, frames[r])\n",
      {"SPMD601"}),
     ("unseeded-shuffle-of-start-rows", "matching/mcm_dist.py",
      ALG4_OPENING,

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.distmat.distvec import DistDenseVec, DistVertexFrontier
 from repro.distmat.grid import ProcGrid
 from repro.distmat.ops import (
-    expand, local_edge_counts, route, spmv, spmv_bottomup_expanded,
+    expand, local_edge_counts, route, spmv, spmv_bottomup_expanded, spmv_expanded,
 )
 from repro.distmat.spmat import DistSparseMatrix
 from repro.runtime import SUM, spmd
@@ -74,6 +74,43 @@ def test_distributed_spmv_equals_serial(args, data):
 
 
 @settings(max_examples=15, deadline=None)
+@given(coo_and_grid(), st.integers(0, 10_000))
+def test_home_fold_lands_each_row_on_its_home(args, seed):
+    """Given the row block's mates, the fold delivers a matched row's winner
+    to its home — the rank of its grid row in its mate's column block — and
+    nowhere else, and a free row's to every rank of its grid row; the
+    winners are the serial SpMV's."""
+    coo, pr, pc = args
+    rng = np.random.default_rng(seed)
+    fidx = np.flatnonzero(rng.random(coo.ncols) < 0.5)
+    mates = np.where(rng.random(coo.nrows) < 0.5, rng.integers(0, coo.ncols, coo.nrows), NULL)
+    serial = CSC.from_coo(coo).spmv_frontier(
+        VertexFrontier.roots_of_self(coo.ncols, fidx), SR_MIN_PARENT
+    )
+
+    def main(comm):
+        grid = ProcGrid(comm, pr, pc)
+        A = DistSparseMatrix.scatter_from_root(grid, coo if comm.rank == 0 else None)
+        probe = DistDenseVec(grid, coo.ncols, "col")
+        mine = fidx[(fidx >= probe.lo) & (fidx < probe.hi)]
+        nfront, *fr = spmv_expanded(
+            A, *expand(A, mine, mine), SR_MIN_PARENT, home=mates[A.row_lo:A.row_hi]
+        )
+        return nfront, grid.i, grid.j, A.rowmap, A.colmap, fr
+
+    got = {}
+    for nfront, i, j, rowmap, colmap, (rows, parents, roots) in spmd(pr * pc, main).values:
+        assert nfront == fidx.size
+        assert (rowmap.owner(rows) == i).all() if rows.size else True
+        for r, par, root in zip(rows.tolist(), parents.tolist(), roots.tolist()):
+            got.setdefault(r, []).append((j, par, root))
+    assert sorted(got) == serial.idx.tolist()
+    for r, par, root in zip(serial.idx.tolist(), serial.parent.tolist(), serial.root.tolist()):
+        homes = range(pc) if mates[r] == NULL else [colmap.owner(int(mates[r]))]
+        assert got[r] == [(j, par, root) for j in homes]
+
+
+@settings(max_examples=15, deadline=None)
 @given(st.integers(1, 6), st.integers(0, 30), st.integers(0, 10_000))
 def test_route_conserves_and_delivers(p, n, seed):
     """Routing arbitrary (dest, value) pairs loses nothing and delivers each
@@ -93,6 +130,11 @@ def test_route_conserves_and_delivers(p, n, seed):
             for v, d in zip(values[src], dests[src]) if d == r
         )
         assert res[r] == expected
+
+
+def _unvisited(pi_r):
+    """The unvisited rows of the slice a rank owns: each row on one rank."""
+    return np.flatnonzero(pi_r.local == NULL) + pi_r.lo
 
 
 @st.composite
@@ -126,8 +168,10 @@ def test_distributed_bottomup_equals_filtered_topdown(args):
         pi_r = DistDenseVec.from_global(grid, pi, "row")
         probe = DistDenseVec(grid, coo.ncols, "col")
         mine = fidx[(fidx >= probe.lo) & (fidx < probe.hi)]
-        nfront, fr = spmv_bottomup_expanded(A, *expand(A, mine, mine), pi_r, SR_MIN_PARENT)
-        return nfront, fr.to_global_arrays()
+        nfront, *fr = spmv_bottomup_expanded(
+            A, *expand(A, mine, mine), _unvisited(pi_r), SR_MIN_PARENT
+        )
+        return nfront, DistVertexFrontier(grid, coo.nrows, "row", *fr).to_global_arrays()
 
     res = spmd(pr * pc, main)
     # the counts riding the fold add up to the global frontier on every rank
@@ -154,7 +198,7 @@ def test_direction_edge_counts_match_serial(args):
         pi_r = DistDenseVec.from_global(grid, pi, "row")
         probe = DistDenseVec(grid, coo.ncols, "col")
         mine = fidx[(fidx >= probe.lo) & (fidx < probe.hi)]
-        td, bu = comm.allreduce(local_edge_counts(A, mine, pi_r), op=SUM)
+        td, bu = comm.allreduce(local_edge_counts(A, mine, _unvisited(pi_r)), op=SUM)
         # the cache is collective-on-first-call: a second read is local
         assert A.degree_blocks() is A.degree_blocks()
         return int(td), int(bu)

@@ -3,8 +3,9 @@
 A store exists iff the caller passes one or allows restarts — so the
 default run carries no checkpoint traffic, and allowing restarts without
 faults costs exactly the snapshots.  The ledgers below are those of the
-three-exchange BFS iteration (path ends riding the Step-7 hops); the two
-runs differ by the snapshot traffic alone.
+two-exchange BFS iteration (the fold lands on each row's home, the path
+ends ride the column hop); the two runs differ by the snapshot traffic
+alone.
 """
 
 import numpy as np
@@ -22,7 +23,7 @@ def _ledger(stats):
 def test_plain_run_carries_no_checkpoint_traffic():
     stats = run_mcm_dist(er(8, seed=3), 2, 2, init="greedy")[2]
     assert stats.checkpoint_words == 0
-    assert _ledger(stats) == (397, 373, 28_659, 26_661)
+    assert _ledger(stats) == (389, 365, 28_598, 26_600)
     assert stats.comm_by_alg["barrier:dissemination"]["calls"] == 36
     assert stats.restart_spans == ()
     # the per-phase ledger is on every run
@@ -33,7 +34,7 @@ def test_allowing_restarts_costs_exactly_the_snapshots():
     stats = run_mcm_dist(er(8, seed=3), 2, 2, init="greedy", max_restarts=3)[2]
     assert stats.restarts == 0
     assert stats.checkpoint_words == 2_056
-    assert _ledger(stats) == (493, 445, 36_519, 33_029)
+    assert _ledger(stats) == (485, 437, 36_458, 32_968)
     # one closing barrier per snapshot and per rank on top of the plain run's
     assert stats.comm_by_alg["barrier:dissemination"]["calls"] == 52
 

@@ -1,19 +1,22 @@
 """Wire shape of the MCM-DIST BFS iteration, and the grids where the
-replicated block frontier could go wrong.
+replicated block frontier and the row-block mate replica could go wrong.
 
-One iteration is three exchanges — fold along the grid row, a row hop and
-a column hop to the next frontier, the path ends riding both hops — so its
-cost is countable: the span tests pin, on six grid shapes, which
-collectives an iteration holds and on which communicator, and the ledger
-tests pin the step counts that follow.  PRUNE filters after each hop, so a
-last column hop may carry only pruned trees; the next fold's counts then
-end the phase, and the corner tests pin that loop test.  The frontier is
-kept expanded (identical down each grid column), so the bit-equality matrix
-covers ``rowcomm`` and ``colcomm`` of different sizes, degenerate 1-wide
-grids, empty blocks, every Step-1 direction, both backends and PRUNE on and
-off.  The three fingerprints at the bottom are the parent schedule's
-results on the end-to-end benchmark's inputs, next to this schedule's
-latency steps per rank.
+One iteration is two exchanges — the fold along the grid row, which lands
+each row on its home (the rank sitting in its mate's column block; a free
+row on every rank of the grid row), and a column hop to the next frontier,
+the path ends riding along — so its cost is countable: the span tests pin,
+on six grid shapes, which collectives an iteration holds and on which
+communicator, and the ledger tests pin the step counts that follow.  The
+column hop's counts cover one grid column, so the fold's counts end every
+phase: the corner tests pin that loop test.  The frontier is kept expanded
+(identical down each grid column), so the bit-equality matrix covers
+``rowcomm`` and ``colcomm`` of different sizes, degenerate 1-wide grids,
+empty blocks, every Step-1 direction, both backends and PRUNE on and off;
+the corner tests add a free row reached from two column blocks at once, a
+row block left entirely free, a resume from a checkpoint and a corrupted
+replica under ``verify=True``.  The three fingerprints at the bottom are
+the parent schedule's results on the end-to-end benchmark's inputs, next to
+this schedule's latency steps per rank.
 """
 
 import sys
@@ -56,11 +59,17 @@ def _shape(comms):
     return [(c.name, c.args["peers"]) for c in comms]
 
 
+def _bfs_phases(stats, coo):
+    """Phases that ran a BFS: all but a last one that began with every
+    column matched (its frontier is empty, so it folds nothing)."""
+    return stats.phases - (stats.final_cardinality == coo.ncols)
+
+
 # -- (a) span and ledger shape ---------------------------------------------------
 
 
 @pytest.mark.parametrize("pr,pc", GRIDS)
-def test_iteration_is_three_exchanges(pr, pc):
+def test_iteration_is_two_exchanges(pr, pc):
     p = pr * pc
     coo = er(6, seed=1)
     # init="none" + augment="path": every all-to-all of the job is a BFS one
@@ -72,28 +81,30 @@ def test_iteration_is_three_exchanges(pr, pc):
 
     # the α-β formula at (α, β) = (1, 0) is the iteration's latency steps
     per_iter = msbfs_iteration(pr, pc, 1.0, 0.0, 0.0, 0.0)
-    assert per_iter == 2 * (pc - 1) + _log2ceil(pr)
+    assert per_iter == (pc - 1) + _log2ceil(pr)
     iters = _span_comms(stats.trace, "bfs_iter")
     assert len(iters) == p * stats.iterations
     for comms in iters:
         # no grid-communicator call is left in the loop
-        assert _shape(comms) == [("alltoall", pc), ("alltoall", pc), ("allgather", pr)]
+        assert _shape(comms) == [("alltoall", pc), ("allgather", pr)]
         assert sum(c.args["steps"] for c in comms) == per_iter
 
-    # the only all-to-alls outside an iteration are the loop tests' folds
+    # the only all-to-alls outside an iteration are the loop tests' folds,
+    # exactly one per phase that ran a BFS
     tests = _span_comms(stats.trace, "loop_test")
+    assert len(tests) == p * _bfs_phases(stats, coo)
     assert all(_shape(comms) == [("alltoall", pc)] for comms in tests)
     assert _total(stats, "steps", "alltoall") == (
-        (p * stats.iterations * 2 + len(tests)) * (pc - 1)
+        (p * stats.iterations + len(tests)) * (pc - 1)
     )
 
 
 #: K(2,2) from the empty matching.  Phase 1: both rows pick column 0 (the
 #: minimum parent), so it augments (row 0, column 0).  Phase 2 is one tree,
 #: rooted at column 1: it reaches free row 1 — its path end — and matched
-#: row 0, whose mate, column 0, is its only next-frontier entry.  On any grid
-#: that puts rows 0 and 1 on different ranks that entry leaves its rank
-#: before the path end is known there, and is pruned only after a hop.
+#: row 0, whose mate, column 0, is its only next-frontier entry, pruned
+#: (before the column hop on the ranks of row 0's grid row, after it on
+#: the others).  Phase 3 begins with both columns matched.
 K22 = COO(2, 2, np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]))
 
 
@@ -114,19 +125,20 @@ def test_a_last_hop_of_pruned_trees_costs_one_fold(pr, pc):
 
     stats, tests = _loop_tests(pr, pc, prune=True)
     assert (stats.phases, stats.iterations) == (ref.phases, ref.iterations) == (3, 2)
-    # one empty fold per rank, in its own span, outside every iteration
-    assert [_shape(comms) for comms in tests] == [[("alltoall", pc)]] * (pr * pc)
+    # one empty fold per rank and BFS phase, in its own span, outside every
+    # iteration: the count riding it is the only word to each row peer
+    assert [_shape(comms) for comms in tests] == [[("alltoall", pc)]] * (2 * pr * pc)
     assert all(c.args["words"] == pc - 1 for comms in tests for c in comms)
-    # on one rank the entry never leaves: the rank's own path end prunes it
-    assert not _loop_tests(1, 1, prune=True)[1]
 
 
 @pytest.mark.parametrize("pr,pc", [(1, 1), (1, 2), (2, 2), (2, 3)])
 @pytest.mark.parametrize("name", ["K22", "er6"])
-def test_unpruned_runs_never_pay_the_loop_test(name, pr, pc):
+def test_every_bfs_phase_ends_on_one_loop_test(name, pr, pc):
     coo = K22 if name == "K22" else er(6, seed=1)
-    stats, tests = _loop_tests(pr, pc, prune=False, coo=coo)
-    assert stats.iterations > 0 and not tests
+    for prune in (True, False):
+        stats, tests = _loop_tests(pr, pc, prune=prune, coo=coo)
+        assert stats.iterations > 0
+        assert len(tests) == pr * pc * _bfs_phases(stats, coo), prune
 
 
 def _setup_allreduce_calls(coo, pr, pc):
@@ -216,20 +228,114 @@ def test_crash_every_phase_on_2x3_recovers_the_mates(tmp_path):
     assert st.final_cardinality == st_ok.final_cardinality
 
 
-# -- (c) the parent schedule's results on the end-to-end benchmark's inputs ----
+# -- (c) the corners the home fold creates ------------------------------------
+
+#: From the empty matching the first frontier is every column, and row 0 —
+#: free — is reached from columns 0 and 3, two column blocks on any grid
+#: with pc > 1, in the same iteration: every rank of its grid row must reduce
+#: the same two candidates to the same π, which the augment then reads.
+FREE_TWICE = COO(4, 4, np.array([0, 0, 1, 1, 2, 2, 3]), np.array([0, 3, 0, 1, 1, 2, 3]))
+#: Rows 4..7 are adjacent to columns 0..3, row r < 4 to column r and row 0
+#: to column 4 as well.  Phase 1 matches row r to column r; phase 2's one
+#: path (column 4, row 0, column 0, row 4) ends in rows 4..7 — a row block
+#: with no match at all on a 2-row grid (rows 6..7 on a 3-row one).
+BLOCK_FREE = COO(
+    8, 5,
+    np.array([0, 1, 2, 3, 0, *np.repeat(np.arange(4, 8), 4)]),
+    np.array([0, 1, 2, 3, 4, *np.tile(np.arange(4), 4)]),
+)
+CORNERS = {"free_twice": FREE_TWICE, "block_free": BLOCK_FREE}
+
+
+@pytest.mark.parametrize(
+    "pr,pc,backend",
+    [(pr, pc, "thread") for pr, pc in [(1, 2), (2, 1), (2, 2), (3, 2), (2, 3)]]
+    + [(2, 2, "process"), (3, 2, "process")],
+)
+@pytest.mark.parametrize("name", sorted(CORNERS))
+def test_home_fold_corners_equal_a_1x1_run(name, pr, pc, backend):
+    coo = CORNERS[name]
+    for init in ("none", "greedy"):
+        for prune in (True, False):
+            for augment in ("level", "path"):
+                kw = dict(init=init, prune=prune, augment=augment, timeout=60)
+                ref_r, ref_c, ref = run_mcm_dist(coo, 1, 1, **kw)
+                mate_r, mate_c, st = run_mcm_dist(coo, pr, pc, backend=backend, **kw)
+                msg = f"init={init} prune={prune} augment={augment}"
+                np.testing.assert_array_equal(mate_r, ref_r, err_msg=msg)
+                np.testing.assert_array_equal(mate_c, ref_c, err_msg=msg)
+                assert (st.phases, st.iterations, st.edges_examined) == (
+                    ref.phases, ref.iterations, ref.edges_examined
+                ), msg
+    assert ref.phases >= 2
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_resume_into_a_later_phase_rebuilds_the_replica(tmp_path, backend):
+    from repro.runtime.checkpoint import FileCheckpointStore
+    from repro.runtime.faults import FaultPlan
+
+    coo = er(6, seed=1)
+    ref_r, ref_c, ref = run_mcm_dist(coo, 1, 1, init="none", timeout=60)
+    assert ref.phases > 3
+    mate_r, mate_c, st = run_mcm_dist(
+        coo, 2, 2, init="none", backend=backend, timeout=60,
+        faults=FaultPlan.parse("crash:rank=any,at=phase:3", seed=0),
+        checkpoint_store=FileCheckpointStore(tmp_path / "ckpt"), max_restarts=2,
+    )
+    # died entering phase 3, resumed from phase 2's snapshot: nothing replayed
+    assert st.restart_spans == ((0, 3),) and st.phases_replayed == 0
+    np.testing.assert_array_equal(mate_r, ref_r)
+    np.testing.assert_array_equal(mate_c, ref_c)
+    assert st.final_cardinality == ref.final_cardinality
+
+
+def test_verify_names_a_stale_mate_replica(monkeypatch):
+    from repro.matching import mcm_dist
+
+    coo = er(6, seed=1)
+    plain = run_mcm_dist(coo, 2, 2, init="none", timeout=10)[2]
+    # the check costs no communication: a clean verified run's ledger is
+    # the unverified one's
+    verified = run_mcm_dist(coo, 2, 2, init="none", verify=True, timeout=10)[2]
+    assert verified.comm_by_alg == plain.comm_by_alg
+
+    # with no initializer the engine's only row allgathers are the
+    # refreshes; rank 3 loses the first update it sends itself, so one
+    # replica entry keeps its old mate
+    allgather = mcm_dist.allgather_arrays
+
+    def drop_one(comm, *arrays):
+        pieces = allgather(comm, *arrays)
+        own = pieces[comm.rank]
+        if comm.global_rank == 3 and own[0].size and not dropped:
+            pieces[comm.rank] = tuple(a[1:] for a in own)
+            dropped.append(int(own[0][0]))
+        return pieces
+
+    dropped = []
+    monkeypatch.setattr(mcm_dist, "allgather_arrays", drop_one)
+    with pytest.raises(RuntimeError, match=r"rank 3, phase 2: .* for row (\d+), its owner"
+                       ) as err:
+        run_mcm_dist(coo, 2, 2, init="none", verify=True, timeout=10)
+    assert f"for row {dropped[0]}," in str(err.value)
+
+
+# -- (d) the parent schedule's results on the end-to-end benchmark's inputs ----
 
 E2E = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e"
 ROAD = ("4ea672d81d8b29f511b3dad5c89354d05a304109ddfad2792cbef9e6cf336d48",
         (9, 408, 141_177, 5_840))
 #: the results, then this schedule's latency steps per rank (the parent's:
-#: 2,268 / 1,625 / 310 — each iteration paid a grid allgather of path ends)
+#: 1,453 / 1,218 / 241 — each iteration paid a row hop beside the fold and
+#: the column hop, and each augment level four hops)
 PARENT_FINGERPRINTS = [
-    pytest.param("mcm_deep_t4", 2, 2, *ROAD, 1_453, id="road-2x2"),
-    pytest.param("mcm_deep_t4", 1, 2, *ROAD, 1_218, id="road-1x2"),
+    pytest.param("mcm_deep_t4", 2, 2, *ROAD, 1_020, id="road-2x2"),
+    pytest.param("mcm_deep_t4", 1, 2, *ROAD, 641, id="road-1x2"),
     pytest.param(
         "mcm_bulk_t4", 2, 2,
         "c3161e8eb5b7fe7382b39361063e94a6baf6bec9e3e93832d8aaea452bf32c7d",
-        (9, 35, 4_520_751, 32_832), 241, id="er15-2x2",
+        (9, 35, 4_520_751, 32_832), 208, id="er15-2x2",
     ),
 ]
 

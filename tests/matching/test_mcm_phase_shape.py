@@ -3,7 +3,7 @@ the bit-equality of the results that shape must not touch.
 
 Sibling of ``test_mcm_iteration_shape.py``: a path-parallel phase is two
 barriers on one window that lives for the whole run, a level of the
-level-parallel augment is four row/column all-to-alls, an initializer round
+level-parallel augment is three row/column all-to-alls, an initializer round
 is three row/column allgathers, and the path count needs no reduction — so
 the span tests pin, on six grid shapes, which collectives each of those
 spans holds and on which communicator, with the step counts that follow
@@ -82,24 +82,27 @@ def test_path_phase_is_two_barriers_on_one_window(pr, pc):
 
 
 @pytest.mark.parametrize("pr,pc", GRIDS)
-def test_level_is_four_row_column_hops(pr, pc):
-    p = pr * pc
+def test_level_is_three_row_column_hops(pr, pc):
     stats = _traced(pr, pc, init="none", augment="level")
     assert stats.augment_level_calls >= 2 and stats.augment_path_calls == 0
-    # to the mate_r owner (column hop, row hop), to the mate_c owner (row
-    # hop, column hop); the call ends on the first leg that finds no path live
-    level = [("alltoall", pr), ("alltoall", pc), ("alltoall", pc), ("alltoall", pr)]
-    per_level = 2 * (pr - 1) + 2 * (pc - 1)
+    # the mate_r write to the owner and (c, r) to c's column block (row
+    # hop), on to the mate_c owner (column hop), the old mate to its home
+    # (column hop); the call ends on the row hop that finds no path live
+    level = [("alltoall", pc), ("alltoall", pr), ("alltoall", pr)]
+    per_level = (pc - 1) + 2 * (pr - 1)
     for spans, comms, grid_id in _per_rank(stats.trace):
         calls = [sp for sp in spans if sp.name == "augment:level"]
         assert len(calls) == stats.augment_level_calls
         for call in calls:
             inside = _inside(call, comms)
-            levels, closing = divmod(len(inside), 4)
-            assert levels >= 1 and closing == 2
-            assert _shape(inside) == level * levels + level[:2]
-            assert grid_id not in {c.args["comm"] for c in inside}
-            assert _steps(inside) == levels * per_level + (pr - 1) + (pc - 1)
+            levels, closing = divmod(len(inside), 3)
+            assert levels >= 1 and closing == 1
+            assert _shape(inside) == level * levels + level[:1]
+            # one row communicator, one column communicator, never the grid's
+            ids = [c.args["comm"] for c in inside]
+            row, col = ids[0], ids[1]
+            assert ids == [row, col, col] * levels + [row] and grid_id not in {row, col}
+            assert _steps(inside) == levels * per_level + (pc - 1)
 
 
 @pytest.mark.parametrize("init", ["greedy", "mindegree", "karp-sipser"])

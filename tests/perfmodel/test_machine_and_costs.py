@@ -188,17 +188,17 @@ def test_single_process_dispatched_collectives_free():
 
 @pytest.mark.parametrize("pr,pc", [(2, 2), (2, 3), (1, 4)])
 def test_msbfs_iteration_matches_a_real_ledger(pr, pc):
-    """``msbfs_iteration`` is three priced exchanges; at (α, β) = (1, 0) it
+    """``msbfs_iteration`` is two priced exchanges; at (α, β) = (1, 0) it
     is the latency steps every rank's ledger charges inside one ``bfs_iter``
     span of a real run."""
     from repro.graphs.rmat import er
     from repro.matching.mcm_dist import run_mcm_dist
 
     per_iter = C.msbfs_iteration(pr, pc, 1.0, 0.0, 0.0, 0.0)
-    assert per_iter == 2 * (pc - 1) + (pr - 1).bit_length()
-    # fold + row hop + column hop of pr·hop words
+    assert per_iter == (pc - 1) + (pr - 1).bit_length()
+    # fold + column hop of pr·hop words
     assert C.msbfs_iteration(pr, pc, 0.0, 1.0, 5.0, 3.0) == pytest.approx(
-        5.0 + 3.0 + 3.0 * (pr - 1)
+        5.0 + 3.0 * (pr - 1)
     )
 
     _, _, stats = run_mcm_dist(er(6, seed=1), pr, pc, direction="topdown",
@@ -212,8 +212,8 @@ def test_msbfs_iteration_matches_a_real_ledger(pr, pc):
         assert sum(sp.args["steps"] for sp in inside("bfs_iter")) == (
             stats.iterations * per_iter
         )
-        # a fold after a last hop of pruned trees is the loop test, priced
-        # apart from the iterations: one row all-to-all, nothing else
+        # the fold that ends a phase is the loop test, priced apart from the
+        # iterations: one row all-to-all, nothing else
         assert {(sp.name, sp.args["peers"]) for sp in inside("loop_test")} <= {
             ("alltoall", pc)
         }
