@@ -2,10 +2,9 @@
 
 The helpers encode the vocabulary of the simulated MPI runtime: which method
 names are collective (every rank of the communicator must call them, in the
-same order), which are point-to-point with a user tag, which are one-sided
-window accesses, and what makes an expression *rank-dependent* (its value can
-differ across ranks of the same job, so control flow guarded by it can
-diverge).
+same order), which are one-sided window accesses, and what makes an
+expression *rank-dependent* (its value can differ across ranks of the same
+job, so control flow guarded by it can diverge).
 """
 
 from __future__ import annotations
@@ -17,23 +16,21 @@ from typing import Iterator
 #: these under rank-divergent control flow is the classic SPMD deadlock.
 COLLECTIVE_METHODS = frozenset({
     "barrier", "bcast", "reduce", "allreduce",
-    "gather", "gatherv", "scatter", "scatterv",
+    "gather", "scatter",
     "allgather", "allgatherv", "alltoall", "alltoallv",
-    "scan", "exscan", "split", "fence", "free",
+    "split", "fence", "free",
 })
 
 #: Constructors that are collective calls (``Window(comm, ...)``).
 COLLECTIVE_CONSTRUCTORS = frozenset({"Window"})
 
-#: Point-to-point methods (they accept a user ``tag``).
-TAGGED_METHODS = frozenset({
-    "send", "recv", "recv_with_status", "probe", "sendrecv",
-})
+#: Point-to-point sends.  The runtime has none, but ``send`` stays: the
+#: seeded engine mutation ``hop-as-sends-over-a-set`` (an all-to-all hop
+#: rewritten as sends in set order) must still be flagged SPMD601.
+TAGGED_METHODS = frozenset({"send"})
 
 #: One-sided accesses on a :class:`repro.runtime.rma.Window`.
-RMA_ACCESS_METHODS = frozenset({
-    "get", "put", "accumulate", "fetch_and_op", "compare_and_swap",
-})
+RMA_ACCESS_METHODS = frozenset({"get", "put", "fetch_and_op"})
 
 #: ``random`` module attributes that are fine in SPMD code (seeding,
 #: constructing an explicitly-seeded generator, state manipulation).

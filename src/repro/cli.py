@@ -25,8 +25,9 @@ Commands
 
 ``lint``
     Statically analyze Python sources for SPMD correctness hazards:
-    collectives under rank-divergent control flow, reserved user tags,
-    RMA accesses outside fence epochs, unseeded per-rank randomness.
+    collectives under rank-divergent control flow, RMA accesses outside
+    fence epochs, unseeded per-rank randomness, order- and clock-dependent
+    results, payloads and entry points a process backend cannot pickle.
 """
 
 from __future__ import annotations

@@ -47,13 +47,8 @@ def degraded_params(
     return alpha * fa, beta * fb
 
 
-def p2p(alpha: float, beta: float, words: float) -> float:
-    """One point-to-point message of ``words`` 8-byte words."""
-    return alpha + beta * words
-
-
 def rma_op(alpha: float, beta: float, words: float = 1.0) -> float:
-    """One one-sided Get/Put/Accumulate/Fetch-and-op of ``words`` words.
+    """One one-sided Get/Put/Fetch-and-op of ``words`` words.
 
     The paper charges 3(α+β) for the three RMA calls of one path-parallel
     augmentation step; each call here is α + βw with w = 1.

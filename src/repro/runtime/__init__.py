@@ -1,16 +1,18 @@
 """Simulated message-passing runtime (an in-process "MPI").
 
-The paper's algorithms are written against MPI semantics: two-sided
-point-to-point messages, bulk-synchronous collectives (broadcast, gather,
-allgather, personalized all-to-all, reductions, scans) and one-sided Remote
-Memory Access (RMA) windows with ``get``/``put``/``accumulate``/
-``fetch_and_op``.  On the reproduction platform there is no MPI and no
-multi-node machine, so this package provides those semantics *exactly* inside
-a single process: every simulated rank is an OS thread running the user's
-SPMD function, connected to its peers through a :class:`~repro.runtime.fabric.Fabric`
-of mailboxes.  Data really moves between per-rank buffers; nothing is shared
-behind the API's back, which is what makes the distributed algorithms built
-on top of it (``repro.distmat``) honest distributed-memory code.
+The paper's algorithms communicate through MPI collectives along grid rows
+and columns (broadcast, gather, scatter, allgather, personalized all-to-all,
+reductions) and, for the path-parallel augmentation, one-sided Remote Memory
+Access (RMA) windows with ``get``/``put``/``fetch_and_op``.  That is the
+whole vocabulary here: the runtime offers no point-to-point calls, because
+no engine makes one.  On the reproduction platform there is no MPI and no
+multi-node machine, so this package provides those semantics *exactly*:
+every simulated rank is an OS thread (or, with ``backend="process"``, a
+forked process) running the user's SPMD function, connected to its peers
+through a fabric of mailboxes (or shared-memory rings).  Data really moves
+between per-rank buffers; nothing is shared behind the API's back, which is
+what makes the distributed algorithms built on top of it (``repro.distmat``)
+honest distributed-memory code.
 
 Entry points
 ------------
@@ -37,20 +39,8 @@ from .errors import (
     TransientCommError,
     WindowError,
 )
-from .fabric import CollectiveTrace, Fabric, ANY_SOURCE, ANY_TAG
-from .comm import (
-    BAND,
-    BOR,
-    LAND,
-    LOR,
-    MAX,
-    MIN,
-    PROD,
-    SUM,
-    Communicator,
-    CommStats,
-    ReduceOp,
-)
+from .fabric import CollectiveTrace, Fabric
+from .comm import SUM, Communicator, CommStats, ReduceOp
 from .pack import pack_arrays, pack_indices, unpack_arrays, unpack_indices
 from .rma import RmaAccessLog, Window
 from .trace import DistTrace, Span, TraceError, Tracer, make_trace_clock, tspan
@@ -66,11 +56,7 @@ from .executor import (
 from .transport import BACKENDS, SpmdJob, Transport, get_transport
 
 __all__ = [
-    "ANY_SOURCE",
-    "ANY_TAG",
     "BACKENDS",
-    "BAND",
-    "BOR",
     "CRASH_GROUPS",
     "Checkpoint",
     "CheckpointStore",
@@ -88,11 +74,6 @@ __all__ = [
     "FaultPlan",
     "FaultPlanError",
     "FileCheckpointStore",
-    "LAND",
-    "LOR",
-    "MAX",
-    "MIN",
-    "PROD",
     "RECOVERABLE_ERRORS",
     "RankKilledError",
     "ReduceOp",

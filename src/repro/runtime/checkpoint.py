@@ -26,7 +26,6 @@ import json
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
@@ -34,10 +33,6 @@ import numpy as np
 @dataclass(frozen=True)
 class Checkpoint:
     """One phase-boundary snapshot of the matching state.
-
-    ``rng_state`` is carried for initializers/algorithms that consume
-    randomness (None for the deterministic MCM-DIST pipeline) so a resumed
-    run replays the same random stream.
 
     ``aux`` carries algorithm-specific dense state beyond the mate vectors
     — the weighted auction engine checkpoints its item prices here (the
@@ -50,7 +45,6 @@ class Checkpoint:
     phase: int
     mate_row: np.ndarray
     mate_col: np.ndarray
-    rng_state: Any = None
     aux: "dict[str, np.ndarray] | None" = None
 
     @property
@@ -82,10 +76,6 @@ class CheckpointStore:
     def latest(self) -> Checkpoint | None:
         with self._lock:
             return self._latest
-
-    def clear(self) -> None:
-        with self._lock:
-            self._latest = None
 
 
 class FileCheckpointStore(CheckpointStore):
@@ -193,12 +183,6 @@ class FileCheckpointStore(CheckpointStore):
                     mate_col=data["mate_col"],
                     aux=aux or None,
                 )
-
-    def clear(self) -> None:
-        with self._flock():
-            for n in os.listdir(self.directory):
-                if n.startswith("ck_phase") or n == self._COUNTERS:
-                    os.unlink(os.path.join(self.directory, n))
 
 
 __all__ = ["Checkpoint", "CheckpointStore", "FileCheckpointStore"]

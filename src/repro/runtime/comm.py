@@ -1,9 +1,10 @@
 """MPI-like communicators over the simulated fabric.
 
-Every collective below is implemented on top of the two-sided ``send`` /
-``recv`` primitives, with the latency-aware algorithm production MPIs pick
-for small payloads (Thakur et al.'s MPICH optimization work, which the
-paper credits — via CombBLAS — for the 2D SpMV's scalability):
+Every collective below is implemented on top of the fabric's tagged
+``deliver`` / ``collect`` primitives, with the latency-aware algorithm
+production MPIs pick for small payloads (Thakur et al.'s MPICH optimization
+work, which the paper credits — via CombBLAS — for the 2D SpMV's
+scalability):
 
 ============  =====================  =======================
 collective    algorithm              α-β cost
@@ -14,9 +15,8 @@ reduce        binomial tree          (α + βW)·⌈log₂p⌉
 allreduce     recursive doubling     (α + βW)·~⌈log₂p⌉
 allgather(v)  dissemination (Bruck)  α⌈log₂p⌉ + βW(p-1)/p
 alltoall(v)   pairwise exchange      α(p-1) + βW
-gather(v)     direct to root         α(p-1) + βW at root
-scatter(v)    direct from root       α(p-1) + βW at root
-exscan/scan   linear chain           α(p-1)
+gather        direct to root         α(p-1) + βW at root
+scatter       direct from root       α(p-1) + βW at root
 ============  =====================  =======================
 
 The six round-based algorithms keep no peer arithmetic here: *who talks
@@ -64,17 +64,18 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .errors import CollectiveMismatchError, CommError, TransientCommError
-from .fabric import ANY_SOURCE, ANY_TAG, Fabric, _RESERVED_TAG_BASE
+from .errors import CollectiveMismatchError, TransientCommError
+from .fabric import ANY_SOURCE, Fabric
 from .schedules import LEFT, REPLACE, binomial, dissemination, doubling, pairwise, swap
 
 
 class ReduceOp:
-    """A named, associative reduction operator usable by reduce/allreduce/scan.
+    """A named, associative reduction operator usable by reduce/allreduce.
 
     ``fn`` combines two values (scalars or NumPy arrays of equal shape) and
     must be associative; commutativity is also assumed, as in MPI's built-in
-    operators.
+    operators.  The runtime predefines only :data:`SUM`, the one operator
+    the engines reduce with.
     """
 
     def __init__(self, name: str, fn: Callable[[Any, Any], Any]) -> None:
@@ -89,13 +90,6 @@ class ReduceOp:
 
 
 SUM = ReduceOp("sum", lambda a, b: a + b)
-PROD = ReduceOp("prod", lambda a, b: a * b)
-MIN = ReduceOp("min", lambda a, b: np.minimum(a, b))
-MAX = ReduceOp("max", lambda a, b: np.maximum(a, b))
-LAND = ReduceOp("land", lambda a, b: np.logical_and(a, b))
-LOR = ReduceOp("lor", lambda a, b: np.logical_or(a, b))
-BAND = ReduceOp("band", lambda a, b: a & b)
-BOR = ReduceOp("bor", lambda a, b: a | b)
 
 
 #: Smallest communicator that runs the hub/star physical plan.  A star
@@ -123,7 +117,7 @@ class CommStats:
     is the algorithm's sequential round count (the latency term the α-β
     model charges), identical on every rank.
 
-    ``messages_sent``/``words_sent``/``by_op``/``by_alg`` are the
+    ``messages_sent``/``words_sent``/``by_alg`` are the
     **logical** ledger: they count the algorithm's schedule and
     are invariant under aggregation.  ``frames``/``frame_words`` are the
     **physical** ledger: actual fabric deposits/ring writes.  On a
@@ -134,7 +128,6 @@ class CommStats:
 
     messages_sent: int = 0
     words_sent: int = 0
-    by_op: dict[str, int] = field(default_factory=dict)
     by_alg: dict[str, dict[str, int]] = field(default_factory=dict)
     #: physical frames this rank put on the fabric, and the payload words
     #: they carried (>= words_sent under the hub plans: star waves move
@@ -147,14 +140,10 @@ class CommStats:
     retries: int = 0
     retries_by_op: dict[str, int] = field(default_factory=dict)
 
-    def record(self, op: str, payload: Any) -> int:
-        """Count one message; returns its payload word count so callers can
-        price it without measuring the payload twice."""
-        words = _payload_words(payload)
+    def record(self, words: int) -> None:
+        """Count one logical message of ``words`` payload words."""
         self.messages_sent += 1
         self.words_sent += words
-        self.by_op[op] = self.by_op.get(op, 0) + 1
-        return words
 
     def record_alg(self, op: str, alg: str, messages: int, words: int, steps: int) -> None:
         d = self.by_alg.setdefault(
@@ -197,18 +186,6 @@ def _payload_sig(payload: Any) -> tuple:
     return (type(payload).__name__,)
 
 
-def _check_user_tag(tag: int, *, wildcard_ok: bool) -> None:
-    """Reject user tags that collide with the reserved collective space."""
-    if wildcard_ok and tag == ANY_TAG:
-        return
-    if not 0 <= tag < _RESERVED_TAG_BASE:
-        raise CommError(
-            f"user tag {tag} is outside the valid range [0, {_RESERVED_TAG_BASE}): "
-            f"tags >= {_RESERVED_TAG_BASE} (1 << 30) are reserved for collective "
-            "operations" + (" and negative tags are not wildcards here" if tag < 0 else "")
-        )
-
-
 def _freeze(payload: Any) -> Any:
     """Copy a payload at send time so sender-side mutation after ``send``
     returns can never be observed by the receiver (wire semantics)."""
@@ -242,14 +219,12 @@ def _doubling_fold(vals: "list[Any]", op: "ReduceOp") -> Any:
 
 
 class Request:
-    """Waitable handle of a nonblocking operation (``isend``/``irecv``/
-    ``iallreduce``).
+    """Waitable handle of a nonblocking collective (``iallreduce``).
 
-    ``wait()`` blocks until completion and returns the operation's value
-    (``None`` for sends); ``test()`` is a nonblocking completion poll.
-    Collective requests follow MPI discipline: every rank of the
-    communicator must post and wait them in the same order relative to
-    its other collectives.
+    ``wait()`` blocks until completion and returns the operation's value;
+    ``test()`` is a nonblocking completion poll.  Requests follow MPI
+    discipline: every rank of the communicator must post and wait them in
+    the same order relative to its other collectives.
     """
 
     def test(self) -> bool:  # pragma: no cover - interface default
@@ -257,21 +232,6 @@ class Request:
 
     def wait(self) -> Any:  # pragma: no cover - interface default
         return None
-
-
-class _DoneRequest(Request):
-    """Already-complete request (buffered isend, singleton collectives)."""
-
-    __slots__ = ("_value",)
-
-    def __init__(self, value: Any = None) -> None:
-        self._value = value
-
-    def test(self) -> bool:
-        return True
-
-    def wait(self) -> Any:
-        return self._value
 
 
 class _DeferredRequest(Request):
@@ -295,31 +255,6 @@ class _DeferredRequest(Request):
         if not self._done:
             self._value = self._run()
             self._run = None
-            self._done = True
-        return self._value
-
-
-class _RecvRequest(Request):
-    """Nonblocking receive: completion is a mailbox probe."""
-
-    __slots__ = ("_comm", "_source", "_tag", "_done", "_value")
-
-    def __init__(self, comm: "Communicator", source: int, tag: int) -> None:
-        self._comm = comm
-        self._source = source
-        self._tag = tag
-        self._done = False
-        self._value = None
-
-    def test(self) -> bool:
-        if not self._done and self._comm.probe(self._source, self._tag):
-            self._value = self._comm.recv(self._source, self._tag)
-            self._done = True
-        return self._done
-
-    def wait(self) -> Any:
-        if not self._done:
-            self._value = self._comm.recv(self._source, self._tag)
             self._done = True
         return self._value
 
@@ -431,35 +366,11 @@ class Communicator:
         self._alltoall_rounds = pairwise(self.size, rank)
         self._bcast_rounds: dict[int, list[tuple]] = {}  # by root, on first use
 
-    # -- point to point -----------------------------------------------------
+    # -- the wire -------------------------------------------------------------
 
     @property
     def global_rank(self) -> int:
         return self.group[self.rank]
-
-    def send(self, dest: int, payload: Any, tag: int = 0) -> None:
-        """Deposit ``payload`` into communicator-rank ``dest``'s mailbox.
-
-        Buffered semantics: the call returns once the (copied) payload is in
-        flight, it never blocks on the receiver.
-        """
-        self._p2p_send("send", dest, payload, tag)
-
-    def _p2p_send(self, opname: str, dest: int, payload: Any, tag: int) -> None:
-        """The body ``send`` and ``isend`` share; they differ only in the
-        name their span and ``by_alg`` row carry."""
-        _check_user_tag(tag, wildcard_ok=False)
-        tok = self._trace_begin(opname, dest=dest, tag=tag)
-        before = self._begin_alg()
-        # A serializing fabric (process backend) encodes the payload onto a
-        # real wire inside ``deliver`` — that encoding IS the copy, so the
-        # defensive freeze would be a second, redundant one.
-        if not self.fabric.serializes:
-            payload = _freeze(payload)
-        words = self.stats.record("p2p", payload)
-        self._deliver_with_faults(self.group[dest], tag, payload, "p2p", words)
-        self._end_alg(opname, "p2p", before, 1)
-        self._trace_end(tok, "p2p", 1)
 
     def _fault_sleep(self, seconds: float, category: str) -> None:
         """Sleep injected adversity time, visible in traces.
@@ -484,21 +395,6 @@ class Communicator:
             rank=self.global_rank,
             seconds=seconds,
         )
-
-    def _deliver_with_faults(
-        self, dest_global: int, tag: int, payload: Any, op: str, words: int,
-    ) -> None:
-        """Deliver one envelope, absorbing injected transient failures.
-
-        With no injector armed this is a single attribute check plus the
-        dispatch — the zero-cost-when-disabled path.  Under injection the
-        full per-message fault protocol (:meth:`_fault_effects`) runs
-        first.
-        """
-        reorder_u = None
-        if self.fabric.faults is not None:
-            reorder_u = self._fault_effects(op, dest_global)
-        self._dispatch(dest_global, tag, payload, reorder_u, words)
 
     def _fault_effects(self, op: str, dest_global: int) -> "float | None":
         """Run the injector's per-message protocol for one *logical*
@@ -540,82 +436,39 @@ class Communicator:
         self.stats.record_frame(words)
         self.fabric.deliver(self.global_rank, dest_global, tag, payload, reorder_u)
 
-    def _logical_send(self, op: str, dest: int, words: int) -> None:
-        """Ledger one message of an unaggregated schedule the physical
-        plan replaces: logical counters and the full per-message fault
-        protocol fire exactly as the round-based send would; only the
-        physical delivery is elided.  ``dest`` is a communicator rank."""
-        stats = self.stats
-        stats.messages_sent += 1
-        stats.words_sent += words
-        stats.by_op[op] = stats.by_op.get(op, 0) + 1
-        if self.fabric.faults is not None:
-            self._fault_effects(op, self.group[dest])
-
-    def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any:
-        """Block until a message matching (source, tag) arrives; return its
-        payload.  ``source`` is a communicator rank or ``ANY_SOURCE``."""
-        _check_user_tag(tag, wildcard_ok=True)
-        src_global = ANY_SOURCE if source == ANY_SOURCE else self.group[source]
-        return self.fabric.collect(self.global_rank, src_global, tag).payload
-
-    def recv_with_status(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> tuple[Any, int, int]:
-        """Like :meth:`recv` but also return ``(payload, source_rank, tag)``."""
-        _check_user_tag(tag, wildcard_ok=True)
-        src_global = ANY_SOURCE if source == ANY_SOURCE else self.group[source]
-        env = self.fabric.collect(self.global_rank, src_global, tag)
-        try:
-            src_local = self.group.index(env.source)
-        except ValueError:  # message from outside the group (shouldn't happen)
-            src_local = -1
-        return env.payload, src_local, env.tag
-
-    def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
-        _check_user_tag(tag, wildcard_ok=True)
-        src_global = ANY_SOURCE if source == ANY_SOURCE else self.group[source]
-        return self.fabric.probe(self.global_rank, src_global, tag)
-
-    def isend(self, dest: int, payload: Any, tag: int = 0) -> "Request":
-        """Nonblocking buffered send: the payload is captured (copied) and
-        on the fabric when this returns, so the returned request is already
-        complete and the buffer is reusable — MPI buffered-mode semantics."""
-        self._p2p_send("isend", dest, payload, tag)
-        return _DoneRequest()
-
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> "Request":
-        """Nonblocking receive: ``test()`` probes, ``wait()`` blocks and
-        returns the payload."""
-        _check_user_tag(tag, wildcard_ok=True)
-        return _RecvRequest(self, source, tag)
-
-    def sendrecv(self, dest: int, payload: Any, source: int, tag: int = 0) -> Any:
-        """Combined exchange: send to ``dest`` and receive from ``source``.
-
-        Because sends are buffered this cannot deadlock even when both sides
-        call it simultaneously, matching ``MPI_Sendrecv``.
-        """
-        self.send(dest, payload, tag)
-        return self.recv(source, tag)
+    def _logical_send(self, op: str, dest: int, words: int) -> "float | None":
+        """Ledger one message of a round-based schedule: logical counters
+        and the full per-message fault protocol (zero-cost when no injector
+        is armed).  Returns the reorder draw for a send that travels
+        (:meth:`_coll_send`); a physical plan that replaces the schedule
+        calls it alone.  ``dest`` is a communicator rank."""
+        self.stats.record(words)
+        if self.fabric.faults is None:
+            return None
+        return self._fault_effects(op, self.group[dest])
 
     # -- collective plumbing --------------------------------------------------
 
     def _coll_tag(self, seq: int) -> int:
-        # Python ints are unbounded, so packing (comm_id, seq) above the
-        # reserved base gives every collective *instance* its own tag: a
-        # wildcard receive inside one collective can never match a message
-        # belonging to a different collective or communicator.
-        return _RESERVED_TAG_BASE + (self.comm_id << 32) + seq
+        # Packing (comm_id, seq) gives every collective *instance* its own
+        # tag (:func:`~repro.runtime.fabric.split_tag` unpacks it): an
+        # any-source receive inside one collective can never match a
+        # message belonging to a different collective or communicator.
+        return (self.comm_id << 32) + seq
 
     def _coll_send(self, dest: int, payload: Any, opname: str, seq: int) -> None:
-        words = self.stats.record(opname, payload)
-        self._deliver_with_faults(
+        """One message of a walked schedule: its logical ledger, then the
+        wire."""
+        words = _payload_words(payload)
+        reorder_u = self._logical_send(opname, dest, words)
+        self._dispatch(
             self.group[dest],
             self._coll_tag(seq),
             # Copy at send time (wire semantics): receivers own their data.
             # A serializing fabric's ring encoding already makes that copy.
             (opname, self.comm_id, seq,
              payload if self.fabric.serializes else _freeze(payload)),
-            opname,
+            reorder_u,
             words,
         )
 
@@ -848,10 +701,6 @@ class Communicator:
                 self._coll_send(root, (self.rank, payload), "gather", seq)
         return out
 
-    def gatherv(self, payload: Any, root: int = 0) -> list[Any] | None:
-        """Alias of :meth:`gather` — variable-size payloads are natural here."""
-        return self.gather(payload, root)
-
     def scatter(self, payloads: Sequence[Any] | None, root: int = 0) -> Any:
         """Root distributes ``payloads[i]`` to rank ``i``; returns own piece."""
         with self._collective("scatter", "direct", self.size - 1, root=root) as seq:
@@ -919,7 +768,7 @@ class Communicator:
     # -- alltoall ---------------------------------------------------------------
 
     def alltoall(self, payloads: Sequence[Any]) -> list[Any]:
-        """Personalized all-to-all by pairwise exchange (p-1 sendrecv
+        """Personalized all-to-all by pairwise exchange (p-1 send-and-receive
         rounds, minimum volume): ``payloads[i]`` is destined for rank
         ``i``; returns the list of payloads received, indexed by source
         rank.
@@ -1059,33 +908,6 @@ class Communicator:
         ) as seq:
             own = self._allreduce_up(seq, rounds, payload)
         return _AllreduceRequest(self, seq, op, own)
-
-    def exscan(self, payload: Any, op: ReduceOp = SUM) -> Any:
-        """Exclusive prefix reduction along the rank chain.
-
-        Rank 0 receives ``None`` (no predecessor contribution); rank i
-        receives op-fold of payloads from ranks 0..i-1.
-        """
-        with self._collective(
-            "exscan", "chain", self.size - 1,
-            extra=(op.name,) + _payload_sig(payload), op=op.name,
-        ) as seq:
-            prefix = None
-            if self.rank > 0:
-                prefix = self._coll_recv(self.rank - 1, "exscan", seq)
-            if self.rank + 1 < self.size:
-                mine = _freeze(payload) if prefix is None else op(prefix, payload)
-                self._coll_send(self.rank + 1, mine, "exscan", seq)
-        return prefix
-
-    def scan(self, payload: Any, op: ReduceOp = SUM) -> Any:
-        """Inclusive prefix reduction along the rank chain.
-
-        Traced as its inner :meth:`exscan` (scan itself moves no extra
-        words, and a second span would double-count the chain's traffic).
-        """
-        prefix = self.exscan(payload, op)
-        return _freeze(payload) if prefix is None else op(prefix, payload)
 
     # -- communicator management ----------------------------------------------
 

@@ -1,12 +1,14 @@
 """The interconnect fabric: per-rank inboxes with (source, tag) matching.
 
 A fabric is the shared state connecting the ranks of one SPMD job.  Each
-rank owns an :class:`Inbox`; a ``send`` puts an immutable message envelope
-on the wire to the destination's inbox and a ``recv`` blocks until an
-envelope matching its ``(source, tag)`` selector is present.  Matching
-follows MPI ordering semantics: messages from the same (source, tag) pair are
-non-overtaking (delivered in send order), while messages from different
-sources may interleave arbitrarily.
+rank owns an :class:`Inbox`; ``deliver`` puts an immutable message envelope
+on the wire to the destination's inbox and ``collect`` blocks until an
+envelope matching its ``(source, tag)`` selector is present.  Every message
+belongs to one collective instance, and its tag packs that instance's
+``(comm id, collective seq)`` (:func:`split_tag`); the source may be the
+``ANY_SOURCE`` wildcard.  Matching follows MPI ordering semantics: messages
+from the same (source, tag) pair are non-overtaking (delivered in send
+order), while messages from different sources may interleave arbitrarily.
 
 :class:`BaseFabric` holds what is true of every wire — the inbox contract,
 the receive-side blocked record and wait accounting, the error texts — and
@@ -30,13 +32,14 @@ from typing import Any, NamedTuple, Sequence
 
 from .errors import CollectiveMismatchError, CommAbort, DeadlockError
 
-#: Wildcard selector accepted by ``recv``: match a message from any source.
+#: Wildcard source selector of ``collect``: match a message from any rank.
 ANY_SOURCE = -1
-#: Wildcard selector accepted by ``recv``: match a message with any tag.
-ANY_TAG = -1
 
-#: Tags at or above this value are reserved for collective operations.
-_RESERVED_TAG_BASE = 1 << 30
+
+def split_tag(tag: int) -> tuple[int, int]:
+    """``(comm id, collective seq)`` of a message tag — the inverse of
+    ``Communicator._coll_tag``."""
+    return tag >> 32, tag & 0xFFFFFFFF
 
 
 class Envelope(NamedTuple):
@@ -89,14 +92,11 @@ class Inbox:
         queue.insert(floor + int(reorder_u * (len(queue) + 1 - floor)), env)
 
     def find(self, source: int, tag: int) -> int:
-        """Index of the first queued envelope matching the (wildcardable)
-        ``(source, tag)`` selector, or -1."""
+        """Index of the first queued envelope with this ``tag`` from
+        ``source`` (or from any rank, for ``ANY_SOURCE``), or -1."""
         for i, env in enumerate(self.queue):
-            if source not in (ANY_SOURCE, env.source):
-                continue
-            if tag not in (ANY_TAG, env.tag):
-                continue
-            return i
+            if env.tag == tag and source in (ANY_SOURCE, env.source):
+                return i
         return -1
 
     def take(self, source: int, tag: int) -> "Envelope | None":
@@ -105,13 +105,12 @@ class Inbox:
         return self.queue.pop(i) if i >= 0 else None
 
     def take_strays(self) -> list[tuple[int, int]]:
-        """Remove the queued envelopes in the reserved collective tag space
-        and return their (source, tag) — nonempty after job end means ranks
+        """Remove every queued envelope and return its (source, tag) — all
+        traffic is collective, so anything left after job end means ranks
         entered mismatched collectives that happened to complete without
         blocking."""
-        strays = [(e.source, e.tag) for e in self.queue if e.tag >= _RESERVED_TAG_BASE]
-        if strays:
-            self.queue = [e for e in self.queue if e.tag < _RESERVED_TAG_BASE]
+        strays = [(e.source, e.tag) for e in self.queue]
+        self.queue = []
         return strays
 
 
@@ -137,14 +136,8 @@ def describe_blocked_entry(entry: "tuple | None") -> str:
         return "never blocked in the runtime (busy or stuck outside it)"
     _, source, tag = entry
     peer = "ANY_SOURCE" if source == ANY_SOURCE else f"rank {source}"
-    if tag >= _RESERVED_TAG_BASE:
-        packed = tag - _RESERVED_TAG_BASE
-        return (
-            f"collective recv from {peer} "
-            f"(comm {packed >> 32}, collective seq {packed & 0xFFFFFFFF})"
-        )
-    tag_s = "ANY_TAG" if tag == ANY_TAG else str(tag)
-    return f"recv(source={peer}, tag={tag_s})"
+    comm_id, seq = split_tag(tag)
+    return f"collective recv from {peer} (comm {comm_id}, collective seq {seq})"
 
 
 def _describe_signature(sig: tuple) -> str:
@@ -300,10 +293,11 @@ class BaseFabric:
         )
 
     def _deadlocked(self, rank: int, source: int, tag: int, inbox: Inbox) -> DeadlockError:
+        pending = [(e.source, *split_tag(e.tag)) for e in inbox.queue[:8]]
         return DeadlockError(
-            f"rank {rank}: recv(source={source}, tag={tag}) "
-            f"made no progress for {self.timeout:.1f}s; pending queue: "
-            f"{[(e.source, e.tag) for e in inbox.queue[:8]]}"
+            f"rank {rank}: {describe_blocked_entry(('recv', source, tag))} "
+            f"made no progress for {self.timeout:.1f}s; pending queue "
+            f"(source, comm, seq): {pending}"
         )
 
 
@@ -383,7 +377,7 @@ class Fabric(BaseFabric):
             return mb.inbox.find(source, tag) >= 0
 
     def take_strays(self, rank: int) -> list[tuple[int, int]]:
-        """Reserved-tag leftovers queued at ``rank`` (see :class:`Inbox`)."""
+        """Leftovers queued at ``rank`` (see :class:`Inbox`)."""
         mb = self.mailboxes[rank]
         with mb.cond:
             return mb.inbox.take_strays()

@@ -235,7 +235,8 @@ class ProcessFabric(BaseFabric):
     def _stall(self) -> None:
         """Full-destination-ring hook: keep the buffered-send contract by
         draining our own ring (our peers may be blocked on OUR ring — e.g.
-        a mutual ``sendrecv`` — and freeing it unblocks the cycle)."""
+        two ranks sending to each other in one pairwise all-to-all round —
+        and freeing it unblocks the cycle)."""
         if self.aborted:
             raise CommAbort(f"rank {self.rank}: job aborted while sending")
         if self.rank is not None:
@@ -289,8 +290,8 @@ class ProcessFabric(BaseFabric):
         return self.inbox.find(source, tag) >= 0
 
     def take_strays(self, rank: int) -> list[tuple[int, int]]:
-        """Reserved-tag leftovers of ``rank``: what its ring and the inbox
-        hold (see :class:`~repro.runtime.fabric.Inbox`)."""
+        """Leftovers of ``rank``: what its ring and the inbox hold (see
+        :class:`~repro.runtime.fabric.Inbox`)."""
         self._drain(rank)
         return self.inbox.take_strays()
 

@@ -6,12 +6,11 @@ process walks its own k/p augmenting paths asynchronously, reading and
 writing vector elements owned by remote processes without the owner's
 participation.  :class:`Window` reproduces those semantics: the window is
 created collectively (every rank exposes a NumPy array), after which any rank
-may ``get``/``put``/``accumulate``/``fetch_and_op`` on any other rank's
-exposed memory.
+may ``get``/``put``/``fetch_and_op`` on any other rank's exposed memory.
 
-Atomicity: MPI guarantees element-wise atomicity for ``MPI_Fetch_and_op`` and
-``MPI_Accumulate``.  Here a per-target-rank lock provides it (stronger than
-required, never weaker).  Plain ``get``/``put`` take the same lock, which
+Atomicity: MPI guarantees element-wise atomicity for ``MPI_Fetch_and_op``.
+Here a per-target-rank lock provides it (stronger than required, never
+weaker).  Plain ``get``/``put`` take the same lock, which
 corresponds to running every access inside its own
 ``MPI_Win_lock``/``unlock`` passive-target epoch — the mode Algorithm 4 needs.
 
@@ -109,7 +108,7 @@ class RmaAccessLog:
                         f"first access: {prev.describe()}; "
                         f"second access: {mine.describe()}. "
                         "Separate them with a fence, or use atomic "
-                        "accumulate/fetch_and_op on both sides."
+                        "fetch_and_op on both sides."
                     )
             self._entries.append(mine)
             self.total += 1
@@ -339,18 +338,6 @@ class Window:
         with self._locks[target]:
             arr[index] = value
 
-    def accumulate(self, target: int, index: Any, value: Any, op=np.add) -> None:
-        """Atomic read-modify-write without returning the old value
-        (``MPI_Accumulate``).  ``op`` is any binary NumPy ufunc with an
-        ``.at`` unbuffered variant (``np.add``, ``np.minimum``, ...)."""
-        arr = self._target_array(target)
-        self._check_index(arr, index)
-        self._charge(index)
-        self._fault_point("accumulate")
-        self._track("accumulate", target, index, write=True, atomic=True)
-        with self._locks[target]:
-            op.at(arr, index, value)
-
     def fetch_and_op(self, target: int, index: int, value: Any, op=None) -> Any:
         """Atomically read the old value and combine in the new one
         (``MPI_Fetch_and_op``).
@@ -368,19 +355,4 @@ class Window:
             old = arr[index]
             old = old.copy() if isinstance(old, np.ndarray) else old
             arr[index] = value if op is None else op(old, value)
-        return old
-
-    def compare_and_swap(self, target: int, index: int, expected: Any, desired: Any) -> Any:
-        """Atomic compare-and-swap (``MPI_Compare_and_swap``): install
-        ``desired`` iff the current value equals ``expected``; return the
-        value observed before the operation."""
-        arr = self._target_array(target)
-        self._check_index(arr, int(index))
-        self._charge(index)
-        self._fault_point("compare_and_swap")
-        self._track("compare_and_swap", target, index, write=True, atomic=True)
-        with self._locks[target]:
-            old = arr[index]
-            if old == expected:
-                arr[index] = desired
         return old

@@ -16,13 +16,13 @@ Two layers live here, both free of any policy about ranks or matching:
   per-source reassembly) so a payload bigger than the ring still flows
   through it instead of needing its own segment.
 
-Senders that find a ring full must not simply block: two ranks in a
-``sendrecv`` against each other with both rings full would deadlock, where
-the thread backend's unbounded mailboxes cannot.  :meth:`Ring.write` keeps
-the buffered-send contract by invoking a caller-supplied ``stall`` hook
-between short waits — the process fabric's hook drains the sender's *own*
-ring into its local pending list (freeing its peers) and re-checks the
-abort flag.
+Senders that find a ring full must not simply block: two ranks sending to
+each other in one pairwise all-to-all round with both rings full would
+deadlock, where the thread backend's unbounded mailboxes cannot.
+:meth:`Ring.write` keeps the buffered-send contract by invoking a
+caller-supplied ``stall`` hook between short waits — the process fabric's
+hook drains the sender's *own* ring into its local pending list (freeing
+its peers) and re-checks the abort flag.
 
 Blocking is deliberately NOT a ``multiprocessing.Condition``: its
 wait/notify protocol costs ~5 semaphore operations per wait and ~3 per
@@ -56,16 +56,9 @@ _MSG_HDR = struct.Struct("<qdqqqq")
 #: bytes) triples, sidestepping ``ndarray.__reduce_ex__`` entirely
 _KIND_PICKLE = 0
 _KIND_ARRAYS = 1
-#: 2 = a coalesced frame carrying several logical messages in one codec
-#: pass / one ring write (see :func:`encode_frame`).  No fabric writes this
-#: kind: the batch codec is kept only because ``benchmarks/e2e/layers.py``
-#: measures ``runtime.codec_*`` through it.
-_KIND_BATCH = 2
 
-#: header tag of a batch frame.  Distinct from ``ANY_TAG`` (-1) and outside
-#: both the user tag space (>= 0) and the reserved collective space, so
-#: :func:`decode_header` peeks stay unambiguous.
-_BATCH_TAG = -2
+#: length prefix of one message inside a frame (see :func:`encode_frame`)
+_LEN = struct.Struct("<q")
 
 #: ring capacity per destination rank (bytes)
 RING_BYTES = 4 << 20
@@ -222,87 +215,34 @@ def decode_message(data: "bytearray | bytes") -> tuple[int, Any, int, "float | N
     return tag, payload, serial, (None if reorder != reorder else reorder)
 
 
-def decode_header(data: "bytearray | bytes") -> tuple[int, int]:
-    """Cheap peek at ``(tag, serial)`` without unpickling the payload —
-    the parent's post-job stray-collective sweep needs only the tag."""
-    tag, _, serial, _, _, _ = _MSG_HDR.unpack_from(memoryview(data), 0)
-    return tag, serial
-
-
 def encode_frame(
     entries: "list[tuple[int, int, float | None, Any]]",
 ) -> bytes:
-    """Flatten one coalesced frame — several logical messages bound for the
-    same destination — into a single wire message.
-
-    ``entries`` are ``(tag, serial, reorder_u, payload)`` in send order.
-    Each payload goes through the same array-stripping fast path as
-    :func:`encode_message`, with recorded paths prefixed by the entry index,
-    so a frame of n packed payloads still does exactly one pickle pass over
-    cheap builtins plus raw splices of every well-behaved array.  The outer
-    header carries ``_BATCH_TAG`` / the first inner serial / ``_KIND_BATCH``
-    so :func:`decode_header` peeks identify batches without a full decode.
-    """
-    arrays: list = []
-    paths: list = []
-    heads: list = []
-    skels: list = []
-    for idx, (tag, serial, reorder_u, payload) in enumerate(entries):
-        sub_arrays: list = []
-        sub_paths: list = []
-        skels.append(_strip_arrays(payload, sub_arrays, sub_paths))
-        arrays.extend(sub_arrays)
-        paths.extend((idx,) + p for p in sub_paths)
-        heads.append(
-            (tag, serial,
-             float("nan") if reorder_u is None else float(reorder_u))
-        )
-    meta = [(a.dtype.str, a.shape) for a in arrays]
-    pkl = pickle.dumps((heads, skels, paths, meta), protocol=5)
-    raws = [a.data for a in arrays]
-    lens = [r.nbytes for r in raws]
-    parts = [
-        _MSG_HDR.pack(
-            _BATCH_TAG, float("nan"), entries[0][1], len(pkl), len(raws),
-            _KIND_BATCH,
-        )
-    ]
-    if lens:
-        parts.append(struct.pack(f"<{len(lens)}q", *lens))
-    parts.append(pkl)
-    parts.extend(raws)
+    """Flatten several messages bound for one destination — ``(tag,
+    serial, reorder_u, payload)`` entries in send order — into one buffer:
+    each :func:`encode_message` output behind its byte length."""
+    parts = []
+    for tag, serial, reorder_u, payload in entries:
+        msg = encode_message(tag, payload, serial, reorder_u)
+        parts += (_LEN.pack(len(msg)), msg)
     return b"".join(parts)
 
 
 def decode_frame(
     data: "bytearray | bytes",
 ) -> "list[tuple[int, Any, int, float | None]]":
-    """Inverse of :func:`encode_frame`: the coalesced messages as
-    ``(tag, payload, serial, reorder)`` tuples in send order, arrays aliasing
-    ``data`` writably just like :func:`decode_message`."""
+    """Inverse of :func:`encode_frame`: the messages as ``(tag, payload,
+    serial, reorder)`` tuples in send order, arrays aliasing ``data``
+    writably just like :func:`decode_message`."""
     view = memoryview(data)
-    _, _, _, npkl, nbufs, _ = _MSG_HDR.unpack_from(view, 0)
-    off = _MSG_HDR.size
-    lens: tuple = ()
-    if nbufs:
-        lens = struct.unpack_from(f"<{nbufs}q", view, off)
-        off += 8 * nbufs
-    pkl = view[off:off + npkl]
-    off += npkl
-    buffers = []
-    for ln in lens:
-        buffers.append(view[off:off + ln])
-        off += ln
-    heads, skels, paths, meta = pickle.loads(pkl)
-    for buf, path, (dtype, shape) in zip(buffers, paths, meta):
-        arr = np.frombuffer(buf, dtype=dtype)
-        if arr.shape != shape:
-            arr = arr.reshape(shape)
-        skels[path[0]] = _plant(skels[path[0]], path[1:], arr)
-    return [
-        (tag, payload, serial, (None if u != u else u))
-        for (tag, serial, u), payload in zip(heads, skels)
-    ]
+    out = []
+    off = 0
+    while off < len(view):
+        (n,) = _LEN.unpack_from(view, off)
+        off += _LEN.size
+        out.append(decode_message(view[off:off + n]))
+        off += n
+    return out
 
 
 class Ring:

@@ -274,7 +274,7 @@ class DistTrace:
         return out
 
     def comm_words_by_op(self) -> dict[str, int]:
-        """Traced words per collective/P2P op name over all ranks."""
+        """Traced words per collective op name over all ranks."""
         out: dict[str, int] = {}
         for sp in self.all_spans():
             if sp.cat != "comm":
@@ -447,21 +447,6 @@ class DistTrace:
             return cls.from_chrome(json.load(fh))
 
 
-def merge_tracers(tracers: list[Tracer], clock: str) -> DistTrace:
-    """Flush stand-alone tracers and assemble a trace from them (a job's own
-    trace is built from its ranks' outcomes by ``transport.finish``)."""
-    for tr in tracers:
-        tr.flush()
-    return DistTrace(
-        nranks=len(tracers),
-        spans=[list(tr.spans) for tr in tracers],
-        meta={
-            "clock": clock,
-            "idle_wait": [tr.idle_wait for tr in tracers],
-        },
-    )
-
-
 __all__ = [
     "DistTrace",
     "MAIN_TRACK",
@@ -469,6 +454,5 @@ __all__ = [
     "TraceError",
     "Tracer",
     "make_trace_clock",
-    "merge_tracers",
     "tspan",
 ]

@@ -96,7 +96,7 @@ class RankOutcome:
     error: BaseException | None = None
     finished: bool = False
     stats: CommStats = field(default_factory=CommStats)
-    #: reserved-tag (source, tag) leftovers in the rank's inbox at exit
+    #: (source, tag) leftovers in the rank's inbox at exit
     strays: list = field(default_factory=list)
     #: the rank's flushed span timeline and unattributed blocking time
     spans: list = field(default_factory=list)

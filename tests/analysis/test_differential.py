@@ -40,20 +40,16 @@ def fixture_line(substring):
 
 
 def test_fixed_ring_runs_clean():
-    """The canonical fix (parity-ordered sends) of the recv-before-send
-    ring in ``tests/runtime/test_p2p.py`` runs: the same communication
-    pattern, minus the bug."""
+    """The canonical fix of a ring whose ranks each receive from the left
+    before sending right: one collective every rank enters — here an
+    all-to-all whose only nonempty block goes to the right neighbour."""
 
     def fixed_ring(comm):
         left = (comm.rank - 1) % comm.size
         right = (comm.rank + 1) % comm.size
-        if comm.rank % 2 == 0:
-            comm.send(right, comm.rank, tag=7)
-            got = comm.recv(left, tag=7)
-        else:
-            got = comm.recv(left, tag=7)
-            comm.send(right, comm.rank, tag=7)
-        return got
+        blocks = [None] * comm.size
+        blocks[right] = comm.rank
+        return comm.alltoall(blocks)[left]
 
     result = spmd(4, fixed_ring, timeout=5.0)
     assert sorted(result.values) == [0, 1, 2, 3]

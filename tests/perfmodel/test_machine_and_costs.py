@@ -49,9 +49,9 @@ def test_compute_time_scales_with_threads():
 A, B = 1e-6, 1e-9
 
 
-def test_p2p_and_rma_costs():
-    assert C.p2p(A, B, 100) == pytest.approx(A + 100 * B)
+def test_rma_costs():
     assert C.rma_op(A, B) == pytest.approx(A + B)
+    assert C.rma_op(A, B, 100) == pytest.approx(A + 100 * B)
 
 
 def test_single_process_collectives_are_free():

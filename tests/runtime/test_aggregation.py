@@ -102,25 +102,23 @@ def test_on_off_parity_randomized(graph, grid, seed):
 
 # -- frame-ledger observability ---------------------------------------------
 
-def _isend_three(comm):
-    if comm.rank == 0:
-        for k in range(3):
-            comm.isend(1, np.arange(k + 1, dtype=np.int64), tag=5)
-        return comm.stats.frames  # read BEFORE any blocking call
-    if comm.rank == 1:
-        return [comm.recv(0, tag=5).tolist() for _ in range(3)]
-    return None
+def _post_then_wait(comm):
+    req = comm.iallreduce(np.arange(3, dtype=np.int64) + comm.rank)
+    posted = comm.stats.frames  # read BEFORE wait() or any blocking call
+    return posted, req.wait().tolist()
 
 
 @pytest.mark.parametrize("backend", ["thread", "process"])
-def test_isend_is_on_the_wire_when_it_returns(backend):
-    """A complete ``isend`` request means the message has left: on a
-    hub-plan (3-rank) communicator the physical ledger already counts all
-    three frames when the last ``isend`` returns, with no blocking call,
-    collective boundary or explicit flush in between."""
-    res = spmd(3, _isend_three, backend=backend, timeout=60)
-    assert res[0] == 3
-    assert res[1] == [[0], [0, 1], [0, 1, 2]]
+def test_iallreduce_up_frame_is_on_the_wire_when_it_posts(backend):
+    """A message is on the fabric when its send returns: on a hub-plan
+    (3-rank) communicator a non-hub rank's ``iallreduce`` up-frame is
+    already counted when the post returns, with no blocking call,
+    collective boundary or explicit flush in between; the hub sends only
+    inside ``wait``."""
+    res = spmd(3, _post_then_wait, backend=backend, timeout=60)
+    assert [posted for posted, _ in res.values] == [0, 1, 1]
+    for _, total in res.values:
+        assert total == [3, 6, 9]
 
 
 def test_physical_ledger_matches_committed_row():

@@ -16,11 +16,12 @@ import pytest
 from repro.distmat.ops import route
 from repro.graphs.rmat import er
 from repro.matching.mcm_dist import run_mcm_dist
-from repro.runtime import MAX, SUM, spmd
+from repro.runtime import SUM, ReduceOp, spmd
 
 from ..conftest import walk_everywhere
 
 SIZES = [1, 2, 3, 4, 5, 7, 8, 9]
+MAX = ReduceOp("max", np.maximum)
 
 
 def _payload(rank, k=0, size=None, dtype=np.int64):

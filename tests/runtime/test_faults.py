@@ -155,18 +155,16 @@ def test_transient_send_failures_are_retried_and_counted():
     plan = FaultPlan(seed=3, transient_send_p=0.4)
 
     def main(comm):
-        if comm.rank == 0:
-            for i in range(50):
-                comm.send(1, i, tag=1)
-            return None
-        return [comm.recv(0, tag=1) for _ in range(50)]
+        return [comm.allgather((comm.rank, i)) for i in range(50)]
 
     res = spmd(2, main, faults=FaultInjector(plan, 2))
-    assert res[1] == list(range(50))  # payload order survives retries
-    assert res.stats[0].retries > 0
-    assert res.stats[0].retries_by_op.get("p2p", 0) == res.stats[0].retries
-    # logical message counts are unaffected by retries
-    assert res.stats[0].by_op["p2p"] == 50
+    for got in res.values:  # payload order survives retries
+        assert got == [[(0, i), (1, i)] for i in range(50)]
+    for st in res.stats:
+        assert st.retries > 0
+        assert st.retries_by_op.get("allgather", 0) == st.retries
+        # logical message counts are unaffected by retries
+        assert st.by_alg["allgather:dissemination"]["messages"] == 50
 
 
 def test_exhausted_retries_become_permanent():
@@ -174,10 +172,8 @@ def test_exhausted_retries_become_permanent():
     inj = FaultInjector(plan, 2, retry=RetryPolicy(max_retries=2, base_delay=0.0, max_delay=0.0))
 
     def main(comm):
-        if comm.rank == 0:
-            comm.send(1, "x", tag=1)
-        else:
-            comm.recv(0, tag=1)
+        for i in range(3):
+            comm.allgather(i)
 
     with pytest.raises(TransientCommError, match="after 2 retries"):
         spmd(2, main, faults=inj, timeout=5.0)
@@ -189,36 +185,41 @@ def test_transient_rma_failures_are_retried():
     plan = FaultPlan(seed=1, transient_rma_p=0.4)
 
     def main(comm):
+        peer = (comm.rank + 1) % comm.size
         win = Window(comm, np.zeros(4, dtype=np.int64))
         win.fence()
         for i in range(20):
-            win.accumulate((comm.rank + 1) % comm.size, i % 4, 1)
+            win.fetch_and_op(peer, i % 4, 1, op=np.add)
         win.fence()
         total = int(win.local.sum())
+        win.fence()  # the peer's puts must not land before the read above
+        for i in range(10):
+            win.put(peer, i % 4, 100 + i)
+        win.fence()
+        last = win.local.tolist()
         retries = win.rma_retries
         win.free()
-        return total, retries
+        return total, last, retries
 
     res = spmd(2, main, faults=FaultInjector(plan, 2))
-    assert [t for t, _ in res.values] == [20, 20]  # all ops landed exactly once
-    assert sum(r for _, r in res.values) > 0
-    assert any(s.retries_by_op.get("rma_accumulate", 0) > 0 for s in res.stats)
+    for total, last, _ in res.values:
+        assert total == 20  # every op landed exactly once
+        assert last == [108, 109, 106, 107]
+    assert sum(r for _, _, r in res.values) > 0
+    for op in ("rma_fetch_and_op", "rma_put"):
+        assert any(s.retries_by_op.get(op, 0) > 0 for s in res.stats), op
 
 
 # -- delays / reordering -----------------------------------------------------
 
 def test_delay_preserves_non_overtaking_within_stream():
-    """Heavily delayed traffic must still respect MPI ordering per
-    (source, tag) stream, and collectives must be unaffected."""
+    """Heavily delayed traffic must still reach the receiver in program
+    order: the broadcast root runs 40 calls ahead, and the receiver still
+    takes them one collective instance at a time."""
     plan = FaultPlan(seed=9, delay_p=0.8)
 
     def main(comm):
-        if comm.rank == 0:
-            for i in range(40):
-                comm.send(1, i, tag=5)
-            comm.barrier()
-            return None
-        got = [comm.recv(0, tag=5) for _ in range(40)]
+        got = [comm.bcast(i if comm.rank == 0 else None, root=0) for i in range(40)]
         comm.barrier()
         return got
 
@@ -227,22 +228,16 @@ def test_delay_preserves_non_overtaking_within_stream():
 
 
 def test_delay_can_reorder_across_streams():
-    """With two tags in flight, a wildcard receiver may observe a legal
-    interleaving different from send order under heavy delay."""
+    """Each sender is its own stream into the gather root's any-source
+    receive, so heavy delay may interleave them differently from send
+    order — the gathered list is still ordered by rank."""
     plan = FaultPlan(seed=2, delay_p=0.9)
 
     def main(comm):
-        if comm.rank == 0:
-            for i in range(30):
-                comm.send(1, ("a", i), tag=1)
-                comm.send(1, ("b", i), tag=2)
-            return None
-        seen = [comm.recv(0)[0] for _ in range(60)]
-        # per-stream order is intact regardless of interleaving
-        return seen
+        return [comm.gather(("x", comm.rank, i), root=0) for i in range(30)]
 
-    res = spmd(2, main, faults=FaultInjector(plan, 2))
-    assert sorted(res[1]) == ["a"] * 30 + ["b"] * 30
+    res = spmd(4, main, faults=FaultInjector(plan, 4))
+    assert res[0] == [[("x", r, i) for r in range(4)] for i in range(30)]
 
 
 def test_collectives_survive_heavy_delay_and_loss():
@@ -262,10 +257,17 @@ def test_collectives_survive_heavy_delay_and_loss():
 
 # -- zero-cost when disabled -------------------------------------------------
 
+def _ring(comm, item):
+    """One ring step, as the runtime expresses it: an all-to-all whose only
+    nonempty block goes to the right neighbour; returns the left one's."""
+    blocks = [None] * comm.size
+    blocks[(comm.rank + 1) % comm.size] = item
+    return comm.alltoall(blocks)[(comm.rank - 1) % comm.size]
+
+
 def test_no_injector_means_no_fault_state():
     def main(comm):
-        comm.send((comm.rank + 1) % comm.size, 1, tag=0)
-        comm.recv((comm.rank - 1) % comm.size, tag=0)
+        assert _ring(comm, comm.rank) == (comm.rank - 1) % comm.size
         return comm.allreduce(1)
 
     res = spmd(3, main)
@@ -277,8 +279,7 @@ def test_disabled_injection_overhead_is_negligible():
     """The chaos-off hot path adds only `fabric.faults is None` checks."""
     def main(comm):
         for i in range(300):
-            comm.send((comm.rank + 1) % comm.size, i, tag=0)
-            comm.recv((comm.rank - 1) % comm.size, tag=0)
+            _ring(comm, i)
 
     t0 = time.perf_counter()
     spmd(2, main)
@@ -293,9 +294,7 @@ def test_fault_events_log_is_deterministic_across_runs():
 
     def main(comm):
         for i in range(25):
-            comm.send((comm.rank + 1) % comm.size, i, tag=1)
-        for _ in range(25):
-            comm.recv((comm.rank - 1) % comm.size, tag=1)
+            _ring(comm, i)
         comm.allreduce(comm.rank)
         return None
 

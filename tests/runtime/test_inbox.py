@@ -11,13 +11,7 @@ import pytest
 
 from repro.runtime import spmd
 from repro.runtime.errors import CommError, DeadlockError
-from repro.runtime.fabric import (
-    ANY_SOURCE,
-    ANY_TAG,
-    Envelope,
-    Inbox,
-    _RESERVED_TAG_BASE,
-)
+from repro.runtime.fabric import ANY_SOURCE, Envelope, Inbox
 from repro.runtime.transport import BACKENDS, RankOutcome
 
 
@@ -58,26 +52,28 @@ def test_reorder_slot_spans_floor_to_end():
 
 
 def test_wildcards_match_in_arrival_order():
+    """The source is the one wildcard: the tag always matches exactly."""
     inbox = Inbox()
     for serial, (source, tag) in enumerate([(2, 5), (1, 5), (1, 3), (2, 3)]):
         inbox.deposit(_env(source, tag, serial))
-    assert inbox.find(1, ANY_TAG) == 1
     assert inbox.find(ANY_SOURCE, 3) == 2
-    assert inbox.find(3, ANY_TAG) == -1 and inbox.take(3, ANY_TAG) is None
+    assert inbox.find(3, 5) == -1 and inbox.take(3, 5) is None
+    assert inbox.find(ANY_SOURCE, 4) == -1
     assert inbox.take(ANY_SOURCE, 3).serial == 2
-    assert inbox.take(1, ANY_TAG).serial == 1
-    assert inbox.take(ANY_SOURCE, ANY_TAG).serial == 0
+    assert inbox.take(1, 5).serial == 1
+    assert inbox.take(ANY_SOURCE, 5).serial == 0
     assert inbox.take(2, 3).serial == 3
     assert inbox.queue == []
 
 
-def test_strays_are_the_reserved_tag_space_only():
+def test_strays_are_everything_left_queued():
+    """All traffic is collective, so whatever is still queued is a stray."""
     inbox = Inbox()
-    tags = [0, _RESERVED_TAG_BASE - 1, _RESERVED_TAG_BASE, _RESERVED_TAG_BASE + 9]
+    tags = [1, (3 << 32) + 7, 2, 1]
     for serial, tag in enumerate(tags):
         inbox.deposit(_env(serial, tag, serial))
-    assert inbox.take_strays() == [(2, _RESERVED_TAG_BASE), (3, _RESERVED_TAG_BASE + 9)]
-    assert [e.tag for e in inbox.queue] == tags[:2]  # user traffic stays
+    assert inbox.take_strays() == list(enumerate(tags))
+    assert inbox.queue == []
     assert inbox.take_strays() == []
 
 
@@ -86,17 +82,21 @@ def test_strays_are_the_reserved_tag_space_only():
 
 def _lonely_recv(comm):
     if comm.rank == 0:
-        comm.send(0, "noise", tag=4)  # shows up in the pending-queue excerpt
-        comm.recv(source=1, tag=5)    # rank 1 never sends
+        comm.bcast(None, root=1)          # rank 1, the root, never enters
+    elif comm.rank == 2:
+        comm.gather(comm.rank, root=0)    # queued at rank 0, from the wrong source
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_lonely_recv_deadlocks_with_the_same_text(backend):
+    """A deadlock names the collective instance it is stuck in and decodes
+    the pending queue the same way, on both wires."""
     with pytest.raises(DeadlockError) as info:
-        spmd(2, _lonely_recv, backend=backend, timeout=0.5)
+        spmd(3, _lonely_recv, backend=backend, timeout=0.5)
     assert re.sub(r"\(pid \d+\)", "(pid N)", str(info.value)) == (
-        "[spmd rank 0] rank 0: recv(source=1, tag=5) made no progress for "
-        "0.5s; pending queue: [(0, 4)]"
+        "[spmd rank 0] rank 0: collective recv from rank 1 (comm 0, "
+        "collective seq 1) made no progress for 0.5s; pending queue "
+        "(source, comm, seq): [(2, 0, 1)]"
     )
     assert info.value.spmd_rank == 0
 

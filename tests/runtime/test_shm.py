@@ -14,7 +14,6 @@ from repro.runtime.shm import (
     Ring,
     carve_rings,
     decode_frame,
-    decode_header,
     decode_message,
     encode_frame,
     encode_message,
@@ -61,7 +60,6 @@ def test_codec_round_trip(payload):
     tag, out, serial, reorder = decode_message(bytearray(enc))
     assert (tag, serial, reorder) == (17, 99, 0.25)
     assert _eq(payload, out)
-    assert decode_header(enc) == (17, 99)
 
 
 @pytest.mark.parametrize("payload", PAYLOADS, ids=range(len(PAYLOADS)))

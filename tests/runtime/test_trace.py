@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from repro.graphs.rmat import er
 from repro.matching.mcm_dist import run_mcm_dist
 from repro.runtime import DistTrace, Tracer, make_trace_clock, spmd, tspan
-from repro.runtime.trace import MAIN_TRACK, merge_tracers
+from repro.runtime.trace import MAIN_TRACK
 
 # one tracer op: (kind, payload); "end" is applied only when a span is open
 OPS = st.lists(
@@ -115,7 +115,8 @@ def _assert_balanced_chrome(doc):
 @settings(max_examples=150, deadline=None)
 def test_chrome_export_round_trips_with_balanced_pairs(ops):
     tr, _, open_at_flush = _run_program(ops)
-    trace = merge_tracers([tr], "ticks")
+    tr.flush()
+    trace = DistTrace(1, [list(tr.spans)], meta={"clock": "ticks"})
     doc = json.loads(json.dumps(trace.to_chrome()))
     pairs = _assert_balanced_chrome(doc)
     assert pairs == trace.nspans

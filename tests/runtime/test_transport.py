@@ -67,16 +67,15 @@ def test_process_round_trip_values_and_stats():
     assert not _no_orphans()
 
 
-def test_process_sendrecv_and_wildcards():
+def test_process_any_source_gather_of_arrays():
+    """The gather root receives ANY_SOURCE: each ndarray payload (inside a
+    dict, so it takes the pickle path) lands in its sender's slot."""
     def main(comm):
-        if comm.rank == 0:
-            comm.send(1, {"blob": np.arange(4)}, tag=7)
-            return None
-        payload, source, tag = comm.recv_with_status()
-        return (source, tag, payload["blob"].tolist())
+        got = comm.gather({"blob": np.arange(4) + comm.rank}, root=2)
+        return None if got is None else [g["blob"].tolist() for g in got]
 
-    res = spmd(2, main, backend="process", timeout=30)
-    assert res.values[1] == (0, 7, [0, 1, 2, 3])
+    res = spmd(3, main, backend="process", timeout=30)
+    assert res.values[2] == [[0, 1, 2, 3], [1, 2, 3, 4], [2, 3, 4, 5]]
 
 
 def test_process_rank_exception_propagates_with_rank_context():
@@ -104,7 +103,7 @@ def test_process_silent_death_reports_exit_code():
 def test_process_deadlock_detected():
     def main(comm):
         if comm.rank == 0:
-            comm.recv(source=1, tag=5)  # rank 1 never sends
+            comm.bcast(None, root=1)  # rank 1, the root, never enters
 
     with pytest.raises(DeadlockError, match="recv"):
         spmd(2, main, backend="process", timeout=2)

@@ -9,14 +9,16 @@ import numpy as np
 import pytest
 
 from repro.runtime import (
-    MAX,
     SUM,
     CollectiveMismatchError,
+    ReduceOp,
     RmaRaceError,
     Window,
     WindowError,
     spmd,
 )
+
+MAX = ReduceOp("max", np.maximum)
 
 
 # ------------------------------------------------------------ collectives
@@ -180,7 +182,7 @@ def test_concurrent_gets_do_not_race():
 
 def test_atomic_accumulates_do_not_race():
     def body(comm, win):
-        win.accumulate(0, 2, comm.rank + 1)
+        win.fetch_and_op(0, 2, comm.rank + 1, op=np.add)
         win.fetch_and_op(0, 2, 0, op=np.add)
 
     _window_job(body, nranks=3)
