@@ -65,7 +65,6 @@ ALLOWLIST: dict[str, str] = {
     "repro.sparse.dcsc.DCSC.col_degrees_compressed": _TEST_ONLY,
     "repro.sparse.dcsc.DCSC.memory_words": _TEST_ONLY,
     "repro.sparse.mmio.write_mm": _TEST_ONLY,
-    "repro.sparse.permute.unpermute_matching": _TEST_ONLY,
     "repro.sparse.primitives.gather_dense": _TEST_ONLY,
     "repro.sparse.primitives.ind": _TEST_ONLY,
     "repro.sparse.primitives.prune_mask": _TEST_ONLY,

@@ -1,11 +1,10 @@
 """SPMD7xx: backend-portability lints.
 
-The threads-as-ranks fabric is forgiving in two ways a real
-multiprocessing backend (ROADMAP item 4) is not: ranks share one address
-space (module globals are visible to everyone) and payloads are handed
-over by reference (anything is "picklable").  These rules are the merge
-gate for the process backend — code that passes them runs unchanged when
-ranks become processes:
+The threads-as-ranks fabric is forgiving in two ways the process backend
+is not: ranks share one address space (module globals are visible to
+everyone) and payloads are handed over by reference (anything is
+"picklable").  These rules are the merge gate for the process backend —
+code that passes them runs unchanged when ranks become processes:
 
 SPMD701
     Module-level mutable state written from an SPMD function (``global``
@@ -14,7 +13,7 @@ SPMD701
     "work"; under processes each rank mutates its own copy and the writes
     silently vanish.
 SPMD702
-    Unpicklable payloads handed to ``send``/``bcast``/``gather``/...:
+    Unpicklable payloads handed to ``bcast``/``gather``/``alltoall``/...:
     lambdas, nested functions, generator expressions, open file handles,
     or the communicator itself.  Threads pass these by reference; a
     process backend must pickle them and dies at the first boundary.
@@ -47,14 +46,12 @@ _MUTATING_METHODS = frozenset({
     "appendleft", "popleft", "fill",
 })
 
-#: Comm methods that ship a payload across a rank boundary, and the
-#: positional index of that payload (p2p calls lead with the peer).
-_PAYLOAD_METHODS: dict[str, int] = {
-    "send": 1, "sendrecv": 1,
-    "bcast": 0, "gather": 0, "gatherv": 0, "scatter": 0, "scatterv": 0,
-    "allgather": 0, "allgatherv": 0, "alltoall": 0, "alltoallv": 0,
-    "reduce": 0, "allreduce": 0, "scan": 0, "exscan": 0,
-}
+#: Comm methods that ship a payload across a rank boundary — the
+#: runtime's collectives, whose payload is the first positional argument.
+_PAYLOAD_METHODS = frozenset({
+    "bcast", "gather", "scatter", "allgather", "allgatherv", "alltoall",
+    "alltoallv", "reduce", "allreduce", "iallreduce",
+})
 
 _MUTABLE_CONSTRUCTORS = frozenset({
     "list", "dict", "set", "bytearray", "defaultdict", "deque", "Counter",
@@ -229,8 +226,7 @@ def rule_portability(model: ModuleModel) -> list[Finding]:
             meth = call_method_name(node)
             if meth not in _PAYLOAD_METHODS:
                 continue
-            pos = _PAYLOAD_METHODS[meth]
-            payloads = node.args[pos:pos + 1]
+            payloads = node.args[:1]
             for kw in node.keywords:
                 if kw.arg in ("value", "payload", "obj", "sendobj", "data"):
                     payloads.append(kw.value)

@@ -3,10 +3,11 @@
 Each row rewrites one anchor in an engine source file *textually* and lints
 the result with :func:`lint_source` — the mutated code is never executed.
 A rule family earns its place in ``repro/analysis`` by flagging at least
-one row here (ROADMAP item 8's decision rule), so the evidence follows the
-engines instead of living only in ``examples/buggy_spmd.py``.  An anchor
-that no longer occurs exactly once fails its row by name: re-seed the
-mutation against the new engine text rather than deleting the row.
+one row here (the code audit's decision rule: a family that no engine
+mutation trips is deleted), so the evidence follows the engines instead of
+living only in ``examples/buggy_spmd.py``.  An anchor that no longer occurs
+exactly once fails its row by name: re-seed the mutation against the new
+engine text rather than deleting the row.
 
 Known limits (mutations the linter still misses) are listed in DESIGN §12.
 """
@@ -84,11 +85,11 @@ MUTATIONS = [
      "    if grid.i == 0:\n        store.save(ck)\n        grid.comm.barrier()\n",
      {"SPMD101"}),
     ("closure-handed-to-launch", "matching/mcm_dist.py",
-     "    return launch(\n        _mcm_rank_main, (coo,), pr, pc,\n",
+     "    mate_r, mate_c, stats = launch(\n        _mcm_rank_main, (coo,), pr, pc,\n",
      "    def main(comm, *args, **kwargs):\n"
      "        return mcm_dist_spmd(comm, coo if comm.rank == 0 else None, *args, **kwargs)\n"
      "\n"
-     "    return launch(\n        main, (), pr, pc,\n",
+     "    mate_r, mate_c, stats = launch(\n        main, (), pr, pc,\n",
      {"SPMD703"}),
 ]
 

@@ -416,8 +416,8 @@ def test_702_flagged_and_clean_pair():
 def test_702_flagged_generator_and_comm_payloads():
     src = """
     def main(comm):
-        comm.send(1, (x * x for x in range(4)), tag=1)
-        comm.send(1, comm, tag=2)
+        comm.bcast((x * x for x in range(4)), root=1)
+        comm.alltoall(comm)
     """
     assert codes(src) == ["SPMD702", "SPMD702"]
 

@@ -128,12 +128,16 @@ def test_resilient_sparse_checkpoint_cadence_replays_phases():
     """checkpoint_every=3 trades snapshot volume for replay: a crash in a
     later phase re-runs the phases since the last snapshot."""
     coo = random_coo(60, 60, 200, 17)  # sparse: needs several phases
+    every = 3
+    # dying on entering phase every + 2 loses phase every + 1, completed
+    # after the last snapshot (phase every); entering every + 1 loses none
+    crash = every + 2
     plain = run_mcm_dist(coo, 2, 2, init="none")
     plain_card = cardinality(plain[0])
-    assert plain[2].phases >= 3
-    plan = FaultPlan.parse(f"crash:rank=any,at=phase:{plain[2].phases - 1}", seed=2)
+    assert plain[2].phases >= crash
+    plan = FaultPlan.parse(f"crash:rank=any,at=phase:{crash}", seed=2)
     mate_r, _, stats = run_mcm_dist(
-        coo, 2, 2, init="none", faults=plan, checkpoint_every=3, max_restarts=5
+        coo, 2, 2, init="none", faults=plan, checkpoint_every=every, max_restarts=5
     )
     assert cardinality(mate_r) == plain_card
     assert stats.restarts == 1
