@@ -4,7 +4,8 @@ Two uses in the paper's pipeline:
 
 * *load balancing* (Section IV-A): "we randomly permute the input matrix A
   before running the matching algorithms" so nonzeros spread evenly over the
-  2D grid — :func:`random_permutation` / :func:`randomly_permuted`;
+  2D grid — :func:`random_permutation` / :func:`randomly_permuted`, and the
+  structure-keyed :func:`signature_permuted` MCM-DIST applies to its input;
 * *the application* (Section I): matchings permute a sparse linear system to
   a zero-free diagonal before factorization — :func:`matching_to_permutation`
   builds that row permutation from a perfect/maximum matching.
@@ -41,6 +42,63 @@ def randomly_permuted(coo: COO, rng: np.random.Generator) -> tuple[COO, np.ndarr
     """
     rp = random_permutation(coo.nrows, rng)
     cp = random_permutation(coo.ncols, rng)
+    return coo.permuted(rp, cp), rp, cp
+
+
+_M1 = np.uint64(0x9E3779B97F4A7C15)
+_M2 = np.uint64(0xBF58476D1CE4E5B9)
+_M3 = np.uint64(0x94D049BB133111EB)
+
+
+def _mix(x: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer, elementwise (uint64 arithmetic wraps)."""
+    x = x.astype(np.uint64) + _M1
+    x = (x ^ (x >> np.uint64(30))) * _M2
+    x = (x ^ (x >> np.uint64(27))) * _M3
+    return x ^ (x >> np.uint64(31))
+
+
+def signature_permutation(
+    n: int, own: np.ndarray, other: np.ndarray, n_other: int, seed: int
+) -> np.ndarray:
+    """A pseudo-random relabeling of one vertex side, keyed by structure.
+
+    ``own``/``other`` are the edge endpoints on this side and the other.  A
+    vertex's *signature* hashes its degree with the multiset of its
+    neighbours' degrees; its key hashes the signature, its rank among the
+    vertices sharing that signature (in id order) and ``seed``; the new ids
+    follow the keys.  Locality is gone as under :func:`random_permutation`
+    (consecutive vertices of one signature get unrelated keys), but the
+    result depends on the ids only through the order within each signature
+    class: any relabeling of the input that keeps that order relabels to the
+    same matrix.  Splicing isolated edges — whose signature no vertex of a
+    larger component shares — into the id sequence is one.
+    """
+    deg = np.bincount(own, minlength=n)
+    # 20-bit neighbour hashes: the float64 sums are exact below 2**33 edges
+    # per vertex, so the signature does not depend on the summation order
+    h = (_mix(np.bincount(other, minlength=n_other)) >> np.uint64(44)).astype(np.float64)
+    sig = _mix(_mix(deg) ^ np.bincount(own, weights=h[other], minlength=n).astype(np.uint64))
+    order = np.argsort(sig, kind="stable")
+    ids = np.arange(n, dtype=np.int64)
+    first = np.ones(n, dtype=bool)
+    first[1:] = sig[order[1:]] != sig[order[:-1]]
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = ids - np.maximum.accumulate(np.where(first, ids, 0))
+    key = _mix(sig ^ _mix(rank.astype(np.uint64) ^ np.uint64(seed)))
+    perm = np.empty(n, dtype=np.int64)
+    perm[np.argsort(key, kind="stable")] = ids
+    return perm
+
+
+def signature_permuted(coo: COO, seed: int) -> tuple[COO, np.ndarray, np.ndarray]:
+    """Relabel both vertex sides with :func:`signature_permutation`.
+
+    Same contract as :func:`randomly_permuted`: ``(permuted matrix,
+    row_perm, col_perm)``, mapped back with :func:`unpermute_matching`.
+    """
+    rp = signature_permutation(coo.nrows, coo.rows, coo.cols, coo.ncols, seed)
+    cp = signature_permutation(coo.ncols, coo.cols, coo.rows, coo.nrows, seed + 1)
     return coo.permuted(rp, cp), rp, cp
 
 
