@@ -8,10 +8,10 @@ variants over a (k, p) sweep from synthetic path sets and verifies the
 automatic switch picks the cheaper variant in (nearly) every cell.
 
 Report only: the ENGINE's level step is no longer the paper's — a row
-hop and two column hops on the √p-rank row/column communicators,
-(pc−1) + 2(pr−1) latency steps (DESIGN "Phase anatomy") — so the ``engine
+hop and one column hop on the √p-rank row/column communicators,
+(pc−1) + (pr−1) latency steps (DESIGN "Phase anatomy") — so the ``engine
 level`` columns price that step and show where the crossover *would* sit,
-k ≈ p(√p−1).
+k ≈ ⅔·p(√p−1).
 The engine keeps switching at k < 2p²: the one-sided walks of Algorithm 4
 are counted (``DistStats.rma_ops``) but not priced into its model clock,
 and a rule is not re-tuned against a cost the clock does not see.
@@ -41,14 +41,15 @@ def level_cost(k: int, P: int, alpha: float, beta: float) -> float:
 
 
 def engine_level_cost(k: int, P: int, alpha: float, beta: float) -> float:
-    """The engine's level step on a √P × √P grid: three pairwise all-to-alls
+    """The engine's level step on a √P × √P grid: two pairwise all-to-alls
     on √P-rank communicators, each with a count word — a row hop of the
-    ``mate_r`` write and the (column, row) pair, a column hop of the pair,
-    a column hop of the next tip."""
+    ``mate_r`` write and the (column, row) pair, whose landing rank reads
+    the old mate off its column replica, then a column hop of the pair and
+    the next tip."""
     q = int(round(P ** 0.5))
     return _over_levels(k, lambda active: sum(
         C.alltoallv(q, alpha, beta, 1 + words * (-(-active // P)), "pairwise")
-        for words in (4, 2, 1)
+        for words in (4, 3)
     ))
 
 
@@ -94,7 +95,7 @@ def test_augment_switch_ablation(benchmark):
         q = int(round(P ** 0.5))
         lines.append(
             f"  P={P:>4}: paper rule 2p^2 = {2 * P * P:>7}   "
-            f"engine level step p(sqrt(p)-1) = {P * (q - 1):>6}"
+            f"engine level step 2p(sqrt(p)-1)/3 = {round(2 * P * (q - 1) / 3):>6}"
         )
     emit("augment_switch", "\n".join(lines))
 

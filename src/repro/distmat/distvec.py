@@ -3,9 +3,10 @@
 Every object stores only this rank's contiguous global range
 ``[lo, hi)`` of the vector.  Dense vectors hold a NumPy slice; sparse
 VERTEX frontiers hold (global idx, parent, root) arrays confined to the
-range; a :class:`RowBlockVec`'s range is a whole row block, replicated
-along its grid row.  Conversions to/from global arrays exist for tests
-and for the root-side scatter/gather at job boundaries.
+range; a :class:`BlockVec`'s range is a whole row (column) block,
+replicated along its grid row (down its grid column).  Conversions
+to/from global arrays exist for tests and for the root-side
+scatter/gather at job boundaries.
 """
 
 from __future__ import annotations
@@ -89,8 +90,11 @@ class DistDenseVec:
         return self.vmap.local_size(*((i, j) if self.orient == "col" else (j, i)))
 
     def to_global(self) -> np.ndarray:
-        """Gather the full vector on every rank (collective; test helper)."""
-        pieces = self.grid.comm.allgather((self.lo, self.local))
+        """Gather the full vector on every rank (collective)."""
+        return self.assemble(self.grid.comm.allgather((self.lo, self.local)))
+
+    def assemble(self, pieces: "list[tuple[int, np.ndarray]]") -> np.ndarray:
+        """The full vector from every rank's ``(lo, local)`` piece."""
         out = np.full(self.n, NULL, dtype=np.int64)
         for lo, arr in pieces:
             out[lo:lo + arr.size] = arr
@@ -105,17 +109,20 @@ class DistDenseVec:
         return v
 
 
-class RowBlockVec:
-    """Row block i of a row vector, held whole by each of the pc ranks of
-    grid row i — O(N/pr) words per rank.  Which copy of an entry is current
-    is the caller's rule (MCM-DIST: a matched row's π at its *home*, the
-    rank of grid row i sitting in its mate's column block; a free row's on
-    every rank of the grid row)."""
+class BlockVec:
+    """One block of a vector, held whole by every rank that shares it: row
+    block i along the pc ranks of grid row i (``orient="row"``, O(N/pr)
+    words per rank), column block j down the pr ranks of grid column j
+    (``orient="col"``, O(N/pc)).  Which copy of an entry is current is the
+    caller's rule (MCM-DIST: a matched row's π at its *home*, the rank of
+    grid row i sitting in its mate's column block; a free row's on every
+    rank of the grid row)."""
 
-    def __init__(self, grid: ProcGrid, n: int, fill: int = NULL) -> None:
+    def __init__(self, grid: ProcGrid, n: int, orient: str = "row", fill: int = NULL) -> None:
         self.grid = grid
-        self.bmap = BlockMap(n, grid.pr)
-        self.lo, self.hi = self.bmap.range(grid.i)
+        self.orient = orient
+        self.bmap = BlockMap(n, grid.pr if orient == "row" else grid.pc)
+        self.lo, self.hi = self.bmap.range(grid.i if orient == "row" else grid.j)
         self.local = np.full(self.hi - self.lo, fill, dtype=np.int64)
         self._section = [0] * grid.nprocs
 
@@ -123,17 +130,18 @@ class RowBlockVec:
     set_local = DistDenseVec.set_local
 
     def size_on(self, rank: int) -> int:
-        return self.bmap.size(rank // self.grid.pc)
+        i, j = divmod(rank, self.grid.pc)
+        return self.bmap.size(i if self.orient == "row" else j)
 
     def remote_location(self, g: int, j: int) -> tuple[int, int]:
-        """(rank, offset in its exposed memory) of index ``g``'s copy in grid
-        column ``j``."""
+        """(rank, offset in its exposed memory) of a row block vector's
+        index ``g``, the copy in grid column ``j``."""
         i = self.bmap.owner(int(g))
         rank = i * self.grid.pc + j
         return rank, self._section[rank] + int(g) - self.bmap.range(i)[0]
 
 
-def share_buffer(*vecs: "DistDenseVec | RowBlockVec") -> np.ndarray:
+def share_buffer(*vecs: "DistDenseVec | BlockVec") -> np.ndarray:
     """Re-home the local slices of ``vecs`` end to end in ONE int64 buffer
     per rank and return it — the memory a single RMA window exposes.  Each
     ``vec.local`` becomes a view of its section (contents kept, every

@@ -32,7 +32,7 @@ rank-local objects of this package:
   next-frontier pairs a home fold produced inside this rank's column block
   go down the grid column, which rebuilds the expanded block frontier; the
   grid row's (root, row) path ends of Steps 5 and 6 ride along, so after
-  it every rank holds the whole grid's;
+  it every rank holds the whole grid's (and so can any other arrays);
 * :func:`invert_route` — INVERT's data movement as the paper prices it:
   entries travel to the owner of their *value* interpreted as an index on
   the other side — an all-to-all over ALL p ranks, the paper's scaling
@@ -205,12 +205,14 @@ def spmv_expanded(
     exchange of the call, to the vector owners or, given the row block's
     mates, to the rows' homes.  Every fold frame carries ``gcols.size``;
     the pc column blocks of a grid row cover the frontier once, so the call
-    returns (the global frontier size, ``f_r``'s rows, parents, roots)."""
+    returns (the global frontier size, the edges this block scanned,
+    ``f_r``'s rows, parents, roots)."""
     with tspan(A.grid.comm, "spmv"):
         lrows, parents, roots = A.block.explode_cols(gcols - A.col_lo, gcols, groots)
-        return _fold_and_reduce(
+        total, *fr = _fold_and_reduce(
             A, gcols.size, lrows + A.row_lo, parents, roots, semiring, rng, home
         )
+        return (total, lrows.size, *fr)
 
 
 def spmv(
@@ -227,7 +229,7 @@ def spmv(
     """
     if fc.orient != "col":
         raise ValueError("spmv expects a column frontier")
-    _, *fr = spmv_expanded(A, *expand(A, fc.idx, fc.root), semiring, rng)
+    _, _, *fr = spmv_expanded(A, *expand(A, fc.idx, fc.root), semiring, rng)
     return DistVertexFrontier(A.grid, A.nrows, "row", *fr)
 
 
@@ -257,7 +259,8 @@ def spmv_bottomup_expanded(
        cached DCSC row-major mirror and keeps edges whose column is on the
        frontier;
     4. fold + destination reduction, shared with :func:`spmv_expanded` —
-       so it returns (the global frontier size, ``f_r``) too.
+       so it returns (the global frontier size, the edges this block
+       scanned — its edges of row block i's unvisited rows — ``f_r``) too.
 
     For a row left unvisited, the candidate set {(r, c) : c ∈ f_c} is
     identical in both directions, so deterministic semirings yield the SAME
@@ -285,7 +288,10 @@ def spmv_bottomup_expanded(
             lrows, lcols, croots = A.block.pull_rows(unvisited, root_of, NULL)
             grows = lrows + A.row_lo
             parents = lcols + A.col_lo
-        return _fold_and_reduce(A, gcols.size, grows, parents, croots, semiring, rng, home)
+        total, *fr = _fold_and_reduce(
+            A, gcols.size, grows, parents, croots, semiring, rng, home
+        )
+        return (total, int(A.block.row_degrees()[unvisited].sum()), *fr)
 
 
 def local_edge_counts(A: DistSparseMatrix, cols: np.ndarray, unvisited: np.ndarray) -> np.ndarray:
@@ -306,20 +312,22 @@ def local_edge_counts(A: DistSparseMatrix, cols: np.ndarray, unvisited: np.ndarr
 
 
 def hop_down_column(
-    A: DistSparseMatrix, cols: np.ndarray, roots: np.ndarray, ends: tuple
+    A: DistSparseMatrix, cols: np.ndarray, roots: np.ndarray, ends: tuple,
+    *riders: np.ndarray,
 ) -> tuple:
     """Step 7: allgather the next-frontier (column, root) pairs a home fold
     produced — all inside this rank's column block — down the grid column,
     the grid row's path ``ends`` (:func:`path_ends`, identical along the
-    grid row) riding along.  Returns (block columns sorted ascending, their
-    roots, the whole grid's path ends): the next *expanded* block frontier,
-    identical on the pr ranks of the grid column, and — the pr grid rows'
-    ends together — every path end of the grid."""
-    end_roots, end_rows, cols, roots = concat_pieces(
-        A.grid.colcomm.allgatherv((*ends, cols, roots))
+    grid row) and the caller's ``riders`` riding along.  Returns (block
+    columns sorted ascending, their roots, the whole grid's path ends,
+    *the riders concatenated in grid-row order): the next *expanded* block
+    frontier, identical on the pr ranks of the grid column, and — the pr
+    grid rows' ends together — every path end of the grid."""
+    end_roots, end_rows, cols, roots, *riders = concat_pieces(
+        A.grid.colcomm.allgatherv((*ends, cols, roots, *riders))
     )
     order = np.argsort(cols)  # frontier columns are distinct (mates of distinct rows)
-    return cols[order], roots[order], path_ends(end_roots, end_rows)
+    return (cols[order], roots[order], path_ends(end_roots, end_rows), *riders)
 
 
 def invert_route(

@@ -47,11 +47,10 @@ def scatter_edges(
     scatter them, together with any per-edge ``values`` arrays (``root``
     supplies ``coo`` and ``values``; every other rank passes ``None`` and
     nothing).  Returns ``(geometry, rows, cols, *values)``: the
-    :class:`DistBlockMatrix` of the broadcast shape and this rank's edges
+    :class:`DistBlockMatrix` of the matrix's shape and this rank's edges
     with BLOCK-LOCAL indices, each value array aligned with its edges.
 
-    The header broadcast is two words for a pattern matrix; the number of
-    value arrays rides as a third when there are any.
+    The shape rides every piece: two header words, no broadcast.
     """
     comm = grid.comm
     if comm.rank == root:
@@ -59,22 +58,16 @@ def scatter_edges(
             raise ValueError("root must supply the matrix")
         if any(v.size != coo.rows.size for v in values):
             raise ValueError("value arrays need one entry per edge")
-        header = (coo.nrows, coo.ncols, len(values)) if values else (coo.nrows, coo.ncols)
-    else:
-        header = None
-    nrows, ncols, *_ = comm.bcast(header, root=root)
-    geom = DistBlockMatrix(grid, nrows, ncols)
-
-    if comm.rank == root:
-        bi = np.minimum(coo.rows // geom.rowmap.bs, grid.pr - 1)
-        bj = np.minimum(coo.cols // geom.colmap.bs, grid.pc - 1)
+        bi = BlockMap(coo.nrows, grid.pr).owner(coo.rows)
+        bj = BlockMap(coo.ncols, grid.pc).owner(coo.cols)
         dest = bi * grid.pc + bj
         order = np.argsort(dest, kind="stable")
         sorted_ = [a[order] for a in (coo.rows, coo.cols, *values)]
         dest_s = dest[order]
         cuts = np.searchsorted(dest_s, np.arange(comm.size + 1))
         payloads = [
-            tuple(a[cuts[r]:cuts[r + 1]] for a in sorted_) for r in range(comm.size)
+            (coo.nrows, coo.ncols, *(a[cuts[r]:cuts[r + 1]] for a in sorted_))
+            for r in range(comm.size)
         ]
         # five dead nnz-sized arrays: drop them before the scatter — a
         # piece is on the fabric when its send returns, so peers build
@@ -82,11 +75,12 @@ def scatter_edges(
         del bi, bj, dest, order, dest_s
     else:
         payloads = None
-    rows, cols, *mine = comm.scatter(payloads, root=root)
+    nrows, ncols, rows, cols, *mine = comm.scatter(payloads, root=root)
     if comm.rank == root:
         # the sorted copies: drop them before the root builds its own block
         # on top of them (the job's peak-memory moment)
         del sorted_, payloads
+    geom = DistBlockMatrix(grid, nrows, ncols)
     return (geom, rows - geom.row_lo, cols - geom.col_lo, *mine)
 
 
@@ -135,8 +129,9 @@ class DistSparseMatrix(DistBlockMatrix):
         COLLECTIVE on first call (one allreduce along each of rowcomm and
         colcomm, summing the per-block degree contributions), then cached.
         Every rank must reach the first call at the same program point —
-        :func:`repro.matching.mcm_dist.mcm_dist_spmd` does so before its
-        phase loop.  Treat the returned arrays as read-only.
+        MCM-DIST's degree-keyed initializers do at their start, its
+        ``direction="auto"`` vote at the first phase's head; a fixed
+        direction never calls it.  Treat the returned arrays as read-only.
         """
         if self._degree_blocks is None:
             from ..runtime.comm import SUM

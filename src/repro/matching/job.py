@@ -9,7 +9,8 @@ here once:
 * :func:`phase_boundary` — progress marker, per-phase ledger and
   phase-boundary crash point;
 * :func:`save_checkpoint` — the single-writer, barrier-closed snapshot write;
-* :func:`reduce_totals` — the job's ONE closing allreduce;
+* :func:`reduce_totals` / :func:`gather_totals` — the job's ONE closing
+  collective (an allreduce, or an allgather that also assembles results);
 * :func:`snapshot_ledger` / :func:`merge_by_alg` — the per-rank ledger
   snapshot and its communication-free driver-side fold;
 * :func:`launch` — the only driver: launch on a pr × pc grid, and, when the
@@ -165,17 +166,39 @@ def save_checkpoint(
     stats.checkpoint_words += ck.words
 
 
-def reduce_totals(grid: ProcGrid, stats: DistStats, *extras: int) -> "list[int]":
-    """The job's ONE closing allreduce: the engine's own rank-local
-    ``extras`` first, then the column / row / grid ``words_sent`` —
-    snapshotted BEFORE the reduction, so it does not count itself.  Fills
-    the three word totals of ``stats`` and returns the summed extras."""
+def _counts(grid: ProcGrid, extras: tuple) -> np.ndarray:
+    """The engine's rank-local ``extras``, then the column / row / grid
+    ``words_sent`` — snapshotted before the closing collective, so it does
+    not count itself."""
     words = [c.stats.words_sent for c in (grid.colcomm, grid.rowcomm, grid.comm)]
-    totals = grid.comm.allreduce(np.array([*extras, *words], dtype=np.int64), op=SUM)
+    return np.array([*extras, *words], dtype=np.int64)
+
+
+def _totals(stats: DistStats, totals: np.ndarray) -> "list[int]":
+    """Fill the three word totals of ``stats`` from the summed
+    :func:`_counts`; returns the summed extras."""
     *reduced, col, row, whole = (int(t) for t in totals)
     stats.expand_words, stats.fold_words = col, row
     stats.total_words = col + row + whole
     return reduced
+
+
+def reduce_totals(grid: ProcGrid, stats: DistStats, *extras: int) -> "list[int]":
+    """The job's ONE closing collective, an allreduce: the engine's own
+    rank-local ``extras`` and the word totals summed.  Fills the three word
+    totals of ``stats`` and returns the summed extras."""
+    return _totals(stats, grid.comm.allreduce(_counts(grid, extras), op=SUM))
+
+
+def gather_totals(
+    grid: ProcGrid, stats: DistStats, payload: Any, *extras: int
+) -> "tuple[list, list[int]]":
+    """:func:`reduce_totals` for a job that also hands every rank every
+    rank's ``payload`` (MCM-DIST's mate slices): the ONE closing collective
+    is a grid allgather, the counts riding it summed on each rank.  Returns
+    (the payloads in rank order, the summed extras)."""
+    pieces = grid.comm.allgather((payload, _counts(grid, extras)))
+    return [p for p, _ in pieces], _totals(stats, sum(c for _, c in pieces))
 
 
 def _add_by_alg(into: dict, table: "dict | None") -> None:

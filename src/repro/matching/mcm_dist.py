@@ -13,12 +13,12 @@ Correspondence to the paper:
 paper                                  here
 ====================================  =========================================
 Algorithm 2 (MCM-DIST)                 :func:`mcm_dist_spmd`
-Step 1 SpMV, expand                    none inside the loop: the frontier of
-                                       column block j stays *expanded* — sorted
-                                       (column, root) arrays, identical down
-                                       grid column j (one
-                                       :func:`~repro.distmat.ops.expand` per
-                                       phase seeds it)
+Step 1 SpMV, expand                    none: the frontier of column block j
+                                       stays *expanded* — sorted (column, root)
+                                       arrays, identical down grid column j;
+                                       each phase's first is read off the
+                                       block's free-column bitmap, which the
+                                       phase's path roots leave
 Step 1 SpMV, local + fold              :func:`repro.distmat.ops.spmv_expanded`
                                        — exchange 1, ``rowcomm`` all-to-all to
                                        each row's *home*, the rank of its grid
@@ -59,9 +59,13 @@ loop test (frontier non-empty)         no collective: the counts riding the
 path count k (an allreduce)            no collective: the distinct roots
                                        exchange 2 replicated
 Algorithm 3 (level-parallel augment)   :func:`augment_level_spmd` — a level is
-                                       a row hop and two column hops,
-                                       (pc−1) + 2(pr−1) steps where the paper's
-                                       two INVERTs pay 2(p−1) + a reduction
+                                       a row hop and a column hop, (pc−1) +
+                                       (pr−1) steps where the paper's two
+                                       INVERTs pay 2(p−1) + a reduction: the
+                                       old mate is read off ``mate_cblk``,
+                                       column block j's ``mate_c`` replicated
+                                       down grid column j, whose updates ride
+                                       each phase's first exchange 2
 Algorithm 4 (path-parallel RMA)        :func:`augment_path_spmd_rma` — one window
                                        per run, two fences per phase; π read
                                        at each row's home
@@ -72,14 +76,15 @@ k < 2p² switch                          :func:`mcm_dist_spmd` per phase
 distributed maximal matching [21]      :func:`proposal_rounds_spmd` — greedy,
                                        Karp-Sipser and dynamic mindegree are
                                        three policies over one round of three
-                                       row/column allgathers
+                                       row/column allgathers (two for greedy:
+                                       its accepts ride the next propose)
 ====================================  =========================================
 
 One BFS iteration is therefore two exchanges and (pc−1) + ⌈log₂ pr⌉
 latency steps, none of them on the grid communicator — where the paper's
 schedule (§IV-B: two INVERTs over all p ranks, a grid-wide PRUNE
 allgather) pays ≈ 2p.  Every phase pays one more fold, which is the loop
-test, not an iteration, and one replica refresh.
+test, not an iteration, and one row-replica refresh.
 Mates, phases, iterations and edges examined are those of the paper's
 schedule, bit for bit;
 :func:`repro.perfmodel.collectives.msbfs_iteration` prices the engine's
@@ -93,20 +98,20 @@ per-round reduction runs on the grid communicator (DESIGN "Phase anatomy").
 The driver :func:`run_mcm_dist` launches the whole job on a pr×pc grid of
 simulated ranks and returns globally assembled mate vectors.  What the
 engine does around its phase loop — launch and recovery, the checkpoint
-write, the closing reduction and ledger — is the job shell it shares with
-MWM-DIST (:mod:`repro.matching.job`).
+write, the closing collective (one grid allgather of the mates, the counts
+riding it) and ledger — is the job shell it shares with MWM-DIST
+(:mod:`repro.matching.job`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..distmat.distvec import DistDenseVec, RowBlockVec, share_buffer
+from ..distmat.distvec import BlockVec, DistDenseVec, share_buffer
 from ..distmat.grid import ProcGrid
 from ..distmat.ops import (
     allgather_arrays,
     concat_pieces,
-    expand,
     hop,
     hop_down_column,
     local_edge_counts,
@@ -126,9 +131,9 @@ from ..sparse.spvec import NULL
 from .augment import choose_augment_mode
 from .job import (
     DistStats,
+    gather_totals,
     launch,
     phase_boundary,
-    reduce_totals,
     save_checkpoint,
     snapshot_ledger,
 )
@@ -137,6 +142,8 @@ from .job import (
 # ---------------------------------------------------------------------------
 # distributed maximal-matching initializers (the matrix-algebraic rounds of [21])
 # ---------------------------------------------------------------------------
+
+_EMPTY = np.empty(0, np.int64)
 
 #: ``init`` name -> the proposer/key policy it is over
 #: :func:`proposal_rounds_spmd`.  Greedy: every free column proposes, ids
@@ -165,6 +172,7 @@ def proposal_rounds_spmd(
     A: DistSparseMatrix,
     mate_r: DistDenseVec,
     mate_c: DistDenseVec,
+    mate_cblk: BlockVec,
     semiring: Semiring = SR_MIN_PARENT,
     *,
     degree_keys: bool = False,
@@ -175,9 +183,10 @@ def proposal_rounds_spmd(
     number of pairs matched.
 
     Rank (i, j) replicates the free-row bitmap of row block i (identical
-    along grid row i) and the free-column bitmap of column block j
-    (identical down grid column j).  One round is three packed allgathers,
-    none of them on the grid communicator:
+    along grid row i) and ``mate_cblk``, column block j's ``mate_c``
+    (identical down grid column j; its free entries are the block's
+    free-column bitmap).  One round is three packed allgathers, none of
+    them on the grid communicator:
 
     1. **propose** (grid row) — every block reduces its edges between
        proposing columns and free rows to one candidate per free row;
@@ -185,11 +194,16 @@ def proposal_rounds_spmd(
        proposal (``semiring`` picks among a row's columns).
     2. **resolve** (grid column) — the rank sitting in the proposed column's
        block contributes the proposal; every rank of the column keeps each
-       column's minimum row.
+       column's minimum row, which fills ``mate_cblk`` and the vector
+       owners' ``mate_c``.
     3. **accept** (grid row) — the accepted pairs of this row block, and the
-       column block's accept count, go along the row: bitmaps and the vector
-       owners' ``mate_r``/``mate_c`` are updated, and the counts sum to the
-       round's global match count on every rank.
+       column block's accept count, go along the row: the row bitmap and
+       the owners' ``mate_r`` are updated, and the counts sum to the
+       round's global match count on every rank.  Greedy sends them on the
+       next round's propose allgather and drops the rows they matched from
+       the proposals after it — a proposal is per row, so that is the
+       round it would have made — so R rounds cost 2R + 1 allgathers, the
+       last propose carrying only the zero count that ends the loop.
 
     A candidate travels as (vertex, key) with the proposed partner in
     ``key mod n``: ``degree_keys`` puts the partner's residual degree above
@@ -200,36 +214,58 @@ def proposal_rounds_spmd(
     maintains block-replicated residual degrees with one ``colcomm`` and one
     ``rowcomm`` allreduce per matching round; the latter's last word carries
     the column block's degree-1 count, so no rank needs a grid reduction to
-    know whether one exists.  The loop ends when a round matches nothing,
-    which is exactly maximality.
+    know whether one exists.  Their next proposals read the degrees the
+    accepts lower, so they accept in a round of their own.  The loop ends
+    when a round matches nothing, which is exactly maximality.
     """
     grid, blk = A.grid, A.block
     nrows, ncols = max(1, A.nrows), max(1, A.ncols)
     free_r = np.ones(blk.nrows, dtype=bool)
-    free_c = np.ones(blk.ncols, dtype=bool)
     degrees = degree_keys or degree_one_first
     ones_left = 0  # free residual degree-1 columns, grid-wide
     if degrees:
         degr, degc = (d.copy() for d in A.degree_blocks())
     if degree_one_first:
         ones_left = int(grid.rowcomm.allreduce(int((degc == 1).sum()), op=SUM))
+
+    def accept(arows, acols, accepts) -> int:
+        free_r[arows - A.row_lo] = False
+        own = (arows >= mate_r.lo) & (arows < mate_r.hi)
+        mate_r.set_local(arows[own], acols[own])
+        return int(accepts.sum())
+
+    # this rank's accepts not sent yet: (rows, columns, count), the count
+    # empty while there are none
+    unsent = (_EMPTY,) * 3
     total = 0
     while True:
-        cols = np.flatnonzero(free_c)
+        cols = np.flatnonzero(mate_cblk.local == NULL)
         if degree_one_first:
             # zero-degree columns can never match; leaving them out keeps the
             # plain rounds to the columns Karp-Sipser still has to place
             cols = cols[degc[cols] == 1] if ones_left else cols[degc[cols] > 0]
 
-        # 1. propose
+        # 1. propose, the last round's accepts riding along
         gcols = cols + A.col_lo
-        lrows, key, _ = blk.explode_cols(cols, gcols, gcols)
+        # the first round explodes the whole block, the job's peak: keep no
+        # edge-sized array longer than needed (the roots repeat the keys,
+        # and the row offset waits for the reduced candidates)
+        lrows, key = blk.explode_cols(cols, gcols, gcols)[:2]
         open_row = free_r[lrows]
         lrows, key = lrows[open_row], key[open_row]
         if degree_keys:
             key = key + degc[key - A.col_lo] * ncols
-        pieces = allgather_arrays(grid.rowcomm, *_best(lrows + A.row_lo, key, semiring))
-        rows, key = _best(*concat_pieces(pieces), semiring)
+        lrows, key = _best(lrows, key, semiring)
+        pieces = allgather_arrays(grid.rowcomm, lrows + A.row_lo, key, *unsent)
+        rows, key, *accepts = concat_pieces(pieces)
+        if accepts[2].size:
+            matched = accept(*accepts)
+            total += matched
+            if matched == 0:
+                return total
+            open_row = free_r[rows - A.row_lo]
+            rows, key = rows[open_row], key[open_row]
+        rows, key = _best(rows, key, semiring)
         pcols = key % ncols
 
         # 2. resolve
@@ -240,21 +276,18 @@ def proposal_rounds_spmd(
         pieces = allgather_arrays(grid.colcomm, pcols, key)
         wcols, key = _best(*concat_pieces(pieces))
         wrows = key % nrows
-        free_c[wcols - A.col_lo] = False
+        mate_cblk.set_local(wcols, wrows)
         own = (wcols >= mate_c.lo) & (wcols < mate_c.hi)
         mate_c.set_local(wcols[own], wrows[own])
 
         # 3. accept
         here = (wrows >= A.row_lo) & (wrows < A.row_hi)
-        pieces = allgather_arrays(
-            grid.rowcomm, wrows[here], wcols[here], np.array([wcols.size], np.int64)
-        )
-        arows, acols, accepts = concat_pieces(pieces)
-        free_r[arows - A.row_lo] = False
-        own = (arows >= mate_r.lo) & (arows < mate_r.hi)
-        mate_r.set_local(arows[own], acols[own])
-
-        matched = int(accepts.sum())
+        unsent = (wrows[here], wcols[here], np.array([wcols.size], np.int64))
+        if not degrees:
+            continue
+        arows, acols, accepts = concat_pieces(allgather_arrays(grid.rowcomm, *unsent))
+        unsent = (_EMPTY,) * 3
+        matched = accept(arows, acols, accepts)
         total += matched
         if matched == 0:
             if not ones_left:
@@ -263,19 +296,18 @@ def proposal_rounds_spmd(
             # plain round makes progress or proves maximality
             ones_left = 0
             continue
-        if degrees:
-            # columns adjacent to newly matched rows lose a degree, rows
-            # adjacent to newly matched columns likewise
-            _, touched = blk.explode_rows(arows - A.row_lo)
-            degc -= grid.colcomm.allreduce(
-                np.bincount(touched, minlength=blk.ncols).astype(np.int64), op=SUM
-            )
-            touched, _, _ = blk.explode_cols(wcols - A.col_lo, wcols, wcols)
-            dec_r = np.bincount(touched, minlength=blk.nrows + 1).astype(np.int64)
-            dec_r[-1] = (free_c & (degc == 1)).sum()
-            dec_r = grid.rowcomm.allreduce(dec_r, op=SUM)
-            degr -= dec_r[:-1]
-            ones_left = int(dec_r[-1]) if degree_one_first else 0
+        # columns adjacent to newly matched rows lose a degree, rows
+        # adjacent to newly matched columns likewise
+        _, touched = blk.explode_rows(arows - A.row_lo)
+        degc -= grid.colcomm.allreduce(
+            np.bincount(touched, minlength=blk.ncols).astype(np.int64), op=SUM
+        )
+        touched, _, _ = blk.explode_cols(wcols - A.col_lo, wcols, wcols)
+        dec_r = np.bincount(touched, minlength=blk.nrows + 1).astype(np.int64)
+        dec_r[-1] = ((mate_cblk.local == NULL) & (degc == 1)).sum()
+        dec_r = grid.rowcomm.allreduce(dec_r, op=SUM)
+        degr -= dec_r[:-1]
+        ones_left = int(dec_r[-1]) if degree_one_first else 0
 
 
 # ---------------------------------------------------------------------------
@@ -285,24 +317,27 @@ def proposal_rounds_spmd(
 def augment_level_spmd(
     A: DistSparseMatrix,
     start_rows: np.ndarray,
-    pi: RowBlockVec,
+    pi: BlockVec,
     mate_r: DistDenseVec,
     mate_c: DistDenseVec,
+    mate_cblk: BlockVec,
 ) -> None:
     """Algorithm 3, SPMD: all paths advance one (row, column) pair per
     lockstep level.  A level's tips are rows r held where π[r] is current:
     the first level's — the path ends, free rows — at their ``mate_r``
-    owners, later ones at their homes.  A level is three exchanges
+    owners, later ones at their homes.  A level is two exchanges
     (:func:`~repro.distmat.ops.hop`):
 
     1. a row hop carrying the write ``mate_r[r] = π[r]`` to r's owner and
-       (c = π[r], r) to the rank sitting in c's column block;
-    2. a column hop of (c, r) to c's ``mate_c`` owner, which reads the old
-       mate r′ — the next level's tip — and flips the column's mate;
-    3. a column hop taking r′ to its home (rowblock(r′), colblock(c)),
-       where π[r′] is current: c was r′'s mate all phase.
+       (c = π[r], r) to the rank sitting in c's column block, which reads
+       the old mate r′ — the next level's tip — off ``mate_cblk``, its
+       column block's ``mate_c`` as the phase began (c lies on one path
+       only, so no earlier level flipped it);
+    2. a column hop carrying (c, r) to c's ``mate_c`` owner, which flips the
+       column's mate, and r′ to its home (rowblock(r′), colblock(c)), where
+       π[r′] is current: c was r′'s mate all phase.
 
-    The live count rides the frames: hop 3 sums the next tips over the grid
+    The live count rides the frames: hop 2 sums the next tips over the grid
     column, the next row hop sums those sums over the grid row — the whole
     grid — so the call ends on the one row hop that finds it zero."""
     grid = A.grid
@@ -318,17 +353,21 @@ def augment_level_spmd(
         if live == 0:
             return
         mate_r.set_local(wrows, wcols)
-        _, cols, rows = hop(grid.colcomm, 0, (mate_c.vmap.owner(cols)[0], cols, rows))
-        prev = mate_c.get_local(cols)
-        mate_c.set_local(cols, rows)
+        prev = mate_cblk.get_local(cols)
         prev = prev[prev != NULL]
-        live, rows = hop(grid.colcomm, prev.size, (A.rowmap.owner(prev), prev))
+        live, cols, rows, prev = hop(
+            grid.colcomm, prev.size,
+            (mate_c.vmap.owner(cols)[0], cols, rows),
+            (A.rowmap.owner(prev), prev),
+        )
+        mate_c.set_local(cols, rows)
+        rows = prev
 
 
 def augment_path_spmd_rma(
     win: Window,
     start_rows: np.ndarray,
-    pi: RowBlockVec,
+    pi: BlockVec,
     mate_r: DistDenseVec,
     mate_c: DistDenseVec,
 ) -> None:
@@ -385,30 +424,46 @@ def _checkpoint(
 # the SPMD algorithm
 # ---------------------------------------------------------------------------
 
+def _stale(owner: DistDenseVec, replica: BlockVec) -> tuple[np.ndarray, np.ndarray]:
+    """The (index, value) pairs where the owner's slice — which lies inside
+    the replica's block — differs from the replica: what the replica's
+    next refresh must carry."""
+    own = replica.local[owner.lo - replica.lo:owner.hi - replica.lo]
+    diff = np.flatnonzero(own != owner.local)
+    return diff + owner.lo, owner.local[diff]
+
+
+def _check_replica(
+    grid: ProcGrid, phase: int, owner: DistDenseVec, replica: BlockVec,
+    labels: "np.ndarray | None",
+) -> None:
+    """``verify=True``'s self-check of a refreshed replica, free: a rank's
+    vector slice lies inside its block, so it compares the two without
+    communication and names the first index that differs (by its caller's
+    label, ``labels[index]``, when given)."""
+    bad, mates = _stale(owner, replica) if grid.comm.fabric.verify else (_EMPTY, _EMPTY)
+    if bad.size:
+        g = int(bad[0])
+        label = g if labels is None else int(labels[g])
+        kind, name = ("row", "mate_r") if owner.orient == "row" else ("column", "mate_c")
+        raise RuntimeError(
+            f"rank {grid.rank}, phase {phase}: the {kind}-block mate replica holds "
+            f"{replica.get_local(g)} for {kind} {label}, its owner's {name} {mates[0]}"
+        )
+
+
 def _refresh_replica(
-    grid: ProcGrid, phase: int, mate_r: DistDenseVec, mate_blk: RowBlockVec,
+    grid: ProcGrid, phase: int, mate_r: DistDenseVec, mate_blk: BlockVec,
     row_labels: "np.ndarray | None",
 ) -> None:
     """Bring ``mate_blk`` — row block i's ``mate_r``, replicated along grid
     row i — up to date with one ``rowcomm`` allgather of the (row, mate)
     pairs where an owner's slice differs from it: the initializer's or the
     checkpoint's matches at the first phase, the last phase's augmentations
-    at every later one.  ``verify=True`` adds a free self-check: a rank's
-    ``mate_r`` slice lies inside its row block, so it compares the two
-    without communication and names the first row that differs (by its
-    caller's label, ``row_labels[row]``, when given)."""
-    own = mate_blk.local[mate_r.lo - mate_blk.lo:mate_r.hi - mate_blk.lo]
-    diff = np.flatnonzero(own != mate_r.local)
-    pieces = allgather_arrays(grid.rowcomm, diff + mate_r.lo, mate_r.local[diff])
+    at every later one."""
+    pieces = allgather_arrays(grid.rowcomm, *_stale(mate_r, mate_blk))
     mate_blk.set_local(*concat_pieces(pieces))
-    bad = np.flatnonzero(own != mate_r.local) if grid.comm.fabric.verify else []
-    if len(bad):
-        r = mate_r.lo + int(bad[0])
-        label = r if row_labels is None else int(row_labels[r])
-        raise RuntimeError(
-            f"rank {grid.rank}, phase {phase}: the row-block mate replica holds "
-            f"{own[bad[0]]} for row {label}, its owner's mate_r {mate_r.get_local(r)}"
-        )
+    _check_replica(grid, phase, mate_r, mate_blk, row_labels)
 
 
 def _prune(prune: bool, ends: tuple, cols: np.ndarray, roots: np.ndarray) -> tuple:
@@ -434,6 +489,7 @@ def mcm_dist_spmd(
     resume: "Checkpoint | None" = None,
     checkpoint_aux: "dict[str, np.ndarray] | None" = None,
     row_labels: "np.ndarray | None" = None,
+    col_labels: "np.ndarray | None" = None,
 ) -> tuple[np.ndarray, np.ndarray, DistStats]:
     """The per-rank body of MCM-DIST (launch via :func:`run_mcm_dist`).
 
@@ -455,7 +511,8 @@ def mcm_dist_spmd(
     initializer is skipped and the phase loop continues from the
     checkpointed matching.  ``checkpoint_aux`` rides every snapshot as its
     ``aux`` (:func:`run_mcm_dist` stamps its relabel seed there), and
-    ``row_labels`` maps each row to the caller's id for diagnostics.
+    ``row_labels`` / ``col_labels`` map each row / column to the caller's
+    id for diagnostics.
     """
     if direction not in ("topdown", "bottomup", "auto"):
         raise ValueError(
@@ -466,12 +523,15 @@ def mcm_dist_spmd(
     # π lives at home: a matched row's entry is current on the rank of its
     # grid row sitting in its mate's column block, a free row's on every
     # rank of the grid row
-    pi = RowBlockVec(grid, A.nrows)
+    pi = BlockVec(grid, A.nrows)
     mate_r = DistDenseVec(grid, A.nrows, "row")
     mate_c = DistDenseVec(grid, A.ncols, "col")
-    # row block i's mate_r, identical along grid row i (refreshed per phase):
-    # where the fold sends each row.  mate_r stays the authority
-    mate_blk = RowBlockVec(grid, A.nrows)
+    # row block i's mate_r, identical along grid row i: where the fold sends
+    # each row; column block j's mate_c, identical down grid column j: where
+    # a level step reads a column's old mate.  Each is refreshed once per
+    # phase; mate_r and mate_c stay the authority
+    mate_blk = BlockVec(grid, A.nrows)
+    mate_cblk = BlockVec(grid, A.ncols, "col")
     # the three vectors path-parallel augmentation reaches one-sidedly live
     # in one buffer, so ONE window exposes them for the whole run
     shared = share_buffer(pi, mate_r, mate_c)
@@ -482,11 +542,12 @@ def mcm_dist_spmd(
         # restart path: the checkpointed matching replaces the initializer
         mate_r.local[:] = resume.mate_row[mate_r.lo:mate_r.hi]
         mate_c.local[:] = resume.mate_col[mate_c.lo:mate_c.hi]
+        mate_cblk.local[:] = resume.mate_col[mate_cblk.lo:mate_cblk.hi]
         stats.initial_cardinality = int(np.count_nonzero(resume.mate_row != NULL))
     elif init in _INIT_POLICIES:
         with tspan(grid.comm, f"init:{init}", cat="phase"):
             stats.initial_cardinality = proposal_rounds_spmd(
-                A, mate_r, mate_c,
+                A, mate_r, mate_c, mate_cblk,
                 semiring if init == "greedy" else SR_MIN_PARENT,
                 **_INIT_POLICIES[init],
             )
@@ -503,6 +564,10 @@ def mcm_dist_spmd(
     # unmatched columns grid-wide = the size of every phase's first frontier;
     # exact without communication: each augmenting path matches one more
     free_cols = A.ncols - stats.initial_cardinality
+    # column block j's unmatched columns, identical down grid column j: every
+    # phase's first frontier, already expanded.  Each phase's path roots
+    # leave it — every rank holds them
+    free_blk = mate_cblk.local == NULL
     blk_rows = np.arange(mate_blk.lo, mate_blk.hi)
     row_subs = mate_r.vmap.owner(blk_rows)[0]  # the vector owner's rowcomm rank
 
@@ -514,11 +579,14 @@ def mcm_dist_spmd(
         # span, so even the final (no-path) phase is timed
         with tspan(grid.comm, "phase", cat="phase", phase=phase_no):
             _refresh_replica(grid, phase_no, mate_r, mate_blk, row_labels)
+            # the last phase's augmentations of mate_c, which ride this
+            # phase's first column hop into the column replica
+            stale = _stale(mate_c, mate_cblk)
             pi.local.fill(NULL)
-            # the rows whose visited state this rank answers for in the edge
-            # counts and the bottom-up exchange — every row on exactly one
-            # rank: a matched row at its home, a free row at its vector owner;
-            # all unvisited until the first SET
+            # the rows whose visited state this rank answers for in the
+            # bottom-up exchange and the "auto" vote — every row on exactly
+            # one rank: a matched row at its home, a free row at its vector
+            # owner; all unvisited until the first SET
             mine = unvisited = blk_rows[np.where(
                 mate_blk.local == NULL, row_subs, A.colmap.owner(mate_blk.local)
             ) == grid.j]
@@ -528,17 +596,16 @@ def mcm_dist_spmd(
             # The loop keeps the frontier EXPANDED: (bcols, broots) are the
             # sorted (column, root) pairs of this rank's whole column block,
             # identical down the grid column.
-            lcols = np.flatnonzero(mate_c.local == NULL) + mate_c.lo
-            # this rank's share of the (top-down, bottom-up) edge counts of
-            # the coming superstep, read for the edges-examined accounting in
-            # every mode (so the cached block degrees behind it are primed —
-            # a collective — at the same program point in every mode).
-            # direction="auto" sums them grid-wide with an iallreduce posted
-            # as soon as they exist and waited at the superstep's head, so it
-            # overlaps the exchange in between.
-            counts = local_edge_counts(A, lcols, unvisited)
-            dir_req = grid.comm.iallreduce(counts, op=SUM) if direction == "auto" else None
-            bcols, broots = expand(A, lcols, lcols)
+            bcols = broots = np.flatnonzero(free_blk) + A.col_lo
+            # direction="auto" sums the (top-down, bottom-up) edge counts of
+            # the coming superstep grid-wide — each column counted by its
+            # mate_c owner — with an iallreduce posted as soon as they exist
+            # and waited at the superstep's head, so it overlaps the exchange
+            # in between
+            dir_req = None
+            if direction == "auto":
+                lcols = bcols[(bcols >= mate_c.lo) & (bcols < mate_c.hi)]
+                dir_req = grid.comm.iallreduce(local_edge_counts(A, lcols, unvisited), op=SUM)
             # the global frontier size: the first is the free columns, every
             # later one the sum of the counts riding the fold
             live = free_cols
@@ -559,11 +626,11 @@ def mcm_dist_spmd(
                     # name: spmv (top-down) vs spmv_bottomup (pull, plus its
                     # unvisited-row allgather)
                     if use_bu:
-                        live, rows, parents, roots = spmv_bottomup_expanded(
+                        live, scanned, rows, parents, roots = spmv_bottomup_expanded(
                             A, bcols, broots, unvisited, semiring, home=mate_blk.local
                         )
                     else:
-                        live, rows, parents, roots = spmv_expanded(
+                        live, scanned, rows, parents, roots = spmv_expanded(
                             A, bcols, broots, semiring, home=mate_blk.local
                         )
                     if live == 0:
@@ -574,7 +641,9 @@ def mcm_dist_spmd(
                         break
                     stats.iterations += 1
                     stats.bottomup_steps += int(use_bu)
-                    edges_local += int(counts[1] if use_bu else counts[0])
+                    # the edges this block scanned: over the grid, the
+                    # frontier's (or the unvisited rows') edges, each once
+                    edges_local += scanned
                     # Step 2: SELECT unvisited rows (a no-op after a bottom-up
                     # step, which only ever proposes unvisited rows — kept
                     # unconditionally so both directions share one code path)
@@ -598,15 +667,22 @@ def mcm_dist_spmd(
                     with tspan(grid.comm, "next_frontier"):
                         cols, roots = _prune(prune, ends, cols, roots)
                         # exchange 2 — column hop: the next frontier expanded,
-                        # and every path end of the grid on every rank
-                        bcols, broots, ends = hop_down_column(A, cols, roots, ends)
+                        # every path end of the grid on every rank, and (the
+                        # phase's first) the column replica's refresh
+                        bcols, broots, ends, *stale = hop_down_column(
+                            A, cols, roots, ends, *stale
+                        )
+                        mate_cblk.set_local(*stale)
+                        stale = (_EMPTY, _EMPTY)
+                        _check_replica(grid, phase_no, mate_c, mate_cblk, col_labels)
                         cols, roots = _prune(prune, ends, cols, roots)
                         bcols, broots = _prune(prune, ends, bcols, broots)
                         # this iteration's π is final
                         unvisited = mine[pi.get_local(mine) == NULL]
-                        counts = local_edge_counts(A, cols, unvisited)
                         if direction == "auto":
-                            dir_req = grid.comm.iallreduce(counts, op=SUM)
+                            dir_req = grid.comm.iallreduce(
+                                local_edge_counts(A, cols, unvisited), op=SUM
+                            )
                     found.append(ends)
             if dir_req is not None:
                 # posted for a superstep that never ran: a collective every
@@ -618,19 +694,20 @@ def mcm_dist_spmd(
             # (root, row) path end the phase found; a root's first iteration
             # wins, so the path count k needs no reduction, and each path
             # starts at its end row's mate_r owner
-            roots, rows = concat_pieces([(np.empty(0, np.int64),) * 2, *found])
+            roots, rows = concat_pieces([(_EMPTY,) * 2, *found])
             roots, first = np.unique(roots, return_index=True)
             k = roots.size
             if k == 0:
                 break
             free_cols -= k
+            free_blk[roots[(roots >= A.col_lo) & (roots < A.col_hi)] - A.col_lo] = False
             rows = rows[first]
             start = rows[(rows >= mate_r.lo) & (rows < mate_r.hi)]
             mode = augment if augment != "auto" else choose_augment_mode(k, grid.nprocs)
             if mode == "level":
                 stats.augment_level_calls += 1
                 with tspan(grid.comm, "augment:level", cat="phase", k=k):
-                    augment_level_spmd(A, start, pi, mate_r, mate_c)
+                    augment_level_spmd(A, start, pi, mate_r, mate_c, mate_cblk)
             elif mode == "path":
                 stats.augment_path_calls += 1
                 if win is None:
@@ -657,14 +734,15 @@ def mcm_dist_spmd(
     if win is not None:
         stats.rma_ops, stats.rma_words = win.rma_ops, win.rma_words
         win.free()
-    stats.final_cardinality, stats.edges_examined = reduce_totals(
-        grid, stats, np.count_nonzero(mate_r.local != NULL), edges_local
+    # the job's one closing collective assembles the mates on every rank,
+    # the edge and word counts riding it; the per-rank ledger snapshot is
+    # taken AFTER it, as the job's last act
+    pieces, (stats.edges_examined,) = gather_totals(
+        grid, stats, ((mate_r.lo, mate_r.local), (mate_c.lo, mate_c.local)), edges_local
     )
-    # the order is part of the ledger: the word totals are reduced BEFORE
-    # the final gather (``total_words`` excludes it), the per-rank snapshot
-    # is taken AFTER it, as the job's last act
-    g_r = mate_r.to_global()
-    g_c = mate_c.to_global()
+    g_r = mate_r.assemble([r for r, _ in pieces])
+    g_c = mate_c.assemble([c for _, c in pieces])
+    stats.final_cardinality = int(np.count_nonzero(g_r != NULL))
     snapshot_ledger(grid, stats)
     return g_r, g_c, stats
 
@@ -777,5 +855,6 @@ def run_mcm_dist(
         direction=direction,
         checkpoint_aux={"relabel": np.array(RELABEL_SEED, dtype=np.int64)},
         row_labels=permute.inverse_permutation(row_perm),
+        col_labels=permute.inverse_permutation(col_perm),
     )
     return (*permute.unpermute_matching(mate_r, mate_c, row_perm, col_perm), stats)

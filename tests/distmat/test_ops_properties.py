@@ -93,13 +93,18 @@ def test_home_fold_lands_each_row_on_its_home(args, seed):
         A = DistSparseMatrix.scatter_from_root(grid, coo if comm.rank == 0 else None)
         probe = DistDenseVec(grid, coo.ncols, "col")
         mine = fidx[(fidx >= probe.lo) & (fidx < probe.hi)]
-        nfront, *fr = spmv_expanded(
+        nfront, scanned, *fr = spmv_expanded(
             A, *expand(A, mine, mine), SR_MIN_PARENT, home=mates[A.row_lo:A.row_hi]
         )
-        return nfront, grid.i, grid.j, A.rowmap, A.colmap, fr
+        return nfront, scanned, grid.i, grid.j, A.rowmap, A.colmap, fr
 
     got = {}
-    for nfront, i, j, rowmap, colmap, (rows, parents, roots) in spmd(pr * pc, main).values:
+    res = spmd(pr * pc, main).values
+    # the blocks together scan every edge of the frontier's columns once
+    assert sum(r[1] for r in res) == CSC.from_coo(coo).spmv_count(
+        VertexFrontier.roots_of_self(coo.ncols, fidx)
+    )
+    for nfront, _, i, j, rowmap, colmap, (rows, parents, roots) in res:
         assert nfront == fidx.size
         assert (rowmap.owner(rows) == i).all() if rows.size else True
         for r, par, root in zip(rows.tolist(), parents.tolist(), roots.tolist()):
@@ -168,15 +173,20 @@ def test_distributed_bottomup_equals_filtered_topdown(args):
         pi_r = DistDenseVec.from_global(grid, pi, "row")
         probe = DistDenseVec(grid, coo.ncols, "col")
         mine = fidx[(fidx >= probe.lo) & (fidx < probe.hi)]
-        nfront, *fr = spmv_bottomup_expanded(
+        nfront, scanned, *fr = spmv_bottomup_expanded(
             A, *expand(A, mine, mine), _unvisited(pi_r), SR_MIN_PARENT
         )
-        return nfront, DistVertexFrontier(grid, coo.nrows, "row", *fr).to_global_arrays()
+        frontier = DistVertexFrontier(grid, coo.nrows, "row", *fr).to_global_arrays()
+        return nfront, scanned, frontier
 
     res = spmd(pr * pc, main)
     # the counts riding the fold add up to the global frontier on every rank
-    assert {nfront for nfront, _ in res} == {fidx.size}
-    gi, gp, gr = res[0][1]
+    assert {nfront for nfront, _, _ in res} == {fidx.size}
+    # the blocks together scan every edge of the unvisited rows once
+    assert sum(scanned for _, scanned, _ in res) == int(
+        CSC.from_coo(coo).row_degrees()[pi == NULL].sum()
+    )
+    gi, gp, gr = res[0][2]
     assert np.array_equal(gi, want[0])
     assert np.array_equal(gp, want[1])
     assert np.array_equal(gr, want[2])

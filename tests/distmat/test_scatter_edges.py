@@ -19,8 +19,9 @@ def _scatter_and_gather(comm, pr, pc, coo, values):
     assert cols.size == 0 or (0 <= cols.min() and cols.max() < nc)
     assert all(v.size == rows.size for v in vals)
     pieces = comm.gather((rows + geom.row_lo, cols + geom.col_lo, *vals), root=0)
-    header_words = comm.stats.by_alg["bcast:binomial"]["words"]
-    return (geom.nrows, geom.ncols), pieces, header_words
+    by_alg = comm.stats.by_alg
+    assert "bcast:binomial" not in by_alg
+    return (geom.nrows, geom.ncols), pieces, by_alg["scatter:direct"]["words"]
 
 
 @st.composite
@@ -52,7 +53,7 @@ def test_scatter_edges_round_trips_edges_and_values(case, shape):
     np.testing.assert_array_equal(cols[got], coo.cols[want])
     for k, v in enumerate(vals):
         np.testing.assert_array_equal(v, rows * coo.ncols + cols + 0.25 * (k + 1))
-    # the header is two words for a pattern matrix, a third when values ride
-    # along; a binomial bcast sends it p - 1 times in all
-    header = 3 if values else 2
-    assert sum(words for _, _, words in res) == (pr * pc - 1) * header
+    # no header broadcast: the shape's two words ride each of the p - 1
+    # pieces the root sends, beside one word per edge and array
+    sent = sum(p[0].size for p in pieces[1:]) * (2 + len(values))
+    assert sum(words for _, _, words in res) == (pr * pc - 1) * 2 + sent

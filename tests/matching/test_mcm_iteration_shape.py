@@ -14,10 +14,11 @@ phase: the corner tests pin that loop test.  The frontier is kept expanded
 empty blocks, every Step-1 direction, both backends and PRUNE on and off;
 the corner tests add a free row reached from two column blocks at once, a
 row block left entirely free, a resume from a checkpoint and a corrupted
-replica under ``verify=True``.  The fingerprints at the bottom are the
-results on the end-to-end benchmark's inputs, next to this schedule's
-latency steps per rank: the default (relabeled) run's, and the parent
-schedule's on the inputs' own ids, which must not move.
+row or column replica under ``verify=True``.  The fingerprints at the
+bottom are the results on the end-to-end benchmark's and the
+``BENCH_spmd.json`` inputs, next to this schedule's latency steps per rank:
+the default (relabeled) run's, and the parent schedule's on the inputs' own
+ids, which must not move.
 """
 
 import sys
@@ -333,21 +334,57 @@ def test_verify_names_a_stale_mate_replica(monkeypatch):
     assert f"for row {int(np.flatnonzero(row_perm == dropped[0])[0])}," in str(err.value)
 
 
+def test_verify_names_a_stale_column_replica(monkeypatch):
+    from repro.matching import mcm_dist
+
+    coo = er(6, seed=1)
+    kw = dict(init="none", timeout=10)
+    plain = run_mcm_dist(coo, 2, 2, **kw)[2]
+    # the check costs no communication: a clean verified run's ledger is
+    # the unverified one's
+    verified = run_mcm_dist(coo, 2, 2, verify=True, **kw)[2]
+    assert verified.comm_by_alg == plain.comm_by_alg
+
+    # the column replica's updates ride each phase's first column hop; rank
+    # 3 loses the first one it sends (the first phase after an augment
+    # flipped a column it owns), so that column keeps its old mate in the
+    # replica.  The error names the column by the caller's id
+    hop_down_column = mcm_dist.hop_down_column
+
+    def drop_one(A, cols, roots, ends, *riders):
+        if A.grid.comm.global_rank == 3 and riders[0].size and not dropped:
+            dropped.append(int(riders[0][0]))
+            riders = tuple(a[1:] for a in riders)
+        return hop_down_column(A, cols, roots, ends, *riders)
+
+    dropped = []
+    monkeypatch.setattr(mcm_dist, "hop_down_column", drop_one)
+    with pytest.raises(RuntimeError, match=r"rank 3, phase \d+: the column-block mate "
+                       r"replica holds .* for column (\d+), its owner's mate_c") as err:
+        run_mcm_dist(coo, 2, 2, verify=True, **kw)
+    col_perm = relabeled(coo)[2]
+    assert f"for column {int(np.flatnonzero(col_perm == dropped[0])[0])}," in str(err.value)
+
+
 # -- (d) the parent schedule's results on the end-to-end benchmark's inputs ----
 
 E2E = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e"
 ROAD = ("4ea672d81d8b29f511b3dad5c89354d05a304109ddfad2792cbef9e6cf336d48",
         (9, 408, 141_177, 5_840))
 #: the results on the inputs' own ids, then this schedule's latency steps
-#: per rank (the parent's: 1,453 / 1,218 / 241 — each iteration paid a row
-#: hop beside the fold and the column hop, and each augment level four hops)
+#: per rank (1,020 / 641 / 208 while a level step was three hops, every
+#: phase expanded its first frontier, a greedy round was three allgathers
+#: and the job opened on a header broadcast and closed on an allreduce and
+#: two allgathers; before that 1,453 / 1,218 / 241 — each iteration paid a
+#: row hop beside the fold and the column hop, and each augment level four
+#: hops)
 PARENT_FINGERPRINTS = [
-    pytest.param("mcm_deep_t4", 2, 2, *ROAD, 1_020, id="road-2x2"),
-    pytest.param("mcm_deep_t4", 1, 2, *ROAD, 641, id="road-1x2"),
+    pytest.param("mcm_deep_t4", 2, 2, *ROAD, 961, id="road-2x2"),
+    pytest.param("mcm_deep_t4", 1, 2, *ROAD, 634, id="road-1x2"),
     pytest.param(
         "mcm_bulk_t4", 2, 2,
         "c3161e8eb5b7fe7382b39361063e94a6baf6bec9e3e93832d8aaea452bf32c7d",
-        (9, 35, 4_520_751, 32_832), 208, id="er15-2x2",
+        (9, 35, 4_520_751, 32_832), 169, id="er15-2x2",
     ),
 ]
 
@@ -382,16 +419,18 @@ def test_id_order_reproduces_parent_fingerprints(e2e_workloads, workload, pr, pc
 
 #: the default run on the same inputs: the road core's staircase is gone
 #: (9 → 5 phases, 408 → 89 iterations) and the ER core, random already,
-#: draws a cheaper instance (9 → 7 phases, 35 → 24 iterations)
+#: draws a cheaper instance (9 → 7 phases, 35 → 24 iterations).  Latency
+#: steps per rank 267 / 173 / 135 (306 / 181 / 172 with the three-hop level
+#: step and the schedule around the loop named above)
 RELABELED_ROAD = ("d03154f77207efa32f250c75fa249fe1b5fb42c2c23416c58917964291c53ad5",
                   (5, 89, 47_630, 5_840))
 FINGERPRINTS = [
-    pytest.param("mcm_deep_t4", 2, 2, *RELABELED_ROAD, 306, id="road-2x2"),
-    pytest.param("mcm_deep_t4", 1, 2, *RELABELED_ROAD, 181, id="road-1x2"),
+    pytest.param("mcm_deep_t4", 2, 2, *RELABELED_ROAD, 267, id="road-2x2"),
+    pytest.param("mcm_deep_t4", 1, 2, *RELABELED_ROAD, 173, id="road-1x2"),
     pytest.param(
         "mcm_bulk_t4", 2, 2,
         "d8198654c0268f9ae57ef9c2dbd5f97df347d5bd5ad4130d5fa485f30993b0ed",
-        (7, 24, 3_168_366, 32_832), 172, id="er15-2x2",
+        (7, 24, 3_168_366, 32_832), 135, id="er15-2x2",
     ),
 ]
 
@@ -399,3 +438,30 @@ FINGERPRINTS = [
 @pytest.mark.parametrize("workload,pr,pc,sha,counts,steps", FINGERPRINTS)
 def test_parent_fingerprints(e2e_workloads, workload, pr, pc, sha, counts, steps):
     _fingerprint(e2e_workloads, run_mcm_dist, workload, pr, pc, sha, counts, steps)
+
+
+#: the ``BENCH_spmd.json`` runs (``direction="auto"``): mates digest, then
+#: phases, iterations, edges examined, bottom-up steps, level / path augment
+#: calls and one-sided operations — the parent schedule's, on both backends
+BENCH_FINGERPRINTS = [
+    pytest.param(
+        7, 2, 2, "c34170076df42172b0fca99b72534ba475f505467088719ddca76ba8742af972",
+        (2, 2, 1_328, 0, 0, 1, 12), id="er7-2x2",
+    ),
+    pytest.param(
+        9, 3, 3, "ccc5db37a4504660df6bc7f520a68e09a4dfc3118ba432190c0e0f4d1dc9a86b",
+        (4, 8, 9_813, 2, 0, 3, 48), id="er9-3x3",
+    ),
+]
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("scale,pr,pc,sha,counts", BENCH_FINGERPRINTS)
+def test_bench_runs_reproduce_parent_fingerprints(e2e_workloads, scale, pr, pc, sha,
+                                                  counts, backend):
+    mate_r, mate_c, st = run_mcm_dist(
+        er(scale, seed=1), pr, pc, direction="auto", backend=backend, timeout=60
+    )
+    assert e2e_workloads.digest(mate_r, mate_c) == sha
+    assert (st.phases, st.iterations, st.edges_examined, st.bottomup_steps,
+            st.augment_level_calls, st.augment_path_calls, st.rma_ops) == counts

@@ -3,12 +3,14 @@ the bit-equality of the results that shape must not touch.
 
 Sibling of ``test_mcm_iteration_shape.py``: a path-parallel phase is two
 barriers on one window that lives for the whole run, a level of the
-level-parallel augment is three row/column all-to-alls, an initializer round
-is three row/column allgathers, and the path count needs no reduction — so
-the span tests pin, on six grid shapes, which collectives each of those
-spans holds and on which communicator, with the step counts that follow
-written as ⌈log₂ q⌉ / (q − 1) arithmetic.  The parity matrix holds mates
-and counters to a 1x1 run for every initializer × augment mode.
+level-parallel augment is a row all-to-all and a column all-to-all, an
+initializer round is three row/column allgathers (two for greedy, whose
+accepts ride the next propose), the path count needs no reduction and the
+job closes on one grid allgather — so the span tests pin, on six grid
+shapes, which collectives each of those spans holds and on which
+communicator, with the step counts that follow written as ⌈log₂ q⌉ /
+(q − 1) arithmetic.  The parity matrix holds mates and counters to a 1x1
+run for every initializer × augment mode.
 """
 
 import os
@@ -19,10 +21,13 @@ import pytest
 from repro.graphs.rmat import er
 from repro.matching import ms_bfs_mcm
 from repro.matching.augment import choose_augment_mode
-from repro.matching.mcm_dist import relabeled, run_mcm_dist
+from repro.matching.job import launch
+from repro.matching.mcm_dist import _mcm_rank_main, relabeled, run_mcm_dist
 from repro.runtime import CrashSpec, FaultPlan, RankKilledError
-from repro.sparse import CSC
+from repro.runtime.checkpoint import Checkpoint, FileCheckpointStore
+from repro.sparse import COO, CSC
 from repro.sparse.semiring import SR_MAX_PARENT, SR_MIN_PARENT
+from repro.sparse.spvec import NULL
 
 GRIDS = [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (1, 4)]
 
@@ -37,12 +42,13 @@ def _traced(pr, pc, **kwargs):
 
 def _per_rank(trace):
     """Per rank: (all its spans, its ``cat="comm"`` spans in program order,
-    the id of the grid communicator — the one the set-up broadcast ran on,
-    whatever the sizes of the row and column communicators)."""
+    the id of the grid communicator — the one the job's closing allgather,
+    its last collective, ran on, whatever the sizes of the row and column
+    communicators)."""
     for spans in trace.spans:
         comms = sorted((sp for sp in spans if sp.cat == "comm"), key=lambda sp: sp.bseq)
-        grid_id = next(c.args["comm"] for c in comms if c.name == "bcast")
-        yield spans, comms, grid_id
+        assert comms[-1].name == "allgather"
+        yield spans, comms, comms[-1].args["comm"]
 
 
 def _inside(span, comms):
@@ -73,9 +79,10 @@ def test_path_phase_is_two_barriers_on_one_window(pr, pc):
             assert _shape(inside) == [("barrier", p), ("barrier", p)]
             assert {c.args["comm"] for c in inside} == {grid_id}
             assert _steps(inside) == 2 * _log2ceil(p)
-        # one window: the matrix-shape broadcast of set-up plus its id; its
-        # creation barrier and the two of free() are all that lie outside
-        assert sum(c.name == "bcast" for c in comms) == 2
+        # one window: the broadcast of its id (the matrix's shape rides
+        # the scatter); its creation barrier and the two of free() are all
+        # that lie outside
+        assert sum(c.name == "bcast" for c in comms) == 1
         assert sum(c.name == "barrier" for c in comms) - 2 * len(phases) <= 3
         # every epoch of the run sits on the same window lane
         assert len({sp.args["win"] for sp in spans if sp.name == "rma_epoch"}) == 1
@@ -83,42 +90,96 @@ def test_path_phase_is_two_barriers_on_one_window(pr, pc):
 
 @pytest.mark.parametrize("pr,pc", GRIDS)
 def test_level_is_three_row_column_hops(pr, pc):
+    """A level is two hops now (the name is the three-hop schedule's)."""
     stats = _traced(pr, pc, init="none", augment="level")
     assert stats.augment_level_calls >= 2 and stats.augment_path_calls == 0
-    # the mate_r write to the owner and (c, r) to c's column block (row
-    # hop), on to the mate_c owner (column hop), the old mate to its home
-    # (column hop); the call ends on the row hop that finds no path live
-    level = [("alltoall", pc), ("alltoall", pr), ("alltoall", pr)]
-    per_level = (pc - 1) + 2 * (pr - 1)
+    # the mate_r write to the owner and (c, r) to c's column block, which
+    # reads the old mate off the column replica (row hop); (c, r) on to the
+    # mate_c owner and the old mate to its home (column hop); the call ends
+    # on the row hop that finds no path live
+    level = [("alltoall", pc), ("alltoall", pr)]
+    per_level = (pc - 1) + (pr - 1)
     for spans, comms, grid_id in _per_rank(stats.trace):
         calls = [sp for sp in spans if sp.name == "augment:level"]
         assert len(calls) == stats.augment_level_calls
         for call in calls:
             inside = _inside(call, comms)
-            levels, closing = divmod(len(inside), 3)
+            levels, closing = divmod(len(inside), 2)
             assert levels >= 1 and closing == 1
             assert _shape(inside) == level * levels + level[:1]
             # one row communicator, one column communicator, never the grid's
             ids = [c.args["comm"] for c in inside]
             row, col = ids[0], ids[1]
-            assert ids == [row, col, col] * levels + [row] and grid_id not in {row, col}
+            assert ids == [row, col] * levels + [row] and grid_id not in {row, col}
             assert _steps(inside) == levels * per_level + (pc - 1)
+
+
+def _augmenting_paths(lengths, seed=0):
+    """Vertex-disjoint paths and the matching that leaves each one
+    augmenting: a path of length L is the free root column c₀, then rows
+    and columns r₁ c₁ … r_{L−1} c_{L−1} with r_i matched to c_i, then the
+    free row r_L, L (row, column) pairs to flip.  Ids are shuffled, so
+    consecutive vertices of a path land in different blocks.  Returns the
+    matrix, the matching as a phase-0 checkpoint, and the augmented mates."""
+    rng = np.random.default_rng(seed)
+    n = sum(lengths)
+    rid, cid = rng.permutation(n), rng.permutation(n)
+    rows, cols = [], []
+    mate_r, mate_c = np.full(n, NULL), np.full(n, NULL)
+    want_r = np.full(n, NULL)
+    at = 0
+    for L in lengths:
+        r, c = rid[at:at + L], cid[at:at + L]  # r₁ … r_L and c₀ … c_{L−1}
+        rows += [*r, *r[:-1]]
+        cols += [*c, *c[1:]]
+        mate_r[r[:-1]], mate_c[c[1:]] = c[1:], r[:-1]
+        want_r[r] = c
+        at += L
+    coo = COO(n, n, np.array(rows), np.array(cols))
+    return coo, Checkpoint(phase=0, mate_row=mate_r, mate_col=mate_c), want_r
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("pr,pc", [(1, 2), (2, 1), (2, 2), (3, 3)])
+def test_level_step_is_a_row_hop_and_a_column_hop(pr, pc, backend, tmp_path):
+    """A level costs (pc−1) + (pr−1) steps — the old mate is read off the
+    column replica where the row hop lands — and the call closes on one
+    row hop: L·((pc−1) + (pr−1)) + (pc−1) for paths of length at most L."""
+    L = 5
+    coo, ck, want_r = _augmenting_paths((L, 2, 1))
+    store = FileCheckpointStore(str(tmp_path / "ckpt"))
+    store.save(ck)
+    mate_r, _, stats = launch(
+        _mcm_rank_main, (coo,), pr, pc, checkpoint_store=store, init="none",
+        augment="level", trace="ticks", backend=backend, timeout=60,
+    )
+    np.testing.assert_array_equal(mate_r, want_r)
+    assert stats.augment_level_calls == 1 and stats.iterations == L
+    for spans, comms, _ in _per_rank(stats.trace):
+        (call,) = [sp for sp in spans if sp.name == "augment:level"]
+        assert _steps(_inside(call, comms)) == L * ((pc - 1) + (pr - 1)) + (pc - 1)
 
 
 @pytest.mark.parametrize("init", ["greedy", "mindegree", "karp-sipser"])
 @pytest.mark.parametrize("pr,pc", GRIDS)
 def test_initializer_round_is_three_row_column_allgathers(pr, pc, init):
+    """Three for the degree-keyed policies; greedy's accept rides the next
+    round's propose, so R rounds are 2R + 1 allgathers."""
     stats = _traced(pr, pc, init=init)
     assert stats.initial_cardinality > 0
-    rnd = [("allgather", pc), ("allgather", pr), ("allgather", pc)]
+    if init == "greedy":
+        rnd, last = [("allgather", pc), ("allgather", pr)], [("allgather", pc)]
+    else:
+        rnd, last = [("allgather", pc), ("allgather", pr), ("allgather", pc)], []
     for spans, comms, grid_id in _per_rank(stats.trace):
         (span,) = [sp for sp in spans if sp.name == f"init:{init}"]
         inside = _inside(span, comms)
         assert grid_id not in {c.args["comm"] for c in inside}
         gathers = [c for c in inside if c.name == "allgather"]
-        rounds = len(gathers) // 3
-        assert rounds >= 2 and _shape(gathers) == rnd * rounds
-        assert _steps(gathers) == rounds * (2 * _log2ceil(pc) + _log2ceil(pr))
+        rounds = len(gathers) // len(rnd)
+        assert rounds >= 2 and _shape(gathers) == rnd * rounds + last
+        row_gathers = rounds * (len(rnd) - 1) + len(last)
+        assert _steps(gathers) == row_gathers * _log2ceil(pc) + rounds * _log2ceil(pr)
         if init == "greedy":
             assert inside == gathers
         else:
@@ -147,8 +208,10 @@ def test_no_grid_reduction_per_phase_level_or_round(pr, pc, direction):
         assert len(in_phases) == (
             stats.phases + stats.iterations if direction == "auto" else 0
         )
-        # the job's one other grid reduction is the closing 5-word sum
-        assert sum(c.name == "allreduce" for c in on_grid) == len(in_phases) + 1
+        # and no other: the job closes on one grid allgather, the edge and
+        # word counts riding the mates
+        assert sum(c.name == "allreduce" for c in on_grid) == len(in_phases)
+        assert [c.name for c in on_grid if c.name == "allgather"] == ["allgather"]
 
 
 # -- (b) results equal a 1x1 run ----------------------------------------------------
