@@ -30,7 +30,7 @@ def rank_main(comm, coo, pr, pc):
     # module-level (not a closure) so a process backend could pickle it —
     # exactly what `repro lint` rule SPMD703 enforces
     data = coo if comm.rank == 0 else None
-    return mcm_dist_spmd(comm, data, pr, pc, init="greedy", augment="auto")
+    return mcm_dist_spmd(comm, data, pr, pc, init="greedy")
 
 
 def main() -> None:

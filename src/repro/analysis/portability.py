@@ -50,7 +50,7 @@ _MUTATING_METHODS = frozenset({
 #: runtime's collectives, whose payload is the first positional argument.
 _PAYLOAD_METHODS = frozenset({
     "bcast", "gather", "scatter", "allgather", "allgatherv", "alltoall",
-    "alltoallv", "reduce", "allreduce", "iallreduce",
+    "alltoallv", "reduce", "allreduce",
 })
 
 _MUTABLE_CONSTRUCTORS = frozenset({

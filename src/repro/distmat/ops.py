@@ -9,7 +9,7 @@ rank-local objects of this package:
   word a packed buffer's header takes;
 * :func:`expand` — assemble a column block's frontier from its sub-chunk
   owners (allgather down the grid column);
-* :func:`spmv_expanded` — the 2D semiring SpMV on an already expanded
+* :func:`spmv_expanded` — the 2D minParent SpMV on an already expanded
   block frontier: local DCSC explode + pre-reduction → *fold* (all-to-all
   of partial winners along the grid row, each frame carrying the sender's
   block-frontier size, so the call also returns the global frontier size)
@@ -22,10 +22,10 @@ rank-local objects of this package:
   dense ``root_of`` array, the unvisited row ids are allgathered along the
   grid row, and each block scans its unvisited rows' adjacency through the
   cached DCSC row-major mirror; fold and destination reduction are shared
-  with the top-down form, so deterministic semirings produce bit-identical
-  frontiers;
+  with the top-down form, so the two produce bit-identical frontiers;
 * :func:`local_edge_counts` — this rank's share of the per-iteration
-  switch rule's (top-down, bottom-up) edge counts;
+  switch rule's (top-down, bottom-up) edge counts, and
+  :func:`vote_bottomup` — the grid's verdict on them;
 * :func:`path_ends` — the (root, min row) pair per tree that Steps 5 and 6
   of MCM-DIST read;
 * :func:`hop_down_column` — Step 7 without a grid-wide exchange: the
@@ -43,10 +43,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..runtime.comm import Communicator
+from ..runtime.comm import SUM, Communicator
 from ..runtime.pack import pack_arrays, pack_indices, unpack_arrays, unpack_indices
 from ..runtime.trace import tspan
-from ..sparse.semiring import SR_MIN_PARENT, Semiring, reduce_candidates
+from ..sparse.semiring import reduce_candidates
 from ..sparse.spvec import NULL
 from .distvec import DistDenseVec, DistVertexFrontier
 from .spmat import DistSparseMatrix
@@ -148,25 +148,23 @@ def _fold_and_reduce(
     grows: np.ndarray,
     parents: np.ndarray,
     roots: np.ndarray,
-    semiring: Semiring,
-    rng: np.random.Generator | None,
     home: "np.ndarray | None",
 ) -> tuple:
-    """Shared SpMV tail: local pre-reduction of the candidate triples, fold
-    along the grid row, destination reduction.  Both traversal directions
-    funnel through here, which is what makes them bit-identical under
-    deterministic semirings.  Without ``home`` a partial winner goes to its
-    row's vector owner; with it — row block i's mates, replicated along the
-    grid row — a matched row's goes to its home, the rank sitting in its
-    mate's column block, and a free row's to every rank of the grid row, so
-    every rank reduces a free row's full candidate set identically.
+    """Shared SpMV tail: local minParent pre-reduction of the candidate
+    triples, fold along the grid row, destination reduction.  Both traversal
+    directions funnel through here, which is what makes them bit-identical.
+    Without ``home`` a partial winner goes to its row's vector owner; with
+    it — row block i's mates, replicated along the grid row — a matched
+    row's goes to its home, the rank sitting in its mate's column block,
+    and a free row's to every rank of the grid row, so every rank reduces a
+    free row's full candidate set identically.
     ``count`` rides every fold frame in the word a packed buffer's header
     would take; returns (Σ ``count`` over the grid row, rows ascending,
     their parents, their roots)."""
     grid = A.grid
     with tspan(grid.comm, "fold"):
         # local pre-reduction shrinks the fold volume (CombBLAS does the same)
-        grows, parents, roots = reduce_candidates(grows, parents, roots, semiring, rng)
+        grows, parents, roots = reduce_candidates(grows, parents, roots)
 
         # -- fold.  All my rows live in row block i, whose sub-chunks are owned
         # by the pc ranks of my grid row (the sub index IS the rowcomm rank),
@@ -187,15 +185,13 @@ def _fold_and_reduce(
             got = [np.concatenate(pair) for pair in zip(got[:3], got[3:])]
 
         # -- destination reduction: one winner per row across all blocks
-        return (total, *reduce_candidates(*got, semiring, rng))
+        return (total, *reduce_candidates(*got))
 
 
 def spmv_expanded(
     A: DistSparseMatrix,
     gcols: np.ndarray,
     groots: np.ndarray,
-    semiring: Semiring = SR_MIN_PARENT,
-    rng: np.random.Generator | None = None,
     home: "np.ndarray | None" = None,
 ) -> tuple:
     """``f_r = A · f_c`` for an already expanded frontier: ``gcols``/``groots``
@@ -210,26 +206,21 @@ def spmv_expanded(
     with tspan(A.grid.comm, "spmv"):
         lrows, parents, roots = A.block.explode_cols(gcols - A.col_lo, gcols, groots)
         total, *fr = _fold_and_reduce(
-            A, gcols.size, lrows + A.row_lo, parents, roots, semiring, rng, home
+            A, gcols.size, lrows + A.row_lo, parents, roots, home
         )
         return (total, lrows.size, *fr)
 
 
-def spmv(
-    A: DistSparseMatrix,
-    fc: DistVertexFrontier,
-    semiring: Semiring = SR_MIN_PARENT,
-    rng: np.random.Generator | None = None,
-) -> DistVertexFrontier:
+def spmv(A: DistSparseMatrix, fc: DistVertexFrontier) -> DistVertexFrontier:
     """One step of distributed alternating BFS from a column frontier held
     by its vector owners: :func:`expand`, then :func:`spmv_expanded`.
 
-    Matches :meth:`repro.sparse.csc.CSC.spmv_frontier` exactly for
-    deterministic semirings (the integration tests assert this).
+    Matches :meth:`repro.sparse.csc.CSC.spmv_frontier` under minParent
+    exactly (the integration tests assert this).
     """
     if fc.orient != "col":
         raise ValueError("spmv expects a column frontier")
-    _, _, *fr = spmv_expanded(A, *expand(A, fc.idx, fc.root), semiring, rng)
+    _, _, *fr = spmv_expanded(A, *expand(A, fc.idx, fc.root))
     return DistVertexFrontier(A.grid, A.nrows, "row", *fr)
 
 
@@ -238,8 +229,6 @@ def spmv_bottomup_expanded(
     gcols: np.ndarray,
     groots: np.ndarray,
     unvisited: np.ndarray,
-    semiring: Semiring = SR_MIN_PARENT,
-    rng: np.random.Generator | None = None,
     home: "np.ndarray | None" = None,
 ) -> tuple:
     """Direction-optimized Step 1: unvisited rows PULL from the frontier.
@@ -263,7 +252,7 @@ def spmv_bottomup_expanded(
        scanned — its edges of row block i's unvisited rows — ``f_r``) too.
 
     For a row left unvisited, the candidate set {(r, c) : c ∈ f_c} is
-    identical in both directions, so deterministic semirings yield the SAME
+    identical in both directions, so the minParent reduction yields the SAME
     winners as the top-down form followed by the Step 2 unvisited filter —
     the integration tests assert bit-identical mate vectors.
     """
@@ -289,7 +278,7 @@ def spmv_bottomup_expanded(
             grows = lrows + A.row_lo
             parents = lcols + A.col_lo
         total, *fr = _fold_and_reduce(
-            A, gcols.size, grows, parents, croots, semiring, rng, home
+            A, gcols.size, grows, parents, croots, home
         )
         return (total, int(A.block.row_degrees()[unvisited].sum()), *fr)
 
@@ -309,6 +298,16 @@ def local_edge_counts(A: DistSparseMatrix, cols: np.ndarray, unvisited: np.ndarr
     td = degc_blk[cols - A.col_lo].sum()
     bu = degr_blk[unvisited - A.row_lo].sum()
     return np.array([td, bu], dtype=np.int64)
+
+
+def vote_bottomup(A: DistSparseMatrix, cols: np.ndarray, unvisited: np.ndarray) -> bool:
+    """``direction="auto"``'s vote for the coming superstep: one 2-word grid
+    allreduce of :func:`local_edge_counts`, so every rank takes the same
+    direction — bottom-up iff it examines fewer edges.  It blocks where the
+    counts come into being: the engine runs no exchange between there and
+    the next fold, so a nonblocking form would have nothing to overlap."""
+    td, bu = A.grid.comm.allreduce(local_edge_counts(A, cols, unvisited), op=SUM)
+    return bool(bu < td)
 
 
 def hop_down_column(

@@ -63,6 +63,10 @@ from ..sparse.spvec import NULL
 
 _NEG_INF = -np.inf
 
+#: the runaway guard of both auction engines: a run that reaches this many
+#: bidding rounds raises instead of spinning
+MAX_ROUNDS = 1_000_000
+
 
 def next_delta(
     d: "float | None", scale: float, lower: float, n: int, epsilon: float,

@@ -31,9 +31,9 @@ Step 1 SpMV, local + fold              :func:`repro.distmat.ops.spmv_expanded`
                                        the block-frontier sizes, summed the
                                        global frontier size
 Step 1, direction-optimized            :func:`repro.distmat.ops.spmv_bottomup_expanded`
-                                       (+ ``direction="auto"``: one overlapped
-                                       2-word ``iallreduce`` of
-                                       :func:`~repro.distmat.ops.local_edge_counts`)
+                                       (+ ``direction="auto"``: one 2-word grid
+                                       ``allreduce`` per superstep,
+                                       :func:`~repro.distmat.ops.vote_bottomup`)
 Steps 2–4 SELECT/SET                   local NumPy at home: π is a row-block
                                        array, a matched row's entry current at
                                        its home, a free row's on every rank of
@@ -114,10 +114,10 @@ from ..distmat.ops import (
     concat_pieces,
     hop,
     hop_down_column,
-    local_edge_counts,
     path_ends,
     spmv_bottomup_expanded,
     spmv_expanded,
+    vote_bottomup,
 )
 from ..distmat.spmat import DistSparseMatrix
 from ..runtime import Window
@@ -126,7 +126,7 @@ from ..runtime.comm import SUM, Communicator
 from ..runtime.trace import tspan
 from ..sparse import permute
 from ..sparse.coo import COO
-from ..sparse.semiring import SR_MIN_PARENT, Semiring, reduce_candidates
+from ..sparse.semiring import reduce_candidates
 from ..sparse.spvec import NULL
 from .augment import choose_augment_mode
 from .job import (
@@ -147,8 +147,8 @@ _EMPTY = np.empty(0, np.int64)
 
 #: ``init`` name -> the proposer/key policy it is over
 #: :func:`proposal_rounds_spmd`.  Greedy: every free column proposes, ids
-#: break ties (rows pick under the caller's semiring).  Dynamic mindegree —
-#: the paper's default: the same rounds keyed by residual degree.
+#: break ties.  Dynamic mindegree — the paper's default: the same rounds
+#: keyed by residual degree.
 #: Karp-Sipser: degree-1 columns, whose match is always safe, go first; their
 #: cascades serialize into many rounds — what makes distributed Karp-Sipser
 #: slow in the paper's Fig. 3.
@@ -159,12 +159,10 @@ _INIT_POLICIES = {
 }
 
 
-def _best(
-    idx: np.ndarray, key: np.ndarray, semiring: Semiring = SR_MIN_PARENT
-) -> tuple[np.ndarray, np.ndarray]:
-    """One (vertex, key) candidate per distinct vertex — the semiring's pick
-    among the vertex's keys; vertices ascending."""
-    idx, key, _ = reduce_candidates(idx, key, key, semiring)
+def _best(idx: np.ndarray, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One (vertex, key) candidate per distinct vertex — its minimum key;
+    vertices ascending."""
+    idx, key, _ = reduce_candidates(idx, key, key)
     return idx, key
 
 
@@ -173,7 +171,6 @@ def proposal_rounds_spmd(
     mate_r: DistDenseVec,
     mate_c: DistDenseVec,
     mate_cblk: BlockVec,
-    semiring: Semiring = SR_MIN_PARENT,
     *,
     degree_keys: bool = False,
     degree_one_first: bool = False,
@@ -191,7 +188,7 @@ def proposal_rounds_spmd(
     1. **propose** (grid row) — every block reduces its edges between
        proposing columns and free rows to one candidate per free row;
        allgathered along the row, every rank reduces them to the row's
-       proposal (``semiring`` picks among a row's columns).
+       proposal (its minimum key).
     2. **resolve** (grid column) — the rank sitting in the proposed column's
        block contributes the proposal; every rank of the column keeps each
        column's minimum row, which fills ``mate_cblk`` and the vector
@@ -255,7 +252,7 @@ def proposal_rounds_spmd(
         lrows, key = lrows[open_row], key[open_row]
         if degree_keys:
             key = key + degc[key - A.col_lo] * ncols
-        lrows, key = _best(lrows, key, semiring)
+        lrows, key = _best(lrows, key)
         pieces = allgather_arrays(grid.rowcomm, lrows + A.row_lo, key, *unsent)
         rows, key, *accepts = concat_pieces(pieces)
         if accepts[2].size:
@@ -265,7 +262,7 @@ def proposal_rounds_spmd(
                 return total
             open_row = free_r[rows - A.row_lo]
             rows, key = rows[open_row], key[open_row]
-        rows, key = _best(rows, key, semiring)
+        rows, key = _best(rows, key)
         pcols = key % ncols
 
         # 2. resolve
@@ -466,10 +463,10 @@ def _refresh_replica(
     _check_replica(grid, phase, mate_r, mate_blk, row_labels)
 
 
-def _prune(prune: bool, ends: tuple, cols: np.ndarray, roots: np.ndarray) -> tuple:
+def _prune(ends: tuple, cols: np.ndarray, roots: np.ndarray) -> tuple:
     """Step 6 PRUNE as a filter: the (column, root) entries whose tree has
-    none of the (root, row) path ``ends`` — all of them without ``prune``."""
-    keep = ~np.isin(roots, ends[0]) if prune and ends[0].size else slice(None)
+    none of the (root, row) path ``ends``."""
+    keep = ~np.isin(roots, ends[0]) if ends[0].size else slice(None)
     return cols[keep], roots[keep]
 
 
@@ -480,9 +477,6 @@ def mcm_dist_spmd(
     pc: int,
     *,
     init: str = "greedy",
-    semiring: Semiring = SR_MIN_PARENT,
-    prune: bool = True,
-    augment: str = "auto",
     direction: str = "topdown",
     checkpoint_every: int = 0,
     checkpoint_store: "CheckpointStore | None" = None,
@@ -494,12 +488,13 @@ def mcm_dist_spmd(
     """The per-rank body of MCM-DIST (launch via :func:`run_mcm_dist`).
 
     ``coo_on_root`` is the input matrix on rank 0 (None elsewhere);
-    ``augment`` is "level", "path" or "auto" (the k < 2p² switch);
     ``direction`` is "topdown", "bottomup" or "auto" — "auto" picks the
     cheaper Step-1 direction every iteration by one global 2-word edge-count
-    allreduce.  Deterministic semirings yield identical mate vectors in all
-    three modes.  Returns (globally gathered mate_r, mate_c, stats) on
-    every rank.
+    allreduce; the mate vectors are identical in all three modes.  The
+    engine picks each phase's augmentation by the paper's k < 2p² rule
+    (:func:`~repro.matching.augment.choose_augment_mode`), PRUNEs every
+    iteration and reduces candidates under minParent.  Returns (globally
+    gathered mate_r, mate_c, stats) on every rank.
 
     Checkpoint/restart (driven by :func:`~repro.matching.job.launch`, which
     passes a store only when the caller gave one or allowed restarts): with
@@ -547,9 +542,7 @@ def mcm_dist_spmd(
     elif init in _INIT_POLICIES:
         with tspan(grid.comm, f"init:{init}", cat="phase"):
             stats.initial_cardinality = proposal_rounds_spmd(
-                A, mate_r, mate_c, mate_cblk,
-                semiring if init == "greedy" else SR_MIN_PARENT,
-                **_INIT_POLICIES[init],
+                A, mate_r, mate_c, mate_cblk, **_INIT_POLICIES[init],
             )
     elif init not in (None, "none"):
         raise ValueError(
@@ -597,29 +590,20 @@ def mcm_dist_spmd(
             # sorted (column, root) pairs of this rank's whole column block,
             # identical down the grid column.
             bcols = broots = np.flatnonzero(free_blk) + A.col_lo
-            # direction="auto" sums the (top-down, bottom-up) edge counts of
-            # the coming superstep grid-wide — each column counted by its
-            # mate_c owner — with an iallreduce posted as soon as they exist
-            # and waited at the superstep's head, so it overlaps the exchange
-            # in between
-            dir_req = None
+            # Step 1's direction, globally uniform: "auto" votes on the
+            # coming superstep's (top-down, bottom-up) edge counts as soon
+            # as they exist — each column counted by its mate_c owner
+            use_bu = direction == "bottomup"
             if direction == "auto":
                 lcols = bcols[(bcols >= mate_c.lo) & (bcols < mate_c.hi)]
-                dir_req = grid.comm.iallreduce(local_edge_counts(A, lcols, unvisited), op=SUM)
+                use_bu = vote_bottomup(A, lcols, unvisited)
             # the global frontier size: the first is the free columns, every
             # later one the sum of the counts riding the fold
             live = free_cols
 
             while live > 0:
                 with tspan(grid.comm, "bfs_iter", cat="phase", iter=stats.iterations + 1) as sp:
-                    # Step 1: SpMV, direction-optimized.  The decision must be
-                    # globally uniform: "auto" compares the allreduced edge
-                    # counts; fixed modes are trivially uniform.
-                    if dir_req is not None:
-                        td_g, bu_g = dir_req.wait()
-                        use_bu = bool(bu_g < td_g)
-                    else:
-                        use_bu = direction == "bottomup"
+                    # Step 1: SpMV in the direction voted for it.
                     # exchange 1 — fold (grid row) to each row's home, every
                     # frame carrying the sender's block-frontier size.  The
                     # chosen direction shows in the trace as the kernel span's
@@ -627,11 +611,11 @@ def mcm_dist_spmd(
                     # unvisited-row allgather)
                     if use_bu:
                         live, scanned, rows, parents, roots = spmv_bottomup_expanded(
-                            A, bcols, broots, unvisited, semiring, home=mate_blk.local
+                            A, bcols, broots, unvisited, home=mate_blk.local
                         )
                     else:
                         live, scanned, rows, parents, roots = spmv_expanded(
-                            A, bcols, broots, semiring, home=mate_blk.local
+                            A, bcols, broots, home=mate_blk.local
                         )
                     if live == 0:
                         # the last column hop left the frontier empty: this
@@ -665,7 +649,7 @@ def mcm_dist_spmd(
                     # hop keeps an entry's root, so dropping found trees
                     # commutes with it
                     with tspan(grid.comm, "next_frontier"):
-                        cols, roots = _prune(prune, ends, cols, roots)
+                        cols, roots = _prune(ends, cols, roots)
                         # exchange 2 — column hop: the next frontier expanded,
                         # every path end of the grid on every rank, and (the
                         # phase's first) the column replica's refresh
@@ -675,20 +659,13 @@ def mcm_dist_spmd(
                         mate_cblk.set_local(*stale)
                         stale = (_EMPTY, _EMPTY)
                         _check_replica(grid, phase_no, mate_c, mate_cblk, col_labels)
-                        cols, roots = _prune(prune, ends, cols, roots)
-                        bcols, broots = _prune(prune, ends, bcols, broots)
+                        cols, roots = _prune(ends, cols, roots)
+                        bcols, broots = _prune(ends, bcols, broots)
                         # this iteration's π is final
                         unvisited = mine[pi.get_local(mine) == NULL]
                         if direction == "auto":
-                            dir_req = grid.comm.iallreduce(
-                                local_edge_counts(A, cols, unvisited), op=SUM
-                            )
+                            use_bu = vote_bottomup(A, cols, unvisited)
                     found.append(ends)
-            if dir_req is not None:
-                # posted for a superstep that never ran: a collective every
-                # rank entered, so every rank must complete it (a no-op when
-                # the loop test already waited it)
-                dir_req.wait()
 
             # phase end: Step 5 without a collective — every rank holds every
             # (root, row) path end the phase found; a root's first iteration
@@ -703,12 +680,11 @@ def mcm_dist_spmd(
             free_blk[roots[(roots >= A.col_lo) & (roots < A.col_hi)] - A.col_lo] = False
             rows = rows[first]
             start = rows[(rows >= mate_r.lo) & (rows < mate_r.hi)]
-            mode = augment if augment != "auto" else choose_augment_mode(k, grid.nprocs)
-            if mode == "level":
+            if choose_augment_mode(k, grid.nprocs) == "level":
                 stats.augment_level_calls += 1
                 with tspan(grid.comm, "augment:level", cat="phase", k=k):
                     augment_level_spmd(A, start, pi, mate_r, mate_c, mate_cblk)
-            elif mode == "path":
+            else:
                 stats.augment_path_calls += 1
                 if win is None:
                     # collective, and every rank takes it in the same phase:
@@ -716,8 +692,6 @@ def mcm_dist_spmd(
                     win = Window(grid.comm, shared)
                 with tspan(grid.comm, "augment:path", cat="phase", k=k):
                     augment_path_spmd_rma(win, start, pi, mate_r, mate_c)
-            else:
-                raise ValueError(f"unknown augment mode {mode!r}")
 
             # phase complete: the augmented matching is valid (vertex-disjoint
             # augmenting paths), so it is a correct restart point
@@ -774,9 +748,6 @@ def run_mcm_dist(
     pc: int,
     *,
     init: str = "greedy",
-    semiring: Semiring = SR_MIN_PARENT,
-    prune: bool = True,
-    augment: str = "auto",
     direction: str = "topdown",
     timeout: "float | None" = None,
     verify: bool = False,
@@ -803,8 +774,8 @@ def run_mcm_dist(
     ``timeout`` is the deadlock window for every blocking runtime call
     (``None`` → ``$REPRO_SPMD_TIMEOUT`` → 120 s).  Which physical collective
     plan runs is chosen per communicator from its size (hub/star waves from
-    three ranks up, see :mod:`repro.runtime.comm`); deterministic semirings
-    yield bit-identical mate vectors on every grid shape.  ``trace`` turns on
+    three ranks up, see :mod:`repro.runtime.comm`); the mate vectors are
+    bit-identical on every grid shape.  ``trace`` turns on
     per-rank span tracing (``True``/``"wall"`` for wall-clock timestamps,
     ``"ticks"`` for the deterministic clock); the merged
     :class:`~repro.runtime.trace.DistTrace` lands on ``stats.trace`` —
@@ -851,8 +822,7 @@ def run_mcm_dist(
         faults=faults, checkpoint_every=checkpoint_every,
         checkpoint_store=checkpoint_store, max_restarts=max_restarts,
         timeout=timeout, verify=verify, trace=trace, backend=backend,
-        init=init, semiring=semiring, prune=prune, augment=augment,
-        direction=direction,
+        init=init, direction=direction,
         checkpoint_aux={"relabel": np.array(RELABEL_SEED, dtype=np.int64)},
         row_labels=permute.inverse_permutation(row_perm),
         col_labels=permute.inverse_permutation(col_perm),

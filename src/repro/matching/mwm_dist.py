@@ -72,6 +72,7 @@ from ..runtime.trace import tspan
 from ..sparse.coo import COO
 from ..sparse.spvec import NULL
 from .auction import (
+    MAX_ROUNDS,
     better_matching,
     build_csc,
     certify,
@@ -182,7 +183,6 @@ def mwm_dist_spmd(
     *,
     epsilon: float = 0.05,
     cardinality_bias: float = 0.0,
-    max_rounds: int = 1_000_000,
     checkpoint_every: int = 0,
     checkpoint_store: "CheckpointStore | None" = None,
     resume: "Checkpoint | None" = None,
@@ -271,8 +271,8 @@ def mwm_dist_spmd(
             free_blk.fill(True)
             active = N  # free bidders grid-wide; every rank tracks it exactly
             while active:
-                if rounds >= max_rounds:
-                    raise RuntimeError(f"auction exceeded {max_rounds} rounds")
+                if rounds >= MAX_ROUNDS:
+                    raise RuntimeError(f"auction exceeded {MAX_ROUNDS} rounds")
                 rounds += 1
                 bids += active
                 with tspan(grid.comm, "auction_round", cat="phase", round=rounds):
@@ -373,7 +373,6 @@ def run_mwm_dist(
     *,
     epsilon: float = 0.05,
     cardinality_bias: float = 0.0,
-    max_rounds: int = 1_000_000,
     timeout: "float | None" = None,
     verify: bool = False,
     faults=None,
@@ -406,5 +405,5 @@ def run_mwm_dist(
         faults=faults, checkpoint_every=checkpoint_every,
         checkpoint_store=checkpoint_store, max_restarts=max_restarts,
         timeout=timeout, verify=verify, trace=trace, backend=backend,
-        epsilon=epsilon, cardinality_bias=cardinality_bias, max_rounds=max_rounds,
+        epsilon=epsilon, cardinality_bias=cardinality_bias,
     )

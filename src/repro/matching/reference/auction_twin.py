@@ -19,6 +19,7 @@ import numpy as np
 
 from ...sparse.spvec import NULL
 from ..auction import (
+    MAX_ROUNDS,
     better_matching,
     build_csc,
     certify,
@@ -42,7 +43,6 @@ def auction_mwm_serial(
     *,
     epsilon: float = 0.05,
     cardinality_bias: float = 0.0,
-    max_rounds: int = 1_000_000,
 ) -> tuple[np.ndarray, np.ndarray, dict]:
     """ε-scaled serial auction; returns ``(mate_r, mate_c, info)``.
 
@@ -99,8 +99,8 @@ def auction_mwm_serial(
             bidders = np.flatnonzero(mate_bidder == NULL)
             if bidders.size == 0:
                 break  # perfect assignment reached: phase done
-            if rounds >= max_rounds:
-                raise RuntimeError(f"auction exceeded {max_rounds} rounds")
+            if rounds >= MAX_ROUNDS:
+                raise RuntimeError(f"auction exceeded {MAX_ROUNDS} rounds")
             kcols, best, brow, bw, second = top2_cols(cp, ir, weff, bidders, price)
             bids = compute_bids(best, bw, second, delta, sec_floor)
             ridx, wbid, winner = resolve_bids(brow, bids, kcols)

@@ -218,82 +218,6 @@ def _doubling_fold(vals: "list[Any]", op: "ReduceOp") -> Any:
     return core[0]
 
 
-class Request:
-    """Waitable handle of a nonblocking collective (``iallreduce``).
-
-    ``wait()`` blocks until completion and returns the operation's value;
-    ``test()`` is a nonblocking completion poll.  Requests follow MPI
-    discipline: every rank of the communicator must post and wait them in
-    the same order relative to its other collectives.
-    """
-
-    def test(self) -> bool:  # pragma: no cover - interface default
-        return True
-
-    def wait(self) -> Any:  # pragma: no cover - interface default
-        return None
-
-
-class _DeferredRequest(Request):
-    """Runs the full blocking operation at ``wait()`` — or at the first
-    ``test()``: every peer is polling or waiting, which is all MPI promises
-    a collective request — so ledgers total identically to the blocking
-    call they defer.  What a walking (≤ 2-rank) communicator returns."""
-
-    __slots__ = ("_run", "_done", "_value")
-
-    def __init__(self, run: "Callable[[], Any]") -> None:
-        self._run = run
-        self._done = False
-        self._value = None
-
-    def test(self) -> bool:
-        self.wait()
-        return True
-
-    def wait(self) -> Any:
-        if not self._done:
-            self._value = self._run()
-            self._run = None
-            self._done = True
-        return self._value
-
-
-class _AllreduceRequest(Request):
-    """In-flight aggregated allreduce: the up-leg of the star wave (and the
-    full logical ledger) happened at post; ``wait()`` runs the hub fold and
-    the down-leg.  The overlap window is everything the rank does between
-    post and wait."""
-
-    __slots__ = ("_comm", "_seq", "_op", "_own", "_done", "_value")
-
-    def __init__(self, comm: "Communicator", seq: int, op: "ReduceOp", own: Any) -> None:
-        self._comm = comm
-        self._seq = seq
-        self._op = op
-        self._own = own
-        self._done = False
-        self._value = None
-
-    def test(self) -> bool:
-        comm = self._comm
-        if not self._done:
-            # Complete only once wait() cannot block: the hub needs all p-1
-            # up-frames, everyone else the hub's down-frame.
-            tag = comm._coll_tag(self._seq)
-            sources = comm.group[1:] if comm.rank == 0 else comm.group[:1]
-            if all(comm.fabric.probe(comm.global_rank, src, tag) for src in sources):
-                self.wait()
-        return self._done
-
-    def wait(self) -> Any:
-        if not self._done:
-            self._value = self._comm._allreduce_down(self._seq, self._own, self._op)
-            self._own = None
-            self._done = True
-        return self._value
-
-
 class _Frame:
     """The open frame of one collective — what ``with
     comm._collective(...) as seq`` holds.  A plain class rather than
@@ -531,42 +455,30 @@ class Communicator:
             if rnd[1] is not None:
                 recv(t, self._coll_recv(rnd[1], opname, seq))
 
-    def _hub_up(self, opname: str, seq: int, item: Any) -> None:
-        """Up half of the aggregated star wave: every non-hub rank puts one
-        ``(rank, item)`` frame toward comm rank 0."""
-        if self.rank != 0:
-            self._phys_send(0, (self.rank, item), opname, seq)
-
-    def _hub_down(
-        self, opname: str, seq: int, own: Any,
-        down_items: "Callable[[list[Any]], list[Any]]",
-    ) -> Any:
-        """Down half: the hub collects the p-1 ups (its ``own`` item fills
-        slot 0), computes the per-destination results with
-        ``down_items(ups)`` and sends one frame back to each rank.  Returns
-        this rank's down payload (the hub: ``down_items(ups)[0]``)."""
-        p = self.size
-        if self.rank != 0:
-            return self._coll_recv(0, opname, seq)
-        ups: list[Any] = [None] * p
-        ups[0] = own
-        for _ in range(p - 1):
-            src, item = self._coll_recv(ANY_SOURCE, opname, seq)
-            ups[src] = item
-        downs = down_items(ups)
-        for dst in range(1, p):
-            self._phys_send(dst, downs[dst], opname, seq)
-        return downs[0]
-
     def _hub_exchange(
         self, opname: str, seq: int, item: Any,
         down_items: "Callable[[list[Any]], list[Any]]",
     ) -> Any:
         """The aggregated physical schedule shared by the planned rootless
-        collectives: 2(p-1) frames per wave, independent of the logical
-        round count."""
-        self._hub_up(opname, seq, item)
-        return self._hub_down(opname, seq, item, down_items)
+        collectives — 2(p-1) frames per wave, independent of the logical
+        round count: every non-hub rank puts one ``(rank, item)`` frame
+        toward comm rank 0, the hub (its own ``item`` in slot 0) computes
+        the per-destination results with ``down_items(ups)`` and sends one
+        frame back to each rank.  Returns this rank's down payload (the
+        hub: ``down_items(ups)[0]``)."""
+        p = self.size
+        if self.rank != 0:
+            self._phys_send(0, (self.rank, item), opname, seq)
+            return self._coll_recv(0, opname, seq)
+        ups: list[Any] = [None] * p
+        ups[0] = item
+        for _ in range(p - 1):
+            src, up = self._coll_recv(ANY_SOURCE, opname, seq)
+            ups[src] = up
+        downs = down_items(ups)
+        for dst in range(1, p):
+            self._phys_send(dst, downs[dst], opname, seq)
+        return downs[0]
 
     def _next_seq(self) -> int:
         self._coll_seq += 1
@@ -852,8 +764,12 @@ class Communicator:
             extra=(op.name,) + _payload_sig(payload), op=op.name,
         ) as seq:
             if self._hub:
-                own = self._allreduce_up(seq, rounds, payload)
-                acc = self._allreduce_down(seq, own, op)
+                nwords = _payload_words(payload)
+                self._walk("allreduce", seq, rounds, words=lambda t: nwords)
+                acc = self._hub_exchange(
+                    "allreduce", seq, _freeze(payload),
+                    lambda ups: [_doubling_fold(ups, op)] * self.size,
+                )
             else:
                 acc = _freeze(payload)
 
@@ -867,47 +783,6 @@ class Communicator:
 
                 self._walk("allreduce", seq, rounds, lambda t: acc, combine)
         return acc
-
-    def _allreduce_up(self, seq: int, rounds: "list[tuple]", payload: Any) -> Any:
-        """First half of the aggregated allreduce: replay doubling's ledger
-        (every round sends a value shaped like ``payload``) and post this
-        rank's frozen contribution toward the hub.  Returns that copy."""
-        nwords = _payload_words(payload)
-        self._walk("allreduce", seq, rounds, words=lambda t: nwords)
-        own = _freeze(payload)
-        self._hub_up("allreduce", seq, own)
-        return own
-
-    def _allreduce_down(self, seq: int, own: Any, op: ReduceOp) -> Any:
-        """Second half: the hub folds and releases; everyone gets the result."""
-        return self._hub_down(
-            "allreduce", seq, own,
-            lambda ups: [_doubling_fold(ups, op)] * self.size,
-        )
-
-    def iallreduce(self, payload: Any, op: ReduceOp = SUM) -> Request:
-        """Nonblocking allreduce: returns a :class:`Request` whose ``wait``
-        yields the reduced value on every rank.
-
-        Ledger, divergence check, and trace span are identical to the
-        blocking :meth:`allreduce` (the span is named "allreduce" so the
-        trace/ledger cross-check keys line up); only completion is
-        deferred.  Under the hub plan non-hub ranks post their up-frame
-        immediately and the hub's fold + down wave runs inside ``wait`` —
-        the window between post and wait is compute the caller overlaps
-        with communication.  A walking communicator falls back to a
-        deferred blocking call (payload frozen at post time).
-        """
-        if not self._hub:
-            frozen = _freeze(payload)
-            return _DeferredRequest(lambda: self.allreduce(frozen, op))
-        rounds = self._allreduce_rounds
-        with self._collective(
-            "allreduce", "doubling", len(rounds),
-            extra=(op.name,) + _payload_sig(payload), op=op.name,
-        ) as seq:
-            own = self._allreduce_up(seq, rounds, payload)
-        return _AllreduceRequest(self, seq, op, own)
 
     # -- communicator management ----------------------------------------------
 

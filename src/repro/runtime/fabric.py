@@ -370,12 +370,6 @@ class Fabric(BaseFabric):
                 ):
                     raise self._deadlocked(rank, source, tag, inbox)
 
-    def probe(self, rank: int, source: int, tag: int) -> bool:
-        """Non-blocking: is a matching envelope already queued?"""
-        mb = self.mailboxes[rank]
-        with mb.cond:
-            return mb.inbox.find(source, tag) >= 0
-
     def take_strays(self, rank: int) -> list[tuple[int, int]]:
         """Leftovers queued at ``rank`` (see :class:`Inbox`)."""
         mb = self.mailboxes[rank]

@@ -285,10 +285,6 @@ class ProcessFabric(BaseFabric):
             if time.monotonic() - last_progress > self.timeout:  # repro: noqa[SPMD602]
                 raise self._deadlocked(rank, source, tag, inbox)
 
-    def probe(self, rank: int, source: int, tag: int) -> bool:
-        self._drain(rank)
-        return self.inbox.find(source, tag) >= 0
-
     def take_strays(self, rank: int) -> list[tuple[int, int]]:
         """Leftovers of ``rank``: what its ring and the inbox hold (see
         :class:`~repro.runtime.fabric.Inbox`)."""

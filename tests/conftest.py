@@ -7,7 +7,9 @@ from contextlib import contextmanager
 
 import pytest
 
+import repro.matching.mcm_dist as _mcm_dist
 import repro.runtime.comm as _comm
+from repro.matching.augment import choose_augment_mode
 
 
 @pytest.fixture(autouse=True)
@@ -35,3 +37,18 @@ def walk_everywhere():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_comm, "_HUB_MIN_RANKS", 1 << 30)
         yield
+
+
+@pytest.fixture
+def force_augment(monkeypatch):
+    """A setter that forces MCM-DIST's augmentation mechanism for the rest
+    of the test: ``force_augment("level")`` or ``("path")`` replaces the
+    engine's k < 2p² rule (``mcm_dist.choose_augment_mode``, which nothing
+    public sets), ``force_augment(None)`` restores it.  Forked ranks
+    inherit the patch, so the process backend is covered too."""
+
+    def force(mode):
+        rule = choose_augment_mode if mode is None else (lambda k, p: mode)
+        monkeypatch.setattr(_mcm_dist, "choose_augment_mode", rule)
+
+    return force

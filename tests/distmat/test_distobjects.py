@@ -8,7 +8,7 @@ from repro.distmat.grid import ProcGrid
 from repro.distmat.ops import invert_route, route, spmv
 from repro.distmat.spmat import DistSparseMatrix
 from repro.runtime import spmd
-from repro.sparse import COO, CSC, SR_MIN_PARENT, SR_MAX_PARENT, VertexFrontier
+from repro.sparse import COO, CSC, SR_MIN_PARENT, VertexFrontier
 from repro.sparse.spvec import NULL
 
 
@@ -176,7 +176,9 @@ def test_blocks_hold_only_local_indices():
 # -- distributed SpMV ---------------------------------------------------------------
 
 @pytest.mark.parametrize("pr,pc", [(1, 1), (2, 2), (3, 3), (2, 3)])
-@pytest.mark.parametrize("sr", [SR_MIN_PARENT, SR_MAX_PARENT])
+# the distributed SpMV reduces under minParent only; the single-valued
+# ``sr`` parameter keeps the surviving leg's test ids
+@pytest.mark.parametrize("sr", [SR_MIN_PARENT])
 def test_distributed_spmv_matches_serial(pr, pc, sr):
     coo = random_coo(40, 50, 300, 11)
     serial = CSC.from_coo(coo)
@@ -190,7 +192,7 @@ def test_distributed_spmv_matches_serial(pr, pc, sr):
         fvec = DistDenseVec(grid, 50, "col")
         mine = fidx[(fidx >= fvec.lo) & (fidx < fvec.hi)]
         fc = DistVertexFrontier(grid, 50, "col", mine, mine, mine)
-        fr = spmv(A, fc, sr)
+        fr = spmv(A, fc)
         return fr.to_global_arrays()
 
     res = spmd(pr * pc, main)

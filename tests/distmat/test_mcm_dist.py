@@ -28,10 +28,11 @@ def test_mcm_dist_optimal_on_grids(pr, pc):
 
 
 @pytest.mark.parametrize("augment", ["level", "path", "auto"])
-def test_mcm_dist_augment_variants(augment):
+def test_mcm_dist_augment_variants(augment, force_augment):
     coo = random_coo(35, 35, 200, 77)
     a = CSC.from_coo(coo)
-    mate_r, mate_c, stats = run_mcm_dist(coo, 2, 2, augment=augment)
+    force_augment(None if augment == "auto" else augment)
+    mate_r, mate_c, stats = run_mcm_dist(coo, 2, 2)
     assert cardinality(mate_r) == scipy_optimum(a)
     if augment == "level":
         assert stats.augment_path_calls == 0
@@ -47,15 +48,7 @@ def test_mcm_dist_no_init():
     assert cardinality(mate_r) == scipy_optimum(a)
 
 
-def test_mcm_dist_prune_off_same_cardinality():
-    coo = random_coo(40, 40, 220, 13)
-    a = CSC.from_coo(coo)
-    on = run_mcm_dist(coo, 2, 2, prune=True)
-    off = run_mcm_dist(coo, 2, 2, prune=False)
-    assert cardinality(on[0]) == cardinality(off[0]) == scipy_optimum(a)
-
-
-def test_mcm_dist_matches_serial_matching_exactly():
+def test_mcm_dist_matches_serial_matching_exactly(force_augment):
     """With the deterministic minParent semiring and no initializer, the
     distributed run must augment along the same trees as the serial
     matrix-algebra implementation and produce the SAME mate vectors."""
@@ -68,7 +61,8 @@ def test_mcm_dist_matches_serial_matching_exactly():
     rel, rp, cp = relabeled(coo)
     s_r, s_c, _ = ms_bfs_mcm(CSC.from_coo(rel), augment_mode="level")
     s_r, s_c = unpermute_matching(s_r, s_c, rp, cp)
-    d_r, d_c, _ = run_mcm_dist(coo, 2, 2, init="none", augment="level")
+    force_augment("level")
+    d_r, d_c, _ = run_mcm_dist(coo, 2, 2, init="none")
     assert np.array_equal(s_r, d_r)
     assert np.array_equal(s_c, d_c)
 

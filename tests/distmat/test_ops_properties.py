@@ -64,7 +64,7 @@ def test_distributed_spmv_equals_serial(args, data):
         probe = DistDenseVec(grid, coo.ncols, "col")
         mine = fidx[(fidx >= probe.lo) & (fidx < probe.hi)]
         fc = DistVertexFrontier(grid, coo.ncols, "col", mine, mine, mine)
-        fr = spmv(A, fc, SR_MIN_PARENT)
+        fr = spmv(A, fc)
         return fr.to_global_arrays()
 
     gi, gp, gr = spmd(pr * pc, main)[0]
@@ -94,7 +94,7 @@ def test_home_fold_lands_each_row_on_its_home(args, seed):
         probe = DistDenseVec(grid, coo.ncols, "col")
         mine = fidx[(fidx >= probe.lo) & (fidx < probe.hi)]
         nfront, scanned, *fr = spmv_expanded(
-            A, *expand(A, mine, mine), SR_MIN_PARENT, home=mates[A.row_lo:A.row_hi]
+            A, *expand(A, mine, mine), home=mates[A.row_lo:A.row_hi]
         )
         return nfront, scanned, grid.i, grid.j, A.rowmap, A.colmap, fr
 
@@ -174,7 +174,7 @@ def test_distributed_bottomup_equals_filtered_topdown(args):
         probe = DistDenseVec(grid, coo.ncols, "col")
         mine = fidx[(fidx >= probe.lo) & (fidx < probe.hi)]
         nfront, scanned, *fr = spmv_bottomup_expanded(
-            A, *expand(A, mine, mine), _unvisited(pi_r), SR_MIN_PARENT
+            A, *expand(A, mine, mine), _unvisited(pi_r)
         )
         frontier = DistVertexFrontier(grid, coo.nrows, "row", *fr).to_global_arrays()
         return nfront, scanned, frontier

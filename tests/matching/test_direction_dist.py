@@ -1,6 +1,6 @@
 """Direction-optimized distributed MS-BFS: all three ``direction`` modes of
 MCM-DIST must produce bit-identical mate vectors to each other and to the
-serial oracle for deterministic semirings, on every grid shape."""
+serial oracle under minParent, on every grid shape."""
 
 import numpy as np
 import pytest
@@ -8,12 +8,14 @@ import pytest
 from repro.matching import ms_bfs_mcm
 from repro.matching.mcm_dist import relabeled, run_mcm_dist
 from repro.matching.validate import cardinality
-from repro.sparse import COO, CSC, SR_MAX_PARENT, SR_MIN_PARENT, SR_MIN_ROOT
+from repro.sparse import COO, CSC, SR_MIN_PARENT
 from repro.sparse.permute import unpermute_matching
 
 from .conftest import scipy_optimum
 
-SEMIRINGS = [SR_MIN_PARENT, SR_MAX_PARENT, SR_MIN_ROOT]
+# MCM-DIST reduces under minParent only; the single-valued ``semiring``
+# parameter keeps the surviving leg's test ids.
+SEMIRINGS = [SR_MIN_PARENT]
 
 
 def random_coo(n1, n2, m, seed):
@@ -23,7 +25,7 @@ def random_coo(n1, n2, m, seed):
 
 @pytest.mark.parametrize("pr,pc", [(2, 2), (3, 3)])
 @pytest.mark.parametrize("semiring", SEMIRINGS, ids=lambda s: s.name)
-def test_all_directions_match_serial_exactly(pr, pc, semiring):
+def test_all_directions_match_serial_exactly(pr, pc, semiring, force_augment):
     """The acceptance criterion: topdown, bottomup and auto runs on the grid
     all equal the serial oracle's mate vectors, entry for entry."""
     coo = random_coo(30, 32, 180, 7 * pr + pc)
@@ -31,25 +33,20 @@ def test_all_directions_match_serial_exactly(pr, pc, semiring):
     rel, rp, cp = relabeled(coo)
     s_r, s_c, _ = ms_bfs_mcm(CSC.from_coo(rel), semiring=semiring, augment_mode="level")
     s_r, s_c = unpermute_matching(s_r, s_c, rp, cp)
+    force_augment("level")
     for direction in ("topdown", "bottomup", "auto"):
-        d_r, d_c, _ = run_mcm_dist(
-            coo, pr, pc, init="none", augment="level",
-            semiring=semiring, direction=direction,
-        )
+        d_r, d_c, _ = run_mcm_dist(coo, pr, pc, init="none", direction=direction)
         assert np.array_equal(s_r, d_r), direction
         assert np.array_equal(s_c, d_c), direction
 
 
 @pytest.mark.parametrize("pr,pc", [(1, 1), (1, 2), (2, 3)])
-def test_directions_agree_on_more_grids(pr, pc):
+def test_directions_agree_on_more_grids(pr, pc, force_augment):
     coo = random_coo(36, 30, 200, 13 * pr + pc)
-    baseline = run_mcm_dist(
-        coo, pr, pc, init="none", augment="level", direction="topdown"
-    )
+    force_augment("level")
+    baseline = run_mcm_dist(coo, pr, pc, init="none", direction="topdown")
     for direction in ("bottomup", "auto"):
-        got = run_mcm_dist(
-            coo, pr, pc, init="none", augment="level", direction=direction
-        )
+        got = run_mcm_dist(coo, pr, pc, init="none", direction=direction)
         assert np.array_equal(baseline[0], got[0])
         assert np.array_equal(baseline[1], got[1])
 

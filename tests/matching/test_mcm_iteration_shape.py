@@ -11,8 +11,7 @@ column hop's counts cover one grid column, so the fold's counts end every
 phase: the corner tests pin that loop test.  The frontier is kept expanded
 (identical down each grid column), so the bit-equality matrix covers
 ``rowcomm`` and ``colcomm`` of different sizes, degenerate 1-wide grids,
-empty blocks, every Step-1 direction, both backends and PRUNE on and off;
-the corner tests add a free row reached from two column blocks at once, a
+empty blocks, every Step-1 direction and both backends; the corner tests add a free row reached from two column blocks at once, a
 row block left entirely free, a resume from a checkpoint and a corrupted
 row or column replica under ``verify=True``.  The fingerprints at the
 bottom are the results on the end-to-end benchmark's and the
@@ -72,13 +71,14 @@ def _bfs_phases(stats, coo):
 
 
 @pytest.mark.parametrize("pr,pc", GRIDS)
-def test_iteration_is_two_exchanges(pr, pc):
+def test_iteration_is_two_exchanges(pr, pc, force_augment):
     p = pr * pc
     coo = er(6, seed=1)
-    # init="none" + augment="path": every all-to-all of the job is a BFS one
+    # no initializer, path-parallel augments: every all-to-all of the job is
+    # a BFS one
+    force_augment("path")
     _, _, stats = run_mcm_dist(
-        coo, pr, pc, init="none", augment="path", direction="topdown",
-        trace="ticks", timeout=60,
+        coo, pr, pc, init="none", direction="topdown", trace="ticks", timeout=60,
     )
     assert stats.iterations > 5 and stats.augment_level_calls == 0
 
@@ -111,10 +111,9 @@ def test_iteration_is_two_exchanges(pr, pc):
 K22 = COO(2, 2, np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]))
 
 
-def _loop_tests(pr, pc, prune, coo=K22):
+def _loop_tests(pr, pc, coo=K22):
     _, _, stats = run_mcm_dist(
-        coo, pr, pc, init="none", prune=prune, direction="topdown",
-        trace="ticks", timeout=60,
+        coo, pr, pc, init="none", direction="topdown", trace="ticks", timeout=60,
     )
     return stats, _span_comms(stats.trace, "loop_test")
 
@@ -126,7 +125,7 @@ def test_a_last_hop_of_pruned_trees_costs_one_fold(pr, pc):
     np.testing.assert_array_equal(mate_r, ref_r)
     np.testing.assert_array_equal(mate_c, ref_c)
 
-    stats, tests = _loop_tests(pr, pc, prune=True)
+    stats, tests = _loop_tests(pr, pc)
     assert (stats.phases, stats.iterations) == (ref.phases, ref.iterations) == (3, 2)
     # one empty fold per rank and BFS phase, in its own span, outside every
     # iteration: the count riding it is the only word to each row peer
@@ -138,21 +137,19 @@ def test_a_last_hop_of_pruned_trees_costs_one_fold(pr, pc):
 @pytest.mark.parametrize("name", ["K22", "er6"])
 def test_every_bfs_phase_ends_on_one_loop_test(name, pr, pc):
     coo = K22 if name == "K22" else er(6, seed=1)
-    for prune in (True, False):
-        stats, tests = _loop_tests(pr, pc, prune=prune, coo=coo)
-        assert stats.iterations > 0
-        assert len(tests) == pr * pc * _bfs_phases(stats, coo), prune
+    stats, tests = _loop_tests(pr, pc, coo=coo)
+    assert stats.iterations > 0
+    assert len(tests) == pr * pc * _bfs_phases(stats, coo)
 
 
 def _setup_allreduce_calls(coo, pr, pc):
-    _, _, stats = run_mcm_dist(
-        coo, pr, pc, init="none", augment="path", direction="topdown", timeout=60
-    )
+    _, _, stats = run_mcm_dist(coo, pr, pc, init="none", direction="topdown", timeout=60)
     # every allreduce of a top-down run is set-up or tear-down
     return _total(stats, "calls", "allreduce") // (pr * pc), stats.iterations
 
 
-def test_allreduce_calls_do_not_grow_with_iterations():
+def test_allreduce_calls_do_not_grow_with_iterations(force_augment):
+    force_augment("path")
     single = COO(5, 2, np.array([3]), np.array([1]))
     few, it_few = _setup_allreduce_calls(single, 2, 3)
     many, it_many = _setup_allreduce_calls(er(6, seed=1), 2, 3)
@@ -170,7 +167,7 @@ def test_logical_ledger_ignores_aggregation():
     assert on.frames < off.frames
 
 
-# -- (b) bit-equality across grids, directions, backends, PRUNE ---------------
+# -- (b) bit-equality across grids, directions, backends -----------------------
 
 
 def _rect():
@@ -185,14 +182,13 @@ INPUTS = {
     "single": lambda: COO(5, 2, np.array([3]), np.array([1])),
     "road": lambda: suite.load_scaled("road_usa", target_nnz=2000, seed=1)[0],
 }
-VARIANTS = [(d, prune) for d in ("topdown", "bottomup", "auto") for prune in (True, False)]
+DIRECTIONS = ("topdown", "bottomup", "auto")
 _reference = {}
 
 
-def _solve(name, pr, pc, backend, direction, prune):
+def _solve(name, pr, pc, backend, direction):
     mate_r, mate_c, stats = run_mcm_dist(
-        INPUTS[name](), pr, pc, direction=direction, prune=prune,
-        backend=backend, timeout=60,
+        INPUTS[name](), pr, pc, direction=direction, backend=backend, timeout=60,
     )
     return mate_r, mate_c, (stats.phases, stats.iterations, stats.edges_examined)
 
@@ -201,15 +197,15 @@ def _solve(name, pr, pc, backend, direction, prune):
 @pytest.mark.parametrize("pr,pc", GRIDS[1:])
 @pytest.mark.parametrize("name", sorted(INPUTS))
 def test_results_equal_across_grids(name, pr, pc, backend):
-    for direction, prune in VARIANTS:
-        key = (name, direction, prune)
+    for direction in DIRECTIONS:
+        key = (name, direction)
         if key not in _reference:
-            _reference[key] = _solve(name, 1, 1, "thread", direction, prune)
+            _reference[key] = _solve(name, 1, 1, "thread", direction)
         ref_r, ref_c, ref_counts = _reference[key]
-        mate_r, mate_c, counts = _solve(name, pr, pc, backend, direction, prune)
-        np.testing.assert_array_equal(mate_r, ref_r, err_msg=f"{direction} prune={prune}")
-        np.testing.assert_array_equal(mate_c, ref_c, err_msg=f"{direction} prune={prune}")
-        assert counts == ref_counts, f"{direction} prune={prune}"
+        mate_r, mate_c, counts = _solve(name, pr, pc, backend, direction)
+        np.testing.assert_array_equal(mate_r, ref_r, err_msg=direction)
+        np.testing.assert_array_equal(mate_c, ref_c, err_msg=direction)
+        assert counts == ref_counts, direction
 
 
 def test_crash_every_phase_on_2x3_recovers_the_mates(tmp_path):
@@ -262,21 +258,21 @@ def run_in_id_order(coo, pr, pc, **kwargs):
     + [(2, 2, "process"), (3, 2, "process")],
 )
 @pytest.mark.parametrize("name", sorted(CORNERS))
-def test_home_fold_corners_equal_a_1x1_run(name, pr, pc, backend):
+def test_home_fold_corners_equal_a_1x1_run(name, pr, pc, backend, force_augment):
     coo = CORNERS[name]
     for init in ("none", "greedy"):
-        for prune in (True, False):
-            for augment in ("level", "path"):
-                # each corner is built in these ids
-                kw = dict(init=init, prune=prune, augment=augment, timeout=60)
-                ref_r, ref_c, ref = run_in_id_order(coo, 1, 1, **kw)
-                mate_r, mate_c, st = run_in_id_order(coo, pr, pc, backend=backend, **kw)
-                msg = f"init={init} prune={prune} augment={augment}"
-                np.testing.assert_array_equal(mate_r, ref_r, err_msg=msg)
-                np.testing.assert_array_equal(mate_c, ref_c, err_msg=msg)
-                assert (st.phases, st.iterations, st.edges_examined) == (
-                    ref.phases, ref.iterations, ref.edges_examined
-                ), msg
+        for augment in ("level", "path"):
+            force_augment(augment)
+            # each corner is built in these ids
+            kw = dict(init=init, timeout=60)
+            ref_r, ref_c, ref = run_in_id_order(coo, 1, 1, **kw)
+            mate_r, mate_c, st = run_in_id_order(coo, pr, pc, backend=backend, **kw)
+            msg = f"init={init} augment={augment}"
+            np.testing.assert_array_equal(mate_r, ref_r, err_msg=msg)
+            np.testing.assert_array_equal(mate_c, ref_c, err_msg=msg)
+            assert (st.phases, st.iterations, st.edges_examined) == (
+                ref.phases, ref.iterations, ref.edges_examined
+            ), msg
     assert ref.phases >= 2
 
 

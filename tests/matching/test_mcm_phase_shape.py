@@ -10,7 +10,8 @@ job closes on one grid allgather — so the span tests pin, on six grid
 shapes, which collectives each of those spans holds and on which
 communicator, with the step counts that follow written as ⌈log₂ q⌉ /
 (q − 1) arithmetic.  The parity matrix holds mates and counters to a 1x1
-run for every initializer × augment mode.
+run for every initializer × augment mode (the engine's k < 2p² rule, or
+either mechanism forced through the ``force_augment`` seam).
 """
 
 import os
@@ -26,7 +27,6 @@ from repro.matching.mcm_dist import _mcm_rank_main, relabeled, run_mcm_dist
 from repro.runtime import CrashSpec, FaultPlan, RankKilledError
 from repro.runtime.checkpoint import Checkpoint, FileCheckpointStore
 from repro.sparse import COO, CSC
-from repro.sparse.semiring import SR_MAX_PARENT, SR_MIN_PARENT
 from repro.sparse.spvec import NULL
 
 GRIDS = [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (1, 4)]
@@ -67,9 +67,10 @@ def _steps(comms):
 
 
 @pytest.mark.parametrize("pr,pc", GRIDS)
-def test_path_phase_is_two_barriers_on_one_window(pr, pc):
+def test_path_phase_is_two_barriers_on_one_window(pr, pc, force_augment):
     p = pr * pc
-    stats = _traced(pr, pc, init="none", augment="path")
+    force_augment("path")
+    stats = _traced(pr, pc, init="none")
     assert stats.augment_path_calls >= 2
     for spans, comms, grid_id in _per_rank(stats.trace):
         phases = [sp for sp in spans if sp.name == "augment:path"]
@@ -89,9 +90,10 @@ def test_path_phase_is_two_barriers_on_one_window(pr, pc):
 
 
 @pytest.mark.parametrize("pr,pc", GRIDS)
-def test_level_is_three_row_column_hops(pr, pc):
+def test_level_is_three_row_column_hops(pr, pc, force_augment):
     """A level is two hops now (the name is the three-hop schedule's)."""
-    stats = _traced(pr, pc, init="none", augment="level")
+    force_augment("level")
+    stats = _traced(pr, pc, init="none")
     assert stats.augment_level_calls >= 2 and stats.augment_path_calls == 0
     # the mate_r write to the owner and (c, r) to c's column block, which
     # reads the old mate off the column replica (row hop); (c, r) on to the
@@ -141,7 +143,7 @@ def _augmenting_paths(lengths, seed=0):
 
 @pytest.mark.parametrize("backend", ["thread", "process"])
 @pytest.mark.parametrize("pr,pc", [(1, 2), (2, 1), (2, 2), (3, 3)])
-def test_level_step_is_a_row_hop_and_a_column_hop(pr, pc, backend, tmp_path):
+def test_level_step_is_a_row_hop_and_a_column_hop(pr, pc, backend, tmp_path, force_augment):
     """A level costs (pc−1) + (pr−1) steps — the old mate is read off the
     column replica where the row hop lands — and the call closes on one
     row hop: L·((pc−1) + (pr−1)) + (pc−1) for paths of length at most L."""
@@ -149,9 +151,10 @@ def test_level_step_is_a_row_hop_and_a_column_hop(pr, pc, backend, tmp_path):
     coo, ck, want_r = _augmenting_paths((L, 2, 1))
     store = FileCheckpointStore(str(tmp_path / "ckpt"))
     store.save(ck)
+    force_augment("level")
     mate_r, _, stats = launch(
         _mcm_rank_main, (coo,), pr, pc, checkpoint_store=store, init="none",
-        augment="level", trace="ticks", backend=backend, timeout=60,
+        trace="ticks", backend=backend, timeout=60,
     )
     np.testing.assert_array_equal(mate_r, want_r)
     assert stats.augment_level_calls == 1 and stats.iterations == L
@@ -203,8 +206,8 @@ def test_no_grid_reduction_per_phase_level_or_round(pr, pc, direction):
             c for sp in spans if sp.name == "phase"
             for c in _inside(sp, on_grid) if c.name == "allreduce"
         ]
-        # "auto" posts one overlapped edge-count reduction per superstep (one
-        # at every phase head, one per iteration); top-down posts none
+        # "auto" votes once per superstep with an edge-count reduction (one
+        # at every phase head, one per iteration); top-down votes never
         assert len(in_phases) == (
             stats.phases + stats.iterations if direction == "auto" else 0
         )
@@ -216,26 +219,23 @@ def test_no_grid_reduction_per_phase_level_or_round(pr, pc, direction):
 
 # -- (b) results equal a 1x1 run ----------------------------------------------------
 
-VARIANTS = (
-    [(init, augment, True, SR_MIN_PARENT)
-     for init in ("greedy", "mindegree", "karp-sipser", "none")
-     for augment in ("auto", "level", "path")]
-    # PRUNE off: trees keep growing after their first path, so the same root
-    # is found again in later iterations and must be counted once
-    + [(init, augment, False, SR_MIN_PARENT)
-       for init in ("greedy", "none") for augment in ("auto", "level", "path")]
-    + [("greedy", "auto", True, SR_MAX_PARENT)]
-)
+#: (init, augment): "auto" is the engine's own rule, "level" / "path" the
+#: mechanism forced through the ``force_augment`` seam
+VARIANTS = [
+    (init, augment)
+    for init in ("greedy", "mindegree", "karp-sipser", "none")
+    for augment in ("auto", "level", "path")
+]
 #: no initializer, so a dozen phases; every one of them path-parallel
-NONE_PATH = ("none", "path", True, SR_MIN_PARENT)
+NONE_PATH = ("none", "path")
 _reference = {}
 
 
-def _solve(variant, pr, pc, backend, **kwargs):
-    init, augment, prune, semiring = variant
+def _solve(variant, pr, pc, backend, force, **kwargs):
+    init, augment = variant
+    force(None if augment == "auto" else augment)
     return run_mcm_dist(
-        er(6, seed=1), pr, pc, init=init, augment=augment, prune=prune,
-        semiring=semiring, backend=backend, timeout=60, **kwargs,
+        er(6, seed=1), pr, pc, init=init, backend=backend, timeout=60, **kwargs,
     )
 
 
@@ -244,11 +244,11 @@ def _counts(stats):
             stats.initial_cardinality, stats.final_cardinality)
 
 
-def _reference_run(variant):
+def _reference_run(variant, force):
     """The 1x1 result of a variant, and the path count k of each of its
     augmenting phases (the ``k`` argument of its augment spans)."""
     if variant not in _reference:
-        mate_r, mate_c, stats = _solve(variant, 1, 1, "thread", trace="ticks")
+        mate_r, mate_c, stats = _solve(variant, 1, 1, "thread", force, trace="ticks")
         ks = [sp.args["k"] for sp in stats.trace.spans[0] if sp.name.startswith("augment:")]
         _reference[variant] = (mate_r, mate_c, stats, ks)
     return _reference[variant]
@@ -259,10 +259,10 @@ def _reference_run(variant):
     [(pr, pc, "thread") for pr, pc in GRIDS[1:]]
     + [(pr, pc, "process") for pr, pc in GRIDS[1:4]],
 )
-def test_results_equal_a_1x1_run(pr, pc, backend):
+def test_results_equal_a_1x1_run(pr, pc, backend, force_augment):
     for variant in VARIANTS:
-        ref_r, ref_c, ref, ks = _reference_run(variant)
-        mate_r, mate_c, stats = _solve(variant, pr, pc, backend)
+        ref_r, ref_c, ref, ks = _reference_run(variant, force_augment)
+        mate_r, mate_c, stats = _solve(variant, pr, pc, backend, force_augment)
         np.testing.assert_array_equal(mate_r, ref_r, err_msg=str(variant))
         np.testing.assert_array_equal(mate_c, ref_c, err_msg=str(variant))
         assert _counts(stats) == _counts(ref), variant
@@ -279,30 +279,31 @@ def test_results_equal_a_1x1_run(pr, pc, backend):
         assert "rma" not in "".join(stats.comm_by_alg)
 
 
-def test_rma_ops_are_three_per_pair_step():
+def test_rma_ops_are_three_per_pair_step(force_augment):
     coo = er(6, seed=1)
     # the serial engine walks the same paths, on the labels the distributed
     # one solves, and records each one's length
     _, _, serial = ms_bfs_mcm(CSC.from_coo(relabeled(coo)[0]), augment_mode="path")
     pair_steps = sum(int(steps.sum()) for steps in serial.augment.path_steps)
-    _, _, stats = run_mcm_dist(coo, 2, 3, init="none", augment="path", timeout=60)
+    force_augment("path")
+    _, _, stats = run_mcm_dist(coo, 2, 3, init="none", timeout=60)
     assert stats.rma_ops == stats.rma_words == 3 * pair_steps > 0
 
 
-def test_window_reused_across_phases_passes_the_race_verifier():
-    mate_r, mate_c, stats = _solve(NONE_PATH, 2, 2, "thread", verify=True)
+def test_window_reused_across_phases_passes_the_race_verifier(force_augment):
+    mate_r, mate_c, stats = _solve(NONE_PATH, 2, 2, "thread", force_augment, verify=True)
     assert stats.augment_path_calls >= 2
-    np.testing.assert_array_equal(mate_r, _reference_run(NONE_PATH)[0])
+    np.testing.assert_array_equal(mate_r, _reference_run(NONE_PATH, force_augment)[0])
     assert stats.verify_summary["rma_ops_checked"] == stats.rma_ops > 0
 
 
-def test_process_backend_leaves_no_shared_memory_behind():
+def test_process_backend_leaves_no_shared_memory_behind(force_augment):
     before = set(os.listdir("/dev/shm"))
-    _, _, stats = _solve(NONE_PATH, 2, 2, "process")
+    _, _, stats = _solve(NONE_PATH, 2, 2, "process", force_augment)
     assert stats.augment_path_calls >= 2
     assert set(os.listdir("/dev/shm")) == before
     # a rank killed inside the RMA walk never frees the window it holds open
     plan = FaultPlan(seed=0, crashes=(CrashSpec(rank=2, at="rma", n=2),))
     with pytest.raises(RankKilledError, match=r"\[spmd rank 2\]"):
-        _solve(NONE_PATH, 2, 2, "process", faults=plan)
+        _solve(NONE_PATH, 2, 2, "process", force_augment, faults=plan)
     assert set(os.listdir("/dev/shm")) == before

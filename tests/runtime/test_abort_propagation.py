@@ -60,7 +60,7 @@ def test_rank_killed_inside_collective_aborts_survivors(name):
     assert elapsed < 5.0  # survivors unblocked by the abort, not the timeout
 
 
-def test_rank_killed_inside_rma_walk_aborts_survivors():
+def test_rank_killed_inside_rma_walk_aborts_survivors(force_augment):
     """Kill the victim at its Nth one-sided op inside the path-augmentation
     RMA walk (Algorithm 4); the closing fences never complete on the
     survivors, so the abort must unwind them."""
@@ -68,10 +68,10 @@ def test_rank_killed_inside_rma_walk_aborts_survivors():
     coo = COO(40, 40, rng.integers(0, 40, 400), rng.integers(0, 40, 400))
     plan = FaultPlan(seed=0, crashes=(CrashSpec(rank=VICTIM, at="rma", n=2),))
 
+    force_augment("path")
     t0 = time.perf_counter()
     with pytest.raises(RankKilledError, match=rf"\[spmd rank {VICTIM}\]") as ei:
-        run_mcm_dist(coo, 2, 2, init="none", augment="path",
-                     faults=plan, timeout=30.0)
+        run_mcm_dist(coo, 2, 2, init="none", faults=plan, timeout=30.0)
     elapsed = time.perf_counter() - t0
     assert ei.value.spmd_rank == VICTIM
     assert elapsed < 10.0

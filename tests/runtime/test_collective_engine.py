@@ -7,7 +7,6 @@ counts.  (The schedules themselves are tested as pure data in
 ``test_schedules.py``; hub-vs-walk parity in ``test_aggregation.py``.)
 """
 
-import time
 from contextlib import nullcontext
 
 import numpy as np
@@ -184,33 +183,6 @@ def test_by_alg_words_account_for_all_collective_traffic():
     assert total_by_alg == res.total_words
 
 
-# -- nonblocking allreduce ---------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "backend,p", [("thread", p) for p in (1, 2, 3, 4, 5)] + [("process", 2), ("process", 4)]
-)
-def test_iallreduce_test_polling_terminates(backend, p):
-    """``while not req.test()`` is a legal way to complete a request: the
-    hub must not wait for someone to call ``wait()``, and a walking
-    (2-rank) communicator must run its deferred call from ``test()``."""
-
-    def main(comm):
-        req = comm.iallreduce(np.arange(3) + comm.rank, op=SUM)
-        deadline = time.monotonic() + 3
-        while not req.test():
-            if time.monotonic() > deadline:
-                return None
-            time.sleep(0.001)
-        return req.wait()
-
-    res = spmd(p, main, backend=backend, timeout=20)
-    want = np.arange(3) * p + p * (p - 1) // 2
-    for got in res:
-        assert got is not None, "polling never completed the request"
-        assert np.array_equal(got, want)
-
-
 # -- the plan is per communicator --------------------------------------------
 
 
@@ -272,7 +244,7 @@ def test_route_delivers_parallel_arrays_in_source_order():
 def test_mate_vectors_bit_identical_across_collective_configs(grid):
     """One engine, two physical plans: what the size rule picks on this
     grid against every schedule walked for real (``direction="auto"``, so
-    the nonblocking allreduce rides along on every grid shape)."""
+    the direction vote's grid allreduce rides along on every grid shape)."""
     coo = er(scale=6, seed=3)
     mate_r, mate_c, _ = run_mcm_dist(coo, *grid, direction="auto")
     with walk_everywhere():
