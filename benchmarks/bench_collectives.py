@@ -6,7 +6,7 @@ Two artifacts, committed at the repo root so CI can diff against them:
   message/word/step counters of the engine algorithms at p=4 and p=9 (the
   2×2 and 3×3 grid communicator sizes);
 * ``BENCH_spmd.json`` — end-to-end MCM-DIST runs (er:7 on 2×2, er:9 on
-  3×3, direction=auto): phases, words (expand/fold/total), wall-clock
+  3×3, the default direction, "auto"): phases, words (expand/fold/total), wall-clock
   phase times, the per-algorithm
   collective breakdown and its summed latency ``steps``, the physical
   frame ledger of the hub/star plans (``comm_messages``/``frames``/
@@ -162,7 +162,7 @@ def comm_model_s(steps: int, comm_by_alg: dict, p: int) -> float:
 def run_spmd_case(scale: int, pr: int, pc: int) -> dict:
     coo = er(scale=scale, seed=1)
     t0 = time.perf_counter()
-    mate_r, mate_c, stats = run_mcm_dist(coo, pr, pc, direction="auto")
+    mate_r, mate_c, stats = run_mcm_dist(coo, pr, pc)
     dt = time.perf_counter() - t0
     steps = sum(d["steps"] for d in stats.comm_by_alg.values())
     return {
@@ -200,9 +200,7 @@ def time_backends(coo, pr: int, pc: int, expected_mates) -> dict:
         samples = []
         for _ in range(BACKEND_REPS):
             t0 = time.perf_counter()
-            mate_r, mate_c, _ = run_mcm_dist(
-                coo, pr, pc, direction="auto", backend=backend,
-            )
+            mate_r, mate_c, _ = run_mcm_dist(coo, pr, pc, backend=backend)
             samples.append(time.perf_counter() - t0)
             assert np.array_equal(mate_r, expected_mates[0]), \
                 f"{backend} backend mate_r diverged"
@@ -222,12 +220,8 @@ def run_traced_check() -> None:
     and tracing must not perturb the computed matching."""
     case = SPMD_CASES["er7"]
     coo = er(scale=case["scale"], seed=1)
-    plain_r, plain_c, _ = run_mcm_dist(
-        coo, case["pr"], case["pc"], direction="auto"
-    )
-    mate_r, mate_c, stats = run_mcm_dist(
-        coo, case["pr"], case["pc"], direction="auto", trace="ticks"
-    )
+    plain_r, plain_c, _ = run_mcm_dist(coo, case["pr"], case["pc"])
+    mate_r, mate_c, stats = run_mcm_dist(coo, case["pr"], case["pc"], trace="ticks")
     assert np.array_equal(mate_r, plain_r), "tracing changed mate_r"
     assert np.array_equal(mate_c, plain_c), "tracing changed mate_c"
     traced = stats.trace.comm_words_by_key()

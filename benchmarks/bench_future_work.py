@@ -121,7 +121,8 @@ def run_direction_study_dist():
             "td_edges": td.edges_examined, "au_edges": au.edges_examined,
             "td_fold": td.fold_words, "au_fold": au.fold_words,
             "td_expand": td.expand_words, "au_expand": au.expand_words,
-            "bu_steps": au.bottomup_steps, "steps": au.iterations,
+            # block-iterations: each block chooses its own direction
+            "bu_steps": au.bottomup_steps, "steps": au.topdown_steps + au.bottomup_steps,
         })
     return rows
 
@@ -130,7 +131,7 @@ def test_direction_optimization_dist(benchmark):
     rows = benchmark.pedantic(run_direction_study_dist, rounds=1, iterations=1)
     lines = [
         f"{'graph':<10} {'td edges':>10} {'auto edges':>10} {'saved':>7} "
-        f"{'td fold':>9} {'auto fold':>9} {'td expand':>9} {'auto expand':>11} {'bu steps':>9}"
+        f"{'td fold':>9} {'auto fold':>9} {'td expand':>9} {'auto expand':>11} {'bu blocks':>9}"
     ]
     for r in rows:
         saved = 1 - r["au_edges"] / r["td_edges"]

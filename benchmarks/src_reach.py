@@ -62,7 +62,6 @@ ALLOWLIST: dict[str, str] = {
     "repro.sparse.coo.COO.from_edges": _TEST_ONLY,
     "repro.sparse.coo.COO.identity": _TEST_ONLY,
     "repro.sparse.csc.CSC.neighbor_of_each": _TEST_ONLY,
-    "repro.sparse.dcsc.DCSC.col_degrees_compressed": _TEST_ONLY,
     "repro.sparse.dcsc.DCSC.memory_words": _TEST_ONLY,
     "repro.sparse.mmio.write_mm": _TEST_ONLY,
     "repro.sparse.primitives.gather_dense": _TEST_ONLY,

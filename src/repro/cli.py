@@ -194,7 +194,7 @@ def cmd_spmd(args) -> int:
               f"(init {stats.initial_cardinality:,}), {stats.phases} phases, "
               f"{stats.iterations} iterations, augment level/path = "
               f"{stats.augment_level_calls}/{stats.augment_path_calls}")
-        print(f"direction {args.direction}: top-down/bottom-up steps = "
+        print(f"direction {args.direction}: top-down/bottom-up block-iterations = "
               f"{stats.topdown_steps}/{stats.bottomup_steps}, "
               f"{stats.edges_examined:,} edges examined, words "
               f"expand/fold/total = {stats.expand_words:,}/{stats.fold_words:,}/"
@@ -301,7 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pc", type=int, default=2)
     p.add_argument("--init", default="greedy",
                    choices=["greedy", "karp-sipser", "mindegree", "none"])
-    p.add_argument("--direction", default="topdown", choices=["topdown", "bottomup", "auto"])
+    p.add_argument("--direction", default="auto", choices=["topdown", "bottomup", "auto"],
+                   help="Step 1's direction: 'auto' lets each block pull wherever "
+                        "that reads fewer of its edges")
     p.add_argument("--objective", default="cardinality",
                    choices=["cardinality", "weight"],
                    help="'cardinality' runs MCM-DIST (default); 'weight' runs "

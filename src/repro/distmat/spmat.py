@@ -58,21 +58,22 @@ def scatter_edges(
             raise ValueError("root must supply the matrix")
         if any(v.size != coo.rows.size for v in values):
             raise ValueError("value arrays need one entry per edge")
-        bi = BlockMap(coo.nrows, grid.pr).owner(coo.rows)
-        bj = BlockMap(coo.ncols, grid.pc).owner(coo.cols)
-        dest = bi * grid.pc + bj
+        dest = BlockMap(coo.nrows, grid.pr).owner(coo.rows)
+        dest *= grid.pc
+        dest += BlockMap(coo.ncols, grid.pc).owner(coo.cols)
+        cuts = np.zeros(comm.size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(dest, minlength=comm.size), out=cuts[1:])
         order = np.argsort(dest, kind="stable")
+        del dest
         sorted_ = [a[order] for a in (coo.rows, coo.cols, *values)]
-        dest_s = dest[order]
-        cuts = np.searchsorted(dest_s, np.arange(comm.size + 1))
+        # the dead permutation goes before the scatter: a piece is on the
+        # fabric when its send returns, so peers build their blocks while
+        # the root still copies the later pieces
+        del order
         payloads = [
             (coo.nrows, coo.ncols, *(a[cuts[r]:cuts[r + 1]] for a in sorted_))
             for r in range(comm.size)
         ]
-        # five dead nnz-sized arrays: drop them before the scatter — a
-        # piece is on the fabric when its send returns, so peers build
-        # their blocks while the root still copies the later pieces
-        del bi, bj, dest, order, dest_s
     else:
         payloads = None
     nrows, ncols, rows, cols, *mine = comm.scatter(payloads, root=root)
@@ -123,26 +124,24 @@ class DistSparseMatrix(DistBlockMatrix):
 
     def degree_blocks(self) -> tuple[np.ndarray, np.ndarray]:
         """Full-matrix (row, column) degrees of this rank's row block and
-        column block — the O(1)-lookup inputs of the direction-optimization
-        switch rule, replicated along the grid row / down the grid column.
+        column block, replicated along the grid row / down the grid column:
+        the residual-degree keys of MCM-DIST's mindegree and Karp-Sipser
+        initializers.  (Step 1's direction reads only the block's own
+        degrees, so it needs none of this.)
 
         COLLECTIVE on first call (one allreduce along each of rowcomm and
         colcomm, summing the per-block degree contributions), then cached.
-        Every rank must reach the first call at the same program point —
-        MCM-DIST's degree-keyed initializers do at their start, its
-        ``direction="auto"`` vote at the first phase's head; a fixed
-        direction never calls it.  Treat the returned arrays as read-only.
+        Every rank must reach the first call at the same program point — the
+        initializers do at their start.  Treat the returned arrays as
+        read-only.
         """
         if self._degree_blocks is None:
             from ..runtime.comm import SUM
 
             grid, blk = self.grid, self.block
-            degc_loc = np.zeros(blk.ncols, dtype=np.int64)
-            if blk.nzc:
-                degc_loc[blk.jc] = np.diff(blk.cp)
             self._degree_blocks = (
                 grid.rowcomm.allreduce(blk.row_degrees(), op=SUM),
-                grid.colcomm.allreduce(degc_loc, op=SUM),
+                grid.colcomm.allreduce(blk.col_degrees(), op=SUM),
             )
         return self._degree_blocks
 

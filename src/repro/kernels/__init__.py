@@ -1,8 +1,8 @@
 """The three hot local kernels, as vectorized NumPy.
 
 The PR-5 trace critical-path reports put three spans at the top of every
-rank's self-time: the ragged gather behind each SpMV explode, the fused
-bottom-up pull-and-filter over the DCSC row-major mirror, and the keyed
+rank's self-time: the ragged gather behind each SpMV explode, the
+early-exit bottom-up pull over the DCSC row-major mirror, and the keyed
 min-scatter inside ``reduce_candidates``.  They live here, one
 implementation each, so every engine and the e2e layer benchmark time the
 same code.

@@ -55,16 +55,24 @@ def pull_candidates(
     rows: np.ndarray,
     root_of: np.ndarray,
     null: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fused bottom-up pull: walk ``rows`` through a CSR mirror, keep frontier hits.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Early-exit bottom-up pull: each row's first frontier column.
 
-    For each local row in ``rows``, scan its adjacency ``col_idx[row_ptr[r]:
-    row_ptr[r+1]]`` and keep the (row, col, root_of[col]) triples whose
-    column has ``root_of[col] != null``.  Returns the three filtered arrays
-    with rows in input order and columns ascending within each row — the
-    order the downstream stable reduction relies on."""
+    For each local row in ``rows``, read its adjacency ``col_idx[row_ptr[r]:
+    row_ptr[r+1]]`` in order and stop at the first column with
+    ``root_of[col] != null``.  Returns ``(rows, cols, roots, read)``: one
+    (row, col, root_of[col]) triple per row that has a hit, rows in input
+    order, and the number of edges read — up to and including each hit, a
+    row without one read whole.  On an adjacency sorted ascending the hit is
+    the row's minimum frontier column, the minParent winner."""
     cols, counts = ragged_gather_flat(row_ptr, col_idx, rows)
-    cand_rows = np.repeat(rows, counts)
-    croots = root_of[cols]
-    hit = croots != null
-    return cand_rows[hit], cols[hit], croots[hit]
+    ends = np.cumsum(counts)
+    hits = np.flatnonzero(root_of[cols] != null)
+    seg = np.searchsorted(ends, hits, side="right")
+    first = np.ones(hits.size, dtype=bool)
+    np.not_equal(seg[1:], seg[:-1], out=first[1:])
+    hits, seg = hits[first], seg[first]
+    cols = cols[hits]
+    # a hit row stops short of its end by the edges after the hit
+    read = (int(ends[-1]) if ends.size else 0) - int((ends[seg] - hits - 1).sum())
+    return rows[seg], cols, root_of[cols], read

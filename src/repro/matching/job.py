@@ -52,7 +52,8 @@ class DistStats:
     augment_path_calls: int = 0
     initial_cardinality: int = 0
     final_cardinality: int = 0
-    #: Step-1 direction tally (``topdown_steps + bottomup_steps == iterations``)
+    #: Step-1 direction tally: block-iterations, summed over the ranks
+    #: (``topdown_steps + bottomup_steps == iterations × p``)
     topdown_steps: int = 0
     bottomup_steps: int = 0
     #: global edges the chosen directions examined across all Step-1 SpMVs
@@ -374,7 +375,8 @@ def launch(
 
         mate_r, mate_c, stats = result[0]
         stats.comm_by_alg = merge_by_alg(result.values)
-        for name in ("comm_messages", "frames", "frame_words", "rma_ops", "rma_words"):
+        for name in ("comm_messages", "frames", "frame_words", "rma_ops", "rma_words",
+                     "topdown_steps", "bottomup_steps"):
             setattr(stats, name, sum(getattr(st, name) for _, _, st in result.values))
         ledger: dict = {}
         for _, _, st in result.values:

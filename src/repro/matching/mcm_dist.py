@@ -30,10 +30,12 @@ Step 1 SpMV, local + fold              :func:`repro.distmat.ops.spmv_expanded`
                                        allgather per phase; its frames carry
                                        the block-frontier sizes, summed the
                                        global frontier size
-Step 1, direction-optimized            :func:`repro.distmat.ops.spmv_bottomup_expanded`
-                                       (+ ``direction="auto"``: one 2-word grid
-                                       ``allreduce`` per superstep,
-                                       :func:`~repro.distmat.ops.vote_bottomup`)
+Step 1, direction-optimized            the same call, given the block rows not
+                                       yet seen visited: an early-exit pull; under
+                                       ``direction="auto"`` each block pulls
+                                       alone wherever that reads fewer of its
+                                       edges — no vote, both directions post
+                                       the one fold
 Steps 2–4 SELECT/SET                   local NumPy at home: π is a row-block
                                        array, a matched row's entry current at
                                        its home, a free row's on every rank of
@@ -85,8 +87,8 @@ latency steps, none of them on the grid communicator — where the paper's
 schedule (§IV-B: two INVERTs over all p ranks, a grid-wide PRUNE
 allgather) pays ≈ 2p.  Every phase pays one more fold, which is the loop
 test, not an iteration, and one row-replica refresh.
-Mates, phases, iterations and edges examined are those of the paper's
-schedule, bit for bit;
+Mates, phases and iterations are those of the paper's schedule, bit for
+bit, and so are the edges examined where no block pulls;
 :func:`repro.perfmodel.collectives.msbfs_iteration` prices the engine's
 iteration, :mod:`repro.simulate.costsim` keeps pricing the paper's (DESIGN
 "MCM-DIST iteration anatomy").  The phase boundary follows the same rule —
@@ -115,9 +117,7 @@ from ..distmat.ops import (
     hop,
     hop_down_column,
     path_ends,
-    spmv_bottomup_expanded,
     spmv_expanded,
-    vote_bottomup,
 )
 from ..distmat.spmat import DistSparseMatrix
 from ..runtime import Window
@@ -463,6 +463,14 @@ def _refresh_replica(
     _check_replica(grid, phase, mate_r, mate_blk, row_labels)
 
 
+def _see(unseen: np.ndarray, degrees: np.ndarray, rows: np.ndarray) -> int:
+    """Mark the distinct LOCAL ``rows`` seen visited; returns the edges
+    the ones still unseen take off the pull's bound."""
+    rows = rows[unseen[rows]]
+    unseen[rows] = False
+    return int(degrees[rows].sum())
+
+
 def _prune(ends: tuple, cols: np.ndarray, roots: np.ndarray) -> tuple:
     """Step 6 PRUNE as a filter: the (column, root) entries whose tree has
     none of the (root, row) path ``ends``."""
@@ -477,7 +485,7 @@ def mcm_dist_spmd(
     pc: int,
     *,
     init: str = "greedy",
-    direction: str = "topdown",
+    direction: str = "auto",
     checkpoint_every: int = 0,
     checkpoint_store: "CheckpointStore | None" = None,
     resume: "Checkpoint | None" = None,
@@ -488,9 +496,10 @@ def mcm_dist_spmd(
     """The per-rank body of MCM-DIST (launch via :func:`run_mcm_dist`).
 
     ``coo_on_root`` is the input matrix on rank 0 (None elsewhere);
-    ``direction`` is "topdown", "bottomup" or "auto" — "auto" picks the
-    cheaper Step-1 direction every iteration by one global 2-word edge-count
-    allreduce; the mate vectors are identical in all three modes.  The
+    ``direction`` is "topdown", "bottomup" or "auto" — under "auto" every
+    block pulls alone, without communication, whenever the edges of its
+    rows not yet seen visited are fewer than its frontier columns' edges;
+    the mate vectors are identical in all three modes.  The
     engine picks each phase's augmentation by the paper's k < 2p² rule
     (:func:`~repro.matching.augment.choose_augment_mode`), PRUNEs every
     iteration and reduces candidates under minParent.  Returns (globally
@@ -561,8 +570,9 @@ def mcm_dist_spmd(
     # phase's first frontier, already expanded.  Each phase's path roots
     # leave it — every rank holds them
     free_blk = mate_cblk.local == NULL
-    blk_rows = np.arange(mate_blk.lo, mate_blk.hi)
-    row_subs = mate_r.vmap.owner(blk_rows)[0]  # the vector owner's rowcomm rank
+    # the block's degrees: what a top-down step reads of a frontier column,
+    # and what a pull reads of a row at most
+    degr, degc = A.block.row_degrees(), A.block.col_degrees()
 
     while True:
         phase_no += 1
@@ -576,13 +586,11 @@ def mcm_dist_spmd(
             # phase's first column hop into the column replica
             stale = _stale(mate_c, mate_cblk)
             pi.local.fill(NULL)
-            # the rows whose visited state this rank answers for in the
-            # bottom-up exchange and the "auto" vote — every row on exactly
-            # one rank: a matched row at its home, a free row at its vector
-            # owner; all unvisited until the first SET
-            mine = unvisited = blk_rows[np.where(
-                mate_blk.local == NULL, row_subs, A.colmap.owner(mate_blk.local)
-            ) == grid.j]
+            # the block rows this rank has not seen visited — a superset of
+            # the unvisited ones, which never needs a message to keep — and
+            # their edges, the most a pull can read
+            unseen = np.ones(A.block.nrows, dtype=bool)
+            bu = A.block.nnz
             found: list[tuple] = []  # the grid's (root, row) path ends, per iteration
 
             # initial column frontier: unmatched columns, parent = root = self.
@@ -590,33 +598,26 @@ def mcm_dist_spmd(
             # sorted (column, root) pairs of this rank's whole column block,
             # identical down the grid column.
             bcols = broots = np.flatnonzero(free_blk) + A.col_lo
-            # Step 1's direction, globally uniform: "auto" votes on the
-            # coming superstep's (top-down, bottom-up) edge counts as soon
-            # as they exist — each column counted by its mate_c owner
-            use_bu = direction == "bottomup"
-            if direction == "auto":
-                lcols = bcols[(bcols >= mate_c.lo) & (bcols < mate_c.hi)]
-                use_bu = vote_bottomup(A, lcols, unvisited)
             # the global frontier size: the first is the free columns, every
             # later one the sum of the counts riding the fold
             live = free_cols
 
             while live > 0:
                 with tspan(grid.comm, "bfs_iter", cat="phase", iter=stats.iterations + 1) as sp:
-                    # Step 1: SpMV in the direction voted for it.
-                    # exchange 1 — fold (grid row) to each row's home, every
-                    # frame carrying the sender's block-frontier size.  The
-                    # chosen direction shows in the trace as the kernel span's
-                    # name: spmv (top-down) vs spmv_bottomup (pull, plus its
-                    # unvisited-row allgather)
-                    if use_bu:
-                        live, scanned, rows, parents, roots = spmv_bottomup_expanded(
-                            A, bcols, broots, unvisited, home=mate_blk.local
-                        )
+                    # Step 1: SpMV, each block in its own direction — under
+                    # "auto" a pull wherever it reads fewer of the block's
+                    # edges.  Either way exchange 1 is the fold (grid row) to
+                    # each row's home, every frame carrying the sender's
+                    # block-frontier size, so no rank needs to know another's
+                    # choice.  The trace names it: spmv vs spmv_bottomup
+                    if direction == "auto":
+                        pull = bu < int(degc[bcols - A.col_lo].sum())
                     else:
-                        live, scanned, rows, parents, roots = spmv_expanded(
-                            A, bcols, broots, home=mate_blk.local
-                        )
+                        pull = direction == "bottomup"
+                    live, scanned, sent, rows, parents, roots = spmv_expanded(
+                        A, bcols, broots, home=mate_blk.local,
+                        unseen=unseen if pull else None,
+                    )
                     if live == 0:
                         # the last column hop left the frontier empty: this
                         # fold was the loop test, not an iteration
@@ -624,17 +625,19 @@ def mcm_dist_spmd(
                             sp.name = "loop_test"
                         break
                     stats.iterations += 1
-                    stats.bottomup_steps += int(use_bu)
-                    # the edges this block scanned: over the grid, the
-                    # frontier's (or the unvisited rows') edges, each once
+                    stats.bottomup_steps += pull
+                    # the edges this block read: over the grid, at most the
+                    # frontier's edges, each once
                     edges_local += scanned
-                    # Step 2: SELECT unvisited rows (a no-op after a bottom-up
-                    # step, which only ever proposes unvisited rows — kept
-                    # unconditionally so both directions share one code path)
+                    # a row with a candidate is visited by this iteration's end
+                    bu -= _see(unseen, degr, sent)
+                    # Step 2: SELECT unvisited rows — a pull's rows included:
+                    # another block's home may have visited them already
                     fresh = pi.get_local(rows) == NULL
                     rows, parents, roots = rows[fresh], parents[fresh], roots[fresh]
                     # Step 3: SET parents
                     pi.set_local(rows, parents)
+                    bu -= _see(unseen, degr, rows - A.row_lo)
                     # Step 4: split matched/unmatched.  A matched row is at
                     # home, so its mate lies in this rank's column block; the
                     # free rows — and so the path ends — are the grid row's,
@@ -659,12 +662,7 @@ def mcm_dist_spmd(
                         mate_cblk.set_local(*stale)
                         stale = (_EMPTY, _EMPTY)
                         _check_replica(grid, phase_no, mate_c, mate_cblk, col_labels)
-                        cols, roots = _prune(ends, cols, roots)
                         bcols, broots = _prune(ends, bcols, broots)
-                        # this iteration's π is final
-                        unvisited = mine[pi.get_local(mine) == NULL]
-                        if direction == "auto":
-                            use_bu = vote_bottomup(A, cols, unvisited)
                     found.append(ends)
 
             # phase end: Step 5 without a collective — every rank holds every
@@ -704,6 +702,7 @@ def mcm_dist_spmd(
                     grid, checkpoint_store, phase_no, mate_r, mate_c, stats, checkpoint_aux
                 )
 
+    # this rank's block-iterations by direction; launch sums them
     stats.topdown_steps = stats.iterations - stats.bottomup_steps
     if win is not None:
         stats.rma_ops, stats.rma_words = win.rma_ops, win.rma_words
@@ -748,7 +747,7 @@ def run_mcm_dist(
     pc: int,
     *,
     init: str = "greedy",
-    direction: str = "topdown",
+    direction: str = "auto",
     timeout: "float | None" = None,
     verify: bool = False,
     faults=None,
@@ -768,7 +767,10 @@ def run_mcm_dist(
     under ``RELABEL_SEED``, which keys each vertex by its local structure
     and its rank within it, so order-preserving id changes (splicing
     isolated edges in, say) leave the work alone.
-    ``direction`` selects the Step-1 traversal ("topdown"/"bottomup"/"auto").
+    ``direction`` selects the Step-1 traversal: "auto" (each block pulls
+    wherever that reads fewer of its edges), "topdown" or "bottomup";
+    ``stats.topdown_steps`` / ``bottomup_steps`` tally block-iterations,
+    summed over the ranks.
     ``verify=True`` arms the runtime's collective-divergence and RMA-race
     verifiers for the whole job (``repro spmd --verify``).
     ``timeout`` is the deadlock window for every blocking runtime call

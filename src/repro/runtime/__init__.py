@@ -41,7 +41,7 @@ from .errors import (
 )
 from .fabric import CollectiveTrace, Fabric
 from .comm import SUM, Communicator, CommStats, ReduceOp
-from .pack import pack_arrays, pack_indices, unpack_arrays, unpack_indices
+from .pack import pack_arrays, unpack_arrays
 from .rma import RmaAccessLog, Window
 from .trace import DistTrace, Span, TraceError, Tracer, make_trace_clock, tspan
 from .faults import CRASH_GROUPS, CrashSpec, FaultInjector, FaultPlan, RetryPolicy
@@ -93,11 +93,9 @@ __all__ = [
     "get_transport",
     "make_trace_clock",
     "pack_arrays",
-    "pack_indices",
     "resolve_backend",
     "resolve_timeout",
     "spmd",
     "tspan",
     "unpack_arrays",
-    "unpack_indices",
 ]

@@ -26,21 +26,6 @@ word budget, so every header word counts); payload segments start on an
 
 The common equal-length case (any K) spends exactly ONE 8-byte word on the
 header.
-
-``pack_indices(idx, lo, hi)`` — sorted index sets from a known range
-``[lo, hi)``, e.g. the bottom-up unvisited-row exchange.  Two encodings,
-chosen by density::
-
-    word 0 (int32)  0 = raw index list, 1 = bitmap
-    word 1 (int32)  lo (range base)
-    word 2 (int32)  n (raw) or span = hi - lo (bitmap)
-    then            (pad to 8 bytes) raw: n int64 global indices
-                    bitmap: packbits of the membership mask over [lo, hi),
-                    padded to 8-byte multiples
-
-The bitmap wins whenever ``ceil(span / 64) < n`` — one bit instead of one
-word per member — which is exactly the wide-frontier regime the bottom-up
-direction is chosen for.
 """
 
 from __future__ import annotations
@@ -122,40 +107,3 @@ def unpack_arrays(buf: np.ndarray) -> "tuple[np.ndarray, ...]":
         out.append(buf[off:off + nbytes].view(dt))
         off += _pad8(nbytes)
     return tuple(out)
-
-
-def pack_indices(idx: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Encode a sorted index set from ``[lo, hi)`` — bitmap when dense."""
-    idx = np.ascontiguousarray(idx, dtype=np.int64)
-    span = int(hi) - int(lo)
-    if span < 0:
-        raise ValueError(f"bad index range [{lo}, {hi})")
-    if span >= _MAX_LEN or idx.size >= _MAX_LEN or not -_MAX_LEN <= lo < _MAX_LEN:
-        raise ValueError(f"index range too wide to pack: [{lo}, {hi})")
-    bitmap = (span + 63) // 64 < idx.size
-    if bitmap:
-        bits = np.zeros(span, dtype=bool)
-        bits[idx - lo] = True
-        payload = np.packbits(bits)
-        header = [1, int(lo), span]
-    else:
-        payload = idx.view(np.uint8)
-        header = [0, int(lo), idx.size]
-    hbytes = _pad8(4 * len(header))
-    buf = np.zeros(hbytes + _pad8(payload.nbytes), dtype=np.uint8)
-    buf[:4 * len(header)].view(np.int32)[:] = header
-    buf[hbytes:hbytes + payload.nbytes] = payload
-    return buf
-
-
-def unpack_indices(buf: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`pack_indices`: sorted global ``int64`` indices."""
-    buf = np.ascontiguousarray(buf, dtype=np.uint8)
-    mode, lo, count = (int(x) for x in buf[:12].view(np.int32))
-    if mode == 0:
-        return buf[16:16 + 8 * count].view(np.int64)
-    if mode == 1:
-        nbytes = (count + 7) // 8
-        bits = np.unpackbits(buf[16:16 + nbytes], count=count)
-        return np.flatnonzero(bits).astype(np.int64) + lo
-    raise ValueError(f"corrupt packed index buffer: mode={mode}")

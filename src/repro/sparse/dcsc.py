@@ -17,10 +17,10 @@ search (O(f log nzc)) and then reuses the same ragged-gather as CSC.
 For the direction-optimized (bottom-up) traversal each block also exposes a
 **row-major mirror** (:meth:`DCSC.csr_mirror`): dense row pointers over the
 block's rows plus column ids sorted ascending within each row.  The mirror
-and the block's row-degree vector are built lazily on first use and cached —
-the pull kernel and the switch heuristic are O(local nnz) with zero
-per-iteration rebuild.  The mirror costs O(block nrows + nnz) words, the
-same order as the dense frontier bitmap the bottom-up step replicates.
+and the block's row-degree vector are built lazily on first use and cached,
+so a pull pays no per-iteration rebuild.  The mirror costs O(block nrows +
+nnz) words, the same order as the dense frontier bitmap the bottom-up step
+replicates.
 """
 
 from __future__ import annotations
@@ -99,9 +99,11 @@ class DCSC:
         """Storage in 8-byte words — O(nnz + nzc), never O(ncols)."""
         return self.jc.size + self.cp.size + self.ir.size
 
-    def col_degrees_compressed(self) -> tuple[np.ndarray, np.ndarray]:
-        """(non-empty column ids, their degrees)."""
-        return self.jc, np.diff(self.cp)
+    def col_degrees(self) -> np.ndarray:
+        """Degree of every block column, dense over the block's columns."""
+        deg = np.zeros(self.ncols, dtype=np.int64)
+        deg[self.jc] = np.diff(self.cp)
+        return deg
 
     def row_degrees(self) -> np.ndarray:
         """Degree of every block row (cached; treat as read-only)."""
@@ -116,15 +118,18 @@ class DCSC:
         the bottom-up pull scans arbitrary unvisited-row subsets, so sparse
         row compression would only add a search per lookup); ``col_idx``
         holds LOCAL column ids, ascending within each row.  Built lazily in
-        O(nnz) from the cached row degrees, then reused by every bottom-up
-        SpMV — no per-iteration rebuild.
+        one sort of the composite key ``row * ncols + column`` and the
+        cached row degrees, then reused by every bottom-up SpMV — no
+        per-iteration rebuild.
         """
         if self._csr is None:
             row_ptr = np.zeros(self.nrows + 1, dtype=np.int64)
             np.cumsum(self.row_degrees(), out=row_ptr[1:])
-            cols = np.repeat(self.jc, np.diff(self.cp))
-            order = np.lexsort((cols, self.ir))
-            self._csr = (row_ptr, cols[order])
+            width = max(1, self.ncols)
+            key = self.ir * width
+            key += np.repeat(self.jc, np.diff(self.cp))
+            key.sort()
+            self._csr = (row_ptr, key % width)
         return self._csr
 
     def explode_rows(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -139,15 +144,12 @@ class DCSC:
 
     def pull_rows(
         self, rows: np.ndarray, root_of: np.ndarray, null: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Fused :meth:`explode_rows` + frontier filter for the bottom-up
-        pull: walk the given LOCAL rows through the cached CSR mirror and
-        keep only edges whose column is on the frontier (``root_of[col] !=
-        null``).  Returns ``(rows, cols, roots)`` filtered, rows in input
-        order and columns ascending within each row — same order the
-        two-step explode-then-mask produces, so downstream stable
-        reductions are bit-identical.  One of the three hot kernels of
-        :mod:`repro.kernels`."""
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """The bottom-up pull over the cached CSR mirror: each of the given
+        LOCAL rows stops at its first column on the frontier (``root_of[col]
+        != null``) — its minimum, the minParent winner.  Returns ``(rows,
+        cols, roots, edges read)``, one triple per row with a hit, rows in
+        input order (:func:`repro.kernels.pull_candidates`)."""
         rows = np.asarray(rows, dtype=np.int64)
         row_ptr, col_idx = self.csr_mirror()
         return pull_candidates(row_ptr, col_idx, rows, root_of, null)

@@ -6,11 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.distmat.distvec import DistDenseVec, DistVertexFrontier
 from repro.distmat.grid import ProcGrid
-from repro.distmat.ops import (
-    expand, local_edge_counts, route, spmv, spmv_bottomup_expanded, spmv_expanded,
-)
+from repro.distmat.ops import expand, route, spmv, spmv_expanded
 from repro.distmat.spmat import DistSparseMatrix
-from repro.runtime import SUM, spmd
+from repro.runtime import spmd
 from repro.sparse import COO, CSC, SR_MIN_PARENT, VertexFrontier
 from repro.sparse.spvec import NULL
 
@@ -93,7 +91,7 @@ def test_home_fold_lands_each_row_on_its_home(args, seed):
         A = DistSparseMatrix.scatter_from_root(grid, coo if comm.rank == 0 else None)
         probe = DistDenseVec(grid, coo.ncols, "col")
         mine = fidx[(fidx >= probe.lo) & (fidx < probe.hi)]
-        nfront, scanned, *fr = spmv_expanded(
+        nfront, scanned, _, *fr = spmv_expanded(
             A, *expand(A, mine, mine), home=mates[A.row_lo:A.row_hi]
         )
         return nfront, scanned, grid.i, grid.j, A.rowmap, A.colmap, fr
@@ -137,11 +135,6 @@ def test_route_conserves_and_delivers(p, n, seed):
         assert res[r] == expected
 
 
-def _unvisited(pi_r):
-    """The unvisited rows of the slice a rank owns: each row on one rank."""
-    return np.flatnonzero(pi_r.local == NULL) + pi_r.lo
-
-
 @st.composite
 def coo_grid_and_state(draw):
     """A random matrix, grid shape, frontier and visited-state vector."""
@@ -155,48 +148,67 @@ def coo_grid_and_state(draw):
     return coo, pr, pc, fidx.astype(np.int64), pi
 
 
+def _first_hits(block, rows, frontier):
+    """The early-exit pull by hand: (rows with a frontier column, edges
+    read), each row reading its block columns ascending up to the first."""
+    coo = block.to_coo()
+    hit, read = [], 0
+    for r in rows.tolist():
+        for c in sorted(coo.cols[coo.rows == r].tolist()):
+            read += 1
+            if c in frontier:
+                hit.append(r)
+                break
+    return hit, read
+
+
 @settings(max_examples=15, deadline=None)
-@given(coo_grid_and_state())
-def test_distributed_bottomup_equals_filtered_topdown(args):
-    """spmv_bottomup_expanded == serial SpMV restricted to unvisited rows, for any
-    visited state — the invariant behind the direction switch."""
+@given(coo_grid_and_state(), st.integers(0, 10_000))
+def test_distributed_bottomup_equals_filtered_topdown(args, seed):
+    """A pull over any superset of the unvisited rows yields, on those rows,
+    the serial SpMV's winners — the invariant that lets every block choose
+    its direction alone — and each block reads its rows' edges only up to
+    their first frontier column."""
     coo, pr, pc, fidx, pi = args
     serial = CSC.from_coo(coo).spmv_frontier(
         VertexFrontier.roots_of_self(coo.ncols, fidx), SR_MIN_PARENT
     )
     keep = pi[serial.idx] == NULL
     want = serial.idx[keep], serial.parent[keep], serial.root[keep]
+    # what a block has not seen visited: the unvisited rows and some others
+    unseen = (pi == NULL) | (np.random.default_rng(seed).random(coo.nrows) < 0.3)
 
     def main(comm):
         grid = ProcGrid(comm, pr, pc)
         A = DistSparseMatrix.scatter_from_root(grid, coo if comm.rank == 0 else None)
-        pi_r = DistDenseVec.from_global(grid, pi, "row")
         probe = DistDenseVec(grid, coo.ncols, "col")
         mine = fidx[(fidx >= probe.lo) & (fidx < probe.hi)]
-        nfront, scanned, *fr = spmv_bottomup_expanded(
-            A, *expand(A, mine, mine), _unvisited(pi_r)
+        mask = unseen[A.row_lo:A.row_hi].copy()
+        nfront, scanned, sent, *fr = spmv_expanded(A, *expand(A, mine, mine), unseen=mask)
+        hit, read = _first_hits(
+            A.block, np.flatnonzero(mask), set((fidx - A.col_lo).tolist())
         )
+        assert sent.tolist() == hit and scanned == read
         frontier = DistVertexFrontier(grid, coo.nrows, "row", *fr).to_global_arrays()
-        return nfront, scanned, frontier
+        return nfront, frontier
 
     res = spmd(pr * pc, main)
     # the counts riding the fold add up to the global frontier on every rank
-    assert {nfront for nfront, _, _ in res} == {fidx.size}
-    # the blocks together scan every edge of the unvisited rows once
-    assert sum(scanned for _, scanned, _ in res) == int(
-        CSC.from_coo(coo).row_degrees()[pi == NULL].sum()
-    )
-    gi, gp, gr = res[0][2]
-    assert np.array_equal(gi, want[0])
-    assert np.array_equal(gp, want[1])
-    assert np.array_equal(gr, want[2])
+    assert {nfront for nfront, _ in res} == {fidx.size}
+    gi, gp, gr = res[0][1]
+    fresh = pi[gi] == NULL
+    assert np.array_equal(gi[fresh], want[0])
+    assert np.array_equal(gp[fresh], want[1])
+    assert np.array_equal(gr[fresh], want[2])
 
 
 @settings(max_examples=15, deadline=None)
 @given(coo_grid_and_state())
 def test_direction_edge_counts_match_serial(args):
-    """The switch rule's allreduced counts equal the serial quantities, and
-    every rank sees the same pair."""
+    """The two counts a block compares to choose its direction — its
+    frontier columns' edges and its unvisited rows' edges, read off the
+    block's own degrees — are exactly what its top-down explode reads, and
+    over the grid they add up to the serial quantities."""
     coo, pr, pc, fidx, pi = args
     a = CSC.from_coo(coo)
     want_td = a.spmv_count(VertexFrontier.roots_of_self(coo.ncols, fidx))
@@ -205,13 +217,13 @@ def test_direction_edge_counts_match_serial(args):
     def main(comm):
         grid = ProcGrid(comm, pr, pc)
         A = DistSparseMatrix.scatter_from_root(grid, coo if comm.rank == 0 else None)
-        pi_r = DistDenseVec.from_global(grid, pi, "row")
         probe = DistDenseVec(grid, coo.ncols, "col")
         mine = fidx[(fidx >= probe.lo) & (fidx < probe.hi)]
-        td, bu = comm.allreduce(local_edge_counts(A, mine, _unvisited(pi_r)), op=SUM)
-        # the cache is collective-on-first-call: a second read is local
-        assert A.degree_blocks() is A.degree_blocks()
-        return int(td), int(bu)
+        bcols, broots = expand(A, mine, mine)
+        td = int(A.block.col_degrees()[bcols - A.col_lo].sum())
+        bu = int(A.block.row_degrees()[pi[A.row_lo:A.row_hi] == NULL].sum())
+        assert spmv_expanded(A, bcols, broots)[1] == td
+        return td, bu
 
     res = spmd(pr * pc, main)
-    assert all(r == (want_td, want_bu) for r in res.values)
+    assert tuple(map(sum, zip(*res.values))) == (want_td, want_bu)

@@ -35,15 +35,18 @@ def _ragged_gather_loop(indptr, indices, cols):
 
 
 def _pull_candidates_loop(row_ptr, col_idx, rows, root_of, null):
-    out = [
-        (r, col_idx[t], root_of[col_idx[t]])
-        for r in rows
-        for t in range(row_ptr[r], row_ptr[r + 1])
-        if root_of[col_idx[t]] != null
-    ]
-    if not out:
-        return (np.empty(0, dtype=np.int64),) * 3
-    return tuple(np.array(a, dtype=np.int64) for a in zip(*out))
+    out, read = [], 0
+    for r in rows:
+        for t in range(row_ptr[r], row_ptr[r + 1]):
+            read += 1
+            c = col_idx[t]
+            if root_of[c] != null:
+                out.append((r, c, root_of[c]))
+                break
+    arrays = tuple(np.array(a, dtype=np.int64) for a in zip(*out)) if out else (
+        (np.empty(0, dtype=np.int64),) * 3
+    )
+    return (*arrays, read)
 
 
 def _random_csc(rng: np.random.Generator, n: int, m: int, density: float):
@@ -56,9 +59,10 @@ def _random_csc(rng: np.random.Generator, n: int, m: int, density: float):
 
 
 def _assert_same(got, ref):
+    assert len(got) == len(ref)
     for g, r in zip(got, ref):
         np.testing.assert_array_equal(g, r)
-        assert g.dtype == r.dtype
+        assert np.asarray(g).dtype == np.asarray(r).dtype
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -134,3 +138,25 @@ def test_pull_candidates_empty():
     for rows in (none, np.arange(8, dtype=np.int64)):
         _assert_same(pull_candidates(row_ptr, col_idx, rows, dark, -1),
                      _pull_candidates_loop(row_ptr, col_idx, rows, dark, -1))
+    # a row without a hit is read whole
+    assert pull_candidates(row_ptr, col_idx, np.arange(8), dark, -1)[3] == row_ptr[-1]
+
+
+def test_pull_candidates_stops_at_each_rows_first_hit():
+    """Rows 0 and 3 are empty, row 2 has no frontier column; row 1 stops
+    after two of its four edges, row 4 at its first."""
+    row_ptr = np.array([0, 0, 4, 6, 6, 8], dtype=np.int64)
+    col_idx = np.array([0, 2, 3, 5, 1, 4, 3, 0], dtype=np.int64)
+    root_of = np.array([-1, -1, 7, 8, -1, -1], dtype=np.int64)
+    rows = np.arange(5, dtype=np.int64)
+    got = pull_candidates(row_ptr, col_idx, rows, root_of, -1)
+    _assert_same(got, ([1, 4], [2, 3], [7, 8], 2 + 2 + 1))
+    _assert_same(got, _pull_candidates_loop(row_ptr, col_idx, rows, root_of, -1))
+    # rows in any order, repeats included, come back in input order
+    rows = np.array([4, 3, 1, 4], dtype=np.int64)
+    _assert_same(pull_candidates(row_ptr, col_idx, rows, root_of, -1),
+                 _pull_candidates_loop(row_ptr, col_idx, rows, root_of, -1))
+    # an empty structure
+    empty = np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64)
+    nothing = np.empty(0, dtype=np.int64)
+    _assert_same(pull_candidates(*empty, nothing, root_of, -1), (nothing,) * 3 + (0,))

@@ -27,8 +27,9 @@ def test_plain_run_carries_no_checkpoint_traffic():
     stats = run_mcm_dist(er(8, seed=3), 2, 2, init="greedy")[2]
     assert stats.checkpoint_words == 0
     # (313, 293, 25,937, 23,941 before the closing allgather and the
-    # initializer's two-allgather round)
-    assert _ledger(stats) == (230, 214, 25_567, 23_547)
+    # initializer's two-allgather round; 230, 214, 25,567, 23,547 before
+    # blocks pulled by default)
+    assert _ledger(stats) == (230, 214, 24_811, 22_791)
     assert stats.comm_by_alg["barrier:dissemination"]["calls"] == 28
     assert stats.restart_spans == ()
     # the per-phase ledger is on every run
@@ -41,8 +42,9 @@ def test_allowing_restarts_costs_exactly_the_snapshots():
     # three snapshots (phases 0..2) of 256 + 256 mates, two header words
     # and the relabel seed
     assert stats.checkpoint_words == 3 * 515
-    # (385, 347, 31,832, 28,717 before)
-    assert _ledger(stats) == (302, 268, 31_462, 28_323)
+    # (385, 347, 31,832, 28,717 before; 302, 268, 31,462, 28,323 before
+    # blocks pulled by default)
+    assert _ledger(stats) == (302, 268, 30_706, 27_567)
     # one closing barrier per snapshot and per rank on top of the plain run's
     assert stats.comm_by_alg["barrier:dissemination"]["calls"] == 40
 

@@ -20,6 +20,7 @@ the default (relabeled) run's, and the parent schedule's on the inputs' own
 ids, which must not move.
 """
 
+import itertools
 import sys
 from pathlib import Path
 
@@ -190,22 +191,28 @@ def _solve(name, pr, pc, backend, direction):
     mate_r, mate_c, stats = run_mcm_dist(
         INPUTS[name](), pr, pc, direction=direction, backend=backend, timeout=60,
     )
-    return mate_r, mate_c, (stats.phases, stats.iterations, stats.edges_examined)
+    return mate_r, mate_c, (stats.phases, stats.iterations), stats.edges_examined
 
 
 @pytest.mark.parametrize("backend", ["thread", "process"])
 @pytest.mark.parametrize("pr,pc", GRIDS[1:])
 @pytest.mark.parametrize("name", sorted(INPUTS))
 def test_results_equal_across_grids(name, pr, pc, backend):
+    edges = {}
     for direction in DIRECTIONS:
         key = (name, direction)
         if key not in _reference:
             _reference[key] = _solve(name, 1, 1, "thread", direction)
-        ref_r, ref_c, ref_counts = _reference[key]
-        mate_r, mate_c, counts = _solve(name, pr, pc, backend, direction)
+        ref_r, ref_c, ref_counts, ref_edges = _reference[key]
+        mate_r, mate_c, counts, edges[direction] = _solve(name, pr, pc, backend, direction)
         np.testing.assert_array_equal(mate_r, ref_r, err_msg=direction)
         np.testing.assert_array_equal(mate_c, ref_c, err_msg=direction)
         assert counts == ref_counts, direction
+    # top-down reads every frontier edge once on any grid; a pull stops at
+    # its own block's first frontier column, so it reads what the grid
+    # gives it, and "auto" never more than top-down
+    assert edges["topdown"] == _reference[(name, "topdown")][3]
+    assert edges["auto"] <= edges["topdown"]
 
 
 def test_crash_every_phase_on_2x3_recovers_the_mates(tmp_path):
@@ -260,19 +267,21 @@ def run_in_id_order(coo, pr, pc, **kwargs):
 @pytest.mark.parametrize("name", sorted(CORNERS))
 def test_home_fold_corners_equal_a_1x1_run(name, pr, pc, backend, force_augment):
     coo = CORNERS[name]
-    for init in ("none", "greedy"):
-        for augment in ("level", "path"):
-            force_augment(augment)
-            # each corner is built in these ids
-            kw = dict(init=init, timeout=60)
-            ref_r, ref_c, ref = run_in_id_order(coo, 1, 1, **kw)
-            mate_r, mate_c, st = run_in_id_order(coo, pr, pc, backend=backend, **kw)
-            msg = f"init={init} augment={augment}"
-            np.testing.assert_array_equal(mate_r, ref_r, err_msg=msg)
-            np.testing.assert_array_equal(mate_c, ref_c, err_msg=msg)
-            assert (st.phases, st.iterations, st.edges_examined) == (
-                ref.phases, ref.iterations, ref.edges_examined
-            ), msg
+    for init, augment, direction in itertools.product(
+        ("none", "greedy"), ("level", "path"), ("topdown", "auto")
+    ):
+        force_augment(augment)
+        # each corner is built in these ids
+        kw = dict(init=init, direction=direction, timeout=60)
+        ref_r, ref_c, ref = run_in_id_order(coo, 1, 1, **kw)
+        mate_r, mate_c, st = run_in_id_order(coo, pr, pc, backend=backend, **kw)
+        msg = f"init={init} augment={augment} direction={direction}"
+        np.testing.assert_array_equal(mate_r, ref_r, err_msg=msg)
+        np.testing.assert_array_equal(mate_c, ref_c, err_msg=msg)
+        assert (st.phases, st.iterations) == (ref.phases, ref.iterations), msg
+        # a pull's edges depend on the blocks; top-down's do not
+        if direction == "topdown":
+            assert st.edges_examined == ref.edges_examined, msg
     assert ref.phases >= 2
 
 
@@ -410,14 +419,20 @@ def _fingerprint(e2e_workloads, solve, workload, pr, pc, sha, counts, steps):
 @pytest.mark.parametrize("workload,pr,pc,sha,counts,steps", PARENT_FINGERPRINTS)
 def test_id_order_reproduces_parent_fingerprints(e2e_workloads, workload, pr, pc, sha,
                                                  counts, steps):
-    _fingerprint(e2e_workloads, run_in_id_order, workload, pr, pc, sha, counts, steps)
+    # the parent schedule reads every frontier edge: no block pulls
+    def solve(coo, pr, pc, **kw):
+        return run_in_id_order(coo, pr, pc, direction="topdown", **kw)
+
+    _fingerprint(e2e_workloads, solve, workload, pr, pc, sha, counts, steps)
 
 
 #: the default run on the same inputs: the road core's staircase is gone
 #: (9 → 5 phases, 408 → 89 iterations) and the ER core, random already,
 #: draws a cheaper instance (9 → 7 phases, 35 → 24 iterations).  Latency
 #: steps per rank 267 / 173 / 135 (306 / 181 / 172 with the three-hop level
-#: step and the schedule around the loop named above)
+#: step and the schedule around the loop named above).  On the ER core the
+#: wide last levels pull where that reads fewer edges (3,168,366 edges
+#: examined top-down); on the road core no block ever pulls
 RELABELED_ROAD = ("d03154f77207efa32f250c75fa249fe1b5fb42c2c23416c58917964291c53ad5",
                   (5, 89, 47_630, 5_840))
 FINGERPRINTS = [
@@ -426,7 +441,7 @@ FINGERPRINTS = [
     pytest.param(
         "mcm_bulk_t4", 2, 2,
         "d8198654c0268f9ae57ef9c2dbd5f97df347d5bd5ad4130d5fa485f30993b0ed",
-        (7, 24, 3_168_366, 32_832), 135, id="er15-2x2",
+        (7, 24, 1_500_647, 32_832), 135, id="er15-2x2",
     ),
 ]
 
@@ -437,8 +452,11 @@ def test_parent_fingerprints(e2e_workloads, workload, pr, pc, sha, counts, steps
 
 
 #: the ``BENCH_spmd.json`` runs (``direction="auto"``): mates digest, then
-#: phases, iterations, edges examined, bottom-up steps, level / path augment
-#: calls and one-sided operations — the parent schedule's, on both backends
+#: phases, iterations, edges examined, bottom-up block-iterations, level /
+#: path augment calls and one-sided operations, on both backends.  On er:9
+#: 3x3, 18 of 72 block-iterations pull, each block alone (9,813 edges and 2
+#: grid-wide bottom-up iterations when a grid vote chose for all blocks;
+#: 16,764 top-down)
 BENCH_FINGERPRINTS = [
     pytest.param(
         7, 2, 2, "c34170076df42172b0fca99b72534ba475f505467088719ddca76ba8742af972",
@@ -446,7 +464,7 @@ BENCH_FINGERPRINTS = [
     ),
     pytest.param(
         9, 3, 3, "ccc5db37a4504660df6bc7f520a68e09a4dfc3118ba432190c0e0f4d1dc9a86b",
-        (4, 8, 9_813, 2, 0, 3, 48), id="er9-3x3",
+        (4, 8, 10_419, 18, 0, 3, 48), id="er9-3x3",
     ),
 ]
 

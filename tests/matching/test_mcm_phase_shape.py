@@ -206,14 +206,12 @@ def test_no_grid_reduction_per_phase_level_or_round(pr, pc, direction):
             c for sp in spans if sp.name == "phase"
             for c in _inside(sp, on_grid) if c.name == "allreduce"
         ]
-        # "auto" votes once per superstep with an edge-count reduction (one
-        # at every phase head, one per iteration); top-down votes never
-        assert len(in_phases) == (
-            stats.phases + stats.iterations if direction == "auto" else 0
-        )
+        # no direction votes: each block chooses alone (the default "auto")
+        # or never pulls (top-down)
+        assert in_phases == []
         # and no other: the job closes on one grid allgather, the edge and
         # word counts riding the mates
-        assert sum(c.name == "allreduce" for c in on_grid) == len(in_phases)
+        assert not [c for c in on_grid if c.name == "allreduce"]
         assert [c.name for c in on_grid if c.name == "allgather"] == ["allgather"]
 
 
@@ -232,10 +230,14 @@ _reference = {}
 
 
 def _solve(variant, pr, pc, backend, force, **kwargs):
+    """A top-down run: its ``edges_examined`` is the same on every grid (a
+    pull's depends on the blocks; ``test_direction_blocks`` holds the
+    default to these mates)."""
     init, augment = variant
     force(None if augment == "auto" else augment)
     return run_mcm_dist(
-        er(6, seed=1), pr, pc, init=init, backend=backend, timeout=60, **kwargs,
+        er(6, seed=1), pr, pc, init=init, direction="topdown", backend=backend,
+        timeout=60, **kwargs,
     )
 
 

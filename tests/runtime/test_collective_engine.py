@@ -243,11 +243,11 @@ def test_route_delivers_parallel_arrays_in_source_order():
                          ids=lambda g: f"{g[0]}x{g[1]}")
 def test_mate_vectors_bit_identical_across_collective_configs(grid):
     """One engine, two physical plans: what the size rule picks on this
-    grid against every schedule walked for real (``direction="auto"``, so
-    the direction vote's grid allreduce rides along on every grid shape)."""
+    grid against every schedule walked for real (``init="mindegree"``, so
+    the residual-degree allreduces ride along on every grid shape)."""
     coo = er(scale=6, seed=3)
-    mate_r, mate_c, _ = run_mcm_dist(coo, *grid, direction="auto")
+    mate_r, mate_c, _ = run_mcm_dist(coo, *grid, init="mindegree")
     with walk_everywhere():
-        walked_r, walked_c, _ = run_mcm_dist(coo, *grid, direction="auto")
+        walked_r, walked_c, _ = run_mcm_dist(coo, *grid, init="mindegree")
     assert np.array_equal(mate_r, walked_r)
     assert np.array_equal(mate_c, walked_c)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.runtime import pack_arrays, pack_indices, unpack_arrays, unpack_indices
+from repro.runtime import pack_arrays, unpack_arrays
 from repro.runtime.pack import _DTYPES, _MAX_ARRAYS
 
 
@@ -93,50 +93,3 @@ def test_equal_length_header_is_one_word():
     n = 5
     triple = [np.arange(n, dtype=np.int64)] * 3
     assert pack_arrays(*triple).nbytes == 8 + 3 * 8 * n
-
-
-# -- pack_indices -----------------------------------------------------------
-
-
-def _assert_idx_roundtrip(idx, lo, hi):
-    got = unpack_indices(pack_indices(idx, lo, hi))
-    assert got.dtype == np.int64
-    assert np.array_equal(got, np.asarray(idx, np.int64))
-
-
-def test_sparse_indices_use_raw_encoding():
-    idx = np.array([100, 205, 399], dtype=np.int64)
-    buf = pack_indices(idx, 100, 400)
-    assert int(buf[:4].view(np.int32)[0]) == 0  # raw mode
-    _assert_idx_roundtrip(idx, 100, 400)
-
-
-def test_dense_indices_use_bitmap_encoding():
-    lo, hi = 64, 192
-    idx = np.arange(lo, hi, 2, dtype=np.int64)  # 64 members over a 128 span
-    buf = pack_indices(idx, lo, hi)
-    assert int(buf[:4].view(np.int32)[0]) == 1  # bitmap mode
-    # 128-bit mask = 2 words vs 64 raw words
-    assert buf.size < 8 * idx.size
-    _assert_idx_roundtrip(idx, lo, hi)
-
-
-def test_bitmap_threshold_is_words_not_bytes():
-    lo, hi = 0, 640  # 10-word mask
-    sparse = np.arange(10, dtype=np.int64) * 64  # 10 members: raw ties, stays raw
-    assert int(pack_indices(sparse, lo, hi)[:4].view(np.int32)[0]) == 0
-    dense = np.arange(11, dtype=np.int64) * 58  # 11 members: bitmap wins
-    assert int(pack_indices(dense, lo, hi)[:4].view(np.int32)[0]) == 1
-    _assert_idx_roundtrip(sparse, lo, hi)
-    _assert_idx_roundtrip(dense, lo, hi)
-
-
-def test_empty_and_full_ranges_roundtrip():
-    _assert_idx_roundtrip(np.empty(0, np.int64), 5, 50)
-    _assert_idx_roundtrip(np.arange(7, 71, dtype=np.int64), 7, 71)
-    _assert_idx_roundtrip(np.empty(0, np.int64), 3, 3)  # empty span
-
-
-def test_bad_range_is_rejected():
-    with pytest.raises(ValueError, match="bad index range"):
-        pack_indices(np.empty(0, np.int64), 10, 5)

@@ -150,9 +150,7 @@ def test_dcsc_empty_matrix():
 
 def test_dcsc_degrees():
     d = DCSC.from_coo(small())
-    jc, deg = d.col_degrees_compressed()
-    assert jc.tolist() == [0, 1, 2, 3, 4]
-    assert deg.tolist() == [2, 2, 2, 1, 2]
+    assert d.col_degrees().tolist() == [2, 2, 2, 1, 2]
     assert d.row_degrees().tolist() == [2, 2, 3, 2]
 
 
@@ -193,6 +191,20 @@ def test_dcsc_csr_mirror_roundtrips(seed):
     # within-row column ascent is what downstream tie-breaking relies on
     same_row = mirror_rows[1:] == mirror_rows[:-1]
     assert np.all(col_idx[1:][same_row] > col_idx[:-1][same_row])
+
+
+@pytest.mark.parametrize("shape,nnz", [((30, 50), 200), ((1, 7), 5), ((9, 1), 6), ((4, 6), 0)])
+def test_dcsc_csr_mirror_equals_the_lexsort_form(shape, nnz):
+    """The composite-key sort builds exactly the mirror a lexsort by (row,
+    column) would."""
+    rng = np.random.default_rng(nnz)
+    coo = COO(*shape, rng.integers(0, shape[0], nnz), rng.integers(0, shape[1], nnz))
+    d = DCSC.from_coo(coo)
+    cols = np.repeat(d.jc, np.diff(d.cp))
+    want = cols[np.lexsort((cols, d.ir))]
+    got = d.csr_mirror()[1]
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(d.col_degrees(), np.bincount(cols, minlength=d.ncols))
 
 
 def test_dcsc_csr_mirror_and_degrees_are_cached():
