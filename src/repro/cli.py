@@ -303,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["greedy", "karp-sipser", "mindegree", "none"])
     p.add_argument("--direction", default="auto", choices=["topdown", "bottomup", "auto"],
                    help="Step 1's direction: 'auto' lets each block pull wherever "
-                        "that reads fewer of its edges")
+                        "that is expected to read fewer of its edges")
     p.add_argument("--objective", default="cardinality",
                    choices=["cardinality", "weight"],
                    help="'cardinality' runs MCM-DIST (default); 'weight' runs "

@@ -155,10 +155,11 @@ def spmv_expanded(
       (select2nd: parent = column id), then the minParent pre-reduction
       (CombBLAS does the same), reading every frontier edge of the block;
     * *bottom-up* — ``unseen`` is a boolean mask over the block's rows,
-      covering every row not yet visited: each such row walks its ascending
-      row-major adjacency and stops at its first frontier column, which is
-      exactly the block's minParent winner for it.  Rows outside the mask
-      are visited already, so the fold's receivers would drop them anyway.
+      covering every row with an edge not yet visited: each such row walks
+      its ascending row-major adjacency and stops at its first frontier
+      column, which is exactly the block's minParent winner for it.  Rows
+      outside the mask are visited already or have no edge here, so they
+      could only send candidates the fold's receivers would drop.
 
     Then fold and destination reduction along the grid row — the one
     exchange of the call, to the vector owners or, given ``home``, row

@@ -33,9 +33,10 @@ Step 1 SpMV, local + fold              :func:`repro.distmat.ops.spmv_expanded`
 Step 1, direction-optimized            the same call, given the block rows not
                                        yet seen visited: an early-exit pull; under
                                        ``direction="auto"`` each block pulls
-                                       alone wherever that reads fewer of its
-                                       edges — no vote, both directions post
-                                       the one fold
+                                       alone wherever that is expected to read
+                                       fewer of its edges
+                                       (:func:`pull_is_cheaper`) — no vote,
+                                       both directions post the one fold
 Steps 2–4 SELECT/SET                   local NumPy at home: π is a row-block
                                        array, a matched row's entry current at
                                        its home, a free row's on every rank of
@@ -463,12 +464,17 @@ def _refresh_replica(
     _check_replica(grid, phase, mate_r, mate_blk, row_labels)
 
 
-def _see(unseen: np.ndarray, degrees: np.ndarray, rows: np.ndarray) -> int:
-    """Mark the distinct LOCAL ``rows`` seen visited; returns the edges
-    the ones still unseen take off the pull's bound."""
-    rows = rows[unseen[rows]]
-    unseen[rows] = False
-    return int(degrees[rows].sum())
+def pull_is_cheaper(td: int, nnz: int, degrees: np.ndarray, unseen: np.ndarray) -> bool:
+    """Step 1's direction under "auto", a block's own choice: pull iff the
+    pull's expected read E = Σ over the ``unseen`` rows of min(degree,
+    nnz/td) is below ``td``, the frontier columns' edges a top-down explode
+    reads.  A block edge lands on a frontier column with probability
+    td/nnz, so a row reads about nnz/td edges before its first hit, never
+    more than its degree.  ``unseen`` marks rows with an edge only, so each
+    adds at least 1 to E (td ≤ nnz): as many unseen rows as ``td`` settle
+    it without E.  Computed as Σ min(degree·td, nnz) < td², in integers."""
+    return np.count_nonzero(unseen) < td and (
+        int(np.minimum(degrees[unseen] * td, nnz).sum()) < td * td)
 
 
 def _prune(ends: tuple, cols: np.ndarray, roots: np.ndarray) -> tuple:
@@ -497,13 +503,13 @@ def mcm_dist_spmd(
 
     ``coo_on_root`` is the input matrix on rank 0 (None elsewhere);
     ``direction`` is "topdown", "bottomup" or "auto" — under "auto" every
-    block pulls alone, without communication, whenever the edges of its
-    rows not yet seen visited are fewer than its frontier columns' edges;
-    the mate vectors are identical in all three modes.  The
-    engine picks each phase's augmentation by the paper's k < 2p² rule
-    (:func:`~repro.matching.augment.choose_augment_mode`), PRUNEs every
-    iteration and reduces candidates under minParent.  Returns (globally
-    gathered mate_r, mate_c, stats) on every rank.
+    block pulls alone, without communication, whenever the pull is expected
+    to read fewer edges than its frontier columns hold
+    (:func:`pull_is_cheaper`); the mate vectors are identical in all three
+    modes.  The engine picks each phase's augmentation by the paper's
+    k < 2p² rule (:func:`~repro.matching.augment.choose_augment_mode`),
+    PRUNEs every iteration and reduces candidates under minParent.
+    Returns (globally gathered mate_r, mate_c, stats) on every rank.
 
     Checkpoint/restart (driven by :func:`~repro.matching.job.launch`, which
     passes a store only when the caller gave one or allowed restarts): with
@@ -586,11 +592,10 @@ def mcm_dist_spmd(
             # phase's first column hop into the column replica
             stale = _stale(mate_c, mate_cblk)
             pi.local.fill(NULL)
-            # the block rows this rank has not seen visited — a superset of
-            # the unvisited ones, which never needs a message to keep — and
-            # their edges, the most a pull can read
-            unseen = np.ones(A.block.nrows, dtype=bool)
-            bu = A.block.nnz
+            # the block rows with an edge this rank has not seen visited — a
+            # superset of the unvisited ones that a pull can reach, which
+            # never needs a message to keep
+            unseen = degr > 0
             found: list[tuple] = []  # the grid's (root, row) path ends, per iteration
 
             # initial column frontier: unmatched columns, parent = root = self.
@@ -605,15 +610,14 @@ def mcm_dist_spmd(
             while live > 0:
                 with tspan(grid.comm, "bfs_iter", cat="phase", iter=stats.iterations + 1) as sp:
                     # Step 1: SpMV, each block in its own direction — under
-                    # "auto" a pull wherever it reads fewer of the block's
-                    # edges.  Either way exchange 1 is the fold (grid row) to
-                    # each row's home, every frame carrying the sender's
-                    # block-frontier size, so no rank needs to know another's
-                    # choice.  The trace names it: spmv vs spmv_bottomup
-                    if direction == "auto":
-                        pull = bu < int(degc[bcols - A.col_lo].sum())
-                    else:
-                        pull = direction == "bottomup"
+                    # "auto" a pull wherever it is expected to read fewer of
+                    # the block's edges.  Either way exchange 1 is the fold
+                    # (grid row) to each row's home, every frame carrying the
+                    # sender's block-frontier size, so no rank needs to know
+                    # another's choice.  The trace names it: spmv vs
+                    # spmv_bottomup
+                    pull = direction == "bottomup" or (direction == "auto" and pull_is_cheaper(
+                        int(degc[bcols - A.col_lo].sum()), A.block.nnz, degr, unseen))
                     live, scanned, sent, rows, parents, roots = spmv_expanded(
                         A, bcols, broots, home=mate_blk.local,
                         unseen=unseen if pull else None,
@@ -626,18 +630,18 @@ def mcm_dist_spmd(
                         break
                     stats.iterations += 1
                     stats.bottomup_steps += pull
-                    # the edges this block read: over the grid, at most the
-                    # frontier's edges, each once
+                    # the edges this block read: top-down, over the grid,
+                    # the frontier's edges, each once
                     edges_local += scanned
                     # a row with a candidate is visited by this iteration's end
-                    bu -= _see(unseen, degr, sent)
+                    unseen[sent] = False
                     # Step 2: SELECT unvisited rows — a pull's rows included:
                     # another block's home may have visited them already
                     fresh = pi.get_local(rows) == NULL
                     rows, parents, roots = rows[fresh], parents[fresh], roots[fresh]
                     # Step 3: SET parents
                     pi.set_local(rows, parents)
-                    bu -= _see(unseen, degr, rows - A.row_lo)
+                    unseen[rows - A.row_lo] = False
                     # Step 4: split matched/unmatched.  A matched row is at
                     # home, so its mate lies in this rank's column block; the
                     # free rows — and so the path ends — are the grid row's,
@@ -768,7 +772,8 @@ def run_mcm_dist(
     and its rank within it, so order-preserving id changes (splicing
     isolated edges in, say) leave the work alone.
     ``direction`` selects the Step-1 traversal: "auto" (each block pulls
-    wherever that reads fewer of its edges), "topdown" or "bottomup";
+    wherever that is expected to read fewer of its edges), "topdown" or
+    "bottomup";
     ``stats.topdown_steps`` / ``bottomup_steps`` tally block-iterations,
     summed over the ranks.
     ``verify=True`` arms the runtime's collective-divergence and RMA-race

@@ -129,7 +129,9 @@ class DCSC:
             key = self.ir * width
             key += np.repeat(self.jc, np.diff(self.cp))
             key.sort()
-            self._csr = (row_ptr, key % width)
+            # in place: every rank builds its mirror at its first pull, often
+            # all in the same iteration, so a second nnz-word array adds up
+            self._csr = (row_ptr, np.remainder(key, width, out=key))
         return self._csr
 
     def explode_rows(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,16 +1,25 @@
 """Step 1's direction is each block's own choice.
 
 Under the default ``direction="auto"`` every block pulls, with no
-communication, wherever its rows not yet seen visited have fewer edges than
-its frontier columns.  Both directions post the same fold, so the mates must
-be bit-identical to ``direction="topdown"`` on every graph, grid, backend and
-initializer, with the same phases and iterations and never more words or
-edges examined — and no block, in any iteration, may read more edges than
-its top-down explode would.
+communication, wherever the pull is expected to read fewer edges than its
+top-down explode: :func:`~repro.matching.mcm_dist.pull_is_cheaper`, whose
+estimate caps each unseen row's read at nnz/td, the edges a row walks
+before its first frontier column.  Both directions post the same fold, so
+the mates must be bit-identical to ``direction="topdown"`` on every graph,
+grid, backend and initializer, with the same phases and iterations and
+never more words or edges examined over the run.  An estimate can miss: a
+block-iteration may pull and read more than its explode would have (87 of
+14,880 did over a 168-run sweep, 113,986 edges over, in total), so what each
+block checks is that its choice is the rule's on the inputs it had, and
+that a pull reads no more than the edges of the rows it was handed.
 """
+
+import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.graphs import suite
 from repro.graphs.rmat import er, g500
@@ -37,24 +46,107 @@ GRIDS = [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 3)]
 INITS = ["none", "greedy", "mindegree", "karp-sipser"]
 
 
+def _expected_read(td, nnz, degrees, unseen):
+    """The pull's expected read, exactly: Σ over unseen rows of
+    min(degree, nnz/td)."""
+    return sum(Fraction(min(int(d) * td, nnz), td) for d in degrees[unseen])
+
+
 @pytest.fixture
 def checked_blocks(monkeypatch):
-    """Wrap the engine's SpMV so that every block, in every iteration,
-    checks that it read no more edges than a top-down explode of its
-    frontier; returns the list of (pulled, edges read) calls.  Forked ranks
-    inherit the wrapper, and a failed check fails their job."""
+    """Wrap the engine's direction rule and SpMV so that every block, in
+    every iteration, checks that it chose what the rule answers on its own
+    block's inputs — the frontier columns' edges, the block's nnz and its
+    unseen mask, which covers rows with an edge only — and that a pull read
+    no more than the edges of the rows it was handed; returns the list of
+    (pulled, edges read) calls.  Forked ranks inherit the wrappers, and a
+    failed check fails their job."""
     calls = []
-    spmv = mcm_dist.spmv_expanded
+    asked = threading.local()  # the rule's last inputs and answer, per rank
+    rule, spmv = mcm_dist.pull_is_cheaper, mcm_dist.spmv_expanded
+
+    def recorded_rule(td, nnz, degrees, unseen):
+        answer = rule(td, nnz, degrees, unseen)
+        asked.last = (td, nnz, unseen.copy(), answer)
+        return answer
 
     def checked(A, gcols, groots, home=None, unseen=None):
         out = spmv(A, gcols, groots, home=home, unseen=unseen)
-        td = int(A.block.col_degrees()[gcols - A.col_lo].sum())
-        assert out[1] <= td, (A.grid.rank, out[1], td)
-        calls.append((unseen is not None, out[1]))
+        pulled = unseen is not None
+        last, asked.last = getattr(asked, "last", None), None
+        if last is not None:  # "auto": the rule chose
+            td, nnz, mask, answer = last
+            degr = A.block.row_degrees()
+            assert td == int(A.block.col_degrees()[gcols - A.col_lo].sum())
+            assert nnz == A.block.nnz
+            assert degr[mask].all()
+            assert pulled == answer == (td > 0 and _expected_read(td, nnz, degr, mask) < td)
+            if pulled:
+                np.testing.assert_array_equal(unseen, mask)
+        if pulled:
+            assert out[1] <= int(A.block.row_degrees()[unseen].sum()), (A.grid.rank, out[1])
+        calls.append((pulled, out[1]))
         return out
 
+    monkeypatch.setattr(mcm_dist, "pull_is_cheaper", recorded_rule)
     monkeypatch.setattr(mcm_dist, "spmv_expanded", checked)
     return calls
+
+
+def test_no_frontier_edge_never_pulls():
+    degrees = np.array([2, 1, 3])
+    for unseen in (np.zeros(3, bool), np.ones(3, bool)):
+        assert not mcm_dist.pull_is_cheaper(0, 6, degrees, unseen)
+
+
+def test_one_row_of_degree_one():
+    # block rows of degree 1 and 5, only the first unseen: E = min(1, 6/td)
+    degrees, unseen = np.array([1, 5]), np.array([True, False])
+    assert not mcm_dist.pull_is_cheaper(1, 6, degrees, unseen)  # E = 1, not < 1
+    assert mcm_dist.pull_is_cheaper(2, 6, degrees, unseen)  # E = 1 < 2
+
+
+def test_rows_above_and_below_the_cap():
+    # nnz 33: at td 11 the cap is 3, so E = 1 + 2 + 3 + 3 = 9 < 11 and the
+    # block pulls although its unseen rows hold all 33 edges; at td 9 the
+    # cap is 11/3 and E = 31/3 ≥ 9
+    degrees, unseen = np.array([1, 2, 10, 20]), np.ones(4, bool)
+    assert mcm_dist.pull_is_cheaper(11, 33, degrees, unseen)
+    assert not mcm_dist.pull_is_cheaper(9, 33, degrees, unseen)
+    # E = td exactly does not pull: one unseen row of degree 4, nnz 9, cap 3
+    degrees, unseen = np.array([4, 5]), np.array([True, False])
+    assert not mcm_dist.pull_is_cheaper(3, 9, degrees, unseen)
+    assert mcm_dist.pull_is_cheaper(4, 9, degrees, unseen)  # E = 9/4
+
+
+@st.composite
+def block_state(draw):
+    """A block's row degrees, an unseen mask over its rows with an edge (as
+    the engine keeps it) and a frontier edge count td ≤ nnz."""
+    degrees = np.array(draw(st.lists(st.integers(0, 12), min_size=1, max_size=40)))
+    unseen = np.array(draw(st.lists(st.booleans(), min_size=degrees.size,
+                                    max_size=degrees.size))) & (degrees > 0)
+    nnz = int(degrees.sum()) + draw(st.integers(0, 30))  # other rows' edges too
+    td = draw(st.integers(0, max(nnz, 1)))
+    return td, nnz, degrees, unseen
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_state())
+def test_count_guard_gives_the_expected_read_answer(state):
+    td, nnz, degrees, unseen = state
+    exact = td > 0 and _expected_read(td, nnz, degrees, unseen) < td
+    assert mcm_dist.pull_is_cheaper(*state) == exact
+    if np.count_nonzero(unseen) >= td:  # what the guard settles without E
+        assert not exact
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_state())
+def test_pulls_wherever_the_unseen_rows_have_fewer_edges(state):
+    td, nnz, degrees, unseen = state
+    if degrees[unseen].sum() < td:
+        assert mcm_dist.pull_is_cheaper(*state)
 
 
 def _counts(stats):
@@ -89,8 +181,9 @@ def test_default_direction_equals_topdown(name, pr, pc, backend, checked_blocks)
 
 
 def test_road_core_never_pulls():
-    """On a thin-frontier road graph no block's unseen rows ever have fewer
-    edges than its frontier: "auto" is top-down, count for count."""
+    """On a thin-frontier road graph no block's pull is ever expected to
+    read fewer edges than its frontier: "auto" is top-down, count for
+    count."""
     coo = FAMILIES["road"]()
     td = mcm_dist.run_mcm_dist(coo, 2, 2, direction="topdown")[2]
     au = mcm_dist.run_mcm_dist(coo, 2, 2)[2]
@@ -107,9 +200,9 @@ def test_a_block_pulls_a_row_another_block_visited(monkeypatch):
     Iteration 1: free column 3 reaches rows 0 and 1 in block 1.  Row 0 is
     homed in block 1 (its mate, column 2, lies there), so block 0 never
     hears of it.  Iteration 2: column 0 (row 1's mate) is on block 0's
-    frontier, and block 0 — whose one unseen edge, row 0's, is fewer than
-    column 0's two — pulls row 0 again.  Its home drops the candidate;
-    the mates are top-down's."""
+    frontier, and block 0 — whose one unseen row with an edge, row 0, is
+    expected to read one edge, fewer than column 0's two — pulls row 0
+    again.  Its home drops the candidate; the mates are top-down's."""
     edges = [(0, 3), (1, 3), (0, 0), (0, 2), (1, 0), (2, 2)]
     coo = COO.from_edges(3, 4, edges)
     seen = {}

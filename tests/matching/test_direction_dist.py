@@ -75,7 +75,7 @@ def test_direction_step_tallies():
     _, _, au = run_mcm_dist(coo, 2, 2, init="none", direction="auto")
     assert au.topdown_steps + au.bottomup_steps == au.iterations * p
     assert au.bottomup_steps > 0  # some block actually pulled on this input
-    # a block pulls only where that reads fewer of its edges
+    # a block pulls only where that is expected to read fewer of its edges
     assert au.edges_examined <= td.edges_examined
     assert au.total_words <= td.total_words
     for stats in (td, bu, au):

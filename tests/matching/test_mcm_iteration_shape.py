@@ -431,8 +431,10 @@ def test_id_order_reproduces_parent_fingerprints(e2e_workloads, workload, pr, pc
 #: draws a cheaper instance (9 → 7 phases, 35 → 24 iterations).  Latency
 #: steps per rank 267 / 173 / 135 (306 / 181 / 172 with the three-hop level
 #: step and the schedule around the loop named above).  On the ER core the
-#: wide last levels pull where that reads fewer edges (3,168,366 edges
-#: examined top-down); on the road core no block ever pulls
+#: wide last levels pull where that is expected to read fewer edges
+#: (3,168,366 edges examined top-down; 1,500,647 when a block pulled only
+#: where its unseen rows' whole adjacency was smaller); on the road core no
+#: block ever pulls
 RELABELED_ROAD = ("d03154f77207efa32f250c75fa249fe1b5fb42c2c23416c58917964291c53ad5",
                   (5, 89, 47_630, 5_840))
 FINGERPRINTS = [
@@ -441,7 +443,7 @@ FINGERPRINTS = [
     pytest.param(
         "mcm_bulk_t4", 2, 2,
         "d8198654c0268f9ae57ef9c2dbd5f97df347d5bd5ad4130d5fa485f30993b0ed",
-        (7, 24, 1_500_647, 32_832), 135, id="er15-2x2",
+        (7, 24, 927_912, 32_832), 135, id="er15-2x2",
     ),
 ]
 
@@ -454,17 +456,19 @@ def test_parent_fingerprints(e2e_workloads, workload, pr, pc, sha, counts, steps
 #: the ``BENCH_spmd.json`` runs (``direction="auto"``): mates digest, then
 #: phases, iterations, edges examined, bottom-up block-iterations, level /
 #: path augment calls and one-sided operations, on both backends.  On er:9
-#: 3x3, 18 of 72 block-iterations pull, each block alone (9,813 edges and 2
-#: grid-wide bottom-up iterations when a grid vote chose for all blocks;
-#: 16,764 top-down)
+#: 3x3, 27 of 72 block-iterations pull, each block alone (10,419 edges and
+#: 18 when a block pulled only where its unseen rows' whole adjacency was
+#: smaller; 9,813 edges and 2 grid-wide bottom-up iterations when a grid
+#: vote chose for all blocks; 16,764 top-down); on er:7 2x2, 4 of 8 (1,328
+#: edges and none before)
 BENCH_FINGERPRINTS = [
     pytest.param(
         7, 2, 2, "c34170076df42172b0fca99b72534ba475f505467088719ddca76ba8742af972",
-        (2, 2, 1_328, 0, 0, 1, 12), id="er7-2x2",
+        (2, 2, 498, 4, 0, 1, 12), id="er7-2x2",
     ),
     pytest.param(
         9, 3, 3, "ccc5db37a4504660df6bc7f520a68e09a4dfc3118ba432190c0e0f4d1dc9a86b",
-        (4, 8, 10_419, 18, 0, 3, 48), id="er9-3x3",
+        (4, 8, 7_408, 27, 0, 3, 48), id="er9-3x3",
     ),
 ]
 
