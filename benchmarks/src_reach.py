@@ -30,10 +30,9 @@ REPO = Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "repro"
 CALLER_DIRS = ("src", "benchmarks", "examples")
 
-_TEST_ONLY = "test-only helper outside the runtime; queued for deletion (ROADMAP item 1)"
-
 #: Definitions no caller names, kept on purpose: ``"module.qualname"`` ->
-#: one-line reason.
+#: one-line reason.  A test is never a reason: what only tests reach moves
+#: into ``tests/`` or goes.
 ALLOWLIST: dict[str, str] = {
     "repro.runtime.checkpoint.FileCheckpointStore.refresh_counters":
         "called by name through getattr() in matching/job.py",
@@ -47,31 +46,6 @@ ALLOWLIST: dict[str, str] = {
         "α-β oracle of Communicator.gather's direct schedule",
     "repro.perfmodel.collectives.spmv_expand": "the paper's §IV-B expand cost",
     "repro.perfmodel.collectives.spmv_fold": "the paper's §IV-B fold cost",
-    "repro.graphs.generators.mesh2d": "input family of the cross-engine oracle tests",
-    "repro.graphs.generators.long_path": "input family of the cross-engine oracle tests",
-    "repro.graphs.generators.bipartite_er": _TEST_ONLY,
-    "repro.graphs.suite.SuiteEntry.target_n": _TEST_ONLY,
-    "repro.analysis.astutil.own_statements": _TEST_ONLY,
-    "repro.analysis.cfg.CFG.all_stmts": _TEST_ONLY,
-    "repro.analysis.cfg.CFG.unreachable_stmts": _TEST_ONLY,
-    "repro.distmat.distvec.DistDenseVec.from_global": _TEST_ONLY,
-    "repro.distmat.distvec.DistVertexFrontier.to_global_arrays": _TEST_ONLY,
-    "repro.distmat.grid.ProcGrid.rank_of": _TEST_ONLY,
-    "repro.distmat.spmat.DistSparseMatrix.global_nnz": _TEST_ONLY,
-    "repro.perfmodel.clock.BspClock.charge_compute": _TEST_ONLY,
-    "repro.sparse.coo.COO.from_edges": _TEST_ONLY,
-    "repro.sparse.coo.COO.identity": _TEST_ONLY,
-    "repro.sparse.csc.CSC.neighbor_of_each": _TEST_ONLY,
-    "repro.sparse.dcsc.DCSC.memory_words": _TEST_ONLY,
-    "repro.sparse.mmio.write_mm": _TEST_ONLY,
-    "repro.sparse.primitives.gather_dense": _TEST_ONLY,
-    "repro.sparse.primitives.ind": _TEST_ONLY,
-    "repro.sparse.primitives.prune_mask": _TEST_ONLY,
-    "repro.sparse.semiring.Semiring.deterministic": _TEST_ONLY,
-    "repro.sparse.spvec.SparseVec.from_dense": _TEST_ONLY,
-    "repro.sparse.spvec.SparseVec.is_empty": _TEST_ONLY,
-    "repro.sparse.spvec.SparseVec.to_dense": _TEST_ONLY,
-    "repro.sparse.spvec.VertexFrontier.is_empty": _TEST_ONLY,
 }
 
 

@@ -170,13 +170,6 @@ def own_nodes(fn: ast.AST) -> Iterator[ast.AST]:
         stack.extend(ast.iter_child_nodes(node))
 
 
-def own_statements(fn: ast.AST) -> list[ast.stmt]:
-    """All statements of ``fn``'s own body, source order, skipping nested
-    function/class bodies."""
-    out = [n for n in own_nodes(fn) if isinstance(n, ast.stmt) and n is not fn]
-    return sorted(out, key=lambda s: (s.lineno, s.col_offset))
-
-
 def dotted_name(node: ast.expr) -> str | None:
     """Flatten ``a.b.c`` (Names and Attributes only) to ``"a.b.c"``."""
     parts: list[str] = []

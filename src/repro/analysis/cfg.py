@@ -16,8 +16,8 @@ Scope and precision:
 * exception edges are approximated: the block entering a ``try`` may jump
   to any handler (we do not model which statement raises);
 * unreachable code (after a ``return``, say) lands in blocks with no
-  predecessors and is reported by :meth:`CFG.unreachable_stmts` — the
-  "reachable or reported" contract the property tests pin down.
+  predecessors, which :func:`forward_dataflow` never reaches — so the
+  rules, which read its in-states, skip it.
 """
 
 from __future__ import annotations
@@ -60,35 +60,6 @@ class CFG:
         if dst not in self.blocks[src].succs:
             self.blocks[src].succs.append(dst)
             self.blocks[dst].preds.append(src)
-
-    # -- queries --------------------------------------------------------
-
-    def reachable(self) -> set[int]:
-        """Block ids reachable from the entry block."""
-        seen: set[int] = set()
-        stack = [self.entry]
-        while stack:
-            b = stack.pop()
-            if b in seen:
-                continue
-            seen.add(b)
-            stack.extend(self.blocks[b].succs)
-        return seen
-
-    def unreachable_stmts(self) -> list[ast.stmt]:
-        """Statements in blocks the entry cannot reach (dead code)."""
-        live = self.reachable()
-        out: list[ast.stmt] = []
-        for b in self.blocks:
-            if b.id not in live:
-                out.extend(b.stmts)
-        return out
-
-    def all_stmts(self) -> list[ast.stmt]:
-        out: list[ast.stmt] = []
-        for b in self.blocks:
-            out.extend(b.stmts)
-        return out
 
 
 @dataclass

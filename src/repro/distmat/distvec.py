@@ -100,14 +100,6 @@ class DistDenseVec:
             out[lo:lo + arr.size] = arr
         return out
 
-    @classmethod
-    def from_global(cls, grid: ProcGrid, arr: np.ndarray, orient: str) -> "DistDenseVec":
-        """Each rank slices its range out of a replicated global array
-        (test/boundary helper — no communication)."""
-        v = cls(grid, arr.size, orient)
-        v.local[:] = arr[v.lo:v.hi]
-        return v
-
 
 class BlockVec:
     """One block of a vector, held whole by every rank that shares it: row
@@ -194,13 +186,3 @@ class DistVertexFrontier:
             self.grid, self.n, self.orient,
             self.idx[mask], self.parent[mask], self.root[mask],
         )
-
-    def to_global_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Gather (idx, parent, root) of all ranks, sorted by idx
-        (collective; test helper)."""
-        pieces = self.grid.comm.allgather((self.idx, self.parent, self.root))
-        idx = np.concatenate([p[0] for p in pieces])
-        par = np.concatenate([p[1] for p in pieces])
-        root = np.concatenate([p[2] for p in pieces])
-        order = np.argsort(idx)
-        return idx[order], par[order], root[order]

@@ -44,9 +44,5 @@ class ProcGrid:
     def nprocs(self) -> int:
         return self.comm.size
 
-    def rank_of(self, i: int, j: int) -> int:
-        """Global communicator rank of grid position (i, j)."""
-        return i * self.pc + j
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ProcGrid({self.pr}x{self.pc}, here=({self.i},{self.j}))"

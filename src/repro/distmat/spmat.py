@@ -116,12 +116,6 @@ class DistSparseMatrix(DistBlockMatrix):
     def local_nnz(self) -> int:
         return self.block.nnz
 
-    def global_nnz(self) -> int:
-        """Collective: total nonzeros across the grid."""
-        from ..runtime.comm import SUM
-
-        return int(self.grid.comm.allreduce(self.local_nnz, op=SUM))
-
     def degree_blocks(self) -> tuple[np.ndarray, np.ndarray]:
         """Full-matrix (row, column) degrees of this rank's row block and
         column block, replicated along the grid row / down the grid column:

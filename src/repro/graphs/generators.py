@@ -53,36 +53,6 @@ def mesh_rect(w: int, h: int, diagonals: bool = False, drop: float = 0.0, seed: 
     return _sym(n, rows, cols)
 
 
-def mesh2d(k: int, diagonals: bool = False, drop: float = 0.0, seed: int = 0) -> COO:
-    """k×k grid mesh (road-network-like: degree ≤ 4 (or 8), huge diameter).
-
-    ``drop`` randomly removes a fraction of edges, which creates
-    degree-deficient pockets like real road networks' dead ends.
-    """
-    n = k * k
-    idx = np.arange(n, dtype=np.int64)
-    x, y = idx % k, idx // k
-    rows_list = []
-    cols_list = []
-    right = idx[x < k - 1]
-    rows_list.append(right); cols_list.append(right + 1)
-    down = idx[y < k - 1]
-    rows_list.append(down); cols_list.append(down + k)
-    if diagonals:
-        diag = idx[(x < k - 1) & (y < k - 1)]
-        rows_list.append(diag); cols_list.append(diag + k + 1)
-        anti = idx[(x > 0) & (y < k - 1)]
-        rows_list.append(anti); cols_list.append(anti + k - 1)
-    rows = np.concatenate(rows_list)
-    cols = np.concatenate(cols_list)
-    if drop > 0:
-        rng = np.random.default_rng(seed)
-        keep = rng.random(rows.size) >= drop
-        rows, cols = rows[keep], cols[keep]
-    # self loops on the diagonal, as adjacency matrices of UF graphs often have
-    return _sym(n, rows, cols)
-
-
 def triangulation_like(n: int, seed: int = 0) -> COO:
     """Delaunay-like graph: ~6 neighbors per vertex, planar-ish locality.
 
@@ -180,19 +150,6 @@ def boundary_map(n1: int, n2: int, per_col: int, seed: int = 0, cluster_frac: fl
     mask = clustered_cols[cols]
     rows[mask] = rng.integers(0, window, int(mask.sum()))
     return COO(n1, n2, rows, cols)
-
-
-def bipartite_er(n1: int, n2: int, nnz: int, seed: int = 0) -> COO:
-    """Plain Erdős-Rényi bipartite pattern with ~nnz nonzeros."""
-    rng = np.random.default_rng(seed)
-    return COO(n1, n2, rng.integers(0, n1, nnz), rng.integers(0, n2, nnz))
-
-
-def long_path(n: int) -> COO:
-    """A single path graph — worst case for level-synchronous algorithms
-    (diameter n); used by tests and the augmentation ablation."""
-    i = np.arange(n - 1, dtype=np.int64)
-    return _sym(n, i, i + 1)
 
 
 # ---------------------------------------------------------------------------

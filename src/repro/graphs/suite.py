@@ -48,10 +48,6 @@ class SuiteEntry:
             raise ValueError("reduction must be >= 1")
         return self._builder(reduction, seed)
 
-    def target_n(self, reduction: int) -> int:
-        """Stand-in vertex count: paper rows scaled down by reduction."""
-        return max(64, int(self.paper_rows // reduction))
-
 
 def _grid_side(n: int) -> int:
     return max(8, int(math.isqrt(n)))

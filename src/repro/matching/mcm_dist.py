@@ -502,13 +502,13 @@ def mcm_dist_spmd(
     """The per-rank body of MCM-DIST (launch via :func:`run_mcm_dist`).
 
     ``coo_on_root`` is the input matrix on rank 0 (None elsewhere);
-    ``direction`` is "topdown", "bottomup" or "auto" — under "auto" every
-    block pulls alone, without communication, whenever the pull is expected
-    to read fewer edges than its frontier columns hold
-    (:func:`pull_is_cheaper`); the mate vectors are identical in all three
-    modes.  The engine picks each phase's augmentation by the paper's
-    k < 2p² rule (:func:`~repro.matching.augment.choose_augment_mode`),
-    PRUNEs every iteration and reduces candidates under minParent.
+    ``direction`` is "auto" or "topdown" — under "auto" every block pulls
+    alone, without communication, whenever the pull is expected to read
+    fewer edges than its frontier columns hold (:func:`pull_is_cheaper`);
+    the mate vectors are identical in both modes.  The engine picks each
+    phase's augmentation by the paper's k < 2p² rule
+    (:func:`~repro.matching.augment.choose_augment_mode`), PRUNEs every
+    iteration and reduces candidates under minParent.
     Returns (globally gathered mate_r, mate_c, stats) on every rank.
 
     Checkpoint/restart (driven by :func:`~repro.matching.job.launch`, which
@@ -524,10 +524,8 @@ def mcm_dist_spmd(
     ``row_labels`` / ``col_labels`` map each row / column to the caller's
     id for diagnostics.
     """
-    if direction not in ("topdown", "bottomup", "auto"):
-        raise ValueError(
-            f"unknown direction {direction!r} (topdown/bottomup/auto)"
-        )
+    if direction not in ("auto", "topdown"):
+        raise ValueError(f"unknown direction {direction!r} (auto/topdown)")
     grid = ProcGrid(comm, pr, pc)
     A = DistSparseMatrix.scatter_from_root(grid, coo_on_root)
     # π lives at home: a matched row's entry is current on the rank of its
@@ -616,8 +614,8 @@ def mcm_dist_spmd(
                     # sender's block-frontier size, so no rank needs to know
                     # another's choice.  The trace names it: spmv vs
                     # spmv_bottomup
-                    pull = direction == "bottomup" or (direction == "auto" and pull_is_cheaper(
-                        int(degc[bcols - A.col_lo].sum()), A.block.nnz, degr, unseen))
+                    pull = direction == "auto" and pull_is_cheaper(
+                        int(degc[bcols - A.col_lo].sum()), A.block.nnz, degr, unseen)
                     live, scanned, sent, rows, parents, roots = spmv_expanded(
                         A, bcols, broots, home=mate_blk.local,
                         unseen=unseen if pull else None,
@@ -772,8 +770,7 @@ def run_mcm_dist(
     and its rank within it, so order-preserving id changes (splicing
     isolated edges in, say) leave the work alone.
     ``direction`` selects the Step-1 traversal: "auto" (each block pulls
-    wherever that is expected to read fewer of its edges), "topdown" or
-    "bottomup";
+    wherever that is expected to read fewer of its edges) or "topdown";
     ``stats.topdown_steps`` / ``bottomup_steps`` tally block-iterations,
     summed over the ranks.
     ``verify=True`` arms the runtime's collective-divergence and RMA-race

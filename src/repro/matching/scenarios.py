@@ -20,8 +20,8 @@ A request's *service time* is model time on the paper's one α-β clock
 costs ``f_k · (a·α·Δsteps + b·β·Δwords) / p``:
 
 * ``(a, b)`` is the worst degraded edge of the scenario's ``links`` over
-  the whole grid — the bulk-synchronous slowest-participant rule
-  :func:`~repro.simulate.costsim.price` applies with ``links=``;
+  the whole grid — the bulk-synchronous slowest-participant rule of
+  :func:`~repro.perfmodel.collectives.degraded_params`;
 * ``f_k`` is the ``slowdown`` factor when a seeded Bernoulli draw for
   phase ``k`` falls below its probability, else 1 — a straggler (every
   superstep waits for it) or a disrupted superstep.

@@ -76,10 +76,6 @@ class BspClock:
         self.breakdown.charge(category, compute, comm_seconds)
         return compute + comm_seconds
 
-    def charge_compute(self, category: Category, max_ops: float) -> float:
-        """Compute-only superstep."""
-        return self.step(category, max_ops, 0.0)
-
     def charge_comm(self, category: Category, comm_seconds: float) -> float:
         """Communication-only superstep."""
         return self.step(category, 0.0, comm_seconds)

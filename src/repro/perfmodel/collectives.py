@@ -30,19 +30,15 @@ def _log2ceil(p: int) -> int:
     return (p - 1).bit_length() if p > 1 else 0
 
 
-def degraded_params(
-    alpha: float, beta: float, links=None, group=None
-) -> tuple[float, float]:
+def degraded_params(alpha: float, beta: float, links, group) -> tuple[float, float]:
     """(α, β) a collective over ``group`` sees under link degradation.
 
-    ``links`` is a :class:`repro.perfmodel.links.LinkModel` (or ``None`` for
-    a healthy fabric); ``group`` the participating ranks.  A bulk-synchronous
-    collective finishes with its slowest participant, so the worst degraded
-    edge inside the group inflates the whole collective's (α, β) — the
-    pessimistic-but-honest reading of asymmetric topology damage.
+    ``links`` is a :class:`repro.perfmodel.links.LinkModel`; ``group`` the
+    participating ranks.  A bulk-synchronous collective finishes with its
+    slowest participant, so the worst degraded edge inside the group
+    inflates the whole collective's (α, β) — the pessimistic-but-honest
+    reading of asymmetric topology damage.
     """
-    if links is None:
-        return alpha, beta
     fa, fb = links.worst_factors(group)
     return alpha * fa, beta * fb
 
@@ -88,9 +84,8 @@ def allreduce_reduce_bcast(p: int, alpha: float, beta: float, words: float) -> f
     return reduce_binomial(p, alpha, beta, words) + bcast_binomial(p, alpha, beta, words)
 
 
-def allreduce(p: int, alpha: float, beta: float, words: float, algorithm: str = "reduce_bcast", links=None, group=None) -> float:
+def allreduce(p: int, alpha: float, beta: float, words: float, algorithm: str = "reduce_bcast") -> float:
     """Dispatch on the modeled allreduce implementation."""
-    alpha, beta = degraded_params(alpha, beta, links, group)
     if algorithm == "doubling":
         return allreduce_recursive_doubling(p, alpha, beta, words)
     if algorithm == "reduce_bcast":
@@ -154,9 +149,8 @@ def allgather_recursive_doubling(p: int, alpha: float, beta: float, total_words:
     return alpha * _log2ceil(p) + beta * total_words * (p - 1) / p
 
 
-def alltoallv(p: int, alpha: float, beta: float, max_send_words: float, algorithm: str = "bruck", links=None, group=None) -> float:
+def alltoallv(p: int, alpha: float, beta: float, max_send_words: float, algorithm: str = "bruck") -> float:
     """Dispatch on the modeled all-to-all implementation."""
-    alpha, beta = degraded_params(alpha, beta, links, group)
     if algorithm == "bruck":
         return alltoallv_bruck(p, alpha, beta, max_send_words)
     if algorithm == "pairwise":
@@ -164,9 +158,8 @@ def alltoallv(p: int, alpha: float, beta: float, max_send_words: float, algorith
     raise ValueError(f"unknown alltoall algorithm {algorithm!r}")
 
 
-def allgather(p: int, alpha: float, beta: float, total_words: float, algorithm: str = "doubling", links=None, group=None) -> float:
+def allgather(p: int, alpha: float, beta: float, total_words: float, algorithm: str = "doubling") -> float:
     """Dispatch on the modeled allgather implementation."""
-    alpha, beta = degraded_params(alpha, beta, links, group)
     if algorithm == "doubling":
         return allgather_recursive_doubling(p, alpha, beta, total_words)
     if algorithm == "ring":

@@ -12,8 +12,7 @@ rank's uplink (``src=2, dst=*``).
 It has one reading, :meth:`LinkModel.worst_factors`: a bulk-synchronous
 collective runs at the pace of its slowest participant, so it sees the
 worst degraded edge among its ranks — the rule the paper's Section IV-B
-model assumes.  The execution-driven cost simulator applies it per
-collective and the scenario suite once per run
+model assumes.  The scenario suite applies it once per run
 (:func:`~repro.perfmodel.collectives.degraded_params`).
 """
 
@@ -64,10 +63,6 @@ class LinkModel:
                 fa = max(fa, ea)
                 fb = max(fb, eb)
         return fa, fb
-
-    @property
-    def damaged(self) -> bool:
-        return bool(self.degraded)
 
 
 __all__ = ["ANY_RANK", "LinkModel"]

@@ -46,14 +46,8 @@ from .rma import RmaAccessLog, Window
 from .trace import DistTrace, Span, TraceError, Tracer, make_trace_clock, tspan
 from .faults import CRASH_GROUPS, CrashSpec, FaultInjector, FaultPlan, RetryPolicy
 from .checkpoint import Checkpoint, CheckpointStore, FileCheckpointStore
-from .executor import (
-    RECOVERABLE_ERRORS,
-    SpmdResult,
-    resolve_backend,
-    resolve_timeout,
-    spmd,
-)
-from .transport import BACKENDS, SpmdJob, Transport, get_transport
+from .executor import RECOVERABLE_ERRORS, resolve_backend, resolve_timeout, spmd
+from .transport import BACKENDS, SpmdJob, SpmdResult, Transport, get_transport
 
 __all__ = [
     "BACKENDS",

@@ -34,12 +34,7 @@ from .errors import (
     TransientCommError,
 )
 from .faults import FaultInjector, FaultPlan
-from .transport import (  # noqa: F401  (SpmdResult re-exported for back-compat)
-    BACKENDS,
-    SpmdJob,
-    SpmdResult,
-    get_transport,
-)
+from .transport import BACKENDS, SpmdJob, SpmdResult, get_transport
 
 #: Environment override for the deadlock/timeout window of every blocking
 #: runtime call (seconds); explicit ``timeout=`` arguments win over it.

@@ -47,7 +47,6 @@ from ..matching.maximal_rounds import (
 )
 from ..matching.msbfs import MatchingStats, MsBfsHooks, ms_bfs_mcm
 from ..perfmodel import EDISON, BspClock, Category, MachineSpec, collectives as C
-from ..perfmodel.links import LinkModel
 from ..perfmodel.machine import GridShape
 from ..sparse.coo import COO
 from ..sparse.csc import CSC
@@ -227,7 +226,6 @@ class _Pricer:
         grid: GridShape,
         alltoall: str = "bruck",
         allgather: str = "doubling",
-        links: "LinkModel | None" = None,
     ) -> None:
         self.t = trace
         self.m = machine
@@ -247,23 +245,6 @@ class _Pricer:
         self.ab_P = self.clock.alpha_beta_for(self.P)
         self.ab_pr = self.clock.alpha_beta_for(pr)
         self.ab_pc = self.clock.alpha_beta_for(pc)
-        if links is not None and links.damaged:
-            # degraded links inflate each communicator's (α, β) by its worst
-            # member edge (slowest-participant rule).  Column communicators
-            # have pr members (ranks j, j+pc, ...), row communicators pc
-            # members (ranks i*pc .. i*pc+pc-1); the worst group of each
-            # shape governs, since the BSP step waits for every subgrid.
-            self.ab_P = C.degraded_params(*self.ab_P, links, range(self.P))
-            col_groups = [range(j, self.P, pc) for j in range(pc)]
-            row_groups = [range(i * pc, (i + 1) * pc) for i in range(pr)]
-            self.ab_pr = max(
-                (C.degraded_params(*self.ab_pr, links, g) for g in col_groups),
-                key=lambda ab: ab[0] + ab[1],
-            )
-            self.ab_pc = max(
-                (C.degraded_params(*self.ab_pc, links, g) for g in row_groups),
-                key=lambda ab: ab[0] + ab[1],
-            )
 
     # -- rank maps (vectorized) -------------------------------------------------
 
@@ -439,7 +420,6 @@ def price(
     *,
     alltoall: str = "bruck",
     allgather: str = "doubling",
-    links: "LinkModel | None" = None,
 ) -> SimResult:
     """Price a recorded trace at one (cores, threads) configuration.
 
@@ -448,13 +428,10 @@ def price(
     production MPI (what the paper's measured runs rode;
     :mod:`repro.runtime.comm`'s own all-to-all is pairwise);
     "pairwise"/"ring" reproduce the paper's worst-case Section IV-B
-    bounds; allreduce is always priced as recursive doubling.  ``links`` (a
-    :class:`~repro.perfmodel.links.LinkModel`) prices the run on a damaged
-    fabric: each communicator's (α, β) inflates by its worst degraded
-    member edge.
+    bounds; allreduce is always priced as recursive doubling.
     """
     grid = machine.square_grid(cores, threads)
-    clock = _Pricer(trace, machine, grid, alltoall, allgather, links).price()
+    clock = _Pricer(trace, machine, grid, alltoall, allgather).price()
     return SimResult(
         cores=cores,
         threads=threads,

@@ -14,11 +14,11 @@ Everything here is rank-local, NumPy-vectorized, and written from scratch:
   VERTEX pairs;
 * :mod:`~repro.sparse.semiring` — the ``(select2nd, minParent)`` family of
   semirings from Section III-B;
-* :mod:`~repro.sparse.primitives` — Table I's IND / SELECT / SET / INVERT /
-  PRUNE with exactly the paper's semantics;
+* :mod:`~repro.sparse.primitives` — Table I's SELECT / SET / INVERT / PRUNE
+  with exactly the paper's semantics (IND is a vector's ``idx``);
 * :mod:`~repro.sparse.permute` — random load-balancing permutations
   (Section IV-A) and matching-to-permutation utilities;
-* :mod:`~repro.sparse.mmio` — self-contained MatrixMarket I/O.
+* :mod:`~repro.sparse.mmio` — self-contained MatrixMarket reader.
 """
 
 from .coo import COO

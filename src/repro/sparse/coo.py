@@ -49,23 +49,8 @@ class COO:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def from_edges(cls, nrows: int, ncols: int, edges: "np.ndarray | list[tuple[int, int]]") -> "COO":
-        """Build from an iterable/array of (row, col) pairs."""
-        arr = np.asarray(edges, dtype=np.int64)
-        if arr.size == 0:
-            return cls(nrows, ncols, np.empty(0, np.int64), np.empty(0, np.int64))
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise ValueError("edges must be an (m, 2) array of (row, col) pairs")
-        return cls(nrows, ncols, arr[:, 0], arr[:, 1])
-
-    @classmethod
     def empty(cls, nrows: int, ncols: int) -> "COO":
         return cls(nrows, ncols, np.empty(0, np.int64), np.empty(0, np.int64))
-
-    @classmethod
-    def identity(cls, n: int) -> "COO":
-        idx = np.arange(n, dtype=np.int64)
-        return cls(n, n, idx, idx, dedup=False)
 
     # -- properties ------------------------------------------------------------
 
@@ -116,8 +101,8 @@ class COO:
             and np.array_equal(self.cols[a], other.cols[b])
         )
 
-    def __hash__(self) -> int:  # COO is mutable in principle; identity hash
-        return id(self)
+    # a mutable value type: equal matrices must not hash apart
+    __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"COO({self.nrows}x{self.ncols}, nnz={self.nnz})"

@@ -141,15 +141,5 @@ class CSC:
         F term): the nonzero count of the frontier's columns."""
         return int((self.indptr[fc.idx + 1] - self.indptr[fc.idx]).sum())
 
-    def neighbor_of_each(self, cols: np.ndarray, pick: str = "first") -> np.ndarray:
-        """For each column in ``cols`` (all with degree >= 1) return one
-        neighboring row: its first (min) or last (max) stored neighbor.
-        Used by greedy initializers."""
-        if pick == "first":
-            return self.indices[self.indptr[cols]]
-        if pick == "last":
-            return self.indices[self.indptr[cols + 1] - 1]
-        raise ValueError(f"pick must be 'first' or 'last', got {pick!r}")
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CSC({self.nrows}x{self.ncols}, nnz={self.nnz})"

@@ -95,10 +95,6 @@ class DCSC:
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
 
-    def memory_words(self) -> int:
-        """Storage in 8-byte words — O(nnz + nzc), never O(ncols)."""
-        return self.jc.size + self.cp.size + self.ir.size
-
     def col_degrees(self) -> np.ndarray:
         """Degree of every block column, dense over the block's columns."""
         deg = np.zeros(self.ncols, dtype=np.int64)

@@ -1,6 +1,6 @@
-"""Self-contained MatrixMarket coordinate I/O.
+"""Self-contained MatrixMarket coordinate reader.
 
-Supports the subset needed to exchange bipartite graphs with the SuiteSparse
+Supports the subset needed to read bipartite graphs from the SuiteSparse
 ecosystem the paper draws its inputs from: ``matrix coordinate
 (pattern|integer|real) general`` headers, 1-based indices, ``%`` comments.
 Values of non-pattern files are ignored on read (the matching problem only
@@ -15,18 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from .coo import COO
-
-_HEADER = "%%MatrixMarket matrix coordinate pattern general\n"
-
-
-def write_mm(coo: COO, path: "str | Path") -> None:
-    """Write a pattern matrix in MatrixMarket coordinate format."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(_HEADER)
-        fh.write(f"% written by repro (bipartite pattern, {coo.nnz} edges)\n")
-        fh.write(f"{coo.nrows} {coo.ncols} {coo.nnz}\n")
-        body = np.column_stack((coo.rows + 1, coo.cols + 1))
-        np.savetxt(fh, body, fmt="%d %d")
 
 
 def read_mm(path: "str | Path") -> COO:

@@ -6,7 +6,7 @@ Each function documents its correspondence to the paper's table:
 ==========  =====================================================  ==============
 function     semantics                                              complexity
 ==========  =====================================================  ==============
-IND          indices of the nonzero entries of a sparse vector      O(nnz)
+IND          indices of the nonzero entries: ``SparseVec.idx``      O(1)
 SELECT       keep entries of x where expr(y[idx]) holds             O(nnz(x))
 SET          dense[idx] = value for each sparse entry               O(nnz(x))
 INVERT       swap indices and values; first index wins on ties      O(nnz(x))
@@ -22,12 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .spvec import NULL, SparseVec
-
-
-def ind(x: SparseVec) -> np.ndarray:
-    """IND: local indices of the nonzero entries of ``x`` (Table I row 1)."""
-    return x.idx
+from .spvec import SparseVec
 
 
 def select(x: SparseVec, y: np.ndarray, expr: Callable[[np.ndarray], np.ndarray]) -> SparseVec:
@@ -52,21 +47,6 @@ def set_dense(y: np.ndarray, x: SparseVec) -> np.ndarray:
         raise ValueError(f"dense vector length {y.shape[0]} != sparse length {x.n}")
     y[x.idx] = x.val
     return y
-
-
-def gather_dense(y: np.ndarray, x: SparseVec) -> SparseVec:
-    """The SET variant used as a read (Algorithm 3's ``SET(v_c, π_r)``):
-    produce a sparse vector over x's indices whose values come from dense
-    ``y`` — i.e. replace each entry's value with ``y[value_source]``.
-
-    Concretely: result[i] = y[x[i]] for i in IND(x).  Entries whose looked-up
-    value is missing (-1) are dropped.
-    """
-    if x.nnz == 0:
-        return SparseVec.empty(x.n)
-    looked = y[x.val]
-    keep = looked != NULL
-    return SparseVec(x.n, x.idx[keep], looked[keep])
 
 
 def invert(x: SparseVec, length: int | None = None) -> SparseVec:
@@ -100,12 +80,3 @@ def prune(x: SparseVec, q: SparseVec) -> SparseVec:
         return x.copy()
     keep = ~np.isin(x.val, q.val)
     return SparseVec(x.n, x.idx[keep], x.val[keep])
-
-
-def prune_mask(values: np.ndarray, q_values: np.ndarray) -> np.ndarray:
-    """Boolean keep-mask form of PRUNE for callers holding raw arrays
-    (the VertexFrontier prune in Algorithm 2 keeps parent and root in sync,
-    so it filters all three arrays with one mask)."""
-    if q_values.size == 0 or values.size == 0:
-        return np.ones(values.size, dtype=bool)
-    return ~np.isin(values, q_values)

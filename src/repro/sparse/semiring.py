@@ -61,10 +61,6 @@ class Semiring:
         if self.mode not in ("min", "max", "rand"):
             raise ValueError(f"semiring 'mode' must be min/max/rand, got {self.mode}")
 
-    @property
-    def deterministic(self) -> bool:
-        return self.mode != "rand"
-
 
 SR_MIN_PARENT = Semiring("select2nd.minParent", by="parent", mode="min")
 SR_MAX_PARENT = Semiring("select2nd.maxParent", by="parent", mode="max")

@@ -57,24 +57,9 @@ class SparseVec:
     def empty(cls, n: int) -> "SparseVec":
         return cls(n, np.empty(0, np.int64), np.empty(0, np.int64))
 
-    @classmethod
-    def from_dense(cls, dense: np.ndarray, missing: int = NULL) -> "SparseVec":
-        """Compress a dense vector, dropping entries equal to ``missing``."""
-        dense = np.asarray(dense, dtype=np.int64)
-        idx = np.flatnonzero(dense != missing)
-        return cls(dense.size, idx, dense[idx])
-
     @property
     def nnz(self) -> int:
         return int(self.idx.size)
-
-    def is_empty(self) -> bool:
-        return self.idx.size == 0
-
-    def to_dense(self, missing: int = NULL) -> np.ndarray:
-        out = np.full(self.n, missing, dtype=np.int64)
-        out[self.idx] = self.val
-        return out
 
     def copy(self) -> "SparseVec":
         return SparseVec(self.n, self.idx.copy(), self.val.copy())
@@ -88,8 +73,8 @@ class SparseVec:
             and np.array_equal(self.val, other.val)
         )
 
-    def __hash__(self) -> int:
-        return id(self)
+    # a mutable value type: equal vectors must not hash apart
+    __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SparseVec(n={self.n}, nnz={self.nnz})"
@@ -132,9 +117,6 @@ class VertexFrontier:
     @property
     def nnz(self) -> int:
         return int(self.idx.size)
-
-    def is_empty(self) -> bool:
-        return self.idx.size == 0
 
     def keep(self, mask: np.ndarray) -> "VertexFrontier":
         """Subset by boolean mask over stored entries (order preserved)."""

@@ -6,8 +6,9 @@ The contract the rules rely on (:mod:`repro.analysis.cfg`):
   (nested function/class bodies excluded — they get their own CFG);
 * edges are consistent: ``b in blocks[s].preds`` iff ``s in blocks[b].succs``,
   and every edge endpoint is a valid block id;
-* every statement is either in a block reachable from the entry or reported
-  by :meth:`CFG.unreachable_stmts` — "reachable or reported";
+* the worklist solver (:func:`~repro.analysis.cfg.forward_dataflow`, whose
+  in-states the rules read) reaches exactly the blocks the entry reaches, so
+  every statement is either analysed or dead — "reachable or reported";
 * straight-line code (no return/raise/break/continue) has no unreachable
   statements, and the exit block is always reachable (loops may exit).
 
@@ -19,8 +20,28 @@ import ast
 
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.astutil import own_statements
-from repro.analysis.cfg import build_cfg
+from repro.analysis.astutil import own_nodes
+from repro.analysis.cfg import build_cfg, forward_dataflow
+
+
+def own_statements(fn):
+    """Every statement of ``fn``'s own body (nested bodies excluded)."""
+    return [n for n in own_nodes(fn) if isinstance(n, ast.stmt) and n is not fn]
+
+
+def all_stmts(cfg):
+    return [s for b in cfg.blocks for s in b.stmts]
+
+
+def solved_blocks(cfg):
+    """The block ids the rules' dataflow solver gives an in-state."""
+    return set(forward_dataflow(cfg, 0, lambda block, s: s, max, int.__eq__))
+
+
+def dead_stmts(cfg):
+    """The statements of the blocks the solver never reaches."""
+    live = solved_blocks(cfg)
+    return [s for b in cfg.blocks if b.id not in live for s in b.stmts]
 
 # ---------------------------------------------------------------- generators
 
@@ -111,7 +132,7 @@ def make_fn(body_lines):
 def test_every_statement_in_exactly_one_block(body_lines):
     fn = make_fn(body_lines)
     cfg = build_cfg(fn)
-    placed = cfg.all_stmts()
+    placed = all_stmts(cfg)
     # exactly one placement: no statement appears in two blocks
     assert len({id(s) for s in placed}) == len(placed)
     # and the placements cover precisely the function's own statements
@@ -137,14 +158,14 @@ def test_edges_are_consistent(body_lines):
 def test_reachable_or_reported(body_lines):
     fn = make_fn(body_lines)
     cfg = build_cfg(fn)
-    live = cfg.reachable()
-    dead = {id(s) for s in cfg.unreachable_stmts()}
-    for b in cfg.blocks:
-        for s in b.stmts:
-            if b.id in live:
-                assert id(s) not in dead
-            else:
-                assert id(s) in dead
+    reached, stack = set(), [cfg.entry]
+    while stack:
+        b = stack.pop()
+        if b not in reached:
+            reached.add(b)
+            stack.extend(cfg.blocks[b].succs)
+    live = solved_blocks(cfg)
+    assert live == reached
     # the exit is always reachable (loop heads over-approximate with an
     # exit edge, so even `while True` cannot orphan it)
     assert cfg.exit in live
@@ -158,7 +179,7 @@ def test_reachable_or_reported(body_lines):
 def test_straight_line_code_is_fully_reachable(body_lines):
     """Without return/raise/break/continue, nothing is unreachable."""
     cfg = build_cfg(make_fn(body_lines))
-    assert cfg.unreachable_stmts() == []
+    assert dead_stmts(cfg) == []
 
 
 # ------------------------------------------------------------- pinned shapes
@@ -170,7 +191,7 @@ def cfg_of(src):
 
 def test_code_after_return_is_unreachable():
     cfg = cfg_of("def f():\n    return 1\n    x = 2\n")
-    dead = cfg.unreachable_stmts()
+    dead = dead_stmts(cfg)
     assert len(dead) == 1 and isinstance(dead[0], ast.Assign)
 
 
@@ -191,7 +212,7 @@ def test_break_jumps_past_the_loop():
         "        g()\n"
         "    h()\n"
     )
-    dead = cfg.unreachable_stmts()
+    dead = dead_stmts(cfg)
     assert len(dead) == 1
     assert isinstance(dead[0], ast.Expr)
     assert dead[0].value.func.id == "g"
@@ -204,6 +225,6 @@ def test_nested_function_bodies_are_excluded():
         "        return 1\n"
         "    return inner\n"
     )
-    kinds = [type(s).__name__ for s in cfg.all_stmts()]
+    kinds = [type(s).__name__ for s in all_stmts(cfg)]
     assert kinds.count("Return") == 1  # inner's return is not in f's CFG
     assert "FunctionDef" in kinds  # but the def statement itself is

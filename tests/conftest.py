@@ -10,6 +10,7 @@ import pytest
 import repro.matching.mcm_dist as _mcm_dist
 import repro.runtime.comm as _comm
 from repro.matching.augment import choose_augment_mode
+from repro.matching.mcm_dist import pull_is_cheaper
 
 
 @pytest.fixture(autouse=True)
@@ -50,5 +51,23 @@ def force_augment(monkeypatch):
     def force(mode):
         rule = choose_augment_mode if mode is None else (lambda k, p: mode)
         monkeypatch.setattr(_mcm_dist, "choose_augment_mode", rule)
+
+    return force
+
+
+@pytest.fixture
+def force_pull(monkeypatch):
+    """A setter that forces every MCM-DIST block to pull in Step 1 for the
+    rest of the test and names the direction to run it under:
+    ``force_pull("bottomup")`` replaces the engine's expected-read rule
+    (``mcm_dist.pull_is_cheaper``) with "always" and returns ``"auto"``;
+    any other direction restores the rule and comes back unchanged.  Forked
+    ranks inherit the patch, so the process backend is covered too."""
+
+    def force(direction):
+        pulling = direction == "bottomup"
+        rule = (lambda *args: True) if pulling else pull_is_cheaper
+        monkeypatch.setattr(_mcm_dist, "pull_is_cheaper", rule)
+        return "auto" if pulling else direction
 
     return force

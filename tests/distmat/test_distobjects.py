@@ -7,9 +7,11 @@ from repro.distmat.distvec import DistDenseVec, DistVertexFrontier
 from repro.distmat.grid import ProcGrid
 from repro.distmat.ops import invert_route, route, spmv
 from repro.distmat.spmat import DistSparseMatrix
-from repro.runtime import spmd
+from repro.runtime import SUM, spmd
 from repro.sparse import COO, CSC, SR_MIN_PARENT, VertexFrontier
 from repro.sparse.spvec import NULL
+
+from ..helpers import gather_frontier
 
 
 def random_coo(n1, n2, m, seed):
@@ -24,8 +26,9 @@ def test_dense_vec_round_trip():
 
     def main(comm):
         grid = ProcGrid(comm, 2, 2)
-        v = DistDenseVec.from_global(grid, arr, "col")
+        v = DistDenseVec(grid, arr.size, "col")
         assert v.hi - v.lo == v.local.size
+        v.local[:] = arr[v.lo:v.hi]
         return v.to_global().tolist()
 
     res = spmd(4, main)
@@ -98,7 +101,7 @@ def test_frontier_gather():
         v = DistDenseVec(grid, 10, "col")
         idx = np.arange(v.lo, v.hi, 2)  # ranks own [0,5) and [5,10): 0,2,4 + 5,7,9
         f = DistVertexFrontier(grid, 10, "col", idx, idx, idx)
-        gi, gp, gr = f.to_global_arrays()
+        gi, gp, gr = gather_frontier(f)
         return gi.tolist()
 
     res = spmd(2, main)
@@ -145,7 +148,7 @@ def test_scatter_gather_round_trip(pr, pc):
     def main(comm):
         grid = ProcGrid(comm, pr, pc)
         A = DistSparseMatrix.scatter_from_root(grid, coo if comm.rank == 0 else None)
-        assert A.global_nnz() == coo.nnz
+        assert comm.allreduce(A.local_nnz, op=SUM) == coo.nnz
         back = A.gather_to_root()
         if comm.rank == 0:
             return back == coo
@@ -193,7 +196,7 @@ def test_distributed_spmv_matches_serial(pr, pc, sr):
         mine = fidx[(fidx >= fvec.lo) & (fidx < fvec.hi)]
         fc = DistVertexFrontier(grid, 50, "col", mine, mine, mine)
         fr = spmv(A, fc)
-        return fr.to_global_arrays()
+        return gather_frontier(fr)
 
     res = spmd(pr * pc, main)
     gi, gp, gr = res[0]

@@ -71,7 +71,7 @@ def test_vecmap_owner_consistent_with_ranges(n, blocks, subs):
 def test_grid_coordinates_and_subcomms():
     def main(comm):
         grid = ProcGrid(comm, 2, 3)
-        assert grid.rank_of(grid.i, grid.j) == comm.rank
+        assert grid.i * grid.pc + grid.j == comm.rank  # row-major
         # row communicator spans my grid row
         members = grid.rowcomm.allgather(comm.rank)
         assert members == [grid.i * 3 + j for j in range(3)]

@@ -8,6 +8,7 @@ from repro.matching.validate import cardinality, is_valid_matching, verify_maxim
 from repro.sparse import COO, CSC
 
 from ..matching.conftest import scipy_optimum
+from ..helpers import coo_from_edges, long_path
 
 
 def random_coo(n1, n2, m, seed):
@@ -71,7 +72,7 @@ def test_mcm_dist_rectangular_and_sparse_corner_cases():
     for coo in [
         random_coo(5, 60, 90, 1),
         random_coo(60, 5, 90, 2),
-        COO.from_edges(3, 3, [(0, 0), (1, 1), (2, 2)]),
+        coo_from_edges(3, 3, [(0, 0), (1, 1), (2, 2)]),
         COO.empty(4, 4),
     ]:
         a = CSC.from_coo(coo)
@@ -84,7 +85,7 @@ def test_mcm_dist_structured_suite_graph():
     """End-to-end on a road-like mesh stand-in (long diameter)."""
     from repro.graphs import generators as G
 
-    coo = G.mesh2d(8, drop=0.1, seed=3)
+    coo = G.mesh_rect(8, 8, drop=0.1, seed=3)
     a = CSC.from_coo(coo)
     mate_r, mate_c, stats = run_mcm_dist(coo, 2, 2)
     assert cardinality(mate_r) == scipy_optimum(a)
@@ -134,8 +135,6 @@ def test_mcm_dist_karp_sipser_init(pr, pc):
 
 def test_mcm_dist_karp_sipser_exact_on_chain():
     """Degree-1 cascades: Karp-Sipser alone is optimal on a path graph."""
-    from repro.graphs.generators import long_path
-
     coo = long_path(24)
     a = CSC.from_coo(coo)
     mate_r, mate_c, stats = run_mcm_dist(coo, 2, 2, init="karp-sipser")

@@ -8,9 +8,11 @@ from repro.distmat.distvec import DistDenseVec, DistVertexFrontier
 from repro.distmat.grid import ProcGrid
 from repro.distmat.ops import expand, route, spmv, spmv_expanded
 from repro.distmat.spmat import DistSparseMatrix
-from repro.runtime import spmd
+from repro.runtime import SUM, spmd
 from repro.sparse import COO, CSC, SR_MIN_PARENT, VertexFrontier
 from repro.sparse.spvec import NULL
+
+from ..helpers import gather_frontier
 
 GRIDS = [(1, 1), (1, 3), (2, 2), (3, 2)]
 
@@ -37,8 +39,8 @@ def test_scatter_gather_identity(args):
         A = DistSparseMatrix.scatter_from_root(grid, coo if comm.rank == 0 else None)
         back = A.gather_to_root()
         if comm.rank == 0:
-            return back == coo and A.global_nnz() == coo.nnz
-        A.global_nnz()  # keep the collective schedule aligned
+            return back == coo and comm.allreduce(A.local_nnz, op=SUM) == coo.nnz
+        comm.allreduce(A.local_nnz, op=SUM)  # keep the collective schedule aligned
         return True
 
     assert all(spmd(pr * pc, main).values)
@@ -63,7 +65,7 @@ def test_distributed_spmv_equals_serial(args, data):
         mine = fidx[(fidx >= probe.lo) & (fidx < probe.hi)]
         fc = DistVertexFrontier(grid, coo.ncols, "col", mine, mine, mine)
         fr = spmv(A, fc)
-        return fr.to_global_arrays()
+        return gather_frontier(fr)
 
     gi, gp, gr = spmd(pr * pc, main)[0]
     assert np.array_equal(gi, serial.idx)
@@ -189,7 +191,7 @@ def test_distributed_bottomup_equals_filtered_topdown(args, seed):
             A.block, np.flatnonzero(mask), set((fidx - A.col_lo).tolist())
         )
         assert sent.tolist() == hit and scanned == read
-        frontier = DistVertexFrontier(grid, coo.nrows, "row", *fr).to_global_arrays()
+        frontier = gather_frontier(DistVertexFrontier(grid, coo.nrows, "row", *fr))
         return nfront, frontier
 
     res = spmd(pr * pc, main)

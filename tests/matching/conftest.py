@@ -5,6 +5,8 @@ import pytest
 
 from repro.sparse import COO, CSC
 
+from ..helpers import coo_from_edges
+
 
 def random_bipartite(n1, n2, m, seed):
     rng = np.random.default_rng(seed)
@@ -30,4 +32,4 @@ def fig2():
         (0, 0), (1, 0), (1, 1), (2, 1), (2, 2),
         (3, 2), (1, 4), (3, 4), (4, 4), (4, 3),
     ]
-    return CSC.from_coo(COO.from_edges(5, 5, edges))
+    return CSC.from_coo(coo_from_edges(5, 5, edges))

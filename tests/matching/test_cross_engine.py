@@ -17,6 +17,7 @@ from repro.matching import (
 from repro.matching.validate import cardinality, verify_maximum
 
 from .conftest import scipy_optimum
+from ..helpers import long_path
 
 ENGINES = {
     "hopcroft-karp": lambda a: hopcroft_karp(a)[0],
@@ -36,13 +37,13 @@ def _assert_all_agree(a: CSC):
 
 
 @pytest.mark.parametrize("builder", [
-    lambda: G.mesh2d(9, drop=0.2, seed=1),
+    lambda: G.mesh_rect(9, 9, drop=0.2, seed=1),
     lambda: G.triangulation_like(120, seed=2),
     lambda: G.banded(100, bandwidth=6, per_row=3, seed=3),
     lambda: G.kkt_block(80, seed=4),
     lambda: G.clique_overlap(60, clique_size=8, seed=5),
     lambda: G.boundary_map(70, 90, per_col=4, seed=6),
-    lambda: G.long_path(31),
+    lambda: long_path(31),
     lambda: rmat.g500(scale=7, seed=7),
     lambda: rmat.ssca(scale=7, seed=8),
 ])

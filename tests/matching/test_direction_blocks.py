@@ -29,6 +29,8 @@ from repro.runtime.checkpoint import Checkpoint, CheckpointStore
 from repro.sparse import COO
 from repro.sparse.spvec import NULL
 
+from ..helpers import coo_from_edges
+
 
 def _random(n1, n2, m, seed):
     rng = np.random.default_rng(seed)
@@ -204,7 +206,7 @@ def test_a_block_pulls_a_row_another_block_visited(monkeypatch):
     expected to read one edge, fewer than column 0's two — pulls row 0
     again.  Its home drops the candidate; the mates are top-down's."""
     edges = [(0, 3), (1, 3), (0, 0), (0, 2), (1, 0), (2, 2)]
-    coo = COO.from_edges(3, 4, edges)
+    coo = coo_from_edges(3, 4, edges)
     seen = {}
     spmv = mcm_dist.spmv_expanded
 

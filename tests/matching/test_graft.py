@@ -61,7 +61,7 @@ def test_graft_empty_graph_and_perfect_start():
     a = CSC.from_coo(COO.empty(4, 4))
     mr, mc, stats = ms_bfs_graft(a)
     assert cardinality(mr) == 0 and stats.phases == 1
-    ident = CSC.from_coo(COO.identity(5))
+    ident = CSC.from_coo(COO(5, 5, np.arange(5), np.arange(5)))
     ir = np.arange(5, dtype=np.int64)
     mr, mc, stats = ms_bfs_graft(ident, ir, ir.copy())
     assert cardinality(mr) == 5

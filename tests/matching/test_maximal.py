@@ -16,6 +16,7 @@ from repro.matching import (
 from repro.matching.validate import cardinality, is_maximal_matching, is_valid_matching
 
 from .conftest import random_bipartite, scipy_optimum
+from ..helpers import coo_from_edges
 
 SERIAL = [greedy_maximal, karp_sipser, dynamic_mindegree]
 ROUNDS = [greedy_rounds, karp_sipser_rounds, mindegree_rounds]
@@ -54,7 +55,7 @@ def test_degree_one_chain_karp_sipser_optimal(algo):
     edges = []
     for i in range(5):
         edges += [(i, i), (i + 1, i)]
-    a = CSC.from_coo(COO.from_edges(6, 5, edges))
+    a = CSC.from_coo(coo_from_edges(6, 5, edges))
     mr, mc = algo(a, np.random.default_rng(0))
     assert is_maximal_matching(a, mr, mc)
     if algo is karp_sipser:
@@ -101,7 +102,7 @@ def test_karp_sipser_rounds_pay_more_rounds_on_long_chains():
     edges = []
     for i in range(n - 1):
         edges += [(i, i), (i + 1, i)]
-    a = CSC.from_coo(COO.from_edges(n, n - 1, edges))
+    a = CSC.from_coo(coo_from_edges(n, n - 1, edges))
     ks = karp_sipser_rounds(a)
     gr = greedy_rounds(a)
     assert ks.rounds > gr.rounds
@@ -144,7 +145,7 @@ def test_rounds_empty_graph():
 
 
 def test_rounds_on_complete_bipartite():
-    a = CSC.from_coo(COO.from_edges(4, 4, [(i, j) for i in range(4) for j in range(4)]))
+    a = CSC.from_coo(coo_from_edges(4, 4, [(i, j) for i in range(4) for j in range(4)]))
     for fn in ROUNDS:
         res = fn(a)
         # complete bipartite: any maximal matching is perfect

@@ -183,13 +183,14 @@ INPUTS = {
     "single": lambda: COO(5, 2, np.array([3]), np.array([1])),
     "road": lambda: suite.load_scaled("road_usa", target_nnz=2000, seed=1)[0],
 }
+#: "bottomup" is an all-pull run: "auto" under the ``force_pull`` seam
 DIRECTIONS = ("topdown", "bottomup", "auto")
 _reference = {}
 
 
-def _solve(name, pr, pc, backend, direction):
+def _solve(name, pr, pc, backend, direction, force_pull):
     mate_r, mate_c, stats = run_mcm_dist(
-        INPUTS[name](), pr, pc, direction=direction, backend=backend, timeout=60,
+        INPUTS[name](), pr, pc, direction=force_pull(direction), backend=backend, timeout=60,
     )
     return mate_r, mate_c, (stats.phases, stats.iterations), stats.edges_examined
 
@@ -197,14 +198,15 @@ def _solve(name, pr, pc, backend, direction):
 @pytest.mark.parametrize("backend", ["thread", "process"])
 @pytest.mark.parametrize("pr,pc", GRIDS[1:])
 @pytest.mark.parametrize("name", sorted(INPUTS))
-def test_results_equal_across_grids(name, pr, pc, backend):
+def test_results_equal_across_grids(name, pr, pc, backend, force_pull):
     edges = {}
     for direction in DIRECTIONS:
         key = (name, direction)
         if key not in _reference:
-            _reference[key] = _solve(name, 1, 1, "thread", direction)
+            _reference[key] = _solve(name, 1, 1, "thread", direction, force_pull)
         ref_r, ref_c, ref_counts, ref_edges = _reference[key]
-        mate_r, mate_c, counts, edges[direction] = _solve(name, pr, pc, backend, direction)
+        mate_r, mate_c, counts, edges[direction] = _solve(
+            name, pr, pc, backend, direction, force_pull)
         np.testing.assert_array_equal(mate_r, ref_r, err_msg=direction)
         np.testing.assert_array_equal(mate_c, ref_c, err_msg=direction)
         assert counts == ref_counts, direction

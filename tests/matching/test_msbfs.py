@@ -12,6 +12,7 @@ from repro.matching import MsBfsHooks, maximum_matching, ms_bfs_mcm, run_phase
 from repro.matching.validate import cardinality, is_valid_matching, verify_maximum
 
 from .conftest import random_bipartite, scipy_optimum
+from ..helpers import coo_from_edges
 
 
 def test_fig2_example_reaches_maximum(fig2):
@@ -168,6 +169,6 @@ def test_api_rejects_unknown_init_and_type():
 
 
 def test_api_accepts_coo_directly():
-    coo = COO.from_edges(3, 3, [(0, 0), (1, 1), (2, 2)])
+    coo = coo_from_edges(3, 3, [(0, 0), (1, 1), (2, 2)])
     mr, mc, _ = maximum_matching(coo)
     assert cardinality(mr) == 3

@@ -16,6 +16,7 @@ from repro.matching.validate import (
 )
 
 from .conftest import random_bipartite
+from ..helpers import coo_from_edges
 
 
 def test_cardinality():
@@ -24,28 +25,28 @@ def test_cardinality():
 
 
 def test_valid_matching_accepts_correct():
-    a = CSC.from_coo(COO.from_edges(2, 2, [(0, 0), (1, 1)]))
+    a = CSC.from_coo(coo_from_edges(2, 2, [(0, 0), (1, 1)]))
     assert is_valid_matching(a, np.array([0, 1]), np.array([0, 1]))
 
 
 def test_valid_matching_rejects_non_mutual():
-    a = CSC.from_coo(COO.from_edges(2, 2, [(0, 0), (1, 1)]))
+    a = CSC.from_coo(coo_from_edges(2, 2, [(0, 0), (1, 1)]))
     assert not is_valid_matching(a, np.array([0, NULL]), np.array([1, NULL]))
 
 
 def test_valid_matching_rejects_non_edges():
-    a = CSC.from_coo(COO.from_edges(2, 2, [(0, 0), (1, 1)]))
+    a = CSC.from_coo(coo_from_edges(2, 2, [(0, 0), (1, 1)]))
     assert not is_valid_matching(a, np.array([1, 0]), np.array([1, 0]))
 
 
 def test_valid_matching_rejects_wrong_lengths_and_range():
-    a = CSC.from_coo(COO.from_edges(2, 2, [(0, 0)]))
+    a = CSC.from_coo(coo_from_edges(2, 2, [(0, 0)]))
     assert not is_valid_matching(a, np.array([0]), np.array([0, NULL]))
     assert not is_valid_matching(a, np.array([5, NULL]), np.array([NULL, NULL]))
 
 
 def test_maximal_detects_extendable():
-    a = CSC.from_coo(COO.from_edges(2, 2, [(0, 0), (1, 1)]))
+    a = CSC.from_coo(coo_from_edges(2, 2, [(0, 0), (1, 1)]))
     empty_r = np.full(2, NULL, np.int64)
     empty_c = np.full(2, NULL, np.int64)
     assert not is_maximal_matching(a, empty_r, empty_c)
@@ -54,7 +55,7 @@ def test_maximal_detects_extendable():
 
 def test_koenig_cover_on_star():
     """Star: one row, 3 columns.  Min cover = the row; matching = 1."""
-    a = CSC.from_coo(COO.from_edges(1, 3, [(0, 0), (0, 1), (0, 2)]))
+    a = CSC.from_coo(coo_from_edges(1, 3, [(0, 0), (0, 1), (0, 2)]))
     mr, mc = hopcroft_karp(a)
     rows, cols = koenig_vertex_cover(a, mr, mc)
     assert is_vertex_cover(a, rows, cols)
@@ -64,7 +65,7 @@ def test_koenig_cover_on_star():
 
 def test_verify_maximum_rejects_non_maximum():
     """On the 2-path, the size-1 'lazy' matching must be rejected."""
-    a = CSC.from_coo(COO.from_edges(2, 2, [(0, 0), (1, 0), (1, 1)]))
+    a = CSC.from_coo(coo_from_edges(2, 2, [(0, 0), (1, 0), (1, 1)]))
     lazy_r = np.array([NULL, 0], dtype=np.int64)
     lazy_c = np.array([1, NULL], dtype=np.int64)
     assert is_valid_matching(a, lazy_r, lazy_c)
@@ -72,7 +73,7 @@ def test_verify_maximum_rejects_non_maximum():
 
 
 def test_verify_maximum_rejects_invalid():
-    a = CSC.from_coo(COO.from_edges(2, 2, [(0, 0), (1, 1)]))
+    a = CSC.from_coo(coo_from_edges(2, 2, [(0, 0), (1, 1)]))
     assert not verify_maximum(a, np.array([1, 0]), np.array([1, 0]))
 
 

@@ -115,8 +115,8 @@ def test_clock_compute_uses_thread_count():
     g12 = EDISON.square_grid(1152, threads=12)  # same process count: 96... (9x9 vs 9x9)
     c1 = BspClock(EDISON, g1)
     c12 = BspClock(EDISON, g12)
-    c1.charge_compute(Category.SPMV, 1e6)
-    c12.charge_compute(Category.SPMV, 1e6)
+    c1.step(Category.SPMV, 1e6, 0.0)
+    c12.step(Category.SPMV, 1e6, 0.0)
     assert c1.time == pytest.approx(12 * c12.time)
 
 

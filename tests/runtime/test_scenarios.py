@@ -84,7 +84,6 @@ def test_group_plan_requires_a_grid_shape():
 
 def test_link_worst_factors_and_wildcards():
     lm = LinkModel(degraded=((0, -1, 6.0, 3.0), (-1, 3, 2.0, 2.0)))
-    assert lm.damaged
     # rank 0's uplink reaches any peer: every group holding rank 0 pays it
     assert lm.worst_factors(group=(0, 1)) == (6.0, 3.0)
     # a group holding both 0 and 3 matches both entries: worst per term wins
@@ -102,18 +101,6 @@ def test_worst_factors_respects_the_group():
     assert lm.worst_factors(group=(2, 3)) == (1.0, 1.0)
     a, b = degraded_params(EDISON.alpha, EDISON.beta, lm, group=(0, 1))
     assert (a, b) == (9.0 * EDISON.alpha, 9.0 * EDISON.beta)
-    # no link model: parameters pass through untouched
-    assert degraded_params(1.0, 2.0) == (1.0, 2.0)
-
-
-def test_degraded_links_inflate_costsim_estimates():
-    from repro.simulate.costsim import price, record
-
-    trace = record(er(scale=7, seed=3, edgefactor=8))
-    healthy = price(trace, 48, 12)
-    damaged = price(trace, 48, 12,
-                    links=LinkModel(degraded=((0, -1, 8.0, 4.0),)))
-    assert damaged.seconds > healthy.seconds
 
 
 # ---------------------------------------------------------------------------

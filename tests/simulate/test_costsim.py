@@ -133,7 +133,7 @@ def test_augment_switch_depends_on_p(g500_trace):
 def test_permute_flag_affects_balance():
     """Unpermuted mesh concentrates nonzeros on diagonal blocks: busiest-rank
     compute must exceed the permuted case."""
-    coo = G.mesh2d(40)
+    coo = G.mesh_rect(40, 40)
     t_perm = record(coo, permute=True)
     t_raw = record(coo, permute=False)
     m = scaled_machine(1)

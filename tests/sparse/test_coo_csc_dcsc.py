@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.sparse import COO, CSC, DCSC
+from repro.sparse import COO, CSC, DCSC, SparseVec
+
+from ..helpers import coo_from_edges
 
 
 def small():
     # The paper's Fig. 2 example graph: 4 rows x 5 cols.
     edges = [(0, 0), (0, 3), (1, 0), (1, 1), (2, 1), (2, 2), (3, 2), (3, 4), (2, 4)]
-    return COO.from_edges(4, 5, edges)
+    return coo_from_edges(4, 5, edges)
 
 
 # -- COO -----------------------------------------------------------------------
@@ -23,15 +25,15 @@ def test_coo_basic_properties():
 
 
 def test_coo_dedup():
-    a = COO.from_edges(2, 2, [(0, 0), (0, 0), (1, 1), (0, 0)])
+    a = coo_from_edges(2, 2, [(0, 0), (0, 0), (1, 1), (0, 0)])
     assert a.nnz == 2
 
 
 def test_coo_rejects_out_of_range():
     with pytest.raises(ValueError):
-        COO.from_edges(2, 2, [(0, 5)])
+        coo_from_edges(2, 2, [(0, 5)])
     with pytest.raises(ValueError):
-        COO.from_edges(2, 2, [(-1, 0)])
+        coo_from_edges(2, 2, [(-1, 0)])
 
 
 def test_coo_transpose_round_trip():
@@ -60,9 +62,17 @@ def test_coo_block_extraction():
     assert blk.shape == (2, 2)
 
 
+def test_value_types_are_unhashable():
+    """COO and SparseVec compare by value and are mutable, so neither may
+    hash: a set or dict of them would split equal values silently."""
+    for value in (small(), SparseVec(3, np.array([1]), np.array([2]))):
+        with pytest.raises(TypeError):
+            hash(value)
+
+
 def test_coo_empty_and_identity():
     assert COO.empty(3, 4).nnz == 0
-    i = COO.identity(3)
+    i = COO(3, 3, np.arange(3), np.arange(3), dedup=False)
     assert i.nnz == 3 and i.shape == (3, 3)
 
 
@@ -105,15 +115,6 @@ def test_csc_validation():
         CSC(2, 2, np.array([0, 1, 2]), np.array([0, 5]))  # row out of range
 
 
-def test_csc_neighbor_of_each():
-    csc = CSC.from_coo(small())
-    cols = np.array([0, 2, 4])
-    assert csc.neighbor_of_each(cols, "first").tolist() == [0, 2, 2]
-    assert csc.neighbor_of_each(cols, "last").tolist() == [1, 3, 3]
-    with pytest.raises(ValueError):
-        csc.neighbor_of_each(cols, "middle")
-
-
 # -- DCSC ----------------------------------------------------------------------
 
 def test_dcsc_round_trip():
@@ -124,22 +125,22 @@ def test_dcsc_round_trip():
 
 
 def test_dcsc_skips_empty_columns():
-    a = COO.from_edges(4, 1000, [(0, 5), (1, 5), (2, 900)])
+    a = coo_from_edges(4, 1000, [(0, 5), (1, 5), (2, 900)])
     d = DCSC.from_coo(a)
     assert d.nzc == 2
     assert d.jc.tolist() == [5, 900]
     # Memory is O(nnz + nzc), far below the 1001 words CSC's indptr needs.
-    assert d.memory_words() == 2 + 3 + 3
+    assert d.jc.size + d.cp.size + d.ir.size == 2 + 3 + 3
 
 
 def test_dcsc_hypersparse_memory_advantage():
     """A block with nnz << ncols must beat CSC storage — the reason CombBLAS
     (and we) use DCSC for 2D blocks."""
     ncols = 100_000
-    a = COO.from_edges(100, ncols, [(i, i * 997 % ncols) for i in range(50)])
+    a = coo_from_edges(100, ncols, [(i, i * 997 % ncols) for i in range(50)])
     d = DCSC.from_coo(a)
     csc_words = ncols + 1 + a.nnz
-    assert d.memory_words() < csc_words / 100
+    assert d.jc.size + d.cp.size + d.ir.size < csc_words / 100
 
 
 def test_dcsc_empty_matrix():

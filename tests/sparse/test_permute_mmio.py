@@ -13,6 +13,8 @@ from repro.sparse.permute import (
 )
 from repro.sparse.spvec import NULL
 
+from ..helpers import coo_from_edges, write_mm
+
 
 def test_random_permutation_is_permutation():
     p = random_permutation(100, np.random.default_rng(0))
@@ -28,7 +30,7 @@ def test_inverse_permutation():
 
 def test_randomly_permuted_preserves_graph_structure():
     rng = np.random.default_rng(2)
-    a = COO.from_edges(4, 4, [(0, 0), (1, 1), (2, 2), (3, 3), (0, 1)])
+    a = coo_from_edges(4, 4, [(0, 0), (1, 1), (2, 2), (3, 3), (0, 1)])
     b, rp, cp = randomly_permuted(a, rng)
     assert b.nnz == a.nnz
     # un-permuting recovers the original
@@ -83,9 +85,9 @@ def test_matching_to_permutation_rejects_bad_rows():
 # -- MatrixMarket ---------------------------------------------------------------
 
 def test_mm_write_read_round_trip(tmp_path):
-    a = COO.from_edges(4, 6, [(0, 0), (1, 3), (3, 5), (2, 2)])
+    a = coo_from_edges(4, 6, [(0, 0), (1, 3), (3, 5), (2, 2)])
     path = tmp_path / "a.mtx"
-    mmio.write_mm(a, path)
+    write_mm(a, path)
     b = mmio.read_mm(path)
     assert b == a
 
@@ -137,6 +139,6 @@ def test_mm_read_rejects_wrong_count(tmp_path):
 def test_mm_empty_matrix_round_trip(tmp_path):
     a = COO.empty(3, 2)
     path = tmp_path / "e.mtx"
-    mmio.write_mm(a, path)
+    write_mm(a, path)
     b = mmio.read_mm(path)
     assert b.shape == (3, 2) and b.nnz == 0

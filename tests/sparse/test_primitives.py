@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.sparse import SparseVec
-from repro.sparse.primitives import gather_dense, ind, invert, prune, prune_mask, select, set_dense
+from repro.sparse.primitives import invert, prune, select, set_dense
 from repro.sparse.spvec import NULL
 
 
@@ -15,16 +15,22 @@ def sv(dense, missing=0):
     return SparseVec(dense.size, idx, dense[idx])
 
 
-# -- IND -------------------------------------------------------------------------
+def dense_of(x, missing=0):
+    """The paper's dense-with-zeros notation of a sparse vector (SET into a
+    vector of ``missing``)."""
+    return set_dense(np.full(x.n, missing, dtype=np.int64), x)
+
+
+# -- IND (a sparse vector's index array) ---------------------------------------
 
 def test_ind_paper_example():
     # x = [3, 0, 2, 2, 0] -> IND(x) = [0, 2, 3]  (paper writes 1-based [1,3,4])
     x = sv([3, 0, 2, 2, 0])
-    assert ind(x).tolist() == [0, 2, 3]
+    assert x.idx.tolist() == [0, 2, 3]
 
 
 def test_ind_empty():
-    assert ind(SparseVec.empty(4)).size == 0
+    assert SparseVec.empty(4).idx.size == 0
 
 
 # -- SELECT ------------------------------------------------------------------------
@@ -34,7 +40,7 @@ def test_select_paper_example():
     x = sv([3, 0, 2, 2, 0])
     y = np.array([1, -1, -1, 2, 1], dtype=np.int64)
     z = select(x, y, lambda v: v == -1)
-    assert z.to_dense(missing=0).tolist() == [0, 0, 2, 0, 0]
+    assert dense_of(z).tolist() == [0, 0, 2, 0, 0]
 
 
 def test_select_touches_only_sparse_entries():
@@ -52,7 +58,7 @@ def test_select_length_mismatch():
 
 def test_select_empty_input():
     z = select(SparseVec.empty(5), np.zeros(5, dtype=np.int64), lambda v: v == 0)
-    assert z.is_empty()
+    assert z.nnz == 0
 
 
 # -- SET ---------------------------------------------------------------------------
@@ -67,23 +73,6 @@ def test_set_dense_writes_at_sparse_indices():
 def test_set_dense_length_mismatch():
     with pytest.raises(ValueError):
         set_dense(np.zeros(3, dtype=np.int64), sv([1, 0]))
-
-
-def test_gather_dense_reads_through_values():
-    # result[i] = y[x[i]]: jump from row vertices to their stored pointers.
-    x = SparseVec(4, np.array([0, 2]), np.array([3, 1]))
-    y = np.array([10, 11, 12, 13], dtype=np.int64)
-    z = gather_dense(y, x)
-    assert z.idx.tolist() == [0, 2]
-    assert z.val.tolist() == [13, 11]
-
-
-def test_gather_dense_drops_missing():
-    x = SparseVec(3, np.array([0, 1]), np.array([2, 0]))
-    y = np.array([NULL, 5, 7], dtype=np.int64)
-    z = gather_dense(y, x)
-    assert z.idx.tolist() == [0]
-    assert z.val.tolist() == [7]
 
 
 # -- INVERT -------------------------------------------------------------------------
@@ -124,7 +113,7 @@ def test_invert_rejects_out_of_range_values():
 
 
 def test_invert_empty():
-    assert invert(SparseVec.empty(4)).is_empty()
+    assert invert(SparseVec.empty(4)).nnz == 0
 
 
 # -- PRUNE --------------------------------------------------------------------------
@@ -134,7 +123,7 @@ def test_prune_paper_example():
     x = sv([0, 0, 5, 0, 2])
     q = sv([2, 0, 0, 4, 1])
     z = prune(x, q)
-    assert z.to_dense(missing=0).tolist() == [0, 0, 5, 0, 0]
+    assert dense_of(z).tolist() == [0, 0, 5, 0, 0]
 
 
 def test_prune_by_value_not_index():
@@ -150,20 +139,14 @@ def test_prune_with_empty_q_is_identity():
     assert z == x
 
 
-def test_prune_mask_matches_prune():
-    x = sv([0, 0, 5, 0, 2])
-    q = sv([2, 0, 0, 4, 1])
-    mask = prune_mask(x.val, q.val)
-    assert x.idx[mask].tolist() == prune(x, q).idx.tolist()
-
-
 # -- SparseVec container --------------------------------------------------------------
 
 def test_sparsevec_dense_round_trip():
+    # compress the -1-for-missing form, then SET it back
     d = np.array([NULL, 4, NULL, 0, 7], dtype=np.int64)
-    v = SparseVec.from_dense(d)
+    v = sv(d, missing=NULL)
     assert v.nnz == 3
-    assert v.to_dense().tolist() == d.tolist()
+    assert dense_of(v, missing=NULL).tolist() == d.tolist()
 
 
 def test_sparsevec_requires_sorted_indices():

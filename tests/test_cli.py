@@ -5,6 +5,8 @@ import pytest
 
 from repro.cli import main
 
+from .helpers import coo_from_edges, write_mm
+
 
 def test_match_rmat(capsys):
     assert main(["match", "--rmat", "er:8", "--certify"]) == 0
@@ -19,10 +21,8 @@ def test_match_suite_input(capsys):
 
 
 def test_match_mtx_and_output(tmp_path, capsys):
-    from repro.sparse import COO, mmio
-
     path = tmp_path / "g.mtx"
-    mmio.write_mm(COO.from_edges(3, 3, [(0, 0), (1, 1), (2, 2), (0, 1)]), path)
+    write_mm(coo_from_edges(3, 3, [(0, 0), (1, 1), (2, 2), (0, 1)]), path)
     out_npz = tmp_path / "mates.npz"
     assert main(["match", "--mtx", str(path), "--out", str(out_npz)]) == 0
     data = np.load(out_npz)
@@ -88,6 +88,14 @@ def test_spmd_weighted_run_reports_its_certificate(tmp_path, capsys):
     stats = json.loads(path.read_text())
     assert stats["certified_ratio"] >= 1 - 0.05
     assert stats["dual_bound"] >= 2 * stats["matching_weight"] > 0
+
+
+def test_spmd_direction_is_auto_or_topdown(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["spmd", "--rmat", "er:6", "--direction", "bottomup"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "'auto'" in err and "'topdown'" in err
 
 
 def test_spmd_stats_json_dump(tmp_path, capsys):
