@@ -172,6 +172,10 @@ def run_spmd_case(scale: int, pr: int, pc: int) -> dict:
             "cardinality": int((mate_r != -1).sum()),
             "phases": stats.phases,
             "iterations": stats.iterations,
+            # the initializer's edge reads (not priced by comm_model_s) and
+            # the phases the replicated serial tail ran
+            "init_edges": stats.init_edges,
+            "tail_phases": stats.tail_phases,
             "expand_words": stats.expand_words,
             "fold_words": stats.fold_words,
             "total_words": stats.total_words,
@@ -310,9 +314,9 @@ def _compare(path: str, current, committed, problems: list) -> None:
             problems.append(f"{path}: {committed!r} -> {current!r}")
         return
     if isinstance(current, (int, float)) and current > committed * (1 + TOLERANCE):
+        rise = f"+{100 * (current / committed - 1):.1f}%" if committed else "up from 0"
         problems.append(
-            f"{path}: {committed} -> {current} "
-            f"(+{100 * (current / committed - 1):.1f}% > {100 * TOLERANCE:.0f}%)"
+            f"{path}: {committed} -> {current} ({rise} > {100 * TOLERANCE:.0f}%)"
         )
 
 

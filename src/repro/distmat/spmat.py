@@ -17,16 +17,18 @@ class DistBlockMatrix:
     every engine's matrix shares, whatever it stores in its block.
 
     Rank (i, j) owns rows ``rowmap.range(i)`` = ``[row_lo, row_hi)`` and
-    columns ``colmap.range(j)`` = ``[col_lo, col_hi)``.  The row- and
+    columns ``colmap.range(j)`` = ``[col_lo, col_hi)``; ``nnz`` is the
+    whole matrix's edge count, known on every rank.  The row- and
     column-vector distribution maps are built once here and cached
     (``row_vecmap``/``col_vecmap``) — every SpMV fold and INVERT reuses
     them instead of rebuilding per call.
     """
 
-    def __init__(self, grid: ProcGrid, nrows: int, ncols: int) -> None:
+    def __init__(self, grid: ProcGrid, nrows: int, ncols: int, nnz: int) -> None:
         self.grid = grid
         self.nrows = int(nrows)
         self.ncols = int(ncols)
+        self.nnz = int(nnz)
         self.rowmap = BlockMap(nrows, grid.pr)
         self.colmap = BlockMap(ncols, grid.pc)
         self.row_lo, self.row_hi = self.rowmap.range(grid.i)
@@ -50,7 +52,8 @@ def scatter_edges(
     :class:`DistBlockMatrix` of the matrix's shape and this rank's edges
     with BLOCK-LOCAL indices, each value array aligned with its edges.
 
-    The shape rides every piece: two header words, no broadcast.
+    The shape and the edge count ride every piece: three header words, no
+    broadcast.
     """
     comm = grid.comm
     if comm.rank == root:
@@ -71,17 +74,17 @@ def scatter_edges(
         # the root still copies the later pieces
         del order
         payloads = [
-            (coo.nrows, coo.ncols, *(a[cuts[r]:cuts[r + 1]] for a in sorted_))
+            (coo.nrows, coo.ncols, coo.nnz, *(a[cuts[r]:cuts[r + 1]] for a in sorted_))
             for r in range(comm.size)
         ]
     else:
         payloads = None
-    nrows, ncols, rows, cols, *mine = comm.scatter(payloads, root=root)
+    nrows, ncols, nnz, rows, cols, *mine = comm.scatter(payloads, root=root)
     if comm.rank == root:
         # the sorted copies: drop them before the root builds its own block
         # on top of them (the job's peak-memory moment)
         del sorted_, payloads
-    geom = DistBlockMatrix(grid, nrows, ncols)
+    geom = DistBlockMatrix(grid, nrows, ncols, nnz)
     return (geom, rows - geom.row_lo, cols - geom.col_lo, *mine)
 
 
@@ -94,8 +97,8 @@ class DistSparseMatrix(DistBlockMatrix):
     rank contributes ``None``.
     """
 
-    def __init__(self, grid: ProcGrid, nrows: int, ncols: int, block: DCSC) -> None:
-        super().__init__(grid, nrows, ncols)
+    def __init__(self, grid: ProcGrid, nrows: int, ncols: int, nnz: int, block: DCSC) -> None:
+        super().__init__(grid, nrows, ncols, nnz)
         self.block = block
         self._degree_blocks: "tuple[np.ndarray, np.ndarray] | None" = None
 
@@ -108,7 +111,7 @@ class DistSparseMatrix(DistBlockMatrix):
         """Collective: distribute a COO held by ``root`` over the grid."""
         geom, rows, cols = scatter_edges(grid, coo, root=root)
         local = COO(*geom.block_shape, rows, cols, dedup=False)
-        return cls(grid, geom.nrows, geom.ncols, DCSC.from_coo(local))
+        return cls(grid, geom.nrows, geom.ncols, geom.nnz, DCSC.from_coo(local))
 
     # -- properties ---------------------------------------------------------------
 

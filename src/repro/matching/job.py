@@ -36,6 +36,7 @@ from ..runtime import (
     FaultInjector,
     FaultPlan,
     FileCheckpointStore,
+    RankKilledError,
     resolve_backend,
     resolve_timeout,
     spmd,
@@ -53,11 +54,24 @@ class DistStats:
     initial_cardinality: int = 0
     final_cardinality: int = 0
     #: Step-1 direction tally: block-iterations, summed over the ranks
-    #: (``topdown_steps + bottomup_steps == iterations × p``)
+    #: (``topdown_steps + bottomup_steps == iterations × p``; a tail
+    #: iteration is a top-down one on every rank)
     topdown_steps: int = 0
     bottomup_steps: int = 0
-    #: global edges the chosen directions examined across all Step-1 SpMVs
+    #: edges the chosen directions examined across all Step-1 SpMVs, summed
+    #: over the ranks: each block's own, then the serial tail's on every
+    #: rank that ran it — so ``edges_examined − (p−1)·tail_edges`` is the
+    #: top-down count whichever phase a grid hands off at
     edges_examined: int = 0
+    #: edges the distributed initializer's explodes read, summed over the
+    #: ranks (its Step-1 reads are not in ``edges_examined``)
+    init_edges: int = 0
+    #: the replicated serial tail (:func:`~repro.matching.mcm_dist.
+    #: tail_is_cheaper`): the phases and iterations it ran, and the edges
+    #: ONE copy of it read (zero for a job that never handed off)
+    tail_phases: int = 0
+    tail_iterations: int = 0
+    tail_edges: int = 0
     #: grid-wide words on the column / row communicators, and on every
     #: communicator combined, over the whole job
     expand_words: int = 0
@@ -133,19 +147,35 @@ class DistStats:
 # per-rank pieces (called from inside the SPMD program)
 # ---------------------------------------------------------------------------
 
-def phase_boundary(grid: ProcGrid, stats: DistStats, phase_no: int) -> None:
-    """Publish phase progress, record this rank's cumulative ``(steps,
-    words)`` over its three communicators into ``stats.phase_ledger``, and
-    give the fault plan its phase-boundary crash point (a no-op without an
-    armed injector)."""
-    fabric = grid.comm.fabric
-    fabric.note_progress("phase", phase_no)
+def ledger_totals(grid: ProcGrid) -> tuple[int, int]:
+    """This rank's cumulative ``(steps, words)`` over its three
+    communicators."""
     tables = [c.stats.by_alg for c in (grid.colcomm, grid.rowcomm, grid.comm)]
-    stats.phase_ledger[phase_no] = tuple(
-        sum(d[k] for t in tables for d in t.values()) for k in ("steps", "words")
-    )
+    return tuple(sum(d[k] for t in tables for d in t.values()) for k in ("steps", "words"))
+
+
+def phase_boundary(
+    grid: ProcGrid, stats: DistStats, phase_no: int, *, serial: bool = False
+) -> None:
+    """Publish phase progress, record this rank's :func:`ledger_totals`
+    into ``stats.phase_ledger``, and give the fault plan its phase-boundary
+    crash point (a no-op without an armed injector).
+
+    A ``serial`` phase is one the rank runs without communicating
+    (MCM-DIST's serial tail), so only a rank the plan kills there publishes
+    it: a survivor runs on until the job's next collective, and how far it
+    gets before the abort reaches it is timing, which the death phase a
+    restart is accounted from must not be."""
+    fabric = grid.comm.fabric
+    if not serial:
+        fabric.note_progress("phase", phase_no)
+    stats.phase_ledger[phase_no] = ledger_totals(grid)
     if fabric.faults is not None:
-        fabric.faults.on_phase(grid.comm.global_rank, phase_no)
+        try:
+            fabric.faults.on_phase(grid.comm.global_rank, phase_no)
+        except RankKilledError:
+            fabric.note_progress("phase", phase_no)  # the phase it died in
+            raise
 
 
 def save_checkpoint(
@@ -376,7 +406,7 @@ def launch(
         mate_r, mate_c, stats = result[0]
         stats.comm_by_alg = merge_by_alg(result.values)
         for name in ("comm_messages", "frames", "frame_words", "rma_ops", "rma_words",
-                     "topdown_steps", "bottomup_steps"):
+                     "init_edges", "topdown_steps", "bottomup_steps"):
             setattr(stats, name, sum(getattr(st, name) for _, _, st in result.values))
         ledger: dict = {}
         for _, _, st in result.values:

@@ -76,6 +76,14 @@ k < 2p² switch                          :func:`mcm_dist_spmd` per phase
                                        (:func:`~repro.matching.augment.choose_augment_mode`,
                                        the paper's rule as derived for its own
                                        6αp level step)
+gather onto one node (§VI-E, Fig. 9)   the tail hand-off: after any phase that
+                                       cost more latency than one grid
+                                       allgather of the DCSC blocks and mates
+                                       plus one read of every edge
+                                       (:func:`tail_is_cheaper`), every rank
+                                       builds the whole CSC from the gathered
+                                       blocks and finishes alone
+                                       (:func:`~repro.matching.msbfs.mcm_phase_loop`)
 distributed maximal matching [21]      :func:`proposal_rounds_spmd` — greedy,
                                        Karp-Sipser and dynamic mindegree are
                                        three policies over one round of three
@@ -89,7 +97,8 @@ schedule (§IV-B: two INVERTs over all p ranks, a grid-wide PRUNE
 allgather) pays ≈ 2p.  Every phase pays one more fold, which is the loop
 test, not an iteration, and one row-replica refresh.
 Mates, phases and iterations are those of the paper's schedule, bit for
-bit, and so are the edges examined where no block pulls;
+bit, and so are the edges examined where no block pulls (the serial
+tail's counted once);
 :func:`repro.perfmodel.collectives.msbfs_iteration` prices the engine's
 iteration, :mod:`repro.simulate.costsim` keeps pricing the paper's (DESIGN
 "MCM-DIST iteration anatomy").  The phase boundary follows the same rule —
@@ -120,13 +129,16 @@ from ..distmat.ops import (
     path_ends,
     spmv_expanded,
 )
-from ..distmat.spmat import DistSparseMatrix
+from ..distmat.spmat import DistBlockMatrix, DistSparseMatrix
+from ..perfmodel import EDISON
+from ..perfmodel.collectives import allgather
 from ..runtime import Window
 from ..runtime.checkpoint import Checkpoint, CheckpointStore
 from ..runtime.comm import SUM, Communicator
 from ..runtime.trace import tspan
 from ..sparse import permute
 from ..sparse.coo import COO
+from ..sparse.csc import CSC
 from ..sparse.semiring import reduce_candidates
 from ..sparse.spvec import NULL
 from .augment import choose_augment_mode
@@ -134,10 +146,12 @@ from .job import (
     DistStats,
     gather_totals,
     launch,
+    ledger_totals,
     phase_boundary,
     save_checkpoint,
     snapshot_ledger,
 )
+from .msbfs import MatchingStats, mcm_phase_loop
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +189,10 @@ def proposal_rounds_spmd(
     *,
     degree_keys: bool = False,
     degree_one_first: bool = False,
-) -> int:
+) -> tuple[int, int]:
     """Round-synchronous maximal matching from the EMPTY matching, SPMD —
     the one round driver behind all three initializers.  Returns the global
-    number of pairs matched.
+    number of pairs matched and the edges this rank's explodes read.
 
     Rank (i, j) replicates the free-row bitmap of row block i (identical
     along grid row i) and ``mate_cblk``, column block j's ``mate_c``
@@ -235,7 +249,7 @@ def proposal_rounds_spmd(
     # this rank's accepts not sent yet: (rows, columns, count), the count
     # empty while there are none
     unsent = (_EMPTY,) * 3
-    total = 0
+    total = edges = 0
     while True:
         cols = np.flatnonzero(mate_cblk.local == NULL)
         if degree_one_first:
@@ -249,6 +263,7 @@ def proposal_rounds_spmd(
         # edge-sized array longer than needed (the roots repeat the keys,
         # and the row offset waits for the reduced candidates)
         lrows, key = blk.explode_cols(cols, gcols, gcols)[:2]
+        edges += lrows.size
         open_row = free_r[lrows]
         lrows, key = lrows[open_row], key[open_row]
         if degree_keys:
@@ -260,7 +275,7 @@ def proposal_rounds_spmd(
             matched = accept(*accepts)
             total += matched
             if matched == 0:
-                return total
+                return total, edges
             open_row = free_r[rows - A.row_lo]
             rows, key = rows[open_row], key[open_row]
         rows, key = _best(rows, key)
@@ -289,7 +304,7 @@ def proposal_rounds_spmd(
         total += matched
         if matched == 0:
             if not ones_left:
-                return total
+                return total, edges
             # stale degree-1 entries can occur transiently after ties; one
             # plain round makes progress or proves maximality
             ones_left = 0
@@ -297,10 +312,12 @@ def proposal_rounds_spmd(
         # columns adjacent to newly matched rows lose a degree, rows
         # adjacent to newly matched columns likewise
         _, touched = blk.explode_rows(arows - A.row_lo)
+        edges += touched.size
         degc -= grid.colcomm.allreduce(
             np.bincount(touched, minlength=blk.ncols).astype(np.int64), op=SUM
         )
         touched, _, _ = blk.explode_cols(wcols - A.col_lo, wcols, wcols)
+        edges += touched.size
         dec_r = np.bincount(touched, minlength=blk.nrows + 1).astype(np.int64)
         dec_r[-1] = ((mate_cblk.local == NULL) & (degc == 1)).sum()
         dec_r = grid.rowcomm.allreduce(dec_r, op=SUM)
@@ -477,6 +494,46 @@ def pull_is_cheaper(td: int, nnz: int, degrees: np.ndarray, unseen: np.ndarray) 
         int(np.minimum(degrees[unseen] * td, nnz).sum()) < td * td)
 
 
+def tail_is_cheaper(steps: int, p: int, words: int, nnz: int) -> bool:
+    """The tail hand-off, priced at EDISON's α, β and γ alone: finish the
+    job on a serial solve replicated on all ``p`` ranks iff the phase just
+    done — ``steps`` latency steps on a rank's ledger — cost more than one
+    grid allgather of ``words`` words plus reading all ``nnz`` edges once.
+    A top-down serial phase reads each edge at most once, so m serial
+    phases cost at most the gather plus m·γ·nnz: when no later distributed
+    phase is cheaper than this one, the switch never loses.  One-sided
+    ops are not on the ledger, so the rule fires no earlier than a fully
+    priced one would; a 1x1 grid's ledger holds no step, so it never
+    fires there."""
+    gather = allgather(p, EDISON.alpha, EDISON.beta, words)
+    return EDISON.alpha * steps > gather + EDISON.gamma * nnz
+
+
+def _global_csc(A: DistBlockMatrix, pieces: list) -> CSC:
+    """The whole matrix from every rank's ``(jc, cp, ir, ...)`` block, in
+    rank order, without a sort: rank order visits a column block's row
+    blocks top-down, so appending each block's column segment keeps rows
+    ascending within every column.  Each piece's block arrays are dropped
+    once placed."""
+    pc = A.grid.pc
+    cols = [jc + A.colmap.range(r % pc)[0] for r, (jc, *_) in enumerate(pieces)]
+    indptr = np.zeros(A.ncols + 1, np.int64)
+    for c, (_, cp, *_) in zip(cols, pieces):
+        indptr[c + 1] += np.diff(cp)
+    np.cumsum(indptr, out=indptr)
+    indices = np.empty(indptr[-1], np.int64)
+    fill = indptr[:-1].copy()
+    for r, c in enumerate(cols):
+        _, cp, ir, *_ = pieces[r]
+        counts = np.diff(cp)
+        at = np.repeat(fill[c] - cp[:-1], counts)
+        at += np.arange(ir.size)
+        indices[at] = ir + A.rowmap.range(r // pc)[0]
+        fill[c] += counts
+        pieces[r] = None
+    return CSC(A.nrows, A.ncols, indptr, indices)
+
+
 def _prune(ends: tuple, cols: np.ndarray, roots: np.ndarray) -> tuple:
     """Step 6 PRUNE as a filter: the (column, root) entries whose tree has
     none of the (root, row) path ``ends``."""
@@ -508,15 +565,19 @@ def mcm_dist_spmd(
     the mate vectors are identical in both modes.  The engine picks each
     phase's augmentation by the paper's k < 2p² rule
     (:func:`~repro.matching.augment.choose_augment_mode`), PRUNEs every
-    iteration and reduces candidates under minParent.
+    iteration and reduces candidates under minParent.  After every phase
+    that augmented, :func:`tail_is_cheaper` prices that phase's latency
+    steps against gathering the graph: once it fires, every rank finishes
+    on the same serial top-down phases (``stats.tail_*``).
     Returns (globally gathered mate_r, mate_c, stats) on every rank.
 
     Checkpoint/restart (driven by :func:`~repro.matching.job.launch`, which
     passes a store only when the caller gave one or allowed restarts): with
     ``checkpoint_store`` set, the job snapshots the globally assembled
-    mate vectors after the initializer and after every
-    ``checkpoint_every``-th completed phase — each completed phase is a
-    valid matching, so any snapshot is a correct restart point.  Without a
+    mate vectors after the initializer, after every
+    ``checkpoint_every``-th completed phase and after the phase that hands
+    off to the serial tail, whose own phases write none — each completed
+    phase is a valid matching, so any snapshot is a correct restart point.  Without a
     store no checkpoint collective runs at all.  With ``resume`` set, the
     initializer is skipped and the phase loop continues from the
     checkpointed matching.  ``checkpoint_aux`` rides every snapshot as its
@@ -554,7 +615,7 @@ def mcm_dist_spmd(
         stats.initial_cardinality = int(np.count_nonzero(resume.mate_row != NULL))
     elif init in _INIT_POLICIES:
         with tspan(grid.comm, f"init:{init}", cat="phase"):
-            stats.initial_cardinality = proposal_rounds_spmd(
+            stats.initial_cardinality, stats.init_edges = proposal_rounds_spmd(
                 A, mate_r, mate_c, mate_cblk, **_INIT_POLICIES[init],
             )
     elif init not in (None, "none"):
@@ -577,8 +638,11 @@ def mcm_dist_spmd(
     # the block's degrees: what a top-down step reads of a frontier column,
     # and what a pull reads of a row at most
     degr, degc = A.block.row_degrees(), A.block.col_degrees()
+    # a job resumed from the hand-off's snapshot goes straight back to the
+    # serial tail
+    tail = resume is not None and "tail" in (resume.aux or {})
 
-    while True:
+    while not tail:
         phase_no += 1
         stats.phases = phase_no
         phase_boundary(grid, stats, phase_no)
@@ -694,29 +758,60 @@ def mcm_dist_spmd(
                     augment_path_spmd_rma(win, start, pi, mate_r, mate_c)
 
             # phase complete: the augmented matching is valid (vertex-disjoint
-            # augmenting paths), so it is a correct restart point
-            if (
-                checkpoint_store is not None
-                and checkpoint_every > 0
-                and phase_no % checkpoint_every == 0
+            # augmenting paths), so it is a correct restart point.  The
+            # hand-off is priced on the phase's own steps, before its
+            # snapshot, and always takes one: a crash in the tail restarts
+            # there.  With every column matched the next phase runs no BFS,
+            # so nothing is left to hand off
+            tail = free_cols > 0 and tail_is_cheaper(
+                ledger_totals(grid)[0] - stats.phase_ledger[phase_no][0], grid.nprocs,
+                # the gather's words at most: every block's ir, then its jc
+                # and cp — a block's columns with an edge, nnz or pr·ncols in
+                # all at most — and the mate slices with their offsets
+                A.nnz + 2 * min(A.nnz, pr * A.ncols) + 3 * grid.nprocs + A.nrows + A.ncols,
+                A.nnz,
+            )
+            if checkpoint_store is not None and (
+                tail or (checkpoint_every > 0 and phase_no % checkpoint_every == 0)
             ):
-                _checkpoint(
-                    grid, checkpoint_store, phase_no, mate_r, mate_c, stats, checkpoint_aux
-                )
+                aux = {**(checkpoint_aux or {}), "tail": np.array(1)} if tail else checkpoint_aux
+                _checkpoint(grid, checkpoint_store, phase_no, mate_r, mate_c, stats, aux)
+            if tail:
+                break
 
-    # this rank's block-iterations by direction; launch sums them
-    stats.topdown_steps = stats.iterations - stats.bottomup_steps
     if win is not None:
         stats.rma_ops, stats.rma_words = win.rma_ops, win.rma_words
         win.free()
-    # the job's one closing collective assembles the mates on every rank,
-    # the edge and word counts riding it; the per-rank ledger snapshot is
-    # taken AFTER it, as the job's last act
-    pieces, (stats.edges_examined,) = gather_totals(
-        grid, stats, ((mate_r.lo, mate_r.local), (mate_c.lo, mate_c.local)), edges_local
-    )
-    g_r = mate_r.assemble([r for r, _ in pieces])
-    g_c = mate_c.assemble([c for _, c in pieces])
+    mates = ((mate_r.lo, mate_r.local), (mate_c.lo, mate_c.local))
+    if tail:
+        # the tail: one grid allgather hands every rank the whole graph and
+        # matching, and each finishes the phases alone — top-down, every
+        # edge read counted on every rank that reads it
+        with tspan(grid.comm, "tail", cat="phase", phase=phase_no + 1):
+            blk = A.block
+            pieces = grid.comm.allgather((blk.jc, blk.cp, blk.ir, *mates))
+            A.block = blk = mate_blk = mate_cblk = mates = None
+            g_r = mate_r.assemble([piece[3] for piece in pieces])
+            g_c = mate_c.assemble([piece[4] for piece in pieces])
+            serial = MatchingStats()
+            mcm_phase_loop(
+                _global_csc(A, pieces), g_r, g_c, serial,
+                on_phase=lambda n: phase_boundary(grid, stats, phase_no + n, serial=True),
+            )
+        stats.phases = phase_no + serial.phases
+        stats.iterations += serial.iterations
+        stats.tail_phases, stats.tail_iterations = serial.phases, serial.iterations
+        stats.tail_edges = serial.edges_traversed
+        edges_local += serial.edges_traversed
+    # this rank's block-iterations by direction; launch sums them
+    stats.topdown_steps = stats.iterations - stats.bottomup_steps
+    # the job's one closing collective assembles the mates on every rank
+    # (unless the tail already has), the edge and word counts riding it;
+    # the per-rank ledger snapshot is taken AFTER it, as the job's last act
+    pieces, (stats.edges_examined,) = gather_totals(grid, stats, mates, edges_local)
+    if mates is not None:
+        g_r = mate_r.assemble([r for r, _ in pieces])
+        g_c = mate_c.assemble([c for _, c in pieces])
     stats.final_cardinality = int(np.count_nonzero(g_r != NULL))
     snapshot_ledger(grid, stats)
     return g_r, g_c, stats

@@ -252,6 +252,45 @@ def run_phase(
     return path_c
 
 
+def mcm_phase_loop(
+    a: CSC,
+    mate_r: np.ndarray,
+    mate_c: np.ndarray,
+    stats: MatchingStats,
+    *,
+    semiring: Semiring = SR_MIN_PARENT,
+    rng: np.random.Generator | None = None,
+    prune: bool = True,
+    hooks: MsBfsHooks | None = None,
+    augment_mode: str = "auto",
+    direction: str = "topdown",
+    on_phase=None,
+) -> None:
+    """Algorithm 2's repeat-until loop, in place: phases augment ``mate_r``
+    / ``mate_c`` until one finds no path, counted into ``stats``.
+    ``on_phase(n)``, when given, runs as the loop enters its n-th phase
+    (MCM-DIST's serial tail passes its phase boundary there)."""
+    pi_r = np.empty(a.nrows, dtype=np.int64)
+    while True:
+        pi_r.fill(NULL)
+        stats.phases += 1
+        if on_phase is not None:
+            on_phase(stats.phases)
+        path_c = run_phase(
+            a, mate_r, mate_c, pi_r,
+            semiring=semiring, rng=rng, prune=prune, hooks=hooks, stats=stats,
+            direction=direction,
+        )
+        k = int((path_c != NULL).sum())
+        stats.paths_per_phase.append(k)
+        if k == 0:
+            return
+        augment_auto(
+            path_c, pi_r, mate_r, mate_c,
+            mode=augment_mode, nprocs=1, stats=stats.augment,
+        )
+
+
 def ms_bfs_mcm(
     a: CSC,
     mate_r: np.ndarray | None = None,
@@ -287,24 +326,9 @@ def ms_bfs_mcm(
     mate_r = np.full(a.nrows, NULL, dtype=np.int64) if mate_r is None else np.asarray(mate_r, np.int64).copy()
     mate_c = np.full(a.ncols, NULL, dtype=np.int64) if mate_c is None else np.asarray(mate_c, np.int64).copy()
     stats = MatchingStats(initial_cardinality=int((mate_r != NULL).sum()))
-    pi_r = np.empty(a.nrows, dtype=np.int64)
-
-    while True:
-        pi_r.fill(NULL)
-        stats.phases += 1
-        path_c = run_phase(
-            a, mate_r, mate_c, pi_r,
-            semiring=semiring, rng=rng, prune=prune, hooks=hooks, stats=stats,
-            direction=direction,
-        )
-        k = int((path_c != NULL).sum())
-        stats.paths_per_phase.append(k)
-        if k == 0:
-            break
-        augment_auto(
-            path_c, pi_r, mate_r, mate_c,
-            mode=augment_mode, nprocs=1, stats=stats.augment,
-        )
-
+    mcm_phase_loop(
+        a, mate_r, mate_c, stats, semiring=semiring, rng=rng, prune=prune, hooks=hooks,
+        augment_mode=augment_mode, direction=direction,
+    )
     stats.final_cardinality = int((mate_r != NULL).sum())
     return mate_r, mate_c, stats

@@ -86,8 +86,8 @@ def _segment_label(span: Span) -> "str | None":
     """Phase-segment label for a top-level algorithm span, else None."""
     if span.cat != "phase":
         return None
-    if span.name == "phase":
-        return f"phase {span.args.get('phase', '?')}"
+    if span.name in ("phase", "tail"):  # a tail span starts at its first phase
+        return f"{span.name} {span.args.get('phase', '?')}"
     if span.name.startswith("init:"):
         return span.name
     return None

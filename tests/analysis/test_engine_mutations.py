@@ -45,13 +45,13 @@ MUTATIONS = [
      "    if grid.comm.rank == 0:\n        store.save(ck)\n        grid.comm.barrier()\n",
      {"SPMD101"}),
     ("scatter-and-barrier-swapped-on-root", "distmat/spmat.py",
-     "    nrows, ncols, rows, cols, *mine = comm.scatter(payloads, root=root)\n",
+     "    nrows, ncols, nnz, rows, cols, *mine = comm.scatter(payloads, root=root)\n",
      "    if comm.rank == root:\n"
-     "        nrows, ncols, rows, cols, *mine = comm.scatter(payloads, root=root)\n"
+     "        nrows, ncols, nnz, rows, cols, *mine = comm.scatter(payloads, root=root)\n"
      "        comm.barrier()\n"
      "    else:\n"
      "        comm.barrier()\n"
-     "        nrows, ncols, rows, cols, *mine = comm.scatter(payloads, root=root)\n",
+     "        nrows, ncols, nnz, rows, cols, *mine = comm.scatter(payloads, root=root)\n",
      {"SPMD101"}),
     ("eps-phase-loop-over-a-set", "matching/mwm_dist.py",
      "    while delta is not None:\n",

@@ -3,6 +3,7 @@
 import glob
 import multiprocessing
 import os
+import threading
 from contextlib import contextmanager
 
 import pytest
@@ -10,7 +11,7 @@ import pytest
 import repro.matching.mcm_dist as _mcm_dist
 import repro.runtime.comm as _comm
 from repro.matching.augment import choose_augment_mode
-from repro.matching.mcm_dist import pull_is_cheaper
+from repro.matching.mcm_dist import phase_boundary, pull_is_cheaper
 
 
 @pytest.fixture(autouse=True)
@@ -71,3 +72,34 @@ def force_pull(monkeypatch):
         return "auto" if pulling else direction
 
     return force
+
+
+@pytest.fixture
+def force_handoff(monkeypatch):
+    """A setter that makes MCM-DIST hand off to its serial tail right after
+    phase ``k`` and after no other: ``force_handoff(k)`` replaces the
+    priced rule (``mcm_dist.tail_is_cheaper``, which nothing public sets)
+    with one that reads the phase the calling rank last entered, noted by a
+    wrapped ``mcm_dist.phase_boundary``; ``force_handoff(None)`` never hands
+    off.  Forked ranks inherit both patches, so the process backend is
+    covered too."""
+    entered = threading.local()
+
+    def note(grid, stats, phase_no, **kwargs):
+        entered.phase = phase_no
+        phase_boundary(grid, stats, phase_no, **kwargs)
+
+    def force(k):
+        monkeypatch.setattr(_mcm_dist, "phase_boundary", note)
+        monkeypatch.setattr(_mcm_dist, "tail_is_cheaper", lambda *args: entered.phase == k)
+
+    return force
+
+
+@pytest.fixture
+def no_handoff(monkeypatch):
+    """MCM-DIST runs every phase distributed for the whole test
+    (``mcm_dist.tail_is_cheaper`` never fires): the seam the tests that pin
+    the distributed schedule's shape, ledger or fingerprint opt into.
+    Forked ranks inherit the patch."""
+    monkeypatch.setattr(_mcm_dist, "tail_is_cheaper", lambda *args: False)

@@ -21,7 +21,7 @@ def _scatter_and_gather(comm, pr, pc, coo, values):
     pieces = comm.gather((rows + geom.row_lo, cols + geom.col_lo, *vals), root=0)
     by_alg = comm.stats.by_alg
     assert "bcast:binomial" not in by_alg
-    return (geom.nrows, geom.ncols), pieces, by_alg["scatter:direct"]["words"]
+    return (geom.nrows, geom.ncols, geom.nnz), pieces, by_alg["scatter:direct"]["words"]
 
 
 @st.composite
@@ -44,7 +44,7 @@ def test_scatter_edges_round_trips_edges_and_values(case, shape):
     pr, pc = shape
     res = spmd(pr * pc, _scatter_and_gather, pr, pc, coo, values)
     dims, pieces, _ = res[0]
-    assert dims == (coo.nrows, coo.ncols)
+    assert dims == (coo.nrows, coo.ncols, coo.nnz)
     rows, cols, *vals = (
         np.concatenate([p[k] for p in pieces]) for k in range(2 + len(values))
     )
@@ -53,7 +53,8 @@ def test_scatter_edges_round_trips_edges_and_values(case, shape):
     np.testing.assert_array_equal(cols[got], coo.cols[want])
     for k, v in enumerate(vals):
         np.testing.assert_array_equal(v, rows * coo.ncols + cols + 0.25 * (k + 1))
-    # no header broadcast: the shape's two words ride each of the p - 1
-    # pieces the root sends, beside one word per edge and array
+    # no header broadcast: the shape's two words and the edge count ride
+    # each of the p - 1 pieces the root sends, beside one word per edge and
+    # array
     sent = sum(p[0].size for p in pieces[1:]) * (2 + len(values))
-    assert sum(words for _, _, words in res) == (pr * pc - 1) * 2 + sent
+    assert sum(words for _, _, words in res) == (pr * pc - 1) * 3 + sent

@@ -37,3 +37,10 @@ def gather_frontier(fr):
     idx, parent, root = (np.concatenate([p[k] for p in pieces]) for k in range(3))
     order = np.argsort(idx)
     return idx[order], parent[order], root[order]
+
+
+def topdown_edges(stats, p: int) -> int:
+    """MCM-DIST's ``edges_examined`` with the serial tail counted once
+    instead of on each of the ``p`` ranks: the top-down algorithm's edge
+    count, whichever phase the grid handed off at."""
+    return stats.edges_examined - (p - 1) * stats.tail_edges

@@ -63,7 +63,7 @@ def test_direction_with_initializer_still_optimal(force_pull):
         assert stats.final_cardinality == cardinality(mate_r)
 
 
-def test_direction_step_tallies(force_pull):
+def test_direction_step_tallies(force_pull, no_handoff):
     """The tallies count block-iterations, summed over the ranks: every
     block takes one direction per iteration.  Under the ``force_pull``
     seam every block-iteration pulls, forked ranks included."""

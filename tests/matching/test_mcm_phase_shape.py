@@ -31,6 +31,10 @@ from repro.sparse.spvec import NULL
 
 GRIDS = [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (1, 4)]
 
+#: every phase runs distributed: the shapes pinned here are the distributed
+#: schedule's, which the serial tail would cut short
+pytestmark = pytest.mark.usefixtures("no_handoff")
+
 
 def _log2ceil(q):
     return (q - 1).bit_length()

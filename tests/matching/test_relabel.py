@@ -24,6 +24,8 @@ from repro.runtime.checkpoint import Checkpoint
 from repro.sparse import COO, CSC
 from repro.sparse.spvec import NULL
 
+from ..helpers import topdown_edges
+
 
 def random_coo(n1, n2, m, seed):
     rng = np.random.default_rng(seed)
@@ -73,8 +75,9 @@ def test_mates_are_identical_across_grids_and_backends(name, pr, pc, backend):
         np.testing.assert_array_equal(mate_r, ref_r, err_msg=direction)
         np.testing.assert_array_equal(mate_c, ref_c, err_msg=direction)
         assert (stats.phases, stats.iterations) == (ref.phases, ref.iterations), direction
-    # what a pull reads depends on the blocks; what top-down reads does not
-    assert stats.edges_examined == ref.edges_examined
+    # what a pull reads depends on the blocks; what top-down reads does
+    # not, the serial tail counted once
+    assert topdown_edges(stats, pr * pc) == ref.edges_examined
 
 
 def test_the_relabeling_breaks_the_road_graphs_locality_order():

@@ -1,0 +1,163 @@
+"""MCM-DIST's serial tail: once a distributed phase costs more latency than
+gathering the graph, every rank finishes the job on the same serial phases.
+
+The rule (:func:`~repro.matching.mcm_dist.tail_is_cheaper`) is a pure
+function of EDISON's constants and four replicated numbers, pinned here on
+the end-to-end workloads' own numbers and on the paper's ``road_usa`` at
+2,025 ranks.  Whatever phase a grid hands off at — the ``force_handoff``
+seam tries each — the mates, phases and iterations are those of an
+all-distributed run, every rank hands off at the same phase, a crash inside
+the tail restarts from the hand-off's snapshot, and the initializer's edge
+reads are counted beside it.
+"""
+
+import os
+import threading
+
+import numpy as np
+import pytest
+
+from repro.graphs import suite
+from repro.graphs.rmat import er
+from repro.matching import mcm_dist
+from repro.matching.mcm_dist import _mcm_rank_main, run_mcm_dist, tail_is_cheaper
+from repro.perfmodel.collectives import msbfs_iteration
+from repro.runtime import spmd
+from repro.sparse.dcsc import DCSC
+
+from ..helpers import topdown_edges
+
+
+def _words(nnz, n, pr, pc):
+    """The engine's bound on the hand-off gather of an n × n matrix."""
+    return nnz + 2 * min(nnz, pr * n) + 3 * pr * pc + 2 * n
+
+
+# -- the rule ------------------------------------------------------------------
+
+
+def test_rule_prices_the_deep_core_after_its_second_phase():
+    # mcm_deep_t4: 20,118 edges, 5,840 × 5,840, 2x2; phase 1 costs 35 steps
+    # per rank, phase 2 65
+    words = _words(20_118, 5_840, 2, 2)
+    assert not tail_is_cheaper(35, 4, words, 20_118)
+    assert tail_is_cheaper(65, 4, words, 20_118)
+
+
+def test_rule_never_fires_on_the_bulk_core():
+    # mcm_bulk_t4: 1,048,120 edges; no phase costs more than 52 steps
+    assert not tail_is_cheaper(52, 4, _words(1_048_120, 32_832, 2, 2), 1_048_120)
+
+
+def test_rule_keeps_the_papers_road_usa_distributed():
+    # the paper's road_usa on a 45 × 45 grid: a 100-iteration phase costs
+    # 5,000 latency steps, far less than reading 57.7 M edges once
+    nnz, n = 57_708_624, 23_947_347
+    steps = 100 * int(msbfs_iteration(45, 45, 1.0, 0.0, 0.0, 0.0))
+    assert steps == 5_000
+    assert not tail_is_cheaper(steps, 45 * 45, _words(nnz, n, 45, 45), nnz)
+
+
+def test_rule_never_fires_without_a_latency_step():
+    assert not tail_is_cheaper(0, 1, _words(10, 5, 1, 1), 10)
+    assert not tail_is_cheaper(0, 1, 0, 0)
+
+
+# -- the hand-off --------------------------------------------------------------
+
+ROAD = suite.load_scaled("road_usa", target_nnz=800, seed=1)[0]
+_reference = {}
+
+
+def _all_distributed():
+    """The 1x1 run — no latency step, so never a hand-off."""
+    if not _reference:
+        _reference["run"] = run_mcm_dist(ROAD, 1, 1, direction="topdown", timeout=60)
+    return _reference["run"]
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("pr,pc", [(1, 2), (2, 2), (2, 3), (3, 3)])
+def test_a_handoff_after_any_phase_keeps_the_results(pr, pc, backend, force_handoff):
+    ref_r, ref_c, ref = _all_distributed()
+    assert ref.phases == 4 and ref.tail_phases == 0
+    for k in range(1, ref.phases):
+        force_handoff(k)
+        mate_r, mate_c, st = run_mcm_dist(
+            ROAD, pr, pc, direction="topdown", backend=backend, timeout=60)
+        np.testing.assert_array_equal(mate_r, ref_r, err_msg=f"hand-off after {k}")
+        np.testing.assert_array_equal(mate_c, ref_c, err_msg=f"hand-off after {k}")
+        assert (st.phases, st.iterations) == (ref.phases, ref.iterations), k
+        # no hand-off after a phase that matched every column: the next one
+        # runs no BFS
+        perfect = k == ref.phases - 1 and ref.final_cardinality == ROAD.ncols
+        assert st.tail_phases == (0 if perfect else ref.phases - k), k
+        # top-down reads each frontier edge once, the tail's on every rank
+        assert topdown_edges(st, pr * pc) == ref.edges_examined, k
+        assert st.topdown_steps == st.iterations * pr * pc, k
+        # the serial phases keep their boundaries: ledger and crash points
+        assert list(st.phase_ledger) == list(range(1, st.phases + 1)), k
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_every_rank_hands_off_at_the_same_phase(backend):
+    res = spmd(6, _mcm_rank_main, ROAD, 2, 3, backend=backend, timeout=60)
+    stats = [st for _, _, st in res.values]
+    assert stats[0].tail_phases > 0
+    assert len({(st.phases, st.tail_phases, st.tail_edges) for st in stats}) == 1
+    assert len({tuple(st.phase_ledger) for st in stats}) == 1
+    for mate_r, mate_c, _ in res.values[1:]:
+        np.testing.assert_array_equal(mate_r, res.values[0][0])
+        np.testing.assert_array_equal(mate_c, res.values[0][1])
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_a_crash_in_the_tail_restarts_from_the_handoff_snapshot(backend):
+    ok_r, ok_c, ok = run_mcm_dist(ROAD, 2, 2, backend=backend, timeout=60)
+    handoff = ok.phases - ok.tail_phases
+    assert ok.tail_phases >= 2
+    shm = set(os.listdir("/dev/shm"))
+    mate_r, mate_c, st = run_mcm_dist(
+        ROAD, 2, 2, backend=backend, timeout=60, max_restarts=2,
+        faults=f"crash:rank=any,at=phase:{handoff + 2}",
+    )
+    np.testing.assert_array_equal(mate_r, ok_r)
+    np.testing.assert_array_equal(mate_c, ok_c)
+    # the survivors run on to the closing collective, but only the victim
+    # publishes a serial phase: the attempt died in the phase it crashed
+    # in, and the one tail phase it completed past the snapshot runs again
+    assert st.restarts == 1
+    assert st.restart_spans == ((0, handoff + 2),)
+    assert st.phases_replayed == 1
+    assert set(os.listdir("/dev/shm")) == shm
+
+
+# -- the initializer's reads -----------------------------------------------------
+
+
+@pytest.mark.parametrize("init", ["greedy", "mindegree", "karp-sipser", "none"])
+def test_init_edges_are_the_initializers_explodes(monkeypatch, init):
+    inside, sizes = threading.local(), []
+    rounds = mcm_dist.proposal_rounds_spmd
+
+    def traced(*args, **kwargs):
+        inside.on = True
+        try:
+            return rounds(*args, **kwargs)
+        finally:
+            inside.on = False
+
+    def counted(method, pick):
+        def explode(self, *args):
+            out = method(self, *args)
+            if getattr(inside, "on", False):
+                sizes.append(out[pick].size)
+            return out
+        return explode
+
+    monkeypatch.setattr(mcm_dist, "proposal_rounds_spmd", traced)
+    monkeypatch.setattr(DCSC, "explode_cols", counted(DCSC.explode_cols, 0))
+    monkeypatch.setattr(DCSC, "explode_rows", counted(DCSC.explode_rows, 1))
+    stats = run_mcm_dist(er(6, seed=1), 2, 2, init=init, backend="thread", timeout=60)[2]
+    assert stats.init_edges == sum(sizes)
+    assert (stats.init_edges > 0) == (init != "none")

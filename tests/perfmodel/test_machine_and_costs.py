@@ -187,7 +187,7 @@ def test_single_process_dispatched_collectives_free():
 # -- the engine's BFS iteration, pinned to a real ledger -----------------------
 
 @pytest.mark.parametrize("pr,pc", [(2, 2), (2, 3), (1, 4)])
-def test_msbfs_iteration_matches_a_real_ledger(pr, pc):
+def test_msbfs_iteration_matches_a_real_ledger(pr, pc, no_handoff):
     """``msbfs_iteration`` is two priced exchanges; at (α, β) = (1, 0) it
     is the latency steps every rank's ledger charges inside one ``bfs_iter``
     span of a real run."""

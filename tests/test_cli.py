@@ -110,6 +110,11 @@ def test_spmd_stats_json_dump(tmp_path, capsys):
     assert stats["cardinality"] == stats["final_cardinality"] > 0
     assert stats["phases"] >= 1
     assert stats["total_words"] >= stats["expand_words"] + stats["fold_words"] > 0
+    # the greedy initializer's edge reads, and the serial tail's, are
+    # reported beside the BFS's
+    assert stats["init_edges"] > 0
+    assert stats["edges_examined"] >= 4 * stats["tail_edges"]
+    assert stats["phases"] > stats["tail_phases"] >= 0
     # the per-algorithm collective counters made it through serialization
     by_alg = stats["comm_by_alg"]
     assert any(key.startswith("allgather:") for key in by_alg)
