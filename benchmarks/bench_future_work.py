@@ -8,9 +8,11 @@ they buy on the reproduction's inputs:
 * **tree grafting** (MS-BFS-Graft): reuse the alternating forest across
   phases — measured as traversed-edge savings vs rebuild-every-phase
   Algorithm 2, largest on skewed (G500-like) inputs;
-* **direction-optimized BFS**: per-iteration top-down/bottom-up choice —
-  measured as traversed-edge savings when frontiers are wide (dense-ish
-  graphs from an empty matching).
+* **direction-optimized BFS**: MCM-DIST's per-block choice of Step 1's
+  direction (``direction="auto"``: a block pulls bottom-up wherever the
+  early-exit pull is expected to read fewer edges) — measured as examined-
+  edge savings over ``direction="topdown"`` when frontiers are wide (from
+  an empty matching), on one rank and on a 2x2 grid.
 """
 
 import numpy as np
@@ -18,6 +20,7 @@ import pytest
 
 from repro.graphs import rmat, suite
 from repro.matching import greedy_maximal, ms_bfs_graft, ms_bfs_mcm
+from repro.matching.mcm_dist import run_mcm_dist
 from repro.sparse import CSC
 
 from .common import FAST, emit
@@ -62,29 +65,40 @@ def test_tree_grafting_ablation(benchmark):
     assert g500["graft_edges"] < g500["plain_edges"]
 
 
+def _command_line(test: str, scale: int) -> str:
+    """The results file's first line: the command that wrote it, at what
+    scale."""
+    fast = "REPRO_BENCH_FAST=1 " if FAST else ""
+    return (f"# {fast}pytest benchmarks/bench_future_work.py::{test} "
+            f"(scale {scale})")
+
+
 def run_direction_study():
     rows = []
     for name, coo in [
         (f"er-{SCALE}", rmat.er(scale=SCALE, seed=8)),
         (f"g500-{SCALE}", rmat.g500(scale=SCALE, seed=8)),
     ]:
-        a = CSC.from_coo(coo)
         # from the EMPTY matching the first frontiers cover every column —
-        # the regime direction optimization targets
-        _, _, td = ms_bfs_mcm(a, direction="topdown")
-        _, _, auto = ms_bfs_mcm(a, direction="auto")
-        assert td.final_cardinality == auto.final_cardinality
+        # the regime direction optimization targets; one rank, so the
+        # counts are the pull rule's alone, not the grid's
+        td_r, _, td = run_mcm_dist(coo, 1, 1, init="none", direction="topdown")
+        au_r, _, auto = run_mcm_dist(coo, 1, 1, init="none", direction="auto")
+        assert np.array_equal(td_r, au_r)  # bit-identical matchings
         rows.append({
             "graph": name,
-            "topdown_edges": td.edges_traversed,
-            "auto_edges": auto.edges_traversed,
+            "topdown_edges": td.edges_examined,
+            "auto_edges": auto.edges_examined,
         })
     return rows
 
 
 def test_direction_optimization_ablation(benchmark):
     rows = benchmark.pedantic(run_direction_study, rounds=1, iterations=1)
-    lines = [f"{'graph':<12} {'top-down edges':>15} {'auto edges':>12} {'saved':>7}"]
+    lines = [
+        _command_line("test_direction_optimization_ablation", SCALE),
+        f"{'graph':<12} {'top-down edges':>15} {'auto edges':>12} {'saved':>7}",
+    ]
     for r in rows:
         saved = 1 - r["auto_edges"] / r["topdown_edges"]
         lines.append(
@@ -104,8 +118,6 @@ DIST_SCALE = 8 if FAST else 9
 def run_direction_study_dist():
     """The tentpole measurement: direction optimization inside the TRUE SPMD
     path, with the simulated runtime's per-communicator word counters."""
-    from repro.matching.mcm_dist import run_mcm_dist
-
     graphs = [(f"er-{DIST_SCALE}", rmat.er(scale=DIST_SCALE, seed=8))]
     if not FAST:
         graphs.append((f"g500-{DIST_SCALE}", rmat.g500(scale=DIST_SCALE, seed=8)))
@@ -130,6 +142,7 @@ def run_direction_study_dist():
 def test_direction_optimization_dist(benchmark):
     rows = benchmark.pedantic(run_direction_study_dist, rounds=1, iterations=1)
     lines = [
+        _command_line("test_direction_optimization_dist", DIST_SCALE),
         f"{'graph':<10} {'td edges':>10} {'auto edges':>10} {'saved':>7} "
         f"{'td fold':>9} {'auto fold':>9} {'td expand':>9} {'auto expand':>11} {'bu blocks':>9}"
     ]

@@ -5,7 +5,8 @@ Commands
 
 ``match``
     Compute a maximum matching of a MatrixMarket file or a generated graph
-    and print statistics (optionally writing the mate vectors out).
+    with the serial engine (Algorithm 2, top-down Step 1) and print
+    statistics (optionally writing the mate vectors out).
 
 ``suite``
     List the Table II stand-in suite with paper-vs-stand-in statistics.
@@ -16,8 +17,10 @@ Commands
 
 ``spmd``
     Run the true SPMD MCM-DIST on a simulated process grid and report
-    per-rank communication statistics.  ``--verify`` arms the dynamic
-    correctness verifiers (collective-divergence and RMA-race detection).
+    per-rank communication statistics.  ``--direction auto`` (default) lets
+    each block pull Step 1 bottom-up where that reads fewer edges;
+    ``--verify`` arms the dynamic correctness verifiers
+    (collective-divergence and RMA-race detection).
 
 ``trace-report``
     Critical-path analysis of a trace recorded with ``spmd --trace``:
@@ -72,7 +75,7 @@ def cmd_match(args) -> int:
     coo = _load_input(args)
     mate_r, mate_c, stats = maximum_matching(
         coo, init=args.init if args.init != "none" else None,
-        prune=not args.no_prune, seed=args.seed, direction=args.direction,
+        prune=not args.no_prune, seed=args.seed,
     )
     print(f"graph      : {coo.nrows:,} x {coo.ncols:,}, {coo.nnz:,} nonzeros")
     print(f"initializer: {args.init} -> {stats.initial_cardinality:,}")
@@ -105,11 +108,14 @@ def cmd_scaling(args) -> int:
     from .simulate import price, record, scaled_machine
     from .simulate.report import breakdown_table, speedup_table
 
+    cores = [int(c) for c in args.cores.split(",")]
+    if min(cores) < args.threads:
+        raise SystemExit(f"--cores {min(cores)} is below --threads {args.threads}: "
+                         "a process needs one core per thread")
     coo = _load_input(args)
     trace = record(coo, init=args.init if args.init != "none" else None,
-                   prune=not args.no_prune, direction=args.direction)
+                   prune=not args.no_prune)
     machine = scaled_machine(args.alpha_scale)
-    cores = [int(c) for c in args.cores.split(",")]
     results = [price(trace, c, args.threads, machine) for c in cores]
     print(speedup_table(results, f"{coo.nrows:,}x{coo.ncols:,} nnz={coo.nnz:,}"))
     if args.breakdown:
@@ -272,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_args(p)
     p.add_argument("--init", default="mindegree",
                    choices=["greedy", "karp-sipser", "mindegree", "none"])
-    p.add_argument("--direction", default="topdown", choices=["topdown", "bottomup", "auto"])
     p.add_argument("--no-prune", action="store_true")
     p.add_argument("--certify", action="store_true", help="verify the König certificate")
     p.add_argument("--out", help="write mate vectors to an .npz file")
@@ -285,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_args(p)
     p.add_argument("--init", default="mindegree",
                    choices=["greedy", "karp-sipser", "mindegree", "none"])
-    p.add_argument("--direction", default="topdown", choices=["topdown", "bottomup", "auto"])
     p.add_argument("--no-prune", action="store_true")
     p.add_argument("--cores", default="24,48,108,432,972,2028")
     p.add_argument("--threads", type=int, default=12)

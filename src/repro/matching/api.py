@@ -23,7 +23,7 @@ from ..sparse.csc import CSC
 from ..sparse.semiring import SR_MIN_PARENT, Semiring
 from ..sparse.spvec import NULL
 from .maximal import dynamic_mindegree, greedy_maximal, karp_sipser
-from .msbfs import MatchingStats, MsBfsHooks, ms_bfs_mcm
+from .msbfs import MatchingStats, ms_bfs_mcm
 
 _INITIALIZERS: dict[str, Callable] = {
     "greedy": greedy_maximal,
@@ -69,9 +69,7 @@ def maximum_matching(
     semiring: Semiring = SR_MIN_PARENT,
     prune: bool = True,
     seed: int = 0,
-    hooks: MsBfsHooks | None = None,
     augment_mode: str = "auto",
-    direction: str = "topdown",
 ) -> tuple[np.ndarray, np.ndarray, MatchingStats]:
     """Maximum cardinality matching of a bipartite graph (Algorithm 2).
 
@@ -88,14 +86,12 @@ def maximum_matching(
         Enable Step 6 tree pruning (Fig. 8's knob; keep on).
     seed:
         Seed for the initializer and any randomized semiring.
-    hooks:
-        Optional :class:`~repro.matching.msbfs.MsBfsHooks` instrumentation.
     augment_mode:
         ``"level"``, ``"path"`` or ``"auto"``.
-    direction:
-        BFS traversal direction per iteration: ``"topdown"`` (the paper's
-        SpMV), ``"bottomup"``, or ``"auto"`` (direction-optimizing — the
-        paper's stated future work).
+
+    Step 1 is always the paper's top-down SpMV; the direction-optimized
+    pull (the paper's stated future work) lives in the distributed engine,
+    :func:`~repro.matching.mcm_dist.run_mcm_dist` (``direction="auto"``).
 
     Returns ``(mate_r, mate_c, stats)``; the matching is provably maximum
     (terminates only when a phase finds no augmenting path).
@@ -108,8 +104,7 @@ def maximum_matching(
     rng = np.random.default_rng(seed + 1)
     return ms_bfs_mcm(
         a, mate_r, mate_c,
-        semiring=semiring, rng=rng, prune=prune, hooks=hooks,
-        augment_mode=augment_mode, direction=direction,
+        semiring=semiring, rng=rng, prune=prune, augment_mode=augment_mode,
     )
 
 

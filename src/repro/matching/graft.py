@@ -36,6 +36,12 @@ from ..sparse.spvec import NULL, VertexFrontier
 from .augment import augment_auto
 from .msbfs import MatchingStats, MsBfsHooks, advance_frontier
 
+#: When more than this fraction of the visited forest is invalidated by a
+#: phase's augmentations, the next phase rebuilds from scratch instead of
+#: grafting — the [7] heuristic that keeps grafting from paying repeated
+#: whole-graph sweep costs on inputs whose trees mostly die each phase.
+REBUILD_THRESHOLD = 0.5
+
 
 def _graft_candidates(
     a: CSC, pi_r: np.ndarray, root_c: np.ndarray
@@ -62,18 +68,11 @@ def ms_bfs_graft(
     rng: np.random.Generator | None = None,
     prune: bool = True,
     augment_mode: str = "auto",
-    rebuild_threshold: float = 0.5,
 ) -> tuple[np.ndarray, np.ndarray, MatchingStats]:
     """Maximum cardinality matching with tree grafting.
 
     Same contract as :func:`repro.matching.msbfs.ms_bfs_mcm`; the returned
     stats additionally reflect the reduced edge traffic.
-
-    ``rebuild_threshold``: when more than this fraction of the visited
-    forest is invalidated by a phase's augmentations, the next phase
-    rebuilds from scratch instead of grafting — the [7] heuristic that
-    keeps grafting from paying repeated whole-graph sweep costs on inputs
-    whose trees mostly die each phase.
     """
     n1, n2 = a.nrows, a.ncols
     mate_r = np.full(n1, NULL, np.int64) if mate_r is None else np.asarray(mate_r, np.int64).copy()
@@ -156,7 +155,7 @@ def ms_bfs_graft(
         # graft only when a useful share of the forest survived; otherwise a
         # from-scratch phase is cheaper than sweeping all renewables
         died = int(dead_rows.sum())
-        fresh = visited_before == 0 or died > rebuild_threshold * visited_before
+        fresh = visited_before == 0 or died > REBUILD_THRESHOLD * visited_before
 
     stats.final_cardinality = int((mate_r != NULL).sum())
     return mate_r, mate_c, stats

@@ -54,14 +54,6 @@ class MsBfsHooks:
         (the fold traffic); ``fr`` the reduced row frontier (before Step 2's
         filter)."""
 
-    def on_spmv_bottomup(self, fc: VertexFrontier, cand_rows: np.ndarray, cand_cols: np.ndarray, fr: VertexFrontier, unvisited: np.ndarray) -> None:
-        """Step 1 done bottom-up (direction-optimized): the ``unvisited``
-        rows scanned their adjacency against a dense frontier bitmap.
-        ``cand_*`` are the edges that hit the frontier; in distributed terms
-        the frontier's (idx, root) pairs are allgathered along grid columns
-        and packed into a dense per-block ``root_of`` array, and the
-        unvisited row ids are allgathered along grid rows."""
-
     def on_select_set(self, fr: VertexFrontier, ufr: VertexFrontier) -> None:
         """Steps 2-4 done: frontier filtered to matched (``fr``) and
         unmatched (``ufr``) row subsets."""
@@ -98,33 +90,6 @@ class MatchingStats:
     @property
     def total_paths(self) -> int:
         return sum(self.paths_per_phase)
-
-
-def _bottom_up_step(
-    at: CSC,
-    fc: VertexFrontier,
-    unvisited: np.ndarray,
-    ncols: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Direction-optimized Step 1: unvisited rows scan THEIR adjacency for
-    frontier columns, instead of frontier columns pushing to rows.
-
-    ``at`` is the row-major mirror (Aᵀ), computed ONCE per phase by the
-    caller — the cached :meth:`CSC.transpose` — never per iteration.  With a
-    deterministic semiring the winners are identical to the top-down step's
-    (the candidate edge set {(r, c) : c ∈ f_c, r unvisited} is the same;
-    only the traversal direction differs), so the switch never changes the
-    computed matching.  Returns the hit (cand_rows, cand_cols) and the dense
-    ``root_of`` lookup, followed by the shared reduction.
-    """
-    cand_cols, counts = ragged_gather(at.indptr, at.indices, unvisited)
-    cand_rows = np.repeat(unvisited, counts)
-    # dense frontier membership + root lookup (the replicated bitmap of the
-    # distributed formulation)
-    root_of = np.full(ncols, NULL, dtype=np.int64)
-    root_of[fc.idx] = fc.root
-    hit = root_of[cand_cols] != NULL
-    return cand_rows[hit], cand_cols[hit], root_of
 
 
 def advance_frontier(
@@ -189,29 +154,16 @@ def run_phase(
     prune: bool = True,
     hooks: MsBfsHooks | None = None,
     stats: MatchingStats | None = None,
-    direction: str = "topdown",
 ) -> np.ndarray:
     """One phase of Algorithm 2 (the repeat-until body, lines 3–25).
 
     Mutates ``pi_r`` (parents of rows visited this phase, NULL elsewhere)
     and returns the dense ``path_c``: ``path_c[j] = i`` records an
     augmenting path from unmatched column j to unmatched row i.
-
-    ``direction`` selects the Step 1 traversal: ``"topdown"`` (the paper's
-    SpMV), ``"bottomup"`` (unvisited rows pull from a dense frontier — the
-    paper's stated future work), or ``"auto"`` (per-iteration choice by
-    comparing the two directions' edge counts, the classic
-    direction-optimization rule).
     """
-    if direction not in ("topdown", "bottomup", "auto"):
-        raise ValueError(f"direction must be topdown/bottomup/auto, got {direction!r}")
     hooks = hooks or MsBfsHooks()
     n2 = a.ncols
     path_c = np.full(n2, NULL, dtype=np.int64)
-    # Hoisted out of the iteration loop: the row-major mirror and the row
-    # degrees are both cached on the CSC, built at most once per run.
-    at = a.transpose() if direction != "topdown" else None
-    deg_r = a.row_degrees() if direction != "topdown" else None
 
     # Initial column frontier: every unmatched column, parent = root = self.
     fc = VertexFrontier.roots_of_self(n2, np.flatnonzero(mate_c == NULL))
@@ -221,24 +173,10 @@ def run_phase(
     while fc.nnz:
         iteration += 1
         # -- Step 1: explore neighbors of the column frontier (one BFS step)
-        use_bottom_up = direction == "bottomup"
-        if direction == "auto":
-            top_down_edges = a.spmv_count(fc)
-            bottom_up_edges = int(deg_r[pi_r == NULL].sum())
-            use_bottom_up = bottom_up_edges < top_down_edges
-        if use_bottom_up:
-            unvisited = np.flatnonzero(pi_r == NULL)
-            cand_rows, cand_cols, root_of = _bottom_up_step(at, fc, unvisited, n2)
-            cand_parents = cand_cols
-            cand_roots = root_of[cand_cols]
-            ridx, rpar, rroot = reduce_candidates(cand_rows, cand_parents, cand_roots, semiring, rng)
-            fr = VertexFrontier(a.nrows, ridx, rpar, rroot)
-            hooks.on_spmv_bottomup(fc, cand_rows, cand_parents, fr, unvisited)
-        else:
-            cand_rows, cand_parents, cand_roots, _ = a.explode_frontier(fc)
-            ridx, rpar, rroot = reduce_candidates(cand_rows, cand_parents, cand_roots, semiring, rng)
-            fr = VertexFrontier(a.nrows, ridx, rpar, rroot)
-            hooks.on_spmv(fc, cand_rows, cand_parents, fr)
+        cand_rows, cand_parents, cand_roots, _ = a.explode_frontier(fc)
+        ridx, rpar, rroot = reduce_candidates(cand_rows, cand_parents, cand_roots, semiring, rng)
+        fr = VertexFrontier(a.nrows, ridx, rpar, rroot)
+        hooks.on_spmv(fc, cand_rows, cand_parents, fr)
         if stats is not None:
             stats.edges_traversed += cand_rows.size
 
@@ -263,7 +201,6 @@ def mcm_phase_loop(
     prune: bool = True,
     hooks: MsBfsHooks | None = None,
     augment_mode: str = "auto",
-    direction: str = "topdown",
     on_phase=None,
 ) -> None:
     """Algorithm 2's repeat-until loop, in place: phases augment ``mate_r``
@@ -279,7 +216,6 @@ def mcm_phase_loop(
         path_c = run_phase(
             a, mate_r, mate_c, pi_r,
             semiring=semiring, rng=rng, prune=prune, hooks=hooks, stats=stats,
-            direction=direction,
         )
         k = int((path_c != NULL).sum())
         stats.paths_per_phase.append(k)
@@ -301,7 +237,6 @@ def ms_bfs_mcm(
     prune: bool = True,
     hooks: MsBfsHooks | None = None,
     augment_mode: str = "auto",
-    direction: str = "topdown",
 ) -> tuple[np.ndarray, np.ndarray, MatchingStats]:
     """MCM-DIST's algorithm (Algorithm 2) on global arrays.
 
@@ -328,7 +263,7 @@ def ms_bfs_mcm(
     stats = MatchingStats(initial_cardinality=int((mate_r != NULL).sum()))
     mcm_phase_loop(
         a, mate_r, mate_c, stats, semiring=semiring, rng=rng, prune=prune, hooks=hooks,
-        augment_mode=augment_mode, direction=direction,
+        augment_mode=augment_mode,
     )
     stats.final_cardinality = int((mate_r != NULL).sum())
     return mate_r, mate_c, stats

@@ -11,10 +11,6 @@ spmv              expand: ring allgather of the frontier slice over the √P
                   busiest block's touched edges / t threads; fold: pairwise
                   all-to-all of distinct (block, row) partial winners over
                   the √P ranks of a grid row
-spmv_bottomup     same expand/fold collectives (sparse (idx, root) pairs
-                  travel either way) + an allgather of the unvisited row
-                  ids along each grid row; compute: the busiest block's
-                  frontier-hitting edges
 select_set        3 local passes over the busiest rank's frontier slice
 invert_paths      all-to-all over ALL P ranks (αP latency — the paper's
                   strong-scaling bottleneck), volume 2 words/entry
@@ -92,16 +88,6 @@ class _RecordingMsBfs(MsBfsHooks):
             fr_rows=fr.idx.copy(),
         )
 
-    def on_spmv_bottomup(self, fc, cand_rows, cand_cols, fr, unvisited):
-        self.t.add(
-            "spmv_bottomup",
-            fc_idx=fc.idx.copy(),
-            cand_rows=cand_rows.copy(),
-            cand_cols=cand_cols.copy(),
-            fr_rows=fr.idx.copy(),
-            unvisited=unvisited.copy(),
-        )
-
     def on_select_set(self, fr, ufr):
         self.t.add("select_set", fr_rows=fr.idx.copy(), ufr_rows=ufr.idx.copy())
 
@@ -153,7 +139,6 @@ def record(
     semiring: Semiring = SR_MIN_PARENT,
     seed: int = 0,
     permute: bool = True,
-    direction: str = "topdown",
 ) -> Trace:
     """Execute initializer + Algorithm 2 once, recording the cost trace.
 
@@ -187,7 +172,6 @@ def record(
         semiring=semiring, rng=rng, prune=prune,
         hooks=_RecordingMsBfs(trace),
         augment_mode="path",
-        direction=direction,
     )
     trace.stats = stats
     trace.mate_r, trace.mate_c = mate_r, mate_c
@@ -299,21 +283,6 @@ class _Pricer:
         for kind, ev in t.events:
             if kind == "spmv":
                 self.spmv_like(Category.SPMV, ev["fc_idx"], ev["cand_rows"], ev["cand_cols"])
-            elif kind == "spmv_bottomup":
-                # expand + fold: identical collectives to top-down — the
-                # frontier travels as sparse (idx, root) pairs either way
-                # (each block packs its dense ``root_of`` lookup locally).
-                # The pull direction additionally allgathers the unvisited
-                # row ids along each grid row before scanning.
-                a_pc, b_pc = self.ab_pc
-                vol_unv = self._busiest(self.row_block(ev["unvisited"]), self.g.pr)
-                self.clock.charge_comm(
-                    Category.SPMV,
-                    C.allgather(self.g.pc, a_pc, b_pc, vol_unv, self.alg_ag),
-                )
-                self.spmv_like(
-                    Category.SPMV, ev["fc_idx"], ev["cand_rows"], ev["cand_cols"]
-                )
             elif kind == "select_set":
                 ops = 3 * self._busiest(self.row_vec_rank(ev["fr_rows"]), self.P)
                 self.clock.step(Category.SELECT_SET, ops, 0.0)

@@ -88,8 +88,7 @@ class CSC:
         return np.diff(self.indptr)
 
     def row_degrees(self) -> np.ndarray:
-        """Degree of every row (cached; the direction-optimization switch
-        reads it each iteration — treat the result as read-only)."""
+        """Degree of every row (cached; treat the result as read-only)."""
         if self._row_degrees is None:
             self._row_degrees = np.bincount(self.indices, minlength=self.nrows).astype(np.int64)
         return self._row_degrees

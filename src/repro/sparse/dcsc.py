@@ -11,8 +11,9 @@ storing pointers only for the ``nzc`` non-empty columns:
 * ``ir``  (len nnz)   — row indices, sorted within each column.
 
 Total memory O(nnz + nzc), independent of the block's column dimension.
-The SpMV kernel intersects the incoming frontier with ``jc`` by binary
-search (O(f log nzc)) and then reuses the same ragged-gather as CSC.
+The expand kernel (:meth:`DCSC.explode_cols`) intersects the incoming
+frontier with ``jc`` by binary search (O(f log nzc)) and then reuses the
+same ragged-gather as CSC.
 
 For the direction-optimized (bottom-up) traversal each block also exposes a
 **row-major mirror** (:meth:`DCSC.csr_mirror`): dense row pointers over the
@@ -30,8 +31,6 @@ import numpy as np
 from ..kernels import pull_candidates
 from .coo import COO
 from .csc import ragged_gather
-from .semiring import SR_MIN_PARENT, Semiring, reduce_candidates
-from .spvec import VertexFrontier
 
 
 class DCSC:
@@ -165,9 +164,11 @@ class DCSC:
     def explode_cols(
         self, cols: np.ndarray, parents: np.ndarray, roots: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Raw-array variant of :meth:`explode_frontier` for the distributed
-        layer: ``cols`` are LOCAL column ids (any order), ``parents``/``roots``
-        parallel value arrays carried to every emitted candidate row."""
+        """The expand half of the block's SpMV: candidate (row, parent,
+        root) triples for the frontier columns present in this block.
+        ``cols`` are LOCAL column ids (any order), ``parents``/``roots``
+        parallel value arrays carried to every emitted candidate row;
+        columns absent from the block contribute nothing."""
         if cols.size == 0 or self.nzc == 0:
             e = np.empty(0, np.int64)
             return e, e.copy(), e.copy()
@@ -180,44 +181,6 @@ class DCSC:
         return rows, np.repeat(np.asarray(parents, np.int64)[hit], counts), np.repeat(
             np.asarray(roots, np.int64)[hit], counts
         )
-
-    def explode_frontier(self, fc: VertexFrontier) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Candidate (row, parent, root) triples for the frontier columns
-        present in this block.  Parents are the frontier column ids (global
-        select2nd semantics), roots inherited."""
-        if fc.nnz == 0 or self.nzc == 0:
-            e = np.empty(0, np.int64)
-            return e, e.copy(), e.copy()
-        loc = self._locate(fc.idx)
-        hit = loc >= 0
-        if not hit.any():
-            e = np.empty(0, np.int64)
-            return e, e.copy(), e.copy()
-        loc_hit = loc[hit]
-        rows, counts = ragged_gather(self.cp, self.ir, loc_hit)
-        parents = np.repeat(fc.idx[hit], counts)
-        roots = np.repeat(fc.root[hit], counts)
-        return rows, parents, roots
-
-    def spmv_frontier(
-        self,
-        fc: VertexFrontier,
-        semiring: Semiring = SR_MIN_PARENT,
-        rng: np.random.Generator | None = None,
-    ) -> VertexFrontier:
-        """Local semiring SpMV: same contract as :meth:`CSC.spmv_frontier`,
-        restricted to this block's columns/rows."""
-        rows, parents, roots = self.explode_frontier(fc)
-        ridx, rpar, rroot = reduce_candidates(rows, parents, roots, semiring, rng)
-        return VertexFrontier(self.nrows, ridx, rpar, rroot)
-
-    def spmv_count(self, fc: VertexFrontier) -> int:
-        """Edge operations a local SpMV with this frontier performs."""
-        if fc.nnz == 0 or self.nzc == 0:
-            return 0
-        loc = self._locate(fc.idx)
-        loc = loc[loc >= 0]
-        return int((self.cp[loc + 1] - self.cp[loc]).sum())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"DCSC({self.nrows}x{self.ncols}, nnz={self.nnz}, nzc={self.nzc})"

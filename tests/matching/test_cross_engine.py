@@ -14,6 +14,7 @@ from repro.matching import (
     pothen_fan,
     single_source_mcm,
 )
+from repro.matching.mcm_dist import run_mcm_dist
 from repro.matching.validate import cardinality, verify_maximum
 
 from .conftest import scipy_optimum
@@ -24,7 +25,9 @@ ENGINES = {
     "pothen-fan": lambda a: pothen_fan(a)[0],
     "single-source": lambda a: single_source_mcm(a)[0],
     "ms-bfs": lambda a: ms_bfs_mcm(a)[0],
-    "ms-bfs-bottomup": lambda a: ms_bfs_mcm(a, direction="auto")[0],
+    # MCM-DIST on one rank, default direction="auto": the engine that
+    # ships the direction-optimized pull
+    "mcm-dist": lambda a: run_mcm_dist(a.to_coo(), 1, 1)[0],
     "ms-bfs-graft": lambda a: ms_bfs_graft(a)[0],
 }
 
@@ -64,7 +67,7 @@ def test_every_engine_certified_by_koenig():
     """Each engine's matching passes the self-contained certificate."""
     a = CSC.from_coo(rmat.g500(scale=8, seed=9))
     for name, fn in ENGINES.items():
-        if name in ("ms-bfs", "ms-bfs-bottomup", "ms-bfs-graft"):
+        if name in ("ms-bfs", "mcm-dist", "ms-bfs-graft"):
             continue  # tuple shapes differ; covered in their own tests
         mr, mc = {
             "hopcroft-karp": hopcroft_karp,

@@ -116,29 +116,38 @@ def test_min_root_semiring():
 
 @pytest.mark.parametrize("sr", [SR_MIN_PARENT, SR_MAX_PARENT, SR_MIN_ROOT])
 def test_csc_and_dcsc_spmv_agree(sr):
+    """A block's SpMV is ``DCSC.explode_cols`` + the semiring reduction:
+    the same (row, parent, root) candidates as ``CSC.explode_frontier``,
+    hence the same reduced frontier."""
     rng = np.random.default_rng(3)
     coo = COO(50, 80, rng.integers(0, 50, 400), rng.integers(0, 80, 400))
     csc = CSC.from_coo(coo)
     dcsc = DCSC.from_coo(coo)
     fidx = np.unique(rng.integers(0, 80, 20))
-    fc = VertexFrontier.roots_of_self(80, fidx)
+    fc = VertexFrontier(80, fidx, fidx, rng.permutation(fidx))
+    want = csc.explode_frontier(fc)[:3]
+    got = dcsc.explode_cols(fc.idx, fc.parent, fc.root)
+    for w, g in zip(want, got):
+        assert np.array_equal(w, g)
     f1 = csc.spmv_frontier(fc, sr)
-    f2 = dcsc.spmv_frontier(fc, sr)
-    assert np.array_equal(f1.idx, f2.idx)
-    assert np.array_equal(f1.parent, f2.parent)
-    assert np.array_equal(f1.root, f2.root)
-    assert csc.spmv_count(fc) == dcsc.spmv_count(fc)
+    ridx, rpar, rroot = reduce_candidates(*got, sr)
+    assert np.array_equal(f1.idx, ridx)
+    assert np.array_equal(f1.parent, rpar)
+    assert np.array_equal(f1.root, rroot)
 
 
 def test_dcsc_spmv_on_columns_absent_from_block():
     """Frontier columns that are empty in this block contribute nothing."""
     coo = coo_from_edges(4, 100, [(0, 10), (1, 20)])
     d = DCSC.from_coo(coo)
-    fc = VertexFrontier.roots_of_self(100, np.array([5, 10, 50]))
-    fr = d.spmv_frontier(fc)
-    assert fr.idx.tolist() == [0]
-    assert fr.parent.tolist() == [10]
-    assert d.spmv_count(fc) == 1
+    rows, parents, roots = d.explode_cols(
+        np.array([5, 10, 50]), np.array([5, 10, 50]), np.array([7, 8, 9]))
+    assert rows.tolist() == [0]
+    assert parents.tolist() == [10]
+    assert roots.tolist() == [8]
+    for cols in ([5, 50], []):
+        cols = np.array(cols, np.int64)
+        assert all(x.size == 0 for x in d.explode_cols(cols, cols, cols))
 
 
 def test_reduce_candidates_empty():

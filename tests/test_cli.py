@@ -42,7 +42,13 @@ def test_match_rejects_bad_rmat_spec():
 
 
 def test_match_direction_and_noprune(capsys):
-    assert main(["match", "--rmat", "er:8", "--direction", "auto", "--no-prune"]) == 0
+    """``--no-prune`` still solves; ``--direction`` belongs to ``spmd`` only
+    (the serial engine's Step 1 is always top-down)."""
+    assert main(["match", "--rmat", "er:8", "--no-prune", "--certify"]) == 0
+    assert "VERIFIED maximum" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["match", "--rmat", "er:8", "--direction", "auto"])
+    assert exc.value.code == 2
 
 
 def test_suite_listing(capsys):
@@ -57,6 +63,15 @@ def test_scaling_study(capsys):
     ]) == 0
     out = capsys.readouterr().out
     assert "speedup" in out and "SpMV" in out
+
+
+def test_scaling_rejects_cores_below_threads():
+    """A core count below ``--threads`` fits no process: a one-line exit
+    naming both numbers, not a traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(["scaling", "--rmat", "er:6", "--cores", "4,16"])
+    assert str(exc.value) == (
+        "--cores 4 is below --threads 12: a process needs one core per thread")
 
 
 def test_spmd_run(capsys):
