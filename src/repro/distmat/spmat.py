@@ -64,6 +64,9 @@ def scatter_edges(
         dest = BlockMap(coo.nrows, grid.pr).owner(coo.rows)
         dest *= grid.pc
         dest += BlockMap(coo.ncols, grid.pc).owner(coo.cols)
+        # the narrowest unsigned dtype holding a rank: NumPy radix-sorts it,
+        # and a stable sort's permutation does not depend on the dtype
+        dest = dest.astype(np.min_scalar_type(comm.size - 1))
         cuts = np.zeros(comm.size + 1, dtype=np.int64)
         np.cumsum(np.bincount(dest, minlength=comm.size), out=cuts[1:])
         order = np.argsort(dest, kind="stable")
@@ -82,7 +85,7 @@ def scatter_edges(
     nrows, ncols, nnz, rows, cols, *mine = comm.scatter(payloads, root=root)
     if comm.rank == root:
         # the sorted copies: drop them before the root builds its own block
-        # on top of them (the job's peak-memory moment)
+        # on top of them (with the relabel before it, the job's high-water mark)
         del sorted_, payloads
     geom = DistBlockMatrix(grid, nrows, ncols, nnz)
     return (geom, rows - geom.row_lo, cols - geom.col_lo, *mine)

@@ -81,14 +81,23 @@ def rmat_graph(
     rows = np.zeros(m, dtype=np.int64)
     cols = np.zeros(m, dtype=np.int64)
     # Quadrant thresholds: [a, a+b, a+b+c, 1] — one uniform draw per
-    # (edge, level) decides (row bit, col bit).
+    # (edge, level) decides (row bit, col bit).  In place: one draw buffer
+    # and two bit buffers serve every level.
     t1, t2, t3 = params.a, params.a + params.b, params.a + params.b + params.c
+    u, row_bit, col_bit = np.empty(m), np.empty(m, dtype=bool), np.empty(m, dtype=bool)
     for _level in range(scale):
-        u = rng.random(m)
-        row_bit = (u >= t2).astype(np.int64)              # quadrants c, d
-        col_bit = ((u >= t1) & (u < t2) | (u >= t3)).astype(np.int64)  # b, d
-        rows = (rows << 1) | row_bit
-        cols = (cols << 1) | col_bit
+        rng.random(out=u)
+        np.greater_equal(u, t2, out=row_bit)              # quadrants c, d
+        rows <<= 1
+        rows |= row_bit
+        # quadrant b is t1 <= u < t2, i.e. (u >= t1) xor (u >= t2); d is u >= t3
+        np.greater_equal(u, t1, out=col_bit)
+        col_bit ^= row_bit
+        cols <<= 1
+        cols |= col_bit
+        np.greater_equal(u, t3, out=col_bit)
+        cols |= col_bit
+    del u, row_bit, col_bit
     coo = COO(n, n, rows, cols)  # dedup happens here
     if permute:
         from ..sparse.permute import randomly_permuted

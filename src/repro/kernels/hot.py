@@ -1,4 +1,4 @@
-"""The three dominant self-time loops as vectorized NumPy.
+"""The dominant self-time loops as vectorized NumPy.
 
 Each function is checked against a plain-Python loop oracle in
 ``tests/kernels/test_hot_parity.py``.
@@ -76,3 +76,26 @@ def pull_candidates(
     # a hit row stops short of its end by the edges after the hit
     read = (int(ends[-1]) if ends.size else 0) - int((ends[seg] - hits - 1).sum())
     return rows[seg], cols, root_of[cols], read
+
+
+def advance_cursor(row_ptr: np.ndarray, col_idx: np.ndarray, cursor: np.ndarray,
+                   rows: np.ndarray, taken: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Lookahead cursor: each row's first column not yet taken.
+
+    ``cursor`` (int64, one position per row into ``col_idx``, starting at
+    ``row_ptr[:-1]``) is advanced IN PLACE: for each of the distinct local
+    rows in ``rows`` it moves past every column ``c`` with ``taken[c]`` and
+    stops at the first one without.  Returns ``(rows, cols, read)``: one
+    (row, column) pair per row that still has an untaken column, rows in
+    input order, and the number of edges read — the ones skipped and the
+    one stopped at.  A column once taken stays taken, so over any sequence
+    of calls each edge is skipped at most once; on an adjacency sorted
+    ascending the column is the row's minimum untaken one."""
+    end, live, read = row_ptr[1:], rows, 0
+    while live.size:
+        live = live[cursor[live] < end[live]]
+        read += live.size
+        live = live[taken[col_idx[cursor[live]]]]
+        cursor[live] += 1
+    rows = rows[cursor[rows] < end[rows]]
+    return rows, col_idx[cursor[rows]], read

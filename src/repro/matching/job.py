@@ -63,8 +63,9 @@ class DistStats:
     #: rank that ran it — so ``edges_examined − (p−1)·tail_edges`` is the
     #: top-down count whichever phase a grid hands off at
     edges_examined: int = 0
-    #: edges the distributed initializer's explodes read, summed over the
-    #: ranks (its Step-1 reads are not in ``edges_examined``)
+    #: edges the distributed initializer read (greedy's cursor, the
+    #: degree-keyed policies' explodes), summed over the ranks (not in
+    #: ``edges_examined``)
     init_edges: int = 0
     #: the replicated serial tail (:func:`~repro.matching.mcm_dist.
     #: tail_is_cheaper`): the phases and iterations it ran, and the edges

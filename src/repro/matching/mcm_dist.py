@@ -130,6 +130,7 @@ from ..distmat.ops import (
     spmv_expanded,
 )
 from ..distmat.spmat import DistBlockMatrix, DistSparseMatrix
+from ..kernels import advance_cursor
 from ..perfmodel import EDISON
 from ..perfmodel.collectives import allgather
 from ..runtime import Window
@@ -192,7 +193,8 @@ def proposal_rounds_spmd(
 ) -> tuple[int, int]:
     """Round-synchronous maximal matching from the EMPTY matching, SPMD —
     the one round driver behind all three initializers.  Returns the global
-    number of pairs matched and the edges this rank's explodes read.
+    number of pairs matched and the edges this rank read: greedy's
+    lookahead cursor, the degree-keyed policies' explodes.
 
     Rank (i, j) replicates the free-row bitmap of row block i (identical
     along grid row i) and ``mate_cblk``, column block j's ``mate_c``
@@ -237,8 +239,14 @@ def proposal_rounds_spmd(
     ones_left = 0  # free residual degree-1 columns, grid-wide
     if degrees:
         degr, degc = (d.copy() for d in A.degree_blocks())
-    if degree_one_first:
-        ones_left = int(grid.rowcomm.allreduce(int((degc == 1).sum()), op=SUM))
+        if degree_one_first:
+            ones_left = int(grid.rowcomm.allreduce(int((degc == 1).sum()), op=SUM))
+    # greedy: each free row's proposal is its minimum free column, and a
+    # matched column stays matched, so one lookahead cursor per row into the
+    # row-major mirror replaces exploding the free columns (the degree-keyed
+    # policies read the mirror too, in their degree updates)
+    row_ptr, col_idx = blk.csr_mirror()
+    cursor = row_ptr[:-1].copy()
 
     def accept(arows, acols, accepts) -> int:
         free_r[arows - A.row_lo] = False
@@ -251,24 +259,29 @@ def proposal_rounds_spmd(
     unsent = (_EMPTY,) * 3
     total = edges = 0
     while True:
-        cols = np.flatnonzero(mate_cblk.local == NULL)
-        if degree_one_first:
-            # zero-degree columns can never match; leaving them out keeps the
-            # plain rounds to the columns Karp-Sipser still has to place
-            cols = cols[degc[cols] == 1] if ones_left else cols[degc[cols] > 0]
-
         # 1. propose, the last round's accepts riding along
-        gcols = cols + A.col_lo
-        # the first round explodes the whole block, the job's peak: keep no
-        # edge-sized array longer than needed (the roots repeat the keys,
-        # and the row offset waits for the reduced candidates)
-        lrows, key = blk.explode_cols(cols, gcols, gcols)[:2]
-        edges += lrows.size
-        open_row = free_r[lrows]
-        lrows, key = lrows[open_row], key[open_row]
-        if degree_keys:
-            key = key + degc[key - A.col_lo] * ncols
-        lrows, key = _best(lrows, key)
+        if degrees:
+            cols = np.flatnonzero(mate_cblk.local == NULL)
+            if degree_one_first:
+                # zero-degree columns can never match; leaving them out keeps
+                # the plain rounds to the columns Karp-Sipser still has to place
+                cols = cols[degc[cols] == 1] if ones_left else cols[degc[cols] > 0]
+            gcols = cols + A.col_lo
+            # keep no edge-sized array longer than needed (the roots repeat
+            # the keys, and the row offset waits for the reduced candidates)
+            lrows, key = blk.explode_cols(cols, gcols, gcols)[:2]
+            edges += lrows.size
+            open_row = free_r[lrows]
+            lrows, key = lrows[open_row], key[open_row]
+            if degree_keys:
+                key = key + degc[key - A.col_lo] * ncols
+            lrows, key = _best(lrows, key)
+        else:
+            lrows, key, read = advance_cursor(
+                row_ptr, col_idx, cursor, np.flatnonzero(free_r), mate_cblk.local != NULL
+            )
+            edges += read
+            key += A.col_lo
         pieces = allgather_arrays(grid.rowcomm, lrows + A.row_lo, key, *unsent)
         rows, key, *accepts = concat_pieces(pieces)
         if accepts[2].size:

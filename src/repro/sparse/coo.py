@@ -12,6 +12,30 @@ from __future__ import annotations
 import numpy as np
 
 
+def sorted_keys(nrows: int, ncols: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The edges' composite keys ``col·max(1, nrows) + row``, sorted.
+
+    Ascending keys are the edges in (column, row) order — what a lexsort
+    of ``(rows, cols)`` gives, in one in-place sort of a single int64 array.
+    :func:`decode_keys` turns them back into ``(rows, cols)``.  Duplicate
+    edges keep their multiplicity.  Raises ``ValueError`` for a
+    shape whose keys would not fit in int64 (nrows·ncols ≥ 2⁶³).
+    """
+    if int(nrows) * int(ncols) >= 1 << 63:
+        raise ValueError(f"{nrows} x {ncols} matrix: nrows*ncols >= 2**63 overflows its edge keys")
+    key = cols * max(1, nrows)
+    key += rows
+    key.sort()
+    return key
+
+
+def decode_keys(key: np.ndarray, nrows: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, cols)`` of :func:`sorted_keys`' output, in one divmod that
+    reuses ``key``'s buffer for the rows."""
+    cols = np.empty_like(key)
+    return np.divmod(key, max(1, nrows), out=(cols, key))[::-1]
+
+
 class COO:
     """A deduplicated, binary (pattern-only) coordinate matrix."""
 
@@ -33,16 +57,11 @@ class COO:
         self.ncols = int(ncols)
         if dedup and rows.size:
             # Sort by (col, row) and drop duplicate edges.
-            order = np.lexsort((rows, cols))
-            rows, cols = rows[order], cols[order]
-            # dead from here: free it before the compress below allocates
-            # two more nnz-sized arrays (one of them then reuses its slot)
-            del order
-            keep = np.empty(rows.size, dtype=bool)
+            key = sorted_keys(nrows, ncols, rows, cols)
+            keep = np.empty(key.size, dtype=bool)
             keep[0] = True
-            np.not_equal(rows[1:], rows[:-1], out=keep[1:])
-            keep[1:] |= cols[1:] != cols[:-1]
-            rows, cols = rows[keep], cols[keep]
+            np.not_equal(key[1:], key[:-1], out=keep[1:])
+            rows, cols = decode_keys(key[keep], nrows)
         self.rows = rows
         self.cols = cols
 
@@ -94,12 +113,10 @@ class COO:
             return NotImplemented
         if self.shape != other.shape or self.nnz != other.nnz:
             return False
-        a = np.lexsort((self.rows, self.cols))
-        b = np.lexsort((other.rows, other.cols))
-        return bool(
-            np.array_equal(self.rows[a], other.rows[b])
-            and np.array_equal(self.cols[a], other.cols[b])
-        )
+        return bool(np.array_equal(
+            sorted_keys(*self.shape, self.rows, self.cols),
+            sorted_keys(*other.shape, other.rows, other.cols),
+        ))
 
     # a mutable value type: equal matrices must not hash apart
     __hash__ = None  # type: ignore[assignment]

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..kernels import ragged_gather_flat
-from .coo import COO
+from .coo import COO, decode_keys, sorted_keys
 from .semiring import SR_MIN_PARENT, Semiring, reduce_candidates
 from .spvec import VertexFrontier
 
@@ -63,9 +63,7 @@ class CSC:
 
     @classmethod
     def from_coo(cls, coo: COO) -> "CSC":
-        order = np.lexsort((coo.rows, coo.cols))
-        rows = coo.rows[order]
-        cols = coo.cols[order]
+        rows, cols = decode_keys(sorted_keys(*coo.shape, coo.rows, coo.cols), coo.nrows)
         indptr = np.zeros(coo.ncols + 1, dtype=np.int64)
         np.cumsum(np.bincount(cols, minlength=coo.ncols), out=indptr[1:])
         return cls(coo.nrows, coo.ncols, indptr, rows)

@@ -21,7 +21,10 @@ block's rows plus column ids sorted ascending within each row.  The mirror
 and the block's row-degree vector are built lazily on first use and cached,
 so a pull pays no per-iteration rebuild.  The mirror costs O(block nrows +
 nnz) words, the same order as the dense frontier bitmap the bottom-up step
-replicates.
+replicates.  MCM-DIST's greedy initializer reads its proposals through the
+mirror too (one lookahead cursor per row), so under the default ``init``
+every rank builds it before the first phase — on a block no pull would
+have touched, like the road core's, about nnz/p words more per rank.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..kernels import pull_candidates
-from .coo import COO
+from .coo import COO, decode_keys, sorted_keys
 from .csc import ragged_gather
 
 
@@ -64,15 +67,11 @@ class DCSC:
 
     @classmethod
     def from_coo(cls, coo: COO) -> "DCSC":
-        if coo.nnz == 0:
-            z = np.empty(0, np.int64)
-            return cls(coo.nrows, coo.ncols, z, np.zeros(1, np.int64), z.copy())
-        order = np.lexsort((coo.rows, coo.cols))
-        rows = coo.rows[order]
-        cols = coo.cols[order]
-        jc, counts = np.unique(cols, return_counts=True)
-        cp = np.zeros(jc.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=cp[1:])
+        rows, cols = decode_keys(sorted_keys(*coo.shape, coo.rows, coo.cols), coo.nrows)
+        # cols ascend: a column starts wherever it differs from its left
+        starts = np.ones(cols.size + 1, dtype=bool)
+        np.not_equal(cols[1:], cols[:-1], out=starts[1:-1])
+        jc, cp = cols[starts[:-1]], np.flatnonzero(starts)
         return cls(coo.nrows, coo.ncols, jc, cp, rows)
 
     def to_coo(self) -> COO:
@@ -113,20 +112,19 @@ class DCSC:
         the bottom-up pull scans arbitrary unvisited-row subsets, so sparse
         row compression would only add a search per lookup); ``col_idx``
         holds LOCAL column ids, ascending within each row.  Built lazily in
-        one sort of the composite key ``row * ncols + column`` and the
-        cached row degrees, then reused by every bottom-up SpMV — no
-        per-iteration rebuild.
+        one sort of the composite key ``row * ncols + column``
+        (:func:`~repro.sparse.coo.sorted_keys` of the transpose) and the
+        cached row degrees, then reused by every bottom-up SpMV and by
+        greedy's cursor — no per-iteration rebuild.
         """
         if self._csr is None:
             row_ptr = np.zeros(self.nrows + 1, dtype=np.int64)
             np.cumsum(self.row_degrees(), out=row_ptr[1:])
-            width = max(1, self.ncols)
-            key = self.ir * width
-            key += np.repeat(self.jc, np.diff(self.cp))
-            key.sort()
-            # in place: every rank builds its mirror at its first pull, often
-            # all in the same iteration, so a second nnz-word array adds up
-            self._csr = (row_ptr, np.remainder(key, width, out=key))
+            # Aᵀ's column-major key is A's row-major one, row·ncols + column
+            key = sorted_keys(self.ncols, self.nrows, np.repeat(self.jc, np.diff(self.cp)), self.ir)
+            # in place: every rank builds its mirror at once (greedy's start,
+            # or its first pull), so a second nnz-word array adds up
+            self._csr = (row_ptr, np.remainder(key, max(1, self.ncols), out=key))
         return self._csr
 
     def explode_rows(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

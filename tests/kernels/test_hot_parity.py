@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.kernels import keyed_min_scatter, pull_candidates, ragged_gather_flat
+from repro.kernels import advance_cursor, keyed_min_scatter, pull_candidates, ragged_gather_flat
 
 SEEDS = [0, 1, 2, 3]
 _I64_MAX = np.iinfo(np.int64).max
@@ -45,6 +45,22 @@ def _pull_candidates_loop(row_ptr, col_idx, rows, root_of, null):
                 break
     arrays = tuple(np.array(a, dtype=np.int64) for a in zip(*out)) if out else (
         (np.empty(0, dtype=np.int64),) * 3
+    )
+    return (*arrays, read)
+
+
+def _advance_cursor_loop(row_ptr, col_idx, cursor, rows, taken):
+    out, read = [], 0
+    for r in rows:
+        while cursor[r] < row_ptr[r + 1]:
+            read += 1
+            c = col_idx[cursor[r]]
+            if not taken[c]:
+                out.append((r, c))
+                break
+            cursor[r] += 1
+    arrays = tuple(np.array(a, dtype=np.int64) for a in zip(*out)) if out else (
+        (np.empty(0, dtype=np.int64),) * 2
     )
     return (*arrays, read)
 
@@ -160,3 +176,42 @@ def test_pull_candidates_stops_at_each_rows_first_hit():
     empty = np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64)
     nothing = np.empty(0, dtype=np.int64)
     _assert_same(pull_candidates(*empty, nothing, root_of, -1), (nothing,) * 3 + (0,))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_advance_cursor_matches_reference(seed):
+    """Calls over a growing taken set, as the greedy rounds make them: the
+    results, the reads and the cursors must agree after every call."""
+    rng = np.random.default_rng(seed + 300)
+    nrows, ncols = 40, 30
+    row_ptr, col_idx = _random_csc(rng, nrows, ncols, 0.15)
+    got_cursor, ref_cursor = row_ptr[:-1].copy(), row_ptr[:-1].copy()
+    taken = np.zeros(ncols, dtype=bool)
+    reads = 0
+    for _ in range(8):
+        rows = np.flatnonzero(rng.random(nrows) < 0.7)
+        got = advance_cursor(row_ptr, col_idx, got_cursor, rows, taken)
+        ref = _advance_cursor_loop(row_ptr, col_idx, ref_cursor, rows, taken)
+        _assert_same(got, ref)
+        np.testing.assert_array_equal(got_cursor, ref_cursor)
+        reads += got[2]
+        taken |= rng.random(ncols) < 0.2
+    assert taken.any() and reads > 0
+
+
+def test_advance_cursor_skips_taken_columns_once():
+    """Row 0 is empty; row 1 skips two taken columns and stops at its
+    third; row 2 runs out of columns; row 3 stops at its first."""
+    row_ptr = np.array([0, 0, 4, 6, 7], dtype=np.int64)
+    col_idx = np.array([0, 1, 3, 4, 0, 1, 2], dtype=np.int64)
+    taken = np.array([True, True, False, False, False])
+    cursor = row_ptr[:-1].copy()
+    rows = np.arange(4, dtype=np.int64)
+    got = advance_cursor(row_ptr, col_idx, cursor, rows, taken)
+    _assert_same(got, ([1, 3], [3, 2], 3 + 2 + 1))
+    np.testing.assert_array_equal(cursor, [0, 2, 6, 6])
+    # nothing newly taken: each live row reads its stop column again
+    _assert_same(advance_cursor(row_ptr, col_idx, cursor, rows, taken), ([1, 3], [3, 2], 2))
+    # no rows asked for
+    nothing = np.empty(0, dtype=np.int64)
+    _assert_same(advance_cursor(row_ptr, col_idx, cursor, nothing, taken), (nothing,) * 2 + (0,))

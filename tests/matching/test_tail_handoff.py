@@ -19,6 +19,7 @@ import pytest
 
 from repro.graphs import suite
 from repro.graphs.rmat import er
+from repro.kernels import advance_cursor
 from repro.matching import mcm_dist
 from repro.matching.mcm_dist import _mcm_rank_main, run_mcm_dist, tail_is_cheaper
 from repro.perfmodel.collectives import msbfs_iteration
@@ -137,6 +138,8 @@ def test_a_crash_in_the_tail_restarts_from_the_handoff_snapshot(backend):
 
 @pytest.mark.parametrize("init", ["greedy", "mindegree", "karp-sipser", "none"])
 def test_init_edges_are_the_initializers_explodes(monkeypatch, init):
+    # the degree-keyed policies explode; greedy reads through its lookahead
+    # cursor, whose reads are counted instead
     inside, sizes = threading.local(), []
     rounds = mcm_dist.proposal_rounds_spmd
 
@@ -148,16 +151,22 @@ def test_init_edges_are_the_initializers_explodes(monkeypatch, init):
             inside.on = False
 
     def counted(method, pick):
-        def explode(self, *args):
-            out = method(self, *args)
+        def explode(*args):
+            out = method(*args)
             if getattr(inside, "on", False):
                 sizes.append(out[pick].size)
             return out
         return explode
 
+    def cursor(*args):
+        out = advance_cursor(*args)
+        sizes.append(out[2])
+        return out
+
     monkeypatch.setattr(mcm_dist, "proposal_rounds_spmd", traced)
     monkeypatch.setattr(DCSC, "explode_cols", counted(DCSC.explode_cols, 0))
     monkeypatch.setattr(DCSC, "explode_rows", counted(DCSC.explode_rows, 1))
+    monkeypatch.setattr(mcm_dist, "advance_cursor", cursor)
     stats = run_mcm_dist(er(6, seed=1), 2, 2, init=init, backend="thread", timeout=60)[2]
     assert stats.init_edges == sum(sizes)
     assert (stats.init_edges > 0) == (init != "none")
