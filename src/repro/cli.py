@@ -205,9 +205,10 @@ def cmd_spmd(args) -> int:
               f"{stats.edges_examined:,} edges examined, words "
               f"expand/fold/total = {stats.expand_words:,}/{stats.fold_words:,}/"
               f"{stats.total_words:,}")
-        if stats.tail_phases:
-            print(f"serial tail: the last {stats.tail_phases} phase(s) on every rank, "
-                  f"{stats.tail_edges:,} edges examined on each")
+    if stats.tail_phases:
+        rounds = f" ({stats.tail_rounds} auction round(s))" if weighted else ""
+        print(f"serial tail: the last {stats.tail_phases} phase(s){rounds} on every rank, "
+              f"{stats.tail_edges:,} edges examined on each")
     if args.verify:
         vs = stats.verify_summary or {}
         print(f"verification: PASSED — {vs.get('collectives_checked', 0):,} "

@@ -42,7 +42,11 @@ the distributed engine (:mod:`repro.matching.mwm_dist`):
 * :func:`compute_bids` — the Bertsekas bid from combined (best, second);
 * :func:`resolve_bids` — per-item max-bid resolution (the column-wise
   max-reduce), riding :func:`repro.sparse.semiring.reduce_candidates`
-  with float keys.
+  with float keys;
+* :func:`auction_phase_loop` — the whole serial round/ladder loop over an
+  :class:`AuctionState`, resumable between any two rounds: the serial twin
+  runs it from the first round, MWM-DIST's tail on every rank from the round it
+  handed off at.
 
 Because every kernel is deterministic (profit ties break to the smallest
 row id, bid ties to the smallest bidder id) and all bids of one round are
@@ -55,6 +59,7 @@ aggregation setting.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -123,10 +128,11 @@ def certify(
 def better_matching(m1: tuple, m2: tuple, bias_add: float) -> tuple:
     """The better of the two G-matchings an assignment picked.
 
-    Each candidate is ``(rows, cols, weights)`` in its canonical order —
-    M1 by row, M2 by column, on every rank and in the serial twin — so the
-    float sums, and hence the choice, are bit-identical everywhere.  Pairs
-    of non-positive weight (dummy-backed included) are dropped.  Returns
+    Each candidate is ``(rows, cols, weights)`` in any order: they are
+    summed in their canonical order — M1 by row, M2 by column, whichever
+    rank or grid gathered them, and in the serial twin — so the float
+    sums, and hence the choice, are bit-identical everywhere.  Pairs of
+    non-positive weight (dummy-backed included) are dropped.  Returns
     ``(rows, cols, weight, lower)``: the heavier matching by original
     weight, and L, the larger EFFECTIVE weight ``Σ(w + bias_add)`` of the
     two over their pairs of positive effective weight — a real matching's,
@@ -135,7 +141,9 @@ def better_matching(m1: tuple, m2: tuple, bias_add: float) -> tuple:
     ``w <= 0 < w + bias_add`` is dropped from the result but counts in L).
     """
     kept, lower = [], 0.0
-    for rows, cols, w in (m1, m2):
+    for (rows, cols, w), key in ((m1, 0), (m2, 1)):
+        order = np.argsort((rows, cols)[key])
+        rows, cols, w = rows[order], cols[order], w[order]
         pos = w > 0.0
         kept.append((rows[pos], cols[pos], float(w[pos].sum())))
         eff = w + bias_add
@@ -151,12 +159,11 @@ def dedup_edges(
 
     An auction can only ever transact an (i, j) pair at its best weight —
     lighter duplicates change no bid and no price — but they WOULD corrupt
-    the bookkeeping around them: the searchsorted in
-    :func:`lookup_pair_weights` assumes strictly increasing (col, row)
-    keys, and the distributed extraction sums ``w_orig`` over every local
-    nonzero flagged as matched, counting each duplicate once.  Both entry
-    points therefore dedup through this one kernel, keeping the serial
-    twin and the distributed engine bit-identical on multigraph inputs.
+    the bookkeeping around them: both extractions sum ``w_orig`` over
+    every nonzero flagged as matched, counting each duplicate once.  Both
+    entry points therefore dedup through this one kernel, keeping the
+    serial twin and the distributed engine bit-identical on multigraph
+    inputs.
     """
     rows = np.asarray(rows, np.int64)
     cols = np.asarray(cols, np.int64)
@@ -378,47 +385,96 @@ def build_csc(
     return (cp, rows, *(np.asarray(v, np.float64)[order] for v in vals))
 
 
-def lookup_pair_weights(
-    n1: int,
-    cp: np.ndarray,
-    ir: np.ndarray,
-    w: np.ndarray,
-    qrows: np.ndarray,
-    qcols: np.ndarray,
-) -> np.ndarray:
-    """Weights of query edges ``(qrows[k], qcols[k])`` against a CSC graph
-    (0.0 for absent edges).  The CSC's (col, row)-sorted order makes the
-    composite key ``col * (n1 + 1) + row`` strictly increasing, so one
-    vectorized searchsorted answers every query."""
-    if ir.size == 0 or qrows.size == 0:
-        return np.zeros(qrows.size)
-    stride = np.int64(n1 + 1)
-    cols_e = np.repeat(np.arange(cp.size - 1, dtype=np.int64), np.diff(cp))
-    keys = cols_e * stride + ir
-    q = np.asarray(qcols, np.int64) * stride + np.asarray(qrows, np.int64)
-    pos = np.searchsorted(keys, q)
-    out = np.zeros(q.size)
-    inb = pos < keys.size
-    hit = np.flatnonzero(inb)
-    hit = hit[keys[pos[hit]] == q[hit]]
-    out[hit] = w[pos[hit]]
-    return out
+@dataclass
+class AuctionState:
+    """A serial auction between two rounds — what :func:`auction_phase_loop`
+    resumes and leaves behind: the doubled graph's item ``prices`` and
+    ``mate_item`` (item → bidder, NULL while unowned; the bidder side is its
+    inverse), the running rung ``delta`` (None once the ladder is done) and
+    L, the counters (``edges``: the edges the top-2 scans read, bids and
+    certificates alike; ``phases``: the phases the loop entered), one
+    ``ladder`` entry per finished phase (its increment, L after it and its
+    certificate ratio), and the last extraction ``pick`` = (rows, cols,
+    weight, L, D, ratio, certified)."""
+
+    prices: np.ndarray
+    mate_item: np.ndarray
+    delta: "float | None"
+    lower: float = 0.0
+    rounds: int = 0
+    bids: int = 0
+    price_updates: int = 0
+    edges: int = 0
+    phases: int = 0
+    ladder: list = field(default_factory=list)
+    pick: tuple = ()
 
 
-def extract_matchings(
-    n1: int, n2: int, mate_item: np.ndarray
-) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Split a doubled-graph perfect matching into its two G-matchings.
-
-    ``mate_item[g]`` is the bidder matched to item ``g`` of G'.  Returns
-    ``((rows1, cols1), (rows2, cols2))``: the real-block pairs (item < n1
-    matched to a bidder < n2) and the transpose-block pairs, both sorted
-    by the item index that produced them — the canonical order every rank
-    and grid shape reproduces identically.
-    """
-    m1 = np.flatnonzero((mate_item[:n1] != NULL) & (mate_item[:n1] < n2))
-    pairs1 = (m1, mate_item[m1])
-    tr = mate_item[n1:n1 + n2]
-    m2 = np.flatnonzero(tr >= n2)
-    pairs2 = (tr[m2] - np.int64(n2), m2)
-    return pairs1, pairs2
+def auction_phase_loop(
+    n1: int, n2: int, rows: np.ndarray, cols: np.ndarray, weights: np.ndarray,
+    st: AuctionState, *, bias_add: float, scale_eff: float, epsilon: float,
+    fresh: bool = True, on_phase=None,
+) -> None:
+    """Run ``st``'s auction on the deduped ``n1 × n2`` graph
+    ``(rows, cols, weights)`` until the ε-ladder ends, in place: Jacobi
+    rounds until the assignment is perfect, then the phase's extraction and
+    certificate, then the next rung.  Each phase restarts the assignment
+    (prices persist: sound for PERFECT assignment, the price sums cancel in
+    the bound) — except the first when ``fresh`` is False, which finishes
+    the assignment ``st`` holds (MWM-DIST's tail takes a phase over mid-way).
+    ``on_phase(n)``, when given, runs as the loop starts its n-th phase."""
+    # every rank of MWM-DIST's tail holds its own copy, so keep only the CSC,
+    # and at zero bias one array for both weights (they are equal)
+    N, dr, dc, dweff, dworig = double_for_assignment(n1, n2, rows, cols, weights, bias_add)
+    cp, ir, weff, *worig = build_csc(N, N, dr, dc, dweff, *([dworig] if bias_add else []))
+    worig = worig[0] if worig else weff
+    dr = dc = dweff = dworig = None
+    sec_floor = -(scale_eff + 1.0)
+    mate_bidder = np.full(N, NULL, dtype=np.int64)
+    owned = np.flatnonzero(st.mate_item != NULL)
+    mate_bidder[st.mate_item[owned]] = owned
+    while st.delta is not None:
+        if fresh:
+            st.phases += 1
+            if on_phase is not None:
+                on_phase(st.phases)
+            st.mate_item.fill(NULL)
+            mate_bidder.fill(NULL)
+        fresh = True
+        while True:
+            bidders = np.flatnonzero(mate_bidder == NULL)
+            if bidders.size == 0:
+                break  # perfect assignment reached: phase done
+            if st.rounds >= MAX_ROUNDS:
+                raise RuntimeError(f"auction exceeded {MAX_ROUNDS} rounds")
+            kcols, best, brow, bw, second = top2_cols(cp, ir, weff, bidders, st.prices)
+            bids = compute_bids(best, bw, second, st.delta, sec_floor)
+            ridx, wbid, winner = resolve_bids(brow, bids, kcols)
+            prev = st.mate_item[ridx]
+            mate_bidder[prev[prev != NULL]] = NULL
+            st.mate_item[ridx] = winner
+            mate_bidder[winner] = ridx
+            st.prices[ridx] = wbid
+            st.rounds += 1
+            st.bids += int(bidders.size)
+            st.price_updates += int(ridx.size)
+            st.edges += int((cp[bidders + 1] - cp[bidders]).sum())
+        # every phase's assignment is extracted and certified: a certified
+        # phase is the last, and an uncertified one's weight may raise L.
+        # The assignment's edges in the real block are one G-matching, its
+        # edges in the transpose block (mapped back) the other
+        gcols = np.repeat(np.arange(N, dtype=np.int64), np.diff(cp))
+        hit = st.mate_item[ir] == gcols
+        m1, m2 = hit & (ir < n1) & (gcols < n2), hit & (ir >= n1) & (gcols >= n2)
+        rr, cc, weight, phase_lower = better_matching(
+            (ir[m1], gcols[m1], worig[m1]), (gcols[m2] - n2, ir[m2] - n1, worig[m2]), bias_add)
+        # every bidder's best profit, the certificate's (each column holds
+        # its dummy edge, so no segment is empty): top2_cols's best, without
+        # its sort
+        profits = np.maximum.reduceat(weff - st.prices[ir], cp[:-1])
+        st.edges += ir.size
+        certificate = certify(st.prices, profits, phase_lower, epsilon)
+        st.lower = max(st.lower, phase_lower)
+        st.ladder.append((st.delta, st.lower, certificate[1]))
+        st.pick = (rr, cc, weight, phase_lower, *certificate)
+        st.delta = next_delta(st.delta, scale_eff, st.lower, N, epsilon, certificate[2])

@@ -8,6 +8,8 @@ here once:
 * :class:`DistStats` — the counters a job reports;
 * :func:`phase_boundary` — progress marker, per-phase ledger and
   phase-boundary crash point;
+* :func:`tail_is_cheaper` — the priced rule that hands a job's thin end
+  to a serial solve replicated on every rank;
 * :func:`save_checkpoint` — the single-writer, barrier-closed snapshot write;
 * :func:`reduce_totals` / :func:`gather_totals` — the job's ONE closing
   collective (an allreduce, or an allgather that also assembles results);
@@ -27,6 +29,8 @@ from typing import Any, Callable
 import numpy as np
 
 from ..distmat.grid import ProcGrid
+from ..perfmodel import EDISON
+from ..perfmodel.collectives import allgather
 from ..runtime import (
     RECOVERABLE_ERRORS,
     SUM,
@@ -58,20 +62,23 @@ class DistStats:
     #: iteration is a top-down one on every rank)
     topdown_steps: int = 0
     bottomup_steps: int = 0
-    #: edges the chosen directions examined across all Step-1 SpMVs, summed
-    #: over the ranks: each block's own, then the serial tail's on every
-    #: rank that ran it — so ``edges_examined − (p−1)·tail_edges`` is the
-    #: top-down count whichever phase a grid hands off at
+    #: edges the chosen directions examined across all Step-1 SpMVs (an
+    #: auction's: every top-2 scan, bids and certificates), summed over the
+    #: ranks: each block's own, then the serial tail's on every rank that
+    #: ran it — so ``edges_examined − (p−1)·tail_edges`` is the top-down
+    #: (the serial twin's) count whichever phase (round) a grid hands off at
     edges_examined: int = 0
     #: edges the distributed initializer read (greedy's cursor, the
     #: degree-keyed policies' explodes), summed over the ranks (not in
     #: ``edges_examined``)
     init_edges: int = 0
-    #: the replicated serial tail (:func:`~repro.matching.mcm_dist.
-    #: tail_is_cheaper`): the phases and iterations it ran, and the edges
-    #: ONE copy of it read (zero for a job that never handed off)
+    #: the replicated serial tail (:func:`tail_is_cheaper`): the phases it
+    #: ran (MWM-DIST's count the one it took over mid-way), MCM-DIST's BFS
+    #: iterations and MWM-DIST's auction rounds in it, and the edges ONE
+    #: copy of it read (zero for a job that never handed off)
     tail_phases: int = 0
     tail_iterations: int = 0
+    tail_rounds: int = 0
     tail_edges: int = 0
     #: grid-wide words on the column / row communicators, and on every
     #: communicator combined, over the whole job
@@ -177,6 +184,23 @@ def phase_boundary(
         except RankKilledError:
             fabric.note_progress("phase", phase_no)  # the phase it died in
             raise
+
+
+def tail_is_cheaper(steps: int, p: int, words: int, nnz: int) -> bool:
+    """The tail hand-off, priced at EDISON's α, β and γ alone: finish the
+    job on a serial solve replicated on all ``p`` ranks iff the work just
+    done — ``steps`` latency steps on a rank's ledger, since the phase
+    began — cost more than one grid allgather of ``words`` words plus
+    reading all ``nnz`` edges once.  MCM-DIST asks after every phase: a
+    top-down serial phase reads each edge at most once, so m serial phases
+    cost at most the gather plus m·γ·nnz, and when no later distributed
+    phase is cheaper than this one the switch never loses.  MWM-DIST asks
+    after every auction round (its thin tail is rounds, not phases).
+    One-sided ops are not on the ledger, so the rule fires no earlier than
+    a fully priced one would; a 1x1 grid's ledger holds no step, so it
+    never fires there."""
+    gather = allgather(p, EDISON.alpha, EDISON.beta, words)
+    return EDISON.alpha * steps > gather + EDISON.gamma * nnz
 
 
 def save_checkpoint(

@@ -131,8 +131,6 @@ from ..distmat.ops import (
 )
 from ..distmat.spmat import DistBlockMatrix, DistSparseMatrix
 from ..kernels import advance_cursor
-from ..perfmodel import EDISON
-from ..perfmodel.collectives import allgather
 from ..runtime import Window
 from ..runtime.checkpoint import Checkpoint, CheckpointStore
 from ..runtime.comm import SUM, Communicator
@@ -151,6 +149,7 @@ from .job import (
     phase_boundary,
     save_checkpoint,
     snapshot_ledger,
+    tail_is_cheaper,
 )
 from .msbfs import MatchingStats, mcm_phase_loop
 
@@ -505,21 +504,6 @@ def pull_is_cheaper(td: int, nnz: int, degrees: np.ndarray, unseen: np.ndarray) 
     it without E.  Computed as Σ min(degree·td, nnz) < td², in integers."""
     return np.count_nonzero(unseen) < td and (
         int(np.minimum(degrees[unseen] * td, nnz).sum()) < td * td)
-
-
-def tail_is_cheaper(steps: int, p: int, words: int, nnz: int) -> bool:
-    """The tail hand-off, priced at EDISON's α, β and γ alone: finish the
-    job on a serial solve replicated on all ``p`` ranks iff the phase just
-    done — ``steps`` latency steps on a rank's ledger — cost more than one
-    grid allgather of ``words`` words plus reading all ``nnz`` edges once.
-    A top-down serial phase reads each edge at most once, so m serial
-    phases cost at most the gather plus m·γ·nnz: when no later distributed
-    phase is cheaper than this one, the switch never loses.  One-sided
-    ops are not on the ledger, so the rule fires no earlier than a fully
-    priced one would; a 1x1 grid's ledger holds no step, so it never
-    fires there."""
-    gather = allgather(p, EDISON.alpha, EDISON.beta, words)
-    return EDISON.alpha * steps > gather + EDISON.gamma * nnz
 
 
 def _global_csc(A: DistBlockMatrix, pieces: list) -> CSC:

@@ -12,7 +12,7 @@ the √p-rank row and column communicators (the paper's §IV lesson): rank
 identical on the pc ranks of grid row i — and the free-bidder bitmap of
 column block j — identical on the pr ranks of grid column j.  That is
 O(N/pr + N/pc) words per rank on top of the matrix block.  One bidding
-round is then three packed allgathers and nothing else:
+round is then three packed allgathers:
 
 1. **bid** (grid column) — every rank runs the (select, +)-semiring block
    kernel :func:`~repro.matching.auction.top2_cols` on the free bidders
@@ -43,10 +43,23 @@ run stops at the first phase whose certificate proves ``L >= (1-ε)·D/2``
 floor that does not certify is an engine bug and raises
 :class:`CertificateError`.
 
+An auction's last rounds are thin — a handful of bidders, all latency —
+so the round boundary is also where the job may leave the grid (the
+paper's gather onto one node, §VI-E): once the phase's latency steps so
+far cost more than one grid allgather of the graph and state plus one
+read of every edge (:func:`~repro.matching.job.tail_is_cheaper`, MCM-DIST's
+rule), one grid allgather hands every rank rank 0's deduped edge list,
+the item→bidder map and the prices, and each finishes the phase and the
+later ones alone on the serial twin's loop
+(:func:`~repro.matching.auction.auction_phase_loop`; ``stats.tail_*``).
+Every top-2 scan's reads are counted into ``edges_examined``, the tail's
+on every rank that ran it.
+
 All bids of a round are computed against the same round-start prices
 (Jacobi), and every tie-break is by smallest id, so the mate vectors are
 bit-identical to :func:`repro.matching.reference.auction_twin.auction_mwm_serial`
-on every grid shape and backend, under either physical collective plan.
+on every grid shape and backend, under either physical collective plan,
+whichever round the job hands off at.
 
 Launch, recovery, the checkpoint write and the closing ledger are the job
 shell the cardinality engine uses too (:mod:`repro.matching.job`); the
@@ -73,6 +86,8 @@ from ..sparse.coo import COO
 from ..sparse.spvec import NULL
 from .auction import (
     MAX_ROUNDS,
+    AuctionState,
+    auction_phase_loop,
     better_matching,
     build_csc,
     certify,
@@ -87,10 +102,12 @@ from .auction import (
 from .job import (
     DistStats,
     launch,
+    ledger_totals,
     phase_boundary,
     reduce_totals,
     save_checkpoint,
     snapshot_ledger,
+    tail_is_cheaper,
 )
 
 
@@ -142,10 +159,11 @@ def _extract(
     The certificate's own leg is one bid over ALL bidders at the final
     prices, down the grid column: every rank learns π of its column block.
     Two grid allgathers then bring every matched pair of each weight block
-    to every rank; pairs are sorted into the canonical item-index order the
-    twin enumerates (M1 by row, M2 by column), so the float weight sums —
-    hence the choice and L — are grid-invariant and bit-identical to the
-    serial twin's.  The first also carries the price and profit shares (row
+    to every rank, which :func:`~repro.matching.auction.better_matching`
+    sums in the canonical item-index order the twin does (M1 by row, M2 by
+    column), so the float weight sums — hence the choice and L — are
+    grid-invariant and bit-identical to the serial twin's.  The first also
+    carries the price and profit shares (row
     block i from grid column 0, column block j from grid row 0: each once;
     ``fsum`` makes D order-free) and each rank's ``worst`` triple (slack,
     bidder, rank) of its assignment pairs, for a certificate that fails.
@@ -166,11 +184,7 @@ def _extract(
         profit_blk if grid.i == 0 else profit_blk[:0], worst))
     p2 = concat_pieces(allgather_arrays(
         grid.comm, gcols[m2] - np.int64(n2), grows[m2] - np.int64(n1), w_orig[m2]))
-    cand = []
-    for pair, key in ((p1, 0), (p2, 1)):
-        order = np.argsort(pair[key])
-        cand.append(tuple(a[order] for a in pair))
-    rows, cols, weight, lower = better_matching(*cand, bias_add)
+    rows, cols, weight, lower = better_matching(p1, p2, bias_add)
     return rows, cols, weight, lower, *certify(prices, profits, lower, epsilon), worst
 
 
@@ -195,9 +209,14 @@ def mwm_dist_spmd(
     ``weight >= (1 - epsilon) * OPT`` over positive weights;
     ``stats.matching_weight`` carries the objective and
     ``stats.auction_prices`` the final doubled-graph prices (for ε-CS
-    assertions).  ``cardinality_bias`` trades weight for cardinality by
-    shifting real edges against the zero-weight dummy diagonal (>= 1
-    makes any real edge beat going unmatched).
+    assertions).  After every round :func:`~repro.matching.job.
+    tail_is_cheaper` prices the phase's latency so far against gathering
+    the graph; once it fires, every rank finishes on the serial twin's
+    loop (``stats.tail_*``).  A crash inside that tail restarts from the
+    last completed phase's snapshot (the hand-off writes none), and the
+    replay hands off at the same round.  ``cardinality_bias`` trades weight
+    for cardinality by shifting real edges against the zero-weight dummy
+    diagonal (>= 1 makes any real edge beat going unmatched).
     """
     grid = ProcGrid(comm, pr, pc)
     stats = DistStats()
@@ -205,6 +224,9 @@ def mwm_dist_spmd(
 
     # -- problem setup: root doubles the graph, every rank derives the
     # identical ladder from the broadcast header ---------------------------------
+    # rank 0's deduped edge list, kept for the tail hand-off (empty elsewhere)
+    e_rows = e_cols = np.empty(0, np.int64)
+    w_in = np.empty(0)
     if comm.rank == 0:
         assert coo_on_root is not None and weights_on_root is not None
         n1, n2 = coo_on_root.nrows, coo_on_root.ncols
@@ -225,17 +247,18 @@ def mwm_dist_spmd(
     sec_floor = -(scale_eff + 1.0)
 
     if comm.rank == 0:
-        N, dr, dc, dweff, dworig = double_for_assignment(
-            n1, n2, e_rows, e_cols, w_in, bias_add
-        )
+        N, *doubled = double_for_assignment(n1, n2, e_rows, e_cols, w_in, bias_add)
         # groups are disjoint by construction
-        edges = (COO(N, N, dr, dc, dedup=False), dweff, dworig)
+        edges = (COO(N, N, *doubled[:2], dedup=False), *doubled[2:])
     else:
         edges = (None,)
     # A is the block geometry; the block itself is four local CSC arrays:
     # bids go by the effective weights, matchings are scored by the original
     A, rows, cols, w_eff, w_orig = scatter_edges(grid, *edges)
     cp, ir, w_eff, w_orig = build_csc(*A.block_shape, rows, cols, w_eff, w_orig)
+    # the set-up copies are dead: none is held through the auction (nor
+    # through the tail, whose copy of the graph every rank holds)
+    edges = doubled = rows = cols = None
     gcols = np.repeat(np.arange(A.col_lo, A.col_hi, dtype=np.int64), np.diff(cp))
     N = A.nrows
 
@@ -259,8 +282,12 @@ def mwm_dist_spmd(
         # phase-0 snapshot: uniform restart bookkeeping with the MCM engine
         _checkpoint(grid, checkpoint_store, 0, owner_blk, price_blk, delta, lower, stats)
 
-    rounds = bids = updates_row = 0
+    rounds = bids = updates_row = edges_local = 0
     pick = None
+    # the hand-off's words at most: rank 0's m deduped edges as (row, col,
+    # weight) triples — the doubled graph holds 2m + N — the N items and
+    # prices, and every rank's pack header
+    tail, handoff_words = False, 3 * (A.nnz - N) // 2 + 2 * N + 3 * grid.nprocs
     while delta is not None:
         phase_no += 1
         phase_boundary(grid, stats, phase_no)
@@ -270,7 +297,7 @@ def mwm_dist_spmd(
             owner_blk.fill(NULL)
             free_blk.fill(True)
             active = N  # free bidders grid-wide; every rank tracks it exactly
-            while active:
+            while active and not tail:
                 if rounds >= MAX_ROUNDS:
                     raise RuntimeError(f"auction exceeded {MAX_ROUNDS} rounds")
                 rounds += 1
@@ -279,9 +306,9 @@ def mwm_dist_spmd(
                     with tspan(grid.comm, "bid"):
                         # per-bidder (best, second) profits over THIS block,
                         # shipped under global ids
-                        bc, best, brow, bw, second = top2_cols(
-                            cp, ir, w_eff, np.flatnonzero(free_blk), price_blk
-                        )
+                        fb = np.flatnonzero(free_blk)
+                        bc, best, brow, bw, second = top2_cols(cp, ir, w_eff, fb, price_blk)
+                        edges_local += int((cp[fb + 1] - cp[fb]).sum())
                         pieces = allgather_arrays(
                             grid.colcomm, bc + A.col_lo, best, brow + A.row_lo, bw, second
                         )
@@ -310,10 +337,20 @@ def mwm_dist_spmd(
                             free_blk[won_k - A.col_lo] = False
                             free_blk[lost_k - A.col_lo] = True
                             active -= int(fresh_k[0])
+                # the round boundary: once the phase's latency so far
+                # outprices gathering the graph, every rank finishes alone.
+                # The phase's steps are the same on every rank (its
+                # collectives are row/column allgathers), so all decide alike
+                tail = tail_is_cheaper(
+                    ledger_totals(grid)[0] - stats.phase_ledger[phase_no][0],
+                    grid.nprocs, handoff_words, A.nnz)
+            if tail:
+                break
             # every phase's assignment is extracted and certified: a
             # certified phase is the last, and an uncertified one may raise L
             pick = _extract(grid, A, cp, ir, gcols, w_eff, w_orig, owner_blk, price_blk,
                             n1, n2, bias_add, epsilon)
+            edges_local += ir.size
             lower = max(lower, pick[3])
             delta = next_delta(delta, scale_eff, lower, N, epsilon, pick[6])
             if delta is None and not pick[6]:
@@ -331,9 +368,35 @@ def mwm_dist_spmd(
             ):
                 _checkpoint(grid, checkpoint_store, phase_no, owner_blk, price_blk,
                             delta, lower, stats)
-    if pick is None:  # no phase ran: no positive weight, or resumed past the last
+    if tail:
+        # the tail: one grid allgather hands every rank rank 0's edge list and
+        # the auction state (row block i's items and prices from grid column
+        # 0), and each finishes this phase and the later ones alone on the
+        # serial twin's loop — its reads counted on every rank that reads them
+        with tspan(grid.comm, "tail", cat="phase", phase=phase_no, round=rounds + 1):
+            cp = ir = w_eff = w_orig = gcols = None  # the block: the tail reads its own copy
+            lead = slice(None) if grid.j == 0 else slice(0)
+            e_rows, e_cols, w_in, items, prices = concat_pieces(allgather_arrays(
+                grid.comm, e_rows, e_cols, w_in, owner_blk[lead], price_blk[lead]))
+            serial = AuctionState(prices, items, delta, lower, rounds, bids)
+            auction_phase_loop(
+                n1, n2, e_rows, e_cols, w_in, serial, bias_add=bias_add,
+                scale_eff=scale_eff, epsilon=epsilon, fresh=False,
+                on_phase=lambda n: phase_boundary(grid, stats, phase_no + n, serial=True),
+            )
+        stats.tail_phases, stats.tail_rounds = serial.phases + 1, serial.rounds - rounds
+        stats.tail_edges = serial.edges
+        phase_no += serial.phases
+        rounds, bids, pick = serial.rounds, serial.bids, serial.pick
+        edges_local += serial.edges
+        if not pick[6]:
+            raise CertificateError(
+                f"epsilon-phase {phase_no} ran at the ladder's floor in the serial tail "
+                f"yet certifies only W/(D/2) = {pick[5]:.6g} < 1-eps = {1.0 - epsilon:.6g}")
+    elif pick is None:  # no phase ran: no positive weight, or resumed past the last
         pick = _extract(grid, A, cp, ir, gcols, w_eff, w_orig, owner_blk, price_blk,
                         n1, n2, bias_add, epsilon)
+        edges_local += ir.size
 
     ii, jj, weight, _, stats.dual_bound, stats.certified_ratio = pick[:6]
     g_mate_r = np.full(n1, NULL, dtype=np.int64)
@@ -346,12 +409,14 @@ def mwm_dist_spmd(
     stats.final_cardinality = int(ii.size)
     stats.auction_rounds = rounds
     stats.bids_placed = bids
-    (stats.auction_prices,) = concat_pieces(allgather_arrays(grid.colcomm, price_blk))
+    stats.auction_prices = serial.prices if tail else concat_pieces(
+        allgather_arrays(grid.colcomm, price_blk))[0]
     # resolve is replicated along each grid row, so one rank per row reports
-    # its accepts
-    (stats.price_updates,) = reduce_totals(
-        grid, stats, updates_row if grid.j == 0 else 0
+    # its accepts; the tail's, replicated on every rank, count once
+    stats.price_updates, stats.edges_examined = reduce_totals(
+        grid, stats, updates_row if grid.j == 0 else 0, edges_local
     )
+    stats.price_updates += serial.price_updates if tail else 0
     snapshot_ledger(grid, stats)
     return g_mate_r, g_mate_c, stats
 

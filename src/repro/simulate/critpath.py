@@ -87,7 +87,9 @@ def _segment_label(span: Span) -> "str | None":
     if span.cat != "phase":
         return None
     if span.name in ("phase", "tail"):  # a tail span starts at its first phase
-        return f"{span.name} {span.args.get('phase', '?')}"
+        label = f"{span.name} {span.args.get('phase', '?')}"
+        # MWM-DIST's takes its phase over mid-way, at an auction round: "tail 1 r7"
+        return label + (f" r{span.args['round']}" if "round" in span.args else "")
     if span.name.startswith("init:"):
         return span.name
     return None

@@ -9,9 +9,11 @@ from contextlib import contextmanager
 import pytest
 
 import repro.matching.mcm_dist as _mcm_dist
+import repro.matching.mwm_dist as _mwm_dist
 import repro.runtime.comm as _comm
 from repro.matching.augment import choose_augment_mode
 from repro.matching.mcm_dist import phase_boundary, pull_is_cheaper
+from repro.runtime.trace import tspan
 
 
 @pytest.fixture(autouse=True)
@@ -77,29 +79,39 @@ def force_pull(monkeypatch):
 @pytest.fixture
 def force_handoff(monkeypatch):
     """A setter that makes MCM-DIST hand off to its serial tail right after
-    phase ``k`` and after no other: ``force_handoff(k)`` replaces the
-    priced rule (``mcm_dist.tail_is_cheaper``, which nothing public sets)
-    with one that reads the phase the calling rank last entered, noted by a
-    wrapped ``mcm_dist.phase_boundary``; ``force_handoff(None)`` never hands
-    off.  Forked ranks inherit both patches, so the process backend is
-    covered too."""
+    phase ``k`` and MWM-DIST right after auction round ``k``, and after no
+    other: ``force_handoff(k)`` replaces the priced rule (each engine's
+    ``tail_is_cheaper``, which nothing public sets) with one that reads the
+    phase the calling rank last entered, noted by a wrapped
+    ``mcm_dist.phase_boundary``, or the round it last ran, noted by a
+    wrapped ``mwm_dist.tspan`` (its ``auction_round`` span);
+    ``force_handoff(None)`` never hands off.  Forked ranks inherit the
+    patches, so the process backend is covered too."""
     entered = threading.local()
 
     def note(grid, stats, phase_no, **kwargs):
         entered.phase = phase_no
         phase_boundary(grid, stats, phase_no, **kwargs)
 
+    def note_round(comm, name, cat="kernel", **args):
+        if name == "auction_round":
+            entered.round = args["round"]
+        return tspan(comm, name, cat, **args)
+
     def force(k):
         monkeypatch.setattr(_mcm_dist, "phase_boundary", note)
         monkeypatch.setattr(_mcm_dist, "tail_is_cheaper", lambda *args: entered.phase == k)
+        monkeypatch.setattr(_mwm_dist, "tspan", note_round)
+        monkeypatch.setattr(_mwm_dist, "tail_is_cheaper", lambda *args: entered.round == k)
 
     return force
 
 
 @pytest.fixture
 def no_handoff(monkeypatch):
-    """MCM-DIST runs every phase distributed for the whole test
-    (``mcm_dist.tail_is_cheaper`` never fires): the seam the tests that pin
-    the distributed schedule's shape, ledger or fingerprint opt into.
-    Forked ranks inherit the patch."""
-    monkeypatch.setattr(_mcm_dist, "tail_is_cheaper", lambda *args: False)
+    """MCM-DIST runs every phase and MWM-DIST every round distributed for
+    the whole test (neither engine's ``tail_is_cheaper`` fires): the seam
+    the tests that pin the distributed schedule's shape, ledger or
+    fingerprint opt into.  Forked ranks inherit the patches."""
+    for engine in (_mcm_dist, _mwm_dist):
+        monkeypatch.setattr(engine, "tail_is_cheaper", lambda *args: False)

@@ -18,9 +18,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.matching import auction_mwm_serial, hungarian_mwm
+from repro.matching import auction, auction_mwm_serial, hungarian_mwm
 from repro.matching.auction import certify, next_delta
-from repro.matching.reference import auction_twin
 
 from .test_mwm_properties import weighted_graphs
 
@@ -163,7 +162,7 @@ def test_a_phase_at_the_floor_always_certifies(g, eps, bias):
     n·δ of D, so its better half certifies with margin: ratio >= 1 - ε/2.
     This is the backstop the engine's loud failure rests on."""
     n1, n2, rows, cols, weights = g
-    with mock.patch.object(auction_twin, "next_delta", _a_priori):
+    with mock.patch.object(auction, "next_delta", _a_priori):
         _, _, info = auction_mwm_serial(
             n1, n2, rows, cols, weights, epsilon=eps, cardinality_bias=bias
         )

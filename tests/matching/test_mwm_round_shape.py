@@ -9,6 +9,8 @@ real run.  The replicated state is keyed by row block along grid rows and by
 column block down grid columns, so the bit-equality matrix here adds the
 shapes the square-grid suites never reach — ``rowcomm`` and ``colcomm`` of
 different sizes, degenerate 1-wide grids, and inputs with empty blocks.
+Every test here runs each round distributed (the ``no_handoff`` seam): the
+serial tail is ``test_mwm_tail.py``'s.
 """
 
 import numpy as np
@@ -24,6 +26,8 @@ from repro.sparse import COO
 from ..conftest import walk_everywhere
 
 EPS = 0.05
+
+pytestmark = pytest.mark.usefixtures("no_handoff")
 
 
 def _er(scale, seed=1):

@@ -1,7 +1,7 @@
 """MCM-DIST's serial tail: once a distributed phase costs more latency than
 gathering the graph, every rank finishes the job on the same serial phases.
 
-The rule (:func:`~repro.matching.mcm_dist.tail_is_cheaper`) is a pure
+The rule (:func:`~repro.matching.job.tail_is_cheaper`) is a pure
 function of EDISON's constants and four replicated numbers, pinned here on
 the end-to-end workloads' own numbers and on the paper's ``road_usa`` at
 2,025 ranks.  Whatever phase a grid hands off at — the ``force_handoff``
@@ -21,7 +21,8 @@ from repro.graphs import suite
 from repro.graphs.rmat import er
 from repro.kernels import advance_cursor
 from repro.matching import mcm_dist
-from repro.matching.mcm_dist import _mcm_rank_main, run_mcm_dist, tail_is_cheaper
+from repro.matching.job import tail_is_cheaper
+from repro.matching.mcm_dist import _mcm_rank_main, run_mcm_dist
 from repro.perfmodel.collectives import msbfs_iteration
 from repro.runtime import spmd
 from repro.sparse.dcsc import DCSC

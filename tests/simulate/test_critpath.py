@@ -120,3 +120,17 @@ def test_wall_clock_reports_microseconds():
     assert wall["phases"][0]["skew"] == ticks["phases"][0]["skew"]
     assert wall["ranks"][0]["wait_fraction"] == ticks["ranks"][0]["wait_fraction"]
     assert "allgather self=5,000,000.0 µs" in format_report(wall)
+
+
+def test_tail_segments_name_their_first_phase_and_round():
+    """MCM-DIST's tail starts at a phase boundary, MWM-DIST's mid-phase at
+    an auction round: the round joins the label, which still fits the
+    report's phase column."""
+    spans = [
+        _span("phase", "phase", 0, 0.0, 4.0, 1, 2, phase=1),
+        _span("tail", "phase", 0, 4.0, 2.0, 3, 4, phase=2),
+        _span("tail", "phase", 0, 6.0, 2.0, 5, 6, phase=2, round=214),
+    ]
+    rep = analyze(DistTrace(1, [spans], meta={"clock": "ticks"}))
+    assert [ph["label"] for ph in rep["phases"]] == ["phase 1", "tail 2", "tail 2 r214"]
+    assert "tail 2 r214  " in format_report(rep)
