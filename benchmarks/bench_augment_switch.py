@@ -12,9 +12,12 @@ hop and one column hop on the √p-rank row/column communicators,
 (pc−1) + (pr−1) latency steps (DESIGN "Phase anatomy") — so the ``engine
 level`` columns price that step and show where the crossover *would* sit,
 k ≈ ⅔·p(√p−1).
-The engine keeps switching at k < 2p²: the one-sided walks of Algorithm 4
-are counted (``DistStats.rma_ops``) but not priced into its model clock,
-and a rule is not re-tuned against a cost the clock does not see.
+The engine keeps switching at k < 2p².  The one price of a run
+(``MachineSpec.price``, DESIGN §5) charges each one-sided op α+β, the
+per-op cost ``path_cost`` uses below; re-tuning the switch against that
+price is a change of its own (ROADMAP item 17).  The sweep runs at EDISON's
+constants; the words- and op-proportional terms come from the price, the
+collective terms from :mod:`repro.perfmodel.collectives`.
 """
 
 import numpy as np
@@ -34,13 +37,14 @@ def _over_levels(k: int, per_level) -> float:
     return sum(per_level(int((steps > level).sum())) for level in range(H))
 
 
-def level_cost(k: int, P: int, alpha: float, beta: float) -> float:
+def level_cost(k: int, P: int) -> float:
     return _over_levels(k, lambda active: (
-        6 * C.alltoallv(P, alpha, beta, 0.0, "bruck") + beta * 4 * (-(-active // P))
+        6 * C.alltoallv(P, EDISON.alpha, EDISON.beta, 0.0, "bruck")
+        + EDISON.price(1, words=4 * (-(-active // P))).beta_s
     ))
 
 
-def engine_level_cost(k: int, P: int, alpha: float, beta: float) -> float:
+def engine_level_cost(k: int, P: int) -> float:
     """The engine's level step on a √P × √P grid: two pairwise all-to-alls
     on √P-rank communicators, each with a count word — a row hop of the
     ``mate_r`` write and the (column, row) pair, whose landing rank reads
@@ -48,24 +52,25 @@ def engine_level_cost(k: int, P: int, alpha: float, beta: float) -> float:
     the next tip."""
     q = int(round(P ** 0.5))
     return _over_levels(k, lambda active: sum(
-        C.alltoallv(q, alpha, beta, 1 + words * (-(-active // P)), "pairwise")
+        C.alltoallv(q, EDISON.alpha, EDISON.beta, 1 + words * (-(-active // P)), "pairwise")
         for words in (4, 3)
     ))
 
 
-def path_cost(k: int, P: int, alpha: float, beta: float) -> float:
-    per_rank = -(-k // P) * H
-    return 3 * per_rank * C.rma_op(alpha, beta, 1.0) + C.barrier_dissemination(P, alpha)
+def path_cost(k: int, P: int) -> float:
+    """Algorithm 4: 3 one-sided ops per pair-step, ⌈k/P⌉ paths of H pair-steps
+    a rank, and the closing fence."""
+    ops = 3 * -(-k // P) * H
+    return EDISON.price(1, rma_ops=ops).rma_s + C.barrier_dissemination(P, EDISON.alpha)
 
 
 def run_sweep():
-    alpha, beta = EDISON.alpha, EDISON.beta
     rows = []
     for P in (4, 16, 64, 256):
         for k in (1, 8, 2 * P * P // 4, 2 * P * P, 8 * P * P, 64 * P * P):
-            lv = level_cost(k, P, alpha, beta)
-            pp = path_cost(k, P, alpha, beta)
-            ev = engine_level_cost(k, P, alpha, beta)
+            lv = level_cost(k, P)
+            pp = path_cost(k, P)
+            ev = engine_level_cost(k, P)
             rows.append({
                 "P": P, "k": k,
                 "level_s": lv, "path_s": pp,

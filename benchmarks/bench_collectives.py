@@ -33,10 +33,13 @@ live in git history.  ``--check`` requires today's cardinality to equal it
 exactly — a diet changes the wire shape, not the algorithm; phases and
 iterations are not compared, since they follow the ids of the relabeled
 input ``run_mcm_dist`` solves — and today's logical messages, physical
-frames and priced ledger (``comm_model_s``: the per-rank EDISON α·steps +
-β·words, the communication terms of the e2e ``model_s``) not to exceed
-it.  Raw words may rise: trading words for latency steps is what the α-β
-model arbitrates.
+frames and priced ledger not to exceed it.  Two prices are recorded per
+run, both read off the one price of a run (``DistStats.price``, DESIGN
+§5): ``comm_model_s``, its α and β terms, and ``priced_s``, all four
+(γ for every edge read, the initializer's included, and α+β per
+one-sided op as well); the ``before`` block predates ``priced_s``.  Raw
+words may rise: trading words for latency steps is what the α-β model
+arbitrates.
 
 All counters are deterministic (the simulated fabric counts logical
 messages, not bytes on a wire); the ``seconds_*`` fields vary run to run
@@ -68,7 +71,6 @@ import numpy as np
 
 from repro.graphs.rmat import er
 from repro.matching.mcm_dist import run_mcm_dist
-from repro.perfmodel import EDISON
 from repro.runtime import SUM
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -152,19 +154,13 @@ SPMD_CASES = {
 BACKEND_REPS = 5
 
 
-def comm_model_s(steps: int, comm_by_alg: dict, p: int) -> float:
-    """Per-rank EDISON price of a run's ledger, α·steps + β·words over p
-    ranks — the communication terms of the e2e ``model_s``."""
-    words = sum(d["words"] for d in comm_by_alg.values())
-    return round((EDISON.alpha * steps + EDISON.beta * words) / p, 9)
-
-
 def run_spmd_case(scale: int, pr: int, pc: int) -> dict:
     coo = er(scale=scale, seed=1)
     t0 = time.perf_counter()
     mate_r, mate_c, stats = run_mcm_dist(coo, pr, pc)
     dt = time.perf_counter() - t0
-    steps = sum(d["steps"] for d in stats.comm_by_alg.values())
+    steps, _ = stats.ledger()
+    price = stats.price(pr * pc)
     return {
         "graph": f"er:{scale}",
         "grid": f"{pr}x{pc}",
@@ -172,15 +168,17 @@ def run_spmd_case(scale: int, pr: int, pc: int) -> dict:
             "cardinality": int((mate_r != -1).sum()),
             "phases": stats.phases,
             "iterations": stats.iterations,
-            # the initializer's edge reads (not priced by comm_model_s) and
-            # the phases the replicated serial tail ran
+            # the initializer's edge reads (priced in priced_s, not in
+            # comm_model_s) and the phases the replicated serial tail ran
             "init_edges": stats.init_edges,
             "tail_phases": stats.tail_phases,
             "expand_words": stats.expand_words,
             "fold_words": stats.fold_words,
             "total_words": stats.total_words,
             "steps": steps,
-            "comm_model_s": comm_model_s(steps, stats.comm_by_alg, pr * pc),
+            # the per-rank price (DESIGN §5): its α and β terms, and all four
+            "comm_model_s": round(price.alpha_s + price.beta_s, 9),
+            "priced_s": round(price.total, 9),
             # logical messages of the round-based schedules vs the
             # physical frames actually deposited/ring-written
             "comm_messages": stats.comm_messages,
@@ -334,7 +332,7 @@ def check_against_committed(name: str, current: dict, root: Path) -> list:
 SAME_ALGORITHM_KEYS = ("cardinality",)
 #: keys of a ``before`` row that today's engine leg must not exceed: words
 #: are not among them, the price of words and steps together is
-NO_WORSE_KEYS = ("comm_messages", "frames", "total_messages", "comm_model_s")
+NO_WORSE_KEYS = ("comm_messages", "frames", "total_messages", "comm_model_s", "priced_s")
 
 
 def check_against_before(name: str, rows: dict, root: Path) -> list:

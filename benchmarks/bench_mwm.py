@@ -15,8 +15,9 @@ uniform weights and er:9 with Machol–Wien-style integer weights
 * deterministic work/communication counters — ``rounds``, ``phases``,
   ``bids``, ``price_updates``, ``steps``, ``expand_words``,
   ``fold_words``, ``total_words``, ``comm_messages``, ``frames``,
-  ``frame_words`` (all summed over ranks) — gated by the usual >10%
-  regression rule;
+  ``frame_words`` (all summed over ranks) — and ``priced_s``, the run's
+  price per rank (``DistStats.price``, DESIGN §5: α·steps, β·words,
+  γ·edges read, each over p) — gated by the usual >10% regression rule;
 * ``seconds_total`` for humans, excluded from all gates.
 
 The file's top-level ``before`` block is not produced here: it holds the
@@ -132,13 +133,14 @@ def run_case(graph: str, build, grid: tuple, dists: tuple, oracle: "str | None")
             "rounds": stats.auction_rounds,
             "bids": stats.bids_placed,
             "price_updates": stats.price_updates,
-            "steps": sum(d["steps"] for d in stats.comm_by_alg.values()),
+            "steps": stats.ledger()[0],
             "expand_words": stats.expand_words,
             "fold_words": stats.fold_words,
             "total_words": stats.total_words,
             "comm_messages": stats.comm_messages,
             "frames": stats.frames,
             "frame_words": stats.frame_words,
+            "priced_s": round(stats.price(pr * pc).total, 9),
             "seconds_total": round(dt, 4),
         }}
         print(f"  {out['graph']} {dist:<10} "

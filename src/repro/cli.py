@@ -205,6 +205,9 @@ def cmd_spmd(args) -> int:
               f"{stats.edges_examined:,} edges examined, words "
               f"expand/fold/total = {stats.expand_words:,}/{stats.fold_words:,}/"
               f"{stats.total_words:,}")
+    price = stats.price(args.pr * args.pc)
+    print(f"priced per rank: {price.total:.7g} model-s = alpha {price.alpha_s:.4g} + "
+          f"beta {price.beta_s:.4g} + gamma {price.gamma_s:.4g} + rma {price.rma_s:.4g}")
     if stats.tail_phases:
         rounds = f" ({stats.tail_rounds} auction round(s))" if weighted else ""
         print(f"serial tail: the last {stats.tail_phases} phase(s){rounds} on every rank, "
@@ -238,6 +241,7 @@ def cmd_spmd(args) -> int:
         payload["cardinality"] = card
         payload["grid"] = {"pr": args.pr, "pc": args.pc}
         payload["objective"] = args.objective
+        payload["price"] = {**price._asdict(), "total_s": price.total}
         with open(args.stats_json, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True, default=_jsonable)
             fh.write("\n")

@@ -5,7 +5,8 @@ MCM-DIST (:mod:`~repro.matching.mcm_dist`) and MWM-DIST
 everything around the loop is the same job on the same substrate and lives
 here once:
 
-* :class:`DistStats` — the counters a job reports;
+* :class:`DistStats` — the counters a job reports, and their price
+  (:meth:`DistStats.price`);
 * :func:`phase_boundary` — progress marker, per-phase ledger and
   phase-boundary crash point;
 * :func:`tail_is_cheaper` — the priced rule that hands a job's thin end
@@ -29,8 +30,7 @@ from typing import Any, Callable
 import numpy as np
 
 from ..distmat.grid import ProcGrid
-from ..perfmodel import EDISON
-from ..perfmodel.collectives import allgather
+from ..perfmodel.machine import EDISON, Price
 from ..runtime import (
     RECOVERABLE_ERRORS,
     SUM,
@@ -100,8 +100,8 @@ class DistStats:
     frame_words: int = 0
     #: one-sided Get/Put/Fetch-and-op calls of path-parallel augmentation and
     #: the words they moved, summed over all ranks (3 calls per pair-step of
-    #: an augmenting path).  Reported, not priced: they are NOT in
-    #: ``comm_by_alg``
+    #: an augmenting path).  They are NOT in ``comm_by_alg``: :meth:`price`
+    #: charges each call α+β
     rma_ops: int = 0
     rma_words: int = 0
     #: recovery counters, filled by :func:`launch`: fabric rebuilds after
@@ -150,6 +150,18 @@ class DistStats:
     # to assert ε-complementary slackness.
     auction_prices = None
 
+    def ledger(self) -> "tuple[int, int]":
+        """Grid-wide ``(steps, words)`` of :attr:`comm_by_alg`."""
+        by_alg = (self.comm_by_alg or {}).values()
+        return sum(d["steps"] for d in by_alg), sum(d["words"] for d in by_alg)
+
+    def price(self, p: int) -> Price:
+        """This job on a ``p``-rank grid priced per rank at EDISON's
+        constants (:meth:`~repro.perfmodel.machine.MachineSpec.price`): its
+        ledger, every edge read (the initializer's too) and every one-sided
+        op."""
+        return EDISON.price(p, *self.ledger(), self.edges_examined + self.init_edges, self.rma_ops)
+
 
 # ---------------------------------------------------------------------------
 # per-rank pieces (called from inside the SPMD program)
@@ -187,20 +199,22 @@ def phase_boundary(
 
 
 def tail_is_cheaper(steps: int, p: int, words: int, nnz: int) -> bool:
-    """The tail hand-off, priced at EDISON's α, β and γ alone: finish the
-    job on a serial solve replicated on all ``p`` ranks iff the work just
-    done — ``steps`` latency steps on a rank's ledger, since the phase
-    began — cost more than one grid allgather of ``words`` words plus
-    reading all ``nnz`` edges once.  MCM-DIST asks after every phase: a
-    top-down serial phase reads each edge at most once, so m serial phases
-    cost at most the gather plus m·γ·nnz, and when no later distributed
-    phase is cheaper than this one the switch never loses.  MWM-DIST asks
-    after every auction round (its thin tail is rounds, not phases).
-    One-sided ops are not on the ledger, so the rule fires no earlier than
-    a fully priced one would; a 1x1 grid's ledger holds no step, so it
-    never fires there."""
-    gather = allgather(p, EDISON.alpha, EDISON.beta, words)
-    return EDISON.alpha * steps > gather + EDISON.gamma * nnz
+    """The tail hand-off, priced at EDISON's constants
+    (:meth:`~repro.perfmodel.machine.MachineSpec.price`, per rank): finish
+    the job on a serial solve replicated on all ``p`` ranks iff the work
+    just done — ``steps`` latency steps on a rank's ledger, since the phase
+    began — cost more than one grid allgather of ``words`` words (recursive
+    doubling: ⌈log₂ p⌉ steps, ``words``·(p−1)/p words a rank) plus reading
+    all ``nnz`` edges once.  MCM-DIST asks after every phase: a top-down
+    serial phase reads each edge at most once, so m serial phases cost at
+    most the gather plus m·γ·nnz, and when no later distributed phase is
+    cheaper than this one the switch never loses.  MWM-DIST asks after
+    every auction round (its thin tail is rounds, not phases).  One-sided
+    ops are not on the ledger, so the rule fires no earlier than one that
+    also charged them would; a 1x1 grid's ledger holds no step, so it never
+    fires there."""
+    gather = EDISON.price(1, (p - 1).bit_length(), words * (p - 1) / p, nnz)
+    return EDISON.price(1, steps).total > gather.total
 
 
 def save_checkpoint(

@@ -63,12 +63,14 @@ whichever round the job hands off at.
 
 Launch, recovery, the checkpoint write and the closing ledger are the job
 shell the cardinality engine uses too (:mod:`repro.matching.job`); the
-snapshot is this engine's own: it carries the item PRICES and the ε-ladder's
-state (next increment, L) alongside the doubled mate vectors (the
+snapshot is this engine's own: it carries the item PRICES, the ε-ladder's
+state (next increment, L) and the round / bid / price-update counters
+alongside the doubled mate vectors (the
 :class:`~repro.runtime.checkpoint.Checkpoint` ``aux`` slot): mates alone
 are not a valid auction restart point — a phase resumed with zeroed prices
-would forfeit the warm start the earlier ε-phases paid for, and one resumed
-without L would climb a different ladder.
+would forfeit the warm start the earlier ε-phases paid for, one resumed
+without L would climb a different ladder, and one resumed with zeroed
+counters would report only the attempt that survived.
 """
 
 from __future__ import annotations
@@ -114,16 +116,20 @@ from .job import (
 def _checkpoint(
     grid: ProcGrid, store: CheckpointStore, phase: int, owner_blk: np.ndarray,
     price_blk: np.ndarray, delta: "float | None", lower: float, stats: DistStats,
+    counts: "tuple[int, int, int]" = (0, 0, 0),
 ) -> None:
-    """Snapshot (doubled mates, item prices, ladder state) after a completed
-    ε-phase (the assembly is one column allgather; the write protocol is
-    :func:`~repro.matching.job.save_checkpoint`).  The ladder is the next
-    increment (0 once the ladder is done) and L, so a resumed run climbs
-    down the same rungs."""
+    """Snapshot (doubled mates, item prices, ladder state, counters) after a
+    completed ε-phase (the assembly is one column allgather; the write
+    protocol is :func:`~repro.matching.job.save_checkpoint`).  The ladder is
+    the next increment (0 once the ladder is done) and L, so a resumed run
+    climbs down the same rungs; the counters are the rounds and bids so far
+    (replicated) and each row block's accepted price updates, so a resumed
+    run reports the fault-free totals."""
     with tspan(grid.comm, "checkpoint", cat="phase", phase=phase):
         # every rank holds its whole row block, and the pr ranks of a grid
         # column hold row blocks 0..pr-1 in rank order
-        g_item, prices = concat_pieces(allgather_arrays(grid.colcomm, owner_blk, price_blk))
+        g_item, prices, updates = concat_pieces(allgather_arrays(
+            grid.colcomm, owner_blk, price_blk, np.array(counts[2:])))
         # a phase ends on a perfect assignment (phase 0: nothing owned),
         # so the bidder side is the inverse of the item side
         owned = np.flatnonzero(g_item != NULL)
@@ -131,7 +137,8 @@ def _checkpoint(
         g_bidder[g_item[owned]] = owned
         ladder = np.array([delta or 0.0, lower])
         ck = Checkpoint(phase=phase, mate_row=g_item, mate_col=g_bidder,
-                        aux={"prices": prices, "ladder": ladder})
+                        aux={"prices": prices, "ladder": ladder,
+                             "counts": np.array([*counts[:2], *updates])})
         save_checkpoint(grid, store, ck, stats)
 
 
@@ -273,16 +280,17 @@ def mwm_dist_spmd(
     # and L, the effective weight of the best matching extracted so far
     lower, phase_no = 0.0, 0
     delta = next_delta(None, scale_eff, lower, N, epsilon)
+    rounds = bids = updates_row = edges_local = 0
     if resume is not None:
         owner_blk[:] = resume.mate_row[A.row_lo:A.row_hi]
         price_blk[:] = resume.aux["prices"][A.row_lo:A.row_hi]
         delta, lower = float(resume.aux["ladder"][0]) or None, float(resume.aux["ladder"][1])
+        rounds, bids, updates_row = (int(c) for c in resume.aux["counts"][[0, 1, 2 + grid.i]])
         phase_no = resume.phase
     elif checkpoint_store is not None:
         # phase-0 snapshot: uniform restart bookkeeping with the MCM engine
         _checkpoint(grid, checkpoint_store, 0, owner_blk, price_blk, delta, lower, stats)
 
-    rounds = bids = updates_row = edges_local = 0
     pick = None
     # the hand-off's words at most: rank 0's m deduped edges as (row, col,
     # weight) triples — the doubled graph holds 2m + N — the N items and
@@ -367,7 +375,7 @@ def mwm_dist_spmd(
                 and phase_no % checkpoint_every == 0
             ):
                 _checkpoint(grid, checkpoint_store, phase_no, owner_blk, price_blk,
-                            delta, lower, stats)
+                            delta, lower, stats, (rounds, bids, updates_row))
     if tail:
         # the tail: one grid allgather hands every rank rank 0's edge list and
         # the auction state (row block i's items and prices from grid column

@@ -13,15 +13,15 @@ after kills, checkpoint overhead, restart counts.
 Pricing
 -------
 
-A request's *service time* is model time on the paper's one α-β clock
-(Section IV-B; the ``model.alpha_s + model.beta_s`` terms of the e2e
-``model_s``), read off the engine's own per-phase ledger
-(``DistStats.phase_ledger``) by :func:`_model_clock`.  Each phase segment
-costs ``f_k · (a·α·Δsteps + b·β·Δwords) / p``:
+A request's *service time* is model time on the α and β terms of the
+one price (:meth:`~repro.perfmodel.machine.MachineSpec.price`, DESIGN §5),
+read off the engine's own per-phase ledger (``DistStats.phase_ledger``) by
+:func:`_model_clock`.  Each phase segment costs ``f_k · (a·α·Δsteps/p +
+b·β·Δwords/p)``:
 
 * ``(a, b)`` is the worst degraded edge of the scenario's ``links`` over
   the whole grid — the bulk-synchronous slowest-participant rule of
-  :func:`~repro.perfmodel.collectives.degraded_params`;
+  :meth:`~repro.perfmodel.machine.MachineSpec.degraded`;
 * ``f_k`` is the ``slowdown`` factor when a seeded Bernoulli draw for
   phase ``k`` falls below its probability, else 1 — a straggler (every
   superstep waits for it) or a disrupted superstep.
@@ -66,7 +66,6 @@ from dataclasses import dataclass
 
 from ..graphs.rmat import er
 from ..perfmodel import EDISON, LinkModel
-from ..perfmodel.collectives import degraded_params
 from ..runtime.faults import FaultPlan, _mix, _unit
 from .mcm_dist import run_mcm_dist
 
@@ -173,28 +172,26 @@ def _model_clock(scenario: Scenario, seed: int, stats) -> "tuple[dict[int, float
     boundary of ``stats.phase_ledger``, and its total at the end of the
     job (over ``stats.comm_by_alg``).  The segment from one boundary to
     the next — keyed by the phase it opens, the segment before the first
-    boundary by the phase before it — costs ``f_k · (a·α·Δsteps +
-    b·β·Δwords) / p``, summed as ``(a·α·Σ f_k·Δsteps + b·β·Σ f_k·Δwords) /
-    p``: with no slowdown and no damaged link that is the e2e model clock
-    ``(α·steps + β·words) / p`` exactly.
+    boundary by the phase before it — costs ``f_k · (a·α·Δsteps/p +
+    b·β·Δwords/p)``; each boundary prices the ``f_k``-weighted steps and
+    words so far through :meth:`~repro.perfmodel.machine.MachineSpec.price`
+    on the degraded machine.  With no slowdown and no damaged link that is
+    the α and β terms of the e2e model clock exactly (the e2e clock also
+    charges γ for the edges read, which the phase ledger does not hold).
     """
     p = scenario.pr * scenario.pc
-    alpha, beta = degraded_params(
-        EDISON.alpha, EDISON.beta, LinkModel(degraded=scenario.links), range(p)
-    )
+    machine = EDISON.degraded(LinkModel(degraded=scenario.links), range(p))
     prob, factor = scenario.slowdown
-    by_alg = (stats.comm_by_alg or {}).values()
-    end = (sum(d["steps"] for d in by_alg), sum(d["words"] for d in by_alg))
     marks = list(stats.phase_ledger.items())
     k = marks[0][0] - 1 if marks else 0
     steps = words = 0.0
     last = (0, 0)
     entering: dict[int, float] = {}
-    for phase, point in [*marks, (None, end)]:
+    for phase, point in [*marks, (None, stats.ledger())]:
         f = factor if _unit(seed, _CAT_SLOWDOWN, k) < prob else 1.0
         steps += f * (point[0] - last[0])
         words += f * (point[1] - last[1])
-        entering[phase] = (alpha * steps + beta * words) / p
+        entering[phase] = machine.price(p, steps, words).total
         last, k = point, phase
     total = entering.pop(None)
     return entering, total

@@ -8,7 +8,8 @@ one arithmetic operation.  This package turns that analysis into code:
 
 * :class:`~repro.perfmodel.machine.MachineSpec` — the machine constants
   (per-edge-op time γ, α, β, node/socket topology) with an Edison-like
-  default;
+  default, and :meth:`~repro.perfmodel.machine.MachineSpec.price`, the one
+  price of a run per rank (a :class:`~repro.perfmodel.machine.Price`);
 * :mod:`~repro.perfmodel.collectives` — the per-collective cost formulas
   matching the algorithms implemented in :mod:`repro.runtime.comm`;
 * :class:`~repro.perfmodel.clock.BspClock` — a bulk-synchronous simulated

@@ -7,12 +7,31 @@ graph kernels — memory-bound gather/scatter work, not peak flops — chosen so
 that single-node BFS-like throughput and the paper's Fig. 9 gather times land
 in the right decade.  Reproductions care about relative shape; any consistent
 constant set preserves it.
+
+:meth:`MachineSpec.price` is the one price of a run (DESIGN §5): every
+caller outside this package and :mod:`repro.simulate` prices through it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NamedTuple
+
+from .collectives import degraded_params
+
+
+class Price(NamedTuple):
+    """A run's model seconds per rank, term by term (:meth:`MachineSpec.price`)."""
+
+    alpha_s: float
+    beta_s: float
+    gamma_s: float
+    rma_s: float
+
+    @property
+    def total(self) -> float:
+        return self.alpha_s + self.beta_s + self.gamma_s + self.rma_s
 
 
 @dataclass(frozen=True)
@@ -89,6 +108,23 @@ class MachineSpec:
         the memory-bound kernels (they scale with memory channels up to a
         socket, which is exactly how the paper deploys one process/socket)."""
         return ops * self.gamma / max(1, threads)
+
+    def price(self, p: int, steps=0, words=0, edges=0, rma_ops=0) -> Price:
+        """The price of a run per rank, from counts summed over its ``p``
+        ranks (a rank's own counts with ``p=1``): α·steps/p + β·words/p +
+        γ·edges/p + (α+β)·rma_ops/p — the paper's T = F + αS + βW, with
+        Algorithm 4's k/p·3h(α+β) charged per one-sided op.  ``edges`` is
+        every edge read, the initializer's included.  The first three terms
+        are computed in the e2e harness's operation order, so they equal its
+        ``model.alpha_s`` / ``beta_s`` / ``gamma_s`` to the bit."""
+        return Price(self.alpha * (steps / p), self.beta * (words / p),
+                     self.gamma * edges / p, (self.alpha + self.beta) * rma_ops / p)
+
+    def degraded(self, links, group) -> "MachineSpec":
+        """This machine as a collective over ``group`` sees it through
+        ``links`` (:func:`~repro.perfmodel.collectives.degraded_params`)."""
+        alpha, beta = degraded_params(self.alpha, self.beta, links, group)
+        return replace(self, alpha=alpha, beta=beta)
 
     # -- grid construction ----------------------------------------------------
 

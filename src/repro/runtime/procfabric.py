@@ -481,8 +481,8 @@ class ProcessTransport(Transport):
                 procs.append(proc)
                 conns.append(parent_end)
 
-            self._gather(job, fabric, conns, outcomes)
-            hung = [r for r in range(nranks) if outcomes[r] is None and procs[r].is_alive()]
+            silent = self._gather(job, fabric, conns, outcomes)
+            hung = [r for r in silent if procs[r].is_alive()]
             if hung:
                 fabric.abort()
             for proc in procs:
@@ -516,7 +516,7 @@ class ProcessTransport(Transport):
 
     def _gather(
         self, job: SpmdJob, fabric: ProcessFabric, conns: list, results: list
-    ) -> None:
+    ) -> "list[int]":
         """Collect rank outcomes until all arrive or the join backstop (the
         same ``timeout * 4`` the thread transport uses) expires.
 
@@ -525,6 +525,9 @@ class ProcessTransport(Transport):
         on the dead rank raise ``CommAbort`` now instead of each waiting
         out its own deadlock window — their aborts are suppressed by
         ``raise_primary`` and the dead rank's exit-code error stays primary.
+        Returns the ranks the parent heard nothing from, neither a result
+        nor EOF: only these can be hung.  A rank whose pipe hit EOF is dead,
+        even while ``is_alive()`` still reads True as the process exits.
         """
         remaining = {id(conn): r for r, conn in enumerate(conns)}
         live = list(conns)
@@ -537,6 +540,7 @@ class ProcessTransport(Transport):
                 results[r] = self._recv(conn, r)
                 if results[r] is None and not fabric.aborted:
                     fabric.abort()
+        return sorted(remaining.values())
 
     @staticmethod
     def _recv(conn, rank: int) -> "RankOutcome | None":

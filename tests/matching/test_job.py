@@ -17,6 +17,7 @@ import pytest
 
 from repro.graphs.rmat import er
 from repro.matching.mcm_dist import run_mcm_dist
+from repro.perfmodel import EDISON
 from repro.runtime import CheckpointStore, FaultInjector, FaultPlan, RankKilledError
 
 
@@ -113,3 +114,38 @@ def test_ready_made_injector_runs_one_attempt_only():
     assert run_mcm_dist(coo, 2, 2, faults=injector)[2].phase_ledger
     with pytest.raises(ValueError, match="one attempt"):
         run_mcm_dist(coo, 2, 2, faults=injector, max_restarts=1)
+
+
+def _by_hand(stats, p):
+    """The four per-rank terms of DESIGN §5, summed off the run's counters."""
+    steps = sum(d["steps"] for d in stats.comm_by_alg.values())
+    words = sum(d["words"] for d in stats.comm_by_alg.values())
+    return (EDISON.alpha * steps / p, EDISON.beta * words / p,
+            EDISON.gamma * (stats.edges_examined + stats.init_edges) / p,
+            (EDISON.alpha + EDISON.beta) * stats.rma_ops / p)
+
+
+def test_price_of_an_mcm_run_with_one_sided_walks():
+    stats = run_mcm_dist(er(6, seed=1), 2, 2)[2]
+    assert stats.rma_ops > 0 and stats.init_edges > 0  # every term is charged
+    price = stats.price(4)
+    assert price == pytest.approx(_by_hand(stats, 4), rel=1e-12)
+    assert price.total == price.alpha_s + price.beta_s + price.gamma_s + price.rma_s
+    # the α, β and γ·edges_examined terms are the e2e harness's, to the bit
+    steps, words = stats.ledger()
+    assert price.alpha_s == EDISON.alpha * (steps / 4)
+    assert price.beta_s == EDISON.beta * (words / 4)
+
+
+def test_price_of_an_mwm_run():
+    from repro.graphs.generators import edge_weights
+    from repro.matching.mwm_dist import run_mwm_dist
+
+    coo = er(6, seed=1)
+    stats = run_mwm_dist(coo, edge_weights(coo, dist="uniform", seed=3), 2, 2)[2]
+    assert stats.rma_ops == stats.init_edges == 0 < stats.edges_examined
+    price = stats.price(4)
+    assert price == pytest.approx(_by_hand(stats, 4), rel=1e-12)
+    assert price.rma_s == 0.0 and min(price[:3]) > 0
+    assert price.total == sum(price)
+

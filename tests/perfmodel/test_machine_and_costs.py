@@ -217,3 +217,24 @@ def test_msbfs_iteration_matches_a_real_ledger(pr, pc, no_handoff):
         assert {(sp.name, sp.args["peers"]) for sp in inside("loop_test")} <= {
             ("alltoall", pc)
         }
+
+
+def test_price_terms_are_the_four_per_rank_charges():
+    m = MachineSpec("toy", gamma=5.0, alpha=2.0, beta=3.0, alpha_intra=0.0,
+                    beta_intra=0.0, cores_per_node=1, cores_per_socket=1)
+    price = m.price(4, steps=8, words=4, edges=12, rma_ops=2)
+    assert price == (2.0 * 8 / 4, 3.0 * 4 / 4, 5.0 * 12 / 4, (2.0 + 3.0) * 2 / 4)
+    assert price.total == 4.0 + 3.0 + 15.0 + 2.5
+    # a rank's own counts are priced with p = 1; no counts cost nothing
+    assert m.price(1, steps=3).total == 6.0
+    assert m.price(9).total == 0.0
+
+
+def test_degraded_machine_takes_the_worst_link_of_the_group():
+    from repro.perfmodel import LinkModel
+
+    links = LinkModel(degraded=((0, 1, 4.0, 2.0),))
+    slow = EDISON.degraded(links, range(2))
+    assert (slow.alpha, slow.beta, slow.gamma) == (4 * EDISON.alpha, 2 * EDISON.beta, EDISON.gamma)
+    assert EDISON.degraded(LinkModel(), range(2)) == EDISON
+

@@ -221,21 +221,24 @@ def test_scenario_reports_match_across_backends():
 
 
 # ---------------------------------------------------------------------------
-# one clock: the priced service is the e2e model clock over the ledger
+# one clock: the priced service is the α and β terms of the one price
 # ---------------------------------------------------------------------------
 
 
-def test_fault_free_service_is_the_e2e_model_clock_exactly():
+def test_fault_free_service_is_the_e2e_alpha_beta_terms_exactly():
     """No slowdown, no damaged link: the priced service of a request is
-    ``(α·Σsteps + β·Σwords) / p`` over its ``comm_by_alg`` — the α and β
-    terms of the e2e ``model_s`` — to the last bit."""
+    ``α·(Σsteps/p) + β·(Σwords/p)`` over its ``comm_by_alg`` — the e2e
+    ``model.alpha_s + model.beta_s``, in the harness's own operation order
+    (its ``model_s`` adds ``model.gamma_s`` for the edges read) — to the
+    last bit."""
     sc = SCENARIOS["baseline"]
     _, _, stats = run_mcm_dist(er(scale=6, seed=5, edgefactor=8), sc.pr, sc.pc)
     by_alg = stats.comm_by_alg.values()
     steps = sum(d["steps"] for d in by_alg)
     words = sum(d["words"] for d in by_alg)
     entering, total = _model_clock(sc, 1, stats)
-    assert total == (EDISON.alpha * steps + EDISON.beta * words) / (sc.pr * sc.pc)
+    p = sc.pr * sc.pc
+    assert total == EDISON.alpha * (steps / p) + EDISON.beta * (words / p)
     assert list(entering) == list(range(1, stats.phases + 1))
     assert list(entering.values()) == sorted(entering.values())
     assert entering[stats.phases] <= total

@@ -100,6 +100,27 @@ def test_process_silent_death_reports_exit_code():
     assert not _no_orphans()
 
 
+def test_a_dead_rank_is_classified_by_its_eof_not_by_is_alive(monkeypatch):
+    """A rank whose result pipe hit EOF is dead, even while ``is_alive()``
+    still reads True as it exits (stubbed here to read True throughout):
+    it must not be counted as hung, or the peer's ``CommAbort`` would
+    become the primary error."""
+    from multiprocessing.process import BaseProcess
+
+    real = BaseProcess.is_alive
+    monkeypatch.setattr(BaseProcess, "is_alive",
+                        lambda self: self.name == "spmd-rank-1" or real(self))
+
+    def main(comm):
+        if comm.rank == 1:
+            os._exit(9)
+        comm.barrier()
+
+    with pytest.raises(CommError, match="exit code 9"):
+        spmd(2, main, backend="process", timeout=15)
+    assert not _no_orphans()
+
+
 def test_process_deadlock_detected():
     def main(comm):
         if comm.rank == 0:

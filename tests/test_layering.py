@@ -1,6 +1,8 @@
 """Layering: ``runtime`` and ``distmat`` do not know which algorithm runs
 on them — no import of ``repro.matching`` / ``repro.graphs`` at any depth
-(module level or inside a function), no exceptions."""
+(module level or inside a function), no exceptions.  And one price: outside
+``perfmodel`` and ``simulate`` no module reads a machine's α, β or γ
+itself — it prices through ``MachineSpec.price``."""
 
 import ast
 from pathlib import Path
@@ -31,3 +33,16 @@ def test_runtime_and_distmat_import_nothing_above_them():
         if mod.startswith(UPWARD)
     ]
     assert not offenders, offenders
+
+
+def test_only_perfmodel_and_simulate_read_machine_constants():
+    constants = {"alpha", "beta", "gamma", "alpha_intra", "beta_intra"}
+    offenders = [
+        f"{path.relative_to(SRC)}:{node.lineno}: .{node.attr}"
+        for path in sorted(SRC.rglob("*.py"))
+        if path.relative_to(SRC).parts[0] not in ("perfmodel", "simulate")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in constants
+    ]
+    assert not offenders, offenders
+
