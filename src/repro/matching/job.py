@@ -198,23 +198,27 @@ def phase_boundary(
             raise
 
 
-def tail_is_cheaper(steps: int, p: int, words: int, nnz: int) -> bool:
+def tail_is_cheaper(steps: int, p: int, words: int, nnz: int, saved: float = 0.0) -> bool:
     """The tail hand-off, priced at EDISON's constants
     (:meth:`~repro.perfmodel.machine.MachineSpec.price`, per rank): finish
-    the job on a serial solve replicated on all ``p`` ranks iff the work
-    just done — ``steps`` latency steps on a rank's ledger, since the phase
-    began — cost more than one grid allgather of ``words`` words (recursive
-    doubling: ⌈log₂ p⌉ steps, ``words``·(p−1)/p words a rank) plus reading
-    all ``nnz`` edges once.  MCM-DIST asks after every phase: a top-down
-    serial phase reads each edge at most once, so m serial phases cost at
-    most the gather plus m·γ·nnz, and when no later distributed phase is
-    cheaper than this one the switch never loses.  MWM-DIST asks after
-    every auction round (its thin tail is rounds, not phases).  One-sided
-    ops are not on the ledger, so the rule fires no earlier than one that
-    also charged them would; a 1x1 grid's ledger holds no step, so it never
+    the job on a serial solve replicated on all ``p`` ranks iff the work of
+    the phase asking — ``steps`` latency steps on a rank's ledger — costs
+    at least one read of all ``nnz`` edges and, with ``saved`` (the price
+    of what handing off skips at once), more than one grid allgather of
+    ``words`` words (recursive doubling: ⌈log₂ p⌉ steps, ``words``·(p−1)/p
+    words a rank) plus that read.  A top-down serial phase reads each edge
+    at most once, so when no later distributed phase is cheaper than this
+    one, going on costs at least ``saved`` + m·price(steps) and the tail at
+    most the gather + m·γ·nnz, for any m ≥ 1 phases left: the switch never
+    loses.  With ``saved`` = 0 the first test is implied by the second.
+    MCM-DIST asks once per phase, after its BFS; MWM-DIST after every
+    auction round (its thin tail is rounds, not phases).  One-sided ops
+    are not on the ledger, so the rule fires no earlier than one that also
+    charged them would; a 1x1 grid's ledger holds no step, so it never
     fires there."""
-    gather = EDISON.price(1, (p - 1).bit_length(), words * (p - 1) / p, nnz)
-    return EDISON.price(1, steps).total > gather.total
+    cost = EDISON.price(1, (p - 1).bit_length(), words * (p - 1) / p, nnz)
+    spent = EDISON.price(1, steps).total
+    return spent >= cost.gamma_s and spent + saved > cost.total
 
 
 def save_checkpoint(

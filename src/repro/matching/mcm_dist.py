@@ -76,13 +76,19 @@ k < 2p² switch                          :func:`mcm_dist_spmd` per phase
                                        (:func:`~repro.matching.augment.choose_augment_mode`,
                                        the paper's rule as derived for its own
                                        6αp level step)
-gather onto one node (§VI-E, Fig. 9)   the tail hand-off: after any phase that
-                                       cost more latency than one grid
-                                       allgather of the DCSC blocks and mates
-                                       plus one read of every edge
-                                       (:func:`tail_is_cheaper`), every rank
-                                       builds the whole CSC from the gathered
-                                       blocks and finishes alone
+gather onto one node (§VI-E, Fig. 9)   the tail hand-off, asked after each
+                                       phase's BFS: once the phase's steps
+                                       (its augmentation's priced in by
+                                       :func:`augment_cost`) and the
+                                       augmentation a hand-off skips outprice
+                                       one grid allgather of the DCSC blocks,
+                                       mates and π plus one read of every
+                                       edge (:func:`tail_is_cheaper`), every
+                                       rank builds the whole CSC from the
+                                       gathered blocks, retraces the phase's
+                                       paths on the gathered π
+                                       (:func:`~repro.matching.augment.augment_level_parallel`)
+                                       and finishes alone
                                        (:func:`~repro.matching.msbfs.mcm_phase_loop`)
 distributed maximal matching [21]      :func:`proposal_rounds_spmd` — greedy,
                                        Karp-Sipser and dynamic mindegree are
@@ -140,7 +146,8 @@ from ..sparse.coo import COO
 from ..sparse.csc import CSC
 from ..sparse.semiring import reduce_candidates
 from ..sparse.spvec import NULL
-from .augment import choose_augment_mode
+from ..perfmodel.machine import EDISON
+from .augment import augment_level_parallel, choose_augment_mode
 from .job import (
     DistStats,
     gather_totals,
@@ -391,6 +398,21 @@ def augment_level_spmd(
         rows = prev
 
 
+def augment_cost(mode: str, depth: np.ndarray, pr: int, pc: int, opens: bool) -> tuple[int, int]:
+    """A phase's augmentation priced before it runs, from replicated
+    numbers: (latency steps on a rank's ledger, one-sided ops summed over
+    the grid).  ``depth`` holds each path's length in (row, column) pairs,
+    the iteration its end was found in.  A level is a row hop and a column
+    hop, and the call ends on the row hop that finds no tip:
+    h·((pc−1)+(pr−1)) + (pc−1) steps for the longest path's h.  A
+    path-parallel phase is two fences, ⌈log₂ p⌉ steps each — two more if
+    it ``opens`` the job's window (a broadcast and a barrier) — and 3 ops
+    per pair-step."""
+    if mode == "level":
+        return int(depth.max()) * (pc - 1 + pr - 1) + pc - 1, 0
+    return (2 + 2 * opens) * (pr * pc - 1).bit_length(), 3 * int(depth.sum())
+
+
 def augment_path_spmd_rma(
     win: Window,
     start_rows: np.ndarray,
@@ -426,24 +448,27 @@ def augment_path_spmd_rma(
 # phase-granular checkpointing
 # ---------------------------------------------------------------------------
 
-def _checkpoint(
-    grid: ProcGrid,
-    store: CheckpointStore,
-    phase: int,
-    mate_r: DistDenseVec,
-    mate_c: DistDenseVec,
-    stats: DistStats,
-    aux: "dict[str, np.ndarray] | None",
-) -> None:
+#: the counters a snapshot carries (``aux["counts"]``), summed over the
+#: ranks: the first four are replicated, so rank 0 alone contributes them,
+#: and a resumed rank 0 takes them all back — a restarted job reports the
+#: fault-free job's counters
+_COUNTED = ("iterations", "augment_level_calls", "augment_path_calls", "initial_cardinality",
+            "edges_examined", "init_edges", "bottomup_steps", "rma_ops", "rma_words")
+
+
+def _checkpoint(grid: ProcGrid, store: CheckpointStore, phase: int, mate_r: DistDenseVec,
+                mate_c: DistDenseVec, counts: np.ndarray, stats: DistStats,
+                aux: "dict[str, np.ndarray] | None") -> None:
     """Snapshot the globally assembled matching after a completed phase
-    (the assembly is two allgathers on the grid communicator; the write
-    protocol is :func:`~repro.matching.job.save_checkpoint`), stamped with
-    the caller's ``aux``."""
+    (the assembly is two allgathers on the grid communicator, this rank's
+    ``counts`` riding the first; the write protocol is
+    :func:`~repro.matching.job.save_checkpoint`), stamped with the caller's
+    ``aux`` and the job's counters summed over the ranks."""
     with tspan(grid.comm, "checkpoint", cat="phase", phase=phase):
-        ck = Checkpoint(
-            phase=phase, mate_row=mate_r.to_global(), mate_col=mate_c.to_global(),
-            aux=aux,
-        )
+        pieces = grid.comm.allgather((mate_r.lo, mate_r.local, counts))
+        aux = {**(aux or {}), "counts": sum(piece[2] for piece in pieces)}
+        ck = Checkpoint(phase, mate_r.assemble([piece[:2] for piece in pieces]),
+                        mate_c.to_global(), aux)
         save_checkpoint(grid, store, ck, stats)
 
 
@@ -562,20 +587,25 @@ def mcm_dist_spmd(
     the mate vectors are identical in both modes.  The engine picks each
     phase's augmentation by the paper's k < 2p² rule
     (:func:`~repro.matching.augment.choose_augment_mode`), PRUNEs every
-    iteration and reduces candidates under minParent.  After every phase
-    that augmented, :func:`tail_is_cheaper` prices that phase's latency
-    steps against gathering the graph: once it fires, every rank finishes
-    on the same serial top-down phases (``stats.tail_*``).
+    iteration and reduces candidates under minParent.  After every BFS
+    that found paths, :func:`tail_is_cheaper` prices the phase's latency
+    steps, its augmentation's included (:func:`augment_cost`), and the
+    augmentation a hand-off would skip against gathering the graph and π:
+    once it fires, the grid does not augment — every rank applies the
+    phase's paths itself and finishes on the same serial top-down phases
+    (``stats.tail_*``).
     Returns (globally gathered mate_r, mate_c, stats) on every rank.
 
     Checkpoint/restart (driven by :func:`~repro.matching.job.launch`, which
     passes a store only when the caller gave one or allowed restarts): with
     ``checkpoint_store`` set, the job snapshots the globally assembled
     mate vectors after the initializer, after every
-    ``checkpoint_every``-th completed phase and after the phase that hands
-    off to the serial tail, whose own phases write none — each completed
-    phase is a valid matching, so any snapshot is a correct restart point.  Without a
-    store no checkpoint collective runs at all.  With ``resume`` set, the
+    ``checkpoint_every``-th completed phase and, inside the tail, after the
+    phase that hands off, whose serial phases write none — each completed
+    phase is a valid matching, so any snapshot is a correct restart point.
+    Every snapshot carries the job's counters (:data:`_COUNTED`), so a
+    restarted job reports the fault-free one's.  Without a store no
+    checkpoint collective runs at all.  With ``resume`` set, the
     initializer is skipped and the phase loop continues from the
     checkpointed matching.  ``checkpoint_aux`` rides every snapshot as its
     ``aux`` (:func:`run_mcm_dist` stamps its relabel seed there), and
@@ -604,12 +634,24 @@ def mcm_dist_spmd(
     win: "Window | None" = None
     stats = DistStats()
 
+    def counts() -> np.ndarray:
+        """This rank's share of the snapshot counters (:data:`_COUNTED`)."""
+        own = np.array([getattr(stats, name) for name in _COUNTED], np.int64)
+        own[:4] *= grid.rank == 0
+        own[-2:] += (win.rma_ops, win.rma_words) if win is not None else 0
+        return own
+
     if resume is not None:
-        # restart path: the checkpointed matching replaces the initializer
+        # restart path: the checkpointed matching replaces the initializer,
+        # and the counters take up where the snapshot left them (a snapshot
+        # without them: the initial matching is the checkpointed one)
         mate_r.local[:] = resume.mate_row[mate_r.lo:mate_r.hi]
         mate_c.local[:] = resume.mate_col[mate_c.lo:mate_c.hi]
         mate_cblk.local[:] = resume.mate_col[mate_cblk.lo:mate_cblk.hi]
         stats.initial_cardinality = int(np.count_nonzero(resume.mate_row != NULL))
+        held = list(zip(_COUNTED, (resume.aux or {}).get("counts", [])))
+        for name, value in held[:None if grid.rank == 0 else 4]:
+            setattr(stats, name, int(value))
     elif init in _INIT_POLICIES:
         with tspan(grid.comm, f"init:{init}", cat="phase"):
             stats.initial_cardinality, stats.init_edges = proposal_rounds_spmd(
@@ -621,13 +663,15 @@ def mcm_dist_spmd(
         )
     if checkpoint_store is not None and resume is None:
         # phase-0 snapshot: initializer work survives a crash in phase 1
-        _checkpoint(grid, checkpoint_store, 0, mate_r, mate_c, stats, checkpoint_aux)
+        _checkpoint(grid, checkpoint_store, 0, mate_r, mate_c, counts(), stats, checkpoint_aux)
 
-    edges_local = 0
     phase_no = resume.phase if resume is not None else 0
     # unmatched columns grid-wide = the size of every phase's first frontier;
-    # exact without communication: each augmenting path matches one more
-    free_cols = A.ncols - stats.initial_cardinality
+    # exact without communication: each augmenting path matches one more.
+    # A resumed job counts its snapshot's matching, not the restored
+    # initial cardinality
+    free_cols = A.ncols - (stats.initial_cardinality if resume is None
+                           else int(np.count_nonzero(resume.mate_col != NULL)))
     # column block j's unmatched columns, identical down grid column j: every
     # phase's first frontier, already expanded.  Each phase's path roots
     # leave it — every rank holds them
@@ -636,8 +680,9 @@ def mcm_dist_spmd(
     # and what a pull reads of a row at most
     degr, degc = A.block.row_degrees(), A.block.col_degrees()
     # a job resumed from the hand-off's snapshot goes straight back to the
-    # serial tail
+    # serial tail, its paths already applied
     tail = resume is not None and "tail" in (resume.aux or {})
+    paths = None  # the (roots, end rows) of the hand-off phase
 
     while not tail:
         phase_no += 1
@@ -691,7 +736,7 @@ def mcm_dist_spmd(
                     stats.bottomup_steps += pull
                     # the edges this block read: top-down, over the grid,
                     # the frontier's edges, each once
-                    edges_local += scanned
+                    stats.edges_examined += scanned
                     # a row with a candidate is visited by this iteration's end
                     unseen[sent] = False
                     # Step 2: SELECT unvisited rows — a pull's rows included:
@@ -732,6 +777,7 @@ def mcm_dist_spmd(
             # (root, row) path end the phase found; a root's first iteration
             # wins, so the path count k needs no reduction, and each path
             # starts at its end row's mate_r owner
+            depth = np.repeat(np.arange(1, len(found) + 1), [r.size for r, _ in found])
             roots, rows = concat_pieces([(_EMPTY,) * 2, *found])
             roots, first = np.unique(roots, return_index=True)
             k = roots.size
@@ -739,9 +785,30 @@ def mcm_dist_spmd(
                 break
             free_cols -= k
             free_blk[roots[(roots >= A.col_lo) & (roots < A.col_hi)] - A.col_lo] = False
-            rows = rows[first]
+            rows, depth = rows[first], depth[first]
+            mode = choose_augment_mode(k, grid.nprocs)
+            # the hand-off, asked before augmenting: S is the phase's BFS
+            # steps plus its augmentation's, which replicated numbers price
+            # exactly, and handing off now skips that augmentation — the
+            # tail retraces the paths on a gathered π instead.  With every
+            # column matched the next phase runs no BFS: nothing is left to
+            # hand off
+            aug_steps, aug_ops = augment_cost(mode, depth, pr, pc, win is None)
+            tail = free_cols > 0 and tail_is_cheaper(
+                ledger_totals(grid)[0] - stats.phase_ledger[phase_no][0] + aug_steps,
+                grid.nprocs,
+                # the gather's words at most: every block's ir, then its jc
+                # and cp — a block's columns with an edge, nnz or pr·ncols in
+                # all at most — the mate slices with their offsets, and π's
+                # (row, parent) pairs of the visited rows
+                A.nnz + 2 * min(A.nnz, pr * A.ncols) + 3 * grid.nprocs + 3 * A.nrows + A.ncols,
+                A.nnz, EDISON.price(grid.nprocs, aug_steps * grid.nprocs, 0, 0, aug_ops).total,
+            )
+            if tail:
+                paths = roots, rows
+                break
             start = rows[(rows >= mate_r.lo) & (rows < mate_r.hi)]
-            if choose_augment_mode(k, grid.nprocs) == "level":
+            if mode == "level":
                 stats.augment_level_calls += 1
                 with tspan(grid.comm, "augment:level", cat="phase", k=k):
                     augment_level_spmd(A, start, pi, mate_r, mate_c, mate_cblk)
@@ -755,41 +822,50 @@ def mcm_dist_spmd(
                     augment_path_spmd_rma(win, start, pi, mate_r, mate_c)
 
             # phase complete: the augmented matching is valid (vertex-disjoint
-            # augmenting paths), so it is a correct restart point.  The
-            # hand-off is priced on the phase's own steps, before its
-            # snapshot, and always takes one: a crash in the tail restarts
-            # there.  With every column matched the next phase runs no BFS,
-            # so nothing is left to hand off
-            tail = free_cols > 0 and tail_is_cheaper(
-                ledger_totals(grid)[0] - stats.phase_ledger[phase_no][0], grid.nprocs,
-                # the gather's words at most: every block's ir, then its jc
-                # and cp — a block's columns with an edge, nnz or pr·ncols in
-                # all at most — and the mate slices with their offsets
-                A.nnz + 2 * min(A.nnz, pr * A.ncols) + 3 * grid.nprocs + A.nrows + A.ncols,
-                A.nnz,
-            )
+            # augmenting paths), so it is a correct restart point; the tail
+            # writes the hand-off's own
             if checkpoint_store is not None and (
-                tail or (checkpoint_every > 0 and phase_no % checkpoint_every == 0)
+                checkpoint_every > 0 and phase_no % checkpoint_every == 0
             ):
-                aux = {**(checkpoint_aux or {}), "tail": np.array(1)} if tail else checkpoint_aux
-                _checkpoint(grid, checkpoint_store, phase_no, mate_r, mate_c, stats, aux)
-            if tail:
-                break
+                _checkpoint(grid, checkpoint_store, phase_no, mate_r, mate_c, counts(), stats,
+                            checkpoint_aux)
 
-    if win is not None:
-        stats.rma_ops, stats.rma_words = win.rma_ops, win.rma_words
-        win.free()
     mates = ((mate_r.lo, mate_r.local), (mate_c.lo, mate_c.local))
     if tail:
         # the tail: one grid allgather hands every rank the whole graph and
-        # matching, and each finishes the phases alone — top-down, every
-        # edge read counted on every rank that reads it
+        # matching — and, after the hand-off phase's BFS, each visited row's
+        # π where it is current (a free row's once per grid row) — and each
+        # finishes the phases alone: top-down, every edge read counted on
+        # every rank that reads it
         with tspan(grid.comm, "tail", cat="phase", phase=phase_no + 1):
-            blk = A.block
-            pieces = grid.comm.allgather((blk.jc, blk.cp, blk.ir, *mates))
+            blk, pis, snap = A.block, (), checkpoint_store is not None and paths is not None
+            if paths is not None:
+                # the tail retraces the paths level-parallel: a level call
+                stats.augment_level_calls += 1
+                visited = (pi.local != NULL) & ((mate_blk.local != NULL) | (grid.j == 0))
+                pis = (np.flatnonzero(visited) + pi.lo, pi.local[visited])
+            pieces = grid.comm.allgather(
+                (blk.jc, blk.cp, blk.ir, *mates, *pis, *([counts()] if snap else [])))
             A.block = blk = mate_blk = mate_cblk = mates = None
             g_r = mate_r.assemble([piece[3] for piece in pieces])
             g_c = mate_c.assemble([piece[4] for piece in pieces])
+            if paths is not None:
+                # the hand-off phase's paths, retraced on the gathered π by
+                # Algorithm 3, which reads no edge
+                path_c, g_pi = np.full(A.ncols, NULL), np.full(A.nrows, NULL)
+                path_c[paths[0]] = paths[1]
+                for piece in pieces:
+                    g_pi[piece[5]] = piece[6]
+                augment_level_parallel(path_c, g_pi, g_r, g_c)
+                del path_c, g_pi  # not held through the serial phases
+            if snap:
+                # the hand-off's snapshot, the grid's counts riding the
+                # gather: a resume goes straight back to the tail
+                aux = {**(checkpoint_aux or {}), "tail": np.array(1),
+                       "counts": sum(piece[-1] for piece in pieces)}
+                with tspan(grid.comm, "checkpoint", cat="phase", phase=phase_no):
+                    save_checkpoint(grid, checkpoint_store, Checkpoint(phase_no, g_r, g_c, aux),
+                                    stats)
             serial = MatchingStats()
             mcm_phase_loop(
                 _global_csc(A, pieces), g_r, g_c, serial,
@@ -799,13 +875,16 @@ def mcm_dist_spmd(
         stats.iterations += serial.iterations
         stats.tail_phases, stats.tail_iterations = serial.phases, serial.iterations
         stats.tail_edges = serial.edges_traversed
-        edges_local += serial.edges_traversed
+        stats.edges_examined += serial.edges_traversed
+    if win is not None:
+        stats.rma_ops, stats.rma_words = (int(c) for c in counts()[-2:])
+        win.free()
     # this rank's block-iterations by direction; launch sums them
     stats.topdown_steps = stats.iterations - stats.bottomup_steps
     # the job's one closing collective assembles the mates on every rank
     # (unless the tail already has), the edge and word counts riding it;
     # the per-rank ledger snapshot is taken AFTER it, as the job's last act
-    pieces, (stats.edges_examined,) = gather_totals(grid, stats, mates, edges_local)
+    pieces, (stats.edges_examined,) = gather_totals(grid, stats, mates, stats.edges_examined)
     if mates is not None:
         g_r = mate_r.assemble([r for r, _ in pieces])
         g_c = mate_c.assemble([c for _, c in pieces])

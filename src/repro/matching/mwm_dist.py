@@ -81,7 +81,7 @@ from ..distmat.grid import ProcGrid
 from ..distmat.ops import allgather_arrays, concat_pieces
 from ..distmat.spmat import DistBlockMatrix, scatter_edges
 from ..runtime.checkpoint import Checkpoint, CheckpointStore
-from ..runtime.comm import Communicator
+from ..runtime.comm import SUM, Communicator
 from ..runtime.errors import CommError
 from ..runtime.trace import tspan
 from ..sparse.coo import COO
@@ -116,20 +116,23 @@ from .job import (
 def _checkpoint(
     grid: ProcGrid, store: CheckpointStore, phase: int, owner_blk: np.ndarray,
     price_blk: np.ndarray, delta: "float | None", lower: float, stats: DistStats,
-    counts: "tuple[int, int, int]" = (0, 0, 0),
+    counts: "tuple[int, int, int, int]" = (0, 0, 0, 0),
 ) -> None:
     """Snapshot (doubled mates, item prices, ladder state, counters) after a
-    completed ε-phase (the assembly is one column allgather; the write
-    protocol is :func:`~repro.matching.job.save_checkpoint`).  The ladder is
-    the next increment (0 once the ladder is done) and L, so a resumed run
-    climbs down the same rungs; the counters are the rounds and bids so far
-    (replicated) and each row block's accepted price updates, so a resumed
-    run reports the fault-free totals."""
+    completed ε-phase (the assembly is a row allreduce and a column
+    allgather; the write protocol is
+    :func:`~repro.matching.job.save_checkpoint`).  The ladder is the next
+    increment (0 once the ladder is done) and L, so a resumed run climbs
+    down the same rungs; the counters are the rounds and bids so far
+    (replicated), then each row block's accepted price updates and edges
+    read (this rank's, summed along the grid row), so a resumed run reports
+    the fault-free totals."""
     with tspan(grid.comm, "checkpoint", cat="phase", phase=phase):
         # every rank holds its whole row block, and the pr ranks of a grid
         # column hold row blocks 0..pr-1 in rank order
+        row_edges = grid.rowcomm.allreduce(counts[3], op=SUM)
         g_item, prices, updates = concat_pieces(allgather_arrays(
-            grid.colcomm, owner_blk, price_blk, np.array(counts[2:])))
+            grid.colcomm, owner_blk, price_blk, np.array([counts[2], row_edges])))
         # a phase ends on a perfect assignment (phase 0: nothing owned),
         # so the bidder side is the inverse of the item side
         owned = np.flatnonzero(g_item != NULL)
@@ -285,7 +288,10 @@ def mwm_dist_spmd(
         owner_blk[:] = resume.mate_row[A.row_lo:A.row_hi]
         price_blk[:] = resume.aux["prices"][A.row_lo:A.row_hi]
         delta, lower = float(resume.aux["ladder"][0]) or None, float(resume.aux["ladder"][1])
-        rounds, bids, updates_row = (int(c) for c in resume.aux["counts"][[0, 1, 2 + grid.i]])
+        counts = resume.aux["counts"]
+        rounds, bids, updates_row = (int(c) for c in counts[[0, 1, 2 + 2 * grid.i]])
+        # rank 0 takes back the grid's edge reads; the closing sum adds the rest
+        edges_local = int(counts[3::2].sum()) * (grid.rank == 0)
         phase_no = resume.phase
     elif checkpoint_store is not None:
         # phase-0 snapshot: uniform restart bookkeeping with the MCM engine
@@ -375,7 +381,7 @@ def mwm_dist_spmd(
                 and phase_no % checkpoint_every == 0
             ):
                 _checkpoint(grid, checkpoint_store, phase_no, owner_blk, price_blk,
-                            delta, lower, stats, (rounds, bids, updates_row))
+                            delta, lower, stats, (rounds, bids, updates_row, edges_local))
     if tail:
         # the tail: one grid allgather hands every rank rank 0's edge list and
         # the auction state (row block i's items and prices from grid column

@@ -66,10 +66,13 @@ class CheckpointStore:
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def save(self, ck: Checkpoint) -> None:
+        """Keep a copy of ``ck``, as the file store does: a writer may go
+        on to mutate the arrays it saved."""
         with self._lock:
             if self._latest is not None and ck.phase < self._latest.phase:
                 return  # never roll the store backwards
-            self._latest = ck
+            aux = ck.aux and {name: np.array(a) for name, a in ck.aux.items()}
+            self._latest = Checkpoint(ck.phase, ck.mate_row.copy(), ck.mate_col.copy(), aux)
             self.saves += 1
             self.words_written += ck.words
 

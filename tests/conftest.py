@@ -4,15 +4,16 @@ import glob
 import multiprocessing
 import os
 import threading
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 
 import pytest
 
 import repro.matching.mcm_dist as _mcm_dist
 import repro.matching.mwm_dist as _mwm_dist
 import repro.runtime.comm as _comm
+from benchmarks.handoff_seam import handoff_rule
 from repro.matching.augment import choose_augment_mode
-from repro.matching.mcm_dist import phase_boundary, pull_is_cheaper
+from repro.matching.mcm_dist import pull_is_cheaper
 from repro.runtime.trace import tspan
 
 
@@ -79,19 +80,16 @@ def force_pull(monkeypatch):
 @pytest.fixture
 def force_handoff(monkeypatch):
     """A setter that makes MCM-DIST hand off to its serial tail right after
-    phase ``k`` and MWM-DIST right after auction round ``k``, and after no
-    other: ``force_handoff(k)`` replaces the priced rule (each engine's
-    ``tail_is_cheaper``, which nothing public sets) with one that reads the
-    phase the calling rank last entered, noted by a wrapped
-    ``mcm_dist.phase_boundary``, or the round it last ran, noted by a
-    wrapped ``mwm_dist.tspan`` (its ``auction_round`` span);
-    ``force_handoff(None)`` never hands off.  Forked ranks inherit the
-    patches, so the process backend is covered too."""
+    phase ``k``'s BFS and MWM-DIST right after auction round ``k``, and
+    after no other: ``force_handoff(k)`` replaces the priced rule (each
+    engine's ``tail_is_cheaper``, which nothing public sets) — MCM-DIST's
+    through the seam the hand-off sweep shares
+    (``benchmarks/handoff_seam.py``), MWM-DIST's with one that reads the
+    round the calling rank last ran, noted by a wrapped ``mwm_dist.tspan``
+    (its ``auction_round`` span); ``force_handoff(None)`` never hands off.
+    Forked ranks inherit the patches, so the process backend is covered
+    too."""
     entered = threading.local()
-
-    def note(grid, stats, phase_no, **kwargs):
-        entered.phase = phase_no
-        phase_boundary(grid, stats, phase_no, **kwargs)
 
     def note_round(comm, name, cat="kernel", **args):
         if name == "auction_round":
@@ -99,12 +97,12 @@ def force_handoff(monkeypatch):
         return tspan(comm, name, cat, **args)
 
     def force(k):
-        monkeypatch.setattr(_mcm_dist, "phase_boundary", note)
-        monkeypatch.setattr(_mcm_dist, "tail_is_cheaper", lambda *args: entered.phase == k)
+        rules.enter_context(handoff_rule(lambda phase: phase == k))
         monkeypatch.setattr(_mwm_dist, "tspan", note_round)
         monkeypatch.setattr(_mwm_dist, "tail_is_cheaper", lambda *args: entered.round == k)
 
-    return force
+    with ExitStack() as rules:
+        yield force
 
 
 @pytest.fixture

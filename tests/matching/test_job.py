@@ -43,14 +43,15 @@ def test_plain_run_carries_no_checkpoint_traffic(no_handoff):
 def test_allowing_restarts_costs_exactly_the_snapshots(no_handoff):
     stats = run_mcm_dist(er(8, seed=3), 2, 2, init="greedy", max_restarts=3)[2]
     assert stats.restarts == 0
-    # three snapshots (phases 0..2) of 256 + 256 mates, two header words
-    # and the relabel seed
-    assert stats.checkpoint_words == 3 * 515
+    # three snapshots (phases 0..2) of 256 + 256 mates, two header words,
+    # the relabel seed and the nine job counters
+    assert stats.checkpoint_words == 3 * 524
     # (385, 347, 31,832, 28,717 before; 302, 268, 31,462, 28,323 before
     # blocks pulled by default, 30,706 / 27,567 before a pull was judged by
     # its expected read, 30,598 / 27,459 before the edge count rode the
-    # scatter header)
-    assert _ledger(stats) == (302, 268, 30_601, 27_462)
+    # scatter header, 30,601 / 27,462 before each rank's counters rode the
+    # snapshot's first allgather: 9 words to each of 3 peers, 3 snapshots)
+    assert _ledger(stats) == (302, 268, 31_006, 27_786)
     # one closing barrier per snapshot and per rank on top of the plain run's
     assert stats.comm_by_alg["barrier:dissemination"]["calls"] == 40
 
@@ -62,9 +63,10 @@ def test_a_store_alone_snapshots_without_restarting():
                          backend="thread")[2]
     # phases 0 and 1: the job hands off to its serial tail after phase 1,
     # whose snapshot carries one more word, the mark a resume goes straight
-    # back to the tail on, and the tail's phases write no snapshot
+    # back to the tail on, and the tail's phases write no snapshot; each
+    # carries the nine job counters
     assert stats.tail_phases == stats.phases - 1
-    assert stats.checkpoint_words == store.words_written == 515 + 516
+    assert stats.checkpoint_words == store.words_written == 524 + 525
     with pytest.raises(RankKilledError):
         run_mcm_dist(coo, 2, 2, checkpoint_store=CheckpointStore(),
                      faults="crash:rank=1,at=phase:1", backend="thread")
@@ -125,7 +127,7 @@ def _by_hand(stats, p):
             (EDISON.alpha + EDISON.beta) * stats.rma_ops / p)
 
 
-def test_price_of_an_mcm_run_with_one_sided_walks():
+def test_price_of_an_mcm_run_with_one_sided_walks(no_handoff):
     stats = run_mcm_dist(er(6, seed=1), 2, 2)[2]
     assert stats.rma_ops > 0 and stats.init_edges > 0  # every term is charged
     price = stats.price(4)

@@ -127,16 +127,17 @@ def test_splicing_isolated_edges_leaves_the_work_alone(name):
 
 def test_snapshots_carry_the_seed_and_a_matching_store_resumes(tmp_path):
     coo = er(7, seed=1)
-    plain_r, plain_c, _ = run_mcm_dist(coo, 2, 2, timeout=60)
+    plain_r, plain_c, plain = run_mcm_dist(coo, 2, 2, timeout=60)
     store = FileCheckpointStore(str(tmp_path / "ck"))
     run_mcm_dist(coo, 2, 2, checkpoint_store=store, timeout=60)
     assert int(store.latest().aux["relabel"]) == RELABEL_SEED
     # the store resumes from the last snapshot: a maximum matching already,
-    # so the run ends where the plain one did
+    # so the run ends where the plain one did, and the counters it carries
+    # report the job that wrote it
     mate_r, mate_c, stats = run_mcm_dist(coo, 2, 2, checkpoint_store=store, timeout=60)
     np.testing.assert_array_equal(mate_r, plain_r)
     np.testing.assert_array_equal(mate_c, plain_c)
-    assert stats.initial_cardinality == cardinality(plain_r)
+    assert stats.initial_cardinality == plain.initial_cardinality < cardinality(plain_r)
 
 
 @pytest.mark.parametrize("aux", [None, {"relabel": np.array(RELABEL_SEED + 1)}],

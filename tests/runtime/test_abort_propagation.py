@@ -60,7 +60,7 @@ def test_rank_killed_inside_collective_aborts_survivors(name):
     assert elapsed < 5.0  # survivors unblocked by the abort, not the timeout
 
 
-def test_rank_killed_inside_rma_walk_aborts_survivors(force_augment):
+def test_rank_killed_inside_rma_walk_aborts_survivors(force_augment, no_handoff):
     """Kill the victim at its Nth one-sided op inside the path-augmentation
     RMA walk (Algorithm 4); the closing fences never complete on the
     survivors, so the abort must unwind them."""

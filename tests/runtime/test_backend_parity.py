@@ -61,7 +61,7 @@ def test_larger_grid_volume_parity():
 
 
 @pytest.mark.parametrize("backend", ["thread", "process"])
-def test_level_and_path_augment_give_identical_mates(backend, force_augment):
+def test_level_and_path_augment_give_identical_mates(backend, force_augment, no_handoff):
     """Algorithms 3 and 4 flip the same vertex-disjoint paths, so forcing
     either mechanism on every phase gives the same mates on each wire; only
     the path-parallel run opens the RMA window."""

@@ -81,7 +81,7 @@ def test_resilient_without_faults_matches_plain_run():
     assert stats.checkpoint_words > 0  # phase snapshots were written
 
 
-def test_resilient_recovers_from_send_crash():
+def test_resilient_recovers_from_send_crash(no_handoff):
     coo = random_coo(40, 45, 260, 11)
     a = CSC.from_coo(coo)
     plain_card = cardinality(run_mcm_dist(coo, 2, 2)[0])

@@ -241,7 +241,7 @@ def test_race_detection_off_when_not_verifying():
 # ------------------------------------------------------------- end-to-end
 
 
-def test_mcm_dist_runs_clean_under_full_verification(force_augment):
+def test_mcm_dist_runs_clean_under_full_verification(force_augment, no_handoff):
     from repro.graphs import rmat
     from repro.matching.mcm_dist import run_mcm_dist
 
