@@ -9,13 +9,11 @@ pay off on skewed graphs (wikipedia) by shortening the MCM stage; (c)
 dynamic mindegree is the best overall compromise — the paper's default.
 """
 
-import numpy as np
-
 from repro.graphs import suite
 from repro.perfmodel import Category
 from repro.simulate import price, record
 
-from .common import emit, machine_for, suite_input
+from .common import TARGET_NNZ, emit, machine_for, suite_input
 
 INITS = ["greedy", "karp-sipser", "mindegree"]
 GRAPHS = suite.REPRESENTATIVE  # amazon, wikipedia, road_usa, delaunay
@@ -44,7 +42,8 @@ def run_experiment():
 
 
 def format_table(data) -> str:
-    lines = [f"# init comparison at {CORES} cores (model seconds)",
+    lines = [f"# pytest benchmarks/bench_fig3_init.py (target nnz {TARGET_NNZ:,})",
+             f"# init comparison at {CORES} cores (model seconds)",
              f"{'matrix':<20} {'init':<12} {'t_init':>10} {'t_mcm':>10} {'t_total':>10} {'init card':>10} {'ratio':>7}"]
     for name, per_init in data.items():
         final = next(iter(per_init.values()))["final_card"]

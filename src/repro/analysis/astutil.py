@@ -130,9 +130,11 @@ def is_spmd_function(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
     """Heuristic: does this function execute on every rank of an SPMD job?
 
     True when a parameter looks like a communicator (named ``comm`` or
-    ``*comm``), when the body touches a ``.rank`` attribute, or when it
-    makes any collective call.  Functions outside this set (pure local
-    kernels, CLI glue) are exempt from the SPMD rules.
+    ``*comm``), when the body touches a ``.rank`` attribute, when it makes
+    any collective call, or when it hands a communicator (``grid.rowcomm``)
+    to a callee, which is how the engines reach their collective helpers.
+    Functions outside this set (pure local kernels, CLI glue) are exempt
+    from the SPMD rules.
     """
     for arg in fn.args.args + fn.args.kwonlyargs + fn.args.posonlyargs:
         if arg.arg == "comm" or arg.arg.endswith("comm"):
@@ -140,7 +142,8 @@ def is_spmd_function(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
     for node in ast.walk(fn):
         if isinstance(node, ast.Attribute) and node.attr == "rank":
             return True
-        if isinstance(node, ast.Call) and is_collective_call(node):
+        if isinstance(node, ast.Call) and (is_collective_call(node) or any(
+                (dotted_name(arg) or "").endswith("comm") for arg in node.args)):
             return True
     return False
 

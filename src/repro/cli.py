@@ -311,8 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_args(p)
     p.add_argument("--pr", type=int, default=2)
     p.add_argument("--pc", type=int, default=2)
-    p.add_argument("--init", default="greedy",
-                   choices=["greedy", "karp-sipser", "mindegree", "none"])
+    p.add_argument("--init", default="greedy", choices=["greedy", "none"])
     p.add_argument("--direction", default="auto", choices=["auto", "topdown"],
                    help="Step 1's direction: 'auto' lets each block pull wherever "
                         "that is expected to read fewer of its edges")

@@ -103,7 +103,6 @@ class DistSparseMatrix(DistBlockMatrix):
     def __init__(self, grid: ProcGrid, nrows: int, ncols: int, nnz: int, block: DCSC) -> None:
         super().__init__(grid, nrows, ncols, nnz)
         self.block = block
-        self._degree_blocks: "tuple[np.ndarray, np.ndarray] | None" = None
 
     # -- construction ------------------------------------------------------------
 
@@ -121,29 +120,6 @@ class DistSparseMatrix(DistBlockMatrix):
     @property
     def local_nnz(self) -> int:
         return self.block.nnz
-
-    def degree_blocks(self) -> tuple[np.ndarray, np.ndarray]:
-        """Full-matrix (row, column) degrees of this rank's row block and
-        column block, replicated along the grid row / down the grid column:
-        the residual-degree keys of MCM-DIST's mindegree and Karp-Sipser
-        initializers.  (Step 1's direction reads only the block's own
-        degrees, so it needs none of this.)
-
-        COLLECTIVE on first call (one allreduce along each of rowcomm and
-        colcomm, summing the per-block degree contributions), then cached.
-        Every rank must reach the first call at the same program point — the
-        initializers do at their start.  Treat the returned arrays as
-        read-only.
-        """
-        if self._degree_blocks is None:
-            from ..runtime.comm import SUM
-
-            grid, blk = self.grid, self.block
-            self._degree_blocks = (
-                grid.rowcomm.allreduce(blk.row_degrees(), op=SUM),
-                grid.colcomm.allreduce(blk.col_degrees(), op=SUM),
-            )
-        return self._degree_blocks
 
     def gather_to_root(self, root: int = 0) -> "COO | None":
         """Collective: reassemble the global COO at ``root`` (the expensive

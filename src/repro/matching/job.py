@@ -68,9 +68,8 @@ class DistStats:
     #: ran it — so ``edges_examined − (p−1)·tail_edges`` is the top-down
     #: (the serial twin's) count whichever phase (round) a grid hands off at
     edges_examined: int = 0
-    #: edges the distributed initializer read (greedy's cursor, the
-    #: degree-keyed policies' explodes), summed over the ranks (not in
-    #: ``edges_examined``)
+    #: edges MCM-DIST's greedy initializer read through its lookahead
+    #: cursor, summed over the ranks (not in ``edges_examined``)
     init_edges: int = 0
     #: the replicated serial tail (:func:`tail_is_cheaper`): the phases it
     #: ran (MWM-DIST's count the one it took over mid-way), MCM-DIST's BFS

@@ -90,11 +90,12 @@ gather onto one node (§VI-E, Fig. 9)   the tail hand-off, asked after each
                                        (:func:`~repro.matching.augment.augment_level_parallel`)
                                        and finishes alone
                                        (:func:`~repro.matching.msbfs.mcm_phase_loop`)
-distributed maximal matching [21]      :func:`proposal_rounds_spmd` — greedy,
-                                       Karp-Sipser and dynamic mindegree are
-                                       three policies over one round of three
-                                       row/column allgathers (two for greedy:
-                                       its accepts ride the next propose)
+distributed maximal matching [21]      :func:`proposal_rounds_spmd` — greedy
+                                       only (the serial engine keeps
+                                       Karp-Sipser and dynamic mindegree for
+                                       Fig. 3): a round is a row and a column
+                                       allgather, its accepts riding the next
+                                       propose
 ====================================  =========================================
 
 One BFS iteration is therefore two exchanges and (pc−1) + ⌈log₂ pr⌉
@@ -139,7 +140,7 @@ from ..distmat.spmat import DistBlockMatrix, DistSparseMatrix
 from ..kernels import advance_cursor
 from ..runtime import Window
 from ..runtime.checkpoint import Checkpoint, CheckpointStore
-from ..runtime.comm import SUM, Communicator
+from ..runtime.comm import Communicator
 from ..runtime.trace import tspan
 from ..sparse import permute
 from ..sparse.coo import COO
@@ -162,23 +163,10 @@ from .msbfs import MatchingStats, mcm_phase_loop
 
 
 # ---------------------------------------------------------------------------
-# distributed maximal-matching initializers (the matrix-algebraic rounds of [21])
+# the distributed maximal-matching initializer (the matrix-algebraic rounds of [21])
 # ---------------------------------------------------------------------------
 
 _EMPTY = np.empty(0, np.int64)
-
-#: ``init`` name -> the proposer/key policy it is over
-#: :func:`proposal_rounds_spmd`.  Greedy: every free column proposes, ids
-#: break ties.  Dynamic mindegree — the paper's default: the same rounds
-#: keyed by residual degree.
-#: Karp-Sipser: degree-1 columns, whose match is always safe, go first; their
-#: cascades serialize into many rounds — what makes distributed Karp-Sipser
-#: slow in the paper's Fig. 3.
-_INIT_POLICIES = {
-    "greedy": {},
-    "mindegree": {"degree_keys": True},
-    "karp-sipser": {"degree_one_first": True},
-}
 
 
 def _best(idx: np.ndarray, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -193,155 +181,76 @@ def proposal_rounds_spmd(
     mate_r: DistDenseVec,
     mate_c: DistDenseVec,
     mate_cblk: BlockVec,
-    *,
-    degree_keys: bool = False,
-    degree_one_first: bool = False,
 ) -> tuple[int, int]:
-    """Round-synchronous maximal matching from the EMPTY matching, SPMD —
-    the one round driver behind all three initializers.  Returns the global
-    number of pairs matched and the edges this rank read: greedy's
-    lookahead cursor, the degree-keyed policies' explodes.
+    """Round-synchronous greedy maximal matching from the EMPTY matching,
+    SPMD: every free row proposes to its minimum free column, and every
+    proposed column accepts its minimum proposing row.  Returns the global
+    number of pairs matched and the edges this rank's cursor read.
 
     Rank (i, j) replicates the free-row bitmap of row block i (identical
     along grid row i) and ``mate_cblk``, column block j's ``mate_c``
     (identical down grid column j; its free entries are the block's
-    free-column bitmap).  One round is three packed allgathers, none of
+    free-column bitmap).  One round is two packed allgathers, neither of
     them on the grid communicator:
 
-    1. **propose** (grid row) — every block reduces its edges between
-       proposing columns and free rows to one candidate per free row;
-       allgathered along the row, every rank reduces them to the row's
-       proposal (its minimum key).
+    1. **propose** (grid row) — each free row's minimum free column of the
+       block, read by one lookahead cursor per row into the block's
+       row-major mirror (a matched column stays matched, so a cursor never
+       steps back: :func:`~repro.kernels.advance_cursor`); allgathered along
+       the row, every rank keeps each row's minimum, its proposal.  The
+       last round's accepted pairs of this row block, and the column
+       block's accept count, ride along: the row bitmap and the owners'
+       ``mate_r`` are updated, the counts sum to the last round's global
+       match count on every rank, and the rows they matched drop their
+       proposals — a proposal is per row, so that is the round it would
+       have made.
     2. **resolve** (grid column) — the rank sitting in the proposed column's
        block contributes the proposal; every rank of the column keeps each
        column's minimum row, which fills ``mate_cblk`` and the vector
        owners' ``mate_c``.
-    3. **accept** (grid row) — the accepted pairs of this row block, and the
-       column block's accept count, go along the row: the row bitmap and
-       the owners' ``mate_r`` are updated, and the counts sum to the
-       round's global match count on every rank.  Greedy sends them on the
-       next round's propose allgather and drops the rows they matched from
-       the proposals after it — a proposal is per row, so that is the
-       round it would have made — so R rounds cost 2R + 1 allgathers, the
-       last propose carrying only the zero count that ends the loop.
 
-    A candidate travels as (vertex, key) with the proposed partner in
-    ``key mod n``: ``degree_keys`` puts the partner's residual degree above
-    it, which makes both reductions prefer the minimum-degree partner (ties
-    to the smaller id, like the serial ``mindegree_rounds``).
-    ``degree_one_first`` restricts a round's proposers to the residual
-    degree-1 columns while any exists anywhere (Karp-Sipser).  Either one
-    maintains block-replicated residual degrees with one ``colcomm`` and one
-    ``rowcomm`` allreduce per matching round; the latter's last word carries
-    the column block's degree-1 count, so no rank needs a grid reduction to
-    know whether one exists.  Their next proposals read the degrees the
-    accepts lower, so they accept in a round of their own.  The loop ends
-    when a round matches nothing, which is exactly maximality.
+    The loop ends on the propose whose counts sum to zero — a round that
+    matched nothing, which is exactly maximality — so R rounds cost 2R + 1
+    allgathers.
     """
     grid, blk = A.grid, A.block
-    nrows, ncols = max(1, A.nrows), max(1, A.ncols)
     free_r = np.ones(blk.nrows, dtype=bool)
-    degrees = degree_keys or degree_one_first
-    ones_left = 0  # free residual degree-1 columns, grid-wide
-    if degrees:
-        degr, degc = (d.copy() for d in A.degree_blocks())
-        if degree_one_first:
-            ones_left = int(grid.rowcomm.allreduce(int((degc == 1).sum()), op=SUM))
-    # greedy: each free row's proposal is its minimum free column, and a
-    # matched column stays matched, so one lookahead cursor per row into the
-    # row-major mirror replaces exploding the free columns (the degree-keyed
-    # policies read the mirror too, in their degree updates)
     row_ptr, col_idx = blk.csr_mirror()
     cursor = row_ptr[:-1].copy()
-
-    def accept(arows, acols, accepts) -> int:
-        free_r[arows - A.row_lo] = False
-        own = (arows >= mate_r.lo) & (arows < mate_r.hi)
-        mate_r.set_local(arows[own], acols[own])
-        return int(accepts.sum())
-
     # this rank's accepts not sent yet: (rows, columns, count), the count
-    # empty while there are none
+    # empty before the first round
     unsent = (_EMPTY,) * 3
     total = edges = 0
     while True:
         # 1. propose, the last round's accepts riding along
-        if degrees:
-            cols = np.flatnonzero(mate_cblk.local == NULL)
-            if degree_one_first:
-                # zero-degree columns can never match; leaving them out keeps
-                # the plain rounds to the columns Karp-Sipser still has to place
-                cols = cols[degc[cols] == 1] if ones_left else cols[degc[cols] > 0]
-            gcols = cols + A.col_lo
-            # keep no edge-sized array longer than needed (the roots repeat
-            # the keys, and the row offset waits for the reduced candidates)
-            lrows, key = blk.explode_cols(cols, gcols, gcols)[:2]
-            edges += lrows.size
-            open_row = free_r[lrows]
-            lrows, key = lrows[open_row], key[open_row]
-            if degree_keys:
-                key = key + degc[key - A.col_lo] * ncols
-            lrows, key = _best(lrows, key)
-        else:
-            lrows, key, read = advance_cursor(
-                row_ptr, col_idx, cursor, np.flatnonzero(free_r), mate_cblk.local != NULL
-            )
-            edges += read
-            key += A.col_lo
+        lrows, key, read = advance_cursor(
+            row_ptr, col_idx, cursor, np.flatnonzero(free_r), mate_cblk.local != NULL
+        )
+        edges += read
+        key += A.col_lo
         pieces = allgather_arrays(grid.rowcomm, lrows + A.row_lo, key, *unsent)
-        rows, key, *accepts = concat_pieces(pieces)
-        if accepts[2].size:
-            matched = accept(*accepts)
-            total += matched
+        rows, key, arows, acols, accepts = concat_pieces(pieces)
+        if accepts.size:
+            matched = int(accepts.sum())
             if matched == 0:
                 return total, edges
+            total += matched
+            free_r[arows - A.row_lo] = False
+            own = (arows >= mate_r.lo) & (arows < mate_r.hi)
+            mate_r.set_local(arows[own], acols[own])
             open_row = free_r[rows - A.row_lo]
             rows, key = rows[open_row], key[open_row]
-        rows, key = _best(rows, key)
-        pcols = key % ncols
+        rows, pcols = _best(rows, key)
 
         # 2. resolve
         mine = (pcols >= A.col_lo) & (pcols < A.col_hi)
-        pcols, key = pcols[mine], rows[mine]
-        if degree_keys:
-            key = key + degr[key - A.row_lo] * nrows
-        pieces = allgather_arrays(grid.colcomm, pcols, key)
-        wcols, key = _best(*concat_pieces(pieces))
-        wrows = key % nrows
+        pieces = allgather_arrays(grid.colcomm, pcols[mine], rows[mine])
+        wcols, wrows = _best(*concat_pieces(pieces))
         mate_cblk.set_local(wcols, wrows)
         own = (wcols >= mate_c.lo) & (wcols < mate_c.hi)
         mate_c.set_local(wcols[own], wrows[own])
-
-        # 3. accept
         here = (wrows >= A.row_lo) & (wrows < A.row_hi)
         unsent = (wrows[here], wcols[here], np.array([wcols.size], np.int64))
-        if not degrees:
-            continue
-        arows, acols, accepts = concat_pieces(allgather_arrays(grid.rowcomm, *unsent))
-        unsent = (_EMPTY,) * 3
-        matched = accept(arows, acols, accepts)
-        total += matched
-        if matched == 0:
-            if not ones_left:
-                return total, edges
-            # stale degree-1 entries can occur transiently after ties; one
-            # plain round makes progress or proves maximality
-            ones_left = 0
-            continue
-        # columns adjacent to newly matched rows lose a degree, rows
-        # adjacent to newly matched columns likewise
-        _, touched = blk.explode_rows(arows - A.row_lo)
-        edges += touched.size
-        degc -= grid.colcomm.allreduce(
-            np.bincount(touched, minlength=blk.ncols).astype(np.int64), op=SUM
-        )
-        touched, _, _ = blk.explode_cols(wcols - A.col_lo, wcols, wcols)
-        edges += touched.size
-        dec_r = np.bincount(touched, minlength=blk.nrows + 1).astype(np.int64)
-        dec_r[-1] = ((mate_cblk.local == NULL) & (degc == 1)).sum()
-        dec_r = grid.rowcomm.allreduce(dec_r, op=SUM)
-        degr -= dec_r[:-1]
-        ones_left = int(dec_r[-1]) if degree_one_first else 0
 
 
 # ---------------------------------------------------------------------------
@@ -652,15 +561,13 @@ def mcm_dist_spmd(
         held = list(zip(_COUNTED, (resume.aux or {}).get("counts", [])))
         for name, value in held[:None if grid.rank == 0 else 4]:
             setattr(stats, name, int(value))
-    elif init in _INIT_POLICIES:
-        with tspan(grid.comm, f"init:{init}", cat="phase"):
+    elif init == "greedy":
+        with tspan(grid.comm, "init:greedy", cat="phase"):
             stats.initial_cardinality, stats.init_edges = proposal_rounds_spmd(
-                A, mate_r, mate_c, mate_cblk, **_INIT_POLICIES[init],
+                A, mate_r, mate_c, mate_cblk,
             )
     elif init not in (None, "none"):
-        raise ValueError(
-            f"unknown distributed init {init!r} (greedy/mindegree/karp-sipser/none)"
-        )
+        raise ValueError(f"unknown distributed init {init!r} (greedy/none)")
     if checkpoint_store is not None and resume is None:
         # phase-0 snapshot: initializer work survives a crash in phase 1
         _checkpoint(grid, checkpoint_store, 0, mate_r, mate_c, counts(), stats, checkpoint_aux)

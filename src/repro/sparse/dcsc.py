@@ -127,16 +127,6 @@ class DCSC:
             self._csr = (row_ptr, np.remainder(key, max(1, self.ncols), out=key))
         return self._csr
 
-    def explode_rows(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Pull traversal: all (row, column) pairs adjacent to the given
-        LOCAL rows, via the cached CSR mirror.  Columns ascend within each
-        row, so downstream stable reductions tie-break by column exactly
-        like the column-major explode does."""
-        rows = np.asarray(rows, dtype=np.int64)
-        row_ptr, col_idx = self.csr_mirror()
-        cols, counts = ragged_gather(row_ptr, col_idx, rows)
-        return np.repeat(rows, counts), cols
-
     def pull_rows(
         self, rows: np.ndarray, root_of: np.ndarray, null: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:

@@ -67,12 +67,12 @@ MUTATIONS = [
      "    win.fence()\n    np.random.shuffle(start_rows)\n    for r0 in",
      {"SPMD401"}),
     ("clock-in-proposal-tie-break", "matching/mcm_dist.py",
-     "            key = key + degc[key - A.col_lo] * ncols\n",
-     "            key = key + degc[key - A.col_lo] * ncols + time.time_ns() % 2\n",
+     "        key += A.col_lo\n",
+     "        key += A.col_lo + time.time_ns() % 2\n",
      {"SPMD602"}),
     ("module-cache-written-by-rank-code", "matching/mcm_dist.py",
      "    stats = DistStats()\n",
-     "    stats = DistStats()\n    _INIT_POLICIES[\"last\"] = stats\n",
+     "    global _LAST_STATS\n    stats = _LAST_STATS = DistStats()\n",
      {"SPMD701"}),
     ("lambda-bcast-payload", "matching/mwm_dist.py",
      "comm.bcast(header, root=0)",

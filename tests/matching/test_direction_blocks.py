@@ -45,7 +45,7 @@ FAMILIES = {
     "rect90x30": lambda: _random(90, 30, 400, 8),
 }
 GRIDS = [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 3)]
-INITS = ["none", "greedy", "mindegree", "karp-sipser"]
+INITS = ["none", "greedy"]
 
 
 def _expected_read(td, nnz, degrees, unseen):

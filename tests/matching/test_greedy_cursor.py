@@ -82,8 +82,7 @@ def _run(monkeypatch, coo, pr, pc, backend, oracle):
     rounds = explode_greedy if oracle else mcm_dist.proposal_rounds_spmd
     gather = mcm_dist.allgather_arrays
 
-    def traced(A, *args, **policy):
-        assert not policy
+    def traced(A, *args):
         here.grid, log[A.grid.comm.rank] = A.grid, []
         try:
             return rounds(A, *args)

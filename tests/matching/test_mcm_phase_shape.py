@@ -3,9 +3,9 @@ the bit-equality of the results that shape must not touch.
 
 Sibling of ``test_mcm_iteration_shape.py``: a path-parallel phase is two
 barriers on one window that lives for the whole run, a level of the
-level-parallel augment is a row all-to-all and a column all-to-all, an
-initializer round is three row/column allgathers (two for greedy, whose
-accepts ride the next propose), the path count needs no reduction and the
+level-parallel augment is a row all-to-all and a column all-to-all, a
+greedy initializer round is a row and a column allgather (its accepts ride
+the next propose), the path count needs no reduction and the
 job closes on one grid allgather — so the span tests pin, on six grid
 shapes, which collectives each of those spans holds and on which
 communicator, with the step counts that follow written as ⌈log₂ q⌉ /
@@ -167,35 +167,21 @@ def test_level_step_is_a_row_hop_and_a_column_hop(pr, pc, backend, tmp_path, for
         assert _steps(_inside(call, comms)) == L * ((pc - 1) + (pr - 1)) + (pc - 1)
 
 
-@pytest.mark.parametrize("init", ["greedy", "mindegree", "karp-sipser"])
+@pytest.mark.parametrize("init", ["greedy"])
 @pytest.mark.parametrize("pr,pc", GRIDS)
 def test_initializer_round_is_three_row_column_allgathers(pr, pc, init):
-    """Three for the degree-keyed policies; greedy's accept rides the next
-    round's propose, so R rounds are 2R + 1 allgathers."""
+    """A round is a row and a column allgather, the accepts riding the next
+    round's propose, so R rounds are 2R + 1 allgathers and nothing else."""
     stats = _traced(pr, pc, init=init)
     assert stats.initial_cardinality > 0
-    if init == "greedy":
-        rnd, last = [("allgather", pc), ("allgather", pr)], [("allgather", pc)]
-    else:
-        rnd, last = [("allgather", pc), ("allgather", pr), ("allgather", pc)], []
+    rnd, last = [("allgather", pc), ("allgather", pr)], [("allgather", pc)]
     for spans, comms, grid_id in _per_rank(stats.trace):
         (span,) = [sp for sp in spans if sp.name == f"init:{init}"]
         inside = _inside(span, comms)
         assert grid_id not in {c.args["comm"] for c in inside}
-        gathers = [c for c in inside if c.name == "allgather"]
-        rounds = len(gathers) // len(rnd)
-        assert rounds >= 2 and _shape(gathers) == rnd * rounds + last
-        row_gathers = rounds * (len(rnd) - 1) + len(last)
-        assert _steps(gathers) == row_gathers * _log2ceil(pc) + rounds * _log2ceil(pr)
-        if init == "greedy":
-            assert inside == gathers
-        else:
-            # residual degrees: one colcomm and one rowcomm allreduce per
-            # round that matched, the block degrees (and Karp-Sipser's first
-            # degree-1 count) once
-            rest = [c for c in inside if c.name != "allgather"]
-            assert {c.name for c in rest} == {"allreduce"}
-            assert len(rest) == 2 * (rounds - 1) + 2 + (init == "karp-sipser")
+        rounds = len(inside) // len(rnd)
+        assert rounds >= 2 and _shape(inside) == rnd * rounds + last
+        assert _steps(inside) == (rounds + 1) * _log2ceil(pc) + rounds * _log2ceil(pr)
 
 
 @pytest.mark.parametrize("direction", ["topdown", "auto"])
@@ -225,7 +211,7 @@ def test_no_grid_reduction_per_phase_level_or_round(pr, pc, direction):
 #: mechanism forced through the ``force_augment`` seam
 VARIANTS = [
     (init, augment)
-    for init in ("greedy", "mindegree", "karp-sipser", "none")
+    for init in ("greedy", "none")
     for augment in ("auto", "level", "path")
 ]
 #: no initializer, so a dozen phases; every one of them path-parallel

@@ -12,7 +12,6 @@ reads are counted beside it.
 """
 
 import os
-import threading
 
 import numpy as np
 import pytest
@@ -25,7 +24,6 @@ from repro.matching.job import tail_is_cheaper
 from repro.matching.mcm_dist import _mcm_rank_main, run_mcm_dist
 from repro.perfmodel.collectives import msbfs_iteration
 from repro.runtime import spmd
-from repro.sparse.dcsc import DCSC
 
 from ..helpers import topdown_edges
 
@@ -137,36 +135,16 @@ def test_a_crash_in_the_tail_restarts_from_the_handoff_snapshot(backend):
 # -- the initializer's reads -----------------------------------------------------
 
 
-@pytest.mark.parametrize("init", ["greedy", "mindegree", "karp-sipser", "none"])
+@pytest.mark.parametrize("init", ["greedy", "none"])
 def test_init_edges_are_the_initializers_explodes(monkeypatch, init):
-    # the degree-keyed policies explode; greedy reads through its lookahead
-    # cursor, whose reads are counted instead
-    inside, sizes = threading.local(), []
-    rounds = mcm_dist.proposal_rounds_spmd
-
-    def traced(*args, **kwargs):
-        inside.on = True
-        try:
-            return rounds(*args, **kwargs)
-        finally:
-            inside.on = False
-
-    def counted(method, pick):
-        def explode(*args):
-            out = method(*args)
-            if getattr(inside, "on", False):
-                sizes.append(out[pick].size)
-            return out
-        return explode
+    # greedy reads through its lookahead cursor, whose reads are counted
+    sizes = []
 
     def cursor(*args):
         out = advance_cursor(*args)
         sizes.append(out[2])
         return out
 
-    monkeypatch.setattr(mcm_dist, "proposal_rounds_spmd", traced)
-    monkeypatch.setattr(DCSC, "explode_cols", counted(DCSC.explode_cols, 0))
-    monkeypatch.setattr(DCSC, "explode_rows", counted(DCSC.explode_rows, 1))
     monkeypatch.setattr(mcm_dist, "advance_cursor", cursor)
     stats = run_mcm_dist(er(6, seed=1), 2, 2, init=init, backend="thread", timeout=60)[2]
     assert stats.init_edges == sum(sizes)

@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 
 from repro.distmat.ops import route
+from repro.graphs.generators import edge_weights
 from repro.graphs.rmat import er
 from repro.matching.mcm_dist import run_mcm_dist
+from repro.matching.mwm_dist import run_mwm_dist
 from repro.runtime import SUM, ReduceOp, spmd
 
 from ..conftest import walk_everywhere
@@ -242,12 +244,19 @@ def test_route_delivers_parallel_arrays_in_source_order():
 @pytest.mark.parametrize("grid", [(1, 1), (2, 2), (3, 3), (2, 3)],
                          ids=lambda g: f"{g[0]}x{g[1]}")
 def test_mate_vectors_bit_identical_across_collective_configs(grid):
-    """One engine, two physical plans: what the size rule picks on this
-    grid against every schedule walked for real (``init="mindegree"``, so
-    the residual-degree allreduces ride along on every grid shape)."""
+    """Two engines, two physical plans each: what the size rule picks on
+    this grid against every schedule walked for real.  MWM-DIST's leg
+    brings the allreduces along (its quiescence check and closing reduce)."""
     coo = er(scale=6, seed=3)
-    mate_r, mate_c, _ = run_mcm_dist(coo, *grid, init="mindegree")
+    mate_r, mate_c, _ = run_mcm_dist(coo, *grid)
+    weights = edge_weights(coo, "uniform", seed=3)
+    wmate_r, wmate_c, wstats = run_mwm_dist(coo, weights, *grid)
     with walk_everywhere():
-        walked_r, walked_c, _ = run_mcm_dist(coo, *grid, init="mindegree")
+        walked_r, walked_c, _ = run_mcm_dist(coo, *grid)
+        wwalked_r, wwalked_c, wwalked = run_mwm_dist(coo, weights, *grid)
     assert np.array_equal(mate_r, walked_r)
     assert np.array_equal(mate_c, walked_c)
+    assert np.array_equal(wmate_r, wwalked_r)
+    assert np.array_equal(wmate_c, wwalked_c)
+    assert wstats.matching_weight == wwalked.matching_weight
+    assert "allreduce:doubling" in wstats.comm_by_alg

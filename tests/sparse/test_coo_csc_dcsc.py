@@ -215,20 +215,17 @@ def test_dcsc_csr_mirror_and_degrees_are_cached():
     assert np.array_equal(d.row_degrees(), np.diff(d.csr_mirror()[0]))
 
 
-def test_dcsc_explode_rows_matches_bruteforce():
+def test_dcsc_csr_mirror_matches_bruteforce():
+    """Each row's columns, ascending: what greedy's cursor and the pull
+    read."""
     rng = np.random.default_rng(7)
     coo = COO(25, 40, rng.integers(0, 25, 150), rng.integers(0, 40, 150))
     d = DCSC.from_coo(coo)
     ref = d.to_coo()
-    subset = np.unique(rng.integers(0, 25, 10))
-    rows, cols = d.explode_rows(subset)
-    want = sorted(
-        (int(r), int(c)) for r, c in zip(ref.rows, ref.cols) if r in set(subset.tolist())
-    )
-    assert sorted(zip(rows.tolist(), cols.tolist())) == want
-    # rows with no edges contribute nothing; empty subset is empty
-    er, ec = d.explode_rows(np.empty(0, np.int64))
-    assert er.size == ec.size == 0
+    row_ptr, col_idx = d.csr_mirror()
+    for r in range(d.nrows):
+        got = col_idx[row_ptr[r]:row_ptr[r + 1]].tolist()
+        assert got == sorted(int(c) for c in ref.cols[ref.rows == r])
 
 
 def test_csc_row_degrees_cached_and_correct():

@@ -139,10 +139,10 @@ def test_spmd_stats_json_dump(tmp_path, capsys):
         assert counters["calls"] >= 1
 
 
-@pytest.mark.parametrize("init", ["greedy", "karp-sipser", "mindegree", "none"])
+@pytest.mark.parametrize("init", ["greedy", "none"])
 def test_spmd_init_reaches_the_engine_unchanged(init, tmp_path, capsys):
-    """Every distributed initializer is selectable, and the one named is the
-    one that runs (its span is in the trace; ``none`` runs no initializer)."""
+    """The initializer named is the one that runs (its span is in the
+    trace; ``none`` runs no initializer)."""
     from repro.runtime.trace import DistTrace
 
     trace_path = tmp_path / "out.json"
@@ -152,6 +152,15 @@ def test_spmd_init_reaches_the_engine_unchanged(init, tmp_path, capsys):
     inits = {sp.name for sp in DistTrace.load(str(trace_path)).all_spans()
              if sp.name.startswith("init:")}
     assert inits == (set() if init == "none" else {f"init:{init}"})
+
+
+def test_spmd_init_is_greedy_or_none(capsys):
+    """The degree-keyed initializers are ``match`` / ``scaling``'s only."""
+    with pytest.raises(SystemExit) as exc:
+        main(["spmd", "--rmat", "er:6", "--init", "karp-sipser"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "'greedy'" in err and "'none'" in err
 
 
 def test_spmd_trace_and_trace_report(tmp_path, capsys):
