@@ -11,7 +11,7 @@ suite, and never changes the computed cardinality.
 from repro.graphs import suite
 from repro.simulate import price, record
 
-from .common import FAST, emit, machine_for, suite_input
+from .common import FAST, TARGET_NNZ, emit, machine_for, suite_input
 
 CORES, THREADS = 972, 12
 GRAPHS = suite.REPRESENTATIVE if FAST else sorted(suite.SUITE)
@@ -40,7 +40,8 @@ def run_experiment():
 
 
 def format_table(rows) -> str:
-    lines = [f"# pruning impact at {CORES} cores",
+    lines = [f"# pytest benchmarks/bench_fig8_pruning.py (target nnz {TARGET_NNZ:,})",
+             f"# pruning impact at {CORES} cores",
              f"{'matrix':<20} {'prune on (s)':>13} {'prune off (s)':>14} {'time saved':>11} {'edges saved':>12}"]
     for r in rows:
         edge_save = 100.0 * (1 - r["edges_on"] / max(1, r["edges_off"]))

@@ -52,7 +52,8 @@ def run_graft_study():
 
 def test_tree_grafting_ablation(benchmark):
     rows = benchmark.pedantic(run_graft_study, rounds=1, iterations=1)
-    lines = [f"{'graph':<12} {'MS-BFS edges':>13} {'Graft edges':>12} {'saved':>7} {'phases':>10}"]
+    lines = [f"# pytest benchmarks/bench_future_work.py::test_tree_grafting_ablation (scale {SCALE})",
+             f"{'graph':<12} {'MS-BFS edges':>13} {'Graft edges':>12} {'saved':>7} {'phases':>10}"]
     for r in rows:
         saved = 1 - r["graft_edges"] / r["plain_edges"]
         lines.append(

@@ -109,14 +109,13 @@ def path_ends(roots: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def allgather_arrays(comm: Communicator, *arrays: np.ndarray) -> "list[tuple[np.ndarray, ...]]":
-    """Allgather parallel arrays, one packed buffer per rank.
+    """Allgather parallel arrays, one tuple per rank, so each crosses the
+    wire at its own width (:mod:`repro.runtime.comm`).
 
-    Returns one tuple of arrays per source rank, in rank order — the
-    multi-array analogue of ``comm.allgatherv((a, b))``, used by the expand
-    phases for their (idx, root) pairs.
+    Returns one tuple of arrays per source rank, in rank order, used by the
+    expand phases for their (idx, root) pairs.
     """
-    pieces = comm.allgatherv(pack_arrays(*arrays))
-    return [unpack_arrays(buf) for buf in pieces]
+    return comm.allgatherv(arrays)
 
 
 def concat_pieces(pieces: "list[tuple[np.ndarray, ...]]") -> tuple[np.ndarray, ...]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..runtime.pack import wire_dtype
 from ..sparse.coo import COO
 from ..sparse.dcsc import DCSC
 from .distvec import make_vecmap
@@ -64,31 +65,29 @@ def scatter_edges(
         dest = BlockMap(coo.nrows, grid.pr).owner(coo.rows)
         dest *= grid.pc
         dest += BlockMap(coo.ncols, grid.pc).owner(coo.cols)
-        # the narrowest unsigned dtype holding a rank: NumPy radix-sorts it,
-        # and a stable sort's permutation does not depend on the dtype
         dest = dest.astype(np.min_scalar_type(comm.size - 1))
-        cuts = np.zeros(comm.size + 1, dtype=np.int64)
-        np.cumsum(np.bincount(dest, minlength=comm.size), out=cuts[1:])
-        order = np.argsort(dest, kind="stable")
+        # each piece in input order, its ids narrowed as it is cut out (one
+        # scan each, to the width the wire would give them): a permutation
+        # of all edges and the pieces at full width, held together, left
+        # their freed pages resident under the blocks built next (the bulk
+        # job's peak rose 170 → 181 MiB in half the cold runs)
+        payloads = []
+        for r in range(comm.size):
+            edges = np.flatnonzero(dest == r)
+            ids = (coo.rows[edges], coo.cols[edges])
+            payloads.append((coo.nrows, coo.ncols, coo.nnz,
+                             *(a.astype(wire_dtype(a)) for a in ids),
+                             *(v[edges] for v in values)))
+            del edges, ids
         del dest
-        sorted_ = [a[order] for a in (coo.rows, coo.cols, *values)]
-        # the dead permutation goes before the scatter: a piece is on the
-        # fabric when its send returns, so peers build their blocks while
-        # the root still copies the later pieces
-        del order
-        payloads = [
-            (coo.nrows, coo.ncols, coo.nnz, *(a[cuts[r]:cuts[r + 1]] for a in sorted_))
-            for r in range(comm.size)
-        ]
     else:
         payloads = None
     nrows, ncols, nnz, rows, cols, *mine = comm.scatter(payloads, root=root)
-    if comm.rank == root:
-        # the sorted copies: drop them before the root builds its own block
-        # on top of them (with the relabel before it, the job's high-water mark)
-        del sorted_, payloads
+    del payloads
     geom = DistBlockMatrix(grid, nrows, ncols, nnz)
-    return (geom, rows - geom.row_lo, cols - geom.col_lo, *mine)
+    # widened straight into block-local int64: one allocation per array
+    return (geom, np.subtract(rows, geom.row_lo, dtype=np.int64),
+            np.subtract(cols, geom.col_lo, dtype=np.int64), *mine)
 
 
 class DistSparseMatrix(DistBlockMatrix):

@@ -704,10 +704,13 @@ def mcm_dist_spmd(
             tail = free_cols > 0 and tail_is_cheaper(
                 ledger_totals(grid)[0] - stats.phase_ledger[phase_no][0] + aug_steps,
                 grid.nprocs,
-                # the gather's words at most: every block's ir, then its jc
-                # and cp — a block's columns with an edge, nnz or pr·ncols in
-                # all at most — the mate slices with their offsets, and π's
-                # (row, parent) pairs of the visited rows
+                # the gather's words at full width, short of a word or two
+                # a block (cp's last entry, the allgather's source label)
+                # that the wire's range widths undercut many times over:
+                # every block's ir, then its jc and cp — a block's columns
+                # with an edge, nnz or pr·ncols in all at most — the mate
+                # slices with their offsets, and π's (row, parent) pairs of
+                # the visited rows
                 A.nnz + 2 * min(A.nnz, pr * A.ncols) + 3 * grid.nprocs + 3 * A.nrows + A.ncols,
                 A.nnz, EDISON.price(grid.nprocs, aug_steps * grid.nprocs, 0, 0, aug_ops).total,
             )

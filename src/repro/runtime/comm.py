@@ -53,6 +53,17 @@ the logical ledger the replay must reproduce; results are bit-identical
 either way.  There is one send path under both plans: a message is on the
 fabric when its send returns (:meth:`Communicator._dispatch`, the one place
 a frame is counted), so frame counts are a property of the plan alone.
+
+**The wire's integer width.**  Every ``int64`` array crosses the wire at
+the narrowest integer dtype holding its [min, max]
+(:func:`~repro.runtime.pack.wire_dtype`) and arrives as the ``int64``
+array that was sent: the thread wire narrows in its send-time copy
+(:func:`_wire`) and widens on receipt (:func:`_widen`), the process ring
+in its codec (:mod:`repro.runtime.shm`).  Both ledgers count the narrowed
+bytes, except a reduction's (``reduce`` / ``allreduce``), counted at full
+width: its in-flight partial sums, hence their ranges, depend on the plan.
+A width is a property of the values sent, so the logical ledger stays the
+same on both backends and under both plans.
 """
 
 from __future__ import annotations
@@ -66,6 +77,7 @@ import numpy as np
 
 from .errors import CollectiveMismatchError, TransientCommError
 from .fabric import ANY_SOURCE, Fabric
+from .pack import wire_dtype
 from .schedules import LEFT, REPLACE, binomial, dissemination, doubling, pairwise, swap
 
 
@@ -111,7 +123,10 @@ class CommStats:
     """Per-rank communication counters (messages and payload words).
 
     ``words`` counts 8-byte words for NumPy payloads (the unit the paper's β
-    is expressed in); non-array payloads count as one word per Python object.
+    is expressed in) at the width each array crosses the wire in — an
+    ``int64`` array's range width, a reduction's at full width (see the
+    module docstring); non-array payloads count as one word per Python
+    object.
     ``by_alg`` breaks the collectives down per algorithm:
     ``{"op:alg": {"calls", "messages", "words", "steps"}}`` where ``steps``
     is the algorithm's sequential round count (the latency term the α-β
@@ -164,12 +179,65 @@ class CommStats:
         self.retries_by_op[op] = self.retries_by_op.get(op, 0) + 1
 
 
-def _payload_words(payload: Any) -> int:
+#: the collectives whose words are counted at full width: a reduction's
+#: in-flight partial sums depend on the plan, so a ledger counting their
+#: narrowed width would not be aggregation-invariant
+_FULL_WIDTH = frozenset({"reduce", "allreduce"})
+
+
+class _Narrow:
+    """An ``int64`` array on the thread wire at its
+    :func:`~repro.runtime.pack.wire_dtype`; :func:`_widen` restores it on
+    receipt."""
+
+    __slots__ = ("a",)
+
+    def __init__(self, a: np.ndarray) -> None:
+        self.a = a
+
+
+def _wire(payload: Any, copy: bool, narrow: bool = True) -> "tuple[Any, int]":
+    """``(what crosses the wire, its words)`` in one pass over the payload.
+
+    ``words`` counts each array's 8-byte words at the width it crosses in —
+    an ``int64`` array at its :func:`~repro.runtime.pack.wire_dtype` unless
+    ``narrow`` is off — and one word per other object.  With ``copy`` the
+    payload is copied at send time (wire semantics for a fabric that passes
+    references), each narrowed array into a :class:`_Narrow`; without, it
+    is returned as it is, for a serializing fabric whose codec narrows and
+    copies it."""
     if isinstance(payload, np.ndarray):
-        return (payload.nbytes + 7) // 8
+        dt = wire_dtype(payload) if narrow else payload.dtype
+        words = (payload.size * dt.itemsize + 7) // 8
+        if not copy:
+            return payload, words
+        if dt == payload.dtype:
+            return payload.copy(), words
+        return _Narrow(payload.astype(dt, order="C")), words
     if isinstance(payload, (tuple, list)):
-        return sum(_payload_words(x) for x in payload)
-    return 1
+        wired = [_wire(x, copy, narrow) for x in payload]
+        words = sum(w for _, w in wired)
+        if not copy:
+            return payload, words
+        items = (x for x, _ in wired)
+        return (tuple(items) if isinstance(payload, tuple) else list(items)), words
+    return (_freeze(payload) if copy else payload), 1
+
+
+def _widen(payload: Any) -> Any:
+    """A received thread-wire payload with each :class:`_Narrow` widened
+    back to the ``int64`` array that was sent."""
+    t = type(payload)
+    if t is _Narrow:
+        return payload.a.astype(np.int64)
+    if t is tuple or t is list:
+        return t(_widen(x) for x in payload)
+    return payload
+
+
+def _payload_words(payload: Any, narrow: bool = True) -> int:
+    """The words :func:`_wire` counts for ``payload``."""
+    return _wire(payload, False, narrow)[1]
 
 
 def _payload_sig(payload: Any) -> tuple:
@@ -187,8 +255,9 @@ def _payload_sig(payload: Any) -> tuple:
 
 
 def _freeze(payload: Any) -> Any:
-    """Copy a payload at send time so sender-side mutation after ``send``
-    returns can never be observed by the receiver (wire semantics)."""
+    """A private copy of a payload at its own widths: what a collective
+    keeps of its own contribution, so no later mutation by the caller is
+    observed in the result."""
     if isinstance(payload, np.ndarray):
         return payload.copy()
     if isinstance(payload, tuple):
@@ -383,30 +452,23 @@ class Communicator:
     def _coll_send(self, dest: int, payload: Any, opname: str, seq: int) -> None:
         """One message of a walked schedule: its logical ledger, then the
         wire."""
-        words = _payload_words(payload)
+        # Copy at send time (wire semantics): receivers own their data.  A
+        # serializing fabric's ring encoding already makes that copy.
+        wire, words = _wire(payload, not self.fabric.serializes, opname not in _FULL_WIDTH)
         reorder_u = self._logical_send(opname, dest, words)
         self._dispatch(
-            self.group[dest],
-            self._coll_tag(seq),
-            # Copy at send time (wire semantics): receivers own their data.
-            # A serializing fabric's ring encoding already makes that copy.
-            (opname, self.comm_id, seq,
-             payload if self.fabric.serializes else _freeze(payload)),
-            reorder_u,
-            words,
+            self.group[dest], self._coll_tag(seq), (opname, self.comm_id, seq, wire),
+            reorder_u, words,
         )
 
     def _phys_send(self, dest: int, body: Any, opname: str, seq: int) -> None:
         """One physical-plan message: sent with the collective's
         tag/wrapper but NO logical-ledger or fault effects — those replay
         separately via :meth:`_logical_send`."""
+        wire, words = _wire(body, not self.fabric.serializes, opname not in _FULL_WIDTH)
         self._dispatch(
-            self.group[dest],
-            self._coll_tag(seq),
-            (opname, self.comm_id, seq,
-             body if self.fabric.serializes else _freeze(body)),
-            None,
-            _payload_words(body),
+            self.group[dest], self._coll_tag(seq), (opname, self.comm_id, seq, wire),
+            None, words,
         )
 
     def _coll_recv(self, source: int, opname: str, seq: int) -> Any:
@@ -424,7 +486,7 @@ class Communicator:
                 f"received {got_op}#{got_seq} from {sender} "
                 f"(comm {got_comm}): ranks entered different collectives"
             )
-        return payload
+        return payload if self.fabric.serializes else _widen(payload)
 
     def _walk(
         self, opname: str, seq: int, rounds: "list[tuple]",
@@ -764,7 +826,7 @@ class Communicator:
             extra=(op.name,) + _payload_sig(payload), op=op.name,
         ) as seq:
             if self._hub:
-                nwords = _payload_words(payload)
+                nwords = _payload_words(payload, narrow=False)
                 self._walk("allreduce", seq, rounds, words=lambda t: nwords)
                 acc = self._hub_exchange(
                     "allreduce", seq, _freeze(payload),

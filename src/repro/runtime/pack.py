@@ -26,6 +26,10 @@ word budget, so every header word counts); payload segments start on an
 
 The common equal-length case (any K) spends exactly ONE 8-byte word on the
 header.
+
+Packing preserves dtypes; the width an ``int64`` array crosses the wire at
+is :func:`wire_dtype`'s, which both backends' wires apply to the arrays a
+payload carries (a packed buffer is ``uint8`` and crosses as it is).
 """
 
 from __future__ import annotations
@@ -43,6 +47,13 @@ _DTYPES: "tuple[np.dtype, ...]" = tuple(
 _CODE_OF = {dt: i + 1 for i, dt in enumerate(_DTYPES)}
 _DTYPE_OF = {i + 1: dt for i, dt in enumerate(_DTYPES)}
 
+#: (signed, unsigned) pairs a range may narrow to, narrowest first
+_NARROW = tuple(
+    (np.iinfo(s).min, np.iinfo(s).max, np.iinfo(u).max, np.dtype(s), np.dtype(u))
+    for s, u in ((np.int8, np.uint8), (np.int16, np.uint16), (np.int32, np.uint32))
+)
+_INT64 = np.dtype(np.int64)
+
 _MAX_ARRAYS = 6
 _EQUAL_FLAG = 1 << 3
 _MAX_LEN = 2 ** 31  # int32 length words
@@ -50,6 +61,23 @@ _MAX_LEN = 2 ** 31  # int32 length words
 
 def _pad8(nbytes: int) -> int:
     return (nbytes + 7) & ~7
+
+
+def wire_dtype(a: np.ndarray) -> np.dtype:
+    """The dtype ``a`` crosses the wire in: for a non-empty ``int64`` array
+    the narrowest integer dtype holding its [min, max] — unsigned when no
+    value is negative — and ``a.dtype`` for everything else.  The receiver
+    widens it back to ``int64``."""
+    if a.dtype != _INT64 or not a.size:
+        return a.dtype
+    lo, hi = int(a.min()), int(a.max())
+    for smin, smax, umax, signed, unsigned in _NARROW:
+        if lo >= 0:
+            if hi <= umax:
+                return unsigned
+        elif smin <= lo and hi <= smax:
+            return signed
+    return a.dtype
 
 
 def pack_arrays(*arrays: np.ndarray) -> np.ndarray:

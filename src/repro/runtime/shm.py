@@ -2,12 +2,14 @@
 
 Two layers live here, both free of any policy about ranks or matching:
 
-* a **message codec** — pickle protocol 5 with out-of-band buffers, so the
-  int32/bitmap arrays the packed-payload path (:mod:`repro.runtime.pack`)
-  produces are written into the ring as raw bytes, exactly once, with no
-  base64/copy detours.  Decoding hands NumPy the receiver-side bytes as
-  writable views over the drained buffer: the receiver owns its data (wire
-  semantics) without a second copy.
+* a **message codec** — the arrays of a payload are written into the ring
+  as raw bytes, exactly once, with no base64/copy detours, each ``int64``
+  array at the narrowest integer dtype holding its values
+  (:func:`~repro.runtime.pack.wire_dtype`, the width the communicator's
+  ledger counts).  Decoding hands NumPy the receiver-side bytes as
+  writable views over the drained buffer, widening a narrowed array back
+  to ``int64``: the receiver owns its data (wire semantics) without a
+  second copy.
 * a **ring buffer** — one single-consumer byte ring per destination rank,
   all carved out of one ``multiprocessing.shared_memory`` segment the
   parent creates before forking.  Producers (any rank) append frames under
@@ -44,6 +46,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .errors import DeadlockError
+from .pack import wire_dtype
 
 #: per-frame header: payload byte length, source rank, more-chunks flag
 _FRAME_HDR = struct.Struct("<iii")
@@ -52,8 +55,9 @@ _FRAME_HDR = struct.Struct("<iii")
 _MSG_HDR = struct.Struct("<qdqqqq")
 
 #: codec kinds: 0 = plain pickle-5 with out-of-band buffers; 1 = arrays
-#: stripped from the payload container and shipped as raw (dtype, shape,
-#: bytes) triples, sidestepping ``ndarray.__reduce_ex__`` entirely
+#: stripped from the payload container and shipped as raw (wire dtype,
+#: shape, widened dtype or None) records and bytes, sidestepping
+#: ``ndarray.__reduce_ex__`` entirely
 _KIND_PICKLE = 0
 _KIND_ARRAYS = 1
 
@@ -72,51 +76,32 @@ _STALL_WAIT = 0.001
 _SPIN_YIELDS = 32
 
 
-def _strip_arrays(payload: Any, arrays: list, paths: list) -> Any:
-    """Replace well-behaved ndarrays in a shallow tuple/list container with
+def _strip_arrays(payload: Any, arrays: list, paths: list, path: tuple = ()) -> Any:
+    """Replace the ndarrays in a tuple/list container, at any depth, with
     ``None``, recording each array and its position.
 
-    Only exact ``np.ndarray`` (no subclasses), C-contiguous, without object
-    or structured dtypes — anything else stays in place for pickle.  The
-    walk descends two container levels, which covers every payload shape the
-    communicator produces (bare packed buffers, ``(op, seq, array)`` tuples,
-    lists of arrays, ``(rank, (arrays...))`` nestings).  Written as flat
-    loops, not recursion: this runs on every send and a generic recursive
-    walk costs ~4x as much in call overhead.
+    Only exact ``np.ndarray`` (no subclasses) without object or structured
+    dtypes — anything else stays in place for pickle.  A container with no
+    array inside comes back as the same object.
     """
     t = type(payload)
     if t is np.ndarray:
-        if payload.dtype.kind not in "OV" and payload.flags.c_contiguous:
-            arrays.append(payload)
-            paths.append(())
-            return None
-        return payload
+        if payload.dtype.kind in "OV":
+            return payload
+        arrays.append(payload)
+        paths.append(path)
+        return None
     if t is not tuple and t is not list:
         return payload
     items = None
     for i, x in enumerate(payload):
         xt = type(x)
-        if xt is np.ndarray:
-            if x.dtype.kind not in "OV" and x.flags.c_contiguous:
+        if xt is np.ndarray or xt is tuple or xt is list:
+            y = _strip_arrays(x, arrays, paths, path + (i,))
+            if y is not x:
                 if items is None:
                     items = list(payload)
-                items[i] = None
-                arrays.append(x)
-                paths.append((i,))
-        elif xt is tuple or xt is list:
-            sub = None
-            for j, y in enumerate(x):
-                if type(y) is np.ndarray and y.dtype.kind not in "OV" \
-                        and y.flags.c_contiguous:
-                    if sub is None:
-                        sub = list(x)
-                    sub[j] = None
-                    arrays.append(y)
-                    paths.append((i, j))
-            if sub is not None:
-                if items is None:
-                    items = list(payload)
-                items[i] = tuple(sub) if xt is tuple else sub
+                items[i] = y
     if items is None:
         return payload
     return tuple(items) if t is tuple else items
@@ -143,22 +128,32 @@ def encode_message(
     """Flatten one message to bytes: header, buffer length table, pickle
     stream, then the out-of-band buffers raw.
 
-    NumPy arrays in the payload's top two container levels bypass pickle:
+    NumPy arrays anywhere in the payload's tuple/list nesting bypass pickle:
     ``ndarray.__reduce_ex__`` costs ~7us per array where recording
-    ``(dtype.str, shape)`` and splicing ``arr.data`` in raw costs well under
-    1us.  The pickled skeleton then carries only cheap builtins.
+    ``(dtype.str, shape)`` and splicing the raw bytes in costs well under
+    1us.  An ``int64`` array travels at its
+    :func:`~repro.runtime.pack.wire_dtype` (one scan for its range, one
+    narrowing copy) and :func:`decode_message` widens it back.  The pickled
+    skeleton then carries only cheap builtins.
     """
     arrays: list = []
     paths: list = []
     skeleton = _strip_arrays(payload, arrays, paths)
     if arrays:
         kind = _KIND_ARRAYS
-        meta = [(a.dtype.str, a.shape) for a in arrays]
+        meta = []
+        raws: list = []
+        for a in arrays:
+            dt = wire_dtype(a)
+            if dt == a.dtype:
+                meta.append((dt.str, a.shape, None))
+                raws.append(np.ascontiguousarray(a).data)
+            else:
+                meta.append((dt.str, a.shape, a.dtype.str))
+                raws.append(a.astype(dt, order="C").data)
         # no buffer_callback here: raws must line up 1:1 with `paths` on
-        # decode, and arrays pickle rejected (non-contiguous etc.) are rare
-        # enough that an in-band copy is fine
+        # decode, and what is left for pickle is cheap builtins
         pkl = pickle.dumps((skeleton, paths, meta), protocol=5)
-        raws: list = [a.data for a in arrays]
     else:
         kind = _KIND_PICKLE
         buffers: list = []
@@ -187,7 +182,8 @@ def decode_message(data: "bytearray | bytes") -> tuple[int, Any, int, "float | N
 
     Out-of-band buffers are reconstructed as views over ``data`` — pass a
     buffer the receiver owns (the drained reassembly bytearray) and arrays
-    in the payload alias it writably with zero further copies.
+    in the payload alias it writably with zero further copies; a narrowed
+    ``int64`` array is widened into a fresh array instead.
     """
     view = memoryview(data)
     tag, reorder, serial, npkl, nbufs, kind = _MSG_HDR.unpack_from(view, 0)
@@ -205,8 +201,10 @@ def decode_message(data: "bytearray | bytes") -> tuple[int, Any, int, "float | N
     if kind == _KIND_ARRAYS:
         skeleton, paths, meta = pickle.loads(pkl)
         payload = skeleton
-        for buf, path, (dtype, shape) in zip(buffers, paths, meta):
+        for buf, path, (dtype, shape, wide) in zip(buffers, paths, meta):
             arr = np.frombuffer(buf, dtype=dtype)
+            if wide is not None:
+                arr = arr.astype(wide)
             if arr.shape != shape:
                 arr = arr.reshape(shape)
             payload = _plant(payload, path, arr)

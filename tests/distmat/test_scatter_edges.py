@@ -54,7 +54,14 @@ def test_scatter_edges_round_trips_edges_and_values(case, shape):
     for k, v in enumerate(vals):
         np.testing.assert_array_equal(v, rows * coo.ncols + cols + 0.25 * (k + 1))
     # no header broadcast: the shape's two words and the edge count ride
-    # each of the p - 1 pieces the root sends, beside one word per edge and
-    # array
-    sent = sum(p[0].size for p in pieces[1:]) * (2 + len(values))
+    # each of the p - 1 pieces the root sends, beside the edges' row and
+    # column ids at their range's width and one word per edge and value
+    sent = sum(_id_words(p[0]) + _id_words(p[1]) + p[0].size * len(values)
+               for p in pieces[1:])
     assert sum(words for _, _, words in res) == (pr * pc - 1) * 3 + sent
+
+
+def _id_words(ids):
+    """The 8-byte words of a non-negative id array at the narrowest
+    unsigned width holding its largest id."""
+    return -(-ids.size * np.min_scalar_type(ids.max()).itemsize // 8) if ids.size else 0

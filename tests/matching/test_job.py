@@ -32,8 +32,9 @@ def test_plain_run_carries_no_checkpoint_traffic(no_handoff):
     # initializer's two-allgather round; 230, 214, 25,567, 23,547 before
     # blocks pulled by default, 24,811 / 22,791 before a pull was judged by
     # its expected read, 24,703 / 22,683 before the edge count rode the
-    # scatter header)
-    assert _ledger(stats) == (230, 214, 24_706, 22_686)
+    # scatter header; 24,706 / 22,686 before integer arrays crossed the wire
+    # at their range's width)
+    assert _ledger(stats) == (230, 214, 3_463, 3_168)
     assert stats.comm_by_alg["barrier:dissemination"]["calls"] == 28
     assert stats.restart_spans == ()
     # the per-phase ledger is on every run
@@ -50,8 +51,10 @@ def test_allowing_restarts_costs_exactly_the_snapshots(no_handoff):
     # blocks pulled by default, 30,706 / 27,567 before a pull was judged by
     # its expected read, 30,598 / 27,459 before the edge count rode the
     # scatter header, 30,601 / 27,462 before each rank's counters rode the
-    # snapshot's first allgather: 9 words to each of 3 peers, 3 snapshots)
-    assert _ledger(stats) == (302, 268, 31_006, 27_786)
+    # snapshot's first allgather: 9 words to each of 3 peers, 3 snapshots;
+    # 31,006 / 27,786 before integer arrays crossed the wire at their
+    # range's width)
+    assert _ledger(stats) == (302, 268, 4_581, 4_116)
     # one closing barrier per snapshot and per rank on top of the plain run's
     assert stats.comm_by_alg["barrier:dissemination"]["calls"] == 40
 

@@ -26,6 +26,7 @@ from repro.perfmodel.collectives import msbfs_iteration
 from repro.runtime import spmd
 
 from ..helpers import topdown_edges
+from .test_mcm_iteration_shape import _span_comms, e2e_workloads  # noqa: F401
 
 
 def _words(nnz, n, pr, pc):
@@ -130,6 +131,40 @@ def test_a_crash_in_the_tail_restarts_from_the_handoff_snapshot(backend):
     assert st.restart_spans == ((0, handoff + 2),)
     assert st.phases_replayed == 1
     assert set(os.listdir("/dev/shm")) == shm
+
+
+@pytest.mark.parametrize("graph,pr,pc", [("er9", 3, 3), ("deep", 2, 2)])
+def test_the_rule_never_underprices_the_gather(graph, pr, pc, force_handoff,
+                                              e2e_workloads):  # noqa: F811
+    """The words the rule prices the hand-off gather at, W·(p−1)/p a rank,
+    bound what the gather then puts on every rank's ledger: W counts the
+    gathered arrays at full width, the wire carries them at their ranges'
+    widths.  On ``BENCH_spmd.json``'s er:9 input and the e2e deep core,
+    handing off after phase 1's BFS."""
+    coo = er(9, seed=1) if graph == "er9" else e2e_workloads.build("mcm_deep_t4", seed=1).coo
+    force_handoff(1)
+    forced, priced = mcm_dist.tail_is_cheaper, []
+
+    def recording(steps, p, words, *rest):
+        fires = forced(steps, p, words, *rest)
+        if fires:
+            priced.append((p, words))
+        return fires
+
+    mcm_dist.tail_is_cheaper = recording
+    try:
+        stats = run_mcm_dist(coo, pr, pc, trace="ticks", timeout=60)[2]
+    finally:
+        mcm_dist.tail_is_cheaper = forced
+    p = pr * pc
+    assert stats.tail_phases > 0 and len(set(priced)) == 1 and len(priced) == p
+    (_, words), = set(priced)
+    gathers = [
+        [c for c in comms if c.name == "allgather" and c.args["peers"] == p][0]
+        for comms in _span_comms(stats.trace, "tail")
+    ]
+    assert len(gathers) == p
+    assert max(g.args["words"] for g in gathers) <= words * (p - 1) / p
 
 
 # -- the initializer's reads -----------------------------------------------------

@@ -87,9 +87,11 @@ def test_frame_codec_round_trip(payload):
 
 
 def test_frame_decoded_arrays_alias_the_buffer():
-    """Like ``decode_message``: arrays come back as writable views over the
-    receiver-owned buffer — no second copy, and isolated from the sender."""
-    src = np.arange(8, dtype=np.int64)
+    """Like ``decode_message``: arrays that cross at their own width come
+    back as writable views over the receiver-owned buffer — no second copy,
+    and isolated from the sender.  A narrowed ``int64`` array comes back
+    widened into an array of its own."""
+    src = np.arange(8, dtype=np.float64)
     buf = bytearray(encode_frame([(1, 0, None, src), (2, 1, None, (src, "x"))]))
     (_, first, _, _), (_, (second, _), _, _) = decode_frame(buf)
     src[1] = 444                    # sender-side mutation after the encode
@@ -97,6 +99,13 @@ def test_frame_decoded_arrays_alias_the_buffer():
     first[0] = 555                  # the receiver's write lands in ITS buffer
     assert np.shares_memory(first, np.frombuffer(buf, dtype=np.uint8))
     assert second[0] == 0           # entries do not alias each other
+
+    ids = np.arange(8, dtype=np.int64)
+    buf = bytearray(encode_frame([(1, 0, None, ids)]))
+    [(_, got, _, _)] = decode_frame(buf)
+    assert got.dtype == np.int64 and got.flags.writeable
+    assert not np.shares_memory(got, np.frombuffer(buf, dtype=np.uint8))
+    np.testing.assert_array_equal(got, ids)
 
 
 def test_codec_none_reorder():
