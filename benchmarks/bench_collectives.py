@@ -159,7 +159,7 @@ def run_spmd_case(scale: int, pr: int, pc: int) -> dict:
     t0 = time.perf_counter()
     mate_r, mate_c, stats = run_mcm_dist(coo, pr, pc)
     dt = time.perf_counter() - t0
-    steps, _ = stats.ledger()
+    steps, words = stats.ledger()
     price = stats.price(pr * pc)
     return {
         "graph": f"er:{scale}",
@@ -174,7 +174,7 @@ def run_spmd_case(scale: int, pr: int, pc: int) -> dict:
             "tail_phases": stats.tail_phases,
             "expand_words": stats.expand_words,
             "fold_words": stats.fold_words,
-            "total_words": stats.total_words,
+            "total_words": words,
             "steps": steps,
             # the per-rank price (DESIGN §5): its α and β terms, and all four
             "comm_model_s": round(price.alpha_s + price.beta_s, 9),

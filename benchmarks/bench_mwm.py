@@ -136,7 +136,7 @@ def run_case(graph: str, build, grid: tuple, dists: tuple, oracle: "str | None")
             "steps": stats.ledger()[0],
             "expand_words": stats.expand_words,
             "fold_words": stats.fold_words,
-            "total_words": stats.total_words,
+            "total_words": stats.ledger()[1],
             "comm_messages": stats.comm_messages,
             "frames": stats.frames,
             "frame_words": stats.frame_words,
@@ -148,7 +148,7 @@ def run_case(graph: str, build, grid: tuple, dists: tuple, oracle: "str | None")
               f"rounds {stats.auction_rounds:>4}  "
               f"certified {stats.certified_ratio:.4f}  "
               f"steps {cell['engine']['steps']:>7,}  "
-              f"words {stats.total_words:>9,}  ({dt:.2f}s)")
+              f"words {cell['engine']['total_words']:>9,}  ({dt:.2f}s)")
         if oracle is not None:
             opt = (_scipy_opt(coo, weights) if oracle == "scipy" else
                    hungarian_mwm(coo.nrows, coo.ncols, coo.rows, coo.cols, weights)[2])

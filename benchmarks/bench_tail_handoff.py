@@ -5,14 +5,18 @@ tail").
 One cell is one input on one pr × pc thread grid.  The inputs are the seven
 Table II stand-ins whose hand-off ROADMAP item 17 tracks, built with
 ``suite.load_scaled(name, target_nnz, seed=1)``, and the uniform graphs
-``er`` 10 and 12 (seed 1); the grids are 2x2, 3x3 and 4x4.  A cell reports:
+``er`` 7 and 9 (the ``BENCH_spmd.json`` inputs), 10 and 12 (seed 1); the
+grids are 2x2, 3x3 and 4x4.  A cell reports:
 
 * ``handoff`` — the phase whose BFS the shipped rule
   (``job.tail_is_cheaper``, asked once per phase before augmenting) hands
   off after, 0 if it never does, and the job's phases;
+* ``path`` — the phases the shipped run augmented path-parallel (RMA);
 * the priced per-rank total (``DistStats.price``, DESIGN §5) under the
   shipped rule, with no hand-off, and under the best forced hand-off
   (after phase k's BFS, k = 1 … phases−1), with that k;
+* ``level`` — the shipped rule's total with every augmentation forced to
+  level (``handoff_seam.augment_mode``), which the rule then prices too;
 * with ``--baseline REV`` (a git revision of this repository), the
   shipped rule's total under that revision's engine.
 
@@ -42,7 +46,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from handoff_seam import handoff_rule  # noqa: E402
+from handoff_seam import augment_mode, handoff_rule  # noqa: E402
 
 from repro.graphs import suite  # noqa: E402
 from repro.graphs.rmat import er  # noqa: E402
@@ -55,7 +59,7 @@ ROOT = Path(__file__).resolve().parent.parent
 RESULTS = ROOT / "benchmarks" / "results" / "tail_handoff.txt"
 STAND_INS = ("road_usa", "europe_osm", "hugetrace-00020", "amazon-2008",
              "kron_g500-logn21", "cage15", "nlpkkt200")
-ER_SCALES = (10, 12)
+ER_SCALES = (7, 9, 10, 12)
 
 
 def inputs(target_nnz: int):
@@ -90,12 +94,16 @@ def priced_runs(target_nnz: int, grids, shipped_only: bool = False) -> dict:
             runs = {None: (mate_r, st), 0: _solve(coo, g, lambda phase: False)[::2]}
             for k in range(1, st.phases):
                 runs[k] = _solve(coo, g, lambda phase, k=k: phase == k)[::2]
-            forced = {k: r[1].price(g * g).total for k, r in runs.items() if k}
+            with augment_mode("level"):
+                runs["level"] = _solve(coo, g)[::2]
+            forced = {k: r[1].price(g * g).total for k, r in runs.items()
+                      if k not in (None, 0, "level")}
             best = min(forced, key=forced.get) if forced else 0
             cell.update(
                 phases=st.phases, handoff=st.phases - st.tail_phases if st.tail_phases else 0,
-                no_handoff=runs[0][1].price(g * g).total, best_k=best,
-                best=forced.get(best, cell["priced"]),
+                path=st.augment_path_calls, no_handoff=runs[0][1].price(g * g).total,
+                best_k=best, best=forced.get(best, cell["priced"]),
+                level=runs["level"][1].price(g * g).total,
                 exact=all(cardinality(r[0]) == optimum for r in runs.values()),
             )
     return cells
@@ -120,15 +128,16 @@ def table(cells: dict, baseline: "dict | None", command: str) -> str:
     lines = [f"# {command}",
              "# priced per-rank model-s (DistStats.price); handoff = the phase whose BFS",
              "# the shipped rule hands off after (0: never); best = the cheapest forced",
-             "# hand-off, after phase best_k's BFS" + ("; baseline = the --baseline"
-                                                       " revision's engine" if baseline else ""),
-             f"{'cell':<24} {'phases':>6} {'handoff':>7} {'shipped':>11} {'no_handoff':>11} "
-             f"{'best':>11} {'best_k':>6}" + (f" {'baseline':>11}" if baseline else "")
-             + "  exact"]
+             "# hand-off, after phase best_k's BFS; path = the shipped run's path-parallel",
+             "# phases; level = the shipped rule with every augmentation forced to level"
+             + ("; baseline = the --baseline revision's engine" if baseline else ""),
+             f"{'cell':<24} {'phases':>6} {'handoff':>7} {'path':>4} {'shipped':>11} "
+             f"{'no_handoff':>11} {'best':>11} {'best_k':>6} {'level':>11}"
+             + (f" {'baseline':>11}" if baseline else "") + "  exact"]
     for key, c in cells.items():
         lines.append(
-            f"{key:<24} {c['phases']:>6} {c['handoff']:>7} {c['priced']:>11.4e} "
-            f"{c['no_handoff']:>11.4e} {c['best']:>11.4e} {c['best_k']:>6}"
+            f"{key:<24} {c['phases']:>6} {c['handoff']:>7} {c['path']:>4} {c['priced']:>11.4e} "
+            f"{c['no_handoff']:>11.4e} {c['best']:>11.4e} {c['best_k']:>6} {c['level']:>11.4e}"
             + (f" {baseline[key]:>11.4e}" if baseline else "") + f"  {c['exact']}")
     return "\n".join(lines) + "\n"
 

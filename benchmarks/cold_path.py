@@ -13,7 +13,8 @@ first solve), pinned to one CPU, and splits that time into stages:
 * ``scatter`` — job launch to rank 0 entering its initializer: the root
   scatter and the DCSC blocks;
 * ``greedy`` — rank 0's ``init:greedy`` span;
-* ``BFS and close`` — the phases, the closing allgather and the join.
+* ``BFS and close`` — the phases (the serial tail's, gather included, when
+  the job hands off; else the closing allgather of the mates) and the join.
 
 The job runs traced on the workload's grid, on the thread backend (one
 process, one clock), whatever backend the workload names; the stage times

@@ -34,8 +34,6 @@ CALLER_DIRS = ("src", "benchmarks", "examples")
 #: one-line reason.  A test is never a reason: what only tests reach moves
 #: into ``tests/`` or goes.
 ALLOWLIST: dict[str, str] = {
-    "repro.runtime.checkpoint.FileCheckpointStore.refresh_counters":
-        "called by name through getattr() in matching/job.py",
     "repro.perfmodel.collectives.msbfs_iteration":
         "α-β oracle of one MCM-DIST iteration, pinned against the engine's ledger",
     "repro.perfmodel.collectives.auction_round":

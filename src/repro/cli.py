@@ -192,7 +192,7 @@ def cmd_spmd(args) -> int:
         print(f"auction    : {stats.bids_placed:,} bids, "
               f"{stats.price_updates:,} price updates, words "
               f"expand/fold/total = {stats.expand_words:,}/{stats.fold_words:,}/"
-              f"{stats.total_words:,}")
+              f"{stats.ledger()[1]:,}")
         print(f"certified W/(D/2) = {stats.certified_ratio:.6f} ≥ 1−ε = "
               f"{1.0 - stats.epsilon:.6g} (dual bound D = {stats.dual_bound:.6g})")
     else:
@@ -204,7 +204,7 @@ def cmd_spmd(args) -> int:
               f"{stats.topdown_steps}/{stats.bottomup_steps}, "
               f"{stats.edges_examined:,} edges examined, words "
               f"expand/fold/total = {stats.expand_words:,}/{stats.fold_words:,}/"
-              f"{stats.total_words:,}")
+              f"{stats.ledger()[1]:,}")
     price = stats.price(args.pr * args.pc)
     print(f"priced per rank: {price.total:.7g} model-s = alpha {price.alpha_s:.4g} + "
           f"beta {price.beta_s:.4g} + gamma {price.gamma_s:.4g} + rma {price.rma_s:.4g}")

@@ -12,12 +12,11 @@ here once:
 * :func:`tail_is_cheaper` — the priced rule that hands a job's thin end
   to a serial solve replicated on every rank;
 * :func:`save_checkpoint` — the single-writer, barrier-closed snapshot write;
-* :func:`reduce_totals` / :func:`gather_totals` — the job's ONE closing
-  collective (an allreduce, or an allgather that also assembles results);
 * :func:`snapshot_ledger` / :func:`merge_by_alg` — the per-rank ledger
   snapshot and its communication-free driver-side fold;
-* :func:`launch` — the only driver: launch on a pr × pc grid, and, when the
-  caller allows restarts, shrink-and-restart recovery from checkpoints.
+* :func:`launch` — the only driver: launch on a pr × pc grid, sum every
+  rank's counters (no collective carries them), and, when the caller
+  allows restarts, shrink-and-restart recovery from checkpoints.
 """
 
 from __future__ import annotations
@@ -27,13 +26,10 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-import numpy as np
-
 from ..distmat.grid import ProcGrid
 from ..perfmodel.machine import EDISON, Price
 from ..runtime import (
     RECOVERABLE_ERRORS,
-    SUM,
     Checkpoint,
     CheckpointStore,
     DistTrace,
@@ -49,7 +45,8 @@ from ..runtime import (
 
 @dataclass
 class DistStats:
-    """Per-run counters reported by rank 0."""
+    """Per-run counters: each rank's own, summed by :func:`launch` where
+    they are per-rank, rank 0's where they are replicated."""
 
     phases: int = 0
     iterations: int = 0
@@ -79,11 +76,10 @@ class DistStats:
     tail_iterations: int = 0
     tail_rounds: int = 0
     tail_edges: int = 0
-    #: grid-wide words on the column / row communicators, and on every
-    #: communicator combined, over the whole job
+    #: grid-wide words on the column / row communicators over the whole
+    #: job (every communicator's: ``ledger()[1]``)
     expand_words: int = 0
     fold_words: int = 0
-    total_words: int = 0
     #: grid-wide per-algorithm collective counters, summed over all ranks and
     #: the grid/row/column communicators: ``{"op:alg": {"calls", "messages",
     #: "words", "steps"}}`` (see :attr:`repro.runtime.comm.CommStats.by_alg`)
@@ -123,7 +119,8 @@ class DistStats:
     #: weighted-auction counters (``run_mwm_dist``; zero for cardinality
     #: jobs): synchronized bidding rounds across all ε-phases, bids placed
     #: (one per active bidder per round) and item price increases accepted
-    #: (counted once per item, not once per replica)
+    #: (counted once per item, not once per replica: each rank reports its
+    #: share, :func:`launch` sums them)
     auction_rounds: int = 0
     bids_placed: int = 0
     price_updates: int = 0
@@ -239,41 +236,6 @@ def save_checkpoint(
     stats.checkpoint_words += ck.words
 
 
-def _counts(grid: ProcGrid, extras: tuple) -> np.ndarray:
-    """The engine's rank-local ``extras``, then the column / row / grid
-    ``words_sent`` — snapshotted before the closing collective, so it does
-    not count itself."""
-    words = [c.stats.words_sent for c in (grid.colcomm, grid.rowcomm, grid.comm)]
-    return np.array([*extras, *words], dtype=np.int64)
-
-
-def _totals(stats: DistStats, totals: np.ndarray) -> "list[int]":
-    """Fill the three word totals of ``stats`` from the summed
-    :func:`_counts`; returns the summed extras."""
-    *reduced, col, row, whole = (int(t) for t in totals)
-    stats.expand_words, stats.fold_words = col, row
-    stats.total_words = col + row + whole
-    return reduced
-
-
-def reduce_totals(grid: ProcGrid, stats: DistStats, *extras: int) -> "list[int]":
-    """The job's ONE closing collective, an allreduce: the engine's own
-    rank-local ``extras`` and the word totals summed.  Fills the three word
-    totals of ``stats`` and returns the summed extras."""
-    return _totals(stats, grid.comm.allreduce(_counts(grid, extras), op=SUM))
-
-
-def gather_totals(
-    grid: ProcGrid, stats: DistStats, payload: Any, *extras: int
-) -> "tuple[list, list[int]]":
-    """:func:`reduce_totals` for a job that also hands every rank every
-    rank's ``payload`` (MCM-DIST's mate slices): the ONE closing collective
-    is a grid allgather, the counts riding it summed on each rank.  Returns
-    (the payloads in rank order, the summed extras)."""
-    pieces = grid.comm.allgather((payload, _counts(grid, extras)))
-    return [p for p, _ in pieces], _totals(stats, sum(c for _, c in pieces))
-
-
 def _add_by_alg(into: dict, table: "dict | None") -> None:
     """``into[key][field] += table[key][field]`` — the one per-algorithm
     adder behind the rank-side snapshot and the driver-side merge."""
@@ -285,13 +247,15 @@ def _add_by_alg(into: dict, table: "dict | None") -> None:
 
 def snapshot_ledger(grid: ProcGrid, stats: DistStats) -> None:
     """This rank's ledgers summed over the job's three communicators
-    (grid, row, column): the per-algorithm table, the logical message count
-    and the physical frames.  The job's LAST act — no message leaves the
-    rank after this snapshot, so the per-rank tables account for every word
-    of the whole job (which is what lets the span tracer cross-check them
-    exactly).  :func:`launch` sums the rank-local tables with ZERO extra
-    communication: the executor already returns every rank's values."""
+    (grid, row, column): the per-algorithm table, the logical message count,
+    the physical frames and the column / row words.  The job's LAST act —
+    no message leaves the rank after this snapshot, so the per-rank tables
+    account for every word of the whole job (which is what lets the span
+    tracer cross-check them exactly).  :func:`launch` sums the rank-local
+    values with ZERO extra communication: the executor already returns
+    every rank's."""
     ledgers = [c.stats for c in (grid.colcomm, grid.rowcomm, grid.comm)]
+    stats.expand_words, stats.fold_words = (ledger.words_sent for ledger in ledgers[:2])
     stats.comm_by_alg = {}
     for ledger in ledgers:
         _add_by_alg(stats.comm_by_alg, ledger.by_alg)
@@ -303,6 +267,13 @@ def snapshot_ledger(grid: ProcGrid, stats: DistStats) -> None:
 # ---------------------------------------------------------------------------
 # the driver
 # ---------------------------------------------------------------------------
+
+#: the per-rank counters :func:`launch` sums over the ranks (besides the
+#: ``comm_by_alg`` tables and the phase ledger)
+SUMMED = ("comm_messages", "frames", "frame_words", "expand_words", "fold_words", "rma_ops",
+          "rma_words", "edges_examined", "init_edges", "price_updates", "topdown_steps",
+          "bottomup_steps")
+
 
 def merge_by_alg(rank_values) -> dict[str, dict[str, int]]:
     """Driver-side fold of per-rank ``(mate_r, mate_c, stats)`` tuples'
@@ -331,8 +302,10 @@ def launch(
     **alg_kwargs: Any,
 ):
     """Run ``rank_main(comm, *job_args, pr, pc, **alg_kwargs)`` on a pr × pc
-    grid and return rank 0's ``(mate_r, mate_c, stats)`` with the grid-wide
-    ledgers merged in — the one launch-and-merge body under
+    grid and return rank 0's ``(mate_r, mate_c, stats)`` with every
+    per-rank counter summed over the ranks (the ledgers, edge reads, price
+    updates, one-sided ops, block-iteration tally) — the one
+    launch-and-merge body under
     :func:`~repro.matching.mcm_dist.run_mcm_dist` and
     :func:`~repro.matching.mwm_dist.run_mwm_dist`.
 
@@ -368,8 +341,8 @@ def launch(
     timeout = resolve_timeout(timeout, default=120.0)
     resolved_backend = resolve_backend(backend, verify=verify)
     store = checkpoint_store
-    if store is not None and resolved_backend == "process" and not hasattr(
-        store, "refresh_counters"
+    if store is not None and resolved_backend == "process" and not isinstance(
+        store, FileCheckpointStore
     ):
         raise ValueError(
             f"backend='process' cannot checkpoint into {store!r}: forked ranks "
@@ -385,8 +358,6 @@ def launch(
                     tempfile.TemporaryDirectory(prefix="repro-ckpt-")))
             else:
                 store = CheckpointStore()
-        # multi-process writers bump a file store's shared sidecar, not this object
-        refresh = getattr(store, "refresh_counters", lambda: None)
 
         disarmed: set = set()
         restarts = 0
@@ -413,8 +384,10 @@ def launch(
             injector = faults
             if isinstance(faults, FaultPlan):
                 injector = FaultInjector(faults, pr * pc, disarmed=disarmed, grid=(pr, pc))
-            refresh()
-            resume = store.latest() if store is not None else None
+            resume = None
+            if store is not None:
+                store.refresh_counters()
+                resume = store.latest()
             resume_phase = resume.phase if resume is not None else 0
             try:
                 result = spmd(
@@ -437,7 +410,7 @@ def launch(
                     disarmed |= injector.fired_tokens()
                 reached = getattr(exc, "spmd_progress", {}).get("phase", 0)
                 restart_spans.append((resume_phase, reached))
-                refresh()
+                store.refresh_counters()
                 latest = store.latest()
                 restart_from = latest.phase if latest is not None else 0
                 # phases the failed attempt had completed (it entered phase
@@ -447,8 +420,7 @@ def launch(
 
         mate_r, mate_c, stats = result[0]
         stats.comm_by_alg = merge_by_alg(result.values)
-        for name in ("comm_messages", "frames", "frame_words", "rma_ops", "rma_words",
-                     "init_edges", "topdown_steps", "bottomup_steps"):
+        for name in SUMMED:
             setattr(stats, name, sum(getattr(st, name) for _, _, st in result.values))
         ledger: dict = {}
         for _, _, st in result.values:
@@ -461,7 +433,7 @@ def launch(
         stats.phases_replayed = phases_replayed
         stats.restart_spans = tuple(restart_spans)
         if store is not None:
-            refresh()
+            store.refresh_counters()
             stats.checkpoint_words = store.words_written
         stats.trace = job_trace
         return mate_r, mate_c, stats

@@ -3,7 +3,8 @@
 Every function here runs *per rank* under the simulated MPI runtime: state
 is rank-local (DCSC block, vector slices), all coordination goes through
 collectives on the row and column communicators (the grid communicator
-carries only the job's set-up and tear-down and the window's fences) and —
+carries only the job's set-up, its one closing allgather or the tail's
+gather, checkpoints and the window's fences) and —
 for path-parallel augmentation — one one-sided RMA window.  The code would
 run unchanged over mpi4py.
 
@@ -89,7 +90,9 @@ gather onto one node (§VI-E, Fig. 9)   the tail hand-off, asked after each
                                        paths on the gathered π
                                        (:func:`~repro.matching.augment.augment_level_parallel`)
                                        and finishes alone
-                                       (:func:`~repro.matching.msbfs.mcm_phase_loop`)
+                                       (:func:`~repro.matching.msbfs.mcm_phase_loop`);
+                                       no collective follows the gather but
+                                       the hand-off snapshot's barrier
 distributed maximal matching [21]      :func:`proposal_rounds_spmd` — greedy
                                        only (the serial engine keeps
                                        Karp-Sipser and dynamic mindegree for
@@ -115,11 +118,12 @@ the BFS loop no personalized all-to-all and no per-phase, per-level or
 per-round reduction runs on the grid communicator (DESIGN "Phase anatomy").
 
 The driver :func:`run_mcm_dist` launches the whole job on a pr×pc grid of
-simulated ranks and returns globally assembled mate vectors.  What the
-engine does around its phase loop — launch and recovery, the checkpoint
-write, the closing collective (one grid allgather of the mates, the counts
-riding it) and ledger — is the job shell it shares with MWM-DIST
-(:mod:`repro.matching.job`).
+simulated ranks and returns globally assembled mate vectors: a job that
+hands off has them from the tail's gather, one that does not closes on
+one grid allgather of the mate slices, and neither collective carries a
+counter.  What the engine does around its phase loop — launch and
+recovery, the counters' sums, the checkpoint write and ledger — is the
+job shell it shares with MWM-DIST (:mod:`repro.matching.job`).
 """
 
 from __future__ import annotations
@@ -151,7 +155,6 @@ from ..perfmodel.machine import EDISON
 from .augment import augment_level_parallel, choose_augment_mode
 from .job import (
     DistStats,
-    gather_totals,
     launch,
     ledger_totals,
     phase_boundary,
@@ -740,6 +743,11 @@ def mcm_dist_spmd(
                 _checkpoint(grid, checkpoint_store, phase_no, mate_r, mate_c, counts(), stats,
                             checkpoint_aux)
 
+    if win is not None:
+        # freed before the job's last grid collective, so none follows it
+        stats.rma_ops, stats.rma_words = (int(c) for c in counts()[-2:])
+        win.free()
+        win = None
     mates = ((mate_r.lo, mate_r.local), (mate_c.lo, mate_c.local))
     if tail:
         # the tail: one grid allgather hands every rank the whole graph and
@@ -770,7 +778,8 @@ def mcm_dist_spmd(
                 del path_c, g_pi  # not held through the serial phases
             if snap:
                 # the hand-off's snapshot, the grid's counts riding the
-                # gather: a resume goes straight back to the tail
+                # gather (only here: a job's totals are launch's sums): a
+                # resume goes straight back to the tail
                 aux = {**(checkpoint_aux or {}), "tail": np.array(1),
                        "counts": sum(piece[-1] for piece in pieces)}
                 with tspan(grid.comm, "checkpoint", cat="phase", phase=phase_no):
@@ -786,18 +795,15 @@ def mcm_dist_spmd(
         stats.tail_phases, stats.tail_iterations = serial.phases, serial.iterations
         stats.tail_edges = serial.edges_traversed
         stats.edges_examined += serial.edges_traversed
-    if win is not None:
-        stats.rma_ops, stats.rma_words = (int(c) for c in counts()[-2:])
-        win.free()
-    # this rank's block-iterations by direction; launch sums them
-    stats.topdown_steps = stats.iterations - stats.bottomup_steps
-    # the job's one closing collective assembles the mates on every rank
-    # (unless the tail already has), the edge and word counts riding it;
-    # the per-rank ledger snapshot is taken AFTER it, as the job's last act
-    pieces, (stats.edges_examined,) = gather_totals(grid, stats, mates, stats.edges_examined)
-    if mates is not None:
+    else:
+        # a job that never hands off closes on one grid allgather of the
+        # mate slices, which carries no counter: launch sums them
+        pieces = grid.comm.allgather(mates)
         g_r = mate_r.assemble([r for r, _ in pieces])
         g_c = mate_c.assemble([c for _, c in pieces])
+    # this rank's block-iterations by direction (launch sums them, as it
+    # does the edge reads); the per-rank ledger snapshot is the job's last act
+    stats.topdown_steps = stats.iterations - stats.bottomup_steps
     stats.final_cardinality = int(np.count_nonzero(g_r != NULL))
     snapshot_ledger(grid, stats)
     return g_r, g_c, stats

@@ -61,8 +61,9 @@ bit-identical to :func:`repro.matching.reference.auction_twin.auction_mwm_serial
 on every grid shape and backend, under either physical collective plan,
 whichever round the job hands off at.
 
-Launch, recovery, the checkpoint write and the closing ledger are the job
-shell the cardinality engine uses too (:mod:`repro.matching.job`); the
+Launch, recovery, the counters' sums, the checkpoint write and the
+closing ledger are the job shell the cardinality engine uses too
+(:mod:`repro.matching.job`), and no collective carries a counter; the
 snapshot is this engine's own: it carries the item PRICES, the ε-ladder's
 state (next increment, L) and the round / bid / price-update counters
 alongside the doubled mate vectors (the
@@ -106,7 +107,6 @@ from .job import (
     launch,
     ledger_totals,
     phase_boundary,
-    reduce_totals,
     save_checkpoint,
     snapshot_ledger,
     tail_is_cheaper,
@@ -214,10 +214,11 @@ def mwm_dist_spmd(
     """The per-rank body of MWM-DIST (launch via :func:`run_mwm_dist`).
 
     ``coo_on_root``/``weights_on_root`` live on rank 0 (None elsewhere).
-    Returns globally assembled ``(mate_r, mate_c, stats)`` on every rank,
-    a matching of the ORIGINAL graph with
-    ``weight >= (1 - epsilon) * OPT`` over positive weights;
-    ``stats.matching_weight`` carries the objective and
+    Returns globally assembled ``(mate_r, mate_c)`` on every rank — a
+    matching of the ORIGINAL graph with
+    ``weight >= (1 - epsilon) * OPT`` over positive weights — and this
+    rank's ``stats``, whose per-rank counters :func:`~repro.matching.job.
+    launch` sums; ``stats.matching_weight`` carries the objective and
     ``stats.auction_prices`` the final doubled-graph prices (for ε-CS
     assertions).  After every round :func:`~repro.matching.job.
     tail_is_cheaper` prices the phase's latency so far against gathering
@@ -290,7 +291,7 @@ def mwm_dist_spmd(
         delta, lower = float(resume.aux["ladder"][0]) or None, float(resume.aux["ladder"][1])
         counts = resume.aux["counts"]
         rounds, bids, updates_row = (int(c) for c in counts[[0, 1, 2 + 2 * grid.i]])
-        # rank 0 takes back the grid's edge reads; the closing sum adds the rest
+        # rank 0 takes back the grid's edge reads; launch adds the rest
         edges_local = int(counts[3::2].sum()) * (grid.rank == 0)
         phase_no = resume.phase
     elif checkpoint_store is not None:
@@ -425,12 +426,12 @@ def mwm_dist_spmd(
     stats.bids_placed = bids
     stats.auction_prices = serial.prices if tail else concat_pieces(
         allgather_arrays(grid.colcomm, price_blk))[0]
-    # resolve is replicated along each grid row, so one rank per row reports
-    # its accepts; the tail's, replicated on every rank, count once
-    stats.price_updates, stats.edges_examined = reduce_totals(
-        grid, stats, updates_row if grid.j == 0 else 0, edges_local
-    )
-    stats.price_updates += serial.price_updates if tail else 0
+    # this rank's shares, which launch sums: resolve is replicated along
+    # each grid row, so one rank per row reports its accepts; the tail's,
+    # replicated on every rank, count once, on rank 0
+    stats.price_updates = updates_row * (grid.j == 0) + (
+        serial.price_updates * (grid.rank == 0) if tail else 0)
+    stats.edges_examined = edges_local
     snapshot_ledger(grid, stats)
     return g_mate_r, g_mate_c, stats
 

@@ -290,7 +290,7 @@ def run_scenario(
         restarts += stats.restarts
         phases_replayed += stats.phases_replayed
         checkpoint_words += stats.checkpoint_words
-        total_words += stats.total_words
+        total_words += stats.ledger()[1]
         total_messages += sum(
             d["messages"] for d in (stats.comm_by_alg or {}).values()
         )

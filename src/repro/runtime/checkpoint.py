@@ -29,6 +29,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .pack import wire_dtype
+
+
+def _narrowed(a: np.ndarray) -> np.ndarray:
+    """A copy of ``a`` as a store holds it: an ``int64`` array at its
+    :func:`~repro.runtime.pack.wire_dtype`, as the wire carries it."""
+    return a.astype(wire_dtype(a))
+
+
+def _widened(a: np.ndarray) -> np.ndarray:
+    """A held array as :meth:`CheckpointStore.latest` hands it back: an
+    integer array widened to the ``int64`` it was saved as."""
+    return a.astype(np.int64) if a.dtype.kind in "iu" else a
+
 
 @dataclass(frozen=True)
 class Checkpoint:
@@ -39,7 +53,9 @@ class Checkpoint:
     mates alone are NOT a valid auction restart point: a phase resumed
     with zeroed prices would re-fight every bidding war and lose the
     ε-scaling warm start the earlier phases paid for).  Values must be
-    NumPy arrays; None means "no extra state".
+    NumPy arrays; None means "no extra state".  A store holds each
+    ``int64`` array at the width the wire carries it in and hands every
+    integer array back as ``int64``.
     """
 
     phase: int
@@ -49,9 +65,16 @@ class Checkpoint:
 
     @property
     def words(self) -> int:
-        """8-byte words this snapshot occupies (the DistStats unit)."""
-        extra = sum(a.size for a in self.aux.values()) if self.aux else 0
-        return int(self.mate_row.size + self.mate_col.size + extra + 2)
+        """8-byte words this snapshot occupies (the DistStats unit): each
+        array at its :func:`~repro.runtime.pack.wire_dtype`'s width, as the
+        wire and the stores hold it, and two header words."""
+        arrays = (self.mate_row, self.mate_col, *(self.aux or {}).values())
+        return 2 + sum((a.size * wire_dtype(a).itemsize + 7) // 8 for a in arrays)
+
+    def mapped(self, f) -> "Checkpoint":
+        """This snapshot with ``f`` applied to every array."""
+        aux = self.aux and {name: f(a) for name, a in self.aux.items()}
+        return Checkpoint(self.phase, f(self.mate_row), f(self.mate_col), aux)
 
 
 @dataclass
@@ -66,19 +89,22 @@ class CheckpointStore:
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def save(self, ck: Checkpoint) -> None:
-        """Keep a copy of ``ck``, as the file store does: a writer may go
-        on to mutate the arrays it saved."""
+        """Keep a narrowed copy of ``ck``, as the file store does: a
+        writer may go on to mutate the arrays it saved."""
         with self._lock:
             if self._latest is not None and ck.phase < self._latest.phase:
                 return  # never roll the store backwards
-            aux = ck.aux and {name: np.array(a) for name, a in ck.aux.items()}
-            self._latest = Checkpoint(ck.phase, ck.mate_row.copy(), ck.mate_col.copy(), aux)
+            self._latest = ck.mapped(_narrowed)
             self.saves += 1
             self.words_written += ck.words
 
     def latest(self) -> Checkpoint | None:
         with self._lock:
-            return self._latest
+            ck = self._latest
+        return ck and ck.mapped(_widened)
+
+    def refresh_counters(self) -> None:
+        """Nothing to fold: only this process writes an in-memory store."""
 
 
 class FileCheckpointStore(CheckpointStore):
@@ -151,14 +177,15 @@ class FileCheckpointStore(CheckpointStore):
 
     def save(self, ck: Checkpoint) -> None:
         tmp = f"{self._path(ck.phase)}.{os.getpid()}.tmp"
+        held = ck.mapped(_narrowed)
         with open(tmp, "wb") as fh:
             np.savez(
                 fh,
                 phase=np.int64(ck.phase),
-                mate_row=ck.mate_row,
-                mate_col=ck.mate_col,
+                mate_row=held.mate_row,
+                mate_col=held.mate_col,
                 # aux entries ride the same npz under a reserved prefix
-                **{f"aux_{k}": v for k, v in (ck.aux or {}).items()},
+                **{f"aux_{k}": v for k, v in (held.aux or {}).items()},
             )
         with self._flock():
             os.replace(tmp, self._path(ck.phase))
@@ -185,7 +212,7 @@ class FileCheckpointStore(CheckpointStore):
                     mate_row=data["mate_row"],
                     mate_col=data["mate_col"],
                     aux=aux or None,
-                )
+                ).mapped(_widened)
 
 
 __all__ = ["Checkpoint", "CheckpointStore", "FileCheckpointStore"]

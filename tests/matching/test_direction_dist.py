@@ -83,10 +83,10 @@ def test_direction_step_tallies(force_pull, no_handoff):
     assert au.bottomup_steps > 0  # some block actually pulled on this input
     # a block pulls only where that is expected to read fewer of its edges
     assert au.edges_examined <= td.edges_examined
-    assert au.total_words <= td.total_words
+    assert au.ledger()[1] <= td.ledger()[1]
     for stats in (td, bu, au):
         assert stats.edges_examined > 0
-        assert stats.total_words >= stats.expand_words + stats.fold_words > 0
+        assert stats.ledger()[1] >= stats.expand_words + stats.fold_words > 0
 
 
 def test_unknown_direction_rejected():

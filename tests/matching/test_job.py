@@ -6,10 +6,11 @@ faults costs exactly the snapshots.  The ledgers below are those of the
 two-exchange BFS iteration (the fold lands on each row's home, the path
 ends ride the column hop) on the default, relabeled input, with the
 initializer's accepts riding its next propose, no per-phase expand, no
-header broadcast and one closing allgather, every phase distributed (the
-``no_handoff`` seam); the two runs differ by the
-snapshot traffic alone, and each snapshot carries the relabel seed as one
-extra word.
+header broadcast and one closing allgather of the mates, no counter riding
+it, every phase distributed (the ``no_handoff`` seam); the two runs differ
+by the snapshot traffic alone, and each snapshot carries the relabel seed
+as one extra array.  A snapshot's words are counted as the wire and the
+store hold it: each array at its range's width.
 """
 
 import numpy as np
@@ -22,7 +23,7 @@ from repro.runtime import CheckpointStore, FaultInjector, FaultPlan, RankKilledE
 
 
 def _ledger(stats):
-    return (stats.comm_messages, stats.frames, stats.frame_words, stats.total_words)
+    return (stats.comm_messages, stats.frames, stats.frame_words, stats.ledger()[1])
 
 
 def test_plain_run_carries_no_checkpoint_traffic(no_handoff):
@@ -33,8 +34,10 @@ def test_plain_run_carries_no_checkpoint_traffic(no_handoff):
     # blocks pulled by default, 24,811 / 22,791 before a pull was judged by
     # its expected read, 24,703 / 22,683 before the edge count rode the
     # scatter header; 24,706 / 22,686 before integer arrays crossed the wire
-    # at their range's width)
-    assert _ledger(stats) == (230, 214, 3_463, 3_168)
+    # at their range's width; 230, 214, 3,463, 3,168 before the counters
+    # left the closing allgather — the last figure then left that gather's
+    # words out, and the ledger's words count them)
+    assert _ledger(stats) == (230, 214, 3_448, 3_396)
     assert stats.comm_by_alg["barrier:dissemination"]["calls"] == 28
     assert stats.restart_spans == ()
     # the per-phase ledger is on every run
@@ -45,16 +48,20 @@ def test_allowing_restarts_costs_exactly_the_snapshots(no_handoff):
     stats = run_mcm_dist(er(8, seed=3), 2, 2, init="greedy", max_restarts=3)[2]
     assert stats.restarts == 0
     # three snapshots (phases 0..2) of 256 + 256 mates, two header words,
-    # the relabel seed and the nine job counters
-    assert stats.checkpoint_words == 3 * 524
+    # the relabel seed and the nine job counters, each array at its range's
+    # width: 2 bytes a mate while a column is free, 1 once none is (64 + 64
+    # words, then 32 + 32), a byte of seed and 9 two-byte counters (3 words)
+    # — 134 + 134 + 70, where 8 bytes a value wrote 3 * 524
+    assert stats.checkpoint_words == 134 + 134 + 70
     # (385, 347, 31,832, 28,717 before; 302, 268, 31,462, 28,323 before
     # blocks pulled by default, 30,706 / 27,567 before a pull was judged by
     # its expected read, 30,598 / 27,459 before the edge count rode the
     # scatter header, 30,601 / 27,462 before each rank's counters rode the
     # snapshot's first allgather: 9 words to each of 3 peers, 3 snapshots;
     # 31,006 / 27,786 before integer arrays crossed the wire at their
-    # range's width)
-    assert _ledger(stats) == (302, 268, 4_581, 4_116)
+    # range's width; 4,581 / 4,116 before the counters left the closing
+    # allgather, the last figure without that gather's words)
+    assert _ledger(stats) == (302, 268, 4_566, 4_344)
     # one closing barrier per snapshot and per rank on top of the plain run's
     assert stats.comm_by_alg["barrier:dissemination"]["calls"] == 40
 
@@ -67,9 +74,9 @@ def test_a_store_alone_snapshots_without_restarting():
     # phases 0 and 1: the job hands off to its serial tail after phase 1,
     # whose snapshot carries one more word, the mark a resume goes straight
     # back to the tail on, and the tail's phases write no snapshot; each
-    # carries the nine job counters
+    # carries the nine job counters (524 + 525 at 8 bytes a value)
     assert stats.tail_phases == stats.phases - 1
-    assert stats.checkpoint_words == store.words_written == 524 + 525
+    assert stats.checkpoint_words == store.words_written == 134 + 135
     with pytest.raises(RankKilledError):
         run_mcm_dist(coo, 2, 2, checkpoint_store=CheckpointStore(),
                      faults="crash:rank=1,at=phase:1", backend="thread")

@@ -124,9 +124,10 @@ def test_a_crash_in_the_tail_restarts_from_the_handoff_snapshot(backend):
     )
     np.testing.assert_array_equal(mate_r, ok_r)
     np.testing.assert_array_equal(mate_c, ok_c)
-    # the survivors run on to the closing collective, but only the victim
-    # publishes a serial phase: the attempt died in the phase it crashed
-    # in, and the one tail phase it completed past the snapshot runs again
+    # the survivors run their tails to the end (no collective follows the
+    # gather), but only the victim publishes a serial phase: the attempt
+    # died in the phase it crashed in, and the one tail phase it completed
+    # past the snapshot runs again
     assert st.restarts == 1
     assert st.restart_spans == ((0, handoff + 2),)
     assert st.phases_replayed == 1

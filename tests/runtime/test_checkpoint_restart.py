@@ -39,7 +39,9 @@ def test_memory_store_keeps_latest_and_counts_words():
     store.save(_ck(2))  # stale snapshot never rolls the store backwards
     assert store.latest().phase == 3
     assert store.saves == 2
-    assert store.words_written == 2 * (6 + 6 + 2)
+    # two header words and each mate vector at its wire width: 0..5 fits a
+    # byte a mate, one word a vector (2 * (6 + 6 + 2) at 8 bytes a mate)
+    assert store.words_written == 2 * (1 + 1 + 2)
 
 
 def test_file_store_round_trips_and_survives_new_instance(tmp_path):
@@ -65,7 +67,38 @@ def test_file_store_ignores_leftover_tmp_files(tmp_path):
 
 
 def test_checkpoint_words_property():
-    assert _ck(1, n=10).words == 22
+    # 10 one-byte mates a vector: two words each, and two header words
+    # (22 at 8 bytes a mate)
+    assert _ck(1, n=10).words == 6
+
+
+@pytest.mark.parametrize("kind", ["memory", "file"])
+def test_stores_hold_int64_arrays_at_their_wire_width(kind, tmp_path):
+    """What a store holds is what ``Checkpoint.words`` counts: every
+    ``int64`` array at :func:`~repro.runtime.pack.wire_dtype`'s width.
+    ``latest()`` hands the ``int64`` arrays back; a float array is kept
+    as it is."""
+    store = CheckpointStore() if kind == "memory" else FileCheckpointStore(str(tmp_path))
+    mates = np.array([-1, 0, 300, 70_000], dtype=np.int64)
+    prices = np.array([0.5, 1.25])
+    ck = Checkpoint(1, mates, mates[::-1], {"prices": prices, "tail": np.array(1)})
+    store.save(ck)
+    if kind == "memory":
+        held = store._latest
+    else:
+        with np.load(str(tmp_path / "ck_phase000001.npz")) as data:
+            held = Checkpoint(1, data["mate_row"], data["mate_col"],
+                              {"prices": data["aux_prices"], "tail": data["aux_tail"]})
+    assert held.mate_row.dtype == held.mate_col.dtype == np.int32
+    assert held.aux["tail"].dtype == np.uint8
+    assert held.aux["prices"].dtype == np.float64
+    # 2 header words, 2 words a mate vector, 2 of prices, 1 for the mark
+    assert store.words_written == ck.words == 2 + 2 + 2 + 2 + 1
+    back = store.latest()
+    for got, sent in zip((back.mate_row, back.mate_col, *back.aux.values()),
+                         (ck.mate_row, ck.mate_col, *ck.aux.values())):
+        assert got.dtype == sent.dtype
+        np.testing.assert_array_equal(got, sent)
 
 
 # -- resilient driver --------------------------------------------------------

@@ -245,8 +245,13 @@ def test_route_delivers_parallel_arrays_in_source_order():
                          ids=lambda g: f"{g[0]}x{g[1]}")
 def test_mate_vectors_bit_identical_across_collective_configs(grid):
     """Two engines, two physical plans each: what the size rule picks on
-    this grid against every schedule walked for real.  MWM-DIST's leg
-    brings the allreduces along (its quiescence check and closing reduce)."""
+    this grid against every schedule walked for real.  Neither engine runs
+    an allreduce without a checkpoint store — MWM-DIST's counters are summed
+    by the driver, not by a closing reduce — so allreduce's hub-vs-walk
+    parity is
+    ``test_aggregation.py::test_fault_streams_are_aggregation_invariant``'s
+    (ledger and fault stream) and
+    ``test_allreduce_algorithms_agree_on_scalars``'s (values)."""
     coo = er(scale=6, seed=3)
     mate_r, mate_c, _ = run_mcm_dist(coo, *grid)
     weights = edge_weights(coo, "uniform", seed=3)
@@ -259,4 +264,4 @@ def test_mate_vectors_bit_identical_across_collective_configs(grid):
     assert np.array_equal(wmate_r, wwalked_r)
     assert np.array_equal(wmate_c, wwalked_c)
     assert wstats.matching_weight == wwalked.matching_weight
-    assert "allreduce:doubling" in wstats.comm_by_alg
+    assert not any(key.startswith("allreduce:") for key in wstats.comm_by_alg)

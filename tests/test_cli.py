@@ -124,7 +124,8 @@ def test_spmd_stats_json_dump(tmp_path, capsys):
     assert stats["grid"] == {"pr": 2, "pc": 2}
     assert stats["cardinality"] == stats["final_cardinality"] > 0
     assert stats["phases"] >= 1
-    assert stats["total_words"] >= stats["expand_words"] + stats["fold_words"] > 0
+    words = sum(d["words"] for d in stats["comm_by_alg"].values())
+    assert words >= stats["expand_words"] + stats["fold_words"] > 0
     # the greedy initializer's edge reads, and the serial tail's, are
     # reported beside the BFS's
     assert stats["init_edges"] > 0
