@@ -13,8 +13,11 @@ grids are 2x2, 3x3 and 4x4.  A cell reports:
   off after, 0 if it never does, and the job's phases;
 * ``path`` — the phases the shipped run augmented path-parallel (RMA);
 * the priced per-rank total (``DistStats.price``, DESIGN §5) under the
-  shipped rule, with no hand-off, and under the best forced hand-off
-  (after phase k's BFS, k = 1 … phases−1), with that k;
+  shipped rule, with no hand-off, and the best in hindsight: the cheapest
+  of no hand-off and every forced one (after phase k's BFS, k = 1 …
+  phases−1), with that k (0: no hand-off);
+* ``shipped/best`` — the shipped total over the best: what the rule
+  leaves on the table;
 * ``level`` — the shipped rule's total with every augmentation forced to
   level (``handoff_seam.augment_mode``), which the rule then prices too;
 * with ``--baseline REV`` (a git revision of this repository), the
@@ -97,12 +100,11 @@ def priced_runs(target_nnz: int, grids, shipped_only: bool = False) -> dict:
             with augment_mode("level"):
                 runs["level"] = _solve(coo, g)[::2]
             forced = {k: r[1].price(g * g).total for k, r in runs.items()
-                      if k not in (None, 0, "level")}
-            best = min(forced, key=forced.get) if forced else 0
+                      if k not in (None, "level")}
+            best = min(forced, key=forced.get)
             cell.update(
                 phases=st.phases, handoff=st.phases - st.tail_phases if st.tail_phases else 0,
-                path=st.augment_path_calls, no_handoff=runs[0][1].price(g * g).total,
-                best_k=best, best=forced.get(best, cell["priced"]),
+                path=st.augment_path_calls, no_handoff=forced[0], best_k=best, best=forced[best],
                 level=runs["level"][1].price(g * g).total,
                 exact=all(cardinality(r[0]) == optimum for r in runs.values()),
             )
@@ -127,17 +129,20 @@ def baseline_totals(rev: str, target_nnz: int, grids) -> dict:
 def table(cells: dict, baseline: "dict | None", command: str) -> str:
     lines = [f"# {command}",
              "# priced per-rank model-s (DistStats.price); handoff = the phase whose BFS",
-             "# the shipped rule hands off after (0: never); best = the cheapest forced",
-             "# hand-off, after phase best_k's BFS; path = the shipped run's path-parallel",
-             "# phases; level = the shipped rule with every augmentation forced to level"
+             "# the shipped rule hands off after (0: never); best = the cheapest of no",
+             "# hand-off and every forced one, after phase best_k's BFS (0: none);",
+             "# shipped/best = what the rule leaves on the table; path = the shipped run's",
+             "# path-parallel phases; level = the shipped rule with every augmentation",
+             "# forced to level"
              + ("; baseline = the --baseline revision's engine" if baseline else ""),
              f"{'cell':<24} {'phases':>6} {'handoff':>7} {'path':>4} {'shipped':>11} "
-             f"{'no_handoff':>11} {'best':>11} {'best_k':>6} {'level':>11}"
+             f"{'no_handoff':>11} {'best':>11} {'best_k':>6} {'shipped/best':>12} {'level':>11}"
              + (f" {'baseline':>11}" if baseline else "") + "  exact"]
     for key, c in cells.items():
         lines.append(
             f"{key:<24} {c['phases']:>6} {c['handoff']:>7} {c['path']:>4} {c['priced']:>11.4e} "
-            f"{c['no_handoff']:>11.4e} {c['best']:>11.4e} {c['best_k']:>6} {c['level']:>11.4e}"
+            f"{c['no_handoff']:>11.4e} {c['best']:>11.4e} {c['best_k']:>6} "
+            f"{c['priced'] / c['best']:>12.3f} {c['level']:>11.4e}"
             + (f" {baseline[key]:>11.4e}" if baseline else "") + f"  {c['exact']}")
     return "\n".join(lines) + "\n"
 

@@ -206,7 +206,15 @@ def tail_is_cheaper(steps: int, p: int, words: int, nnz: int, saved: float = 0.0
     at most once, so when no later distributed phase is cheaper than this
     one, going on costs at least ``saved`` + m·price(steps) and the tail at
     most the gather + m·γ·nnz, for any m ≥ 1 phases left: the switch never
-    loses.  With ``saved`` = 0 the first test is implied by the second.
+    loses.  That bounds the switch against going on, not the run against
+    the best hand-off in hindsight: the gather is weighed against one
+    phase's rent, never the rent the job has paid, so a job of many phases
+    each cheaper than the gather pays them all (the hand-off sweep's
+    ``shipped/best``, ``benchmarks/bench_tail_handoff.py``).  Ski rental —
+    buy once the rent paid reaches the price — would read the job's steps;
+    its bound needs a serial phase no dearer than the distributed one it
+    replaces, which the top-down tail breaks where the grid pulls (ROADMAP
+    item 19).  With ``saved`` = 0 the first test is implied by the second.
     MCM-DIST asks once per phase, after its BFS; MWM-DIST after every
     auction round (its thin tail is rounds, not phases).  One-sided ops
     are not on the ledger, so the rule fires no earlier than one that also

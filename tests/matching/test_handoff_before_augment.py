@@ -9,7 +9,8 @@ that read, so it never loses to m more distributed phases, and with
 (:func:`~repro.matching.mcm_dist.augment_cost`) is read off replicated
 numbers before it runs, and must equal what the ledger then records.  The
 end-to-end deep core hands off after phase 1's BFS; and, the tail included,
-a restarted job reports the fault-free job's counters.
+a restarted job — or one given a store — reports the fault-free job's
+counters and hands off where it does.
 """
 
 import threading
@@ -21,11 +22,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphs import suite
+from repro.graphs.rmat import er
 from repro.matching import mcm_dist
 from repro.matching.job import ledger_totals, tail_is_cheaper
 from repro.matching.mcm_dist import mcm_dist_spmd, run_mcm_dist
 from repro.perfmodel import EDISON
-from repro.runtime import spmd
+from repro.runtime import CheckpointStore, FileCheckpointStore, spmd
 from repro.sparse.coo import COO
 
 from .test_mcm_iteration_shape import RELABELED_ROAD, e2e_workloads  # noqa: F401
@@ -176,6 +178,34 @@ def test_a_restart_reports_the_fault_free_counters(request, seam, backend):
     else:
         assert ok.tail_phases == ok.phases - 1 >= 3
 
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_a_restart_or_a_store_before_the_handoff_keeps_it(backend, tmp_path):
+    """er(8) from the empty matching on 2x2 hands off after phase 2's BFS.
+    Rank 1 dies entering phase 2 and the job resumes from phase 1's
+    snapshot on a fresh ledger; a job given a store pays for snapshots the
+    rule must not count.  Both hand off where the plain run does, with its
+    counters."""
+    coo = er(8, seed=1)
+
+    def solve(**kwargs):
+        return run_mcm_dist(coo, 2, 2, init="none", backend=backend, timeout=60, **kwargs)
+
+    def store(name):
+        return (CheckpointStore() if backend == "thread"
+                else FileCheckpointStore(str(tmp_path / name)))
+
+    ok_r, _, ok = solve()
+    assert (ok.phases, ok.tail_phases) == (14, 12)
+    restarted = solve(max_restarts=2, checkpoint_store=store("restart"),
+                      faults="crash:rank=1,at=phase:2")
+    stored = solve(checkpoint_store=store("plain"))
+    assert (restarted[2].restarts, restarted[2].restart_spans) == (1, ((0, 2),))
+    assert stored[2].checkpoint_words > 0
+    for mate_r, _, stats in (restarted, stored):
+        np.testing.assert_array_equal(mate_r, ok_r)
+        assert [getattr(stats, c) for c in COUNTERS] == [getattr(ok, c) for c in COUNTERS]
 
 def _column_perfect(n, seed):
     """An n × n graph with a planted perfect matching under 3n/4 random

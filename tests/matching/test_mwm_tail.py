@@ -9,7 +9,8 @@ end-to-end workload's own numbers.  Whatever round a grid hands off at — the
 round of a phase and of the run — the mates, weight, counters, prices and
 certificate are the twin's, the edge reads add up to the twin's once the
 tail's extra copies are taken off, every rank decides alike (``verify``),
-and a crash inside the tail recovers to the same matching.
+a crash inside the tail recovers to the same matching, and a restart or a
+store before the hand-off leaves it where it was.
 """
 
 import numpy as np
@@ -20,7 +21,7 @@ from repro.graphs.rmat import er
 from repro.matching import auction_mwm_serial, run_mwm_dist
 from repro.matching.job import tail_is_cheaper
 from repro.matching.mwm_dist import _mwm_rank_main
-from repro.runtime import spmd
+from repro.runtime import CheckpointStore, FileCheckpointStore, spmd
 from repro.simulate.critpath import analyze
 
 EPS = 0.05
@@ -175,6 +176,36 @@ def test_a_crash_in_the_tail_recovers_the_same_matching(backend, force_handoff):
     assert st.phases_replayed == 2
     assert st.tail_rounds == 92
 
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_a_restart_or_a_store_before_the_handoff_keeps_it(backend, tmp_path):
+    """The e2e auction on 2x2 hands off after round 6.  Rank 1 dies entering
+    phase 1 and the job resumes from the phase-0 snapshot on a fresh
+    ledger; a job given a store pays for snapshots the rule must not count.
+    Both hand off at the same round, with the plain run's counters."""
+    coo, weights = _e2e_core()
+
+    def solve(**kwargs):
+        return run_mwm_dist(coo, weights, 2, 2, epsilon=EPS, backend=backend, timeout=60,
+                            **kwargs)
+
+    def store(name):
+        return (CheckpointStore() if backend == "thread"
+                else FileCheckpointStore(str(tmp_path / name)))
+
+    ok_r, _, ok = solve()
+    assert ok.tail_rounds == ok.auction_rounds - 6
+    restarted = solve(max_restarts=2, checkpoint_store=store("restart"),
+                      faults="crash:rank=1,at=phase:1")
+    stored = solve(checkpoint_store=store("plain"))
+    assert restarted[2].restart_spans == ((0, 1),)
+    assert stored[2].checkpoint_words > 0
+    counters = ("phases", "tail_phases", "auction_rounds", "tail_rounds", "bids_placed",
+                "price_updates", "matching_weight", "edges_examined", "tail_edges")
+    for mate_r, _, st in (restarted, stored):
+        np.testing.assert_array_equal(mate_r, ok_r)
+        assert [getattr(st, c) for c in counters] == [getattr(ok, c) for c in counters]
 
 def test_trace_report_labels_the_tail_by_phase_and_round(force_handoff):
     coo, weights = HEAVY

@@ -6,12 +6,13 @@ function of EDISON's constants and four replicated numbers, pinned here on
 the end-to-end workloads' own numbers and on the paper's ``road_usa`` at
 2,025 ranks.  Whatever phase a grid hands off at — the ``force_handoff``
 seam tries each — the mates, phases and iterations are those of an
-all-distributed run, every rank hands off at the same phase, a crash inside
-the tail restarts from the hand-off's snapshot, and the initializer's edge
-reads are counted beside it.
+all-distributed run, every rank asks the rule with the same step counts and
+hands off at the same phase, a crash inside the tail restarts from the
+hand-off's snapshot, and the initializer's edge reads are counted beside it.
 """
 
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from repro.graphs.rmat import er
 from repro.kernels import advance_cursor
 from repro.matching import mcm_dist
 from repro.matching.job import tail_is_cheaper
-from repro.matching.mcm_dist import _mcm_rank_main, run_mcm_dist
+from repro.matching.mcm_dist import _mcm_rank_main, mcm_dist_spmd, run_mcm_dist
 from repro.perfmodel.collectives import msbfs_iteration
 from repro.runtime import spmd
 
@@ -98,6 +99,37 @@ def test_a_handoff_after_any_phase_keeps_the_results(pr, pc, backend, force_hand
         assert st.topdown_steps == st.iterations * pr * pc, k
         # the serial phases keep their boundaries: ledger and crash points
         assert list(st.phase_ledger) == list(range(1, st.phases + 1)), k
+
+
+_asked = threading.local()
+
+
+def _asking_rank_main(comm, coo, pr, pc):
+    """One rank of MCM-DIST that returns the (steps, answer) of each time it
+    asked the hand-off rule."""
+    _asked.log = []
+    mcm_dist_spmd(comm, coo if comm.rank == 0 else None, pr, pc)
+    return _asked.log
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("pr,pc", [(1, 2), (2, 3)])
+def test_every_rank_asks_the_rule_with_the_same_steps(monkeypatch, pr, pc, backend):
+    """The rule reads only replicated numbers: the steps it is asked with
+    are the same on every rank, non-square grids included (a row and a
+    column communicator of different sizes), so every rank decides alike."""
+    rule = mcm_dist.tail_is_cheaper
+
+    def asked(steps, *rest):
+        fires = rule(steps, *rest)
+        _asked.log.append((steps, fires))
+        return fires
+
+    monkeypatch.setattr(mcm_dist, "tail_is_cheaper", asked)
+    logs = spmd(pr * pc, _asking_rank_main, ROAD, pr, pc, backend=backend, timeout=60).values
+    # it was asked each phase until the last answer handed off
+    assert logs[0] and logs[0][-1][1] and not any(fires for _, fires in logs[0][:-1])
+    assert all(log == logs[0] for log in logs)
 
 
 @pytest.mark.parametrize("backend", ["thread", "process"])
