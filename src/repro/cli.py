@@ -313,8 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pc", type=int, default=2)
     p.add_argument("--init", default="greedy", choices=["greedy", "none"])
     p.add_argument("--direction", default="auto", choices=["auto", "topdown"],
-                   help="Step 1's direction: 'auto' lets each block pull wherever "
-                        "that is expected to read fewer of its edges")
+                   help="Step 1's direction: 'auto' lets each block, and each "
+                        "iteration of the serial tail, pull wherever that is "
+                        "expected to read fewer of its edges")
     p.add_argument("--objective", default="cardinality",
                    choices=["cardinality", "weight"],
                    help="'cardinality' runs MCM-DIST (default); 'weight' runs "

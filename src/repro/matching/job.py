@@ -10,7 +10,8 @@ here once:
 * :func:`phase_boundary` — progress marker, per-phase ledger and
   phase-boundary crash point;
 * :func:`tail_is_cheaper` — the priced rule that hands a job's thin end
-  to a serial solve replicated on every rank;
+  to a serial solve replicated on every rank, asked with the
+  :class:`JobSteps` the job has paid;
 * :func:`save_checkpoint` — the single-writer, barrier-closed snapshot write;
 * :func:`snapshot_ledger` / :func:`merge_by_alg` — the per-rank ledger
   snapshot and its communication-free driver-side fold;
@@ -25,6 +26,8 @@ import contextlib
 import tempfile
 from dataclasses import dataclass, field
 from typing import Any, Callable
+
+import numpy as np
 
 from ..distmat.grid import ProcGrid
 from ..perfmodel.machine import EDISON, Price
@@ -56,14 +59,15 @@ class DistStats:
     final_cardinality: int = 0
     #: Step-1 direction tally: block-iterations, summed over the ranks
     #: (``topdown_steps + bottomup_steps == iterations × p``; a tail
-    #: iteration is a top-down one on every rank)
+    #: iteration counts on every rank, in the direction it took)
     topdown_steps: int = 0
     bottomup_steps: int = 0
     #: edges the chosen directions examined across all Step-1 SpMVs (an
     #: auction's: every top-2 scan, bids and certificates), summed over the
     #: ranks: each block's own, then the serial tail's on every rank that
     #: ran it — so ``edges_examined − (p−1)·tail_edges`` is the top-down
-    #: (the serial twin's) count whichever phase (round) a grid hands off at
+    #: (the serial twin's) count whichever phase (round) a grid hands off
+    #: at, when no block and no tail iteration pulls (``direction="topdown"``)
     edges_examined: int = 0
     #: edges MCM-DIST's greedy initializer read through its lookahead
     #: cursor, summed over the ranks (not in ``edges_examined``)
@@ -170,6 +174,34 @@ def ledger_totals(grid: ProcGrid) -> tuple[int, int]:
     return tuple(sum(d[k] for t in tables for d in t.values()) for k in ("steps", "words"))
 
 
+class JobSteps:
+    """The latency steps on this rank's ledger since the job began: the
+    rent :func:`tail_is_cheaper` is asked with.  A checkpoint's own
+    collectives stay out of it (:meth:`checkpoint`), and every snapshot
+    carries it: an attempt resumed from ``resume`` starts its ledger at
+    zero and books the set-up again, so it counts on from the snapshot's
+    steps, from the end of its set-up (the first attempt counted the set-up
+    once).  A restarted job and a job given a store thus ask the rule with
+    the plain run's numbers."""
+
+    def __init__(self, grid: ProcGrid, resume: "Checkpoint | None" = None) -> None:
+        self.grid = grid
+        held = (resume.aux or {}).get("steps") if resume is not None else None
+        self.offset = 0 if held is None else int(held) - ledger_totals(grid)[0]
+
+    def total(self) -> int:
+        return ledger_totals(self.grid)[0] + self.offset
+
+    @contextlib.contextmanager
+    def checkpoint(self, aux: dict):
+        """A snapshot's body: ``aux`` gets the steps paid so far, and the
+        body's own steps are not the job's."""
+        before = self.total()
+        aux["steps"] = np.array(before)
+        yield
+        self.offset -= self.total() - before
+
+
 def phase_boundary(
     grid: ProcGrid, stats: DistStats, phase_no: int, *, serial: bool = False
 ) -> None:
@@ -197,29 +229,31 @@ def phase_boundary(
 def tail_is_cheaper(steps: int, p: int, words: int, nnz: int, saved: float = 0.0) -> bool:
     """The tail hand-off, priced at EDISON's constants
     (:meth:`~repro.perfmodel.machine.MachineSpec.price`, per rank): finish
-    the job on a serial solve replicated on all ``p`` ranks iff the work of
-    the phase asking — ``steps`` latency steps on a rank's ledger — costs
-    at least one read of all ``nnz`` edges and, with ``saved`` (the price
-    of what handing off skips at once), more than one grid allgather of
+    the job on a serial solve replicated on all ``p`` ranks iff the rent
+    the job has paid — ``steps``, every latency step on a rank's ledger
+    since the job began (:class:`JobSteps`) — costs at least one read of
+    all ``nnz`` edges and, with ``saved`` (the price of what handing off
+    skips at once), more than the purchase: one grid allgather of
     ``words`` words (recursive doubling: ⌈log₂ p⌉ steps, ``words``·(p−1)/p
-    words a rank) plus that read.  A top-down serial phase reads each edge
-    at most once, so when no later distributed phase is cheaper than this
-    one, going on costs at least ``saved`` + m·price(steps) and the tail at
-    most the gather + m·γ·nnz, for any m ≥ 1 phases left: the switch never
-    loses.  That bounds the switch against going on, not the run against
-    the best hand-off in hindsight: the gather is weighed against one
-    phase's rent, never the rent the job has paid, so a job of many phases
-    each cheaper than the gather pays them all (the hand-off sweep's
-    ``shipped/best``, ``benchmarks/bench_tail_handoff.py``).  Ski rental —
-    buy once the rent paid reaches the price — would read the job's steps;
-    its bound needs a serial phase no dearer than the distributed one it
-    replaces, which the top-down tail breaks where the grid pulls (ROADMAP
-    item 19).  With ``saved`` = 0 the first test is implied by the second.
-    MCM-DIST asks once per phase, after its BFS; MWM-DIST after every
-    auction round (its thin tail is rounds, not phases).  One-sided ops
-    are not on the ledger, so the rule fires no earlier than one that also
-    charged them would; a 1x1 grid's ledger holds no step, so it never
-    fires there."""
+    words a rank) plus that read.  This is ski rental — buy once the rent
+    paid reaches the price — and it bounds the run against the best
+    hand-off in hindsight, no hand-off included: a job that would have
+    stopped sooner paid at most the price in rent, and one that runs on
+    has paid the price before it buys, so either way it pays about twice
+    the best at most.  The bound needs a serial phase no dearer than the
+    grid's phase it replaces.  The serial phase pays no latency but reads
+    edges, so MCM-DIST's tail makes the grid blocks' per-iteration
+    direction choice (:func:`~repro.matching.msbfs.run_phase` under
+    "auto"): a top-down tail reads every frontier edge where the pulling
+    grid stopped at each row's first hit, and so made a hand-off on
+    er(10) 2x2 price above never handing off.  The rule reads replicated
+    numbers only and has no knob.
+    MCM-DIST asks once per phase, after its BFS, with that phase's
+    augmentation priced in; MWM-DIST after every auction round (its thin
+    tail is rounds, not phases).  One-sided ops are not on the ledger, so
+    the rule fires no earlier than one that also charged them would; a 1x1
+    grid's ledger holds no step (not even its splits'), so it never fires
+    there."""
     cost = EDISON.price(1, (p - 1).bit_length(), words * (p - 1) / p, nnz)
     spent = EDISON.price(1, steps).total
     return spent >= cost.gamma_s and spent + saved > cost.total

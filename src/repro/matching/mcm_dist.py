@@ -36,8 +36,9 @@ Step 1, direction-optimized            the same call, given the block rows not
                                        ``direction="auto"`` each block pulls
                                        alone wherever that is expected to read
                                        fewer of its edges
-                                       (:func:`pull_is_cheaper`) — no vote,
-                                       both directions post the one fold
+                                       (:func:`~repro.matching.msbfs.pull_is_cheaper`)
+                                       — no vote, both directions post the
+                                       one fold
 Steps 2–4 SELECT/SET                   local NumPy at home: π is a row-block
                                        array, a matched row's entry current at
                                        its home, a free row's on every rank of
@@ -78,21 +79,23 @@ k < 2p² switch                          :func:`mcm_dist_spmd` per phase
                                        the paper's rule as derived for its own
                                        6αp level step)
 gather onto one node (§VI-E, Fig. 9)   the tail hand-off, asked after each
-                                       phase's BFS: once the phase's steps
-                                       (its augmentation's priced in by
-                                       :func:`augment_cost`) and the
+                                       phase's BFS: once the job's steps so
+                                       far (this phase's augmentation priced
+                                       in by :func:`augment_cost`) and the
                                        augmentation a hand-off skips outprice
                                        one grid allgather of the DCSC blocks,
                                        mates and π plus one read of every
-                                       edge (:func:`tail_is_cheaper`), every
-                                       rank builds the whole CSC from the
-                                       gathered blocks, retraces the phase's
-                                       paths on the gathered π
+                                       edge (:func:`tail_is_cheaper`, ski
+                                       rental), every rank builds the whole
+                                       CSC from the gathered blocks, retraces
+                                       the phase's paths on the gathered π
                                        (:func:`~repro.matching.augment.augment_level_parallel`)
                                        and finishes alone
-                                       (:func:`~repro.matching.msbfs.mcm_phase_loop`);
-                                       no collective follows the gather but
-                                       the hand-off snapshot's barrier
+                                       (:func:`~repro.matching.msbfs.mcm_phase_loop`),
+                                       each iteration pulling where the
+                                       blocks' rule would; no collective
+                                       follows the gather but the hand-off
+                                       snapshot's barrier
 distributed maximal matching [21]      :func:`proposal_rounds_spmd` — greedy
                                        only (the serial engine keeps
                                        Karp-Sipser and dynamic mindegree for
@@ -155,14 +158,14 @@ from ..perfmodel.machine import EDISON
 from .augment import augment_level_parallel, choose_augment_mode
 from .job import (
     DistStats,
+    JobSteps,
     launch,
-    ledger_totals,
     phase_boundary,
     save_checkpoint,
     snapshot_ledger,
     tail_is_cheaper,
 )
-from .msbfs import MatchingStats, mcm_phase_loop
+from .msbfs import MatchingStats, mcm_phase_loop, pull_is_cheaper
 
 
 # ---------------------------------------------------------------------------
@@ -370,15 +373,17 @@ _COUNTED = ("iterations", "augment_level_calls", "augment_path_calls", "initial_
 
 def _checkpoint(grid: ProcGrid, store: CheckpointStore, phase: int, mate_r: DistDenseVec,
                 mate_c: DistDenseVec, counts: np.ndarray, stats: DistStats,
-                aux: "dict[str, np.ndarray] | None") -> None:
+                aux: "dict[str, np.ndarray] | None", rent: JobSteps) -> None:
     """Snapshot the globally assembled matching after a completed phase
     (the assembly is two allgathers on the grid communicator, this rank's
     ``counts`` riding the first; the write protocol is
     :func:`~repro.matching.job.save_checkpoint`), stamped with the caller's
-    ``aux`` and the job's counters summed over the ranks."""
-    with tspan(grid.comm, "checkpoint", cat="phase", phase=phase):
+    ``aux``, the job's counters summed over the ranks and the steps it has
+    paid (``rent``, which the snapshot's own collectives stay out of)."""
+    aux = dict(aux or {})
+    with tspan(grid.comm, "checkpoint", cat="phase", phase=phase), rent.checkpoint(aux):
         pieces = grid.comm.allgather((mate_r.lo, mate_r.local, counts))
-        aux = {**(aux or {}), "counts": sum(piece[2] for piece in pieces)}
+        aux["counts"] = sum(piece[2] for piece in pieces)
         ck = Checkpoint(phase, mate_r.assemble([piece[:2] for piece in pieces]),
                         mate_c.to_global(), aux)
         save_checkpoint(grid, store, ck, stats)
@@ -428,19 +433,6 @@ def _refresh_replica(
     pieces = allgather_arrays(grid.rowcomm, *_stale(mate_r, mate_blk))
     mate_blk.set_local(*concat_pieces(pieces))
     _check_replica(grid, phase, mate_r, mate_blk, row_labels)
-
-
-def pull_is_cheaper(td: int, nnz: int, degrees: np.ndarray, unseen: np.ndarray) -> bool:
-    """Step 1's direction under "auto", a block's own choice: pull iff the
-    pull's expected read E = Σ over the ``unseen`` rows of min(degree,
-    nnz/td) is below ``td``, the frontier columns' edges a top-down explode
-    reads.  A block edge lands on a frontier column with probability
-    td/nnz, so a row reads about nnz/td edges before its first hit, never
-    more than its degree.  ``unseen`` marks rows with an edge only, so each
-    adds at least 1 to E (td ≤ nnz): as many unseen rows as ``td`` settle
-    it without E.  Computed as Σ min(degree·td, nnz) < td², in integers."""
-    return np.count_nonzero(unseen) < td and (
-        int(np.minimum(degrees[unseen] * td, nnz).sum()) < td * td)
 
 
 def _global_csc(A: DistBlockMatrix, pieces: list) -> CSC:
@@ -495,17 +487,19 @@ def mcm_dist_spmd(
     ``coo_on_root`` is the input matrix on rank 0 (None elsewhere);
     ``direction`` is "auto" or "topdown" — under "auto" every block pulls
     alone, without communication, whenever the pull is expected to read
-    fewer edges than its frontier columns hold (:func:`pull_is_cheaper`);
-    the mate vectors are identical in both modes.  The engine picks each
+    fewer edges than its frontier columns hold
+    (:func:`~repro.matching.msbfs.pull_is_cheaper`), and so does every
+    iteration of the serial tail; the mate vectors are identical in both
+    modes.  The engine picks each
     phase's augmentation by the paper's k < 2p² rule
     (:func:`~repro.matching.augment.choose_augment_mode`), PRUNEs every
     iteration and reduces candidates under minParent.  After every BFS
-    that found paths, :func:`tail_is_cheaper` prices the phase's latency
-    steps, its augmentation's included (:func:`augment_cost`), and the
-    augmentation a hand-off would skip against gathering the graph and π:
-    once it fires, the grid does not augment — every rank applies the
-    phase's paths itself and finishes on the same serial top-down phases
-    (``stats.tail_*``).
+    that found paths, :func:`tail_is_cheaper` prices the job's latency
+    steps so far (:class:`~repro.matching.job.JobSteps`), this phase's
+    augmentation included (:func:`augment_cost`), and the augmentation a
+    hand-off would skip against gathering the graph and π: once it fires,
+    the grid does not augment — every rank applies the phase's paths
+    itself and finishes on the same serial phases (``stats.tail_*``).
     Returns (globally gathered mate_r, mate_c, stats) on every rank.
 
     Checkpoint/restart (driven by :func:`~repro.matching.job.launch`, which
@@ -515,8 +509,9 @@ def mcm_dist_spmd(
     ``checkpoint_every``-th completed phase and, inside the tail, after the
     phase that hands off, whose serial phases write none — each completed
     phase is a valid matching, so any snapshot is a correct restart point.
-    Every snapshot carries the job's counters (:data:`_COUNTED`), so a
-    restarted job reports the fault-free one's.  Without a store no
+    Every snapshot carries the job's counters (:data:`_COUNTED`) and the
+    steps it has paid, so a restarted job hands off where the fault-free
+    one does and reports its counters.  Without a store no
     checkpoint collective runs at all.  With ``resume`` set, the
     initializer is skipped and the phase loop continues from the
     checkpointed matching.  ``checkpoint_aux`` rides every snapshot as its
@@ -553,6 +548,8 @@ def mcm_dist_spmd(
         own[-2:] += (win.rma_ops, win.rma_words) if win is not None else 0
         return own
 
+    # the steps the job has paid, which the hand-off rule is asked with
+    rent = JobSteps(grid, resume)
     if resume is not None:
         # restart path: the checkpointed matching replaces the initializer,
         # and the counters take up where the snapshot left them (a snapshot
@@ -573,7 +570,8 @@ def mcm_dist_spmd(
         raise ValueError(f"unknown distributed init {init!r} (greedy/none)")
     if checkpoint_store is not None and resume is None:
         # phase-0 snapshot: initializer work survives a crash in phase 1
-        _checkpoint(grid, checkpoint_store, 0, mate_r, mate_c, counts(), stats, checkpoint_aux)
+        _checkpoint(grid, checkpoint_store, 0, mate_r, mate_c, counts(), stats, checkpoint_aux,
+                    rent)
 
     phase_no = resume.phase if resume is not None else 0
     # unmatched columns grid-wide = the size of every phase's first frontier;
@@ -631,7 +629,8 @@ def mcm_dist_spmd(
                     # another's choice.  The trace names it: spmv vs
                     # spmv_bottomup
                     pull = direction == "auto" and pull_is_cheaper(
-                        int(degc[bcols - A.col_lo].sum()), A.block.nnz, degr, unseen)
+                        int(degc[bcols - A.col_lo].sum()), A.block.nnz, A.block.row_degrees,
+                        unseen)
                     live, scanned, sent, rows, parents, roots = spmv_expanded(
                         A, bcols, broots, home=mate_blk.local,
                         unseen=unseen if pull else None,
@@ -697,15 +696,15 @@ def mcm_dist_spmd(
             free_blk[roots[(roots >= A.col_lo) & (roots < A.col_hi)] - A.col_lo] = False
             rows, depth = rows[first], depth[first]
             mode = choose_augment_mode(k, grid.nprocs)
-            # the hand-off, asked before augmenting: S is the phase's BFS
-            # steps plus its augmentation's, which replicated numbers price
-            # exactly, and handing off now skips that augmentation — the
-            # tail retraces the paths on a gathered π instead.  With every
-            # column matched the next phase runs no BFS: nothing is left to
-            # hand off
+            # the hand-off, asked before augmenting: the rent is the job's
+            # steps so far plus this phase's augmentation's, which
+            # replicated numbers price exactly, and handing off now skips
+            # that augmentation — the tail retraces the paths on a gathered
+            # π instead.  With every column matched the next phase runs no
+            # BFS: nothing is left to hand off
             aug_steps, aug_ops = augment_cost(mode, depth, pr, pc, win is None)
             tail = free_cols > 0 and tail_is_cheaper(
-                ledger_totals(grid)[0] - stats.phase_ledger[phase_no][0] + aug_steps,
+                rent.total() + aug_steps,
                 grid.nprocs,
                 # the gather's words at full width, short of a word or two
                 # a block (cp's last entry, the allgather's source label)
@@ -741,7 +740,7 @@ def mcm_dist_spmd(
                 checkpoint_every > 0 and phase_no % checkpoint_every == 0
             ):
                 _checkpoint(grid, checkpoint_store, phase_no, mate_r, mate_c, counts(), stats,
-                            checkpoint_aux)
+                            checkpoint_aux, rent)
 
     if win is not None:
         # freed before the job's last grid collective, so none follows it
@@ -753,8 +752,9 @@ def mcm_dist_spmd(
         # the tail: one grid allgather hands every rank the whole graph and
         # matching — and, after the hand-off phase's BFS, each visited row's
         # π where it is current (a free row's once per grid row) — and each
-        # finishes the phases alone: top-down, every edge read counted on
-        # every rank that reads it
+        # finishes the phases alone, in the job's direction (under "auto"
+        # an iteration pulls where the blocks' rule would), every edge read
+        # counted on every rank that reads it
         with tspan(grid.comm, "tail", cat="phase", phase=phase_no + 1):
             blk, pis, snap = A.block, (), checkpoint_store is not None and paths is not None
             if paths is not None:
@@ -787,11 +787,12 @@ def mcm_dist_spmd(
                                     stats)
             serial = MatchingStats()
             mcm_phase_loop(
-                _global_csc(A, pieces), g_r, g_c, serial,
+                _global_csc(A, pieces), g_r, g_c, serial, direction=direction,
                 on_phase=lambda n: phase_boundary(grid, stats, phase_no + n, serial=True),
             )
         stats.phases = phase_no + serial.phases
         stats.iterations += serial.iterations
+        stats.bottomup_steps += serial.bottomup_steps
         stats.tail_phases, stats.tail_iterations = serial.phases, serial.iterations
         stats.tail_edges = serial.edges_traversed
         stats.edges_examined += serial.edges_traversed

@@ -18,14 +18,25 @@ dense ``path_c``), optionally prunes trees that already found a path
 (Section VI-D studies the impact), and finally augments by all discovered
 paths at once.  Phases repeat until one finds no augmenting path, which by
 Berge's theorem certifies maximum cardinality.
+
+The phase loop is also MCM-DIST's serial tail, which every rank runs on the
+gathered graph once the hand-off fires.  There it takes the direction the
+grid's blocks take: under ``direction="auto"`` an iteration pulls over the
+matrix's row-major mirror wherever :func:`pull_is_cheaper` — the blocks'
+rule, one copy for both — expects that to read fewer edges.  A pull finds
+each row's minimum frontier column, the minParent winner, so the phases,
+π and mates are the top-down ones.  :func:`ms_bfs_mcm` and the simulator
+stay top-down.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
+from ..kernels import pull_candidates
 from ..sparse.csc import CSC, ragged_gather
 from ..sparse.semiring import SR_MIN_PARENT, Semiring, reduce_candidates
 from ..sparse.spvec import NULL, VertexFrontier
@@ -81,6 +92,8 @@ class MatchingStats:
 
     phases: int = 0
     iterations: int = 0
+    #: the iterations that pulled (only MCM-DIST's serial tail pulls)
+    bottomup_steps: int = 0
     edges_traversed: int = 0
     paths_per_phase: list[int] = field(default_factory=list)
     augment: AugmentStats = field(default_factory=AugmentStats)
@@ -90,6 +103,24 @@ class MatchingStats:
     @property
     def total_paths(self) -> int:
         return sum(self.paths_per_phase)
+
+
+def pull_is_cheaper(
+    td: int, nnz: int, degrees: "Callable[[], np.ndarray]", unseen: np.ndarray
+) -> bool:
+    """Step 1's direction under "auto" — MCM-DIST's per-block choice and its
+    serial tail's: pull iff the pull's expected read E = Σ over the
+    ``unseen`` rows of min(degree, nnz/td) is below ``td``, the frontier
+    columns' edges a top-down explode reads.  An edge lands on a frontier
+    column with probability td/nnz, so a row reads about nnz/td edges
+    before its first hit, never more than its degree.  ``unseen`` marks
+    rows with an edge only, so each adds at least 1 to E (td ≤ nnz): as
+    many unseen rows as ``td`` settle it without E — and without
+    ``degrees()``, the rows' degrees, which only E asks for, so a tail
+    that never pulls never builds them.  Computed as
+    Σ min(degree·td, nnz) < td², in integers."""
+    return int(np.count_nonzero(unseen)) < td and (
+        int(np.minimum(degrees()[unseen] * td, nnz).sum()) < td * td)
 
 
 def advance_frontier(
@@ -154,12 +185,22 @@ def run_phase(
     prune: bool = True,
     hooks: MsBfsHooks | None = None,
     stats: MatchingStats | None = None,
+    direction: str = "topdown",
 ) -> np.ndarray:
     """One phase of Algorithm 2 (the repeat-until body, lines 3–25).
 
     Mutates ``pi_r`` (parents of rows visited this phase, NULL elsewhere)
     and returns the dense ``path_c``: ``path_c[j] = i`` records an
     augmenting path from unmatched column j to unmatched row i.
+
+    Under ``direction="auto"`` (MCM-DIST's serial tail, minParent only)
+    each iteration pulls wherever :func:`pull_is_cheaper` expects that to
+    read fewer edges: every row with an edge not yet visited stops at its
+    first frontier column in ``a``'s row-major mirror
+    (:func:`~repro.kernels.pull_candidates` over the cached
+    :meth:`~repro.sparse.csc.CSC.transpose`, built on the first pull) — its
+    minimum, the top-down reduce's winner, so the phase is the top-down
+    one.  A pulling iteration reports no ``on_spmv``.
     """
     hooks = hooks or MsBfsHooks()
     n2 = a.ncols
@@ -168,20 +209,40 @@ def run_phase(
     # Initial column frontier: every unmatched column, parent = root = self.
     fc = VertexFrontier.roots_of_self(n2, np.flatnonzero(mate_c == NULL))
     hooks.on_phase_start(fc.nnz)
+    # the rows with an edge not visited yet, what a pull reads
+    unseen = None
+    if direction == "auto":
+        unseen = np.zeros(a.nrows, dtype=bool)
+        unseen[a.indices] = True
 
     iteration = 0
     while fc.nnz:
         iteration += 1
         # -- Step 1: explore neighbors of the column frontier (one BFS step)
-        cand_rows, cand_parents, cand_roots, _ = a.explode_frontier(fc)
-        ridx, rpar, rroot = reduce_candidates(cand_rows, cand_parents, cand_roots, semiring, rng)
-        fr = VertexFrontier(a.nrows, ridx, rpar, rroot)
-        hooks.on_spmv(fc, cand_rows, cand_parents, fr)
+        pull = unseen is not None and pull_is_cheaper(
+            a.spmv_count(fc), a.nnz, a.row_degrees, unseen)
+        if pull:
+            root_of = np.full(n2, NULL, dtype=np.int64)
+            root_of[fc.idx] = fc.root
+            mirror = a.transpose()
+            ridx, rpar, rroot, read = pull_candidates(
+                mirror.indptr, mirror.indices, np.flatnonzero(unseen), root_of, NULL)
+            fr = VertexFrontier(a.nrows, ridx, rpar, rroot)
+        else:
+            cand_rows, cand_parents, cand_roots, _ = a.explode_frontier(fc)
+            ridx, rpar, rroot = reduce_candidates(
+                cand_rows, cand_parents, cand_roots, semiring, rng)
+            fr = VertexFrontier(a.nrows, ridx, rpar, rroot)
+            hooks.on_spmv(fc, cand_rows, cand_parents, fr)
+            read = cand_rows.size
         if stats is not None:
-            stats.edges_traversed += cand_rows.size
+            stats.edges_traversed += read
+            stats.bottomup_steps += pull
 
         # -- Steps 2–7
-        _, fc = advance_frontier(fr, mate_r, pi_r, path_c, prune, hooks)
+        joined, fc = advance_frontier(fr, mate_r, pi_r, path_c, prune, hooks)
+        if unseen is not None:
+            unseen[joined.idx] = False
         hooks.on_iteration_end(iteration)
         if stats is not None:
             stats.iterations += 1
@@ -201,12 +262,14 @@ def mcm_phase_loop(
     prune: bool = True,
     hooks: MsBfsHooks | None = None,
     augment_mode: str = "auto",
+    direction: str = "topdown",
     on_phase=None,
 ) -> None:
     """Algorithm 2's repeat-until loop, in place: phases augment ``mate_r``
     / ``mate_c`` until one finds no path, counted into ``stats``.
     ``on_phase(n)``, when given, runs as the loop enters its n-th phase
-    (MCM-DIST's serial tail passes its phase boundary there)."""
+    (MCM-DIST's serial tail passes its phase boundary there, and its
+    ``direction``: see :func:`run_phase`)."""
     pi_r = np.empty(a.nrows, dtype=np.int64)
     while True:
         pi_r.fill(NULL)
@@ -216,6 +279,7 @@ def mcm_phase_loop(
         path_c = run_phase(
             a, mate_r, mate_c, pi_r,
             semiring=semiring, rng=rng, prune=prune, hooks=hooks, stats=stats,
+            direction=direction,
         )
         k = int((path_c != NULL).sum())
         stats.paths_per_phase.append(k)

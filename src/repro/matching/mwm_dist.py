@@ -45,10 +45,12 @@ floor that does not certify is an engine bug and raises
 
 An auction's last rounds are thin — a handful of bidders, all latency —
 so the round boundary is also where the job may leave the grid (the
-paper's gather onto one node, §VI-E): once the phase's latency steps so
-far cost more than one grid allgather of the graph and state plus one
-read of every edge (:func:`~repro.matching.job.tail_is_cheaper`, MCM-DIST's
-rule), one grid allgather hands every rank rank 0's deduped edge list,
+paper's gather onto one node, §VI-E): once the job's latency steps so
+far (every one since it began, :class:`~repro.matching.job.JobSteps`)
+cost more than one grid allgather of the graph and state plus one read
+of every edge (:func:`~repro.matching.job.tail_is_cheaper`, MCM-DIST's
+rule: ski rental), one grid allgather hands every rank rank 0's deduped
+edge list,
 the item→bidder map and the prices, and each finishes the phase and the
 later ones alone on the serial twin's loop
 (:func:`~repro.matching.auction.auction_phase_loop`; ``stats.tail_*``).
@@ -104,8 +106,8 @@ from .auction import (
 )
 from .job import (
     DistStats,
+    JobSteps,
     launch,
-    ledger_totals,
     phase_boundary,
     save_checkpoint,
     snapshot_ledger,
@@ -116,7 +118,7 @@ from .job import (
 def _checkpoint(
     grid: ProcGrid, store: CheckpointStore, phase: int, owner_blk: np.ndarray,
     price_blk: np.ndarray, delta: "float | None", lower: float, stats: DistStats,
-    counts: "tuple[int, int, int, int]" = (0, 0, 0, 0),
+    rent: JobSteps, counts: "tuple[int, int, int, int]" = (0, 0, 0, 0),
 ) -> None:
     """Snapshot (doubled mates, item prices, ladder state, counters) after a
     completed ε-phase (the assembly is a row allreduce and a column
@@ -126,8 +128,11 @@ def _checkpoint(
     down the same rungs; the counters are the rounds and bids so far
     (replicated), then each row block's accepted price updates and edges
     read (this rank's, summed along the grid row), so a resumed run reports
-    the fault-free totals."""
-    with tspan(grid.comm, "checkpoint", cat="phase", phase=phase):
+    the fault-free totals; and the steps the job has paid (``rent``, which
+    the snapshot's own collectives stay out of), so it hands off where the
+    fault-free run does."""
+    aux: dict = {}
+    with tspan(grid.comm, "checkpoint", cat="phase", phase=phase), rent.checkpoint(aux):
         # every rank holds its whole row block, and the pr ranks of a grid
         # column hold row blocks 0..pr-1 in rank order
         row_edges = grid.rowcomm.allreduce(counts[3], op=SUM)
@@ -140,7 +145,7 @@ def _checkpoint(
         g_bidder[g_item[owned]] = owned
         ladder = np.array([delta or 0.0, lower])
         ck = Checkpoint(phase=phase, mate_row=g_item, mate_col=g_bidder,
-                        aux={"prices": prices, "ladder": ladder,
+                        aux={**aux, "prices": prices, "ladder": ladder,
                              "counts": np.array([*counts[:2], *updates])})
         save_checkpoint(grid, store, ck, stats)
 
@@ -221,13 +226,14 @@ def mwm_dist_spmd(
     launch` sums; ``stats.matching_weight`` carries the objective and
     ``stats.auction_prices`` the final doubled-graph prices (for ε-CS
     assertions).  After every round :func:`~repro.matching.job.
-    tail_is_cheaper` prices the phase's latency so far against gathering
+    tail_is_cheaper` prices the job's latency so far against gathering
     the graph; once it fires, every rank finishes on the serial twin's
     loop (``stats.tail_*``).  A crash inside that tail restarts from the
-    last completed phase's snapshot (the hand-off writes none), and the
-    replay hands off at the same round.  ``cardinality_bias`` trades weight
-    for cardinality by shifting real edges against the zero-weight dummy
-    diagonal (>= 1 makes any real edge beat going unmatched).
+    last completed phase's snapshot (the hand-off writes none), which
+    carries the steps paid, and the replay hands off at the same round.
+    ``cardinality_bias`` trades weight for cardinality by shifting real
+    edges against the zero-weight dummy diagonal (>= 1 makes any real edge
+    beat going unmatched).
     """
     grid = ProcGrid(comm, pr, pc)
     stats = DistStats()
@@ -285,6 +291,8 @@ def mwm_dist_spmd(
     lower, phase_no = 0.0, 0
     delta = next_delta(None, scale_eff, lower, N, epsilon)
     rounds = bids = updates_row = edges_local = 0
+    # the steps the job has paid, which the hand-off rule is asked with
+    rent = JobSteps(grid, resume)
     if resume is not None:
         owner_blk[:] = resume.mate_row[A.row_lo:A.row_hi]
         price_blk[:] = resume.aux["prices"][A.row_lo:A.row_hi]
@@ -296,7 +304,7 @@ def mwm_dist_spmd(
         phase_no = resume.phase
     elif checkpoint_store is not None:
         # phase-0 snapshot: uniform restart bookkeeping with the MCM engine
-        _checkpoint(grid, checkpoint_store, 0, owner_blk, price_blk, delta, lower, stats)
+        _checkpoint(grid, checkpoint_store, 0, owner_blk, price_blk, delta, lower, stats, rent)
 
     pick = None
     # the hand-off's words at most: rank 0's m deduped edges as (row, col,
@@ -352,13 +360,11 @@ def mwm_dist_spmd(
                             free_blk[won_k - A.col_lo] = False
                             free_blk[lost_k - A.col_lo] = True
                             active -= int(fresh_k[0])
-                # the round boundary: once the phase's latency so far
+                # the round boundary: once the job's latency so far
                 # outprices gathering the graph, every rank finishes alone.
-                # The phase's steps are the same on every rank (its
+                # The job's steps are the same on every rank (a round's
                 # collectives are row/column allgathers), so all decide alike
-                tail = tail_is_cheaper(
-                    ledger_totals(grid)[0] - stats.phase_ledger[phase_no][0],
-                    grid.nprocs, handoff_words, A.nnz)
+                tail = tail_is_cheaper(rent.total(), grid.nprocs, handoff_words, A.nnz)
             if tail:
                 break
             # every phase's assignment is extracted and certified: a
@@ -382,7 +388,7 @@ def mwm_dist_spmd(
                 and phase_no % checkpoint_every == 0
             ):
                 _checkpoint(grid, checkpoint_store, phase_no, owner_blk, price_blk,
-                            delta, lower, stats, (rounds, bids, updates_row, edges_local))
+                            delta, lower, stats, rent, (rounds, bids, updates_row, edges_local))
     if tail:
         # the tail: one grid allgather hands every rank rank 0's edge list and
         # the auction state (row block i's items and prices from grid column

@@ -864,9 +864,10 @@ class Communicator:
         so a peer sitting in a different collective raises
         :class:`CollectiveMismatchError` at once; they are bookkeeping, not
         traffic of the program: outside both ledgers, the frame count and
-        the fault plan.
+        the fault plan.  A 1-rank communicator's split sends nothing and
+        books no latency step.
         """
-        with self._collective("split", "rendezvous", 1, color=color) as seq:
+        with self._collective("split", "rendezvous", int(self.size > 1), color=color) as seq:
             key = self.rank if key is None else key
             tag = self._coll_tag(seq)
 

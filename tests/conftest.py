@@ -9,11 +9,12 @@ from contextlib import ExitStack, contextmanager
 import pytest
 
 import repro.matching.mcm_dist as _mcm_dist
+import repro.matching.msbfs as _msbfs
 import repro.matching.mwm_dist as _mwm_dist
 import repro.runtime.comm as _comm
 from benchmarks.handoff_seam import handoff_rule
 from repro.matching.augment import choose_augment_mode
-from repro.matching.mcm_dist import pull_is_cheaper
+from repro.matching.msbfs import pull_is_cheaper
 from repro.runtime.trace import tspan
 
 
@@ -61,17 +62,19 @@ def force_augment(monkeypatch):
 
 @pytest.fixture
 def force_pull(monkeypatch):
-    """A setter that forces every MCM-DIST block to pull in Step 1 for the
-    rest of the test and names the direction to run it under:
-    ``force_pull("bottomup")`` replaces the engine's expected-read rule
-    (``mcm_dist.pull_is_cheaper``) with "always" and returns ``"auto"``;
-    any other direction restores the rule and comes back unchanged.  Forked
-    ranks inherit the patch, so the process backend is covered too."""
+    """A setter that forces every MCM-DIST block, and every iteration of its
+    serial tail, to pull in Step 1 for the rest of the test and names the
+    direction to run it under: ``force_pull("bottomup")`` replaces the
+    expected-read rule (``pull_is_cheaper``, the blocks' and the tail's)
+    with "always" and returns ``"auto"``; any other direction restores the
+    rule and comes back unchanged.  Forked ranks inherit the patch, so the
+    process backend is covered too."""
 
     def force(direction):
         pulling = direction == "bottomup"
         rule = (lambda *args: True) if pulling else pull_is_cheaper
-        monkeypatch.setattr(_mcm_dist, "pull_is_cheaper", rule)
+        for module in (_mcm_dist, _msbfs):
+            monkeypatch.setattr(module, "pull_is_cheaper", rule)
         return "auto" if pulling else direction
 
     return force

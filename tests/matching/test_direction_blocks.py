@@ -2,7 +2,7 @@
 
 Under the default ``direction="auto"`` every block pulls, with no
 communication, wherever the pull is expected to read fewer edges than its
-top-down explode: :func:`~repro.matching.mcm_dist.pull_is_cheaper`, whose
+top-down explode: :func:`~repro.matching.msbfs.pull_is_cheaper`, whose
 estimate caps each unseen row's read at nnz/td, the edges a row walks
 before its first frontier column.  Both directions post the same fold, so
 the mates must be bit-identical to ``direction="topdown"`` on every graph,
@@ -98,14 +98,14 @@ def checked_blocks(monkeypatch):
 def test_no_frontier_edge_never_pulls():
     degrees = np.array([2, 1, 3])
     for unseen in (np.zeros(3, bool), np.ones(3, bool)):
-        assert not mcm_dist.pull_is_cheaper(0, 6, degrees, unseen)
+        assert not mcm_dist.pull_is_cheaper(0, 6, lambda: degrees, unseen)
 
 
 def test_one_row_of_degree_one():
     # block rows of degree 1 and 5, only the first unseen: E = min(1, 6/td)
     degrees, unseen = np.array([1, 5]), np.array([True, False])
-    assert not mcm_dist.pull_is_cheaper(1, 6, degrees, unseen)  # E = 1, not < 1
-    assert mcm_dist.pull_is_cheaper(2, 6, degrees, unseen)  # E = 1 < 2
+    assert not mcm_dist.pull_is_cheaper(1, 6, lambda: degrees, unseen)  # E = 1, not < 1
+    assert mcm_dist.pull_is_cheaper(2, 6, lambda: degrees, unseen)  # E = 1 < 2
 
 
 def test_rows_above_and_below_the_cap():
@@ -113,12 +113,12 @@ def test_rows_above_and_below_the_cap():
     # block pulls although its unseen rows hold all 33 edges; at td 9 the
     # cap is 11/3 and E = 31/3 ≥ 9
     degrees, unseen = np.array([1, 2, 10, 20]), np.ones(4, bool)
-    assert mcm_dist.pull_is_cheaper(11, 33, degrees, unseen)
-    assert not mcm_dist.pull_is_cheaper(9, 33, degrees, unseen)
+    assert mcm_dist.pull_is_cheaper(11, 33, lambda: degrees, unseen)
+    assert not mcm_dist.pull_is_cheaper(9, 33, lambda: degrees, unseen)
     # E = td exactly does not pull: one unseen row of degree 4, nnz 9, cap 3
     degrees, unseen = np.array([4, 5]), np.array([True, False])
-    assert not mcm_dist.pull_is_cheaper(3, 9, degrees, unseen)
-    assert mcm_dist.pull_is_cheaper(4, 9, degrees, unseen)  # E = 9/4
+    assert not mcm_dist.pull_is_cheaper(3, 9, lambda: degrees, unseen)
+    assert mcm_dist.pull_is_cheaper(4, 9, lambda: degrees, unseen)  # E = 9/4
 
 
 @st.composite
@@ -138,7 +138,7 @@ def block_state(draw):
 def test_count_guard_gives_the_expected_read_answer(state):
     td, nnz, degrees, unseen = state
     exact = td > 0 and _expected_read(td, nnz, degrees, unseen) < td
-    assert mcm_dist.pull_is_cheaper(*state) == exact
+    assert mcm_dist.pull_is_cheaper(td, nnz, lambda: degrees, unseen) == exact
     if np.count_nonzero(unseen) >= td:  # what the guard settles without E
         assert not exact
 
@@ -148,7 +148,7 @@ def test_count_guard_gives_the_expected_read_answer(state):
 def test_pulls_wherever_the_unseen_rows_have_fewer_edges(state):
     td, nnz, degrees, unseen = state
     if degrees[unseen].sum() < td:
-        assert mcm_dist.pull_is_cheaper(*state)
+        assert mcm_dist.pull_is_cheaper(td, nnz, lambda: degrees, unseen)
 
 
 def _counts(stats):

@@ -48,11 +48,13 @@ def test_allowing_restarts_costs_exactly_the_snapshots(no_handoff):
     stats = run_mcm_dist(er(8, seed=3), 2, 2, init="greedy", max_restarts=3)[2]
     assert stats.restarts == 0
     # three snapshots (phases 0..2) of 256 + 256 mates, two header words,
-    # the relabel seed and the nine job counters, each array at its range's
-    # width: 2 bytes a mate while a column is free, 1 once none is (64 + 64
-    # words, then 32 + 32), a byte of seed and 9 two-byte counters (3 words)
-    # — 134 + 134 + 70, where 8 bytes a value wrote 3 * 524
-    assert stats.checkpoint_words == 134 + 134 + 70
+    # the relabel seed, the job's steps so far and the nine job counters,
+    # each array at its range's width: 2 bytes a mate while a column is
+    # free, 1 once none is (64 + 64 words, then 32 + 32), a byte of seed, a
+    # word of steps and 9 two-byte counters (3 words) — 135 + 135 + 71
+    # (134 + 134 + 70 before the steps rode the snapshot), where 8 bytes a
+    # value wrote 3 * 524
+    assert stats.checkpoint_words == 135 + 135 + 71
     # (385, 347, 31,832, 28,717 before; 302, 268, 31,462, 28,323 before
     # blocks pulled by default, 30,706 / 27,567 before a pull was judged by
     # its expected read, 30,598 / 27,459 before the edge count rode the
@@ -72,11 +74,13 @@ def test_a_store_alone_snapshots_without_restarting():
     stats = run_mcm_dist(coo, 2, 2, init="greedy", checkpoint_store=store,
                          backend="thread")[2]
     # phases 0 and 1: the job hands off to its serial tail after phase 1,
-    # whose snapshot carries one more word, the mark a resume goes straight
-    # back to the tail on, and the tail's phases write no snapshot; each
-    # carries the nine job counters (524 + 525 at 8 bytes a value)
+    # whose snapshot carries the mark a resume goes straight back to the
+    # tail on, and the tail's phases write no snapshot; each carries the
+    # nine job counters (524 + 525 at 8 bytes a value), and phase 0's the
+    # job's steps, which a resume from the hand-off's never asks for
+    # (134 + 135 before the steps rode the snapshot)
     assert stats.tail_phases == stats.phases - 1
-    assert stats.checkpoint_words == store.words_written == 134 + 135
+    assert stats.checkpoint_words == store.words_written == 135 + 135
     with pytest.raises(RankKilledError):
         run_mcm_dist(coo, 2, 2, checkpoint_store=CheckpointStore(),
                      faults="crash:rank=1,at=phase:1", backend="thread")

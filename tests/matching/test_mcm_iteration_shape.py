@@ -466,10 +466,11 @@ def test_parent_fingerprints(e2e_workloads, workload, pr, pc, sha, counts, steps
 #: hands off to the serial tail after phase 1's BFS, and the tail retraces
 #: that phase's paths level-parallel (1 level call; phase 1 walked them with
 #: 30 one-sided operations while the hand-off waited for the augmentation):
-#: its 5 iterations read 7,205 edges on each of the 9 ranks, and 18 of the
-#: 27 block-iterations left pull (every phase distributed: 7,408 edges, 27
-#: of 72 block-iterations pulling, 3 path-parallel phases and 48 one-sided
-#: operations; 10,419
+#: its 5 iterations read 3,358 edges on each of the 9 ranks, and one of
+#: them pulls on each (7,205 edges, 68,322 in all, while the tail read
+#: top-down); 18 of phase 1's 27 block-iterations pull (every phase
+#: distributed: 7,408 edges, 27 of 72 block-iterations pulling, 3
+#: path-parallel phases and 48 one-sided operations; 10,419
 #: edges and 18 when a block pulled only where its unseen rows' whole
 #: adjacency was smaller; 9,813 edges and 2 grid-wide bottom-up iterations
 #: when a grid vote chose for all blocks; 16,764 top-down); on er:7 2x2,
@@ -482,7 +483,7 @@ BENCH_FINGERPRINTS = [
     ),
     pytest.param(
         9, 3, 3, "ccc5db37a4504660df6bc7f520a68e09a4dfc3118ba432190c0e0f4d1dc9a86b",
-        (4, 8, 68_322, 18, 1, 0, 0), id="er9-3x3",
+        (4, 8, 33_699, 27, 1, 0, 0), id="er9-3x3",
     ),
 ]
 

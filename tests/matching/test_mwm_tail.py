@@ -57,14 +57,17 @@ def _reference():
 # -- the rule ------------------------------------------------------------------
 
 
-def test_rule_hands_the_e2e_auction_off_after_its_sixth_round():
-    # mwm_auction_t4: N = 264, 7,562 doubled edges, 2x2, three latency steps
-    # per round; the hand-off gathers 3,649 (row, col, weight) triples, the
-    # 264 items and prices, and four pack headers
+def test_rule_hands_the_e2e_auction_off_after_its_third_round():
+    # mwm_auction_t4: N = 264, 7,562 doubled edges, 2x2; the rule is asked
+    # with the job's steps: seven of set-up (two splits, the header's
+    # broadcast, the edges' scatter), then three latency steps per round.
+    # The hand-off gathers 3,649 (row, col, weight) triples, the 264 items
+    # and prices, and four pack headers.  (Asked with the phase's steps
+    # alone, the rule waited for round 6.)
     nnz, n = 7_562, 264
     words = 3 * (nnz - n) // 2 + 2 * n + 3 * 4
-    assert not tail_is_cheaper(5 * 3, 4, words, nnz)
-    assert tail_is_cheaper(6 * 3, 4, words, nnz)
+    assert not tail_is_cheaper(7 + 2 * 3, 4, words, nnz)
+    assert tail_is_cheaper(7 + 3 * 3, 4, words, nnz)
 
 
 def test_the_e2e_auction_hands_off_on_2x2_and_never_on_1x1():
@@ -73,7 +76,7 @@ def test_the_e2e_auction_hands_off_on_2x2_and_never_on_1x1():
     four = run_mwm_dist(coo, weights, 2, 2, epsilon=EPS, timeout=60)
     assert one[2].tail_phases == one[2].tail_rounds == one[2].tail_edges == 0
     assert four[2].tail_phases == 1
-    assert four[2].tail_rounds == four[2].auction_rounds - 6
+    assert four[2].tail_rounds == four[2].auction_rounds - 3
     np.testing.assert_array_equal(one[0], four[0])
     np.testing.assert_array_equal(one[1], four[1])
     # the 1x1 run reads every edge once; 2x2 reads the tail on all 4 ranks
@@ -180,7 +183,7 @@ def test_a_crash_in_the_tail_recovers_the_same_matching(backend, force_handoff):
 
 @pytest.mark.parametrize("backend", ["thread", "process"])
 def test_a_restart_or_a_store_before_the_handoff_keeps_it(backend, tmp_path):
-    """The e2e auction on 2x2 hands off after round 6.  Rank 1 dies entering
+    """The e2e auction on 2x2 hands off after round 3.  Rank 1 dies entering
     phase 1 and the job resumes from the phase-0 snapshot on a fresh
     ledger; a job given a store pays for snapshots the rule must not count.
     Both hand off at the same round, with the plain run's counters."""
@@ -195,7 +198,7 @@ def test_a_restart_or_a_store_before_the_handoff_keeps_it(backend, tmp_path):
                 else FileCheckpointStore(str(tmp_path / name)))
 
     ok_r, _, ok = solve()
-    assert ok.tail_rounds == ok.auction_rounds - 6
+    assert ok.tail_rounds == ok.auction_rounds - 3
     restarted = solve(max_restarts=2, checkpoint_store=store("restart"),
                       faults="crash:rank=1,at=phase:1")
     stored = solve(checkpoint_store=store("plain"))

@@ -6,9 +6,11 @@ function of EDISON's constants and four replicated numbers, pinned here on
 the end-to-end workloads' own numbers and on the paper's ``road_usa`` at
 2,025 ranks.  Whatever phase a grid hands off at — the ``force_handoff``
 seam tries each — the mates, phases and iterations are those of an
-all-distributed run, every rank asks the rule with the same step counts and
-hands off at the same phase, a crash inside the tail restarts from the
-hand-off's snapshot, and the initializer's edge reads are counted beside it.
+all-distributed run, a 1x1 ledger books no step, the tail pulling under
+"auto" visits the top-down tail's rows phase by phase, every rank asks the
+rule with the same step counts and hands off at the same phase, a crash
+inside the tail restarts from the hand-off's snapshot, and the
+initializer's edge reads are counted beside it.
 """
 
 import os
@@ -20,11 +22,12 @@ import pytest
 from repro.graphs import suite
 from repro.graphs.rmat import er
 from repro.kernels import advance_cursor
-from repro.matching import mcm_dist
+from repro.matching import mcm_dist, msbfs
 from repro.matching.job import tail_is_cheaper
 from repro.matching.mcm_dist import _mcm_rank_main, mcm_dist_spmd, run_mcm_dist
 from repro.perfmodel.collectives import msbfs_iteration
 from repro.runtime import spmd
+from repro.sparse.spvec import NULL
 
 from ..helpers import topdown_edges
 from .test_mcm_iteration_shape import _span_comms, e2e_workloads  # noqa: F401
@@ -99,6 +102,62 @@ def test_a_handoff_after_any_phase_keeps_the_results(pr, pc, backend, force_hand
         assert st.topdown_steps == st.iterations * pr * pc, k
         # the serial phases keep their boundaries: ledger and crash points
         assert list(st.phase_ledger) == list(range(1, st.phases + 1)), k
+
+
+def test_a_1x1_ledger_holds_no_step():
+    """A split of a 1-rank communicator sends nothing and books no step, so
+    a 1x1 job's ledger is empty at every phase boundary: the job's steps
+    never reach the rule's price."""
+    _, _, st = _all_distributed()
+    assert st.comm_by_alg["split:rendezvous"]["steps"] == 0
+    assert all(d["steps"] == 0 for d in st.comm_by_alg.values())
+    assert set(st.phase_ledger.values()) == {(0, 0)}
+
+
+def test_the_pulling_tail_visits_the_top_down_tails_rows(monkeypatch, force_handoff):
+    """er(10) on 2x2, handed off after phase 2's BFS: under "auto" the
+    serial tail pulls wherever the blocks' rule would, and a pull stops at
+    each row's minimum frontier column, the top-down reduce's winner.  So
+    after every tail phase — the last, which finds no path, included — the
+    rows visited (π ≠ NULL) are the top-down tail's, on every rank, while
+    the tail reads fewer edges (51,226 top-down)."""
+    run_phase, logs = msbfs.run_phase, {}
+
+    def recording(a, mate_r, mate_c, pi_r, **kwargs):
+        path_c = run_phase(a, mate_r, mate_c, pi_r, **kwargs)
+        log = logs.setdefault(kwargs["direction"], {}).setdefault(threading.get_ident(), [])
+        log.append((np.flatnonzero(pi_r != NULL), int((path_c != NULL).sum()),
+                    kwargs["stats"].bottomup_steps))
+        return path_c
+
+    monkeypatch.setattr(msbfs, "run_phase", recording)
+    force_handoff(2)
+    coo = er(10, seed=1)
+    runs = {d: run_mcm_dist(coo, 2, 2, direction=d, backend="thread", timeout=60)
+            for d in ("auto", "topdown")}
+    for direction, by_rank in logs.items():
+        assert len(by_rank) == 4, direction
+        first = next(iter(by_rank.values()))
+        for log in by_rank.values():
+            assert len(log) == len(first) == 4, direction
+            for (rows, k, _), (rows0, k0, _) in zip(log, first):
+                np.testing.assert_array_equal(rows, rows0)
+                assert k == k0
+    pulled, topdown = (next(iter(logs[d].values())) for d in ("auto", "topdown"))
+    for n, ((rows, k, _), (rows_td, k_td, _)) in enumerate(zip(pulled, topdown), 1):
+        np.testing.assert_array_equal(rows, rows_td, err_msg=f"tail phase {n}")
+        assert k == k_td, n
+    assert pulled[-1][1] == 0
+    # at least one tail iteration pulled, and none of the top-down tail's
+    assert pulled[-1][2] > 0 and topdown[-1][2] == 0
+    (mate_r, mate_c, auto), (td_r, td_c, td) = runs["auto"], runs["topdown"]
+    np.testing.assert_array_equal(mate_r, td_r)
+    np.testing.assert_array_equal(mate_c, td_c)
+    assert (auto.tail_phases, auto.tail_iterations) == (td.tail_phases, td.tail_iterations)
+    assert td.tail_edges == 51_226 and auto.tail_edges == 9_431
+    # every rank counts the tail's pulls, as it does the tail's edges
+    assert auto.topdown_steps + auto.bottomup_steps == auto.iterations * 4
+    assert auto.bottomup_steps >= 4 * pulled[-1][2]
 
 
 _asked = threading.local()
