@@ -17,7 +17,10 @@ uniform weights and er:9 with Machol–Wien-style integer weights
   ``fold_words``, ``total_words``, ``comm_messages``, ``frames``,
   ``frame_words`` (all summed over ranks) — and ``priced_s``, the run's
   price per rank (``DistStats.price``, DESIGN §5: α·steps, β·words,
-  γ·edges read, each over p) — gated by the usual >10% regression rule;
+  γ·edges read, each over p) — gated by the usual >10% regression rule —
+  and ``no_handoff_priced_s``, the same run's price with every round on
+  the grid (``handoff_seam.no_handoff``): ``--check`` fails a cell whose
+  hand-off prices above it;
 * ``seconds_total`` for humans, excluded from all gates.
 
 The file's top-level ``before`` block is not produced here: it holds the
@@ -63,11 +66,15 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from repro.graphs import suite
-from repro.graphs.generators import WEIGHT_DISTS, edge_weights
-from repro.graphs.rmat import er, g500
-from repro.matching.mwm_dist import run_mwm_dist
-from repro.matching.reference import auction_mwm_serial, hungarian_mwm
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from handoff_seam import no_handoff  # noqa: E402
+
+from repro.graphs import suite  # noqa: E402
+from repro.graphs.generators import WEIGHT_DISTS, edge_weights  # noqa: E402
+from repro.graphs.rmat import er, g500  # noqa: E402
+from repro.matching.mwm_dist import run_mwm_dist  # noqa: E402
+from repro.matching.reference import auction_mwm_serial, hungarian_mwm  # noqa: E402
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 MWM_JSON = "BENCH_mwm.json"
@@ -143,6 +150,9 @@ def run_case(graph: str, build, grid: tuple, dists: tuple, oracle: "str | None")
             "priced_s": round(stats.price(pr * pc).total, 9),
             "seconds_total": round(dt, 4),
         }}
+        with no_handoff():
+            grid_only = run_mwm_dist(coo, weights, pr, pc, epsilon=EPSILON)[2]
+        cell["engine"]["no_handoff_priced_s"] = round(grid_only.price(pr * pc).total, 9)
         print(f"  {out['graph']} {dist:<10} "
               f"weight {stats.matching_weight:>10.4f}  "
               f"rounds {stats.auction_rounds:>4}  "
@@ -213,6 +223,9 @@ def check_against_committed(current: dict, root: Path) -> list:
         for dist in CASES[name][3]:
             engine = run[dist]["engine"]
             path = f"{MWM_JSON}/runs/{name}/{dist}/engine"
+            if engine["priced_s"] > engine["no_handoff_priced_s"]:
+                problems.append(f"{path}/priced_s: {engine['priced_s']!r} > "
+                                f"no_handoff_priced_s {engine['no_handoff_priced_s']!r}")
             if engine["certified_ratio"] < 1.0 - EPSILON:
                 problems.append(f"{path}/certified_ratio: {engine['certified_ratio']!r} < 1-eps")
             opt = run[dist].get("hungarian_opt", run[dist].get("scipy_opt"))

@@ -1,7 +1,8 @@
-"""MCM-DIST's seams for the hand-off sweep (``bench_tail_handoff.py``):
-the priced tail hand-off replaced by a chosen rule (shared by the test
-suite's ``force_handoff`` fixture), and the augmentation forced to one
-mechanism."""
+"""The engines' hand-off seams: for MCM-DIST's hand-off sweep
+(``bench_tail_handoff.py``) the priced tail hand-off replaced by a chosen
+rule (shared by the test suite's ``force_handoff`` fixture) and the
+augmentation forced to one mechanism; for ``bench_mwm.py``'s gate, no
+hand-off at all."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import threading
 from contextlib import contextmanager
 
 import repro.matching.mcm_dist as mcm_dist
+import repro.matching.mwm_dist as mwm_dist
 
 
 @contextmanager
@@ -46,3 +48,16 @@ def augment_mode(mode: str):
         yield
     finally:
         mcm_dist.choose_augment_mode = shipped
+
+
+@contextmanager
+def no_handoff():
+    """For the body, neither engine hands off: MCM-DIST runs every phase
+    and MWM-DIST every round on the grid (``tail_is_cheaper`` never fires).
+    Forked ranks inherit the patches."""
+    shipped = mcm_dist.tail_is_cheaper, mwm_dist.tail_is_cheaper
+    mcm_dist.tail_is_cheaper = mwm_dist.tail_is_cheaper = lambda *args: False
+    try:
+        yield
+    finally:
+        mcm_dist.tail_is_cheaper, mwm_dist.tail_is_cheaper = shipped

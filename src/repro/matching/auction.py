@@ -35,6 +35,8 @@ the distributed engine (:mod:`repro.matching.mwm_dist`):
   G-matchings, and the lower bound L it feeds the ladder;
 * :func:`certify` — the phase's dual bound D and its verdict
   ``L >= (1 - ε)·D/2``;
+* :func:`end_phase` — both, on every rank, after one allgather of each
+  rank's share of the pairs and the dual's terms;
 * :func:`top2_cols` — per-bidder (best, second-best) profits over a CSC
   block — the (select, +)-semiring SpMV of one bidding round;
 * :func:`combine_partials` — the associative merge of per-block partial
@@ -63,6 +65,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..distmat.ops import allgather_arrays, concat_pieces
 from ..sparse.semiring import SR_MAX_PARENT, reduce_candidates
 from ..sparse.spvec import NULL
 
@@ -150,6 +153,36 @@ def better_matching(m1: tuple, m2: tuple, bias_add: float) -> tuple:
         lower = max(lower, float(eff[eff > 0.0].sum()))
     rows, cols, weight = kept[1] if kept[1][2] > kept[0][2] else kept[0]
     return rows, cols, weight, lower
+
+
+def column_share(cp: np.ndarray, comm) -> tuple[int, int]:
+    """The bidders ``[lo, hi)`` whose edges this rank of ``comm`` reads at
+    a phase-end: a contiguous range of the CSC ``cp`` holding about 1/p of
+    its edges, the same bounds on every rank (all of them with no
+    ``comm``), so rank order is column order."""
+    rank, size = (0, 1) if comm is None else (comm.rank, comm.size)
+    lo, hi = np.searchsorted(cp, (rank * int(cp[-1]) // size, (rank + 1) * int(cp[-1]) // size))
+    return int(lo), int(hi)
+
+
+def end_phase(
+    comm, m1: tuple, m2: tuple, dual: np.ndarray, worst: np.ndarray,
+    prices: np.ndarray, bias_add: float, epsilon: float,
+) -> tuple:
+    """An ε-phase's end, the grid's and the serial tail's alike:
+    ``(rows, cols, weight, L, D, ratio, certified, worst)``, the same on
+    every rank.  One allgather over ``comm`` (None: one process holds every
+    piece) concatenates each rank's pieces in rank order — the (rows, cols,
+    original weights) of its assignment pairs in the real block (``m1``)
+    and in the transpose block mapped back (``m2``), its share ``dual`` of
+    D's terms and its ``worst`` triple (slack, bidder, rank) — then
+    :func:`better_matching` picks the matching and :func:`certify` sums D
+    over the gathered shares and ``prices``, the terms every rank holds."""
+    pieces = (*m1, *m2, dual, worst)
+    if comm is not None:
+        pieces = concat_pieces(allgather_arrays(comm, *pieces))
+    rows, cols, weight, lower = better_matching(pieces[:3], pieces[3:6], bias_add)
+    return rows, cols, weight, lower, *certify(prices, pieces[6], lower, epsilon), pieces[7]
 
 
 def dedup_edges(
@@ -392,10 +425,11 @@ class AuctionState:
     ``mate_item`` (item → bidder, NULL while unowned; the bidder side is its
     inverse), the running rung ``delta`` (None once the ladder is done) and
     L, the counters (``edges``: the edges the top-2 scans read, bids and
-    certificates alike; ``phases``: the phases the loop entered), one
+    certificates alike, ``end_edges`` the phase-ends' part of them;
+    ``phases``: the phases the loop entered), one
     ``ladder`` entry per finished phase (its increment, L after it and its
     certificate ratio), and the last extraction ``pick`` = (rows, cols,
-    weight, L, D, ratio, certified)."""
+    weight, L, D, ratio, certified, worst)."""
 
     prices: np.ndarray
     mate_item: np.ndarray
@@ -405,6 +439,7 @@ class AuctionState:
     bids: int = 0
     price_updates: int = 0
     edges: int = 0
+    end_edges: int = 0
     phases: int = 0
     ladder: list = field(default_factory=list)
     pick: tuple = ()
@@ -413,7 +448,7 @@ class AuctionState:
 def auction_phase_loop(
     n1: int, n2: int, rows: np.ndarray, cols: np.ndarray, weights: np.ndarray,
     st: AuctionState, *, bias_add: float, scale_eff: float, epsilon: float,
-    fresh: bool = True, on_phase=None,
+    fresh: bool = True, on_phase=None, comm=None,
 ) -> None:
     """Run ``st``'s auction on the deduped ``n1 × n2`` graph
     ``(rows, cols, weights)`` until the ε-ladder ends, in place: Jacobi
@@ -422,7 +457,14 @@ def auction_phase_loop(
     (prices persist: sound for PERFECT assignment, the price sums cancel in
     the bound) — except the first when ``fresh`` is False, which finishes
     the assignment ``st`` holds (MWM-DIST's tail takes a phase over mid-way).
-    ``on_phase(n)``, when given, runs as the loop starts its n-th phase."""
+    ``on_phase(n)``, when given, runs as the loop starts its n-th phase.
+
+    The rounds are replicated: every rank of ``comm`` runs each one whole.
+    The phase-end is split: each rank reads its edge-balanced share of the
+    bidders (``end_edges``) for the assignment's pairs and best profits,
+    and :func:`end_phase`'s one allgather over ``comm`` brings every rank
+    the same pick and certificate.  With no ``comm`` (the serial twin) one
+    share is the whole graph and nothing is communicated."""
     # every rank of MWM-DIST's tail holds its own copy, so keep only the CSC,
     # and at zero bias one array for both weights (they are equal)
     N, dr, dc, dweff, dworig = double_for_assignment(n1, n2, rows, cols, weights, bias_add)
@@ -461,19 +503,28 @@ def auction_phase_loop(
             st.edges += int((cp[bidders + 1] - cp[bidders]).sum())
         # every phase's assignment is extracted and certified: a certified
         # phase is the last, and an uncertified one's weight may raise L.
-        # The assignment's edges in the real block are one G-matching, its
-        # edges in the transpose block (mapped back) the other
-        gcols = np.repeat(np.arange(N, dtype=np.int64), np.diff(cp))
-        hit = st.mate_item[ir] == gcols
-        m1, m2 = hit & (ir < n1) & (gcols < n2), hit & (ir >= n1) & (gcols >= n2)
-        rr, cc, weight, phase_lower = better_matching(
-            (ir[m1], gcols[m1], worig[m1]), (gcols[m2] - n2, ir[m2] - n1, worig[m2]), bias_add)
-        # every bidder's best profit, the certificate's (each column holds
-        # its dummy edge, so no segment is empty): top2_cols's best, without
-        # its sort
-        profits = np.maximum.reduceat(weff - st.prices[ir], cp[:-1])
-        st.edges += ir.size
-        certificate = certify(st.prices, profits, phase_lower, epsilon)
+        # Each rank reads its share, a contiguous edge-balanced range of
+        # bidders [lo, hi) (every column holds its dummy edge, so no
+        # segment is empty); rank order is column order.  The assignment's
+        # edges in the real block are one G-matching, its edges in the
+        # transpose block (mapped back) the other
+        lo, hi = column_share(cp, comm)
+        ir_s, w_s, wo_s = (x[cp[lo]:cp[hi]] for x in (ir, weff, worig))
+        gcols = np.repeat(np.arange(lo, hi, dtype=np.int64), np.diff(cp[lo:hi + 1]))
+        hit = st.mate_item[ir_s] == gcols
+        m1, m2 = hit & (ir_s < n1) & (gcols < n2), hit & (ir_s >= n1) & (gcols >= n2)
+        # every bidder's best profit, the certificate's: top2_cols's best,
+        # without its sort
+        profit = w_s - st.prices[ir_s]
+        profits = np.maximum.reduceat(profit, cp[lo:hi] - cp[lo])
+        slack = (profits[gcols - lo] - profit)[hit]
+        worst = np.array([slack.max(), gcols[hit][slack.argmax()], 0 if comm is None else comm.rank]
+                         if slack.size else [])
+        st.edges += ir_s.size
+        st.end_edges += ir_s.size
+        rr, cc, weight, phase_lower, *certificate = end_phase(
+            comm, (ir_s[m1], gcols[m1], wo_s[m1]), (gcols[m2] - n2, ir_s[m2] - n1, wo_s[m2]),
+            profits, worst, st.prices, bias_add, epsilon)
         st.lower = max(st.lower, phase_lower)
         st.ladder.append((st.delta, st.lower, certificate[1]))
         st.pick = (rr, cc, weight, phase_lower, *certificate)

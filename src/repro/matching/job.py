@@ -250,7 +250,10 @@ def tail_is_cheaper(steps: int, p: int, words: int, nnz: int, saved: float = 0.0
     numbers only and has no knob.
     MCM-DIST asks once per phase, after its BFS, with that phase's
     augmentation priced in; MWM-DIST after every auction round (its thin
-    tail is rounds, not phases).  One-sided ops are not on the ledger, so
+    tail is rounds, not phases).  MWM-DIST's tail splits each phase-end's
+    read p ways, so the γ·``nnz`` term overprices its purchase; it is left
+    as is on purpose, since re-pricing it moves hand-off rounds and needs
+    the hand-off sweep.  One-sided ops are not on the ledger, so
     the rule fires no earlier than one that also charged them would; a 1x1
     grid's ledger holds no step (not even its splits'), so it never fires
     there."""

@@ -37,7 +37,8 @@ of two grid-wide all-to-alls, three sub-communicator exchanges and an
 allreduce (DESIGN §16 has the measured counts).
 
 Every ε-phase ends in a certified extraction: the better G-matching, L and
-the dual bound D (one more column allgather, :func:`_extract`), and the
+the dual bound D (one column allgather and one grid allgather,
+:func:`_extract`, ending on :func:`~repro.matching.auction.end_phase`), and the
 run stops at the first phase whose certificate proves ``L >= (1-ε)·D/2``
 (:func:`~repro.matching.auction.next_delta`).  A phase at the ladder's
 floor that does not certify is an engine bug and raises
@@ -52,10 +53,12 @@ of every edge (:func:`~repro.matching.job.tail_is_cheaper`, MCM-DIST's
 rule: ski rental), one grid allgather hands every rank rank 0's deduped
 edge list,
 the item→bidder map and the prices, and each finishes the phase and the
-later ones alone on the serial twin's loop
-(:func:`~repro.matching.auction.auction_phase_loop`; ``stats.tail_*``).
-Every top-2 scan's reads are counted into ``edges_examined``, the tail's
-on every rank that ran it.
+later ones on the serial twin's loop
+(:func:`~repro.matching.auction.auction_phase_loop`; ``stats.tail_*``):
+every rank runs each round whole, and each phase-end reads 1/p of the
+doubled graph on each rank, whose pieces meet in one grid allgather.
+Every top-2 scan's reads are counted into ``edges_examined``: the tail's
+bids' on every rank (``tail_edges``), a phase-end's share on its rank.
 
 All bids of a round are computed against the same round-start prices
 (Jacobi), and every tie-break is by smallest id, so the mate vectors are
@@ -93,13 +96,12 @@ from .auction import (
     MAX_ROUNDS,
     AuctionState,
     auction_phase_loop,
-    better_matching,
     build_csc,
-    certify,
     combine_partials,
     compute_bids,
     dedup_edges,
     double_for_assignment,
+    end_phase,
     next_delta,
     resolve_bids,
     top2_cols,
@@ -173,11 +175,12 @@ def _extract(
 
     The certificate's own leg is one bid over ALL bidders at the final
     prices, down the grid column: every rank learns π of its column block.
-    Two grid allgathers then bring every matched pair of each weight block
-    to every rank, which :func:`~repro.matching.auction.better_matching`
+    One grid allgather (:func:`~repro.matching.auction.end_phase`, the
+    tail's too) then brings every matched pair of each weight block to
+    every rank, which :func:`~repro.matching.auction.better_matching`
     sums in the canonical item-index order the twin does (M1 by row, M2 by
     column), so the float weight sums — hence the choice and L — are
-    grid-invariant and bit-identical to the serial twin's.  The first also
+    grid-invariant and bit-identical to the serial twin's.  It also
     carries the price and profit shares (row
     block i from grid column 0, column block j from grid row 0: each once;
     ``fsum`` makes D order-free) and each rank's ``worst`` triple (slack,
@@ -193,14 +196,23 @@ def _extract(
                      if slack.size else [])
     m1 = matched & (grows < n1) & (gcols < n2)
     m2 = matched & (grows >= n1) & (gcols >= n2)
-    *p1, prices, profits, worst = concat_pieces(allgather_arrays(
-        grid.comm, grows[m1], gcols[m1], w_orig[m1],
-        price_blk if grid.j == 0 else price_blk[:0],
-        profit_blk if grid.i == 0 else profit_blk[:0], worst))
-    p2 = concat_pieces(allgather_arrays(
-        grid.comm, gcols[m2] - np.int64(n2), grows[m2] - np.int64(n1), w_orig[m2]))
-    rows, cols, weight, lower = better_matching(p1, p2, bias_add)
-    return rows, cols, weight, lower, *certify(prices, profits, lower, epsilon), worst
+    dual = np.concatenate((price_blk if grid.j == 0 else price_blk[:0],
+                           profit_blk if grid.i == 0 else profit_blk[:0]))
+    return end_phase(grid.comm, (grows[m1], gcols[m1], w_orig[m1]),
+                     (gcols[m2] - np.int64(n2), grows[m2] - np.int64(n1), w_orig[m2]),
+                     dual, worst, price_blk[:0], bias_add, epsilon)
+
+
+def _uncertified(phase_no: int, pick: tuple, epsilon: float) -> CertificateError:
+    """The error of a floor phase whose certificate ``pick`` fails, naming
+    the bidder of largest slack of every rank's ``worst`` triple."""
+    slack, bidder, rank = max(pick[7].reshape(-1, 3).tolist())
+    return CertificateError(
+        f"epsilon-phase {phase_no} ran at the ladder's floor yet certifies "
+        f"only W/(D/2) = {pick[5]:.6g} < 1-eps = {1.0 - epsilon:.6g}: "
+        f"bidder {int(bidder)} (held on rank {int(rank)}) has the largest "
+        f"eps-CS slack pi - (w - p) = {slack:.6g}"
+    )
 
 
 def mwm_dist_spmd(
@@ -228,7 +240,8 @@ def mwm_dist_spmd(
     assertions).  After every round :func:`~repro.matching.job.
     tail_is_cheaper` prices the job's latency so far against gathering
     the graph; once it fires, every rank finishes on the serial twin's
-    loop (``stats.tail_*``).  A crash inside that tail restarts from the
+    loop (``stats.tail_*``), whose only collectives are one grid allgather
+    per phase-end.  A crash inside that tail restarts from the
     last completed phase's snapshot (the hand-off writes none), which
     carries the steps paid, and the replay hands off at the same round.
     ``cardinality_bias`` trades weight for cardinality by shifting real
@@ -375,13 +388,7 @@ def mwm_dist_spmd(
             lower = max(lower, pick[3])
             delta = next_delta(delta, scale_eff, lower, N, epsilon, pick[6])
             if delta is None and not pick[6]:
-                slack, bidder, rank = max(pick[7].reshape(-1, 3).tolist())
-                raise CertificateError(
-                    f"epsilon-phase {phase_no} ran at the ladder's floor yet certifies "
-                    f"only W/(D/2) = {pick[5]:.6g} < 1-eps = {1.0 - epsilon:.6g}: "
-                    f"bidder {int(bidder)} (held on rank {int(rank)}) has the largest "
-                    f"eps-CS slack pi - (w - p) = {slack:.6g}"
-                )
+                raise _uncertified(phase_no, pick, epsilon)
             if (
                 checkpoint_store is not None
                 and checkpoint_every > 0
@@ -392,8 +399,8 @@ def mwm_dist_spmd(
     if tail:
         # the tail: one grid allgather hands every rank rank 0's edge list and
         # the auction state (row block i's items and prices from grid column
-        # 0), and each finishes this phase and the later ones alone on the
-        # serial twin's loop — its reads counted on every rank that reads them
+        # 0), and each finishes this phase and the later ones on the serial
+        # twin's loop: the rounds on every rank, each phase-end split p ways
         with tspan(grid.comm, "tail", cat="phase", phase=phase_no, round=rounds + 1):
             cp = ir = w_eff = w_orig = gcols = None  # the block: the tail reads its own copy
             lead = slice(None) if grid.j == 0 else slice(0)
@@ -404,16 +411,17 @@ def mwm_dist_spmd(
                 n1, n2, e_rows, e_cols, w_in, serial, bias_add=bias_add,
                 scale_eff=scale_eff, epsilon=epsilon, fresh=False,
                 on_phase=lambda n: phase_boundary(grid, stats, phase_no + n, serial=True),
+                comm=grid.comm,
             )
         stats.tail_phases, stats.tail_rounds = serial.phases + 1, serial.rounds - rounds
-        stats.tail_edges = serial.edges
+        # the replicated reads, its bids', count on every rank; each rank's
+        # share of the phase-ends only in its own edges_examined
+        stats.tail_edges = serial.edges - serial.end_edges
         phase_no += serial.phases
         rounds, bids, pick = serial.rounds, serial.bids, serial.pick
         edges_local += serial.edges
         if not pick[6]:
-            raise CertificateError(
-                f"epsilon-phase {phase_no} ran at the ladder's floor in the serial tail "
-                f"yet certifies only W/(D/2) = {pick[5]:.6g} < 1-eps = {1.0 - epsilon:.6g}")
+            raise _uncertified(phase_no, pick, epsilon)
     elif pick is None:  # no phase ran: no positive weight, or resumed past the last
         pick = _extract(grid, A, cp, ir, gcols, w_eff, w_orig, owner_blk, price_blk,
                         n1, n2, bias_add, epsilon)

@@ -70,7 +70,7 @@ def auction_mwm_serial(
                       next_delta(None, scale_eff, 0.0, N, epsilon))
     auction_phase_loop(n1, n2, rows, cols, weights, st, bias_add=bias_add,
                        scale_eff=scale_eff, epsilon=epsilon)
-    rr, cc, weight, _, dual, ratio, _ = st.pick
+    rr, cc, weight, _, dual, ratio = st.pick[:6]
     mate_r[rr] = cc
     mate_c[cc] = rr
     schedule, lower_bounds, ratios = (list(col) for col in zip(*st.ladder))

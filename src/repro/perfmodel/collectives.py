@@ -224,8 +224,9 @@ def auction_certificate(
     Its own leg is one bid over ALL bidders at the final prices: per-block
     (best, second) partials down a grid COLUMN (``pr`` participants,
     ``partial_words`` total).  The price and profit shares that D sums
-    (``share_words`` total) ride the extraction's grid allgather, so they
-    add bandwidth and no latency step: ``⌈log₂ pr⌉`` steps per phase,
+    (``share_words`` total) ride the extraction's one grid allgather, with
+    both matchings' pairs, so they add bandwidth and no latency step:
+    ``⌈log₂ pr⌉`` steps per phase,
     pinned against a real run's ledger in
     ``tests/matching/test_mwm_round_shape.py``.
     """

@@ -12,7 +12,7 @@ import repro.matching.mcm_dist as _mcm_dist
 import repro.matching.msbfs as _msbfs
 import repro.matching.mwm_dist as _mwm_dist
 import repro.runtime.comm as _comm
-from benchmarks.handoff_seam import handoff_rule
+from benchmarks.handoff_seam import handoff_rule, no_handoff as grid_only
 from repro.matching.augment import choose_augment_mode
 from repro.matching.msbfs import pull_is_cheaper
 from repro.runtime.trace import tspan
@@ -109,10 +109,11 @@ def force_handoff(monkeypatch):
 
 
 @pytest.fixture
-def no_handoff(monkeypatch):
+def no_handoff():
     """MCM-DIST runs every phase and MWM-DIST every round distributed for
-    the whole test (neither engine's ``tail_is_cheaper`` fires): the seam
-    the tests that pin the distributed schedule's shape, ledger or
-    fingerprint opt into.  Forked ranks inherit the patches."""
-    for engine in (_mcm_dist, _mwm_dist):
-        monkeypatch.setattr(engine, "tail_is_cheaper", lambda *args: False)
+    the whole test (neither engine's ``tail_is_cheaper`` fires,
+    ``benchmarks/handoff_seam.py``'s ``no_handoff``): the seam the tests
+    that pin the distributed schedule's shape, ledger or fingerprint opt
+    into.  Forked ranks inherit the patches."""
+    with grid_only():
+        yield

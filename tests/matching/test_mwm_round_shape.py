@@ -71,17 +71,17 @@ def test_round_is_three_row_column_allgathers(pr, pc):
     per_certificate = auction_certificate(pr, pc, 1.0, 0.0, 0.0, 0.0)
     assert per_certificate == (pr - 1).bit_length() <= 2
     p = pr * pc
-    # every phase ends in a certified extraction (two grid-wide allgathers
+    # every phase ends in a certified extraction (one grid-wide allgather
     # and the certificate leg) that feeds the ladder; the idle run holds one
     extra = stats.phases - 1
-    per_extraction = 2 * allgather(p, 1.0, 0.0, 0.0)
+    per_extraction = allgather(p, 1.0, 0.0, 0.0)
     assert _total(stats, "steps") == (
         p * stats.auction_rounds * per_round
         + p * extra * (per_extraction + per_certificate)
         + _total(idle, "steps")
     )
     assert _total(stats, "calls") == (
-        3 * p * stats.auction_rounds + 3 * p * extra + _total(idle, "calls")
+        3 * p * stats.auction_rounds + 2 * p * extra + _total(idle, "calls")
     )
 
 

@@ -13,14 +13,16 @@ a crash inside the tail recovers to the same matching, and a restart or a
 store before the hand-off leaves it where it was.
 """
 
+import re
+
 import numpy as np
 import pytest
 
 from repro.graphs.generators import edge_weights
 from repro.graphs.rmat import er
-from repro.matching import auction_mwm_serial, run_mwm_dist
+from repro.matching import auction, auction_mwm_serial, run_mwm_dist
 from repro.matching.job import tail_is_cheaper
-from repro.matching.mwm_dist import _mwm_rank_main
+from repro.matching.mwm_dist import CertificateError, _mwm_rank_main
 from repro.runtime import CheckpointStore, FileCheckpointStore, spmd
 from repro.simulate.critpath import analyze
 
@@ -116,7 +118,57 @@ def test_a_handoff_after_any_round_keeps_the_twins_results(pr, pc, backend, forc
         _assert_twin(st, mate_r, mate_c, pr * pc)
         assert st.tail_rounds == (0 if k is None else rounds - k), k
         assert st.tail_phases == {None: 0, 1: 3, 2: 3, 13: 2, 22: 2, 93: 1}[k], k
-        assert (st.tail_edges > 0) == (k is not None), k
+        # the tail's replicated reads are its bids': none when it only
+        # extracts (its share of the phase-end counts on its own rank)
+        assert (st.tail_edges > 0) == (k not in (None, rounds)), k
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("pr,pc", [(2, 2), (2, 3)])
+def test_each_tail_phase_end_reads_one_pth_of_the_graph(
+    pr, pc, backend, force_handoff, monkeypatch, tmp_path
+):
+    """Handed off after round 1, the tail ends three phases.  At each end
+    every rank notes the edges of its share of the doubled CSC (to a file:
+    forked ranks inherit the patch, not the parent's memory): the shares
+    sum to the doubled nnz, and none exceeds ⌈nnz/p⌉ plus the longest
+    column."""
+    shipped, p = auction.column_share, pr * pc
+
+    def note(cp, comm):
+        lo, hi = shipped(cp, comm)
+        with open(tmp_path / f"rank{comm.rank}", "a") as out:
+            out.write(f"{cp[hi] - cp[lo]} {cp[-1]} {np.diff(cp).max()}\n")
+        return lo, hi
+
+    monkeypatch.setattr(auction, "column_share", note)
+    force_handoff(1)
+    coo, weights = HEAVY
+    _, _, st = run_mwm_dist(coo, weights, pr, pc, epsilon=EPS, backend=backend, timeout=60)
+    assert st.tail_phases == 3
+    share, nnz, longest = np.stack(
+        [np.loadtxt(tmp_path / f"rank{r}", dtype=np.int64, ndmin=2) for r in range(p)]).T
+    assert share.shape == (st.tail_phases, p)
+    np.testing.assert_array_equal(share.sum(axis=1), nnz[:, 0])
+    assert (share <= -(-nnz // p) + longest).all()
+
+
+def test_a_failed_certificate_in_the_tail_names_the_bidder_and_rank(
+    force_handoff, monkeypatch
+):
+    """Every certificate fails, so the ladder runs to its floor, all of it
+    in the tail (handed off after round 1), where the floor phase's error
+    names the bidder of largest slack over every rank's share."""
+    real = auction.certify
+    monkeypatch.setattr(auction, "certify",
+                        lambda *args: (*real(*args)[:2], False))
+    force_handoff(1)
+    coo, weights = HEAVY
+    with pytest.raises(CertificateError) as err:
+        run_mwm_dist(coo, weights, 2, 2, epsilon=EPS, timeout=60)
+    message = str(err.value)
+    assert "ladder's floor" in message and "W/(D/2) = " in message
+    assert re.search(r"bidder \d+ \(held on rank [0-3]\) has the largest", message)
 
 
 def test_a_handoff_under_cardinality_bias_keeps_the_twins_results(force_handoff):
