@@ -12,10 +12,11 @@ hop and one column hop on the √p-rank row/column communicators,
 (pc−1) + (pr−1) latency steps (DESIGN "Phase anatomy") — so the ``engine
 level`` columns price that step and show where the crossover *would* sit,
 k ≈ ⅔·p(√p−1).
-The engine keeps switching at k < 2p².  The one price of a run
+The SPMD engine no longer switches: it augments level-parallel in every
+phase, its small-k phases handing off to the serial tail (ROADMAP item
+20); the serial engine and costsim keep the rule.  The one price of a run
 (``MachineSpec.price``, DESIGN §5) charges each one-sided op α+β, the
-per-op cost ``path_cost`` uses below; re-tuning the switch against that
-price is a change of its own (ROADMAP item 17).  The sweep runs at EDISON's
+per-op cost ``path_cost`` uses below.  The sweep runs at EDISON's
 constants; the words- and op-proportional terms come from the price, the
 collective terms from :mod:`repro.perfmodel.collectives`.
 """

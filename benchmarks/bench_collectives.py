@@ -35,9 +35,10 @@ iterations are not compared, since they follow the ids of the relabeled
 input ``run_mcm_dist`` solves — and today's logical messages, physical
 frames and priced ledger not to exceed it.  Two prices are recorded per
 run, both read off the one price of a run (``DistStats.price``, DESIGN
-§5): ``comm_model_s``, its α and β terms, and ``priced_s``, all four
-(γ for every edge read, the initializer's included, and α+β per
-one-sided op as well); the ``before`` block predates ``priced_s``.  Raw
+§5): ``comm_model_s``, its α and β terms, and ``priced_s``, with γ for
+every edge read as well, the initializer's included (no engine makes a
+one-sided op, so the α+β-per-op term is zero); the ``before`` block
+predates ``priced_s``.  Raw
 words may rise: trading words for latency steps is what the α-β model
 arbitrates.
 
@@ -176,7 +177,7 @@ def run_spmd_case(scale: int, pr: int, pc: int) -> dict:
             "fold_words": stats.fold_words,
             "total_words": words,
             "steps": steps,
-            # the per-rank price (DESIGN §5): its α and β terms, and all four
+            # the per-rank price (DESIGN §5): its α and β terms, and the total
             "comm_model_s": round(price.alpha_s + price.beta_s, 9),
             "priced_s": round(price.total, 9),
             # logical messages of the round-based schedules vs the

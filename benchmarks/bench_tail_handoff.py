@@ -3,7 +3,7 @@ and what the hand-off saves on the priced clock (DESIGN §17 "The serial
 tail").
 
 One cell is one input on one pr × pc thread grid.  The inputs are the seven
-Table II stand-ins whose hand-off ROADMAP item 17 tracks, built with
+Table II stand-ins whose hand-off ROADMAP item 19 tracks, built with
 ``suite.load_scaled(name, target_nnz, seed=1)``, and the uniform graphs
 ``er`` 7 and 9 (the ``BENCH_spmd.json`` inputs), 10 and 12 (seed 1); the
 grids are 2x2, 3x3 and 4x4.  A cell reports:
@@ -11,15 +11,12 @@ grids are 2x2, 3x3 and 4x4.  A cell reports:
 * ``handoff`` — the phase whose BFS the shipped rule
   (``job.tail_is_cheaper``, asked once per phase before augmenting) hands
   off after, 0 if it never does, and the job's phases;
-* ``path`` — the phases the shipped run augmented path-parallel (RMA);
 * the priced per-rank total (``DistStats.price``, DESIGN §5) under the
   shipped rule, with no hand-off, and the best in hindsight: the cheapest
   of no hand-off and every forced one (after phase k's BFS, k = 1 …
   phases−1), with that k (0: no hand-off);
 * ``shipped/best`` — the shipped total over the best: what the rule
   leaves on the table;
-* ``level`` — the shipped rule's total with every augmentation forced to
-  level (``handoff_seam.augment_mode``), which the rule then prices too;
 * with ``--baseline REV`` (a git revision of this repository), the
   shipped rule's total under that revision's engine.
 
@@ -49,7 +46,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from handoff_seam import augment_mode, handoff_rule  # noqa: E402
+from handoff_seam import handoff_rule  # noqa: E402
 
 from repro.graphs import suite  # noqa: E402
 from repro.graphs.rmat import er  # noqa: E402
@@ -97,15 +94,11 @@ def priced_runs(target_nnz: int, grids, shipped_only: bool = False) -> dict:
             runs = {None: (mate_r, st), 0: _solve(coo, g, lambda phase: False)[::2]}
             for k in range(1, st.phases):
                 runs[k] = _solve(coo, g, lambda phase, k=k: phase == k)[::2]
-            with augment_mode("level"):
-                runs["level"] = _solve(coo, g)[::2]
-            forced = {k: r[1].price(g * g).total for k, r in runs.items()
-                      if k not in (None, "level")}
+            forced = {k: r[1].price(g * g).total for k, r in runs.items() if k is not None}
             best = min(forced, key=forced.get)
             cell.update(
                 phases=st.phases, handoff=st.phases - st.tail_phases if st.tail_phases else 0,
-                path=st.augment_path_calls, no_handoff=forced[0], best_k=best, best=forced[best],
-                level=runs["level"][1].price(g * g).total,
+                no_handoff=forced[0], best_k=best, best=forced[best],
                 exact=all(cardinality(r[0]) == optimum for r in runs.values()),
             )
     return cells
@@ -131,18 +124,16 @@ def table(cells: dict, baseline: "dict | None", command: str) -> str:
              "# priced per-rank model-s (DistStats.price); handoff = the phase whose BFS",
              "# the shipped rule hands off after (0: never); best = the cheapest of no",
              "# hand-off and every forced one, after phase best_k's BFS (0: none);",
-             "# shipped/best = what the rule leaves on the table; path = the shipped run's",
-             "# path-parallel phases; level = the shipped rule with every augmentation",
-             "# forced to level"
+             "# shipped/best = what the rule leaves on the table"
              + ("; baseline = the --baseline revision's engine" if baseline else ""),
-             f"{'cell':<24} {'phases':>6} {'handoff':>7} {'path':>4} {'shipped':>11} "
-             f"{'no_handoff':>11} {'best':>11} {'best_k':>6} {'shipped/best':>12} {'level':>11}"
+             f"{'cell':<24} {'phases':>6} {'handoff':>7} {'shipped':>11} "
+             f"{'no_handoff':>11} {'best':>11} {'best_k':>6} {'shipped/best':>12}"
              + (f" {'baseline':>11}" if baseline else "") + "  exact"]
     for key, c in cells.items():
         lines.append(
-            f"{key:<24} {c['phases']:>6} {c['handoff']:>7} {c['path']:>4} {c['priced']:>11.4e} "
+            f"{key:<24} {c['phases']:>6} {c['handoff']:>7} {c['priced']:>11.4e} "
             f"{c['no_handoff']:>11.4e} {c['best']:>11.4e} {c['best_k']:>6} "
-            f"{c['priced'] / c['best']:>12.3f} {c['level']:>11.4e}"
+            f"{c['priced'] / c['best']:>12.3f}"
             + (f" {baseline[key]:>11.4e}" if baseline else "") + f"  {c['exact']}")
     return "\n".join(lines) + "\n"
 

@@ -1,8 +1,7 @@
 """The engines' hand-off seams: for MCM-DIST's hand-off sweep
 (``bench_tail_handoff.py``) the priced tail hand-off replaced by a chosen
-rule (shared by the test suite's ``force_handoff`` fixture) and the
-augmentation forced to one mechanism; for ``bench_mwm.py``'s gate, no
-hand-off at all."""
+rule (shared by the test suite's ``force_handoff`` fixture); for
+``bench_mwm.py``'s gate, no hand-off at all."""
 
 from __future__ import annotations
 
@@ -34,20 +33,6 @@ def handoff_rule(rule):
         yield
     finally:
         mcm_dist.phase_boundary, mcm_dist.tail_is_cheaper = boundary, shipped
-
-
-@contextmanager
-def augment_mode(mode: str):
-    """For the body, every MCM-DIST phase augments with ``mode`` ("level"
-    or "path") in place of the k < 2p² rule (``mcm_dist.choose_augment_mode``);
-    the hand-off rule prices that mechanism's augmentation too.  Forked
-    ranks inherit the patch."""
-    shipped = mcm_dist.choose_augment_mode
-    mcm_dist.choose_augment_mode = lambda k, p: mode
-    try:
-        yield
-    finally:
-        mcm_dist.choose_augment_mode = shipped
 
 
 @contextmanager

@@ -18,7 +18,6 @@ rule       fixture                                runtime symptom
 SPMD101    ``divergent_reduction``                rank 0 deadlocks in allreduce
 SPMD101    ``divergent_via_helper``               same, reached through a helper
 SPMD102    ``rank_bounded_barriers``              barrier-count mismatch hangs
-SPMD301    ``fenceless_put``                      RMA verifier flags the access
 SPMD401    ``unseeded_shuffle``                   ranks disagree silently
 SPMD601    ``set_ordered_mates``                  mate vector depends on set order
 SPMD602    ``clock_seeded_mates``                 divergent mates under --verify
@@ -84,14 +83,6 @@ def rank_bounded_barriers(comm):
     for _ in range(comm.rank):
         comm.barrier()
     return None
-
-
-def fenceless_put(comm, win):
-    """BUG (SPMD301): one-sided put before the window's first fence — the
-    epoch has not opened, so the access races with everyone."""
-    win.put(0, np.zeros(4))
-    win.fence()
-    return win.get(0)
 
 
 # --------------------------------------------------------------------------

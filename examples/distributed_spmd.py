@@ -2,9 +2,9 @@
 """Run MCM-DIST as a real SPMD job on the simulated MPI runtime.
 
 Every rank owns only its DCSC block of the 2D-partitioned matrix and its
-slices of the vectors; all coordination flows through collectives, routed
-all-to-alls, and — for path-parallel augmentation — one-sided RMA windows.
-This is the same code path a production mpi4py deployment would execute.
+slices of the vectors; all coordination flows through collectives and
+routed all-to-alls, with no one-sided communication.  This is the same
+code path a production mpi4py deployment would execute.
 
 The example launches the job on a 3x3 process grid, verifies the
 distributed result against the serial engine, prints the logical message
@@ -48,8 +48,7 @@ def main() -> None:
     print(f"initial (greedy)     : {stats.initial_cardinality:,}")
     print(f"maximum matching     : {stats.final_cardinality:,}")
     print(f"phases / iterations  : {stats.phases} / {stats.iterations}")
-    print(f"augmentation         : {stats.augment_level_calls} level-parallel, "
-          f"{stats.augment_path_calls} path-parallel (RMA) calls")
+    print(f"augmentation         : {stats.augment_level_calls} level-parallel calls")
 
     # -- per-rank communication profile --------------------------------------
     print("\nper-rank traffic (messages sent / 8-byte words):")

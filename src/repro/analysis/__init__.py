@@ -11,10 +11,10 @@ the runtime's docstrings warn about:
 * **backend portability** — thread-backend conveniences (shared globals,
   by-reference payloads, closures) that break under a process backend;
 * **one-sided races** — unsynchronized ``Get``/``Put``/``Fetch-and-op``
-  overlap in passive-target epochs, the hazard of the paper's path-parallel
-  augmentation (Algorithm 4).
+  overlap on a runtime :class:`~repro.runtime.rma.Window`, checked at run
+  time only (no engine opens a window).
 
-The *static* half lives here: a CFG + rank-taint dataflow engine
+The *static* half lives here: a rank-taint dataflow engine
 (:mod:`repro.analysis.engine`) with per-function collective-effect
 summaries propagated over the module call graph, queried by the rule
 catalogue in :mod:`repro.analysis.rules` and its satellite rule modules

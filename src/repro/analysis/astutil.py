@@ -29,8 +29,6 @@ COLLECTIVE_CONSTRUCTORS = frozenset({"Window"})
 #: rewritten as sends in set order) must still be flagged SPMD601.
 TAGGED_METHODS = frozenset({"send"})
 
-#: One-sided accesses on a :class:`repro.runtime.rma.Window`.
-RMA_ACCESS_METHODS = frozenset({"get", "put", "fetch_and_op"})
 
 #: ``random`` module attributes that are fine in SPMD code (seeding,
 #: constructing an explicitly-seeded generator, state manipulation).

@@ -3,8 +3,8 @@
 :class:`ModuleModel` parses a module once and derives everything the rules
 share, so each rule is a query instead of a re-traversal:
 
-* per-function facts — CFG (:mod:`.cfg`), the rank-taint set, the SPMD
-  heuristic, own-statement lists;
+* per-function facts — the rank-taint set, the SPMD heuristic,
+  own-statement lists;
 * a module-level call graph over plain-name calls to module-local
   functions;
 * per-function **collective effect summaries**: the ordered sequence of
@@ -36,7 +36,6 @@ from .astutil import (
     rank_tainted_names,
     walk_functions,
 )
-from .cfg import CFG, build_cfg
 
 
 # --------------------------------------------------------------------------
@@ -124,10 +123,6 @@ class FunctionInfo:
     node: "ast.FunctionDef | ast.AsyncFunctionDef"
     name: str
     qualname: str
-
-    @cached_property
-    def cfg(self) -> CFG:
-        return build_cfg(self.node)
 
     @cached_property
     def tainted(self) -> set:

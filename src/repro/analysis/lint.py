@@ -6,7 +6,7 @@ The entry points mirror pyflakes: :func:`lint_source` for in-memory code
 ``repro lint src examples``).
 
 Each file is parsed once into a :class:`repro.analysis.engine.ModuleModel`
-(CFGs, rank-taint sets, call graph, collective-effect summaries) that every
+(rank-taint sets, call graph, collective-effect summaries) that every
 rule then queries, and inline ``# repro: noqa[...]`` comments are honoured
 before findings leave this module — so every consumer (tests, CLI, CI)
 sees the same suppressed view.

@@ -19,7 +19,6 @@ RULES: dict[str, tuple[str, str]] = {
     "SPMD000": ("file could not be parsed", "error"),
     "SPMD101": ("collective sequence diverges across rank-dependent branches", "error"),
     "SPMD102": ("collective inside rank-dependent loop", "error"),
-    "SPMD301": ("one-sided access outside the fence epoch of its window", "warning"),
     "SPMD401": ("unseeded random source in an SPMD function", "warning"),
     "SPMD601": ("unordered set iteration order escapes into comm or keyed stores", "warning"),
     "SPMD602": ("wall-clock read feeds SPMD algorithm state", "warning"),

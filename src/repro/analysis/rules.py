@@ -1,4 +1,4 @@
-"""The first three SPMD rule families, rebuilt on the dataflow engine.
+"""The SPMD1xx and SPMD401 rule families, built on the dataflow engine.
 
 Every rule is a function ``rule(model) -> list[Finding]`` over a
 :class:`~repro.analysis.engine.ModuleModel`.  The catalogue mirrors the
@@ -15,10 +15,6 @@ SPMD101
 SPMD102
     A collective (possibly inside a helper) in a loop whose trip count is
     rank-dependent: ranks run different numbers of collective rounds.
-SPMD301
-    A one-sided window access on a CFG path where the fence epoch may not
-    be open (before the first ``fence``, after ``free`` — including via
-    loop back edges — or with no fence at all).
 SPMD401
     An unseeded random source inside an SPMD function.  Seeding is scoped
     per RNG: ``random.seed`` at module scope or earlier in the function
@@ -35,18 +31,13 @@ from __future__ import annotations
 import ast
 
 from .astutil import (
-    RMA_ACCESS_METHODS,
     _NP_RANDOM_SAFE,
     _RANDOM_SAFE,
     always_terminates,
-    call_method_name,
-    call_plain_name,
     dotted_name,
     expr_references_rank,
     own_nodes,
-    receiver_name,
 )
-from .cfg import forward_dataflow
 from .engine import (
     Effect,
     ModuleModel,
@@ -170,137 +161,6 @@ def rule_collective_divergence(model: ModuleModel) -> list[Finding]:
     return findings
 
 
-# ------------------------------------------------------------------- SPMD301
-
-#: May-states of a window along a CFG path.
-_PRE, _OPEN, _FREED = "pre", "open", "freed"
-
-
-def _rma_calls_in_stmt(stmt: ast.stmt) -> list[ast.Call]:
-    """Calls in one statement, source order, nested defs excluded."""
-    calls: list[ast.Call] = []
-
-    def visit(n: ast.AST) -> None:
-        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef,
-                          ast.ClassDef, ast.Lambda)):
-            return
-        if isinstance(n, ast.Call):
-            calls.append(n)
-        for child in ast.iter_child_nodes(n):
-            visit(child)
-
-    visit(stmt)
-    calls.sort(key=lambda c: (c.lineno, c.col_offset))
-    return calls
-
-
-def rule_rma_epoch(model: ModuleModel) -> list[Finding]:
-    """SPMD301: window accesses on CFG paths outside a fence epoch."""
-    findings: list[Finding] = []
-    for info in model.functions:
-        fn = info.node
-        windows = {
-            tgt.id
-            for node in own_nodes(fn)
-            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
-            and call_plain_name(node.value) == "Window"
-            for tgt in node.targets if isinstance(tgt, ast.Name)
-        }
-        # a name that receives a .fence() call is a window however it got
-        # here (typically a parameter) — its epoch discipline is checkable
-        windows |= {
-            receiver_name(n)
-            for n in own_nodes(fn)
-            if isinstance(n, ast.Call) and call_method_name(n) == "fence"
-            and receiver_name(n) is not None
-        }
-        if not windows:
-            continue
-        has_fence = {
-            name: any(
-                isinstance(n, ast.Call)
-                and receiver_name(n) == name and call_method_name(n) == "fence"
-                for n in own_nodes(fn)
-            )
-            for name in windows
-        }
-        cfg = info.cfg
-
-        def transfer_stmt(stmt: ast.stmt, state: dict, emit=None) -> dict:
-            for call in _rma_calls_in_stmt(stmt):
-                recv, meth = receiver_name(call), call_method_name(call)
-                if recv not in windows:
-                    if isinstance(stmt, ast.Assign) and call is stmt.value \
-                            and call_plain_name(call) == "Window":
-                        for tgt in stmt.targets:
-                            if isinstance(tgt, ast.Name) and tgt.id in windows:
-                                state = {**state, tgt.id: frozenset({_PRE})}
-                    continue
-                cur = state.get(recv, frozenset({_PRE}))
-                if meth == "fence":
-                    nxt = frozenset({_OPEN} | ({_FREED} if _FREED in cur else set()))
-                    state = {**state, recv: nxt}
-                elif meth == "free":
-                    state = {**state, recv: frozenset({_FREED})}
-                elif meth in RMA_ACCESS_METHODS and emit is not None:
-                    if _FREED in cur:
-                        emit(call, recv, meth,
-                             f"'{recv}.{meth}' may execute after "
-                             f"'{recv}.free()': the window no longer exists")
-                    elif _PRE in cur:
-                        if has_fence[recv]:
-                            emit(call, recv, meth,
-                                 f"'{recv}.{meth}' is reachable before the "
-                                 f"first '{recv}.fence()': the access epoch "
-                                 "is not open yet")
-                        else:
-                            emit(call, recv, meth,
-                                 f"'{recv}.{meth}' without any "
-                                 f"'{recv}.fence()' in this function: "
-                                 "one-sided accesses need a documented "
-                                 "epoch (fence ... access ... fence)")
-                # a Window(...) call assigned to a tracked name resets it
-                if isinstance(stmt, ast.Assign) and call is stmt.value \
-                        and call_plain_name(call) == "Window":
-                    for tgt in stmt.targets:
-                        if isinstance(tgt, ast.Name) and tgt.id in windows:
-                            state = {**state, tgt.id: frozenset({_PRE})}
-            return state
-
-        def transfer(block, state: dict) -> dict:
-            for stmt in block.stmts:
-                state = transfer_stmt(stmt, state)
-            return state
-
-        def join(a: dict, b: dict) -> dict:
-            out = dict(a)
-            for k, v in b.items():
-                out[k] = out.get(k, frozenset()) | v
-            return out
-
-        init = {name: frozenset({_PRE}) for name in windows}
-        in_states = forward_dataflow(cfg, init, transfer, join, lambda a, b: a == b)
-
-        reported: set[int] = set()
-
-        def emit(call: ast.Call, recv: str, meth: str, msg: str) -> None:
-            if id(call) in reported:
-                return
-            reported.add(id(call))
-            findings.append(Finding(
-                model.path, call.lineno, call.col_offset, "SPMD301", msg,
-                function=info.name,
-            ))
-
-        for block in cfg.blocks:
-            if block.id not in in_states:
-                continue  # unreachable
-            state = in_states[block.id]
-            for stmt in block.stmts:
-                state = transfer_stmt(stmt, state, emit)
-    return findings
-
-
 # ------------------------------------------------------------------- SPMD401
 
 
@@ -395,7 +255,6 @@ def _registry():
 
     return (
         rule_collective_divergence,
-        rule_rma_epoch,
         rule_unseeded_random,
         rule_determinism,
         rule_portability,

@@ -19,8 +19,7 @@ Commands
     Run the true SPMD MCM-DIST on a simulated process grid and report
     per-rank communication statistics.  ``--direction auto`` (default) lets
     each block pull Step 1 bottom-up where that reads fewer edges;
-    ``--verify`` arms the dynamic correctness verifiers
-    (collective-divergence and RMA-race detection).
+    ``--verify`` arms the dynamic collective-divergence verifier.
 
 ``trace-report``
     Critical-path analysis of a trace recorded with ``spmd --trace``:
@@ -28,8 +27,8 @@ Commands
 
 ``lint``
     Statically analyze Python sources for SPMD correctness hazards:
-    collectives under rank-divergent control flow, RMA accesses outside
-    fence epochs, unseeded per-rank randomness, order- and clock-dependent
+    collectives under rank-divergent control flow, unseeded per-rank
+    randomness, order- and clock-dependent
     results, payloads and entry points a process backend cannot pickle.
 """
 
@@ -198,8 +197,8 @@ def cmd_spmd(args) -> int:
     else:
         print(f"grid {args.pr}x{args.pc}: matched {card:,} "
               f"(init {stats.initial_cardinality:,}), {stats.phases} phases, "
-              f"{stats.iterations} iterations, augment level/path = "
-              f"{stats.augment_level_calls}/{stats.augment_path_calls}")
+              f"{stats.iterations} iterations, {stats.augment_level_calls} level-parallel "
+              f"augment call(s)")
         print(f"direction {args.direction}: top-down/bottom-up block-iterations = "
               f"{stats.topdown_steps}/{stats.bottomup_steps}, "
               f"{stats.edges_examined:,} edges examined, words "
@@ -207,7 +206,7 @@ def cmd_spmd(args) -> int:
               f"{stats.ledger()[1]:,}")
     price = stats.price(args.pr * args.pc)
     print(f"priced per rank: {price.total:.7g} model-s = alpha {price.alpha_s:.4g} + "
-          f"beta {price.beta_s:.4g} + gamma {price.gamma_s:.4g} + rma {price.rma_s:.4g}")
+          f"beta {price.beta_s:.4g} + gamma {price.gamma_s:.4g}")
     if stats.tail_phases:
         rounds = f" ({stats.tail_rounds} auction round(s))" if weighted else ""
         print(f"serial tail: the last {stats.tail_phases} phase(s){rounds} on every rank, "
@@ -215,9 +214,7 @@ def cmd_spmd(args) -> int:
     if args.verify:
         vs = stats.verify_summary or {}
         print(f"verification: PASSED — {vs.get('collectives_checked', 0):,} "
-              f"collective entries cross-checked, "
-              f"{vs.get('rma_ops_checked', 0):,} one-sided accesses "
-              f"race-checked, no divergence or races")
+              f"collective entries cross-checked, no divergence")
     if args.trace:
         stats.trace.dump(args.trace)
         print(f"trace written to {args.trace} "
@@ -339,8 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "process per rank with shared-memory rings "
                         "(default: $REPRO_SPMD_BACKEND or thread)")
     p.add_argument("--verify", action="store_true",
-                   help="arm the dynamic verifiers: cross-check every collective "
-                        "entry across ranks and race-check every RMA access")
+                   help="arm the dynamic verifier: cross-check every collective "
+                        "entry across ranks")
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
                    help="deadlock window for blocking runtime calls "
                         "(default: $REPRO_SPMD_TIMEOUT or 120)")
@@ -369,8 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "that lasts as long as the job)")
     p.add_argument("--stats-json", default=None, metavar="PATH",
                    help="dump the run's DistStats (phases, word counters, "
-                        "per-algorithm collective counters, one-sided RMA "
-                        "counters, recovery counters) as JSON")
+                        "per-algorithm collective counters, recovery "
+                        "counters) as JSON")
     p.add_argument("--trace", default=None, metavar="PATH",
                    help="record per-rank spans and write a Chrome trace-event "
                         "JSON (open in Perfetto, or feed to 'repro trace-report')")

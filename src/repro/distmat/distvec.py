@@ -51,9 +51,6 @@ class DistDenseVec:
         sub, block = my_subblock(grid, orient)
         self.lo, self.hi = self.vmap.local_range(sub, block)
         self.local = np.full(self.hi - self.lo, fill, dtype=np.int64)
-        #: per rank, where this vector's slice starts in the rank's exposed
-        #: memory (all zero until :func:`share_buffer` packs it)
-        self._section = [0] * grid.nprocs
 
     @property
     def n(self) -> int:
@@ -69,25 +66,6 @@ class DistDenseVec:
     def set_local(self, g: np.ndarray, values) -> None:
         """Write values at global indices that THIS rank owns."""
         self.local[np.asarray(g, np.int64) - self.lo] = values
-
-    def remote_location(self, g: int) -> tuple[int, int]:
-        """(owner rank, offset in the owner's exposed memory) of one global
-        index — the addressing step of every one-sided RMA access in
-        path-parallel augmentation.  The offset is local to the owner's
-        slice unless :func:`share_buffer` laid this vector behind others."""
-        sub, block = self.vmap.owner(np.int64(g))
-        rank = (
-            int(sub) * self.grid.pc + int(block)
-            if self.orient == "col"
-            else int(block) * self.grid.pc + int(sub)
-        )
-        lo, _hi = self.vmap.local_range(int(sub), int(block))
-        return rank, self._section[rank] + int(g) - lo
-
-    def size_on(self, rank: int) -> int:
-        """Length of ``rank``'s slice (what :func:`share_buffer` lays out)."""
-        i, j = divmod(rank, self.grid.pc)
-        return self.vmap.local_size(*((i, j) if self.orient == "col" else (j, i)))
 
     def to_global(self) -> np.ndarray:
         """Gather the full vector on every rank (collective)."""
@@ -116,41 +94,9 @@ class BlockVec:
         self.bmap = BlockMap(n, grid.pr if orient == "row" else grid.pc)
         self.lo, self.hi = self.bmap.range(grid.i if orient == "row" else grid.j)
         self.local = np.full(self.hi - self.lo, fill, dtype=np.int64)
-        self._section = [0] * grid.nprocs
 
     get_local = DistDenseVec.get_local
     set_local = DistDenseVec.set_local
-
-    def size_on(self, rank: int) -> int:
-        i, j = divmod(rank, self.grid.pc)
-        return self.bmap.size(i if self.orient == "row" else j)
-
-    def remote_location(self, g: int, j: int) -> tuple[int, int]:
-        """(rank, offset in its exposed memory) of a row block vector's
-        index ``g``, the copy in grid column ``j``."""
-        i = self.bmap.owner(int(g))
-        rank = i * self.grid.pc + j
-        return rank, self._section[rank] + int(g) - self.bmap.range(i)[0]
-
-
-def share_buffer(*vecs: "DistDenseVec | BlockVec") -> np.ndarray:
-    """Re-home the local slices of ``vecs`` end to end in ONE int64 buffer
-    per rank and return it — the memory a single RMA window exposes.  Each
-    ``vec.local`` becomes a view of its section (contents kept, every
-    in-place store lands in the buffer) and ``remote_location`` adds the
-    section's offset on the owner rank, which every rank can compute: a
-    section starts where the owner's slices of the vectors before it end."""
-    grid = vecs[0].grid
-    buf = np.concatenate([v.local for v in vecs])
-    starts = [0] * grid.nprocs
-    at = 0
-    for v in vecs:
-        v.local = buf[at:at + v.local.size]
-        at += v.local.size
-        v._section = list(starts)
-        for rank in range(grid.nprocs):
-            starts[rank] += v.size_on(rank)
-    return buf
 
 
 class DistVertexFrontier:

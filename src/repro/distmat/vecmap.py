@@ -87,7 +87,3 @@ class VecMap:
         lo = min(blo + sub * self.sub_bs, bhi)
         hi = min(blo + (sub + 1) * self.sub_bs, bhi)
         return lo, hi
-
-    def local_size(self, sub: int, block: int) -> int:
-        lo, hi = self.local_range(sub, block)
-        return hi - lo

@@ -17,7 +17,8 @@ The matrix-algebraic formulation (Section III):
   Table I primitives over global arrays, with instrumentation hooks the
   execution-driven performance simulator attaches to;
 * :mod:`~repro.matching.augment` — Algorithm 3 (level-parallel) and
-  Algorithm 4 (path-parallel RMA) augmentation plus the k < 2p² switch;
+  Algorithm 4 (path-parallel RMA) augmentation plus the k < 2p² switch,
+  for the serial engine and the simulator (Figs. 5 and 8);
 * :mod:`~repro.matching.maximal_rounds` — the round-synchronous distributed
   initializers of the authors' companion paper [21].
 
@@ -25,7 +26,8 @@ The true distributed implementations:
 
 * :mod:`~repro.matching.mcm_dist` — MCM-DIST running SPMD over
   :mod:`repro.distmat` and :mod:`repro.runtime` (each rank owns only its
-  DCSC block and vector slices);
+  DCSC block and vector slices), augmenting level-parallel in every phase
+  with collectives alone;
 * :mod:`~repro.matching.mwm_dist` — MWM-DIST, the maximum WEIGHT sibling:
   ε-scaled synchronized auctions on the doubled perfect-assignment graph,
   sharing the pure-NumPy round kernels of :mod:`~repro.matching.auction`

@@ -17,11 +17,12 @@ communication cost:
 
 Comparing the latency terms gives the paper's switch: path-parallel wins
 when **k < 2p²**, which :func:`choose_augment_mode` implements and the
-matching driver applies per phase.
+serial matching driver applies per phase.
 
 The functions below operate on global dense vectors (the single-process and
-simulator engines); the true SPMD versions live in
-``mcm_dist.augment_level_spmd`` and ``mcm_dist.augment_path_spmd_rma``.
+simulator engines).  The SPMD engine augments level-parallel only
+(``mcm_dist.augment_level_spmd``): its small-k phases go to the serial
+tail instead, so nothing there takes the switch.
 """
 
 from __future__ import annotations

@@ -54,7 +54,6 @@ class DistStats:
     phases: int = 0
     iterations: int = 0
     augment_level_calls: int = 0
-    augment_path_calls: int = 0
     initial_cardinality: int = 0
     final_cardinality: int = 0
     #: Step-1 direction tally: block-iterations, summed over the ranks
@@ -97,12 +96,6 @@ class DistStats:
     comm_messages: int = 0
     frames: int = 0
     frame_words: int = 0
-    #: one-sided Get/Put/Fetch-and-op calls of path-parallel augmentation and
-    #: the words they moved, summed over all ranks (3 calls per pair-step of
-    #: an augmenting path).  They are NOT in ``comm_by_alg``: :meth:`price`
-    #: charges each call α+β
-    rma_ops: int = 0
-    rma_words: int = 0
     #: recovery counters, filled by :func:`launch`: fabric rebuilds after
     #: failures, completed phases re-executed because they post-dated the
     #: restart checkpoint, and 8-byte words written to the checkpoint store
@@ -158,9 +151,8 @@ class DistStats:
     def price(self, p: int) -> Price:
         """This job on a ``p``-rank grid priced per rank at EDISON's
         constants (:meth:`~repro.perfmodel.machine.MachineSpec.price`): its
-        ledger, every edge read (the initializer's too) and every one-sided
-        op."""
-        return EDISON.price(p, *self.ledger(), self.edges_examined + self.init_edges, self.rma_ops)
+        ledger and every edge read (the initializer's too)."""
+        return EDISON.price(p, *self.ledger(), self.edges_examined + self.init_edges)
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +307,8 @@ def snapshot_ledger(grid: ProcGrid, stats: DistStats) -> None:
 
 #: the per-rank counters :func:`launch` sums over the ranks (besides the
 #: ``comm_by_alg`` tables and the phase ledger)
-SUMMED = ("comm_messages", "frames", "frame_words", "expand_words", "fold_words", "rma_ops",
-          "rma_words", "edges_examined", "init_edges", "price_updates", "topdown_steps",
-          "bottomup_steps")
+SUMMED = ("comm_messages", "frames", "frame_words", "expand_words", "fold_words",
+          "edges_examined", "init_edges", "price_updates", "topdown_steps", "bottomup_steps")
 
 
 def merge_by_alg(rank_values) -> dict[str, dict[str, int]]:
@@ -349,7 +340,7 @@ def launch(
     """Run ``rank_main(comm, *job_args, pr, pc, **alg_kwargs)`` on a pr × pc
     grid and return rank 0's ``(mate_r, mate_c, stats)`` with every
     per-rank counter summed over the ranks (the ledgers, edge reads, price
-    updates, one-sided ops, block-iteration tally) — the one
+    updates, block-iteration tally) — the one
     launch-and-merge body under
     :func:`~repro.matching.mcm_dist.run_mcm_dist` and
     :func:`~repro.matching.mwm_dist.run_mwm_dist`.

@@ -4,8 +4,7 @@ Every function here runs *per rank* under the simulated MPI runtime: state
 is rank-local (DCSC block, vector slices), all coordination goes through
 collectives on the row and column communicators (the grid communicator
 carries only the job's set-up, its one closing allgather or the tail's
-gather, checkpoints and the window's fences) and —
-for path-parallel augmentation — one one-sided RMA window.  The code would
+gather, and checkpoints); no one-sided communication runs.  The code would
 run unchanged over mpi4py.
 
 Correspondence to the paper:
@@ -71,13 +70,13 @@ Algorithm 3 (level-parallel augment)   :func:`augment_level_spmd` — a level is
                                        column block j's ``mate_c`` replicated
                                        down grid column j, whose updates ride
                                        each phase's first exchange 2
-Algorithm 4 (path-parallel RMA)        :func:`augment_path_spmd_rma` — one window
-                                       per run, two fences per phase; π read
-                                       at each row's home
-k < 2p² switch                          :func:`mcm_dist_spmd` per phase
-                                       (:func:`~repro.matching.augment.choose_augment_mode`,
-                                       the paper's rule as derived for its own
-                                       6αp level step)
+Algorithm 4 (path-parallel RMA)        none: every phase augments
+                                       level-parallel, and no window opens
+k < 2p² switch                         none: it chose paths for small k, and
+                                       small-k phases hand off to the serial
+                                       tail (DESIGN §17); the serial engine
+                                       keeps both mechanisms and the rule
+                                       (:mod:`repro.matching.augment`)
 gather onto one node (§VI-E, Fig. 9)   the tail hand-off, asked after each
                                        phase's BFS: once the job's steps so
                                        far (this phase's augmentation priced
@@ -133,7 +132,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..distmat.distvec import BlockVec, DistDenseVec, share_buffer
+from ..distmat.distvec import BlockVec, DistDenseVec
 from ..distmat.grid import ProcGrid
 from ..distmat.ops import (
     allgather_arrays,
@@ -145,7 +144,6 @@ from ..distmat.ops import (
 )
 from ..distmat.spmat import DistBlockMatrix, DistSparseMatrix
 from ..kernels import advance_cursor
-from ..runtime import Window
 from ..runtime.checkpoint import Checkpoint, CheckpointStore
 from ..runtime.comm import Communicator
 from ..runtime.trace import tspan
@@ -155,7 +153,7 @@ from ..sparse.csc import CSC
 from ..sparse.semiring import reduce_candidates
 from ..sparse.spvec import NULL
 from ..perfmodel.machine import EDISON
-from .augment import augment_level_parallel, choose_augment_mode
+from .augment import augment_level_parallel
 from .job import (
     DistStats,
     JobSteps,
@@ -313,50 +311,14 @@ def augment_level_spmd(
         rows = prev
 
 
-def augment_cost(mode: str, depth: np.ndarray, pr: int, pc: int, opens: bool) -> tuple[int, int]:
+def augment_cost(depth: np.ndarray, pr: int, pc: int) -> int:
     """A phase's augmentation priced before it runs, from replicated
-    numbers: (latency steps on a rank's ledger, one-sided ops summed over
-    the grid).  ``depth`` holds each path's length in (row, column) pairs,
-    the iteration its end was found in.  A level is a row hop and a column
-    hop, and the call ends on the row hop that finds no tip:
-    h·((pc−1)+(pr−1)) + (pc−1) steps for the longest path's h.  A
-    path-parallel phase is two fences, ⌈log₂ p⌉ steps each — two more if
-    it ``opens`` the job's window (a broadcast and a barrier) — and 3 ops
-    per pair-step."""
-    if mode == "level":
-        return int(depth.max()) * (pc - 1 + pr - 1) + pc - 1, 0
-    return (2 + 2 * opens) * (pr * pc - 1).bit_length(), 3 * int(depth.sum())
-
-
-def augment_path_spmd_rma(
-    win: Window,
-    start_rows: np.ndarray,
-    pi: BlockVec,
-    mate_r: DistDenseVec,
-    mate_c: DistDenseVec,
-) -> None:
-    """Algorithm 4, SPMD: each rank walks its own paths asynchronously with
-    one-sided Get/Put/Fetch-and-op — 3 RMA calls per pair-step, exactly the
-    paper's accounting.  Vertex-disjointness of the paths makes the
-    unordered remote updates safe.  A start row — a path end, free — is
-    this rank's in ``mate_r`` and its π is read here; every later row r is
-    the old mate a fetch-and-op on column c returned, and its π is read at
-    its home, the rank of its grid row sitting in c's column block.
-
-    ``win`` is the job's one window over the shared buffer of the three
-    vectors (:func:`~repro.distmat.distvec.share_buffer`); the phase is one
-    access epoch — a fence in, which publishes what the owners stored since
-    the last one, and a fence out, after which they store directly again."""
-    win.fence()
-    for r0 in np.asarray(start_rows, np.int64).tolist():
-        r, j = int(r0), pi.grid.j
-        while r != NULL:
-            c = int(win.get(*pi.remote_location(r, j)))  # MPI_Get(π[r])
-            win.put(*mate_r.remote_location(r), c)       # MPI_Put(mate_r[r] = c)
-            crank, coff = mate_c.remote_location(c)
-            r = int(win.fetch_and_op(crank, coff, r))    # fused read-old/put-new
-            j = crank % pi.grid.pc                       # c's column block
-    win.fence(nosucceed=True)
+    numbers: its latency steps on a rank's ledger.  ``depth`` holds each
+    path's length in (row, column) pairs, the iteration its end was found
+    in.  A level is a row hop and a column hop, and the call ends on the
+    row hop that finds no tip: h·((pc−1)+(pr−1)) + (pc−1) steps for the
+    longest path's h."""
+    return int(depth.max()) * (pc - 1 + pr - 1) + pc - 1
 
 
 # ---------------------------------------------------------------------------
@@ -364,11 +326,11 @@ def augment_path_spmd_rma(
 # ---------------------------------------------------------------------------
 
 #: the counters a snapshot carries (``aux["counts"]``), summed over the
-#: ranks: the first four are replicated, so rank 0 alone contributes them,
+#: ranks: the first three are replicated, so rank 0 alone contributes them,
 #: and a resumed rank 0 takes them all back — a restarted job reports the
 #: fault-free job's counters
-_COUNTED = ("iterations", "augment_level_calls", "augment_path_calls", "initial_cardinality",
-            "edges_examined", "init_edges", "bottomup_steps", "rma_ops", "rma_words")
+_COUNTED = ("iterations", "augment_level_calls", "initial_cardinality", "edges_examined",
+            "init_edges", "bottomup_steps")
 
 
 def _checkpoint(grid: ProcGrid, store: CheckpointStore, phase: int, mate_r: DistDenseVec,
@@ -490,10 +452,9 @@ def mcm_dist_spmd(
     fewer edges than its frontier columns hold
     (:func:`~repro.matching.msbfs.pull_is_cheaper`), and so does every
     iteration of the serial tail; the mate vectors are identical in both
-    modes.  The engine picks each
-    phase's augmentation by the paper's k < 2p² rule
-    (:func:`~repro.matching.augment.choose_augment_mode`), PRUNEs every
-    iteration and reduces candidates under minParent.  After every BFS
+    modes.  The engine augments every phase level-parallel
+    (:func:`augment_level_spmd`), PRUNEs every iteration and reduces
+    candidates under minParent.  After every BFS
     that found paths, :func:`tail_is_cheaper` prices the job's latency
     steps so far (:class:`~repro.matching.job.JobSteps`), this phase's
     augmentation included (:func:`augment_cost`), and the augmentation a
@@ -535,17 +496,12 @@ def mcm_dist_spmd(
     # phase; mate_r and mate_c stay the authority
     mate_blk = BlockVec(grid, A.nrows)
     mate_cblk = BlockVec(grid, A.ncols, "col")
-    # the three vectors path-parallel augmentation reaches one-sidedly live
-    # in one buffer, so ONE window exposes them for the whole run
-    shared = share_buffer(pi, mate_r, mate_c)
-    win: "Window | None" = None
     stats = DistStats()
 
     def counts() -> np.ndarray:
         """This rank's share of the snapshot counters (:data:`_COUNTED`)."""
         own = np.array([getattr(stats, name) for name in _COUNTED], np.int64)
-        own[:4] *= grid.rank == 0
-        own[-2:] += (win.rma_ops, win.rma_words) if win is not None else 0
+        own[:3] *= grid.rank == 0
         return own
 
     # the steps the job has paid, which the hand-off rule is asked with
@@ -559,7 +515,7 @@ def mcm_dist_spmd(
         mate_cblk.local[:] = resume.mate_col[mate_cblk.lo:mate_cblk.hi]
         stats.initial_cardinality = int(np.count_nonzero(resume.mate_row != NULL))
         held = list(zip(_COUNTED, (resume.aux or {}).get("counts", [])))
-        for name, value in held[:None if grid.rank == 0 else 4]:
+        for name, value in held[:None if grid.rank == 0 else 3]:
             setattr(stats, name, int(value))
     elif init == "greedy":
         with tspan(grid.comm, "init:greedy", cat="phase"):
@@ -695,14 +651,13 @@ def mcm_dist_spmd(
             free_cols -= k
             free_blk[roots[(roots >= A.col_lo) & (roots < A.col_hi)] - A.col_lo] = False
             rows, depth = rows[first], depth[first]
-            mode = choose_augment_mode(k, grid.nprocs)
             # the hand-off, asked before augmenting: the rent is the job's
             # steps so far plus this phase's augmentation's, which
             # replicated numbers price exactly, and handing off now skips
             # that augmentation — the tail retraces the paths on a gathered
             # π instead.  With every column matched the next phase runs no
             # BFS: nothing is left to hand off
-            aug_steps, aug_ops = augment_cost(mode, depth, pr, pc, win is None)
+            aug_steps = augment_cost(depth, pr, pc)
             tail = free_cols > 0 and tail_is_cheaper(
                 rent.total() + aug_steps,
                 grid.nprocs,
@@ -714,24 +669,15 @@ def mcm_dist_spmd(
                 # slices with their offsets, and π's (row, parent) pairs of
                 # the visited rows
                 A.nnz + 2 * min(A.nnz, pr * A.ncols) + 3 * grid.nprocs + 3 * A.nrows + A.ncols,
-                A.nnz, EDISON.price(grid.nprocs, aug_steps * grid.nprocs, 0, 0, aug_ops).total,
+                A.nnz, EDISON.price(grid.nprocs, aug_steps * grid.nprocs).total,
             )
             if tail:
                 paths = roots, rows
                 break
             start = rows[(rows >= mate_r.lo) & (rows < mate_r.hi)]
-            if mode == "level":
-                stats.augment_level_calls += 1
-                with tspan(grid.comm, "augment:level", cat="phase", k=k):
-                    augment_level_spmd(A, start, pi, mate_r, mate_c, mate_cblk)
-            else:
-                stats.augment_path_calls += 1
-                if win is None:
-                    # collective, and every rank takes it in the same phase:
-                    # the mode is a function of the replicated k
-                    win = Window(grid.comm, shared)
-                with tspan(grid.comm, "augment:path", cat="phase", k=k):
-                    augment_path_spmd_rma(win, start, pi, mate_r, mate_c)
+            stats.augment_level_calls += 1
+            with tspan(grid.comm, "augment:level", cat="phase", k=k):
+                augment_level_spmd(A, start, pi, mate_r, mate_c, mate_cblk)
 
             # phase complete: the augmented matching is valid (vertex-disjoint
             # augmenting paths), so it is a correct restart point; the tail
@@ -742,11 +688,6 @@ def mcm_dist_spmd(
                 _checkpoint(grid, checkpoint_store, phase_no, mate_r, mate_c, counts(), stats,
                             checkpoint_aux, rent)
 
-    if win is not None:
-        # freed before the job's last grid collective, so none follows it
-        stats.rma_ops, stats.rma_words = (int(c) for c in counts()[-2:])
-        win.free()
-        win = None
     mates = ((mate_r.lo, mate_r.local), (mate_c.lo, mate_c.local))
     if tail:
         # the tail: one grid allgather hands every rank the whole graph and
@@ -861,8 +802,8 @@ def run_mcm_dist(
     wherever that is expected to read fewer of its edges) or "topdown";
     ``stats.topdown_steps`` / ``bottomup_steps`` tally block-iterations,
     summed over the ranks.
-    ``verify=True`` arms the runtime's collective-divergence and RMA-race
-    verifiers for the whole job (``repro spmd --verify``).
+    ``verify=True`` arms the runtime's collective-divergence verifier for
+    the whole job (``repro spmd --verify``).
     ``timeout`` is the deadlock window for every blocking runtime call
     (``None`` → ``$REPRO_SPMD_TIMEOUT`` → 120 s).  Which physical collective
     plan runs is chosen per communicator from its size (hub/star waves from

@@ -7,6 +7,8 @@ writing vector elements owned by remote processes without the owner's
 participation.  :class:`Window` reproduces those semantics: the window is
 created collectively (every rank exposes a NumPy array), after which any rank
 may ``get``/``put``/``fetch_and_op`` on any other rank's exposed memory.
+No engine opens one: MCM-DIST augments level-parallel in every phase, and
+the class stays while the end-to-end harness times its ``fetch_and_op``.
 
 Atomicity: MPI guarantees element-wise atomicity for ``MPI_Fetch_and_op``.
 Here a per-target-rank lock provides it (stronger than required, never

@@ -28,18 +28,8 @@ SAVE_CHECKPOINT = """\
     grid.comm.barrier()
 """
 
-ALG4_OPENING = "    win.fence()\n    for r0 in"
-
 #: (row id, source file, anchor text, replacement, codes the lint must report)
 MUTATIONS = [
-    ("alg4-opening-fence-dropped", "matching/mcm_dist.py",
-     ALG4_OPENING,
-     "    for r0 in",
-     {"SPMD301"}),
-    ("get-after-free", "matching/mcm_dist.py",
-     "        win.free()\n",
-     "        win.free()\n        tail = win.get(0, 0)\n",
-     {"SPMD301"}),
     ("checkpoint-barrier-under-rank-test", "matching/job.py",
      SAVE_CHECKPOINT,
      "    if grid.comm.rank == 0:\n        store.save(ck)\n        grid.comm.barrier()\n",
@@ -63,8 +53,8 @@ MUTATIONS = [
      "        comm.send(r, frames[r])\n",
      {"SPMD601"}),
     ("unseeded-shuffle-of-start-rows", "matching/mcm_dist.py",
-     ALG4_OPENING,
-     "    win.fence()\n    np.random.shuffle(start_rows)\n    for r0 in",
+     "    rows = np.asarray(start_rows, np.int64)\n",
+     "    np.random.shuffle(start_rows)\n    rows = np.asarray(start_rows, np.int64)\n",
      {"SPMD401"}),
     ("clock-in-proposal-tie-break", "matching/mcm_dist.py",
      "        key += A.col_lo\n",

@@ -106,44 +106,6 @@ def main(comm):
     assert lint_source(src) == []
 
 
-# ------------------------------------------------------------------- SPMD301
-
-
-def test_rma_access_before_any_fence_flagged():
-    src = """
-def main(comm):
-    win = Window(comm, local)
-    win.put(0, 0, 5)
-"""
-    fs = lint_source(src)
-    assert codes(fs) == ["SPMD301"]
-
-
-def test_rma_access_after_free_flagged():
-    src = """
-def main(comm):
-    win = Window(comm, local)
-    win.fence()
-    win.free()
-    win.get(0, 0)
-"""
-    assert codes(lint_source(src)) == ["SPMD301"]
-
-
-def test_fenced_rma_epoch_is_clean():
-    src = """
-def main(comm):
-    win = Window(comm, local)
-    win.fence()
-    win.put(0, 0, 5)
-    got = win.get(1, 0)
-    win.fence()
-    win.free()
-    return got
-"""
-    assert lint_source(src) == []
-
-
 # ------------------------------------------------------------------- SPMD401
 
 
@@ -194,7 +156,6 @@ FIXTURE_BUGS = [
     ("SPMD401", "unseeded_shuffle"),
     ("SPMD101", "divergent_via_helper"),
     ("SPMD102", "rank_bounded_barriers"),
-    ("SPMD301", "fenceless_put"),
     ("SPMD601", "set_ordered_mates"),
     ("SPMD602", "clock_seeded_mates"),
     ("SPMD603", "set_ordered_sum"),
@@ -217,7 +178,7 @@ def test_every_rule_has_a_fixture():
 
     covered = {code for code, _ in FIXTURE_BUGS}
     assert covered == set(RULES) - {"SPMD000"}
-    assert len(FIXTURE_BUGS) == 11 and len(covered) == 10
+    assert len(FIXTURE_BUGS) == 10 and len(covered) == 9
 
 
 def test_source_tree_is_clean():
@@ -259,7 +220,7 @@ def test_format_json_round_trips():
 def test_findings_sort_by_location():
     a = Finding("b.py", 1, 0, "SPMD101", "m")
     b = Finding("a.py", 9, 0, "SPMD401", "m")
-    c = Finding("a.py", 2, 0, "SPMD301", "m")
+    c = Finding("a.py", 2, 0, "SPMD102", "m")
     from repro.analysis import sort_findings
 
     assert sort_findings([a, b, c]) == [c, b, a]
@@ -273,7 +234,7 @@ def test_cli_lint_exit_codes_and_output(capsys):
 
     assert main(["lint", str(FIXTURE)]) == 1
     out = capsys.readouterr().out
-    assert "SPMD101" in out and "SPMD301" in out and "SPMD401" in out
+    assert "SPMD101" in out and "SPMD102" in out and "SPMD401" in out
 
     assert main(["lint", str(REPO_ROOT / "src" / "repro")]) == 0
     assert "no findings" in capsys.readouterr().out

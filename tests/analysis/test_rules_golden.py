@@ -164,65 +164,6 @@ def test_102_clean_uniform_loop_via_helper():
     assert run(src) == []
 
 
-# ------------------------------------------------------------------- SPMD301
-
-
-def test_301_flagged_free_then_access_via_loop_back_edge():
-    # textually the access precedes the free; only the CFG back edge
-    # exposes the use-after-free on the second iteration
-    src = """
-    def main(comm, n):
-        win = Window(comm, local)
-        win.fence()
-        for i in range(n):
-            win.put(i, 0, 1)
-            win.free()
-    """
-    fs = run(src)
-    assert [f.code for f in fs] == ["SPMD301"]
-    assert "free" in fs[0].message
-
-
-def test_301_clean_free_after_loop():
-    src = """
-    def main(comm, n):
-        win = Window(comm, local)
-        win.fence()
-        for i in range(n):
-            win.put(i, 0, 1)
-        win.fence()
-        win.free()
-    """
-    assert run(src) == []
-
-
-def test_301_flagged_parameter_window_access_before_fence():
-    src = """
-    def main(comm, win):
-        win.put(0, 0, 1)
-        win.fence()
-    """
-    assert codes(src) == ["SPMD301"]
-
-
-def test_301_nested_function_not_attributed_to_encloser():
-    # the first-generation rule used ast.walk and double-reported nested
-    # functions' accesses against the enclosing function's windows
-    src = """
-    def outer(comm):
-        win = Window(comm, local)
-        win.fence()
-        win.put(0, 0, 1)
-        win.fence()
-
-        def helper(w):
-            w.accumulate(0, 0, 1)
-
-        return helper
-    """
-    assert run(src) == []
-
-
 # ------------------------------------------------------------------- SPMD401
 
 
@@ -442,21 +383,3 @@ def test_703_flagged_and_clean_pair():
     # every engine starts through matching/job.py::launch
     assert codes(flagged.replace("spmd(4, rank_main)", "launch(rank_main, (data,), 2, 2)")
                  ) == ["SPMD703"]
-
-
-# ----------------------------------------------------------- SPMD301 epochs
-
-
-def test_301_fence_inside_loop_keeps_epoch_open():
-    # CFG ordering, not lineno ordering: the fence at the loop tail
-    # re-opens the epoch for the access at the loop head's next iteration
-    src = """
-    def main(comm, n):
-        win = Window(comm, local)
-        win.fence()
-        for i in range(n):
-            win.put(i, 0, 1)
-            win.fence()
-        win.free()
-    """
-    assert run(src) == []

@@ -63,24 +63,6 @@ def test_dense_vec_local_get_set():
     assert res[0] == [i * 7 for i in range(10)]
 
 
-def test_remote_location_round_trip():
-    def main(comm):
-        grid = ProcGrid(comm, 2, 2)
-        v = DistDenseVec(grid, 29, "row")
-        mine = np.arange(v.lo, v.hi)
-        v.set_local(mine, mine + 100)
-        comm.barrier()
-        # every rank resolves every index and the (rank, offset) must agree
-        # with the owner map
-        for g in range(29):
-            rank, off = v.remote_location(g)
-            assert rank == int(v.owner_of(np.array([g]))[0])
-            assert 0 <= off
-        return None
-
-    spmd(4, main)
-
-
 # -- DistVertexFrontier --------------------------------------------------------------
 
 def test_frontier_rejects_out_of_range_entries():

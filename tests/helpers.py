@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.runtime import Window
 from repro.sparse import COO
 
 
@@ -44,3 +45,22 @@ def topdown_edges(stats, p: int) -> int:
     instead of on each of the ``p`` ranks: the top-down algorithm's edge
     count, whichever phase the grid handed off at."""
     return stats.edges_examined - (p - 1) * stats.tail_edges
+
+
+def rma_walk(comm):
+    """Algorithm 4's access pattern on a bare window: inside one fenced
+    epoch each rank reads its slot on the next rank, writes it back plus
+    one, and fetch-and-replaces its slot on the rank after, walking the
+    ring; then it closes the epoch, frees the window and returns its memory.
+    Every slot has one writer, so the result is deterministic."""
+    local = np.zeros(comm.size, dtype=np.int64)
+    win = Window(comm, local)
+    win.fence()
+    for step in range(1, comm.size):
+        peer = (comm.rank + step) % comm.size
+        c = int(win.get(peer, comm.rank))
+        win.put(peer, comm.rank, c + 1)
+        win.fetch_and_op((peer + 1) % comm.size, comm.rank, step)
+    win.fence(nosucceed=True)
+    win.free()
+    return local.tolist()

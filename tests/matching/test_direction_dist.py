@@ -26,7 +26,7 @@ def random_coo(n1, n2, m, seed):
 
 @pytest.mark.parametrize("pr,pc", [(2, 2), (3, 3)])
 @pytest.mark.parametrize("semiring", SEMIRINGS, ids=lambda s: s.name)
-def test_all_directions_match_serial_exactly(pr, pc, semiring, force_augment, force_pull):
+def test_all_directions_match_serial_exactly(pr, pc, semiring, force_pull):
     """The acceptance criterion: topdown, bottomup and auto runs on the grid
     all equal the serial oracle's mate vectors, entry for entry."""
     coo = random_coo(30, 32, 180, 7 * pr + pc)
@@ -34,7 +34,6 @@ def test_all_directions_match_serial_exactly(pr, pc, semiring, force_augment, fo
     rel, rp, cp = relabeled(coo)
     s_r, s_c, _ = ms_bfs_mcm(CSC.from_coo(rel), semiring=semiring, augment_mode="level")
     s_r, s_c = unpermute_matching(s_r, s_c, rp, cp)
-    force_augment("level")
     for direction in ("topdown", "bottomup", "auto"):
         d_r, d_c, _ = run_mcm_dist(coo, pr, pc, init="none", direction=force_pull(direction))
         assert np.array_equal(s_r, d_r), direction
@@ -42,9 +41,8 @@ def test_all_directions_match_serial_exactly(pr, pc, semiring, force_augment, fo
 
 
 @pytest.mark.parametrize("pr,pc", [(1, 1), (1, 2), (2, 3)])
-def test_directions_agree_on_more_grids(pr, pc, force_augment, force_pull):
+def test_directions_agree_on_more_grids(pr, pc, force_pull):
     coo = random_coo(36, 30, 200, 13 * pr + pc)
-    force_augment("level")
     baseline = run_mcm_dist(coo, pr, pc, init="none", direction="topdown")
     for direction in ("bottomup", "auto"):
         got = run_mcm_dist(coo, pr, pc, init="none", direction=force_pull(direction))

@@ -68,11 +68,11 @@ def _recording_rank_main(comm, coo, pr, pc):
 
 
 def _record(monkeypatch):
-    """Wrap the augmentation's pricing and every piece of it that runs:
-    each rank logs ("cost", steps, ops) as the engine prices a phase's
-    augmentation, then ("run", steps, ops) for the window's opening and
-    the augmentation itself, measured on its own ledger and window."""
-    boundary, cost = mcm_dist.phase_boundary, mcm_dist.augment_cost
+    """Wrap the augmentation's pricing and the augmentation itself: each
+    rank logs ("cost", steps) as the engine prices a phase's augmentation,
+    then ("run", steps) for the augmentation, measured on its own ledger."""
+    boundary, cost, augment = (mcm_dist.phase_boundary, mcm_dist.augment_cost,
+                               mcm_dist.augment_level_spmd)
 
     def note(grid, stats, phase_no, **kwargs):
         _log.grid = grid
@@ -80,49 +80,34 @@ def _record(monkeypatch):
 
     def priced(*args):
         out = cost(*args)
-        _log.events.append(("cost", *out))
+        _log.events.append(("cost", out))
         return out
 
-    def measured(run, ops=lambda args: 0):
-        def wrapper(*args):
-            steps, before = ledger_totals(_log.grid)[0], ops(args)
-            out = run(*args)
-            _log.events.append(("run", ledger_totals(_log.grid)[0] - steps, ops(args) - before))
-            return out
-        return wrapper
+    def measured(*args):
+        steps = ledger_totals(_log.grid)[0]
+        augment(*args)
+        _log.events.append(("run", ledger_totals(_log.grid)[0] - steps))
 
     monkeypatch.setattr(mcm_dist, "augment_cost", priced)
     monkeypatch.setattr(mcm_dist, "phase_boundary", note)
-    monkeypatch.setattr(mcm_dist, "Window", measured(mcm_dist.Window))
-    monkeypatch.setattr(mcm_dist, "augment_level_spmd", measured(mcm_dist.augment_level_spmd))
-    monkeypatch.setattr(mcm_dist, "augment_path_spmd_rma",
-                        measured(mcm_dist.augment_path_spmd_rma, lambda args: args[0].rma_ops))
+    monkeypatch.setattr(mcm_dist, "augment_level_spmd", measured)
 
 
 @pytest.mark.parametrize("backend", ["thread", "process"])
 @pytest.mark.parametrize("pr,pc", [(1, 2), (2, 2), (2, 3), (3, 3)])
-@pytest.mark.parametrize("mode", ["level", "path"])
-def test_priced_augmentation_equals_its_ledger(monkeypatch, force_augment, no_handoff,
-                                               mode, pr, pc, backend):
-    force_augment(mode)
+def test_priced_augmentation_equals_its_ledger(monkeypatch, no_handoff, pr, pc, backend):
     _record(monkeypatch)
     res = spmd(pr * pc, _recording_rank_main, ROAD, pr, pc, backend=backend, timeout=60)
-    phases = []
+    # per rank, each phase's (priced, run) steps: every price is followed
+    # by the augmentation it priced
+    phases = [[(want, got) for (_, want), (_, got) in zip(events[::2], events[1::2])]
+              for events in res.values]
     for events in res.values:
-        rank = []
-        for kind, steps, ops in events:
-            if kind == "cost":
-                rank.append([steps, ops, 0, 0])
-            else:
-                rank[-1][2] += steps
-                rank[-1][3] += ops
-        phases.append(rank)
+        assert [kind for kind, _ in events] == ["cost", "run"] * (len(events) // 2)
     assert len({len(rank) for rank in phases}) == 1 and len(phases[0]) >= 2
     for n, per_rank in enumerate(zip(*phases)):
-        # the steps on every rank's ledger, the one-sided ops over the grid
-        assert {(want, got) for want, _, got, _ in per_rank} == {(per_rank[0][0],) * 2}, n
-        assert per_rank[0][1] == sum(ops for *_, ops in per_rank), n
-    assert (sum(ops for _, ops, _, _ in phases[0]) > 0) == (mode == "path")
+        # the steps on every rank's ledger
+        assert set(per_rank) == {(per_rank[0][0],) * 2}, n
 
 
 # -- the end-to-end deep core --------------------------------------------------------
@@ -134,7 +119,7 @@ def test_the_deep_core_hands_off_after_phase_one_bfs(e2e_workloads):  # noqa: F8
     assert e2e_workloads.digest(mate_r, mate_c) == RELABELED_ROAD[0]
     assert (stats.phases, stats.iterations) == RELABELED_ROAD[1][:2]
     # phase 1's BFS ran on the grid, its paths in the tail (the level call)
-    assert (stats.tail_phases, stats.augment_level_calls, stats.augment_path_calls) == (4, 1, 0)
+    assert (stats.tail_phases, stats.augment_level_calls) == (4, 1)
     steps, words = stats.ledger()
     # 36 latency steps per rank: no collective follows the tail's gather
     # (38 while a closing allgather carried the counters, 120 when the rule
@@ -148,10 +133,9 @@ def test_the_deep_core_hands_off_after_phase_one_bfs(e2e_workloads):  # noqa: F8
 #: every DistStats counter but the recovery ones (restarts, replays,
 #: checkpoint words, restart spans) and the wire ledger, which counts the
 #: surviving attempt's traffic
-COUNTERS = ("phases", "iterations", "augment_level_calls", "augment_path_calls",
-            "initial_cardinality", "final_cardinality", "topdown_steps", "bottomup_steps",
-            "edges_examined", "init_edges", "tail_phases", "tail_iterations", "tail_edges",
-            "rma_ops", "rma_words")
+COUNTERS = ("phases", "iterations", "augment_level_calls", "initial_cardinality",
+            "final_cardinality", "topdown_steps", "bottomup_steps", "edges_examined",
+            "init_edges", "tail_phases", "tail_iterations", "tail_edges")
 
 
 @pytest.mark.parametrize("backend", ["thread", "process"])

@@ -36,9 +36,12 @@ def test_plain_run_carries_no_checkpoint_traffic(no_handoff):
     # scatter header; 24,706 / 22,686 before integer arrays crossed the wire
     # at their range's width; 230, 214, 3,463, 3,168 before the counters
     # left the closing allgather — the last figure then left that gather's
-    # words out, and the ledger's words count them)
-    assert _ledger(stats) == (230, 214, 3_448, 3_396)
-    assert stats.comm_by_alg["barrier:dissemination"]["calls"] == 28
+    # words out, and the ledger's words count them; 230, 214, 3,448, 3,396
+    # and 28 barriers while phases of k < 2p² paths walked them on an RMA
+    # window)
+    assert _ledger(stats) == (211, 209, 3_435, 3_390)
+    # no snapshot and no window: not one barrier
+    assert "barrier:dissemination" not in stats.comm_by_alg
     assert stats.restart_spans == ()
     # the per-phase ledger is on every run
     assert list(stats.phase_ledger) == list(range(1, stats.phases + 1))
@@ -48,13 +51,14 @@ def test_allowing_restarts_costs_exactly_the_snapshots(no_handoff):
     stats = run_mcm_dist(er(8, seed=3), 2, 2, init="greedy", max_restarts=3)[2]
     assert stats.restarts == 0
     # three snapshots (phases 0..2) of 256 + 256 mates, two header words,
-    # the relabel seed, the job's steps so far and the nine job counters,
+    # the relabel seed, the job's steps so far and the six job counters,
     # each array at its range's width: 2 bytes a mate while a column is
     # free, 1 once none is (64 + 64 words, then 32 + 32), a byte of seed, a
-    # word of steps and 9 two-byte counters (3 words) — 135 + 135 + 71
-    # (134 + 134 + 70 before the steps rode the snapshot), where 8 bytes a
+    # word of steps and 6 two-byte counters (2 words) — 134 + 134 + 70
+    # (135 + 135 + 71 with nine counters, the one-sided ones among them;
+    # 134 + 134 + 70 before the steps rode the snapshot), where 8 bytes a
     # value wrote 3 * 524
-    assert stats.checkpoint_words == 135 + 135 + 71
+    assert stats.checkpoint_words == 134 + 134 + 70
     # (385, 347, 31,832, 28,717 before; 302, 268, 31,462, 28,323 before
     # blocks pulled by default, 30,706 / 27,567 before a pull was judged by
     # its expected read, 30,598 / 27,459 before the edge count rode the
@@ -62,10 +66,12 @@ def test_allowing_restarts_costs_exactly_the_snapshots(no_handoff):
     # snapshot's first allgather: 9 words to each of 3 peers, 3 snapshots;
     # 31,006 / 27,786 before integer arrays crossed the wire at their
     # range's width; 4,581 / 4,116 before the counters left the closing
-    # allgather, the last figure without that gather's words)
-    assert _ledger(stats) == (302, 268, 4_566, 4_344)
-    # one closing barrier per snapshot and per rank on top of the plain run's
-    assert stats.comm_by_alg["barrier:dissemination"]["calls"] == 40
+    # allgather, the last figure without that gather's words; 302, 268,
+    # 4,566, 4,344 while an RMA window's barriers and nine counters rode
+    # along)
+    assert _ledger(stats) == (283, 263, 4_508, 4_302)
+    # one closing barrier per snapshot and per rank, and no other
+    assert stats.comm_by_alg["barrier:dissemination"]["calls"] == 3 * 4
 
 
 def test_a_store_alone_snapshots_without_restarting():
@@ -76,11 +82,12 @@ def test_a_store_alone_snapshots_without_restarting():
     # phases 0 and 1: the job hands off to its serial tail after phase 1,
     # whose snapshot carries the mark a resume goes straight back to the
     # tail on, and the tail's phases write no snapshot; each carries the
-    # nine job counters (524 + 525 at 8 bytes a value), and phase 0's the
+    # six job counters (524 + 525 at 8 bytes a value), and phase 0's the
     # job's steps, which a resume from the hand-off's never asks for
-    # (134 + 135 before the steps rode the snapshot)
+    # (135 + 135 with nine counters; 134 + 135 before the steps rode the
+    # snapshot)
     assert stats.tail_phases == stats.phases - 1
-    assert stats.checkpoint_words == store.words_written == 135 + 135
+    assert stats.checkpoint_words == store.words_written == 134 + 134
     with pytest.raises(RankKilledError):
         run_mcm_dist(coo, 2, 2, checkpoint_store=CheckpointStore(),
                      faults="crash:rank=1,at=phase:1", backend="thread")
@@ -133,20 +140,21 @@ def test_ready_made_injector_runs_one_attempt_only():
 
 
 def _by_hand(stats, p):
-    """The four per-rank terms of DESIGN §5, summed off the run's counters."""
+    """The per-rank terms of DESIGN §5, summed off the run's counters: no
+    engine makes a one-sided access, so the rma term is zero."""
     steps = sum(d["steps"] for d in stats.comm_by_alg.values())
     words = sum(d["words"] for d in stats.comm_by_alg.values())
     return (EDISON.alpha * steps / p, EDISON.beta * words / p,
-            EDISON.gamma * (stats.edges_examined + stats.init_edges) / p,
-            (EDISON.alpha + EDISON.beta) * stats.rma_ops / p)
+            EDISON.gamma * (stats.edges_examined + stats.init_edges) / p, 0.0)
 
 
-def test_price_of_an_mcm_run_with_one_sided_walks(no_handoff):
+def test_price_of_an_mcm_run(no_handoff):
     stats = run_mcm_dist(er(6, seed=1), 2, 2)[2]
-    assert stats.rma_ops > 0 and stats.init_edges > 0  # every term is charged
+    assert stats.init_edges > 0  # every term is charged
     price = stats.price(4)
     assert price == pytest.approx(_by_hand(stats, 4), rel=1e-12)
-    assert price.total == price.alpha_s + price.beta_s + price.gamma_s + price.rma_s
+    assert price.rma_s == 0.0 and min(price[:3]) > 0
+    assert price.total == sum(price)
     # the α, β and γ·edges_examined terms are the e2e harness's, to the bit
     steps, words = stats.ledger()
     assert price.alpha_s == EDISON.alpha * (steps / 4)
@@ -159,7 +167,7 @@ def test_price_of_an_mwm_run():
 
     coo = er(6, seed=1)
     stats = run_mwm_dist(coo, edge_weights(coo, dist="uniform", seed=3), 2, 2)[2]
-    assert stats.rma_ops == stats.init_edges == 0 < stats.edges_examined
+    assert stats.init_edges == 0 < stats.edges_examined
     price = stats.price(4)
     assert price == pytest.approx(_by_hand(stats, 4), rel=1e-12)
     assert price.rma_s == 0.0 and min(price[:3]) > 0

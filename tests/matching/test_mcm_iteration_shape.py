@@ -75,16 +75,15 @@ def _bfs_phases(stats, coo):
 
 
 @pytest.mark.parametrize("pr,pc", GRIDS)
-def test_iteration_is_two_exchanges(pr, pc, force_augment, no_handoff):
+def test_iteration_is_two_exchanges(pr, pc, no_handoff):
     p = pr * pc
     coo = er(6, seed=1)
-    # no initializer, path-parallel augments: every all-to-all of the job is
-    # a BFS one
-    force_augment("path")
+    # no initializer: every all-to-all of the job is a BFS one or a hop of
+    # a level-parallel augment
     _, _, stats = run_mcm_dist(
         coo, pr, pc, init="none", direction="topdown", trace="ticks", timeout=60,
     )
-    assert stats.iterations > 5 and stats.augment_level_calls == 0
+    assert stats.iterations > 5 and stats.augment_level_calls == stats.phases - 1
 
     # the α-β formula at (α, β) = (1, 0) is the iteration's latency steps
     per_iter = msbfs_iteration(pr, pc, 1.0, 0.0, 0.0, 0.0)
@@ -97,12 +96,16 @@ def test_iteration_is_two_exchanges(pr, pc, force_augment, no_handoff):
         assert sum(c.args["steps"] for c in comms) == per_iter
 
     # the only all-to-alls outside an iteration are the loop tests' folds,
-    # exactly one per phase that ran a BFS
+    # exactly one per phase that ran a BFS, and the augments' hops
     tests = _span_comms(stats.trace, "loop_test")
     assert len(tests) == p * _bfs_phases(stats, coo)
     assert all(_shape(comms) == [("alltoall", pc)] for comms in tests)
+    augments = _span_comms(stats.trace, "augment:level")
+    assert len(augments) == p * stats.augment_level_calls
+    assert {c.name for comms in augments for c in comms} == {"alltoall"}
     assert _total(stats, "steps", "alltoall") == (
         (p * stats.iterations + len(tests)) * (pc - 1)
+        + sum(c.args["steps"] for comms in augments for c in comms)
     )
 
 
@@ -152,8 +155,7 @@ def _setup_allreduce_calls(coo, pr, pc):
     return _total(stats, "calls", "allreduce") // (pr * pc), stats.iterations
 
 
-def test_allreduce_calls_do_not_grow_with_iterations(force_augment):
-    force_augment("path")
+def test_allreduce_calls_do_not_grow_with_iterations():
     single = COO(5, 2, np.array([3]), np.array([1]))
     few, it_few = _setup_allreduce_calls(single, 2, 3)
     many, it_many = _setup_allreduce_calls(er(6, seed=1), 2, 3)
@@ -271,17 +273,14 @@ def run_in_id_order(coo, pr, pc, **kwargs):
     + [(2, 2, "process"), (3, 2, "process")],
 )
 @pytest.mark.parametrize("name", sorted(CORNERS))
-def test_home_fold_corners_equal_a_1x1_run(name, pr, pc, backend, force_augment):
+def test_home_fold_corners_equal_a_1x1_run(name, pr, pc, backend):
     coo = CORNERS[name]
-    for init, augment, direction in itertools.product(
-        ("none", "greedy"), ("level", "path"), ("topdown", "auto")
-    ):
-        force_augment(augment)
+    for init, direction in itertools.product(("none", "greedy"), ("topdown", "auto")):
         # each corner is built in these ids
         kw = dict(init=init, direction=direction, timeout=60)
         ref_r, ref_c, ref = run_in_id_order(coo, 1, 1, **kw)
         mate_r, mate_c, st = run_in_id_order(coo, pr, pc, backend=backend, **kw)
-        msg = f"init={init} augment={augment} direction={direction}"
+        msg = f"init={init} direction={direction}"
         np.testing.assert_array_equal(mate_r, ref_r, err_msg=msg)
         np.testing.assert_array_equal(mate_c, ref_c, err_msg=msg)
         assert (st.phases, st.iterations) == (ref.phases, ref.iterations), msg
@@ -383,19 +382,21 @@ E2E = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e"
 ROAD = ("4ea672d81d8b29f511b3dad5c89354d05a304109ddfad2792cbef9e6cf336d48",
         (9, 408, 141_177, 5_840))
 #: the results on the inputs' own ids, then this schedule's latency steps
-#: per rank (1,020 / 641 / 208 while a level step was three hops, every
+#: per rank, every phase augmenting level-parallel (961 / 634 / 169 while
+#: phases of k < 2p² paths walked them one-sidedly, two fences each;
+#: 1,020 / 641 / 208 while a level step was three hops, every
 #: phase expanded its first frontier, a greedy round was three allgathers
 #: and the job opened on a header broadcast and closed on an allreduce and
 #: two allgathers; before that 1,453 / 1,218 / 241 — each iteration paid a
 #: row hop beside the fold and the column hop, and each augment level four
 #: hops)
 PARENT_FINGERPRINTS = [
-    pytest.param("mcm_deep_t4", 2, 2, *ROAD, 961, id="road-2x2"),
-    pytest.param("mcm_deep_t4", 1, 2, *ROAD, 634, id="road-1x2"),
+    pytest.param("mcm_deep_t4", 2, 2, *ROAD, 1_641, id="road-2x2"),
+    pytest.param("mcm_deep_t4", 1, 2, *ROAD, 834, id="road-1x2"),
     pytest.param(
         "mcm_bulk_t4", 2, 2,
         "c3161e8eb5b7fe7382b39361063e94a6baf6bec9e3e93832d8aaea452bf32c7d",
-        (9, 35, 4_520_751, 32_832), 169, id="er15-2x2",
+        (9, 35, 4_520_751, 32_832), 175, id="er15-2x2",
     ),
 ]
 
@@ -435,8 +436,10 @@ def test_id_order_reproduces_parent_fingerprints(e2e_workloads, workload, pr, pc
 #: the default run on the same inputs: the road core's staircase is gone
 #: (9 → 5 phases, 408 → 89 iterations) and the ER core, random already,
 #: draws a cheaper instance (9 → 7 phases, 35 → 24 iterations).  Latency
-#: steps per rank 267 / 173 / 135 (306 / 181 / 172 with the three-hop level
-#: step and the schedule around the loop named above).  On the ER core the
+#: steps per rank 381 / 198 / 135 with every phase on the grid (267 / 173 /
+#: 135 while small-k phases augmented one-sidedly; 306 / 181 / 172 with the
+#: three-hop level step and the schedule around the loop named above); the
+#: shipped rule hands the road core off after phase 1's BFS.  On the ER core the
 #: wide last levels pull where that is expected to read fewer edges
 #: (3,168,366 edges examined top-down; 1,500,647 when a block pulled only
 #: where its unseen rows' whole adjacency was smaller); on the road core no
@@ -444,8 +447,8 @@ def test_id_order_reproduces_parent_fingerprints(e2e_workloads, workload, pr, pc
 RELABELED_ROAD = ("d03154f77207efa32f250c75fa249fe1b5fb42c2c23416c58917964291c53ad5",
                   (5, 89, 47_630, 5_840))
 FINGERPRINTS = [
-    pytest.param("mcm_deep_t4", 2, 2, *RELABELED_ROAD, 267, id="road-2x2"),
-    pytest.param("mcm_deep_t4", 1, 2, *RELABELED_ROAD, 173, id="road-1x2"),
+    pytest.param("mcm_deep_t4", 2, 2, *RELABELED_ROAD, 381, id="road-2x2"),
+    pytest.param("mcm_deep_t4", 1, 2, *RELABELED_ROAD, 198, id="road-1x2"),
     pytest.param(
         "mcm_bulk_t4", 2, 2,
         "d8198654c0268f9ae57ef9c2dbd5f97df347d5bd5ad4130d5fa485f30993b0ed",
@@ -461,8 +464,8 @@ def test_parent_fingerprints(e2e_workloads, workload, pr, pc, sha, counts, steps
 
 
 #: the ``BENCH_spmd.json`` runs (``direction="auto"``): mates digest, then
-#: phases, iterations, edges examined, bottom-up block-iterations, level /
-#: path augment calls and one-sided operations, on both backends.  er:9 3x3
+#: phases, iterations, edges examined, bottom-up block-iterations and level
+#: augment calls, on both backends.  er:9 3x3
 #: hands off to the serial tail after phase 1's BFS, and the tail retraces
 #: that phase's paths level-parallel (1 level call; phase 1 walked them with
 #: 30 one-sided operations while the hand-off waited for the augmentation):
@@ -475,15 +478,17 @@ def test_parent_fingerprints(e2e_workloads, workload, pr, pc, sha, counts, steps
 #: adjacency was smaller; 9,813 edges and 2 grid-wide bottom-up iterations
 #: when a grid vote chose for all blocks; 16,764 top-down); on er:7 2x2,
 #: whose last phase starts with every column matched, 4 of 8 (1,328 edges
-#: and none before)
+#: and none before), and its one augmenting phase is a level call (it was
+#: path-parallel, 12 one-sided operations, while the engine switched on
+#: k < 2p²)
 BENCH_FINGERPRINTS = [
     pytest.param(
         7, 2, 2, "c34170076df42172b0fca99b72534ba475f505467088719ddca76ba8742af972",
-        (2, 2, 498, 4, 0, 1, 12), id="er7-2x2",
+        (2, 2, 498, 4, 1), id="er7-2x2",
     ),
     pytest.param(
         9, 3, 3, "ccc5db37a4504660df6bc7f520a68e09a4dfc3118ba432190c0e0f4d1dc9a86b",
-        (4, 8, 33_699, 27, 1, 0, 0), id="er9-3x3",
+        (4, 8, 33_699, 27, 1), id="er9-3x3",
     ),
 ]
 
@@ -497,4 +502,4 @@ def test_bench_runs_reproduce_parent_fingerprints(e2e_workloads, scale, pr, pc, 
     )
     assert e2e_workloads.digest(mate_r, mate_c) == sha
     assert (st.phases, st.iterations, st.edges_examined, st.bottomup_steps,
-            st.augment_level_calls, st.augment_path_calls, st.rma_ops) == counts
+            st.augment_level_calls) == counts

@@ -1,32 +1,25 @@
 """Wire shape of everything MCM-DIST does *outside* the BFS iteration, and
 the bit-equality of the results that shape must not touch.
 
-Sibling of ``test_mcm_iteration_shape.py``: a path-parallel phase is two
-barriers on one window that lives for the whole run, a level of the
-level-parallel augment is a row all-to-all and a column all-to-all, a
-greedy initializer round is a row and a column allgather (its accepts ride
-the next propose), the path count needs no reduction and the
-job closes on one grid allgather — so the span tests pin, on six grid
-shapes, which collectives each of those spans holds and on which
-communicator, with the step counts that follow written as ⌈log₂ q⌉ /
-(q − 1) arithmetic.  The parity matrix holds mates and counters to a 1x1
-run for every initializer × augment mode (the engine's k < 2p² rule, or
-either mechanism forced through the ``force_augment`` seam).
+Sibling of ``test_mcm_iteration_shape.py``: every phase augments
+level-parallel and no job opens a window, a level of the augment is a row
+all-to-all and a column all-to-all, a greedy initializer round is a row
+and a column allgather (its accepts ride the next propose), the path count
+needs no reduction and the job closes on one grid allgather — so the span
+tests pin, on six grid shapes, which collectives each of those spans holds
+and on which communicator, with the step counts that follow written as
+⌈log₂ q⌉ / (q − 1) arithmetic.  The parity matrix holds mates and counters
+to a 1x1 run for both initializers.
 """
-
-import os
 
 import numpy as np
 import pytest
 
 from repro.graphs.rmat import er
-from repro.matching import ms_bfs_mcm
-from repro.matching.augment import choose_augment_mode
 from repro.matching.job import launch
-from repro.matching.mcm_dist import _mcm_rank_main, relabeled, run_mcm_dist
-from repro.runtime import CrashSpec, FaultPlan, RankKilledError
+from repro.matching.mcm_dist import _mcm_rank_main, run_mcm_dist
 from repro.runtime.checkpoint import Checkpoint, FileCheckpointStore
-from repro.sparse import COO, CSC
+from repro.sparse import COO
 from repro.sparse.spvec import NULL
 
 GRIDS = [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (1, 4)]
@@ -71,34 +64,25 @@ def _steps(comms):
 
 
 @pytest.mark.parametrize("pr,pc", GRIDS)
-def test_path_phase_is_two_barriers_on_one_window(pr, pc, force_augment):
-    p = pr * pc
-    force_augment("path")
+def test_a_job_makes_no_barrier_and_no_broadcast(pr, pc):
+    """Every phase augments level-parallel and no window opens, so a job
+    without a store runs the scatter, the communicator splits, allgathers
+    and all-to-alls, and nothing else: no barrier, no broadcast, no
+    access epoch."""
     stats = _traced(pr, pc, init="none")
-    assert stats.augment_path_calls >= 2
-    for spans, comms, grid_id in _per_rank(stats.trace):
-        phases = [sp for sp in spans if sp.name == "augment:path"]
-        assert len(phases) == stats.augment_path_calls
-        for ph in phases:
-            inside = _inside(ph, comms)
-            assert _shape(inside) == [("barrier", p), ("barrier", p)]
-            assert {c.args["comm"] for c in inside} == {grid_id}
-            assert _steps(inside) == 2 * _log2ceil(p)
-        # one window: the broadcast of its id (the matrix's shape rides
-        # the scatter); its creation barrier and the two of free() are all
-        # that lie outside
-        assert sum(c.name == "bcast" for c in comms) == 1
-        assert sum(c.name == "barrier" for c in comms) - 2 * len(phases) <= 3
-        # every epoch of the run sits on the same window lane
-        assert len({sp.args["win"] for sp in spans if sp.name == "rma_epoch"}) == 1
+    assert stats.augment_level_calls == stats.phases - 1 >= 2
+    assert set(stats.comm_by_alg) <= {"scatter:direct", "split:rendezvous",
+                                      "allgather:dissemination", "alltoall:pairwise"}
+    for spans, comms, _ in _per_rank(stats.trace):
+        assert {c.name for c in comms} <= {"scatter", "split", "allgather", "alltoall"}
+        assert not [sp for sp in spans if sp.name in ("augment:path", "rma_epoch")]
 
 
 @pytest.mark.parametrize("pr,pc", GRIDS)
-def test_level_is_three_row_column_hops(pr, pc, force_augment):
+def test_level_is_three_row_column_hops(pr, pc):
     """A level is two hops now (the name is the three-hop schedule's)."""
-    force_augment("level")
     stats = _traced(pr, pc, init="none")
-    assert stats.augment_level_calls >= 2 and stats.augment_path_calls == 0
+    assert stats.augment_level_calls >= 2
     # the mate_r write to the owner and (c, r) to c's column block, which
     # reads the old mate off the column replica (row hop); (c, r) on to the
     # mate_c owner and the old mate to its home (column hop); the call ends
@@ -147,7 +131,7 @@ def _augmenting_paths(lengths, seed=0):
 
 @pytest.mark.parametrize("backend", ["thread", "process"])
 @pytest.mark.parametrize("pr,pc", [(1, 2), (2, 1), (2, 2), (3, 3)])
-def test_level_step_is_a_row_hop_and_a_column_hop(pr, pc, backend, tmp_path, force_augment):
+def test_level_step_is_a_row_hop_and_a_column_hop(pr, pc, backend, tmp_path):
     """A level costs (pc−1) + (pr−1) steps — the old mate is read off the
     column replica where the row hop lands — and the call closes on one
     row hop: L·((pc−1) + (pr−1)) + (pc−1) for paths of length at most L."""
@@ -155,7 +139,6 @@ def test_level_step_is_a_row_hop_and_a_column_hop(pr, pc, backend, tmp_path, for
     coo, ck, want_r = _augmenting_paths((L, 2, 1))
     store = FileCheckpointStore(str(tmp_path / "ckpt"))
     store.save(ck)
-    force_augment("level")
     mate_r, _, stats = launch(
         _mcm_rank_main, (coo,), pr, pc, checkpoint_store=store, init="none",
         trace="ticks", backend=backend, timeout=60,
@@ -188,7 +171,7 @@ def test_initializer_round_is_three_row_column_allgathers(pr, pc, init):
 @pytest.mark.parametrize("pr,pc", GRIDS)
 def test_no_grid_reduction_per_phase_level_or_round(pr, pc, direction):
     stats = _traced(pr, pc, direction=direction)
-    assert stats.augment_level_calls + stats.augment_path_calls == stats.phases - 1
+    assert stats.augment_level_calls == stats.phases - 1
     for spans, comms, grid_id in _per_rank(stats.trace):
         on_grid = [c for c in comms if c.args["comm"] == grid_id]
         assert not [c for c in on_grid if c.name == "alltoall"]
@@ -207,24 +190,14 @@ def test_no_grid_reduction_per_phase_level_or_round(pr, pc, direction):
 
 # -- (b) results equal a 1x1 run ----------------------------------------------------
 
-#: (init, augment): "auto" is the engine's own rule, "level" / "path" the
-#: mechanism forced through the ``force_augment`` seam
-VARIANTS = [
-    (init, augment)
-    for init in ("greedy", "none")
-    for augment in ("auto", "level", "path")
-]
-#: no initializer, so a dozen phases; every one of them path-parallel
-NONE_PATH = ("none", "path")
+INITS = ("greedy", "none")
 _reference = {}
 
 
-def _solve(variant, pr, pc, backend, force, **kwargs):
+def _solve(init, pr, pc, backend, **kwargs):
     """A top-down run: its ``edges_examined`` is the same on every grid (a
     pull's depends on the blocks; ``test_direction_blocks`` holds the
     default to these mates)."""
-    init, augment = variant
-    force(None if augment == "auto" else augment)
     return run_mcm_dist(
         er(6, seed=1), pr, pc, init=init, direction="topdown", backend=backend,
         timeout=60, **kwargs,
@@ -233,17 +206,14 @@ def _solve(variant, pr, pc, backend, force, **kwargs):
 
 def _counts(stats):
     return (stats.phases, stats.iterations, stats.edges_examined,
-            stats.initial_cardinality, stats.final_cardinality)
+            stats.initial_cardinality, stats.final_cardinality, stats.augment_level_calls)
 
 
-def _reference_run(variant, force):
-    """The 1x1 result of a variant, and the path count k of each of its
-    augmenting phases (the ``k`` argument of its augment spans)."""
-    if variant not in _reference:
-        mate_r, mate_c, stats = _solve(variant, 1, 1, "thread", force, trace="ticks")
-        ks = [sp.args["k"] for sp in stats.trace.spans[0] if sp.name.startswith("augment:")]
-        _reference[variant] = (mate_r, mate_c, stats, ks)
-    return _reference[variant]
+def _reference_run(init):
+    """The 1x1 result of an initializer."""
+    if init not in _reference:
+        _reference[init] = _solve(init, 1, 1, "thread")
+    return _reference[init]
 
 
 @pytest.mark.parametrize(
@@ -251,51 +221,13 @@ def _reference_run(variant, force):
     [(pr, pc, "thread") for pr, pc in GRIDS[1:]]
     + [(pr, pc, "process") for pr, pc in GRIDS[1:4]],
 )
-def test_results_equal_a_1x1_run(pr, pc, backend, force_augment):
-    for variant in VARIANTS:
-        ref_r, ref_c, ref, ks = _reference_run(variant, force_augment)
-        mate_r, mate_c, stats = _solve(variant, pr, pc, backend, force_augment)
-        np.testing.assert_array_equal(mate_r, ref_r, err_msg=str(variant))
-        np.testing.assert_array_equal(mate_c, ref_c, err_msg=str(variant))
-        assert _counts(stats) == _counts(ref), variant
-        # the replicated path count drives the k < 2p² switch: every phase
-        # takes the mode the paper's rule gives it on this grid
-        augment = variant[1]
-        modes = [
-            augment if augment != "auto" else choose_augment_mode(k, pr * pc) for k in ks
-        ]
-        assert stats.augment_level_calls == modes.count("level"), variant
-        assert stats.augment_path_calls == modes.count("path"), variant
-        if augment == "path":
-            assert (stats.rma_ops, stats.rma_words) == (ref.rma_ops, ref.rma_words)
+def test_results_equal_a_1x1_run(pr, pc, backend):
+    for init in INITS:
+        ref_r, ref_c, ref = _reference_run(init)
+        mate_r, mate_c, stats = _solve(init, pr, pc, backend)
+        np.testing.assert_array_equal(mate_r, ref_r, err_msg=init)
+        np.testing.assert_array_equal(mate_c, ref_c, err_msg=init)
+        assert _counts(stats) == _counts(ref), init
+        # every phase that found paths augmented them level-parallel
+        assert stats.augment_level_calls == stats.phases - 1, init
         assert "rma" not in "".join(stats.comm_by_alg)
-
-
-def test_rma_ops_are_three_per_pair_step(force_augment):
-    coo = er(6, seed=1)
-    # the serial engine walks the same paths, on the labels the distributed
-    # one solves, and records each one's length
-    _, _, serial = ms_bfs_mcm(CSC.from_coo(relabeled(coo)[0]), augment_mode="path")
-    pair_steps = sum(int(steps.sum()) for steps in serial.augment.path_steps)
-    force_augment("path")
-    _, _, stats = run_mcm_dist(coo, 2, 3, init="none", timeout=60)
-    assert stats.rma_ops == stats.rma_words == 3 * pair_steps > 0
-
-
-def test_window_reused_across_phases_passes_the_race_verifier(force_augment):
-    mate_r, mate_c, stats = _solve(NONE_PATH, 2, 2, "thread", force_augment, verify=True)
-    assert stats.augment_path_calls >= 2
-    np.testing.assert_array_equal(mate_r, _reference_run(NONE_PATH, force_augment)[0])
-    assert stats.verify_summary["rma_ops_checked"] == stats.rma_ops > 0
-
-
-def test_process_backend_leaves_no_shared_memory_behind(force_augment):
-    before = set(os.listdir("/dev/shm"))
-    _, _, stats = _solve(NONE_PATH, 2, 2, "process", force_augment)
-    assert stats.augment_path_calls >= 2
-    assert set(os.listdir("/dev/shm")) == before
-    # a rank killed inside the RMA walk never frees the window it holds open
-    plan = FaultPlan(seed=0, crashes=(CrashSpec(rank=2, at="rma", n=2),))
-    with pytest.raises(RankKilledError, match=r"\[spmd rank 2\]"):
-        _solve(NONE_PATH, 2, 2, "process", force_augment, faults=plan)
-    assert set(os.listdir("/dev/shm")) == before

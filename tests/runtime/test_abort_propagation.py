@@ -1,19 +1,17 @@
 """A killed rank must take the whole job down promptly and traceably.
 
 One rank dies mid-call — in every collective, and in a one-sided RMA walk
-inside ``augment_path_spmd_rma`` — and the survivors, blocked on traffic the
-dead rank will never send, must unblock via the fabric abort well before any
-timeout, with the primary exception naming the dead rank.  Plus the
+on a bare :class:`~repro.runtime.rma.Window` — and the survivors, blocked on
+traffic the dead rank will never send, must unblock via the fabric abort
+well before any timeout, with the primary exception naming the dead rank.  Plus the
 join-backstop diagnostics: a rank hung *outside* the runtime is named
 together with its last blocked operation.
 """
 
 import time
 
-import numpy as np
 import pytest
 
-from repro.matching.mcm_dist import run_mcm_dist
 from repro.runtime import (
     CrashSpec,
     FaultInjector,
@@ -21,7 +19,8 @@ from repro.runtime import (
     RankKilledError,
     spmd,
 )
-from repro.sparse import COO
+
+from ..helpers import rma_walk
 
 NR, VICTIM = 4, 2
 
@@ -60,21 +59,18 @@ def test_rank_killed_inside_collective_aborts_survivors(name):
     assert elapsed < 5.0  # survivors unblocked by the abort, not the timeout
 
 
-def test_rank_killed_inside_rma_walk_aborts_survivors(force_augment, no_handoff):
-    """Kill the victim at its Nth one-sided op inside the path-augmentation
-    RMA walk (Algorithm 4); the closing fences never complete on the
-    survivors, so the abort must unwind them."""
-    rng = np.random.default_rng(0)
-    coo = COO(40, 40, rng.integers(0, 40, 400), rng.integers(0, 40, 400))
+def test_rank_killed_inside_rma_walk_aborts_survivors():
+    """Kill the victim at its second one-sided op inside the walk, on both
+    backends; the closing fence never completes on the survivors, so the
+    abort must unwind them."""
     plan = FaultPlan(seed=0, crashes=(CrashSpec(rank=VICTIM, at="rma", n=2),))
-
-    force_augment("path")
-    t0 = time.perf_counter()
-    with pytest.raises(RankKilledError, match=rf"\[spmd rank {VICTIM}\]") as ei:
-        run_mcm_dist(coo, 2, 2, init="none", faults=plan, timeout=30.0)
-    elapsed = time.perf_counter() - t0
-    assert ei.value.spmd_rank == VICTIM
-    assert elapsed < 10.0
+    for backend in ("thread", "process"):
+        t0 = time.perf_counter()
+        with pytest.raises(RankKilledError, match=rf"\[spmd rank {VICTIM}\]") as ei:
+            spmd(NR, rma_walk, faults=FaultInjector(plan, NR), backend=backend, timeout=30.0)
+        elapsed = time.perf_counter() - t0
+        assert ei.value.spmd_rank == VICTIM, backend
+        assert elapsed < 10.0, backend
 
 
 def test_rank_killed_mid_send_aborts_blocked_receiver():

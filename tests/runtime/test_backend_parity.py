@@ -60,24 +60,6 @@ def test_larger_grid_volume_parity():
     _assert_parity(coo, 3, 3)
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_level_and_path_augment_give_identical_mates(backend, force_augment, no_handoff):
-    """Algorithms 3 and 4 flip the same vertex-disjoint paths, so forcing
-    either mechanism on every phase gives the same mates on each wire; only
-    the path-parallel run opens the RMA window."""
-    coo = er(6, seed=1)
-    runs = {}
-    for mode in ("level", "path"):
-        force_augment(mode)
-        runs[mode] = run_mcm_dist(coo, 2, 2, backend=backend, timeout=60)
-    (lr, lc, level), (pr_, pc_, path) = runs["level"], runs["path"]
-    np.testing.assert_array_equal(lr, pr_)
-    np.testing.assert_array_equal(lc, pc_)
-    assert level.augment_path_calls == path.augment_level_calls == 0
-    assert level.augment_level_calls == path.augment_path_calls > 0
-    assert level.rma_ops == 0 < path.rma_ops
-
-
 # -- MWM-DIST: the auction engine over the same transports -------------------
 
 

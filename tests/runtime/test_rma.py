@@ -1,9 +1,21 @@
 """One-sided (RMA) window semantics."""
 
+import os
+
 import numpy as np
 import pytest
 
-from repro.runtime import Window, WindowError, spmd
+from repro.runtime import (
+    CrashSpec,
+    FaultInjector,
+    FaultPlan,
+    RankKilledError,
+    Window,
+    WindowError,
+    spmd,
+)
+
+from ..helpers import rma_walk
 
 
 def test_get_reads_remote_memory():
@@ -239,3 +251,19 @@ def test_missing_target_window_during_an_abort_is_the_abort():
             fabric.attach_window_slot(99, 1)
     finally:
         fabric.close_parent()
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_a_window_job_leaves_no_shared_memory_behind(backend):
+    """A job that opens, walks and frees a window leaves ``/dev/shm`` as it
+    found it, and so does one whose rank is killed inside the walk, which
+    never frees the window it holds open."""
+    before = set(os.listdir("/dev/shm"))
+    res = spmd(4, rma_walk, backend=backend, timeout=30.0)
+    for rank, local in enumerate(res.values):
+        assert local == [(rank - r) % 4 or 3 for r in range(4)]
+    assert set(os.listdir("/dev/shm")) == before
+    plan = FaultPlan(seed=0, crashes=(CrashSpec(rank=2, at="rma", n=2),))
+    with pytest.raises(RankKilledError, match=r"\[spmd rank 2\]"):
+        spmd(4, rma_walk, faults=FaultInjector(plan, 4), backend=backend, timeout=30.0)
+    assert set(os.listdir("/dev/shm")) == before

@@ -241,14 +241,14 @@ def test_race_detection_off_when_not_verifying():
 # ------------------------------------------------------------- end-to-end
 
 
-def test_mcm_dist_runs_clean_under_full_verification(force_augment, no_handoff):
+def test_mcm_dist_runs_clean_under_full_verification(no_handoff):
     from repro.graphs import rmat
     from repro.matching.mcm_dist import run_mcm_dist
 
     coo = rmat.er(scale=7, seed=3)
-    force_augment("path")
     mate_r, mate_c, stats = run_mcm_dist(coo, 2, 2, verify=True)
     assert stats.verify_summary is not None
     assert stats.verify_summary["collectives_checked"] > 0
-    assert stats.verify_summary["rma_ops_checked"] > 0
+    # every phase augments level-parallel: no one-sided access to check
+    assert stats.verify_summary["rma_ops_checked"] == 0
     assert (mate_r != -1).sum() == stats.final_cardinality
