@@ -11,17 +11,18 @@ rank-local objects of this package:
   owners (allgather down the grid column);
 * :func:`spmv_expanded` — the 2D minParent SpMV on an already expanded
   block frontier, in either direction: a local DCSC explode + pre-reduction
-  (top-down) or — given the block rows not yet seen visited — an early-exit
-  pull through the cached DCSC row-major mirror (bottom-up, the paper's
+  (top-down) or an early-exit pull through the cached DCSC row-major
+  mirror over the block rows not yet visited (bottom-up, the paper's
   stated future work), then the *fold* (all-to-all of partial winners
   along the grid row, each frame carrying the sender's block-frontier
   size, so the call also returns the global frontier size) → destination
-  reduction.  Both directions post the same fold and their fresh winners
-  are bit-identical, so each block may choose alone.  The fold delivers a
-  row to its vector owner, or — given the row block's mates — to its
-  *home*, the rank of the grid row sitting in its mate's column block (a
-  free row to every rank of the grid row); :func:`spmv` is :func:`expand`
-  followed by the owner fold;
+  reduction.  Both directions send the same candidates, so they post the
+  same fold and each block may choose alone.  The fold delivers a row to
+  its vector owner, or — given the row block's mates — to its *home*, the
+  rank of the grid row sitting in its mate's column block (a free row to
+  every rank of the grid row, a matched row's id to every other), so each
+  rank learns every row its grid row visited; :func:`spmv` is
+  :func:`expand` followed by the owner fold;
 * :func:`path_ends` — the (root, min row) pair per tree that Steps 5 and 6
   of MCM-DIST read;
 * :func:`hop_down_column` — Step 7 without a grid-wide exchange: the
@@ -143,45 +144,54 @@ def spmv_expanded(
     groots: np.ndarray,
     home: "np.ndarray | None" = None,
     unseen: "np.ndarray | None" = None,
+    pull: bool = False,
 ) -> tuple:
     """``f_r = A · f_c`` for an already expanded frontier: ``gcols``/``groots``
     are the (column, root) pairs of this rank's whole column block (what
-    :func:`expand` returns).
+    :func:`expand` returns).  ``unseen``, a boolean mask over the block's
+    rows, holds the rows with an edge not yet visited (None: every row).
 
     Local step, one of two (a block's choice, communication-free):
 
-    * *top-down* (``unseen`` None) — DCSC explode of the frontier columns
-      (select2nd: parent = column id), then the minParent pre-reduction
-      (CombBLAS does the same), reading every frontier edge of the block;
-    * *bottom-up* — ``unseen`` is a boolean mask over the block's rows,
-      covering every row with an edge not yet visited: each such row walks
-      its ascending row-major adjacency and stops at its first frontier
-      column, which is exactly the block's minParent winner for it.  Rows
-      outside the mask are visited already or have no edge here, so they
-      could only send candidates the fold's receivers would drop.
+    * *top-down* — DCSC explode of the frontier columns (select2nd: parent
+      = column id), then the minParent pre-reduction (CombBLAS does the
+      same), reading every frontier edge of the block; candidates for rows
+      outside ``unseen`` are dropped;
+    * *bottom-up* (``pull``) — each ``unseen`` row walks its ascending
+      row-major adjacency and stops at its first frontier column, which is
+      exactly the block's minParent winner for it.
 
-    Then fold and destination reduction along the grid row — the one
-    exchange of the call, to the vector owners or, given ``home``, row
-    block i's mates replicated along the grid row, to a matched row's home
-    (the rank sitting in its mate's column block) and a free row to every
-    rank of the grid row, so every rank reduces a free row's full candidate
-    set identically.  Every fold frame carries ``gcols.size``; the pc column
-    blocks of a grid row cover the frontier once, so the call returns (the
-    global frontier size, the edges this block read, the LOCAL rows it sent
-    a candidate for, ``f_r``'s rows ascending, parents, roots)."""
+    Both send one candidate per unseen row with a frontier edge, the same
+    one, so the fold below is the same in either direction and each block
+    may choose alone.  The fold and destination reduction run along the
+    grid row — the one exchange of the call — to the vector owners or,
+    given ``home``, row block i's mates replicated along the grid row, to a
+    matched row's home (the rank sitting in its mate's column block) and a
+    free row to every rank of the grid row, so every rank reduces a free
+    row's full candidate set identically; a matched row's id also reaches
+    every other rank of the grid row, so each learns every row the grid row
+    visits.  Every fold frame carries ``gcols.size``; the pc column blocks
+    of a grid row cover the frontier once, so the call returns (the global
+    frontier size, the edges this block read, the LOCAL rows known
+    visited after the fold — given ``home`` every row a block of the grid
+    row sent a candidate for, else this block's own — ``f_r``'s rows
+    ascending, parents, roots)."""
     grid = A.grid
-    with tspan(grid.comm, "spmv" if unseen is None else "spmv_bottomup"):
-        if unseen is None:
-            lrows, parents, roots = A.block.explode_cols(gcols - A.col_lo, gcols, groots)
-            scanned = lrows.size
-            lrows, parents, roots = reduce_candidates(lrows, parents, roots)
-        else:
+    with tspan(grid.comm, "spmv_bottomup" if pull else "spmv"):
+        if pull:
             root_of = np.full(A.block.ncols, NULL, dtype=np.int64)
             root_of[gcols - A.col_lo] = groots
             lrows, parents, roots, scanned = A.block.pull_rows(
                 np.flatnonzero(unseen), root_of, NULL
             )
             parents = parents + A.col_lo
+        else:
+            lrows, parents, roots = A.block.explode_cols(gcols - A.col_lo, gcols, groots)
+            scanned = lrows.size
+            lrows, parents, roots = reduce_candidates(lrows, parents, roots)
+            if unseen is not None:
+                keep = unseen[lrows]
+                lrows, parents, roots = lrows[keep], parents[keep], roots[keep]
         grows = lrows + A.row_lo
 
         # -- fold.  All my rows live in row block i, whose sub-chunks are owned
@@ -191,20 +201,25 @@ def spmv_expanded(
             if home is None:
                 sub, _block = A.row_vecmap.owner(grows)
                 total, *got = hop(grid.rowcomm, gcols.size, (sub, grows, parents, roots))
+                seen = lrows
             else:
                 mates = home[lrows]
                 free, m = mates == NULL, mates != NULL
-                total, *got = hop(
+                at = A.colmap.owner(mates[m])
+                # (rank, row) for every rank of the grid row but the row's home
+                told, which = np.nonzero(np.arange(grid.pc)[:, None] != at)
+                total, *got, heard = hop(
                     grid.rowcomm, gcols.size,
-                    (A.colmap.owner(mates[m]), grows[m], parents[m], roots[m]),
+                    (at, grows[m], parents[m], roots[m]), (told, grows[m][which]),
                     shared=(grows[free], parents[free], roots[free]),
                 )
                 # a row is free on every sender or on none, so each row's
                 # candidates still arrive in source-rank order
                 got = [np.concatenate(pair) for pair in zip(got[:3], got[3:])]
+                seen = np.concatenate((got[0], heard)) - A.row_lo
 
             # -- destination reduction: one winner per row across all blocks
-            return (total, scanned, lrows, *reduce_candidates(*got))
+            return (total, scanned, seen, *reduce_candidates(*got))
 
 
 def spmv(A: DistSparseMatrix, fc: DistVertexFrontier) -> DistVertexFrontier:

@@ -30,15 +30,21 @@ Step 1 SpMV, local + fold              :func:`repro.distmat.ops.spmv_expanded`
                                        allgather per phase; its frames carry
                                        the block-frontier sizes, summed the
                                        global frontier size
-Step 1, direction-optimized            the same call, given the block rows not
-                                       yet seen visited: an early-exit pull; under
+Step 1, direction-optimized            the same call, pulling early-exit over
+                                       the block rows with an edge that no
+                                       block of the grid row has visited — the
+                                       fold tells every rank of the grid row
+                                       what it visited; under
                                        ``direction="auto"`` each block pulls
                                        alone wherever that is expected to read
                                        fewer of its edges
                                        (:func:`~repro.matching.msbfs.pull_is_cheaper`)
                                        — no vote, both directions post the
-                                       one fold
-Steps 2–4 SELECT/SET                   local NumPy at home: π is a row-block
+                                       one fold, word for word
+Step 2 SELECT                          before the fold, in either direction:
+                                       a block sends candidates for those
+                                       unvisited rows only
+Steps 3–4 SET/split                    local NumPy at home: π is a row-block
                                        array, a matched row's entry current at
                                        its home, a free row's on every rank of
                                        the grid row
@@ -560,9 +566,9 @@ def mcm_dist_spmd(
             # phase's first column hop into the column replica
             stale = _stale(mate_c, mate_cblk)
             pi.local.fill(NULL)
-            # the block rows with an edge this rank has not seen visited — a
-            # superset of the unvisited ones that a pull can reach, which
-            # never needs a message to keep
+            # the block rows with an edge that no block of the grid row has
+            # visited: every fold tells each rank of the grid row the rows
+            # it visited
             unseen = degr > 0
             found: list[tuple] = []  # the grid's (root, row) path ends, per iteration
 
@@ -587,9 +593,8 @@ def mcm_dist_spmd(
                     pull = direction == "auto" and pull_is_cheaper(
                         int(degc[bcols - A.col_lo].sum()), A.block.nnz, A.block.row_degrees,
                         unseen)
-                    live, scanned, sent, rows, parents, roots = spmv_expanded(
-                        A, bcols, broots, home=mate_blk.local,
-                        unseen=unseen if pull else None,
+                    live, scanned, seen, rows, parents, roots = spmv_expanded(
+                        A, bcols, broots, home=mate_blk.local, unseen=unseen, pull=pull,
                     )
                     if live == 0:
                         # the last column hop left the frontier empty: this
@@ -602,15 +607,12 @@ def mcm_dist_spmd(
                     # the edges this block read: top-down, over the grid,
                     # the frontier's edges, each once
                     stats.edges_examined += scanned
-                    # a row with a candidate is visited by this iteration's end
-                    unseen[sent] = False
-                    # Step 2: SELECT unvisited rows — a pull's rows included:
-                    # another block's home may have visited them already
-                    fresh = pi.get_local(rows) == NULL
-                    rows, parents, roots = rows[fresh], parents[fresh], roots[fresh]
+                    # Step 2 SELECT ran before the fold: every block sent
+                    # candidates for unseen rows only, and a row with one is
+                    # visited by this iteration's end
+                    unseen[seen] = False
                     # Step 3: SET parents
                     pi.set_local(rows, parents)
-                    unseen[rows - A.row_lo] = False
                     # Step 4: split matched/unmatched.  A matched row is at
                     # home, so its mate lies in this rank's column block; the
                     # free rows — and so the path ends — are the grid row's,

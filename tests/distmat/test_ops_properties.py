@@ -79,7 +79,8 @@ def test_home_fold_lands_each_row_on_its_home(args, seed):
     """Given the row block's mates, the fold delivers a matched row's winner
     to its home — the rank of its grid row in its mate's column block — and
     nowhere else, and a free row's to every rank of its grid row; the
-    winners are the serial SpMV's."""
+    winners are the serial SpMV's, and every rank of a grid row learns each
+    row of its row block that got a candidate."""
     coo, pr, pc = args
     rng = np.random.default_rng(seed)
     fidx = np.flatnonzero(rng.random(coo.ncols) < 0.5)
@@ -93,9 +94,11 @@ def test_home_fold_lands_each_row_on_its_home(args, seed):
         A = DistSparseMatrix.scatter_from_root(grid, coo if comm.rank == 0 else None)
         probe = DistDenseVec(grid, coo.ncols, "col")
         mine = fidx[(fidx >= probe.lo) & (fidx < probe.hi)]
-        nfront, scanned, _, *fr = spmv_expanded(
+        nfront, scanned, seen, *fr = spmv_expanded(
             A, *expand(A, mine, mine), home=mates[A.row_lo:A.row_hi]
         )
+        reached = serial.idx[(serial.idx >= A.row_lo) & (serial.idx < A.row_hi)]
+        assert np.array_equal(np.unique(seen + A.row_lo), reached)
         return nfront, scanned, grid.i, grid.j, A.rowmap, A.colmap, fr
 
     got = {}
@@ -168,9 +171,10 @@ def _first_hits(block, rows, frontier):
 @given(coo_grid_and_state(), st.integers(0, 10_000))
 def test_distributed_bottomup_equals_filtered_topdown(args, seed):
     """A pull over any superset of the unvisited rows yields, on those rows,
-    the serial SpMV's winners — the invariant that lets every block choose
-    its direction alone — and each block reads its rows' edges only up to
-    their first frontier column."""
+    the serial SpMV's winners, and each block reads its rows' edges only up
+    to their first frontier column; a top-down step over the same mask
+    sends the same candidates — the invariant that lets every block choose
+    its direction alone."""
     coo, pr, pc, fidx, pi = args
     serial = CSC.from_coo(coo).spmv_frontier(
         VertexFrontier.roots_of_self(coo.ncols, fidx), SR_MIN_PARENT
@@ -186,11 +190,16 @@ def test_distributed_bottomup_equals_filtered_topdown(args, seed):
         probe = DistDenseVec(grid, coo.ncols, "col")
         mine = fidx[(fidx >= probe.lo) & (fidx < probe.hi)]
         mask = unseen[A.row_lo:A.row_hi].copy()
-        nfront, scanned, sent, *fr = spmv_expanded(A, *expand(A, mine, mine), unseen=mask)
+        front = expand(A, mine, mine)
+        nfront, scanned, sent, *fr = spmv_expanded(A, *front, unseen=mask, pull=True)
         hit, read = _first_hits(
             A.block, np.flatnonzero(mask), set((fidx - A.col_lo).tolist())
         )
         assert sent.tolist() == hit and scanned == read
+        _, _, td_sent, *td_fr = spmv_expanded(A, *front, unseen=mask)
+        assert td_sent.tolist() == hit
+        for got, want in zip(td_fr, fr):
+            np.testing.assert_array_equal(got, want)
         frontier = gather_frontier(DistVertexFrontier(grid, coo.nrows, "row", *fr))
         return nfront, frontier
 

@@ -4,14 +4,16 @@ Under the default ``direction="auto"`` every block pulls, with no
 communication, wherever the pull is expected to read fewer edges than its
 top-down explode: :func:`~repro.matching.msbfs.pull_is_cheaper`, whose
 estimate caps each unseen row's read at nnz/td, the edges a row walks
-before its first frontier column.  Both directions post the same fold, so
-the mates must be bit-identical to ``direction="topdown"`` on every graph,
-grid, backend and initializer, with the same phases and iterations and
-never more words or edges examined over the run.  An estimate can miss: a
-block-iteration may pull and read more than its explode would have (87 of
-14,880 did over a 168-run sweep, 113,986 edges over, in total), so what each
-block checks is that its choice is the rule's on the inputs it had, and
-that a pull reads no more than the edges of the rows it was handed.
+before its first frontier column.  Both directions send one candidate per
+unseen row with a frontier edge, the same one, and every fold tells each
+rank of the grid row the rows it visited, so the mates must be
+bit-identical to ``direction="topdown"`` on every graph, grid, backend and
+initializer, with the same phases, iterations and communication ledger,
+and never more edges examined over the run.  An estimate can miss: a
+block-iteration may pull and read more than its explode would have, so
+what each block checks is that its choice is the rule's on the inputs it
+had, that its mask holds exactly the rows with an edge its grid row has
+not visited, and that a pull reads no more than the edges of those rows.
 """
 
 import threading
@@ -62,19 +64,43 @@ def checked_blocks(monkeypatch):
     unseen mask, which covers rows with an edge only — and that a pull read
     no more than the edges of the rows it was handed; returns the list of
     (pulled, edges read) calls.  Forked ranks inherit the wrappers, and a
-    failed check fails their job."""
+    failed check fails their job.  On the thread backend, where a rank
+    sees the rows its grid row's folds delivered, each also checks that
+    its mask is exactly the block rows with an edge that no fold of the
+    phase delivered before: no row a block is handed was visited."""
     calls = []
     asked = threading.local()  # the rule's last inputs and answer, per rank
     rule, spmv = mcm_dist.pull_is_cheaper, mcm_dist.spmv_expanded
+    # each rank's phase, and per (rank, phase) the rows each of its folds
+    # delivered.  A fold returns only once every rank of the grid row has
+    # posted it, so by then each peer has recorded its earlier iterations
+    phase_of, delivered = {}, {}
+    boundary = mcm_dist.phase_boundary
+
+    def marked(grid, stats, phase_no, **kw):
+        boundary(grid, stats, phase_no, **kw)
+        phase_of[grid.rank] = phase_no
+        delivered[grid.rank, phase_no] = []
+
+    def check_mask(A, unseen, rows):
+        rank, n = A.grid.rank, phase_of[A.grid.rank]
+        mine = delivered[rank, n]
+        peers = [(A.grid.i * A.grid.pc + j, n) for j in range(A.grid.pc)]
+        if unseen is not None and all(peer in delivered for peer in peers):
+            visited = [r for peer in peers for r in delivered[peer][:len(mine)]]
+            want = A.block.row_degrees() > 0
+            want[np.concatenate([np.empty(0, np.int64), *visited]) - A.row_lo] = False
+            np.testing.assert_array_equal(unseen, want, err_msg=f"rank {rank}")
+        mine.append(rows)
 
     def recorded_rule(td, nnz, degrees, unseen):
         answer = rule(td, nnz, degrees, unseen)
         asked.last = (td, nnz, unseen.copy(), answer)
         return answer
 
-    def checked(A, gcols, groots, home=None, unseen=None):
-        out = spmv(A, gcols, groots, home=home, unseen=unseen)
-        pulled = unseen is not None
+    def checked(A, gcols, groots, home=None, unseen=None, pull=False):
+        out = spmv(A, gcols, groots, home=home, unseen=unseen, pull=pull)
+        check_mask(A, unseen, out[3])
         last, asked.last = getattr(asked, "last", None), None
         if last is not None:  # "auto": the rule chose
             td, nnz, mask, answer = last
@@ -82,16 +108,17 @@ def checked_blocks(monkeypatch):
             assert td == int(A.block.col_degrees()[gcols - A.col_lo].sum())
             assert nnz == A.block.nnz
             assert degr[mask].all()
-            assert pulled == answer == (td > 0 and _expected_read(td, nnz, degr, mask) < td)
-            if pulled:
+            assert pull == answer == (td > 0 and _expected_read(td, nnz, degr, mask) < td)
+            if pull:
                 np.testing.assert_array_equal(unseen, mask)
-        if pulled:
+        if pull:
             assert out[1] <= int(A.block.row_degrees()[unseen].sum()), (A.grid.rank, out[1])
-        calls.append((pulled, out[1]))
+        calls.append((pull, out[1]))
         return out
 
     monkeypatch.setattr(mcm_dist, "pull_is_cheaper", recorded_rule)
     monkeypatch.setattr(mcm_dist, "spmv_expanded", checked)
+    monkeypatch.setattr(mcm_dist, "phase_boundary", marked)
     return calls
 
 
@@ -172,7 +199,9 @@ def test_default_direction_equals_topdown(name, pr, pc, backend, checked_blocks)
         np.testing.assert_array_equal(au_r, td_r, err_msg=init)
         np.testing.assert_array_equal(au_c, td_c, err_msg=init)
         assert _counts(au) == _counts(td), init
-        assert au.ledger()[1] <= td.ledger()[1], init
+        # one wire for both directions: only the edges read may differ
+        assert au.comm_by_alg == td.comm_by_alg, init
+        assert (au.frames, au.frame_words) == (td.frames, td.frame_words), init
         assert au.edges_examined <= td.edges_examined, init
         p = pr * pc
         assert td.bottomup_steps == 0 and td.topdown_steps == td.iterations * p
@@ -196,25 +225,27 @@ def test_road_core_never_pulls():
     assert au.comm_by_alg == td.comm_by_alg
 
 
-def test_a_block_pulls_a_row_another_block_visited(monkeypatch):
+def test_a_block_never_pulls_a_row_its_grid_row_visited(monkeypatch):
     """1x2 grid, column blocks {0, 1} and {2, 3}, in the caller's ids (no
     relabel), resumed from a matching row 0 – column 2, row 1 – column 0.
 
     Iteration 1: free column 3 reaches rows 0 and 1 in block 1.  Row 0 is
-    homed in block 1 (its mate, column 2, lies there), so block 0 never
-    hears of it.  Iteration 2: column 0 (row 1's mate) is on block 0's
-    frontier, and block 0 — whose one unseen row with an edge, row 0, is
-    expected to read one edge, fewer than column 0's two — pulls row 0
-    again.  Its home drops the candidate; the mates are top-down's."""
+    homed in block 1 (its mate, column 2, lies there), and its id reaches
+    block 0 through the same fold.  Iteration 2: column 0 (row 1's mate)
+    is on block 0's frontier, and block 0 — whose rows with an edge, 0 and
+    1, are both visited — pulls nothing: its mask is empty, so it reads no
+    edge and sends no candidate for row 0.  The mates are top-down's."""
     edges = [(0, 3), (1, 3), (0, 0), (0, 2), (1, 0), (2, 2)]
     coo = coo_from_edges(3, 4, edges)
     seen = {}
     spmv = mcm_dist.spmv_expanded
 
-    def recorded(A, gcols, groots, home=None, unseen=None):
-        out = spmv(A, gcols, groots, home=home, unseen=unseen)
-        _, _, sent, rows, _, _ = out
-        seen.setdefault(A.grid.rank, []).append((unseen is not None, sent.tolist(), rows.tolist()))
+    def recorded(A, gcols, groots, home=None, unseen=None, pull=False):
+        handed = np.flatnonzero(unseen).tolist()
+        out = spmv(A, gcols, groots, home=home, unseen=unseen, pull=pull)
+        _, scanned, known, rows, _, _ = out
+        seen.setdefault(A.grid.rank, []).append(
+            (pull, handed, scanned, sorted(known.tolist()), rows.tolist()))
         return out
 
     def solve(direction):
@@ -231,12 +262,12 @@ def test_a_block_pulls_a_row_another_block_visited(monkeypatch):
     monkeypatch.setattr(mcm_dist, "spmv_expanded", recorded)
     au_r, au_c, au = solve("auto")
     # iteration 1: row 0 reaches its home, block 1, and row 1 its home,
-    # block 0, which sends nothing itself
-    assert seen[1][0][2] == [0] and seen[0][0] == (False, [], [1])
-    # iteration 2: block 0 pulls and sends row 0 again; block 1 receives it
-    # (its home drops it) beside the free row 2 both blocks reach
-    assert seen[0][1][:2] == (True, [0])
-    assert seen[1][1][2] == [0, 2]
+    # block 0, which sends nothing itself yet learns both are visited
+    assert seen[1][0][4] == [0] and seen[0][0][2:] == (0, [0, 1], [1])
+    # iteration 2: block 0 pulls over an empty mask; block 1 receives only
+    # the free row 2 both blocks reach
+    assert seen[0][1][:3] == (True, [], 0)
+    assert seen[1][1][4] == [2]
     np.testing.assert_array_equal(au_r, td_r)
     np.testing.assert_array_equal(au_c, td_c)
     assert au_r.tolist() == [3, 0, 2]

@@ -38,8 +38,9 @@ def test_plain_run_carries_no_checkpoint_traffic(no_handoff):
     # left the closing allgather — the last figure then left that gather's
     # words out, and the ledger's words count them; 230, 214, 3,448, 3,396
     # and 28 barriers while phases of k < 2p² paths walked them on an RMA
-    # window)
-    assert _ledger(stats) == (211, 209, 3_435, 3_390)
+    # window; 3,435 / 3,390 before each fold told the grid row the rows it
+    # visited)
+    assert _ledger(stats) == (211, 209, 3_458, 3_413)
     # no snapshot and no window: not one barrier
     assert "barrier:dissemination" not in stats.comm_by_alg
     assert stats.restart_spans == ()
@@ -68,8 +69,9 @@ def test_allowing_restarts_costs_exactly_the_snapshots(no_handoff):
     # range's width; 4,581 / 4,116 before the counters left the closing
     # allgather, the last figure without that gather's words; 302, 268,
     # 4,566, 4,344 while an RMA window's barriers and nine counters rode
-    # along)
-    assert _ledger(stats) == (283, 263, 4_508, 4_302)
+    # along; 4,508 / 4,302 before each fold told the grid row the rows it
+    # visited)
+    assert _ledger(stats) == (283, 263, 4_531, 4_325)
     # one closing barrier per snapshot and per rank, and no other
     assert stats.comm_by_alg["barrier:dissemination"]["calls"] == 3 * 4
 

@@ -441,9 +441,10 @@ def test_id_order_reproduces_parent_fingerprints(e2e_workloads, workload, pr, pc
 #: three-hop level step and the schedule around the loop named above); the
 #: shipped rule hands the road core off after phase 1's BFS.  On the ER core the
 #: wide last levels pull where that is expected to read fewer edges
-#: (3,168,366 edges examined top-down; 1,500,647 when a block pulled only
-#: where its unseen rows' whole adjacency was smaller); on the road core no
-#: block ever pulls
+#: (3,168,366 edges examined top-down; 927,912 while a block could pull a
+#: row another block of its grid row had visited; 1,500,647 when a block
+#: pulled only where its unseen rows' whole adjacency was smaller); on the
+#: road core no block ever pulls
 RELABELED_ROAD = ("d03154f77207efa32f250c75fa249fe1b5fb42c2c23416c58917964291c53ad5",
                   (5, 89, 47_630, 5_840))
 FINGERPRINTS = [
@@ -452,7 +453,7 @@ FINGERPRINTS = [
     pytest.param(
         "mcm_bulk_t4", 2, 2,
         "d8198654c0268f9ae57ef9c2dbd5f97df347d5bd5ad4130d5fa485f30993b0ed",
-        (7, 24, 927_912, 32_832), 135, id="er15-2x2",
+        (7, 24, 825_647, 32_832), 135, id="er15-2x2",
     ),
 ]
 
@@ -480,15 +481,16 @@ def test_parent_fingerprints(e2e_workloads, workload, pr, pc, sha, counts, steps
 #: whose last phase starts with every column matched, 4 of 8 (1,328 edges
 #: and none before), and its one augmenting phase is a level call (it was
 #: path-parallel, 12 one-sided operations, while the engine switched on
-#: k < 2p²)
+#: k < 2p²).  498 and 33,699 edges while a block could pull a row another
+#: block of its grid row had visited
 BENCH_FINGERPRINTS = [
     pytest.param(
         7, 2, 2, "c34170076df42172b0fca99b72534ba475f505467088719ddca76ba8742af972",
-        (2, 2, 498, 4, 1), id="er7-2x2",
+        (2, 2, 453, 4, 1), id="er7-2x2",
     ),
     pytest.param(
         9, 3, 3, "ccc5db37a4504660df6bc7f520a68e09a4dfc3118ba432190c0e0f4d1dc9a86b",
-        (4, 8, 33_699, 27, 1), id="er9-3x3",
+        (4, 8, 32_983, 27, 1), id="er9-3x3",
     ),
 ]
 
