@@ -45,7 +45,7 @@ ALLOWLIST: dict[str, str] = {
     "repro.perfmodel.collectives.spmv_expand": "the paper's §IV-B expand cost",
     "repro.perfmodel.collectives.spmv_fold": "the paper's §IV-B fold cost",
     "repro.runtime.rma.Window.put":
-        "the runtime Window stays whole while the e2e harness times it (ROADMAP item 1)",
+        "the runtime Window stays whole while the e2e harness times it (ROADMAP item 26)",
 }
 
 

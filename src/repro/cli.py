@@ -159,8 +159,7 @@ def cmd_spmd(args) -> int:
         plan = FaultPlan.parse(args.chaos_plan, seed=args.chaos)
         store = FileCheckpointStore(args.checkpoint_dir) if args.checkpoint_dir else None
         run_kwargs.update(
-            faults=plan, checkpoint_every=args.checkpoint_every,
-            checkpoint_store=store, max_restarts=args.max_restarts,
+            faults=plan, checkpoint_store=store, max_restarts=args.max_restarts,
         )
     if weighted:
         from .graphs.generators import edge_weights
@@ -357,8 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "single run; ignores the input-graph flags")
     p.add_argument("--scenario-requests", type=int, default=None, metavar="N",
                    help="override the scenario's request-stream length")
-    p.add_argument("--checkpoint-every", type=int, default=1, metavar="N",
-                   help="snapshot the matching every N completed phases")
     p.add_argument("--max-restarts", type=int, default=8, metavar="M",
                    help="give up after M fabric rebuilds")
     p.add_argument("--checkpoint-dir", default=None, metavar="DIR",

@@ -67,10 +67,6 @@ class DistDenseVec:
         """Write values at global indices that THIS rank owns."""
         self.local[np.asarray(g, np.int64) - self.lo] = values
 
-    def to_global(self) -> np.ndarray:
-        """Gather the full vector on every rank (collective)."""
-        return self.assemble(self.grid.comm.allgather((self.lo, self.local)))
-
     def assemble(self, pieces: "list[tuple[int, np.ndarray]]") -> np.ndarray:
         """The full vector from every rank's ``(lo, local)`` piece."""
         out = np.full(self.n, NULL, dtype=np.int64)

@@ -9,10 +9,12 @@ here once:
   (:meth:`DistStats.price`);
 * :func:`phase_boundary` — progress marker, per-phase ledger and
   phase-boundary crash point;
-* :func:`tail_is_cheaper` — the priced rule that hands a job's thin end
-  to a serial solve replicated on every rank, asked with the
-  :class:`JobSteps` the job has paid;
-* :func:`save_checkpoint` — the single-writer, barrier-closed snapshot write;
+* :class:`Job` — what a job carries across a restart: the steps it has
+  paid, which :func:`tail_is_cheaper` — the priced rule that hands a job's
+  thin end to a serial solve replicated on every rank — is asked with, and
+  its counters; and the one snapshot protocol (:meth:`Job.snapshot`: one
+  grid allgather, then :func:`save_checkpoint`, the single-writer,
+  barrier-closed write);
 * :func:`snapshot_ledger` / :func:`merge_by_alg` — the per-rank ledger
   snapshot and its communication-free driver-side fold;
 * :func:`launch` — the only driver: launch on a pr × pc grid, sum every
@@ -44,6 +46,7 @@ from ..runtime import (
     resolve_timeout,
     spmd,
 )
+from ..runtime.trace import tspan
 
 
 @dataclass
@@ -166,32 +169,83 @@ def ledger_totals(grid: ProcGrid) -> tuple[int, int]:
     return tuple(sum(d[k] for t in tables for d in t.values()) for k in ("steps", "words"))
 
 
-class JobSteps:
-    """The latency steps on this rank's ledger since the job began: the
-    rent :func:`tail_is_cheaper` is asked with.  A checkpoint's own
-    collectives stay out of it (:meth:`checkpoint`), and every snapshot
-    carries it: an attempt resumed from ``resume`` starts its ledger at
-    zero and books the set-up again, so it counts on from the snapshot's
-    steps, from the end of its set-up (the first attempt counted the set-up
-    once).  A restarted job and a job given a store thus ask the rule with
-    the plain run's numbers."""
+#: the per-rank counters :func:`launch` sums over the ranks (besides the
+#: ``comm_by_alg`` tables and the phase ledger)
+SUMMED = ("comm_messages", "frames", "frame_words", "expand_words", "fold_words",
+          "edges_examined", "init_edges", "price_updates", "topdown_steps", "bottomup_steps")
 
-    def __init__(self, grid: ProcGrid, resume: "Checkpoint | None" = None) -> None:
-        self.grid = grid
-        held = (resume.aux or {}).get("steps") if resume is not None else None
-        self.offset = 0 if held is None else int(held) - ledger_totals(grid)[0]
+#: the counters a snapshot carries, so that a resumed job reports the
+#: fault-free job's: one in :data:`SUMMED` is the grid's sum in the
+#: snapshot and comes back on rank 0 only (:func:`launch` adds every rank's
+#: since the resume), any other is replicated and comes back on every rank
+CARRIED = ("iterations", "augment_level_calls", "initial_cardinality", "auction_rounds",
+           "bids_placed", "edges_examined", "init_edges", "bottomup_steps", "price_updates")
 
-    def total(self) -> int:
+
+class Job:
+    """What a rank's job carries across a restart, and its one snapshot
+    protocol (:meth:`snapshot`).
+
+    :meth:`steps` is the latency steps on this rank's ledger since the job
+    began: the rent :func:`tail_is_cheaper` is asked with.  A snapshot's own
+    collectives stay out of it, and every snapshot carries it: an attempt
+    resumed from ``resume`` starts its ledger at zero and books the set-up
+    again, so it counts on from the snapshot's steps, from the end of its
+    set-up (the first attempt counted the set-up once).  The snapshot also
+    carries the :data:`CARRIED` counters of ``stats``, which a resume
+    restores.  A restarted job and a job given a store thus ask the rule
+    with the plain run's numbers and report its counters.  ``stamp`` rides
+    every snapshot as extra ``aux`` arrays."""
+
+    def __init__(self, grid: ProcGrid, stats: DistStats, store: "CheckpointStore | None" = None,
+                 resume: "Checkpoint | None" = None,
+                 stamp: "dict[str, np.ndarray] | None" = None) -> None:
+        self.grid, self.stats, self.store, self.stamp = grid, stats, store, stamp or {}
+        held = (resume.aux or {}) if resume is not None else {}
+        self.offset = int(held["steps"]) - ledger_totals(grid)[0] if "steps" in held else 0
+        for name, value in zip(CARRIED, held.get("counts", ())):
+            if grid.comm.rank == 0 or name not in SUMMED:
+                setattr(stats, name, int(value))
+
+    def steps(self) -> int:
         return ledger_totals(self.grid)[0] + self.offset
 
-    @contextlib.contextmanager
-    def checkpoint(self, aux: dict):
-        """A snapshot's body: ``aux`` gets the steps paid so far, and the
-        body's own steps are not the job's."""
-        before = self.total()
-        aux["steps"] = np.array(before)
-        yield
-        self.offset -= self.total() - before
+    def counts(self) -> np.ndarray:
+        """This rank's :data:`CARRIED` counters."""
+        return np.array([getattr(self.stats, name) for name in CARRIED], np.int64)
+
+    def snapshot(self, phase: int, lo: int, mate: np.ndarray,
+                 aligned: "dict[str, np.ndarray] | None" = None, *,
+                 counts: "list[np.ndarray] | None" = None, **fixed: np.ndarray) -> None:
+        """Snapshot the job after a completed ``phase`` when it has a store
+        (a no-op without one): one grid allgather of every rank's slice of
+        the mate vector, starting at global index ``lo`` — the slices tile
+        the vector, and a rank holding a replica of another's contributes
+        an empty one — with the ``aligned`` arrays sliced alike and its
+        :meth:`counts`, then :func:`save_checkpoint`.  ``fixed`` arrays are
+        replicated state, saved as this rank holds them.  Given ``counts``
+        — every rank's :meth:`counts`, riding a grid allgather the caller
+        makes anyway — ``mate`` is whole on every rank, and the snapshot is
+        the write alone."""
+        if self.store is None:
+            return
+        grid, aligned = self.grid, aligned or {}
+        with tspan(grid.comm, "checkpoint", cat="phase", phase=phase):
+            before = self.steps()
+            if counts is None:
+                pieces = grid.comm.allgather((lo, mate, *aligned.values(), self.counts()))
+                counts = [piece[-1] for piece in pieces]
+                ordered = sorted(pieces, key=lambda piece: piece[0])
+                mate, *arrays = (np.concatenate([piece[k] for piece in ordered])
+                                 for k in range(1, len(aligned) + 2))
+                aligned = dict(zip(aligned, arrays))
+            ck = Checkpoint(phase, mate, {
+                **self.stamp, **aligned, **fixed,
+                "counts": np.where(np.isin(CARRIED, SUMMED), sum(counts), self.counts()),
+                "steps": np.array(before),
+            })
+            save_checkpoint(grid, self.store, ck)
+            self.offset -= self.steps() - before
 
 
 def phase_boundary(
@@ -223,7 +277,7 @@ def tail_is_cheaper(steps: int, p: int, words: int, nnz: int, saved: float = 0.0
     (:meth:`~repro.perfmodel.machine.MachineSpec.price`, per rank): finish
     the job on a serial solve replicated on all ``p`` ranks iff the rent
     the job has paid — ``steps``, every latency step on a rank's ledger
-    since the job began (:class:`JobSteps`) — costs at least one read of
+    since the job began (:meth:`Job.steps`) — costs at least one read of
     all ``nnz`` edges and, with ``saved`` (the price of what handing off
     skips at once), more than the purchase: one grid allgather of
     ``words`` words (recursive doubling: ⌈log₂ p⌉ steps, ``words``·(p−1)/p
@@ -245,20 +299,16 @@ def tail_is_cheaper(steps: int, p: int, words: int, nnz: int, saved: float = 0.0
     tail is rounds, not phases).  MWM-DIST's tail splits each phase-end's
     read p ways, so the γ·``nnz`` term overprices its purchase; it is left
     as is on purpose, since re-pricing it moves hand-off rounds and needs
-    the hand-off sweep.  One-sided ops are not on the ledger, so
-    the rule fires no earlier than one that also charged them would; a 1x1
-    grid's ledger holds no step (not even its splits'), so it never fires
-    there."""
+    the hand-off sweep.  No engine makes a one-sided op, so the
+    ledger holds every step a job pays; a 1x1 grid's ledger holds no step
+    (not even its splits'), so it never fires there."""
     cost = EDISON.price(1, (p - 1).bit_length(), words * (p - 1) / p, nnz)
     spent = EDISON.price(1, steps).total
     return spent >= cost.gamma_s and spent + saved > cost.total
 
 
-def save_checkpoint(
-    grid: ProcGrid, store: CheckpointStore, ck: Checkpoint, stats: DistStats
-) -> None:
-    """Write one snapshot every rank has assembled (collectively, inside the
-    engine's ``checkpoint`` span).
+def save_checkpoint(grid: ProcGrid, store: CheckpointStore, ck: Checkpoint) -> None:
+    """Write one snapshot every rank has assembled (:meth:`Job.snapshot`).
 
     Only rank 0 writes to the store, so file-backed stores see one writer.
     The closing barrier orders the write against every peer's progress: no
@@ -270,7 +320,6 @@ def save_checkpoint(
     if grid.comm.rank == 0:
         store.save(ck)
     grid.comm.barrier()
-    stats.checkpoint_words += ck.words
 
 
 def _add_by_alg(into: dict, table: "dict | None") -> None:
@@ -305,12 +354,6 @@ def snapshot_ledger(grid: ProcGrid, stats: DistStats) -> None:
 # the driver
 # ---------------------------------------------------------------------------
 
-#: the per-rank counters :func:`launch` sums over the ranks (besides the
-#: ``comm_by_alg`` tables and the phase ledger)
-SUMMED = ("comm_messages", "frames", "frame_words", "expand_words", "fold_words",
-          "edges_examined", "init_edges", "price_updates", "topdown_steps", "bottomup_steps")
-
-
 def merge_by_alg(rank_values) -> dict[str, dict[str, int]]:
     """Driver-side fold of per-rank ``(mate_r, mate_c, stats)`` tuples'
     local ``comm_by_alg`` tables into the grid-wide table (pure local
@@ -321,14 +364,21 @@ def merge_by_alg(rank_values) -> dict[str, dict[str, int]]:
     return merged
 
 
+def _rank_main(comm, engine: Callable[..., Any], job_args: tuple, pr: int, pc: int,
+               **kwargs: Any):
+    """Every rank's entry point: ``engine`` with the job's data on rank 0
+    only (a module-level function, so a process backend can pickle it)."""
+    data = job_args if comm.rank == 0 else (None,) * len(job_args)
+    return engine(comm, *data, pr, pc, **kwargs)
+
+
 def launch(
-    rank_main: Callable[..., Any],
+    engine: Callable[..., Any],
     job_args: tuple,
     pr: int,
     pc: int,
     *,
     faults: "FaultPlan | FaultInjector | str | None" = None,
-    checkpoint_every: int = 1,
     checkpoint_store: "CheckpointStore | None" = None,
     max_restarts: int = 0,
     timeout: "float | None" = None,
@@ -337,22 +387,23 @@ def launch(
     backend: "str | None" = None,
     **alg_kwargs: Any,
 ):
-    """Run ``rank_main(comm, *job_args, pr, pc, **alg_kwargs)`` on a pr × pc
-    grid and return rank 0's ``(mate_r, mate_c, stats)`` with every
+    """Run ``engine(comm, *job_args, pr, pc, **alg_kwargs)`` on a pr × pc
+    grid — ``job_args`` on rank 0, ``None`` for each on every other rank —
+    and return rank 0's ``(mate_r, mate_c, stats)`` with every
     per-rank counter summed over the ranks (the ledgers, edge reads, price
     updates, block-iteration tally) — the one
     launch-and-merge body under
     :func:`~repro.matching.mcm_dist.run_mcm_dist` and
     :func:`~repro.matching.mwm_dist.run_mwm_dist`.
 
-    ``rank_main`` must accept ``checkpoint_every`` / ``checkpoint_store`` /
-    ``resume`` and snapshot at phase boundaries when given a store.  A
+    ``engine`` must accept ``checkpoint_store`` / ``resume`` and, given a
+    store, snapshot every phase boundary through :meth:`Job.snapshot`.  A
     store exists iff the caller passes one or allows restarts
     (``max_restarts > 0``, which creates one the ranks of the resolved
     backend can reach: in memory for threads, a ``FileCheckpointStore`` in a
     temporary directory removed on exit for processes); without a store
-    the rank mains receive ``checkpoint_every=0, checkpoint_store=None,
-    resume=None`` and the run carries no checkpoint traffic at all.
+    the engine receives ``checkpoint_store=None, resume=None`` and the run
+    carries no checkpoint traffic at all.
 
     When an attempt fails with one of
     :data:`~repro.runtime.executor.RECOVERABLE_ERRORS` and restarts remain,
@@ -427,10 +478,9 @@ def launch(
             resume_phase = resume.phase if resume is not None else 0
             try:
                 result = spmd(
-                    pr * pc, rank_main, *job_args, pr, pc,
+                    pr * pc, _rank_main, engine, job_args, pr, pc,
                     timeout=timeout, verify=verify, faults=injector,
                     trace=trace, backend=resolved_backend,
-                    checkpoint_every=checkpoint_every if store is not None else 0,
                     checkpoint_store=store,
                     resume=resume,
                     **alg_kwargs,

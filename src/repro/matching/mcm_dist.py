@@ -100,7 +100,7 @@ gather onto one node (§VI-E, Fig. 9)   the tail hand-off, asked after each
                                        each iteration pulling where the
                                        blocks' rule would; no collective
                                        follows the gather but the hand-off
-                                       snapshot's barrier
+                                       snapshot's barrier, given a store
 distributed maximal matching [21]      :func:`proposal_rounds_spmd` — greedy
                                        only (the serial engine keeps
                                        Karp-Sipser and dynamic mindegree for
@@ -130,8 +130,10 @@ simulated ranks and returns globally assembled mate vectors: a job that
 hands off has them from the tail's gather, one that does not closes on
 one grid allgather of the mate slices, and neither collective carries a
 counter.  What the engine does around its phase loop — launch and
-recovery, the counters' sums, the checkpoint write and ledger — is the
-job shell it shares with MWM-DIST (:mod:`repro.matching.job`).
+recovery, the counters' sums, the snapshot (one grid allgather of the
+``mate_r`` slices and the job's counters, and a barrier; a resume inverts
+it for ``mate_c``) and the ledger — is the job shell it shares with
+MWM-DIST (:mod:`repro.matching.job`).
 """
 
 from __future__ import annotations
@@ -160,15 +162,7 @@ from ..sparse.semiring import reduce_candidates
 from ..sparse.spvec import NULL
 from ..perfmodel.machine import EDISON
 from .augment import augment_level_parallel
-from .job import (
-    DistStats,
-    JobSteps,
-    launch,
-    phase_boundary,
-    save_checkpoint,
-    snapshot_ledger,
-    tail_is_cheaper,
-)
+from .job import DistStats, Job, launch, phase_boundary, snapshot_ledger, tail_is_cheaper
 from .msbfs import MatchingStats, mcm_phase_loop, pull_is_cheaper
 
 
@@ -328,36 +322,6 @@ def augment_cost(depth: np.ndarray, pr: int, pc: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# phase-granular checkpointing
-# ---------------------------------------------------------------------------
-
-#: the counters a snapshot carries (``aux["counts"]``), summed over the
-#: ranks: the first three are replicated, so rank 0 alone contributes them,
-#: and a resumed rank 0 takes them all back — a restarted job reports the
-#: fault-free job's counters
-_COUNTED = ("iterations", "augment_level_calls", "initial_cardinality", "edges_examined",
-            "init_edges", "bottomup_steps")
-
-
-def _checkpoint(grid: ProcGrid, store: CheckpointStore, phase: int, mate_r: DistDenseVec,
-                mate_c: DistDenseVec, counts: np.ndarray, stats: DistStats,
-                aux: "dict[str, np.ndarray] | None", rent: JobSteps) -> None:
-    """Snapshot the globally assembled matching after a completed phase
-    (the assembly is two allgathers on the grid communicator, this rank's
-    ``counts`` riding the first; the write protocol is
-    :func:`~repro.matching.job.save_checkpoint`), stamped with the caller's
-    ``aux``, the job's counters summed over the ranks and the steps it has
-    paid (``rent``, which the snapshot's own collectives stay out of)."""
-    aux = dict(aux or {})
-    with tspan(grid.comm, "checkpoint", cat="phase", phase=phase), rent.checkpoint(aux):
-        pieces = grid.comm.allgather((mate_r.lo, mate_r.local, counts))
-        aux["counts"] = sum(piece[2] for piece in pieces)
-        ck = Checkpoint(phase, mate_r.assemble([piece[:2] for piece in pieces]),
-                        mate_c.to_global(), aux)
-        save_checkpoint(grid, store, ck, stats)
-
-
-# ---------------------------------------------------------------------------
 # the SPMD algorithm
 # ---------------------------------------------------------------------------
 
@@ -443,7 +407,6 @@ def mcm_dist_spmd(
     *,
     init: str = "greedy",
     direction: str = "auto",
-    checkpoint_every: int = 0,
     checkpoint_store: "CheckpointStore | None" = None,
     resume: "Checkpoint | None" = None,
     checkpoint_aux: "dict[str, np.ndarray] | None" = None,
@@ -462,7 +425,7 @@ def mcm_dist_spmd(
     (:func:`augment_level_spmd`), PRUNEs every iteration and reduces
     candidates under minParent.  After every BFS
     that found paths, :func:`tail_is_cheaper` prices the job's latency
-    steps so far (:class:`~repro.matching.job.JobSteps`), this phase's
+    steps so far (:meth:`~repro.matching.job.Job.steps`), this phase's
     augmentation included (:func:`augment_cost`), and the augmentation a
     hand-off would skip against gathering the graph and π: once it fires,
     the grid does not augment — every rank applies the phase's paths
@@ -471,18 +434,19 @@ def mcm_dist_spmd(
 
     Checkpoint/restart (driven by :func:`~repro.matching.job.launch`, which
     passes a store only when the caller gave one or allowed restarts): with
-    ``checkpoint_store`` set, the job snapshots the globally assembled
-    mate vectors after the initializer, after every
-    ``checkpoint_every``-th completed phase and, inside the tail, after the
-    phase that hands off, whose serial phases write none — each completed
-    phase is a valid matching, so any snapshot is a correct restart point.
-    Every snapshot carries the job's counters (:data:`_COUNTED`) and the
-    steps it has paid, so a restarted job hands off where the fault-free
-    one does and reports its counters.  Without a store no
+    ``checkpoint_store`` set, the job snapshots ``mate_r`` through
+    :meth:`~repro.matching.job.Job.snapshot` after the initializer and
+    after every phase the grid completes — each is a valid matching, so
+    any snapshot is a correct restart point — and, inside the tail, after
+    the phase that hands off, marked so that a resume goes straight back
+    to the tail, whose serial phases write none.  Every snapshot carries
+    the job's counters and the steps it has paid, so a restarted job hands
+    off where the fault-free one does and reports its counters.  Without a store no
     checkpoint collective runs at all.  With ``resume`` set, the
     initializer is skipped and the phase loop continues from the
-    checkpointed matching.  ``checkpoint_aux`` rides every snapshot as its
-    ``aux`` (:func:`run_mcm_dist` stamps its relabel seed there), and
+    checkpointed matching, ``mate_c`` its inverse.  ``checkpoint_aux``
+    rides every snapshot in its ``aux`` (:func:`run_mcm_dist` stamps its
+    relabel seed there), and
     ``row_labels`` / ``col_labels`` map each row / column to the caller's
     id for diagnostics.
     """
@@ -503,26 +467,18 @@ def mcm_dist_spmd(
     mate_blk = BlockVec(grid, A.nrows)
     mate_cblk = BlockVec(grid, A.ncols, "col")
     stats = DistStats()
-
-    def counts() -> np.ndarray:
-        """This rank's share of the snapshot counters (:data:`_COUNTED`)."""
-        own = np.array([getattr(stats, name) for name in _COUNTED], np.int64)
-        own[:3] *= grid.rank == 0
-        return own
-
-    # the steps the job has paid, which the hand-off rule is asked with
-    rent = JobSteps(grid, resume)
+    # the steps the job has paid, which the hand-off rule is asked with, its
+    # counters and its snapshots
+    job = Job(grid, stats, checkpoint_store, resume, checkpoint_aux)
     if resume is not None:
-        # restart path: the checkpointed matching replaces the initializer,
-        # and the counters take up where the snapshot left them (a snapshot
-        # without them: the initial matching is the checkpointed one)
-        mate_r.local[:] = resume.mate_row[mate_r.lo:mate_r.hi]
-        mate_c.local[:] = resume.mate_col[mate_c.lo:mate_c.hi]
-        mate_cblk.local[:] = resume.mate_col[mate_cblk.lo:mate_cblk.hi]
-        stats.initial_cardinality = int(np.count_nonzero(resume.mate_row != NULL))
-        held = list(zip(_COUNTED, (resume.aux or {}).get("counts", [])))
-        for name, value in held[:None if grid.rank == 0 else 3]:
-            setattr(stats, name, int(value))
+        # restart path: the checkpointed matching replaces the initializer
+        # (the counters came back with the job), its column side inverted
+        mate_r.local[:] = resume.mate[mate_r.lo:mate_r.hi]
+        g_c = np.full(A.ncols, NULL)
+        matched = np.flatnonzero(resume.mate != NULL)
+        g_c[resume.mate[matched]] = matched
+        mate_c.local[:] = g_c[mate_c.lo:mate_c.hi]
+        mate_cblk.local[:] = g_c[mate_cblk.lo:mate_cblk.hi]
     elif init == "greedy":
         with tspan(grid.comm, "init:greedy", cat="phase"):
             stats.initial_cardinality, stats.init_edges = proposal_rounds_spmd(
@@ -530,10 +486,9 @@ def mcm_dist_spmd(
             )
     elif init not in (None, "none"):
         raise ValueError(f"unknown distributed init {init!r} (greedy/none)")
-    if checkpoint_store is not None and resume is None:
+    if resume is None:
         # phase-0 snapshot: initializer work survives a crash in phase 1
-        _checkpoint(grid, checkpoint_store, 0, mate_r, mate_c, counts(), stats, checkpoint_aux,
-                    rent)
+        job.snapshot(0, mate_r.lo, mate_r.local)
 
     phase_no = resume.phase if resume is not None else 0
     # unmatched columns grid-wide = the size of every phase's first frontier;
@@ -541,7 +496,7 @@ def mcm_dist_spmd(
     # A resumed job counts its snapshot's matching, not the restored
     # initial cardinality
     free_cols = A.ncols - (stats.initial_cardinality if resume is None
-                           else int(np.count_nonzero(resume.mate_col != NULL)))
+                           else matched.size)
     # column block j's unmatched columns, identical down grid column j: every
     # phase's first frontier, already expanded.  Each phase's path roots
     # leave it — every rank holds them
@@ -661,7 +616,7 @@ def mcm_dist_spmd(
             # BFS: nothing is left to hand off
             aug_steps = augment_cost(depth, pr, pc)
             tail = free_cols > 0 and tail_is_cheaper(
-                rent.total() + aug_steps,
+                job.steps() + aug_steps,
                 grid.nprocs,
                 # the gather's words at full width, short of a word or two
                 # a block (cp's last entry, the allgather's source label)
@@ -683,12 +638,8 @@ def mcm_dist_spmd(
 
             # phase complete: the augmented matching is valid (vertex-disjoint
             # augmenting paths), so it is a correct restart point; the tail
-            # writes the hand-off's own
-            if checkpoint_store is not None and (
-                checkpoint_every > 0 and phase_no % checkpoint_every == 0
-            ):
-                _checkpoint(grid, checkpoint_store, phase_no, mate_r, mate_c, counts(), stats,
-                            checkpoint_aux, rent)
+            # writes the hand-off phase's
+            job.snapshot(phase_no, mate_r.lo, mate_r.local)
 
     mates = ((mate_r.lo, mate_r.local), (mate_c.lo, mate_c.local))
     if tail:
@@ -699,14 +650,16 @@ def mcm_dist_spmd(
         # an iteration pulls where the blocks' rule would), every edge read
         # counted on every rank that reads it
         with tspan(grid.comm, "tail", cat="phase", phase=phase_no + 1):
-            blk, pis, snap = A.block, (), checkpoint_store is not None and paths is not None
+            blk, pis, snap = A.block, (), job.store is not None and paths is not None
             if paths is not None:
                 # the tail retraces the paths level-parallel: a level call
                 stats.augment_level_calls += 1
                 visited = (pi.local != NULL) & ((mate_blk.local != NULL) | (grid.j == 0))
                 pis = (np.flatnonzero(visited) + pi.lo, pi.local[visited])
+            # the hand-off's snapshot rides this gather: every rank's
+            # counters join it, and every rank holds the mates it saves
             pieces = grid.comm.allgather(
-                (blk.jc, blk.cp, blk.ir, *mates, *pis, *([counts()] if snap else [])))
+                (blk.jc, blk.cp, blk.ir, *mates, *pis, *([job.counts()] if snap else [])))
             A.block = blk = mate_blk = mate_cblk = mates = None
             g_r = mate_r.assemble([piece[3] for piece in pieces])
             g_c = mate_c.assemble([piece[4] for piece in pieces])
@@ -720,14 +673,10 @@ def mcm_dist_spmd(
                 augment_level_parallel(path_c, g_pi, g_r, g_c)
                 del path_c, g_pi  # not held through the serial phases
             if snap:
-                # the hand-off's snapshot, the grid's counts riding the
-                # gather (only here: a job's totals are launch's sums): a
-                # resume goes straight back to the tail
-                aux = {**(checkpoint_aux or {}), "tail": np.array(1),
-                       "counts": sum(piece[-1] for piece in pieces)}
-                with tspan(grid.comm, "checkpoint", cat="phase", phase=phase_no):
-                    save_checkpoint(grid, checkpoint_store, Checkpoint(phase_no, g_r, g_c, aux),
-                                    stats)
+                # the hand-off phase is complete: its snapshot is marked, so
+                # a resume goes straight back to the tail
+                job.snapshot(phase_no, 0, g_r, counts=[piece[-1] for piece in pieces],
+                             tail=np.array(1))
             serial = MatchingStats()
             mcm_phase_loop(
                 _global_csc(A, pieces), g_r, g_c, serial, direction=direction,
@@ -764,16 +713,6 @@ def relabeled(coo: COO) -> tuple[COO, np.ndarray, np.ndarray]:
     return permute.signature_permuted(coo, RELABEL_SEED)
 
 
-def _mcm_rank_main(comm: Communicator, coo: COO, pr: int, pc: int, **mcm_kwargs):
-    """Per-rank entry point of :func:`run_mcm_dist`.
-
-    A module-level function (not a closure) so a process backend can pickle
-    it; the graph and grid shape arrive through ``spmd``'s ``*args``.
-    """
-    data = coo if comm.rank == 0 else None
-    return mcm_dist_spmd(comm, data, pr, pc, **mcm_kwargs)
-
-
 def run_mcm_dist(
     coo: COO,
     pr: int,
@@ -786,7 +725,6 @@ def run_mcm_dist(
     faults=None,
     trace: "bool | str" = False,
     backend: "str | None" = None,
-    checkpoint_every: int = 1,
     checkpoint_store: "CheckpointStore | None" = None,
     max_restarts: int = 0,
 ) -> tuple[np.ndarray, np.ndarray, DistStats]:
@@ -823,8 +761,8 @@ def run_mcm_dist(
     ``faults`` arms a seeded :class:`~repro.runtime.faults.FaultPlan` (or its
     string form; a ready-made ``FaultInjector`` for a single attempt).  With
     ``max_restarts > 0`` the job survives rank deaths, injected or
-    otherwise: every ``checkpoint_every``-th phase boundary snapshots
-    ``(mate_row, mate_col, phase)`` into ``checkpoint_store`` (in-memory by
+    otherwise: every phase boundary snapshots the row side of the
+    matching into ``checkpoint_store`` (in-memory by
     default; a :class:`~repro.runtime.checkpoint.FileCheckpointStore`
     survives the process and is required under ``backend="process"`` —
     forked ranks cannot write into the parent's memory), a failed attempt
@@ -853,9 +791,8 @@ def run_mcm_dist(
             )
     coo, row_perm, col_perm = relabeled(coo)
     mate_r, mate_c, stats = launch(
-        _mcm_rank_main, (coo,), pr, pc,
-        faults=faults, checkpoint_every=checkpoint_every,
-        checkpoint_store=checkpoint_store, max_restarts=max_restarts,
+        mcm_dist_spmd, (coo,), pr, pc,
+        faults=faults, checkpoint_store=checkpoint_store, max_restarts=max_restarts,
         timeout=timeout, verify=verify, trace=trace, backend=backend,
         init=init, direction=direction,
         checkpoint_aux={"relabel": np.array(RELABEL_SEED, dtype=np.int64)},

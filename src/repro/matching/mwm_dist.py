@@ -47,7 +47,7 @@ floor that does not certify is an engine bug and raises
 An auction's last rounds are thin — a handful of bidders, all latency —
 so the round boundary is also where the job may leave the grid (the
 paper's gather onto one node, §VI-E): once the job's latency steps so
-far (every one since it began, :class:`~repro.matching.job.JobSteps`)
+far (every one since it began, :meth:`~repro.matching.job.Job.steps`)
 cost more than one grid allgather of the graph and state plus one read
 of every edge (:func:`~repro.matching.job.tail_is_cheaper`, MCM-DIST's
 rule: ski rental), one grid allgather hands every rank rank 0's deduped
@@ -66,17 +66,17 @@ bit-identical to :func:`repro.matching.reference.auction_twin.auction_mwm_serial
 on every grid shape and backend, under either physical collective plan,
 whichever round the job hands off at.
 
-Launch, recovery, the counters' sums, the checkpoint write and the
-closing ledger are the job shell the cardinality engine uses too
-(:mod:`repro.matching.job`), and no collective carries a counter; the
-snapshot is this engine's own: it carries the item PRICES, the ε-ladder's
-state (next increment, L) and the round / bid / price-update counters
-alongside the doubled mate vectors (the
-:class:`~repro.runtime.checkpoint.Checkpoint` ``aux`` slot): mates alone
-are not a valid auction restart point — a phase resumed with zeroed prices
-would forfeit the warm start the earlier ε-phases paid for, one resumed
-without L would climb a different ladder, and one resumed with zeroed
-counters would report only the attempt that survived.
+Launch, recovery, the counters' sums, the snapshot and the closing ledger
+are the job shell the cardinality engine uses too
+(:mod:`repro.matching.job`), and no collective carries a counter.  A
+snapshot, after every completed ε-phase, is the items' mates (item →
+bidder: the bidder side is its inverse) with the item PRICES and the
+ε-ladder's state (next increment, L) in its ``aux`` slot, gathered from
+grid column 0 in :meth:`~repro.matching.job.Job.snapshot`'s one grid
+allgather with the job's counters: mates alone are not a valid auction
+restart point — a phase resumed with zeroed prices would forfeit the warm
+start the earlier ε-phases paid for, and one resumed without L would
+climb a different ladder.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ from ..distmat.grid import ProcGrid
 from ..distmat.ops import allgather_arrays, concat_pieces
 from ..distmat.spmat import DistBlockMatrix, scatter_edges
 from ..runtime.checkpoint import Checkpoint, CheckpointStore
-from ..runtime.comm import SUM, Communicator
+from ..runtime.comm import Communicator
 from ..runtime.errors import CommError
 from ..runtime.trace import tspan
 from ..sparse.coo import COO
@@ -106,50 +106,7 @@ from .auction import (
     resolve_bids,
     top2_cols,
 )
-from .job import (
-    DistStats,
-    JobSteps,
-    launch,
-    phase_boundary,
-    save_checkpoint,
-    snapshot_ledger,
-    tail_is_cheaper,
-)
-
-
-def _checkpoint(
-    grid: ProcGrid, store: CheckpointStore, phase: int, owner_blk: np.ndarray,
-    price_blk: np.ndarray, delta: "float | None", lower: float, stats: DistStats,
-    rent: JobSteps, counts: "tuple[int, int, int, int]" = (0, 0, 0, 0),
-) -> None:
-    """Snapshot (doubled mates, item prices, ladder state, counters) after a
-    completed ε-phase (the assembly is a row allreduce and a column
-    allgather; the write protocol is
-    :func:`~repro.matching.job.save_checkpoint`).  The ladder is the next
-    increment (0 once the ladder is done) and L, so a resumed run climbs
-    down the same rungs; the counters are the rounds and bids so far
-    (replicated), then each row block's accepted price updates and edges
-    read (this rank's, summed along the grid row), so a resumed run reports
-    the fault-free totals; and the steps the job has paid (``rent``, which
-    the snapshot's own collectives stay out of), so it hands off where the
-    fault-free run does."""
-    aux: dict = {}
-    with tspan(grid.comm, "checkpoint", cat="phase", phase=phase), rent.checkpoint(aux):
-        # every rank holds its whole row block, and the pr ranks of a grid
-        # column hold row blocks 0..pr-1 in rank order
-        row_edges = grid.rowcomm.allreduce(counts[3], op=SUM)
-        g_item, prices, updates = concat_pieces(allgather_arrays(
-            grid.colcomm, owner_blk, price_blk, np.array([counts[2], row_edges])))
-        # a phase ends on a perfect assignment (phase 0: nothing owned),
-        # so the bidder side is the inverse of the item side
-        owned = np.flatnonzero(g_item != NULL)
-        g_bidder = np.full(g_item.size, NULL, dtype=np.int64)
-        g_bidder[g_item[owned]] = owned
-        ladder = np.array([delta or 0.0, lower])
-        ck = Checkpoint(phase=phase, mate_row=g_item, mate_col=g_bidder,
-                        aux={**aux, "prices": prices, "ladder": ladder,
-                             "counts": np.array([*counts[:2], *updates])})
-        save_checkpoint(grid, store, ck, stats)
+from .job import DistStats, Job, launch, phase_boundary, snapshot_ledger, tail_is_cheaper
 
 
 class CertificateError(CommError):
@@ -224,7 +181,6 @@ def mwm_dist_spmd(
     *,
     epsilon: float = 0.05,
     cardinality_bias: float = 0.0,
-    checkpoint_every: int = 0,
     checkpoint_store: "CheckpointStore | None" = None,
     resume: "Checkpoint | None" = None,
 ) -> tuple[np.ndarray, np.ndarray, DistStats]:
@@ -241,9 +197,11 @@ def mwm_dist_spmd(
     tail_is_cheaper` prices the job's latency so far against gathering
     the graph; once it fires, every rank finishes on the serial twin's
     loop (``stats.tail_*``), whose only collectives are one grid allgather
-    per phase-end.  A crash inside that tail restarts from the
-    last completed phase's snapshot (the hand-off writes none), which
-    carries the steps paid, and the replay hands off at the same round.
+    per phase-end.  Given a store, the job snapshots after every ε-phase
+    the grid completes (:meth:`~repro.matching.job.Job.snapshot`); a crash
+    before the first, or inside the tail, restarts from the last one (the
+    hand-off writes none) or from scratch, and the replay hands off at the
+    same round: the snapshot carries the steps paid.
     ``cardinality_bias`` trades weight for cardinality by shifting real
     edges against the zero-weight dummy diagonal (>= 1 makes any real edge
     beat going unmatched).
@@ -298,26 +256,22 @@ def mwm_dist_spmd(
     owner_blk = np.full(A.row_hi - A.row_lo, NULL, dtype=np.int64)
     price_blk = np.zeros(A.row_hi - A.row_lo)
     free_blk = np.ones(A.col_hi - A.col_lo, dtype=bool)
+    # what this rank sends of the row-block replicas to a grid allgather:
+    # grid column 0 sends them, every other rank holds copies
+    lead = slice(None) if grid.j == 0 else slice(0)
 
     # the ε-ladder's state: the increment of the next phase (None: done)
     # and L, the effective weight of the best matching extracted so far
     lower, phase_no = 0.0, 0
     delta = next_delta(None, scale_eff, lower, N, epsilon)
-    rounds = bids = updates_row = edges_local = 0
-    # the steps the job has paid, which the hand-off rule is asked with
-    rent = JobSteps(grid, resume)
+    # the steps the job has paid, which the hand-off rule is asked with, its
+    # counters and its snapshots
+    job = Job(grid, stats, checkpoint_store, resume)
     if resume is not None:
-        owner_blk[:] = resume.mate_row[A.row_lo:A.row_hi]
+        owner_blk[:] = resume.mate[A.row_lo:A.row_hi]
         price_blk[:] = resume.aux["prices"][A.row_lo:A.row_hi]
         delta, lower = float(resume.aux["ladder"][0]) or None, float(resume.aux["ladder"][1])
-        counts = resume.aux["counts"]
-        rounds, bids, updates_row = (int(c) for c in counts[[0, 1, 2 + 2 * grid.i]])
-        # rank 0 takes back the grid's edge reads; launch adds the rest
-        edges_local = int(counts[3::2].sum()) * (grid.rank == 0)
         phase_no = resume.phase
-    elif checkpoint_store is not None:
-        # phase-0 snapshot: uniform restart bookkeeping with the MCM engine
-        _checkpoint(grid, checkpoint_store, 0, owner_blk, price_blk, delta, lower, stats, rent)
 
     pick = None
     # the hand-off's words at most: rank 0's m deduped edges as (row, col,
@@ -334,17 +288,17 @@ def mwm_dist_spmd(
             free_blk.fill(True)
             active = N  # free bidders grid-wide; every rank tracks it exactly
             while active and not tail:
-                if rounds >= MAX_ROUNDS:
+                if stats.auction_rounds >= MAX_ROUNDS:
                     raise RuntimeError(f"auction exceeded {MAX_ROUNDS} rounds")
-                rounds += 1
-                bids += active
-                with tspan(grid.comm, "auction_round", cat="phase", round=rounds):
+                stats.auction_rounds += 1
+                stats.bids_placed += active
+                with tspan(grid.comm, "auction_round", cat="phase", round=stats.auction_rounds):
                     with tspan(grid.comm, "bid"):
                         # per-bidder (best, second) profits over THIS block,
                         # shipped under global ids
                         fb = np.flatnonzero(free_blk)
                         bc, best, brow, bw, second = top2_cols(cp, ir, w_eff, fb, price_blk)
-                        edges_local += int((cp[fb + 1] - cp[fb]).sum())
+                        stats.edges_examined += int((cp[fb + 1] - cp[fb]).sum())
                         pieces = allgather_arrays(
                             grid.colcomm, bc + A.col_lo, best, brow + A.row_lo, bw, second
                         )
@@ -359,7 +313,9 @@ def mwm_dist_spmd(
                         prev = owner_blk[ridx - A.row_lo]
                         owner_blk[ridx - A.row_lo] = winner
                         price_blk[ridx - A.row_lo] = wbid
-                        updates_row += int(ridx.size)
+                        # resolve is replicated along the grid row: one
+                        # rank of it counts the row block's accepts
+                        stats.price_updates += int(ridx.size) * (grid.j == 0)
                     with tspan(grid.comm, "notify"):
                         # winners were free at round start and evictees
                         # matched, so the two sets are disjoint
@@ -377,55 +333,56 @@ def mwm_dist_spmd(
                 # outprices gathering the graph, every rank finishes alone.
                 # The job's steps are the same on every rank (a round's
                 # collectives are row/column allgathers), so all decide alike
-                tail = tail_is_cheaper(rent.total(), grid.nprocs, handoff_words, A.nnz)
+                tail = tail_is_cheaper(job.steps(), grid.nprocs, handoff_words, A.nnz)
             if tail:
                 break
             # every phase's assignment is extracted and certified: a
             # certified phase is the last, and an uncertified one may raise L
             pick = _extract(grid, A, cp, ir, gcols, w_eff, w_orig, owner_blk, price_blk,
                             n1, n2, bias_add, epsilon)
-            edges_local += ir.size
+            stats.edges_examined += ir.size
             lower = max(lower, pick[3])
             delta = next_delta(delta, scale_eff, lower, N, epsilon, pick[6])
             if delta is None and not pick[6]:
                 raise _uncertified(phase_no, pick, epsilon)
-            if (
-                checkpoint_store is not None
-                and checkpoint_every > 0
-                and phase_no % checkpoint_every == 0
-            ):
-                _checkpoint(grid, checkpoint_store, phase_no, owner_blk, price_blk,
-                            delta, lower, stats, rent, (rounds, bids, updates_row, edges_local))
+            # a phase ends on a perfect assignment, its prices the next
+            # phase's warm start and (next increment, L) the ladder's state
+            job.snapshot(phase_no, A.row_lo, owner_blk[lead], {"prices": price_blk[lead]},
+                         ladder=np.array([delta or 0.0, lower]))
     if tail:
         # the tail: one grid allgather hands every rank rank 0's edge list and
         # the auction state (row block i's items and prices from grid column
         # 0), and each finishes this phase and the later ones on the serial
         # twin's loop: the rounds on every rank, each phase-end split p ways
-        with tspan(grid.comm, "tail", cat="phase", phase=phase_no, round=rounds + 1):
+        with tspan(grid.comm, "tail", cat="phase", phase=phase_no,
+                   round=stats.auction_rounds + 1):
             cp = ir = w_eff = w_orig = gcols = None  # the block: the tail reads its own copy
-            lead = slice(None) if grid.j == 0 else slice(0)
             e_rows, e_cols, w_in, items, prices = concat_pieces(allgather_arrays(
                 grid.comm, e_rows, e_cols, w_in, owner_blk[lead], price_blk[lead]))
-            serial = AuctionState(prices, items, delta, lower, rounds, bids)
+            serial = AuctionState(prices, items, delta, lower, stats.auction_rounds,
+                                  stats.bids_placed)
             auction_phase_loop(
                 n1, n2, e_rows, e_cols, w_in, serial, bias_add=bias_add,
                 scale_eff=scale_eff, epsilon=epsilon, fresh=False,
                 on_phase=lambda n: phase_boundary(grid, stats, phase_no + n, serial=True),
                 comm=grid.comm,
             )
-        stats.tail_phases, stats.tail_rounds = serial.phases + 1, serial.rounds - rounds
+        stats.tail_phases = serial.phases + 1
+        stats.tail_rounds = serial.rounds - stats.auction_rounds
         # the replicated reads, its bids', count on every rank; each rank's
         # share of the phase-ends only in its own edges_examined
         stats.tail_edges = serial.edges - serial.end_edges
         phase_no += serial.phases
-        rounds, bids, pick = serial.rounds, serial.bids, serial.pick
-        edges_local += serial.edges
+        stats.auction_rounds, stats.bids_placed, pick = serial.rounds, serial.bids, serial.pick
+        # the tail's accepts are replicated on every rank: rank 0 counts them
+        stats.price_updates += serial.price_updates * (grid.rank == 0)
+        stats.edges_examined += serial.edges
         if not pick[6]:
             raise _uncertified(phase_no, pick, epsilon)
     elif pick is None:  # no phase ran: no positive weight, or resumed past the last
         pick = _extract(grid, A, cp, ir, gcols, w_eff, w_orig, owner_blk, price_blk,
                         n1, n2, bias_add, epsilon)
-        edges_local += ir.size
+        stats.edges_examined += ir.size
 
     ii, jj, weight, _, stats.dual_bound, stats.certified_ratio = pick[:6]
     g_mate_r = np.full(n1, NULL, dtype=np.int64)
@@ -436,27 +393,10 @@ def mwm_dist_spmd(
     stats.phases = phase_no
     stats.matching_weight = weight
     stats.final_cardinality = int(ii.size)
-    stats.auction_rounds = rounds
-    stats.bids_placed = bids
     stats.auction_prices = serial.prices if tail else concat_pieces(
         allgather_arrays(grid.colcomm, price_blk))[0]
-    # this rank's shares, which launch sums: resolve is replicated along
-    # each grid row, so one rank per row reports its accepts; the tail's,
-    # replicated on every rank, count once, on rank 0
-    stats.price_updates = updates_row * (grid.j == 0) + (
-        serial.price_updates * (grid.rank == 0) if tail else 0)
-    stats.edges_examined = edges_local
     snapshot_ledger(grid, stats)
     return g_mate_r, g_mate_c, stats
-
-
-def _mwm_rank_main(
-    comm: Communicator, coo: COO, weights: np.ndarray, pr: int, pc: int, **mwm_kwargs
-):
-    """Per-rank entry point of :func:`run_mwm_dist` (module-level so a
-    process backend can pickle it)."""
-    data = (coo, weights) if comm.rank == 0 else (None, None)
-    return mwm_dist_spmd(comm, data[0], data[1], pr, pc, **mwm_kwargs)
 
 
 def run_mwm_dist(
@@ -472,7 +412,6 @@ def run_mwm_dist(
     faults=None,
     trace: "bool | str" = False,
     backend: "str | None" = None,
-    checkpoint_every: int = 1,
     checkpoint_store: "CheckpointStore | None" = None,
     max_restarts: int = 0,
 ) -> tuple[np.ndarray, np.ndarray, DistStats]:
@@ -483,21 +422,21 @@ def run_mwm_dist(
     a matching of the ORIGINAL graph with
     ``weight >= (1 - epsilon) * OPT`` (positive weights).  The runtime
     keywords (``verify``, ``faults``, ``trace``, ``backend``, ``timeout``)
-    and the recovery keywords (``checkpoint_every``, ``checkpoint_store``,
-    ``max_restarts``) behave exactly as in
+    and the recovery keywords (``checkpoint_store``, ``max_restarts``)
+    behave exactly as in
     :func:`~repro.matching.mcm_dist.run_mcm_dist` — one driver,
     :func:`~repro.matching.job.launch`, runs both engines, and a run given
     no store and no restarts writes no checkpoint.  What differs is the
-    snapshot: it carries the doubled-graph mate vectors AND the item prices
-    and ladder state (the checkpoint ``aux`` slot).  A resumed ε-phase re-fights its own
+    snapshot's content: the doubled graph's item → bidder mates AND the
+    item prices and ladder state (the checkpoint ``aux`` slot), after every
+    completed ε-phase.  A resumed ε-phase re-fights its own
     bidding wars from scratch but inherits the prices the completed phases
     established, so a recovered run lands on the same matching (bit-identical
     mates) as a fault-free one.
     """
     return launch(
-        _mwm_rank_main, (coo, weights), pr, pc,
-        faults=faults, checkpoint_every=checkpoint_every,
-        checkpoint_store=checkpoint_store, max_restarts=max_restarts,
+        mwm_dist_spmd, (coo, weights), pr, pc,
+        faults=faults, checkpoint_store=checkpoint_store, max_restarts=max_restarts,
         timeout=timeout, verify=verify, trace=trace, backend=backend,
         epsilon=epsilon, cardinality_bias=cardinality_bias,
     )

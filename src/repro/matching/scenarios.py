@@ -100,7 +100,6 @@ class Scenario:
     pc: int = 2
     #: requests in the replayed stream
     requests: int = 5
-    checkpoint_every: int = 1
     #: offered load relative to the fault-free service rate (< 1 keeps the
     #: FIFO queue stable so p99 measures adversity, not saturation)
     arrival_load: float = 0.75
@@ -204,7 +203,6 @@ def _run_once(coo, scenario: Scenario, plan: FaultPlan, backend: "str | None"):
         scenario.pr,
         scenario.pc,
         faults=plan,
-        checkpoint_every=scenario.checkpoint_every,
         max_restarts=scenario.max_restarts,
         backend=backend,
         init="none",

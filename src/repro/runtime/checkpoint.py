@@ -1,10 +1,11 @@
 """Phase-granular checkpoint stores for restartable SPMD jobs.
 
 MS-BFS maximum matching augments by a set of vertex-disjoint paths per
-phase, so the mate vectors after *any* completed phase form a valid
+phase, so the mate vector after *any* completed phase forms a valid
 matching: by Berge's theorem a restarted run converges to the same maximum
 cardinality from that state.  That makes phase-boundary checkpointing
-algorithmically free — the only cost is shipping the two mate vectors.
+algorithmically free — the only cost is shipping one mate vector (the
+other side of a matching is its inverse).
 
 A :class:`CheckpointStore` outlives the SPMD job that writes to it: the
 driver (``repro.matching.job.launch``) is handed one — or creates one when
@@ -46,9 +47,11 @@ def _widened(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """One phase-boundary snapshot of the matching state.
+    """One phase-boundary snapshot of the matching state: ``mate`` maps one
+    side to the other (MCM-DIST: rows to columns; MWM-DIST: items to
+    bidders), and a resume inverts it for the other side.
 
-    ``aux`` carries algorithm-specific dense state beyond the mate vectors
+    ``aux`` carries algorithm-specific dense state beyond the mate vector
     — the weighted auction engine checkpoints its item prices here (the
     mates alone are NOT a valid auction restart point: a phase resumed
     with zeroed prices would re-fight every bidding war and lose the
@@ -59,8 +62,7 @@ class Checkpoint:
     """
 
     phase: int
-    mate_row: np.ndarray
-    mate_col: np.ndarray
+    mate: np.ndarray
     aux: "dict[str, np.ndarray] | None" = None
 
     @property
@@ -68,18 +70,25 @@ class Checkpoint:
         """8-byte words this snapshot occupies (the DistStats unit): each
         array at its :func:`~repro.runtime.pack.wire_dtype`'s width, as the
         wire and the stores hold it, and two header words."""
-        arrays = (self.mate_row, self.mate_col, *(self.aux or {}).values())
+        arrays = (self.mate, *(self.aux or {}).values())
         return 2 + sum((a.size * wire_dtype(a).itemsize + 7) // 8 for a in arrays)
 
     def mapped(self, f) -> "Checkpoint":
         """This snapshot with ``f`` applied to every array."""
         aux = self.aux and {name: f(a) for name, a in self.aux.items()}
-        return Checkpoint(self.phase, f(self.mate_row), f(self.mate_col), aux)
+        return Checkpoint(self.phase, f(self.mate), aux)
 
 
 @dataclass
 class CheckpointStore:
-    """In-memory store: keeps the latest checkpoint plus write counters."""
+    """In-memory store: keeps the latest checkpoint plus write counters.
+
+    :meth:`save` is the one write rule of every store: a snapshot whose
+    phase is below the latest one held is ignored — it neither rolls the
+    store backwards nor counts as a save — so ``saves`` and
+    ``words_written`` (``DistStats.checkpoint_words``) do not depend on
+    which store a job was given.  A variant supplies only the lock, the
+    latest phase held, the write and the counter bump."""
 
     _latest: Checkpoint | None = None
     saves: int = 0
@@ -89,14 +98,14 @@ class CheckpointStore:
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def save(self, ck: Checkpoint) -> None:
-        """Keep a narrowed copy of ``ck``, as the file store does: a
-        writer may go on to mutate the arrays it saved."""
-        with self._lock:
-            if self._latest is not None and ck.phase < self._latest.phase:
+        """Keep a narrowed copy of ``ck`` — a writer may go on to mutate
+        the arrays it saved — unless the store holds a later phase."""
+        held = ck.mapped(_narrowed)
+        with self._locked():
+            if ck.phase < self._latest_phase():
                 return  # never roll the store backwards
-            self._latest = ck.mapped(_narrowed)
-            self.saves += 1
-            self.words_written += ck.words
+            self._write(held)
+            self._count(ck.words)
 
     def latest(self) -> Checkpoint | None:
         with self._lock:
@@ -105,6 +114,19 @@ class CheckpointStore:
 
     def refresh_counters(self) -> None:
         """Nothing to fold: only this process writes an in-memory store."""
+
+    def _locked(self):
+        return self._lock
+
+    def _latest_phase(self) -> int:
+        return -1 if self._latest is None else self._latest.phase
+
+    def _write(self, held: Checkpoint) -> None:
+        self._latest = held
+
+    def _count(self, words: int) -> None:
+        self.saves += 1
+        self.words_written += words
 
 
 class FileCheckpointStore(CheckpointStore):
@@ -139,7 +161,7 @@ class FileCheckpointStore(CheckpointStore):
         return os.path.join(self.directory, f"ck_phase{phase:06d}.npz")
 
     @contextlib.contextmanager
-    def _flock(self):
+    def _locked(self):
         with self._lock:
             fd = os.open(os.path.join(self.directory, "ck.lock"),
                          os.O_CREAT | os.O_RDWR, 0o644)
@@ -149,6 +171,14 @@ class FileCheckpointStore(CheckpointStore):
             finally:
                 os.close(fd)  # closing drops the flock
 
+    def _names(self) -> list[str]:
+        return [n for n in os.listdir(self.directory)
+                if n.startswith("ck_phase") and n.endswith(".npz")]
+
+    def _latest_phase(self) -> int:
+        names = self._names()
+        return int(max(names)[len("ck_phase"):-len(".npz")]) if names else -1
+
     def _read_counters(self) -> dict:
         try:
             with open(os.path.join(self.directory, self._COUNTERS)) as fh:
@@ -156,63 +186,40 @@ class FileCheckpointStore(CheckpointStore):
         except (FileNotFoundError, json.JSONDecodeError):
             return {"saves": 0, "words_written": 0}
 
-    def _bump_counters(self, words: int) -> None:
-        counters = self._read_counters()
-        counters["saves"] += 1
-        counters["words_written"] += words
-        tmp = os.path.join(
-            self.directory, f".{self._COUNTERS}.{os.getpid()}.tmp"
-        )
-        with open(tmp, "w") as fh:
-            json.dump(counters, fh)
-        os.replace(tmp, os.path.join(self.directory, self._COUNTERS))
-
     def refresh_counters(self) -> None:
         """Fold the shared sidecar back into this instance's counters —
         a forked rank 0 bumps the sidecar, not this object."""
-        with self._flock():
+        with self._locked():
             counters = self._read_counters()
             self.saves = int(counters["saves"])
             self.words_written = int(counters["words_written"])
 
-    def save(self, ck: Checkpoint) -> None:
-        tmp = f"{self._path(ck.phase)}.{os.getpid()}.tmp"
-        held = ck.mapped(_narrowed)
+    def _write(self, held: Checkpoint) -> None:
+        tmp = f"{self._path(held.phase)}.{os.getpid()}.tmp"
         with open(tmp, "wb") as fh:
-            np.savez(
-                fh,
-                phase=np.int64(ck.phase),
-                mate_row=held.mate_row,
-                mate_col=held.mate_col,
-                # aux entries ride the same npz under a reserved prefix
-                **{f"aux_{k}": v for k, v in (held.aux or {}).items()},
-            )
-        with self._flock():
-            os.replace(tmp, self._path(ck.phase))
-            self._bump_counters(ck.words)
-            self.saves += 1
-            self.words_written += ck.words
+            # aux entries ride the same npz under a reserved prefix
+            np.savez(fh, phase=np.int64(held.phase), mate=held.mate,
+                     **{f"aux_{k}": v for k, v in (held.aux or {}).items()})
+        os.replace(tmp, self._path(held.phase))
+
+    def _count(self, words: int) -> None:
+        counters = self._read_counters()
+        counters["saves"] += 1
+        counters["words_written"] += words
+        tmp = os.path.join(self.directory, f".{self._COUNTERS}.{os.getpid()}.tmp")
+        with open(tmp, "w") as fh:
+            json.dump(counters, fh)
+        os.replace(tmp, os.path.join(self.directory, self._COUNTERS))
+        super()._count(words)
 
     def latest(self) -> Checkpoint | None:
-        with self._flock():
-            names = [
-                n for n in os.listdir(self.directory)
-                if n.startswith("ck_phase") and n.endswith(".npz")
-            ]
+        with self._locked():
+            names = self._names()
             if not names:
                 return None
             with np.load(os.path.join(self.directory, max(names))) as data:
-                aux = {
-                    k[len("aux_"):]: data[k]
-                    for k in data.files
-                    if k.startswith("aux_")
-                }
-                return Checkpoint(
-                    phase=int(data["phase"]),
-                    mate_row=data["mate_row"],
-                    mate_col=data["mate_col"],
-                    aux=aux or None,
-                ).mapped(_widened)
+                aux = {k[len("aux_"):]: data[k] for k in data.files if k.startswith("aux_")}
+                return Checkpoint(int(data["phase"]), data["mate"], aux or None).mapped(_widened)
 
 
 __all__ = ["Checkpoint", "CheckpointStore", "FileCheckpointStore"]

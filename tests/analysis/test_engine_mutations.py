@@ -75,7 +75,7 @@ MUTATIONS = [
      "    if grid.i == 0:\n        store.save(ck)\n        grid.comm.barrier()\n",
      {"SPMD101"}),
     ("closure-handed-to-launch", "matching/mcm_dist.py",
-     "    mate_r, mate_c, stats = launch(\n        _mcm_rank_main, (coo,), pr, pc,\n",
+     "    mate_r, mate_c, stats = launch(\n        mcm_dist_spmd, (coo,), pr, pc,\n",
      "    def main(comm, *args, **kwargs):\n"
      "        return mcm_dist_spmd(comm, coo if comm.rank == 0 else None, *args, **kwargs)\n"
      "\n"

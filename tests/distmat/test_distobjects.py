@@ -29,7 +29,7 @@ def test_dense_vec_round_trip():
         v = DistDenseVec(grid, arr.size, "col")
         assert v.hi - v.lo == v.local.size
         v.local[:] = arr[v.lo:v.hi]
-        return v.to_global().tolist()
+        return v.assemble(comm.allgather((v.lo, v.local))).tolist()
 
     res = spmd(4, main)
     for out in res:
@@ -57,7 +57,7 @@ def test_dense_vec_local_get_set():
         mine = np.arange(v.lo, v.hi)
         v.set_local(mine, mine * 7)
         assert np.array_equal(v.get_local(mine), mine * 7)
-        return v.to_global().tolist()
+        return v.assemble(comm.allgather((v.lo, v.local))).tolist()
 
     res = spmd(2, main)
     assert res[0] == [i * 7 for i in range(10)]

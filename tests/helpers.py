@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from repro.runtime import Window
@@ -45,6 +47,22 @@ def topdown_edges(stats, p: int) -> int:
     instead of on each of the ``p`` ranks: the top-down algorithm's edge
     count, whichever phase the grid handed off at."""
     return stats.edges_examined - (p - 1) * stats.tail_edges
+
+
+#: the DistStats fields a restart or a checkpoint store may change: the
+#: recovery counters, and the wire ledger, which counts the surviving
+#: attempt's traffic and the snapshots'
+RESTART_EXEMPT = ("restarts", "phases_replayed", "checkpoint_words", "restart_spans",
+                  "expand_words", "fold_words", "comm_messages", "frames", "frame_words")
+
+
+def job_counters(stats) -> dict:
+    """Every numeric ``DistStats`` field but :data:`RESTART_EXEMPT`, read
+    off ``dataclasses.fields``: what a restarted job, or one given a store,
+    must report as the plain job does."""
+    return {f.name: getattr(stats, f.name) for f in dataclasses.fields(stats)
+            if f.name not in RESTART_EXEMPT
+            and isinstance(getattr(stats, f.name), (int, float))}
 
 
 def rma_walk(comm):

@@ -250,11 +250,9 @@ def test_a_block_never_pulls_a_row_its_grid_row_visited(monkeypatch):
 
     def solve(direction):
         store = CheckpointStore()
-        store.save(Checkpoint(
-            phase=0, mate_row=np.array([2, 0, NULL]), mate_col=np.array([1, NULL, 0, NULL]),
-        ))
+        store.save(Checkpoint(phase=0, mate=np.array([2, 0, NULL])))
         return launch(
-            mcm_dist._mcm_rank_main, (coo,), 1, 2, checkpoint_store=store,
+            mcm_dist.mcm_dist_spmd, (coo,), 1, 2, checkpoint_store=store,
             backend="thread", direction=direction,
         )
 

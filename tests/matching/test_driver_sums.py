@@ -4,9 +4,10 @@
 ``comm_by_alg`` tables, the phase ledger) off the stats the executor
 returns anyway.  So the engines spend no collective on bookkeeping:
 MCM-DIST makes no collective after its tail's gather, and a job that never
-hands off closes on one grid allgather of its mate slices; MWM-DIST with
-no checkpoint store runs no allreduce at all, and its tail's collectives
-are the gather and one grid allgather per tail phase, the phase-end's.
+hands off closes on one grid allgather of its mate slices; MWM-DIST runs
+no allreduce at all (a snapshot, given a store, is one grid allgather and
+a barrier), and its tail's collectives are the gather and one grid
+allgather per tail phase, the phase-end's.
 """
 
 import copy

@@ -10,7 +10,7 @@ that read, so it never loses to m more distributed phases, and with
 numbers before it runs, and must equal what the ledger then records.  The
 end-to-end deep core hands off after phase 1's BFS; and, the tail included,
 a restarted job — or one given a store — reports the fault-free job's
-counters and hands off where it does.
+counters and hands off where it does; the restart test runs MWM-DIST too.
 """
 
 import threading
@@ -26,11 +26,14 @@ from repro.graphs.rmat import er
 from repro.matching import mcm_dist
 from repro.matching.job import ledger_totals, tail_is_cheaper
 from repro.matching.mcm_dist import mcm_dist_spmd, run_mcm_dist
+from repro.matching.mwm_dist import run_mwm_dist
 from repro.perfmodel import EDISON
 from repro.runtime import CheckpointStore, FileCheckpointStore, spmd
 from repro.sparse.coo import COO
 
+from ..helpers import job_counters
 from .test_mcm_iteration_shape import RELABELED_ROAD, e2e_workloads  # noqa: F401
+from .test_mwm_tail import HEAVY, LADDER
 
 # -- the rule --------------------------------------------------------------------
 
@@ -130,38 +133,48 @@ def test_the_deep_core_hands_off_after_phase_one_bfs(e2e_workloads):  # noqa: F8
 
 # -- a restart reports the fault-free counters ------------------------------------------
 
-#: every DistStats counter but the recovery ones (restarts, replays,
-#: checkpoint words, restart spans) and the wire ledger, which counts the
-#: surviving attempt's traffic
-COUNTERS = ("phases", "iterations", "augment_level_calls", "initial_cardinality",
-            "final_cardinality", "topdown_steps", "bottomup_steps", "edges_examined",
-            "init_edges", "tail_phases", "tail_iterations", "tail_edges")
 
-
+@pytest.mark.parametrize("engine", ["mcm", "mwm"])
 @pytest.mark.parametrize("backend", ["thread", "process"])
 @pytest.mark.parametrize("seam", ["no_handoff", "rule"])
-def test_a_restart_reports_the_fault_free_counters(request, seam, backend):
-    """Rank 1 dies entering phase 3 of an all-distributed run (the job
-    resumes from phase 2's snapshot; 10 iterations, 424 edges, 0 initializer
-    reads, initial cardinality 322 and 40 top-down block-iterations when the
-    counters did not ride the snapshot), or inside the tail (the job
-    resumes from the hand-off's snapshot, written after the tail applied
-    phase 1's paths)."""
+def test_a_restart_reports_the_fault_free_counters(request, seam, backend, engine):
+    """A crashed and restarted job reports every counter the fault-free job
+    does (``job_counters``: every numeric ``DistStats`` field but the
+    recovery ones and the wire ledger), on both engines.  Under
+    ``no_handoff`` rank 1 dies entering phase 3 and the job resumes from
+    phase 2's snapshot (MCM-DIST: 10 iterations, 424 edges, 0 initializer
+    reads, initial cardinality 322 and 40 top-down block-iterations when
+    the counters did not ride the snapshot; MWM-DIST: 1,549 edges examined
+    when the reads did not).  Under the rule it dies entering the serial
+    tail's second phase, and a tail phase the attempt completed runs
+    again: MCM-DIST resumes from its hand-off's snapshot, straight into the
+    tail; MWM-DIST, which writes none at its mid-phase hand-off, from its
+    last ε-phase's (``LADDER`` on 1x2: phase 1's) and hands off again."""
     if seam == "no_handoff":
         request.getfixturevalue("no_handoff")
-    ok_r, _, ok = run_mcm_dist(ROAD, 2, 2, backend=backend, timeout=60)
+    if engine == "mcm":
+        def solve(**kwargs):
+            return run_mcm_dist(ROAD, 2, 2, backend=backend, timeout=60, **kwargs)
+    else:
+        (coo, weights), (pr, pc) = (HEAVY, (2, 2)) if seam == "no_handoff" else (LADDER, (1, 2))
+
+        def solve(**kwargs):
+            return run_mwm_dist(coo, weights, pr, pc, epsilon=0.05, backend=backend, timeout=60,
+                                **kwargs)
+    ok_r, _, ok = solve()
     crash = 3 if seam == "no_handoff" else ok.phases - ok.tail_phases + 2
-    mate_r, _, stats = run_mcm_dist(ROAD, 2, 2, backend=backend, timeout=60, max_restarts=2,
-                                    faults=f"crash:rank=1,at=phase:{crash}")
-    assert stats.restarts == 1
+    mate_r, _, stats = solve(max_restarts=2, faults=f"crash:rank=1,at=phase:{crash}")
+    assert (stats.restarts, stats.restart_spans) == (1, ((0, crash),))
     np.testing.assert_array_equal(mate_r, ok_r)
-    assert [getattr(stats, c) for c in COUNTERS] == [getattr(ok, c) for c in COUNTERS]
-    if seam == "no_handoff":
+    assert job_counters(stats) == job_counters(ok)
+    if seam == "rule":
+        assert ok.tail_phases >= 2 and stats.phases_replayed > 0
+    elif engine == "mcm":
         assert (ok.iterations, ok.edges_examined, ok.init_edges, ok.initial_cardinality,
                 ok.topdown_steps) == (38, 1_903, 1_803, 289, 152)
     else:
-        assert ok.tail_phases == ok.phases - 1 >= 3
-
+        assert (ok.auction_rounds, ok.bids_placed, ok.price_updates) == (93, 611, 479)
+        assert ok.edges_examined == 3_953
 
 
 @pytest.mark.parametrize("backend", ["thread", "process"])
@@ -189,7 +202,7 @@ def test_a_restart_or_a_store_before_the_handoff_keeps_it(backend, tmp_path):
     assert stored[2].checkpoint_words > 0
     for mate_r, _, stats in (restarted, stored):
         np.testing.assert_array_equal(mate_r, ok_r)
-        assert [getattr(stats, c) for c in COUNTERS] == [getattr(ok, c) for c in COUNTERS]
+        assert job_counters(stats) == job_counters(ok)
 
 def _column_perfect(n, seed):
     """An n × n graph with a planted perfect matching under 3n/4 random
@@ -214,4 +227,4 @@ def test_a_restart_counts_the_free_columns_of_its_snapshot(force_handoff, backen
                                     faults="crash:rank=1,at=phase:2")
     assert stats.restarts == 1
     np.testing.assert_array_equal(mate_r, ok_r)
-    assert [getattr(stats, c) for c in COUNTERS] == [getattr(ok, c) for c in COUNTERS]
+    assert job_counters(stats) == job_counters(ok)

@@ -51,15 +51,16 @@ def test_plain_run_carries_no_checkpoint_traffic(no_handoff):
 def test_allowing_restarts_costs_exactly_the_snapshots(no_handoff):
     stats = run_mcm_dist(er(8, seed=3), 2, 2, init="greedy", max_restarts=3)[2]
     assert stats.restarts == 0
-    # three snapshots (phases 0..2) of 256 + 256 mates, two header words,
-    # the relabel seed, the job's steps so far and the six job counters,
-    # each array at its range's width: 2 bytes a mate while a column is
-    # free, 1 once none is (64 + 64 words, then 32 + 32), a byte of seed, a
-    # word of steps and 6 two-byte counters (2 words) — 134 + 134 + 70
-    # (135 + 135 + 71 with nine counters, the one-sided ones among them;
-    # 134 + 134 + 70 before the steps rode the snapshot), where 8 bytes a
-    # value wrote 3 * 524
-    assert stats.checkpoint_words == 134 + 134 + 70
+    # three snapshots (phases 0..2) of the 256 row mates, two header words,
+    # the relabel seed, the job's steps so far and the nine carried
+    # counters, each array at its range's width: 2 bytes a mate while a row
+    # is free, 1 once none is (64 words, then 32), a byte of seed, a word of
+    # steps and 9 two-byte counters (3 words) — 71 + 71 + 39 (134 + 134 +
+    # 70 while a snapshot held the column mates too and six counters; 135 +
+    # 135 + 71 with nine counters, the one-sided ones among them; 134 + 134
+    # + 70 before the steps rode the snapshot), where 8 bytes a value wrote
+    # 3 * 524
+    assert stats.checkpoint_words == 71 + 71 + 39
     # (385, 347, 31,832, 28,717 before; 302, 268, 31,462, 28,323 before
     # blocks pulled by default, 30,706 / 27,567 before a pull was judged by
     # its expected read, 30,598 / 27,459 before the edge count rode the
@@ -70,8 +71,9 @@ def test_allowing_restarts_costs_exactly_the_snapshots(no_handoff):
     # allgather, the last figure without that gather's words; 302, 268,
     # 4,566, 4,344 while an RMA window's barriers and nine counters rode
     # along; 4,508 / 4,302 before each fold told the grid row the rows it
-    # visited)
-    assert _ledger(stats) == (283, 263, 4_531, 4_325)
+    # visited; 283, 263, 4,531, 4,325 while a snapshot was two grid
+    # allgathers, the second of the column mates)
+    assert _ledger(stats) == (259, 245, 4_098, 3_953)
     # one closing barrier per snapshot and per rank, and no other
     assert stats.comm_by_alg["barrier:dissemination"]["calls"] == 3 * 4
 
@@ -83,16 +85,57 @@ def test_a_store_alone_snapshots_without_restarting():
                          backend="thread")[2]
     # phases 0 and 1: the job hands off to its serial tail after phase 1,
     # whose snapshot carries the mark a resume goes straight back to the
-    # tail on, and the tail's phases write no snapshot; each carries the
-    # six job counters (524 + 525 at 8 bytes a value), and phase 0's the
-    # job's steps, which a resume from the hand-off's never asks for
-    # (135 + 135 with nine counters; 134 + 135 before the steps rode the
-    # snapshot)
+    # tail on (a word), and the tail's phases write no snapshot; each
+    # carries the nine job counters and the job's steps (134 + 134 while
+    # each held both mate vectors and six counters; 135 + 135 with nine
+    # counters; 134 + 135 before the steps rode the snapshot)
     assert stats.tail_phases == stats.phases - 1
-    assert stats.checkpoint_words == store.words_written == 134 + 134
+    assert stats.checkpoint_words == store.words_written == 71 + 72
     with pytest.raises(RankKilledError):
         run_mcm_dist(coo, 2, 2, checkpoint_store=CheckpointStore(),
                      faults="crash:rank=1,at=phase:1", backend="thread")
+
+
+@pytest.mark.parametrize("engine,seam", [("mcm", "no_handoff"), ("mcm", "rule"),
+                                         ("mwm", "no_handoff")])
+@pytest.mark.parametrize("pr,pc", [(2, 2), (2, 3)])
+def test_a_snapshot_is_one_grid_allgather_and_a_barrier(request, engine, seam, pr, pc):
+    """Both engines snapshot through ``Job.snapshot``: a job given a store
+    differs from the plain job by exactly one grid allgather and
+    ``save_checkpoint``'s barrier per snapshot, on every rank — but for
+    MCM-DIST's hand-off snapshot, which rides the tail's own grid
+    allgather and adds its barrier alone."""
+    from repro.graphs.generators import edge_weights
+    from repro.matching.mwm_dist import run_mwm_dist
+
+    if seam == "no_handoff":
+        request.getfixturevalue("no_handoff")
+    coo = er(7, seed=2)
+    weights = edge_weights(coo, dist="skewed", seed=3)
+
+    def solve(**kwargs):
+        if engine == "mcm":
+            return run_mcm_dist(coo, pr, pc, backend="thread", **kwargs)[2]
+        return run_mwm_dist(coo, weights, pr, pc, backend="thread", **kwargs)[2]
+
+    store = CheckpointStore()
+    plain, stored = solve(), solve(checkpoint_store=store)
+    p, snapshots = pr * pc, store.saves
+    # MCM-DIST's phase 0 and each phase the grid completes, the hand-off
+    # phase included — not the last, which finds no path, nor a tail
+    # phase; MWM-DIST's every ε-phase
+    rides = stored.tail_phases > 0
+    assert rides == (seam == "rule")
+    assert snapshots == plain.phases - stored.tail_phases + rides
+    step = (p - 1).bit_length()  # a grid allgather's and a barrier's steps
+    none = {"calls": 0, "steps": 0}
+    delta = {key: {f: stored.comm_by_alg.get(key, none)[f] - plain.comm_by_alg.get(key, none)[f]
+                   for f in none}
+             for key in {**stored.comm_by_alg, **plain.comm_by_alg}}
+    gathers = snapshots - rides
+    assert {key: d for key, d in delta.items() if any(d.values())} == {
+        "allgather:dissemination": {"calls": p * gathers, "steps": p * step * gathers},
+        "barrier:dissemination": {"calls": p * snapshots, "steps": p * step * snapshots}}
 
 
 def test_default_store_recovers_on_both_backends(monkeypatch, tmp_path):

@@ -32,7 +32,7 @@ import pytest
 from repro.graphs import suite
 from repro.graphs.rmat import er
 from repro.matching.job import launch
-from repro.matching.mcm_dist import _mcm_rank_main, relabeled, run_mcm_dist
+from repro.matching.mcm_dist import mcm_dist_spmd, relabeled, run_mcm_dist
 from repro.perfmodel.collectives import msbfs_iteration
 from repro.sparse import COO
 
@@ -264,7 +264,7 @@ CORNERS = {"free_twice": FREE_TWICE, "block_free": BLOCK_FREE}
 def run_in_id_order(coo, pr, pc, **kwargs):
     """MCM-DIST on ``coo``'s own ids: the rank body launched as
     :func:`run_mcm_dist` launches it, without the relabeling in front."""
-    return launch(_mcm_rank_main, (coo,), pr, pc, **kwargs)
+    return launch(mcm_dist_spmd, (coo,), pr, pc, **kwargs)
 
 
 @pytest.mark.parametrize(

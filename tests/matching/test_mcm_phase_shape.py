@@ -17,7 +17,7 @@ import pytest
 
 from repro.graphs.rmat import er
 from repro.matching.job import launch
-from repro.matching.mcm_dist import _mcm_rank_main, run_mcm_dist
+from repro.matching.mcm_dist import mcm_dist_spmd, run_mcm_dist
 from repro.runtime.checkpoint import Checkpoint, FileCheckpointStore
 from repro.sparse import COO
 from repro.sparse.spvec import NULL
@@ -115,18 +115,18 @@ def _augmenting_paths(lengths, seed=0):
     n = sum(lengths)
     rid, cid = rng.permutation(n), rng.permutation(n)
     rows, cols = [], []
-    mate_r, mate_c = np.full(n, NULL), np.full(n, NULL)
+    mate_r = np.full(n, NULL)
     want_r = np.full(n, NULL)
     at = 0
     for L in lengths:
         r, c = rid[at:at + L], cid[at:at + L]  # r₁ … r_L and c₀ … c_{L−1}
         rows += [*r, *r[:-1]]
         cols += [*c, *c[1:]]
-        mate_r[r[:-1]], mate_c[c[1:]] = c[1:], r[:-1]
+        mate_r[r[:-1]] = c[1:]
         want_r[r] = c
         at += L
     coo = COO(n, n, np.array(rows), np.array(cols))
-    return coo, Checkpoint(phase=0, mate_row=mate_r, mate_col=mate_c), want_r
+    return coo, Checkpoint(phase=0, mate=mate_r), want_r
 
 
 @pytest.mark.parametrize("backend", ["thread", "process"])
@@ -140,7 +140,7 @@ def test_level_step_is_a_row_hop_and_a_column_hop(pr, pc, backend, tmp_path):
     store = FileCheckpointStore(str(tmp_path / "ckpt"))
     store.save(ck)
     mate_r, _, stats = launch(
-        _mcm_rank_main, (coo,), pr, pc, checkpoint_store=store, init="none",
+        mcm_dist_spmd, (coo,), pr, pc, checkpoint_store=store, init="none",
         trace="ticks", backend=backend, timeout=60,
     )
     np.testing.assert_array_equal(mate_r, want_r)

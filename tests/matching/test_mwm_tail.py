@@ -22,9 +22,11 @@ from repro.graphs.generators import edge_weights
 from repro.graphs.rmat import er
 from repro.matching import auction, auction_mwm_serial, run_mwm_dist
 from repro.matching.job import tail_is_cheaper
-from repro.matching.mwm_dist import CertificateError, _mwm_rank_main
+from repro.matching.mwm_dist import CertificateError, mwm_dist_spmd
 from repro.runtime import CheckpointStore, FileCheckpointStore, spmd
 from repro.simulate.critpath import analyze
+
+from ..helpers import job_counters
 
 EPS = 0.05
 
@@ -44,7 +46,17 @@ def _e2e_core():
     return coo, edge_weights(coo, "uniform", 1)
 
 
+def _ladder():
+    """er(7) under one heavy edge: three ε-phases, and on 1x2 the rule
+    hands off in phase 2, after phase 1's snapshot."""
+    coo = er(7, seed=1)
+    weights = edge_weights(coo, dist="uniform", seed=3) * 0.01
+    weights[0] = 1.0
+    return coo, weights
+
+
 HEAVY = _heavy()
+LADDER = _ladder()
 _twin = {}
 
 
@@ -193,7 +205,7 @@ def test_a_handoff_under_cardinality_bias_keeps_the_twins_results(force_handoff)
 @pytest.mark.parametrize("backend", ["thread", "process"])
 def test_every_rank_hands_off_at_the_same_round(backend):
     coo, weights = _e2e_core()
-    res = spmd(6, _mwm_rank_main, coo, weights, 2, 3, backend=backend, timeout=60,
+    res = spmd(6, mwm_dist_spmd, coo, weights, 2, 3, backend=backend, timeout=60,
                epsilon=EPS)
     stats = [st for _, _, st in res.values]
     assert stats[0].tail_rounds > 0
@@ -218,8 +230,8 @@ def test_the_decision_reads_replicated_values_only():
 def test_a_crash_in_the_tail_recovers_the_same_matching(backend, force_handoff):
     """Handed off after round 1, phases 2 and 3 are the tail's; rank 1 dies
     entering phase 3.  The hand-off writes no snapshot (its mid-phase state
-    is no restart point), so the job restarts from the phase-0 one and
-    hands off again at the same round."""
+    is no restart point) and no phase completed before it, so the job
+    restarts from scratch and hands off again at the same round."""
     coo, weights = HEAVY
     force_handoff(1)
     mate_r, mate_c, st = run_mwm_dist(
@@ -235,14 +247,15 @@ def test_a_crash_in_the_tail_recovers_the_same_matching(backend, force_handoff):
 
 @pytest.mark.parametrize("backend", ["thread", "process"])
 def test_a_restart_or_a_store_before_the_handoff_keeps_it(backend, tmp_path):
-    """The e2e auction on 2x2 hands off after round 3.  Rank 1 dies entering
-    phase 1 and the job resumes from the phase-0 snapshot on a fresh
-    ledger; a job given a store pays for snapshots the rule must not count.
-    Both hand off at the same round, with the plain run's counters."""
-    coo, weights = _e2e_core()
+    """``LADDER`` on 1x2 hands off in phase 2, after phase 1's snapshot.
+    Rank 1 dies entering phase 2 and the job resumes from that snapshot on
+    a fresh ledger; a job given a store pays for the snapshot, which the
+    rule must not count.  Both hand off at the same round, with the plain
+    run's counters."""
+    coo, weights = LADDER
 
     def solve(**kwargs):
-        return run_mwm_dist(coo, weights, 2, 2, epsilon=EPS, backend=backend, timeout=60,
+        return run_mwm_dist(coo, weights, 1, 2, epsilon=EPS, backend=backend, timeout=60,
                             **kwargs)
 
     def store(name):
@@ -250,17 +263,16 @@ def test_a_restart_or_a_store_before_the_handoff_keeps_it(backend, tmp_path):
                 else FileCheckpointStore(str(tmp_path / name)))
 
     ok_r, _, ok = solve()
-    assert ok.tail_rounds == ok.auction_rounds - 3
+    assert (ok.phases, ok.tail_phases) == (3, 2)
     restarted = solve(max_restarts=2, checkpoint_store=store("restart"),
-                      faults="crash:rank=1,at=phase:1")
+                      faults="crash:rank=1,at=phase:2")
     stored = solve(checkpoint_store=store("plain"))
-    assert restarted[2].restart_spans == ((0, 1),)
+    assert (restarted[2].restarts, restarted[2].restart_spans) == (1, ((0, 2),))
     assert stored[2].checkpoint_words > 0
-    counters = ("phases", "tail_phases", "auction_rounds", "tail_rounds", "bids_placed",
-                "price_updates", "matching_weight", "edges_examined", "tail_edges")
     for mate_r, _, st in (restarted, stored):
         np.testing.assert_array_equal(mate_r, ok_r)
-        assert [getattr(st, c) for c in counters] == [getattr(ok, c) for c in counters]
+        assert job_counters(st) == job_counters(ok)
+
 
 def test_trace_report_labels_the_tail_by_phase_and_round(force_handoff):
     coo, weights = HEAVY

@@ -17,7 +17,7 @@ from repro.graphs import suite
 from repro.graphs.rmat import er
 from repro.matching import hopcroft_karp
 from repro.matching.job import launch
-from repro.matching.mcm_dist import RELABEL_SEED, _mcm_rank_main, relabeled, run_mcm_dist
+from repro.matching.mcm_dist import RELABEL_SEED, mcm_dist_spmd, relabeled, run_mcm_dist
 from repro.matching.validate import cardinality, is_valid_matching
 from repro.runtime import FileCheckpointStore
 from repro.runtime.checkpoint import Checkpoint
@@ -84,7 +84,7 @@ def test_the_relabeling_breaks_the_road_graphs_locality_order():
     # the generator's order leaves the initializer a staircase matching
     # with long augmenting paths; the relabeled input does not
     coo = road()
-    own = launch(_mcm_rank_main, (coo,), 2, 2, timeout=60)[2]
+    own = launch(mcm_dist_spmd, (coo,), 2, 2, timeout=60)[2]
     rel = run_mcm_dist(coo, 2, 2, timeout=60)[2]
     assert rel.final_cardinality == own.final_cardinality
     assert rel.iterations < own.iterations
@@ -145,8 +145,7 @@ def test_snapshots_carry_the_seed_and_a_matching_store_resumes(tmp_path):
 def test_a_store_written_under_another_seed_is_refused(tmp_path, aux):
     coo = er(6, seed=2)
     store = FileCheckpointStore(str(tmp_path / "ck"))
-    free = np.full(coo.nrows, NULL), np.full(coo.ncols, NULL)
-    store.save(Checkpoint(phase=1, mate_row=free[0], mate_col=free[1], aux=aux))
+    store.save(Checkpoint(phase=1, mate=np.full(coo.nrows, NULL), aux=aux))
     held = None if aux is None else RELABEL_SEED + 1
     with pytest.raises(ValueError, match=rf"seed {held}\b.*seed {RELABEL_SEED}\b"):
         run_mcm_dist(coo, 2, 2, checkpoint_store=store, timeout=60)

@@ -24,7 +24,7 @@ from repro.graphs.rmat import er
 from repro.kernels import advance_cursor
 from repro.matching import mcm_dist, msbfs
 from repro.matching.job import tail_is_cheaper
-from repro.matching.mcm_dist import _mcm_rank_main, mcm_dist_spmd, run_mcm_dist
+from repro.matching.mcm_dist import mcm_dist_spmd, run_mcm_dist
 from repro.perfmodel.collectives import msbfs_iteration
 from repro.runtime import spmd
 from repro.sparse.spvec import NULL
@@ -193,7 +193,7 @@ def test_every_rank_asks_the_rule_with_the_same_steps(monkeypatch, pr, pc, backe
 
 @pytest.mark.parametrize("backend", ["thread", "process"])
 def test_every_rank_hands_off_at_the_same_phase(backend):
-    res = spmd(6, _mcm_rank_main, ROAD, 2, 3, backend=backend, timeout=60)
+    res = spmd(6, mcm_dist_spmd, ROAD, 2, 3, backend=backend, timeout=60)
     stats = [st for _, _, st in res.values]
     assert stats[0].tail_phases > 0
     assert len({(st.phases, st.tail_phases, st.tail_edges) for st in stats}) == 1

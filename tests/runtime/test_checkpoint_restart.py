@@ -23,11 +23,7 @@ def random_coo(n1, n2, m, seed):
 # -- stores ------------------------------------------------------------------
 
 def _ck(phase, n=6):
-    return Checkpoint(
-        phase=phase,
-        mate_row=np.arange(n, dtype=np.int64),
-        mate_col=np.arange(n, dtype=np.int64),
-    )
+    return Checkpoint(phase=phase, mate=np.arange(n, dtype=np.int64))
 
 
 def test_memory_store_keeps_latest_and_counts_words():
@@ -39,9 +35,24 @@ def test_memory_store_keeps_latest_and_counts_words():
     store.save(_ck(2))  # stale snapshot never rolls the store backwards
     assert store.latest().phase == 3
     assert store.saves == 2
-    # two header words and each mate vector at its wire width: 0..5 fits a
-    # byte a mate, one word a vector (2 * (6 + 6 + 2) at 8 bytes a mate)
-    assert store.words_written == 2 * (1 + 1 + 2)
+    # two header words and the mate vector at its wire width: 0..5 fits a
+    # byte a mate, one word (2 * (6 + 2) at 8 bytes a mate; 2 * (1 + 1 + 2)
+    # while a snapshot held both mate vectors)
+    assert store.words_written == 2 * (1 + 2)
+
+
+@pytest.mark.parametrize("kind", ["memory", "file"])
+def test_a_backward_save_is_ignored_by_every_store(kind, tmp_path):
+    """One write rule for both stores: a snapshot below the latest phase
+    neither rolls the store back nor counts, so ``checkpoint_words`` does
+    not depend on the store a job was given."""
+    store = CheckpointStore() if kind == "memory" else FileCheckpointStore(str(tmp_path))
+    store.save(_ck(2))
+    store.save(_ck(1, n=9))
+    store.refresh_counters()
+    assert store.latest().phase == 2
+    assert (store.saves, store.words_written) == (1, _ck(2).words)
+    assert not (tmp_path / "ck_phase000001.npz").exists()
 
 
 def test_file_store_round_trips_and_survives_new_instance(tmp_path):
@@ -53,8 +64,7 @@ def test_file_store_round_trips_and_survives_new_instance(tmp_path):
     again = FileCheckpointStore(d)
     ck = again.latest()
     assert ck.phase == 2
-    assert np.array_equal(ck.mate_row, np.arange(6))
-    assert np.array_equal(ck.mate_col, np.arange(6))
+    assert np.array_equal(ck.mate, np.arange(6))
 
 
 def test_file_store_ignores_leftover_tmp_files(tmp_path):
@@ -67,9 +77,9 @@ def test_file_store_ignores_leftover_tmp_files(tmp_path):
 
 
 def test_checkpoint_words_property():
-    # 10 one-byte mates a vector: two words each, and two header words
-    # (22 at 8 bytes a mate)
-    assert _ck(1, n=10).words == 6
+    # 10 one-byte mates: two words, and two header words (12 at 8 bytes a
+    # mate; 6 while a snapshot held both mate vectors)
+    assert _ck(1, n=10).words == 4
 
 
 @pytest.mark.parametrize("kind", ["memory", "file"])
@@ -81,22 +91,21 @@ def test_stores_hold_int64_arrays_at_their_wire_width(kind, tmp_path):
     store = CheckpointStore() if kind == "memory" else FileCheckpointStore(str(tmp_path))
     mates = np.array([-1, 0, 300, 70_000], dtype=np.int64)
     prices = np.array([0.5, 1.25])
-    ck = Checkpoint(1, mates, mates[::-1], {"prices": prices, "tail": np.array(1)})
+    ck = Checkpoint(1, mates, {"prices": prices, "tail": np.array(1)})
     store.save(ck)
     if kind == "memory":
         held = store._latest
     else:
         with np.load(str(tmp_path / "ck_phase000001.npz")) as data:
-            held = Checkpoint(1, data["mate_row"], data["mate_col"],
+            held = Checkpoint(1, data["mate"],
                               {"prices": data["aux_prices"], "tail": data["aux_tail"]})
-    assert held.mate_row.dtype == held.mate_col.dtype == np.int32
+    assert held.mate.dtype == np.int32
     assert held.aux["tail"].dtype == np.uint8
     assert held.aux["prices"].dtype == np.float64
-    # 2 header words, 2 words a mate vector, 2 of prices, 1 for the mark
-    assert store.words_written == ck.words == 2 + 2 + 2 + 2 + 1
+    # 2 header words, 2 words of mates, 2 of prices, 1 for the mark
+    assert store.words_written == ck.words == 2 + 2 + 2 + 1
     back = store.latest()
-    for got, sent in zip((back.mate_row, back.mate_col, *back.aux.values()),
-                         (ck.mate_row, ck.mate_col, *ck.aux.values())):
+    for got, sent in zip((back.mate, *back.aux.values()), (ck.mate, *ck.aux.values())):
         assert got.dtype == sent.dtype
         np.testing.assert_array_equal(got, sent)
 
@@ -157,26 +166,6 @@ def test_resilient_with_file_store(tmp_path):
     assert stats.checkpoint_words == store.words_written
 
 
-def test_resilient_sparse_checkpoint_cadence_replays_phases():
-    """checkpoint_every=3 trades snapshot volume for replay: a crash in a
-    later phase re-runs the phases since the last snapshot."""
-    coo = random_coo(60, 60, 200, 17)  # sparse: needs several phases
-    every = 3
-    # dying on entering phase every + 2 loses phase every + 1, completed
-    # after the last snapshot (phase every); entering every + 1 loses none
-    crash = every + 2
-    plain = run_mcm_dist(coo, 2, 2, init="none")
-    plain_card = cardinality(plain[0])
-    assert plain[2].phases >= crash
-    plan = FaultPlan.parse(f"crash:rank=any,at=phase:{crash}", seed=2)
-    mate_r, _, stats = run_mcm_dist(
-        coo, 2, 2, init="none", faults=plan, checkpoint_every=every, max_restarts=5
-    )
-    assert cardinality(mate_r) == plain_card
-    assert stats.restarts == 1
-    assert stats.phases_replayed >= 1
-
-
 def test_resilient_result_is_still_maximum():
     coo = random_coo(45, 50, 270, 23)
     a = CSC.from_coo(coo)
@@ -194,16 +183,14 @@ def test_resilient_result_is_still_maximum():
 # -- concurrent multi-process writers ----------------------------------------
 
 def _hammer_store(directory, worker, phases):
+    """Save ``phases`` in order, each mate the (worker, phase) pair; exit
+    with the count of saves the store kept (it ignores one below the
+    latest phase)."""
     import os
     store = FileCheckpointStore(directory)
     for phase in phases:
-        n = 64
-        store.save(Checkpoint(
-            phase=phase,
-            mate_row=np.full(n, worker, dtype=np.int64),
-            mate_col=np.full(n, phase, dtype=np.int64),
-        ))
-    os._exit(0)  # skip interpreter teardown races in the fork child
+        store.save(Checkpoint(phase=phase, mate=np.full(64, 100 * worker + phase)))
+    os._exit(store.saves)  # skip interpreter teardown races in the fork child
 
 
 def test_file_store_concurrent_process_writers(tmp_path):
@@ -222,21 +209,22 @@ def test_file_store_concurrent_process_writers(tmp_path):
     ]
     for p in procs:
         p.start()
+    kept = 0
     for p in procs:
         p.join(60)
-        assert p.exitcode == 0
+        assert 0 <= p.exitcode <= nphases
+        kept += p.exitcode
 
     store = FileCheckpointStore(directory)
     store.refresh_counters()
-    assert store.saves == nworkers * nphases
+    assert store.saves == kept >= nphases
     latest = store.latest()
     assert latest is not None and latest.phase == nphases - 1
-    # every file must be a complete npz from exactly one writer
+    # every phase was written — the first writer past a phase wrote it —
+    # and every file is a complete npz from exactly one writer
     for phase in range(nphases):
-        ck_phase = np.load(str(tmp_path / f"ck_phase{phase:06d}.npz"))
-        winner = ck_phase["mate_row"][0]
-        assert (ck_phase["mate_row"] == winner).all()
-        assert (ck_phase["mate_col"] == phase).all()
+        mate = np.load(str(tmp_path / f"ck_phase{phase:06d}.npz"))["mate"]
+        assert (mate == mate[0]).all() and mate[0] % 100 == phase
     # no temp droppings survive
     assert not [n for n in tmp_path.iterdir() if n.name.endswith(".tmp")]
 

@@ -246,8 +246,8 @@ def test_route_delivers_parallel_arrays_in_source_order():
 def test_mate_vectors_bit_identical_across_collective_configs(grid):
     """Two engines, two physical plans each: what the size rule picks on
     this grid against every schedule walked for real.  Neither engine runs
-    an allreduce without a checkpoint store — MWM-DIST's counters are summed
-    by the driver, not by a closing reduce — so allreduce's hub-vs-walk
+    an allreduce — MWM-DIST's counters are summed by the driver, not by a
+    closing reduce, and a snapshot is a grid allgather — so allreduce's hub-vs-walk
     parity is
     ``test_aggregation.py::test_fault_streams_are_aggregation_invariant``'s
     (ledger and fault stream) and

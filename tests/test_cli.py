@@ -242,7 +242,7 @@ def test_spmd_chaos_matches_fault_free_cardinality(capsys):
 def test_spmd_chaos_with_checkpoint_dir(tmp_path, capsys):
     ckdir = tmp_path / "cks"
     assert main(["spmd", "--rmat", "er:6", "--pr", "2", "--pc", "2",
-                 "--chaos", "0", "--checkpoint-every", "2",
+                 "--chaos", "0",
                  "--checkpoint-dir", str(ckdir), "--max-restarts", "20"]) == 0
     assert any(ckdir.glob("ck_phase*.npz"))  # snapshots persisted to disk
 
