@@ -181,6 +181,24 @@ def test_crash_every_phase_on_2x3_recovers_mates_and_prices(tmp_path):
     assert (st.certified_ratio, st.dual_bound) == (st_ok.certified_ratio, st_ok.dual_bound)
 
 
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_a_restart_reports_the_fault_free_counters(backend):
+    """Rank 1 dies entering phase 3, so the job resumes from phase 2's
+    snapshot: the rounds, bids, price updates and edge reads its phases
+    spent ride the snapshot's ``aux``, and the job reports the fault-free
+    totals (1,549 edges examined when the reads did not ride it)."""
+    coo, weights = _heavy()
+    _, _, ok = run_mwm_dist(coo, weights, 2, 2, epsilon=EPS, timeout=120)
+    _, _, st = run_mwm_dist(coo, weights, 2, 2, epsilon=EPS, timeout=120, backend=backend,
+                            max_restarts=2, faults="crash:rank=1,at=phase:3")
+    assert st.restart_spans == ((0, 3),) and st.phases_replayed == 0
+    counters = ("auction_rounds", "bids_placed", "price_updates", "matching_weight",
+                "edges_examined")
+    assert [getattr(st, c) for c in counters] == [getattr(ok, c) for c in counters]
+    assert (ok.auction_rounds, ok.bids_placed, ok.price_updates) == (93, 611, 479)
+    assert ok.edges_examined == 3_953
+
+
 def test_a_run_resumed_past_its_last_phase_recomputes_the_certificate():
     """Rank 0 dies at its last collective, after the final checkpoint: the
     restarted attempt runs no phase and must rebuild the certificate from
